@@ -1,6 +1,11 @@
 GO ?= go
 
-.PHONY: all build vet lint fuzz-short test race bench bench-nfd bench-json bench-check golden examples plan plan-report shard-smoke chaos-smoke
+# The perf-trajectory snapshot bench-json writes and bench-check gates
+# against: BENCH_$(BENCH_ISSUE).json. Bump it in the PR that commits a new
+# snapshot.
+BENCH_ISSUE ?= 8
+
+.PHONY: all build vet lint fuzz-short test race bench bench-harness bench-nfd bench-json bench-check golden examples plan plan-report shard-smoke chaos-smoke
 
 all: build lint test
 
@@ -12,11 +17,12 @@ vet:
 
 # The contract gate: go vet plus dapes-lint, the repo's own go/analysis-style
 # suite (internal/lint, docs/CONTRACTS.md). dapes-lint machine-checks the
-# four invariants every golden-trace gate depends on — kernel clock + seeded
-# RNG on simulation paths (simclock), no map-iteration order reaching
+# five invariants every golden-trace and perf gate depends on — kernel clock
+# + seeded RNG on simulation paths (simclock), no map-iteration order reaching
 # scheduling/wire/stats/sends or unsorted output slices (maporder), wire-frame
 # views stay read-only and encoded packets aren't mutated without
-# InvalidateWire (wireimmut), and no stored *sim.Event (handlehygiene).
+# InvalidateWire (wireimmut), no stored *sim.Event (handlehygiene), and no
+# map keyed by an ndn.Name rendered at the lookup (namekey).
 # Fails on any unsuppressed diagnostic; suppress only with
 # `//lint:ignore <analyzer> <reason>`.
 lint: vet
@@ -43,6 +49,12 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# The repo benchmark's harness (BENCHMARK.json, benchmark/) is a nested
+# module the root ./... patterns never reach: vet it and run its own tests.
+bench-harness:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # The forwarder-table benchmarks at measurement length: the name-tree
 # lookups must stay ≥5x below the seed implementations with 0 allocs/op
 # (docs/PERFORMANCE.md).
@@ -63,17 +75,17 @@ bench-nfd:
 # (see cmd/bench-snapshot) to mark gated metrics a snapshot moves on
 # purpose.
 bench-json:
-	$(GO) run ./cmd/bench-snapshot -issue 8 -o BENCH_8.json
-	@cat BENCH_8.json
+	$(GO) run ./cmd/bench-snapshot -issue $(BENCH_ISSUE) -o BENCH_$(BENCH_ISSUE).json
+	@cat BENCH_$(BENCH_ISSUE).json
 
 # The perf gate CI runs: re-measures and FAILS if the hardware-independent
 # alloc numbers (wire and kernel allocs/op exactly — Timer.Reset is pinned
 # at 0 — phy +2 slack, scenario totals and shard-trial allocs/op +50%)
-# regressed against the committed BENCH_8.json. Times never gate — they
+# regressed against the committed BENCH_$(BENCH_ISSUE).json. Times never gate — they
 # move with hardware; so does the whole fault section, which is
 # informational by design.
 bench-check:
-	$(GO) run ./cmd/bench-snapshot -issue 8 -check BENCH_8.json
+	$(GO) run ./cmd/bench-snapshot -issue $(BENCH_ISSUE) -check BENCH_$(BENCH_ISSUE).json
 
 # The plan smoke: run the committed CI plan file through the declarative
 # harness with a 4-worker fan-out. The JSON-lines stream and report are

@@ -1,4 +1,4 @@
-// Command dapes-lint is the repo's static-analysis multichecker: four
+// Command dapes-lint is the repo's static-analysis multichecker: five
 // analyzers that machine-check the contracts every golden-trace gate
 // depends on (docs/CONTRACTS.md):
 //
@@ -9,6 +9,7 @@
 //	                mutation of encoded/decoded packets without
 //	                InvalidateWire
 //	handlehygiene — no stored *sim.Event; hold sim.Handle / sim.Timer
+//	namekey       — no map keyed by ndn.Name.String() built at the lookup
 //
 // Usage:
 //

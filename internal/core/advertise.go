@@ -45,9 +45,9 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 		CanBePrefix: true,
 		Nonce:       p.newNonce(),
 		AppParams: bitmapPayload{
-			Collection: cs.collection,
-			Owner:      p.id,
-			Bitmap:     cs.own,
+			CollectionURI: []byte(cs.uri),
+			Owner:         p.id,
+			Bitmap:        cs.own,
 		}.encode(),
 	}
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
@@ -68,7 +68,7 @@ func (p *Peer) handleBitmapInterest(in *ndn.Interest) {
 		return
 	}
 	p.neighborHeard(payload.Owner)
-	cs, ok := p.collections[payload.Collection.String()]
+	cs, ok := p.collections[string(payload.CollectionURI)]
 	if !ok || cs.manifest == nil {
 		// We can still use the overheard bitmap for forwarding decisions
 		// about collections we do not hold (Section V-B).
@@ -94,7 +94,7 @@ func (p *Peer) handleBitmapData(d *ndn.Data) {
 		return
 	}
 	p.neighborHeard(payload.Owner)
-	cs, ok := p.collections[payload.Collection.String()]
+	cs, ok := p.collections[string(payload.CollectionURI)]
 	if !ok || cs.manifest == nil {
 		p.recordOverheardBitmap(payload)
 		return
@@ -124,11 +124,10 @@ func (p *Peer) recordOverheardBitmap(payload bitmapPayload) {
 	if !p.cfg.Multihop || payload.Bitmap == nil {
 		return
 	}
-	key := payload.Collection.String()
-	cs, ok := p.collections[key]
+	cs, ok := p.collections[string(payload.CollectionURI)]
 	if !ok {
-		cs = newCollectionState(payload.Collection)
-		p.collections[key] = cs
+		cs = newCollectionState(ndn.ParseName(string(payload.CollectionURI)))
+		p.collections[cs.uri] = cs
 	}
 	cs.avail[payload.Owner] = payload.Bitmap.Clone()
 }
@@ -206,9 +205,9 @@ func (p *Peer) transmitBitmap(cs *collectionState) {
 	d := &ndn.Data{
 		Name: bitmapDataName(cs.collection, p.id, s.txSeq),
 		Content: bitmapPayload{
-			Collection: cs.collection,
-			Owner:      p.id,
-			Bitmap:     cs.own,
+			CollectionURI: []byte(cs.uri),
+			Owner:         p.id,
+			Bitmap:        cs.own,
 		}.encode(),
 	}
 	d.SignDigest()

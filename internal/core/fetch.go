@@ -243,7 +243,7 @@ func (p *Peer) handleContentInterest(from int, in *ndn.Interest) {
 // timer, suppressing the reply if another node answers first. Stored packets
 // keep their wire form, so repeat replies reuse one encoding (encode-once).
 func (p *Peer) scheduleReply(d *ndn.Data, counter *uint64) {
-	key := d.Name.String()
+	key := d.NameKey()
 	if _, pending := p.pendingReplies[key]; pending {
 		return
 	}

@@ -12,7 +12,7 @@ import (
 
 // considerForwarding decides the fate of an Interest this peer cannot serve.
 func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
-	key := in.Name.String()
+	key := in.NameKey()
 	if until, ok := p.suppressed[key]; ok && p.k.Now() < until {
 		p.stats.InterestsSuppressed++
 		return
@@ -44,7 +44,7 @@ func (p *Peer) speculateAvailability(from int, name ndn.Name) (forward, informed
 				if id == from {
 					continue
 				}
-				if _, ok := n.offers[cs.key()]; ok {
+				if _, ok := n.offers[cs.uri]; ok {
 					return true, true
 				}
 			}
@@ -90,7 +90,7 @@ func (p *Peer) speculateAvailability(from int, name ndn.Name) (forward, informed
 // the suppression timer: if no Data answers within SuppressTTL, future
 // Interests for the same name are suppressed until the timer expires.
 func (p *Peer) forwardInterest(in *ndn.Interest) {
-	key := in.Name.String()
+	key := in.NameKey()
 	if rec, ok := p.forwarded[key]; ok && !rec.answered && p.k.Now()-rec.at < p.cfg.SuppressTTL {
 		return // already forwarded, still awaiting data
 	}
@@ -118,7 +118,7 @@ func (p *Peer) maybeForwardData(d *ndn.Data) {
 	if !p.cfg.Multihop {
 		return
 	}
-	key := d.Name.String()
+	key := d.NameKey()
 	rec, ok := p.forwarded[key]
 	if !ok || rec.answered {
 		return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,20 +59,45 @@ func isDiscoveryReply(name ndn.Name) (peerID int, ok bool) {
 	return id, true
 }
 
+// canonicalURI reports whether uri is byte for byte what Name.String prints:
+// "/" or "/a/b" with no empty component. The signaling payloads carry names
+// as URIs and receivers index their tables with those bytes as they arrive,
+// so a payload in any other spelling is malformed.
+func canonicalURI(uri []byte) bool {
+	if len(uri) == 0 || uri[0] != '/' {
+		return false
+	}
+	return len(uri) == 1 || (uri[len(uri)-1] != '/' && !bytes.Contains(uri, []byte("//")))
+}
+
 // discoveryPayload is the content of a discovery Data packet: the metadata
-// names of the collections the responder can offer.
+// names of the collections the responder can offer, as canonical URIs
+// (decoded ones are views into the frame).
 type discoveryPayload struct {
-	MetadataNames []ndn.Name
+	MetadataURIs [][]byte
 }
 
 func (p discoveryPayload) encode() []byte {
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(p.MetadataNames)))
-	for _, n := range p.MetadataNames {
-		uri := n.String()
+	b := binary.BigEndian.AppendUint16(nil, uint16(len(p.MetadataURIs)))
+	for _, uri := range p.MetadataURIs {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(uri)))
 		b = append(b, uri...)
 	}
 	return b
+}
+
+// collectionOfMetadataURI strips the trailing /metadata-file/<version>
+// components off a metadata URI, leaving the collection's URI; ok is false
+// when fewer than three components are present.
+func collectionOfMetadataURI(uri []byte) (collection []byte, ok bool) {
+	for i := 0; i < 2; i++ {
+		cut := bytes.LastIndexByte(uri, '/')
+		if cut < 0 {
+			return nil, false
+		}
+		uri = uri[:cut]
+	}
+	return uri, len(uri) > 0
 }
 
 func decodeDiscoveryPayload(buf []byte) (discoveryPayload, error) {
@@ -90,24 +116,29 @@ func decodeDiscoveryPayload(buf []byte) (discoveryPayload, error) {
 		if pos+l > len(buf) {
 			return p, errBadMessage
 		}
-		p.MetadataNames = append(p.MetadataNames, ndn.ParseName(string(buf[pos:pos+l])))
+		if !canonicalURI(buf[pos : pos+l]) {
+			return p, errBadMessage
+		}
+		p.MetadataURIs = append(p.MetadataURIs, buf[pos:pos+l])
 		pos += l
 	}
 	return p, nil
 }
 
 // bitmapPayload travels in bitmap Interests (AppParams) and bitmap Data
-// (content): the owner's bitmap for one collection.
+// (content): the owner's bitmap for one collection. The collection rides as
+// its canonical URI — the key every peer indexes its collection state with —
+// so a receiver finds its state from the decoded bytes (a view into the
+// frame) without parsing a name.
 type bitmapPayload struct {
-	Collection ndn.Name
-	Owner      int
-	Bitmap     *bitmap.Bitmap
+	CollectionURI []byte
+	Owner         int
+	Bitmap        *bitmap.Bitmap
 }
 
 func (p bitmapPayload) encode() []byte {
-	uri := p.Collection.String()
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(uri)))
-	b = append(b, uri...)
+	b := binary.BigEndian.AppendUint16(nil, uint16(len(p.CollectionURI)))
+	b = append(b, p.CollectionURI...)
 	b = binary.BigEndian.AppendUint32(b, uint32(p.Owner))
 	return append(b, p.Bitmap.Encode()...)
 }
@@ -122,7 +153,10 @@ func decodeBitmapPayload(buf []byte) (bitmapPayload, error) {
 	if pos+l+4 > len(buf) {
 		return p, errBadMessage
 	}
-	p.Collection = ndn.ParseName(string(buf[pos : pos+l]))
+	if !canonicalURI(buf[pos : pos+l]) {
+		return p, errBadMessage
+	}
+	p.CollectionURI = buf[pos : pos+l]
 	pos += l
 	p.Owner = int(binary.BigEndian.Uint32(buf[pos:]))
 	pos += 4

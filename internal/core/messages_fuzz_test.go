@@ -19,9 +19,9 @@ import (
 // metadata-name lists carried in discovery replies.
 func FuzzDiscoveryPayload(f *testing.F) {
 	f.Add(discoveryPayload{}.encode())
-	f.Add(discoveryPayload{MetadataNames: []ndn.Name{
-		ndn.ParseName("/field-report/metadata-file/1"),
-		ndn.ParseName("/maps/metadata-file/3"),
+	f.Add(discoveryPayload{MetadataURIs: [][]byte{
+		[]byte("/field-report/metadata-file/1"),
+		[]byte("/maps/metadata-file/3"),
 	}}.encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF})                    // claims 65535 names, has none
@@ -39,13 +39,17 @@ func FuzzDiscoveryPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
 		}
-		if len(p.MetadataNames) != len(p2.MetadataNames) {
-			t.Fatalf("name count changed: %d -> %d", len(p.MetadataNames), len(p2.MetadataNames))
+		if len(p.MetadataURIs) != len(p2.MetadataURIs) {
+			t.Fatalf("name count changed: %d -> %d", len(p.MetadataURIs), len(p2.MetadataURIs))
 		}
-		for i := range p.MetadataNames {
-			if !p.MetadataNames[i].Equal(p2.MetadataNames[i]) {
-				t.Fatalf("name %d not a fixed point: %s -> %s",
-					i, p.MetadataNames[i], p2.MetadataNames[i])
+		for i, uri := range p.MetadataURIs {
+			if !bytes.Equal(uri, p2.MetadataURIs[i]) {
+				t.Fatalf("name %d not a fixed point: %s -> %s", i, uri, p2.MetadataURIs[i])
+			}
+			// Receivers index tables with these bytes as they arrive, so a
+			// decoded URI must be the spelling Name.String prints.
+			if got := ndn.ParseName(string(uri)).String(); got != string(uri) {
+				t.Fatalf("name %d decoded in non-canonical form: %q (canonical %q)", i, uri, got)
 			}
 		}
 	})
@@ -62,9 +66,9 @@ func FuzzBitmapPayload(f *testing.F) {
 	sparse.Set(0)
 	sparse.Set(16)
 	for _, p := range []bitmapPayload{
-		{Collection: ndn.ParseName("/field-report"), Owner: 3, Bitmap: full},
-		{Collection: ndn.ParseName("/x"), Owner: 0, Bitmap: sparse},
-		{Collection: ndn.ParseName("/"), Owner: 1 << 20, Bitmap: bitmap.New(0)},
+		{CollectionURI: []byte("/field-report"), Owner: 3, Bitmap: full},
+		{CollectionURI: []byte("/x"), Owner: 0, Bitmap: sparse},
+		{CollectionURI: []byte("/"), Owner: 1 << 20, Bitmap: bitmap.New(0)},
 	} {
 		f.Add(p.encode())
 	}
@@ -87,7 +91,10 @@ func FuzzBitmapPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
 		}
-		if !p.Collection.Equal(p2.Collection) || p.Owner != p2.Owner || !p.Bitmap.Equal(p2.Bitmap) {
+		if got := ndn.ParseName(string(p.CollectionURI)).String(); got != string(p.CollectionURI) {
+			t.Fatalf("collection decoded in non-canonical form: %q (canonical %q)", p.CollectionURI, got)
+		}
+		if !bytes.Equal(p.CollectionURI, p2.CollectionURI) || p.Owner != p2.Owner || !p.Bitmap.Equal(p2.Bitmap) {
 			t.Fatalf("payload not a fixed point:\nfirst:  %+v\nsecond: %+v", p, p2)
 		}
 		// The re-encoding itself must be stable byte-for-byte, since bitmap

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"testing/quick"
@@ -52,22 +53,22 @@ func TestDiscoveryReplyNames(t *testing.T) {
 
 func TestDiscoveryPayloadRoundTrip(t *testing.T) {
 	t.Parallel()
-	p := discoveryPayload{MetadataNames: []ndn.Name{
-		ndn.ParseName("/coll-a/metadata-file/12ab34cd"),
-		ndn.ParseName("/coll-b/metadata-file/99ff00aa"),
+	p := discoveryPayload{MetadataURIs: [][]byte{
+		[]byte("/coll-a/metadata-file/12ab34cd"),
+		[]byte("/coll-b/metadata-file/99ff00aa"),
 	}}
 	out, err := decodeDiscoveryPayload(p.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.MetadataNames) != 2 ||
-		!out.MetadataNames[0].Equal(p.MetadataNames[0]) ||
-		!out.MetadataNames[1].Equal(p.MetadataNames[1]) {
+	if len(out.MetadataURIs) != 2 ||
+		!bytes.Equal(out.MetadataURIs[0], p.MetadataURIs[0]) ||
+		!bytes.Equal(out.MetadataURIs[1], p.MetadataURIs[1]) {
 		t.Fatalf("roundtrip = %+v", out)
 	}
 	// Empty list round-trips.
 	empty, err := decodeDiscoveryPayload(discoveryPayload{}.encode())
-	if err != nil || len(empty.MetadataNames) != 0 {
+	if err != nil || len(empty.MetadataURIs) != 0 {
 		t.Fatalf("empty roundtrip: %v %v", empty, err)
 	}
 }
@@ -93,15 +94,15 @@ func TestBitmapPayloadRoundTrip(t *testing.T) {
 	bm.Set(1)
 	bm.Set(99)
 	p := bitmapPayload{
-		Collection: ndn.ParseName("/damaged-bridge-1533783192"),
-		Owner:      13,
-		Bitmap:     bm,
+		CollectionURI: []byte("/damaged-bridge-1533783192"),
+		Owner:         13,
+		Bitmap:        bm,
 	}
 	out, err := decodeBitmapPayload(p.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Collection.Equal(p.Collection) || out.Owner != 13 || !out.Bitmap.Equal(bm) {
+	if !bytes.Equal(out.CollectionURI, p.CollectionURI) || out.Owner != 13 || !out.Bitmap.Equal(bm) {
 		t.Fatalf("roundtrip = %+v", out)
 	}
 }
@@ -166,7 +167,7 @@ func TestBitmapPayloadRoundTripProperty(t *testing.T) {
 		for _, b := range setBits {
 			bm.Set(int(b) % 256)
 		}
-		p := bitmapPayload{Collection: ndn.ParseName("/c"), Owner: int(owner), Bitmap: bm}
+		p := bitmapPayload{CollectionURI: []byte("/c"), Owner: int(owner), Bitmap: bm}
 		out, err := decodeBitmapPayload(p.encode())
 		return err == nil && out.Owner == int(owner) && out.Bitmap.Equal(bm)
 	}

@@ -36,8 +36,8 @@ type Peer struct {
 	cfg    Config
 	stats  Stats
 
-	collections map[string]*collectionState
-	wanted      []ndn.Name
+	collections map[string]*collectionState // by collectionState.uri
+	wanted      []string                    // subscription prefixes, as URIs
 	neighbors   map[int]*neighbor
 
 	beaconPeriod   time.Duration
@@ -151,7 +151,7 @@ func (p *Peer) Stop() {
 
 // Subscribe declares interest in any collection whose name matches prefix.
 func (p *Peer) Subscribe(prefix ndn.Name) {
-	p.wanted = append(p.wanted, prefix.Clone())
+	p.wanted = append(p.wanted, prefix.String())
 }
 
 // Publish installs a locally produced collection: the peer holds every
@@ -175,8 +175,16 @@ func (p *Peer) Publish(res *metadata.BuildResult) error {
 		cs.own.Set(i)
 	}
 	cs.done = true
-	p.collections[cs.key()] = cs
+	p.collections[cs.uri] = cs
 	return nil
+}
+
+// find returns the peer's state for a collection, or nil. The map key is
+// rebuilt in a stack buffer and never becomes a string, so the lookup does
+// not allocate: completion polls and tests call Done/HasPacket in loops.
+func (p *Peer) find(collection ndn.Name) *collectionState {
+	var buf [64]byte
+	return p.collections[string(collection.AppendURI(buf[:0]))]
 }
 
 // signer returns the peer's key as an ndn.Signer, or nil.
@@ -190,8 +198,8 @@ func (p *Peer) signer() ndn.Signer {
 // Progress reports verified packets over total for a collection (0, 0 when
 // the collection or its metadata is unknown).
 func (p *Peer) Progress(collection ndn.Name) (have, total int) {
-	cs, ok := p.collections[collection.String()]
-	if !ok {
+	cs := p.find(collection)
+	if cs == nil {
 		return 0, 0
 	}
 	return cs.progress()
@@ -199,8 +207,8 @@ func (p *Peer) Progress(collection ndn.Name) (have, total int) {
 
 // Done reports whether a subscribed collection has fully downloaded, and when.
 func (p *Peer) Done(collection ndn.Name) (bool, time.Duration) {
-	cs, ok := p.collections[collection.String()]
-	if !ok {
+	cs := p.find(collection)
+	if cs == nil {
 		return false, 0
 	}
 	return cs.done, cs.doneAt
@@ -209,8 +217,8 @@ func (p *Peer) Done(collection ndn.Name) (bool, time.Duration) {
 // HasPacket reports whether the peer holds the packet at a collection's
 // global index.
 func (p *Peer) HasPacket(collection ndn.Name, idx int) bool {
-	cs, ok := p.collections[collection.String()]
-	return ok && cs.own != nil && cs.own.Test(idx)
+	cs := p.find(collection)
+	return cs != nil && cs.own != nil && cs.own.Test(idx)
 }
 
 // NeighborCount returns the number of live neighbors.
@@ -332,7 +340,7 @@ func (p *Peer) neighborHeard(id int) *neighbor {
 	}
 	n, ok := p.neighbors[id]
 	if !ok {
-		n = &neighbor{id: id, offers: make(map[string]ndn.Name)}
+		n = &neighbor{id: id, offers: make(map[string]struct{})}
 		p.neighbors[id] = n
 		p.recentActivity = true
 	}
@@ -391,7 +399,7 @@ func (p *Peer) handleData(from int, d *ndn.Data) {
 
 	// Response suppression: someone answered; cancel our pending reply and
 	// recycle its timer record.
-	if rt, ok := p.pendingReplies[d.Name.String()]; ok {
+	if rt, ok := p.pendingReplies[d.NameKey()]; ok {
 		p.releaseReply(rt)
 	}
 
@@ -433,9 +441,13 @@ func (p *Peer) maybeSendDiscoveryReply() {
 	}
 	p.lastReplyAt = now
 	p.replySeq++
+	uris := make([][]byte, len(offers))
+	for i, o := range offers {
+		uris[i] = []byte(o.String())
+	}
 	d := &ndn.Data{
 		Name:    discoveryReplyName(p.id, p.replySeq),
-		Content: discoveryPayload{MetadataNames: offers}.encode(),
+		Content: discoveryPayload{MetadataURIs: uris}.encode(),
 	}
 	d.SignDigest()
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
@@ -458,28 +470,29 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 	if err != nil {
 		return
 	}
-	for _, metaName := range payload.MetadataNames {
-		// Metadata names end with /metadata-file/<version>; the collection
-		// is the prefix before those two components.
-		if metaName.Len() < 3 {
+	for _, metaURI := range payload.MetadataURIs {
+		// Everything below works on the URI bytes as they arrived, so a
+		// reply that teaches nothing new (offer known, state exists) costs
+		// no allocation; names are parsed only when a state is created.
+		collection, ok := collectionOfMetadataURI(metaURI)
+		if !ok {
 			continue
 		}
-		collection := metaName.Prefix(metaName.Len() - 2)
-		n.offers[collection.String()] = metaName
-
+		if _, known := n.offers[string(collection)]; !known {
+			n.offers[string(collection)] = struct{}{}
+		}
 		if !p.wants(collection) {
 			continue
 		}
-		cs, ok := p.collections[collection.String()]
+		cs, ok := p.collections[string(collection)]
 		if !ok {
-			cs = newCollectionState(collection)
-			cs.subscribed = true
+			cs = newCollectionState(ndn.ParseName(string(collection)))
 			cs.startedAt = p.k.Now()
-			p.collections[cs.key()] = cs
+			p.collections[cs.uri] = cs
 		}
 		cs.subscribed = true
 		if cs.metaName == nil {
-			cs.metaName = metaName.Clone()
+			cs.metaName = ndn.ParseName(string(metaURI))
 		}
 		if cs.manifest == nil {
 			p.requestNextMetaSegment(cs)
@@ -490,10 +503,12 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 	}
 }
 
-// wants reports whether the collection matches any subscription prefix.
-func (p *Peer) wants(collection ndn.Name) bool {
+// wants reports whether the collection (by canonical URI) falls under any
+// subscription prefix: component-wise, so /a wants /a and /a/b, not /ab.
+func (p *Peer) wants(collection []byte) bool {
 	for _, w := range p.wanted {
-		if w.IsPrefixOf(collection) {
+		if w == "/" || (len(collection) >= len(w) && string(collection[:len(w)]) == w &&
+			(len(collection) == len(w) || collection[len(w)] == '/')) {
 			return true
 		}
 	}

@@ -15,8 +15,9 @@ import (
 type neighbor struct {
 	id        int
 	lastHeard time.Duration
-	// offers maps collection URI -> metadata name, learned from discovery.
-	offers map[string]ndn.Name
+	// offers is the set of collections (by URI) the neighbor's discovery
+	// replies have offered.
+	offers map[string]struct{}
 }
 
 // advertSession is the per-encounter bitmap exchange state (Section IV-F):
@@ -37,6 +38,7 @@ type advertSession struct {
 // collectionState is everything a peer knows about one collection.
 type collectionState struct {
 	collection ndn.Name
+	uri        string   // collection.String(), built once: the key in Peer.collections and neighbor.offers
 	metaName   ndn.Name // learned from discovery (or Publish)
 
 	// Metadata fetch progress. metaT is the segment-retry timer, created
@@ -80,6 +82,7 @@ type collectionState struct {
 func newCollectionState(collection ndn.Name) *collectionState {
 	return &collectionState{
 		collection: collection.Clone(),
+		uri:        collection.String(),
 		metaSegs:   make(map[int]*ndn.Data),
 		metaTotal:  -1,
 		packets:    make(map[int]*ndn.Data),
@@ -88,9 +91,6 @@ func newCollectionState(collection ndn.Name) *collectionState {
 		inflight:   make(map[int]*inflightTimer),
 	}
 }
-
-// key returns the map key for this collection.
-func (cs *collectionState) key() string { return cs.collection.String() }
 
 // availabilityUnion returns the union of all live advertised bitmaps.
 func (cs *collectionState) availabilityUnion(n int) *bitmap.Bitmap {

@@ -46,30 +46,7 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 		r.Start()
 	}
 
-	topo.kernel.RunUntil(s.Horizon, func() bool {
-		for _, p := range downloaders {
-			if done, _ := p.Done(); !done {
-				return false
-			}
-		}
-		return true
-	})
-
-	var total time.Duration
-	completed := 0
-	for _, p := range downloaders {
-		done, at := p.Done()
-		if done {
-			completed++
-		}
-		total += censor(done, at, s.Horizon)
-	}
-	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   topo.medium.Stats().Transmissions,
-		Completed:       completed,
-		Downloaders:     len(downloaders),
-	}, nil
+	return driveBaseline(topo, s.Horizon, downloaders), nil
 }
 
 // RunEktaTrial executes one Fig.-7 trial of the Ekta baseline: DSR reactive
@@ -109,30 +86,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 		p.Join(seedPeer.ID())
 	}
 
-	topo.kernel.RunUntil(s.Horizon, func() bool {
-		for _, p := range downloaders {
-			if done, _ := p.Done(); !done {
-				return false
-			}
-		}
-		return true
-	})
-
-	var total time.Duration
-	completed := 0
-	for _, p := range downloaders {
-		done, at := p.Done()
-		if done {
-			completed++
-		}
-		total += censor(done, at, s.Horizon)
-	}
-	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   topo.medium.Stats().Transmissions,
-		Completed:       completed,
-		Downloaders:     len(downloaders),
-	}, nil
+	return driveBaseline(topo, s.Horizon, downloaders), nil
 }
 
 // runBaseline aggregates trials for one baseline runner through the worker
@@ -143,4 +97,29 @@ func runBaseline(s Scale, wifiRange float64, run func(Scale, float64, int) (Tria
 		return 0, 0, err
 	}
 	return res.DownloadTime90, res.Transmissions90, nil
+}
+
+// driveBaseline drives a started baseline world until every downloader has
+// the file (or the horizon passes) and folds it into a TrialResult.
+func driveBaseline[P interface{ Done() (bool, time.Duration) }](topo *topology, horizon time.Duration, downloaders []P) TrialResult {
+	topo.kernel.RunUntil(horizon, allDone(topo.kernel.Now, 0, len(downloaders), func(i int) bool {
+		done, _ := downloaders[i].Done()
+		return done
+	}))
+
+	var total time.Duration
+	completed := 0
+	for _, p := range downloaders {
+		done, at := p.Done()
+		if done {
+			completed++
+		}
+		total += censor(done, at, horizon)
+	}
+	return TrialResult{
+		AvgDownloadTime: total / time.Duration(len(downloaders)),
+		Transmissions:   topo.medium.Stats().Transmissions,
+		Completed:       completed,
+		Downloaders:     len(downloaders),
+	}
 }

@@ -4,9 +4,12 @@ import (
 	"time"
 
 	"dapes/internal/core"
+	"dapes/internal/fault"
 	"dapes/internal/geo"
 	"dapes/internal/multihop"
 	"dapes/internal/ndn"
+	"dapes/internal/phy"
+	"dapes/internal/sim"
 )
 
 // DAPESOptions selects the design variant under test; the zero value is the
@@ -60,77 +63,118 @@ func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (Tr
 
 // runSequentialDAPESTrial is the single-kernel reference implementation.
 func runSequentialDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	topo := buildTopology(s, wifiRange, trial)
-	installMediumFaults(topo.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
-	res, err := buildCollection(s, s.BaseSeed+int64(trial))
+	w, err := buildSequentialDAPES(s, wifiRange, trial, opts)
 	if err != nil {
 		return TrialResult{}, err
 	}
-	collection := res.Manifest.Collection
+	return w.run(), nil
+}
+
+func buildSequentialDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions) (*dapesWorld, error) {
+	topo := buildTopology(s, wifiRange, trial)
+	installMediumFaults(topo.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
+	w := &dapesWorld{kernel: topo.kernel, medium: topo.medium}
+	site := func(geo.Mobility) (*sim.Kernel, *phy.Medium) { return topo.kernel, topo.medium }
+	return w, w.start(s, trial, opts, topo.placement, site)
+}
+
+// trialKernel is what a built world needs of its engine; the sequential and
+// the sharded kernel both provide it.
+type trialKernel interface {
+	Now() time.Duration
+	RunUntil(horizon time.Duration, cond func() bool) bool
+}
+
+// dapesWorld is one Fig.-7 DAPES trial, built and started but not yet run:
+// every node attached and beaconing, the fault schedule installed. The
+// sequential and the sharded path differ only in the engine underneath and
+// in which kernel and medium host each node.
+type dapesWorld struct {
+	kernel trialKernel
+	medium interface{ Stats() phy.Stats } // the one medium, or the sharded sum
+
+	horizon       time.Duration
+	collection    ndn.Name
+	downloaders   []*core.Peer
+	intermediates []*core.Peer
+	pures         []*multihop.PureForwarder
+	sched         fault.Schedule
+	faultsUntil   time.Duration
+}
+
+// start attaches and starts every node of the placement — site names the
+// kernel and medium hosting a node with the given mobility — and installs
+// the crash schedule. Attach, start and scheduling order are part of the
+// trace (radio IDs, kernel sequence numbers), so both paths share this one
+// copy of it.
+func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement, site func(geo.Mobility) (*sim.Kernel, *phy.Medium)) error {
+	res, err := buildCollection(s, s.BaseSeed+int64(trial))
+	if err != nil {
+		return err
+	}
+	w.horizon = s.Horizon
+	w.collection = res.Manifest.Collection
 	cfg := opts.coreConfig()
+	peer := func(m geo.Mobility) *core.Peer {
+		k, medium := site(m)
+		return core.NewPeer(k, medium, m, nil, nil, cfg)
+	}
 
-	producer := core.NewPeer(topo.kernel, topo.medium, topo.producerMobility, nil, nil, cfg)
+	producer := peer(pl.producerMobility)
 	if err := producer.Publish(res); err != nil {
-		return TrialResult{}, err
+		return err
 	}
-
-	var downloaders []*core.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := core.NewPeer(topo.kernel, topo.medium, m, nil, nil, cfg)
-		p.Subscribe(collection)
-		downloaders = append(downloaders, p)
+		p := peer(m)
+		p.Subscribe(w.collection)
+		w.downloaders = append(w.downloaders, p)
 	}
-	for _, pos := range topo.stationaryPos {
+	for _, pos := range pl.stationaryPos {
 		addDownloader(geo.Stationary{At: pos})
 	}
-	for _, m := range topo.downloaderMobility {
+	for _, m := range pl.downloaderMobility {
 		addDownloader(m)
 	}
-
-	var pures []*multihop.PureForwarder
-	var intermediates []*core.Peer
-	for i, m := range topo.forwarderMobility {
+	for i, m := range pl.forwarderMobility {
 		if i < s.PureForwarders {
-			pures = append(pures, multihop.NewPureForwarder(topo.kernel, topo.medium, m,
+			k, medium := site(m)
+			w.pures = append(w.pures, multihop.NewPureForwarder(k, medium, m,
 				multihop.Config{ForwardProb: opts.ForwardProb}))
 			continue
 		}
 		// DAPES-aware intermediates: understand the semantics, forward based
 		// on overheard knowledge, but do not download.
-		p := core.NewPeer(topo.kernel, topo.medium, m, nil, nil, cfg)
-		intermediates = append(intermediates, p)
+		w.intermediates = append(w.intermediates, peer(m))
 	}
 
 	producer.Start()
-	for _, p := range downloaders {
+	for _, p := range w.downloaders {
 		p.Start()
 	}
 	if opts.Multihop {
-		for _, f := range pures {
+		for _, f := range w.pures {
 			f.Start()
 		}
-		for _, p := range intermediates {
+		for _, p := range w.intermediates {
 			p.Start()
 		}
 	}
+	w.sched, w.faultsUntil = scheduleCrashes(s.Faults, TrialSeed(s.BaseSeed, trial), w.downloaders, w.intermediates)
+	return nil
+}
 
-	sched, faultsUntil := scheduleCrashes(s.Faults, TrialSeed(s.BaseSeed, trial), downloaders, intermediates)
+// run drives the world until every downloader holds the collection (or the
+// horizon passes) and returns the trial's metrics.
+func (w *dapesWorld) run() TrialResult {
+	w.kernel.RunUntil(w.horizon, allDone(w.kernel.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection)))
+	return w.collect()
+}
 
-	topo.kernel.RunUntil(s.Horizon, func() bool {
-		if topo.kernel.Now() < faultsUntil {
-			return false
-		}
-		for _, p := range downloaders {
-			if done, _ := p.Done(collection); !done {
-				return false
-			}
-		}
-		return true
-	})
-
-	result := collectDAPES(topo.medium.Stats().Transmissions, collection, downloaders, intermediates, pures, s.Horizon)
-	chaosStats(&result, sched, downloaders, collection)
-	return result, nil
+// collect folds the world, as it stands, into a TrialResult.
+func (w *dapesWorld) collect() TrialResult {
+	result := collectDAPES(w.medium.Stats().Transmissions, w.collection, w.downloaders, w.intermediates, w.pures, w.horizon)
+	chaosStats(&result, w.sched, w.downloaders, w.collection)
+	return result
 }
 
 // collectDAPES folds one finished trial's peers into a TrialResult; tx is

@@ -103,10 +103,12 @@ func runToJSON(r RunResult) runJSON {
 }
 
 // runCSVHeader is the column layout EmitRun writes in CSV mode, one row per
-// trial.
+// trial. Columns are fixed, so the chaos statistics read 0 on fault-free
+// runs (JSON and text omit them there).
 var runCSVHeader = []string{
 	"scenario", "range_m", "seed", "trial", "avg_download_sec",
 	"transmissions", "completed", "downloaders", "forward_accuracy", "memory_bytes",
+	"crashed", "recovery_sec",
 }
 
 // EmitRun writes one scenario execution in the requested format.
@@ -133,6 +135,8 @@ func EmitRun(w io.Writer, f Format, r RunResult) error {
 				fmt.Sprintf("%d", tr.Downloaders),
 				fmt.Sprintf("%.4f", tr.ForwardAccuracy),
 				fmt.Sprintf("%d", tr.MemoryBytes),
+				fmt.Sprintf("%d", tr.Crashed),
+				fmt.Sprintf("%.3f", tr.Recovery.Seconds()),
 			}
 			if err := cw.Write(rec); err != nil {
 				return err

@@ -5,8 +5,12 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -216,5 +220,111 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("xml"); err == nil {
 		t.Fatal("ParseFormat accepted xml")
+	}
+}
+
+// TestEmitRunFormatsAgreeOnChaosRun emits one urban-grid-chaos execution in
+// all three formats and reads every per-trial field back out of each: the
+// chaos statistics must be present everywhere, and a column that exists in
+// one machine-readable format must exist in the other.
+func TestEmitRunFormatsAgreeOnChaosRun(t *testing.T) {
+	t.Parallel()
+	s := goldenScale()
+	s.Trials = 2
+	s.Horizon = 6 * time.Minute
+	run, err := Runner{Workers: 1}.RunScenario("urban-grid-chaos", s, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(f Format) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := EmitRun(&buf, f, run); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		return &buf
+	}
+
+	var doc struct {
+		Scenario string                   `json:"scenario"`
+		Range    float64                  `json:"range_m"`
+		Seed     int64                    `json:"seed"`
+		Trials   []map[string]json.Number `json:"trials"`
+	}
+	dec := json.NewDecoder(emit(FormatJSON))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(emit(FormatCSV)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	textTrial := regexp.MustCompile(`^trial (\d+): avg-download=(\S+) transmissions=(\d+) completed=(\d+)/(\d+) forward-accuracy=(\d+)% crashed=(\d+) recovery=(\S+)$`)
+	lines := strings.Split(strings.TrimSpace(emit(FormatText).String()), "\n")
+	if len(doc.Trials) != len(run.Trials) || len(recs) != len(run.Trials)+1 || len(lines) != len(run.Trials)+2 {
+		t.Fatalf("trial rows: json %d, csv %d, text %d; want %d", len(doc.Trials), len(recs)-1, len(lines)-2, len(run.Trials))
+	}
+
+	for i, tr := range run.Trials {
+		if tr.Crashed == 0 || tr.Recovery == 0 || tr.ForwardAccuracy == 0 || tr.MemoryBytes == 0 {
+			t.Fatalf("trial %d leaves a field at its zero value, so omission would go unnoticed: %+v", i, tr)
+		}
+		// CSV against the result, column by column.
+		want := map[string]string{
+			"scenario":         "urban-grid-chaos",
+			"range_m":          "60",
+			"seed":             fmt.Sprint(s.BaseSeed),
+			"trial":            fmt.Sprint(i),
+			"avg_download_sec": fmt.Sprintf("%.3f", tr.AvgDownloadTime.Seconds()),
+			"transmissions":    fmt.Sprint(tr.Transmissions),
+			"completed":        fmt.Sprint(tr.Completed),
+			"downloaders":      fmt.Sprint(tr.Downloaders),
+			"forward_accuracy": fmt.Sprintf("%.4f", tr.ForwardAccuracy),
+			"memory_bytes":     fmt.Sprint(tr.MemoryBytes),
+			"crashed":          fmt.Sprint(tr.Crashed),
+			"recovery_sec":     fmt.Sprintf("%.3f", tr.Recovery.Seconds()),
+		}
+		if len(recs[0]) != len(want) || len(recs[i+1]) != len(want) {
+			t.Fatalf("csv has %d header / %d row columns, want %d", len(recs[0]), len(recs[i+1]), len(want))
+		}
+		// JSON carries the same per-trial fields as CSV, at full precision
+		// (the first three CSV columns repeat the run header on every row).
+		js := doc.Trials[i]
+		if len(js) != len(recs[0])-3 {
+			t.Errorf("json trial %d has %d fields, csv has %d per-trial columns", i, len(js), len(recs[0])-3)
+		}
+		for col, name := range recs[0] {
+			got := recs[i+1][col]
+			if got != want[name] {
+				t.Errorf("csv trial %d %s = %q, want %q", i, name, got, want[name])
+			}
+			if col < 3 {
+				continue
+			}
+			jf, err := js[name].Float64()
+			cf, _ := strconv.ParseFloat(got, 64)
+			if err != nil || math.Abs(jf-cf) > 0.00051 {
+				t.Errorf("trial %d %s: json %q (%v) vs csv %q", i, name, js[name], err, got)
+			}
+		}
+		// Text prints everything but memory, rounded for reading.
+		m := textTrial.FindStringSubmatch(lines[i+1])
+		if m == nil {
+			t.Fatalf("text trial line %q does not carry every field", lines[i+1])
+		}
+		wantText := []string{
+			fmt.Sprint(i), tr.AvgDownloadTime.Round(100 * time.Millisecond).String(),
+			fmt.Sprint(tr.Transmissions), fmt.Sprint(tr.Completed), fmt.Sprint(tr.Downloaders),
+			fmt.Sprintf("%.0f", 100*tr.ForwardAccuracy), fmt.Sprint(tr.Crashed),
+			tr.Recovery.Round(100 * time.Millisecond).String(),
+		}
+		for j, w := range wantText {
+			if m[j+1] != w {
+				t.Errorf("text trial %d field %d = %q, want %q", i, j, m[j+1], w)
+			}
+		}
+	}
+	if doc.Scenario != "urban-grid-chaos" || doc.Range != 60 || doc.Seed != s.BaseSeed {
+		t.Errorf("json run header: %q range %v seed %d", doc.Scenario, doc.Range, doc.Seed)
 	}
 }

@@ -218,14 +218,7 @@ func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
 // runScenario drives a Fig.-8 world to completion and assembles the Table-I
 // row.
 func runScenario(w *scenarioWorld, name string, coll ndn.Name, horizon time.Duration, allPeers, downloaders []*core.Peer) ScenarioResult {
-	w.kernel.RunUntil(horizon, func() bool {
-		for _, p := range downloaders {
-			if done, _ := p.Done(coll); !done {
-				return false
-			}
-		}
-		return true
-	})
+	w.kernel.RunUntil(horizon, allDone(w.kernel.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
 
 	completed := true
 	var latest time.Duration

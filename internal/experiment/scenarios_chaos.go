@@ -39,6 +39,10 @@ func urbanChaosPlan(h time.Duration) *fault.Plan {
 // ≥90% of the fault-free run after restarts — is pinned by
 // TestChaosRecoveryBar.
 func urbanGridChaosTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	return RunDAPESTrial(urbanGridChaosScale(s), wifiRange, trial, PaperDefaults())
+}
+
+func urbanGridChaosScale(s Scale) Scale {
 	dense := s
 	dense.MobileDown = s.MobileDown * 5
 	dense.PureForwarders = s.PureForwarders * 5
@@ -49,7 +53,7 @@ func urbanGridChaosTrial(s Scale, wifiRange float64, trial int) (TrialResult, er
 	if dense.Faults == nil {
 		dense.Faults = urbanChaosPlan(dense.Horizon)
 	}
-	return RunDAPESTrial(dense, wifiRange, trial, PaperDefaults())
+	return dense
 }
 
 // blackoutRecoveryTrial is the Fig.-7 workload with a regional jammer:
@@ -58,6 +62,10 @@ func urbanGridChaosTrial(s Scale, wifiRange float64, trial int) (TrialResult, er
 // progress — and the run measures how completion times recover once the
 // blackout lifts.
 func blackoutRecoveryTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	return RunDAPESTrial(blackoutRecoveryScale(s), wifiRange, trial, PaperDefaults())
+}
+
+func blackoutRecoveryScale(s Scale) Scale {
 	faulted := s
 	side := faulted.AreaSide
 	if side <= 0 {
@@ -73,5 +81,5 @@ func blackoutRecoveryTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 			JamUntil:  3 * h / 8,
 		}
 	}
-	return RunDAPESTrial(faulted, wifiRange, trial, PaperDefaults())
+	return faulted
 }

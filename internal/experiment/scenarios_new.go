@@ -49,40 +49,8 @@ func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.M
 // runWorldAndCollect drives the kernel until every downloader completes (or
 // the horizon passes) and folds the world into a TrialResult.
 func runWorldAndCollect(k *sim.Kernel, medium *phy.Medium, coll ndn.Name, downloaders []*core.Peer, horizon time.Duration) TrialResult {
-	k.RunUntil(horizon, func() bool {
-		for _, p := range downloaders {
-			if done, _ := p.Done(coll); !done {
-				return false
-			}
-		}
-		return true
-	})
-
-	var total time.Duration
-	completed, memory := 0, 0
-	var fwd, answered uint64
-	for _, p := range downloaders {
-		done, at := p.Done(coll)
-		if done {
-			completed++
-		}
-		total += censor(done, at, horizon)
-		memory += p.MemoryFootprint()
-		fwd += p.Stats().InterestsForwarded
-		answered += p.Stats().ForwardedAnswered
-	}
-	acc := 0.0
-	if fwd > 0 {
-		acc = float64(answered) / float64(fwd)
-	}
-	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   medium.Stats().Transmissions,
-		Completed:       completed,
-		Downloaders:     len(downloaders),
-		ForwardAccuracy: acc,
-		MemoryBytes:     memory,
-	}
+	k.RunUntil(horizon, allDone(k.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
+	return collectDAPES(medium.Stats().Transmissions, coll, downloaders, nil, nil, horizon)
 }
 
 // clusterSize derives the per-cluster peer count from the scale's node mix.

@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dapes/internal/core"
 	"dapes/internal/geo"
-	"dapes/internal/multihop"
 	"dapes/internal/phy"
 	"dapes/internal/sim"
 )
@@ -67,11 +65,7 @@ type shardedWorld struct {
 	sk      *sim.ShardedKernel
 	sm      *phy.ShardedMedium
 	stripes geo.Stripes
-
-	producerMobility   geo.Mobility
-	stationaryPos      []geo.Point
-	downloaderMobility []geo.Mobility
-	forwarderMobility  []geo.Mobility
+	placement
 }
 
 // buildShardedWorld replicates buildTopology draw for draw — same TrialSeed
@@ -139,19 +133,14 @@ func buildShardedWorld(s Scale, wifiRange float64, trial int, shards int, lookah
 	return w
 }
 
-// home returns the shard owning a node that starts at p: the
+// site returns the kernel and medium of the shard owning a node: the
 // density-balanced stripe of its t=0 position. Ownership decides which
 // kernel runs the node's events, not who hears it — a walker that wanders
 // across the stripe boundary keeps its home and reaches its new neighbors
 // through the cross-shard handoff path.
-func (w *shardedWorld) home(p geo.Point) int {
-	return w.stripes.Of(p)
-}
-
-// peer attaches a DAPES peer on the kernel and medium of its home stripe.
-func (w *shardedWorld) peer(m geo.Mobility, cfg core.Config) *core.Peer {
-	h := w.home(m.PositionAt(0))
-	return core.NewPeer(w.sk.Shard(h), w.sm.Medium(h), m, nil, nil, cfg)
+func (w *shardedWorld) site(m geo.Mobility) (*sim.Kernel, *phy.Medium) {
+	h := w.stripes.Of(m.PositionAt(0))
+	return w.sk.Shard(h), w.sm.Medium(h)
 }
 
 // RunShardedDAPESTrial executes one Fig.-7 trial on the space-partitioned
@@ -178,78 +167,23 @@ func (w *shardedWorld) peer(m geo.Mobility, cfg core.Config) *core.Peer {
 // serial and parallel window execution are byte-identical, which
 // TestShardedTrialSerialMatchesParallel gates.
 func RunShardedDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, shards int, lookahead time.Duration) (TrialResult, error) {
-	w := buildShardedWorld(s, wifiRange, trial, shards, lookahead)
-	defer w.sk.Close()
-	for i := 0; i < w.sk.Shards(); i++ {
-		installMediumFaults(w.sm.Medium(i), s.Faults, TrialSeed(s.BaseSeed, trial))
-	}
-	res, err := buildCollection(s, s.BaseSeed+int64(trial))
+	w, sk, err := buildShardedDAPES(s, wifiRange, trial, opts, shards, lookahead)
+	defer sk.Close()
 	if err != nil {
 		return TrialResult{}, err
 	}
-	collection := res.Manifest.Collection
-	cfg := opts.coreConfig()
+	return w.run(), nil
+}
 
-	producer := w.peer(w.producerMobility, cfg)
-	if err := producer.Publish(res); err != nil {
-		return TrialResult{}, err
+// buildShardedDAPES builds and starts the partitioned world; the caller
+// closes the returned kernel, error or not.
+func buildShardedDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions, shards int, lookahead time.Duration) (*dapesWorld, *sim.ShardedKernel, error) {
+	sw := buildShardedWorld(s, wifiRange, trial, shards, lookahead)
+	for i := 0; i < sw.sk.Shards(); i++ {
+		installMediumFaults(sw.sm.Medium(i), s.Faults, TrialSeed(s.BaseSeed, trial))
 	}
-
-	var downloaders []*core.Peer
-	addDownloader := func(m geo.Mobility) {
-		p := w.peer(m, cfg)
-		p.Subscribe(collection)
-		downloaders = append(downloaders, p)
-	}
-	for _, pos := range w.stationaryPos {
-		addDownloader(geo.Stationary{At: pos})
-	}
-	for _, m := range w.downloaderMobility {
-		addDownloader(m)
-	}
-
-	var pures []*multihop.PureForwarder
-	var intermediates []*core.Peer
-	for i, m := range w.forwarderMobility {
-		if i < s.PureForwarders {
-			h := w.home(m.PositionAt(0))
-			pures = append(pures, multihop.NewPureForwarder(w.sk.Shard(h), w.sm.Medium(h), m,
-				multihop.Config{ForwardProb: opts.ForwardProb}))
-			continue
-		}
-		intermediates = append(intermediates, w.peer(m, cfg))
-	}
-
-	producer.Start()
-	for _, p := range downloaders {
-		p.Start()
-	}
-	if opts.Multihop {
-		for _, f := range pures {
-			f.Start()
-		}
-		for _, p := range intermediates {
-			p.Start()
-		}
-	}
-
-	sched, faultsUntil := scheduleCrashes(s.Faults, TrialSeed(s.BaseSeed, trial), downloaders, intermediates)
-
-	w.sk.RunUntil(s.Horizon, func() bool {
-		if w.sk.Now() < faultsUntil {
-			return false
-		}
-		for _, p := range downloaders {
-			if done, _ := p.Done(collection); !done {
-				return false
-			}
-		}
-		return true
-	})
-
-	result := collectDAPES(w.sm.Stats().Transmissions, collection, downloaders, intermediates, pures, s.Horizon)
-	chaosStats(&result, sched, downloaders, collection)
-	return result, nil
+	w := &dapesWorld{kernel: sw.sk, medium: sw.sm}
+	return w, sw.sk, w.start(s, trial, opts, sw.placement, sw.site)
 }
 
 // urbanMetroShards is urban-metro's default stripe count when neither the

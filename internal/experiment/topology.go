@@ -17,13 +17,9 @@ import (
 // overrides it for denser or sparser workloads.
 const areaSide = 300.0
 
-// topology is one instantiated Fig.-7 world: kernel, medium, and mobility
-// models for every node slot. Protocol stacks are attached by the per-system
-// trial runners so DAPES and the baselines ride identical node motion.
-type topology struct {
-	kernel *sim.Kernel
-	medium *phy.Medium
-
+// placement is the node motion of one Fig.-7 world: a mobility model for
+// every node slot.
+type placement struct {
 	// producerMobility carries the initial collection.
 	producerMobility geo.Mobility
 	// stationaryPos are the repository positions.
@@ -33,6 +29,15 @@ type topology struct {
 	// forwarderMobility are the 20 intermediate node walks (first half pure
 	// forwarders, second half protocol-aware intermediates).
 	forwarderMobility []geo.Mobility
+}
+
+// topology is one instantiated Fig.-7 world: kernel, medium, and placement.
+// Protocol stacks are attached by the per-system trial runners so DAPES and
+// the baselines ride identical node motion.
+type topology struct {
+	kernel *sim.Kernel
+	medium *phy.Medium
+	placement
 }
 
 // buildTopology creates the world for one trial.

@@ -40,6 +40,14 @@ func TestHandleHygieneFixture(t *testing.T) {
 	linttest.Run(t, lint.HandleHygiene, fixture("handlehygiene"), "dapes/internal/core/lintfixture")
 }
 
+func TestNameKeyFixture(t *testing.T) {
+	linttest.Run(t, lint.NameKey, fixture("namekey"), "dapes/internal/multihop/lintfixture")
+}
+
+func TestNameKeyOffSimulationPath(t *testing.T) {
+	linttest.Run(t, lint.NameKey, fixture("namekey_offpath"), "dapes/cmd/lintfixture")
+}
+
 // TestTreeIsClean is the baseline the satellite task demands: the full
 // suite over the whole module must produce zero unsuppressed diagnostics.
 // `make lint` enforces the same in CI; having it as a test means a

@@ -210,3 +210,43 @@ func TestDapesIntermediateForwardsForSameCollection(t *testing.T) {
 		t.Fatal("intermediate forwarded but nothing answered")
 	}
 }
+
+// TestMatchForwardedPicksLongestPrefix: when two forwarded CanBePrefix
+// Interests both prefix a Data name, the Data answers the longer one — every
+// time, where a range over the record map used to pick whichever came first.
+// A longer record that is not CanBePrefix is passed over for a shorter one
+// that is, and a component containing '/' does not fake a match.
+func TestMatchForwardedPicksLongestPrefix(t *testing.T) {
+	t.Parallel()
+	data := &ndn.Data{Name: ndn.ParseName("/dapes/bitmap/c0ffee00/adv/3/1")}
+	data.SignDigest()
+	for round := 0; round < 50; round++ {
+		k := sim.NewKernel(int64(round))
+		medium := phy.NewMedium(k, phy.Config{Range: 50})
+		f := NewPureForwarder(k, medium, geo.Stationary{}, Config{ForwardProb: 1.0})
+		f.Start()
+		for i, in := range []*ndn.Interest{
+			{Name: ndn.ParseName("/dapes"), CanBePrefix: true},
+			{Name: ndn.ParseName("/dapes/bitmap"), CanBePrefix: true},
+			{Name: ndn.ParseName("/dapes/bitmap/c0ffee00"), CanBePrefix: true},
+			{Name: ndn.ParseName("/dapes/bitmap/c0ffee00/adv")}, // exact-match only
+			{Name: ndn.Name{"dapes", "bitmap", "c0ffee00", "adv/3"}, CanBePrefix: true},
+		} {
+			in.Nonce = uint32(i + 1)
+			f.onInterest(in)
+		}
+		if len(f.forwarded) != 5 {
+			t.Fatalf("round %d: %d forwarded records, want 5", round, len(f.forwarded))
+		}
+		rec := f.matchForwarded(data)
+		if rec == nil || rec.key != "/dapes/bitmap/c0ffee00" {
+			t.Fatalf("round %d: matched %+v, want the /dapes/bitmap/c0ffee00 record", round, rec)
+		}
+		f.onData(data)
+		for key, r := range f.forwarded {
+			if r.answered != (key == "/dapes/bitmap/c0ffee00") {
+				t.Fatalf("round %d: record %s answered = %v", round, key, r.answered)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@
 package multihop
 
 import (
+	"strings"
 	"time"
 
 	"dapes/internal/geo"
@@ -111,6 +112,7 @@ func (f *PureForwarder) releaseReply(rt *replyTimer) {
 
 type forwardRecord struct {
 	name        ndn.Name
+	key         string // name's URI: the record's key in forwarded/suppressed
 	canBePrefix bool
 	at          time.Duration
 	answered    bool
@@ -216,7 +218,7 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 		return
 	}
 
-	key := in.Name.String()
+	key := in.NameKey()
 	if until, ok := f.suppressed[key]; ok && f.k.Now() < until {
 		f.stats.InterestsSuppressed++
 		return
@@ -230,6 +232,7 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 	}
 	rec := &forwardRecord{
 		name:        in.Name.Clone(),
+		key:         key,
 		canBePrefix: in.CanBePrefix,
 		at:          f.k.Now(),
 		relayed:     make(map[string]bool, 1),
@@ -256,7 +259,7 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 // original wire (encode-once), so the reply re-emits the cached frame
 // without a re-encode.
 func (f *PureForwarder) scheduleReply(d *ndn.Data) {
-	key := d.Name.String()
+	key := d.NameKey()
 	if _, pending := f.pendingReplies[key]; pending {
 		return
 	}
@@ -275,7 +278,7 @@ func (f *PureForwarder) scheduleReply(d *ndn.Data) {
 }
 
 func (f *PureForwarder) onData(d *ndn.Data) {
-	key := d.Name.String()
+	key := d.NameKey()
 	// Response suppression: someone else answered.
 	if rt, ok := f.pendingReplies[key]; ok {
 		f.releaseReply(rt)
@@ -283,7 +286,7 @@ func (f *PureForwarder) onData(d *ndn.Data) {
 	// Cache every overheard transmission (Section V-A).
 	f.cs.Insert(d)
 
-	rec := f.matchForwarded(d.Name)
+	rec := f.matchForwarded(d)
 	if rec == nil || rec.relayed[key] {
 		return
 	}
@@ -292,7 +295,7 @@ func (f *PureForwarder) onData(d *ndn.Data) {
 		rec.answered = true
 		f.stats.ForwardedAnswered++
 	}
-	delete(f.suppressed, rec.name.String())
+	delete(f.suppressed, rec.key)
 	// Encode-once: relay the Data frame exactly as it was received.
 	wire := d.Encode()
 	f.k.ScheduleFunc(f.k.Jitter(f.cfg.TransmissionWindow), func() {
@@ -304,15 +307,26 @@ func (f *PureForwarder) onData(d *ndn.Data) {
 	})
 }
 
-// matchForwarded finds a forwarded-Interest record the Data satisfies:
-// exact name, or prefix match for CanBePrefix Interests (e.g. discovery and
-// bitmap signaling whose replies extend the request name).
-func (f *PureForwarder) matchForwarded(name ndn.Name) *forwardRecord {
-	if rec, ok := f.forwarded[name.String()]; ok {
+// matchForwarded finds the forwarded-Interest record the Data satisfies:
+// its exact name, else the longest CanBePrefix record whose name prefixes it
+// (e.g. discovery and bitmap signaling whose replies extend the request
+// name). Records are keyed by URI and a name's prefixes are its URI cut at a
+// '/', so the walk goes from the full key to the root, one lookup per
+// component: the choice never depends on map order, and two records cannot
+// tie because equal-length prefixes of one name share a key.
+func (f *PureForwarder) matchForwarded(d *ndn.Data) *forwardRecord {
+	key := d.NameKey()
+	if rec, ok := f.forwarded[key]; ok {
 		return rec
 	}
-	for _, rec := range f.forwarded {
-		if rec.canBePrefix && rec.name.IsPrefixOf(name) {
+	for len(key) > 1 {
+		key = key[:strings.LastIndexByte(key, '/')]
+		if key == "" {
+			key = "/"
+		}
+		// IsPrefixOf guards the one case where URIs overstate a match: a
+		// component that itself contains '/'.
+		if rec, ok := f.forwarded[key]; ok && rec.canBePrefix && rec.name.IsPrefixOf(d.Name) {
 			return rec
 		}
 	}

@@ -67,6 +67,20 @@ func (n Name) String() string {
 	return b.String()
 }
 
+// AppendURI appends the URI form of the name — the bytes String returns — to
+// dst and returns the extended slice. With a stack buffer as dst it turns a
+// name into a map key without allocating: m[string(n.AppendURI(buf[:0]))].
+func (n Name) AppendURI(dst []byte) []byte {
+	if len(n) == 0 {
+		return append(dst, '/')
+	}
+	for _, c := range n {
+		dst = append(dst, '/')
+		dst = append(dst, c...)
+	}
+	return dst
+}
+
 // Append returns a new name with the given components appended. The receiver
 // is not modified.
 func (n Name) Append(components ...Component) Name {

@@ -243,3 +243,58 @@ func TestDataContentRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAppendURIMatchesString(t *testing.T) {
+	t.Parallel()
+	for _, uri := range []string{"/", "/a", "/dapes/discovery/reply/7/3"} {
+		n := ParseName(uri)
+		if got := string(n.AppendURI(nil)); got != n.String() {
+			t.Errorf("AppendURI(%s) = %q, String = %q", uri, got, n.String())
+		}
+		if got := string(n.AppendURI([]byte("x"))); got != "x"+n.String() {
+			t.Errorf("AppendURI onto a prefix = %q", got)
+		}
+	}
+}
+
+// TestNameKeyMemoFollowsTheWireForm: the key is built once and shared — k
+// receivers of one broadcast get the same *Data from the Packet and so the
+// same string — and it is dropped by exactly the calls that drop the cached
+// wire form, so a renamed packet can never be filed under its old name.
+func TestNameKeyMemoFollowsTheWireForm(t *testing.T) {
+	t.Parallel()
+	d := &Data{Name: ParseName("/coll/file/0"), Content: []byte("x")}
+	d.SignDigest()
+	pkt := NewPacket(d.Encode())
+	first, second := pkt.Data().NameKey(), pkt.Data().NameKey()
+	if first != "/coll/file/0" || first != second {
+		t.Fatalf("NameKey = %q then %q", first, second)
+	}
+	if n := testing.AllocsPerRun(100, func() { pkt.Data().NameKey() }); n != 0 {
+		t.Errorf("memoised NameKey: %v allocs per call, want 0", n)
+	}
+
+	if got := d.NameKey(); got != "/coll/file/0" {
+		t.Fatalf("sender-side NameKey = %q", got)
+	}
+	d.Name = ParseName("/coll/file/2")
+	d.SignDigest()
+	if got := d.NameKey(); got != "/coll/file/2" {
+		t.Errorf("after SignDigest: NameKey = %q, want the new name", got)
+	}
+	d.Name = ParseName("/coll/file/3")
+	d.InvalidateWire()
+	if got := d.NameKey(); got != "/coll/file/3" {
+		t.Errorf("after Data.InvalidateWire: NameKey = %q, want the new name", got)
+	}
+
+	in := &Interest{Name: ParseName("/coll/file/0"), Nonce: 1}
+	if got := in.NameKey(); got != "/coll/file/0" {
+		t.Fatalf("Interest.NameKey = %q", got)
+	}
+	in.Name = ParseName("/coll/file/9")
+	in.InvalidateWire()
+	if got := in.NameKey(); got != "/coll/file/9" {
+		t.Errorf("after Interest.InvalidateWire: NameKey = %q, want the new name", got)
+	}
+}

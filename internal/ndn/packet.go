@@ -70,12 +70,28 @@ type Interest struct {
 	// wire is the cached TLV form: the bytes Encode produced, or the exact
 	// frame sub-slice DecodeInterest parsed.
 	wire []byte
+	// nameKey memoizes Name.String() for NameKey ("" = not built yet).
+	nameKey string
 }
 
-// InvalidateWire drops the cached wire form so the next Encode re-serializes
-// the current field values. It is the explicit escape hatch from the
-// immutability contract; in-simulation traffic never needs it.
-func (i *Interest) InvalidateWire() { i.wire = nil }
+// InvalidateWire drops the cached wire form and name key so the next Encode
+// and NameKey re-derive them from the current field values. It is the
+// explicit escape hatch from the immutability contract; in-simulation
+// traffic never needs it.
+func (i *Interest) InvalidateWire() { i.wire, i.nameKey = nil, "" }
+
+// NameKey returns Name's URI form, built at most once per packet: the string
+// every table keyed by packet name indexes with. A decoded Interest is
+// shared by all receivers of its broadcast (Packet), so k receivers and
+// every handler they run pay for one string between them. Like the wire
+// form it is covered by the immutability contract: change Name only before
+// the first NameKey/Encode, or call InvalidateWire afterwards.
+func (i *Interest) NameKey() string {
+	if i.nameKey == "" {
+		i.nameKey = i.Name.String()
+	}
+	return i.nameKey
+}
 
 // Encode returns the Interest's TLV wire form, serializing at most once: the
 // first call caches the encoding (and a decoded Interest is born with the
@@ -191,11 +207,23 @@ type Data struct {
 	// wire is the cached TLV form: the bytes Encode produced, or the exact
 	// frame sub-slice DecodeData parsed.
 	wire []byte
+	// nameKey memoizes Name.String() for NameKey ("" = not built yet).
+	nameKey string
 }
 
-// InvalidateWire drops the cached wire form so the next Encode re-serializes
-// the current field values.
-func (d *Data) InvalidateWire() { d.wire = nil }
+// InvalidateWire drops the cached wire form and name key so the next Encode
+// and NameKey re-derive them from the current field values.
+func (d *Data) InvalidateWire() { d.wire, d.nameKey = nil, "" }
+
+// NameKey returns Name's URI form, built at most once per packet and shared
+// by every receiver and handler (see Interest.NameKey). Sign and SignDigest
+// drop it together with the wire form.
+func (d *Data) NameKey() string {
+	if d.nameKey == "" {
+		d.nameKey = d.Name.String()
+	}
+	return d.nameKey
+}
 
 // signedPortion serializes the fields covered by the signature: Name,
 // MetaInfo, Content, and SignatureInfo.
@@ -331,7 +359,7 @@ func (d *Data) SignDigest() {
 	d.SigInfo = SignatureInfo{Type: SigTypeDigestSha256}
 	sum := d.Digest()
 	d.SigValue = sum[:]
-	d.wire = nil // signature changed: any cached wire is stale
+	d.InvalidateWire() // signature changed: any cached wire is stale
 }
 
 // VerifyDigest checks a DigestSha256 signature.
@@ -361,7 +389,7 @@ type Signer interface {
 func (d *Data) Sign(s Signer) {
 	d.SigInfo = SignatureInfo{Type: SigTypeEd25519, KeyLocator: s.KeyName()}
 	d.SigValue = s.Sign(d.signedPortion())
-	d.wire = nil // signature changed: any cached wire is stale
+	d.InvalidateWire() // signature changed: any cached wire is stale
 }
 
 // Verify checks the Ed25519 signature with verify, a function mapping
