@@ -186,7 +186,7 @@ func kernelBenches() []Bench {
 	const pending = 100_000
 	churn := func(kind sim.QueueKind) func(b *testing.B) {
 		return func(b *testing.B) {
-			k := sim.NewKernelWithQueue(1, kind)
+			k := sim.Options{Queue: kind}.NewKernel(1)
 			fn := func() {}
 			timers := make([]*sim.Timer, pending)
 			for i := range timers {
@@ -244,18 +244,11 @@ func shardBenches() []Bench {
 	opts := experiment.PaperDefaults()
 	la := 10 * phy.Config{Range: wifiRange, LossRate: dense.LossRate}.ConservativeLookahead()
 
+	// Zero shards is the one sequential kernel (the lookahead is then unused).
 	trial := func(shards int) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var err error
-				if shards <= 0 {
-					prev := experiment.SetDefaultShards(-1)
-					_, err = experiment.RunDAPESTrial(dense, wifiRange, 0, opts)
-					experiment.SetDefaultShards(prev)
-				} else {
-					_, err = experiment.RunShardedDAPESTrial(dense, wifiRange, 0, opts, shards, la)
-				}
-				if err != nil {
+				if _, err := experiment.RunShardedDAPESTrial(dense, wifiRange, 0, opts, shards, la); err != nil {
 					b.Fatal(err)
 				}
 			}

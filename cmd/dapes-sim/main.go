@@ -21,42 +21,43 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dapes-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("dapes-sim", flag.ExitOnError)
 	var (
-		list     = flag.Bool("list", false, "list registered scenarios and exit")
-		scenario = flag.String("scenario", "", "registered scenario to run (see -list); overrides -system")
-		workers  = flag.Int("workers", 1, "concurrent trials; results are identical at any pool size")
-		format   = flag.String("format", "text", "output format: text, json, or csv")
-		outPath  = flag.String("o", "", "write results to this file instead of stdout")
+		list     = fs.Bool("list", false, "list registered scenarios and exit")
+		scenario = fs.String("scenario", "", "registered scenario to run (see -list); overrides -system")
+		workers  = fs.Int("workers", 1, "concurrent trials; results are identical at any pool size")
+		format   = fs.String("format", "text", "output format: text, json, or csv")
+		outPath  = fs.String("o", "", "write results to this file instead of stdout")
 
-		wifiRange = flag.Float64("range", 60, "WiFi range in meters (paper: 20-100)")
-		files     = flag.Int("files", 10, "files per collection")
-		packets   = flag.Int("packets", 20, "packets per file (paper full scale: 1024)")
-		trials    = flag.Int("trials", 3, "trials (paper: 10)")
-		seed      = flag.Int64("seed", 1, "base random seed; trial t runs at TrialSeed(seed, t)")
-		horizon   = flag.Duration("horizon", 45*time.Minute, "per-trial virtual time limit")
-		shards    = flag.Int("shards", 0, "space-partitioned kernel stripes per trial (0 = scenario default, 1 = sequential-equivalent)")
-		faults    = flag.String("faults", "", "fault-plan file (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
+		wifiRange = fs.Float64("range", 60, "WiFi range in meters (paper: 20-100)")
+		files     = fs.Int("files", 10, "files per collection")
+		packets   = fs.Int("packets", 20, "packets per file (paper full scale: 1024)")
+		trials    = fs.Int("trials", 3, "trials (paper: 10)")
+		seed      = fs.Int64("seed", 1, "base random seed; trial t runs at TrialSeed(seed, t)")
+		horizon   = fs.Duration("horizon", 45*time.Minute, "per-trial virtual time limit")
+		shards    = fs.Int("shards", 0, "space-partitioned kernel stripes per trial (0 = scenario default, 1 = sequential-equivalent)")
+		faults    = fs.String("faults", "", "fault-plan file (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		system      = flag.String("system", "dapes", "ad-hoc stack when -scenario is unset: dapes, bithoc, or ekta")
-		strategy    = flag.String("strategy", "local", "RPF strategy: local or encounter")
-		randomStart = flag.Bool("random-start", true, "start downloads at a random packet")
-		interleave  = flag.Bool("interleave", true, "interleave bitmap and data exchanges")
-		bitmaps     = flag.Int("bitmaps", 0, "bitmaps before data (0 = all; bitmaps-first mode only)")
-		peba        = flag.Bool("peba", true, "enable PEBA collision mitigation")
-		multihopOn  = flag.Bool("multihop", true, "enable intermediate-node forwarding")
-		forwardProb = flag.Float64("forward-prob", 0.2, "probabilistic forwarding rate")
+		system      = fs.String("system", "dapes", "ad-hoc stack when -scenario is unset: dapes, bithoc, or ekta")
+		strategy    = fs.String("strategy", "local", "RPF strategy: local or encounter")
+		randomStart = fs.Bool("random-start", true, "start downloads at a random packet")
+		interleave  = fs.Bool("interleave", true, "interleave bitmap and data exchanges")
+		bitmaps     = fs.Int("bitmaps", 0, "bitmaps before data (0 = all; bitmaps-first mode only)")
+		peba        = fs.Bool("peba", true, "enable PEBA collision mitigation")
+		multihopOn  = fs.Bool("multihop", true, "enable intermediate-node forwarding")
+		forwardProb = fs.Float64("forward-prob", 0.2, "probabilistic forwarding rate")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag prints usage and exits 2
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

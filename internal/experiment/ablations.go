@@ -7,7 +7,6 @@ import (
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
 	"dapes/internal/phy"
-	"dapes/internal/sim"
 )
 
 // This file holds ablation experiments for the design choices DESIGN.md
@@ -46,11 +45,10 @@ func MetadataSizes(s Scale) (digestBytes, merkleBytes int, err error) {
 // peer backs off toward the maximum period and sends far fewer beacons.
 func BeaconAblation(duration time.Duration) (adaptiveBeacons, fixedBeacons uint64) {
 	run := func(cfg core.Config) uint64 {
-		k := sim.NewKernel(17)
-		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		p := core.NewPeer(k, medium, geo.Stationary{}, nil, nil, cfg)
+		w := peerWorld{world: newWorld(17, phy.Config{Range: 50}, Engine{}, striping{}), cfg: cfg}
+		p := w.peer(geo.Stationary{})
 		p.Start()
-		k.Run(duration)
+		w.Run(duration) // cannot fail: nothing stops the kernel and a sequential world is never closed
 		return p.Stats().DiscoveryInterestsSent
 	}
 	adaptive := run(core.Config{})

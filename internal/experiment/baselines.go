@@ -14,15 +14,16 @@ import (
 // non-downloading mobile nodes run plain DSDV and forward by routing table,
 // matching the paper's setup.
 func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	topo := buildTopology(s, wifiRange, trial)
+	w, topo := newFig7World(s, wifiRange, trial, 0, 0)
+	k, medium := w.kernels[0], w.mediums[0]
 	pieces := s.TotalPackets()
 
-	seed := bithoc.NewPeer(topo.kernel, topo.medium, topo.producerMobility, bithoc.Config{})
+	seed := bithoc.NewPeer(k, medium, topo.producerMobility, bithoc.Config{})
 	seed.Seed(pieces, s.PacketSize)
 
 	var downloaders []*bithoc.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := bithoc.NewPeer(topo.kernel, topo.medium, m, bithoc.Config{})
+		p := bithoc.NewPeer(k, medium, m, bithoc.Config{})
 		p.Fetch(pieces, s.PacketSize)
 		downloaders = append(downloaders, p)
 	}
@@ -35,7 +36,7 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 
 	var routers []*routing.DSDV
 	for _, m := range topo.forwarderMobility {
-		routers = append(routers, routing.NewDSDV(topo.kernel, topo.medium, m, routing.DSDVConfig{}))
+		routers = append(routers, routing.NewDSDV(k, medium, m, routing.DSDVConfig{}))
 	}
 
 	seed.Start()
@@ -46,21 +47,22 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 		r.Start()
 	}
 
-	return driveBaseline(topo, s.Horizon, downloaders), nil
+	return driveBaseline(w, s.Horizon, downloaders), nil
 }
 
 // RunEktaTrial executes one Fig.-7 trial of the Ekta baseline: DSR reactive
 // routing, Pastry-style DHT object location, UDP-like transfers.
 func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	topo := buildTopology(s, wifiRange, trial)
+	w, topo := newFig7World(s, wifiRange, trial, 0, 0)
+	k, medium := w.kernels[0], w.mediums[0]
 	pieces := s.TotalPackets()
 	const swarm = "field-report"
 
-	seedPeer := ekta.NewPeer(topo.kernel, topo.medium, topo.producerMobility, ekta.Config{})
+	seedPeer := ekta.NewPeer(k, medium, topo.producerMobility, ekta.Config{})
 
 	var downloaders []*ekta.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := ekta.NewPeer(topo.kernel, topo.medium, m, ekta.Config{})
+		p := ekta.NewPeer(k, medium, m, ekta.Config{})
 		downloaders = append(downloaders, p)
 	}
 	for _, pos := range topo.stationaryPos {
@@ -72,7 +74,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 
 	var routers []*routing.DSR
 	for _, m := range topo.forwarderMobility {
-		routers = append(routers, routing.NewDSR(topo.kernel, topo.medium, m, routing.DSRConfig{}))
+		routers = append(routers, routing.NewDSR(k, medium, m, routing.DSRConfig{}))
 	}
 
 	seedPeer.Start()
@@ -86,7 +88,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 		p.Join(seedPeer.ID())
 	}
 
-	return driveBaseline(topo, s.Horizon, downloaders), nil
+	return driveBaseline(w, s.Horizon, downloaders), nil
 }
 
 // runBaseline aggregates trials for one baseline runner through the worker
@@ -101,8 +103,8 @@ func runBaseline(s Scale, wifiRange float64, run func(Scale, float64, int) (Tria
 
 // driveBaseline drives a started baseline world until every downloader has
 // the file (or the horizon passes) and folds it into a TrialResult.
-func driveBaseline[P interface{ Done() (bool, time.Duration) }](topo *topology, horizon time.Duration, downloaders []P) TrialResult {
-	topo.kernel.RunUntil(horizon, allDone(topo.kernel.Now, 0, len(downloaders), func(i int) bool {
+func driveBaseline[P interface{ Done() (bool, time.Duration) }](w *world, horizon time.Duration, downloaders []P) TrialResult {
+	w.RunUntil(horizon, allDone(w.Now, 0, len(downloaders), func(i int) bool {
 		done, _ := downloaders[i].Done()
 		return done
 	}))
@@ -118,7 +120,7 @@ func driveBaseline[P interface{ Done() (bool, time.Duration) }](topo *topology, 
 	}
 	return TrialResult{
 		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   topo.medium.Stats().Transmissions,
+		Transmissions:   w.Stats().Transmissions,
 		Completed:       completed,
 		Downloaders:     len(downloaders),
 	}

@@ -196,7 +196,7 @@ func init() {
 		Params: []Param{
 			{Name: "nodes", Value: "25x Scale node mix", Doc: "metropolitan node count; plans/urban-metro.toml reaches 50k"},
 			{Name: "area", Value: "300 m x sqrt(nodes/45) square (AreaSide=0 default)", Doc: "density-preserving edge"},
-			{Name: "shards", Value: "Scale.Shards, else SetDefaultShards, else 4", Doc: "stripe count (1 = sequential-equivalent)"},
+			{Name: "shards", Value: "Scale.Shards, else 4", Doc: "stripe count (1 = sequential-equivalent)"},
 			{Name: "lookahead", Value: "10x conservative", Doc: "relaxed window; cross-stripe delivery slips <= 1 window"},
 		},
 		Run: urbanMetroTrial,

@@ -11,7 +11,7 @@ import (
 // downloader after every event, once no fault event remains pending.
 func naivePoll(w *dapesWorld) func() bool {
 	return func() bool {
-		if w.kernel.Now() < w.faultsUntil {
+		if w.Now() < w.faultsUntil {
 			return false
 		}
 		for _, p := range w.downloaders {
@@ -71,48 +71,47 @@ func TestAllDoneStopsWhereTheNaivePollStops(t *testing.T) {
 		{"urban-grid-chaos", urbanGridChaosScale(base), false},
 		{"blackout-recovery", late, true},
 	}
-	builders := []struct {
-		name  string
-		build func(Scale) (*dapesWorld, func(), error)
+	engines := []struct {
+		name   string
+		shards int // Scale.Shards: 0 is the sequential kernel
 	}{
-		{"sequential", func(s Scale) (*dapesWorld, func(), error) {
-			w, err := buildSequentialDAPES(s, 60, 0, PaperDefaults())
-			return w, func() {}, err
-		}},
-		{"one-shard", func(s Scale) (*dapesWorld, func(), error) {
-			w, sk, err := buildShardedDAPES(s, 60, 0, PaperDefaults(), 1, 0)
-			return w, func() { sk.Close() }, err
-		}},
+		{"sequential", 0},
+		{"one-shard", 1},
 	}
 	for _, tc := range cases {
-		for _, b := range builders {
-			t.Run(tc.name+"/"+b.name, func(t *testing.T) {
+		for _, e := range engines {
+			t.Run(tc.name+"/"+e.name, func(t *testing.T) {
 				t.Parallel()
-				fast, closeFast, err := b.build(tc.scale)
-				defer closeFast()
+				s := tc.scale
+				s.Shards = e.shards
+				fast, err := buildDAPES(s, 60, 0, PaperDefaults(), 0)
 				if err != nil {
 					t.Fatal(err)
+				}
+				defer fast.Close()
+				if sharded := fast.sk != nil; sharded != (e.shards > 0) {
+					t.Fatalf("asked for %d shards, built sharded=%v", e.shards, sharded)
 				}
 				got := fast.run()
 
-				ref, closeRef, err := b.build(tc.scale)
-				defer closeRef()
+				ref, err := buildDAPES(s, 60, 0, PaperDefaults(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer ref.Close()
 				undone := false
-				ref.kernel.RunUntil(ref.horizon, undoneWatch(ref, naivePoll(ref), &undone))
+				ref.RunUntil(ref.horizon, undoneWatch(ref, naivePoll(ref), &undone))
 				want := ref.collect()
 
-				if fast.kernel.Now() != ref.kernel.Now() {
-					t.Errorf("stopped at %v, naive poll stops at %v", fast.kernel.Now(), ref.kernel.Now())
+				if fast.Now() != ref.Now() {
+					t.Errorf("stopped at %v, naive poll stops at %v", fast.Now(), ref.Now())
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("TrialResult diverged:\nallDone: %+v\nnaive:   %+v", got, want)
 				}
-				if got.Completed != got.Downloaders || ref.kernel.Now() >= ref.horizon {
+				if got.Completed != got.Downloaders || ref.Now() >= ref.horizon {
 					t.Errorf("trial ran to the horizon (%d/%d complete at %v): the stop point is not exercised",
-						got.Completed, got.Downloaders, ref.kernel.Now())
+						got.Completed, got.Downloaders, ref.Now())
 				}
 				if tc.scale.Faults.HasCrashes() && got.Crashed == 0 {
 					t.Error("fault plan crashed nobody")
@@ -176,15 +175,15 @@ func TestAllDoneCursor(t *testing.T) {
 func TestAllDoneDoesNotAllocate(t *testing.T) {
 	s := goldenScale()
 	s.Horizon = 8 * time.Minute
-	w, err := buildSequentialDAPES(s, 60, 0, PaperDefaults())
+	w, err := buildDAPES(s, 60, 0, PaperDefaults(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond := allDone(w.kernel.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection))
+	cond := allDone(w.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection))
 	if n := testing.AllocsPerRun(1000, func() { cond() }); n != 0 {
 		t.Errorf("incomplete world: %v allocs per check, want 0", n)
 	}
-	if !w.kernel.RunUntil(w.horizon, cond) {
+	if !w.RunUntil(w.horizon, cond) {
 		t.Fatal("world did not complete")
 	}
 	if n := testing.AllocsPerRun(1000, func() { cond() }); n != 0 {

@@ -8,8 +8,6 @@ import (
 	"dapes/internal/geo"
 	"dapes/internal/multihop"
 	"dapes/internal/ndn"
-	"dapes/internal/phy"
-	"dapes/internal/sim"
 )
 
 // DAPESOptions selects the design variant under test; the zero value is the
@@ -50,48 +48,74 @@ func (o DAPESOptions) coreConfig() core.Config {
 }
 
 // RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
-// metrics. When Scale.Shards (or the SetDefaultShards package default)
-// selects a shard count, the trial runs on the space-partitioned parallel
-// kernel instead of the sequential reference; see RunShardedDAPESTrial for
-// the equivalence and relaxation contract.
+// metrics: on the sequential kernel by default, on Scale.Shards stripes under
+// the conservative lookahead when the scale asks for them (see
+// RunShardedDAPESTrial for that path's equivalence and relaxation contract).
 func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	if n := resolveShards(s); n > 0 {
-		return RunShardedDAPESTrial(s, wifiRange, trial, opts, n, 0)
-	}
-	return runSequentialDAPESTrial(s, wifiRange, trial, opts)
+	return runDAPESTrial(s, wifiRange, trial, opts, 0)
 }
 
-// runSequentialDAPESTrial is the single-kernel reference implementation.
-func runSequentialDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	w, err := buildSequentialDAPES(s, wifiRange, trial, opts)
+// RunShardedDAPESTrial executes one Fig.-7 trial on the space-partitioned
+// kernel: the area splits into `shards` vertical stripes balanced on the t=0
+// node-position CDF, each with its own sim.Kernel and phy.Medium, advancing
+// in windows of `lookahead` — batched past provably quiet boundaries — and
+// exchanging cross-boundary broadcasts at window barriers. A non-positive
+// lookahead selects the conservative bound, under which no in-flight frame
+// can span a window edge; zero shards is the one sequential kernel, which
+// has no windows. With shards == 1 the run is byte-identical to the
+// sequential kernel (same seeds, same radio IDs, same event schedule), which
+// is what the sharded golden gate checks for every registered scenario.
+//
+// With shards > 1 the global-trace contract is relaxed, deliberately and
+// deterministically:
+//
+//   - each stripe's kernel draws from its own seeded RNG stream
+//     (sim.ShardSeed), so jitter draws differ from the sequential schedule;
+//   - cross-stripe broadcasts register at the next window barrier, so a
+//     reception completing earlier in the same window cannot collide with
+//     them, and a relaxed (larger) lookahead delays cross-stripe delivery
+//     by up to one window;
+//   - PEBA overhearing-based suppression sees only same-stripe traffic
+//     between barriers.
+//
+// Aggregate statistics stay in family with the sequential run (the
+// acceptance bar for the scenarios that default to sharding), and the whole
+// schedule remains a pure function of (BaseSeed, trial, shards, lookahead):
+// serial and parallel window execution are byte-identical, which
+// TestShardedTrialSerialMatchesParallel gates.
+func RunShardedDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, shards int, lookahead time.Duration) (TrialResult, error) {
+	s.Shards = shards
+	return runDAPESTrial(s, wifiRange, trial, opts, lookahead)
+}
+
+func runDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, lookahead time.Duration) (TrialResult, error) {
+	w, err := buildDAPES(s, wifiRange, trial, opts, lookahead)
 	if err != nil {
 		return TrialResult{}, err
 	}
+	defer w.Close()
 	return w.run(), nil
 }
 
-func buildSequentialDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions) (*dapesWorld, error) {
-	topo := buildTopology(s, wifiRange, trial)
-	installMediumFaults(topo.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
-	w := &dapesWorld{kernel: topo.kernel, medium: topo.medium}
-	site := func(geo.Mobility) (*sim.Kernel, *phy.Medium) { return topo.kernel, topo.medium }
-	return w, w.start(s, trial, opts, topo.placement, site)
-}
-
-// trialKernel is what a built world needs of its engine; the sequential and
-// the sharded kernel both provide it.
-type trialKernel interface {
-	Now() time.Duration
-	RunUntil(horizon time.Duration, cond func() bool) bool
+// buildDAPES builds and starts one trial's world on the engine and stripe
+// count the scale names; the caller closes it.
+func buildDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions, lookahead time.Duration) (*dapesWorld, error) {
+	eng, pl := newFig7World(s, wifiRange, trial, s.Shards, lookahead)
+	for _, m := range eng.mediums {
+		installMediumFaults(m, s.Faults, TrialSeed(s.BaseSeed, trial))
+	}
+	w := &dapesWorld{world: eng}
+	if err := w.start(s, trial, opts, pl); err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
 // dapesWorld is one Fig.-7 DAPES trial, built and started but not yet run:
-// every node attached and beaconing, the fault schedule installed. The
-// sequential and the sharded path differ only in the engine underneath and
-// in which kernel and medium host each node.
+// every node attached and beaconing, the fault schedule installed.
 type dapesWorld struct {
-	kernel trialKernel
-	medium interface{ Stats() phy.Stats } // the one medium, or the sharded sum
+	*world
 
 	horizon       time.Duration
 	collection    ndn.Name
@@ -102,12 +126,10 @@ type dapesWorld struct {
 	faultsUntil   time.Duration
 }
 
-// start attaches and starts every node of the placement — site names the
-// kernel and medium hosting a node with the given mobility — and installs
-// the crash schedule. Attach, start and scheduling order are part of the
-// trace (radio IDs, kernel sequence numbers), so both paths share this one
-// copy of it.
-func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement, site func(geo.Mobility) (*sim.Kernel, *phy.Medium)) error {
+// start attaches and starts every node of the placement on its home stripe
+// and installs the crash schedule. Attach, start and scheduling order are
+// part of the trace (radio IDs, kernel sequence numbers).
+func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) error {
 	res, err := buildCollection(s, s.BaseSeed+int64(trial))
 	if err != nil {
 		return err
@@ -116,7 +138,7 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement, 
 	w.collection = res.Manifest.Collection
 	cfg := opts.coreConfig()
 	peer := func(m geo.Mobility) *core.Peer {
-		k, medium := site(m)
+		k, medium := w.site(m)
 		return core.NewPeer(k, medium, m, nil, nil, cfg)
 	}
 
@@ -137,7 +159,7 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement, 
 	}
 	for i, m := range pl.forwarderMobility {
 		if i < s.PureForwarders {
-			k, medium := site(m)
+			k, medium := w.site(m)
 			w.pures = append(w.pures, multihop.NewPureForwarder(k, medium, m,
 				multihop.Config{ForwardProb: opts.ForwardProb}))
 			continue
@@ -166,13 +188,13 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement, 
 // run drives the world until every downloader holds the collection (or the
 // horizon passes) and returns the trial's metrics.
 func (w *dapesWorld) run() TrialResult {
-	w.kernel.RunUntil(w.horizon, allDone(w.kernel.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection)))
+	w.RunUntil(w.horizon, allDone(w.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection)))
 	return w.collect()
 }
 
 // collect folds the world, as it stands, into a TrialResult.
 func (w *dapesWorld) collect() TrialResult {
-	result := collectDAPES(w.medium.Stats().Transmissions, w.collection, w.downloaders, w.intermediates, w.pures, w.horizon)
+	result := collectDAPES(w.Stats().Transmissions, w.collection, w.downloaders, w.intermediates, w.pures, w.horizon)
 	chaosStats(&result, w.sched, w.downloaders, w.collection)
 	return result
 }

@@ -41,17 +41,25 @@ func faultScale() Scale {
 // shards. The schedule is a pure function of (seed, plan) — no worker pool,
 // shard count, or wall-clock state may leak in.
 func TestFaultScheduleDeterministic(t *testing.T) {
-	s := faultScale()
-	s.Trials = 2
-	prev := SetDefaultShards(-1)
-	defer SetDefaultShards(prev)
+	t.Parallel()
+	base := faultScale()
+	base.Trials = 2
 
+	// shards 0 is the sequential kernel (fig7-dapes has no stripe default).
 	run := func(t *testing.T, shards, workers int) (RunResult, []byte) {
 		t.Helper()
-		SetDefaultShards(shards)
+		s := base
+		s.Shards = shards
+		var built []*world
+		if workers == 1 { // the built log is unlocked: one goroutine only
+			s.Engine.built = &built
+		}
 		res, err := Runner{Workers: workers}.RunScenario("fig7-dapes", s, 60)
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
+		}
+		if workers == 1 {
+			assertEngine(t, "fig7-dapes", s, built)
 		}
 		var buf bytes.Buffer
 		if err := EmitRun(&buf, FormatJSON, res); err != nil {
@@ -60,12 +68,12 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		return res, buf.Bytes()
 	}
 
-	seqRes, seqJSON := run(t, -1, 1)
-	if _, again := run(t, -1, 1); !bytes.Equal(seqJSON, again) {
+	seqRes, seqJSON := run(t, 0, 1)
+	if _, again := run(t, 0, 1); !bytes.Equal(seqJSON, again) {
 		t.Errorf("sequential faulted run diverged run-to-run:\n%s\n%s", seqJSON, again)
 	}
 	// Across pool sizes only the echoed Workers knob may differ.
-	pooledRes, _ := run(t, -1, 4)
+	pooledRes, _ := run(t, 0, 4)
 	pooledRes.Workers = seqRes.Workers
 	if !reflect.DeepEqual(seqRes, pooledRes) {
 		t.Errorf("faulted run diverged across worker-pool sizes:\n%+v\n%+v", seqRes, pooledRes)

@@ -31,114 +31,123 @@ func goldenScale() Scale {
 	}
 }
 
-// TestGoldenTraceGridMatchesNaive is the optimization's acceptance gate:
-// for every registered scenario, the grid-indexed medium must reproduce the
-// brute-force scan's results exactly — identical per-trial metrics
-// (download times, delivery/transmission counts, forwarding accuracy,
-// memory) and byte-identical emitted JSON. Any divergence means the spatial
-// index changed simulation behavior, which it must never do.
-//
-// The test flips the package-wide default index; because both modes are
-// equivalent by construction, tests running concurrently in this package
-// cannot observe a difference (the knob itself is atomic).
-func TestGoldenTraceGridMatchesNaive(t *testing.T) {
-	s := goldenScale()
-	prev := phy.SetDefaultIndex(phy.IndexNaive)
-	defer phy.SetDefaultIndex(prev)
+// striped lists the scenarios that honour Scale.Shards — the Fig.-7 DAPES
+// family. Everything else (the baselines, the Fig.-8 worlds, the custom
+// scenarios) always builds the one sequential kernel. assertEngine fails on
+// a scenario on the wrong side of the list, so it cannot rot.
+var striped = map[string]bool{
+	"fig7-dapes": true, "ablation-singlehop": true, "ablation-nopeba": true,
+	"urban-grid": true, "urban-grid-xl": true, "urban-metro": true,
+	"urban-grid-chaos": true, "blackout-recovery": true,
+}
 
-	run := func(t *testing.T, sc *Scenario, mode phy.IndexMode) (RunResult, []byte) {
+// wantStripes is the stripe count scenario name must build at scale s (0 is
+// the sequential kernel). goldenScale's arenas are all at least five
+// range-wide columns, so the column bound never bites here.
+func wantStripes(name string, s Scale) int {
+	switch {
+	case !striped[name] || s.Engine.Sequential:
+		return 0
+	case name == "urban-metro" && s.Shards == 0:
+		return urbanMetroShards
+	}
+	return s.Shards
+}
+
+// assertEngine requires that a run of scenario name at scale s built at
+// least one world through newWorld, and that every kernel and medium of
+// every world it built reports — itself, through its own accessor — the
+// engine and stripe count s asked for. This is what keeps an equivalence
+// gate from silently comparing production with production.
+func assertEngine(t *testing.T, name string, s Scale, built []*world) {
+	t.Helper()
+	if len(built) == 0 {
+		t.Fatalf("%s built no world through newWorld: its engine is unobserved", name)
+	}
+	e := s.Engine
+	for _, w := range built {
+		for i, k := range w.kernels {
+			if k.Queue() != e.Queue {
+				t.Errorf("%s: kernel %d runs on queue %d, asked for %d", name, i, k.Queue(), e.Queue)
+			}
+			if idx := w.mediums[i].Config().Index; idx != e.Index {
+				t.Errorf("%s: medium %d uses index %d, asked for %d", name, i, idx, e.Index)
+			}
+		}
+		stripes := 0
+		if w.sk != nil {
+			stripes = w.sk.Shards()
+			if o := w.sk.Options(); o.SerialWindows != e.SerialWindows || o.Windowing != e.Windowing {
+				t.Errorf("%s: sharded kernel runs windows %+v, asked for %+v", name, o, e)
+			}
+		}
+		if want := wantStripes(name, s); stripes != want || len(w.kernels) != max(1, want) {
+			t.Errorf("%s: built %d stripes (%d kernels), want %d", name, stripes, len(w.kernels), want)
+		}
+	}
+}
+
+// goldenGate is the body of every registry-wide engine gate: each
+// registered scenario runs once at ref — goldenScale on one retained
+// reference — and once at prod, and the two must produce identical
+// per-trial metrics (download times, delivery/transmission counts,
+// forwarding accuracy, memory) and byte-identical emitted JSON. Any
+// divergence means the production implementation changed simulation
+// behavior, which it must never do. Both runs must also have built exactly
+// the engine they named (assertEngine). The engine travels in the Scale, so
+// the scenarios — and the gates — run in parallel.
+func goldenGate(t *testing.T, refName string, ref Scale, prodName string, prod Scale) {
+	t.Parallel()
+	run := func(t *testing.T, sc *Scenario, s Scale) (RunResult, []byte) {
 		t.Helper()
-		phy.SetDefaultIndex(mode)
-		res, err := Runner{Workers: 1}.Run(sc, s, 60)
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		var buf bytes.Buffer
-		if err := EmitRun(&buf, FormatJSON, res); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		return res, buf.Bytes()
+		res, raw, built := emitJSON(t, sc.Name, s, 60)
+		assertEngine(t, sc.Name, s, built)
+		return res, raw
 	}
 
 	for _, sc := range Scenarios() {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			naiveRes, naiveJSON := run(t, sc, phy.IndexNaive)
-			gridRes, gridJSON := run(t, sc, phy.IndexGrid)
+			t.Parallel()
+			refRes, refJSON := run(t, sc, ref)
+			prodRes, prodJSON := run(t, sc, prod)
 
-			if !reflect.DeepEqual(naiveRes, gridRes) {
-				t.Errorf("RunResult diverged\nnaive: %+v\ngrid:  %+v", naiveRes, gridRes)
+			if !reflect.DeepEqual(refRes, prodRes) {
+				t.Errorf("RunResult diverged\n%s: %+v\n%s: %+v", refName, refRes, prodName, prodRes)
 			}
-			for i := range naiveRes.Trials {
-				if naiveRes.Trials[i] != gridRes.Trials[i] {
-					t.Errorf("trial %d diverged\nnaive: %+v\ngrid:  %+v",
-						i, naiveRes.Trials[i], gridRes.Trials[i])
+			for i := range refRes.Trials {
+				if refRes.Trials[i] != prodRes.Trials[i] {
+					t.Errorf("trial %d diverged\n%s: %+v\n%s: %+v",
+						i, refName, refRes.Trials[i], prodName, prodRes.Trials[i])
 				}
 			}
-			if !bytes.Equal(naiveJSON, gridJSON) {
-				t.Errorf("emitted JSON diverged\nnaive: %s\ngrid:  %s", naiveJSON, gridJSON)
+			if !bytes.Equal(refJSON, prodJSON) {
+				t.Errorf("emitted JSON diverged\n%s: %s\n%s: %s", refName, refJSON, prodName, prodJSON)
 			}
 			// Guard against a degenerate world where equivalence is vacuous.
-			if naiveRes.Trials[0].Transmissions == 0 {
+			if refRes.Trials[0].Transmissions == 0 {
 				t.Error("golden run put no frames on the air; scale too small to prove anything")
 			}
 		})
 	}
 }
 
+// TestGoldenTraceGridMatchesNaive is the spatial index's acceptance gate:
+// for every registered scenario, the grid-indexed medium must reproduce the
+// brute-force scan's results exactly.
+func TestGoldenTraceGridMatchesNaive(t *testing.T) {
+	naive := goldenScale()
+	naive.Engine.Index = phy.IndexNaive
+	goldenGate(t, "naive", naive, "grid", goldenScale())
+}
+
 // TestGoldenTraceWheelMatchesHeap is the event-kernel acceptance gate: for
 // every registered scenario, the timer-wheel scheduler must reproduce the
-// reference binary heap exactly — identical per-trial metrics and
-// byte-identical emitted JSON. Any divergence means the wheel changed event
-// execution order, which it must never do: both queues pop strictly by
-// (time, sequence), so the trace is queue-independent by construction.
-//
-// Like the spatial-index gate above, the test flips the package-wide
-// default; both kinds are equivalent, so concurrent tests cannot observe
-// the flip (the knob is atomic).
+// reference binary heap exactly. Both queues pop strictly by (time,
+// sequence), so the trace is queue-independent by construction.
 func TestGoldenTraceWheelMatchesHeap(t *testing.T) {
-	s := goldenScale()
-	prev := sim.SetDefaultQueue(sim.QueueHeap)
-	defer sim.SetDefaultQueue(prev)
-
-	run := func(t *testing.T, sc *Scenario, kind sim.QueueKind) (RunResult, []byte) {
-		t.Helper()
-		sim.SetDefaultQueue(kind)
-		res, err := Runner{Workers: 1}.Run(sc, s, 60)
-		if err != nil {
-			t.Fatalf("queue %d: %v", kind, err)
-		}
-		var buf bytes.Buffer
-		if err := EmitRun(&buf, FormatJSON, res); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		return res, buf.Bytes()
-	}
-
-	for _, sc := range Scenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			heapRes, heapJSON := run(t, sc, sim.QueueHeap)
-			wheelRes, wheelJSON := run(t, sc, sim.QueueWheel)
-
-			if !reflect.DeepEqual(heapRes, wheelRes) {
-				t.Errorf("RunResult diverged\nheap:  %+v\nwheel: %+v", heapRes, wheelRes)
-			}
-			for i := range heapRes.Trials {
-				if heapRes.Trials[i] != wheelRes.Trials[i] {
-					t.Errorf("trial %d diverged\nheap:  %+v\nwheel: %+v",
-						i, heapRes.Trials[i], wheelRes.Trials[i])
-				}
-			}
-			if !bytes.Equal(heapJSON, wheelJSON) {
-				t.Errorf("emitted JSON diverged\nheap:  %s\nwheel: %s", heapJSON, wheelJSON)
-			}
-			// Guard against a degenerate world where equivalence is vacuous.
-			if heapRes.Trials[0].Transmissions == 0 {
-				t.Error("golden run put no frames on the air; scale too small to prove anything")
-			}
-		})
-	}
+	heap := goldenScale()
+	heap.Engine.Queue = sim.QueueHeap
+	goldenGate(t, "heap", heap, "wheel", goldenScale())
 }
 
 // TestBaselineTrialsDeterministic reruns the same trial of every Fig.-7

@@ -61,14 +61,21 @@ type Scale struct {
 	// the paper's 300 m square.
 	AreaSide float64
 	// Shards selects space-partitioned parallel execution for the DAPES
-	// trial path: the world is cut into vertical stripes (geo.ShardOf),
-	// each running its own sim.Kernel in lockstep lookahead windows. 0
-	// defers to the scenario (most stay sequential; urban-metro defaults to
-	// 4); 1 runs the sharded path with a single shard, which is
-	// byte-identical to the sequential kernel (the golden sharded gate).
-	// Values above 1 relax the global-trace contract as documented in
-	// docs/PERFORMANCE.md.
+	// trial path: the world is cut into vertical stripes (geo.Stripes),
+	// each running its own sim.Kernel in lookahead windows. 0 defers to the
+	// scenario (most stay sequential; urban-metro defaults to 4); 1 runs
+	// the sharded path with a single shard, which is byte-identical to the
+	// sequential kernel (the golden sharded gate). Values above 1 relax the
+	// global-trace contract as documented in docs/PERFORMANCE.md; values
+	// above the arena's range-wide column count are bounded to it (stripes
+	// are whole columns, so the surplus would own no ground).
 	Shards int
+	// Engine selects the implementations the trial's kernels and mediums
+	// are built from; the zero value is production. Only equivalence tests
+	// and benchmarks set it — to hold a retained reference (heap queue,
+	// naive scan, sequential kernel, serial or lockstep windows) against
+	// production — so no CLI flag or plan key reaches it.
+	Engine Engine
 	// Faults is the declarative fault plan (crashes/restarts, bursty loss,
 	// jammer windows) compiled per trial by internal/fault. nil — and any
 	// plan whose Empty() is true — is trace-neutral: the trial runs the

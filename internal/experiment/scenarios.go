@@ -9,7 +9,6 @@ import (
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
 	"dapes/internal/repo"
-	"dapes/internal/sim"
 )
 
 // This file reproduces the Table-I real-world feasibility study over the
@@ -59,19 +58,23 @@ type ScenarioResult struct {
 	Completed     bool
 }
 
-// scenarioWorld bundles the shared pieces of a Fig.-8 run.
-type scenarioWorld struct {
-	kernel *sim.Kernel
-	medium *phy.Medium
-	cfg    core.Config
+// peerWorld is a world whose nodes are all DAPES peers sharing one config:
+// the Fig.-8 runs and the custom scenarios.
+type peerWorld struct {
+	*world
+	cfg core.Config
 }
 
-func newScenarioWorld(seed int64) *scenarioWorld {
-	k := sim.NewKernel(seed)
-	return &scenarioWorld{
-		kernel: k,
+// peer attaches a DAPES peer with the given mobility.
+func (w *peerWorld) peer(m geo.Mobility) *core.Peer {
+	k, medium := w.site(m)
+	return core.NewPeer(k, medium, m, nil, nil, w.cfg)
+}
+
+func newScenarioWorld(e Engine, seed int64) *peerWorld {
+	return &peerWorld{
 		// Outdoor campus: ~50 m WiFi range per the paper's MacBooks.
-		medium: phy.NewMedium(k, phy.Config{Range: 50, LossRate: 0.05}),
+		world: newWorld(seed, phy.Config{Range: 50, LossRate: 0.05}, e, striping{}),
 		cfg: core.Config{
 			// Real-world runs used local-neighborhood RPF and interleaved
 			// advertisement fetching (Section VI-B2).
@@ -89,19 +92,19 @@ func newScenarioWorld(seed int64) *scenarioWorld {
 // C only through data carrier D, who shuttles between three disconnected
 // 150 m-apart network segments.
 func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(seed)
+	w := newScenarioWorld(s.Engine, seed)
 	res, err := smallCollection("/fig8a", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	coll := res.Manifest.Collection
 
-	producer := core.NewPeer(w.kernel, w.medium, geo.Stationary{At: geo.Point{X: 0, Y: 0}}, nil, nil, w.cfg)
+	producer := w.peer(geo.Stationary{At: geo.Point{X: 0, Y: 0}})
 	if err := producer.Publish(res); err != nil {
 		return ScenarioResult{}, err
 	}
-	b := core.NewPeer(w.kernel, w.medium, geo.Stationary{At: geo.Point{X: 300, Y: 0}}, nil, nil, w.cfg)
-	c := core.NewPeer(w.kernel, w.medium, geo.Stationary{At: geo.Point{X: 300, Y: 300}}, nil, nil, w.cfg)
+	b := w.peer(geo.Stationary{At: geo.Point{X: 300, Y: 0}})
+	c := w.peer(geo.Stationary{At: geo.Point{X: 300, Y: 300}})
 	// Carrier D shuttles A -> B -> C -> A on a fixed patrol.
 	var waypoints []geo.Waypoint
 	leg := 150 * time.Second
@@ -113,7 +116,7 @@ func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
 				geo.Waypoint{At: at + leg*2/3, Pos: pos})
 		}
 	}
-	d := core.NewPeer(w.kernel, w.medium, geo.NewScripted(waypoints), nil, nil, w.cfg)
+	d := w.peer(geo.NewScripted(waypoints))
 
 	downloaders := []*core.Peer{b, c, d}
 	for _, p := range downloaders {
@@ -129,33 +132,35 @@ func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
 // Scenario2Repo reproduces Fig. 8b: producer C uploads to a stationary
 // repository; peers A and B later retrieve the collection from the repo.
 func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(seed)
+	w := newScenarioWorld(s.Engine, seed)
 	res, err := smallCollection("/fig8b", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	coll := res.Manifest.Collection
 
-	rp := repo.New(w.kernel, w.medium, geo.Point{X: 150, Y: 150}, nil, nil, w.cfg, coll)
+	repoAt := geo.Point{X: 150, Y: 150}
+	k, medium := w.site(geo.Stationary{At: repoAt})
+	rp := repo.New(k, medium, repoAt, nil, nil, w.cfg, coll)
 	// Producer C visits the repo, then leaves the area.
-	producer := core.NewPeer(w.kernel, w.medium, geo.NewScripted([]geo.Waypoint{
+	producer := w.peer(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 160, Y: 150}},
 		{At: 240 * time.Second, Pos: geo.Point{X: 160, Y: 150}},
 		{At: 300 * time.Second, Pos: geo.Point{X: 1500, Y: 1500}},
-	}), nil, nil, w.cfg)
+	}))
 	if err := producer.Publish(res); err != nil {
 		return ScenarioResult{}, err
 	}
 	// A and B fetch from the repo simultaneously; shared transmissions
 	// satisfy both (step 3a/3b in the figure).
-	a := core.NewPeer(w.kernel, w.medium, geo.NewScripted([]geo.Waypoint{
+	a := w.peer(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 1200, Y: 150}},
 		{At: 120 * time.Second, Pos: geo.Point{X: 140, Y: 150}},
-	}), nil, nil, w.cfg)
-	b := core.NewPeer(w.kernel, w.medium, geo.NewScripted([]geo.Waypoint{
+	}))
+	b := w.peer(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 150, Y: 1200}},
 		{At: 120 * time.Second, Pos: geo.Point{X: 150, Y: 140}},
-	}), nil, nil, w.cfg)
+	}))
 
 	downloaders := []*core.Peer{a, b}
 	for _, p := range downloaders {
@@ -173,7 +178,7 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 // infrastructure-free area with moments of total disconnection and moments
 // of full connectivity; multi-hop chains form transiently.
 func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(seed)
+	w := newScenarioWorld(s.Engine, seed)
 	res, err := smallCollection("/fig8c", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -196,13 +201,13 @@ func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
 		}
 		return pts
 	}
-	producer := core.NewPeer(w.kernel, w.medium, geo.NewScripted(corner(0, 0)), nil, nil, w.cfg)
+	producer := w.peer(geo.NewScripted(corner(0, 0)))
 	if err := producer.Publish(res); err != nil {
 		return ScenarioResult{}, err
 	}
-	b := core.NewPeer(w.kernel, w.medium, geo.NewScripted(corner(150, 0)), nil, nil, w.cfg)
-	c := core.NewPeer(w.kernel, w.medium, geo.NewScripted(corner(150, 150)), nil, nil, w.cfg)
-	d := core.NewPeer(w.kernel, w.medium, geo.NewScripted(corner(0, 150)), nil, nil, w.cfg)
+	b := w.peer(geo.NewScripted(corner(150, 0)))
+	c := w.peer(geo.NewScripted(corner(150, 150)))
+	d := w.peer(geo.NewScripted(corner(0, 150)))
 
 	downloaders := []*core.Peer{b, c, d}
 	for _, p := range downloaders {
@@ -217,8 +222,8 @@ func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
 
 // runScenario drives a Fig.-8 world to completion and assembles the Table-I
 // row.
-func runScenario(w *scenarioWorld, name string, coll ndn.Name, horizon time.Duration, allPeers, downloaders []*core.Peer) ScenarioResult {
-	w.kernel.RunUntil(horizon, allDone(w.kernel.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
+func runScenario(w *peerWorld, name string, coll ndn.Name, horizon time.Duration, allPeers, downloaders []*core.Peer) ScenarioResult {
+	w.RunUntil(horizon, allDone(w.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
 
 	completed := true
 	var latest time.Duration
@@ -236,12 +241,12 @@ func runScenario(w *scenarioWorld, name string, coll ndn.Name, horizon time.Dura
 	for _, p := range allPeers {
 		state += p.MemoryFootprint()
 	}
-	st := w.medium.Stats()
+	st := w.Stats()
 	return ScenarioResult{
 		Name:          name,
 		DownloadTime:  latest,
 		Transmissions: st.Transmissions,
-		Load:          loadModel(st.Transmissions, st.Deliveries, w.kernel.EventsFired(), state),
+		Load:          loadModel(st.Transmissions, st.Deliveries, w.EventsFired(), state),
 		Completed:     completed,
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"dapes/internal/geo"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
-	"dapes/internal/sim"
 )
 
 // This file holds registry scenarios beyond the paper's own evaluation:
@@ -16,41 +15,31 @@ import (
 // mobility with churn, dense urban node counts). Each trial builds its own
 // kernel from TrialSeed, so the Runner may execute them concurrently.
 
-// trialWorld is the common preamble of the custom scenarios: a seeded
-// kernel, a medium at the requested range, the paper-default peer config,
-// and the image-file collection. The scenario places its own producer.
-type trialWorld struct {
-	kernel *sim.Kernel
-	medium *phy.Medium
-	cfg    core.Config
-	coll   ndn.Name
-}
-
-func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*trialWorld, *core.Peer, error) {
+// newTrialWorld is the common preamble of the custom scenarios: a seeded
+// world at the requested range, the paper-default peer config, and the
+// image-file collection published by a producer on the given mobility.
+func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*peerWorld, *core.Peer, ndn.Name, error) {
 	seed := TrialSeed(s.BaseSeed, trial)
-	k := sim.NewKernel(seed)
-	w := &trialWorld{
-		kernel: k,
-		medium: phy.NewMedium(k, phy.Config{Range: wifiRange, LossRate: s.LossRate}),
-		cfg:    PaperDefaults().coreConfig(),
+	w := &peerWorld{
+		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine, striping{}),
+		cfg:   PaperDefaults().coreConfig(),
 	}
 	res, err := buildCollection(s, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	w.coll = res.Manifest.Collection
-	producer := core.NewPeer(k, w.medium, producerMobility, nil, nil, w.cfg)
+	producer := w.peer(producerMobility)
 	if err := producer.Publish(res); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return w, producer, nil
+	return w, producer, res.Manifest.Collection, nil
 }
 
-// runWorldAndCollect drives the kernel until every downloader completes (or
-// the horizon passes) and folds the world into a TrialResult.
-func runWorldAndCollect(k *sim.Kernel, medium *phy.Medium, coll ndn.Name, downloaders []*core.Peer, horizon time.Duration) TrialResult {
-	k.RunUntil(horizon, allDone(k.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
-	return collectDAPES(medium.Stats().Transmissions, coll, downloaders, nil, nil, horizon)
+// runAndCollect drives the world until every downloader completes (or the
+// horizon passes) and folds it into a TrialResult.
+func (w *peerWorld) runAndCollect(coll ndn.Name, downloaders []*core.Peer, horizon time.Duration) TrialResult {
+	w.RunUntil(horizon, allDone(w.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
+	return collectDAPES(w.Stats().Transmissions, coll, downloaders, nil, nil, horizon)
 }
 
 // clusterSize derives the per-cluster peer count from the scale's node mix.
@@ -87,14 +76,14 @@ func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 	merge := s.Horizon / 3
 	walk := 2 * time.Minute
 
-	w, producer, err := newTrialWorld(s, wifiRange, trial, geo.Stationary{At: centerA})
+	w, producer, coll, err := newTrialWorld(s, wifiRange, trial, geo.Stationary{At: centerA})
 	if err != nil {
 		return TrialResult{}, err
 	}
 
 	var downloaders []*core.Peer
 	for _, pos := range ringPositions(centerA, radius, n) {
-		downloaders = append(downloaders, core.NewPeer(w.kernel, w.medium, geo.Stationary{At: pos}, nil, nil, w.cfg))
+		downloaders = append(downloaders, w.peer(geo.Stationary{At: pos}))
 	}
 	dest := ringPositions(geo.Point{X: centerA.X, Y: centerA.Y + 2.2*radius}, radius, n)
 	for i, pos := range ringPositions(centerB, radius, n) {
@@ -103,15 +92,15 @@ func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 			{At: merge, Pos: pos},
 			{At: merge + walk, Pos: dest[i]},
 		})
-		downloaders = append(downloaders, core.NewPeer(w.kernel, w.medium, m, nil, nil, w.cfg))
+		downloaders = append(downloaders, w.peer(m))
 	}
 
 	producer.Start()
 	for _, p := range downloaders {
-		p.Subscribe(w.coll)
+		p.Subscribe(coll)
 		p.Start()
 	}
-	return runWorldAndCollect(w.kernel, w.medium, w.coll, downloaders, s.Horizon), nil
+	return w.runAndCollect(coll, downloaders, s.Horizon), nil
 }
 
 // convoyChurnTrial runs a producer-led convoy down a 1.5 km road with peer
@@ -140,7 +129,7 @@ func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 		{At: 0, Pos: geo.Point{X: 0, Y: 0}},
 		{At: tEnd, Pos: geo.Point{X: roadLen, Y: 0}},
 	})
-	w, producer, err := newTrialWorld(s, wifiRange, trial, lead)
+	w, producer, coll, err := newTrialWorld(s, wifiRange, trial, lead)
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -183,15 +172,15 @@ func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 				{At: tEnd, Pos: slot(tEnd)},
 			})
 		}
-		downloaders = append(downloaders, core.NewPeer(w.kernel, w.medium, m, nil, nil, w.cfg))
+		downloaders = append(downloaders, w.peer(m))
 	}
 
 	producer.Start()
 	for _, p := range downloaders {
-		p.Subscribe(w.coll)
+		p.Subscribe(coll)
 		p.Start()
 	}
-	return runWorldAndCollect(w.kernel, w.medium, w.coll, downloaders, s.Horizon), nil
+	return w.runAndCollect(coll, downloaders, s.Horizon), nil
 }
 
 // urbanGridTrial reruns the Fig.-7 DAPES workload at metropolitan density:
@@ -222,4 +211,36 @@ func urbanGridXLTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 		dense.AreaSide = areaSide * 3
 	}
 	return RunDAPESTrial(dense, wifiRange, trial, PaperDefaults())
+}
+
+// urbanMetroShards is urban-metro's stripe count when the scale names none.
+const urbanMetroShards = 4
+
+// urbanMetroLookahead is the scenario's relaxed window: ten conservative
+// lookaheads. Cross-stripe deliveries slip by at most one window (~260 µs
+// of virtual time against a multi-minute horizon) in exchange for an order
+// of magnitude fewer barriers.
+func urbanMetroLookahead(cfg phy.Config) time.Duration {
+	return 10 * cfg.ConservativeLookahead()
+}
+
+// urbanMetroTrial is urban-grid-xl's node mix on the partitioned kernel
+// with a density-preserving area: the 25x mix in an area scaled so nodes
+// per square meter match the paper's Fig.-7 world, which at plan scale
+// (plans/urban-metro.toml) reaches 50k+ nodes. It is the one scenario with
+// a stripe count of its own: Scale.Shards when set, else 4.
+func urbanMetroTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	metro := s
+	metro.MobileDown = s.MobileDown * 25
+	metro.PureForwarders = s.PureForwarders * 25
+	metro.Intermediates = s.Intermediates * 25
+	if metro.AreaSide <= 0 {
+		total := float64(1 + metro.Stationary + metro.MobileDown + metro.PureForwarders + metro.Intermediates)
+		metro.AreaSide = areaSide * math.Sqrt(total/45)
+	}
+	if metro.Shards == 0 {
+		metro.Shards = urbanMetroShards
+	}
+	la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: metro.LossRate})
+	return runDAPESTrial(metro, wifiRange, trial, PaperDefaults(), la)
 }

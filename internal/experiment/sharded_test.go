@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -14,64 +12,44 @@ import (
 
 // TestGoldenTraceShardedMatchesSequential is the parallel kernel's
 // acceptance gate: for every registered scenario, one run forced onto the
-// sequential reference kernel (SetDefaultShards(-1)) and one routed through
-// the space-partitioned kernel at a single shard (SetDefaultShards(1)) must
-// produce identical per-trial metrics and byte-identical emitted JSON. A
-// one-shard partition exercises the independent sharded code path —
-// ShardedKernel window loop, ShardedMedium attach/identity plumbing — while
-// the contract says it must be byte-equivalent to the sequential schedule;
-// any divergence means partitioning changed simulation behavior where it
-// promised not to. Scenarios that don't route through the DAPES trial
-// runner (baselines, Fig.-8 worlds) are unaffected by the knob and pass
-// trivially; the DAPES family (including urban-metro, whose default of 4
-// shards both flips override) carries the gate.
-//
-// Like the spatial-index and event-queue gates, the knob is atomic and both
-// settings are equivalent by construction, so concurrent tests in this
-// package cannot observe the flip.
+// sequential reference kernel (Engine.Sequential) and one routed through
+// the space-partitioned kernel at a single stripe (Shards = 1) must produce
+// identical per-trial metrics and byte-identical emitted JSON. A one-stripe
+// partition exercises the independent sharded code path — ShardedKernel
+// window loop, ShardedMedium attach/identity plumbing — while the contract
+// says it must be byte-equivalent to the sequential schedule; any
+// divergence means partitioning changed simulation behavior where it
+// promised not to. Scenarios that don't honour Scale.Shards (baselines,
+// Fig.-8 worlds, custom scenarios) build the sequential kernel on both
+// sides and pass trivially — the gate asserts that is what they did; the
+// DAPES family (including urban-metro, whose default of 4 stripes both
+// sides override) carries it.
 func TestGoldenTraceShardedMatchesSequential(t *testing.T) {
-	s := goldenScale()
-	prev := SetDefaultShards(-1)
-	defer SetDefaultShards(prev)
+	seq, one := goldenScale(), goldenScale()
+	seq.Engine.Sequential = true
+	one.Shards = 1
+	goldenGate(t, "sequential", seq, "one-stripe", one)
+}
 
-	run := func(t *testing.T, sc *Scenario, shards int) (RunResult, []byte) {
-		t.Helper()
-		SetDefaultShards(shards)
-		res, err := Runner{Workers: 1}.Run(sc, s, 60)
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		if err := EmitRun(&buf, FormatJSON, res); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		return res, buf.Bytes()
-	}
+// TestGoldenShardedSerialMatchesParallel holds the serial window reference
+// against the persistent-worker execution on every registered scenario at
+// four stripes: the parallel schedule is a pure function of (BaseSeed,
+// trial, shards, lookahead), never of goroutine timing.
+func TestGoldenShardedSerialMatchesParallel(t *testing.T) {
+	serial, par := goldenScale(), goldenScale()
+	serial.Shards, par.Shards = 4, 4
+	serial.Engine.SerialWindows = true
+	goldenGate(t, "serial", serial, "parallel", par)
+}
 
-	for _, sc := range Scenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			seqRes, seqJSON := run(t, sc, -1)
-			shardRes, shardJSON := run(t, sc, 1)
-
-			if !reflect.DeepEqual(seqRes, shardRes) {
-				t.Errorf("RunResult diverged\nsequential: %+v\nsharded:    %+v", seqRes, shardRes)
-			}
-			for i := range seqRes.Trials {
-				if seqRes.Trials[i] != shardRes.Trials[i] {
-					t.Errorf("trial %d diverged\nsequential: %+v\nsharded:    %+v",
-						i, seqRes.Trials[i], shardRes.Trials[i])
-				}
-			}
-			if !bytes.Equal(seqJSON, shardJSON) {
-				t.Errorf("emitted JSON diverged\nsequential: %s\nsharded:    %s", seqJSON, shardJSON)
-			}
-			// Guard against a degenerate world where equivalence is vacuous.
-			if seqRes.Trials[0].Transmissions == 0 {
-				t.Error("golden run put no frames on the air; scale too small to prove anything")
-			}
-		})
-	}
+// TestGoldenShardedBatchingMatchesLockstep holds the one-lookahead-per-
+// window reference against oracle-batched windows on every registered
+// scenario at four stripes.
+func TestGoldenShardedBatchingMatchesLockstep(t *testing.T) {
+	lock, batch := goldenScale(), goldenScale()
+	lock.Shards, batch.Shards = 4, 4
+	lock.Engine.Windowing = sim.WindowLockstep
+	goldenGate(t, "lockstep", lock, "batched", batch)
 }
 
 // TestRunShardedDAPESTrialSingleShardMatchesSequential pins the one-shard
@@ -84,7 +62,7 @@ func TestRunShardedDAPESTrialSingleShardMatchesSequential(t *testing.T) {
 	s.PureForwarders = 3
 	s.Intermediates = 3
 
-	seq, err := runSequentialDAPESTrial(s, 60, 0, PaperDefaults())
+	seq, err := RunDAPESTrial(s, 60, 0, PaperDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +98,20 @@ func TestShardedTrialSerialMatchesParallel(t *testing.T) {
 	s := metroScale()
 	for _, shards := range []int{2, 4} {
 		s.Shards = shards
-		run := func(parallel bool) TrialResult {
-			prev := sim.SetDefaultShardParallel(parallel)
-			defer sim.SetDefaultShardParallel(prev)
+		run := func(serial bool) TrialResult {
+			s := s
+			s.Engine.SerialWindows = serial
+			var built []*world
+			s.Engine.built = &built
 			tr, err := urbanMetroTrial(s, 60, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertEngine(t, "urban-metro", s, built)
 			return tr
 		}
-		serial := run(false)
-		par := run(true)
+		serial := run(true)
+		par := run(false)
 		if serial != par {
 			t.Fatalf("%d shards: serial and parallel window execution diverged:\nserial:   %+v\nparallel: %+v",
 				shards, serial, par)
@@ -206,7 +187,7 @@ func BenchmarkShardedKernel(b *testing.B) {
 
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := runSequentialDAPESTrial(dense, wifiRange, 0, opts); err != nil {
+			if _, err := RunDAPESTrial(dense, wifiRange, 0, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -224,14 +205,13 @@ func BenchmarkShardedKernel(b *testing.B) {
 	}
 	// Serial window execution on the same 4-stripe partition: the floor the
 	// persistent-worker barrier must stay at or below for parallelism to be
-	// paying at all (the retired spawn scheduler lost to this row at xl
-	// scale; see docs/PERFORMANCE.md).
+	// paying at all (see docs/PERFORMANCE.md).
 	b.Run("shards-4-serial", func(b *testing.B) {
-		prev := sim.SetDefaultShardParallel(false)
-		defer sim.SetDefaultShardParallel(prev)
+		serial := dense
+		serial.Engine.SerialWindows = true
 		la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
 		for i := 0; i < b.N; i++ {
-			if _, err := RunShardedDAPESTrial(dense, wifiRange, 0, opts, 4, la); err != nil {
+			if _, err := RunShardedDAPESTrial(serial, wifiRange, 0, opts, 4, la); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -279,13 +259,17 @@ func BenchmarkShardedKernelMetro(b *testing.B) {
 func TestShardedTrialBatchingMatchesLockstep(t *testing.T) {
 	t.Parallel()
 	s := metroScale()
+	s.Shards = 4
 	run := func(mode sim.WindowingMode) TrialResult {
-		prev := sim.SetDefaultShardWindowing(mode)
-		defer sim.SetDefaultShardWindowing(prev)
-		tr, err := RunShardedDAPESTrial(s, 60, 0, PaperDefaults(), 4, 0)
+		s := s
+		s.Engine.Windowing = mode
+		var built []*world
+		s.Engine.built = &built
+		tr, err := RunDAPESTrial(s, 60, 0, PaperDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertEngine(t, "fig7-dapes", s, built)
 		return tr
 	}
 	lock := run(sim.WindowLockstep)

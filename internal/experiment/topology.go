@@ -10,7 +10,6 @@ import (
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
-	"dapes/internal/sim"
 )
 
 // areaSide is the default Fig. 7 simulation area edge in meters; Scale.AreaSide
@@ -18,8 +17,12 @@ import (
 const areaSide = 300.0
 
 // placement is the node motion of one Fig.-7 world: a mobility model for
-// every node slot.
+// every node slot, in attach order. Protocol stacks are attached by the
+// per-system trial runners, so DAPES and the baselines — and the sequential
+// and the striped engine — ride identical node motion.
 type placement struct {
+	// side is the arena edge in meters.
+	side float64
 	// producerMobility carries the initial collection.
 	producerMobility geo.Mobility
 	// stationaryPos are the repository positions.
@@ -31,32 +34,16 @@ type placement struct {
 	forwarderMobility []geo.Mobility
 }
 
-// topology is one instantiated Fig.-7 world: kernel, medium, and placement.
-// Protocol stacks are attached by the per-system trial runners so DAPES and
-// the baselines ride identical node motion.
-type topology struct {
-	kernel *sim.Kernel
-	medium *phy.Medium
-	placement
-}
-
-// buildTopology creates the world for one trial.
-func buildTopology(s Scale, wifiRange float64, trial int) *topology {
-	seed := TrialSeed(s.BaseSeed, trial)
-	kernel := sim.NewKernel(seed)
-	medium := phy.NewMedium(kernel, phy.Config{
-		Range:    wifiRange,
-		LossRate: s.LossRate,
-	})
+// drawPlacement draws one trial's node motion from seed. The placement RNG
+// is separate from the kernel stream so event timing does not perturb
+// positions across configurations.
+func drawPlacement(s Scale, seed int64) placement {
 	side := s.AreaSide
 	if side <= 0 {
 		side = areaSide
 	}
 	area := geo.Rect{Width: side, Height: side}
-	// Placement RNG is separate from the kernel stream so event timing does
-	// not perturb positions across configurations.
 	prng := rand.New(rand.NewSource(seed * 31))
-
 	walk := func() geo.Mobility {
 		return geo.NewRandomDirection(geo.RandomDirectionConfig{
 			Area:  area,
@@ -65,23 +52,49 @@ func buildTopology(s Scale, wifiRange float64, trial int) *topology {
 		})
 	}
 
-	t := &topology{kernel: kernel, medium: medium}
-	t.producerMobility = walk()
+	pl := placement{side: side, producerMobility: walk()}
 	// Repositories sit at the quadrant centers, as in the Fig. 7 snapshot.
-	t.stationaryPos = []geo.Point{
+	pl.stationaryPos = []geo.Point{
 		{X: side / 4, Y: side / 4}, {X: 3 * side / 4, Y: side / 4},
 		{X: side / 4, Y: 3 * side / 4}, {X: 3 * side / 4, Y: 3 * side / 4},
 	}
-	if s.Stationary < len(t.stationaryPos) {
-		t.stationaryPos = t.stationaryPos[:s.Stationary]
+	if s.Stationary < len(pl.stationaryPos) {
+		pl.stationaryPos = pl.stationaryPos[:s.Stationary]
 	}
 	for i := 0; i < s.MobileDown; i++ {
-		t.downloaderMobility = append(t.downloaderMobility, walk())
+		pl.downloaderMobility = append(pl.downloaderMobility, walk())
 	}
 	for i := 0; i < s.PureForwarders+s.Intermediates; i++ {
-		t.forwarderMobility = append(t.forwarderMobility, walk())
+		pl.forwarderMobility = append(pl.forwarderMobility, walk())
 	}
-	return t
+	return pl
+}
+
+// startXs returns every node's t=0 X coordinate in attach order: what the
+// density-balanced stripe cuts are drawn from.
+func (pl *placement) startXs() []float64 {
+	xs := make([]float64, 0, 1+len(pl.stationaryPos)+len(pl.downloaderMobility)+len(pl.forwarderMobility))
+	xs = append(xs, pl.producerMobility.PositionAt(0).X)
+	for _, p := range pl.stationaryPos {
+		xs = append(xs, p.X)
+	}
+	for _, m := range pl.downloaderMobility {
+		xs = append(xs, m.PositionAt(0).X)
+	}
+	for _, m := range pl.forwarderMobility {
+		xs = append(xs, m.PositionAt(0).X)
+	}
+	return xs
+}
+
+// newFig7World draws trial's placement and builds the engine under it:
+// stripes and lookahead as newWorld's striping (0, 0 is the sequential
+// kernel), everything else from the scale.
+func newFig7World(s Scale, wifiRange float64, trial, stripes int, lookahead time.Duration) (*world, placement) {
+	seed := TrialSeed(s.BaseSeed, trial)
+	pl := drawPlacement(s, seed)
+	cfg := phy.Config{Range: wifiRange, LossRate: s.LossRate}
+	return newWorld(seed, cfg, s.Engine, striping{n: stripes, lookahead: lookahead, nodes: &pl}), pl
 }
 
 // buildCollection generates the image-file workload: NumFiles files of

@@ -28,10 +28,7 @@ func ShardOf(p Point, cellSize, width float64, n int) int {
 	if n < 2 {
 		return 0
 	}
-	cells := cellCoord(math.Ceil(width / cellSize))
-	if cells < 1 {
-		cells = 1
-	}
+	cells := StripeCells(cellSize, width)
 	cx := cellCoord(math.Floor(p.X / cellSize))
 	if cx < 0 {
 		cx = 0
@@ -70,9 +67,10 @@ type Stripes struct {
 	n     int
 }
 
-// stripeCells returns the column count ShardOf partitions: whole cells of
-// edge cellSize covering [0, width), at least one.
-func stripeCells(cellSize, width float64) int64 {
+// StripeCells returns the column count ShardOf partitions: whole cells of
+// edge cellSize covering [0, width), at least one. A partition into more
+// stripes than this leaves the surplus permanently empty.
+func StripeCells(cellSize, width float64) int64 {
 	cells := cellCoord(math.Ceil(width / cellSize))
 	if cells < 1 {
 		cells = 1
@@ -89,7 +87,7 @@ func UniformStripes(cellSize, width float64, n int) Stripes {
 	if !(cellSize > 0) {
 		panic("geo: UniformStripes requires a positive cell size")
 	}
-	st := Stripes{cell: cellSize, cells: stripeCells(cellSize, width), n: n}
+	st := Stripes{cell: cellSize, cells: StripeCells(cellSize, width), n: n}
 	if n < 2 {
 		return st
 	}
@@ -122,13 +120,13 @@ func BalancedStripes(cellSize, width float64, n int, xs []float64) Stripes {
 	if !(cellSize > 0) {
 		panic("geo: BalancedStripes requires a positive cell size")
 	}
-	if n < 2 || len(xs) == 0 || stripeCells(cellSize, width) < int64(n) {
+	if n < 2 || len(xs) == 0 || StripeCells(cellSize, width) < int64(n) {
 		// No positions to balance on, or fewer columns than stripes (where
 		// strictly increasing cuts cannot exist): the uniform shape is the
 		// only sensible partition.
 		return UniformStripes(cellSize, width, n)
 	}
-	st := Stripes{cell: cellSize, cells: stripeCells(cellSize, width), n: n}
+	st := Stripes{cell: cellSize, cells: StripeCells(cellSize, width), n: n}
 	cols := make([]int64, len(xs))
 	for i, x := range xs {
 		cx := CellIndex(x, cellSize)

@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-// This file benchmarks the zero-copy wire path old-vs-new, the way the phy
-// package keeps IndexNaive as the reference for BenchmarkBroadcastDense: the
-// pre-refactor behavior — every send site re-encodes, every receiver
-// re-parses with per-field copies — is reproduced here (oldEncodeData /
-// oldDecodeData) so the encode-once/decode-once claim stays measurable
-// instead of dissolving once the old code is gone.
-
-// oldEncodeData serializes from fields on every call, as Data.Encode did
-// before wire caching.
-func oldEncodeData(d *Data) []byte {
-	inner := d.signedPortion()
-	inner = appendTLV(inner, tlvSignatureValue, d.SigValue)
-	return appendTLV(nil, tlvData, inner)
-}
-
-// oldDecodeData reproduces the pre-refactor decode cost model: the same
-// parse, plus the per-field copies (Content, SigValue) the old decoder made
-// and no retained wire.
-func oldDecodeData(wire []byte) (*Data, error) {
-	d, err := DecodeData(wire)
-	if err != nil {
-		return nil, err
-	}
-	d.Content = append([]byte(nil), d.Content...)
-	d.SigValue = append([]byte(nil), d.SigValue...)
-	d.InvalidateWire()
-	return d, nil
-}
-
 // benchData builds a representative DAPES collection packet (1 KB payload,
 // digest integrity), matching the paper's packet size.
 func benchData() *Data {
@@ -47,27 +18,14 @@ func benchData() *Data {
 
 // BenchmarkWirePath measures one broadcast hop end to end at the codec
 // level: the sender produces the frame bytes and k receivers parse them —
-// the O(senders×receivers) work the dense scenarios multiply out. old is
-// the pre-refactor path (re-encode per send, k independent copying parses);
-// new is the shared wire path (cached encode, one memoized decode for all k
-// receivers). docs/PERFORMANCE.md records the measured gap; the acceptance
-// bar is ≥2x fewer allocs/op.
+// the O(senders×receivers) work the dense scenarios multiply out — on the
+// shared wire path (cached encode, one memoized decode for all k
+// receivers). The gap over the pre-refactor codec (re-encode per send, k
+// independent copying parses) is history in BENCH_4.json and
+// docs/PERFORMANCE.md; bench-check gates the allocs/op exactly.
 func BenchmarkWirePath(b *testing.B) {
 	for _, k := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("old/k=%d", k), func(b *testing.B) {
-			d := benchData()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				wire := oldEncodeData(d)
-				for r := 0; r < k; r++ {
-					if _, err := oldDecodeData(wire); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("new/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			d := benchData()
 			d.Encode() // encode-once: the send site caches on first use
 			b.ReportAllocs()
@@ -85,28 +43,16 @@ func BenchmarkWirePath(b *testing.B) {
 }
 
 // BenchmarkWirePathFreshEncode isolates the sender side for packets built
-// per transmission (discovery replies, bitmap advertisements): old re-paid
-// serialization even when the same object was broadcast again (relays,
-// suppression retries); new pays it once.
+// per transmission (discovery replies, bitmap advertisements): serialization
+// is paid once, however often the same object is broadcast again (relays,
+// suppression retries).
 func BenchmarkWirePathFreshEncode(b *testing.B) {
-	b.Run("old", func(b *testing.B) {
-		d := benchData()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(oldEncodeData(d)) == 0 {
-				b.Fatal("empty encode")
-			}
+	d := benchData()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(d.Encode()) == 0 {
+			b.Fatal("empty encode")
 		}
-	})
-	b.Run("new", func(b *testing.B) {
-		d := benchData()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(d.Encode()) == 0 {
-				b.Fatal("empty encode")
-			}
-		}
-	})
+	}
 }

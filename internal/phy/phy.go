@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"dapes/internal/geo"
@@ -73,33 +72,15 @@ type Handler func(Frame)
 type IndexMode int32
 
 const (
-	// IndexDefault resolves to the package default (see SetDefaultIndex).
-	IndexDefault IndexMode = iota
 	// IndexGrid finds receivers through a uniform spatial hash grid; a
-	// broadcast's cost scales with the radios actually near the sender.
-	IndexGrid
+	// broadcast's cost scales with the radios actually near the sender. The
+	// zero value, and so what a Config that does not say gets.
+	IndexGrid IndexMode = iota
 	// IndexNaive scans every attached radio per operation. It is the
 	// reference implementation the grid must reproduce byte-for-byte, kept
 	// for the golden-trace equivalence suite and old-vs-new benchmarks.
 	IndexNaive
 )
-
-// defaultIndex is the mode used when Config.Index is IndexDefault. Atomic so
-// the golden-trace suite can flip it while parallel trial workers construct
-// mediums; because both modes are byte-identical, a concurrent flip changes
-// no result.
-var defaultIndex atomic.Int32
-
-func init() { defaultIndex.Store(int32(IndexGrid)) }
-
-// SetDefaultIndex sets the mode used by mediums constructed with
-// Config.Index == IndexDefault and returns the previous default. Both modes
-// produce byte-identical simulations (enforced by the golden-trace suite);
-// the knob exists so equivalence tests and benchmarks can select the naive
-// reference implementation.
-func SetDefaultIndex(m IndexMode) IndexMode {
-	return IndexMode(defaultIndex.Swap(int32(m)))
-}
 
 // Config parameterizes the medium.
 type Config struct {
@@ -116,9 +97,9 @@ type Config struct {
 	HeaderBytes int
 	// PropagationDelay is the fixed propagation latency. Default 1 µs.
 	PropagationDelay time.Duration
-	// Index selects the receiver-lookup implementation; IndexDefault uses
-	// the package default (the spatial grid). The choice never changes any
-	// simulation result, only how fast the medium finds receivers.
+	// Index selects the receiver-lookup implementation; the zero value is
+	// the spatial grid. The choice never changes any simulation result, only
+	// how fast the medium finds receivers.
 	Index IndexMode
 }
 
@@ -134,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PropagationDelay == 0 {
 		c.PropagationDelay = time.Microsecond
-	}
-	if c.Index == IndexDefault {
-		c.Index = IndexMode(defaultIndex.Load())
 	}
 	return c
 }

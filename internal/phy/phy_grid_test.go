@@ -201,23 +201,15 @@ func TestNeighborsGridMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSetDefaultIndex checks the package-default knob used by the
-// golden-trace suite resolves through Config.withDefaults.
-func TestSetDefaultIndex(t *testing.T) {
-	prev := SetDefaultIndex(IndexNaive)
-	defer SetDefaultIndex(prev)
+// TestConfigIndex checks a medium is built on the index its Config names
+// and reports it back: the zero Config gets the grid, IndexNaive gets none.
+func TestConfigIndex(t *testing.T) {
 	m := NewMedium(sim.NewKernel(1), Config{})
-	if m.Config().Index != IndexNaive {
-		t.Fatalf("Index = %d, want IndexNaive via package default", m.Config().Index)
-	}
-	SetDefaultIndex(IndexGrid)
-	m = NewMedium(sim.NewKernel(1), Config{})
 	if m.Config().Index != IndexGrid || m.grid == nil {
-		t.Fatal("grid default did not construct a grid index")
+		t.Fatal("the zero Config did not construct a grid index")
 	}
-	// An explicit Config.Index wins over the package default.
 	m = NewMedium(sim.NewKernel(1), Config{Index: IndexNaive})
-	if m.grid != nil {
-		t.Fatal("explicit IndexNaive still built a grid")
+	if m.Config().Index != IndexNaive || m.grid != nil {
+		t.Fatal("IndexNaive still built a grid")
 	}
 }

@@ -134,15 +134,15 @@ func TestShardedMediumCrossBoundary(t *testing.T) {
 // returns the per-shard delivery traces; the body of the serial==parallel
 // equivalence gate at the phy layer (and, under -race, the proof that
 // member mediums really share nothing within a window).
-func shardedMediumChurn(t *testing.T, shards int, parallel bool) [][]string {
+func shardedMediumChurn(t *testing.T, shards int, opts sim.Options) [][]string {
 	t.Helper()
-	prev := sim.SetDefaultShardParallel(parallel)
-	defer sim.SetDefaultShardParallel(prev)
-
 	cfg := Config{Range: 60, LossRate: 0.1}
 	const width = 400.0
-	sk := sim.NewShardedKernel(23, shards, cfg.ConservativeLookahead())
+	sk := opts.NewShardedKernel(23, shards, cfg.ConservativeLookahead())
 	defer sk.Close()
+	if sk.Options() != opts {
+		t.Fatalf("built %+v, asked for %+v", sk.Options(), opts)
+	}
 	sm := NewShardedMedium(sk, cfg)
 	traces := make([][]string, shards)
 
@@ -189,8 +189,8 @@ func shardedMediumChurn(t *testing.T, shards int, parallel bool) [][]string {
 func TestShardedMediumSerialMatchesParallel(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{2, 4} {
-		serial := shardedMediumChurn(t, shards, false)
-		par := shardedMediumChurn(t, shards, true)
+		serial := shardedMediumChurn(t, shards, sim.Options{SerialWindows: true})
+		par := shardedMediumChurn(t, shards, sim.Options{})
 		total := 0
 		for s := 0; s < shards; s++ {
 			if len(serial[s]) != len(par[s]) {
@@ -222,13 +222,13 @@ func TestShardedMediumSerialMatchesParallel(t *testing.T) {
 // must collapse barriers.
 func cullWorkload(t *testing.T, mode sim.WindowingMode, noCull, clustered bool) ([][]string, uint64, uint64) {
 	t.Helper()
-	prev := sim.SetDefaultShardWindowing(mode)
-	defer sim.SetDefaultShardWindowing(prev)
-
 	cfg := Config{Range: 60, LossRate: 0.1}
 	const width, shards = 3000.0, 4
-	sk := sim.NewShardedKernel(41, shards, cfg.ConservativeLookahead())
+	sk := sim.Options{Windowing: mode}.NewShardedKernel(41, shards, cfg.ConservativeLookahead())
 	defer sk.Close()
+	if got := sk.Options().Windowing; got != mode {
+		t.Fatalf("built windowing mode %d, asked for %d", got, mode)
+	}
 	sm := NewShardedMedium(sk, cfg)
 	sm.noCull = noCull
 	traces := make([][]string, shards)

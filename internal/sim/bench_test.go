@@ -17,7 +17,7 @@ func BenchmarkKernelChurn(b *testing.B) {
 	for _, pending := range []int{100_000, 1_000_000} {
 		for _, q := range queueKinds {
 			b.Run(fmt.Sprintf("%s/pending=%d", q.name, pending), func(b *testing.B) {
-				k := NewKernelWithQueue(1, q.kind)
+				k := Options{Queue: q.kind}.NewKernel(1)
 				fn := func() {}
 				timers := make([]*Timer, pending)
 				for i := range timers {
@@ -44,7 +44,7 @@ func BenchmarkKernelChurn(b *testing.B) {
 func BenchmarkKernelFire(b *testing.B) {
 	for _, q := range queueKinds {
 		b.Run(q.name, func(b *testing.B) {
-			k := NewKernelWithQueue(1, q.kind)
+			k := Options{Queue: q.kind}.NewKernel(1)
 			fn := func() {}
 			for i := 0; i < 10_000; i++ {
 				k.Schedule(time.Hour+time.Duration(i)*time.Millisecond, fn)
@@ -59,34 +59,31 @@ func BenchmarkKernelFire(b *testing.B) {
 	}
 }
 
-// BenchmarkShardBarrier is the old-vs-new comparison for the sharded
-// window barrier. The workload is barrier-dominated by construction: four
-// shards each run one self-rescheduling tick per lookahead window, so an op
-// is one window whose body is four trivial events and whose cost is almost
-// entirely synchronization. `serial` runs the busy shards on the
-// coordinator (the floor: no synchronization at all), `spawn` is the
-// retired goroutine-per-window + WaitGroup scheduler, and `workers` is the
-// persistent-worker epoch barrier that replaced it.
+// BenchmarkShardBarrier prices the sharded window barrier. The workload is
+// barrier-dominated by construction: four shards each run one
+// self-rescheduling tick per lookahead window, so an op is one window whose
+// body is four trivial events and whose cost is almost entirely
+// synchronization. `serial` runs the busy shards on the coordinator (the
+// floor: no synchronization at all) and `workers` is the persistent-worker
+// epoch barrier. (The goroutine-per-window scheduler the workers replaced
+// is priced in BENCH_7.json and docs/PERFORMANCE.md.)
 func BenchmarkShardBarrier(b *testing.B) {
 	const shards = 4
 	const tick = time.Microsecond
 	modes := []struct {
-		name  string
-		setup func(sk *ShardedKernel)
+		name string
+		opts Options
 	}{
-		{"serial", func(sk *ShardedKernel) { sk.parallel = false }},
-		{"spawn", func(sk *ShardedKernel) { sk.spawnWindows = true }},
-		// adaptive off: the product scheduler would run these near-empty
-		// windows inline, which is exactly what this bench exists to price.
-		{"workers", func(sk *ShardedKernel) { sk.adaptive = false }},
+		{"serial", Options{SerialWindows: true}},
+		{"workers", Options{}},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			prev := SetDefaultShardParallel(true)
-			defer SetDefaultShardParallel(prev)
-			sk := NewShardedKernel(1, shards, tick)
+			sk := mode.opts.NewShardedKernel(1, shards, tick)
 			defer sk.Close()
-			mode.setup(sk)
+			// adaptive off: the product scheduler would run these near-empty
+			// windows inline, which is exactly what this bench exists to price.
+			sk.adaptive = false
 			for i := 0; i < shards; i++ {
 				k := sk.Shard(i)
 				var step func()
@@ -107,7 +104,7 @@ func BenchmarkShardBarrier(b *testing.B) {
 func BenchmarkTimerReset(b *testing.B) {
 	for _, q := range queueKinds {
 		b.Run(q.name, func(b *testing.B) {
-			k := NewKernelWithQueue(1, q.kind)
+			k := Options{Queue: q.kind}.NewKernel(1)
 			fn := func() {}
 			for i := 0; i < 1024; i++ {
 				k.Schedule(time.Hour+time.Duration(i)*time.Second, fn)

@@ -30,10 +30,9 @@ package sim
 //     the coordinator publishes the window bound on each busy worker's
 //     wake channel (the epoch publish), runs the lowest busy shard
 //     inline, and waits for an atomic countdown to release the single
-//     done channel. This replaces the goroutine-per-window spawn +
-//     WaitGroup barrier, whose setup cost exceeded the window body at
-//     urban-grid scale (see docs/PERFORMANCE.md). Workers are spawned
-//     lazily by the first parallel window and released by Close.
+//     done channel. Workers are spawned lazily by the first parallel
+//     window and released by Close. Options.SerialWindows retains the
+//     no-goroutine execution as the executable reference.
 //
 //   - Boundary-aware window batching. When a window oracle is installed
 //     (SetWindowOracle — phy.ShardedMedium installs one derived from
@@ -44,7 +43,7 @@ package sim
 //     traffic by construction, so collapsing thousands of per-lookahead
 //     barriers into one is trace-preserving. WindowLockstep retains the
 //     one-lookahead-per-window scheduler as the executable reference
-//     (SetDefaultShardWindowing, like phy.IndexNaive / sim.QueueHeap).
+//     (Options.Windowing, like phy.IndexNaive / sim.QueueHeap).
 //
 //   - Adaptive inline execution. A parallel-mode window still runs on the
 //     coordinator's goroutine when the worker barrier cannot pay for
@@ -65,7 +64,6 @@ package sim
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -87,24 +85,6 @@ func ShardSeed(seed int64, shard int) int64 {
 	return int64(uint64(seed) + uint64(shard)*shardSeedStride)
 }
 
-// defaultShardParallel selects whether ShardedKernel windows run the busy
-// shards on one worker goroutine each (true) or serially on the caller's
-// goroutine (false). Atomic for the same reason as SetDefaultQueue: the
-// equivalence suite flips it while parallel trial workers construct
-// kernels, and because serial and parallel windows are byte-identical a
-// concurrent flip changes no result.
-var defaultShardParallel atomic.Bool
-
-func init() { defaultShardParallel.Store(true) }
-
-// SetDefaultShardParallel sets whether kernels constructed by
-// NewShardedKernel execute windows in parallel, returning the previous
-// setting. The serial mode is the executable reference the parallel mode
-// must reproduce byte-for-byte.
-func SetDefaultShardParallel(on bool) bool {
-	return defaultShardParallel.Swap(on)
-}
-
 // WindowingMode selects how the coordinator sizes lookahead windows.
 type WindowingMode int32
 
@@ -118,18 +98,6 @@ const (
 	// (TestWindowBatchingMatchesLockstep).
 	WindowLockstep
 )
-
-// defaultShardWindowing holds the WindowingMode for newly constructed
-// kernels. The zero value is WindowBatched.
-var defaultShardWindowing atomic.Int32
-
-// SetDefaultShardWindowing sets the window scheduler used by kernels
-// constructed by NewShardedKernel, returning the previous setting.
-// WindowLockstep is the executable reference the batched scheduler must
-// reproduce byte-for-byte on oracle-covered workloads.
-func SetDefaultShardWindowing(m WindowingMode) WindowingMode {
-	return WindowingMode(defaultShardWindowing.Swap(int32(m)))
-}
 
 // handoff is one cross-shard effect staged for merge at the next barrier.
 type handoff struct {
@@ -159,8 +127,7 @@ type stagedFlag struct {
 type ShardedKernel struct {
 	shards    []*Kernel
 	lookahead time.Duration
-	parallel  bool
-	windowing WindowingMode
+	opts      Options
 
 	// out[from][to] stages handoffs sent by shard `from` to shard `to`
 	// during the current window. Shard workers write only their own `from`
@@ -187,11 +154,6 @@ type ShardedKernel struct {
 	winStop atomic.Bool
 	closed  bool
 
-	// spawnWindows routes parallel windows through the retired
-	// goroutine-per-window scheduler; reachable only from benchmarks and
-	// equivalence tests (BenchmarkShardBarrier measures old vs new).
-	spawnWindows bool
-
 	// adaptive (the default) lets the coordinator run a parallel-mode
 	// window inline when the worker barrier cannot pay: when the runtime
 	// has a single execution slot (multicore is false — workers would only
@@ -216,12 +178,19 @@ type ShardedKernel struct {
 	stopValid bool
 }
 
-// NewShardedKernel returns a kernel of `shards` spatial shards advancing
-// in windows of `lookahead`. Shard i's RNG is seeded ShardSeed(seed, i).
-// shards < 1 is clamped to 1; lookahead < 1ns is clamped to 1ns (a window
-// always makes progress because it starts at the global minimum event
-// time and event times are whole nanoseconds).
+// NewShardedKernel returns a production kernel (Options{}) of `shards`
+// spatial shards advancing in windows of `lookahead`.
 func NewShardedKernel(seed int64, shards int, lookahead time.Duration) *ShardedKernel {
+	return Options{}.NewShardedKernel(seed, shards, lookahead)
+}
+
+// NewShardedKernel returns a kernel of `shards` spatial shards advancing
+// in windows of `lookahead`, built from the implementations o selects.
+// Shard i's RNG is seeded ShardSeed(seed, i). shards < 1 is clamped to 1;
+// lookahead < 1ns is clamped to 1ns (a window always makes progress
+// because it starts at the global minimum event time and event times are
+// whole nanoseconds).
+func (o Options) NewShardedKernel(seed int64, shards int, lookahead time.Duration) *ShardedKernel {
 	if shards < 1 {
 		shards = 1
 	}
@@ -231,8 +200,7 @@ func NewShardedKernel(seed int64, shards int, lookahead time.Duration) *ShardedK
 	sk := &ShardedKernel{
 		shards:    make([]*Kernel, shards),
 		lookahead: lookahead,
-		parallel:  defaultShardParallel.Load(),
-		windowing: WindowingMode(defaultShardWindowing.Load()),
+		opts:      o,
 		adaptive:  true,
 		multicore: runtime.GOMAXPROCS(0) > 1,
 		out:       make([][][]handoff, shards),
@@ -240,11 +208,14 @@ func NewShardedKernel(seed int64, shards int, lookahead time.Duration) *ShardedK
 		busy:      make([]int, 0, shards),
 	}
 	for i := range sk.shards {
-		sk.shards[i] = NewKernel(ShardSeed(seed, i))
+		sk.shards[i] = o.NewKernel(ShardSeed(seed, i))
 		sk.out[i] = make([][]handoff, shards)
 	}
 	return sk
 }
+
+// Options reports the implementations the kernel was built from.
+func (sk *ShardedKernel) Options() Options { return sk.opts }
 
 // Shards returns the shard count.
 func (sk *ShardedKernel) Shards() int { return len(sk.shards) }
@@ -467,18 +438,14 @@ func (sk *ShardedKernel) runShards(until time.Duration) (stopped bool) {
 		}
 	}
 	sk.busy = busy
-	if !sk.parallel || len(busy) < 2 ||
-		(sk.adaptive && !sk.spawnWindows &&
-			(!sk.multicore || sk.lastWindowFired < workerWindowEvents)) {
+	if sk.opts.SerialWindows || len(busy) < 2 ||
+		(sk.adaptive && (!sk.multicore || sk.lastWindowFired < workerWindowEvents)) {
 		for _, i := range busy {
 			if !sk.shards[i].runWindow(until) {
 				stopped = true
 			}
 		}
 		return stopped
-	}
-	if sk.spawnWindows {
-		return sk.runShardsSpawn(until, busy)
 	}
 	sk.ensureWorkers()
 	sk.winStop.Store(false)
@@ -491,25 +458,6 @@ func (sk *ShardedKernel) runShards(until time.Duration) (stopped bool) {
 	}
 	<-sk.done
 	return stopped || sk.winStop.Load()
-}
-
-// runShardsSpawn is the retired goroutine-per-window scheduler, kept as
-// the executable baseline BenchmarkShardBarrier measures the persistent
-// workers against (and TestShardedSpawnMatchesWorkers holds equivalent).
-func (sk *ShardedKernel) runShardsSpawn(until time.Duration, busy []int) bool {
-	var wg sync.WaitGroup
-	var anyStopped atomic.Bool
-	for _, i := range busy {
-		wg.Add(1)
-		go func(k *Kernel) {
-			defer wg.Done()
-			if !k.runWindow(until) {
-				anyStopped.Store(true)
-			}
-		}(sk.shards[i])
-	}
-	wg.Wait()
-	return anyStopped.Load()
 }
 
 // markStopped records the stopped-clock: the earliest clock among shards
@@ -559,7 +507,7 @@ func (sk *ShardedKernel) windows(horizon time.Duration, cond func() bool) (condM
 		if until <= t { // overflow guard for horizonless huge lookaheads
 			until = t + 1
 		}
-		if sk.windowing != WindowLockstep && sk.oracle != nil {
+		if sk.opts.Windowing != WindowLockstep && sk.oracle != nil {
 			// The extended window ends exactly at the quiet bound, so it
 			// contains no cross-shard traffic and skipping the collapsed
 			// intermediate barriers cannot change the trace.

@@ -17,7 +17,7 @@ func TestRunStoppedClockStaysAtStopPoint(t *testing.T) {
 	for _, q := range queueKinds {
 		// Stop fired by the LAST queued event: the loop drains, which is the
 		// path that used to warp the clock to the horizon.
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		k.Schedule(time.Second, func() { k.Stop() })
 		if err := k.Run(time.Hour); err != ErrStopped {
 			t.Fatalf("%s: run = %v, want ErrStopped", q.name, err)
@@ -27,7 +27,7 @@ func TestRunStoppedClockStaysAtStopPoint(t *testing.T) {
 		}
 
 		// Stop fired mid-queue with a horizon: same contract.
-		k = NewKernelWithQueue(1, q.kind)
+		k = Options{Queue: q.kind}.NewKernel(1)
 		k.Schedule(time.Second, func() { k.Stop() })
 		k.Schedule(2*time.Second, func() {})
 		if err := k.Run(time.Hour); err != ErrStopped {
@@ -45,7 +45,7 @@ func TestRunStoppedClockStaysAtStopPoint(t *testing.T) {
 func TestRunUntilHonorsStop(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		ran := 0
 		k.Schedule(time.Second, func() { ran++; k.Stop() })
 		k.Schedule(2*time.Second, func() { ran++ })
@@ -140,19 +140,20 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 // horizon-bounded runs — and returns the per-shard traces. It is the shared
 // body of the serial==parallel equivalence test and the CI -race churn step
 // (cross-shard state is only ever touched through SendFrom staging, so the
-// race detector proves windows really share nothing).
-func shardedChurn(t *testing.T, shards int, parallel, spawn bool) [][]int64 {
+// race detector proves windows really share nothing). The kernel is built
+// from opts and must report them back: a gate that compares two engines has
+// to know it ran two.
+func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 	t.Helper()
-	prev := SetDefaultShardParallel(parallel)
-	defer SetDefaultShardParallel(prev)
-
 	const lookahead = 50 * time.Microsecond
-	sk := NewShardedKernel(9001, shards, lookahead)
+	sk := opts.NewShardedKernel(9001, shards, lookahead)
 	defer sk.Close()
-	sk.spawnWindows = spawn
-	// Force every parallel window through the selected barrier mechanism:
-	// the adaptive scheduler would run this light workload inline, leaving
-	// the spawn-vs-workers comparison vacuous.
+	if sk.Options() != opts || sk.Shard(shards-1).Queue() != opts.Queue {
+		t.Fatalf("built %+v on queue %d, asked for %+v", sk.Options(), sk.Shard(shards-1).Queue(), opts)
+	}
+	// Force every parallel window through the worker barrier: the adaptive
+	// scheduler would run this light workload inline, leaving the
+	// serial-vs-parallel comparison vacuous.
 	sk.adaptive = false
 	traces := make([][]int64, shards)
 
@@ -203,8 +204,8 @@ func shardedChurn(t *testing.T, shards int, parallel, spawn bool) [][]int64 {
 func TestShardedSerialMatchesParallel(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{2, 3, 4, 7} {
-		serial := shardedChurn(t, shards, false, false)
-		par := shardedChurn(t, shards, true, false)
+		serial := shardedChurn(t, shards, Options{SerialWindows: true})
+		par := shardedChurn(t, shards, Options{})
 		total := 0
 		for s := 0; s < shards; s++ {
 			if len(serial[s]) != len(par[s]) {

@@ -61,35 +61,6 @@ func TestShardedCloseLifecycle(t *testing.T) {
 	idle.Close()
 }
 
-// TestShardedSpawnMatchesWorkers keeps the retired goroutine-per-window
-// scheduler an honest baseline: the churn workload must produce
-// byte-identical traces under the spawn barrier and the persistent-worker
-// barrier (BenchmarkShardBarrier measures the two against each other).
-func TestShardedSpawnMatchesWorkers(t *testing.T) {
-	t.Parallel()
-	for _, shards := range []int{2, 4} {
-		spawn := shardedChurn(t, shards, true, true)
-		workers := shardedChurn(t, shards, true, false)
-		total := 0
-		for s := 0; s < shards; s++ {
-			if len(spawn[s]) != len(workers[s]) {
-				t.Fatalf("%d shards: shard %d trace lengths diverged: spawn %d, workers %d",
-					shards, s, len(spawn[s]), len(workers[s]))
-			}
-			for i := range spawn[s] {
-				if spawn[s][i] != workers[s][i] {
-					t.Fatalf("%d shards: shard %d diverged at %d: spawn %x, workers %x",
-						shards, s, i, spawn[s][i], workers[s][i])
-				}
-			}
-			total += len(spawn[s])
-		}
-		if total == 0 {
-			t.Fatalf("%d shards: churn fired no events; property is vacuous", shards)
-		}
-	}
-}
-
 // batchingWorkload runs a dense-local / sparse-boundary workload under the
 // given windowing mode and returns its per-shard traces plus the number of
 // window barriers crossed. Every shard chatters locally every 1µs (at a
@@ -99,13 +70,13 @@ func TestShardedSpawnMatchesWorkers(t *testing.T) {
 // the contract SetWindowOracle documents.
 func batchingWorkload(t *testing.T, mode WindowingMode, shards int) ([][]int64, uint64) {
 	t.Helper()
-	prev := SetDefaultShardWindowing(mode)
-	defer SetDefaultShardWindowing(prev)
-
 	const lookahead = 10 * time.Microsecond
 	const horizon = 600 * time.Microsecond
-	sk := NewShardedKernel(31, shards, lookahead)
+	sk := Options{Windowing: mode}.NewShardedKernel(31, shards, lookahead)
 	defer sk.Close()
+	if got := sk.Options().Windowing; got != mode {
+		t.Fatalf("built windowing mode %d, asked for %d", got, mode)
+	}
 
 	traces := make([][]int64, shards)
 	for s := 0; s < shards; s++ {

@@ -6,17 +6,16 @@
 // experiments reproducible and testable.
 //
 // The queue is a hierarchical timer wheel by default (O(1) schedule and
-// cancel; see wheel.go), with the reference binary heap selectable via
-// SetDefaultQueue / NewKernelWithQueue. Both orderings are total — events
-// fire strictly by (time, sequence) — so the two backends produce
-// byte-identical traces; the golden-trace suite in internal/experiment
-// enforces that for every registered scenario.
+// cancel; see wheel.go), with the reference binary heap selectable per
+// kernel through Options. Both orderings are total — events fire strictly
+// by (time, sequence) — so the two backends produce byte-identical traces;
+// the golden-trace suite in internal/experiment enforces that for every
+// registered scenario.
 package sim
 
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -115,32 +114,34 @@ type eventQueue interface {
 type QueueKind int32
 
 const (
-	// QueueDefault resolves to the package default (see SetDefaultQueue).
-	QueueDefault QueueKind = iota
 	// QueueWheel is the hierarchical timer wheel: O(1) schedule and cancel,
-	// amortized O(1) pop. The default.
-	QueueWheel
+	// amortized O(1) pop. The zero value, and what NewKernel builds.
+	QueueWheel QueueKind = iota
 	// QueueHeap is the reference binary heap the wheel must reproduce
 	// byte-for-byte, kept for the golden-trace equivalence suite and the
 	// old-vs-new BenchmarkKernelChurn comparison.
 	QueueHeap
 )
 
-// defaultQueue is the kind used when NewKernel (or QueueDefault) is asked
-// for a queue. Atomic so the golden-trace suite can flip it while parallel
-// trial workers construct kernels; because both kinds are byte-identical, a
-// concurrent flip changes no result.
-var defaultQueue atomic.Int32
-
-func init() { defaultQueue.Store(int32(QueueWheel)) }
-
-// SetDefaultQueue sets the queue kind used by kernels constructed with
-// NewKernel (or NewKernelWithQueue(QueueDefault)) and returns the previous
-// default. Both kinds produce byte-identical simulations (enforced by the
-// golden-trace suite); the knob exists so equivalence tests and benchmarks
-// can select the reference heap.
-func SetDefaultQueue(kind QueueKind) QueueKind {
-	return QueueKind(defaultQueue.Swap(int32(kind)))
+// Options selects which of the retained reference implementations a kernel
+// is built from. The zero value is the production engine — timer wheel,
+// parallel window execution, oracle-batched windows — and is what NewKernel
+// and NewShardedKernel build. Every choice is fixed at construction and
+// byte-identical to production by contract (the golden suites hold each
+// reference against it), so the value decides speed, never results. There
+// is deliberately no package-level default to flip: a kernel is what its
+// constructor was handed.
+type Options struct {
+	// Queue is the pending-event store of the kernel (of every shard's
+	// kernel, for a ShardedKernel).
+	Queue QueueKind
+	// SerialWindows makes a ShardedKernel run each window's busy shards one
+	// after another on the coordinator's goroutine instead of on the
+	// persistent per-shard workers: the reference parallel execution must
+	// reproduce. A plain Kernel ignores it.
+	SerialWindows bool
+	// Windowing sizes a ShardedKernel's windows. A plain Kernel ignores it.
+	Windowing WindowingMode
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
@@ -148,6 +149,7 @@ func SetDefaultQueue(kind QueueKind) QueueKind {
 type Kernel struct {
 	now     time.Duration
 	queue   eventQueue
+	kind    QueueKind
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -158,25 +160,24 @@ type Kernel struct {
 	free []*Event
 }
 
-// NewKernel returns a kernel whose random stream is seeded with seed, using
-// the package-default queue (the timer wheel).
-func NewKernel(seed int64) *Kernel {
-	return NewKernelWithQueue(seed, QueueDefault)
-}
+// NewKernel returns a production kernel (Options{}: the timer wheel) whose
+// random stream is seeded with seed.
+func NewKernel(seed int64) *Kernel { return Options{}.NewKernel(seed) }
 
-// NewKernelWithQueue is NewKernel with an explicit queue backend.
-func NewKernelWithQueue(seed int64, kind QueueKind) *Kernel {
-	if kind == QueueDefault {
-		kind = QueueKind(defaultQueue.Load())
-	}
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
-	if kind == QueueHeap {
+// NewKernel returns a kernel on o.Queue whose random stream is seeded with
+// seed.
+func (o Options) NewKernel(seed int64) *Kernel {
+	k := &Kernel{rng: rand.New(rand.NewSource(seed)), kind: o.Queue}
+	if o.Queue == QueueHeap {
 		k.queue = &heapQueue{}
 	} else {
 		k.queue = &wheelQueue{}
 	}
 	return k
 }
+
+// Queue reports which pending-event store the kernel was built on.
+func (k *Kernel) Queue() QueueKind { return k.kind }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }

@@ -20,7 +20,7 @@ var queueKinds = []struct {
 func TestKernelRunsEventsInOrder(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
 		k.Schedule(3*time.Second, func() { order = append(order, 3) })
 		k.Schedule(1*time.Second, func() { order = append(order, 1) })
@@ -43,7 +43,7 @@ func TestKernelRunsEventsInOrder(t *testing.T) {
 func TestKernelFIFOAmongEqualTimestamps(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
 		for i := 0; i < 10; i++ {
 			i := i
@@ -63,7 +63,7 @@ func TestKernelFIFOAmongEqualTimestamps(t *testing.T) {
 func TestKernelCancel(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
 		ev := k.Schedule(time.Second, func() { fired = true })
 		if !ev.Scheduled() {
@@ -93,7 +93,7 @@ func TestKernelCancel(t *testing.T) {
 func TestCancelReclaimsQueueSpace(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		keeper := k.Schedule(time.Hour, func() {})
 		for i := 0; i < 100_000; i++ {
 			h := k.Schedule(time.Minute+time.Duration(i)*time.Millisecond, func() {})
@@ -114,7 +114,7 @@ func TestCancelReclaimsQueueSpace(t *testing.T) {
 func TestPendingReportsLiveEvents(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		a := k.Schedule(time.Second, func() {})
 		k.Schedule(2*time.Second, func() {})
 		k.Schedule(3*time.Second, func() {})
@@ -131,7 +131,7 @@ func TestPendingReportsLiveEvents(t *testing.T) {
 func TestKernelHorizonStopsClock(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
 		k.Schedule(10*time.Second, func() { fired = true })
 		if err := k.Run(5 * time.Second); err != nil {
@@ -149,7 +149,7 @@ func TestKernelHorizonStopsClock(t *testing.T) {
 func TestKernelStop(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		count := 0
 		k.Schedule(time.Second, func() { count++; k.Stop() })
 		k.Schedule(2*time.Second, func() { count++ })
@@ -165,7 +165,7 @@ func TestKernelStop(t *testing.T) {
 func TestKernelScheduleInsideEvent(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		var times []time.Duration
 		k.Schedule(time.Second, func() {
 			times = append(times, k.Now())
@@ -183,7 +183,7 @@ func TestKernelScheduleInsideEvent(t *testing.T) {
 func TestKernelNegativeDelayClamped(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
 		k.Schedule(-time.Second, func() { fired = true })
 		k.Run(0)
@@ -199,7 +199,7 @@ func TestKernelNegativeDelayClamped(t *testing.T) {
 func TestKernelRunUntil(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		count := 0
 		for i := 1; i <= 10; i++ {
 			k.Schedule(time.Duration(i)*time.Second, func() { count++ })
@@ -247,7 +247,7 @@ func TestKernelDeterminism(t *testing.T) {
 func TestScheduleBehindWheelCursor(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
 		k.Schedule(10*time.Hour, func() { order = append(order, 2) })
 		if err := k.Run(time.Second); err != nil {
@@ -316,7 +316,7 @@ func TestEventTimeMonotonicProperty(t *testing.T) {
 func TestScheduleFuncOrderingMatchesSchedule(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
 		k.Schedule(time.Second, func() { order = append(order, 1) })
 		k.ScheduleFunc(time.Second, func() { order = append(order, 2) }) // FIFO tie-break
@@ -376,7 +376,7 @@ func TestScheduleFuncRecyclesEvents(t *testing.T) {
 func TestCanceledEventsAreRecycled(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		fn := func() {}
 		// Warm the free list, the queue's backing storage, and the handle's
 		// reuse path.
@@ -398,7 +398,7 @@ func TestCanceledEventsAreRecycled(t *testing.T) {
 func TestStaleHandlesAreInert(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		aRan, bRan := false, false
 		a := k.Schedule(time.Second, func() { aRan = true })
 		if err := k.Run(0); err != nil {
@@ -424,7 +424,7 @@ func TestStaleHandlesAreInert(t *testing.T) {
 func TestTimerLifecycle(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := 0
 		tm := k.NewTimer(func() { fired++ })
 		if tm.Pending() {
@@ -464,7 +464,7 @@ func TestTimerLifecycle(t *testing.T) {
 func TestTimerPeriodicReArm(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		var times []time.Duration
 		var tm *Timer
 		tm = k.NewTimer(func() {
@@ -492,7 +492,7 @@ func TestTimerPeriodicReArm(t *testing.T) {
 func TestTimerResetDoesNotAllocate(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
-		k := NewKernelWithQueue(1, q.kind)
+		k := Options{Queue: q.kind}.NewKernel(1)
 		// A realistic surrounding population so the queue is not trivially
 		// empty.
 		for i := 0; i < 256; i++ {
@@ -534,7 +534,7 @@ func TestWheelMatchesHeapUnderChurn(t *testing.T) {
 	}
 	run := func(seed int64, kind QueueKind) []fireRec {
 		rng := rand.New(rand.NewSource(seed))
-		k := NewKernelWithQueue(seed, kind)
+		k := Options{Queue: kind}.NewKernel(seed)
 		var trace []fireRec
 		var handles []Handle
 		var timers []*Timer
