@@ -38,6 +38,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzDiscoveryPayload -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
+	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s ./internal/bitmap/
 
 test:
 	$(GO) test ./...

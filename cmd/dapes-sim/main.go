@@ -164,8 +164,12 @@ func adhocScenario(system string, k adhocKnobs) (*experiment.Scenario, error) {
 			Multihop:      k.multihop,
 			ForwardProb:   k.forwardProb,
 		}
-		if k.strategy == "encounter" {
+		switch k.strategy {
+		case "local":
+		case "encounter":
 			opts.Strategy = core.EncounterBasedRPF
+		default:
+			return nil, fmt.Errorf("unknown strategy %q (want local or encounter)", k.strategy)
 		}
 		if !k.interleave {
 			opts.AdvertMode = core.BitmapsFirst

@@ -4,9 +4,42 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestRejectsMisreadInputs: a flag value the run cannot honour must fail
+// with an error naming it, never panic, fall back silently, or label the
+// output with a value that was not used. -strategy used to read every typo
+// as "local"; -range -1 panicked in geo.NewGrid; -range 0 ran phy's 60 m
+// default and emitted "range_m": 0.
+func TestRejectsMisreadInputs(t *testing.T) {
+	tiny := []string{"-files", "2", "-packets", "5", "-trials", "1", "-o", filepath.Join(t.TempDir(), "out")}
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-strategy", "encouter"}, `unknown strategy "encouter" (want local or encounter)`},
+		{[]string{"-strategy", "bogus"}, "want local or encounter"},
+		{[]string{"-strategy", ""}, "want local or encounter"},
+		{[]string{"-range", "-1"}, `"dapes(custom)": WiFi range = -1 m`},
+		{[]string{"-range", "0"}, `"dapes(custom)": WiFi range = 0 m`},
+		{[]string{"-scenario", "fig7-dapes", "-range", "-1"}, `"fig7-dapes": WiFi range = -1 m`},
+		{[]string{"-scenario", "fig7-dapes", "-range", "0"}, `"fig7-dapes": WiFi range = 0 m`},
+	} {
+		err := run(append(tc.args, tiny...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("dapes-sim %v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+	// The accepted spellings still run.
+	for _, strategy := range []string{"local", "encounter"} {
+		if err := run(append([]string{"-strategy", strategy}, tiny...)); err != nil {
+			t.Errorf("-strategy %s: %v", strategy, err)
+		}
+	}
+}
 
 // TestAbsurdShardCountIsBounded: -shards is outside input, and a stripe
 // count beyond the arena's range-wide columns (five, for fig7-dapes' 300 m

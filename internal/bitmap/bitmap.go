@@ -164,25 +164,31 @@ func (b *Bitmap) Ones() []int {
 	return out
 }
 
-// Encode serializes the bitmap: a 4-byte big-endian bit length followed by
-// the packed bit bytes (LSB-first within each byte).
-func (b *Bitmap) Encode() []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(b.n))
-	nbytes := (b.n + 7) / 8
-	for i := 0; i < nbytes; i++ {
-		var by byte
-		for bit := 0; bit < 8; bit++ {
-			idx := i*8 + bit
-			if idx < b.n && b.Test(idx) {
-				by |= 1 << uint(bit)
-			}
-		}
-		out = append(out, by)
+// Word returns the w-th 64-bit word of the bitmap (bit i of the bitmap is bit
+// i%64 of word i/64), or 0 when b is nil or w is past its end: set scans
+// combine bitmaps a word at a time, and an absent bitmap reads as empty.
+func (b *Bitmap) Word(w int) uint64 {
+	if b == nil || w >= len(b.words) {
+		return 0
 	}
-	return out
+	return b.words[w]
 }
 
-// Decode parses a bitmap produced by Encode.
+// Encode serializes the bitmap: a 4-byte big-endian bit length followed by
+// the packed bit bytes (LSB-first within each byte) — the words in
+// little-endian order, cut to the bit length's byte count.
+func (b *Bitmap) Encode() []byte {
+	nbytes := (b.n + 7) / 8
+	out := make([]byte, 4, 4+len(b.words)*8)
+	binary.BigEndian.PutUint32(out, uint32(b.n))
+	for _, w := range b.words {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out[:4+nbytes]
+}
+
+// Decode parses a bitmap produced by Encode. Payload bits past the bit
+// length are ignored.
 func Decode(buf []byte) (*Bitmap, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("bitmap: short header (%d bytes)", len(buf))
@@ -193,45 +199,81 @@ func Decode(buf []byte) (*Bitmap, error) {
 		return nil, fmt.Errorf("bitmap: need %d payload bytes, have %d", nbytes, len(buf)-4)
 	}
 	b := New(n)
-	for i := 0; i < n; i++ {
-		if buf[4+i/8]&(1<<(uint(i)%8)) != 0 {
-			b.Set(i)
+	payload := buf[4 : 4+nbytes]
+	for w := range b.words {
+		if len(payload) >= 8 {
+			b.words[w] = binary.LittleEndian.Uint64(payload)
+			payload = payload[8:]
+			continue
+		}
+		for i, by := range payload {
+			b.words[w] |= uint64(by) << (8 * uint(i))
 		}
 	}
+	b.trim()
 	return b, nil
 }
 
-// Rarity accumulates how many of a set of peer bitmaps are missing each
-// packet; higher counts mean rarer packets (Section IV-E).
+// Rarity counts, for every packet, how many of a set of member bitmaps are
+// missing it; higher counts mean rarer packets (Section IV-E). Members are
+// keyed by peer and kept as private copies, so a re-advertised bitmap costs
+// only the bits that changed.
 type Rarity struct {
-	n      int
-	missby []int // missby[i] = number of observed bitmaps with bit i clear
-	seen   int
+	n       int
+	missby  []int // missby[i] = number of member bitmaps with bit i clear
+	members map[int]*Bitmap
+	full    *Bitmap // all ones: a member missing nothing counts nowhere
 }
 
-// NewRarity returns a rarity accumulator over n packets.
+// NewRarity returns a rarity counter over n packets.
 func NewRarity(n int) *Rarity {
-	return &Rarity{n: n, missby: make([]int, n)}
+	full := New(n)
+	full.SetAll()
+	return &Rarity{n: full.n, missby: make([]int, full.n), members: make(map[int]*Bitmap), full: full}
 }
 
-// Observe folds one peer bitmap into the rarity counts.
-func (r *Rarity) Observe(b *Bitmap) error {
+// Put adds id's bitmap to the member set, or replaces the one it held.
+func (r *Rarity) Put(id int, b *Bitmap) error {
 	if b.Len() != r.n {
 		return ErrSizeMismatch
 	}
-	for i := 0; i < r.n; i++ {
-		if !b.Test(i) {
-			r.missby[i]++
-		}
+	m, ok := r.members[id]
+	if !ok {
+		m = r.full.Clone()
+		r.members[id] = m
 	}
-	r.seen++
+	r.move(m, b)
 	return nil
 }
 
-// Seen returns the number of observed bitmaps.
-func (r *Rarity) Seen() int { return r.seen }
+// Remove drops id's bitmap from the member set; unknown ids are ignored.
+func (r *Rarity) Remove(id int) {
+	if m, ok := r.members[id]; ok {
+		r.move(m, r.full)
+		delete(r.members, id)
+	}
+}
 
-// Of returns the rarity of packet i: the count of observed bitmaps missing
+// move rewrites member copy m to the bits of to, adjusting the count of
+// every bit that differs (the XOR of the two), word by word.
+func (r *Rarity) move(m, to *Bitmap) {
+	for w, word := range to.words {
+		for diff := m.words[w] ^ word; diff != 0; diff &= diff - 1 {
+			i := w*64 + bits.TrailingZeros64(diff)
+			if word&(diff&-diff) != 0 {
+				r.missby[i]--
+			} else {
+				r.missby[i]++
+			}
+		}
+		m.words[w] = word
+	}
+}
+
+// Len returns the number of member bitmaps.
+func (r *Rarity) Len() int { return len(r.members) }
+
+// Of returns the rarity of packet i: the count of member bitmaps missing
 // it. Out-of-range indices return 0.
 func (r *Rarity) Of(i int) int {
 	if i < 0 || i >= r.n {

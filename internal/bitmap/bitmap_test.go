@@ -214,24 +214,46 @@ func TestRarity(t *testing.T) {
 		}
 		return b
 	}
-	for _, b := range []*Bitmap{mk(0, 1), mk(0, 2), mk(0, 1, 2)} {
-		if err := r.Observe(b); err != nil {
+	check := func(want ...int) {
+		t.Helper()
+		for i, w := range want {
+			if r.Of(i) != w {
+				t.Fatalf("Of(%d) = %d, want %d", i, r.Of(i), w)
+			}
+		}
+	}
+	for id, b := range []*Bitmap{mk(0, 1), mk(0, 2), mk(0, 1, 2)} {
+		if err := r.Put(id, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.Seen() != 3 {
-		t.Fatalf("Seen = %d", r.Seen())
+	if r.Len() != 3 {
+		t.Fatalf("Len = %d", r.Len())
 	}
-	want := []int{0, 1, 1, 3}
-	for i, w := range want {
-		if r.Of(i) != w {
-			t.Fatalf("Of(%d) = %d, want %d", i, r.Of(i), w)
-		}
-	}
+	check(0, 1, 1, 3)
 	if r.Of(-1) != 0 || r.Of(4) != 0 {
 		t.Fatal("out-of-range rarity nonzero")
 	}
-	if err := r.Observe(New(5)); err != ErrSizeMismatch {
+	if err := r.Put(0, New(5)); err != ErrSizeMismatch {
 		t.Fatalf("size mismatch not detected: %v", err)
 	}
+	check(0, 1, 1, 3) // the rejected bitmap left member 0 as it was
+
+	// Replacing a member moves only the bits that changed: member 0 loses
+	// packet 0 and gains packet 3.
+	in := mk(1, 3)
+	if err := r.Put(0, in); err != nil {
+		t.Fatal(err)
+	}
+	in.Set(2) // the counter kept its own copy
+	if r.Len() != 3 {
+		t.Fatalf("Len after replace = %d", r.Len())
+	}
+	check(1, 1, 1, 2)
+	r.Remove(1)
+	r.Remove(99) // unknown member: no-op
+	if r.Len() != 2 {
+		t.Fatalf("Len after remove = %d", r.Len())
+	}
+	check(1, 0, 1, 1)
 }

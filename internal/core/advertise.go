@@ -129,7 +129,8 @@ func (p *Peer) recordOverheardBitmap(payload bitmapPayload) {
 		cs = newCollectionState(ndn.ParseName(string(payload.CollectionURI)))
 		p.collections[cs.uri] = cs
 	}
-	cs.avail[payload.Owner] = payload.Bitmap.Clone()
+	cs.avail[payload.Owner] = payload.Bitmap // decoded for this receiver alone: no copy
+	cs.unionStale = true
 }
 
 // observeAdvertisement folds a peer's bitmap into availability and strategy
@@ -141,7 +142,8 @@ func (p *Peer) observeAdvertisement(cs *collectionState, payload bitmapPayload, 
 	if payload.Bitmap.Len() != cs.manifest.TotalPackets() {
 		return
 	}
-	cs.avail[payload.Owner] = payload.Bitmap.Clone()
+	cs.avail[payload.Owner] = payload.Bitmap // decoded for this receiver alone: no copy
+	cs.unionStale = true
 	if cs.strategy != nil {
 		cs.strategy.Observe(payload.Owner, payload.Bitmap)
 	}

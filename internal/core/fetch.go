@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dapes/internal/bitmap"
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
 	"dapes/internal/sim"
@@ -56,21 +55,29 @@ type inflightTimer struct {
 }
 
 func (it *inflightTimer) fire() {
-	p, cs, idx := it.p, it.cs, it.idx
-	delete(cs.inflight, idx)
-	it.cs = nil
-	p.inflightPool = append(p.inflightPool, it)
+	p, cs := it.p, it.cs
+	p.releaseInflight(it)
 	p.stats.InterestTimeouts++
 	p.fetchLoop(cs)
 }
 
-// releaseInflight cancels an in-flight Interest's timeout (the packet
-// arrived) and recycles its record.
+// releaseInflight takes an Interest out of flight — its packet arrived, its
+// timeout fired, or the fetch was abandoned — and recycles its record.
 func (p *Peer) releaseInflight(it *inflightTimer) {
 	it.t.Stop()
 	delete(it.cs.inflight, it.idx)
+	it.cs.release(it.idx)
 	it.cs = nil
 	p.inflightPool = append(p.inflightPool, it)
+}
+
+// releaseAllInflight abandons every in-flight Interest of cs (completion,
+// Stop).
+func (p *Peer) releaseAllInflight(cs *collectionState) {
+	//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
+	for _, it := range cs.inflight {
+		p.releaseInflight(it)
+	}
 }
 
 // maybeStartFetch begins (or resumes) the download pipeline according to the
@@ -154,28 +161,14 @@ func (p *Peer) fetchLoop(cs *collectionState) {
 	}
 }
 
-// selectNext applies the RPF strategy, skipping in-flight and buffered
+// selectNext applies the RPF strategy, passing over in-flight and buffered
 // (unverified) packets. With multi-hop enabled, packets nobody in range
 // advertises remain eligible — an intermediate may retrieve them
 // (Section V).
 func (p *Peer) selectNext(cs *collectionState) int {
-	skip := func(i int) bool {
-		if _, in := cs.inflight[i]; in {
-			return true
-		}
-		file, pkt, err := cs.manifest.Locate(i)
-		if err != nil {
-			return true
-		}
-		_, buffered := cs.unverified[file][pkt]
-		return buffered
-	}
-	avail := cs.availabilityUnion(cs.manifest.TotalPackets())
-	idx := cs.strategy.NextRequest(cs.own, avail, skip)
+	idx := cs.strategy.NextRequest(cs.own, cs.availabilityUnion(), cs.busy)
 	if idx < 0 && p.cfg.Multihop {
-		all := bitmap.New(cs.manifest.TotalPackets())
-		all.SetAll()
-		idx = cs.strategy.NextRequest(cs.own, all, skip)
+		idx = cs.strategy.NextRequest(cs.own, cs.all, cs.busy)
 	}
 	return idx
 }
@@ -208,6 +201,7 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 	}
 	it.cs, it.idx = cs, idx
 	cs.inflight[idx] = it
+	cs.busy.Set(idx)
 	it.t.Reset(delay + p.cfg.InterestTimeout)
 }
 
@@ -312,6 +306,7 @@ func (p *Peer) storePacket(cs *collectionState, idx int, d *ndn.Data) {
 			cs.unverified[file] = make(map[int]*ndn.Data)
 		}
 		cs.unverified[file][pkt] = d
+		cs.busy.Set(idx)
 		if len(cs.unverified[file]) == cs.manifest.Files[file].PacketCount {
 			ordered := make([]*ndn.Data, cs.manifest.Files[file].PacketCount)
 			for i := range ordered {
@@ -327,6 +322,9 @@ func (p *Peer) storePacket(cs *collectionState, idx int, d *ndn.Data) {
 				p.stats.VerifyFailures++
 			}
 			delete(cs.unverified, file)
+			for i := range ordered {
+				cs.release(cs.manifest.GlobalIndex(file, i))
+			}
 		}
 	default: // FormatPacketDigest: immediate verification.
 		if !cs.manifest.VerifyPacket(idx, d) {
@@ -344,13 +342,7 @@ func (p *Peer) storePacket(cs *collectionState, idx int, d *ndn.Data) {
 		cs.done = true
 		cs.doneAt = p.k.Now()
 		cs.fetching = false
-		//lint:ignore maporder free-list refill on completion; recycled records are reset before reuse, so pool order never reaches the trace
-		for _, it := range cs.inflight {
-			it.t.Stop()
-			it.cs = nil
-			p.inflightPool = append(p.inflightPool, it)
-		}
-		cs.inflight = make(map[int]*inflightTimer)
+		p.releaseAllInflight(cs)
 		if p.onComplete != nil {
 			p.onComplete(cs.collection, cs.doneAt)
 		}

@@ -52,6 +52,7 @@ func (p *Peer) Restart() {
 			// Locally published collection: packets persist, the
 			// per-encounter advertisement state does not.
 			cs.avail = make(map[int]*bitmap.Bitmap)
+			cs.unionStale = true
 			cs.session = advertSession{}
 			continue
 		}

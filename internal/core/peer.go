@@ -138,13 +138,7 @@ func (p *Peer) Stop() {
 		if cs.txT != nil {
 			cs.txT.Stop()
 		}
-		//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
-		for _, it := range cs.inflight {
-			it.t.Stop()
-			it.cs = nil
-			p.inflightPool = append(p.inflightPool, it)
-		}
-		cs.inflight = make(map[int]*inflightTimer)
+		p.releaseAllInflight(cs)
 		cs.fetching = false
 	}
 }
@@ -309,6 +303,7 @@ func (p *Peer) sweepTick() {
 			delete(p.neighbors, id)
 			for _, cs := range p.collections {
 				delete(cs.avail, id)
+				cs.unionStale = true
 				if cs.strategy != nil {
 					cs.strategy.Disconnect(id)
 				}
@@ -599,10 +594,15 @@ func (p *Peer) storeMetaSegment(cs *collectionState, seq int, d *ndn.Data) {
 	p.sendBitmapInterest(cs)
 }
 
-// initManifest sizes the bitmap and instantiates the RPF strategy.
+// initManifest sizes the bitmaps and instantiates the RPF strategy.
 func (p *Peer) initManifest(cs *collectionState) {
 	n := cs.manifest.TotalPackets()
-	cs.own = bitmap.New(n)
+	cs.own, cs.busy = bitmap.New(n), bitmap.New(n)
+	cs.union, cs.unionStale = bitmap.New(n), true
+	if p.cfg.Multihop {
+		cs.all = bitmap.New(n)
+		cs.all.SetAll()
+	}
 	switch p.cfg.Strategy {
 	case EncounterBasedRPF:
 		cs.strategy = rpf.NewEncounterBased(n, p.cfg.EncounterHistory, p.cfg.RandomStart, p.k.RNG())

@@ -59,8 +59,15 @@ type collectionState struct {
 
 	strategy rpf.Strategy
 
-	// availability: latest advertised bitmap per neighbor.
-	avail map[int]*bitmap.Bitmap
+	// availability: latest advertised bitmap per neighbor. union caches the
+	// OR of the entries over this manifest's packets; every site that
+	// mutates avail sets unionStale and availabilityUnion rebuilds in place.
+	avail      map[int]*bitmap.Bitmap
+	union      *bitmap.Bitmap
+	unionStale bool
+	// all is the all-ones availability multi-hop fetching falls back to
+	// (nil without Multihop).
+	all *bitmap.Bitmap
 
 	session advertSession
 	// txT arms this peer's prioritized advertisement transmission (armed =
@@ -69,8 +76,11 @@ type collectionState struct {
 	txT *sim.Timer
 
 	// inflight data Interests: global index -> timeout record (pooled on
-	// the peer).
+	// the peer). busy is the set selectNext must pass over, kept equal to
+	// keys(inflight) ∪ packets buffered in unverified at every site that
+	// mutates either.
 	inflight map[int]*inflightTimer
+	busy     *bitmap.Bitmap
 	fetching bool
 
 	startedAt  time.Duration
@@ -93,15 +103,32 @@ func newCollectionState(collection ndn.Name) *collectionState {
 }
 
 // availabilityUnion returns the union of all live advertised bitmaps.
-func (cs *collectionState) availabilityUnion(n int) *bitmap.Bitmap {
-	u := bitmap.New(n)
-	for _, bm := range cs.avail {
-		if bm.Len() == n {
-			// Union never fails for equal lengths.
-			_ = u.Or(bm)
+func (cs *collectionState) availabilityUnion() *bitmap.Bitmap {
+	if cs.unionStale {
+		cs.unionStale = false
+		_ = cs.union.AndNot(cs.union) // zero in place
+		for _, bm := range cs.avail {
+			// A bitmap overheard before the manifest fixed the length may
+			// have another one; Or refuses it and it contributes nothing.
+			_ = cs.union.Or(bm)
 		}
 	}
-	return u
+	return cs.union
+}
+
+// release clears idx's busy bit once the packet is neither in flight nor
+// buffered unverified.
+func (cs *collectionState) release(idx int) {
+	if _, in := cs.inflight[idx]; in {
+		return
+	}
+	if len(cs.unverified) > 0 {
+		file, pkt, _ := cs.manifest.Locate(idx)
+		if _, buffered := cs.unverified[file][pkt]; buffered {
+			return
+		}
+	}
+	cs.busy.Clear(idx)
 }
 
 // complete reports whether every packet has been verified and stored.

@@ -54,6 +54,12 @@ func (r Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error)
 	if n <= 0 {
 		return RunResult{}, fmt.Errorf("experiment: scenario %q: Trials must be positive", sc.Name)
 	}
+	// Not a Scale field, so Validate never sees it: a negative range panics
+	// the medium's grid and zero silently runs phy's default under a
+	// "range=0m" label. (The negated form also refuses NaN.)
+	if !(wifiRange > 0) {
+		return RunResult{}, fmt.Errorf("experiment: scenario %q: WiFi range = %g m, must be positive", sc.Name, wifiRange)
+	}
 	workers := r.Workers
 	if workers == 0 {
 		workers = s.Workers

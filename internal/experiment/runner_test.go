@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -91,6 +92,12 @@ func TestRunnerRejectsBadInput(t *testing.T) {
 	}
 	if _, err := (Runner{}).RunScenario("no-such-scenario", tinyScale(), 80); err == nil {
 		t.Fatal("unknown scenario name accepted")
+	}
+	// The range is an argument, not a Scale field: Validate never sees it.
+	for _, r := range []float64{-1, 0, math.NaN()} {
+		if _, err := (Runner{}).Run(sc, tinyScale(), r); err == nil || !strings.Contains(err.Error(), "range") {
+			t.Fatalf("WiFi range %g: err = %v, want a range error", r, err)
+		}
 	}
 }
 

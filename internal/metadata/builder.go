@@ -73,6 +73,7 @@ func BuildCollection(collection ndn.Name, files []File, packetSize int, format F
 		}
 		m.Files = append(m.Files, info)
 	}
+	m.index()
 	return &BuildResult{Manifest: m, Packets: packets}, nil
 }
 

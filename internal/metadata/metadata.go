@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"dapes/internal/merkle"
 	"dapes/internal/ndn"
@@ -75,51 +76,43 @@ type Manifest struct {
 	Format     Format
 	Files      []FileInfo
 
-	offsets []int // prefix sums of packet counts, built lazily
+	// The index over Files, built once by index() when BuildCollection or
+	// DecodeManifest finishes the manifest (Files is not edited afterwards).
+	total   int            // sum of packet counts
+	offsets []int          // prefix sums of packet counts
+	byName  map[string]int // file name -> position of the first file so named
+}
+
+// index derives the lookup tables from Files.
+func (m *Manifest) index() {
+	m.total, m.offsets, m.byName = 0, make([]int, len(m.Files)), make(map[string]int, len(m.Files))
+	for i, f := range m.Files {
+		m.offsets[i] = m.total
+		m.total += f.PacketCount
+		if _, dup := m.byName[f.Name]; !dup {
+			m.byName[f.Name] = i
+		}
+	}
 }
 
 // TotalPackets returns the number of packets across all files, i.e. the
 // bitmap length for this collection.
-func (m *Manifest) TotalPackets() int {
-	total := 0
-	for _, f := range m.Files {
-		total += f.PacketCount
-	}
-	return total
-}
-
-func (m *Manifest) buildOffsets() {
-	if len(m.offsets) == len(m.Files) {
-		return
-	}
-	m.offsets = make([]int, len(m.Files))
-	sum := 0
-	for i, f := range m.Files {
-		m.offsets[i] = sum
-		sum += f.PacketCount
-	}
-}
+func (m *Manifest) TotalPackets() int { return m.total }
 
 // GlobalIndex maps (file index, packet index) to the global bitmap position:
 // packets are ordered by file position in the manifest, then by sequence
 // (Section IV-D).
-func (m *Manifest) GlobalIndex(file, pkt int) int {
-	m.buildOffsets()
-	return m.offsets[file] + pkt
-}
+func (m *Manifest) GlobalIndex(file, pkt int) int { return m.offsets[file] + pkt }
 
 // Locate maps a global bitmap position back to (file index, packet index).
 func (m *Manifest) Locate(global int) (file, pkt int, err error) {
-	if global < 0 || global >= m.TotalPackets() {
+	if global < 0 || global >= m.total {
 		return 0, 0, ErrOutOfRange
 	}
-	m.buildOffsets()
-	for i := len(m.Files) - 1; i >= 0; i-- {
-		if global >= m.offsets[i] {
-			return i, global - m.offsets[i], nil
-		}
-	}
-	return 0, 0, ErrOutOfRange
+	// The last file starting at or before global: the one before the first
+	// offset past it.
+	file = sort.SearchInts(m.offsets, global+1) - 1
+	return file, global - m.offsets[file], nil
 }
 
 // PacketName returns the NDN name of the packet at a global position.
@@ -137,20 +130,12 @@ func (m *Manifest) GlobalIndexOfName(name ndn.Name) int {
 	if !m.Collection.IsPrefixOf(name) || name.Len() != m.Collection.Len()+2 {
 		return -1
 	}
-	fileName := string(name.At(m.Collection.Len()))
+	file, ok := m.byName[string(name.At(m.Collection.Len()))]
 	seq, err := name.Seq()
-	if err != nil {
+	if !ok || err != nil || seq < 0 || seq >= m.Files[file].PacketCount {
 		return -1
 	}
-	for i, f := range m.Files {
-		if f.Name == fileName {
-			if seq < 0 || seq >= f.PacketCount {
-				return -1
-			}
-			return m.GlobalIndex(i, seq)
-		}
-	}
-	return -1
+	return m.GlobalIndex(file, seq)
 }
 
 // VerifyPacket checks a received packet against the manifest. With
@@ -294,6 +279,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 		}
 		m.Files = append(m.Files, info)
 	}
+	m.index()
 	return m, nil
 }
 

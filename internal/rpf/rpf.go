@@ -12,11 +12,15 @@
 // RandomStart, rarity ties break by a per-peer random permutation instead of
 // ascending index, which diversifies the first requests across peers
 // (Section VI-C reports 11–15% faster downloads).
+//
+// Both keep one bitmap.Rarity current as bitmaps are observed, replaced and
+// dropped, and share one selection loop over it, so a request costs the
+// candidate packets rather than packets x member bitmaps.
 package rpf
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"dapes/internal/bitmap"
 )
@@ -30,11 +34,11 @@ type Strategy interface {
 	// Disconnect signals that a peer left communication range.
 	Disconnect(peerID int)
 	// NextRequest returns the global index of the next packet to request:
-	// the rarest packet that the local peer is missing, that is available
-	// from at least one currently reachable peer (per the availability
-	// bitmap), and for which skip returns false (e.g. already in flight).
-	// It returns -1 when no packet qualifies.
-	NextRequest(own, available *bitmap.Bitmap, skip func(int) bool) int
+	// the rarest packet that the local peer is missing (clear in own), that
+	// is available from at least one currently reachable peer (set in
+	// available), and that is not busy (e.g. already in flight; a nil busy
+	// excludes nothing). It returns -1 when no packet qualifies.
+	NextRequest(own, available, busy *bitmap.Bitmap) int
 }
 
 // tieBreaker orders packets with equal rarity.
@@ -63,22 +67,34 @@ func (tb tieBreaker) rank(i int) int {
 	return i
 }
 
-// selectRarest scans for the eligible packet with the highest rarity,
-// breaking ties with tb.
-func selectRarest(n int, rarity func(int) int, own, available *bitmap.Bitmap, skip func(int) bool, tb tieBreaker) int {
-	best := -1
-	bestRarity := -1
-	bestRank := 0
-	for i := 0; i < n; i++ {
-		if own.Test(i) || !available.Test(i) {
-			continue
-		}
-		if skip != nil && skip(i) {
-			continue
-		}
-		r := rarity(i)
-		if r > bestRarity || (r == bestRarity && tb.rank(i) < bestRank) {
-			best, bestRarity, bestRank = i, r, tb.rank(i)
+// selector is the state and the selection loop both strategies share: the
+// rarity counts over the strategy's member bitmaps, kept current by
+// Observe/Disconnect, and the tie-break order.
+type selector struct {
+	n      int
+	tb     tieBreaker
+	counts *bitmap.Rarity
+}
+
+func newSelector(n int, randomStart bool, rng *rand.Rand) selector {
+	return selector{n: n, tb: newTieBreaker(n, randomStart, rng), counts: bitmap.NewRarity(n)}
+}
+
+// NextRequest implements Strategy: the candidates are available &^ own &^
+// busy, formed 64 packets at a time, and only their set bits are ranked —
+// highest rarity first, ties by tb.
+func (s *selector) NextRequest(own, available, busy *bitmap.Bitmap) int {
+	best, bestRarity, bestRank := -1, -1, 0
+	for w := 0; w*64 < s.n; w++ {
+		for cand := available.Word(w) &^ own.Word(w) &^ busy.Word(w); cand != 0; cand &= cand - 1 {
+			i := w*64 + bits.TrailingZeros64(cand)
+			if i >= s.n {
+				break
+			}
+			r := s.counts.Of(i)
+			if r > bestRarity || (r == bestRarity && s.tb.rank(i) < bestRank) {
+				best, bestRarity, bestRank = i, r, s.tb.rank(i)
+			}
 		}
 	}
 	return best
@@ -86,67 +102,39 @@ func selectRarest(n int, rarity func(int) int, own, available *bitmap.Bitmap, sk
 
 // LocalNeighborhood is the local-neighborhood RPF variant: rarity counts how
 // many currently connected peers are missing each packet.
-type LocalNeighborhood struct {
-	n         int
-	tb        tieBreaker
-	neighbors map[int]*bitmap.Bitmap
-}
+type LocalNeighborhood struct{ selector }
 
 var _ Strategy = (*LocalNeighborhood)(nil)
 
 // NewLocalNeighborhood returns the strategy for a collection of n packets.
 // rng is used only when randomStart is set.
 func NewLocalNeighborhood(n int, randomStart bool, rng *rand.Rand) *LocalNeighborhood {
-	return &LocalNeighborhood{
-		n:         n,
-		tb:        newTieBreaker(n, randomStart, rng),
-		neighbors: make(map[int]*bitmap.Bitmap),
-	}
+	return &LocalNeighborhood{newSelector(n, randomStart, rng)}
 }
 
 // Name implements Strategy.
 func (s *LocalNeighborhood) Name() string { return "local-neighborhood" }
 
-// Observe implements Strategy: the latest bitmap per connected peer wins.
+// Observe implements Strategy: the latest bitmap per connected peer wins
+// (a bitmap of the wrong length is ignored).
 func (s *LocalNeighborhood) Observe(peerID int, bm *bitmap.Bitmap) {
-	if bm.Len() != s.n {
-		return
-	}
-	s.neighbors[peerID] = bm.Clone()
+	_ = s.counts.Put(peerID, bm)
 }
 
 // Disconnect implements Strategy: per the paper, the rarity list is specific
 // to the connected set and expires on disconnect.
-func (s *LocalNeighborhood) Disconnect(peerID int) {
-	delete(s.neighbors, peerID)
-}
+func (s *LocalNeighborhood) Disconnect(peerID int) { s.counts.Remove(peerID) }
 
 // NeighborCount returns the number of peers with live bitmaps.
-func (s *LocalNeighborhood) NeighborCount() int { return len(s.neighbors) }
-
-// NextRequest implements Strategy.
-func (s *LocalNeighborhood) NextRequest(own, available *bitmap.Bitmap, skip func(int) bool) int {
-	rarity := func(i int) int {
-		missing := 0
-		for _, bm := range s.neighbors {
-			if !bm.Test(i) {
-				missing++
-			}
-		}
-		return missing
-	}
-	return selectRarest(s.n, rarity, own, available, skip, s.tb)
-}
+func (s *LocalNeighborhood) NeighborCount() int { return s.counts.Len() }
 
 // EncounterBased is the encounter-history RPF variant: rarity counts how many
 // of the last HistorySize encountered peers were missing each packet,
 // regardless of whether they are still in range.
 type EncounterBased struct {
-	n       int
-	tb      tieBreaker
+	selector
 	history int
 	order   []int // peer IDs, oldest first
-	bitmaps map[int]*bitmap.Bitmap
 }
 
 var _ Strategy = (*EncounterBased)(nil)
@@ -156,12 +144,7 @@ func NewEncounterBased(n, history int, randomStart bool, rng *rand.Rand) *Encoun
 	if history < 1 {
 		history = 1
 	}
-	return &EncounterBased{
-		n:       n,
-		tb:      newTieBreaker(n, randomStart, rng),
-		history: history,
-		bitmaps: make(map[int]*bitmap.Bitmap),
-	}
+	return &EncounterBased{selector: newSelector(n, randomStart, rng), history: history}
 }
 
 // Name implements Strategy.
@@ -170,23 +153,19 @@ func (s *EncounterBased) Name() string { return "encounter-based" }
 // Observe implements Strategy: re-observing a known peer refreshes its bitmap
 // and recency; new peers evict the oldest entry beyond the history bound.
 func (s *EncounterBased) Observe(peerID int, bm *bitmap.Bitmap) {
-	if bm.Len() != s.n {
+	if s.counts.Put(peerID, bm) != nil {
 		return
 	}
-	if _, known := s.bitmaps[peerID]; known {
-		for i, id := range s.order {
-			if id == peerID {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
+	for i, id := range s.order {
+		if id == peerID {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
 		}
 	}
 	s.order = append(s.order, peerID)
-	s.bitmaps[peerID] = bm.Clone()
 	for len(s.order) > s.history {
-		oldest := s.order[0]
+		s.counts.Remove(s.order[0])
 		s.order = s.order[1:]
-		delete(s.bitmaps, oldest)
 	}
 }
 
@@ -196,47 +175,18 @@ func (s *EncounterBased) Disconnect(int) {}
 // HistoryLen returns the number of remembered encounters.
 func (s *EncounterBased) HistoryLen() int { return len(s.order) }
 
-// NextRequest implements Strategy.
-func (s *EncounterBased) NextRequest(own, available *bitmap.Bitmap, skip func(int) bool) int {
-	rarity := func(i int) int {
-		missing := 0
-		for _, bm := range s.bitmaps {
-			if !bm.Test(i) {
-				missing++
-			}
-		}
-		return missing
-	}
-	return selectRarest(s.n, rarity, own, available, skip, s.tb)
-}
-
 // RequestPlan returns up to limit next requests in strategy order without
 // mutating state; useful for pipelined fetching and for tests.
 func RequestPlan(s Strategy, own, available *bitmap.Bitmap, limit int) []int {
-	planned := make(map[int]bool, limit)
+	planned := bitmap.New(available.Len()) // every pick is a set bit of available
 	var out []int
 	for len(out) < limit {
-		next := s.NextRequest(own, available, func(i int) bool { return planned[i] })
+		next := s.NextRequest(own, available, planned)
 		if next < 0 {
 			break
 		}
-		planned[next] = true
+		planned.Set(next)
 		out = append(out, next)
 	}
-	return out
-}
-
-// SortByRarity returns the given packet indices ordered by descending rarity
-// according to counts, tie-broken ascending; exported for the experiment
-// harness's diagnostics.
-func SortByRarity(indices []int, counts func(int) int) []int {
-	out := append([]int(nil), indices...)
-	sort.SliceStable(out, func(a, b int) bool {
-		ra, rb := counts(out[a]), counts(out[b])
-		if ra != rb {
-			return ra > rb
-		}
-		return out[a] < out[b]
-	})
 	return out
 }

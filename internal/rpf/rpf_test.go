@@ -55,10 +55,10 @@ func TestNextRequestRespectsOwnAvailableSkip(t *testing.T) {
 	if got := s.NextRequest(mk(4), mk(4, 2), nil); got != 2 {
 		t.Fatalf("availability filter: got %d, want 2", got)
 	}
-	// Skipped (in-flight) packets are passed over.
-	got := s.NextRequest(mk(4), full(4), func(i int) bool { return i == 0 })
+	// Busy (in-flight) packets are passed over.
+	got := s.NextRequest(mk(4), full(4), mk(4, 0))
 	if got == 0 || got == -1 {
-		t.Fatalf("skip ignored: got %d", got)
+		t.Fatalf("busy ignored: got %d", got)
 	}
 }
 
@@ -201,18 +201,6 @@ func TestRequestPlanOrderedAndBounded(t *testing.T) {
 	all := RequestPlan(s, mk(6), full(6), 100)
 	if len(all) != 6 {
 		t.Fatalf("exhaustive plan = %v", all)
-	}
-}
-
-func TestSortByRarity(t *testing.T) {
-	t.Parallel()
-	counts := map[int]int{0: 1, 1: 3, 2: 3, 3: 0}
-	got := SortByRarity([]int{0, 1, 2, 3}, func(i int) int { return counts[i] })
-	want := []int{1, 2, 0, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortByRarity = %v, want %v", got, want)
-		}
 	}
 }
 
