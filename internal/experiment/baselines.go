@@ -14,6 +14,14 @@ import (
 // non-downloading mobile nodes run plain DSDV and forward by routing table,
 // matching the paper's setup.
 func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	res, _ := bithocTrial(s, wifiRange, trial)
+	return res, nil
+}
+
+// bithocTrial is RunBithocTrial handing back the world it ran on, so the
+// absolute golden can read the medium and kernel counters a TrialResult
+// does not carry.
+func bithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 	w, topo := newFig7World(s, wifiRange, trial, 0, 0)
 	k, medium := w.kernels[0], w.mediums[0]
 	pieces := s.TotalPackets()
@@ -47,12 +55,18 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 		r.Start()
 	}
 
-	return driveBaseline(w, s.Horizon, downloaders), nil
+	return driveBaseline(w, s.Horizon, downloaders), w
 }
 
 // RunEktaTrial executes one Fig.-7 trial of the Ekta baseline: DSR reactive
 // routing, Pastry-style DHT object location, UDP-like transfers.
 func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	res, _ := ektaTrial(s, wifiRange, trial)
+	return res, nil
+}
+
+// ektaTrial is RunEktaTrial handing back its world, like bithocTrial.
+func ektaTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 	w, topo := newFig7World(s, wifiRange, trial, 0, 0)
 	k, medium := w.kernels[0], w.mediums[0]
 	pieces := s.TotalPackets()
@@ -88,7 +102,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 		p.Join(seedPeer.ID())
 	}
 
-	return driveBaseline(w, s.Horizon, downloaders), nil
+	return driveBaseline(w, s.Horizon, downloaders), w
 }
 
 // runBaseline aggregates trials for one baseline runner through the worker
