@@ -5,7 +5,7 @@ GO ?= go
 # snapshot.
 BENCH_ISSUE ?= 8
 
-.PHONY: all build vet lint fuzz-short test race bench bench-harness bench-nfd bench-json bench-check golden golden-race examples plan plan-report shard-smoke chaos-smoke
+.PHONY: all build vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd bench-json bench-check golden golden-race examples plan plan-report shard-smoke chaos-smoke
 
 all: build lint test
 
@@ -15,7 +15,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The contract gate: go vet plus dapes-lint, the repo's own go/analysis-style
+# gofmt over every tracked .go file outside testdata/ (lint fixtures are
+# formatted on purpose or not at all); any name printed is a failure.
+fmt-check:
+	@unformatted="$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+
+# The contract gate: gofmt, go vet, plus dapes-lint, the repo's own go/analysis-style
 # suite (internal/lint, docs/CONTRACTS.md). dapes-lint machine-checks the
 # five invariants every golden-trace and perf gate depends on — kernel clock
 # + seeded RNG on simulation paths (simclock), no map-iteration order reaching
@@ -25,7 +31,7 @@ vet:
 # map keyed by an ndn.Name rendered at the lookup (namekey).
 # Fails on any unsuppressed diagnostic; suppress only with
 # `//lint:ignore <analyzer> <reason>`.
-lint: vet
+lint: fmt-check vet
 	$(GO) run ./cmd/dapes-lint ./...
 
 # The corpus smoke: every Fuzz* target in the tree for ~10s each, so a codec
@@ -39,6 +45,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s ./internal/bitmap/
+	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s ./internal/routing/
 
 test:
 	$(GO) test ./...

@@ -12,6 +12,7 @@ package bithoc
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"time"
 
 	"dapes/internal/bitmap"
@@ -81,6 +82,9 @@ type peerInfo struct {
 	hops      int // flood distance when last heard
 	bm        *bitmap.Bitmap
 	lastHeard time.Duration
+	// ranked marks a peer whose bitmap covers the swarm's pieces: it is a
+	// member of Peer.rarity and listed in Peer.byDist.
+	ranked bool
 }
 
 // Peer is one Bithoc node.
@@ -99,6 +103,14 @@ type Peer struct {
 	peers     map[int]*peerInfo
 	inflight  map[int]*pieceTimeout // piece -> timeout record
 	piecePool []*pieceTimeout       // reusable timeout records
+
+	// Selection state, kept current where peers and inflight change so
+	// selectPiece never walks the peer table: rarity counts, per piece, the
+	// ranked peers missing it; byDist lists the ranked peers closest first
+	// (hops, then ID — the holder preference); busy mirrors keys(inflight).
+	rarity    *bitmap.Rarity
+	byDist    []*peerInfo
+	busy      *bitmap.Bitmap
 	helloSeq  int
 	seenHello map[int]int // origin -> highest seq relayed
 	fetching  bool
@@ -119,10 +131,26 @@ type pieceTimeout struct {
 
 func (pt *pieceTimeout) fire() {
 	p := pt.p
-	delete(p.inflight, pt.piece)
-	p.piecePool = append(p.piecePool, pt)
+	p.release(pt)
 	p.stats.RequestRetries++
 	p.pump()
+}
+
+// release takes a request out of flight — answered, timed out or abandoned —
+// and pools its record.
+func (p *Peer) release(pt *pieceTimeout) {
+	pt.t.Stop()
+	delete(p.inflight, pt.piece)
+	p.busy.Clear(pt.piece)
+	p.piecePool = append(p.piecePool, pt)
+}
+
+// releaseAll empties the pipeline (completion, Stop).
+func (p *Peer) releaseAll() {
+	// Map order only decides pool order, and pooled records are reset before reuse.
+	for _, pt := range p.inflight {
+		p.release(pt)
+	}
 }
 
 // NewPeer attaches a Bithoc peer to the medium.
@@ -140,19 +168,7 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Confi
 	p.radio = p.router.Radio()
 	p.reliable = transport.NewReliable(k, p.router, p.cfg.Transport)
 	p.reliable.SetReceive(p.onReliable)
-	// When the transport abandons a message after MaxRetries the neighbor
-	// is unreachable: drop it from the swarm view and re-plan immediately,
-	// instead of re-requesting from a dead holder until its HELLO state
-	// ages out of the peer table.
-	p.reliable.SetOnFail(func(_ uint32, dst int) {
-		if !p.running {
-			return
-		}
-		if _, known := p.peers[dst]; known {
-			delete(p.peers, dst)
-			p.pump()
-		}
-	})
+	p.reliable.SetOnFail(p.onSendFail)
 	// Chain onto the radio handler: routing frames go to DSDV (already
 	// installed); HELLO floods are ours.
 	prev := p.radio.Handler()
@@ -166,6 +182,20 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Confi
 		}
 	})
 	return p
+}
+
+// onSendFail hears the transport abandon a message after MaxRetries: the
+// neighbor is unreachable, so drop it from the swarm view and re-plan
+// immediately, instead of re-requesting from a dead holder until its HELLO
+// state ages out of the peer table.
+func (p *Peer) onSendFail(_ uint32, dst int) {
+	if !p.running {
+		return
+	}
+	if info, known := p.peers[dst]; known {
+		p.forget(info)
+		p.pump()
+	}
 }
 
 // ID returns the peer's network identifier.
@@ -193,9 +223,18 @@ func (p *Peer) Fetch(nPieces, pieceSize int) {
 }
 
 func (p *Peer) initSwarm(nPieces, pieceSize int) {
+	p.releaseAll()
 	p.nPieces = nPieces
 	p.pieceSize = pieceSize
 	p.have = bitmap.New(nPieces)
+	p.busy = bitmap.New(nPieces)
+	p.rarity = bitmap.NewRarity(nPieces)
+	p.byDist = p.byDist[:0]
+	// Peers heard before the swarm was known are ranked against it now.
+	for _, info := range p.peers {
+		info.ranked = false
+		p.rank(info, false)
+	}
 }
 
 // Done reports completion and its virtual time.
@@ -219,11 +258,16 @@ func (p *Peer) Start() {
 	p.helloT.Reset(p.k.Jitter(p.cfg.HelloPeriod))
 }
 
-// Stop deactivates the peer.
+// Stop deactivates the peer and everything under it: no timer of the peer,
+// its transport or its router stays armed, and nothing more goes on the air
+// (relays and transmissions already waiting out their jitter are dropped
+// when their slot comes).
 func (p *Peer) Stop() {
 	p.running = false
 	p.router.Stop()
+	p.reliable.Stop()
 	p.helloT.Stop()
+	p.releaseAll()
 }
 
 // --- HELLO flooding ---
@@ -268,12 +312,12 @@ func (p *Peer) onHello(payload []byte) {
 		if !ok {
 			info = &peerInfo{id: origin}
 			p.peers[origin] = info
-		} else {
-			info = p.peers[origin]
 		}
+		moved := info.hops != hops
 		info.bm = bm
 		info.hops = hops
 		info.lastHeard = p.k.Now()
+		p.rank(info, moved)
 	}
 	// Scoped relay with duplicate suppression.
 	if ttl > 1 && p.seenHello[origin] < seq {
@@ -295,11 +339,65 @@ func (p *Peer) helloSeqOf(origin int) int { return p.seenHello[origin] }
 
 func (p *Peer) expirePeers() {
 	now := p.k.Now()
-	for id, info := range p.peers {
+	for _, info := range p.peers {
 		if now-info.lastHeard > p.cfg.NeighborTTL {
-			delete(p.peers, id)
+			p.forget(info)
 		}
 	}
+}
+
+// forget drops a peer from the swarm view.
+func (p *Peer) forget(info *peerInfo) {
+	p.unrank(info)
+	delete(p.peers, info.id)
+}
+
+// rank brings the selection state up to date with info's latest HELLO: a
+// bitmap over the swarm's pieces is (re)counted in rarity and the peer listed
+// in byDist — again, if its hop count moved; any other length takes the peer
+// out of both, as the scan this replaces skipped it.
+func (p *Peer) rank(info *peerInfo, moved bool) {
+	if p.rarity == nil || p.rarity.Put(info.id, info.bm) != nil {
+		p.unrank(info)
+		return
+	}
+	if info.ranked {
+		if !moved {
+			return
+		}
+		p.unlist(info)
+	}
+	info.ranked = true
+	i := len(p.byDist)
+	p.byDist = append(p.byDist, info)
+	for ; i > 0 && closer(info, p.byDist[i-1]); i-- {
+		p.byDist[i] = p.byDist[i-1]
+	}
+	p.byDist[i] = info
+}
+
+// unrank removes info from rarity and byDist; a no-op for unranked peers.
+func (p *Peer) unrank(info *peerInfo) {
+	if info.ranked {
+		info.ranked = false
+		p.rarity.Remove(info.id)
+		p.unlist(info)
+	}
+}
+
+func (p *Peer) unlist(info *peerInfo) {
+	for i, other := range p.byDist {
+		if other == info {
+			p.byDist = append(p.byDist[:i], p.byDist[i+1:]...)
+			return
+		}
+	}
+}
+
+// closer orders holders: fewer hops first, ties toward the lower peer ID so
+// the choice never depends on map iteration order.
+func closer(a, b *peerInfo) bool {
+	return a.hops < b.hops || (a.hops == b.hops && a.id < b.id)
 }
 
 // --- Piece fetching (rarest piece first) ---
@@ -318,49 +416,57 @@ func (p *Peer) pump() {
 	}
 }
 
-// selectPiece picks the rarest missing piece available from some peer,
-// preferring close neighbors over far ones as Bithoc does.
+// selectPiece picks the rarest missing piece available from some peer —
+// the one most ranked peers lack, then the one whose closest holder is
+// fewest hops away, then the lowest index — and that closest holder,
+// preferring close neighbors over far ones as Bithoc does. Candidates are
+// the pieces neither held nor in flight, a word at a time; a holder is
+// looked up only for a piece that can still displace the running best.
 func (p *Peer) selectPiece() (piece, holder int) {
 	bestPiece, bestHolder, bestRarity, bestHops := -1, -1, -1, 1<<30
-	for i := 0; i < p.nPieces; i++ {
-		if p.have.Test(i) {
-			continue
-		}
-		if _, in := p.inflight[i]; in {
-			continue
-		}
-		rarity := 0
-		holderID, holderHops := -1, 1<<30
-		for id, info := range p.peers {
-			if info.bm == nil || info.bm.Len() != p.nPieces {
-				continue
+	ranked := p.rarity.Len()
+	for w := 0; w*64 < p.nPieces; w++ {
+		for cand := ^(p.have.Word(w) | p.busy.Word(w)); cand != 0; cand &= cand - 1 {
+			i := w*64 + bits.TrailingZeros64(cand)
+			if i >= p.nPieces {
+				break
 			}
-			if !info.bm.Test(i) {
-				rarity++
-				continue
+			rarity := p.rarity.Of(i)
+			if rarity < bestRarity || rarity == ranked {
+				continue // commoner than the best, or held by nobody
 			}
-			// Prefer the closest holder; ties break toward the lower peer
-			// ID so the choice never depends on map iteration order.
-			if info.hops < holderHops || (info.hops == holderHops && id < holderID) {
-				holderID, holderHops = id, info.hops
+			// A tie on rarity must be strictly closer than the best's holder.
+			within := 1 << 30
+			if rarity == bestRarity {
+				within = bestHops
 			}
-		}
-		if holderID < 0 {
-			continue
-		}
-		better := rarity > bestRarity || (rarity == bestRarity && holderHops < bestHops)
-		if better {
-			bestPiece, bestHolder, bestRarity, bestHops = i, holderID, rarity, holderHops
+			if h := p.closestHolder(i, within); h != nil {
+				bestPiece, bestHolder, bestRarity, bestHops = i, h.id, rarity, h.hops
+			}
 		}
 	}
 	return bestPiece, bestHolder
 }
 
+// closestHolder returns the first peer in holder preference order that has
+// piece i and is fewer than within hops away, or nil.
+func (p *Peer) closestHolder(i, within int) *peerInfo {
+	for _, info := range p.byDist {
+		if info.hops >= within {
+			return nil
+		}
+		if info.bm.Test(i) {
+			return info
+		}
+	}
+	return nil
+}
+
 func (p *Peer) requestPiece(piece, holder int) {
-	req := []byte{msgRequest}
-	req = binary.BigEndian.AppendUint32(req, uint32(piece))
+	req := [5]byte{msgRequest}
+	binary.BigEndian.PutUint32(req[1:], uint32(piece))
 	p.stats.RequestsSent++
-	p.reliable.Send(holder, req, nil)
+	p.reliable.Send(holder, req[:], nil)
 	var pt *pieceTimeout
 	if n := len(p.piecePool); n > 0 {
 		pt = p.piecePool[n-1]
@@ -372,6 +478,7 @@ func (p *Peer) requestPiece(piece, holder int) {
 	}
 	pt.piece = piece
 	p.inflight[piece] = pt
+	p.busy.Set(piece)
 	pt.t.Reset(p.cfg.RequestTimeout)
 }
 
@@ -387,9 +494,9 @@ func (p *Peer) onReliable(src int, payload []byte) {
 		if p.have == nil || !p.have.Test(piece) {
 			return
 		}
-		resp := []byte{msgPiece}
-		resp = binary.BigEndian.AppendUint32(resp, uint32(piece))
-		resp = append(resp, make([]byte, p.pieceSize)...)
+		resp := make([]byte, 5+p.pieceSize)
+		resp[0] = msgPiece
+		binary.BigEndian.PutUint32(resp[1:], uint32(piece))
 		p.stats.PiecesSent++
 		p.reliable.Send(src, resp, nil)
 	case msgPiece:
@@ -400,19 +507,12 @@ func (p *Peer) onReliable(src int, payload []byte) {
 		p.have.Set(piece)
 		p.stats.PiecesReceived++
 		if pt, ok := p.inflight[piece]; ok {
-			pt.t.Stop()
-			delete(p.inflight, piece)
-			p.piecePool = append(p.piecePool, pt)
+			p.release(pt)
 		}
 		if p.have.Full() && !p.done {
 			p.done = true
 			p.doneAt = p.k.Now()
-			//lint:ignore maporder free-list refill on completion; recycled records are reset before reuse, so pool order never reaches the trace
-			for _, pt := range p.inflight {
-				pt.t.Stop()
-				p.piecePool = append(p.piecePool, pt)
-			}
-			p.inflight = make(map[int]*pieceTimeout)
+			p.releaseAll()
 			return
 		}
 		p.pump()

@@ -111,9 +111,9 @@ func TestValidate(t *testing.T) {
 		{"negative crash window", func(p *Plan) { p.CrashFrom = -time.Second }, false},
 		{"inverted crash window", func(p *Plan) { p.CrashUntil = p.CrashFrom - time.Second }, false},
 		{"crashes without window", func(p *Plan) { p.CrashFrom, p.CrashUntil = 0, 0 }, false},
-		{"inverted restart window", func(p *Plan) { p.RestartMin, p.RestartMax = 20 * time.Second, 5 * time.Second }, false},
+		{"inverted restart window", func(p *Plan) { p.RestartMin, p.RestartMax = 20*time.Second, 5*time.Second }, false},
 		{"negative jam radius", func(p *Plan) { p.JamRadius = -1 }, false},
-		{"inverted jam window", func(p *Plan) { p.JamRadius, p.JamFrom, p.JamUntil = 10, 30 * time.Second, 10 * time.Second }, false},
+		{"inverted jam window", func(p *Plan) { p.JamRadius, p.JamFrom, p.JamUntil = 10, 30*time.Second, 10*time.Second }, false},
 		{"unknown loss model", func(p *Plan) { p.LossModel = "rayleigh" }, false},
 		{"GE probability out of range", func(p *Plan) { p.PBad = 1.5 }, false},
 	}
@@ -174,14 +174,14 @@ func TestParseJammer(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, src := range []string{
-		"crash_frac",                      // no '='
-		"crash_frac = banana",             // not a number
-		"crash_from = 90",                 // unquoted number where a duration is required
-		"crash_from = \"ninety\"",         // not a duration
-		"loss_model = \"rayleigh\"",       // unknown model
-		"tilt = 1",                        // unknown key
-		"jam_x = 1\njam_x = 2",            // duplicate key
-		"crash_frac = 0.5",                // crashes without a window (Validate)
+		"crash_frac",                            // no '='
+		"crash_frac = banana",                   // not a number
+		"crash_from = 90",                       // unquoted number where a duration is required
+		"crash_from = \"ninety\"",               // not a duration
+		"loss_model = \"rayleigh\"",             // unknown model
+		"tilt = 1",                              // unknown key
+		"jam_x = 1\njam_x = 2",                  // duplicate key
+		"crash_frac = 0.5",                      // crashes without a window (Validate)
 		"crash_frac = 2\ncrash_until = \"30s\"", // out-of-range fraction
 	} {
 		if _, err := Parse([]byte(src)); err == nil {

@@ -68,10 +68,12 @@ func (s Stationary) PositionAt(time.Duration) Point { return s.At }
 func (s Stationary) MaxSpeed() float64 { return 0 }
 
 // randomDirectionLeg is one straight-line segment of a random-direction walk.
+// The heading is kept as the cosine and sine of the drawn angle, taken once
+// when the leg is drawn: every position query multiplies by them.
 type randomDirectionLeg struct {
 	start    time.Duration
 	from     Point
-	angle    float64 // radians
+	cos, sin float64
 	speed    float64 // m/s
 	duration time.Duration
 }
@@ -86,7 +88,7 @@ func (l randomDirectionLeg) positionAt(t time.Duration) Point {
 		t = l.end()
 	}
 	dt := (t - l.start).Seconds()
-	return l.from.Add(l.speed*dt*math.Cos(l.angle), l.speed*dt*math.Sin(l.angle))
+	return l.from.Add(l.speed*dt*l.cos, l.speed*dt*l.sin)
 }
 
 // RandomDirection implements the paper's mobility model: each node repeatedly
@@ -102,6 +104,9 @@ type RandomDirection struct {
 	maxLeg   time.Duration
 	rng      *rand.Rand
 	legs     []randomDirectionLeg
+	// hit is the leg the last query fell in; simulation time mostly moves
+	// forward a little at a time, so the next query usually falls there too.
+	hit int
 }
 
 var _ Mobility = (*RandomDirection)(nil)
@@ -146,7 +151,7 @@ func (w *RandomDirection) nextLeg(start time.Duration, from Point) randomDirecti
 	angle := w.rng.Float64() * 2 * math.Pi
 	speed := w.minSpeed + w.rng.Float64()*(w.maxSpeed-w.minSpeed)
 	dur := w.minLeg + time.Duration(w.rng.Int63n(int64(w.maxLeg-w.minLeg)+1))
-	leg := randomDirectionLeg{start: start, from: from, angle: angle, speed: speed, duration: dur}
+	leg := randomDirectionLeg{start: start, from: from, cos: math.Cos(angle), sin: math.Sin(angle), speed: speed, duration: dur}
 	// Truncate the leg at the boundary so the node "bounces": the next leg
 	// starts at the wall with a fresh random direction.
 	endPos := leg.positionAt(leg.end())
@@ -186,17 +191,21 @@ func (w *RandomDirection) PositionAt(t time.Duration) Point {
 		from := w.area.Clamp(last.positionAt(last.end()))
 		w.legs = append(w.legs, w.nextLeg(last.end(), from))
 	}
-	// Binary search for the covering leg.
-	lo, hi := 0, len(w.legs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if w.legs[mid].start <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
+	// The covering leg is the last one starting at or before t: the one the
+	// previous query hit, or else found by binary search.
+	if i := w.hit; w.legs[i].start > t || (i+1 < len(w.legs) && w.legs[i+1].start <= t) {
+		lo, hi := 0, len(w.legs)-1
+		for lo < hi {
+			mid := (lo + hi + 1) / 2
+			if w.legs[mid].start <= t {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
 		}
+		w.hit = lo
 	}
-	return w.area.Clamp(w.legs[lo].positionAt(t))
+	return w.area.Clamp(w.legs[w.hit].positionAt(t))
 }
 
 // Waypoint is a scripted position at a virtual time.

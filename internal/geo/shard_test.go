@@ -131,7 +131,7 @@ func TestUniformStripesMatchShardOf(t *testing.T) {
 	}{
 		{100, 1000, 4}, {100, 1000, 7}, {60, 3000, 4}, {30, 905, 16},
 		{100, 1000, 13}, {100, 350, 8}, // more stripes than columns
-		{50, 49, 3},                    // single-column world
+		{50, 49, 3}, // single-column world
 	} {
 		st := UniformStripes(tc.cell, tc.width, tc.n)
 		if st.N() != tc.n {

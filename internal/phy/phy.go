@@ -136,14 +136,34 @@ type Stats struct {
 	BytesSent uint64
 }
 
-// reception tracks one in-flight frame at one receiver for collision checks.
-// Records are pooled on the medium; retained marks records a sender-side
-// notify closure still reads after completion, deferring their release to
-// the notify event.
+// reception tracks one in-flight frame at one receiver: the interval the
+// collision checks compare, the receiver, and the transmission whose Frame it
+// delivers. Records are pooled on the medium and keep their completion func
+// (fire, the method value of complete) for life, so scheduling a reception
+// allocates nothing. A reception of a BroadcastNotify transmission outlives
+// its completion: the notify event reads its final collided state and
+// releases it.
 type reception struct {
 	start, end time.Duration
 	collided   bool
-	retained   bool
+	rx         *Radio
+	tx         *transmission
+	fire       func()
+}
+
+// transmission is the state the receivers of one broadcast share: the Frame
+// each is handed and, for BroadcastNotify, the sender's callback and the
+// receptions it reports on. Pooled on the medium like receptions; refs counts
+// the scheduled events (completions, plus the notify event) that have yet to
+// run, and the one that takes it to zero returns the record to the pool.
+type transmission struct {
+	m      *Medium
+	frame  Frame
+	refs   int
+	notify func(collided bool)
+	recs   []*reception
+	// fireNotify is the method value of notifyDone, built once.
+	fireNotify func()
 }
 
 // Radio is one node's attachment to the medium.
@@ -247,10 +267,10 @@ type Medium struct {
 	unboundedGen uint64
 
 	// Scratch buffers and free-lists for the broadcast hot path.
-	candIDs     []int
-	cand        []*Radio
-	recFree     []*reception
-	recListFree [][]*reception
+	candIDs []int
+	cand    []*Radio
+	recFree []*reception
+	txFree  []*transmission
 
 	// Sharded composition hooks (nil/zero on a standalone medium): shard is
 	// this medium's index, nextID the shared radio-identity counter, and
@@ -622,41 +642,66 @@ func (m *Medium) Neighbors(r *Radio) []int {
 	return out
 }
 
-// newReception takes a record from the pool (or allocates one).
-func (m *Medium) newReception(start, end time.Duration, retained bool) *reception {
+// newTransmission takes a transmission record from the pool (or allocates
+// one) for a frame with no events scheduled yet.
+func (m *Medium) newTransmission(frame Frame, notify func(collided bool)) *transmission {
+	var tx *transmission
+	if n := len(m.txFree); n > 0 {
+		tx = m.txFree[n-1]
+		m.txFree[n-1] = nil
+		m.txFree = m.txFree[:n-1]
+	} else {
+		tx = &transmission{m: m}
+		tx.fireNotify = tx.notifyDone
+	}
+	tx.frame, tx.notify = frame, notify
+	return tx
+}
+
+// unref drops one scheduled event's reference; the last one pools the record.
+func (tx *transmission) unref() {
+	if tx.refs--; tx.refs == 0 {
+		tx.frame, tx.notify = Frame{}, nil
+		tx.m.txFree = append(tx.m.txFree, tx)
+	}
+}
+
+// receive registers tx's frame as in flight at rx over [start, end]: the
+// overlap checks against everything else rx is hearing or sending, and the
+// completion event at end.
+func (m *Medium) receive(rx *Radio, tx *transmission, start, end time.Duration) *reception {
+	var rec *reception
 	if n := len(m.recFree); n > 0 {
-		rec := m.recFree[n-1]
+		rec = m.recFree[n-1]
 		m.recFree[n-1] = nil
 		m.recFree = m.recFree[:n-1]
-		*rec = reception{start: start, end: end, retained: retained}
-		return rec
+	} else {
+		rec = &reception{}
+		rec.fire = rec.complete
 	}
-	return &reception{start: start, end: end, retained: retained}
-}
-
-func (m *Medium) freeReception(rec *reception) {
-	m.recFree = append(m.recFree, rec)
-}
-
-// newRecList takes a per-broadcast reception slice from the pool.
-func (m *Medium) newRecList() []*reception {
-	if n := len(m.recListFree); n > 0 {
-		l := m.recListFree[n-1]
-		m.recListFree[n-1] = nil
-		m.recListFree = m.recListFree[:n-1]
-		return l
+	rec.start, rec.end, rec.collided, rec.rx, rec.tx = start, end, false, rx, tx
+	// Overlap with any in-flight reception garbles both.
+	for _, other := range rx.inFlight {
+		if rec.start < other.end && other.start < rec.end {
+			rec.collided = true
+			other.collided = true
+		}
 	}
-	return nil
-}
-
-func (m *Medium) freeRecList(l []*reception) {
-	if cap(l) == 0 {
-		return
+	// Overlap with the receiver's own transmissions (half-duplex).
+	kept := rx.txWindows[:0]
+	for _, w := range rx.txWindows {
+		if w.end >= start {
+			kept = append(kept, w)
+			if rec.start < w.end && w.start < rec.end {
+				rec.collided = true
+			}
+		}
 	}
-	for i := range l {
-		l[i] = nil
-	}
-	m.recListFree = append(m.recListFree, l[:0])
+	rx.txWindows = kept
+	rx.inFlight = append(rx.inFlight, rec)
+	tx.refs++
+	m.kernel.ScheduleFuncAt(end, rec.fire)
+	return rec
 }
 
 // Broadcast transmits payload from radio r. Delivery is scheduled for every
@@ -710,60 +755,26 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 	cands := m.candidatesInRange(r)
 	if len(cands) > 0 && ndn.LooksLikePacket(payload) {
 		// One decode-once packet per transmission, shared by every receiver
-		// below (all their completion closures capture this frame value).
+		// below (they all deliver the transmission record's frame).
 		// Non-NDN traffic (the IP baselines' routing and transport frames)
 		// skips the attachment: its handlers never ask for the NDN view, so
 		// it should not pay even the wrapper allocation.
 		frame.pkt = ndn.NewPacket(payload)
 	}
-	var receptions []*reception
-	if notify != nil {
-		receptions = m.newRecList()
-	}
-	for _, rx := range cands {
-		rec := m.newReception(start, end, notify != nil)
-		// Overlap with any in-flight reception garbles both.
-		for _, other := range rx.inFlight {
-			if rec.start < other.end && other.start < rec.end {
-				rec.collided = true
-				other.collided = true
+	if len(cands) > 0 || notify != nil {
+		tx := m.newTransmission(frame, notify)
+		for _, rx := range cands {
+			rec := m.receive(rx, tx, start, end)
+			if notify != nil {
+				tx.recs = append(tx.recs, rec)
 			}
 		}
-		// Overlap with the receiver's own transmissions (half-duplex).
-		kept := rx.txWindows[:0]
-		for _, w := range rx.txWindows {
-			if w.end >= start {
-				kept = append(kept, w)
-				if rec.start < w.end && w.start < rec.end {
-					rec.collided = true
-				}
-			}
-		}
-		rx.txWindows = kept
-		rx.inFlight = append(rx.inFlight, rec)
 		if notify != nil {
-			receptions = append(receptions, rec)
+			// Scheduled last, so at the same timestamp it fires after every
+			// completion above and sees each record's final collided state.
+			tx.refs++
+			m.kernel.ScheduleFuncAt(end, tx.fireNotify)
 		}
-		rx := rx
-		m.kernel.ScheduleFuncAt(end, func() {
-			m.complete(rx, rec, frame)
-		})
-	}
-	if notify != nil {
-		m.kernel.ScheduleFuncAt(end, func() {
-			// This event carries the same seq ordering as before pooling:
-			// it fires after every completion above, so each record's final
-			// collided state is visible; the records are released here.
-			collided := false
-			for _, rec := range receptions {
-				if rec.collided {
-					collided = true
-				}
-				m.freeReception(rec)
-			}
-			m.freeRecList(receptions)
-			notify(collided)
-		})
 	}
 	if m.cross != nil {
 		// Offer the broadcast to sibling shards; each target's own grid
@@ -787,52 +798,59 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 // shared — each shard decodes once itself, because the memo is written
 // lazily and sibling shards run concurrently.
 func (m *Medium) deliverForeign(center geo.Point, fromID int, payload []byte, size int, start, end time.Duration) {
-	frame := Frame{From: fromID, Payload: payload, Size: size}
 	cands := m.candidatesAroundAt(center, start)
-	if len(cands) > 0 && ndn.LooksLikePacket(payload) {
+	if len(cands) == 0 {
+		return
+	}
+	frame := Frame{From: fromID, Payload: payload, Size: size}
+	if ndn.LooksLikePacket(payload) {
 		frame.pkt = ndn.NewPacket(payload)
 	}
+	tx := m.newTransmission(frame, nil)
 	for _, rx := range cands {
-		rec := m.newReception(start, end, false)
-		for _, other := range rx.inFlight {
-			if rec.start < other.end && other.start < rec.end {
-				rec.collided = true
-				other.collided = true
-			}
-		}
-		kept := rx.txWindows[:0]
-		for _, w := range rx.txWindows {
-			if w.end >= start {
-				kept = append(kept, w)
-				if rec.start < w.end && w.start < rec.end {
-					rec.collided = true
-				}
-			}
-		}
-		rx.txWindows = kept
-		rx.inFlight = append(rx.inFlight, rec)
-		rx := rx
-		m.kernel.ScheduleFuncAt(end, func() {
-			m.complete(rx, rec, frame)
-		})
+		m.receive(rx, tx, start, end)
 	}
+}
+
+// notifyDone is a BroadcastNotify transmission's last event: it reports
+// whether any receiver's copy collided and releases the receptions their
+// completions left for it.
+func (tx *transmission) notifyDone() {
+	m := tx.m
+	collided := false
+	for i, rec := range tx.recs {
+		if rec.collided {
+			collided = true
+		}
+		m.recFree = append(m.recFree, rec)
+		tx.recs[i] = nil
+	}
+	tx.recs = tx.recs[:0]
+	notify := tx.notify
+	tx.unref()
+	notify(collided)
 }
 
 // complete finalizes one reception: removes it from the in-flight set and
 // delivers the frame unless it collided or was lost.
-func (m *Medium) complete(rx *Radio, rec *reception, frame Frame) {
+func (rec *reception) complete() {
+	rx, tx := rec.rx, rec.tx
+	m := tx.m
 	for i, other := range rx.inFlight {
 		if other == rec {
 			rx.inFlight = append(rx.inFlight[:i], rx.inFlight[i+1:]...)
 			break
 		}
 	}
-	collided := rec.collided
-	if !rec.retained {
-		// No notify closure reads this record later; recycle it now so a
-		// broadcast triggered by the handler below can reuse it.
-		m.freeReception(rec)
+	collided, frame := rec.collided, tx.frame
+	if tx.notify == nil {
+		// No notify event reads this record later; recycle it — and, if this
+		// was its last reception, the transmission — now, so a broadcast
+		// triggered by the handler below can reuse them. The handler keeps
+		// its own copy of the frame.
+		m.recFree = append(m.recFree, rec)
 	}
+	tx.unref()
 	if !rx.enabled {
 		return
 	}

@@ -59,6 +59,7 @@ type DSDV struct {
 	deliver func(src int, payload []byte)
 	running bool
 	tick    *sim.Timer
+	jobs    []*txJob // idle transmission records
 	ctrlTx  uint64
 	dataTx  uint64
 }
@@ -80,11 +81,37 @@ func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSDVC
 	return d
 }
 
-// transmit broadcasts wire after the MAC-backoff jitter.
+// txJob is one frame waiting out its MAC-backoff jitter. Jobs are pooled on
+// the node and keep their event func (fire, the method value of send), so a
+// transmission costs its wire buffer and nothing else.
+type txJob struct {
+	d    *DSDV
+	wire []byte
+	fire func()
+}
+
+// transmit broadcasts wire after the MAC-backoff jitter, unless the node
+// has been stopped by then.
 func (d *DSDV) transmit(wire []byte) {
-	d.k.ScheduleFunc(d.k.Jitter(d.cfg.TxJitter), func() {
+	var j *txJob
+	if n := len(d.jobs); n > 0 {
+		j = d.jobs[n-1]
+		d.jobs = d.jobs[:n-1]
+	} else {
+		j = &txJob{d: d}
+		j.fire = j.send
+	}
+	j.wire = wire
+	d.k.ScheduleFunc(d.k.Jitter(d.cfg.TxJitter), j.fire)
+}
+
+func (j *txJob) send() {
+	d, wire := j.d, j.wire
+	j.wire = nil
+	d.jobs = append(d.jobs, j)
+	if d.running {
 		d.medium.Broadcast(d.radio, wire)
-	})
+	}
 }
 
 // ID implements Router.
@@ -122,7 +149,8 @@ func (d *DSDV) Start() {
 	d.tick.Reset(d.k.Jitter(d.cfg.UpdatePeriod))
 }
 
-// Stop implements Router.
+// Stop implements Router. A stopped node is silent: it neither originates
+// nor forwards, and transmissions still waiting out their jitter are dropped.
 func (d *DSDV) Stop() {
 	d.running = false
 	d.tick.Stop()
@@ -188,13 +216,16 @@ func (d *DSDV) onFrame(fr phy.Frame) {
 	case protoDSDVUpdate:
 		d.handleUpdate(f)
 	case protoData:
-		d.handleData(f)
+		// Most data frames a radio hears are addressed through someone else.
+		if f.NextHop == d.id {
+			d.handleData(f)
+		}
 	}
 }
 
 // handleUpdate merges a neighbor's advertised table: newer sequence numbers
 // win; equal sequences keep the shorter metric.
-func (d *DSDV) handleUpdate(f *frame) {
+func (d *DSDV) handleUpdate(f frame) {
 	if len(f.Payload) < 2 {
 		return
 	}
@@ -224,10 +255,11 @@ func (d *DSDV) handleUpdate(f *frame) {
 	}
 }
 
-// Send implements Router: unicast via the current next hop.
+// Send implements Router: unicast via the current next hop. A stopped node
+// sends nothing.
 func (d *DSDV) Send(dst int, payload []byte) bool {
 	next, _, ok := d.RouteTo(dst)
-	if !ok {
+	if !ok || !d.running {
 		return false
 	}
 	f := &frame{Proto: protoData, Src: d.id, Dst: dst, NextHop: next, TTL: d.cfg.MaxMetric, Payload: payload}
@@ -236,11 +268,9 @@ func (d *DSDV) Send(dst int, payload []byte) bool {
 	return true
 }
 
-// handleData forwards or delivers a unicast frame addressed through us.
-func (d *DSDV) handleData(f *frame) {
-	if f.NextHop != d.id {
-		return
-	}
+// handleData forwards or delivers a unicast frame addressed through us;
+// forwarding re-encodes from the received view into a fresh wire buffer.
+func (d *DSDV) handleData(f frame) {
 	if f.Dst == d.id {
 		if d.deliver != nil {
 			d.deliver(f.Src, f.Payload)

@@ -300,6 +300,12 @@ func (d *DSR) onFrame(fr phy.Frame) {
 	if err != nil {
 		return
 	}
+	// Unicasts overheard on their way through someone else are dropped
+	// before their source route is materialised.
+	if (f.Proto == protoRREP || f.Proto == protoData) && f.NextHop != d.id {
+		return
+	}
+	f.decodeRoute()
 	switch f.Proto {
 	case protoRREQ:
 		d.handleRREQ(f)
@@ -312,7 +318,7 @@ func (d *DSR) onFrame(fr phy.Frame) {
 
 // handleRREQ appends this node to the route record and either answers (we
 // are the target) or re-floods.
-func (d *DSR) handleRREQ(f *frame) {
+func (d *DSR) handleRREQ(f frame) {
 	if len(f.Payload) < 4 {
 		return
 	}
@@ -394,10 +400,7 @@ func reverse(hops []int) []int {
 
 // handleRREP relays the reply back toward the requester, caching the route
 // at the requester when it arrives.
-func (d *DSR) handleRREP(f *frame) {
-	if f.NextHop != d.id {
-		return
-	}
+func (d *DSR) handleRREP(f frame) {
 	if f.Dst == d.id {
 		// f.Route is origin..target in request direction.
 		d.routes[f.Route[len(f.Route)-1]] = cachedRoute{hops: f.Route, since: d.k.Now()}
@@ -427,10 +430,7 @@ func (d *DSR) handleRREP(f *frame) {
 // bidirectional, so a frame's source route is a free route back to its
 // origin (standard DSR optimization; without it every reply needs its own
 // discovery flood).
-func (d *DSR) handleData(f *frame) {
-	if f.NextHop != d.id {
-		return
-	}
+func (d *DSR) handleData(f frame) {
 	if d.dedupe(f.Src, f.Seq) {
 		return
 	}

@@ -33,6 +33,15 @@ const Broadcast = -1
 var errShortFrame = errors.New("routing: short frame")
 
 // frame is the common unicast/broadcast envelope.
+//
+// A decoded frame is a view of the wire it came from (docs/CONTRACTS.md §3):
+// Payload aliases the received buffer, which every radio in range shares and
+// nobody writes after Broadcast, so handlers only read it; its capacity is
+// clipped to its length, so an append by a handler reallocates instead of
+// writing into the wire. The route record stays in wire form until
+// decodeRoute, which a router calls only once it has accepted the frame —
+// most receptions are unicasts overheard by a radio that is not their next
+// hop, and those are rejected from the fixed header without allocating.
 type frame struct {
 	Proto   byte
 	Src     int
@@ -46,7 +55,13 @@ type frame struct {
 	// route record for RREQ; empty for DSDV.
 	Route   []int
 	Payload []byte
+
+	routeWire []byte // a decoded frame's route record, 4 bytes per hop
 }
+
+// headerLen is the fixed part of a frame: magic, proto, src, dst, next hop,
+// seq, TTL and the route length.
+const headerLen = 20
 
 func putU32(b []byte, v int) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(int32(v)))
@@ -56,41 +71,54 @@ func getI32(b []byte) int {
 	return int(int32(binary.BigEndian.Uint32(b)))
 }
 
+// encode serializes the frame into a fresh buffer sized once. The buffer is
+// handed to the medium and never written again.
 func (f *frame) encode() []byte {
-	b := []byte{frameMagic, f.Proto}
+	b := make([]byte, 0, headerLen+4*len(f.Route)+len(f.Payload))
+	b = append(b, frameMagic, f.Proto)
 	b = putU32(b, f.Src)
 	b = putU32(b, f.Dst)
 	b = putU32(b, f.NextHop)
 	b = binary.BigEndian.AppendUint32(b, f.Seq)
-	b = append(b, byte(f.TTL))
-	b = append(b, byte(len(f.Route)))
+	b = append(b, byte(f.TTL), byte(len(f.Route)))
 	for _, h := range f.Route {
 		b = putU32(b, h)
 	}
 	return append(b, f.Payload...)
 }
 
-func decodeFrame(b []byte) (*frame, error) {
-	if len(b) < 20 || b[0] != frameMagic {
-		return nil, errShortFrame
+// decodeFrame parses b's header and returns the frame as a view of b: nothing
+// is copied or allocated (see frame). Route is left for decodeRoute.
+func decodeFrame(b []byte) (frame, error) {
+	if len(b) < headerLen || b[0] != frameMagic {
+		return frame{}, errShortFrame
 	}
-	f := &frame{Proto: b[1]}
-	f.Src = getI32(b[2:])
-	f.Dst = getI32(b[6:])
-	f.NextHop = getI32(b[10:])
-	f.Seq = binary.BigEndian.Uint32(b[14:])
-	f.TTL = int(b[18])
-	nRoute := int(b[19])
-	pos := 20
-	if len(b) < pos+4*nRoute {
-		return nil, errShortFrame
+	end := headerLen + 4*int(b[19])
+	if len(b) < end {
+		return frame{}, errShortFrame
 	}
-	for i := 0; i < nRoute; i++ {
-		f.Route = append(f.Route, getI32(b[pos:]))
-		pos += 4
+	return frame{
+		Proto:     b[1],
+		Src:       getI32(b[2:]),
+		Dst:       getI32(b[6:]),
+		NextHop:   getI32(b[10:]),
+		Seq:       binary.BigEndian.Uint32(b[14:]),
+		TTL:       int(b[18]),
+		Payload:   b[end:len(b):len(b)],
+		routeWire: b[headerLen:end],
+	}, nil
+}
+
+// decodeRoute materialises a decoded frame's route record into Route — the
+// frame's one owned allocation, which handlers are free to keep.
+func (f *frame) decodeRoute() {
+	if len(f.routeWire) == 0 {
+		return
 	}
-	f.Payload = append([]byte(nil), b[pos:]...)
-	return f, nil
+	f.Route = make([]int, len(f.routeWire)/4)
+	for i := range f.Route {
+		f.Route[i] = getI32(f.routeWire[4*i:])
+	}
 }
 
 // IsRoutingFrame reports whether a raw payload is a routing-stack frame.
@@ -105,7 +133,8 @@ type Router interface {
 	ID() int
 	// Send attempts to deliver payload to dst, returning false when no
 	// route exists (DSDV) or buffering while discovery runs (DSR returns
-	// true in that case).
+	// true in that case). It copies what it needs of payload before it
+	// returns, so the caller may reuse the buffer.
 	Send(dst int, payload []byte) bool
 	// SetDeliver installs the upper-layer receive callback.
 	SetDeliver(fn func(src int, payload []byte))

@@ -30,6 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out.decodeRoute()
 	if out.Proto != f.Proto || out.Src != 3 || out.Dst != 9 || out.NextHop != 4 ||
 		out.TTL != 7 || len(out.Route) != 3 || string(out.Payload) != "hello" {
 		t.Fatalf("roundtrip mismatch: %+v", out)

@@ -1,0 +1,153 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"dapes/internal/routing"
+	"dapes/internal/sim"
+)
+
+// tapRouter is a Router that goes nowhere: it keeps a copy of every segment
+// handed to Send and lets the test play the far end through deliver.
+type tapRouter struct {
+	sent    [][]byte
+	deliver func(src int, payload []byte)
+}
+
+var _ routing.Router = (*tapRouter)(nil)
+
+func (r *tapRouter) ID() int { return 1 }
+func (r *tapRouter) Send(dst int, payload []byte) bool {
+	r.sent = append(r.sent, append([]byte(nil), payload...))
+	return true
+}
+func (r *tapRouter) SetDeliver(fn func(src int, payload []byte)) { r.deliver = fn }
+func (r *tapRouter) Start()                                      {}
+func (r *tapRouter) Stop()                                       {}
+func (r *tapRouter) ControlTransmissions() uint64                { return 0 }
+
+// ack plays the receiver acknowledging message id.
+func (r *tapRouter) ack(id uint32) {
+	r.deliver(2, binary.BigEndian.AppendUint32([]byte{msgAck}, id))
+}
+
+func segment(id uint32, payload string) []byte {
+	return append(binary.BigEndian.AppendUint32([]byte{msgData}, id), payload...)
+}
+
+// TestRetransmissionsResendTheSameSegment sends two unanswered messages from
+// one caller-owned buffer and requires every attempt of each to put the same
+// bytes on the air: the header and the payload as it was when Send was
+// called.
+func TestRetransmissionsResendTheSameSegment(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(1)
+	tap := &tapRouter{}
+	r := NewReliable(k, tap, Config{RTO: 100 * time.Millisecond, MaxRetries: 3})
+	buf := []byte("first message")
+	r.Send(2, buf, nil)
+	copy(buf, "FIRST") // the caller's buffer is its own again
+	r.Send(2, buf[:5], nil)
+	if err := k.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if r.Failures != 2 || r.Pending() != 0 {
+		t.Fatalf("failures = %d, pending = %d; want both messages abandoned", r.Failures, r.Pending())
+	}
+	attempts := map[uint32]int{}
+	for _, seg := range tap.sent {
+		id := binary.BigEndian.Uint32(seg[1:5])
+		want := segment(1, "first message")
+		if id == 2 {
+			want = segment(2, "FIRST")
+		}
+		if !bytes.Equal(seg, want) {
+			t.Fatalf("attempt %d of message %d sent %q, want %q", attempts[id], id, seg, want)
+		}
+		attempts[id]++
+	}
+	if attempts[1] != 4 || attempts[2] != 4 {
+		t.Fatalf("attempts = %v, want 1 + MaxRetries for each message", attempts)
+	}
+}
+
+// TestPoolConsistentAfterAckFailureAndStop walks a Reliable through every way
+// a message ends and checks the record accounting at each: a record is in
+// pending, in the pool, or waiting on its one queued send — never two of
+// them — and a recycled record is never reachable from a stale event.
+func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(1)
+	tap := &tapRouter{}
+	r := NewReliable(k, tap, Config{RTO: 100 * time.Millisecond, MaxRetries: 2})
+	jitter := r.cfg.Jitter
+	account := func(step string, pending, pooled int) {
+		t.Helper()
+		if r.Pending() != pending || len(r.free) != pooled {
+			t.Fatalf("%s: pending = %d, pooled = %d; want %d, %d", step, r.Pending(), len(r.free), pending, pooled)
+		}
+		seen := map[*outstanding]bool{}
+		for _, out := range r.free {
+			if seen[out] || out.sendQueued || out.rtoT.Pending() || r.pending[out.id] == out {
+				t.Fatalf("%s: pooled record %d is duplicated, armed or still pending", step, out.id)
+			}
+			seen[out] = true
+		}
+	}
+
+	// Acked after its first transmission.
+	var done []bool
+	onDone := func(ok bool) { done = append(done, ok) }
+	r.Send(2, []byte("one"), onDone)
+	k.Run(k.Now() + jitter)
+	tap.ack(1)
+	account("acked", 0, 1)
+
+	// Abandoned after MaxRetries: the pooled record carries the next message.
+	r.Send(2, []byte("two"), onDone)
+	account("resent on the pooled record", 1, 0)
+	k.Run(k.Now() + time.Minute)
+	account("abandoned", 0, 1)
+	if len(done) != 2 || !done[0] || done[1] || r.Failures != 1 {
+		t.Fatalf("onDone = %v, failures = %d; want [true false], 1", done, r.Failures)
+	}
+
+	// Acked while a retransmission waits out its jitter: the record stays
+	// out of the pool until that send has fired, so message four cannot be
+	// handed a record a queued event still points at.
+	r.Send(2, []byte("three"), nil)
+	if !k.RunUntil(k.Now()+time.Minute, func() bool { return r.Retransmissions == 3 }) {
+		t.Fatal("message three never retransmitted")
+	}
+	tap.ack(3)
+	account("acked with a send queued", 0, 0)
+	before := len(tap.sent)
+	r.Send(2, []byte("four"), nil)
+	k.Run(k.Now() + jitter)
+	if got := tap.sent[before:]; len(got) != 1 || !bytes.Equal(got[0], segment(4, "four")) {
+		t.Fatalf("after the stale send's slot: %q on the air, want message four once", got)
+	}
+	account("stale send drained", 1, 1)
+	tap.ack(4)
+	account("four acked", 0, 2)
+
+	// Stop: nothing reported, nothing armed, nothing sent, and both records
+	// back in the pool once their queued sends have found them gone.
+	r.Send(2, []byte("five"), onDone)
+	r.Send(2, []byte("six"), onDone)
+	before = len(tap.sent)
+	r.Stop()
+	account("stopped", 0, 0)
+	k.Run(k.Now() + jitter)
+	account("stopped and drained", 0, 2)
+	if k.Pending() != 0 {
+		t.Fatalf("%d events pending after Stop drained", k.Pending())
+	}
+	k.Run(k.Now() + time.Minute)
+	if len(tap.sent) != before || len(done) != 2 || r.Failures != 1 {
+		t.Fatalf("after Stop: %d more segments, onDone = %v, failures = %d", len(tap.sent)-before, done, r.Failures)
+	}
+}

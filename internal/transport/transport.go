@@ -56,6 +56,7 @@ type Reliable struct {
 
 	nextID  uint32
 	pending map[uint32]*outstanding
+	free    []*outstanding // retired records, reused with their timers
 	// seen tracks delivered message IDs per source. Entries are compacted
 	// once a sender can no longer retransmit them (see seenTTL), so the
 	// state is bounded by the duplicate window instead of growing with
@@ -73,21 +74,28 @@ type Reliable struct {
 	AcksSent uint64
 }
 
-// outstanding is one unacknowledged message. It owns its timers for its
-// whole lifetime: the RTO timer is a reusable sim.Timer that each
-// retransmission re-arms (Reset, no per-attempt closure or event), and the
-// jittered transmission is a single method value re-enqueued per attempt
-// through the kernel's pooled ScheduleFunc path.
+// outstanding is one unacknowledged message. It owns the message's segment
+// (the msgData header followed by the caller's payload, built once in Send and
+// re-sent byte for byte by every attempt) and its timers: the RTO timer is a
+// reusable sim.Timer that each retransmission re-arms (Reset, no per-attempt
+// closure or event), and the jittered transmission is a single method value
+// re-enqueued per attempt through the kernel's pooled ScheduleFunc path.
+//
+// Records are pooled on the Reliable, segment buffer and timer included. A
+// record leaves pending when its message is acked, abandoned or flushed by
+// Stop, and returns to the pool once no jittered send of it is still queued
+// (sendQueued): a recycled record must not be reachable from a stale event.
 type outstanding struct {
-	r       *Reliable
-	id      uint32
-	dst     int
-	payload []byte
-	retries int
-	rto     time.Duration
-	sendFn  func()
-	rtoT    *sim.Timer
-	onDone  func(ok bool)
+	r          *Reliable
+	id         uint32
+	dst        int
+	seg        []byte
+	retries    int
+	rto        time.Duration
+	sendQueued bool
+	sendFn     func()
+	rtoT       *sim.Timer
+	onDone     func(ok bool)
 }
 
 // NewReliable wraps the router with the acknowledged service. It installs
@@ -117,40 +125,69 @@ func (r *Reliable) SetOnFail(fn func(id uint32, dst int)) { r.onFail = fn }
 
 // Send transmits payload to dst with at-least-once delivery and duplicate
 // suppression at the receiver. onDone (optional) reports final success or
-// failure.
+// failure. payload is copied; the caller may reuse it.
 func (r *Reliable) Send(dst int, payload []byte, onDone func(ok bool)) {
 	r.nextID++
-	out := &outstanding{
-		r:       r,
-		id:      r.nextID,
-		dst:     dst,
-		payload: append([]byte(nil), payload...),
-		rto:     r.cfg.RTO,
-		onDone:  onDone,
+	var out *outstanding
+	if n := len(r.free); n > 0 {
+		out = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	} else {
+		out = &outstanding{r: r}
+		out.sendFn = out.send
+		out.rtoT = r.k.NewTimer(out.timeout)
 	}
-	out.sendFn = out.send
-	out.rtoT = r.k.NewTimer(out.timeout)
+	out.id, out.dst, out.retries, out.rto, out.onDone = r.nextID, dst, 0, r.cfg.RTO, onDone
+	out.seg = append(out.seg[:0], msgData)
+	out.seg = binary.BigEndian.AppendUint32(out.seg, out.id)
+	out.seg = append(out.seg, payload...)
 	r.pending[out.id] = out
 	r.transmit(out)
 }
 
+// Stop abandons every unacknowledged message without reporting it: RTO
+// timers are disarmed, pending is cleared, and neither onFail nor onDone
+// runs. Sends already waiting out their jitter find their message gone and
+// do nothing. The service stays usable for new messages.
+func (r *Reliable) Stop() {
+	// Map order only decides pool order, and pooled records are reset before reuse.
+	for id, out := range r.pending {
+		delete(r.pending, id)
+		r.retire(out)
+	}
+}
+
+// retire disarms a record that has left pending and pools it, unless a
+// jittered send still references it — that send pools it when it fires.
+func (r *Reliable) retire(out *outstanding) {
+	out.rtoT.Stop()
+	out.onDone = nil
+	if !out.sendQueued {
+		r.free = append(r.free, out)
+	}
+}
+
 // transmit arms one attempt: the jittered transmission and the
-// retransmission timeout that re-arms it.
+// retransmission timeout that re-arms it. The jitter slot is shorter than
+// any RTO, so at most one send per record is ever queued.
 func (r *Reliable) transmit(out *outstanding) {
+	out.sendQueued = true
 	r.k.ScheduleFunc(r.k.Jitter(r.cfg.Jitter), out.sendFn)
 	out.rtoT.Reset(r.cfg.Jitter + out.rto)
 }
 
 func (o *outstanding) send() {
 	r := o.r
+	o.sendQueued = false
 	if r.pending[o.id] != o {
-		return // acked (or failed) between scheduling and the jitter slot
+		// Acked, abandoned or stopped between scheduling and the jitter slot.
+		r.free = append(r.free, o)
+		return
 	}
-	hdr := []byte{msgData}
-	hdr = binary.BigEndian.AppendUint32(hdr, o.id)
 	// A false return means no route yet (e.g. DSDV still converging);
 	// the retry timer covers that case too.
-	r.router.Send(o.dst, append(hdr, o.payload...))
+	r.router.Send(o.dst, o.seg)
 }
 
 func (o *outstanding) timeout() {
@@ -160,16 +197,18 @@ func (o *outstanding) timeout() {
 	}
 	o.retries++
 	if o.retries > r.cfg.MaxRetries {
-		delete(r.pending, o.id)
+		id, dst, onDone := o.id, o.dst, o.onDone
+		delete(r.pending, id)
+		r.retire(o)
 		r.Failures++
 		if rt, isDSR := r.router.(*routing.DSR); isDSR {
-			rt.InvalidateRoute(o.dst)
+			rt.InvalidateRoute(dst)
 		}
 		if r.onFail != nil {
-			r.onFail(o.id, o.dst)
+			r.onFail(id, dst)
 		}
-		if o.onDone != nil {
-			o.onDone(false)
+		if onDone != nil {
+			onDone(false)
 		}
 		return
 	}
@@ -190,8 +229,7 @@ func (r *Reliable) onRouterDeliver(src int, payload []byte) {
 	switch kind {
 	case msgData:
 		// Ack unconditionally (acks are lost sometimes; sender retries).
-		ack := []byte{msgAck}
-		ack = binary.BigEndian.AppendUint32(ack, id)
+		ack := binary.BigEndian.AppendUint32(append(make([]byte, 0, 5), msgAck), id)
 		r.k.ScheduleFunc(r.k.Jitter(r.cfg.Jitter), func() {
 			r.AcksSent++
 			r.router.Send(src, ack)
@@ -224,10 +262,11 @@ func (r *Reliable) onRouterDeliver(src int, payload []byte) {
 		if !ok {
 			return
 		}
-		out.rtoT.Stop()
+		onDone := out.onDone
 		delete(r.pending, id)
-		if out.onDone != nil {
-			out.onDone(true)
+		r.retire(out)
+		if onDone != nil {
+			onDone(true)
 		}
 	}
 }
