@@ -40,6 +40,7 @@ lint: fmt-check vet
 # target.)
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzTLVRoundTrip -fuzztime=10s ./internal/ndn/
+	$(GO) test -run=NONE -fuzz=FuzzDataSignedRange -fuzztime=10s ./internal/ndn/
 	$(GO) test -run=NONE -fuzz=FuzzPlanFile -fuzztime=10s ./internal/plan/
 	$(GO) test -run=NONE -fuzz=FuzzDiscoveryPayload -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s ./internal/core/

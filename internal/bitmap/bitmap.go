@@ -187,31 +187,60 @@ func (b *Bitmap) Encode() []byte {
 	return out[:4+nbytes]
 }
 
+// EncodedLen validates the header of a bitmap produced by Encode — the bit
+// length, backed by enough payload bytes — and returns the bit length and
+// the size of the encoding, so a caller can cut buf[:size] out of a larger
+// message and decode it later.
+func EncodedLen(buf []byte) (n, size int, err error) {
+	if len(buf) < 4 {
+		return 0, 0, fmt.Errorf("bitmap: short header (%d bytes)", len(buf))
+	}
+	n = int(binary.BigEndian.Uint32(buf))
+	nbytes := (n + 7) / 8
+	if len(buf) < 4+nbytes {
+		return 0, 0, fmt.Errorf("bitmap: need %d payload bytes, have %d", nbytes, len(buf)-4)
+	}
+	return n, 4 + nbytes, nil
+}
+
 // Decode parses a bitmap produced by Encode. Payload bits past the bit
 // length are ignored.
 func Decode(buf []byte) (*Bitmap, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("bitmap: short header (%d bytes)", len(buf))
-	}
-	n := int(binary.BigEndian.Uint32(buf))
-	nbytes := (n + 7) / 8
-	if len(buf) < 4+nbytes {
-		return nil, fmt.Errorf("bitmap: need %d payload bytes, have %d", nbytes, len(buf)-4)
+	n, _, err := EncodedLen(buf)
+	if err != nil {
+		return nil, err
 	}
 	b := New(n)
-	payload := buf[4 : 4+nbytes]
+	return b, b.DecodeFrom(buf)
+}
+
+// DecodeFrom overwrites b with the bitmap encoded in buf, which must have
+// b's length: a receiver that already holds a peer's bitmap takes the peer's
+// next advertisement into it without allocating. On any error — a malformed
+// encoding, or ErrSizeMismatch — b is left untouched.
+func (b *Bitmap) DecodeFrom(buf []byte) error {
+	n, size, err := EncodedLen(buf)
+	if err != nil {
+		return err
+	}
+	if n != b.n {
+		return ErrSizeMismatch
+	}
+	payload := buf[4:size]
 	for w := range b.words {
 		if len(payload) >= 8 {
 			b.words[w] = binary.LittleEndian.Uint64(payload)
 			payload = payload[8:]
 			continue
 		}
+		var word uint64
 		for i, by := range payload {
-			b.words[w] |= uint64(by) << (8 * uint(i))
+			word |= uint64(by) << (8 * uint(i))
 		}
+		b.words[w] = word
 	}
 	b.trim()
-	return b, nil
+	return nil
 }
 
 // Rarity counts, for every packet, how many of a set of member bitmaps are

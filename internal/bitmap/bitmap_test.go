@@ -1,6 +1,8 @@
 package bitmap
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +169,63 @@ func TestDecodeErrors(t *testing.T) {
 	// Header claims 100 bits but payload is empty.
 	if _, err := Decode([]byte{0, 0, 0, 100}); err == nil {
 		t.Fatal("truncated payload decoded")
+	}
+}
+
+// TestDecodeFromMatchesDecode: decoding into a bitmap a receiver already
+// holds gives the bits a fresh Decode gives, whatever the destination held
+// before and whatever payload bits trail the length; an encoding of another
+// length, or a malformed one, is reported and leaves the destination alone.
+func TestDecodeFromMatchesDecode(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		for round := 0; round < 50; round++ {
+			src := New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					src.Set(i)
+				}
+			}
+			enc := src.Encode()
+			if n%8 != 0 {
+				enc[len(enc)-1] |= 0xFF << uint(n%8) // payload bits past the length
+			}
+			enc = append(enc, 0xAB) // and bytes past the payload
+			want, err := Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := New(n)
+			dst.SetAll()
+			if err := dst.DecodeFrom(enc); err != nil {
+				t.Fatalf("n=%d: DecodeFrom: %v", n, err)
+			}
+			if !dst.Equal(want) || !dst.Equal(src) || dst.Count() != len(dst.Ones()) {
+				t.Fatalf("n=%d: DecodeFrom = %v, Decode = %v, source %v", n, dst.Ones(), want.Ones(), src.Ones())
+			}
+
+			other := New(n + 1)
+			other.Set(n)
+			before := other.Clone()
+			if err := other.DecodeFrom(enc); !errors.Is(err, ErrSizeMismatch) {
+				t.Fatalf("n=%d into n+1: err = %v, want ErrSizeMismatch", n, err)
+			}
+			if err := dst.DecodeFrom(enc[:len(enc)-2]); n > 0 && err == nil {
+				t.Fatalf("n=%d: truncated encoding decoded", n)
+			}
+			if !other.Equal(before) || !dst.Equal(want) {
+				t.Fatalf("n=%d: a refused DecodeFrom changed its destination", n)
+			}
+		}
+	}
+}
+
+func TestDecodeFromDoesNotAllocate(t *testing.T) {
+	dst := New(200)
+	enc := dst.Encode()
+	if allocs := testing.AllocsPerRun(100, func() { _ = dst.DecodeFrom(enc) }); allocs != 0 {
+		t.Errorf("DecodeFrom allocates %v objects", allocs)
 	}
 }
 

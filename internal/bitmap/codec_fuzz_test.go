@@ -83,6 +83,14 @@ func FuzzBitmapCodec(f *testing.F) {
 		if !got.Equal(want) {
 			t.Fatalf("Decode(%x) = %v, reference %v", buf, got.Ones(), want.Ones())
 		}
+		into := New(got.Len())
+		into.SetAll()
+		if err := into.DecodeFrom(buf); err != nil || !into.Equal(got) {
+			t.Fatalf("DecodeFrom(%x) = %v (%v), Decode %v", buf, into.Ones(), err, got.Ones())
+		}
+		if wrong := New(got.Len() + 1); wrong.DecodeFrom(buf) != ErrSizeMismatch || wrong.Count() != 0 {
+			t.Fatalf("DecodeFrom(%x) into a bitmap of another length: accepted or written", buf)
+		}
 		if got.Count() != len(got.Ones()) {
 			t.Fatalf("Decode(%x) kept %d bits past the length", buf, got.Count()-len(got.Ones()))
 		}

@@ -40,22 +40,19 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 	}
 	p.touchSession(cs)
 	p.bitmapReqSeq++
-	in := &ndn.Interest{
-		Name:        bitmapInterestName(cs.collection),
+	in := ndn.Interest{
+		Name:        cs.bitmapName,
 		CanBePrefix: true,
 		Nonce:       p.newNonce(),
-		AppParams: bitmapPayload{
-			CollectionURI: []byte(cs.uri),
-			Owner:         p.id,
-			Bitmap:        cs.own,
-		}.encode(),
+		AppParams:   encodeBitmapPayload(cs.uri, p.id, cs.own),
 	}
+	wire := in.Encode()
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running {
 			return
 		}
 		p.stats.BitmapInterestsSent++
-		p.medium.Broadcast(p.radio, in.Encode())
+		p.medium.Broadcast(p.radio, wire)
 	})
 }
 
@@ -99,12 +96,12 @@ func (p *Peer) handleBitmapData(d *ndn.Data) {
 		p.recordOverheardBitmap(payload)
 		return
 	}
-	p.observeAdvertisement(cs, payload, true)
+	heard := p.observeAdvertisement(cs, payload, true)
 
 	s := p.touchSession(cs)
 	s.heardCount++
-	if payload.Bitmap.Len() == s.heardUnion.Len() {
-		_ = s.heardUnion.Or(payload.Bitmap)
+	if heard != nil {
+		_ = s.heardUnion.Or(heard) // both have the manifest's length
 	}
 	s.lastActivity = p.k.Now()
 
@@ -117,11 +114,11 @@ func (p *Peer) handleBitmapData(d *ndn.Data) {
 	p.maybeStartFetch(cs)
 }
 
-// recordOverheadBitmap stores advertisements for collections this peer does
+// recordOverheardBitmap stores advertisements for collections this peer does
 // not itself hold, enabling informed forwarding decisions (Section V-B:
 // "intermediate peers interested in a different file collection").
 func (p *Peer) recordOverheardBitmap(payload bitmapPayload) {
-	if !p.cfg.Multihop || payload.Bitmap == nil {
+	if !p.cfg.Multihop {
 		return
 	}
 	cs, ok := p.collections[string(payload.CollectionURI)]
@@ -129,27 +126,39 @@ func (p *Peer) recordOverheardBitmap(payload bitmapPayload) {
 		cs = newCollectionState(ndn.ParseName(string(payload.CollectionURI)))
 		p.collections[cs.uri] = cs
 	}
-	cs.avail[payload.Owner] = payload.Bitmap // decoded for this receiver alone: no copy
+	cs.hear(payload)
+}
+
+// hear takes an advertised bitmap into cs.avail and returns it: decoded in
+// place into the bitmap already held for its owner when the lengths match,
+// into a new one for a new neighbour or a changed length. Every receiver of
+// the advertisement decodes its own copy, so this is where a re-advertisement
+// costs nothing.
+func (cs *collectionState) hear(payload bitmapPayload) *bitmap.Bitmap {
+	bm := cs.avail[payload.Owner]
+	if bm == nil || bm.DecodeFrom(payload.Bitmap) != nil {
+		bm, _ = bitmap.Decode(payload.Bitmap) // cannot fail: decodeBitmapPayload checked the header
+		cs.avail[payload.Owner] = bm
+	}
 	cs.unionStale = true
+	return bm
 }
 
 // observeAdvertisement folds a peer's bitmap into availability and strategy
-// state.
-func (p *Peer) observeAdvertisement(cs *collectionState, payload bitmapPayload, viaData bool) {
-	if payload.Bitmap == nil || cs.manifest == nil {
-		return
+// state, returning it as decoded (nil when it is not of this collection's
+// length and was ignored).
+func (p *Peer) observeAdvertisement(cs *collectionState, payload bitmapPayload, viaData bool) *bitmap.Bitmap {
+	if cs.manifest == nil || payload.Bits != cs.manifest.TotalPackets() {
+		return nil
 	}
-	if payload.Bitmap.Len() != cs.manifest.TotalPackets() {
-		return
-	}
-	cs.avail[payload.Owner] = payload.Bitmap // decoded for this receiver alone: no copy
-	cs.unionStale = true
+	bm := cs.hear(payload)
 	if cs.strategy != nil {
-		cs.strategy.Observe(payload.Owner, payload.Bitmap)
+		cs.strategy.Observe(payload.Owner, bm)
 	}
 	if !viaData {
 		p.maybeStartFetch(cs)
 	}
+	return bm
 }
 
 // priorityFraction computes the PEBA priority input: for the first bitmap of
@@ -205,12 +214,8 @@ func (p *Peer) transmitBitmap(cs *collectionState) {
 	}
 	s.txSeq++
 	d := &ndn.Data{
-		Name: bitmapDataName(cs.collection, p.id, s.txSeq),
-		Content: bitmapPayload{
-			CollectionURI: []byte(cs.uri),
-			Owner:         p.id,
-			Bitmap:        cs.own,
-		}.encode(),
+		Name:    bitmapDataName(cs.bitmapName, p.id, s.txSeq),
+		Content: encodeBitmapPayload(cs.uri, p.id, cs.own),
 	}
 	d.SignDigest()
 	p.stats.BitmapDataSent++

@@ -12,12 +12,67 @@ import (
 	"dapes/internal/sim"
 )
 
+// heardKey names one availability entry: what peer holds for owner's bitmap
+// of the collection.
+type heardKey struct {
+	peer  *Peer
+	uri   string
+	owner int
+}
+
+// tapAdvertisements wraps every peer's frame handler to keep, per
+// availability entry, a fresh bitmap.Decode of the last advertisement the peer
+// accepted for it. The entries themselves are decoded in place, over the
+// previous advertisement, so this is the definition they are held to. The tap
+// repeats the handlers' acceptance rules: a running peer, a bitmap Interest
+// whose nonce is not a recent duplicate or a bitmap Data, a well-formed
+// payload, and the manifest's length when the peer has the manifest (any
+// length, multi-hop only, when it does not).
+func tapAdvertisements(k *sim.Kernel, peers []*Peer) map[heardKey]*bitmap.Bitmap {
+	last := make(map[heardKey]*bitmap.Bitmap)
+	for _, p := range peers {
+		p.radio.SetHandler(func(f phy.Frame) {
+			var raw []byte
+			if in := f.Packet().Interest(); in != nil && isBitmapInterest(in.Name) {
+				if at, seen := p.nonceSeen[in.Nonce]; !seen || k.Now()-at >= 2*time.Second {
+					raw = in.AppParams
+				}
+			} else if d := f.Packet().Data(); d != nil && isBitmapData(d.Name) {
+				raw = d.Content
+			}
+			running := p.running
+			p.onFrame(f)
+			payload, err := decodeBitmapPayload(raw)
+			if !running || err != nil {
+				return
+			}
+			cs := p.collections[string(payload.CollectionURI)]
+			if cs == nil || (cs.manifest == nil && !p.cfg.Multihop) ||
+				(cs.manifest != nil && payload.Bits != cs.manifest.TotalPackets()) {
+				return
+			}
+			bm, err := bitmap.Decode(payload.Bitmap)
+			if err != nil {
+				panic(err) // decodeBitmapPayload checked the header
+			}
+			last[heardKey{p, cs.uri, payload.Owner}] = bm
+		})
+	}
+	return last
+}
+
 // checkDerivedState holds the fetch state core keeps instead of recomputing
 // to what it is derived from (docs/CONTRACTS.md, "Derived fetch state").
-func checkDerivedState(t *testing.T, k *sim.Kernel, peers []*Peer) {
+func checkDerivedState(t *testing.T, k *sim.Kernel, peers []*Peer, heard map[heardKey]*bitmap.Bitmap) {
 	t.Helper()
 	for _, p := range peers {
 		for _, cs := range p.collections {
+			for owner, bm := range cs.avail {
+				want := heard[heardKey{p, cs.uri, owner}]
+				if want == nil || !bm.Equal(want) {
+					t.Fatalf("t=%v peer %d: avail[%d] of %s is not a fresh decode of the last advertisement accepted from it", k.Now(), p.id, owner, cs.uri)
+				}
+			}
 			if cs.manifest == nil {
 				continue
 			}
@@ -107,6 +162,7 @@ func TestDerivedFetchStateMatchesSources(t *testing.T) {
 				k.ScheduleFunc(230*time.Second, peers[0].Restart)
 			}
 
+			heard := tapAdvertisements(k, peers)
 			allDone := func() bool {
 				for _, p := range peers[1:] {
 					if done, _ := p.Done(coll); !done {
@@ -119,7 +175,7 @@ func TestDerivedFetchStateMatchesSources(t *testing.T) {
 				if !k.Step() {
 					break
 				}
-				checkDerivedState(t, k, peers)
+				checkDerivedState(t, k, peers, heard)
 			}
 			if !allDone() {
 				t.Fatal("downloads incomplete: the run did not exercise the full fetch path")
@@ -128,6 +184,9 @@ func TestDerivedFetchStateMatchesSources(t *testing.T) {
 			for _, p := range peers {
 				timeouts += p.Stats().InterestTimeouts
 				overheard += p.Stats().PacketsOverheard
+			}
+			if len(heard) < len(peers) {
+				t.Errorf("%d availability entries were ever checked against their advertisement", len(heard))
 			}
 			if timeouts == 0 || overheard == 0 {
 				t.Errorf("%d Interest timeouts, %d overheard packets: a release or buffer site went unexercised", timeouts, overheard)

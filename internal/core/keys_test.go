@@ -74,8 +74,7 @@ func TestWantsIsComponentWise(t *testing.T) {
 func TestPayloadsRejectNonCanonicalURIs(t *testing.T) {
 	t.Parallel()
 	for _, uri := range []string{"", "coll", "/coll/", "//coll", "/a//b"} {
-		bp := bitmapPayload{CollectionURI: []byte(uri), Owner: 1, Bitmap: bitmap.New(8)}
-		if _, err := decodeBitmapPayload(bp.encode()); err == nil {
+		if _, err := decodeBitmapPayload(encodeBitmapPayload(uri, 1, bitmap.New(8))); err == nil {
 			t.Errorf("bitmap payload accepted collection URI %q", uri)
 		}
 		dp := discoveryPayload{MetadataURIs: [][]byte{[]byte(uri)}}
@@ -94,6 +93,46 @@ func TestPayloadsRejectNonCanonicalURIs(t *testing.T) {
 		got, ok := collectionOfMetadataURI([]byte(uri))
 		if string(got) != want || ok != (want != "") {
 			t.Errorf("collectionOfMetadataURI(%s) = %q, %v; want %q", uri, got, ok, want)
+		}
+	}
+}
+
+// TestBitmapHeardDoesNotAllocate: every peer in range decodes its own copy of
+// an advertisement, so hearing a known neighbour advertise again — in either
+// form, the bitmap Interest's parameters or the bitmap Data's content — must
+// decode into the bitmap already held for it and cost no object, in the
+// collection's own state and in the overheard state of a collection the peer
+// has no manifest for.
+func TestBitmapHeardDoesNotAllocate(t *testing.T) {
+	net := newTestNet(1, 100)
+	res := testCollection(t, 2, 40, metadata.FormatPacketDigest)
+	p := net.peer(geo.Point{}, Config{Multihop: true})
+	if err := p.Publish(res); err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	theirs := bitmap.New(res.Manifest.TotalPackets())
+	theirs.Set(3)
+	for _, uri := range []string{p.collections["/coll-123"].uri, "/someone-elses"} {
+		advertise := func(set int) (*ndn.Interest, *ndn.Data) {
+			theirs.Set(set)
+			in := &ndn.Interest{Name: bitmapInterestName(ndn.ParseName(uri)), AppParams: encodeBitmapPayload(uri, 7, theirs)}
+			d := &ndn.Data{Name: bitmapDataName(in.Name, 7, set), Content: encodeBitmapPayload(uri, 7, theirs)}
+			d.SignDigest()
+			return ndn.NewPacket(in.Encode()).Interest(), ndn.NewPacket(d.Encode()).Data()
+		}
+		in, d := advertise(5)
+		p.handleBitmapInterest(in) // first hearing: neighbour, entry, session, timer
+		p.handleBitmapData(d)
+		in, d = advertise(9)
+		if n := testing.AllocsPerRun(100, func() { p.handleBitmapInterest(in) }); n != 0 {
+			t.Errorf("%s: bitmap Interest from a known neighbour: %v allocs, want 0", uri, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.handleBitmapData(d) }); n != 0 {
+			t.Errorf("%s: bitmap Data from a known neighbour: %v allocs, want 0", uri, n)
+		}
+		if got := p.collections[uri].avail[7]; !got.Equal(theirs) {
+			t.Errorf("%s: avail[7] = %v, advertised %v", uri, got.Ones(), theirs.Ones())
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"dapes/internal/bitmap"
 	"dapes/internal/ndn"
@@ -21,9 +22,10 @@ var errBadMessage = errors.New("core: malformed protocol message")
 // discoveryInterestName names a peer's discovery beacon. The beacon name is
 // the bare discovery prefix (with CanBePrefix) so that discovery replies —
 // named under the same prefix — match it for reverse-path forwarding by
-// intermediate nodes; the sender rides in ApplicationParameters.
+// intermediate nodes; the sender rides in ApplicationParameters. Every beacon
+// carries the one shared Name value: names are never written through.
 func discoveryInterestName() ndn.Name {
-	return discoveryPrefix.Clone()
+	return discoveryPrefix
 }
 
 // isDiscoveryInterest recognizes beacon Interests and extracts the sender
@@ -52,7 +54,7 @@ func isDiscoveryReply(name ndn.Name) (peerID int, ok bool) {
 	if name.At(discoveryPrefix.Len()) != "reply" {
 		return 0, false
 	}
-	id, err := name.Prefix(name.Len() - 1).Seq()
+	id, err := strconv.Atoi(string(name.At(discoveryPrefix.Len() + 1)))
 	if err != nil {
 		return 0, false
 	}
@@ -125,22 +127,29 @@ func decodeDiscoveryPayload(buf []byte) (discoveryPayload, error) {
 	return p, nil
 }
 
-// bitmapPayload travels in bitmap Interests (AppParams) and bitmap Data
-// (content): the owner's bitmap for one collection. The collection rides as
-// its canonical URI — the key every peer indexes its collection state with —
-// so a receiver finds its state from the decoded bytes (a view into the
-// frame) without parsing a name.
+// encodeBitmapPayload builds what travels in bitmap Interests (AppParams)
+// and bitmap Data (content): the owner's bitmap for one collection. The
+// collection rides as its canonical URI — the key every peer indexes its
+// collection state with — so a receiver finds its state from the decoded
+// bytes without parsing a name.
+func encodeBitmapPayload(collectionURI string, owner int, bm *bitmap.Bitmap) []byte {
+	enc := bm.Encode()
+	b := make([]byte, 0, 2+len(collectionURI)+4+len(enc))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(collectionURI)))
+	b = append(b, collectionURI...)
+	b = binary.BigEndian.AppendUint32(b, uint32(owner))
+	return append(b, enc...)
+}
+
+// bitmapPayload is a received bitmap payload. Everything in it views the
+// frame: the bitmap stays in its bitmap.Encode form, header checked, until a
+// receiver that keeps it decodes it — into the bitmap it already holds for
+// Owner when there is one (collectionState.hear).
 type bitmapPayload struct {
 	CollectionURI []byte
 	Owner         int
-	Bitmap        *bitmap.Bitmap
-}
-
-func (p bitmapPayload) encode() []byte {
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(p.CollectionURI)))
-	b = append(b, p.CollectionURI...)
-	b = binary.BigEndian.AppendUint32(b, uint32(p.Owner))
-	return append(b, p.Bitmap.Encode()...)
+	Bits          int    // the advertised bitmap's length
+	Bitmap        []byte // exactly its encoding
 }
 
 func decodeBitmapPayload(buf []byte) (bitmapPayload, error) {
@@ -160,11 +169,11 @@ func decodeBitmapPayload(buf []byte) (bitmapPayload, error) {
 	pos += l
 	p.Owner = int(binary.BigEndian.Uint32(buf[pos:]))
 	pos += 4
-	bm, err := bitmap.Decode(buf[pos:])
+	bits, size, err := bitmap.EncodedLen(buf[pos:])
 	if err != nil {
 		return p, fmt.Errorf("core: bitmap payload: %w", err)
 	}
-	p.Bitmap = bm
+	p.Bits, p.Bitmap = bits, buf[pos:pos+size]
 	return p, nil
 }
 
@@ -186,15 +195,16 @@ func collectionKey(collection ndn.Name) ndn.Component {
 // bitmapInterestName names a bitmap request: /dapes/bitmap/<collKey>. The
 // name is a prefix of the advertisement Data names so that forwarded bitmap
 // Interests pull advertisements back across hops; the requester's identity
-// and bitmap ride in ApplicationParameters.
+// and bitmap ride in ApplicationParameters. It is a pure function of the
+// collection, so it is built once (collectionState.bitmapName).
 func bitmapInterestName(collection ndn.Name) ndn.Name {
 	return bitmapPrefix.Append(collectionKey(collection))
 }
 
-// bitmapDataName names an advertisement transmission: /dapes/bitmap/
-// <collKey>/adv/<owner>/<seq>.
-func bitmapDataName(collection ndn.Name, peerID, seq int) ndn.Name {
-	return bitmapPrefix.Append(collectionKey(collection), "adv").AppendSeq(peerID).AppendSeq(seq)
+// bitmapDataName names an advertisement transmission under the collection's
+// bitmapInterestName: /dapes/bitmap/<collKey>/adv/<owner>/<seq>.
+func bitmapDataName(interestName ndn.Name, peerID, seq int) ndn.Name {
+	return interestName.Append("adv", ndn.Component(strconv.Itoa(peerID)), ndn.Component(strconv.Itoa(seq)))
 }
 
 // isBitmapInterest reports whether the name is a bitmap Interest.
@@ -212,5 +222,5 @@ func isBitmapData(name ndn.Name) bool {
 // isProtocolName reports whether the name belongs to the /dapes signaling
 // namespace (as opposed to collection data).
 func isProtocolName(name ndn.Name) bool {
-	return discoveryPrefix.Prefix(1).IsPrefixOf(name)
+	return name.Len() > 0 && name.At(0) == discoveryPrefix.At(0)
 }

@@ -65,13 +65,9 @@ func FuzzBitmapPayload(f *testing.F) {
 	sparse := bitmap.New(17)
 	sparse.Set(0)
 	sparse.Set(16)
-	for _, p := range []bitmapPayload{
-		{CollectionURI: []byte("/field-report"), Owner: 3, Bitmap: full},
-		{CollectionURI: []byte("/x"), Owner: 0, Bitmap: sparse},
-		{CollectionURI: []byte("/"), Owner: 1 << 20, Bitmap: bitmap.New(0)},
-	} {
-		f.Add(p.encode())
-	}
+	f.Add(encodeBitmapPayload("/field-report", 3, full))
+	f.Add(encodeBitmapPayload("/x", 0, sparse))
+	f.Add(encodeBitmapPayload("/", 1<<20, bitmap.New(0)))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})                                          // no owner, no bitmap
 	f.Add([]byte{0xFF, 0xFF, '/', 'a'})                          // huge URI length claim
@@ -83,10 +79,23 @@ func FuzzBitmapPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if p.Bitmap == nil {
-			t.Fatal("decode succeeded with nil bitmap")
+		// The bitmap stays encoded, as a view ending where its encoding ends;
+		// the header check must be all a later decode needs.
+		bm, err := bitmap.Decode(p.Bitmap)
+		if err != nil {
+			t.Fatalf("decode succeeded with an undecodable bitmap view: %v", err)
 		}
-		re := p.encode()
+		if bm.Len() != p.Bits {
+			t.Fatalf("bitmap view holds %d bits, payload says %d", bm.Len(), p.Bits)
+		}
+		if _, size, _ := bitmap.EncodedLen(p.Bitmap); size != len(p.Bitmap) {
+			t.Fatalf("bitmap view is %d bytes, its encoding %d", len(p.Bitmap), size)
+		}
+		into := bitmap.New(p.Bits)
+		if err := into.DecodeFrom(p.Bitmap); err != nil || !into.Equal(bm) {
+			t.Fatalf("decoding in place differs from a fresh decode: %v", err)
+		}
+		re := encodeBitmapPayload(string(p.CollectionURI), p.Owner, bm)
 		p2, err := decodeBitmapPayload(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
@@ -94,13 +103,14 @@ func FuzzBitmapPayload(f *testing.F) {
 		if got := ndn.ParseName(string(p.CollectionURI)).String(); got != string(p.CollectionURI) {
 			t.Fatalf("collection decoded in non-canonical form: %q (canonical %q)", p.CollectionURI, got)
 		}
-		if !bytes.Equal(p.CollectionURI, p2.CollectionURI) || p.Owner != p2.Owner || !p.Bitmap.Equal(p2.Bitmap) {
+		bm2, err := bitmap.Decode(p2.Bitmap)
+		if err != nil || !bytes.Equal(p.CollectionURI, p2.CollectionURI) || p.Owner != p2.Owner || !bm.Equal(bm2) {
 			t.Fatalf("payload not a fixed point:\nfirst:  %+v\nsecond: %+v", p, p2)
 		}
 		// The re-encoding itself must be stable byte-for-byte, since bitmap
 		// payloads are compared and unioned by content across peers.
-		if !bytes.Equal(re, p2.encode()) {
-			t.Fatalf("encode not stable: %x vs %x", re, p2.encode())
+		if re2 := encodeBitmapPayload(string(p2.CollectionURI), p2.Owner, bm2); !bytes.Equal(re, re2) {
+			t.Fatalf("encode not stable: %x vs %x", re, re2)
 		}
 	})
 }

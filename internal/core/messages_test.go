@@ -93,16 +93,18 @@ func TestBitmapPayloadRoundTrip(t *testing.T) {
 	bm := bitmap.New(100)
 	bm.Set(1)
 	bm.Set(99)
-	p := bitmapPayload{
-		CollectionURI: []byte("/damaged-bridge-1533783192"),
-		Owner:         13,
-		Bitmap:        bm,
-	}
-	out, err := decodeBitmapPayload(p.encode())
+	// Trailing bytes are not the payload's: the bitmap view stops at its end.
+	enc := append(encodeBitmapPayload("/damaged-bridge-1533783192", 13, bm), 0xEE)
+	out, err := decodeBitmapPayload(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.CollectionURI, p.CollectionURI) || out.Owner != 13 || !out.Bitmap.Equal(bm) {
+	got, err := bitmap.Decode(out.Bitmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out.CollectionURI) != "/damaged-bridge-1533783192" || out.Owner != 13 || out.Bits != 100 ||
+		!bytes.Equal(out.Bitmap, bm.Encode()) || !got.Equal(bm) {
 		t.Fatalf("roundtrip = %+v", out)
 	}
 }
@@ -124,7 +126,7 @@ func TestBitmapNamesRecognition(t *testing.T) {
 	if !isBitmapInterest(in) {
 		t.Fatalf("bitmap interest %s not recognized", in)
 	}
-	data := bitmapDataName(coll, 5, 2)
+	data := bitmapDataName(in, 5, 2)
 	if !isBitmapData(data) {
 		t.Fatalf("bitmap data %s not recognized", data)
 	}
@@ -167,9 +169,12 @@ func TestBitmapPayloadRoundTripProperty(t *testing.T) {
 		for _, b := range setBits {
 			bm.Set(int(b) % 256)
 		}
-		p := bitmapPayload{CollectionURI: []byte("/c"), Owner: int(owner), Bitmap: bm}
-		out, err := decodeBitmapPayload(p.encode())
-		return err == nil && out.Owner == int(owner) && out.Bitmap.Equal(bm)
+		out, err := decodeBitmapPayload(encodeBitmapPayload("/c", int(owner), bm))
+		if err != nil {
+			return false
+		}
+		got, err := bitmap.Decode(out.Bitmap)
+		return err == nil && out.Owner == int(owner) && out.Bits == 256 && got.Equal(bm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

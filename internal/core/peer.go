@@ -417,6 +417,12 @@ func (p *Peer) handleData(from int, d *ndn.Data) {
 // maybeSendDiscoveryReply answers a discovery Interest with the metadata
 // names this peer can offer, rate-limited to one reply per beacon minimum.
 func (p *Peer) maybeSendDiscoveryReply() {
+	// The limit first: most beacons heard fall inside it, and testing it
+	// changes nothing, so those cost no offer list.
+	now := p.k.Now()
+	if now-p.lastReplyAt < p.cfg.BeaconPeriodMin/2 && p.lastReplyAt != 0 {
+		return
+	}
 	var offers []ndn.Name
 	for _, cs := range p.collections {
 		if cs.manifest != nil {
@@ -430,10 +436,6 @@ func (p *Peer) maybeSendDiscoveryReply() {
 	// bytes don't inherit map-iteration order when a peer publishes more
 	// than one collection.
 	sort.Slice(offers, func(i, j int) bool { return offers[i].Compare(offers[j]) < 0 })
-	now := p.k.Now()
-	if now-p.lastReplyAt < p.cfg.BeaconPeriodMin/2 && p.lastReplyAt != 0 {
-		return
-	}
 	p.lastReplyAt = now
 	p.replySeq++
 	uris := make([][]byte, len(offers))

@@ -40,6 +40,7 @@ type collectionState struct {
 	collection ndn.Name
 	uri        string   // collection.String(), built once: the key in Peer.collections and neighbor.offers
 	metaName   ndn.Name // learned from discovery (or Publish)
+	bitmapName ndn.Name // bitmapInterestName(collection): names bitmap Interests, prefixes advertisements
 
 	// Metadata fetch progress. metaT is the segment-retry timer, created
 	// lazily and re-armed for the collection's whole life; armed (Pending)
@@ -93,6 +94,7 @@ func newCollectionState(collection ndn.Name) *collectionState {
 	return &collectionState{
 		collection: collection.Clone(),
 		uri:        collection.String(),
+		bitmapName: bitmapInterestName(collection),
 		metaSegs:   make(map[int]*ndn.Data),
 		metaTotal:  -1,
 		packets:    make(map[int]*ndn.Data),

@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -103,7 +104,12 @@ func TestSignedDataVerifies(t *testing.T) {
 	if !out.Verify(store.Verify) {
 		t.Fatal("signed data failed verification after roundtrip")
 	}
-	out.Content = []byte("evil")
+	// The signature covers the bytes as received: tamper with those.
+	wire := append([]byte(nil), d.Encode()...)
+	wire[bytes.Index(wire, []byte("seg"))] ^= 0xFF
+	if out, err = ndn.DecodeData(wire); err != nil {
+		t.Fatal(err)
+	}
 	if out.Verify(store.Verify) {
 		t.Fatal("tampered data verified")
 	}

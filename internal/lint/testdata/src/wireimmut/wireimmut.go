@@ -38,12 +38,40 @@ func invalidatedWrite(d *ndn.Data) {
 	d.Freshness = 0
 }
 
-// freshPacket builds and signs a new packet before any encode: no cache, no
-// diagnostic (Sign/SignDigest invalidate internally).
+// freshPacket sets every field of a new packet before it is signed: no
+// cache yet, no diagnostic.
 func freshPacket(payload []byte) []byte {
 	d := &ndn.Data{Content: payload}
+	d.Freshness = 1
 	d.SignDigest()
 	return d.Encode()
+}
+
+// signedWrite mutates a field after SignDigest built the wire form.
+func signedWrite(d *ndn.Data) []byte {
+	d.SignDigest()
+	d.Freshness = 0 // want `field write d\.Freshness after the packet's wire form was cached`
+	return d.Encode()
+}
+
+// resigned is the legitimate way to change a signed packet: sign it again.
+func resigned(d *ndn.Data) []byte {
+	d.SignDigest()
+	d.InvalidateWire()
+	d.Freshness = 0
+	d.SignDigest()
+	return d.Encode()
+}
+
+// sealInPlace is the one sanctioned write next to a view, the shape of
+// ndn.Data.SignDigest: fill a buffer nobody else can see yet, then publish
+// views of it. Nothing is written through a view, so nothing is reported.
+func sealInPlace(d *ndn.Data, sum [32]byte) {
+	buf := make([]byte, 0, 34)
+	buf = append(buf, 0x17, 32)
+	slot := buf[len(buf):cap(buf)]
+	copy(slot, sum[:])
+	d.SigValue = slot
 }
 
 // suppressed shows the escape hatch for an owner that re-encodes on purpose.

@@ -14,10 +14,11 @@ import (
 //     Data.Content, Data.SigValue, Packet.Wire(), and the slice returned by
 //     Encode — are views into a frame shared by every receiver of the
 //     broadcast. Writing through them corrupts the packet for everyone.
-//   - A packet that has been encoded or decoded caches its wire form.
+//   - A packet that has been encoded, decoded or digest-signed caches its
+//     wire form (SignDigest builds the final wire and signs a range of it).
 //     Mutating its fields afterwards without calling InvalidateWire (or
-//     Sign/SignDigest, which invalidate internally) silently re-broadcasts
-//     the stale cached bytes.
+//     Sign, which invalidates internally, or SignDigest again) silently
+//     re-broadcasts the stale cached bytes.
 var WireImmut = &Analyzer{
 	Name: "wireimmut",
 	Doc: "Slices returned by DecodeInterest/DecodeData/Packet accessors are " +
@@ -189,7 +190,7 @@ func checkViewWrites(pass *Pass, body *ast.BlockStmt, views map[types.Object]boo
 // ordered by source position.
 type wireEvent struct {
 	pos  token.Pos
-	kind int // 0 = wire cached (Encode / decode init), 1 = cache dropped (InvalidateWire/Sign/SignDigest), 2 = field write
+	kind int // 0 = wire cached (Encode / SignDigest / decode init), 1 = cache dropped (InvalidateWire/Sign), 2 = field write
 	node ast.Node
 	name string // field name for writes
 }
@@ -197,8 +198,8 @@ type wireEvent struct {
 // checkStaleWireWrites flags field assignments on an *ndn.Interest or
 // *ndn.Data variable whose wire form is cached at that point: after the
 // variable was returned by DecodeInterest/DecodeData/Packet.Interest/
-// Packet.Data, or after Encode was called on it, with no intervening
-// InvalidateWire/Sign/SignDigest.
+// Packet.Data, or after Encode or SignDigest was called on it, with no
+// intervening InvalidateWire/Sign.
 func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 	events := map[types.Object][]wireEvent{}
 	add := func(obj types.Object, ev wireEvent) {
@@ -262,9 +263,9 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 				return true
 			}
 			switch sel.Sel.Name {
-			case "Encode":
+			case "Encode", "SignDigest":
 				add(obj, wireEvent{pos: n.Pos(), kind: 0})
-			case "InvalidateWire", "Sign", "SignDigest":
+			case "InvalidateWire", "Sign":
 				add(obj, wireEvent{pos: n.Pos(), kind: 1})
 			}
 		}
@@ -283,7 +284,7 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 			case 2:
 				if cached {
 					pass.Reportf(ev.pos,
-						"field write %s after the packet's wire form was cached (Encode/decode): the stale bytes would be re-sent; call InvalidateWire first or build a fresh packet",
+						"field write %s after the packet's wire form was cached (Encode/SignDigest/decode): the stale bytes would be re-sent; call InvalidateWire first or build a fresh packet",
 						exprString(ev.node.(ast.Expr)))
 				}
 			}

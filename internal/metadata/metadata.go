@@ -78,15 +78,18 @@ type Manifest struct {
 
 	// The index over Files, built once by index() when BuildCollection or
 	// DecodeManifest finishes the manifest (Files is not edited afterwards).
-	total   int            // sum of packet counts
-	offsets []int          // prefix sums of packet counts
-	byName  map[string]int // file name -> position of the first file so named
+	total    int            // sum of packet counts
+	offsets  []int          // prefix sums of packet counts
+	byName   map[string]int // file name -> position of the first file so named
+	prefixes []ndn.Name     // Collection/<file name>, what every packet name of the file starts with
 }
 
 // index derives the lookup tables from Files.
 func (m *Manifest) index() {
 	m.total, m.offsets, m.byName = 0, make([]int, len(m.Files)), make(map[string]int, len(m.Files))
+	m.prefixes = make([]ndn.Name, len(m.Files))
 	for i, f := range m.Files {
+		m.prefixes[i] = m.Collection.Append(ndn.Component(f.Name))
 		m.offsets[i] = m.total
 		m.total += f.PacketCount
 		if _, dup := m.byName[f.Name]; !dup {
@@ -121,7 +124,7 @@ func (m *Manifest) PacketName(global int) (ndn.Name, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Collection.Append(ndn.Component(m.Files[file].Name)).AppendSeq(pkt), nil
+	return m.prefixes[file].AppendSeq(pkt), nil
 }
 
 // GlobalIndexOfName maps a packet name back to its global position, or -1 if

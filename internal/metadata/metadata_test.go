@@ -94,6 +94,7 @@ func TestVerifyPacketDigestFormat(t *testing.T) {
 	// Tampered content fails.
 	evil := *res.Packets[0]
 	evil.Content = []byte("evil")
+	evil.InvalidateWire() // the digest is over the wire form: rebuild it from the fields
 	if m.VerifyPacket(0, &evil) {
 		t.Fatal("tampered packet verified")
 	}
@@ -125,6 +126,7 @@ func TestVerifyFileMerkleFormat(t *testing.T) {
 	}
 	evil := *res.Packets[1]
 	evil.Content = []byte("evil")
+	evil.InvalidateWire()
 	if m.VerifyFile(0, []*ndn.Data{res.Packets[0], &evil, res.Packets[2]}) {
 		t.Fatal("tampered file verified")
 	}

@@ -9,15 +9,25 @@
 // # Encode-once / decode-once
 //
 // Packets retain their wire form, the way YaNFD and other production NDN
-// forwarders do. Interest.Encode and Data.Encode serialize at most once and
-// cache the bytes; DecodeInterest and DecodeData parse without per-field
-// copies (variable-length fields are views into the frame buffer) and cache
-// the frame they parsed, so re-broadcasting an unmodified packet — a CS hit,
-// a multi-hop relay, a retransmission — reuses the exact received bytes.
-// The cost of this is an immutability contract: once a packet has been
-// encoded or decoded, its fields and its wire buffer must not be modified
+// forwarders do. Interest.Encode and Data.Encode serialize at most once —
+// lengths added up first, then one buffer of exactly that size — and cache
+// the bytes; DecodeInterest and DecodeData parse without per-field copies
+// (variable-length fields are views into the frame buffer) and cache the
+// frame they parsed, so re-broadcasting an unmodified packet — a CS hit, a
+// multi-hop relay, a retransmission — reuses the exact received bytes. The
+// cost of this is an immutability contract: once a packet has been encoded
+// or decoded, its fields and its wire buffer must not be modified
 // (InvalidateWire is the explicit escape hatch). The Packet type extends the
 // same idea across receivers: one broadcast, one shared lazy decode.
+//
+// A packet costs a constant number of heap objects whatever its name's
+// length or its receiver count. Built locally it is its wire buffer (a
+// Data's signature covers a range of that buffer and SigValue views it).
+// Decoded it is two: one record holding the Packet, the Interest or Data and
+// the name's component headers, and one string holding the name's URI form,
+// of which every Component is a substring and which is the packet's
+// NameKey. Digests and signature checks hash the signed range of the bytes
+// that were received; nothing is serialized again on the receive side.
 package ndn
 
 import (

@@ -2,6 +2,7 @@ package ndn
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,6 +202,32 @@ func TestDecodeErrors(t *testing.T) {
 	wire := d.Encode()
 	if _, err := DecodeData(wire[:len(wire)-3]); err == nil {
 		t.Fatal("truncated data decoded")
+	}
+}
+
+// TestDecodeRejectsTypedNameComponents: Name holds generic components only,
+// so a name with a component of any other type cannot be decoded as itself.
+// Dropping the component would file /a/<type-1 "b"> under "/a" in every table
+// keyed by NameKey while relays re-send the original bytes.
+func TestDecodeRejectsTypedNameComponents(t *testing.T) {
+	t.Parallel()
+	if _, err := DecodeInterest(typedComponentInterest()); !errors.Is(err, ErrBadPacket) {
+		t.Errorf("Interest name: err = %v, want ErrBadPacket", err)
+	}
+	if in := NewPacket(typedComponentInterest()).Interest(); in != nil {
+		t.Errorf("Interest decoded through Packet as %s", in.Name)
+	}
+	typedName := appendTLV(nil, tlvName, appendTLV(appendTLV(nil, tlvGenericNameComponent, []byte("a")), 0x01, []byte("b")))
+	sigInfo := func(children []byte) []byte { return appendTLV(nil, tlvSignatureInfo, children) }
+	digest := appendNonNegTLV(nil, tlvSignatureType, SigTypeDigestSha256)
+	sigValue := appendTLV(nil, tlvSignatureValue, nil)
+	for what, body := range map[string][]byte{
+		"Data name":  bytes.Join([][]byte{typedName, sigInfo(digest), sigValue}, nil),
+		"KeyLocator": bytes.Join([][]byte{nestedEncodeName(nil, ParseName("/a")), sigInfo(appendTLV(digest, tlvKeyLocator, typedName)), sigValue}, nil),
+	} {
+		if _, err := DecodeData(appendTLV(nil, tlvData, body)); !errors.Is(err, ErrBadPacket) {
+			t.Errorf("%s: err = %v, want ErrBadPacket", what, err)
+		}
 	}
 }
 

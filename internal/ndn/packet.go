@@ -2,6 +2,7 @@ package ndn
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -70,7 +71,9 @@ type Interest struct {
 	// wire is the cached TLV form: the bytes Encode produced, or the exact
 	// frame sub-slice DecodeInterest parsed.
 	wire []byte
-	// nameKey memoizes Name.String() for NameKey ("" = not built yet).
+	// nameKey is Name's URI form for NameKey ("" = not built yet). A decoded
+	// Interest is born with it: it is the string Name's components are cut
+	// from.
 	nameKey string
 }
 
@@ -81,11 +84,12 @@ type Interest struct {
 func (i *Interest) InvalidateWire() { i.wire, i.nameKey = nil, "" }
 
 // NameKey returns Name's URI form, built at most once per packet: the string
-// every table keyed by packet name indexes with. A decoded Interest is
-// shared by all receivers of its broadcast (Packet), so k receivers and
-// every handler they run pay for one string between them. Like the wire
-// form it is covered by the immutability contract: change Name only before
-// the first NameKey/Encode, or call InvalidateWire afterwards.
+// every table keyed by packet name indexes with. On a decoded Interest it is
+// the string the decoder cut Name's components from, so it costs nothing,
+// and the packet is shared by all receivers of its broadcast (Packet), so k
+// receivers and every handler they run use one string between them. Like the
+// wire form it is covered by the immutability contract: change Name only
+// before the first NameKey/Encode, or call InvalidateWire afterwards.
 func (i *Interest) NameKey() string {
 	if i.nameKey == "" {
 		i.nameKey = i.Name.String()
@@ -101,27 +105,54 @@ func (i *Interest) Encode() []byte {
 	if i.wire != nil {
 		return i.wire
 	}
-	var inner []byte
-	inner = encodeName(inner, i.Name)
+	// Sizes first, then one buffer of exactly that size.
+	nameLen := nameValueLen(i.Name)
+	lifetimeMs := uint64(i.Lifetime / time.Millisecond)
+	size := tlvLen(tlvName, nameLen) + tlvLen(tlvNonce, 4)
 	if i.CanBePrefix {
-		inner = appendTLV(inner, tlvCanBePrefix, nil)
+		size += tlvLen(tlvCanBePrefix, 0)
 	}
 	if i.MustBeFresh {
-		inner = appendTLV(inner, tlvMustBeFresh, nil)
+		size += tlvLen(tlvMustBeFresh, 0)
 	}
-	nonce := []byte{byte(i.Nonce >> 24), byte(i.Nonce >> 16), byte(i.Nonce >> 8), byte(i.Nonce)}
-	inner = appendTLV(inner, tlvNonce, nonce)
 	if i.Lifetime > 0 {
-		inner = appendNonNegTLV(inner, tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
+		size += tlvLen(tlvInterestLifetime, nonNegLen(lifetimeMs))
 	}
 	if i.HopLimit > 0 {
-		inner = appendTLV(inner, tlvHopLimit, []byte{i.HopLimit})
+		size += tlvLen(tlvHopLimit, 1)
 	}
 	if len(i.AppParams) > 0 {
-		inner = appendTLV(inner, tlvApplicationParameters, i.AppParams)
+		size += tlvLen(tlvApplicationParameters, len(i.AppParams))
 	}
-	i.wire = appendTLV(nil, tlvInterest, inner)
+	b := make([]byte, 0, tlvLen(tlvInterest, size))
+	b = appendTLVHeader(b, tlvInterest, size)
+	b = encodeName(b, i.Name, nameLen)
+	if i.CanBePrefix {
+		b = appendTLVHeader(b, tlvCanBePrefix, 0)
+	}
+	if i.MustBeFresh {
+		b = appendTLVHeader(b, tlvMustBeFresh, 0)
+	}
+	b = binary.BigEndian.AppendUint32(appendTLVHeader(b, tlvNonce, 4), i.Nonce)
+	if i.Lifetime > 0 {
+		b = appendNonNegTLV(b, tlvInterestLifetime, lifetimeMs)
+	}
+	if i.HopLimit > 0 {
+		b = append(appendTLVHeader(b, tlvHopLimit, 1), i.HopLimit)
+	}
+	if len(i.AppParams) > 0 {
+		b = appendTLV(b, tlvApplicationParameters, i.AppParams)
+	}
+	i.wire = b
 	return i.wire
+}
+
+// interestRecord is everything a decoded Interest owns besides the frame it
+// views and its name's URI string: the Interest itself and inline room for
+// the name's component headers.
+type interestRecord struct {
+	Interest
+	comps [inlineComponents]Component
 }
 
 // DecodeInterest parses a TLV-encoded Interest. The decode is zero-copy:
@@ -129,27 +160,37 @@ func (i *Interest) Encode() []byte {
 // packet's wire form is cached so a later Encode returns the received bytes
 // verbatim. The caller must treat wire as immutable from here on.
 func DecodeInterest(wire []byte) (*Interest, error) {
-	outer := &tlvReader{buf: wire}
+	r := new(interestRecord)
+	if err := r.decode(wire); err != nil {
+		return nil, err
+	}
+	return &r.Interest, nil
+}
+
+// decode parses wire into the (zero) record.
+func (rec *interestRecord) decode(wire []byte) error {
+	outer := tlvReader{buf: wire}
 	body, err := outer.expect(tlvInterest)
 	if err != nil {
-		return nil, fmt.Errorf("interest: %w", err)
+		return fmt.Errorf("interest: %w", err)
 	}
-	r := &tlvReader{buf: body}
+	r := tlvReader{buf: body}
 	nameVal, err := r.expect(tlvName)
 	if err != nil {
-		return nil, fmt.Errorf("interest name: %w", err)
+		return fmt.Errorf("interest name: %w", err)
 	}
-	name, err := decodeName(nameVal)
+	it := &rec.Interest
+	it.Name, it.nameKey, err = decodeName(nameVal, rec.comps[:0])
 	if err != nil {
-		return nil, fmt.Errorf("interest name: %w", err)
+		return fmt.Errorf("interest name: %w", err)
 	}
 	// Cache exactly the packet's own bytes: decoding tolerates trailing
 	// garbage after the outer element, which must not ride along on relays.
-	it := &Interest{Name: name, wire: wire[:outer.pos]}
+	it.wire = wire[:outer.pos]
 	for !r.done() {
 		typ, v, err := r.next()
 		if err != nil {
-			return nil, fmt.Errorf("interest field: %w", err)
+			return fmt.Errorf("interest field: %w", err)
 		}
 		switch typ {
 		case tlvCanBePrefix:
@@ -158,13 +199,13 @@ func DecodeInterest(wire []byte) (*Interest, error) {
 			it.MustBeFresh = true
 		case tlvNonce:
 			if len(v) != 4 {
-				return nil, fmt.Errorf("%w: nonce of %d bytes", ErrBadPacket, len(v))
+				return fmt.Errorf("%w: nonce of %d bytes", ErrBadPacket, len(v))
 			}
-			it.Nonce = uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3])
+			it.Nonce = binary.BigEndian.Uint32(v)
 		case tlvInterestLifetime:
 			ms, err := decodeNonNeg(v)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			it.Lifetime = clampDurationMs(ms)
 		case tlvHopLimit:
@@ -175,7 +216,7 @@ func DecodeInterest(wire []byte) (*Interest, error) {
 			it.AppParams = v // view into wire, not a copy
 		}
 	}
-	return it, nil
+	return nil
 }
 
 // SignatureInfo describes how a Data packet is signed.
@@ -194,26 +235,34 @@ type SignatureInfo struct {
 // the frame it parsed. A packet that has been encoded or decoded is
 // immutable; Sign/SignDigest invalidate the cache themselves, any other
 // field change requires InvalidateWire first.
+//
+// The signature covers a byte range of that wire form — Name through
+// SignatureInfo, as the packet format specifies — and Digest, VerifyDigest
+// and Verify hash exactly that range: on a received packet, the bytes that
+// were received.
 type Data struct {
 	Name      Name
 	Type      uint64
 	Freshness time.Duration
-	// Content and SigValue view into the decoded wire buffer (no copy);
-	// treat them as read-only.
+	// Content and SigValue view into the wire buffer (no copy); treat them
+	// as read-only.
 	Content  []byte
 	SigInfo  SignatureInfo
 	SigValue []byte
 
-	// wire is the cached TLV form: the bytes Encode produced, or the exact
-	// frame sub-slice DecodeData parsed.
-	wire []byte
-	// nameKey memoizes Name.String() for NameKey ("" = not built yet).
+	// wire is the cached TLV form: the bytes Encode or SignDigest produced,
+	// or the exact frame sub-slice DecodeData parsed. signed is the range of
+	// it the signature covers (nil exactly when wire is).
+	wire   []byte
+	signed []byte
+	// nameKey is Name's URI form for NameKey ("" = not built yet); a decoded
+	// Data is born with it (see Interest).
 	nameKey string
 }
 
 // InvalidateWire drops the cached wire form and name key so the next Encode
 // and NameKey re-derive them from the current field values.
-func (d *Data) InvalidateWire() { d.wire, d.nameKey = nil, "" }
+func (d *Data) InvalidateWire() { d.wire, d.signed, d.nameKey = nil, nil, "" }
 
 // NameKey returns Name's URI form, built at most once per packet and shared
 // by every receiver and handler (see Interest.NameKey). Sign and SignDigest
@@ -225,155 +274,264 @@ func (d *Data) NameKey() string {
 	return d.nameKey
 }
 
-// signedPortion serializes the fields covered by the signature: Name,
-// MetaInfo, Content, and SignatureInfo.
-func (d *Data) signedPortion() []byte {
-	var b []byte
-	b = encodeName(b, d.Name)
-	var meta []byte
+// dataLayout holds the value lengths of a Data packet's nested elements,
+// added up before anything is written so the encoder can emit every header
+// straight into one buffer of the final size.
+type dataLayout struct {
+	name, meta, keyName, keyLocator, sigInfo int
+	signed                                   int // Name through SignatureInfo, headers included
+}
+
+func (d *Data) layout() dataLayout {
+	l := dataLayout{name: nameValueLen(d.Name)}
 	if d.Type != ContentTypeBlob {
-		meta = appendNonNegTLV(meta, tlvContentType, d.Type)
+		l.meta += tlvLen(tlvContentType, nonNegLen(d.Type))
 	}
 	if d.Freshness > 0 {
-		meta = appendNonNegTLV(meta, tlvFreshnessPeriod, freshnessMs(d.Freshness))
+		l.meta += tlvLen(tlvFreshnessPeriod, nonNegLen(freshnessMs(d.Freshness)))
 	}
-	b = appendTLV(b, tlvMetaInfo, meta)
-	b = appendTLV(b, tlvContent, d.Content)
-	var si []byte
-	si = appendNonNegTLV(si, tlvSignatureType, d.SigInfo.Type)
+	l.sigInfo = tlvLen(tlvSignatureType, nonNegLen(d.SigInfo.Type))
 	if len(d.SigInfo.KeyLocator) > 0 {
-		var kl []byte
-		kl = encodeName(kl, d.SigInfo.KeyLocator)
-		si = appendTLV(si, tlvKeyLocator, kl)
+		l.keyName = nameValueLen(d.SigInfo.KeyLocator)
+		l.keyLocator = tlvLen(tlvName, l.keyName)
+		l.sigInfo += tlvLen(tlvKeyLocator, l.keyLocator)
 	}
-	b = appendTLV(b, tlvSignatureInfo, si)
+	l.signed = tlvLen(tlvName, l.name) + tlvLen(tlvMetaInfo, l.meta) +
+		tlvLen(tlvContent, len(d.Content)) + tlvLen(tlvSignatureInfo, l.sigInfo)
+	return l
+}
+
+// appendSigned appends the l.signed octets the signature covers: Name,
+// MetaInfo, Content, and SignatureInfo.
+func (d *Data) appendSigned(b []byte, l dataLayout) []byte {
+	b = encodeName(b, d.Name, l.name)
+	b = appendTLVHeader(b, tlvMetaInfo, l.meta)
+	if d.Type != ContentTypeBlob {
+		b = appendNonNegTLV(b, tlvContentType, d.Type)
+	}
+	if d.Freshness > 0 {
+		b = appendNonNegTLV(b, tlvFreshnessPeriod, freshnessMs(d.Freshness))
+	}
+	b = appendTLV(b, tlvContent, d.Content)
+	b = appendTLVHeader(b, tlvSignatureInfo, l.sigInfo)
+	b = appendNonNegTLV(b, tlvSignatureType, d.SigInfo.Type)
+	if len(d.SigInfo.KeyLocator) > 0 {
+		b = appendTLVHeader(b, tlvKeyLocator, l.keyLocator)
+		b = encodeName(b, d.SigInfo.KeyLocator, l.keyName)
+	}
 	return b
+}
+
+// seal builds the packet's wire form — one buffer, sized first — around a
+// SignatureValue of sigLen octets, and returns that slot for the caller to
+// fill before anyone else can see the buffer.
+func (d *Data) seal(sigLen int) []byte {
+	l := d.layout()
+	body := l.signed + tlvLen(tlvSignatureValue, sigLen)
+	wire := make([]byte, 0, tlvLen(tlvData, body))
+	wire = appendTLVHeader(wire, tlvData, body)
+	start := len(wire)
+	wire = d.appendSigned(wire, l)
+	end := len(wire)
+	wire = appendTLVHeader(wire, tlvSignatureValue, sigLen)
+	slot := wire[len(wire):cap(wire)]
+	d.wire, d.signed = wire[:cap(wire)], wire[start:end:end]
+	return slot
+}
+
+// signedBytes returns the octets the signature covers: the signed range of
+// the wire form when the packet has one (every decoded packet does), and a
+// serialization of the current fields otherwise.
+func (d *Data) signedBytes() []byte {
+	if d.signed != nil {
+		return d.signed
+	}
+	l := d.layout()
+	return d.appendSigned(make([]byte, 0, l.signed), l)
 }
 
 // Encode returns the Data packet's TLV wire form, serializing at most once
 // (see the type docs). The signature value must already be populated (via
 // Sign or SignDigest). Callers must not modify the returned slice.
 func (d *Data) Encode() []byte {
-	if d.wire != nil {
-		return d.wire
+	if d.wire == nil {
+		copy(d.seal(len(d.SigValue)), d.SigValue)
 	}
-	inner := d.signedPortion()
-	inner = appendTLV(inner, tlvSignatureValue, d.SigValue)
-	d.wire = appendTLV(nil, tlvData, inner)
 	return d.wire
+}
+
+// dataRecord is a decoded Data's counterpart of interestRecord.
+type dataRecord struct {
+	Data
+	comps [inlineComponents]Component
 }
 
 // DecodeData parses a TLV-encoded Data packet. The decode is zero-copy:
 // Content and SigValue are sub-slice views into wire, and the packet's wire
 // form is cached so a later Encode returns the received bytes verbatim. The
 // caller must treat wire as immutable from here on.
+//
+// The elements must come in the packet format's order — Name, MetaInfo,
+// Content, SignatureInfo, SignatureValue, the first three optional — because
+// the signature covers the bytes from Name up to SignatureValue as they
+// stand; elements of unknown type are skipped wherever they are (and are
+// covered when they precede SignatureValue).
 func DecodeData(wire []byte) (*Data, error) {
-	outer := &tlvReader{buf: wire}
+	r := new(dataRecord)
+	if err := r.decode(wire); err != nil {
+		return nil, err
+	}
+	return &r.Data, nil
+}
+
+// dataElementOrder returns the position of a Data element type in the packet
+// format's order, or 0 for a type this decoder does not know.
+func dataElementOrder(typ uint64) int {
+	switch typ {
+	case tlvName:
+		return 1
+	case tlvMetaInfo:
+		return 2
+	case tlvContent:
+		return 3
+	case tlvSignatureInfo:
+		return 4
+	case tlvSignatureValue:
+		return 5
+	}
+	return 0
+}
+
+// decode parses wire into the (zero) record.
+func (rec *dataRecord) decode(wire []byte) error {
+	outer := tlvReader{buf: wire}
 	body, err := outer.expect(tlvData)
 	if err != nil {
-		return nil, fmt.Errorf("data: %w", err)
+		return fmt.Errorf("data: %w", err)
 	}
-	r := &tlvReader{buf: body}
+	r := tlvReader{buf: body}
 	nameVal, err := r.expect(tlvName)
 	if err != nil {
-		return nil, fmt.Errorf("data name: %w", err)
+		return fmt.Errorf("data name: %w", err)
 	}
-	name, err := decodeName(nameVal)
+	d := &rec.Data
+	d.Name, d.nameKey, err = decodeName(nameVal, rec.comps[:0])
 	if err != nil {
-		return nil, fmt.Errorf("data name: %w", err)
+		return fmt.Errorf("data name: %w", err)
 	}
-	d := &Data{Name: name, wire: wire[:outer.pos]}
+	d.wire = wire[:outer.pos]
+	// Each known element must stand later in the format's order than the
+	// known element before it, which also refuses duplicates.
+	last := dataElementOrder(tlvName)
 	for !r.done() {
+		at := r.pos
 		typ, v, err := r.next()
 		if err != nil {
-			return nil, fmt.Errorf("data field: %w", err)
+			return fmt.Errorf("data field: %w", err)
+		}
+		if o := dataElementOrder(typ); o != 0 {
+			if o <= last || (typ == tlvSignatureValue && last != dataElementOrder(tlvSignatureInfo)) {
+				return fmt.Errorf("%w: data element %#x out of order", ErrBadPacket, typ)
+			}
+			last = o
 		}
 		switch typ {
 		case tlvMetaInfo:
-			mr := &tlvReader{buf: v}
-			for !mr.done() {
-				mtyp, mv, err := mr.next()
-				if err != nil {
-					return nil, fmt.Errorf("metainfo: %w", err)
-				}
-				switch mtyp {
-				case tlvContentType:
-					ct, err := decodeNonNeg(mv)
-					if err != nil {
-						return nil, err
-					}
-					d.Type = ct
-				case tlvFreshnessPeriod:
-					ms, err := decodeNonNeg(mv)
-					if err != nil {
-						return nil, err
-					}
-					d.Freshness = clampDurationMs(ms)
-				}
-			}
+			err = d.decodeMetaInfo(v)
 		case tlvContent:
 			d.Content = v // view into wire, not a copy
 		case tlvSignatureInfo:
-			sr := &tlvReader{buf: v}
-			for !sr.done() {
-				styp, sv, err := sr.next()
-				if err != nil {
-					return nil, fmt.Errorf("signature info: %w", err)
-				}
-				switch styp {
-				case tlvSignatureType:
-					st, err := decodeNonNeg(sv)
-					if err != nil {
-						return nil, err
-					}
-					d.SigInfo.Type = st
-				case tlvKeyLocator:
-					kr := &tlvReader{buf: sv}
-					klVal, err := kr.expect(tlvName)
-					if err != nil {
-						return nil, fmt.Errorf("key locator: %w", err)
-					}
-					kl, err := decodeName(klVal)
-					if err != nil {
-						return nil, err
-					}
-					d.SigInfo.KeyLocator = kl
-				}
-			}
+			err = d.decodeSignatureInfo(v)
 		case tlvSignatureValue:
 			d.SigValue = v // view into wire, not a copy
+			d.signed = body[:at:at]
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return d, nil
+	if d.signed == nil {
+		return fmt.Errorf("%w: data without a signature", ErrBadPacket)
+	}
+	return nil
+}
+
+func (d *Data) decodeMetaInfo(value []byte) error {
+	r := tlvReader{buf: value}
+	for !r.done() {
+		typ, v, err := r.next()
+		if err != nil {
+			return fmt.Errorf("metainfo: %w", err)
+		}
+		switch typ {
+		case tlvContentType:
+			if d.Type, err = decodeNonNeg(v); err != nil {
+				return err
+			}
+		case tlvFreshnessPeriod:
+			ms, err := decodeNonNeg(v)
+			if err != nil {
+				return err
+			}
+			d.Freshness = clampDurationMs(ms)
+		}
+	}
+	return nil
+}
+
+func (d *Data) decodeSignatureInfo(value []byte) error {
+	r := tlvReader{buf: value}
+	for !r.done() {
+		typ, v, err := r.next()
+		if err != nil {
+			return fmt.Errorf("signature info: %w", err)
+		}
+		switch typ {
+		case tlvSignatureType:
+			if d.SigInfo.Type, err = decodeNonNeg(v); err != nil {
+				return err
+			}
+		case tlvKeyLocator:
+			kr := tlvReader{buf: v}
+			klVal, err := kr.expect(tlvName)
+			if err != nil {
+				return fmt.Errorf("key locator: %w", err)
+			}
+			// Only signed metadata carries a KeyLocator: it takes no inline
+			// room and its URI is not kept.
+			if d.SigInfo.KeyLocator, _, err = decodeName(klVal, nil); err != nil {
+				return fmt.Errorf("key locator: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // Digest returns the SHA-256 digest of the Data packet's signed portion; this
 // is the per-packet digest DAPES metadata records (Section IV-C) so receivers
 // can verify integrity without a full signature check.
 func (d *Data) Digest() [32]byte {
-	return sha256.Sum256(d.signedPortion())
+	return sha256.Sum256(d.signedBytes())
 }
 
-// SignDigest populates an integrity-only DigestSha256 "signature".
+// SignDigest populates an integrity-only DigestSha256 "signature". It builds
+// the final wire form directly — the signed range, then a SignatureValue
+// slot it fills with the hash of that range — so a locally built Data is one
+// buffer: SigValue views it and Encode returns it.
 func (d *Data) SignDigest() {
 	d.SigInfo = SignatureInfo{Type: SigTypeDigestSha256}
-	sum := d.Digest()
-	d.SigValue = sum[:]
-	d.InvalidateWire() // signature changed: any cached wire is stale
+	slot := d.seal(sha256.Size)
+	sum := sha256.Sum256(d.signed)
+	copy(slot, sum[:])
+	d.SigValue, d.nameKey = slot, ""
 }
 
 // VerifyDigest checks a DigestSha256 signature.
 func (d *Data) VerifyDigest() bool {
-	if d.SigInfo.Type != SigTypeDigestSha256 || len(d.SigValue) != 32 {
+	if d.SigInfo.Type != SigTypeDigestSha256 || len(d.SigValue) != sha256.Size {
 		return false
 	}
-	sum := sha256.Sum256(d.signedPortion())
-	for i, b := range sum {
-		if d.SigValue[i] != b {
-			return false
-		}
-	}
-	return true
+	return d.Digest() == [sha256.Size]byte(d.SigValue)
 }
 
 // Signer produces signatures binding packet content to names. Implemented by
@@ -387,9 +545,9 @@ type Signer interface {
 
 // Sign populates an Ed25519 signature using the given signer.
 func (d *Data) Sign(s Signer) {
+	d.InvalidateWire() // signature changes: any cached wire is stale
 	d.SigInfo = SignatureInfo{Type: SigTypeEd25519, KeyLocator: s.KeyName()}
-	d.SigValue = s.Sign(d.signedPortion())
-	d.InvalidateWire() // signature changed: any cached wire is stale
+	d.SigValue = s.Sign(d.signedBytes())
 }
 
 // Verify checks the Ed25519 signature with verify, a function mapping
@@ -398,5 +556,5 @@ func (d *Data) Verify(verify func(key Name, msg, sig []byte) bool) bool {
 	if d.SigInfo.Type != SigTypeEd25519 {
 		return false
 	}
-	return verify(d.SigInfo.KeyLocator, d.signedPortion(), d.SigValue)
+	return verify(d.SigInfo.KeyLocator, d.signedBytes(), d.SigValue)
 }

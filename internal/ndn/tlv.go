@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // TLV type numbers from the NDN packet specification (the subset used here).
@@ -80,28 +81,68 @@ func readVarNum(b []byte) (uint64, int, error) {
 	}
 }
 
+// varNumLen returns the number of octets appendVarNum writes for v.
+func varNumLen(v uint64) int {
+	switch {
+	case v < 253:
+		return 1
+	case v <= 0xFFFF:
+		return 3
+	case v <= 0xFFFFFFFF:
+		return 5
+	default:
+		return 9
+	}
+}
+
+// tlvLen returns the encoded size of an element of the given type whose value
+// is valueLen octets long. Encoders add these up first and then write into
+// one buffer of exactly that size.
+func tlvLen(typ uint64, valueLen int) int {
+	return varNumLen(typ) + varNumLen(uint64(valueLen)) + valueLen
+}
+
+// appendTLVHeader appends an element's type and length; the caller appends
+// the valueLen octets of value next.
+func appendTLVHeader(b []byte, typ uint64, valueLen int) []byte {
+	return appendVarNum(appendVarNum(b, typ), uint64(valueLen))
+}
+
 // appendTLV appends one type-length-value element.
 func appendTLV(b []byte, typ uint64, value []byte) []byte {
-	b = appendVarNum(b, typ)
-	b = appendVarNum(b, uint64(len(value)))
-	return append(b, value...)
+	return append(appendTLVHeader(b, typ, len(value)), value...)
+}
+
+// nonNegLen returns the size of v as a non-negative integer value: the
+// shortest of 1/2/4/8 octets.
+func nonNegLen(v uint64) int {
+	switch {
+	case v <= 0xFF:
+		return 1
+	case v <= 0xFFFF:
+		return 2
+	case v <= 0xFFFFFFFF:
+		return 4
+	default:
+		return 8
+	}
 }
 
 // appendNonNegTLV appends a TLV whose value is a big-endian non-negative
 // integer in the shortest of 1/2/4/8 octets.
 func appendNonNegTLV(b []byte, typ uint64, v uint64) []byte {
-	var val []byte
-	switch {
-	case v <= 0xFF:
-		val = []byte{byte(v)}
-	case v <= 0xFFFF:
-		val = binary.BigEndian.AppendUint16(nil, uint16(v))
-	case v <= 0xFFFFFFFF:
-		val = binary.BigEndian.AppendUint32(nil, uint32(v))
+	n := nonNegLen(v)
+	b = appendTLVHeader(b, typ, n)
+	switch n {
+	case 1:
+		return append(b, byte(v))
+	case 2:
+		return binary.BigEndian.AppendUint16(b, uint16(v))
+	case 4:
+		return binary.BigEndian.AppendUint32(b, uint32(v))
 	default:
-		val = binary.BigEndian.AppendUint64(nil, v)
+		return binary.BigEndian.AppendUint64(b, v)
 	}
-	return appendTLV(b, typ, val)
 }
 
 // decodeNonNeg parses a shortest-form non-negative integer value.
@@ -166,30 +207,69 @@ func (r *tlvReader) expect(typ uint64) ([]byte, error) {
 	return value, nil
 }
 
-// encodeName appends the TLV encoding of a name.
-func encodeName(b []byte, n Name) []byte {
-	var inner []byte
+// nameValueLen returns the size of a name's TLV value: one
+// GenericNameComponent element per component.
+func nameValueLen(n Name) int {
+	size := 0
 	for _, c := range n {
-		inner = appendTLV(inner, tlvGenericNameComponent, []byte(c))
+		size += tlvLen(tlvGenericNameComponent, len(c))
 	}
-	return appendTLV(b, tlvName, inner)
+	return size
 }
 
-// decodeName parses a Name TLV value (the inner component sequence).
-func decodeName(value []byte) (Name, error) {
-	r := &tlvReader{buf: value}
-	var n Name
-	for !r.done() {
+// encodeName appends the TLV encoding of a name. valueLen is
+// nameValueLen(n), which every caller has already computed to size b.
+func encodeName(b []byte, n Name, valueLen int) []byte {
+	b = appendTLVHeader(b, tlvName, valueLen)
+	for _, c := range n {
+		b = appendTLVHeader(b, tlvGenericNameComponent, len(c))
+		b = append(b, c...)
+	}
+	return b
+}
+
+// inlineComponents is how many component headers a decoded packet's record
+// holds inline. The longest name DAPES puts on the air, /dapes/bitmap/
+// <collection>/adv/<owner>/<seq>, has six.
+const inlineComponents = 8
+
+// decodeName parses a Name TLV value (the inner component sequence) into the
+// name and its URI form. The URI is rendered once, in one string, and every
+// component is a substring of it, so a decoded name costs one object however
+// many components it has. The component headers are written into room when
+// it has the capacity and to the heap otherwise; either way the name is
+// cap-clipped, so appending to it never writes into room.
+//
+// Name can only represent generic components: a name carrying any other
+// component type is rejected, never decoded as if the component were absent.
+func decodeName(value []byte, room []Component) (Name, string, error) {
+	n, size := 0, 0
+	for r := (tlvReader{buf: value}); !r.done(); n++ {
 		typ, v, err := r.next()
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if typ != tlvGenericNameComponent {
-			// Unknown component types are preserved as opaque bytes; DAPES
-			// only produces generic components, so simply accept them.
-			continue
+			return nil, "", fmt.Errorf("%w: name component of type %#x", ErrBadPacket, typ)
 		}
-		n = append(n, Component(v))
+		size += 1 + len(v)
 	}
-	return n, nil
+	if n == 0 {
+		return nil, "/", nil
+	}
+	if n > cap(room) {
+		room = make([]Component, 0, n)
+	}
+	name := Name(room[:0:n])
+	var uri strings.Builder
+	uri.Grow(size)
+	for r := (tlvReader{buf: value}); !r.done(); {
+		_, v, _ := r.next() // validated by the first pass
+		uri.WriteByte('/')
+		uri.Write(v)
+		// Grow sized the buffer for the whole URI, so the bytes this String
+		// views never move.
+		name = append(name, Component(uri.String()[uri.Len()-len(v):]))
+	}
+	return name, uri.String(), nil
 }

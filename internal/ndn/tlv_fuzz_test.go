@@ -1,6 +1,8 @@
 package ndn
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"math"
 	"reflect"
 	"testing"
@@ -50,12 +52,11 @@ func FuzzTLVRoundTrip(f *testing.F) {
 	f.Add([]byte{0x06, 0x02, 0x07, 0x00})                                      // data with empty name
 	f.Add([]byte{253, 0, 1, 0})                                                // multi-byte type number
 	f.Add([]byte{0x05, 0x09, 0x07, 0x00, 0x0C, 0x08, 255, 255, 255, 255, 255}) // truncated lifetime
-	// Data whose MetaInfo carries a 9-octet FreshnessPeriod of 2^64−1 ms:
-	// exercises the clamp on the freshness path like the lifetime seed above.
-	var hugeMeta []byte
-	hugeMeta = encodeName(hugeMeta, ParseName("/x"))
-	hugeMeta = appendTLV(hugeMeta, tlvMetaInfo, appendNonNegTLV(nil, tlvFreshnessPeriod, math.MaxUint64))
-	f.Add(appendTLV(nil, tlvData, hugeMeta))
+	// The clamp on the freshness path, like the lifetime seed above.
+	f.Add(hugeFreshnessData())
+	// A name with a typed (non-generic) component: Name cannot represent it,
+	// so both decoders must refuse the packet rather than drop the component.
+	f.Add(typedComponentInterest())
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		if it, err := DecodeInterest(wire); err == nil {
@@ -77,6 +78,60 @@ func FuzzTLVRoundTrip(f *testing.F) {
 			if !reflect.DeepEqual(d, d2) {
 				t.Fatalf("data round trip not a fixed point:\nfirst:  %+v\nsecond: %+v", d, d2)
 			}
+		}
+	})
+}
+
+// FuzzDataSignedRange: the signature of a received Data covers a range of
+// the bytes that were received, not a re-serialization. Malformed input never
+// panics, and for every wire DecodeData accepts the signed view lies inside
+// the packet's wire form, starts at its Name, ends exactly where
+// SignatureValue starts, is what Digest hashes, and survives a round trip.
+func FuzzDataSignedRange(f *testing.F) {
+	d := &Data{Name: ParseName("/field-report/image-000/7"), Freshness: time.Second, Content: []byte("payload")}
+	d.SignDigest()
+	f.Add(d.Encode())
+	wire, _ := dataWithUnknownMetaChild()
+	f.Add(wire)
+	f.Add(hugeFreshnessData())
+	f.Add([]byte{0x06, 0x02, 0x07, 0x00}) // no signature
+
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		d, err := DecodeData(wire)
+		if err != nil {
+			return
+		}
+		own := d.Encode()
+		if len(own) > len(wire) || !bytes.Equal(own, wire[:len(own)]) {
+			t.Fatalf("cached wire form is not a prefix of the input")
+		}
+		// The signed view and SigValue are adjacent sub-slices of own, one
+		// SignatureValue header apart.
+		outer := &tlvReader{buf: own}
+		body, err := outer.expect(tlvData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.signed) == 0 || &d.signed[0] != &body[0] {
+			t.Fatalf("signed view does not start at the Name element")
+		}
+		rest := &tlvReader{buf: body[len(d.signed):]}
+		sig, err := rest.expect(tlvSignatureValue)
+		if err != nil {
+			t.Fatalf("signed view does not end at SignatureValue: %v", err)
+		}
+		if !bytes.Equal(sig, d.SigValue) {
+			t.Fatalf("SigValue %x is not the element after the signed view (%x)", d.SigValue, sig)
+		}
+		if d.Digest() != sha256.Sum256(body[:len(d.signed)]) {
+			t.Fatal("Digest is not SHA-256 of the signed view")
+		}
+		d2, err := DecodeData(own)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v\nwire: %x", err, own)
+		}
+		if !reflect.DeepEqual(d, d2) {
+			t.Fatalf("data round trip not a fixed point:\nfirst:  %+v\nsecond: %+v", d, d2)
 		}
 	})
 }
@@ -193,7 +248,7 @@ func TestVarNumShortestFormProperty(t *testing.T) {
 func TestDecodeClampsHugeDurations(t *testing.T) {
 	t.Parallel()
 	var inner []byte
-	inner = encodeName(inner, ParseName("/x"))
+	inner = nestedEncodeName(inner, ParseName("/x"))
 	inner = appendTLV(inner, tlvNonce, []byte{0, 0, 0, 1})
 	inner = appendNonNegTLV(inner, tlvInterestLifetime, math.MaxUint64)
 	wire := appendTLV(nil, tlvInterest, inner)
@@ -212,4 +267,32 @@ func TestDecodeClampsHugeDurations(t *testing.T) {
 	if it.Lifetime != it2.Lifetime {
 		t.Fatalf("clamped lifetime not stable: %v vs %v", it.Lifetime, it2.Lifetime)
 	}
+
+	d, err := DecodeData(hugeFreshnessData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Freshness <= 0 {
+		t.Fatalf("Freshness = %v, want positive clamped value", d.Freshness)
+	}
+}
+
+// hugeFreshnessData is a Data whose MetaInfo carries a 9-octet
+// FreshnessPeriod of 2^64−1 ms.
+func hugeFreshnessData() []byte {
+	var inner []byte
+	inner = nestedEncodeName(inner, ParseName("/x"))
+	inner = appendTLV(inner, tlvMetaInfo, appendNonNegTLV(nil, tlvFreshnessPeriod, math.MaxUint64))
+	inner = appendTLV(inner, tlvSignatureInfo, appendNonNegTLV(nil, tlvSignatureType, SigTypeDigestSha256))
+	inner = appendTLV(inner, tlvSignatureValue, nil)
+	return appendTLV(nil, tlvData, inner)
+}
+
+// typedComponentInterest is an Interest for /a/<type-1 component "b">.
+func typedComponentInterest() []byte {
+	name := appendTLV(nil, tlvGenericNameComponent, []byte("a"))
+	name = appendTLV(name, 0x01, []byte("b"))
+	inner := appendTLV(nil, tlvName, name)
+	inner = appendTLV(inner, tlvNonce, []byte{0, 0, 0, 1})
+	return appendTLV(nil, tlvInterest, inner)
 }

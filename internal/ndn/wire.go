@@ -17,16 +17,47 @@ import "fmt"
 // from different trials never meet, so the Runner's trial-level parallelism
 // is unaffected.
 type Packet struct {
-	wire     []byte
-	interest *Interest
-	data     *Data
+	wire []byte
+	// interest or data is the storage parse decodes into, chosen by the
+	// frame's first octet when the Packet is made (both nil for a frame that
+	// is neither).
+	interest *interestRecord
+	data     *dataRecord
 	err      error
 	parsed   bool
 }
 
+// interestPacket and dataPacket are what NewPacket allocates: the Packet and
+// the record it will decode into, as one object.
+type (
+	interestPacket struct {
+		Packet
+		rec interestRecord
+	}
+	dataPacket struct {
+		Packet
+		rec dataRecord
+	}
+)
+
 // NewPacket wraps wire bytes (one TLV packet) without parsing them. The
 // bytes must not be modified afterwards.
+//
+// The Packet and the Interest or Data it will become are one record, with
+// inline room for the name's component headers: a decoded packet is that
+// record plus its name's URI string, whatever the name's length up to
+// inlineComponents and however many receivers ask.
 func NewPacket(wire []byte) *Packet {
+	switch {
+	case len(wire) > 0 && wire[0] == tlvInterest:
+		r := new(interestPacket)
+		r.wire, r.interest = wire, &r.rec
+		return &r.Packet
+	case len(wire) > 0 && wire[0] == tlvData:
+		r := new(dataPacket)
+		r.wire, r.data = wire, &r.rec
+		return &r.Packet
+	}
 	return &Packet{wire: wire}
 }
 
@@ -50,15 +81,13 @@ func (p *Packet) parse() {
 		return
 	}
 	p.parsed = true
-	if len(p.wire) == 0 {
+	switch {
+	case p.interest != nil:
+		p.err = p.interest.decode(p.wire)
+	case p.data != nil:
+		p.err = p.data.decode(p.wire)
+	case len(p.wire) == 0:
 		p.err = fmt.Errorf("%w: empty frame", ErrBadPacket)
-		return
-	}
-	switch p.wire[0] {
-	case tlvInterest:
-		p.interest, p.err = DecodeInterest(p.wire)
-	case tlvData:
-		p.data, p.err = DecodeData(p.wire)
 	default:
 		p.err = fmt.Errorf("%w: unknown outer type %#x", ErrBadPacket, p.wire[0])
 	}
@@ -68,14 +97,20 @@ func (p *Packet) parse() {
 // well-formed Interest. All callers see the same *Interest instance.
 func (p *Packet) Interest() *Interest {
 	p.parse()
-	return p.interest
+	if p.interest == nil || p.err != nil {
+		return nil
+	}
+	return &p.interest.Interest
 }
 
 // Data returns the decoded Data packet, or nil when the frame is not a
 // well-formed Data. All callers see the same *Data instance.
 func (p *Packet) Data() *Data {
 	p.parse()
-	return p.data
+	if p.data == nil || p.err != nil {
+		return nil
+	}
+	return &p.data.Data
 }
 
 // Err returns the decode error, if any (nil for well-formed packets).
