@@ -5,12 +5,21 @@ GO ?= go
 # snapshot.
 BENCH_ISSUE ?= 8
 
-.PHONY: all build vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd bench-json bench-check golden golden-race examples plan plan-report shard-smoke chaos-smoke
+.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd bench-json bench-check golden golden-race examples plan plan-report shard-smoke chaos-smoke
 
 all: build lint test
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines, whole tree and per directory, by the one definition
+# simplicity PRs report against: tracked *.go, not _test.go, outside
+# benchmark/ and testdata/. Informational; stage new files first (git
+# ls-files reads the index).
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	     END { printf "%7d non-test Go lines\n", t; for (d in n) printf "%7d %s\n", n[d], d | "sort -k2" }'
 
 vet:
 	$(GO) vet ./...

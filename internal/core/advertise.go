@@ -43,7 +43,7 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 	in := ndn.Interest{
 		Name:        cs.bitmapName,
 		CanBePrefix: true,
-		Nonce:       p.newNonce(),
+		Nonce:       p.relay.NewNonce(),
 		AppParams:   encodeBitmapPayload(cs.uri, p.id, cs.own),
 	}
 	wire := in.Encode()

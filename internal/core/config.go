@@ -8,6 +8,7 @@ package core
 import (
 	"time"
 
+	"dapes/internal/multihop"
 	"dapes/internal/peba"
 )
 
@@ -153,14 +154,13 @@ type Stats struct {
 	MetaDataSent           uint64
 	DataInterestsSent      uint64
 	DataSent               uint64
-	InterestsForwarded     uint64
-	DataForwarded          uint64
-	InterestsSuppressed    uint64
-	ForwardedAnswered      uint64
 	InterestTimeouts       uint64
 	PacketsReceived        uint64
 	PacketsOverheard       uint64
 	VerifyFailures         uint64
+	// Counters are the Section-V forwarding counters (InterestsForwarded,
+	// InterestsSuppressed, DataForwarded, ForwardedAnswered).
+	multihop.Counters
 }
 
 // TotalSent returns the peer's total protocol transmissions.

@@ -31,17 +31,18 @@ type heardKey struct {
 func tapAdvertisements(k *sim.Kernel, peers []*Peer) map[heardKey]*bitmap.Bitmap {
 	last := make(map[heardKey]*bitmap.Bitmap)
 	for _, p := range peers {
+		deliver := p.radio.Handler()
 		p.radio.SetHandler(func(f phy.Frame) {
 			var raw []byte
 			if in := f.Packet().Interest(); in != nil && isBitmapInterest(in.Name) {
-				if at, seen := p.nonceSeen[in.Nonce]; !seen || k.Now()-at >= 2*time.Second {
+				if !p.relay.Heard(in.Nonce) {
 					raw = in.AppParams
 				}
 			} else if d := f.Packet().Data(); d != nil && isBitmapData(d.Name) {
 				raw = d.Content
 			}
 			running := p.running
-			p.onFrame(f)
+			deliver(f)
 			payload, err := decodeBitmapPayload(raw)
 			if !running || err != nil {
 				return

@@ -10,42 +10,8 @@ import (
 // Interest scheduling, response suppression, verification against the
 // metadata, and completion tracking.
 
-// replyTimer is one pending Data reply awaiting its random transmission
-// slot. Records (and their kernel timers) are pooled per peer: response
-// suppression cancels replies constantly on a dense medium, and churn this
-// hot must not allocate a closure and event per reply.
-type replyTimer struct {
-	p       *Peer
-	t       *sim.Timer
-	key     string
-	d       *ndn.Data
-	counter *uint64
-}
-
-func (rt *replyTimer) fire() {
-	p := rt.p
-	d, counter := rt.d, rt.counter
-	delete(p.pendingReplies, rt.key)
-	rt.key, rt.d, rt.counter = "", nil, nil
-	p.replyPool = append(p.replyPool, rt)
-	if !p.running {
-		return
-	}
-	*counter++
-	p.medium.Broadcast(p.radio, d.Encode())
-}
-
-// releaseReply cancels a pending reply (response suppression) and recycles
-// its record.
-func (p *Peer) releaseReply(rt *replyTimer) {
-	rt.t.Stop()
-	delete(p.pendingReplies, rt.key)
-	rt.key, rt.d, rt.counter = "", nil, nil
-	p.replyPool = append(p.replyPool, rt)
-}
-
 // inflightTimer is one in-flight data Interest's reselection timeout,
-// pooled per peer like replyTimer: most Interests are answered (or
+// pooled per peer: most Interests are answered (or
 // overheard) before the timeout, so the cancel path dominates.
 type inflightTimer struct {
 	p   *Peer
@@ -180,7 +146,7 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 	if err != nil {
 		return
 	}
-	in := &ndn.Interest{Name: name, Nonce: p.newNonce()}
+	in := &ndn.Interest{Name: name, Nonce: p.relay.NewNonce()}
 	wire := in.Encode()
 	delay := p.k.Jitter(p.cfg.TransmissionWindow)
 	p.k.ScheduleFunc(delay, func() {
@@ -213,7 +179,7 @@ func (p *Peer) handleContentInterest(from int, in *ndn.Interest) {
 		if cs.metaName != nil && cs.metaName.IsPrefixOf(in.Name) && in.Name.Len() == cs.metaName.Len()+1 {
 			if seq, err := in.Name.Seq(); err == nil {
 				if seg, ok := cs.metaSegs[seq]; ok && cs.manifest != nil {
-					p.scheduleReply(seg, &p.stats.MetaDataSent)
+					p.relay.ScheduleReply(seg, &p.stats.MetaDataSent)
 					return
 				}
 			}
@@ -222,7 +188,7 @@ func (p *Peer) handleContentInterest(from int, in *ndn.Interest) {
 		if cs.manifest != nil {
 			if idx := cs.manifest.GlobalIndexOfName(in.Name); idx >= 0 && cs.own.Test(idx) {
 				if pkt, ok := cs.packets[idx]; ok {
-					p.scheduleReply(pkt, &p.stats.DataSent)
+					p.relay.ScheduleReply(pkt, &p.stats.DataSent)
 					return
 				}
 			}
@@ -233,39 +199,16 @@ func (p *Peer) handleContentInterest(from int, in *ndn.Interest) {
 	}
 }
 
-// scheduleReply broadcasts a Data packet after the random transmission
-// timer, suppressing the reply if another node answers first. Stored packets
-// keep their wire form, so repeat replies reuse one encoding (encode-once).
-func (p *Peer) scheduleReply(d *ndn.Data, counter *uint64) {
-	key := d.NameKey()
-	if _, pending := p.pendingReplies[key]; pending {
-		return
-	}
-	var rt *replyTimer
-	if n := len(p.replyPool); n > 0 {
-		rt = p.replyPool[n-1]
-		p.replyPool[n-1] = nil
-		p.replyPool = p.replyPool[:n-1]
-	} else {
-		rt = &replyTimer{p: p}
-		rt.t = p.k.NewTimer(rt.fire)
-	}
-	rt.key, rt.d, rt.counter = key, d, counter
-	p.pendingReplies[key] = rt
-	rt.t.Reset(p.k.Jitter(p.cfg.TransmissionWindow))
-}
-
 // handleContentData processes collection data and metadata heard on air —
 // whether solicited by this peer or overheard (every broadcast transmission
 // is useful to every peer missing that packet).
-func (p *Peer) handleContentData(from int, d *ndn.Data) {
+func (p *Peer) handleContentData(d *ndn.Data) {
 	for _, cs := range p.collections {
 		// Metadata segment.
 		if cs.metaName != nil && cs.metaName.IsPrefixOf(d.Name) && d.Name.Len() == cs.metaName.Len()+1 {
 			if seq, err := d.Name.Seq(); err == nil {
 				p.storeMetaSegment(cs, seq, d)
 			}
-			p.maybeForwardData(d)
 			return
 		}
 		// Collection packet.
@@ -277,7 +220,6 @@ func (p *Peer) handleContentData(from int, d *ndn.Data) {
 			continue
 		}
 		if cs.own.Test(idx) {
-			p.maybeForwardData(d)
 			return
 		}
 		if _, solicited := cs.inflight[idx]; solicited {
@@ -286,10 +228,8 @@ func (p *Peer) handleContentData(from int, d *ndn.Data) {
 			p.stats.PacketsOverheard++
 		}
 		p.storePacket(cs, idx, d)
-		p.maybeForwardData(d)
 		return
 	}
-	p.maybeForwardData(d)
 }
 
 // storePacket verifies and stores a collection packet, advancing the fetch

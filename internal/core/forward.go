@@ -4,17 +4,15 @@ import (
 	"dapes/internal/ndn"
 )
 
-// This file implements the Section-V multi-hop behaviour of DAPES-aware
-// intermediate peers: Interests that cannot be served locally are forwarded
-// when the peer speculates the requested data is reachable, and suppressed
-// otherwise. Matching Data heard later is re-broadcast along the reverse
-// direction, and unanswered forwards arm suppression timers.
+// This file is what a DAPES-aware intermediate peer adds to Section V's
+// forwarding (multihop.Relay): Interests that cannot be served locally are
+// forwarded when the peer speculates the requested data is reachable, and
+// suppressed otherwise. Relaying the Data back and the suppression timers
+// are the Relay's.
 
 // considerForwarding decides the fate of an Interest this peer cannot serve.
 func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
-	key := in.NameKey()
-	if until, ok := p.suppressed[key]; ok && p.k.Now() < until {
-		p.stats.InterestsSuppressed++
+	if p.relay.Suppressed(in) {
 		return
 	}
 
@@ -28,7 +26,9 @@ func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
 		p.stats.InterestsSuppressed++
 		return
 	}
-	p.forwardInterest(in)
+	if !p.relay.InFlight(in) {
+		p.relay.Forward(in)
+	}
 }
 
 // speculateAvailability consults the peer's short-lived knowledge of the
@@ -84,55 +84,4 @@ func (p *Peer) speculateAvailability(from int, name ndn.Name) (forward, informed
 		}
 	}
 	return false, false
-}
-
-// forwardInterest re-broadcasts the Interest after a random delay and arms
-// the suppression timer: if no Data answers within SuppressTTL, future
-// Interests for the same name are suppressed until the timer expires.
-func (p *Peer) forwardInterest(in *ndn.Interest) {
-	key := in.NameKey()
-	if rec, ok := p.forwarded[key]; ok && !rec.answered && p.k.Now()-rec.at < p.cfg.SuppressTTL {
-		return // already forwarded, still awaiting data
-	}
-	rec := &forwardRecord{at: p.k.Now()}
-	p.forwarded[key] = rec
-	// Encode-once: a received Interest relays its original frame bytes.
-	wire := in.Encode()
-	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
-		if !p.running {
-			return
-		}
-		p.stats.InterestsForwarded++
-		p.medium.Broadcast(p.radio, wire)
-	})
-	p.k.ScheduleFunc(p.cfg.SuppressTTL, func() {
-		if !rec.answered {
-			p.suppressed[key] = p.k.Now() + p.cfg.SuppressTTL
-		}
-	})
-}
-
-// maybeForwardData re-broadcasts Data matching a previously forwarded
-// Interest, completing the multi-hop path back toward the requester.
-func (p *Peer) maybeForwardData(d *ndn.Data) {
-	if !p.cfg.Multihop {
-		return
-	}
-	key := d.NameKey()
-	rec, ok := p.forwarded[key]
-	if !ok || rec.answered {
-		return
-	}
-	rec.answered = true
-	p.stats.ForwardedAnswered++
-	delete(p.suppressed, key)
-	// Encode-once: relay the Data frame exactly as it was received.
-	wire := d.Encode()
-	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
-		if !p.running {
-			return
-		}
-		p.stats.DataForwarded++
-		p.medium.Broadcast(p.radio, wire)
-	})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"dapes/internal/bitmap"
 	"dapes/internal/sim"
 )
@@ -41,9 +39,7 @@ func (p *Peer) Restart() {
 		return
 	}
 	p.neighbors = make(map[int]*neighbor)
-	p.nonceSeen = make(map[uint32]time.Duration)
-	p.forwarded = make(map[string]*forwardRecord)
-	p.suppressed = make(map[string]time.Duration)
+	p.relay.Reset()
 	p.recentActivity = false
 	p.lastReplyAt = 0
 	p.beaconPeriod = p.cfg.BeaconPeriodMin

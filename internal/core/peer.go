@@ -10,18 +10,13 @@ import (
 	"dapes/internal/geo"
 	"dapes/internal/keys"
 	"dapes/internal/metadata"
+	"dapes/internal/multihop"
 	"dapes/internal/ndn"
 	"dapes/internal/peba"
 	"dapes/internal/phy"
 	"dapes/internal/rpf"
 	"dapes/internal/sim"
 )
-
-// forwardRecord tracks one forwarded Interest awaiting Data (Section V).
-type forwardRecord struct {
-	at       time.Duration
-	answered bool
-}
 
 // Peer is one DAPES node: producer, downloader, repository, or intermediate.
 // A Peer is driven entirely by the simulation kernel; it is not safe for
@@ -48,15 +43,12 @@ type Peer struct {
 	replySeq       int
 	bitmapReqSeq   int
 
-	nonceSeen      map[uint32]time.Duration
-	pendingReplies map[string]*replyTimer
-	forwarded      map[string]*forwardRecord
-	suppressed     map[string]time.Duration
+	// relay is used by every peer for nonce dedup and the reply queue, and
+	// for its forwarded-Interest table only with cfg.Multihop.
+	relay multihop.Relay
 
-	// Pools of reusable timer records for the cancel-heavy per-packet
-	// paths: response-suppressed replies and in-flight Interest timeouts.
-	// Each record owns one kernel timer and one closure for its lifetime.
-	replyPool    []*replyTimer
+	// inflightPool recycles the in-flight Interest timeout records: each
+	// owns one kernel timer and one closure for its lifetime.
 	inflightPool []*inflightTimer
 
 	running    bool
@@ -68,24 +60,21 @@ type Peer struct {
 // signature checks are skipped), matching the simulation configurations.
 func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, key *keys.Key, trust *keys.TrustStore, cfg Config) *Peer {
 	p := &Peer{
-		k:              k,
-		medium:         medium,
-		key:            key,
-		trust:          trust,
-		cfg:            cfg.withDefaults(),
-		collections:    make(map[string]*collectionState),
-		neighbors:      make(map[int]*neighbor),
-		nonceSeen:      make(map[uint32]time.Duration),
-		pendingReplies: make(map[string]*replyTimer),
-		forwarded:      make(map[string]*forwardRecord),
-		suppressed:     make(map[string]time.Duration),
+		k:           k,
+		medium:      medium,
+		key:         key,
+		trust:       trust,
+		cfg:         cfg.withDefaults(),
+		collections: make(map[string]*collectionState),
+		neighbors:   make(map[int]*neighbor),
 	}
 	p.beaconT = k.NewTimer(p.beaconTick)
 	p.sweepT = k.NewTimer(p.sweepTick)
 	p.radio = medium.Attach(mobility)
 	p.id = p.radio.ID()
+	p.relay = multihop.NewRelay(k, medium, p.radio, p.cfg.TransmissionWindow, p.cfg.SuppressTTL, &p.stats.Counters)
 	p.beaconPeriod = p.cfg.BeaconPeriodMin
-	p.radio.SetHandler(p.onFrame)
+	p.radio.SetHandler(func(f phy.Frame) { p.relay.Deliver(f, p.handleInterest, p.handleData) })
 	return p
 }
 
@@ -110,6 +99,7 @@ func (p *Peer) Start() {
 		return
 	}
 	p.running = true
+	p.relay.Start()
 	p.beaconT.Reset(p.k.Jitter(p.beaconPeriod))
 	p.sweepT.Reset(p.cfg.NeighborTTL / 2)
 }
@@ -123,13 +113,7 @@ func (p *Peer) Stop() {
 	p.running = false
 	p.beaconT.Stop()
 	p.sweepT.Stop()
-	//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
-	for _, rt := range p.pendingReplies {
-		rt.t.Stop()
-		rt.key, rt.d, rt.counter = "", nil, nil
-		p.replyPool = append(p.replyPool, rt)
-	}
-	p.pendingReplies = make(map[string]*replyTimer)
+	p.relay.Stop()
 	//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
 	for _, cs := range p.collections {
 		if cs.metaT != nil {
@@ -220,12 +204,7 @@ func (p *Peer) NeighborCount() int { return len(p.neighbors) }
 
 // ForwardingAccuracy returns the fraction of forwarded Interests that
 // brought Data back — the paper reports 83% for DAPES (Section VI-D).
-func (p *Peer) ForwardingAccuracy() float64 {
-	if p.stats.InterestsForwarded == 0 {
-		return 0
-	}
-	return float64(p.stats.ForwardedAnswered) / float64(p.stats.InterestsForwarded)
-}
+func (p *Peer) ForwardingAccuracy() float64 { return p.stats.Accuracy() }
 
 // MemoryFootprint estimates the bytes of protocol state the peer maintains:
 // neighbor tables, availability bitmaps, forwarding records, and suppression
@@ -244,8 +223,8 @@ func (p *Peer) MemoryFootprint() int {
 			total += bm.Len() / 8
 		}
 	}
-	total += len(p.forwarded)*48 + len(p.suppressed)*40 + len(p.nonceSeen)*12
-	return total
+	forwarded, suppressed, nonces := p.relay.TableSizes()
+	return total + forwarded*48 + suppressed*40 + nonces*12
 }
 
 // --- Beaconing & discovery (Section IV-B) ---
@@ -285,7 +264,7 @@ func (p *Peer) sendDiscoveryInterest() {
 	in := &ndn.Interest{
 		Name:        discoveryInterestName(),
 		CanBePrefix: true,
-		Nonce:       p.newNonce(),
+		Nonce:       p.relay.NewNonce(),
 		AppParams:   binary.BigEndian.AppendUint32(nil, uint32(p.id)),
 	}
 	p.stats.DiscoveryInterestsSent++
@@ -310,21 +289,7 @@ func (p *Peer) sweepTick() {
 			}
 		}
 	}
-	for nonce, at := range p.nonceSeen {
-		if now-at > 4*time.Second {
-			delete(p.nonceSeen, nonce)
-		}
-	}
-	for name, until := range p.suppressed {
-		if now > until {
-			delete(p.suppressed, name)
-		}
-	}
-	for name, rec := range p.forwarded {
-		if now-rec.at > 2*p.cfg.SuppressTTL {
-			delete(p.forwarded, name)
-		}
-	}
+	p.relay.Sweep(now)
 	p.sweepT.Reset(p.cfg.NeighborTTL / 2)
 }
 
@@ -343,37 +308,10 @@ func (p *Peer) neighborHeard(id int) *neighbor {
 	return n
 }
 
-func (p *Peer) newNonce() uint32 {
-	n := uint32(p.k.RNG().Int63())
-	p.nonceSeen[n] = p.k.Now()
-	return n
-}
-
-// --- Frame dispatch ---
-
-// onFrame dispatches a received frame through its decode-once packet view:
-// when several peers hear the same broadcast, the first handler parses and
-// the rest reuse that parse (the Interest/Data objects are shared and
-// treated as read-only — see the phy.Frame wire-path contract). Malformed
-// frames drop, as before.
-func (p *Peer) onFrame(f phy.Frame) {
-	if !p.running {
-		return
-	}
-	pkt := f.Packet()
-	if in := pkt.Interest(); in != nil {
-		p.handleInterest(f.From, in)
-	} else if d := pkt.Data(); d != nil {
-		p.handleData(f.From, d)
-	}
-}
+// --- Packet dispatch (relay.Deliver: Interests arrive deduplicated by nonce,
+// Data after cancelling the pending reply it pre-empts) ---
 
 func (p *Peer) handleInterest(from int, in *ndn.Interest) {
-	if at, seen := p.nonceSeen[in.Nonce]; seen && p.k.Now()-at < 2*time.Second {
-		return // duplicate or loop
-	}
-	p.nonceSeen[in.Nonce] = p.k.Now()
-
 	if sender, ok := isDiscoveryInterest(in); ok {
 		p.neighborHeard(sender)
 		p.maybeSendDiscoveryReply()
@@ -391,13 +329,6 @@ func (p *Peer) handleInterest(from int, in *ndn.Interest) {
 
 func (p *Peer) handleData(from int, d *ndn.Data) {
 	p.neighborHeard(from)
-
-	// Response suppression: someone answered; cancel our pending reply and
-	// recycle its timer record.
-	if rt, ok := p.pendingReplies[d.NameKey()]; ok {
-		p.releaseReply(rt)
-	}
-
 	if responder, ok := isDiscoveryReply(d.Name); ok {
 		p.handleDiscoveryReply(responder, d)
 		return
@@ -409,7 +340,12 @@ func (p *Peer) handleData(from int, d *ndn.Data) {
 	if isProtocolName(d.Name) {
 		return
 	}
-	p.handleContentData(from, d)
+	p.handleContentData(d)
+	// Section V: Data that answers an Interest this peer forwarded goes back
+	// toward the requester, after the peer has taken what it needs of it.
+	if p.cfg.Multihop {
+		p.relay.RelayData(d)
+	}
 }
 
 // --- Discovery replies ---
@@ -532,7 +468,7 @@ func (p *Peer) requestNextMetaSegment(cs *collectionState) {
 	if cs.metaTotal >= 0 && seq >= cs.metaTotal {
 		return
 	}
-	in := &ndn.Interest{Name: cs.metaName.AppendSeq(seq), Nonce: p.newNonce()}
+	in := &ndn.Interest{Name: cs.metaName.AppendSeq(seq), Nonce: p.relay.NewNonce()}
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running || cs.manifest != nil {
 			return

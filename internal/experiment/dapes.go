@@ -205,7 +205,7 @@ func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*
 	var total time.Duration
 	completed := 0
 	memory := 0
-	var fwd, answered uint64
+	var relay multihop.Counters
 	for _, p := range downloaders {
 		done, at := p.Done(collection)
 		if done {
@@ -213,28 +213,21 @@ func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*
 		}
 		total += censor(done, at, horizon)
 		memory += p.MemoryFootprint()
-		fwd += p.Stats().InterestsForwarded
-		answered += p.Stats().ForwardedAnswered
+		relay.Add(p.Stats().Counters)
 	}
 	for _, p := range intermediates {
 		memory += p.MemoryFootprint()
-		fwd += p.Stats().InterestsForwarded
-		answered += p.Stats().ForwardedAnswered
+		relay.Add(p.Stats().Counters)
 	}
 	for _, f := range pures {
-		fwd += f.Stats().InterestsForwarded
-		answered += f.Stats().ForwardedAnswered
-	}
-	acc := 0.0
-	if fwd > 0 {
-		acc = float64(answered) / float64(fwd)
+		relay.Add(f.Stats().Counters)
 	}
 	return TrialResult{
 		AvgDownloadTime: total / time.Duration(len(downloaders)),
 		Transmissions:   tx,
 		Completed:       completed,
 		Downloaders:     len(downloaders),
-		ForwardAccuracy: acc,
+		ForwardAccuracy: relay.Accuracy(),
 		MemoryBytes:     memory,
 	}
 }

@@ -85,9 +85,6 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 	t.Parallel()
 	singlehop := PaperDefaults()
 	singlehop.Multihop = false
-	// urban-grid is urban-grid-chaos without its default fault plan.
-	urban := urbanGridChaosScale(ReducedScale())
-	urban.Faults = nil
 	// The chaos plan scales with the horizon and the trial runs until its
 	// last restart: three minutes put the crashes in [30 s, 60 s), mid-
 	// download for most peers, and keep the trial to seconds.
@@ -116,7 +113,7 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 			relayCounts{6655, 2723, 6150, 6150, 0}, relayCounts{555, 2444, 586, 528, 4199}}},
 		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{44606701049, 17229, 24, 24, 76539, 0, 0, 71058, 5544, 7880, 6289644, 108156,
 			relayCounts{0, 0, 0, 0, 0}, relayCounts{0, 0, 0, 0, 0}}},
-		{"urban-grid", urban, 60, 0, PaperDefaults(), dapesGolden{14029287770, 163366, 104, 104, 1700306, 0, 0, 1067687, 528469, 117946, 69201194, 1911042,
+		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{14029287770, 163366, 104, 104, 1700306, 0, 0, 1067687, 528469, 117946, 69201194, 1911042,
 			relayCounts{27187, 25366, 25680, 25681, 0}, relayCounts{2878, 11839, 4303, 2615, 32275}}},
 		// Crash is Stop plus a deaf radio, Restart wipes the tables.
 		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{39023021162, 396477, 104, 104, 1492197, 52, 10659641632, 2619344, 1022425, 417028, 156781212, 4512350,

@@ -43,13 +43,7 @@ func urbanGridChaosTrial(s Scale, wifiRange float64, trial int) (TrialResult, er
 }
 
 func urbanGridChaosScale(s Scale) Scale {
-	dense := s
-	dense.MobileDown = s.MobileDown * 5
-	dense.PureForwarders = s.PureForwarders * 5
-	dense.Intermediates = s.Intermediates * 5
-	if dense.AreaSide <= 0 {
-		dense.AreaSide = areaSide * 1.5
-	}
+	dense := urbanGridScale(s)
 	if dense.Faults == nil {
 		dense.Faults = urbanChaosPlan(dense.Horizon)
 	}

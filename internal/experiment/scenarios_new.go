@@ -183,34 +183,35 @@ func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 	return w.runAndCollect(coll, downloaders, s.Horizon), nil
 }
 
+// denseScale multiplies the scale's mobile node mix (downloaders, pure
+// forwarders, intermediates) by mult. side is the arena edge when the scale
+// names none; zero leaves that to the caller's own area rule.
+func denseScale(s Scale, mult int, side float64) Scale {
+	s.MobileDown *= mult
+	s.PureForwarders *= mult
+	s.Intermediates *= mult
+	if s.AreaSide <= 0 {
+		s.AreaSide = side
+	}
+	return s
+}
+
 // urbanGridTrial reruns the Fig.-7 DAPES workload at metropolitan density:
 // five times the mobile downloaders, pure forwarders, and intermediates in
 // a 1.5x-edge area (~2.2x the paper's node density). It is the scaling
 // smoke test every performance PR should move.
 func urbanGridTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	dense := s
-	dense.MobileDown = s.MobileDown * 5
-	dense.PureForwarders = s.PureForwarders * 5
-	dense.Intermediates = s.Intermediates * 5
-	if dense.AreaSide <= 0 {
-		dense.AreaSide = areaSide * 1.5
-	}
-	return RunDAPESTrial(dense, wifiRange, trial, PaperDefaults())
+	return RunDAPESTrial(urbanGridScale(s), wifiRange, trial, PaperDefaults())
 }
+
+func urbanGridScale(s Scale) Scale { return denseScale(s, 5, areaSide*1.5) }
 
 // urbanGridXLTrial pushes urban-grid another 5x: 25x the scale's node mix in
 // a 3x-edge area (~2.8x the paper's density, ~1000 nodes at ReducedScale).
 // The phy grid index is what makes this tractable — under the naive scan
 // every broadcast paid for the full node population.
 func urbanGridXLTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	dense := s
-	dense.MobileDown = s.MobileDown * 25
-	dense.PureForwarders = s.PureForwarders * 25
-	dense.Intermediates = s.Intermediates * 25
-	if dense.AreaSide <= 0 {
-		dense.AreaSide = areaSide * 3
-	}
-	return RunDAPESTrial(dense, wifiRange, trial, PaperDefaults())
+	return RunDAPESTrial(denseScale(s, 25, areaSide*3), wifiRange, trial, PaperDefaults())
 }
 
 // urbanMetroShards is urban-metro's stripe count when the scale names none.
@@ -230,10 +231,7 @@ func urbanMetroLookahead(cfg phy.Config) time.Duration {
 // (plans/urban-metro.toml) reaches 50k+ nodes. It is the one scenario with
 // a stripe count of its own: Scale.Shards when set, else 4.
 func urbanMetroTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	metro := s
-	metro.MobileDown = s.MobileDown * 25
-	metro.PureForwarders = s.PureForwarders * 25
-	metro.Intermediates = s.Intermediates * 25
+	metro := denseScale(s, 25, 0)
 	if metro.AreaSide <= 0 {
 		total := float64(1 + metro.Stationary + metro.MobileDown + metro.PureForwarders + metro.Intermediates)
 		metro.AreaSide = areaSide * math.Sqrt(total/45)

@@ -1,4 +1,6 @@
-package multihop
+// The end-to-end tests build core peers, and core holds a multihop.Relay:
+// they live outside the package so the import does not close a cycle.
+package multihop_test
 
 import (
 	"bytes"
@@ -8,6 +10,7 @@ import (
 	"dapes/internal/core"
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
+	"dapes/internal/multihop"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
 	"dapes/internal/sim"
@@ -38,7 +41,7 @@ func TestPureForwarderBridgesTwoHops(t *testing.T) {
 	if err := producer.Publish(res); err != nil {
 		t.Fatal(err)
 	}
-	fwd := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 40}}, Config{ForwardProb: 1.0})
+	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 40}}, multihop.Config{ForwardProb: 1.0})
 	dl := core.NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 80}}, nil, nil, cfg)
 	dl.Subscribe(res.Manifest.Collection)
 
@@ -70,7 +73,7 @@ func TestPureForwarderServesFromCache(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(22)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	fwd := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, Config{ForwardProb: 1.0})
+	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, multihop.Config{ForwardProb: 1.0})
 	fwd.Start()
 
 	// A neighbor radio to overhear from and query with.
@@ -110,8 +113,8 @@ func TestSuppressionTimerBlocksRepeatedForwards(t *testing.T) {
 	// suppression timer must block subsequent forwards of the same name.
 	k := sim.NewKernel(23)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	fwd := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}},
-		Config{ForwardProb: 1.0, SuppressTTL: 2 * time.Second})
+	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}},
+		multihop.Config{ForwardProb: 1.0, SuppressTTL: 2 * time.Second})
 	fwd.Start()
 
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
@@ -137,8 +140,8 @@ func TestProbabilisticForwardingRespectsProbability(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(24)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	fwd := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}},
-		Config{ForwardProb: 0.2, SuppressTTL: 100 * time.Millisecond})
+	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}},
+		multihop.Config{ForwardProb: 0.2, SuppressTTL: 100 * time.Millisecond})
 	fwd.Start()
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
 
@@ -161,7 +164,7 @@ func TestStoppedForwarderIsSilent(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(25)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	fwd := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, Config{ForwardProb: 1.0})
+	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, multihop.Config{ForwardProb: 1.0})
 	fwd.Start()
 	fwd.Stop()
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
@@ -208,45 +211,5 @@ func TestDapesIntermediateForwardsForSameCollection(t *testing.T) {
 	}
 	if mid.ForwardingAccuracy() == 0 && mid.Stats().InterestsForwarded > 0 {
 		t.Fatal("intermediate forwarded but nothing answered")
-	}
-}
-
-// TestMatchForwardedPicksLongestPrefix: when two forwarded CanBePrefix
-// Interests both prefix a Data name, the Data answers the longer one — every
-// time, where a range over the record map used to pick whichever came first.
-// A longer record that is not CanBePrefix is passed over for a shorter one
-// that is, and a component containing '/' does not fake a match.
-func TestMatchForwardedPicksLongestPrefix(t *testing.T) {
-	t.Parallel()
-	data := &ndn.Data{Name: ndn.ParseName("/dapes/bitmap/c0ffee00/adv/3/1")}
-	data.SignDigest()
-	for round := 0; round < 50; round++ {
-		k := sim.NewKernel(int64(round))
-		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		f := NewPureForwarder(k, medium, geo.Stationary{}, Config{ForwardProb: 1.0})
-		f.Start()
-		for i, in := range []*ndn.Interest{
-			{Name: ndn.ParseName("/dapes"), CanBePrefix: true},
-			{Name: ndn.ParseName("/dapes/bitmap"), CanBePrefix: true},
-			{Name: ndn.ParseName("/dapes/bitmap/c0ffee00"), CanBePrefix: true},
-			{Name: ndn.ParseName("/dapes/bitmap/c0ffee00/adv")}, // exact-match only
-			{Name: ndn.Name{"dapes", "bitmap", "c0ffee00", "adv/3"}, CanBePrefix: true},
-		} {
-			in.Nonce = uint32(i + 1)
-			f.onInterest(in)
-		}
-		if len(f.forwarded) != 5 {
-			t.Fatalf("round %d: %d forwarded records, want 5", round, len(f.forwarded))
-		}
-		rec := f.matchForwarded(data)
-		if rec == nil || rec.key != "/dapes/bitmap/c0ffee00" {
-			t.Fatalf("round %d: matched %+v, want the /dapes/bitmap/c0ffee00 record", round, rec)
-		}
-		f.onData(data)
-		for key, r := range f.forwarded {
-			if r.answered != (key == "/dapes/bitmap/c0ffee00") {
-				t.Fatalf("round %d: record %s answered = %v", round, key, r.answered)
-			}
-		}
 	}
 }
