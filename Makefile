@@ -1,11 +1,6 @@
 GO ?= go
 
-# The perf-trajectory snapshot bench-json writes and bench-check gates
-# against: BENCH_$(BENCH_ISSUE).json. Bump it in the PR that commits a new
-# snapshot.
-BENCH_ISSUE ?= 8
-
-.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd bench-json bench-check golden golden-race examples plan plan-report shard-smoke chaos-smoke
+.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden golden-race examples plan shard-smoke chaos-smoke
 
 all: build lint test
 
@@ -75,36 +70,9 @@ bench-harness:
 
 # The forwarder-table benchmarks at measurement length, with allocation
 # counts in the log: the name-tree lookups must report 0 allocs/op (pinned by
-# TestLookupPathsDoNotAllocate; the speedup over the seed tables is history,
-# recorded in BENCH_4.json and docs/PERFORMANCE.md).
+# TestLookupPathsDoNotAllocate).
 bench-nfd:
 	$(GO) test -run=NONE -bench='BenchmarkCsPrefixFind|BenchmarkFibLookup' -benchmem -benchtime=300ms ./internal/nfd/
-
-# Machine-readable perf snapshot: wire-path, dense-broadcast, and
-# event-kernel micro-benches (heap-vs-wheel churn, Timer.Reset), download
-# time and total allocations for the dense urban scenarios, the
-# shard-scaling section (sequential vs 2 vs 4 stripes wall-clock plus the
-# 50k-node urban-metro trial), and the informational fault section (one
-# urban-grid-chaos trial pricing the crash/restart hardening), as stable
-# JSON. BENCH_8.json is the checked-in perf-trajectory entry for the
-# fault-injection PR (BENCH_7.json the persistent-worker/window-batching
-# PR's, BENCH_6.json the space-partitioned kernel's, BENCH_5.json the
-# timer wheel's, BENCH_4.json the zero-copy wire path's); regenerate it
-# with this target when a PR intentionally moves the numbers. Use -rebase
-# (see cmd/bench-snapshot) to mark gated metrics a snapshot moves on
-# purpose.
-bench-json:
-	$(GO) run ./cmd/bench-snapshot -issue $(BENCH_ISSUE) -o BENCH_$(BENCH_ISSUE).json
-	@cat BENCH_$(BENCH_ISSUE).json
-
-# The perf gate CI runs: re-measures and FAILS if the hardware-independent
-# alloc numbers (wire and kernel allocs/op exactly — Timer.Reset is pinned
-# at 0 — phy +2 slack, scenario totals and shard-trial allocs/op +50%)
-# regressed against the committed BENCH_$(BENCH_ISSUE).json. Times never gate — they
-# move with hardware; so does the whole fault section, which is
-# informational by design.
-bench-check:
-	$(GO) run ./cmd/bench-snapshot -issue $(BENCH_ISSUE) -check BENCH_$(BENCH_ISSUE).json
 
 # The plan smoke: run the committed CI plan file through the declarative
 # harness with a 4-worker fan-out. The JSON-lines stream and report are
@@ -142,13 +110,6 @@ chaos-smoke:
 	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-chaos-smoke-4.jsonl > /tmp/dapes-chaos-smoke-4.agg
 	@diff /tmp/dapes-chaos-smoke-1.agg /tmp/dapes-chaos-smoke-4.agg
 	@echo "chaos-smoke: S=1 and S=4 completions under churn agree"
-
-# The perf-trajectory report: load every committed BENCH_*.json snapshot,
-# render the per-metric series across PRs, and fail if any gated metric
-# (wire/kernel allocs exact, phy +2 slack, scenario allocs +50%) breached
-# between consecutive snapshots.
-plan-report:
-	$(GO) run ./cmd/dapes-plan report -fail-on-breach
 
 # The determinism, equivalence and zero-alloc gates, selected by name so the
 # list cannot rot: every test in the tree called TestGolden*, or named for

@@ -1,6 +1,6 @@
 // Package dapes_bench regenerates every table and figure of the paper's
-// evaluation (Section VI) as Go benchmarks: one testing.B target per figure.
-// Each bench runs the corresponding experiment at bench scale (a reduced
+// evaluation (Section VI) as Go benchmarks: one BenchmarkFigure/<id> per
+// figure. Each runs the corresponding experiment at bench scale (a reduced
 // workload; see docs/EXPERIMENTS.md) and reports the headline metric the paper
 // plots via b.ReportMetric, so `go test -bench=. -benchmem` prints the same
 // series the paper does. `cmd/dapes-bench` renders the full tables.
@@ -23,170 +23,64 @@ func benchScale() experiment.Scale {
 	return s
 }
 
-// reportTable folds a regenerated table into benchmark metrics: the first
-// data column of the first and last row (the paper's headline endpoints).
-func reportTable(b *testing.B, t experiment.Table, unit string) {
-	b.Helper()
-	if len(t.Rows) == 0 || len(t.Rows[0]) < 2 {
-		b.Fatalf("empty table %q", t.Title)
-	}
-	b.ReportMetric(parseMetric(b, t.Rows[0][1]), unit)
+// figures is every table and figure of Section VI with the unit of its
+// headline metric: column 1 (the first series) of the named row of each
+// table run returns. Fig. 10 is one sweep rendering both panels; Table I
+// reports its third scenario on a two-file collection.
+var figures = []struct {
+	id    string
+	run   func(experiment.Scale) ([]experiment.Table, error)
+	row   int
+	units []string
+}{
+	{"9a", one(experiment.Fig9a), 0, []string{"s_download"}},
+	{"9b", one(experiment.Fig9b), 0, []string{"transmissions"}},
+	{"9c", one(experiment.Fig9c), 0, []string{"s_download"}},
+	{"9d", one(experiment.Fig9d), 0, []string{"s_download"}},
+	{"9e", one(experiment.Fig9e), 0, []string{"s_download"}},
+	{"9f", one(experiment.Fig9f), 0, []string{"s_download"}},
+	{"9g", one(experiment.Fig9g), 0, []string{"s_download"}},
+	{"9h", one(experiment.Fig9h), 0, []string{"transmissions"}},
+	{"10", func(s experiment.Scale) ([]experiment.Table, error) {
+		a, b, err := experiment.Fig10(s)
+		return []experiment.Table{a, b}, err
+	}, 0, []string{"s_download_dapes", "transmissions_dapes"}},
+	{"tableI", func(s experiment.Scale) ([]experiment.Table, error) {
+		s.NumFiles = 2
+		return one(experiment.TableI)(s)
+	}, 2, []string{"s_scenario3"}},
 }
 
-func parseMetric(b *testing.B, s string) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		b.Fatalf("parse %q: %v", s, err)
-	}
-	return v
-}
-
-// BenchmarkFig9aRPFStrategies regenerates Fig. 9a: download time for the
-// four {start-packet} x {RPF variant} series.
-func BenchmarkFig9aRPFStrategies(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9a(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "s_download")
-	}
-}
-
-// BenchmarkFig9bPEBATransmissions regenerates Fig. 9b: transmissions for
-// RPF x {PEBA, no-PEBA}.
-func BenchmarkFig9bPEBATransmissions(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9b(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "transmissions")
+func one(run func(experiment.Scale) (experiment.Table, error)) func(experiment.Scale) ([]experiment.Table, error) {
+	return func(s experiment.Scale) ([]experiment.Table, error) {
+		t, err := run(s)
+		return []experiment.Table{t}, err
 	}
 }
 
-// BenchmarkFig9cBitmapsFirst regenerates Fig. 9c: download time when b
-// bitmaps are exchanged before data download.
-func BenchmarkFig9cBitmapsFirst(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9c(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "s_download")
-	}
-}
-
-// BenchmarkFig9dInterleaved regenerates Fig. 9d: download time when bitmap
-// exchanges interleave with data download.
-func BenchmarkFig9dInterleaved(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9d(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "s_download")
-	}
-}
-
-// BenchmarkFig9eFileCount regenerates Fig. 9e: download time for a growing
-// number of files per collection.
-func BenchmarkFig9eFileCount(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9e(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "s_download")
-	}
-}
-
-// BenchmarkFig9fFileSize regenerates Fig. 9f: download time for growing
-// per-file sizes.
-func BenchmarkFig9fFileSize(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9f(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "s_download")
-	}
-}
-
-// BenchmarkFig9gForwardProb regenerates Fig. 9g: download time single-hop
-// vs multi-hop at 20/40/60% forwarding probability.
-func BenchmarkFig9gForwardProb(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9g(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "s_download")
-	}
-}
-
-// BenchmarkFig9hForwardProbOverhead regenerates Fig. 9h: transmissions for
-// the Fig. 9g sweep.
-func BenchmarkFig9hForwardProbOverhead(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.Fig9h(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t, "transmissions")
-	}
-}
-
-// BenchmarkFig10aBaselineDownload regenerates Fig. 10a: download time of
-// DAPES vs Bithoc vs Ekta.
-func BenchmarkFig10aBaselineDownload(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		ta, _, err := experiment.Fig10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, ta, "s_download_dapes")
-	}
-}
-
-// BenchmarkFig10bBaselineOverhead regenerates Fig. 10b: transmissions of
-// DAPES vs Bithoc vs Ekta, including the 83%-forwarding-accuracy statistic
-// of Section VI-D (printed in the table note).
-func BenchmarkFig10bBaselineOverhead(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		_, tb, err := experiment.Fig10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, tb, "transmissions_dapes")
-	}
-}
-
-// BenchmarkTableIFeasibility regenerates Table I: the three Fig.-8
-// real-world scenarios with the modeled system-load block.
-func BenchmarkTableIFeasibility(b *testing.B) {
-	s := benchScale()
-	s.NumFiles = 2
-	for i := 0; i < b.N; i++ {
-		t, err := experiment.TableI(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) != 3 {
-			b.Fatalf("Table I rows = %d", len(t.Rows))
-		}
-		b.ReportMetric(parseMetric(b, t.Rows[2][1]), "s_scenario3")
+// BenchmarkFigure regenerates each figure at bench scale as
+// BenchmarkFigure/<id> and reports its headline metric.
+func BenchmarkFigure(b *testing.B) {
+	for _, fig := range figures {
+		b.Run(fig.id, func(b *testing.B) {
+			s := benchScale()
+			for i := 0; i < b.N; i++ {
+				tables, err := fig.run(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j, t := range tables {
+					if len(t.Rows) <= fig.row || len(t.Rows[fig.row]) < 2 {
+						b.Fatalf("table %q has no row %d", t.Title, fig.row)
+					}
+					v, err := strconv.ParseFloat(t.Rows[fig.row][1], 64)
+					if err != nil {
+						b.Fatalf("table %q: %v", t.Title, err)
+					}
+					b.ReportMetric(v, fig.units[j])
+				}
+			}
+		})
 	}
 }
 

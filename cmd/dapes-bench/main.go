@@ -9,25 +9,44 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"dapes/internal/experiment"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dapes-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scaleName := flag.String("scale", "reduced", "workload scale: quick, reduced, or full")
-	only := flag.String("only", "", "comma-separated experiment ids (e.g. 9a,9b,10,tableI); empty = all")
-	workers := flag.Int("workers", 1, "concurrent trials per configuration; results are identical at any pool size")
-	format := flag.String("format", "text", "output format: text, json, or csv")
-	outPath := flag.String("o", "", "write results to this file instead of stdout")
-	flag.Parse()
+// singles are the experiments that render one table each; Fig. 10 is one
+// sweep rendering two panels, 10a and 10b ("10" asks for both).
+var singles = []struct {
+	id  string
+	run func(experiment.Scale) (experiment.Table, error)
+}{
+	{"9a", experiment.Fig9a},
+	{"9b", experiment.Fig9b},
+	{"9c", experiment.Fig9c},
+	{"9d", experiment.Fig9d},
+	{"9e", experiment.Fig9e},
+	{"9f", experiment.Fig9f},
+	{"9g", experiment.Fig9g},
+	{"9h", experiment.Fig9h},
+	{"tableI", experiment.TableI},
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("dapes-bench", flag.ExitOnError)
+	scaleName := fs.String("scale", "reduced", "workload scale: quick, reduced, or full")
+	only := fs.String("only", "", "comma-separated experiment ids (e.g. 9a,9b,10,tableI); empty = all")
+	workers := fs.Int("workers", 1, "concurrent trials per configuration; results are identical at any pool size")
+	format := fs.String("format", "text", "output format: text, json, or csv")
+	outPath := fs.String("o", "", "write results to this file instead of stdout")
+	fs.Parse(args) // ExitOnError: a bad flag prints usage and exits 2
 
 	var scale experiment.Scale
 	switch *scaleName {
@@ -41,6 +60,31 @@ func run() error {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 	scale.Workers = *workers
+	if err := scale.Validate(); err != nil {
+		return err
+	}
+
+	// Ids are checked before the output is opened (and -o truncated): an
+	// unknown one must not read as an experiment that printed nothing.
+	var known []string
+	for _, e := range singles {
+		known = append(known, e.id)
+	}
+	known = append(known, "10", "10a", "10b")
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !slices.ContainsFunc(known, func(k string) bool { return strings.EqualFold(k, id) }) {
+			return fmt.Errorf("unknown experiment id %q in -only (known: %s)", id, strings.Join(known, ", "))
+		}
+		wanted[strings.ToLower(id)] = true
+	}
+	if wanted["10"] {
+		wanted["10a"], wanted["10b"] = true, true
+	}
+	want := func(id string) bool { return len(wanted) == 0 || wanted[strings.ToLower(id)] }
 
 	out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
 	if err != nil {
@@ -48,39 +92,16 @@ func run() error {
 	}
 	defer closeOut()
 
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			wanted[strings.ToLower(id)] = true
-		}
-	}
-	want := func(id string) bool { return len(wanted) == 0 || wanted[strings.ToLower(id)] }
-
-	type exp struct {
-		id  string
-		run func(experiment.Scale) (experiment.Table, error)
-	}
-	singles := []exp{
-		{"9a", experiment.Fig9a},
-		{"9b", experiment.Fig9b},
-		{"9c", experiment.Fig9c},
-		{"9d", experiment.Fig9d},
-		{"9e", experiment.Fig9e},
-		{"9f", experiment.Fig9f},
-		{"9g", experiment.Fig9g},
-		{"9h", experiment.Fig9h},
-		{"tableI", experiment.TableI},
-	}
 	// Text and CSV stream each table as its experiment completes, so a
 	// failure hours into a full-scale run does not discard finished work;
 	// JSON is one array and necessarily buffers until the end.
 	var tables []experiment.Table
-	emit := func(ts ...experiment.Table) error {
+	emit := func(t experiment.Table) error {
 		if f == experiment.FormatJSON {
-			tables = append(tables, ts...)
+			tables = append(tables, t)
 			return nil
 		}
-		return experiment.EmitTables(out, f, ts...)
+		return experiment.EmitTables(out, f, t)
 	}
 	for _, e := range singles {
 		if !want(e.id) {
@@ -94,13 +115,20 @@ func run() error {
 			return err
 		}
 	}
-	if want("10") || want("10a") || want("10b") {
+	if wantA, wantB := want("10a"), want("10b"); wantA || wantB {
 		a, b, err := experiment.Fig10(scale)
 		if err != nil {
 			return fmt.Errorf("experiment 10: %w", err)
 		}
-		if err := emit(a, b); err != nil {
-			return err
+		if wantA {
+			if err := emit(a); err != nil {
+				return err
+			}
+		}
+		if wantB {
+			if err := emit(b); err != nil {
+				return err
+			}
 		}
 	}
 	if f == experiment.FormatJSON {

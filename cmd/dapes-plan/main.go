@@ -3,8 +3,6 @@
 // "Plan files"): the named scenario runs at every grid cell, cells fan
 // across a worker pool, per-cell results stream as JSON-lines, and a run
 // report (grid table + best/worst cells per optimize target) follows.
-// `dapes-plan report` loads the committed BENCH_*.json perf trajectory and
-// renders per-metric series, deltas, and threshold breaches.
 //
 // Determinism contract: a plan run's output is byte-identical for any
 // -workers value — cell c's trials seed from TrialSeed(CellSeed(seed, c),
@@ -16,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"dapes/internal/experiment"
 	"dapes/internal/plan"
@@ -33,9 +29,7 @@ func main() {
 func usage() error {
 	return fmt.Errorf(`usage:
   dapes-plan run PLAN_FILE [-workers N] [-shards N] [-format text|json|csv] [-o FILE] [-no-stream]
-      run a plan: stream per-cell JSON-lines, then render the run report
-  dapes-plan report [SNAPSHOT.json ...] [-format text|json|csv] [-o FILE] [-fail-on-breach]
-      render the perf trajectory from BENCH_*.json snapshots (default glob: BENCH_*.json)`)
+      run a plan: stream per-cell JSON-lines, then render the run report`)
 }
 
 func run(args []string) error {
@@ -45,8 +39,6 @@ func run(args []string) error {
 	switch args[0] {
 	case "run":
 		return cmdRun(args[1:])
-	case "report":
-		return cmdReport(args[1:])
 	case "-h", "-help", "--help", "help":
 		return usage()
 	}
@@ -112,66 +104,4 @@ func cmdRun(args []string) error {
 		return err
 	}
 	return experiment.EmitTables(out, f, res.Tables()...)
-}
-
-func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	var (
-		format   = fs.String("format", "text", "report format: text, json, or csv")
-		outPath  = fs.String("o", "", "write the report to this file instead of stdout")
-		failFlag = fs.Bool("fail-on-breach", false, "exit non-zero when any gated metric regressed past its threshold")
-	)
-	pos, err := parseWithTrailingFlags(fs, args)
-	if err != nil {
-		return err
-	}
-	paths := pos
-	if len(paths) == 0 {
-		paths, err = defaultSnapshots()
-		if err != nil {
-			return err
-		}
-	}
-
-	out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
-	if err != nil {
-		return err
-	}
-	defer closeOut()
-
-	snaps, err := plan.LoadTrajectory(paths...)
-	if err != nil {
-		return err
-	}
-	tables, brs, err := plan.TrajectoryReport(snaps)
-	if err != nil {
-		return err
-	}
-	if err := experiment.EmitTables(out, f, tables...); err != nil {
-		return err
-	}
-	if *failFlag && len(brs) > 0 {
-		return fmt.Errorf("%d gated metric(s) regressed past their threshold", len(brs))
-	}
-	return nil
-}
-
-func defaultSnapshots() ([]string, error) {
-	paths, err := sortedGlob("BENCH_*.json")
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no BENCH_*.json snapshots in the current directory (run from the repo root or pass files)")
-	}
-	return paths, nil
-}
-
-func sortedGlob(pattern string) ([]string, error) {
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	return paths, nil
 }

@@ -27,8 +27,15 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-range", "0"}, `"dapes(custom)": WiFi range = 0 m`},
 		{[]string{"-scenario", "fig7-dapes", "-range", "-1"}, `"fig7-dapes": WiFi range = -1 m`},
 		{[]string{"-scenario", "fig7-dapes", "-range", "0"}, `"fig7-dapes": WiFi range = 0 m`},
+		// Later flags win, so these override tiny's values. -packets -1
+		// panicked in buildCollection; the rest ran and printed a result.
+		{[]string{"-scenario", "fig7-dapes", "-packets", "-1"}, "Scale.PacketsPerFile = -1"},
+		{[]string{"-packets", "0"}, "Scale.PacketsPerFile = 0"},
+		{[]string{"-horizon", "0s"}, "Scale.Horizon = 0s"},
+		{[]string{"-shards", "-1"}, "Scale.Shards = -1"},
+		{[]string{"-workers", "-3"}, "Scale.Workers = -3"},
 	} {
-		err := run(append(tc.args, tiny...))
+		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("dapes-sim %v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}

@@ -49,25 +49,26 @@ func (o DAPESOptions) coreConfig() core.Config {
 
 // RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
 // metrics: on the sequential kernel by default, on Scale.Shards stripes under
-// the conservative lookahead when the scale asks for them (see
-// RunShardedDAPESTrial for that path's equivalence and relaxation contract).
+// the conservative lookahead when the scale asks for them (see runDAPESTrial
+// for that path's equivalence and relaxation contract).
 func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
 	return runDAPESTrial(s, wifiRange, trial, opts, 0)
 }
 
-// RunShardedDAPESTrial executes one Fig.-7 trial on the space-partitioned
-// kernel: the area splits into `shards` vertical stripes balanced on the t=0
-// node-position CDF, each with its own sim.Kernel and phy.Medium, advancing
-// in windows of `lookahead` — batched past provably quiet boundaries — and
-// exchanging cross-boundary broadcasts at window barriers. A non-positive
-// lookahead selects the conservative bound, under which no in-flight frame
-// can span a window edge; zero shards is the one sequential kernel, which
-// has no windows. With shards == 1 the run is byte-identical to the
-// sequential kernel (same seeds, same radio IDs, same event schedule), which
-// is what the sharded golden gate checks for every registered scenario.
+// runDAPESTrial executes one Fig.-7 trial. With Scale.Shards > 0 it runs on
+// the space-partitioned kernel: the area splits into that many vertical
+// stripes balanced on the t=0 node-position CDF, each with its own sim.Kernel
+// and phy.Medium, advancing in windows of `lookahead` — batched past provably
+// quiet boundaries — and exchanging cross-boundary broadcasts at window
+// barriers. A non-positive lookahead selects the conservative bound, under
+// which no in-flight frame can span a window edge; zero shards is the one
+// sequential kernel, which has no windows. With one shard the run is
+// byte-identical to the sequential kernel (same seeds, same radio IDs, same
+// event schedule), which is what the sharded golden gate checks for every
+// registered scenario.
 //
-// With shards > 1 the global-trace contract is relaxed, deliberately and
-// deterministically:
+// With more than one shard the global-trace contract is relaxed, deliberately
+// and deterministically:
 //
 //   - each stripe's kernel draws from its own seeded RNG stream
 //     (sim.ShardSeed), so jitter draws differ from the sequential schedule;
@@ -83,11 +84,6 @@ func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (Tr
 // schedule remains a pure function of (BaseSeed, trial, shards, lookahead):
 // serial and parallel window execution are byte-identical, which
 // TestShardedTrialSerialMatchesParallel gates.
-func RunShardedDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, shards int, lookahead time.Duration) (TrialResult, error) {
-	s.Shards = shards
-	return runDAPESTrial(s, wifiRange, trial, opts, lookahead)
-}
-
 func runDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, lookahead time.Duration) (TrialResult, error) {
 	w, err := buildDAPES(s, wifiRange, trial, opts, lookahead)
 	if err != nil {

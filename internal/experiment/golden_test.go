@@ -182,3 +182,37 @@ func TestBaselineTrialsDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestTrialAllocationBudget bounds what one whole dense trial allocates:
+// heap objects over one trial of each dense scenario at the golden-trace
+// scale, budget 1.5x the count measured when written (urban-grid 19,948,
+// urban-grid-xl 44,997 — the margin covers pools a GC happens to clear
+// mid-trial). A per-frame or per-event allocation creeping back into any
+// layer multiplies these counts; a few objects per node do not trip it.
+// Serial on purpose: AllocsPerRun reads the process-wide counter, and
+// parallel tests wait until every serial test is done. The 50k-node and
+// sharded trials are BENCHMARK.json's mallocs_m on metro-seq and
+// metro-sharded.
+func TestTrialAllocationBudget(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		budget   float64
+	}{
+		{"urban-grid", 19_948 * 1.5},
+		{"urban-grid-xl", 44_997 * 1.5},
+	} {
+		sc, err := Find(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(1, func() {
+			if _, err := sc.Run(goldenScale(), 60, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f objects, budget %.0f", tc.scenario, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: one trial allocated %.0f objects, budget %.0f", tc.scenario, got, tc.budget)
+		}
+	}
+}

@@ -132,7 +132,7 @@ func (s Scale) TotalPackets() int { return s.NumFiles * s.PacketsPerFile }
 // Validate rejects scales that cannot drive a meaningful run: zero or
 // negative trial counts, an empty range sweep, non-positive collection or
 // packet sizes, loss probabilities outside [0, 1), and node mixes with
-// nobody downloading. CLIs and the plan harness call this before work
+// nobody downloading. Runner.Run and the plan harness call this before work
 // starts so a bad knob fails with a field name instead of a mid-run panic
 // or a silently empty sweep.
 func (s Scale) Validate() error {

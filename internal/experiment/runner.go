@@ -50,10 +50,13 @@ func (r Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error)
 	if sc == nil || sc.Run == nil {
 		return RunResult{}, fmt.Errorf("experiment: nil scenario")
 	}
-	n := s.Trials
-	if n <= 0 {
-		return RunResult{}, fmt.Errorf("experiment: scenario %q: Trials must be positive", sc.Name)
+	// The one trial driver validates for every caller — dapes-sim, each
+	// dapes-bench figure, plan cells — so a bad knob fails here with its
+	// field name, before any trial builds a world.
+	if err := s.Validate(); err != nil {
+		return RunResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
+	n := s.Trials
 	// Not a Scale field, so Validate never sees it: a negative range panics
 	// the medium's grid and zero silently runs phy's default under a
 	// "range=0m" label. (The negated form also refuses NaN.)

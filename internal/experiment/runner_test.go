@@ -84,11 +84,26 @@ func TestRunnerRejectsBadInput(t *testing.T) {
 	if _, err := (Runner{}).Run(nil, tinyScale(), 80); err == nil {
 		t.Fatal("nil scenario accepted")
 	}
-	s := tinyScale()
-	s.Trials = 0
 	sc, _ := Lookup("fig7-dapes")
-	if _, err := (Runner{}).Run(sc, s, 80); err == nil {
-		t.Fatal("zero trials accepted")
+	// Run is where a Scale is validated for dapes-sim and dapes-bench: each
+	// bad knob fails with its field's name before a world is built (a
+	// negative PacketsPerFile used to panic in buildCollection).
+	for _, tc := range []struct {
+		field string
+		set   func(*Scale)
+	}{
+		{"Scale.Trials", func(s *Scale) { s.Trials = 0 }},
+		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = -1 }},
+		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = 0 }},
+		{"Scale.Horizon", func(s *Scale) { s.Horizon = 0 }},
+		{"Scale.Shards", func(s *Scale) { s.Shards = -1 }},
+		{"Scale.Workers", func(s *Scale) { s.Workers = -3 }},
+	} {
+		s := tinyScale()
+		tc.set(&s)
+		if _, err := (Runner{}).Run(sc, s, 80); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("bad %s: err = %v, want one naming the field", tc.field, err)
+		}
 	}
 	if _, err := (Runner{}).RunScenario("no-such-scenario", tinyScale(), 80); err == nil {
 		t.Fatal("unknown scenario name accepted")

@@ -52,10 +52,10 @@ func TestGoldenShardedBatchingMatchesLockstep(t *testing.T) {
 	goldenGate(t, "lockstep", lock, "batched", batch)
 }
 
-// TestRunShardedDAPESTrialSingleShardMatchesSequential pins the one-shard
-// bridge directly, without the registry in between, on a denser mix than
+// TestShardedTrialSingleShardMatchesSequential pins the one-shard bridge
+// directly, without the registry in between, on a denser mix than
 // goldenScale so the equivalence covers contention, PEBA, and forwarding.
-func TestRunShardedDAPESTrialSingleShardMatchesSequential(t *testing.T) {
+func TestShardedTrialSingleShardMatchesSequential(t *testing.T) {
 	t.Parallel()
 	s := goldenScale()
 	s.MobileDown = 6
@@ -66,7 +66,8 @@ func TestRunShardedDAPESTrialSingleShardMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunShardedDAPESTrial(s, 60, 0, PaperDefaults(), 1, 0)
+	s.Shards = 1
+	sharded, err := RunDAPESTrial(s, 60, 0, PaperDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestTrialSeedWraps(t *testing.T) {
 // BenchmarkShardedKernel measures the partitioned kernel's payoff: one
 // urban-grid-xl density trial on the sequential reference versus the
 // sharded kernel at 2 and 4 stripes (relaxed urban-metro lookahead,
-// parallel windows). BENCH_7.json's shard-scaling section records the
-// measured numbers; the hardware-independent gate is allocs/op (+50%
-// relative slack), because wall-clock depends on the host's core count —
-// on a single-slot runner the adaptive scheduler runs every window inline
-// and sharding pays through partitioning, not goroutines.
+// parallel windows). Informational: the measured comparison of the two
+// kernels, with spread, is BENCHMARK.json's metro-sharded against metro-seq
+// (wall_s, mallocs_m). Wall-clock depends on the host's core count — on a
+// single-slot runner the adaptive scheduler runs every window inline and
+// sharding pays through partitioning, not goroutines.
 func BenchmarkShardedKernel(b *testing.B) {
 	dense := ReducedScale()
 	dense.Trials = 1
@@ -192,12 +193,13 @@ func BenchmarkShardedKernel(b *testing.B) {
 			}
 		}
 	})
+	la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
 	for _, shards := range []int{2, 4} {
-		shards := shards
+		sharded := dense
+		sharded.Shards = shards
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
 			for i := 0; i < b.N; i++ {
-				if _, err := RunShardedDAPESTrial(dense, wifiRange, 0, opts, shards, la); err != nil {
+				if _, err := runDAPESTrial(sharded, wifiRange, 0, opts, la); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,10 +210,10 @@ func BenchmarkShardedKernel(b *testing.B) {
 	// paying at all (see docs/PERFORMANCE.md).
 	b.Run("shards-4-serial", func(b *testing.B) {
 		serial := dense
+		serial.Shards = 4
 		serial.Engine.SerialWindows = true
-		la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
 		for i := 0; i < b.N; i++ {
-			if _, err := RunShardedDAPESTrial(serial, wifiRange, 0, opts, 4, la); err != nil {
+			if _, err := runDAPESTrial(serial, wifiRange, 0, opts, la); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -221,9 +223,9 @@ func BenchmarkShardedKernel(b *testing.B) {
 // BenchmarkShardedKernelMetro is the headline metro benchmark: the
 // urban-metro scenario at the exact [scale] of plans/urban-metro.toml —
 // 50,003 nodes on 4 density-balanced stripes, 10 s horizon — through the
-// registered scenario runner, the same measurement cmd/bench-snapshot
-// freezes as shard/urban-metro-trial in BENCH_7.json. The `make bench`
-// smoke runs it once per CI build so the 50k-node path cannot rot.
+// registered scenario, the same world BENCHMARK.json's metro-sharded
+// workload measures (wall_s, mallocs_m). The `make bench` smoke runs it
+// once per CI build so the 50k-node path cannot rot.
 func BenchmarkShardedKernelMetro(b *testing.B) {
 	metro := ReducedScale()
 	metro.Trials = 1

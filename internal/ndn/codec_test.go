@@ -170,6 +170,7 @@ func TestWirePathAllocationBudget(t *testing.T) {
 		d := &Data{Name: n, Content: payload}
 		d.SignDigest()
 		dWire := d.Encode()
+		budget("Encode of an encoded Data", 0, func() { d.Encode() })
 		budget("NewPacket(wire).Interest()", 2, func() {
 			if NewPacket(itWire).Interest() == nil {
 				t.Fatal("interest did not decode")

@@ -21,8 +21,8 @@ func benchData() *Data {
 // the O(senders×receivers) work the dense scenarios multiply out — on the
 // shared wire path (cached encode, one memoized decode for all k
 // receivers). The gap over the pre-refactor codec (re-encode per send, k
-// independent copying parses) is history in BENCH_4.json and
-// docs/PERFORMANCE.md; bench-check gates the allocs/op exactly.
+// independent copying parses) is history in docs/PERFORMANCE.md;
+// TestWirePathAllocationBudget pins the objects per packet.
 func BenchmarkWirePath(b *testing.B) {
 	for _, k := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -28,8 +28,9 @@ func benchNames(n int) (datas []*ndn.Data, queries []*ndn.Interest) {
 
 // BenchmarkCsPrefixFind measures a CanBePrefix Content Store lookup with
 // 10k cached packets through the name-tree descent. The gate is 0
-// allocs/op (TestLookupPathsDoNotAllocate); the ratio over the seed's
-// LRU-list scan is history in BENCH_4.json and docs/PERFORMANCE.md.
+// allocs/op (TestLookupPathsDoNotAllocate) and the time is nfd.cs_find_ns
+// in BENCHMARK.json; the ratio over the seed's LRU-list scan is history in
+// docs/PERFORMANCE.md.
 func BenchmarkCsPrefixFind(b *testing.B) {
 	const n = 10_000
 	datas, queries := benchNames(n)

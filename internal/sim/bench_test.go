@@ -65,8 +65,9 @@ func BenchmarkKernelFire(b *testing.B) {
 // body is four trivial events and whose cost is almost entirely
 // synchronization. `serial` runs the busy shards on the coordinator (the
 // floor: no synchronization at all) and `workers` is the persistent-worker
-// epoch barrier. (The goroutine-per-window scheduler the workers replaced
-// is priced in BENCH_7.json and docs/PERFORMANCE.md.)
+// epoch barrier; sim.shard_window_ns in BENCHMARK.json times the same
+// window. (The goroutine-per-window scheduler the workers replaced is
+// priced in docs/PERFORMANCE.md.)
 func BenchmarkShardBarrier(b *testing.B) {
 	const shards = 4
 	const tick = time.Microsecond
