@@ -118,10 +118,12 @@ chaos-smoke:
 # serial==parallel and batched==lockstep byte-identical for every registered
 # scenario — each arm asserting which engine it built — plus the kernel-,
 # medium- and trial-level halves of the same properties and the 0 allocs/op
-# pins. A new gate joins by being named like one.
+# pins. A new gate joins by being named like one, in ./internal/... or
+# ./cmd/... (dapes-bench's TestGoldenQuickFigures pins every figure panel
+# at quick scale against a committed testdata/quick.json).
 GOLDEN = ^TestGolden|Matches|TraceNeutral|Determinis|NotAllocate
 golden:
-	$(GO) test -run '$(GOLDEN)' -count=1 ./internal/...
+	$(GO) test -run '$(GOLDEN)' -count=1 ./internal/... ./cmd/...
 
 # The sharded subset of the same gates under the race detector (plus the
 # worker lifecycle): parallel windows may share nothing, and a window race

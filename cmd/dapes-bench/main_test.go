@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,6 +67,68 @@ func TestOnlyPrintsThePanelsAskedFor(t *testing.T) {
 	} {
 		if got := strings.Join(titles(only), ","); got != want {
 			t.Errorf("-only %s printed %q, want %q", only, got, want)
+		}
+	}
+}
+
+// TestGoldenQuickFigures pins every panel `-scale quick` prints, byte for
+// byte, against testdata/quick.json — captured once, before the figures
+// became one table and one sweep, and never regenerated by a change that
+// claims to leave the evaluation alone. It is the series-wiring gate the
+// absolute trial goldens cannot be: a swapped option in a figure's
+// definition changes a column, not a trial. -only must print the matching
+// sub-arrays, whether it selects one panel of a sweep or both.
+func TestGoldenQuickFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every figure at quick scale, ~11 s")
+	}
+	t.Parallel()
+	emit := func(only string) []byte {
+		out := filepath.Join(t.TempDir(), "out.json")
+		if err := run([]string{"-scale", "quick", "-format", "json", "-only", only, "-o", out}); err != nil {
+			t.Fatalf("-only %q: %v", only, err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := emit(""); !bytes.Equal(got, golden) {
+		t.Errorf("-scale quick -format json differs from testdata/quick.json:\n%s", got)
+	}
+
+	type table struct {
+		Title, Note string
+		Header      []string
+		Rows        [][]string
+	}
+	decode := func(raw []byte) []table {
+		var ts []table
+		if err := json.Unmarshal(raw, &ts); err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	all := decode(golden)
+	for only, prefixes := range map[string][]string{
+		"9g,9h": {"Fig 9g:", "Fig 9h:"},
+		"10a":   {"Fig 10a:"},
+	} {
+		var want []table
+		for _, prefix := range prefixes {
+			for _, tb := range all {
+				if strings.HasPrefix(tb.Title, prefix) {
+					want = append(want, tb)
+				}
+			}
+		}
+		if got := decode(emit(only)); len(want) != len(prefixes) || !reflect.DeepEqual(got, want) {
+			t.Errorf("-only %s printed %+v, want the golden's %+v", only, got, want)
 		}
 	}
 }
