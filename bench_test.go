@@ -8,7 +8,7 @@ package dapes_bench
 
 import (
 	"runtime"
-	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,64 +23,48 @@ func benchScale() experiment.Scale {
 	return s
 }
 
-// figures is every table and figure of Section VI with the unit of its
-// headline metric: column 1 (the first series) of the named row of each
-// table run returns. Fig. 10 is one sweep rendering both panels; Table I
-// reports its third scenario on a two-file collection.
-var figures = []struct {
-	id    string
-	run   func(experiment.Scale) ([]experiment.Table, error)
-	row   int
-	units []string
-}{
-	{"9a", one(experiment.Fig9a), 0, []string{"s_download"}},
-	{"9b", one(experiment.Fig9b), 0, []string{"transmissions"}},
-	{"9c", one(experiment.Fig9c), 0, []string{"s_download"}},
-	{"9d", one(experiment.Fig9d), 0, []string{"s_download"}},
-	{"9e", one(experiment.Fig9e), 0, []string{"s_download"}},
-	{"9f", one(experiment.Fig9f), 0, []string{"s_download"}},
-	{"9g", one(experiment.Fig9g), 0, []string{"s_download"}},
-	{"9h", one(experiment.Fig9h), 0, []string{"transmissions"}},
-	{"10", func(s experiment.Scale) ([]experiment.Table, error) {
-		a, b, err := experiment.Fig10(s)
-		return []experiment.Table{a, b}, err
-	}, 0, []string{"s_download_dapes", "transmissions_dapes"}},
-	{"tableI", func(s experiment.Scale) ([]experiment.Table, error) {
-		s.NumFiles = 2
-		return one(experiment.TableI)(s)
-	}, 2, []string{"s_scenario3"}},
-}
-
-func one(run func(experiment.Scale) (experiment.Table, error)) func(experiment.Scale) ([]experiment.Table, error) {
-	return func(s experiment.Scale) ([]experiment.Table, error) {
-		t, err := run(s)
-		return []experiment.Table{t}, err
+// BenchmarkFigure regenerates each entry of experiment.Figures at bench
+// scale and reports the headline metric of each panel: the first series at
+// the one range swept. A figure with an id of its own ("10") is one
+// benchmark reporting every panel; otherwise each panel is its own
+// (9g and 9h each run their shared sweep). Table I reports its third
+// scenario on a two-file collection.
+func BenchmarkFigure(b *testing.B) {
+	for _, fig := range experiment.Figures {
+		if fig.ID != "" {
+			b.Run(fig.ID, func(b *testing.B) { benchFigure(b, fig, fig.Panels) })
+			continue
+		}
+		for _, p := range fig.Panels {
+			b.Run(p.ID, func(b *testing.B) { benchFigure(b, fig, []experiment.Panel{p}) })
+		}
 	}
 }
 
-// BenchmarkFigure regenerates each figure at bench scale as
-// BenchmarkFigure/<id> and reports its headline metric.
-func BenchmarkFigure(b *testing.B) {
-	for _, fig := range figures {
-		b.Run(fig.id, func(b *testing.B) {
-			s := benchScale()
-			for i := 0; i < b.N; i++ {
-				tables, err := fig.run(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j, t := range tables {
-					if len(t.Rows) <= fig.row || len(t.Rows[fig.row]) < 2 {
-						b.Fatalf("table %q has no row %d", t.Title, fig.row)
-					}
-					v, err := strconv.ParseFloat(t.Rows[fig.row][1], 64)
-					if err != nil {
-						b.Fatalf("table %q: %v", t.Title, err)
-					}
-					b.ReportMetric(v, fig.units[j])
-				}
+func benchFigure(b *testing.B, fig experiment.Figure, panels []experiment.Panel) {
+	s := benchScale()
+	if fig.Series == nil {
+		s.NumFiles = 2
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := fig.Run(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fig.Series == nil {
+			b.ReportMetric(res.Scenarios[2].DownloadTime.Seconds(), "s_scenario3")
+			continue
+		}
+		for _, p := range panels {
+			unit := "s_download"
+			if p.Metric == experiment.Transmissions {
+				unit = "transmissions"
 			}
-		})
+			if len(panels) > 1 { // say whose: the panels share the first series
+				unit += "_" + strings.ToLower(res.Labels[0])
+			}
+			b.ReportMetric(p.Metric.Of(res.Cells[0][0]), unit)
+		}
 	}
 }
 
@@ -118,12 +102,13 @@ func benchRunner(b *testing.B, workers int) {
 	b.Helper()
 	s := benchScale()
 	s.Trials = 4
+	s.Workers = workers
 	sc, ok := experiment.Lookup("fig7-dapes")
 	if !ok {
 		b.Fatal("fig7-dapes not registered")
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Runner{Workers: workers}.Run(sc, s, 60)
+		res, err := experiment.Runner{}.Run(sc, s, 60)
 		if err != nil {
 			b.Fatal(err)
 		}

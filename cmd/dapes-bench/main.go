@@ -6,6 +6,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -20,23 +21,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dapes-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// singles are the experiments that render one table each; Fig. 10 is one
-// sweep rendering two panels, 10a and 10b ("10" asks for both).
-var singles = []struct {
-	id  string
-	run func(experiment.Scale) (experiment.Table, error)
-}{
-	{"9a", experiment.Fig9a},
-	{"9b", experiment.Fig9b},
-	{"9c", experiment.Fig9c},
-	{"9d", experiment.Fig9d},
-	{"9e", experiment.Fig9e},
-	{"9f", experiment.Fig9f},
-	{"9g", experiment.Fig9g},
-	{"9h", experiment.Fig9h},
-	{"tableI", experiment.TableI},
 }
 
 func run(args []string) error {
@@ -65,12 +49,12 @@ func run(args []string) error {
 	}
 
 	// Ids are checked before the output is opened (and -o truncated): an
-	// unknown one must not read as an experiment that printed nothing.
+	// unknown one must not read as an experiment that printed nothing. A
+	// figure's own id ("10") asks for all its panels.
 	var known []string
-	for _, e := range singles {
-		known = append(known, e.id)
+	for _, fig := range experiment.Figures {
+		known = append(known, fig.IDs()...)
 	}
-	known = append(known, "10", "10a", "10b")
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(id); id == "" {
@@ -80,9 +64,6 @@ func run(args []string) error {
 			return fmt.Errorf("unknown experiment id %q in -only (known: %s)", id, strings.Join(known, ", "))
 		}
 		wanted[strings.ToLower(id)] = true
-	}
-	if wanted["10"] {
-		wanted["10a"], wanted["10b"] = true, true
 	}
 	want := func(id string) bool { return len(wanted) == 0 || wanted[strings.ToLower(id)] }
 
@@ -103,30 +84,23 @@ func run(args []string) error {
 		}
 		return experiment.EmitTables(out, f, t)
 	}
-	for _, e := range singles {
-		if !want(e.id) {
-			continue
-		}
-		t, err := e.run(scale)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", e.id, err)
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if wantA, wantB := want("10a"), want("10b"); wantA || wantB {
-		a, b, err := experiment.Fig10(scale)
-		if err != nil {
-			return fmt.Errorf("experiment 10: %w", err)
-		}
-		if wantA {
-			if err := emit(a); err != nil {
-				return err
+	for _, fig := range experiment.Figures {
+		var panels []int
+		for i, p := range fig.Panels {
+			if want(fig.ID) || want(p.ID) {
+				panels = append(panels, i)
 			}
 		}
-		if wantB {
-			if err := emit(b); err != nil {
+		if len(panels) == 0 {
+			continue
+		}
+		// One sweep, however many of its panels were asked for.
+		res, err := fig.Run(scale)
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", cmp.Or(fig.ID, fig.Panels[panels[0]].ID), err)
+		}
+		for _, i := range panels {
+			if err := emit(res.Table(i)); err != nil {
 				return err
 			}
 		}

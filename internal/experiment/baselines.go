@@ -105,16 +105,6 @@ func ektaTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 	return driveBaseline(w, s.Horizon, downloaders), w
 }
 
-// runBaseline aggregates trials for one baseline runner through the worker
-// pool (s.Workers wide).
-func runBaseline(s Scale, wifiRange float64, run func(Scale, float64, int) (TrialResult, error)) (time.Duration, float64, error) {
-	res, err := Runner{}.Run(&Scenario{Name: "baseline", Run: TrialFunc(run)}, s, wifiRange)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.DownloadTime90, res.Transmissions90, nil
-}
-
 // driveBaseline drives a started baseline world until every downloader has
 // the file (or the horizon passes) and folds it into a TrialResult.
 func driveBaseline[P interface{ Done() (bool, time.Duration) }](w *world, horizon time.Duration, downloaders []P) TrialResult {

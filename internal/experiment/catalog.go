@@ -28,14 +28,19 @@ func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc 
 	}
 }
 
+// withOptions is the Fig.-7 workload on the DAPES stack configured by opts.
+func withOptions(opts DAPESOptions) TrialFunc {
+	return func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+		return RunDAPESTrial(s, wifiRange, trial, opts)
+	}
+}
+
 // dapesVariant runs the Fig.-7 workload with one knob changed from the
 // paper defaults.
 func dapesVariant(mutate func(*DAPESOptions)) TrialFunc {
-	return func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-		opts := PaperDefaults()
-		mutate(&opts)
-		return RunDAPESTrial(s, wifiRange, trial, opts)
-	}
+	opts := PaperDefaults()
+	mutate(&opts)
+	return withOptions(opts)
 }
 
 var fig7Params = []Param{
@@ -54,9 +59,7 @@ func init() {
 			"collection and 24 downloaders fetch it with local-neighborhood RPF, " +
 			"interleaved advertisements, PEBA, and 20% probabilistic forwarding.",
 		Params: fig7Params,
-		Run: func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-			return RunDAPESTrial(s, wifiRange, trial, PaperDefaults())
-		},
+		Run:    paperTrial,
 	})
 	Register(&Scenario{
 		Name:      "fig7-bithoc",

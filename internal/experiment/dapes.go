@@ -227,19 +227,3 @@ func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*
 		MemoryBytes:     memory,
 	}
 }
-
-// RunDAPES runs Trials trials through the worker pool (s.Workers wide) and
-// aggregates the paper's statistics. Results are identical at any pool size.
-func RunDAPES(s Scale, wifiRange float64, opts DAPESOptions) (time.Duration, float64, []TrialResult, error) {
-	sc := &Scenario{
-		Name: "dapes",
-		Run: func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-			return RunDAPESTrial(s, wifiRange, trial, opts)
-		},
-	}
-	res, err := Runner{}.Run(sc, s, wifiRange) // pool size comes from s.Workers
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return res.DownloadTime90, res.Transmissions90, res.Trials, nil
-}

@@ -232,7 +232,7 @@ func TestEmitRunFormatsAgreeOnChaosRun(t *testing.T) {
 	s := goldenScale()
 	s.Trials = 2
 	s.Horizon = 6 * time.Minute
-	run, err := Runner{Workers: 1}.RunScenario("urban-grid-chaos", s, 60)
+	run, err := Runner{}.RunScenario("urban-grid-chaos", s, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

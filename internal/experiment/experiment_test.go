@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strconv"
 	"testing"
 	"time"
 )
@@ -83,34 +82,23 @@ func TestScenariosProduceTableI(t *testing.T) {
 	t.Parallel()
 	s := tinyScale()
 	s.NumFiles = 1
-	tbl, err := TableI(s)
+	rows, err := TableIRows(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("Table I rows = %d", len(tbl.Rows))
+	if len(rows) != 3 {
+		t.Fatalf("Table I rows = %d", len(rows))
 	}
-	for _, row := range tbl.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("scenario %s did not complete: %v", row[0], row)
+	for _, row := range rows {
+		if !row.Completed {
+			t.Fatalf("scenario %s did not complete: %+v", row.Name, row)
 		}
 	}
 	// The paper's relative finding: the mobile-swarm scenario (3) finishes
 	// fastest with the fewest transmissions but the highest memory.
-	t1 := mustFloat(t, tbl.Rows[0][1])
-	t3 := mustFloat(t, tbl.Rows[2][1])
-	if t3 >= t1 {
-		t.Errorf("scenario 3 (%v s) not faster than scenario 1 (%v s)", t3, t1)
+	if t1, t3 := rows[0].DownloadTime, rows[2].DownloadTime; t3 >= t1 {
+		t.Errorf("scenario 3 (%v) not faster than scenario 1 (%v)", t3, t1)
 	}
-}
-
-func mustFloat(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
-	}
-	return v
 }
 
 func TestPercentile90(t *testing.T) {
@@ -118,12 +106,16 @@ func TestPercentile90(t *testing.T) {
 	if got := percentile90(nil); got != 0 {
 		t.Fatalf("empty percentile = %v", got)
 	}
-	if got := percentile90([]float64{5}); got != 5 {
-		t.Fatalf("single percentile = %v", got)
-	}
-	vals := []float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}
-	if got := percentile90(vals); got != 10 {
-		t.Fatalf("p90 of 1..10 = %v", got)
+	// Nearest rank: the smallest of 1..n with at least 90% of the values at
+	// or below it, so the ninth of the paper's ten trials, not their maximum.
+	for n, want := range map[int]float64{1: 1, 3: 3, 9: 9, 10: 9, 11: 10, 20: 18} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64((i*7)%n + 1) // 1..n out of order (7 is coprime to every n here)
+		}
+		if got := percentile90(vals); got != want {
+			t.Errorf("p90 of 1..%d = %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -54,7 +54,8 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		if workers == 1 { // the built log is unlocked: one goroutine only
 			s.Engine.built = &built
 		}
-		res, err := Runner{Workers: workers}.RunScenario("fig7-dapes", s, 60)
+		s.Workers = workers
+		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
 		}
@@ -107,7 +108,7 @@ func TestEmptyFaultPlanTraceNeutral(t *testing.T) {
 		t.Helper()
 		s := goldenScale()
 		s.Faults = f
-		res, err := Runner{Workers: 1}.RunScenario("fig7-dapes", s, 60)
+		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestGilbertElliottDegeneratesToIID(t *testing.T) {
 		t.Helper()
 		s := goldenScale() // LossRate 0.10
 		s.Faults = f
-		res, err := Runner{Workers: 1}.RunScenario("fig7-dapes", s, 60)
+		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +172,11 @@ func TestChaosRecoveryBar(t *testing.T) {
 	s := goldenScale()
 	s.Horizon = 6 * time.Minute
 
-	clean, err := Runner{Workers: 1}.RunScenario("urban-grid", s, 60)
+	clean, err := Runner{}.RunScenario("urban-grid", s, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err := Runner{Workers: 1}.RunScenario("urban-grid-chaos", s, 60)
+	chaos, err := Runner{}.RunScenario("urban-grid-chaos", s, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

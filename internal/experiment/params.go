@@ -7,14 +7,16 @@
 // pool. Every trial seeds its own sim.Kernel from TrialSeed(BaseSeed,
 // trial), so serial and parallel runs produce byte-identical aggregates.
 //
-// The figure functions (Fig9a..Fig10, TableI) return Tables whose rows
-// mirror the series the paper plots; EmitRun/EmitTables render results as
-// text, JSON, or CSV. docs/EXPERIMENTS.md documents each registered
-// scenario in test-plan form.
+// The paper's figures are data: the Figures table names each figure's
+// panels and series, Figure.Run sweeps them into a numeric FigureResult, and
+// FigureResult.Table renders a panel as a Table whose rows mirror the series
+// the paper plots; EmitRun/EmitTables render results as text, JSON, or CSV.
+// docs/EXPERIMENTS.md documents each registered scenario in test-plan form.
 package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,10 +54,10 @@ type Scale struct {
 	// sim.ShardSeed) wrap two's-complement near the boundary, so Validate
 	// deliberately imposes no range on it.
 	BaseSeed int64
-	// Workers bounds how many trials run concurrently wherever a figure or
-	// scenario fans out through Runner (it is the Runner's default pool
-	// size); 0 or 1 is serial. Trials are seeded per index, so the pool
-	// size never changes any metric.
+	// Workers is the Runner's pool size — the one such setting: how many
+	// trials run concurrently wherever a figure, scenario or plan cell fans
+	// out through Runner; 0 or 1 is serial. Trials are seeded per index, so
+	// the pool size never changes any metric.
 	Workers int
 	// AreaSide overrides the Fig.-7 simulation area edge in meters; 0 keeps
 	// the paper's 300 m square.
@@ -241,23 +243,17 @@ type TrialResult struct {
 	Recovery time.Duration
 }
 
-// percentile90 returns the 90th-percentile value of the (sorted ascending)
-// measurement the paper reports across trials.
+// percentile90 returns the 90th percentile the paper reports across trials,
+// by the nearest-rank definition: the smallest value with at least 90% of
+// the trials at or below it, i.e. rank ceil(0.9 n) — the ninth-smallest of
+// ten trials, the maximum for n <= 9.
 func percentile90(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), vals...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := (len(sorted)*9 + 9) / 10
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	return sorted[(len(sorted)*9+9)/10-1]
 }
 
 // aggregate folds per-trial results into the paper's reported statistics.

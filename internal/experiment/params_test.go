@@ -61,7 +61,7 @@ func TestScaleValidateBoundaries(t *testing.T) {
 	t.Parallel()
 	s := ReducedScale()
 	s.LossRate = 0 // lossless is a legal sweep point
-	s.Workers = 0  // 0 means "serial via Runner fallback"
+	s.Workers = 0  // 0 means serial, like 1
 	s.AreaSide = 0 // 0 means "paper default area"
 	s.Trials = 1
 	if err := s.Validate(); err != nil {

@@ -2,22 +2,18 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"dapes/internal/par"
 )
 
-// Runner fans a scenario's independent trials out across a worker pool.
-// Each trial builds its own sim.Kernel from TrialSeed(BaseSeed, trial), so
-// trials never share state and the pool size cannot change any result:
-// a -workers=8 run produces byte-identical aggregates to a serial run.
-type Runner struct {
-	// Workers is the maximum number of concurrent trials. When zero, the
-	// pool size falls back to Scale.Workers (so figure sweeps parallelize
-	// from one knob); values <= 1 after that fallback run serially in the
-	// calling goroutine.
-	Workers int
-}
+// Runner fans a scenario's independent trials out across a worker pool
+// Scale.Workers wide (0 or 1: serially, in the calling goroutine) — the one
+// pool-size setting; Runner itself carries none. Each trial builds its own
+// sim.Kernel from TrialSeed(BaseSeed, trial), so trials never share state
+// and the pool size cannot change any result: a -workers=8 run produces
+// byte-identical aggregates to a serial run.
+type Runner struct{}
 
 // RunResult is one scenario execution: the per-trial metrics in trial-index
 // order plus the paper's aggregate statistics over them.
@@ -42,11 +38,11 @@ type RunResult struct {
 // Run executes s.Trials trials of the scenario and aggregates them. Trials
 // are scheduled across the pool but collected by trial index, and every
 // trial seeds from TrialSeed, so a successful RunResult is identical for
-// any worker count. Errors fail fast: no new trials start once one has
-// failed, and the lowest-indexed recorded failure is reported (when several
-// trials fail concurrently, which one is recorded first may vary with
-// scheduling — success output never does).
-func (r Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
+// any worker count. Errors fail fast (par.ForEach): no new trials start once
+// one has failed, and the lowest-indexed recorded failure is reported (when
+// several trials fail concurrently, which one is recorded first may vary
+// with scheduling — success output never does).
+func (Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
 	if sc == nil || sc.Run == nil {
 		return RunResult{}, fmt.Errorf("experiment: nil scenario")
 	}
@@ -63,57 +59,17 @@ func (r Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error)
 	if !(wifiRange > 0) {
 		return RunResult{}, fmt.Errorf("experiment: scenario %q: WiFi range = %g m, must be positive", sc.Name, wifiRange)
 	}
-	workers := r.Workers
-	if workers == 0 {
-		workers = s.Workers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-
+	workers := max(1, min(s.Workers, n)) // the width used, echoed in RunResult
 	trials := make([]TrialResult, n)
-	errs := make([]error, n)
-	if workers == 1 {
-		for t := 0; t < n; t++ {
-			trials[t], errs[t] = sc.Run(s, wifiRange, t)
-			if errs[t] != nil {
-				break
-			}
+	err := par.ForEach(n, workers, func(t int) error {
+		var err error
+		if trials[t], err = sc.Run(s, wifiRange, t); err != nil {
+			return fmt.Errorf("scenario %q trial %d: %w", sc.Name, t, err)
 		}
-	} else {
-		// Fail fast: once any trial errors, workers stop picking up new
-		// trials (in-flight ones finish).
-		var failed atomic.Bool
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range jobs {
-					if failed.Load() {
-						continue
-					}
-					trials[t], errs[t] = sc.Run(s, wifiRange, t)
-					if errs[t] != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		for t := 0; t < n; t++ {
-			jobs <- t
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for t, err := range errs {
-		if err != nil {
-			return RunResult{}, fmt.Errorf("scenario %q trial %d: %w", sc.Name, t, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return RunResult{}, err
 	}
 
 	dt, tx := aggregate(trials)

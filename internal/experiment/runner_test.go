@@ -20,11 +20,12 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	if !ok {
 		t.Fatal("fig7-dapes not registered")
 	}
-	serial, err := Runner{Workers: 1}.Run(sc, s, 80)
+	serial, err := Runner{}.Run(sc, s, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Runner{Workers: 8}.Run(sc, s, 80)
+	s.Workers = 8
+	parallel, err := Runner{}.Run(sc, s, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,8 @@ func TestRunnerPropagatesTrialError(t *testing.T) {
 	}
 	s := tinyScale()
 	s.Trials = 6
-	_, err := Runner{Workers: 4}.Run(sc, s, 80)
+	s.Workers = 4
+	_, err := Runner{}.Run(sc, s, 80)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -70,7 +72,8 @@ func TestRunnerPropagatesTrialError(t *testing.T) {
 	// Serial runs fail fast deterministically: trials 0, 1 succeed, trial 2
 	// fails, trials 3-5 never start.
 	ran.Store(0)
-	_, err = Runner{Workers: 1}.Run(sc, s, 80)
+	s.Workers = 1
+	_, err = Runner{}.Run(sc, s, 80)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "trial 2") {
 		t.Fatalf("serial err = %v, want failure at trial 2", err)
 	}
@@ -135,21 +138,23 @@ func TestTrialSeedDistinctAndStable(t *testing.T) {
 }
 
 // TestRunDAPESWorkersDeterministic drives the same figure path the CLIs use
-// (RunDAPES reads Scale.Workers) and checks parallelism changes nothing.
+// (Figure.Run reads Scale.Workers) and checks parallelism changes nothing.
 func TestRunDAPESWorkersDeterministic(t *testing.T) {
 	t.Parallel()
+	fig := Figure{Series: []Series{{Label: "DAPES", Trial: paperTrial}}}
 	s := tinyScale()
 	s.Trials = 3
-	dt1, tx1, trials1, err := RunDAPES(s, 80, PaperDefaults())
+	serial, err := fig.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Workers = 8
-	dt8, tx8, trials8, err := RunDAPES(s, 80, PaperDefaults())
+	pooled, err := fig.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dt1 != dt8 || tx1 != tx8 || !reflect.DeepEqual(trials1, trials8) {
-		t.Fatalf("RunDAPES diverged across worker counts: %v/%v vs %v/%v", dt1, tx1, dt8, tx8)
+	pooled.Cells[0][0].Workers = serial.Cells[0][0].Workers // the echoed knob
+	if !reflect.DeepEqual(serial.Cells, pooled.Cells) {
+		t.Fatalf("the sweep diverged across worker counts:\n%+v\nvs\n%+v", serial.Cells, pooled.Cells)
 	}
 }

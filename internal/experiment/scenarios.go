@@ -251,22 +251,31 @@ func runScenario(w *peerWorld, name string, coll ndn.Name, horizon time.Duration
 	}
 }
 
-// TableI regenerates the real-world feasibility table: all three scenarios,
-// reporting download time, transmissions, and the modeled system load.
-func TableI(s Scale) (Table, error) {
-	runs := []func(Scale, int64) (ScenarioResult, error){
+// TableIRows runs the real-world feasibility table: all three scenarios,
+// each on its own seed, as the rows Figures' tableI entry renders.
+func TableIRows(s Scale) ([]ScenarioResult, error) {
+	var rows []ScenarioResult
+	for i, run := range []func(Scale, int64) (ScenarioResult, error){
 		Scenario1Carrier, Scenario2Repo, Scenario3Mobile,
+	} {
+		r, err := run(s, s.BaseSeed+int64(i))
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, r)
 	}
+	return rows, nil
+}
+
+// tableI renders Table I: download time, transmissions, and the modeled
+// system load of each scenario.
+func tableI(title string, rows []ScenarioResult) Table {
 	t := Table{
-		Title: "Table I: real-world feasibility scenarios (modeled system load)",
+		Title: title,
 		Header: []string{"scenario", "time(s)", "transmissions", "memory(MB)",
 			"ctx-switches", "syscalls", "page-faults", "complete"},
 	}
-	for i, run := range runs {
-		r, err := run(s, s.BaseSeed+int64(i))
-		if err != nil {
-			return t, err
-		}
+	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			r.Name,
 			fmtSeconds(r.DownloadTime),
@@ -278,5 +287,5 @@ func TableI(s Scale) (Table, error) {
 			fmt.Sprintf("%v", r.Completed),
 		})
 	}
-	return t, nil
+	return t
 }

@@ -46,7 +46,8 @@ func emitJSON(t *testing.T, name string, s Scale, wifiRange float64) (RunResult,
 	t.Helper()
 	var built []*world
 	s.Engine.built = &built
-	res, err := Runner{Workers: 1}.RunScenario(name, s, wifiRange)
+	s.Workers = 1 // the built log is unlocked
+	res, err := Runner{}.RunScenario(name, s, wifiRange)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"dapes/internal/experiment"
+	"dapes/internal/par"
 )
 
 // CellResult is one grid cell's aggregate, the JSON-lines record the
@@ -63,8 +63,8 @@ type Result struct {
 // Results stream to Options.Stream strictly in cell-index order (cell i
 // is written only after cells 0..i-1), which together with per-cell seed
 // derivation makes the stream byte-identical for any worker count. Errors
-// fail fast: no new cells start once one has failed, and the
-// lowest-indexed recorded failure is reported.
+// fail fast (par.ForEach): no new cells start once a cell or a stream write
+// has failed, and the lowest-indexed recorded failure is reported.
 func Run(p *Plan, opt Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -74,93 +74,42 @@ func Run(p *Plan, opt Options) (*Result, error) {
 		return nil, err
 	}
 	cells := p.Cells()
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
 	results := make([]CellResult, len(cells))
-	errs := make([]error, len(cells))
-	st := &orderedStream{w: opt.Stream, done: make([]bool, len(cells)), results: results, errs: errs}
+	st := &orderedStream{w: opt.Stream, done: make([]bool, len(cells)), results: results}
 
-	runCell := func(i int) error {
-		scale := cells[i].Scale
+	err = par.ForEach(len(cells), opt.Workers, func(i int) error {
+		c := cells[i]
 		if opt.Shards > 0 {
-			scale.Shards = opt.Shards
+			c.Scale.Shards = opt.Shards
 		}
-		res, err := experiment.Runner{Workers: 1}.Run(sc, scale, cells[i].Range)
+		// Trials run serially inside a cell: Cells sets every cell's
+		// Scale.Workers, the Runner's pool size, to zero.
+		res, err := experiment.Runner{}.Run(sc, c.Scale, c.Range)
 		if err != nil {
-			return err
+			return fmt.Errorf("cell %d (nodes=%d range=%gm loss=%g): %w", i, c.Nodes, c.Range, c.Loss, err)
 		}
-		results[i] = cellResult(p, cells[i], res)
+		results[i] = cellResult(p, c, res)
+		if err := st.complete(i); err != nil {
+			return fmt.Errorf("streaming results: %w", err)
+		}
 		return nil
-	}
-
-	if workers == 1 {
-		for i := range cells {
-			if errs[i] = runCell(i); errs[i] != nil {
-				break
-			}
-			if err := st.complete(i); err != nil {
-				return nil, fmt.Errorf("plan %q: streaming results: %w", p.Name, err)
-			}
-		}
-	} else {
-		var failed atomic.Bool
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					if failed.Load() {
-						continue
-					}
-					if errs[i] = runCell(i); errs[i] != nil {
-						failed.Store(true)
-						continue
-					}
-					if err := st.complete(i); err != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		for i := range cells {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	for i, err := range errs {
-		if err != nil {
-			c := cells[i]
-			return nil, fmt.Errorf("plan %q: cell %d (nodes=%d range=%gm loss=%g): %w",
-				p.Name, i, c.Nodes, c.Range, c.Loss, err)
-		}
-	}
-	if st.err != nil {
-		return nil, fmt.Errorf("plan %q: streaming results: %w", p.Name, st.err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("plan %q: %w", p.Name, err)
 	}
 	return &Result{Plan: p, Cells: results}, nil
 }
 
 // orderedStream writes cell results as JSON lines strictly in index order:
-// complete(i) marks cell i done and flushes the longest done prefix. The
-// mutex serializes writers; the write error is sticky and surfaces after
-// the run (workers treat it as a failure signal).
+// complete(i) marks cell i done — only a cell that succeeded gets here —
+// and flushes the longest done prefix. The mutex serializes writers; the
+// write error is sticky, and failing the cell that sees it stops the run.
 type orderedStream struct {
 	mu      sync.Mutex
 	w       io.Writer
 	next    int
 	done    []bool
 	results []CellResult
-	errs    []error
 	err     error
 }
 
@@ -168,7 +117,7 @@ func (s *orderedStream) complete(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done[i] = true
-	for s.next < len(s.done) && s.done[s.next] && s.errs[s.next] == nil {
+	for s.next < len(s.done) && s.done[s.next] {
 		if s.w != nil && s.err == nil {
 			s.err = writeJSONLine(s.w, s.results[s.next])
 		}
