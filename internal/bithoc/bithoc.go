@@ -94,6 +94,7 @@ type Peer struct {
 	radio    *phy.Radio
 	router   *routing.DSDV
 	reliable *transport.Reliable
+	rng      sim.Stream // the node's sim.PurposePeer stream
 	cfg      Config
 	stats    Stats
 
@@ -166,6 +167,7 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Confi
 	p.helloT = k.NewTimer(p.helloTick)
 	p.router = routing.NewDSDV(k, medium, mobility, p.cfg.DSDV)
 	p.radio = p.router.Radio()
+	p.rng = k.Stream(p.radio.ID(), sim.PurposePeer)
 	p.reliable = transport.NewReliable(k, p.router, p.cfg.Transport)
 	p.reliable.SetReceive(p.onReliable)
 	p.reliable.SetOnFail(p.onSendFail)
@@ -255,7 +257,7 @@ func (p *Peer) Start() {
 	}
 	p.running = true
 	p.router.Start()
-	p.helloT.Reset(p.k.Jitter(p.cfg.HelloPeriod))
+	p.helloT.Reset(p.rng.Jitter(p.cfg.HelloPeriod))
 }
 
 // Stop deactivates the peer and everything under it: no timer of the peer,
@@ -282,7 +284,7 @@ func (p *Peer) helloTick() {
 		p.stats.HellosSent++
 		p.medium.Broadcast(p.radio, p.encodeHello(p.ID(), p.helloSeq, p.cfg.HelloTTL))
 	}
-	p.helloT.Reset(p.cfg.HelloPeriod + p.k.Jitter(p.cfg.HelloPeriod/4))
+	p.helloT.Reset(p.cfg.HelloPeriod + p.rng.Jitter(p.cfg.HelloPeriod/4))
 	p.pump()
 }
 
@@ -324,7 +326,7 @@ func (p *Peer) onHello(payload []byte) {
 		p.seenHello[origin] = seq
 		relay := append([]byte(nil), payload...)
 		relay[1] = byte(ttl - 1)
-		p.k.ScheduleFunc(p.k.Jitter(50*time.Millisecond), func() {
+		p.k.ScheduleFunc(p.rng.Jitter(50*time.Millisecond), func() {
 			if !p.running {
 				return
 			}

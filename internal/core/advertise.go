@@ -47,7 +47,7 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 		AppParams:   encodeBitmapPayload(cs.uri, p.id, cs.own),
 	}
 	wire := in.Encode()
-	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
+	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running {
 			return
 		}

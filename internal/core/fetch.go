@@ -79,7 +79,7 @@ func (p *Peer) maybeStartFetch(cs *collectionState) {
 		}
 	}
 	cs.fetching = true
-	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() { p.fetchLoop(cs) })
+	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() { p.fetchLoop(cs) })
 }
 
 // allNeighborsHeard reports whether every live neighbor has advertised a
@@ -148,7 +148,7 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 	}
 	in := &ndn.Interest{Name: name, Nonce: p.relay.NewNonce()}
 	wire := in.Encode()
-	delay := p.k.Jitter(p.cfg.TransmissionWindow)
+	delay := p.rng.Jitter(p.cfg.TransmissionWindow)
 	p.k.ScheduleFunc(delay, func() {
 		if !p.running || cs.own.Test(idx) {
 			return

@@ -20,7 +20,7 @@ func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
 	if !informed {
 		// No knowledge about the requested data: behave like a pure
 		// forwarder and forward probabilistically (Section V-B).
-		forward = p.k.RNG().Float64() < p.cfg.ForwardProb
+		forward = p.rng.Float64() < p.cfg.ForwardProb
 	}
 	if !forward {
 		p.stats.InterestsSuppressed++

@@ -26,6 +26,7 @@ type Peer struct {
 	k      *sim.Kernel
 	medium *phy.Medium
 	radio  *phy.Radio
+	rng    sim.Stream // the node's sim.PurposePeer stream; PEBA and RPF draw from it too
 	key    *keys.Key
 	trust  *keys.TrustStore
 	cfg    Config
@@ -72,6 +73,7 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, key *keys
 	p.sweepT = k.NewTimer(p.sweepTick)
 	p.radio = medium.Attach(mobility)
 	p.id = p.radio.ID()
+	p.rng = k.Stream(p.id, sim.PurposePeer)
 	p.relay = multihop.NewRelay(k, medium, p.radio, p.cfg.TransmissionWindow, p.cfg.SuppressTTL, &p.stats.Counters)
 	p.beaconPeriod = p.cfg.BeaconPeriodMin
 	p.radio.SetHandler(func(f phy.Frame) { p.relay.Deliver(f, p.handleInterest, p.handleData) })
@@ -100,7 +102,7 @@ func (p *Peer) Start() {
 	}
 	p.running = true
 	p.relay.Start()
-	p.beaconT.Reset(p.k.Jitter(p.beaconPeriod))
+	p.beaconT.Reset(p.rng.Jitter(p.beaconPeriod))
 	p.sweepT.Reset(p.cfg.NeighborTTL / 2)
 }
 
@@ -257,7 +259,7 @@ func (p *Peer) beaconTick() {
 		}
 	}
 	p.recentActivity = false
-	p.beaconT.Reset(p.beaconPeriod + p.k.Jitter(p.cfg.TransmissionWindow))
+	p.beaconT.Reset(p.beaconPeriod + p.rng.Jitter(p.cfg.TransmissionWindow))
 }
 
 func (p *Peer) sendDiscoveryInterest() {
@@ -383,7 +385,7 @@ func (p *Peer) maybeSendDiscoveryReply() {
 		Content: discoveryPayload{MetadataURIs: uris}.encode(),
 	}
 	d.SignDigest()
-	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
+	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running {
 			return
 		}
@@ -469,7 +471,7 @@ func (p *Peer) requestNextMetaSegment(cs *collectionState) {
 		return
 	}
 	in := &ndn.Interest{Name: cs.metaName.AppendSeq(seq), Nonce: p.relay.NewNonce()}
-	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
+	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running || cs.manifest != nil {
 			return
 		}
@@ -543,13 +545,13 @@ func (p *Peer) initManifest(cs *collectionState) {
 	}
 	switch p.cfg.Strategy {
 	case EncounterBasedRPF:
-		cs.strategy = rpf.NewEncounterBased(n, p.cfg.EncounterHistory, p.cfg.RandomStart, p.k.RNG())
+		cs.strategy = rpf.NewEncounterBased(n, p.cfg.EncounterHistory, p.cfg.RandomStart, &p.rng)
 	default:
-		cs.strategy = rpf.NewLocalNeighborhood(n, p.cfg.RandomStart, p.k.RNG())
+		cs.strategy = rpf.NewLocalNeighborhood(n, p.cfg.RandomStart, &p.rng)
 	}
 }
 
 // newBackoff builds the per-encounter PEBA state.
 func (p *Peer) newBackoff() *peba.Backoff {
-	return peba.New(p.cfg.Peba, p.k.RNG())
+	return peba.New(p.cfg.Peba, &p.rng)
 }

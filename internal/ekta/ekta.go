@@ -94,6 +94,7 @@ type Peer struct {
 	router   *routing.DSR
 	datagram *transport.Datagram
 	node     *dht.Node
+	rng      sim.Stream // the node's sim.PurposePeer stream
 	cfg      Config
 	stats    Stats
 
@@ -121,6 +122,7 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Confi
 	}
 	p.pumpT = k.NewTimer(p.pumpTick)
 	p.router = routing.NewDSR(k, medium, mobility, p.cfg.DSR)
+	p.rng = k.Stream(p.router.ID(), sim.PurposePeer)
 	p.datagram = transport.NewDatagram(p.router)
 	p.node = dht.NewNode(k, p.router.ID(), p.datagram, p.cfg.DHT)
 	p.datagram.SetReceive(func(src int, payload []byte) {
@@ -194,14 +196,22 @@ func (p *Peer) Start() {
 	}
 	p.running = true
 	p.router.Start()
-	p.pumpT.Reset(p.k.Jitter(p.cfg.PumpPeriod))
+	p.pumpT.Reset(p.rng.Jitter(p.cfg.PumpPeriod))
 }
 
-// Stop deactivates the peer.
+// Stop deactivates the peer: the fetch loop, the GETs and lookups in flight
+// and the router's discoveries are all abandoned, so a stopped peer leaves
+// nothing armed in the kernel (frames already waiting out their jitter fire
+// as no-ops). Start resumes the download from the pieces held.
 func (p *Peer) Stop() {
 	p.running = false
 	p.router.Stop()
 	p.pumpT.Stop()
+	p.node.AbandonLookups()
+	// Map order only decides pool order, and pooled records are reset before reuse.
+	for _, st := range p.pending {
+		p.releasePiece(st)
+	}
 }
 
 func (p *Peer) pumpTick() {
@@ -213,11 +223,11 @@ func (p *Peer) pumpTick() {
 	// views converge toward full membership (Pastry's leaf-set exchange).
 	if p.pumpCount%8 == 0 {
 		if contacts := p.node.Contacts(); len(contacts) > 0 {
-			p.node.Join(contacts[p.k.RNG().Intn(len(contacts))])
+			p.node.Join(contacts[p.rng.Intn(len(contacts))])
 		}
 	}
 	p.pump()
-	p.pumpT.Reset(p.cfg.PumpPeriod + p.k.Jitter(p.cfg.PumpPeriod/4))
+	p.pumpT.Reset(p.cfg.PumpPeriod + p.rng.Jitter(p.cfg.PumpPeriod/4))
 }
 
 // pump keeps Pipeline pieces in flight: DHT lookup, then datagram fetch.
@@ -315,7 +325,7 @@ func (st *pieceState) timeout() {
 // coolDown defers re-attempts of a failed piece, with jitter so peers do not
 // resynchronize their retries.
 func (p *Peer) coolDown(piece int) {
-	p.cooldown[piece] = p.k.Now() + p.cfg.FailureCooldown + p.k.Jitter(p.cfg.FailureCooldown/2)
+	p.cooldown[piece] = p.k.Now() + p.cfg.FailureCooldown + p.rng.Jitter(p.cfg.FailureCooldown/2)
 }
 
 func (p *Peer) onDatagram(src int, payload []byte) {

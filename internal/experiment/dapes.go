@@ -68,10 +68,9 @@ func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (Tr
 // registered scenario.
 //
 // With more than one shard the global-trace contract is relaxed, deliberately
-// and deterministically:
+// and deterministically (random draws are not part of it: a node's streams
+// derive from the trial seed and its radio ID, the same on any stripe):
 //
-//   - each stripe's kernel draws from its own seeded RNG stream
-//     (sim.ShardSeed), so jitter draws differ from the sequential schedule;
 //   - cross-stripe broadcasts register at the next window barrier, so a
 //     reception completing earlier in the same window cannot collide with
 //     them, and a relaxed (larger) lookahead delays cross-stripe delivery

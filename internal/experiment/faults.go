@@ -33,7 +33,7 @@ func installMediumFaults(m *phy.Medium, f *fault.Plan, seed int64) {
 			PBad:      f.PBad,
 			GoodToBad: f.GoodToBad,
 			BadToGood: f.BadToGood,
-		}, fault.Seed(seed)))
+		}, seed))
 	}
 	if f.HasJam() {
 		m.SetJammer(&phy.Jammer{

@@ -50,9 +50,9 @@ type Scale struct {
 	// LossRate is the per-reception loss probability (paper: 10%).
 	LossRate float64
 	// BaseSeed feeds per-trial deterministic seeds via TrialSeed. Any int64
-	// is valid — the seed derivations (TrialSeed, plan.CellSeed,
-	// sim.ShardSeed) wrap two's-complement near the boundary, so Validate
-	// deliberately imposes no range on it.
+	// is valid — the seed derivations (TrialSeed, plan.CellSeed) wrap
+	// two's-complement near the boundary and sim.NewStream mixes all 64
+	// bits, so Validate deliberately imposes no range on it.
 	BaseSeed int64
 	// Workers is the Runner's pool size — the one such setting: how many
 	// trials run concurrently wherever a figure, scenario or plan cell fans

@@ -10,6 +10,7 @@ import (
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
+	"dapes/internal/sim"
 )
 
 // areaSide is the default Fig. 7 simulation area edge in meters; Scale.AreaSide
@@ -34,33 +35,42 @@ type placement struct {
 	forwarderMobility []geo.Mobility
 }
 
-// drawPlacement draws one trial's node motion from seed. The placement RNG
-// is separate from the kernel stream so event timing does not perturb
-// positions across configurations.
+// drawPlacement draws one trial's node motion from seed: each walker's start
+// and legs come from its own node's sim.PurposeMobility stream — the node
+// being its slot in attach order, which is the radio ID every world gives it
+// — so where a node walks depends on the trial and the node alone, not on
+// the node mix around it or on anything the protocols draw.
 func drawPlacement(s Scale, seed int64) placement {
 	side := s.AreaSide
 	if side <= 0 {
 		side = areaSide
 	}
 	area := geo.Rect{Width: side, Height: side}
-	prng := rand.New(rand.NewSource(seed * 31))
-	walk := func() geo.Mobility {
-		return geo.NewRandomDirection(geo.RandomDirectionConfig{
-			Area:  area,
-			Start: geo.Point{X: prng.Float64() * side, Y: prng.Float64() * side},
-			RNG:   rand.New(rand.NewSource(prng.Int63())),
-		})
-	}
-
-	pl := placement{side: side, producerMobility: walk()}
 	// Repositories sit at the quadrant centers, as in the Fig. 7 snapshot.
-	pl.stationaryPos = []geo.Point{
+	stationary := []geo.Point{
 		{X: side / 4, Y: side / 4}, {X: 3 * side / 4, Y: side / 4},
 		{X: side / 4, Y: 3 * side / 4}, {X: 3 * side / 4, Y: 3 * side / 4},
 	}
-	if s.Stationary < len(pl.stationaryPos) {
-		pl.stationaryPos = pl.stationaryPos[:s.Stationary]
+	if s.Stationary < len(stationary) {
+		stationary = stationary[:s.Stationary]
 	}
+	// One allocation holds every walker's stream: at 50k nodes an object
+	// per node shows.
+	streams := make([]sim.Stream, 1+s.MobileDown+s.PureForwarders+s.Intermediates)
+	node, walker := 0, 0
+	walk := func() geo.Mobility {
+		rng := &streams[walker]
+		*rng = sim.NewStream(seed, node, sim.PurposeMobility)
+		node, walker = node+1, walker+1
+		return geo.NewRandomDirection(geo.RandomDirectionConfig{
+			Area:  area,
+			Start: geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side},
+			RNG:   rng,
+		})
+	}
+
+	pl := placement{side: side, producerMobility: walk(), stationaryPos: stationary}
+	node += len(stationary)
 	for i := 0; i < s.MobileDown; i++ {
 		pl.downloaderMobility = append(pl.downloaderMobility, walk())
 	}
@@ -100,7 +110,8 @@ func newFig7World(s Scale, wifiRange float64, trial, stripes int, lookahead time
 // buildCollection generates the image-file workload: NumFiles files of
 // PacketsPerFile packets with pseudo-random (incompressible) content.
 func buildCollection(s Scale, seed int64) (*metadata.BuildResult, error) {
-	rng := rand.New(rand.NewSource(seed))
+	stream := sim.NewStream(seed, 0, sim.PurposeContent)
+	rng := rand.New(&stream)
 	files := make([]metadata.File, s.NumFiles)
 	for i := range files {
 		content := make([]byte, s.PacketsPerFile*s.PacketSize)

@@ -82,10 +82,11 @@ type world struct {
 	stripes geo.Stripes
 }
 
-// newWorld builds the engine for one trial: seed feeds the kernel RNG
-// (stripe i's is sim.ShardSeed(seed, i), so stripe 0 — and a one-stripe
-// world — draws exactly the sequential stream), cfg's Range and LossRate
-// describe the channel, e picks the implementations, st the partition.
+// newWorld builds the engine for one trial: seed is the trial's, which every
+// kernel of the world carries and every node's random streams derive from
+// (sim.Kernel.Stream — the same stream on any stripe), cfg's Range and
+// LossRate describe the channel, e picks the implementations, st the
+// partition.
 //
 // The stripe count is bounded by the arena's range-wide column count:
 // stripes are whole columns, so any beyond that own no ground and would

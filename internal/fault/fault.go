@@ -3,8 +3,8 @@
 // Gilbert-Elliott bursty per-receiver loss, and a regional jammer window —
 // into concrete, deterministic kernel events. Everything the engine decides
 // (who crashes, when, for how long, and every loss-chain transition) is
-// drawn from a fault RNG split from the trial seed, never from the
-// kernel's stream, so a schedule is a pure function of (seed, plan) and is
+// drawn from streams of their own (sim.PurposeFault, sim.PurposeChannel),
+// never from a node's, so a schedule is a pure function of (seed, plan) and is
 // identical across -workers and shard counts. An empty (or nil) plan is
 // trace-neutral by construction: no model installed, no event scheduled,
 // no draw made — docs/CONTRACTS.md "Fault determinism" is the contract,
@@ -14,8 +14,9 @@ package fault
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
+
+	"dapes/internal/sim"
 )
 
 // Loss-model names accepted by Plan.LossModel.
@@ -134,14 +135,6 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Seed derives the fault-RNG seed from a trial seed. The affine split
-// keeps the fault stream disjoint from the kernel stream (seeded with the
-// trial seed itself) and the topology stream (trial seed * 31) — same
-// technique as experiment.TrialSeed and plan.CellSeed.
-func Seed(trialSeed int64) int64 {
-	return int64(uint64(trialSeed)*2_097_169 + 9_176_141)
-}
-
 // Crash is one compiled crash event: victim Node (an index into the
 // caller's fault-eligible peer list, in world build order), the crash
 // time, and the restart time (zero when the node never comes back).
@@ -159,14 +152,14 @@ type Schedule struct {
 // Compile turns the plan into the trial's concrete crash schedule for n
 // fault-eligible nodes. The result is a pure function of
 // (trialSeed, plan, n): victims come from a seeded permutation and every
-// time from the same fault RNG, so the schedule is identical however the
+// time from the same fault stream, so the schedule is identical however the
 // trial is parallelized. Callers install the events on each victim's home
 // kernel in slice order (the slice is sorted by Node, i.e. build order).
 func (p *Plan) Compile(trialSeed int64, n int) Schedule {
 	if !p.HasCrashes() || n == 0 {
 		return Schedule{}
 	}
-	rng := rand.New(rand.NewSource(Seed(trialSeed)))
+	rng := sim.NewStream(trialSeed, 0, sim.PurposeFault)
 	k := int(p.CrashFrac*float64(n) + 0.5)
 	if k > n {
 		k = n

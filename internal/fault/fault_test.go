@@ -201,15 +201,3 @@ func TestParseEmpty(t *testing.T) {
 		t.Fatalf("want an empty plan, got %+v", p)
 	}
 }
-
-// TestSeedSplitsStreams: the fault seed must collide with neither the kernel
-// stream (trialSeed) nor the topology stream (trialSeed*31) for any nearby
-// trial, or fault draws would correlate with placement draws.
-func TestSeedSplitsStreams(t *testing.T) {
-	for trial := int64(-3); trial <= 3; trial++ {
-		s := Seed(trial)
-		if s == trial || s == trial*31 {
-			t.Errorf("Seed(%d) = %d collides with a sibling stream", trial, s)
-		}
-	}
-}

@@ -6,7 +6,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -102,7 +101,7 @@ type RandomDirection struct {
 	maxSpeed float64
 	minLeg   time.Duration
 	maxLeg   time.Duration
-	rng      *rand.Rand
+	rng      Rand
 	legs     []randomDirectionLeg
 	// hit is the leg the last query fell in; simulation time mostly moves
 	// forward a little at a time, so the next query usually falls there too.
@@ -112,6 +111,13 @@ type RandomDirection struct {
 var _ Mobility = (*RandomDirection)(nil)
 var _ Speeder = (*RandomDirection)(nil)
 
+// Rand is what a walker draws its legs from: a node's *sim.Stream in the
+// simulation, a *math/rand.Rand anywhere else.
+type Rand interface {
+	Float64() float64
+	Int63n(n int64) int64
+}
+
 // RandomDirectionConfig configures a RandomDirection walker.
 type RandomDirectionConfig struct {
 	Area     Rect
@@ -120,7 +126,8 @@ type RandomDirectionConfig struct {
 	MaxSpeed float64 // m/s; paper: 10
 	MinLeg   time.Duration
 	MaxLeg   time.Duration
-	RNG      *rand.Rand
+	// RNG is required: a walk has no default randomness.
+	RNG Rand
 }
 
 // NewRandomDirection returns a walker starting at cfg.Start. Zero speeds
@@ -133,7 +140,7 @@ func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
 		cfg.MinLeg, cfg.MaxLeg = 5*time.Second, 20*time.Second
 	}
 	if cfg.RNG == nil {
-		cfg.RNG = rand.New(rand.NewSource(1))
+		panic("geo: NewRandomDirection without an RNG")
 	}
 	w := &RandomDirection{
 		area:     cfg.Area,

@@ -25,8 +25,14 @@ var HandleHygiene = &Analyzer{
 
 const simPath = "dapes/internal/sim"
 
+// inSim reports whether path is internal/sim or a package under it: the
+// owner of event records and of the random-stream derivation.
+func inSim(path string) bool {
+	return path == simPath || strings.HasPrefix(path, simPath+"/")
+}
+
 func runHandleHygiene(pass *Pass) error {
-	if p := pass.Pkg.Path(); p == simPath || strings.HasPrefix(p, simPath+"/") {
+	if inSim(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -22,6 +22,12 @@ func TestSimClockFixture(t *testing.T) {
 	linttest.Run(t, lint.SimClock, fixture("simclock"), "dapes/internal/ekta/lintfixture")
 }
 
+func TestSimClockInsideSim(t *testing.T) {
+	// Under internal/sim a seeded generator is legal (the package defines
+	// the stream derivation); the clock and the global source are not.
+	linttest.Run(t, lint.SimClock, fixture("simclock_sim"), "dapes/internal/sim/lintfixture")
+}
+
 func TestSimClockOffSimulationPath(t *testing.T) {
 	// The same wall-clock calls under a cmd/ path: zero diagnostics (the
 	// fixture has no `// want` lines, so any finding fails the test).

@@ -8,13 +8,16 @@ import (
 
 // simPathPackages are the packages whose code runs inside (or feeds) the
 // discrete-event simulation. Inside them, every timestamp must come from the
-// kernel clock and every random draw from the seeded per-trial (or
-// per-shard) *rand.Rand — a single wall-clock read or global-RNG call breaks
-// the golden-trace determinism contract that gates every optimization in
-// this repo (docs/CONTRACTS.md §1). Code outside these packages (cmd/ mains,
-// the metadata/keys/merkle toolchain, tests) may use real time freely.
+// kernel clock and every random draw from a sim.Stream derived from the
+// trial seed — a single wall-clock read, global-RNG call or privately seeded
+// generator breaks the golden-trace determinism contract that gates every
+// optimization in this repo (docs/CONTRACTS.md §1). Code outside these
+// packages (cmd/ mains, the metadata/keys/merkle toolchain, tests) may use
+// real time and math/rand freely.
 var simPathPackages = []string{
-	"dapes/internal/sim",
+	simPath,
+	"dapes/internal/geo",
+	"dapes/internal/rpf",
 	"dapes/internal/phy",
 	"dapes/internal/core",
 	"dapes/internal/nfd",
@@ -45,28 +48,30 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
-// seededRandFuncs are the math/rand package-level functions that are NOT the
-// global RNG: constructors for an explicitly seeded generator. Everything
-// else at package level (rand.Int, rand.Intn, rand.Float64, rand.Perm,
-// rand.Shuffle, rand.Seed, ...) draws from the process-global source and is
-// banned on simulation paths.
-var seededRandFuncs = map[string]bool{
-	"New":        true,
+// randSourceFuncs are the math/rand constructors of a generator with a seed
+// of its own. A second generator on a simulation path is a sequence that
+// does not derive from (trial seed, node, purpose): only internal/sim, which
+// defines the derivation, may build one. Everything else at package level
+// except rand.New and rand.NewZipf (rand.Int, rand.Intn, rand.Float64,
+// rand.Perm, rand.Shuffle, rand.Seed, ...) draws from the process-global
+// source and is banned on simulation paths outright.
+var randSourceFuncs = map[string]bool{
 	"NewSource":  true,
-	"NewZipf":    true, // takes a *rand.Rand; the caller supplies the seed
 	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true, // math/rand/v2
 }
 
-// SimClock flags wall-clock reads (time.Now, time.Since, time.Sleep, ...)
-// and global math/rand use (rand.Intn, rand.Float64, ...) inside
-// simulation-path packages.
+// SimClock flags wall-clock reads (time.Now, time.Since, time.Sleep, ...),
+// global math/rand use (rand.Intn, rand.Float64, ...) and privately seeded
+// generators (rand.NewSource; rand.New over anything but a *sim.Stream)
+// inside simulation-path packages.
 var SimClock = &Analyzer{
 	Name: "simclock",
 	Doc: "In simulation-path packages all time must come from the kernel clock " +
-		"and all randomness from the seeded per-trial/per-shard *rand.Rand. " +
-		"Wall-clock reads and the global math/rand source make trials " +
-		"non-reproducible and break the golden-trace gates.",
+		"and all randomness from a sim.Stream derived from the trial seed. " +
+		"Wall-clock reads, the global math/rand source and generators seeded " +
+		"on the side make trials non-reproducible or partition-dependent and " +
+		"break the golden-trace gates.",
 	Run: runSimClock,
 }
 
@@ -74,8 +79,18 @@ func runSimClock(pass *Pass) error {
 	if !onSimPath(pass.Pkg.Path()) {
 		return nil
 	}
+	mayBuildSources := inSim(pass.Pkg.Path())
+	// overStream holds the rand.New selectors already seen as the callee of
+	// rand.New(&stream): the one way a *rand.Rand is made on these paths.
+	overStream := map[*ast.SelectorExpr]bool{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 {
+				if fn, ok := call.Fun.(*ast.SelectorExpr); ok && isSimStreamPtr(pass.TypesInfo.TypeOf(call.Args[0])) {
+					overStream[fn] = true
+				}
+				return true
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -96,17 +111,41 @@ func runSimClock(pass *Pass) error {
 						sel.Sel.Name)
 				}
 			case "math/rand", "math/rand/v2":
-				obj := pass.TypesInfo.Uses[sel.Sel]
-				if _, isFunc := obj.(*types.Func); isFunc && !seededRandFuncs[sel.Sel.Name] {
+				if _, isFunc := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFunc {
+					break
+				}
+				switch name := sel.Sel.Name; {
+				case name == "NewZipf": // takes a *rand.Rand, which was checked where it was made
+				case randSourceFuncs[name] || name == "New":
+					if !mayBuildSources && !overStream[sel] {
+						pass.Reportf(sel.Pos(),
+							"privately seeded generator on a simulation path: rand.%s; derive a sim.Stream (sim.NewStream, Kernel.Stream) and, for a *rand.Rand, wrap it: rand.New(&stream)",
+							name)
+					}
+				default:
 					pass.Reportf(sel.Pos(),
-						"global math/rand source on a simulation path: rand.%s; draw from the seeded per-trial *rand.Rand instead",
-						sel.Sel.Name)
+						"global math/rand source on a simulation path: rand.%s; draw from the node's sim.Stream instead",
+						name)
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// isSimStreamPtr reports whether t is *sim.Stream.
+func isSimStreamPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Stream" && obj.Pkg() != nil && obj.Pkg().Path() == simPath
 }
 
 // onSimPath reports whether the import path is one of the simulation-path

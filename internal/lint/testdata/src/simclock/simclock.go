@@ -1,11 +1,14 @@
 // Fixture for the simclock analyzer, type-checked as a virtual package ON
-// the simulation-path list. Every wall-clock read and global-RNG call must
-// be flagged; seeded RNG construction and pure time arithmetic must not.
+// the simulation-path list. Every wall-clock read, global-RNG call and
+// privately seeded generator must be flagged; draws from a sim.Stream, a
+// *rand.Rand over one, and pure time arithmetic must not.
 package fixture
 
 import (
 	"math/rand"
 	"time"
+
+	"dapes/internal/sim"
 )
 
 func violations(ch chan time.Time) {
@@ -21,11 +24,25 @@ func violations(ch chan time.Time) {
 	rand.Shuffle(0, nil) // want `global math/rand source on a simulation path: rand\.Shuffle`
 }
 
-// legitimate shows the two allowed shapes: an explicitly seeded generator
-// and pure time-type arithmetic (no clock read).
-func legitimate(seed int64) time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	return time.Duration(rng.Intn(100)) * time.Millisecond
+// sideGenerators are sequences that do not derive from (trial seed, node,
+// purpose): a source seeded on the spot, and a *rand.Rand over anything but
+// a sim.Stream — however the source got there.
+func sideGenerators(seed int64, src rand.Source) {
+	_ = rand.NewSource(seed)           // want `privately seeded generator on a simulation path: rand\.NewSource`
+	_ = rand.New(rand.NewSource(seed)) // want `privately seeded generator on a simulation path: rand\.New` `privately seeded generator on a simulation path: rand\.NewSource`
+	_ = rand.New(src)                  // want `privately seeded generator on a simulation path: rand\.New`
+	build := rand.New                  // want `privately seeded generator on a simulation path: rand\.New`
+	_ = build
+}
+
+// legitimate shows the allowed shapes: draws from a derived sim.Stream, a
+// *rand.Rand wrapped around one for the methods a Stream lacks, and pure
+// time-type arithmetic (no clock read).
+func legitimate(k *sim.Kernel, node int) time.Duration {
+	rng := k.Stream(node, sim.PurposePeer)
+	buf := make([]byte, 8)
+	rand.New(&rng).Read(buf)
+	return time.Duration(rng.Intn(100))*time.Millisecond + rng.Jitter(time.Second)
 }
 
 // suppressed shows the escape hatch: intentional wall-clock use with a

@@ -130,7 +130,7 @@ func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {
 	if f.relay.Suppressed(in) || f.relay.InFlight(in) {
 		return
 	}
-	if f.relay.k.RNG().Float64() >= f.cfg.ForwardProb {
+	if f.relay.rng.Float64() >= f.cfg.ForwardProb {
 		f.stats.InterestsSuppressed++
 		return
 	}

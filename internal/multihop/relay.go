@@ -53,6 +53,7 @@ type Relay struct {
 	k      *sim.Kernel
 	medium *phy.Medium
 	radio  *phy.Radio
+	rng    sim.Stream    // the node's sim.PurposeRelay stream
 	window time.Duration // TransmissionWindow: the jitter bound of every send
 	ttl    time.Duration // SuppressTTL
 	c      *Counters
@@ -120,6 +121,7 @@ func (rp *reply) fire() {
 func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, window, ttl time.Duration, c *Counters) Relay {
 	return Relay{
 		k: k, medium: medium, radio: radio, window: window, ttl: ttl, c: c,
+		rng:        k.Stream(radio.ID(), sim.PurposeRelay),
 		nonces:     make(map[uint32]time.Duration),
 		forwarded:  make(map[string]*forwardRecord),
 		suppressed: make(map[string]time.Duration),
@@ -197,7 +199,7 @@ func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) {
 // NewNonce draws a nonce for an Interest the node originates and records it:
 // the echo of its own Interest is a duplicate.
 func (r *Relay) NewNonce() uint32 {
-	n := uint32(r.k.RNG().Int63())
+	n := uint32(r.rng.Uint64())
 	r.nonces[n] = r.k.Now()
 	return n
 }
@@ -313,7 +315,7 @@ func (r *Relay) match(d *ndn.Data) *forwardRecord {
 // rebroadcast relays a received packet's wire, exactly as it arrived, after
 // a random delay, bumping counter when it goes out.
 func (r *Relay) rebroadcast(wire []byte, counter *uint64) {
-	r.k.ScheduleFunc(r.k.Jitter(r.window), func() {
+	r.k.ScheduleFunc(r.rng.Jitter(r.window), func() {
 		if !r.running {
 			return
 		}
@@ -340,7 +342,7 @@ func (r *Relay) ScheduleReply(d *ndn.Data, counter *uint64) {
 	}
 	rp.d, rp.counter = d, counter
 	r.pending[key] = rp
-	rp.t.Reset(r.k.Jitter(r.window))
+	rp.t.Reset(r.rng.Jitter(r.window))
 }
 
 // CancelReply is response suppression: d was heard, so a pending reply of

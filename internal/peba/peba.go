@@ -11,10 +11,7 @@
 // the prioritization semantics while dispersing transmissions.
 package peba
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Config parameterizes the backoff algorithm.
 type Config struct {
@@ -50,17 +47,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Rand is what a Backoff draws its slot from: the peer's *sim.Stream in the
+// simulation, a *math/rand.Rand anywhere else.
+type Rand interface {
+	Intn(n int) int
+}
+
 // Backoff is one peer's per-encounter PEBA state. Priority groups and slot
 // counts are created per encounter (Section IV-F); call Reset when an
 // encounter ends.
 type Backoff struct {
 	cfg        Config
-	rng        *rand.Rand
+	rng        Rand
 	collisions int
 }
 
 // New returns a Backoff drawing randomness from rng.
-func New(cfg Config, rng *rand.Rand) *Backoff {
+func New(cfg Config, rng Rand) *Backoff {
 	return &Backoff{cfg: cfg.withDefaults(), rng: rng}
 }
 

@@ -1,10 +1,10 @@
 package phy
 
 import (
-	"math/rand"
 	"time"
 
 	"dapes/internal/geo"
+	"dapes/internal/sim"
 )
 
 // This file is the pluggable frame-loss layer: a LossModel replaces the
@@ -12,18 +12,18 @@ import (
 // collision check, and a Jammer blacks out a disk of the arena for an
 // interval. Both hook into Medium.complete at exactly the point the i.i.d.
 // reference draws, so an installed model that reproduces the reference's
-// kernel-RNG draws is byte-identical to it — the golden gate in
-// internal/experiment pins that for GilbertElliott with pGood==pBad.
+// draws from the receiver's coin is byte-identical to it — the golden gate
+// in internal/experiment pins that for GilbertElliott with pGood==pBad.
 
 // LossModel decides whether one reception that already survived the
 // collision check is dropped at the receiving radio. id is the radio's
 // wire-visible identity (globally unique across a sharded composition);
-// rng is the kernel's seeded stream. Implementations must draw from rng
-// exactly when the decision is probabilistic for the receiver's current
-// state — drawing on a sure outcome (p==0 or p==1) would shift every
-// later draw in the trial and break trace equivalences. Any internal
-// state evolution must come from the model's own seeded source, never
-// from rng.
+// coin is that receiver's per-reception loss stream (sim.PurposeReception),
+// the one the i.i.d. reference draws from. Implementations must draw from
+// coin exactly when the decision is probabilistic for the receiver's
+// current state — drawing on a sure outcome (p==0 or p==1) would shift the
+// receiver's later draws and break trace equivalences. Any internal state
+// evolution must come from the model's own streams, never from coin.
 //
 // In a sharded composition each member medium needs its own instance
 // (receiver state is touched by the home shard's goroutine); instances
@@ -31,7 +31,7 @@ import (
 // regardless of how radios are partitioned, because state is keyed by the
 // global radio identity.
 type LossModel interface {
-	Drop(id int, rng *rand.Rand) bool
+	Drop(id int, coin *sim.Stream) bool
 }
 
 // GEConfig parameterizes a Gilbert-Elliott channel: a two-state Markov
@@ -46,8 +46,8 @@ type GEConfig struct {
 }
 
 // GilbertElliott is the bursty per-receiver loss model. The chain steps
-// from a dedicated per-receiver RNG derived from the model seed and the
-// radio's global identity, so the kernel stream sees exactly one draw per
+// from a dedicated per-receiver stream, sim.NewStream(seed, radio identity,
+// sim.PurposeChannel), so the receiver's coin sees exactly one draw per
 // reception (when the current state's loss probability is positive) —
 // with PGood==PBad==LossRate that is the i.i.d. reference's draw pattern,
 // making the two byte-identical.
@@ -59,22 +59,22 @@ type GilbertElliott struct {
 
 type geState struct {
 	bad bool
-	rng *rand.Rand
+	rng sim.Stream
 }
 
-// NewGilbertElliott builds a model instance; seed fixes every receiver's
-// chain (state evolution is a pure function of (seed, radio identity,
-// reception count)).
+// NewGilbertElliott builds a model instance; seed — the trial's — fixes
+// every receiver's chain (state evolution is a pure function of (seed,
+// radio identity, reception count)).
 func NewGilbertElliott(cfg GEConfig, seed int64) *GilbertElliott {
 	return &GilbertElliott{cfg: cfg, seed: seed, states: make(map[int]*geState)}
 }
 
 // Drop steps the receiver's chain and then decides the loss with a single
-// kernel draw when the state's loss probability is positive.
-func (g *GilbertElliott) Drop(id int, rng *rand.Rand) bool {
+// draw from coin when the state's loss probability is positive.
+func (g *GilbertElliott) Drop(id int, coin *sim.Stream) bool {
 	st := g.states[id]
 	if st == nil {
-		st = &geState{rng: rand.New(rand.NewSource(g.seed + int64(id)*1_000_003 + 1))}
+		st = &geState{rng: sim.NewStream(g.seed, id, sim.PurposeChannel)}
 		g.states[id] = st
 	}
 	if st.bad {
@@ -96,7 +96,7 @@ func (g *GilbertElliott) Drop(id int, rng *rand.Rand) bool {
 	if p >= 1 {
 		return true
 	}
-	return rng.Float64() < p
+	return coin.Float64() < p
 }
 
 // Jammer blacks out a disk of the arena for an interval: any reception

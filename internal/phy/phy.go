@@ -12,7 +12,7 @@
 // near the sender instead of scanning all of them. The brute-force scan is
 // retained as IndexNaive, and both implementations are byte-identical by
 // construction — same candidate set, same ascending-ID iteration order, so
-// the same events and RNG draws in the same order. The golden-trace suite
+// the same events in the same order. The golden-trace suite
 // (internal/experiment and TestGridMatchesNaiveTrace here) enforces it. See
 // docs/PERFORMANCE.md.
 //
@@ -196,6 +196,11 @@ type Radio struct {
 	col    int64
 	hasCol bool
 
+	// coin is the radio's per-reception loss stream (sim.PurposeReception of
+	// its id): whether a frame that reached it is lost depends on no other
+	// radio's receptions, nor on the kernel that hosts it.
+	coin sim.Stream
+
 	// inFlight holds receptions that have not yet completed delivery.
 	inFlight []*reception
 	// txWindows are this radio's own recent transmission intervals;
@@ -342,6 +347,7 @@ func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 		mobility: mobility,
 		enabled:  true,
 		maxSpeed: geo.MaxSpeedOf(mobility),
+		coin:     m.kernel.Stream(id, sim.PurposeReception),
 	}
 	m.radios = append(m.radios, r)
 	if m.grid != nil {
@@ -551,7 +557,7 @@ func (m *Medium) maskExcludes(x float64, at time.Duration) bool {
 // candidatesInRange returns the enabled radios currently within range of
 // sender (excluding sender itself) in ascending ID order — exactly the set
 // and order the naive full scan produces, so both index modes schedule
-// identical receptions and draw the kernel RNG identically. The returned
+// identical receptions in the same order. The returned
 // slice is scratch owned by the medium, valid until the next call.
 func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	m.cand = m.cand[:0]
@@ -865,11 +871,11 @@ func (rec *reception) complete() {
 		return
 	}
 	if m.loss != nil {
-		if m.loss.Drop(rx.id, m.kernel.RNG()) {
+		if m.loss.Drop(rx.id, &rx.coin) {
 			m.stats.Lost++
 			return
 		}
-	} else if m.cfg.LossRate > 0 && m.kernel.RNG().Float64() < m.cfg.LossRate {
+	} else if m.cfg.LossRate > 0 && rx.coin.Float64() < m.cfg.LossRate {
 		m.stats.Lost++
 		return
 	}

@@ -163,17 +163,18 @@ func shardedMediumChurn(t *testing.T, shards int, opts sim.Options) [][]string {
 		r.SetHandler(func(f Frame) {
 			traces[home] = append(traces[home], fmt.Sprintf("%v %d->%d %d", m.kernel.Now(), f.From, r.ID(), f.Payload[0]))
 		})
-		// Periodic beaconing with per-shard jitter.
+		// Periodic beaconing with per-node jitter.
 		k := sk.Shard(home)
+		jit := k.Stream(r.ID(), sim.PurposePeer)
 		b := byte(i)
 		var beat func()
 		beat = func() {
 			m.Broadcast(r, []byte{b, 0, 1, 2})
 			if k.Now() < 400*time.Millisecond {
-				k.ScheduleFunc(20*time.Millisecond+k.Jitter(5*time.Millisecond), beat)
+				k.ScheduleFunc(20*time.Millisecond+jit.Jitter(5*time.Millisecond), beat)
 			}
 		}
-		k.ScheduleFunc(k.Jitter(10*time.Millisecond), beat)
+		k.ScheduleFunc(jit.Jitter(10*time.Millisecond), beat)
 	}
 	if err := sk.Run(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func shardedMediumChurn(t *testing.T, shards int, opts sim.Options) [][]string {
 // sharded equivalence gate: identical per-shard delivery traces whether
 // windows run serially or one goroutine per busy shard, over a workload
 // with fast walkers crossing stripe boundaries and a lossy channel
-// exercising per-shard RNG draws.
+// exercising every receiver's loss coin.
 func TestShardedMediumSerialMatchesParallel(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{2, 4} {
@@ -243,14 +244,15 @@ func cullWorkload(t *testing.T, mode sim.WindowingMode, noCull, clustered bool) 
 			traces[home] = append(traces[home], fmt.Sprintf("%v %d->%d", m.kernel.Now(), f.From, r.ID()))
 		})
 		k := sk.Shard(home)
+		jit := k.Stream(r.ID(), sim.PurposePeer)
 		var beat func()
 		beat = func() {
 			m.Broadcast(r, []byte{byte(i), 1, 2})
 			if k.Now() < 400*time.Millisecond {
-				k.ScheduleFunc(25*time.Millisecond+k.Jitter(5*time.Millisecond), beat)
+				k.ScheduleFunc(25*time.Millisecond+jit.Jitter(5*time.Millisecond), beat)
 			}
 		}
-		k.ScheduleFunc(k.Jitter(15*time.Millisecond), beat)
+		k.ScheduleFunc(jit.Jitter(15*time.Millisecond), beat)
 	}
 	i := 0
 	if clustered {

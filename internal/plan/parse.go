@@ -99,7 +99,9 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 
 	top := d.strict(tree, "", "name", "scenario", "summary", "optimize", "trials", "seed", "grid", "scale", "faults")
 	p.Name = d.str(top, "", "name", "")
-	p.Scenario = d.str(top, "", "scenario", "")
+	if sc := d.str(top, "", "scenario", ""); sc != "" {
+		p.Grid.Scenarios = []string{sc}
+	}
 	p.Summary = d.str(top, "", "summary", "")
 	p.Trials = d.int(top, "", "trials", 1)
 	p.Seed = d.int64(top, "", "seed", 1)
@@ -113,7 +115,21 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 	}
 
 	if g := d.table(top, "grid"); g != nil {
-		gm := d.strict(g, "grid", "nodes", "ranges", "loss", "horizons")
+		gm := d.strict(g, "grid", "scenarios", "seeds", "nodes", "ranges", "loss", "horizons")
+		if axis := d.strList(gm, "grid", "scenarios"); len(axis) > 0 {
+			if len(p.Grid.Scenarios) > 0 {
+				d.errf("scenario and grid.scenarios are both set; name the scenarios in one place")
+			}
+			p.Grid.Scenarios = axis
+		}
+		for _, v := range d.list(gm, "grid", "seeds") {
+			seed, ok := toInt64(v)
+			if !ok {
+				d.errf("grid.seeds: expected integers, got %v (%T)", v, v)
+				break
+			}
+			p.Grid.Seeds = append(p.Grid.Seeds, seed)
+		}
 		p.Grid.Nodes = d.intList(gm, "grid", "nodes")
 		p.Grid.Ranges = d.floatList(gm, "grid", "ranges")
 		p.Grid.Loss = d.floatList(gm, "grid", "loss")

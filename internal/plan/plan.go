@@ -1,8 +1,8 @@
 // Package plan is the declarative sweep harness: a plan file (TOML subset
-// or JSON) names a registered scenario, a parameter grid (node-mix
-// multiplier x WiFi range x loss rate x horizon, plus Scale overrides),
-// a trial count, and the metrics the sweep optimizes. The harness expands
-// the grid into cells, fans cells across a worker pool, streams per-cell
+// or JSON) names a registered scenario (or several), a parameter grid
+// (base seed x node-mix multiplier x WiFi range x loss rate x horizon, plus
+// Scale overrides), a trial count, and the metrics the sweep optimizes. The
+// harness expands the grid into cells, fans cells across a worker pool, streams per-cell
 // results as JSON-lines, and renders run reports — so "add a scenario
 // configuration" is a config line, not a Go file (the TestGround test-plan
 // shape).
@@ -11,8 +11,9 @@
 // TrialSeed(CellSeed(plan.Seed, c), t), and results stream in cell-index
 // order, so a plan run's byte output is a pure function of the plan file —
 // identical for any -workers value, serial or fanned out. The grid expands
-// row-major with axes ordered nodes, ranges, loss, horizons; that order is
-// part of the contract (cell indices, and therefore seeds, depend on it).
+// row-major with axes ordered scenarios, seeds, nodes, ranges, loss,
+// horizons; that order is part of the contract (cell indices, and therefore
+// derived seeds, depend on it).
 package plan
 
 import (
@@ -58,8 +59,6 @@ func CellSeed(base int64, cell int) int64 {
 type Plan struct {
 	// Name identifies the plan in output streams and reports.
 	Name string
-	// Scenario is the experiment-registry name every cell runs.
-	Scenario string
 	// Summary is a one-line description for listings.
 	Summary string
 	// Optimize states the target metrics (best/worst cells are reported
@@ -78,8 +77,17 @@ type Plan struct {
 }
 
 // Grid is the swept parameter space; the cell list is the cartesian
-// product of the four axes, row-major in field order.
+// product of the axes, row-major in field order.
 type Grid struct {
+	// Scenarios is the registered-scenario axis — experiment-registry
+	// names, the same grid and scale under each. A plan file's `scenario`
+	// key is shorthand for one entry. Required: it has no default.
+	Scenarios []string
+	// Seeds, when set, is a base-seed axis: a cell runs at exactly that
+	// base seed — what `dapes-sim -seed N` runs — instead of one derived
+	// from its index, and the report adds each configuration's spread over
+	// the seeds (Result.Tables). Empty keeps the one derived seed per cell.
+	Seeds []int64
 	// Nodes multiplies the Scale node mix (stationary, mobile downloaders,
 	// pure forwarders, intermediates) — the "N" axis. Density-class
 	// scenarios multiply again internally (urban-grid runs 5x, -xl 25x).
@@ -197,7 +205,8 @@ func (p *Plan) ApplyDefaults() {
 // absurd plan file fails by arithmetic, not by allocation.
 func (p *Plan) NumCells() (int, error) {
 	n := 1
-	for _, axis := range []int{len(p.Grid.Nodes), len(p.Grid.Ranges), len(p.Grid.Loss), len(p.Grid.Horizons)} {
+	for _, axis := range []int{max(1, len(p.Grid.Scenarios)), max(1, len(p.Grid.Seeds)),
+		len(p.Grid.Nodes), len(p.Grid.Ranges), len(p.Grid.Loss), len(p.Grid.Horizons)} {
 		if axis == 0 {
 			return 0, fmt.Errorf("plan %q: empty grid axis (ApplyDefaults not run?)", p.Name)
 		}
@@ -216,11 +225,13 @@ func (p *Plan) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan: name is required")
 	}
-	if p.Scenario == "" {
+	if len(p.Grid.Scenarios) == 0 {
 		return fmt.Errorf("plan %q: scenario is required", p.Name)
 	}
-	if _, err := experiment.Find(p.Scenario); err != nil {
-		return fmt.Errorf("plan %q: %w", p.Name, err)
+	for _, name := range p.Grid.Scenarios {
+		if _, err := experiment.Find(name); err != nil {
+			return fmt.Errorf("plan %q: %w", p.Name, err)
+		}
 	}
 	if p.Trials <= 0 || p.Trials > MaxTrials {
 		return fmt.Errorf("plan %q: trials = %d, must be in [1, %d]", p.Name, p.Trials, MaxTrials)
@@ -257,49 +268,62 @@ type Cell struct {
 	// Index is the row-major position in the expansion; output streams in
 	// this order and the cell seed derives from it.
 	Index int
-	// Nodes, Range, Loss, Horizon are the cell's grid coordinates.
-	Nodes   int
-	Range   float64
-	Loss    float64
-	Horizon time.Duration
-	// Seed is CellSeed(plan.Seed, Index); trials run at TrialSeed(Seed, t).
+	// Scenario, Nodes, Range, Loss, Horizon are the cell's grid coordinates.
+	Scenario string
+	Nodes    int
+	Range    float64
+	Loss     float64
+	Horizon  time.Duration
+	// Seed is the cell's Grid.Seeds coordinate, or CellSeed(plan.Seed,
+	// Index) without that axis; trials run at TrialSeed(Seed, t).
 	Seed int64
 	// Scale is the fully derived per-cell scale.
 	Scale experiment.Scale
 }
 
-// Cells expands the grid row-major (nodes, then ranges, then loss, then
-// horizons). Callers must have run ApplyDefaults; Validate bounds the
+// Cells expands the grid row-major (scenarios, then seeds, nodes, ranges,
+// loss, horizons). Callers must have run ApplyDefaults; Validate bounds the
 // expansion to MaxCells.
 func (p *Plan) Cells() []Cell {
 	g := p.Grid
-	cells := make([]Cell, 0, len(g.Nodes)*len(g.Ranges)*len(g.Loss)*len(g.Horizons))
-	idx := 0
-	for _, n := range g.Nodes {
-		for _, r := range g.Ranges {
-			for _, l := range g.Loss {
-				for _, h := range g.Horizons {
-					s := p.Base
-					s.Trials = p.Trials
-					s.LossRate = l
-					s.Horizon = h
-					s.Stationary *= n
-					s.MobileDown *= n
-					s.PureForwarders *= n
-					s.Intermediates *= n
-					s.Ranges = []float64{r}
-					s.Workers = 0 // trial fan-out is the plan runner's job
-					s.BaseSeed = CellSeed(p.Seed, idx)
-					cells = append(cells, Cell{
-						Index:   idx,
-						Nodes:   n,
-						Range:   r,
-						Loss:    l,
-						Horizon: h,
-						Seed:    s.BaseSeed,
-						Scale:   s,
-					})
-					idx++
+	seeds := g.Seeds
+	if len(seeds) == 0 {
+		seeds = []int64{0} // one point per cell, derived from its index below
+	}
+	cells := make([]Cell, 0, len(g.Scenarios)*len(seeds)*len(g.Nodes)*len(g.Ranges)*len(g.Loss)*len(g.Horizons))
+	for _, sc := range g.Scenarios {
+		for _, seed := range seeds {
+			for _, n := range g.Nodes {
+				for _, r := range g.Ranges {
+					for _, l := range g.Loss {
+						for _, h := range g.Horizons {
+							idx := len(cells)
+							s := p.Base
+							s.Trials = p.Trials
+							s.LossRate = l
+							s.Horizon = h
+							s.Stationary *= n
+							s.MobileDown *= n
+							s.PureForwarders *= n
+							s.Intermediates *= n
+							s.Ranges = []float64{r}
+							s.Workers = 0 // trial fan-out is the plan runner's job
+							s.BaseSeed = seed
+							if len(g.Seeds) == 0 {
+								s.BaseSeed = CellSeed(p.Seed, idx)
+							}
+							cells = append(cells, Cell{
+								Index:    idx,
+								Scenario: sc,
+								Nodes:    n,
+								Range:    r,
+								Loss:     l,
+								Horizon:  h,
+								Seed:     s.BaseSeed,
+								Scale:    s,
+							})
+						}
+					}
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func TestParseTOMLPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name != "smoke" || p.Scenario != "fig7-dapes" || p.Trials != 2 || p.Seed != 11 {
+	if p.Name != "smoke" || len(p.Grid.Scenarios) != 1 || p.Grid.Scenarios[0] != "fig7-dapes" || p.Trials != 2 || p.Seed != 11 {
 		t.Fatalf("identity fields lost: %+v", p)
 	}
 	if len(p.Optimize) != 2 || p.Optimize[0].Metric != "download_time_p90_sec" || p.Optimize[0].Maximize {
@@ -102,6 +102,10 @@ func TestParseRejects(t *testing.T) {
 		{"negative loss axis", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nloss = [-0.5]", "LossRate"},
 		{"zero range axis", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [0.0]", "Ranges"},
 		{"huge node multiplier", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nnodes = [99999]", "nodes"},
+		{"scenario named twice", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nscenarios = [\"fig7-bithoc\"]", "one place"},
+		{"unknown scenario on the axis", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig7-bitoc\"]", "fig7-bithoc"},
+		{"no scenario at all", `name = "x"` + "\n\n[grid]\nseeds = [1, 2]", "scenario is required"},
+		{"fractional seed", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nseeds = [1.5]", "grid.seeds"},
 		{"string where int", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n" + `trials = "three"`, "integer"},
 		{"duplicate key", `name = "x"` + "\n" + `name = "y"`, "twice"},
 		{"duplicate table", `name = "x"` + "\n\n[grid]\nranges = [60.0]\n\n[grid]\nloss = [0.1]", "twice"},

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"sync"
 
 	"dapes/internal/experiment"
@@ -69,16 +71,16 @@ func Run(p *Plan, opt Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sc, err := experiment.Find(p.Scenario)
-	if err != nil {
-		return nil, err
-	}
 	cells := p.Cells()
 	results := make([]CellResult, len(cells))
 	st := &orderedStream{w: opt.Stream, done: make([]bool, len(cells)), results: results}
 
-	err = par.ForEach(len(cells), opt.Workers, func(i int) error {
+	err := par.ForEach(len(cells), opt.Workers, func(i int) error {
 		c := cells[i]
+		sc, err := experiment.Find(c.Scenario)
+		if err != nil {
+			return err
+		}
 		if opt.Shards > 0 {
 			c.Scale.Shards = opt.Shards
 		}
@@ -86,7 +88,7 @@ func Run(p *Plan, opt Options) (*Result, error) {
 		// Scale.Workers, the Runner's pool size, to zero.
 		res, err := experiment.Runner{}.Run(sc, c.Scale, c.Range)
 		if err != nil {
-			return fmt.Errorf("cell %d (nodes=%d range=%gm loss=%g): %w", i, c.Nodes, c.Range, c.Loss, err)
+			return fmt.Errorf("cell %d (%s nodes=%d range=%gm loss=%g): %w", i, c.Scenario, c.Nodes, c.Range, c.Loss, err)
 		}
 		results[i] = cellResult(p, c, res)
 		if err := st.complete(i); err != nil {
@@ -144,7 +146,7 @@ func cellResult(p *Plan, c Cell, r experiment.RunResult) CellResult {
 	out := CellResult{
 		Plan:             p.Name,
 		Cell:             c.Index,
-		Scenario:         p.Scenario,
+		Scenario:         c.Scenario,
 		Nodes:            c.Nodes,
 		RangeM:           c.Range,
 		Loss:             c.Loss,
@@ -166,18 +168,21 @@ func cellResult(p *Plan, c Cell, r experiment.RunResult) CellResult {
 	return out
 }
 
-// Tables renders the run report: the full grid table plus, per optimize
-// target, the best and worst cells (ties break to the lowest cell index).
+// Tables renders the run report: the full grid table; with a seeds axis,
+// each configuration's spread over the seeds; and, per optimize target, the
+// best and worst cells (ties break to the lowest cell index).
 func (r *Result) Tables() []experiment.Table {
 	grid := experiment.Table{
-		Title: fmt.Sprintf("Plan %s: %s over %d cells", r.Plan.Name, r.Plan.Scenario, len(r.Cells)),
+		Title: fmt.Sprintf("Plan %s: %s over %d cells", r.Plan.Name, strings.Join(r.Plan.Grid.Scenarios, ", "), len(r.Cells)),
 		Note:  r.Plan.Summary,
-		Header: []string{"cell", "nodes", "range_m", "loss", "horizon_s",
+		Header: []string{"cell", "scenario", "seed", "nodes", "range_m", "loss", "horizon_s",
 			"download_p90_s", "tx_p90", "completed", "fwd_acc"},
 	}
 	for _, c := range r.Cells {
 		grid.Rows = append(grid.Rows, []string{
 			fmt.Sprintf("%d", c.Cell),
+			c.Scenario,
+			fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Nodes),
 			fmt.Sprintf("%g", c.RangeM),
 			fmt.Sprintf("%g", c.Loss),
@@ -189,6 +194,9 @@ func (r *Result) Tables() []experiment.Table {
 		})
 	}
 	tables := []experiment.Table{grid}
+	if len(r.Plan.Grid.Seeds) > 1 {
+		tables = append(tables, r.spread())
+	}
 
 	if len(r.Plan.Optimize) > 0 && len(r.Cells) > 0 {
 		best := experiment.Table{
@@ -213,7 +221,7 @@ func (r *Result) Tables() []experiment.Table {
 			}
 			cellLabel := func(i int) string {
 				c := r.Cells[i]
-				return fmt.Sprintf("%d (nodes=%d range=%gm loss=%g)", c.Cell, c.Nodes, c.RangeM, c.Loss)
+				return fmt.Sprintf("%d (%s nodes=%d range=%gm loss=%g)", c.Cell, c.Scenario, c.Nodes, c.RangeM, c.Loss)
 			}
 			best.Rows = append(best.Rows, []string{
 				t.String(),
@@ -224,4 +232,49 @@ func (r *Result) Tables() []experiment.Table {
 		tables = append(tables, best)
 	}
 	return tables
+}
+
+// spread is the report's seed-spread table: one row per configuration — a
+// scenario at one point of the other axes — with each metric's median and
+// quartiles over the plan's seeds axis. It is what a declared rebaseline
+// compares old against new by: a distribution, not one seed's digits.
+func (r *Result) spread() experiment.Table {
+	seeds := len(r.Plan.Grid.Seeds)
+	t := experiment.Table{
+		Title: fmt.Sprintf("Plan %s: median [q1, q3] over %d seeds", r.Plan.Name, seeds),
+		Header: []string{"scenario", "nodes", "range_m", "loss", "horizon_s",
+			"download_s", "tx", "fwd_acc", "completed_frac"},
+	}
+	// Seeds is the second-outermost axis: the cells of one scenario are
+	// `seeds` runs of `inner` configurations each.
+	inner := len(r.Cells) / (len(r.Plan.Grid.Scenarios) * seeds)
+	column := func(first int, value func(CellResult) float64, format string) string {
+		vs := make([]float64, seeds)
+		for i := range vs {
+			vs[i] = value(r.Cells[first+i*inner])
+		}
+		sort.Float64s(vs)
+		// Nearest rank, as the trial p90 is: the smallest value with at
+		// least that share of the seeds at or below it.
+		rank := func(num, den int) float64 { return vs[(len(vs)*num+den-1)/den-1] }
+		return fmt.Sprintf(format+" ["+format+", "+format+"]", rank(1, 2), rank(1, 4), rank(3, 4))
+	}
+	for s := range r.Plan.Grid.Scenarios {
+		for j := 0; j < inner; j++ {
+			first := s*seeds*inner + j
+			c := r.Cells[first]
+			t.Rows = append(t.Rows, []string{
+				c.Scenario,
+				fmt.Sprintf("%d", c.Nodes),
+				fmt.Sprintf("%g", c.RangeM),
+				fmt.Sprintf("%g", c.Loss),
+				fmt.Sprintf("%g", c.HorizonSec),
+				column(first, metrics["download_time_p90_sec"].value, "%.1f"),
+				column(first, metrics["transmissions_p90"].value, "%.0f"),
+				column(first, metrics["forward_accuracy"].value, "%.2f"),
+				column(first, metrics["completed_fraction"].value, "%.2f"),
+			})
+		}
+	}
+	return t
 }

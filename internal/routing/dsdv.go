@@ -51,7 +51,6 @@ type dsdvRoute struct {
 type DSDV struct {
 	id      int
 	k       *sim.Kernel
-	medium  *phy.Medium
 	radio   *phy.Radio
 	cfg     DSDVConfig
 	table   map[int]dsdvRoute
@@ -59,7 +58,8 @@ type DSDV struct {
 	deliver func(src int, payload []byte)
 	running bool
 	tick    *sim.Timer
-	jobs    []*txJob // idle transmission records
+	rng     sim.Stream // the node's sim.PurposeRouting stream
+	tx      txQueue
 	ctrlTx  uint64
 	dataTx  uint64
 }
@@ -69,49 +69,23 @@ var _ Router = (*DSDV)(nil)
 // NewDSDV attaches a DSDV node to the medium.
 func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSDVConfig) *DSDV {
 	d := &DSDV{
-		k:      k,
-		medium: medium,
-		cfg:    cfg.withDefaults(),
-		table:  make(map[int]dsdvRoute),
+		k:     k,
+		cfg:   cfg.withDefaults(),
+		table: make(map[int]dsdvRoute),
 	}
 	d.tick = k.NewTimer(d.periodicUpdate)
 	d.radio = medium.Attach(mobility)
 	d.id = d.radio.ID()
+	d.rng = k.Stream(d.id, sim.PurposeRouting)
+	d.tx = txQueue{k: k, medium: medium, radio: d.radio, running: &d.running}
 	d.radio.SetHandler(d.onFrame)
 	return d
-}
-
-// txJob is one frame waiting out its MAC-backoff jitter. Jobs are pooled on
-// the node and keep their event func (fire, the method value of send), so a
-// transmission costs its wire buffer and nothing else.
-type txJob struct {
-	d    *DSDV
-	wire []byte
-	fire func()
 }
 
 // transmit broadcasts wire after the MAC-backoff jitter, unless the node
 // has been stopped by then.
 func (d *DSDV) transmit(wire []byte) {
-	var j *txJob
-	if n := len(d.jobs); n > 0 {
-		j = d.jobs[n-1]
-		d.jobs = d.jobs[:n-1]
-	} else {
-		j = &txJob{d: d}
-		j.fire = j.send
-	}
-	j.wire = wire
-	d.k.ScheduleFunc(d.k.Jitter(d.cfg.TxJitter), j.fire)
-}
-
-func (j *txJob) send() {
-	d, wire := j.d, j.wire
-	j.wire = nil
-	d.jobs = append(d.jobs, j)
-	if d.running {
-		d.medium.Broadcast(d.radio, wire)
-	}
+	d.tx.after(d.rng.Jitter(d.cfg.TxJitter), wire, nil)
 }
 
 // ID implements Router.
@@ -146,7 +120,7 @@ func (d *DSDV) Start() {
 		return
 	}
 	d.running = true
-	d.tick.Reset(d.k.Jitter(d.cfg.UpdatePeriod))
+	d.tick.Reset(d.rng.Jitter(d.cfg.UpdatePeriod))
 }
 
 // Stop implements Router. A stopped node is silent: it neither originates
@@ -168,7 +142,7 @@ func (d *DSDV) periodicUpdate() {
 	f := &frame{Proto: protoDSDVUpdate, Src: d.id, Dst: Broadcast, NextHop: Broadcast, Payload: payload}
 	d.ctrlTx++
 	d.transmit(f.encode())
-	d.tick.Reset(d.cfg.UpdatePeriod + d.k.Jitter(d.cfg.UpdatePeriod/4))
+	d.tick.Reset(d.cfg.UpdatePeriod + d.rng.Jitter(d.cfg.UpdatePeriod/4))
 }
 
 // expireStale invalidates routes whose next hop has gone quiet.

@@ -81,7 +81,6 @@ type pendingDiscovery struct {
 type DSR struct {
 	id      int
 	k       *sim.Kernel
-	medium  *phy.Medium
 	radio   *phy.Radio
 	cfg     DSRConfig
 	routes  map[int]cachedRoute
@@ -92,6 +91,8 @@ type DSR struct {
 	seenSeq map[uint64]bool // dedup of repeated unicast frames
 	deliver func(src int, payload []byte)
 	running bool
+	rng     sim.Stream // the node's sim.PurposeRouting stream
+	tx      txQueue
 	ctrlTx  uint64
 	dataTx  uint64
 }
@@ -102,7 +103,6 @@ var _ Router = (*DSR)(nil)
 func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSRConfig) *DSR {
 	d := &DSR{
 		k:       k,
-		medium:  medium,
 		cfg:     cfg.withDefaults(),
 		routes:  make(map[int]cachedRoute),
 		pending: make(map[int]*pendingDiscovery),
@@ -111,6 +111,8 @@ func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSRCon
 	}
 	d.radio = medium.Attach(mobility)
 	d.id = d.radio.ID()
+	d.rng = k.Stream(d.id, sim.PurposeRouting)
+	d.tx = txQueue{k: k, medium: medium, radio: d.radio, running: &d.running}
 	d.radio.SetHandler(d.onFrame)
 	return d
 }
@@ -120,20 +122,14 @@ func (d *DSR) ID() int { return d.id }
 
 // transmit broadcasts wire after the MAC-backoff jitter.
 func (d *DSR) transmit(wire []byte) {
-	d.k.ScheduleFunc(d.k.Jitter(d.cfg.TxJitter), func() {
-		d.medium.Broadcast(d.radio, wire)
-	})
+	d.tx.after(d.rng.Jitter(d.cfg.TxJitter), wire, nil)
 }
 
 // transmitRepeated puts wire on the air HopRepeats times (MAC ARQ model);
 // each repetition is separately counted and jittered.
 func (d *DSR) transmitRepeated(wire []byte, count *uint64) {
 	for i := 0; i < d.cfg.HopRepeats; i++ {
-		delay := time.Duration(i)*d.cfg.TxJitter + d.k.Jitter(d.cfg.TxJitter)
-		d.k.ScheduleFunc(delay, func() {
-			*count++
-			d.medium.Broadcast(d.radio, wire)
-		})
+		d.tx.after(time.Duration(i)*d.cfg.TxJitter+d.rng.Jitter(d.cfg.TxJitter), wire, count)
 	}
 }
 
@@ -165,8 +161,17 @@ func (d *DSR) DataTransmissions() uint64 { return d.dataTx }
 // Start implements Router.
 func (d *DSR) Start() { d.running = true }
 
-// Stop implements Router.
-func (d *DSR) Stop() { d.running = false }
+// Stop implements Router. A stopped node is silent: it neither originates
+// nor forwards, frames still waiting out their jitter are dropped as they
+// come due, and route discoveries in progress are abandoned with what they
+// buffered, so nothing of the node stays armed in the kernel.
+func (d *DSR) Stop() {
+	d.running = false
+	for _, p := range d.pending {
+		p.timer.Stop()
+	}
+	clear(d.pending)
+}
 
 // HasRoute reports whether a live cached route to dst exists.
 func (d *DSR) HasRoute(dst int) bool {
@@ -370,11 +375,7 @@ func (d *DSR) handleRREQ(f frame) {
 		Proto: protoRREQ, Src: f.Src, Dst: f.Dst, NextHop: Broadcast,
 		TTL: f.TTL - 1, Route: route, Payload: f.Payload,
 	}
-	wire := fwd.encode()
-	d.k.ScheduleFunc(d.k.Jitter(d.cfg.FloodJitter), func() {
-		d.ctrlTx++
-		d.medium.Broadcast(d.radio, wire)
-	})
+	d.tx.after(d.rng.Jitter(d.cfg.FloodJitter), fwd.encode(), &d.ctrlTx)
 }
 
 // overlaps reports whether the two hop lists share any node (a spliced

@@ -20,7 +20,6 @@ package rpf
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"dapes/internal/bitmap"
 )
@@ -41,13 +40,19 @@ type Strategy interface {
 	NextRequest(own, available, busy *bitmap.Bitmap) int
 }
 
+// Rand is what a strategy draws its random tie order from: the peer's
+// *sim.Stream in the simulation, a *math/rand.Rand anywhere else.
+type Rand interface {
+	Perm(n int) []int
+}
+
 // tieBreaker orders packets with equal rarity.
 type tieBreaker struct {
 	randomStart bool
 	perm        []int // perm[i] = rank of index i when randomStart
 }
 
-func newTieBreaker(n int, randomStart bool, rng *rand.Rand) tieBreaker {
+func newTieBreaker(n int, randomStart bool, rng Rand) tieBreaker {
 	tb := tieBreaker{randomStart: randomStart}
 	if randomStart {
 		p := rng.Perm(n)
@@ -76,7 +81,7 @@ type selector struct {
 	counts *bitmap.Rarity
 }
 
-func newSelector(n int, randomStart bool, rng *rand.Rand) selector {
+func newSelector(n int, randomStart bool, rng Rand) selector {
 	return selector{n: n, tb: newTieBreaker(n, randomStart, rng), counts: bitmap.NewRarity(n)}
 }
 
@@ -108,7 +113,7 @@ var _ Strategy = (*LocalNeighborhood)(nil)
 
 // NewLocalNeighborhood returns the strategy for a collection of n packets.
 // rng is used only when randomStart is set.
-func NewLocalNeighborhood(n int, randomStart bool, rng *rand.Rand) *LocalNeighborhood {
+func NewLocalNeighborhood(n int, randomStart bool, rng Rand) *LocalNeighborhood {
 	return &LocalNeighborhood{newSelector(n, randomStart, rng)}
 }
 
@@ -140,7 +145,7 @@ type EncounterBased struct {
 var _ Strategy = (*EncounterBased)(nil)
 
 // NewEncounterBased returns the strategy remembering up to history peers.
-func NewEncounterBased(n, history int, randomStart bool, rng *rand.Rand) *EncounterBased {
+func NewEncounterBased(n, history int, randomStart bool, rng Rand) *EncounterBased {
 	if history < 1 {
 		history = 1
 	}

@@ -1,7 +1,7 @@
 package sim
 
 // Space-partitioned parallel execution: a ShardedKernel composes S
-// per-shard Kernels (each with its own wheel, clock, and RNG stream) and
+// per-shard Kernels (each with its own wheel and clock) and
 // advances them in conservative lookahead windows. Within a window the
 // shards share no mutable state — cross-shard effects are staged through
 // SendFrom into per-(from,to) handoff slices (or through a typed barrier
@@ -54,12 +54,14 @@ package sim
 //     gate) — so the choice is free to depend on the host.
 //
 // Relaxed global-trace contract: a ShardedKernel with S>1 is NOT
-// byte-identical to a single Kernel running the same scenario — each shard
-// draws from its own seeded RNG stream, and event seq numbers are
-// per-shard. With S==1 the sharded kernel constructs exactly one inner
-// kernel seeded with the caller's seed and delegates Run/RunUntil to it
-// directly, so a 1-shard run IS byte-identical to the sequential kernel;
-// that is the executable bridge between the two contracts.
+// byte-identical to a single Kernel running the same scenario — event seq
+// numbers are per-shard, and cross-shard effects land at barriers. (Random
+// draws are not part of the relaxation: every shard kernel carries the trial
+// seed, so Kernel.Stream hands a node the same stream on any shard.) With
+// S==1 the sharded kernel constructs exactly one inner kernel and delegates
+// Run/RunUntil to it directly, so a 1-shard run IS byte-identical to the
+// sequential kernel; that is the executable bridge between the two
+// contracts.
 
 import (
 	"errors"
@@ -71,19 +73,6 @@ import (
 // ErrClosed is returned by Run on a ShardedKernel whose Close has been
 // called (RunUntil reports false for the same reason).
 var ErrClosed = errors.New("sim: Run on a closed ShardedKernel")
-
-// shardSeedStride separates per-shard RNG streams. Like TrialSeed and
-// CellSeed, derivation is documented two's-complement wrap: the sum is
-// computed in uint64 and converted back, so a caller seed near the int64
-// boundary wraps deterministically instead of being implementation-defined.
-const shardSeedStride = 999_983
-
-// ShardSeed derives shard i's kernel seed from the trial seed.
-// ShardSeed(seed, 0) == seed, so a 1-shard kernel is seed-identical to
-// NewKernel(seed).
-func ShardSeed(seed int64, shard int) int64 {
-	return int64(uint64(seed) + uint64(shard)*shardSeedStride)
-}
 
 // WindowingMode selects how the coordinator sizes lookahead windows.
 type WindowingMode int32
@@ -186,7 +175,7 @@ func NewShardedKernel(seed int64, shards int, lookahead time.Duration) *ShardedK
 
 // NewShardedKernel returns a kernel of `shards` spatial shards advancing
 // in windows of `lookahead`, built from the implementations o selects.
-// Shard i's RNG is seeded ShardSeed(seed, i). shards < 1 is clamped to 1;
+// Every shard kernel carries seed, the trial's. shards < 1 is clamped to 1;
 // lookahead < 1ns is clamped to 1ns (a window always makes progress
 // because it starts at the global minimum event time and event times are
 // whole nanoseconds).
@@ -208,7 +197,7 @@ func (o Options) NewShardedKernel(seed int64, shards int, lookahead time.Duratio
 		busy:      make([]int, 0, shards),
 	}
 	for i := range sk.shards {
-		sk.shards[i] = o.NewKernel(ShardSeed(seed, i))
+		sk.shards[i] = o.NewKernel(seed)
 		sk.out[i] = make([][]handoff, shards)
 	}
 	return sk
@@ -221,8 +210,7 @@ func (sk *ShardedKernel) Options() Options { return sk.opts }
 func (sk *ShardedKernel) Shards() int { return len(sk.shards) }
 
 // Shard returns shard i's kernel. Model code owned by shard i schedules on
-// (and draws randomness from) this kernel only; effects targeting another
-// shard go through SendFrom.
+// this kernel only; effects targeting another shard go through SendFrom.
 func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i] }
 
 // Lookahead returns the conservative window length.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,25 +61,6 @@ func TestRunUntilHonorsStop(t *testing.T) {
 	}
 }
 
-// TestShardSeedContract pins ShardSeed: shard 0 is seed-identical to the
-// caller's seed (the 1-shard == sequential bridge) and the derivation wraps
-// two's-complement at the int64 boundary instead of being seed-dependent UB.
-func TestShardSeedContract(t *testing.T) {
-	t.Parallel()
-	if got := ShardSeed(42, 0); got != 42 {
-		t.Fatalf("ShardSeed(42, 0) = %d, want 42", got)
-	}
-	if a, b := ShardSeed(42, 1), ShardSeed(42, 2); a == b || a == 42 {
-		t.Fatalf("shard seeds not distinct: %d %d", a, b)
-	}
-	// Documented wrap: computed in uint64 and converted back.
-	base := int64(math.MaxInt64)
-	want := int64(uint64(base) + uint64(3*shardSeedStride))
-	if got := ShardSeed(base, 3); got != want {
-		t.Fatalf("ShardSeed at int64 boundary = %d, want wrapped %d", got, want)
-	}
-}
-
 // TestShardedSingleShardMatchesKernel pins the executable bridge between
 // the sharded and sequential contracts: a 1-shard ShardedKernel delegates
 // to one inner kernel seeded with the caller's seed, so the same workload
@@ -93,12 +73,13 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 	}
 	load := func(k *Kernel) *[]rec {
 		trace := &[]rec{}
+		rng := k.Stream(0, PurposePeer)
 		for i := 0; i < 50; i++ {
 			id := i
-			k.Schedule(k.Jitter(time.Second), func() {
+			k.Schedule(rng.Jitter(time.Second), func() {
 				*trace = append(*trace, rec{id, k.Now()})
 				if id%3 == 0 {
-					k.ScheduleFunc(k.Jitter(100*time.Millisecond), func() {
+					k.ScheduleFunc(rng.Jitter(100*time.Millisecond), func() {
 						*trace = append(*trace, rec{1000 + id, k.Now()})
 					})
 				}
@@ -136,7 +117,7 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 }
 
 // shardedChurn drives a randomized multi-shard workload — local schedules,
-// per-shard RNG draws, conservative and relaxed cross-shard handoffs,
+// per-shard random draws, conservative and relaxed cross-shard handoffs,
 // horizon-bounded runs — and returns the per-shard traces. It is the shared
 // body of the serial==parallel equivalence test and the CI -race churn step
 // (cross-shard state is only ever touched through SendFrom staging, so the
@@ -156,15 +137,19 @@ func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 	// serial-vs-parallel comparison vacuous.
 	sk.adaptive = false
 	traces := make([][]int64, shards)
+	streams := make([]Stream, shards) // one per shard: windows share nothing
+	for i := range streams {
+		streams[i] = sk.Shard(i).Stream(i, PurposePeer)
+	}
 
 	// Each shard runs a self-sustaining chain that records (id, now) into its
-	// own trace, draws jitter from its own kernel, and hands off to the next
+	// own trace, draws jitter from its own stream, and hands off to the next
 	// shard — sometimes a full lookahead ahead (conservative: exact timing),
 	// sometimes nearly immediately (relaxed: clamped to the barrier).
 	var arm func(shard, depth, id int)
 	arm = func(shard, depth, id int) {
 		k := sk.Shard(shard)
-		k.ScheduleFunc(k.Jitter(30*time.Microsecond), func() {
+		k.ScheduleFunc(streams[shard].Jitter(30*time.Microsecond), func() {
 			traces[shard] = append(traces[shard], int64(id)<<32|int64(k.Now()))
 			if depth == 0 {
 				return

@@ -1,9 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel drives every experiment in this repository: a single virtual
-// clock, a pending-event queue, and a seeded random number generator. Two
-// runs with the same seed execute the same event trace, which makes
-// experiments reproducible and testable.
+// clock, a pending-event queue, and the trial seed every node's random
+// streams derive from (Stream). Two runs with the same seed execute the same
+// event trace, which makes experiments reproducible and testable.
 //
 // The queue is a hierarchical timer wheel by default (O(1) schedule and
 // cancel; see wheel.go), with the reference binary heap selectable per
@@ -15,7 +15,6 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
 	"time"
 )
 
@@ -151,7 +150,7 @@ type Kernel struct {
 	queue   eventQueue
 	kind    QueueKind
 	seq     uint64
-	rng     *rand.Rand
+	seed    int64
 	stopped bool
 	fired   uint64
 	// free recycles event records so hot paths that schedule one event per
@@ -160,14 +159,13 @@ type Kernel struct {
 	free []*Event
 }
 
-// NewKernel returns a production kernel (Options{}: the timer wheel) whose
-// random stream is seeded with seed.
+// NewKernel returns a production kernel (Options{}: the timer wheel) of the
+// trial seeded with seed.
 func NewKernel(seed int64) *Kernel { return Options{}.NewKernel(seed) }
 
-// NewKernel returns a kernel on o.Queue whose random stream is seeded with
-// seed.
+// NewKernel returns a kernel on o.Queue of the trial seeded with seed.
 func (o Options) NewKernel(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed)), kind: o.Queue}
+	k := &Kernel{seed: seed, kind: o.Queue}
 	if o.Queue == QueueHeap {
 		k.queue = &heapQueue{}
 	} else {
@@ -182,9 +180,15 @@ func (k *Kernel) Queue() QueueKind { return k.kind }
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
-// RNG returns the kernel's deterministic random number generator. All model
-// randomness must come from this stream to preserve reproducibility.
-func (k *Kernel) RNG() *rand.Rand { return k.rng }
+// Stream returns the random stream of one node for one purpose, derived from
+// the trial seed (NewStream). The kernel holds no generator of its own —
+// events tie-break on sequence numbers — and every shard kernel of a
+// ShardedKernel carries the trial's seed, so a node's stream is the same
+// whichever kernel hosts it. Model code keeps the stream by value and draws
+// all its randomness from it.
+func (k *Kernel) Stream(node int, purpose Purpose) Stream {
+	return NewStream(k.seed, node, purpose)
+}
 
 // EventsFired returns the number of events executed so far.
 func (k *Kernel) EventsFired() uint64 { return k.fired }
@@ -370,22 +374,4 @@ func (k *Kernel) advanceTo(t time.Duration) {
 	if t > k.now {
 		k.now = t
 	}
-}
-
-// Jitter returns a uniformly random duration in [0, max). It returns 0 when
-// max <= 0.
-func (k *Kernel) Jitter(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	return time.Duration(k.rng.Int63n(int64(max)))
-}
-
-// Uniform returns a uniformly random duration in [lo, hi). It returns lo when
-// hi <= lo.
-func (k *Kernel) Uniform(lo, hi time.Duration) time.Duration {
-	if hi <= lo {
-		return lo
-	}
-	return lo + time.Duration(k.rng.Int63n(int64(hi-lo)))
 }

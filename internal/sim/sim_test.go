@@ -221,9 +221,10 @@ func TestKernelDeterminism(t *testing.T) {
 	t.Parallel()
 	run := func(seed int64) []int64 {
 		k := NewKernel(seed)
+		rng := k.Stream(0, PurposePeer)
 		var vals []int64
 		for i := 0; i < 100; i++ {
-			d := k.Jitter(time.Second)
+			d := rng.Jitter(time.Second)
 			k.Schedule(d, func() { vals = append(vals, int64(k.Now())) })
 		}
 		k.Run(0)
@@ -265,25 +266,25 @@ func TestScheduleBehindWheelCursor(t *testing.T) {
 
 func TestUniform(t *testing.T) {
 	t.Parallel()
-	k := NewKernel(7)
+	rng := NewStream(7, 0, PurposePeer)
 	for i := 0; i < 1000; i++ {
-		d := k.Uniform(time.Second, 2*time.Second)
+		d := rng.Uniform(time.Second, 2*time.Second)
 		if d < time.Second || d >= 2*time.Second {
 			t.Fatalf("Uniform out of range: %v", d)
 		}
 	}
-	if got := k.Uniform(time.Second, time.Second); got != time.Second {
+	if got := rng.Uniform(time.Second, time.Second); got != time.Second {
 		t.Fatalf("degenerate Uniform = %v, want 1s", got)
 	}
 }
 
 func TestJitterZero(t *testing.T) {
 	t.Parallel()
-	k := NewKernel(7)
-	if got := k.Jitter(0); got != 0 {
+	rng := NewStream(7, 0, PurposePeer)
+	if got := rng.Jitter(0); got != 0 {
 		t.Fatalf("Jitter(0) = %v, want 0", got)
 	}
-	if got := k.Jitter(-time.Second); got != 0 {
+	if got := rng.Jitter(-time.Second); got != 0 {
 		t.Fatalf("Jitter(-1s) = %v, want 0", got)
 	}
 }

@@ -53,6 +53,7 @@ type Reliable struct {
 	k      *sim.Kernel
 	router routing.Router
 	cfg    Config
+	rng    sim.Stream // the node's sim.PurposeTransport stream
 
 	nextID  uint32
 	pending map[uint32]*outstanding
@@ -105,6 +106,7 @@ func NewReliable(k *sim.Kernel, router routing.Router, cfg Config) *Reliable {
 		k:       k,
 		router:  router,
 		cfg:     cfg.withDefaults(),
+		rng:     k.Stream(router.ID(), sim.PurposeTransport),
 		pending: make(map[uint32]*outstanding),
 		seen:    make(map[int]*seenSet),
 	}
@@ -173,7 +175,7 @@ func (r *Reliable) retire(out *outstanding) {
 // any RTO, so at most one send per record is ever queued.
 func (r *Reliable) transmit(out *outstanding) {
 	out.sendQueued = true
-	r.k.ScheduleFunc(r.k.Jitter(r.cfg.Jitter), out.sendFn)
+	r.k.ScheduleFunc(r.rng.Jitter(r.cfg.Jitter), out.sendFn)
 	out.rtoT.Reset(r.cfg.Jitter + out.rto)
 }
 
@@ -230,7 +232,7 @@ func (r *Reliable) onRouterDeliver(src int, payload []byte) {
 	case msgData:
 		// Ack unconditionally (acks are lost sometimes; sender retries).
 		ack := binary.BigEndian.AppendUint32(append(make([]byte, 0, 5), msgAck), id)
-		r.k.ScheduleFunc(r.k.Jitter(r.cfg.Jitter), func() {
+		r.k.ScheduleFunc(r.rng.Jitter(r.cfg.Jitter), func() {
 			r.AcksSent++
 			r.router.Send(src, ack)
 		})
