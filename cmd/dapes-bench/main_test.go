@@ -72,9 +72,9 @@ func TestOnlyPrintsThePanelsAskedFor(t *testing.T) {
 }
 
 // TestGoldenQuickFigures pins every panel `-scale quick` prints, byte for
-// byte, against testdata/quick.json — captured once, before the figures
-// became one table and one sweep, and never regenerated by a change that
-// claims to leave the evaluation alone. It is the series-wiring gate the
+// byte, against testdata/quick.json — regenerated once, with the trial
+// goldens, at the sim.Stream rebaseline (docs/CONTRACTS.md §1), and never
+// regenerated by a change that claims to leave the evaluation alone. It is the series-wiring gate the
 // absolute trial goldens cannot be: a swapped option in a figure's
 // definition changes a column, not a trial. -only must print the matching
 // sub-arrays, whether it selects one panel of a sweep or both.

@@ -31,9 +31,9 @@ func goldenOf(res TrialResult, w *world) baselineGolden {
 // TestGoldenBaselineTrialResults is the absolute golden for the IP
 // baselines: every other gate on fig7-bithoc / fig7-ekta compares a run with
 // a rerun, which a change to the shared frame path moves on both sides. The
-// values were generated from the tree before the baseline stack's frame path
-// was rewritten (phy receptions, routing frame views, transport segments,
-// Bithoc piece selection) and must never be regenerated by a change that
+// values were regenerated once, in a commit of their own, at the declared
+// rebaseline that moved every draw onto per-node sim.Streams
+// (docs/CONTRACTS.md §1) and must never be regenerated by a change that
 // claims to be trace-neutral.
 func TestGoldenBaselineTrialResults(t *testing.T) {
 	t.Parallel()
@@ -42,12 +42,12 @@ func TestGoldenBaselineTrialResults(t *testing.T) {
 		trial     int
 		want      baselineGolden
 	}{
-		{20, 0, baselineGolden{592992934223, 78740, 24, 24, 69288, 3963, 7557, 18435256, 277812}},
-		{20, 1, baselineGolden{792855569886, 95699, 24, 24, 80429, 4604, 8853, 21766433, 337199}},
-		{60, 0, baselineGolden{103794941904, 59994, 24, 24, 259500, 24302, 28779, 19501347, 435023}},
-		{60, 1, baselineGolden{114894720389, 62756, 24, 24, 263580, 22104, 29063, 19838169, 443190}},
-		{100, 0, baselineGolden{93729748946, 82072, 24, 24, 754974, 133542, 83472, 29170549, 1131945}},
-		{100, 1, baselineGolden{94252635801, 79704, 24, 24, 706651, 135732, 78651, 28741864, 1079207}},
+		{20, 0, baselineGolden{989080451031, 108586, 24, 24, 86511, 4470, 9687, 24494897, 378545}},
+		{20, 1, baselineGolden{918560121625, 102017, 24, 24, 84244, 4451, 9311, 23682184, 351794}},
+		{60, 0, baselineGolden{115642699680, 67401, 24, 24, 283248, 27853, 31556, 21532442, 481298}},
+		{60, 1, baselineGolden{115326288095, 59109, 24, 24, 236706, 19766, 26154, 19018104, 401026}},
+		{100, 0, baselineGolden{87080076098, 75982, 24, 24, 737313, 182711, 81518, 28363763, 1153743}},
+		{100, 1, baselineGolden{92124691535, 82304, 24, 24, 714311, 111144, 78975, 29174166, 1063398}},
 	} {
 		c := c
 		t.Run(fmt.Sprintf("bithoc/range%v/trial%d", c.wifiRange, c.trial), func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestGoldenBaselineTrialResults(t *testing.T) {
 		t.Parallel()
 		s := ReducedScale()
 		s.Horizon = 5 * time.Minute
-		want := baselineGolden{300000000000, 98889, 0, 24, 419131, 38957, 46470, 10675014, 615494}
+		want := baselineGolden{300000000000, 106401, 0, 24, 456611, 43436, 50324, 12482440, 669479}
 		if got := goldenOf(ektaTrial(s, 60, 0)); got != want {
 			t.Errorf("\n got %+v\nwant %+v", got, want)
 		}

@@ -77,9 +77,9 @@ func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 // TestGoldenDAPESTrialResults is the absolute golden for the DAPES stack:
 // every other DAPES gate compares two engines running the same protocol
 // code, which a change to that code moves on both sides. The values were
-// generated from the tree before the Section-V forwarding state (nonce
-// dedup, forwarded-Interest table, suppression timers, reply queue) moved
-// out of core.Peer and multihop.PureForwarder into multihop.Relay, and must
+// regenerated once, in a commit of their own, at the declared rebaseline
+// that moved every draw onto per-node sim.Streams (docs/CONTRACTS.md §1,
+// docs/EXPERIMENTS.md "Rebaseline: per-node random streams"), and must
 // never be regenerated by a change that claims to be trace-neutral.
 func TestGoldenDAPESTrialResults(t *testing.T) {
 	t.Parallel()
@@ -99,25 +99,25 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		opts      DAPESOptions
 		want      dapesGolden
 	}{
-		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{407498100011, 48778, 24, 24, 28746, 0, 0, 45266, 1402, 5028, 10895888, 123223,
-			relayCounts{1437, 4314, 652, 652, 0}, relayCounts{336, 1714, 73, 70, 2248}}},
-		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{533153696418, 54799, 24, 24, 12505, 0, 0, 49051, 1461, 5487, 11512003, 138075,
-			relayCounts{1779, 5107, 799, 799, 0}, relayCounts{410, 2162, 85, 85, 2638}}},
-		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{32164088305, 29925, 24, 24, 142757, 0, 0, 113432, 22099, 12482, 13226949, 185552,
-			relayCounts{5625, 3764, 4875, 4875, 0}, relayCounts{543, 2662, 448, 413, 4076}}},
-		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{63793160811, 37138, 24, 24, 290646, 0, 0, 142693, 22996, 15595, 14137252, 228492,
-			relayCounts{6652, 5087, 4891, 4891, 0}, relayCounts{678, 3226, 544, 463, 5895}}},
-		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{11820056040, 27520, 24, 24, 366123, 0, 0, 165834, 134173, 18319, 12930340, 354240,
-			relayCounts{7447, 2458, 6677, 6681, 0}, relayCounts{626, 2392, 849, 576, 3109}}},
-		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{12043573579, 28549, 24, 24, 472697, 0, 0, 181916, 115836, 19891, 12908973, 354024,
-			relayCounts{6655, 2723, 6150, 6150, 0}, relayCounts{555, 2444, 586, 528, 4199}}},
-		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{44606701049, 17229, 24, 24, 76539, 0, 0, 71058, 5544, 7880, 6289644, 108156,
+		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{448878523721, 50057, 24, 24, 15223, 0, 0, 47039, 1611, 5159, 11001997, 128591,
+			relayCounts{1730, 4197, 773, 773, 0}, relayCounts{436, 1990, 105, 99, 2674}}},
+		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{428363300838, 42049, 24, 24, 17590, 0, 0, 38740, 1233, 4311, 10099109, 105202,
+			relayCounts{986, 4020, 588, 588, 0}, relayCounts{335, 1620, 82, 81, 1678}}},
+		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{30256064472, 26962, 24, 24, 71329, 0, 0, 115648, 25584, 12899, 10899880, 185803,
+			relayCounts{2929, 5022, 2691, 2691, 0}, relayCounts{496, 2248, 491, 389, 5133}}},
+		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{55639790910, 43132, 24, 24, 74549, 0, 0, 164328, 20438, 18210, 13824714, 255909,
+			relayCounts{5922, 5180, 4272, 4272, 0}, relayCounts{689, 3107, 515, 424, 8206}}},
+		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{13695654456, 30702, 24, 24, 727217, 0, 0, 227130, 148936, 25389, 12121012, 439669,
+			relayCounts{6130, 4922, 5584, 5584, 0}, relayCounts{665, 2735, 932, 610, 4599}}},
+		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{16082016951, 30878, 24, 24, 604599, 0, 0, 208618, 112288, 23107, 12461603, 383913,
+			relayCounts{7893, 3466, 6449, 6450, 0}, relayCounts{685, 3033, 937, 607, 4231}}},
+		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{54689059960, 25824, 24, 24, 66984, 0, 0, 118443, 7312, 13250, 7236682, 194000,
 			relayCounts{0, 0, 0, 0, 0}, relayCounts{0, 0, 0, 0, 0}}},
-		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{14029287770, 163366, 104, 104, 1700306, 0, 0, 1067687, 528469, 117946, 69201194, 1911042,
-			relayCounts{27187, 25366, 25680, 25681, 0}, relayCounts{2878, 11839, 4303, 2615, 32275}}},
+		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{16571267240, 160665, 104, 104, 2006840, 0, 0, 1175218, 526135, 130325, 61401038, 2019319,
+			relayCounts{19954, 38973, 19204, 19205, 0}, relayCounts{3222, 13470, 5163, 2941, 35315}}},
 		// Crash is Stop plus a deaf radio, Restart wipes the tables.
-		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{39023021162, 396477, 104, 104, 1492197, 52, 10659641632, 2619344, 1022425, 417028, 156781212, 4512350,
-			relayCounts{47288, 26413, 44290, 44290, 0}, relayCounts{2898, 12281, 4328, 2646, 102102}}},
+		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{41462107758, 387075, 104, 104, 2904569, 52, 11049309547, 2749589, 1039499, 437422, 141453469, 4663167,
+			relayCounts{38558, 44615, 36351, 36357, 0}, relayCounts{3393, 14397, 5297, 2997, 103317}}},
 	} {
 		c := c
 		t.Run(fmt.Sprintf("%s/range%v/trial%d", c.name, c.wifiRange, c.trial), func(t *testing.T) {
@@ -154,9 +154,9 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 			eventsFired uint64
 		}
 		want := fig8Golden{
-			ScenarioResult{"repository (Fig 8b)", 121104541433, 1969, SystemLoad{14.75, 5479, 15784, 711}, true},
-			phy.Stats{Transmissions: 1969, Deliveries: 3214, Collisions: 369, Lost: 150, BytesSent: 829321},
-			5921,
+			ScenarioResult{"repository (Fig 8b)", 127144283480, 2213, SystemLoad{14.9375, 6348, 18175, 861}, true},
+			phy.Stats{Transmissions: 2213, Deliveries: 3785, Collisions: 552, Lost: 172, BytesSent: 930061},
+			7015,
 		}
 		if got := (fig8Golden{row, built[0].Stats(), built[0].EventsFired()}); got != want {
 			t.Errorf("\n got %+v\nwant %+v", got, want)
