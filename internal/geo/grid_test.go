@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -69,62 +70,176 @@ func TestGridRejectsBadCellSize(t *testing.T) {
 	}
 }
 
+// bruteForce is what QueryRange must return: the ids, ascending, whose stored
+// position lies within r of center.
+func bruteForce(pts map[int]Point, center Point, r float64) []int {
+	var want []int
+	for id, p := range pts {
+		if center.Distance(p) <= r {
+			want = append(want, id)
+		}
+	}
+	sort.Ints(want)
+	return want
+}
+
 // TestGridQueryMatchesBruteForce is the grid's core property: against random
-// populations, cell sizes, and query discs, QueryRange must return a sorted
-// superset of the brute-force in-range set, and must return exactly the
-// brute-force set once filtered by true distance.
+// populations, cell sizes, and query discs, QueryRange returns exactly the
+// brute-force set over the stored positions — whatever the bucketing did with
+// them, including a Move inside one cell changing the stored point — in
+// ascending order.
 func TestGridQueryMatchesBruteForce(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
+	random := func() Point {
+		return Point{X: (rng.Float64() - 0.5) * 400, Y: (rng.Float64() - 0.5) * 400}
+	}
 	for iter := 0; iter < 200; iter++ {
 		cell := 1 + rng.Float64()*80
 		g := NewGrid(cell)
 		n := 1 + rng.Intn(60)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{X: (rng.Float64() - 0.5) * 400, Y: (rng.Float64() - 0.5) * 400}
+		pts := make(map[int]Point, n)
+		for i := 0; i < n; i++ {
+			pts[i] = random()
 			g.Insert(i, pts[i])
 		}
-		// Shuffle some entries with Move, including same-cell moves.
-		for j := 0; j < n/2; j++ {
+		// Shuffle some entries with Move: across the world, and by less than
+		// a cell so that most stay in the bucket they were in.
+		for j := 0; j < n; j++ {
 			id := rng.Intn(n)
-			pts[id] = Point{X: (rng.Float64() - 0.5) * 400, Y: (rng.Float64() - 0.5) * 400}
+			if j%2 == 0 {
+				pts[id] = random()
+			} else {
+				pts[id] = pts[id].Add((rng.Float64()-0.5)*cell/4, (rng.Float64()-0.5)*cell/4)
+			}
 			g.Move(id, pts[id])
 		}
-		center := Point{X: (rng.Float64() - 0.5) * 400, Y: (rng.Float64() - 0.5) * 400}
-		r := rng.Float64() * 150
-
-		got := g.QueryRange(center, r, nil)
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("iter %d: QueryRange not sorted: %v", iter, got)
+		for j := 0; j < n/8; j++ {
+			id := rng.Intn(n)
+			delete(pts, id)
+			g.Remove(id)
 		}
-		inGot := make(map[int]bool, len(got))
-		for _, id := range got {
-			inGot[id] = true
-		}
-		var filtered, want []int
-		for _, id := range got {
-			if center.Distance(pts[id]) <= r {
-				filtered = append(filtered, id)
-			}
-		}
-		for id, p := range pts {
-			if center.Distance(p) <= r {
-				want = append(want, id)
-				if !inGot[id] {
-					t.Fatalf("iter %d: id %d at %v within %v of %v missing from candidates",
-						iter, id, p, r, center)
+		for q := 0; q < 10; q++ {
+			center, r := random(), rng.Float64()*150
+			if q == 0 && len(pts) > 0 {
+				// A disc whose edge passes exactly through a stored point.
+				for _, p := range pts {
+					r = center.Distance(p)
+					break
 				}
 			}
-		}
-		if len(filtered) != len(want) {
-			t.Fatalf("iter %d: filtered candidates = %v, want %v", iter, filtered, want)
-		}
-		for i := range want {
-			if filtered[i] != want[i] {
-				t.Fatalf("iter %d: filtered candidates = %v, want %v", iter, filtered, want)
+			got := g.QueryRange(center, r, nil)
+			if want := bruteForce(pts, center, r); !slices.Equal(got, want) {
+				t.Fatalf("iter %d: QueryRange(%v, %v) = %v, want %v", iter, center, r, got, want)
 			}
 		}
+	}
+}
+
+// TestGridHugeRadiusTerminates: a radius wider than the world — the clamped
+// cell range of r = +Inf spans 2⁶³ cells — walks the occupied window once and
+// returns every id, as does any r that covers them all.
+func TestGridHugeRadiusTerminates(t *testing.T) {
+	t.Parallel()
+	g := NewGrid(60)
+	rng := rand.New(rand.NewSource(3))
+	pts := map[int]Point{}
+	for i := 0; i < 200; i++ {
+		pts[i] = Point{X: rng.Float64() * 3000, Y: rng.Float64() * 3000}
+		g.Insert(i, pts[i])
+	}
+	pts[200] = Point{X: -1e15, Y: 1e15}
+	g.Insert(200, pts[200])
+	for _, r := range []float64{math.Inf(1), 1e18, math.MaxFloat64} {
+		got := g.QueryRange(Point{X: 1500, Y: 1500}, r, nil)
+		if want := bruteForce(pts, Point{X: 1500, Y: 1500}, r); len(got) != 201 || !slices.Equal(got, want) {
+			t.Fatalf("QueryRange(r=%v) returned %d ids, want all 201", r, len(got))
+		}
+	}
+	if got := g.QueryRange(Point{}, math.NaN(), nil); len(got) != 0 {
+		t.Fatalf("QueryRange(r=NaN) = %v, want nothing", got)
+	}
+}
+
+// TestGridFarAndSparseStayLinear: the dense window is bounded by the
+// population, not by the coordinates. Outliers — at ±1e18, at NaN — and a
+// population spread thinner than the window affords go to the overflow
+// bucket; queries stay exact and the bucket count stays within a constant of
+// the id count.
+func TestGridFarAndSparseStayLinear(t *testing.T) {
+	t.Parallel()
+	affordable := func(g *Grid, n int) {
+		t.Helper()
+		if got, limit := len(g.buckets), windowFloor+windowPerID*n+1; got > limit {
+			t.Fatalf("%d buckets for %d ids, want at most %d", got, n, limit)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+
+	// A 300 m world with four ids that are nowhere near it, inserted in the
+	// middle of it.
+	g := NewGrid(20)
+	pts := map[int]Point{}
+	outliers := []Point{{X: 1e18, Y: 1e18}, {X: -1e18, Y: 40}, {X: math.NaN(), Y: 10}, {X: 150, Y: math.Inf(1)}}
+	for i := 0; i < 49; i++ {
+		pts[i] = Point{X: rng.Float64() * 300, Y: rng.Float64() * 300}
+		if i >= 20 && i < 20+len(outliers) {
+			pts[i] = outliers[i-20]
+		}
+		g.Insert(i, pts[i])
+	}
+	affordable(g, len(pts))
+	// (NaN buckets as cell 0, inside this window; no query ever returns it.)
+	if over := len(g.buckets[len(g.buckets)-1]); over != len(outliers)-1 {
+		t.Fatalf("%d entries in the overflow bucket, want the %d far outliers only", over, len(outliers)-1)
+	}
+	for _, q := range []struct {
+		c Point
+		r float64
+	}{
+		{Point{X: 150, Y: 150}, 100},
+		{Point{X: 1e18, Y: 1e18}, 1},
+		{Point{X: -1e18, Y: 0}, 50},
+		{Point{X: 150, Y: 150}, 2e18},
+		{Point{X: 150, Y: 150}, math.Inf(1)},
+	} {
+		if got, want := g.QueryRange(q.c, q.r, nil), bruteForce(pts, q.c, q.r); !slices.Equal(got, want) {
+			t.Fatalf("QueryRange(%v, %v) = %v, want %v", q.c, q.r, got, want)
+		}
+	}
+	// An outlier that comes home leaves the overflow; one that leaves joins it.
+	pts[20], pts[0] = Point{X: 10, Y: 10}, Point{X: 0, Y: -1e12}
+	g.Move(20, pts[20])
+	g.Move(0, pts[0])
+	if got, want := g.QueryRange(Point{}, 400, nil), bruteForce(pts, Point{}, 400); !slices.Equal(got, want) {
+		t.Fatalf("after moves QueryRange = %v, want %v", got, want)
+	}
+	affordable(g, len(pts))
+
+	// 100 ids over a 1,000 km square of 60 m cells: 2.8e8 cells in the
+	// bounding box.
+	g = NewGrid(60)
+	pts = map[int]Point{}
+	for i := 0; i < 100; i++ {
+		pts[i] = Point{X: rng.Float64() * 1e6, Y: rng.Float64() * 1e6}
+		g.Insert(i, pts[i])
+	}
+	affordable(g, len(pts))
+	for i := 0; i < 100; i++ {
+		if got, want := g.QueryRange(pts[i], 5e4, nil), bruteForce(pts, pts[i], 5e4); !slices.Equal(got, want) {
+			t.Fatalf("sparse QueryRange around id %d = %v, want %v", i, got, want)
+		}
+	}
+
+	// A population that affords its bounding box ends up with nothing in the
+	// overflow, whatever order it arrived in: 20k ids over 100×100 cells.
+	g = NewGrid(60)
+	for i := 0; i < 20000; i++ {
+		g.Insert(i, Point{X: rng.Float64() * 6000, Y: rng.Float64() * 6000})
+	}
+	affordable(g, 20000)
+	if over := len(g.buckets[len(g.buckets)-1]); over != 0 {
+		t.Fatalf("%d of 20000 entries left in the overflow of a world the window affords", over)
 	}
 }
 

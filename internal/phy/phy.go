@@ -7,14 +7,16 @@
 // 11 Mbps data rate, a 10% loss rate, and WiFi ranges swept from 20 m to
 // 100 m; those are the defaults here.
 //
-// Receiver lookup is indexed: the medium keeps every radio bucketed in a
-// geo.Grid (cell edge = radio range) so a broadcast touches only the radios
-// near the sender instead of scanning all of them. The brute-force scan is
-// retained as IndexNaive, and both implementations are byte-identical by
-// construction — same candidate set, same ascending-ID iteration order, so
-// the same events in the same order. The golden-trace suite
-// (internal/experiment and TestGridMatchesNaiveTrace here) enforces it. See
-// docs/PERFORMANCE.md.
+// Receiver lookup is indexed: the medium keeps every radio's last synced
+// position in a geo.Grid (cell edge = radio range) and asks it for the radios
+// stored within range plus the drift accrued since that sync, so a broadcast
+// computes positions only for radios that can be in range instead of scanning
+// all of them. The brute-force scan is retained as IndexNaive, and both
+// implementations are byte-identical by construction — the exact-distance
+// test decides membership in both, over ascending IDs, so the same events in
+// the same order. The golden-trace suite (internal/experiment,
+// TestGridMatchesNaiveTrace and TestGridMatchesNaiveAtDriftBoundary here)
+// enforces it. See docs/PERFORMANCE.md.
 //
 // Delivery follows the zero-copy wire path: one broadcast creates one
 // immutable frame whose NDN parse is memoized (Frame.Packet), so the k
@@ -258,11 +260,12 @@ type Medium struct {
 	posNow time.Duration
 
 	// Spatial index (IndexGrid; nil under IndexNaive). Cells are one radio
-	// range wide. Mobile radios are re-bucketed only when they may have
-	// drifted more than slack meters since lastSync; every query widens its
-	// radius by slack, so the candidate set is always a superset of the
-	// radios truly in range and the exact-distance filter below decides
-	// membership — identically to the naive scan.
+	// range wide and hold each radio's position as of its last sync. Mobile
+	// radios are re-synced only when they may have drifted more than slack
+	// meters since lastSync; every query widens its radius by the drift
+	// accrued so far (gridReach), so the grid's answer is always a superset
+	// of the radios truly in range and the exact-distance filter below
+	// decides membership — identically to the naive scan.
 	grid         *geo.Grid
 	slack        float64
 	lastSync     time.Duration
@@ -426,10 +429,11 @@ func (m *Medium) InRange(a, b *Radio) bool {
 	return m.positionOf(a).Distance(m.positionOf(b)) <= m.cfg.Range
 }
 
-// syncGrid re-buckets radios whose grid cell may be stale before a query at
-// the current time. A mobile radio moves at most maxSpeed, so cells stay
-// usable until maxSpeed·(now−lastSync) exceeds the slack queries widen by;
-// radios without a finite speed bound re-bucket whenever the clock moved.
+// syncGrid re-stores radios whose grid position is too stale before a query
+// at the current time. A mobile radio moves at most maxSpeed, so queries
+// widen by maxSpeed·(now−lastSync) and positions are re-stored once that
+// exceeds slack (half a range: the query stays within a 4×4 block of cells);
+// radios without a finite speed bound re-store whenever the clock moved.
 func (m *Medium) syncGrid() {
 	gen := m.clockGen()
 	if len(m.unbounded) > 0 && m.unboundedGen != gen {
@@ -574,19 +578,31 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	}
 	m.syncGrid()
 	center := m.positionOf(sender)
-	m.candIDs = m.grid.QueryRange(center, m.cfg.Range+m.slack, m.candIDs[:0])
+	r := m.gridReach(center, m.maxSpeed*(m.posNow-m.lastSync).Seconds())
+	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
 	for _, idx := range m.candIDs {
 		rx := m.radios[idx]
-		if rx == sender || !rx.enabled {
-			continue
-		}
 		// Same float expression as InRange, so the grid can never disagree
 		// with the scan on a boundary case.
-		if center.Distance(m.positionOf(rx)) <= m.cfg.Range {
+		if rx != sender && center.Distance(m.positionOf(rx)) <= m.cfg.Range && rx.enabled {
 			m.cand = append(m.cand, rx)
 		}
 	}
 	return m.cand
+}
+
+// gridReach returns the radius to query the grid with for the radios within
+// Range of center when every stored position is within drift meters of the
+// position the exact test will use. By the triangle inequality such a radio
+// is stored within Range+drift of center; ε covers what rounding adds to
+// that. The two computed distances are each off by a few ulps of themselves,
+// and a mobility model's computed positions by a few ulps of the coordinates
+// per leg crossed — about 1e-12 m ten kilometres from the origin — so a
+// billionth of the magnitudes involved is a millionfold margin that still
+// admits no candidate the exact test would not reject anyway.
+func (m *Medium) gridReach(center geo.Point, drift float64) float64 {
+	reach := m.cfg.Range + drift
+	return reach + 1e-9*(reach+math.Abs(center.X)+math.Abs(center.Y))
 }
 
 // candidatesAroundAt mirrors candidatesInRange for a transmission
@@ -600,7 +616,7 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 // barrier happens to fall, and is what the sender-side mask cull promises
 // to be a superset of. Positions at a past timestamp bypass the per-now
 // cache (mobility models are pure functions of time); the grid query is
-// widened by the extra drift a bucket may have accumulated since `at`.
+// widened by the drift between a stored position and the position at `at`.
 func (m *Medium) candidatesAroundAt(center geo.Point, at time.Duration) []*Radio {
 	m.cand = m.cand[:0]
 	if m.grid == nil {
@@ -622,16 +638,15 @@ func (m *Medium) candidatesAroundAt(center geo.Point, at time.Duration) []*Radio
 		}
 		return m.cand
 	}
-	// Buckets are within slack of positions at now; positions at `at` add
-	// at most maxSpeed·(now−at) more drift.
-	widen := m.slack
-	if m.posNow > at {
-		widen += m.maxSpeed * (m.posNow - at).Seconds()
-	}
-	m.candIDs = m.grid.QueryRange(center, m.cfg.Range+widen, m.candIDs[:0])
+	// Positions were stored between lastSync and now (a radio attached since
+	// the sync stores its own), so none is further in time from `at` than the
+	// farther of those two.
+	apart := max((m.posNow - at).Abs(), (at - m.lastSync).Abs())
+	r := m.gridReach(center, m.maxSpeed*apart.Seconds())
+	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
 	for _, idx := range m.candIDs {
 		rx := m.radios[idx]
-		if rx.enabled && center.Distance(rx.mobility.PositionAt(at)) <= m.cfg.Range {
+		if center.Distance(rx.mobility.PositionAt(at)) <= m.cfg.Range && rx.enabled {
 			m.cand = append(m.cand, rx)
 		}
 	}

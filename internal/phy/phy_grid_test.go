@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -132,12 +133,17 @@ func runTrace(mode IndexMode, seed int64) traceResult {
 	if err := k.Run(0); err != nil {
 		panic(err)
 	}
+	res.collect(m)
+	return res
+}
+
+// collect records the medium's counters and every radio's at the end of a run.
+func (res *traceResult) collect(m *Medium) {
 	res.Stats = m.Stats()
-	for _, r := range radios {
+	for _, r := range m.Radios() {
 		res.Sent = append(res.Sent, r.Sent)
 		res.Received = append(res.Received, r.Received)
 	}
-	return res
 }
 
 // TestGridMatchesNaiveTrace is the phy-level golden-trace check: the grid
@@ -211,5 +217,142 @@ func TestConfigIndex(t *testing.T) {
 	m = NewMedium(sim.NewKernel(1), Config{Index: IndexNaive})
 	if m.Config().Index != IndexNaive || m.grid != nil {
 		t.Fatal("IndexNaive still built a grid")
+	}
+}
+
+// runDriftBoundary drives the cases the grid's stored-position filter could
+// get wrong and the naive scan cannot: receivers at exactly Range and one ulp
+// either side of it, queried when the stored positions are exact (a
+// stationary world: drift 0) and when they are stale by exactly the slack —
+// the last instant before a re-sync, where an in-range radio is stored at
+// exactly Range + drift — with radios attached mid-run (stored at their own
+// attach time, after the sync) and a walker four times faster attached after
+// the first sync (every bound widens at once). syncs is the medium's lastSync
+// as each probe saw it.
+func runDriftBoundary(mode IndexMode, mobile bool) (res traceResult, syncs []time.Duration) {
+	k := sim.NewKernel(1)
+	m := NewMedium(k, Config{Range: 50, Index: mode})
+	attach := func(mob geo.Mobility) *Radio {
+		r := m.Attach(mob)
+		r.SetHandler(func(f Frame) {
+			res.Deliveries = append(res.Deliveries,
+				fmt.Sprintf("%v %d->%d %d", k.Now(), f.From, r.ID(), f.Payload[0]))
+		})
+		return r
+	}
+	still := func(x, y float64) { attach(geo.Stationary{At: geo.Point{X: x, Y: y}}) }
+	// walk is a straight run between two points over [t0, t1], parked at
+	// either end outside it.
+	walk := func(t0, t1 time.Duration, from, to geo.Point) {
+		attach(geo.NewScripted([]geo.Waypoint{{At: t0, Pos: from}, {At: t1, Pos: to}}))
+	}
+	edges := []float64{50, math.Nextafter(50, 100), math.Nextafter(50, 0)}
+
+	sender := attach(geo.Stationary{})
+	for _, e := range edges {
+		still(e, 0)
+		still(-e, 0)
+		still(0, e)
+	}
+	still(30, 40) // 3-4-5: exactly 50 off the axes
+	still(-40, -30)
+	still(30, math.Nextafter(40, 100))
+	if mobile {
+		// 5 m/s inbound — never an ulp more, 5 is the bound the medium must
+		// see: 25 m = the slack in 5 s, ending on the edge.
+		walk(0, 5*time.Second, geo.Point{X: 75}, geo.Point{X: edges[0]})
+		walk(0, 5*time.Second, geo.Point{X: 75}, geo.Point{X: edges[1]})
+		walk(0, 5*time.Second, geo.Point{X: math.Nextafter(75, 0)}, geo.Point{X: edges[2]})
+		walk(0, 5*time.Second, geo.Point{X: -45, Y: -60}, geo.Point{X: -30, Y: -40})
+		// Outbound: stored in range, truly out of it.
+		walk(0, 5*time.Second, geo.Point{Y: -40}, geo.Point{Y: -65})
+		// Moving while the fast walker's bound applies.
+		walk(7*time.Second, 8500*time.Millisecond, geo.Point{X: -57.5}, geo.Point{X: -50})
+	}
+
+	probe := func() {
+		for _, r := range m.Radios() {
+			res.Neighbors = append(res.Neighbors, m.Neighbors(r))
+		}
+		// What a foreign transmission from the origin would reach had it
+		// started now, or a second and a quarter ago (across the last sync).
+		for _, ago := range []time.Duration{0, 1250 * time.Millisecond} {
+			var ids []int
+			for _, rx := range m.candidatesAroundAt(geo.Point{}, k.Now()-ago) {
+				ids = append(ids, rx.ID())
+			}
+			res.Neighbors = append(res.Neighbors, ids)
+		}
+		m.Broadcast(sender, []byte{byte(len(res.Neighbors))})
+		m.Broadcast(m.Radios()[1], []byte{byte(len(res.Neighbors))})
+		syncs = append(syncs, m.lastSync)
+	}
+	for _, at := range []time.Duration{
+		0,
+		2 * time.Second,
+		5 * time.Second,   // 5 m/s · 5 s = slack exactly: no re-sync yet
+		5*time.Second + 1, // the first re-sync
+		6 * time.Second,
+		7250 * time.Millisecond, // re-sync under the fast walker's bound
+		8500 * time.Millisecond, // 20 m/s · 1.25 s = slack exactly
+		100 * time.Second,
+	} {
+		k.ScheduleAt(at, probe)
+	}
+	// Attached mid-run, before the 2 s probe.
+	k.ScheduleAt(time.Second, func() {
+		still(0, -50)
+		still(0, -math.Nextafter(50, 100))
+		if mobile {
+			walk(2*time.Second, 5*time.Second, geo.Point{X: 39, Y: 52}, geo.Point{X: 30, Y: 40})
+		}
+	})
+	if mobile {
+		k.ScheduleAt(7*time.Second, func() {
+			// 20 m/s: 30 m in 1.5 s, on the edge when the 8.5 s probe looks.
+			walk(7*time.Second, 8500*time.Millisecond, geo.Point{Y: -80}, geo.Point{Y: -50})
+		})
+	}
+	if err := k.Run(0); err != nil {
+		panic(err)
+	}
+	res.collect(m)
+	return res, syncs
+}
+
+// TestGridMatchesNaiveAtDriftBoundary: the grid answers from stored positions
+// widened by the drift accrued since they were stored; on the boundary of
+// that bound it must still find exactly what the scan finds.
+func TestGridMatchesNaiveAtDriftBoundary(t *testing.T) {
+	t.Parallel()
+	for _, mobile := range []bool{false, true} {
+		naive, _ := runDriftBoundary(IndexNaive, mobile)
+		grid, syncs := runDriftBoundary(IndexGrid, mobile)
+		// The probes that say "slack exactly" looked at positions stored a
+		// whole slack ago: the re-sync came one probe later.
+		const s = time.Second
+		wantSyncs := []time.Duration{0, 0, 0, 5*s + 1, 5*s + 1, 7250 * time.Millisecond, 7250 * time.Millisecond, 100 * s}
+		if !mobile {
+			wantSyncs = make([]time.Duration, 8)
+		}
+		if !reflect.DeepEqual(syncs, wantSyncs) {
+			t.Fatalf("mobile=%v: the grid synced at %v, want %v", mobile, syncs, wantSyncs)
+		}
+		if !reflect.DeepEqual(naive, grid) {
+			for i := range naive.Neighbors {
+				if !reflect.DeepEqual(naive.Neighbors[i], grid.Neighbors[i]) {
+					t.Fatalf("mobile=%v: Neighbors query %d: naive=%v grid=%v", mobile, i, naive.Neighbors[i], grid.Neighbors[i])
+				}
+			}
+			t.Fatalf("mobile=%v: traces diverged\nnaive: %+v\ngrid:  %+v", mobile, naive, grid)
+		}
+		// The sender's first answer: the edge is inclusive, one ulp past it
+		// is out (ids 1-9 are the three axes at 50, 50+ulp, 50-ulp).
+		if got, want := naive.Neighbors[0][:8], []int{1, 2, 3, 7, 8, 9, 10, 11}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("mobile=%v: the sender's neighbours at t=0 = %v, want %v", mobile, got, want)
+		}
+		if naive.Stats.Deliveries == 0 {
+			t.Fatalf("mobile=%v: degenerate trace delivered nothing", mobile)
+		}
 	}
 }
