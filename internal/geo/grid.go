@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -48,12 +49,14 @@ type gridSlot struct{ bucket, i int32 }
 //
 // The buckets are one dense row-major window over the occupied cells: the
 // cell (cx, cy) is buckets[(cy-y0)*w+(cx-x0)], and a query's cells are a few
-// short runs of one slice. The window grows to follow the population but
-// never past windowFloor+windowPerID·n cells; entries whose cell lies outside
-// it share one overflow bucket (the slice's last element) that every query
-// scans. Membership is decided by stored position, never by bucket, so where
-// an entry is bucketed changes only what a query costs: memory and query time
-// stay O(population) whatever the coordinates are.
+// short runs of one slice. The window grows to the bounding box of the
+// population whenever that is at most windowBudget(n) cells, 16 to 32 per id;
+// entries whose cell it cannot afford to reach (a radio at 1e18 m, a world
+// spread thinner than that) share one overflow bucket (the slice's last
+// element) that every query scans. Membership is decided by
+// stored position, never by bucket, so where an entry is bucketed changes only
+// what a query costs: memory and query time stay O(population) whatever the
+// coordinates are.
 //
 // QueryRange returns ids in ascending order. Callers that iterate them and
 // perform side effects (the wireless medium scheduling receptions) rely on
@@ -68,13 +71,25 @@ type Grid struct {
 	n            int // ids present
 }
 
-// The window may hold this many cells for n ids. A uniform world whose nodes
-// average one neighbour within a cell edge occupies about π cells per node;
-// the floor keeps the paper's 45-node arena windowed at its shortest range.
-const (
-	windowFloor = 1024
-	windowPerID = 4
-)
+// windowBudget is how many cells the window may hold for n ids: 16 for each,
+// with n rounded up to a power of two so that a growing population raises the
+// budget — and has grow lay the window out again — O(log n) times, not once
+// per insert. The window is as large as the population's bounding box, not as
+// the budget, so the number only decides which worlds overflow. Those this
+// repository runs keep the paper's density, 45 nodes on 300 m × 300 m,
+// whatever their size, which with cell edge = radio range r is (300/r)²/45
+// cells per node: 0.2 at 100 m, 0.56 at 60 m, 5 at the paper's shortest range
+// of 20 m. 16 holds that last one with grow's padding (up to 2.25× the box)
+// to spare, and caps any world at 32 cells of 24 B per id: 768 B, a sixth of
+// what a simulated node holds. The floor keeps small worlds windowed however
+// thin they are.
+func windowBudget(n int) int64 {
+	const floor, perID = 1024, 16
+	if n < 1 {
+		return floor
+	}
+	return floor + perID<<bits.Len(uint(n-1))
+}
 
 // NewGrid returns an empty grid with the given cell edge length in meters.
 // Cell size should match the dominant query radius so queries touch a small
@@ -154,34 +169,65 @@ func (g *Grid) take(s gridSlot) {
 	g.buckets[s.bucket] = es[:len(es)-1]
 }
 
-// grow extends the window to cover c — and half the window's extent again
-// beyond it on each side it had to move, so a population spreading outwards
-// lays the window out again only O(log) times — if the population affords
-// that many cells. It reports whether it did.
+// grow extends the window to the bounding box of itself, c, and every
+// overflow entry that box can be stretched to while the population affords its
+// cells — so what is left in the overflow is what no window could hold — and
+// then pads each side it moved by up to half its extent, as far as the budget
+// allows, so a population spreading outwards lays the window out again only
+// O(log) times. It reports whether the window changed.
 func (g *Grid) grow(c gridCell) bool {
+	// Cells past ±2⁵² are not whole numbers of cells apart (and clamped ones
+	// are up to 2⁶³ apart); nothing there is worth a window.
+	const far = int64(1) << 52
+	budget := windowBudget(g.n)
 	x0, y0, x1, y1 := c.x, c.y, c.x, c.y
-	if g.w > 0 {
-		x0, y0, x1, y1 = g.x0, g.y0, g.x0+g.w-1, g.y0+g.h-1
-		switch {
-		case c.x < x0:
-			x0 = c.x - g.w/2
-		case c.x > x1:
-			x1 = c.x + g.w/2
+	// add stretches the box to d if the budget allows.
+	add := func(d gridCell) bool {
+		if max(d.x, -d.x, d.y, -d.y) > far {
+			return false
 		}
-		switch {
-		case c.y < y0:
-			y0 = c.y - g.h/2
-		case c.y > y1:
-			y1 = c.y + g.h/2
+		nx0, ny0, nx1, ny1 := min(x0, d.x), min(y0, d.y), max(x1, d.x), max(y1, d.y)
+		if nx1-nx0+1 > budget/(ny1-ny0+1) {
+			return false
 		}
+		x0, y0, x1, y1 = nx0, ny0, nx1, ny1
+		return true
 	}
-	// In floats: clamped cells are up to 2⁶³ apart.
-	w, h := float64(x1)-float64(x0)+1, float64(y1)-float64(y0)+1
-	if w*h > float64(windowFloor+windowPerID*g.n) {
+	if !add(c) {
 		return false
 	}
-	g.rewindow(x0, y0, x1-x0+1, y1-y0+1)
-	return true
+	if g.w > 0 && !(add(gridCell{g.x0, g.y0}) && add(gridCell{g.x0 + g.w - 1, g.y0 + g.h - 1})) {
+		return false
+	}
+	for _, e := range g.buckets[len(g.buckets)-1] {
+		add(g.cellFor(e.p))
+	}
+	if g.w > 0 {
+		for pad := max(g.w, g.h) / 2; pad > 0; pad /= 2 {
+			px0, py0, px1, py1 := x0, y0, x1, y1
+			if x0 < g.x0 {
+				px0 -= pad
+			}
+			if y0 < g.y0 {
+				py0 -= pad
+			}
+			if x1 > g.x0+g.w-1 {
+				px1 += pad
+			}
+			if y1 > g.y0+g.h-1 {
+				py1 += pad
+			}
+			if px1-px0+1 <= budget/(py1-py0+1) {
+				x0, y0, x1, y1 = px0, py0, px1, py1
+				break
+			}
+		}
+	}
+	if w, h := x1-x0+1, y1-y0+1; w != g.w || h != g.h {
+		g.rewindow(x0, y0, w, h)
+		return true
+	}
+	return false
 }
 
 // rewindow lays the buckets out again over a window that contains the
@@ -210,23 +256,34 @@ func (g *Grid) rewindow(x0, y0, w, h int64) {
 func (g *Grid) Insert(id int, p Point) { g.Move(id, p) }
 
 // Move updates id's stored position, re-bucketing only when its cell
-// changed. Moving an absent id inserts it.
+// changed. Moving an absent id inserts it. An entry bound for the overflow
+// asks for the window to grow first — on every Move, since what the
+// population could not afford when the entry arrived it may afford now — and
+// the insert that raises the budget asks on behalf of the entries left there
+// that never move.
 func (g *Grid) Move(id int, p Point) {
 	for id >= len(g.slots) {
 		g.slots = append(g.slots, gridSlot{bucket: -1})
 	}
+	inserted := g.slots[id].bucket < 0
+	if inserted {
+		g.n++
+		if g.w > 0 && len(g.buckets[len(g.buckets)-1]) > 0 && windowBudget(g.n) > windowBudget(g.n-1) {
+			g.grow(gridCell{g.x0, g.y0})
+		}
+	}
 	c := g.cellFor(p)
 	b := g.bucketOf(c)
-	if s := g.slots[id]; s.bucket < 0 {
-		g.n++
-	} else if int(s.bucket) == b {
-		g.buckets[b][s.i].p = p
-		return
-	} else {
-		g.take(s)
-	}
 	if b == len(g.buckets)-1 && g.grow(c) {
 		b = g.bucketOf(c)
+	}
+	if !inserted {
+		s := g.slots[id]
+		if int(s.bucket) == b {
+			g.buckets[b][s.i].p = p
+			return
+		}
+		g.take(s)
 	}
 	g.put(gridEntry{id: id, p: p}, b)
 }

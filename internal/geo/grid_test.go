@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -138,22 +139,17 @@ func TestGridQueryMatchesBruteForce(t *testing.T) {
 
 // TestGridHugeRadiusTerminates: a radius wider than the world — the clamped
 // cell range of r = +Inf spans 2⁶³ cells — walks the occupied window once and
-// returns every id, as does any r that covers them all.
+// returns every id, the overflow's included; r = NaN returns nothing.
 func TestGridHugeRadiusTerminates(t *testing.T) {
 	t.Parallel()
 	g := NewGrid(60)
-	rng := rand.New(rand.NewSource(3))
-	pts := map[int]Point{}
-	for i := 0; i < 200; i++ {
-		pts[i] = Point{X: rng.Float64() * 3000, Y: rng.Float64() * 3000}
-		g.Insert(i, pts[i])
+	pts := map[int]Point{0: {X: 10, Y: 10}, 1: {X: 2900, Y: 1500}, 2: {X: -1e15, Y: 1e15}}
+	for id, p := range pts {
+		g.Insert(id, p)
 	}
-	pts[200] = Point{X: -1e15, Y: 1e15}
-	g.Insert(200, pts[200])
 	for _, r := range []float64{math.Inf(1), 1e18, math.MaxFloat64} {
-		got := g.QueryRange(Point{X: 1500, Y: 1500}, r, nil)
-		if want := bruteForce(pts, Point{X: 1500, Y: 1500}, r); len(got) != 201 || !slices.Equal(got, want) {
-			t.Fatalf("QueryRange(r=%v) returned %d ids, want all 201", r, len(got))
+		if got, want := g.QueryRange(Point{X: 1500, Y: 1500}, r, nil), []int{0, 1, 2}; !slices.Equal(got, want) {
+			t.Fatalf("QueryRange(r=%v) = %v, want %v", r, got, want)
 		}
 	}
 	if got := g.QueryRange(Point{}, math.NaN(), nil); len(got) != 0 {
@@ -170,7 +166,7 @@ func TestGridFarAndSparseStayLinear(t *testing.T) {
 	t.Parallel()
 	affordable := func(g *Grid, n int) {
 		t.Helper()
-		if got, limit := len(g.buckets), windowFloor+windowPerID*n+1; got > limit {
+		if got, limit := len(g.buckets), int(windowBudget(n))+1; got > limit {
 			t.Fatalf("%d buckets for %d ids, want at most %d", got, n, limit)
 		}
 	}
@@ -200,19 +196,22 @@ func TestGridFarAndSparseStayLinear(t *testing.T) {
 		{Point{X: 150, Y: 150}, 100},
 		{Point{X: 1e18, Y: 1e18}, 1},
 		{Point{X: -1e18, Y: 0}, 50},
-		{Point{X: 150, Y: 150}, 2e18},
-		{Point{X: 150, Y: 150}, math.Inf(1)},
 	} {
 		if got, want := g.QueryRange(q.c, q.r, nil), bruteForce(pts, q.c, q.r); !slices.Equal(got, want) {
 			t.Fatalf("QueryRange(%v, %v) = %v, want %v", q.c, q.r, got, want)
 		}
 	}
-	// An outlier that comes home leaves the overflow; one that leaves joins it.
-	pts[20], pts[0] = Point{X: 10, Y: 10}, Point{X: 0, Y: -1e12}
-	g.Move(20, pts[20])
-	g.Move(0, pts[0])
+	// An outlier that comes home, or near enough for the window to reach it,
+	// leaves the overflow; an entry that goes far joins it.
+	pts[20], pts[21], pts[0] = Point{X: 10, Y: 10}, Point{X: -100, Y: 40}, Point{X: 0, Y: -1e12}
+	for _, id := range []int{20, 21, 0} {
+		g.Move(id, pts[id])
+	}
 	if got, want := g.QueryRange(Point{}, 400, nil), bruteForce(pts, Point{}, 400); !slices.Equal(got, want) {
 		t.Fatalf("after moves QueryRange = %v, want %v", got, want)
+	}
+	if over := len(g.buckets[len(g.buckets)-1]); over != 2 {
+		t.Fatalf("%d entries in the overflow after two came back and one left, want 2", over)
 	}
 	affordable(g, len(pts))
 
@@ -231,15 +230,53 @@ func TestGridFarAndSparseStayLinear(t *testing.T) {
 		}
 	}
 
-	// A population that affords its bounding box ends up with nothing in the
-	// overflow, whatever order it arrived in: 20k ids over 100×100 cells.
-	g = NewGrid(60)
-	for i := 0; i < 20000; i++ {
-		g.Insert(i, Point{X: rng.Float64() * 6000, Y: rng.Float64() * 6000})
+}
+
+// TestGridWindowHoldsAffordableWorld: a population whose bounding box the
+// window affords ends up with nothing in the overflow — so no query scans
+// more than its own cells — whatever order it arrived in and without a Move
+// afterwards. 50k ids at the paper's density and its shortest range, 20 m:
+// 500×500 cells, 5 per id.
+func TestGridWindowHoldsAffordableWorld(t *testing.T) {
+	t.Parallel()
+	const n, side = 50000, 10000.0
+	rng := rand.New(rand.NewSource(11))
+	uniform := make([]Point, n)
+	for i := range uniform {
+		uniform[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
-	affordable(g, 20000)
-	if over := len(g.buckets[len(g.buckets)-1]); over != 0 {
-		t.Fatalf("%d of 20000 entries left in the overflow of a world the window affords", over)
+	raster := slices.Clone(uniform)
+	slices.SortFunc(raster, func(a, b Point) int {
+		return cmp.Or(cmp.Compare(math.Floor(a.Y/20), math.Floor(b.Y/20)), cmp.Compare(a.X, b.X))
+	})
+	// The first ids scattered while the population affords no window that
+	// holds them, every later one inside a tenth of the arena.
+	scattered := slices.Clone(uniform)
+	for i := 2000; i < n; i++ {
+		scattered[i] = Point{X: 4500 + scattered[i].X/10, Y: 4500 + scattered[i].Y/10}
+	}
+	for name, pts := range map[string][]Point{"uniform": uniform, "raster": raster, "scattered first": scattered} {
+		g := NewGrid(20)
+		for i, p := range pts {
+			g.Insert(i, p)
+		}
+		if got, limit := len(g.buckets), int(windowBudget(n))+1; got > limit {
+			t.Fatalf("%s: %d buckets for %d ids, want at most %d", name, got, n, limit)
+		}
+		if over := len(g.buckets[len(g.buckets)-1]); over != 0 {
+			t.Fatalf("%s: %d of %d entries left in the overflow of a world the window affords", name, over, n)
+		}
+		c := pts[n/2]
+		got := g.QueryRange(c, 30, nil)
+		var want []int
+		for i, p := range pts {
+			if c.Distance(p) <= 30 {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: QueryRange = %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 // benchWorld builds a medium with n random-direction walkers at a constant
 // node density (the area grows with n), so the naive scan's per-broadcast
 // cost grows with n while the true neighbor count stays flat — the regime
-// the urban-grid scenarios live in.
-func benchWorld(n int, mode IndexMode) (*sim.Kernel, *Medium) {
+// the urban-grid scenarios live in. The area does not depend on the radio range
+// r, so the grid's cells per node go as (45/r)².
+func benchWorld(n int, mode IndexMode, r float64) (*sim.Kernel, *Medium) {
 	k := sim.NewKernel(42)
-	m := NewMedium(k, Config{Range: 60, Index: mode})
+	m := NewMedium(k, Config{Range: r, Index: mode})
 	side := math.Sqrt(float64(n)) * 45 // ~5.6 expected neighbors at range 60
 	area := geo.Rect{Width: side, Height: side}
 	rng := rand.New(rand.NewSource(7))
@@ -38,7 +39,10 @@ func benchWorld(n int, mode IndexMode) (*sim.Kernel, *Medium) {
 // 50k-node metro trials do not: grid/N=50000 is that density with successive
 // senders a prime stride apart, so each broadcast finds its cells, radios and
 // walkers cold — the regime where a candidate costs a cache miss, not a
-// multiplication.
+// multiplication. grid-range20 is the same world at the paper's shortest
+// range: 5 grid cells per node instead of 0.56, the thinnest the index is
+// asked to hold, where a window too small for it would have every query scan
+// the stragglers.
 func BenchmarkBroadcastDense(b *testing.B) {
 	payload := make([]byte, 256)
 	for _, c := range []struct {
@@ -46,17 +50,19 @@ func BenchmarkBroadcastDense(b *testing.B) {
 		mode   IndexMode
 		n      int
 		stride int
+		rangeM float64
 	}{
-		{"naive", IndexNaive, 50, 1},
-		{"naive", IndexNaive, 250, 1},
-		{"naive", IndexNaive, 1000, 1},
-		{"grid", IndexGrid, 50, 1},
-		{"grid", IndexGrid, 250, 1},
-		{"grid", IndexGrid, 1000, 1},
-		{"grid", IndexGrid, 50000, 7919},
+		{"naive", IndexNaive, 50, 1, 60},
+		{"naive", IndexNaive, 250, 1, 60},
+		{"naive", IndexNaive, 1000, 1, 60},
+		{"grid", IndexGrid, 50, 1, 60},
+		{"grid", IndexGrid, 250, 1, 60},
+		{"grid", IndexGrid, 1000, 1, 60},
+		{"grid", IndexGrid, 50000, 7919, 60},
+		{"grid-range20", IndexGrid, 50000, 7919, 20},
 	} {
 		b.Run(fmt.Sprintf("%s/N=%d", c.name, c.n), func(b *testing.B) {
-			k, m := benchWorld(c.n, c.mode)
+			k, m := benchWorld(c.n, c.mode, c.rangeM)
 			radios := m.Radios()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -79,7 +85,7 @@ func BenchmarkNeighborsDense(b *testing.B) {
 	} {
 		for _, n := range []int{50, 1000} {
 			b.Run(fmt.Sprintf("%s/N=%d", impl.name, n), func(b *testing.B) {
-				_, m := benchWorld(n, impl.mode)
+				_, m := benchWorld(n, impl.mode, 60)
 				radios := m.Radios()
 				b.ReportAllocs()
 				b.ResetTimer()
