@@ -27,12 +27,13 @@ fmt-check:
 
 # The contract gate: gofmt, go vet, plus dapes-lint, the repo's own go/analysis-style
 # suite (internal/lint, docs/CONTRACTS.md). dapes-lint machine-checks the
-# five invariants every golden-trace and perf gate depends on — kernel clock
+# six invariants every golden-trace and perf gate depends on — kernel clock
 # + seeded RNG on simulation paths (simclock), no map-iteration order reaching
 # scheduling/wire/stats/sends or unsorted output slices (maporder), wire-frame
 # views stay read-only and encoded packets aren't mutated without
-# InvalidateWire (wireimmut), no stored *sim.Event (handlehygiene), and no
-# map keyed by an ndn.Name rendered at the lookup (namekey).
+# InvalidateWire (wireimmut), no stored *sim.Event (handlehygiene), no
+# map keyed by an ndn.Name rendered at the lookup (namekey), and package
+# unsafe imported by internal/ndn alone (unsafe).
 # Fails on any unsuppressed diagnostic; suppress only with
 # `//lint:ignore <analyzer> <reason>`.
 lint: fmt-check vet

@@ -178,13 +178,18 @@ func (b *Bitmap) Word(w int) uint64 {
 // the packed bit bytes (LSB-first within each byte) — the words in
 // little-endian order, cut to the bit length's byte count.
 func (b *Bitmap) Encode() []byte {
-	nbytes := (b.n + 7) / 8
-	out := make([]byte, 4, 4+len(b.words)*8)
-	binary.BigEndian.PutUint32(out, uint32(b.n))
+	return b.AppendEncode(make([]byte, 0, 4+len(b.words)*8))
+}
+
+// AppendEncode appends the Encode form of the bitmap to dst and returns the
+// extended slice, so a message that carries a bitmap is built in one buffer.
+func (b *Bitmap) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(b.n))
+	end := len(dst) + (b.n+7)/8
 	for _, w := range b.words {
-		out = binary.LittleEndian.AppendUint64(out, w)
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out[:4+nbytes]
+	return dst[:end]
 }
 
 // EncodedLen validates the header of a bitmap produced by Encode — the bit

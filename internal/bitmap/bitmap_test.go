@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -155,6 +156,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !rt.Equal(b) {
 		t.Fatalf("roundtrip mismatch: %v vs %v", rt.Ones(), b.Ones())
+	}
+}
+
+// TestAppendEncodeMatchesEncode: a bitmap appended into a message buffer —
+// one holding a header already, and with spare capacity written by an
+// earlier, longer message — is its Encode form byte for byte, and leaves the
+// header alone.
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		b := New(n)
+		for i := 0; i < n; i += 3 {
+			b.Set(i)
+		}
+		scratch := append(make([]byte, 0, 64), bytes.Repeat([]byte{0xAA}, 64)...)
+		got := b.AppendEncode(append(scratch[:0], "hdr"...))
+		if want := append([]byte("hdr"), b.Encode()...); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendEncode %x, want %x", n, got, want)
+		}
 	}
 }
 

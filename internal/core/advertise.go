@@ -39,21 +39,14 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 		return
 	}
 	p.touchSession(cs)
-	p.bitmapReqSeq++
+	p.buf = appendBitmapPayload(p.buf[:0], cs.uri, p.id, cs.own)
 	in := ndn.Interest{
 		Name:        cs.bitmapName,
 		CanBePrefix: true,
 		Nonce:       p.relay.NewNonce(),
-		AppParams:   encodeBitmapPayload(cs.uri, p.id, cs.own),
+		AppParams:   p.buf,
 	}
-	wire := in.Encode()
-	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() {
-		if !p.running {
-			return
-		}
-		p.stats.BitmapInterestsSent++
-		p.medium.Broadcast(p.radio, wire)
-	})
+	p.medium.BroadcastAfter(p.rng.Jitter(p.cfg.TransmissionWindow), p.radio, in.Encode(), &p.stats.BitmapInterestsSent, &p.running)
 }
 
 // handleBitmapInterest processes a received bitmap Interest: the carried
@@ -213,10 +206,9 @@ func (p *Peer) transmitBitmap(cs *collectionState) {
 		return
 	}
 	s.txSeq++
-	d := &ndn.Data{
-		Name:    bitmapDataName(cs.bitmapName, p.id, s.txSeq),
-		Content: encodeBitmapPayload(cs.uri, p.id, cs.own),
-	}
+	p.name = appendBitmapDataName(p.name[:0], cs.bitmapName, p.id, s.txSeq)
+	p.buf = appendBitmapPayload(p.buf[:0], cs.uri, p.id, cs.own)
+	d := ndn.Data{Name: p.name, Content: p.buf}
 	d.SignDigest()
 	p.stats.BitmapDataSent++
 	p.medium.BroadcastNotify(p.radio, d.Encode(), func(collided bool) {

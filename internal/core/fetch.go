@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
 	"dapes/internal/sim"
@@ -14,10 +16,11 @@ import (
 // pooled per peer: most Interests are answered (or
 // overheard) before the timeout, so the cancel path dominates.
 type inflightTimer struct {
-	p   *Peer
-	t   *sim.Timer
-	cs  *collectionState
-	idx int
+	p    *Peer
+	t    *sim.Timer
+	cs   *collectionState
+	idx  int
+	next *inflightTimer // in the free list
 }
 
 func (it *inflightTimer) fire() {
@@ -34,7 +37,7 @@ func (p *Peer) releaseInflight(it *inflightTimer) {
 	delete(it.cs.inflight, it.idx)
 	it.cs.release(it.idx)
 	it.cs = nil
-	p.inflightPool = append(p.inflightPool, it)
+	it.next, p.inflightFree = p.inflightFree, it
 }
 
 // releaseAllInflight abandons every in-flight Interest of cs (completion,
@@ -142,25 +145,16 @@ func (p *Peer) selectNext(cs *collectionState) int {
 // sendDataInterest broadcasts an Interest for one collection packet after
 // the random transmission timer, arming a timeout for reselection.
 func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
-	name, err := cs.manifest.PacketName(idx)
-	if err != nil {
+	var err error
+	if p.name, err = cs.manifest.AppendPacketName(p.name[:0], idx); err != nil {
 		return
 	}
-	in := &ndn.Interest{Name: name, Nonce: p.relay.NewNonce()}
-	wire := in.Encode()
+	in := ndn.Interest{Name: p.name, Nonce: p.relay.NewNonce()}
 	delay := p.rng.Jitter(p.cfg.TransmissionWindow)
-	p.k.ScheduleFunc(delay, func() {
-		if !p.running || cs.own.Test(idx) {
-			return
-		}
-		p.stats.DataInterestsSent++
-		p.medium.Broadcast(p.radio, wire)
-	})
-	var it *inflightTimer
-	if n := len(p.inflightPool); n > 0 {
-		it = p.inflightPool[n-1]
-		p.inflightPool[n-1] = nil
-		p.inflightPool = p.inflightPool[:n-1]
+	p.queueInterest(delay, cs, idx, in.Encode())
+	it := p.inflightFree
+	if it != nil {
+		p.inflightFree = it.next
 	} else {
 		it = &inflightTimer{p: p}
 		it.t = p.k.NewTimer(it.fire)
@@ -169,6 +163,57 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 	cs.inflight[idx] = it
 	cs.busy.Set(idx)
 	it.t.Reset(delay + p.cfg.InterestTimeout)
+}
+
+// queuedInterest is a data Interest for packet idx of cs, or with idx < 0 a
+// metadata Interest of cs, waiting out its transmission slot. When the slot
+// comes it goes on the air only if the peer runs and it is still wanted: the
+// packet not yet held, the metadata not yet assembled. Records are pooled on
+// the peer with their event func built once, and a record returns to the
+// pool only when its own event fires — a record whose send is still queued
+// is never reused, so no event can send with another Interest's (cs, idx).
+type queuedInterest struct {
+	p    *Peer
+	cs   *collectionState
+	idx  int
+	wire []byte
+	fire func()
+	next *queuedInterest // in the free list
+}
+
+// queueInterest puts wire on the air after delay, unless it is no longer
+// wanted by then (queuedInterest).
+func (p *Peer) queueInterest(delay time.Duration, cs *collectionState, idx int, wire []byte) {
+	q := p.queuedFree
+	if q != nil {
+		p.queuedFree = q.next
+	} else {
+		q = &queuedInterest{p: p}
+		q.fire = q.send
+	}
+	q.cs, q.idx, q.wire = cs, idx, wire
+	p.k.ScheduleFunc(delay, q.fire)
+}
+
+func (q *queuedInterest) send() {
+	p, cs, idx, wire := q.p, q.cs, q.idx, q.wire
+	q.cs, q.wire = nil, nil
+	q.next, p.queuedFree = p.queuedFree, q
+	switch {
+	case !p.running:
+		return
+	case idx < 0:
+		if cs.manifest != nil {
+			return
+		}
+		p.stats.MetaInterestsSent++
+	default:
+		if cs.own.Test(idx) {
+			return
+		}
+		p.stats.DataInterestsSent++
+	}
+	p.medium.Broadcast(p.radio, wire)
 }
 
 // handleContentInterest serves collection data and metadata this peer holds;

@@ -74,11 +74,10 @@ func TestWantsIsComponentWise(t *testing.T) {
 func TestPayloadsRejectNonCanonicalURIs(t *testing.T) {
 	t.Parallel()
 	for _, uri := range []string{"", "coll", "/coll/", "//coll", "/a//b"} {
-		if _, err := decodeBitmapPayload(encodeBitmapPayload(uri, 1, bitmap.New(8))); err == nil {
+		if _, err := decodeBitmapPayload(appendBitmapPayload(nil, uri, 1, bitmap.New(8))); err == nil {
 			t.Errorf("bitmap payload accepted collection URI %q", uri)
 		}
-		dp := discoveryPayload{MetadataURIs: [][]byte{[]byte(uri)}}
-		if _, err := decodeDiscoveryPayload(dp.encode()); err == nil {
+		if _, err := decodeDiscoveryPayload(nil, rawDiscoveryPayload(uri)); err == nil {
 			t.Errorf("discovery payload accepted metadata URI %q", uri)
 		}
 	}
@@ -116,8 +115,8 @@ func TestBitmapHeardDoesNotAllocate(t *testing.T) {
 	for _, uri := range []string{p.collections["/coll-123"].uri, "/someone-elses"} {
 		advertise := func(set int) (*ndn.Interest, *ndn.Data) {
 			theirs.Set(set)
-			in := &ndn.Interest{Name: bitmapInterestName(ndn.ParseName(uri)), AppParams: encodeBitmapPayload(uri, 7, theirs)}
-			d := &ndn.Data{Name: bitmapDataName(in.Name, 7, set), Content: encodeBitmapPayload(uri, 7, theirs)}
+			in := &ndn.Interest{Name: bitmapInterestName(ndn.ParseName(uri)), AppParams: appendBitmapPayload(nil, uri, 7, theirs)}
+			d := &ndn.Data{Name: appendBitmapDataName(nil, in.Name, 7, set), Content: appendBitmapPayload(nil, uri, 7, theirs)}
 			d.SignDigest()
 			return ndn.NewPacket(in.Encode()).Interest(), ndn.NewPacket(d.Encode()).Data()
 		}

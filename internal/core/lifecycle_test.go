@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
+	"dapes/internal/phy"
 )
 
 // TestStopDrainsPending is the Stop-cancels-everything regression test: a
@@ -39,6 +41,74 @@ func TestStopDrainsPending(t *testing.T) {
 	net.k.Run(2 * time.Minute)
 	if got := net.k.Pending(); got != 0 {
 		t.Fatalf("%d events still pending after Stop drained", got)
+	}
+}
+
+// TestStopDropsQueuedSends: each send a peer queues for its transmission slot
+// rides a pooled record — a data Interest, a metadata Interest, a bitmap
+// Interest, a discovery reply and a relay rebroadcast. Stopped while all five
+// are queued, the peer puts nothing on the air and leaves nothing in the
+// kernel. Started again, the records it reuses check and send what they are
+// handed now, never the (cs, idx) they held before.
+func TestStopDropsQueuedSends(t *testing.T) {
+	t.Parallel()
+	res := testCollection(t, 2, 10, metadata.FormatPacketDigest)
+	setup := func() (*testNet, *Peer, *collectionState, *[]string) {
+		net := newTestNet(47, 100)
+		p := net.peer(geo.Point{}, Config{Multihop: true})
+		cs := newCollectionState(res.Manifest.Collection)
+		cs.metaName, cs.manifest, cs.subscribed = res.Manifest.MetadataName(), res.Manifest, true
+		p.initManifest(cs)
+		p.collections[cs.uri] = cs
+		pending := newCollectionState(ndn.ParseName("/coll-456"))
+		pending.metaName = ndn.ParseName("/coll-456/metadata-file/00000000")
+		p.collections[pending.uri] = pending
+		heard := new([]string)
+		ear := net.medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
+		ear.SetHandler(func(f phy.Frame) {
+			if in := f.Packet().Interest(); in != nil && !isProtocolName(in.Name) {
+				*heard = append(*heard, in.NameKey())
+			}
+		})
+		p.Start()
+		p.sendDataInterest(cs, 3)
+		p.requestNextMetaSegment(pending)
+		p.sendBitmapInterest(cs)
+		p.maybeSendDiscoveryReply()
+		p.relay.Forward(&ndn.Interest{Name: ndn.ParseName("/elsewhere/report/1"), Nonce: 9})
+		return net, p, cs, heard
+	}
+	queued := func(s Stats) []uint64 {
+		return []uint64{s.DataInterestsSent, s.MetaInterestsSent, s.BitmapInterestsSent, s.DiscoveryDataSent, s.InterestsForwarded}
+	}
+
+	// Left running, each of the five goes on the air once, inside the
+	// 20 ms window.
+	net, p, _, _ := setup()
+	net.k.Run(50 * time.Millisecond)
+	if got := queued(p.Stats()); !slices.Equal(got, []uint64{1, 1, 1, 1, 1}) {
+		t.Fatalf("running peer sent %v of the five queued sends, want one each", got)
+	}
+
+	net, p, cs, heard := setup()
+	p.Stop()
+	net.k.Run(time.Minute)
+	if tx := net.medium.Stats().Transmissions; tx != 0 {
+		t.Fatalf("stopped peer put %d frames on the air", tx)
+	}
+	if got := net.k.Pending(); got != 0 {
+		t.Fatalf("%d events still pending after Stop drained", got)
+	}
+
+	p.Start()
+	p.sendDataInterest(cs, 5)
+	p.sendDataInterest(cs, 6)
+	cs.own.Set(5) // packet 5 arrives within its Interest's slot
+	net.k.Run(net.k.Now() + 50*time.Millisecond)
+	want, _ := res.Manifest.AppendPacketName(nil, 6)
+	if !slices.Equal(*heard, []string{want.String()}) || p.Stats().DataInterestsSent != 1 {
+		t.Fatalf("restarted peer sent %q (%d data Interests), want only %s",
+			*heard, p.Stats().DataInterestsSent, want)
 	}
 }
 

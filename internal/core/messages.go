@@ -40,10 +40,12 @@ func isDiscoveryInterest(in *ndn.Interest) (peerID int, ok bool) {
 	return int(binary.BigEndian.Uint32(in.AppParams)), true
 }
 
-// discoveryReplyName names a discovery Data packet: /dapes/discovery/reply/
-// <responder>/<seq>. The sequence makes successive replies distinct.
-func discoveryReplyName(peerID, seq int) ndn.Name {
-	return discoveryPrefix.Append("reply").AppendSeq(peerID).AppendSeq(seq)
+// appendDiscoveryReplyName appends the name of a discovery Data packet,
+// /dapes/discovery/reply/<responder>/<seq>, to dst. The sequence makes
+// successive replies distinct.
+func appendDiscoveryReplyName(dst ndn.Name, peerID, seq int) ndn.Name {
+	return append(append(dst, discoveryPrefix...), "reply",
+		ndn.Component(strconv.Itoa(peerID)), ndn.Component(strconv.Itoa(seq)))
 }
 
 // isDiscoveryReply recognizes discovery Data and extracts the responder.
@@ -72,18 +74,15 @@ func canonicalURI(uri []byte) bool {
 	return len(uri) == 1 || (uri[len(uri)-1] != '/' && !bytes.Contains(uri, []byte("//")))
 }
 
-// discoveryPayload is the content of a discovery Data packet: the metadata
-// names of the collections the responder can offer, as canonical URIs
-// (decoded ones are views into the frame).
-type discoveryPayload struct {
-	MetadataURIs [][]byte
-}
-
-func (p discoveryPayload) encode() []byte {
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(p.MetadataURIs)))
-	for _, uri := range p.MetadataURIs {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(uri)))
-		b = append(b, uri...)
+// appendDiscoveryPayload appends the content of a discovery Data packet to
+// b: the metadata names of the collections the responder can offer, as a
+// count and then each name's canonical URI behind its length.
+func appendDiscoveryPayload(b []byte, offers []ndn.Name) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(offers)))
+	for _, o := range offers {
+		at := len(b)
+		b = o.AppendURI(append(b, 0, 0))
+		binary.BigEndian.PutUint16(b[at:], uint16(len(b)-at-2))
 	}
 	return b
 }
@@ -102,43 +101,43 @@ func collectionOfMetadataURI(uri []byte) (collection []byte, ok bool) {
 	return uri, len(uri) > 0
 }
 
-func decodeDiscoveryPayload(buf []byte) (discoveryPayload, error) {
-	var p discoveryPayload
+// decodeDiscoveryPayload appends the metadata URIs a discovery payload
+// offers to uris — views into buf, each checked canonical — and returns the
+// extended slice.
+func decodeDiscoveryPayload(uris [][]byte, buf []byte) ([][]byte, error) {
 	if len(buf) < 2 {
-		return p, errBadMessage
+		return uris, errBadMessage
 	}
 	count := int(binary.BigEndian.Uint16(buf))
 	pos := 2
 	for i := 0; i < count; i++ {
 		if pos+2 > len(buf) {
-			return p, errBadMessage
+			return uris, errBadMessage
 		}
 		l := int(binary.BigEndian.Uint16(buf[pos:]))
 		pos += 2
 		if pos+l > len(buf) {
-			return p, errBadMessage
+			return uris, errBadMessage
 		}
 		if !canonicalURI(buf[pos : pos+l]) {
-			return p, errBadMessage
+			return uris, errBadMessage
 		}
-		p.MetadataURIs = append(p.MetadataURIs, buf[pos:pos+l])
+		uris = append(uris, buf[pos:pos+l])
 		pos += l
 	}
-	return p, nil
+	return uris, nil
 }
 
-// encodeBitmapPayload builds what travels in bitmap Interests (AppParams)
-// and bitmap Data (content): the owner's bitmap for one collection. The
+// appendBitmapPayload appends what travels in bitmap Interests (AppParams)
+// and bitmap Data (content) to b: the owner's bitmap for one collection. The
 // collection rides as its canonical URI — the key every peer indexes its
 // collection state with — so a receiver finds its state from the decoded
 // bytes without parsing a name.
-func encodeBitmapPayload(collectionURI string, owner int, bm *bitmap.Bitmap) []byte {
-	enc := bm.Encode()
-	b := make([]byte, 0, 2+len(collectionURI)+4+len(enc))
+func appendBitmapPayload(b []byte, collectionURI string, owner int, bm *bitmap.Bitmap) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(collectionURI)))
 	b = append(b, collectionURI...)
 	b = binary.BigEndian.AppendUint32(b, uint32(owner))
-	return append(b, enc...)
+	return bm.AppendEncode(b)
 }
 
 // bitmapPayload is a received bitmap payload. Everything in it views the
@@ -201,10 +200,12 @@ func bitmapInterestName(collection ndn.Name) ndn.Name {
 	return bitmapPrefix.Append(collectionKey(collection))
 }
 
-// bitmapDataName names an advertisement transmission under the collection's
-// bitmapInterestName: /dapes/bitmap/<collKey>/adv/<owner>/<seq>.
-func bitmapDataName(interestName ndn.Name, peerID, seq int) ndn.Name {
-	return interestName.Append("adv", ndn.Component(strconv.Itoa(peerID)), ndn.Component(strconv.Itoa(seq)))
+// appendBitmapDataName appends the name of an advertisement transmission
+// under the collection's bitmapInterestName to dst:
+// /dapes/bitmap/<collKey>/adv/<owner>/<seq>.
+func appendBitmapDataName(dst, interestName ndn.Name, peerID, seq int) ndn.Name {
+	return append(append(dst, interestName...), "adv",
+		ndn.Component(strconv.Itoa(peerID)), ndn.Component(strconv.Itoa(seq)))
 }
 
 // isBitmapInterest reports whether the name is a bitmap Interest.

@@ -18,11 +18,11 @@ import (
 // FuzzDiscoveryPayload explores decodeDiscoveryPayload, the codec for the
 // metadata-name lists carried in discovery replies.
 func FuzzDiscoveryPayload(f *testing.F) {
-	f.Add(discoveryPayload{}.encode())
-	f.Add(discoveryPayload{MetadataURIs: [][]byte{
-		[]byte("/field-report/metadata-file/1"),
-		[]byte("/maps/metadata-file/3"),
-	}}.encode())
+	f.Add(appendDiscoveryPayload(nil, nil))
+	f.Add(appendDiscoveryPayload(nil, []ndn.Name{
+		ndn.ParseName("/field-report/metadata-file/1"),
+		ndn.ParseName("/maps/metadata-file/3"),
+	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF})                    // claims 65535 names, has none
 	f.Add([]byte{0, 1, 0xFF, 0xFF})              // one name of 65535 bytes, truncated
@@ -30,26 +30,28 @@ func FuzzDiscoveryPayload(f *testing.F) {
 	f.Add(append([]byte{0, 1, 0, 4}, "/a/b"...)) // minimal valid single name
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		p, err := decodeDiscoveryPayload(buf)
+		uris, err := decodeDiscoveryPayload(nil, buf)
 		if err != nil {
 			return
 		}
-		re := p.encode()
-		p2, err := decodeDiscoveryPayload(re)
+		offers := make([]ndn.Name, len(uris))
+		for i, uri := range uris {
+			offers[i] = ndn.ParseName(string(uri))
+		}
+		re := appendDiscoveryPayload(nil, offers)
+		uris2, err := decodeDiscoveryPayload(nil, re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
 		}
-		if len(p.MetadataURIs) != len(p2.MetadataURIs) {
-			t.Fatalf("name count changed: %d -> %d", len(p.MetadataURIs), len(p2.MetadataURIs))
+		if len(uris) != len(uris2) {
+			t.Fatalf("name count changed: %d -> %d", len(uris), len(uris2))
 		}
-		for i, uri := range p.MetadataURIs {
-			if !bytes.Equal(uri, p2.MetadataURIs[i]) {
-				t.Fatalf("name %d not a fixed point: %s -> %s", i, uri, p2.MetadataURIs[i])
-			}
+		for i, uri := range uris {
 			// Receivers index tables with these bytes as they arrive, so a
-			// decoded URI must be the spelling Name.String prints.
-			if got := ndn.ParseName(string(uri)).String(); got != string(uri) {
-				t.Fatalf("name %d decoded in non-canonical form: %q (canonical %q)", i, uri, got)
+			// decoded URI must be the spelling Name.String prints — which is
+			// what the re-encoding wrote.
+			if !bytes.Equal(uri, uris2[i]) {
+				t.Fatalf("name %d not a fixed point (non-canonical?): %q -> %q", i, uri, uris2[i])
 			}
 		}
 	})
@@ -65,9 +67,9 @@ func FuzzBitmapPayload(f *testing.F) {
 	sparse := bitmap.New(17)
 	sparse.Set(0)
 	sparse.Set(16)
-	f.Add(encodeBitmapPayload("/field-report", 3, full))
-	f.Add(encodeBitmapPayload("/x", 0, sparse))
-	f.Add(encodeBitmapPayload("/", 1<<20, bitmap.New(0)))
+	f.Add(appendBitmapPayload(nil, "/field-report", 3, full))
+	f.Add(appendBitmapPayload(nil, "/x", 0, sparse))
+	f.Add(appendBitmapPayload(nil, "/", 1<<20, bitmap.New(0)))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})                                          // no owner, no bitmap
 	f.Add([]byte{0xFF, 0xFF, '/', 'a'})                          // huge URI length claim
@@ -95,7 +97,7 @@ func FuzzBitmapPayload(f *testing.F) {
 		if err := into.DecodeFrom(p.Bitmap); err != nil || !into.Equal(bm) {
 			t.Fatalf("decoding in place differs from a fresh decode: %v", err)
 		}
-		re := encodeBitmapPayload(string(p.CollectionURI), p.Owner, bm)
+		re := appendBitmapPayload(nil, string(p.CollectionURI), p.Owner, bm)
 		p2, err := decodeBitmapPayload(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
@@ -109,7 +111,7 @@ func FuzzBitmapPayload(f *testing.F) {
 		}
 		// The re-encoding itself must be stable byte-for-byte, since bitmap
 		// payloads are compared and unioned by content across peers.
-		if re2 := encodeBitmapPayload(string(p2.CollectionURI), p2.Owner, bm2); !bytes.Equal(re, re2) {
+		if re2 := appendBitmapPayload(nil, string(p2.CollectionURI), p2.Owner, bm2); !bytes.Equal(re, re2) {
 			t.Fatalf("encode not stable: %x vs %x", re, re2)
 		}
 	})

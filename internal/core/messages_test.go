@@ -34,9 +34,9 @@ func TestDiscoveryInterestRecognition(t *testing.T) {
 
 func TestDiscoveryReplyNames(t *testing.T) {
 	t.Parallel()
-	name := discoveryReplyName(7, 3)
+	name := appendDiscoveryReplyName(ndn.Name{"stale"}[:0], 7, 3)
 	id, ok := isDiscoveryReply(name)
-	if !ok || id != 7 {
+	if !ok || id != 7 || name.String() != "/dapes/discovery/reply/7/3" {
 		t.Fatalf("isDiscoveryReply(%s) = %d, %v", name, id, ok)
 	}
 	for _, bad := range []ndn.Name{
@@ -51,25 +51,36 @@ func TestDiscoveryReplyNames(t *testing.T) {
 	}
 }
 
+// rawDiscoveryPayload spells a discovery payload out byte by byte, with the
+// URIs as given, canonical or not.
+func rawDiscoveryPayload(uris ...string) []byte {
+	b := binary.BigEndian.AppendUint16(nil, uint16(len(uris)))
+	for _, uri := range uris {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(uri)))
+		b = append(b, uri...)
+	}
+	return b
+}
+
 func TestDiscoveryPayloadRoundTrip(t *testing.T) {
 	t.Parallel()
-	p := discoveryPayload{MetadataURIs: [][]byte{
-		[]byte("/coll-a/metadata-file/12ab34cd"),
-		[]byte("/coll-b/metadata-file/99ff00aa"),
-	}}
-	out, err := decodeDiscoveryPayload(p.encode())
+	uris := []string{"/coll-a/metadata-file/12ab34cd", "/coll-b/metadata-file/99ff00aa"}
+	offers := []ndn.Name{ndn.ParseName(uris[0]), ndn.ParseName(uris[1])}
+	enc := appendDiscoveryPayload([]byte("stale")[:0], offers)
+	if want := rawDiscoveryPayload(uris...); !bytes.Equal(enc, want) {
+		t.Fatalf("encoded %x, want %x", enc, want)
+	}
+	out, err := decodeDiscoveryPayload([][]byte{[]byte("stale")}[:0], enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.MetadataURIs) != 2 ||
-		!bytes.Equal(out.MetadataURIs[0], p.MetadataURIs[0]) ||
-		!bytes.Equal(out.MetadataURIs[1], p.MetadataURIs[1]) {
-		t.Fatalf("roundtrip = %+v", out)
+	if len(out) != 2 || string(out[0]) != uris[0] || string(out[1]) != uris[1] {
+		t.Fatalf("roundtrip = %q", out)
 	}
 	// Empty list round-trips.
-	empty, err := decodeDiscoveryPayload(discoveryPayload{}.encode())
-	if err != nil || len(empty.MetadataURIs) != 0 {
-		t.Fatalf("empty roundtrip: %v %v", empty, err)
+	empty, err := decodeDiscoveryPayload(nil, appendDiscoveryPayload(nil, nil))
+	if err != nil || len(empty) != 0 {
+		t.Fatalf("empty roundtrip: %q %v", empty, err)
 	}
 }
 
@@ -82,7 +93,7 @@ func TestDiscoveryPayloadDecodeErrors(t *testing.T) {
 		{0, 1, 0, 50, 'x', 'y'}, // length exceeds buffer
 	}
 	for i, buf := range cases {
-		if _, err := decodeDiscoveryPayload(buf); err == nil {
+		if _, err := decodeDiscoveryPayload(nil, buf); err == nil {
 			t.Fatalf("case %d decoded", i)
 		}
 	}
@@ -94,8 +105,8 @@ func TestBitmapPayloadRoundTrip(t *testing.T) {
 	bm.Set(1)
 	bm.Set(99)
 	// Trailing bytes are not the payload's: the bitmap view stops at its end.
-	enc := append(encodeBitmapPayload("/damaged-bridge-1533783192", 13, bm), 0xEE)
-	out, err := decodeBitmapPayload(enc)
+	enc := append(appendBitmapPayload([]byte{0xEE}, "/damaged-bridge-1533783192", 13, bm), 0xEE)
+	out, err := decodeBitmapPayload(enc[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestBitmapNamesRecognition(t *testing.T) {
 	if !isBitmapInterest(in) {
 		t.Fatalf("bitmap interest %s not recognized", in)
 	}
-	data := bitmapDataName(in, 5, 2)
+	data := appendBitmapDataName(nil, in, 5, 2)
 	if !isBitmapData(data) {
 		t.Fatalf("bitmap data %s not recognized", data)
 	}
@@ -169,7 +180,7 @@ func TestBitmapPayloadRoundTripProperty(t *testing.T) {
 		for _, b := range setBits {
 			bm.Set(int(b) % 256)
 		}
-		out, err := decodeBitmapPayload(encodeBitmapPayload("/c", int(owner), bm))
+		out, err := decodeBitmapPayload(appendBitmapPayload(nil, "/c", int(owner), bm))
 		if err != nil {
 			return false
 		}

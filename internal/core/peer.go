@@ -3,7 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"dapes/internal/bitmap"
@@ -36,24 +37,35 @@ type Peer struct {
 	wanted      []string                    // subscription prefixes, as URIs
 	neighbors   map[int]*neighbor
 
-	beaconPeriod   time.Duration
-	beaconT        *sim.Timer
-	sweepT         *sim.Timer
-	recentActivity bool
-	lastReplyAt    time.Duration
-	replySeq       int
-	bitmapReqSeq   int
+	beaconPeriod time.Duration
+	beaconT      *sim.Timer
+	sweepT       *sim.Timer
+	lastReplyAt  time.Duration
+	replySeq     int
 
 	// relay is used by every peer for nonce dedup and the reply queue, and
 	// for its forwarded-Interest table only with cfg.Multihop.
 	relay multihop.Relay
 
-	// inflightPool recycles the in-flight Interest timeout records: each
-	// owns one kernel timer and one closure for its lifetime.
-	inflightPool []*inflightTimer
+	// Free lists of pooled records, linked through the records so that each
+	// costs the peer one word: in-flight Interest timeouts, each owning one
+	// kernel timer and one closure for its lifetime, and data and metadata
+	// Interests waiting out their transmission slot.
+	inflightFree *inflightTimer
+	queuedFree   *queuedInterest
 
-	running    bool
-	onComplete func(collection ndn.Name, at time.Duration)
+	// Sender-side scratch, rebuilt for each packet and copied into its wire
+	// by Encode/SignDigest, so no packet retains it: the name of a data or
+	// metadata Interest, a discovery reply or an advertisement, and a bitmap
+	// or discovery payload. A reply's offer list and the offers of a reply
+	// heard are built in fixed rooms on the stack instead: a field each
+	// would take Peer up a size class, which a 50k-node world shows.
+	name ndn.Name
+	buf  []byte
+
+	running        bool
+	recentActivity bool
+	onComplete     func(collection ndn.Name, at time.Duration)
 }
 
 // NewPeer attaches a peer to the medium with the given mobility. key may be
@@ -263,11 +275,12 @@ func (p *Peer) beaconTick() {
 }
 
 func (p *Peer) sendDiscoveryInterest() {
-	in := &ndn.Interest{
+	p.buf = binary.BigEndian.AppendUint32(p.buf[:0], uint32(p.id))
+	in := ndn.Interest{
 		Name:        discoveryInterestName(),
 		CanBePrefix: true,
 		Nonce:       p.relay.NewNonce(),
-		AppParams:   binary.BigEndian.AppendUint32(nil, uint32(p.id)),
+		AppParams:   p.buf,
 	}
 	p.stats.DiscoveryInterestsSent++
 	p.medium.Broadcast(p.radio, in.Encode())
@@ -361,7 +374,8 @@ func (p *Peer) maybeSendDiscoveryReply() {
 	if now-p.lastReplyAt < p.cfg.BeaconPeriodMin/2 && p.lastReplyAt != 0 {
 		return
 	}
-	var offers []ndn.Name
+	var offerRoom [4]ndn.Name
+	offers := offerRoom[:0]
 	for _, cs := range p.collections {
 		if cs.manifest != nil {
 			offers = append(offers, cs.metaName)
@@ -373,25 +387,14 @@ func (p *Peer) maybeSendDiscoveryReply() {
 	// The offer list is encoded into the reply payload: sort it so the wire
 	// bytes don't inherit map-iteration order when a peer publishes more
 	// than one collection.
-	sort.Slice(offers, func(i, j int) bool { return offers[i].Compare(offers[j]) < 0 })
+	slices.SortFunc(offers, ndn.Name.Compare)
 	p.lastReplyAt = now
 	p.replySeq++
-	uris := make([][]byte, len(offers))
-	for i, o := range offers {
-		uris[i] = []byte(o.String())
-	}
-	d := &ndn.Data{
-		Name:    discoveryReplyName(p.id, p.replySeq),
-		Content: discoveryPayload{MetadataURIs: uris}.encode(),
-	}
+	p.name = appendDiscoveryReplyName(p.name[:0], p.id, p.replySeq)
+	p.buf = appendDiscoveryPayload(p.buf[:0], offers)
+	d := ndn.Data{Name: p.name, Content: p.buf}
 	d.SignDigest()
-	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() {
-		if !p.running {
-			return
-		}
-		p.stats.DiscoveryDataSent++
-		p.medium.Broadcast(p.radio, d.Encode())
-	})
+	p.medium.BroadcastAfter(p.rng.Jitter(p.cfg.TransmissionWindow), p.radio, d.Encode(), &p.stats.DiscoveryDataSent, &p.running)
 }
 
 // handleDiscoveryReply learns which collections a neighbor offers and kicks
@@ -401,11 +404,12 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 	if n == nil {
 		return
 	}
-	payload, err := decodeDiscoveryPayload(d.Content)
+	var room [4][]byte
+	uris, err := decodeDiscoveryPayload(room[:0], d.Content)
 	if err != nil {
 		return
 	}
-	for _, metaURI := range payload.MetadataURIs {
+	for _, metaURI := range uris {
 		// Everything below works on the URI bytes as they arrived, so a
 		// reply that teaches nothing new (offer known, state exists) costs
 		// no allocation; names are parsed only when a state is created.
@@ -470,14 +474,9 @@ func (p *Peer) requestNextMetaSegment(cs *collectionState) {
 	if cs.metaTotal >= 0 && seq >= cs.metaTotal {
 		return
 	}
-	in := &ndn.Interest{Name: cs.metaName.AppendSeq(seq), Nonce: p.relay.NewNonce()}
-	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() {
-		if !p.running || cs.manifest != nil {
-			return
-		}
-		p.stats.MetaInterestsSent++
-		p.medium.Broadcast(p.radio, in.Encode())
-	})
+	p.name = append(append(p.name[:0], cs.metaName...), ndn.Component(strconv.Itoa(seq)))
+	in := ndn.Interest{Name: p.name, Nonce: p.relay.NewNonce()}
+	p.queueInterest(p.rng.Jitter(p.cfg.TransmissionWindow), cs, -1, in.Encode())
 	if cs.metaT == nil {
 		cs.metaT = p.k.NewTimer(func() { p.requestNextMetaSegment(cs) })
 	}

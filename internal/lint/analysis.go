@@ -1,9 +1,10 @@
 // Package lint is dapes-lint: a static-analysis suite that machine-checks
 // the contracts this repo otherwise only documents in comments — the
 // seeded-RNG/kernel-clock rule, sorted map iteration on emitting paths, the
-// frame/wire immutability contract, sim.Event handle lifetime, and tables
-// never keyed by a name rendered at the lookup. The five invariants and the bug history behind each are written up in
-// docs/CONTRACTS.md.
+// frame/wire immutability contract, sim.Event handle lifetime, tables never
+// keyed by a name rendered at the lookup, and package unsafe confined to
+// internal/ndn. The six invariants and the bug history behind each are
+// written up in docs/CONTRACTS.md.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic, `// want` fixtures, a multichecker main in
@@ -68,7 +69,7 @@ type Diagnostic struct {
 
 // Analyzers returns the dapes-lint suite in output order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimClock, MapOrder, WireImmut, HandleHygiene, NameKey}
+	return []*Analyzer{SimClock, MapOrder, WireImmut, HandleHygiene, NameKey, Unsafe}
 }
 
 // RunAnalyzers applies the given analyzers to one type-checked package and

@@ -54,6 +54,15 @@ func TestNameKeyOffSimulationPath(t *testing.T) {
 	linttest.Run(t, lint.NameKey, fixture("namekey_offpath"), "dapes/cmd/lintfixture")
 }
 
+func TestUnsafeFixture(t *testing.T) {
+	// Off the simulation path too: the rule is module-wide.
+	linttest.Run(t, lint.Unsafe, fixture("unsafe"), "dapes/cmd/lintfixture")
+}
+
+func TestUnsafeInsideNDN(t *testing.T) {
+	linttest.Run(t, lint.Unsafe, fixture("unsafe_ndn"), "dapes/internal/ndn")
+}
+
 // TestTreeIsClean is the baseline the satellite task demands: the full
 // suite over the whole module must produce zero unsuppressed diagnostics.
 // `make lint` enforces the same in CI; having it as a test means a

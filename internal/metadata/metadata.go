@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dapes/internal/merkle"
 	"dapes/internal/ndn"
@@ -118,13 +119,15 @@ func (m *Manifest) Locate(global int) (file, pkt int, err error) {
 	return file, global - m.offsets[file], nil
 }
 
-// PacketName returns the NDN name of the packet at a global position.
-func (m *Manifest) PacketName(global int) (ndn.Name, error) {
+// AppendPacketName appends the NDN name of the packet at a global position to
+// dst and returns the extended name: with a scratch dst, a sender names a
+// packet without allocating.
+func (m *Manifest) AppendPacketName(dst ndn.Name, global int) (ndn.Name, error) {
 	file, pkt, err := m.Locate(global)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return m.prefixes[file].AppendSeq(pkt), nil
+	return append(append(dst, m.prefixes[file]...), ndn.Component(strconv.Itoa(pkt))), nil
 }
 
 // GlobalIndexOfName maps a packet name back to its global position, or -1 if

@@ -36,13 +36,14 @@ func TestBuildCollectionLayout(t *testing.T) {
 		t.Fatalf("packet counts = %d, %d", m.Files[0].PacketCount, m.Files[1].PacketCount)
 	}
 	// Global ordering: file 0 packets 0..2, then file 1 packet 0 (bit 3).
-	name, err := m.PacketName(3)
+	scratch := ndn.Name{"stale"}
+	name, err := m.AppendPacketName(scratch[:0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := "/damaged-bridge-1533783192/bridge-location/0"
 	if name.String() != want {
-		t.Fatalf("PacketName(3) = %s, want %s", name, want)
+		t.Fatalf("AppendPacketName(3) = %s, want %s", name, want)
 	}
 	if got := m.GlobalIndex(1, 0); got != 3 {
 		t.Fatalf("GlobalIndex(1,0) = %d", got)
@@ -54,8 +55,8 @@ func TestBuildCollectionLayout(t *testing.T) {
 	if _, _, err := m.Locate(4); err == nil {
 		t.Fatal("Locate past end succeeded")
 	}
-	if _, err := m.PacketName(-1); err == nil {
-		t.Fatal("PacketName(-1) succeeded")
+	if _, err := m.AppendPacketName(nil, -1); err == nil {
+		t.Fatal("AppendPacketName(-1) succeeded")
 	}
 }
 

@@ -85,9 +85,11 @@ type prefixRecord struct {
 }
 
 // arm suppresses the name if the forward brought nothing back. It was
-// scheduled at the forward, so it runs before an Interest arriving at the
-// same instant.
-func (rec *forwardRecord) arm() {
+// scheduled at the forward (a sim.Kernel.ScheduleCall of the record, which
+// allocates nothing), so it runs before an Interest arriving at the same
+// instant.
+func arm(v any) {
+	rec := v.(*forwardRecord)
 	if !rec.answered {
 		rec.r.suppressed[rec.key] = rec.r.k.Now() + rec.r.ttl
 	}
@@ -257,7 +259,7 @@ func (r *Relay) Forward(in *ndn.Interest) {
 	rec.r, rec.key, rec.at = r, key, r.k.Now()
 	r.forwarded[key] = rec
 	r.rebroadcast(in.Encode(), &r.c.InterestsForwarded)
-	r.k.ScheduleFunc(r.ttl, rec.arm)
+	r.k.ScheduleCall(r.ttl, arm, rec)
 }
 
 func (r *Relay) drop(rec *forwardRecord) {
@@ -324,13 +326,7 @@ func (r *Relay) match(d *ndn.Data) *forwardRecord {
 // rebroadcast relays a received packet's wire, exactly as it arrived, after
 // a random delay, bumping counter when it goes out.
 func (r *Relay) rebroadcast(wire []byte, counter *uint64) {
-	r.k.ScheduleFunc(r.rng.Jitter(r.window), func() {
-		if !r.running {
-			return
-		}
-		*counter++
-		r.medium.Broadcast(r.radio, wire)
-	})
+	r.medium.BroadcastAfter(r.rng.Jitter(r.window), r.radio, wire, counter, &r.running)
 }
 
 // ScheduleReply broadcasts d after a random delay, bumping counter when it

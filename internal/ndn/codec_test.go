@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,10 +146,12 @@ func TestEncodeMatchesNestedEncoder(t *testing.T) {
 // TestWirePathAllocationBudget pins what a packet costs in heap objects,
 // whatever its name's length up to the inline room.
 func TestWirePathAllocationBudget(t *testing.T) {
-	name := ParseName("/dapes/bitmap/0a1b2c3d/adv/17/4") // six components
-	long := name.Append("x", "y")                        // exactly the inline room
-	if len(long) != inlineComponents {
-		t.Fatalf("test name has %d components, inline room is %d", len(long), inlineComponents)
+	name := ParseName("/dapes/bitmap/0a1b2c3d/adv/17/4")
+	// Exactly the inline room: as many components, as long a URI.
+	long := ParseName("/dapes/bitmap/0a1b2c3d/adv/17/" + strings.Repeat("4", inlineURI-len("/dapes/bitmap/0a1b2c3d/adv/17/")))
+	if len(long) != inlineComponents || len(long.String()) != inlineURI {
+		t.Fatalf("test name has %d components and %d URI bytes, inline room is %d and %d",
+			len(long), len(long.String()), inlineComponents, inlineURI)
 	}
 	payload := make([]byte, 200)
 	budget := func(what string, max float64, fn func()) {
@@ -171,12 +175,13 @@ func TestWirePathAllocationBudget(t *testing.T) {
 		d.SignDigest()
 		dWire := d.Encode()
 		budget("Encode of an encoded Data", 0, func() { d.Encode() })
-		budget("NewPacket(wire).Interest()", 2, func() {
+		budget("Name.String", 1, func() { _ = n.String() })
+		budget("NewPacket(wire).Interest()", 1, func() {
 			if NewPacket(itWire).Interest() == nil {
 				t.Fatal("interest did not decode")
 			}
 		})
-		budget("NewPacket(wire).Data()", 2, func() {
+		budget("NewPacket(wire).Data()", 1, func() {
 			if NewPacket(dWire).Data() == nil {
 				t.Fatal("data did not decode")
 			}
@@ -192,14 +197,55 @@ func TestWirePathAllocationBudget(t *testing.T) {
 			}
 		})
 	}
-	// One component more than the inline room spills the headers: one more
-	// object, not one per component.
-	spill := (&Interest{Name: long.Append("z"), Nonce: 7}).Encode()
-	budget("NewPacket(wire).Interest() past the inline room", 3, func() {
-		if NewPacket(spill).Interest() == nil {
-			t.Fatal("interest did not decode")
-		}
-	})
+	// A name past the component room spills the headers, one past the URI
+	// room the URI: one more object each, not one per component or byte.
+	for _, tc := range []struct {
+		what string
+		name Name
+		max  float64
+	}{
+		{"past the component room", name.Append("z"), 2},
+		{"past the URI room", long.Prefix(len(long) - 1).Append(long[len(long)-1] + "4"), 2},
+		{"past both", long.Append("z"), 3},
+	} {
+		itWire := (&Interest{Name: tc.name, Nonce: 7}).Encode()
+		budget("NewPacket(wire).Interest() "+tc.what, tc.max, func() {
+			if NewPacket(itWire).Interest() == nil {
+				t.Fatal("interest did not decode")
+			}
+		})
+		d := &Data{Name: tc.name, Content: payload}
+		d.SignDigest()
+		dWire, uri := d.Encode(), tc.name.String()
+		budget("NewPacket(wire).Data() "+tc.what, tc.max, func() {
+			if got := NewPacket(dWire).Data(); got == nil || got.NameKey() != uri {
+				t.Fatal("data did not decode to its name")
+			}
+		})
+	}
+}
+
+// TestDecodedKeysOutliveThePacket: a decoded packet's NameKey and components
+// view the record's inline URI, so whatever a table keeps of them must stay
+// byte-identical once the packet itself is unreachable, the collector has
+// run and the allocator has handed out the memory of many more packets.
+func TestDecodedKeysOutliveThePacket(t *testing.T) {
+	const uri = "/field-report/image-000/7"
+	decode := func(uri string) (key string, comp Component) {
+		d := &Data{Name: ParseName(uri), Content: []byte("x")}
+		d.SignDigest()
+		got := NewPacket(append([]byte(nil), d.Encode()...)).Data()
+		return got.NameKey(), got.Name[1]
+	}
+	key, comp := decode(uri)
+	runtime.GC()
+	for i := 0; i < 10_000; i++ {
+		decode(fmt.Sprintf("/other-report/image-%03d/%d", i%1000, i))
+	}
+	runtime.GC()
+	if key != uri || comp != "image-000" {
+		t.Fatalf("kept key %q and component %q, want %q and %q", key, comp, uri, "image-000")
+	}
 }
 
 // TestDecodedNameIsCapClipped: a decoded Name's component headers live in

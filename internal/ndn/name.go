@@ -23,10 +23,11 @@
 // A packet costs a constant number of heap objects whatever its name's
 // length or its receiver count. Built locally it is its wire buffer (a
 // Data's signature covers a range of that buffer and SigValue views it).
-// Decoded it is two: one record holding the Packet, the Interest or Data and
-// the name's component headers, and one string holding the name's URI form,
-// of which every Component is a substring and which is the packet's
-// NameKey. Digests and signature checks hash the signed range of the bytes
+// Decoded it is one record holding the Packet, the Interest or Data, the
+// name's component headers and the name's URI form, of which every
+// Component is a substring and which is the packet's NameKey; a name past
+// the record's room spills its headers or its URI into one heap object
+// each. Digests and signature checks hash the signed range of the bytes
 // that were received; nothing is serialized again on the receive side.
 package ndn
 
@@ -64,12 +65,18 @@ func ParseName(uri string) Name {
 	return n
 }
 
-// String returns the URI form of the name.
+// String returns the URI form of the name, in one allocation: the length is
+// added up before anything is written.
 func (n Name) String() string {
 	if len(n) == 0 {
 		return "/"
 	}
+	size := 0
+	for _, c := range n {
+		size += 1 + len(c)
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for _, c := range n {
 		b.WriteByte('/')
 		b.WriteString(string(c))

@@ -148,11 +148,12 @@ func (i *Interest) Encode() []byte {
 }
 
 // interestRecord is everything a decoded Interest owns besides the frame it
-// views and its name's URI string: the Interest itself and inline room for
-// the name's component headers.
+// views: the Interest itself and inline room for its name's component
+// headers and URI form (decodeName).
 type interestRecord struct {
 	Interest
 	comps [inlineComponents]Component
+	uri   [inlineURI]byte
 }
 
 // DecodeInterest parses a TLV-encoded Interest. The decode is zero-copy:
@@ -180,7 +181,7 @@ func (rec *interestRecord) decode(wire []byte) error {
 		return fmt.Errorf("interest name: %w", err)
 	}
 	it := &rec.Interest
-	it.Name, it.nameKey, err = decodeName(nameVal, rec.comps[:0])
+	it.Name, it.nameKey, err = decodeName(nameVal, rec.comps[:0], rec.uri[:])
 	if err != nil {
 		return fmt.Errorf("interest name: %w", err)
 	}
@@ -364,6 +365,7 @@ func (d *Data) Encode() []byte {
 type dataRecord struct {
 	Data
 	comps [inlineComponents]Component
+	uri   [inlineURI]byte
 }
 
 // DecodeData parses a TLV-encoded Data packet. The decode is zero-copy:
@@ -415,7 +417,7 @@ func (rec *dataRecord) decode(wire []byte) error {
 		return fmt.Errorf("data name: %w", err)
 	}
 	d := &rec.Data
-	d.Name, d.nameKey, err = decodeName(nameVal, rec.comps[:0])
+	d.Name, d.nameKey, err = decodeName(nameVal, rec.comps[:0], rec.uri[:])
 	if err != nil {
 		return fmt.Errorf("data name: %w", err)
 	}
@@ -499,7 +501,7 @@ func (d *Data) decodeSignatureInfo(value []byte) error {
 			}
 			// Only signed metadata carries a KeyLocator: it takes no inline
 			// room and its URI is not kept.
-			if d.SigInfo.KeyLocator, _, err = decodeName(klVal, nil); err != nil {
+			if d.SigInfo.KeyLocator, _, err = decodeName(klVal, nil, nil); err != nil {
 				return fmt.Errorf("key locator: %w", err)
 			}
 		}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
+	"unsafe"
 )
 
 // TLV type numbers from the NDN packet specification (the subset used here).
@@ -228,21 +228,30 @@ func encodeName(b []byte, n Name, valueLen int) []byte {
 	return b
 }
 
-// inlineComponents is how many component headers a decoded packet's record
-// holds inline. The longest name DAPES puts on the air, /dapes/bitmap/
-// <collection>/adv/<owner>/<seq>, has six.
-const inlineComponents = 8
+// A decoded packet's record holds its name inline: inlineComponents
+// component headers and inlineURI bytes of URI form. The longest name DAPES
+// puts on the air, /dapes/bitmap/<collection>/adv/<owner>/<seq>, has six
+// components, and the URIs of the paper's world run 16 to 49 bytes.
+const (
+	inlineComponents = 6
+	inlineURI        = 56
+)
 
 // decodeName parses a Name TLV value (the inner component sequence) into the
-// name and its URI form. The URI is rendered once, in one string, and every
-// component is a substring of it, so a decoded name costs one object however
-// many components it has. The component headers are written into room when
-// it has the capacity and to the heap otherwise; either way the name is
-// cap-clipped, so appending to it never writes into room.
+// name and its URI form. The URI is rendered once, into uriRoom when it fits
+// and into one heap buffer otherwise, and viewed as a string; every component
+// is a substring of it. The component headers are written into room when it
+// has the capacity and to the heap otherwise; either way the name is
+// cap-clipped, so appending to it never writes into room. A name that fits
+// both costs no object of its own.
+//
+// The views are sound because the bytes are written once, here, before the
+// packet is visible to anyone, and never again (records are not reused); a
+// retained key or component keeps the whole record alive.
 //
 // Name can only represent generic components: a name carrying any other
 // component type is rejected, never decoded as if the component were absent.
-func decodeName(value []byte, room []Component) (Name, string, error) {
+func decodeName(value []byte, room []Component, uriRoom []byte) (Name, string, error) {
 	n, size := 0, 0
 	for r := (tlvReader{buf: value}); !r.done(); n++ {
 		typ, v, err := r.next()
@@ -261,15 +270,26 @@ func decodeName(value []byte, room []Component) (Name, string, error) {
 		room = make([]Component, 0, n)
 	}
 	name := Name(room[:0:n])
-	var uri strings.Builder
-	uri.Grow(size)
+	var uri []byte
+	if size <= len(uriRoom) {
+		uri = uriRoom[:0:size]
+	} else {
+		uri = make([]byte, 0, size)
+	}
 	for r := (tlvReader{buf: value}); !r.done(); {
 		_, v, _ := r.next() // validated by the first pass
-		uri.WriteByte('/')
-		uri.Write(v)
-		// Grow sized the buffer for the whole URI, so the bytes this String
-		// views never move.
-		name = append(name, Component(uri.String()[uri.Len()-len(v):]))
+		uri = append(append(uri, '/'), v...)
+		// uri has room for the whole URI, so it never moves, and the bytes
+		// just written are final.
+		name = append(name, Component(view(uri[len(uri)-len(v):])))
 	}
-	return name, uri.String(), nil
+	return name, view(uri), nil
+}
+
+// view returns b as a string without copying; b must never be written again.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }

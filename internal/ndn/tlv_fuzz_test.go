@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -57,6 +58,10 @@ func FuzzTLVRoundTrip(f *testing.F) {
 	// A name with a typed (non-generic) component: Name cannot represent it,
 	// so both decoders must refuse the packet rather than drop the component.
 	f.Add(typedComponentInterest())
+	// A URI one byte past the record's inline room: the heap path.
+	spill := &Data{Name: ParseName("/field-report/image-000/" + strings.Repeat("7", inlineURI+1-len("/field-report/image-000/")))}
+	spill.SignDigest()
+	f.Add(spill.Encode())
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		if it, err := DecodeInterest(wire); err == nil {

@@ -44,9 +44,9 @@ type (
 // bytes must not be modified afterwards.
 //
 // The Packet and the Interest or Data it will become are one record, with
-// inline room for the name's component headers: a decoded packet is that
-// record plus its name's URI string, whatever the name's length up to
-// inlineComponents and however many receivers ask.
+// inline room for the name's component headers and URI form: a decoded
+// packet is that one object, however many receivers ask, for a name of up
+// to inlineComponents components and inlineURI bytes of URI.
 func NewPacket(wire []byte) *Packet {
 	switch {
 	case len(wire) > 0 && wire[0] == tlvInterest:

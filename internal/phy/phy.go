@@ -274,11 +274,14 @@ type Medium struct {
 	unbounded    []*Radio // no speed bound: re-bucket every new timestamp
 	unboundedGen uint64
 
-	// Scratch buffers and free-lists for the broadcast hot path.
-	candIDs []int
-	cand    []*Radio
-	recFree []*reception
-	txFree  []*transmission
+	// Scratch buffers and free-lists for the broadcast hot path. Pools are
+	// per medium, never global: the member mediums of a sharded world run in
+	// parallel.
+	candIDs  []int
+	cand     []*Radio
+	recFree  []*reception
+	txFree   []*transmission
+	sendFree []*sendJob
 
 	// Sharded composition hooks (nil/zero on a standalone medium): shard is
 	// this medium's index, nextID the shared radio-identity counter, and
@@ -731,6 +734,50 @@ func (m *Medium) receive(rx *Radio, tx *transmission, start, end time.Duration) 
 // serialization time plus propagation delay.
 func (m *Medium) Broadcast(r *Radio, payload []byte) {
 	m.BroadcastNotify(r, payload, nil)
+}
+
+// sendJob is one frame waiting out its jitter (BroadcastAfter). Jobs are
+// pooled on the medium and keep their event func (fire, the method value of
+// send) for life.
+type sendJob struct {
+	m     *Medium
+	radio *Radio
+	wire  []byte
+	count *uint64
+	live  *bool
+	fire  func()
+}
+
+// BroadcastAfter broadcasts wire from r after delay — the jittered send
+// every protocol layer makes — unless *live, the sender's running flag, is
+// false by then, in which case the frame is dropped. count, when non-nil, is
+// bumped as the frame goes on the air. The send allocates nothing: its
+// record is pooled and its event func built once.
+func (m *Medium) BroadcastAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool) {
+	var j *sendJob
+	if n := len(m.sendFree); n > 0 {
+		j = m.sendFree[n-1]
+		m.sendFree[n-1] = nil
+		m.sendFree = m.sendFree[:n-1]
+	} else {
+		j = &sendJob{m: m}
+		j.fire = j.send
+	}
+	j.radio, j.wire, j.count, j.live = r, wire, count, live
+	m.kernel.ScheduleFunc(delay, j.fire)
+}
+
+func (j *sendJob) send() {
+	m, r, wire, count, live := j.m, j.radio, j.wire, j.count, j.live
+	j.radio, j.wire, j.count, j.live = nil, nil, nil, nil
+	m.sendFree = append(m.sendFree, j)
+	if !*live {
+		return
+	}
+	if count != nil {
+		*count++
+	}
+	m.Broadcast(r, wire)
 }
 
 // BroadcastNotify is Broadcast with sender-side collision feedback: after the

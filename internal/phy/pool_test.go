@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"dapes/internal/geo"
 	"dapes/internal/sim"
@@ -119,5 +120,41 @@ func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
 	// reply took over a's transmission, and each reply one of a's receptions.
 	if len(m.txFree) != 2 || len(m.recFree) != 4 {
 		t.Fatalf("pools hold %d transmissions and %d receptions after the run, want 2 and 4", len(m.txFree), len(m.recFree))
+	}
+}
+
+// TestBroadcastAfterDoesNotAllocate: a jittered send goes on the air after
+// its delay and bumps its counter, is dropped — uncounted — once its sender's
+// live flag is down, and once the medium's job pool is warm costs no object
+// either way.
+func TestBroadcastAfterDoesNotAllocate(t *testing.T) {
+	kernel := sim.NewKernel(1)
+	m := NewMedium(kernel, Config{Range: 50})
+	sender := m.Attach(geo.Stationary{})
+	heard := 0
+	m.Attach(geo.Stationary{At: geo.Point{X: 1}}).SetHandler(func(Frame) { heard++ })
+	payload := make([]byte, 64)
+	live, sent := true, uint64(0)
+	once := func() {
+		m.BroadcastAfter(time.Millisecond, sender, payload, &sent, &live)
+		if err := kernel.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 512; i++ { // fill the pools across the wheel's slots
+		once()
+	}
+	if avg := testing.AllocsPerRun(200, once); avg != 0 {
+		t.Errorf("BroadcastAfter allocates %.2f objects, want 0", avg)
+	}
+	if sent != 713 || heard != 713 || m.Stats().Transmissions != 713 {
+		t.Fatalf("sent %d, heard %d, on the air %d; want 713 each", sent, heard, m.Stats().Transmissions)
+	}
+	live = false
+	if avg := testing.AllocsPerRun(200, once); avg != 0 {
+		t.Errorf("dropped BroadcastAfter allocates %.2f objects, want 0", avg)
+	}
+	if sent != 713 || m.Stats().Transmissions != 713 {
+		t.Fatalf("a send whose sender stopped went on the air: sent %d, on the air %d", sent, m.Stats().Transmissions)
 	}
 }

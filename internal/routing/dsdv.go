@@ -59,7 +59,7 @@ type DSDV struct {
 	running bool
 	tick    *sim.Timer
 	rng     sim.Stream // the node's sim.PurposeRouting stream
-	tx      txQueue
+	medium  *phy.Medium
 	ctrlTx  uint64
 	dataTx  uint64
 }
@@ -69,15 +69,15 @@ var _ Router = (*DSDV)(nil)
 // NewDSDV attaches a DSDV node to the medium.
 func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSDVConfig) *DSDV {
 	d := &DSDV{
-		k:     k,
-		cfg:   cfg.withDefaults(),
-		table: make(map[int]dsdvRoute),
+		k:      k,
+		medium: medium,
+		cfg:    cfg.withDefaults(),
+		table:  make(map[int]dsdvRoute),
 	}
 	d.tick = k.NewTimer(d.periodicUpdate)
 	d.radio = medium.Attach(mobility)
 	d.id = d.radio.ID()
 	d.rng = k.Stream(d.id, sim.PurposeRouting)
-	d.tx = txQueue{k: k, medium: medium, radio: d.radio, running: &d.running}
 	d.radio.SetHandler(d.onFrame)
 	return d
 }
@@ -85,7 +85,7 @@ func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSDVC
 // transmit broadcasts wire after the MAC-backoff jitter, unless the node
 // has been stopped by then.
 func (d *DSDV) transmit(wire []byte) {
-	d.tx.after(d.rng.Jitter(d.cfg.TxJitter), wire, nil)
+	d.medium.BroadcastAfter(d.rng.Jitter(d.cfg.TxJitter), d.radio, wire, nil, &d.running)
 }
 
 // ID implements Router.

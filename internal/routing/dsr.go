@@ -92,7 +92,7 @@ type DSR struct {
 	deliver func(src int, payload []byte)
 	running bool
 	rng     sim.Stream // the node's sim.PurposeRouting stream
-	tx      txQueue
+	medium  *phy.Medium
 	ctrlTx  uint64
 	dataTx  uint64
 }
@@ -103,6 +103,7 @@ var _ Router = (*DSR)(nil)
 func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSRConfig) *DSR {
 	d := &DSR{
 		k:       k,
+		medium:  medium,
 		cfg:     cfg.withDefaults(),
 		routes:  make(map[int]cachedRoute),
 		pending: make(map[int]*pendingDiscovery),
@@ -112,7 +113,6 @@ func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSRCon
 	d.radio = medium.Attach(mobility)
 	d.id = d.radio.ID()
 	d.rng = k.Stream(d.id, sim.PurposeRouting)
-	d.tx = txQueue{k: k, medium: medium, radio: d.radio, running: &d.running}
 	d.radio.SetHandler(d.onFrame)
 	return d
 }
@@ -122,14 +122,14 @@ func (d *DSR) ID() int { return d.id }
 
 // transmit broadcasts wire after the MAC-backoff jitter.
 func (d *DSR) transmit(wire []byte) {
-	d.tx.after(d.rng.Jitter(d.cfg.TxJitter), wire, nil)
+	d.medium.BroadcastAfter(d.rng.Jitter(d.cfg.TxJitter), d.radio, wire, nil, &d.running)
 }
 
 // transmitRepeated puts wire on the air HopRepeats times (MAC ARQ model);
 // each repetition is separately counted and jittered.
 func (d *DSR) transmitRepeated(wire []byte, count *uint64) {
 	for i := 0; i < d.cfg.HopRepeats; i++ {
-		d.tx.after(time.Duration(i)*d.cfg.TxJitter+d.rng.Jitter(d.cfg.TxJitter), wire, count)
+		d.medium.BroadcastAfter(time.Duration(i)*d.cfg.TxJitter+d.rng.Jitter(d.cfg.TxJitter), d.radio, wire, count, &d.running)
 	}
 }
 
@@ -375,7 +375,7 @@ func (d *DSR) handleRREQ(f frame) {
 		Proto: protoRREQ, Src: f.Src, Dst: f.Dst, NextHop: Broadcast,
 		TTL: f.TTL - 1, Route: route, Payload: f.Payload,
 	}
-	d.tx.after(d.rng.Jitter(d.cfg.FloodJitter), fwd.encode(), &d.ctrlTx)
+	d.medium.BroadcastAfter(d.rng.Jitter(d.cfg.FloodJitter), d.radio, fwd.encode(), &d.ctrlTx, &d.running)
 }
 
 // overlaps reports whether the two hop lists share any node (a spliced

@@ -157,6 +157,8 @@ type Kernel struct {
 	// packet (phy frame deliveries) or cancel/reschedule per message
 	// (retransmission timeouts) do not allocate per call.
 	free []*Event
+	// calls recycles ScheduleCall records.
+	calls []*call
 }
 
 // NewKernel returns a production kernel (Options{}: the timer wheel) of the
@@ -230,6 +232,42 @@ func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
 // ScheduleFuncAt is ScheduleAt without a cancel handle; see ScheduleFunc.
 func (k *Kernel) ScheduleFuncAt(at time.Duration, fn func()) {
 	k.enqueue(at, kindPooled, fn)
+}
+
+// ScheduleCall enqueues fn(arg) to run after delay, like ScheduleFunc. It is
+// for a callback about one record of many: with fn a top-level function and
+// arg a pointer, a call allocates nothing, where a method value or closure
+// over the record would allocate per call. The pair rides in a record pooled
+// on the kernel, whose event func is built once.
+func (k *Kernel) ScheduleCall(delay time.Duration, fn func(any), arg any) {
+	var c *call
+	if n := len(k.calls); n > 0 {
+		c = k.calls[n-1]
+		k.calls[n-1] = nil
+		k.calls = k.calls[:n-1]
+	} else {
+		c = &call{k: k}
+		c.fire = c.run
+	}
+	c.fn, c.arg = fn, arg
+	k.ScheduleFunc(delay, c.fire)
+}
+
+// call is one pending ScheduleCall.
+type call struct {
+	k    *Kernel
+	fn   func(any)
+	arg  any
+	fire func()
+}
+
+// run returns the record to the pool before calling fn, which may schedule
+// calls of its own.
+func (c *call) run() {
+	k, fn, arg := c.k, c.fn, c.arg
+	c.fn, c.arg = nil, nil
+	k.calls = append(k.calls, c)
+	fn(arg)
 }
 
 // enqueue assigns the next sequence number and pushes a recycled (or fresh)
