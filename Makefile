@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden golden-race examples plan shard-smoke chaos-smoke
+.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden golden-race examples plan chaos-smoke
 
 all: build lint test
 
@@ -83,54 +83,36 @@ bench-nfd:
 plan:
 	$(GO) run ./cmd/dapes-plan run plans/ci-smoke.toml -workers=4
 
-# The shard-scaling smoke: the committed metro-smoke plan (urban-metro's
-# 25x mix at a tiny scale) once on the sequential-equivalent single stripe
-# and once at the scenario's default 4 density-balanced stripes. The
-# relaxed S>1 trace contract means times and transmission counts
-# legitimately differ between the runs; the aggregate completion
-# statistics must not — the target fails if the completed/downloaders
-# columns of the two JSON-lines streams diverge.
-shard-smoke:
-	$(GO) run ./cmd/dapes-plan run plans/metro-smoke.toml -shards=1 -o /dev/null > /tmp/dapes-shard-smoke-1.jsonl
-	$(GO) run ./cmd/dapes-plan run plans/metro-smoke.toml -shards=4 -o /dev/null > /tmp/dapes-shard-smoke-4.jsonl
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-shard-smoke-1.jsonl > /tmp/dapes-shard-smoke-1.agg
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-shard-smoke-4.jsonl > /tmp/dapes-shard-smoke-4.agg
-	@diff /tmp/dapes-shard-smoke-1.agg /tmp/dapes-shard-smoke-4.agg
-	@echo "shard-smoke: S=1 and S=4 completion aggregates agree"
-
 # The chaos smoke: the committed chaos-smoke plan (urban-grid-chaos with
-# crashes, cold restarts, and Gilbert-Elliott bursty loss) at S=1 and
-# S=4. The fault schedule is a pure function of (seed, plan) — the same
-# nodes crash at the same virtual times in both runs — so the aggregate
-# completion statistics must agree even though the relaxed S>1 trace
-# contract lets times and transmission counts differ.
+# crashes, cold restarts, and Gilbert-Elliott bursty loss) once. Its horizon
+# is generous enough that every downloader re-completes after restarting,
+# so the target fails unless every JSON-lines row has completed ==
+# downloaders.
 chaos-smoke:
-	$(GO) run ./cmd/dapes-plan run plans/chaos-smoke.toml -shards=1 -o /dev/null > /tmp/dapes-chaos-smoke-1.jsonl
-	$(GO) run ./cmd/dapes-plan run plans/chaos-smoke.toml -shards=4 -o /dev/null > /tmp/dapes-chaos-smoke-4.jsonl
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-chaos-smoke-1.jsonl > /tmp/dapes-chaos-smoke-1.agg
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-chaos-smoke-4.jsonl > /tmp/dapes-chaos-smoke-4.agg
-	@diff /tmp/dapes-chaos-smoke-1.agg /tmp/dapes-chaos-smoke-4.agg
-	@echo "chaos-smoke: S=1 and S=4 completions under churn agree"
+	$(GO) run ./cmd/dapes-plan run plans/chaos-smoke.toml -o /dev/null > /tmp/dapes-chaos-smoke.jsonl
+	@test -s /tmp/dapes-chaos-smoke.jsonl
+	@if grep -vE '"completed":([0-9]+),"downloaders":\1[,}]' /tmp/dapes-chaos-smoke.jsonl; then \
+		echo "chaos-smoke: a cell left downloaders incomplete"; exit 1; fi
+	@echo "chaos-smoke: every downloader re-completed under churn"
 
 # The determinism, equivalence and zero-alloc gates, selected by name so the
 # list cannot rot: every test in the tree called TestGolden*, or named for
 # what it holds equal (…Matches<Reference>, …TraceNeutral, …Determinis*,
-# …NotAllocate). That is grid==naive, wheel==heap, sharded==sequential,
-# serial==parallel and batched==lockstep byte-identical for every registered
-# scenario — each arm asserting which engine it built — plus the kernel-,
-# medium- and trial-level halves of the same properties and the 0 allocs/op
-# pins. A new gate joins by being named like one, in ./internal/... or
-# ./cmd/... (dapes-bench's TestGoldenQuickFigures pins every figure panel
+# …NotAllocate). That is grid==naive and wheel==heap byte-identical for every
+# registered scenario — each arm asserting which engine it built — plus the
+# kernel-, medium- and trial-level halves of the same properties, the
+# kernel's serial==parallel window gate and the 0 allocs/op pins. A new
+# gate joins by being named like one, in ./internal/... or ./cmd/...
+# (dapes-bench's TestGoldenQuickFigures pins every figure panel
 # at quick scale against a committed testdata/quick.json).
 GOLDEN = ^TestGolden|Matches|TraceNeutral|Determinis|NotAllocate
 golden:
 	$(GO) test -run '$(GOLDEN)' -count=1 ./internal/... ./cmd/...
 
-# The sharded subset of the same gates under the race detector (plus the
-# worker lifecycle): parallel windows may share nothing, and a window race
-# should fail loudly as itself.
+# The sharded kernel's worker tests under the race detector: parallel
+# windows may share nothing, and a window race should fail loudly as itself.
 golden-race:
-	$(GO) test -race -run '^TestGoldenSharded|Sharded.*(Matches|TraceNeutral|Lifecycle)|BatchingMatchesLockstep' -count=1 ./internal/...
+	$(GO) test -race -run '^TestSharded' -count=1 ./internal/sim
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

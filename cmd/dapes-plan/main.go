@@ -28,7 +28,7 @@ func main() {
 
 func usage() error {
 	return fmt.Errorf(`usage:
-  dapes-plan run PLAN_FILE [-workers N] [-shards N] [-format text|json|csv] [-o FILE] [-no-stream]
+  dapes-plan run PLAN_FILE [-workers N] [-format text|json|csv] [-o FILE] [-no-stream]
       run a plan: stream per-cell JSON-lines, then render the run report`)
 }
 
@@ -67,7 +67,6 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	var (
 		workers  = fs.Int("workers", 1, "grid cells in flight; output is identical at any pool size")
-		shards   = fs.Int("shards", 0, "override every cell's kernel stripe count (0 = plan/scenario default, 1 = sequential-equivalent)")
 		format   = fs.String("format", "text", "run-report format: text, json, or csv")
 		outPath  = fs.String("o", "", "write the run report to this file instead of stdout")
 		noStream = fs.Bool("no-stream", false, "suppress the per-cell JSON-lines stream")
@@ -99,7 +98,7 @@ func cmdRun(args []string) error {
 	if *noStream {
 		stream = nil
 	}
-	res, err := plan.Run(p, plan.Options{Workers: *workers, Stream: stream, Shards: *shards})
+	res, err := plan.Run(p, plan.Options{Workers: *workers, Stream: stream})
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +29,7 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("dapes-sim", flag.ExitOnError)
+	fs := flag.NewFlagSet("dapes-sim", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
 		scenario = fs.String("scenario", "", "registered scenario to run (see -list); overrides -system")
@@ -42,7 +43,6 @@ func run(args []string) error {
 		trials    = fs.Int("trials", 3, "trials (paper: 10)")
 		seed      = fs.Int64("seed", 1, "base random seed; trial t runs at TrialSeed(seed, t)")
 		horizon   = fs.Duration("horizon", 45*time.Minute, "per-trial virtual time limit")
-		shards    = fs.Int("shards", 0, "space-partitioned kernel stripes per trial (0 = scenario default, 1 = sequential-equivalent)")
 		faults    = fs.String("faults", "", "fault-plan file (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -57,7 +57,13 @@ func run(args []string) error {
 		multihopOn  = fs.Bool("multihop", true, "enable intermediate-node forwarding")
 		forwardProb = fs.Float64("forward-prob", 0.2, "probabilistic forwarding rate")
 	)
-	fs.Parse(args) // ExitOnError: a bad flag prints usage and exits 2
+	if err := fs.Parse(args); err != nil {
+		// A bad flag has printed usage; -h asked for it.
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -104,7 +110,6 @@ func run(args []string) error {
 	s.BaseSeed = *seed
 	s.Horizon = *horizon
 	s.Workers = *workers
-	s.Shards = *shards
 	if *faults != "" {
 		fp, err := fault.ParseFile(*faults)
 		if err != nil {

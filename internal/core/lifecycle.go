@@ -10,12 +10,10 @@ import (
 // Restart a cold reboot that keeps only what would survive on disk. Both
 // are ordinary kernel events — everything they do is a pure function of
 // the virtual time they fire at, so a fault schedule replays identically
-// across reruns and shard counts.
+// across reruns.
 
-// Kernel returns the event kernel driving this peer (its home shard's
-// kernel in a partitioned world). Fault schedules install crash and
-// restart events through it so each event fires on the goroutine that
-// owns the peer.
+// Kernel returns the event kernel driving this peer. Fault schedules
+// install crash and restart events through it.
 func (p *Peer) Kernel() *sim.Kernel { return p.k }
 
 // Crash hard-stops the peer mid-run: every timer is cancelled (Stop),

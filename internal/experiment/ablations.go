@@ -45,10 +45,10 @@ func MetadataSizes(s Scale) (digestBytes, merkleBytes int, err error) {
 // peer backs off toward the maximum period and sends far fewer beacons.
 func BeaconAblation(duration time.Duration) (adaptiveBeacons, fixedBeacons uint64) {
 	run := func(cfg core.Config) uint64 {
-		w := peerWorld{world: newWorld(17, phy.Config{Range: 50}, Engine{}, striping{}), cfg: cfg}
+		w := peerWorld{world: newWorld(17, phy.Config{Range: 50}, Engine{}), cfg: cfg}
 		p := w.peer(geo.Stationary{})
 		p.Start()
-		w.Run(duration) // cannot fail: nothing stops the kernel and a sequential world is never closed
+		w.Run(duration) // cannot fail: nothing stops the kernel
 		return p.Stats().DiscoveryInterestsSent
 	}
 	adaptive := run(core.Config{})

@@ -22,8 +22,8 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 // absolute golden can read the medium and kernel counters a TrialResult
 // does not carry.
 func bithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
-	w, topo := newFig7World(s, wifiRange, trial, 0, 0)
-	k, medium := w.kernels[0], w.mediums[0]
+	w, topo := newFig7World(s, wifiRange, trial)
+	k, medium := w.Kernel, w.medium
 	pieces := s.TotalPackets()
 
 	seed := bithoc.NewPeer(k, medium, topo.producerMobility, bithoc.Config{})
@@ -67,8 +67,8 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 
 // ektaTrial is RunEktaTrial handing back its world, like bithocTrial.
 func ektaTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
-	w, topo := newFig7World(s, wifiRange, trial, 0, 0)
-	k, medium := w.kernels[0], w.mediums[0]
+	w, topo := newFig7World(s, wifiRange, trial)
+	k, medium := w.Kernel, w.medium
 	pieces := s.TotalPackets()
 	const swarm = "field-report"
 

@@ -188,19 +188,16 @@ func init() {
 	})
 	Register(&Scenario{
 		Name:      "urban-metro",
-		Summary:   "urban-grid-xl's node mix on the space-partitioned parallel kernel",
-		Optimizes: "scaling: one trial across all cores at 50k+ nodes (plans/urban-metro.toml)",
+		Summary:   "urban-grid-xl's node mix at the paper's density, scaled to 50k+ nodes",
+		Optimizes: "scaling: per-node trial cost at 50k+ nodes on the one sequential kernel (plans/urban-metro.toml)",
 		Narrative: "The 25x node mix in a density-preserving area (edge grows with " +
-			"sqrt(nodes), holding the paper's nodes-per-square-meter), run on the " +
-			"sharded kernel: vertical stripes advance in lockstep lookahead windows " +
-			"and exchange cross-boundary broadcasts at window edges. One shard is " +
-			"byte-identical to the sequential kernel; more shards trade the global " +
-			"trace for wall-clock, as documented in docs/PERFORMANCE.md.",
+			"sqrt(nodes), holding the paper's nodes-per-square-meter): the Fig.-7 " +
+			"DAPES trial on a metropolitan population, run like every other trial " +
+			"on the one sequential kernel, so its per-frame cost is the grid index's " +
+			"and the timer wheel's at 50k radios.",
 		Params: []Param{
 			{Name: "nodes", Value: "25x Scale node mix", Doc: "metropolitan node count; plans/urban-metro.toml reaches 50k"},
 			{Name: "area", Value: "300 m x sqrt(nodes/45) square (AreaSide=0 default)", Doc: "density-preserving edge"},
-			{Name: "shards", Value: "Scale.Shards, else 4", Doc: "stripe count (1 = sequential-equivalent)"},
-			{Name: "lookahead", Value: "10x conservative", Doc: "relaxed window; cross-stripe delivery slips <= 1 window"},
 		},
 		Run: urbanMetroTrial,
 	})
@@ -213,7 +210,7 @@ func init() {
 			"cold-restart (empty tables, subscriptions kept) a sixth of a horizon later, " +
 			"while every receiver sees bursty two-state loss instead of i.i.d. coin " +
 			"flips. The schedule is a pure function of the trial seed (internal/fault), " +
-			"so runs replay byte-identically at any worker or shard count. Reported " +
+			"so runs replay byte-identically at any worker count. Reported " +
 			"extras: crashed count and mean restart-to-recompletion time.",
 		Params: []Param{
 			{Name: "crashes", Value: "34% of downloaders+intermediates in [H/6, H/3)", Doc: "cold restart H/9-H/6 later"},
@@ -231,7 +228,7 @@ func init() {
 			"dropped, so downloads in progress stall and must resume — via mobility, " +
 			"multi-hop detours, or patience — once the blackout lifts. The jammer is a " +
 			"pure position/time predicate (no RNG), so it is trace-neutral outside its " +
-			"window and identical across shard counts.",
+			"window and identical across worker counts.",
 		Params: []Param{
 			{Name: "jam disk", Value: "radius 0.35 x AreaSide at the arena center", Doc: "receiver-side blackout"},
 			{Name: "window", Value: "[H/8, 3H/8)", Doc: "a quarter of the horizon, starting an eighth in"},

@@ -43,8 +43,8 @@ func undoneWatch(w *dapesWorld, cond func() bool, undone *bool) func() bool {
 // acceptance gate: on the paper workload, on the crash-and-restart chaos
 // scenario, and on a blackout run whose restarts wipe completions that are
 // re-earned later, a trial driven by allDone ends on the same event (same
-// clock, same TrialResult) as one driven by the naive per-event poll — on
-// the sequential kernel and on the one-shard sharded kernel.
+// clock, same TrialResult) as one driven by the naive per-event poll on the
+// sequential kernel.
 func TestAllDoneStopsWhereTheNaivePollStops(t *testing.T) {
 	t.Parallel()
 	base := goldenScale()
@@ -71,56 +71,40 @@ func TestAllDoneStopsWhereTheNaivePollStops(t *testing.T) {
 		{"urban-grid-chaos", urbanGridChaosScale(base), false},
 		{"blackout-recovery", late, true},
 	}
-	engines := []struct {
-		name   string
-		shards int // Scale.Shards: 0 is the sequential kernel
-	}{
-		{"sequential", 0},
-		{"one-shard", 1},
-	}
 	for _, tc := range cases {
-		for _, e := range engines {
-			t.Run(tc.name+"/"+e.name, func(t *testing.T) {
-				t.Parallel()
-				s := tc.scale
-				s.Shards = e.shards
-				fast, err := buildDAPES(s, 60, 0, PaperDefaults(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer fast.Close()
-				if sharded := fast.sk != nil; sharded != (e.shards > 0) {
-					t.Fatalf("asked for %d shards, built sharded=%v", e.shards, sharded)
-				}
-				got := fast.run()
+		t.Run(tc.name+"/sequential", func(t *testing.T) {
+			t.Parallel()
+			fast, err := buildDAPES(tc.scale, 60, 0, PaperDefaults(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fast.run()
 
-				ref, err := buildDAPES(s, 60, 0, PaperDefaults(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ref.Close()
-				undone := false
-				ref.RunUntil(ref.horizon, undoneWatch(ref, naivePoll(ref), &undone))
-				want := ref.collect()
+			ref, err := buildDAPES(tc.scale, 60, 0, PaperDefaults(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			undone := false
+			ref.RunUntil(ref.horizon, undoneWatch(ref, naivePoll(ref), &undone))
+			want := ref.collect()
 
-				if fast.Now() != ref.Now() {
-					t.Errorf("stopped at %v, naive poll stops at %v", fast.Now(), ref.Now())
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("TrialResult diverged:\nallDone: %+v\nnaive:   %+v", got, want)
-				}
-				if got.Completed != got.Downloaders || ref.Now() >= ref.horizon {
-					t.Errorf("trial ran to the horizon (%d/%d complete at %v): the stop point is not exercised",
-						got.Completed, got.Downloaders, ref.Now())
-				}
-				if tc.scale.Faults.HasCrashes() && got.Crashed == 0 {
-					t.Error("fault plan crashed nobody")
-				}
-				if tc.mustUndo && (!undone || got.Recovery <= 0) {
-					t.Errorf("no completion was wiped by a restart and re-earned (undone %v, recovery %v)", undone, got.Recovery)
-				}
-			})
-		}
+			if fast.Now() != ref.Now() {
+				t.Errorf("stopped at %v, naive poll stops at %v", fast.Now(), ref.Now())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("TrialResult diverged:\nallDone: %+v\nnaive:   %+v", got, want)
+			}
+			if got.Completed != got.Downloaders || ref.Now() >= ref.horizon {
+				t.Errorf("trial ran to the horizon (%d/%d complete at %v): the stop point is not exercised",
+					got.Completed, got.Downloaders, ref.Now())
+			}
+			if tc.scale.Faults.HasCrashes() && got.Crashed == 0 {
+				t.Error("fault plan crashed nobody")
+			}
+			if tc.mustUndo && (!undone || got.Recovery <= 0) {
+				t.Errorf("no completion was wiped by a restart and re-earned (undone %v, recovery %v)", undone, got.Recovery)
+			}
+		})
 	}
 }
 

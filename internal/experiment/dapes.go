@@ -48,60 +48,23 @@ func (o DAPESOptions) coreConfig() core.Config {
 }
 
 // RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
-// metrics: on the sequential kernel by default, on Scale.Shards stripes under
-// the conservative lookahead when the scale asks for them (see runDAPESTrial
-// for that path's equivalence and relaxation contract).
+// metrics.
 func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	return runDAPESTrial(s, wifiRange, trial, opts, 0)
-}
-
-// runDAPESTrial executes one Fig.-7 trial. With Scale.Shards > 0 it runs on
-// the space-partitioned kernel: the area splits into that many vertical
-// stripes balanced on the t=0 node-position CDF, each with its own sim.Kernel
-// and phy.Medium, advancing in windows of `lookahead` — batched past provably
-// quiet boundaries — and exchanging cross-boundary broadcasts at window
-// barriers. A non-positive lookahead selects the conservative bound, under
-// which no in-flight frame can span a window edge; zero shards is the one
-// sequential kernel, which has no windows. With one shard the run is
-// byte-identical to the sequential kernel (same seeds, same radio IDs, same
-// event schedule), which is what the sharded golden gate checks for every
-// registered scenario.
-//
-// With more than one shard the global-trace contract is relaxed, deliberately
-// and deterministically (random draws are not part of it: a node's streams
-// derive from the trial seed and its radio ID, the same on any stripe):
-//
-//   - cross-stripe broadcasts register at the next window barrier, so a
-//     reception completing earlier in the same window cannot collide with
-//     them, and a relaxed (larger) lookahead delays cross-stripe delivery
-//     by up to one window;
-//   - PEBA overhearing-based suppression sees only same-stripe traffic
-//     between barriers.
-//
-// Aggregate statistics stay in family with the sequential run (the
-// acceptance bar for the scenarios that default to sharding), and the whole
-// schedule remains a pure function of (BaseSeed, trial, shards, lookahead):
-// serial and parallel window execution are byte-identical, which
-// TestShardedTrialSerialMatchesParallel gates.
-func runDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, lookahead time.Duration) (TrialResult, error) {
-	w, err := buildDAPES(s, wifiRange, trial, opts, lookahead)
+	w, err := buildDAPES(s, wifiRange, trial, opts, 0)
 	if err != nil {
 		return TrialResult{}, err
 	}
-	defer w.Close()
 	return w.run(), nil
 }
 
-// buildDAPES builds and starts one trial's world on the engine and stripe
-// count the scale names; the caller closes it.
-func buildDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions, lookahead time.Duration) (*dapesWorld, error) {
-	eng, pl := newFig7World(s, wifiRange, trial, s.Shards, lookahead)
-	for _, m := range eng.mediums {
-		installMediumFaults(m, s.Faults, TrialSeed(s.BaseSeed, trial))
-	}
+// buildDAPES builds and starts one trial's world on the engine the scale
+// names. The trailing argument is ignored; the pinned golden tests still
+// pass it.
+func buildDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions, _ time.Duration) (*dapesWorld, error) {
+	eng, pl := newFig7World(s, wifiRange, trial)
+	installMediumFaults(eng.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
 	w := &dapesWorld{world: eng}
 	if err := w.start(s, trial, opts, pl); err != nil {
-		w.Close()
 		return nil, err
 	}
 	return w, nil
@@ -121,9 +84,9 @@ type dapesWorld struct {
 	faultsUntil   time.Duration
 }
 
-// start attaches and starts every node of the placement on its home stripe
-// and installs the crash schedule. Attach, start and scheduling order are
-// part of the trace (radio IDs, kernel sequence numbers).
+// start attaches and starts every node of the placement and installs the
+// crash schedule. Attach, start and scheduling order are part of the trace
+// (radio IDs, kernel sequence numbers).
 func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) error {
 	res, err := buildCollection(s, s.BaseSeed+int64(trial))
 	if err != nil {
@@ -133,8 +96,7 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) 
 	w.collection = res.Manifest.Collection
 	cfg := opts.coreConfig()
 	peer := func(m geo.Mobility) *core.Peer {
-		k, medium := w.site(m)
-		return core.NewPeer(k, medium, m, nil, nil, cfg)
+		return core.NewPeer(w.Kernel, w.medium, m, nil, nil, cfg)
 	}
 
 	producer := peer(pl.producerMobility)
@@ -154,8 +116,7 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) 
 	}
 	for i, m := range pl.forwarderMobility {
 		if i < s.PureForwarders {
-			k, medium := w.site(m)
-			w.pures = append(w.pures, multihop.NewPureForwarder(k, medium, m,
+			w.pures = append(w.pures, multihop.NewPureForwarder(w.Kernel, w.medium, m,
 				multihop.Config{ForwardProb: opts.ForwardProb}))
 			continue
 		}
@@ -180,6 +141,10 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) 
 	return nil
 }
 
+// Close is a no-op: a world holds no goroutines or other resources. The
+// pinned golden tests still call it.
+func (w *dapesWorld) Close() {}
+
 // run drives the world until every downloader holds the collection (or the
 // horizon passes) and returns the trial's metrics.
 func (w *dapesWorld) run() TrialResult {
@@ -195,7 +160,7 @@ func (w *dapesWorld) collect() TrialResult {
 }
 
 // collectDAPES folds one finished trial's peers into a TrialResult; tx is
-// the medium's (or sharded medium's summed) transmission counter.
+// the medium's transmission counter.
 func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*core.Peer, pures []*multihop.PureForwarder, horizon time.Duration) TrialResult {
 	var total time.Duration
 	completed := 0

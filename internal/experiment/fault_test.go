@@ -36,20 +36,17 @@ func faultScale() Scale {
 
 // TestFaultScheduleDeterministic is the tentpole's acceptance gate: with a
 // full fault plan active (crashes, restarts, jammer, bursty loss), the run
-// is byte-identical run-to-run on the sequential kernel, byte-identical
-// sequential vs one-shard sharded, and byte-identical run-to-run at four
-// shards. The schedule is a pure function of (seed, plan) — no worker pool,
-// shard count, or wall-clock state may leak in.
+// is byte-identical run-to-run and across worker-pool sizes. The schedule
+// is a pure function of (seed, plan) — no worker pool or wall-clock state
+// may leak in.
 func TestFaultScheduleDeterministic(t *testing.T) {
 	t.Parallel()
 	base := faultScale()
 	base.Trials = 2
 
-	// shards 0 is the sequential kernel (fig7-dapes has no stripe default).
-	run := func(t *testing.T, shards, workers int) (RunResult, []byte) {
+	run := func(t *testing.T, workers int) (RunResult, []byte) {
 		t.Helper()
 		s := base
-		s.Shards = shards
 		var built []*world
 		if workers == 1 { // the built log is unlocked: one goroutine only
 			s.Engine.built = &built
@@ -57,7 +54,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		s.Workers = workers
 		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
 		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if workers == 1 {
 			assertEngine(t, "fig7-dapes", s, built)
@@ -69,28 +66,15 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		return res, buf.Bytes()
 	}
 
-	seqRes, seqJSON := run(t, 0, 1)
-	if _, again := run(t, 0, 1); !bytes.Equal(seqJSON, again) {
-		t.Errorf("sequential faulted run diverged run-to-run:\n%s\n%s", seqJSON, again)
+	seqRes, seqJSON := run(t, 1)
+	if _, again := run(t, 1); !bytes.Equal(seqJSON, again) {
+		t.Errorf("faulted run diverged run-to-run:\n%s\n%s", seqJSON, again)
 	}
 	// Across pool sizes only the echoed Workers knob may differ.
-	pooledRes, _ := run(t, 0, 4)
+	pooledRes, _ := run(t, 4)
 	pooledRes.Workers = seqRes.Workers
 	if !reflect.DeepEqual(seqRes, pooledRes) {
 		t.Errorf("faulted run diverged across worker-pool sizes:\n%+v\n%+v", seqRes, pooledRes)
-	}
-
-	oneRes, oneJSON := run(t, 1, 1)
-	if !bytes.Equal(seqJSON, oneJSON) {
-		t.Errorf("faulted one-shard run diverged from sequential:\nsequential: %s\nsharded:    %s", seqJSON, oneJSON)
-	}
-	if !reflect.DeepEqual(seqRes, oneRes) {
-		t.Errorf("faulted RunResult diverged sequential vs one-shard:\n%+v\n%+v", seqRes, oneRes)
-	}
-
-	_, fourJSON := run(t, 4, 1)
-	if _, again := run(t, 4, 1); !bytes.Equal(fourJSON, again) {
-		t.Errorf("four-shard faulted run diverged run-to-run:\n%s\n%s", fourJSON, again)
 	}
 
 	// The gate must not pass vacuously: the plan has to have crashed someone.

@@ -11,18 +11,12 @@ import (
 )
 
 // This file wires a Scale's fault plan (internal/fault) into a built DAPES
-// trial. The wiring is mirrored exactly between the sequential and the
-// sharded trial paths — same eligible-peer order, same seed split, same
-// installation point (after every Start, before RunUntil) — so a one-shard
-// faulted run stays byte-identical to the sequential faulted run, and a
-// nil or empty plan leaves both paths untouched (the trace-neutrality gate
+// trial at one installation point (after every Start, before RunUntil); a
+// nil or empty plan leaves the trial untouched (the trace-neutrality gate
 // in fault_test.go).
 
-// installMediumFaults installs the plan's loss model and jammer on one
-// medium. In a sharded composition call it once per member medium with the
-// same seed: per-receiver loss state is keyed by the global radio identity
-// and every radio's receptions complete on its home medium, so the
-// decisions are partition-independent.
+// installMediumFaults installs the plan's loss model and jammer on the
+// trial's medium.
 func installMediumFaults(m *phy.Medium, f *fault.Plan, seed int64) {
 	if f == nil {
 		return
@@ -47,12 +41,11 @@ func installMediumFaults(m *phy.Medium, f *fault.Plan, seed int64) {
 
 // scheduleCrashes compiles the plan against the trial's fault-eligible
 // peers — downloaders then protocol-aware intermediates, in world build
-// order, identical across the sequential and sharded paths — and installs
-// each crash/restart event on the victim's home kernel. It returns the
-// compiled schedule and the virtual time after which no fault event
-// remains pending: a trial must not early-exit before that time, because a
-// still-pending crash can undo a completion the exit condition just
-// observed.
+// order — and installs each crash/restart event on the victim's kernel. It
+// returns the compiled schedule and the virtual time after which no fault
+// event remains pending: a trial must not early-exit before that time,
+// because a still-pending crash can undo a completion the exit condition
+// just observed.
 func scheduleCrashes(f *fault.Plan, seed int64, downloaders, intermediates []*core.Peer) (fault.Schedule, time.Duration) {
 	if !f.HasCrashes() {
 		return fault.Schedule{}, 0

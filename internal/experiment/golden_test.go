@@ -31,58 +31,22 @@ func goldenScale() Scale {
 	}
 }
 
-// striped lists the scenarios that honour Scale.Shards — the Fig.-7 DAPES
-// family. Everything else (the baselines, the Fig.-8 worlds, the custom
-// scenarios) always builds the one sequential kernel. assertEngine fails on
-// a scenario on the wrong side of the list, so it cannot rot.
-var striped = map[string]bool{
-	"fig7-dapes": true, "ablation-singlehop": true, "ablation-nopeba": true,
-	"urban-grid": true, "urban-grid-xl": true, "urban-metro": true,
-	"urban-grid-chaos": true, "blackout-recovery": true,
-}
-
-// wantStripes is the stripe count scenario name must build at scale s (0 is
-// the sequential kernel). goldenScale's arenas are all at least five
-// range-wide columns, so the column bound never bites here.
-func wantStripes(name string, s Scale) int {
-	switch {
-	case !striped[name] || s.Engine.Sequential:
-		return 0
-	case name == "urban-metro" && s.Shards == 0:
-		return urbanMetroShards
-	}
-	return s.Shards
-}
-
 // assertEngine requires that a run of scenario name at scale s built at
-// least one world through newWorld, and that every kernel and medium of
-// every world it built reports — itself, through its own accessor — the
-// engine and stripe count s asked for. This is what keeps an equivalence
-// gate from silently comparing production with production.
+// least one world through newWorld, and that the kernel and medium of every
+// world it built report — themselves, through their own accessors — the
+// engine s asked for. This is what keeps an equivalence gate from silently
+// comparing production with production.
 func assertEngine(t *testing.T, name string, s Scale, built []*world) {
 	t.Helper()
 	if len(built) == 0 {
 		t.Fatalf("%s built no world through newWorld: its engine is unobserved", name)
 	}
-	e := s.Engine
-	for _, w := range built {
-		for i, k := range w.kernels {
-			if k.Queue() != e.Queue {
-				t.Errorf("%s: kernel %d runs on queue %d, asked for %d", name, i, k.Queue(), e.Queue)
-			}
-			if idx := w.mediums[i].Config().Index; idx != e.Index {
-				t.Errorf("%s: medium %d uses index %d, asked for %d", name, i, idx, e.Index)
-			}
+	for i, w := range built {
+		if q := w.Queue(); q != s.Engine.Queue {
+			t.Errorf("%s: world %d's kernel runs on queue %d, asked for %d", name, i, q, s.Engine.Queue)
 		}
-		stripes := 0
-		if w.sk != nil {
-			stripes = w.sk.Shards()
-			if o := w.sk.Options(); o.SerialWindows != e.SerialWindows || o.Windowing != e.Windowing {
-				t.Errorf("%s: sharded kernel runs windows %+v, asked for %+v", name, o, e)
-			}
-		}
-		if want := wantStripes(name, s); stripes != want || len(w.kernels) != max(1, want) {
-			t.Errorf("%s: built %d stripes (%d kernels), want %d", name, stripes, len(w.kernels), want)
+		if idx := w.medium.Config().Index; idx != s.Engine.Index {
+			t.Errorf("%s: world %d's medium uses index %d, asked for %d", name, i, idx, s.Engine.Index)
 		}
 	}
 }
@@ -129,6 +93,17 @@ func goldenGate(t *testing.T, refName string, ref Scale, prodName string, prod S
 			}
 		})
 	}
+}
+
+// TestGoldenTraceShardedMatchesSequential holds that Scale.Shards is read
+// by nothing: for every registered scenario, a scale that still asks for
+// four stripes (as BENCHMARK.json's metro-sharded workload does) runs the
+// same trial, byte for byte, as one that asks for none. Every trial runs on
+// the one sequential kernel.
+func TestGoldenTraceShardedMatchesSequential(t *testing.T) {
+	sharded := goldenScale()
+	sharded.Shards = 4
+	goldenGate(t, "sequential", goldenScale(), "shards=4", sharded)
 }
 
 // TestGoldenTraceGridMatchesNaive is the spatial index's acceptance gate:

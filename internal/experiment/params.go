@@ -62,21 +62,14 @@ type Scale struct {
 	// AreaSide overrides the Fig.-7 simulation area edge in meters; 0 keeps
 	// the paper's 300 m square.
 	AreaSide float64
-	// Shards selects space-partitioned parallel execution for the DAPES
-	// trial path: the world is cut into vertical stripes (geo.Stripes),
-	// each running its own sim.Kernel in lookahead windows. 0 defers to the
-	// scenario (most stay sequential; urban-metro defaults to 4); 1 runs
-	// the sharded path with a single shard, which is byte-identical to the
-	// sequential kernel (the golden sharded gate). Values above 1 relax the
-	// global-trace contract as documented in docs/PERFORMANCE.md; values
-	// above the arena's range-wide column count are bounded to it (stripes
-	// are whole columns, so the surplus would own no ground).
+	// Shards is read by nothing: every trial runs on the one sequential
+	// kernel. It stays because existing callers still set it.
 	Shards int
 	// Engine selects the implementations the trial's kernels and mediums
 	// are built from; the zero value is production. Only equivalence tests
 	// and benchmarks set it — to hold a retained reference (heap queue,
-	// naive scan, sequential kernel, serial or lockstep windows) against
-	// production — so no CLI flag or plan key reaches it.
+	// naive scan) against production — so no CLI flag or plan key reaches
+	// it.
 	Engine Engine
 	// Faults is the declarative fault plan (crashes/restarts, bursty loss,
 	// jammer windows) compiled per trial by internal/fault. nil — and any
@@ -162,8 +155,6 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("experiment: Scale.Workers = %d, must be >= 0", s.Workers)
 	case s.AreaSide < 0:
 		return fmt.Errorf("experiment: Scale.AreaSide = %g, must be >= 0", s.AreaSide)
-	case s.Shards < 0:
-		return fmt.Errorf("experiment: Scale.Shards = %d, must be >= 0", s.Shards)
 	}
 	for i, r := range s.Ranges {
 		if r <= 0 {

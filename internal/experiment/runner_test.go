@@ -99,7 +99,6 @@ func TestRunnerRejectsBadInput(t *testing.T) {
 		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = -1 }},
 		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = 0 }},
 		{"Scale.Horizon", func(s *Scale) { s.Horizon = 0 }},
-		{"Scale.Shards", func(s *Scale) { s.Shards = -1 }},
 		{"Scale.Workers", func(s *Scale) { s.Workers = -3 }},
 	} {
 		s := tinyScale()
@@ -134,6 +133,25 @@ func TestTrialSeedDistinctAndStable(t *testing.T) {
 	}
 	if TrialSeed(1, 0) != 1 {
 		t.Fatalf("trial 0 must use the base seed, got %d", TrialSeed(1, 0))
+	}
+}
+
+// TestTrialSeedWraps pins the documented two's-complement contract: a base
+// seed near the int64 boundary derives wrapped — not platform-dependent —
+// trial seeds. The expected value routes through variables because Go
+// rejects constant-folded overflow at compile time.
+func TestTrialSeedWraps(t *testing.T) {
+	t.Parallel()
+	base := int64(math.MaxInt64)
+	want := int64(uint64(base) + uint64(int64(3))*7919)
+	if want >= 0 {
+		t.Fatalf("test setup: expected a wrapped (negative) seed, got %d", want)
+	}
+	if got := TrialSeed(base, 3); got != want {
+		t.Fatalf("TrialSeed(MaxInt64, 3) = %d, want %d", got, want)
+	}
+	if got := TrialSeed(42, 3); got != 42+3*7919 {
+		t.Fatalf("TrialSeed(42, 3) = %d, want %d (in-range derivation must be unchanged)", got, 42+3*7919)
 	}
 }
 

@@ -67,14 +67,13 @@ type peerWorld struct {
 
 // peer attaches a DAPES peer with the given mobility.
 func (w *peerWorld) peer(m geo.Mobility) *core.Peer {
-	k, medium := w.site(m)
-	return core.NewPeer(k, medium, m, nil, nil, w.cfg)
+	return core.NewPeer(w.Kernel, w.medium, m, nil, nil, w.cfg)
 }
 
 func newScenarioWorld(e Engine, seed int64) *peerWorld {
 	return &peerWorld{
 		// Outdoor campus: ~50 m WiFi range per the paper's MacBooks.
-		world: newWorld(seed, phy.Config{Range: 50, LossRate: 0.05}, e, striping{}),
+		world: newWorld(seed, phy.Config{Range: 50, LossRate: 0.05}, e),
 		cfg: core.Config{
 			// Real-world runs used local-neighborhood RPF and interleaved
 			// advertisement fetching (Section VI-B2).
@@ -140,8 +139,7 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 	coll := res.Manifest.Collection
 
 	repoAt := geo.Point{X: 150, Y: 150}
-	k, medium := w.site(geo.Stationary{At: repoAt})
-	rp := repo.New(k, medium, repoAt, nil, nil, w.cfg, coll)
+	rp := repo.New(w.Kernel, w.medium, repoAt, nil, nil, w.cfg, coll)
 	// Producer C visits the repo, then leaves the area.
 	producer := w.peer(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 160, Y: 150}},

@@ -21,7 +21,7 @@ import (
 func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*peerWorld, *core.Peer, ndn.Name, error) {
 	seed := TrialSeed(s.BaseSeed, trial)
 	w := &peerWorld{
-		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine, striping{}),
+		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine),
 		cfg:   PaperDefaults().coreConfig(),
 	}
 	res, err := buildCollection(s, seed)
@@ -214,31 +214,19 @@ func urbanGridXLTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 	return RunDAPESTrial(denseScale(s, 25, areaSide*3), wifiRange, trial, PaperDefaults())
 }
 
-// urbanMetroShards is urban-metro's stripe count when the scale names none.
-const urbanMetroShards = 4
-
-// urbanMetroLookahead is the scenario's relaxed window: ten conservative
-// lookaheads. Cross-stripe deliveries slip by at most one window (~260 µs
-// of virtual time against a multi-minute horizon) in exchange for an order
-// of magnitude fewer barriers.
-func urbanMetroLookahead(cfg phy.Config) time.Duration {
-	return 10 * cfg.ConservativeLookahead()
+// urbanMetroTrial is urban-grid-xl's node mix in a density-preserving
+// area: the 25x mix in an area scaled so nodes per square meter match the
+// paper's Fig.-7 world, which at plan scale (plans/urban-metro.toml)
+// reaches 50k+ nodes.
+func urbanMetroTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	return RunDAPESTrial(urbanMetroScale(s), wifiRange, trial, PaperDefaults())
 }
 
-// urbanMetroTrial is urban-grid-xl's node mix on the partitioned kernel
-// with a density-preserving area: the 25x mix in an area scaled so nodes
-// per square meter match the paper's Fig.-7 world, which at plan scale
-// (plans/urban-metro.toml) reaches 50k+ nodes. It is the one scenario with
-// a stripe count of its own: Scale.Shards when set, else 4.
-func urbanMetroTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+func urbanMetroScale(s Scale) Scale {
 	metro := denseScale(s, 25, 0)
 	if metro.AreaSide <= 0 {
 		total := float64(1 + metro.Stationary + metro.MobileDown + metro.PureForwarders + metro.Intermediates)
 		metro.AreaSide = areaSide * math.Sqrt(total/45)
 	}
-	if metro.Shards == 0 {
-		metro.Shards = urbanMetroShards
-	}
-	la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: metro.LossRate})
-	return runDAPESTrial(metro, wifiRange, trial, PaperDefaults(), la)
+	return metro
 }

@@ -19,11 +19,9 @@ const areaSide = 300.0
 
 // placement is the node motion of one Fig.-7 world: a mobility model for
 // every node slot, in attach order. Protocol stacks are attached by the
-// per-system trial runners, so DAPES and the baselines — and the sequential
-// and the striped engine — ride identical node motion.
+// per-system trial runners, so DAPES and the baselines ride identical node
+// motion.
 type placement struct {
-	// side is the arena edge in meters.
-	side float64
 	// producerMobility carries the initial collection.
 	producerMobility geo.Mobility
 	// stationaryPos are the repository positions.
@@ -69,7 +67,7 @@ func drawPlacement(s Scale, seed int64) placement {
 		})
 	}
 
-	pl := placement{side: side, producerMobility: walk(), stationaryPos: stationary}
+	pl := placement{producerMobility: walk(), stationaryPos: stationary}
 	node += len(stationary)
 	for i := 0; i < s.MobileDown; i++ {
 		pl.downloaderMobility = append(pl.downloaderMobility, walk())
@@ -80,31 +78,12 @@ func drawPlacement(s Scale, seed int64) placement {
 	return pl
 }
 
-// startXs returns every node's t=0 X coordinate in attach order: what the
-// density-balanced stripe cuts are drawn from.
-func (pl *placement) startXs() []float64 {
-	xs := make([]float64, 0, 1+len(pl.stationaryPos)+len(pl.downloaderMobility)+len(pl.forwarderMobility))
-	xs = append(xs, pl.producerMobility.PositionAt(0).X)
-	for _, p := range pl.stationaryPos {
-		xs = append(xs, p.X)
-	}
-	for _, m := range pl.downloaderMobility {
-		xs = append(xs, m.PositionAt(0).X)
-	}
-	for _, m := range pl.forwarderMobility {
-		xs = append(xs, m.PositionAt(0).X)
-	}
-	return xs
-}
-
-// newFig7World draws trial's placement and builds the engine under it:
-// stripes and lookahead as newWorld's striping (0, 0 is the sequential
-// kernel), everything else from the scale.
-func newFig7World(s Scale, wifiRange float64, trial, stripes int, lookahead time.Duration) (*world, placement) {
+// newFig7World draws trial's placement and builds the engine under it from
+// the scale.
+func newFig7World(s Scale, wifiRange float64, trial int) (*world, placement) {
 	seed := TrialSeed(s.BaseSeed, trial)
 	pl := drawPlacement(s, seed)
-	cfg := phy.Config{Range: wifiRange, LossRate: s.LossRate}
-	return newWorld(seed, cfg, s.Engine, striping{n: stripes, lookahead: lookahead, nodes: &pl}), pl
+	return newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine), pl
 }
 
 // buildCollection generates the image-file workload: NumFiles files of

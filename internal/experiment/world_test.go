@@ -10,9 +10,8 @@ import (
 )
 
 // TestGoldenWorldBuildsTheEngineItIsHanded is the constructor's own gate:
-// every Engine field, alone and all together, reaches every kernel and
-// medium newWorld builds — on the sequential kernel, on one stripe and on
-// four — and Sequential overrides any stripe count.
+// every Engine field, alone and together, reaches the kernel and medium
+// newWorld builds, whatever stripe count the scale still names.
 func TestGoldenWorldBuildsTheEngineItIsHanded(t *testing.T) {
 	t.Parallel()
 	engines := []struct {
@@ -22,18 +21,14 @@ func TestGoldenWorldBuildsTheEngineItIsHanded(t *testing.T) {
 		{"production", Engine{}},
 		{"heap", Engine{Queue: sim.QueueHeap}},
 		{"naive", Engine{Index: phy.IndexNaive}},
-		{"sequential", Engine{Sequential: true}},
-		{"serial", Engine{SerialWindows: true}},
-		{"lockstep", Engine{Windowing: sim.WindowLockstep}},
-		{"every-reference", Engine{Queue: sim.QueueHeap, Index: phy.IndexNaive, SerialWindows: true, Windowing: sim.WindowLockstep}},
+		{"every-reference", Engine{Queue: sim.QueueHeap, Index: phy.IndexNaive}},
 	}
 	for _, tc := range engines {
 		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
 				s := goldenScale()
 				s.Shards, s.Engine = shards, tc.e
-				w, _ := newFig7World(s, 60, 0, s.Shards, 0)
-				defer w.Close()
+				w, _ := newFig7World(s, 60, 0)
 				assertEngine(t, "fig7-dapes", s, []*world{w})
 			})
 		}
@@ -59,12 +54,11 @@ func emitJSON(t *testing.T, name string, s Scale, wifiRange float64) (RunResult,
 }
 
 // TestGoldenZeroEngineIsProduction pins what "production" means: the zero
-// Engine is the wheel, the grid, parallel batched windows and the
-// scenario's own stripe count, spelled out or not — one scenario from each
-// family that builds worlds its own way.
+// Engine is the wheel and the grid, spelled out or not — one scenario from
+// each family that builds worlds its own way.
 func TestGoldenZeroEngineIsProduction(t *testing.T) {
 	t.Parallel()
-	explicit := Engine{Queue: sim.QueueWheel, Index: phy.IndexGrid, Windowing: sim.WindowBatched}
+	explicit := Engine{Queue: sim.QueueWheel, Index: phy.IndexGrid}
 	if explicit != (Engine{}) {
 		t.Fatalf("the zero Engine %+v is not the production engine %+v", Engine{}, explicit)
 	}
@@ -79,29 +73,5 @@ func TestGoldenZeroEngineIsProduction(t *testing.T) {
 				t.Errorf("zero engine diverged from the spelled-out production engine:\n%s\n%s", zeroJSON, spelledJSON)
 			}
 		})
-	}
-}
-
-// TestGoldenShardedStripeCountIsBounded: stripes are whole range-wide
-// columns, so asking for more than the arena has is asking for the column
-// count — not for idle kernels the coordinator polls every window, and not
-// for a quadratic handoff table (a six-digit -shards used to be
-// OOM-killed). A 300 m arena at 100 m range has three columns.
-func TestGoldenShardedStripeCountIsBounded(t *testing.T) {
-	t.Parallel()
-	const columns = 3
-	var want []byte
-	for _, shards := range []int{columns, columns + 3, 200_000} {
-		s := goldenScale()
-		s.Shards = shards
-		_, got, built := emitJSON(t, "fig7-dapes", s, 100)
-		if n := built[0].sk.Shards(); n != columns {
-			t.Errorf("%d shards asked: built %d stripes, want the %d columns", shards, n, columns)
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("%d shards diverged from %d:\n%s\n%s", shards, columns, got, want)
-		}
 	}
 }

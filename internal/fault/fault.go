@@ -5,7 +5,7 @@
 // (who crashes, when, for how long, and every loss-chain transition) is
 // drawn from streams of their own (sim.PurposeFault, sim.PurposeChannel),
 // never from a node's, so a schedule is a pure function of (seed, plan) and is
-// identical across -workers and shard counts. An empty (or nil) plan is
+// identical across -workers. An empty (or nil) plan is
 // trace-neutral by construction: no model installed, no event scheduled,
 // no draw made — docs/CONTRACTS.md "Fault determinism" is the contract,
 // internal/experiment's golden gates the proof.
@@ -175,8 +175,7 @@ func (p *Plan) Compile(trialSeed int64, n int) Schedule {
 		crashes = append(crashes, ev)
 	}
 	// Build-order installation: stable regardless of the permutation's
-	// internal order, so both the sequential and the sharded world walk the
-	// same list the same way.
+	// internal order.
 	for i := 1; i < len(crashes); i++ {
 		for j := i; j > 0 && crashes[j-1].Node > crashes[j].Node; j-- {
 			crashes[j-1], crashes[j] = crashes[j], crashes[j-1]

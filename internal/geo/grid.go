@@ -125,20 +125,16 @@ func cellCoord(v float64) int64 {
 	return int64(v)
 }
 
-// CellIndex returns the floored cell index of coordinate v on one axis of
-// a grid with the given cell edge, with the same clamping as Grid's own
-// bucketing. Exported so code that reasons about grid cells from outside —
-// stripe homing (Stripes), the wireless medium's stripe-boundary occupancy
-// columns — shares one definition of "which cell is this" with the index
-// itself.
-func CellIndex(v, cellSize float64) int64 {
+// cellIndex returns the floored, clamped cell index of coordinate v on one
+// axis of a grid with the given cell edge.
+func cellIndex(v, cellSize float64) int64 {
 	return cellCoord(math.Floor(v / cellSize))
 }
 
 func (g *Grid) cellFor(p Point) gridCell {
 	return gridCell{
-		x: CellIndex(p.X, g.cell),
-		y: CellIndex(p.Y, g.cell),
+		x: cellIndex(p.X, g.cell),
+		y: cellIndex(p.Y, g.cell),
 	}
 }
 

@@ -84,6 +84,65 @@ func bruteForce(pts map[int]Point, center Point, r float64) []int {
 	return want
 }
 
+// TestGridFarCoordinatesDoNotAlias is the int32-truncation regression test:
+// the seed cellFor cast math.Floor through int32, so two nodes more than
+// 2³¹ cells apart could land in the same bucket — a query near one would
+// return the other, and worse, a node near the origin could miss a genuine
+// neighbor whose aliased cell fell outside the scanned window. Distant
+// nodes must stay out of each other's query results, and a genuine
+// co-located pair at extreme coordinates must still find each other.
+func TestGridFarCoordinatesDoNotAlias(t *testing.T) {
+	t.Parallel()
+	g := NewGrid(10)
+	// 2³² cells of 10m ≈ 4.3e10 m. Under int32 truncation the far node's
+	// cell index wraps to exactly the origin cell.
+	far := float64(1<<32) * 10
+	g.Insert(0, Point{X: 5, Y: 5})
+	g.Insert(1, Point{X: far + 5, Y: 5})
+	if got := g.QueryRange(Point{X: 5, Y: 5}, 15, nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("query near origin = %v, want [0] (far node aliased into the origin cell)", got)
+	}
+	if got := g.QueryRange(Point{X: far + 5, Y: 5}, 15, nil); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("query near far node = %v, want [1]", got)
+	}
+
+	// A co-located pair out past the old wrap point must still see each
+	// other (superset guarantee holds at extreme coordinates).
+	g.Insert(2, Point{X: -far + 3, Y: -far + 3})
+	g.Insert(3, Point{X: -far + 7, Y: -far + 7})
+	got := g.QueryRange(Point{X: -far + 5, Y: -far + 5}, 15, nil)
+	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("query at far negative coordinates = %v, want [2 3]", got)
+	}
+}
+
+// TestCellCoordClamps pins the conversion contract: coordinates beyond the
+// clamp bound saturate (preserving order against every in-range value)
+// instead of hitting Go's implementation-defined float→int conversion, and
+// NaN maps to a fixed cell.
+func TestCellCoordClamps(t *testing.T) {
+	t.Parallel()
+	const bound = int64(1) << 62
+	cases := []struct {
+		v    float64
+		want int64
+	}{
+		{0, 0},
+		{-1, -1},
+		{1e6, 1_000_000},
+		{math.Inf(1), bound},
+		{math.Inf(-1), -bound},
+		{1e300, bound},
+		{-1e300, -bound},
+		{math.NaN(), 0},
+	}
+	for _, c := range cases {
+		if got := cellCoord(c.v); got != c.want {
+			t.Fatalf("cellCoord(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
 // TestGridQueryMatchesBruteForce is the grid's core property: against random
 // populations, cell sizes, and query discs, QueryRange returns exactly the
 // brute-force set over the stored positions — whatever the bucketing did with

@@ -17,19 +17,12 @@ import (
 
 // LossModel decides whether one reception that already survived the
 // collision check is dropped at the receiving radio. id is the radio's
-// wire-visible identity (globally unique across a sharded composition);
-// coin is that receiver's per-reception loss stream (sim.PurposeReception),
+// identity; coin is that receiver's per-reception loss stream (sim.PurposeReception),
 // the one the i.i.d. reference draws from. Implementations must draw from
 // coin exactly when the decision is probabilistic for the receiver's
 // current state — drawing on a sure outcome (p==0 or p==1) would shift the
 // receiver's later draws and break trace equivalences. Any internal state
 // evolution must come from the model's own streams, never from coin.
-//
-// In a sharded composition each member medium needs its own instance
-// (receiver state is touched by the home shard's goroutine); instances
-// built from the same seed produce the same per-receiver decisions
-// regardless of how radios are partitioned, because state is keyed by the
-// global radio identity.
 type LossModel interface {
 	Drop(id int, coin *sim.Stream) bool
 }
@@ -103,8 +96,7 @@ func (g *GilbertElliott) Drop(id int, coin *sim.Stream) bool {
 // completing inside the disk during [From, Until) is dropped (counted in
 // Stats.Jammed). The check is a pure function of receiver position and
 // virtual time — no RNG draw — so a jammer is trace-neutral outside its
-// window and identical across worker and shard counts. The same (immutable)
-// Jammer value may be shared by every member of a sharded composition.
+// window and identical across worker counts.
 type Jammer struct {
 	Center geo.Point
 	Radius float64
@@ -120,8 +112,7 @@ func (j *Jammer) Blocks(p geo.Point, at time.Duration) bool {
 
 // SetLossModel installs a loss model that replaces the built-in i.i.d.
 // Config.LossRate draw for this medium's receivers. Install before the
-// first broadcast; in a sharded composition install a fresh same-seed
-// instance on every member (Medium(i)).
+// first broadcast.
 func (m *Medium) SetLossModel(l LossModel) { m.loss = l }
 
 // SetJammer installs a regional jammer window checked before the loss

@@ -28,7 +28,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"dapes/internal/geo"
@@ -170,13 +169,9 @@ type transmission struct {
 
 // Radio is one node's attachment to the medium.
 type Radio struct {
-	// id is the radio's wire-visible identity (Frame.From). In a standalone
-	// medium it equals idx; in a sharded composition it comes from a counter
-	// shared across the member mediums so identities stay globally unique.
-	id int
-	// idx is the radio's slot in its own medium — the grid key and the
-	// m.radios index. Never wire-visible.
-	idx      int
+	// id is the radio's identity: its slot in m.radios, its grid key and
+	// what the wire carries (Frame.From).
+	id       int
 	medium   *Medium
 	mobility geo.Mobility
 	handler  Handler
@@ -191,16 +186,9 @@ type Radio struct {
 	// grid index uses it to decide how long a cell assignment stays valid.
 	maxSpeed float64
 
-	// col is the radio's current x-column in the medium's boundary
-	// occupancy histogram (sharded compositions only; valid when hasCol).
-	// It moves in lockstep with the grid bucket, so the published column
-	// mask inherits the grid's drift bound.
-	col    int64
-	hasCol bool
-
 	// coin is the radio's per-reception loss stream (sim.PurposeReception of
 	// its id): whether a frame that reached it is lost depends on no other
-	// radio's receptions, nor on the kernel that hosts it.
+	// radio's receptions.
 	coin sim.Stream
 
 	// inFlight holds receptions that have not yet completed delivery.
@@ -275,51 +263,12 @@ type Medium struct {
 	unboundedGen uint64
 
 	// Scratch buffers and free-lists for the broadcast hot path. Pools are
-	// per medium, never global: the member mediums of a sharded world run in
-	// parallel.
+	// per medium, never global: trials run in parallel.
 	candIDs  []int
 	cand     []*Radio
 	recFree  []*reception
 	txFree   []*transmission
 	sendFree []*sendJob
-
-	// Sharded composition hooks (nil/zero on a standalone medium): shard is
-	// this medium's index, nextID the shared radio-identity counter, and
-	// cross the fan-out that hands broadcasts to sibling shards.
-	shard  int
-	nextID *int
-	cross  crossShard
-
-	// Boundary occupancy (sharded grid-mode members only; colCount nil
-	// otherwise). colCount histograms the radios per x-column (columns one
-	// radio range wide, the same floor arithmetic as the grid via
-	// geo.CellIndex); pub is the immutable snapshot siblings read while
-	// windows execute. The owner mutates the histogram during its own
-	// window; the coordinator republishes at barriers (publishCols), so
-	// readers and the writer never overlap.
-	colCount  map[int64]int
-	colsDirty bool
-	pub       *colMask
-}
-
-// colMask is one medium's published stripe-occupancy snapshot: which
-// x-columns hold its radios, how fresh the underlying grid buckets were
-// (syncedAt), and how fast its radios can move. Immutable once published
-// except for syncedAt tightening at barriers (no shard worker is running
-// then). Readers bound a radio's true x at time t to its column widened by
-// maxSpeed·(t−syncedAt) — the same drift argument syncGrid uses.
-type colMask struct {
-	cols     []int64       // sorted occupied columns
-	syncedAt time.Duration // grid buckets exact at this virtual time
-	maxSpeed float64       // fastest mobile radio; +Inf disables all bounds
-	version  uint64        // bumped per republish; keys sibling gap caches
-}
-
-// crossShard is the hook a sharded composition (ShardedMedium) installs on
-// each member medium: every broadcast is offered to sibling shards, whose
-// own grids decide which of their radios are in range.
-type crossShard interface {
-	handoff(fromShard int, center geo.Point, fromID int, payload []byte, size int, start, end time.Duration)
 }
 
 // NewMedium creates a medium over the given simulation kernel.
@@ -342,13 +291,8 @@ func (m *Medium) Stats() Stats { return m.stats }
 // Attach adds a radio with the given mobility model and returns it.
 func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 	id := len(m.radios)
-	if m.nextID != nil {
-		id = *m.nextID
-		*m.nextID++
-	}
 	r := &Radio{
 		id:       id,
-		idx:      len(m.radios),
 		medium:   m,
 		mobility: mobility,
 		enabled:  true,
@@ -357,9 +301,7 @@ func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 	}
 	m.radios = append(m.radios, r)
 	if m.grid != nil {
-		p := m.positionOf(r)
-		m.grid.Insert(r.idx, p)
-		m.trackCol(r, p)
+		m.grid.Insert(r.id, m.positionOf(r))
 		switch {
 		case r.maxSpeed == 0:
 			// Never moves; its cell assignment is permanent.
@@ -390,18 +332,6 @@ func (c Config) TxDuration(n int) time.Duration {
 	c = c.withDefaults()
 	bits := float64(n+c.HeaderBytes) * 8
 	return time.Duration(bits / c.DataRateBps * float64(time.Second))
-}
-
-// ConservativeLookahead returns the shortest interval between a
-// transmission starting and any of its receptions completing: the air time
-// of an empty payload plus propagation delay. It is the safe lockstep
-// window for space-partitioned execution (sim.ShardedKernel) — a handoff
-// sent when a broadcast starts always merges before any of its deliveries
-// are due, so cross-shard delivery timing is exact. Larger windows are
-// legal but relax timing; see docs/PERFORMANCE.md.
-func (c Config) ConservativeLookahead() time.Duration {
-	c = c.withDefaults()
-	return c.TxDuration(0) + c.PropagationDelay
 }
 
 // clockGen bumps the position-cache generation when the virtual clock has
@@ -441,124 +371,16 @@ func (m *Medium) syncGrid() {
 	gen := m.clockGen()
 	if len(m.unbounded) > 0 && m.unboundedGen != gen {
 		for _, r := range m.unbounded {
-			p := m.positionOf(r)
-			m.grid.Move(r.idx, p)
-			m.trackCol(r, p)
+			m.grid.Move(r.id, m.positionOf(r))
 		}
 		m.unboundedGen = gen
 	}
 	if m.maxSpeed > 0 && m.maxSpeed*(m.posNow-m.lastSync).Seconds() > m.slack {
 		for _, r := range m.mobile {
-			p := m.positionOf(r)
-			m.grid.Move(r.idx, p)
-			m.trackCol(r, p)
+			m.grid.Move(r.id, m.positionOf(r))
 		}
 		m.lastSync = m.posNow
 	}
-}
-
-// enableColTracking turns on the boundary occupancy histogram (sharded
-// grid-mode members only), seeding it from any radios already attached.
-// Under IndexNaive there is no grid — and no drift bookkeeping to inherit
-// — so tracking stays off and siblings simply never cull or batch, which
-// is behavior-neutral because culling and batching are trace-preserving
-// optimizations.
-func (m *Medium) enableColTracking() {
-	if m.grid == nil || m.colCount != nil {
-		return
-	}
-	m.colCount = make(map[int64]int)
-	for _, r := range m.radios {
-		m.trackCol(r, m.positionOf(r))
-	}
-}
-
-// trackCol moves r to the x-column of p in the occupancy histogram. Called
-// exactly where the grid re-buckets, so a column is stale only when the
-// bucket is, and the published mask can reuse the grid's drift bound.
-func (m *Medium) trackCol(r *Radio, p geo.Point) {
-	if m.colCount == nil {
-		return
-	}
-	c := geo.CellIndex(p.X, m.cfg.Range)
-	if r.hasCol {
-		if r.col == c {
-			return
-		}
-		if n := m.colCount[r.col] - 1; n > 0 {
-			m.colCount[r.col] = n
-		} else {
-			delete(m.colCount, r.col)
-		}
-	}
-	r.col, r.hasCol = c, true
-	m.colCount[c]++
-	m.colsDirty = true
-}
-
-// publishCols refreshes the published occupancy snapshot. Barrier-only
-// (the coordinator calls it from the ShardedMedium merge hook): no shard
-// worker is mid-window, so swapping — or tightening syncedAt on — the
-// snapshot cannot race with sibling readers, and the next window's reads
-// are ordered after it by the worker wake-up.
-func (m *Medium) publishCols() {
-	if m.colCount == nil {
-		return
-	}
-	if m.pub != nil && !m.colsDirty {
-		// Columns unchanged but the grid may have re-synced since the last
-		// publish; advancing syncedAt tightens every reader's drift bound.
-		m.pub.syncedAt = m.lastSync
-		return
-	}
-	cols := make([]int64, 0, len(m.colCount))
-	for c := range m.colCount {
-		cols = append(cols, c)
-	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
-	ms := m.maxSpeed
-	if len(m.unbounded) > 0 {
-		ms = math.Inf(1)
-	}
-	var ver uint64 = 1
-	if m.pub != nil {
-		ver = m.pub.version + 1
-	}
-	m.pub = &colMask{cols: cols, syncedAt: m.lastSync, maxSpeed: ms, version: ver}
-	m.colsDirty = false
-}
-
-// maskExcludes reports whether, per this medium's published occupancy
-// mask, no radio of this medium can possibly lie within transmission range
-// of x-coordinate x at time at — the sender-side cull for cross-shard
-// handoffs. Conservative on every axis: columns are widened by the drift
-// bound since the mask's grid sync, extended one full extra column against
-// float boundary cases, and the y-axis is ignored (x-distance is a lower
-// bound on true distance). A false return promises nothing; a true return
-// guarantees candidatesAroundAt at time `at` would find no one, so
-// dropping the handoff is trace-neutral. Readers may run on sibling shard
-// workers mid-window: the snapshot is immutable until the next barrier.
-func (m *Medium) maskExcludes(x float64, at time.Duration) bool {
-	pub := m.pub
-	if pub == nil {
-		return false
-	}
-	if len(pub.cols) == 0 {
-		return true // no radios attached: nothing could ever hear
-	}
-	if math.IsInf(pub.maxSpeed, 1) {
-		return false // unbounded movers: the mask bounds nothing
-	}
-	drift := 0.0
-	if at > pub.syncedAt {
-		drift = pub.maxSpeed * (at - pub.syncedAt).Seconds()
-	}
-	reach := m.cfg.Range + drift
-	cell := m.cfg.Range // grid cell edge == range, by construction
-	lo := geo.CellIndex(x-reach, cell) - 1
-	hi := geo.CellIndex(x+reach, cell) + 1
-	i := sort.Search(len(pub.cols), func(i int) bool { return pub.cols[i] >= lo })
-	return i == len(pub.cols) || pub.cols[i] > hi
 }
 
 // candidatesInRange returns the enabled radios currently within range of
@@ -583,8 +405,8 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	center := m.positionOf(sender)
 	r := m.gridReach(center, m.maxSpeed*(m.posNow-m.lastSync).Seconds())
 	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
-	for _, idx := range m.candIDs {
-		rx := m.radios[idx]
+	for _, id := range m.candIDs {
+		rx := m.radios[id]
 		// Same float expression as InRange, so the grid can never disagree
 		// with the scan on a boundary case.
 		if rx != sender && center.Distance(m.positionOf(rx)) <= m.cfg.Range && rx.enabled {
@@ -606,54 +428,6 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 func (m *Medium) gridReach(center geo.Point, drift float64) float64 {
 	reach := m.cfg.Range + drift
 	return reach + 1e-9*(reach+math.Abs(center.X)+math.Abs(center.Y))
-}
-
-// candidatesAroundAt mirrors candidatesInRange for a transmission
-// originating outside this medium (a cross-shard handoff): every enabled
-// local radio within range of center at virtual time `at` — the
-// transmission start, which is at or before the merge barrier this runs
-// at — in ascending slot order, same scratch ownership. Evaluating
-// receiver positions at the transmission start (rather than at the merge
-// barrier, as before the batched scheduler) matches the local half of
-// BroadcastNotify, makes the candidate set independent of where the
-// barrier happens to fall, and is what the sender-side mask cull promises
-// to be a superset of. Positions at a past timestamp bypass the per-now
-// cache (mobility models are pure functions of time); the grid query is
-// widened by the drift between a stored position and the position at `at`.
-func (m *Medium) candidatesAroundAt(center geo.Point, at time.Duration) []*Radio {
-	m.cand = m.cand[:0]
-	if m.grid == nil {
-		for _, rx := range m.radios {
-			if rx.enabled && center.Distance(rx.mobility.PositionAt(at)) <= m.cfg.Range {
-				m.cand = append(m.cand, rx)
-			}
-		}
-		return m.cand
-	}
-	m.syncGrid()
-	if len(m.unbounded) > 0 {
-		// No finite bound relates a bucket at now to a position at `at`;
-		// fall back to the exact scan.
-		for _, rx := range m.radios {
-			if rx.enabled && center.Distance(rx.mobility.PositionAt(at)) <= m.cfg.Range {
-				m.cand = append(m.cand, rx)
-			}
-		}
-		return m.cand
-	}
-	// Positions were stored between lastSync and now (a radio attached since
-	// the sync stores its own), so none is further in time from `at` than the
-	// farther of those two.
-	apart := max((m.posNow - at).Abs(), (at - m.lastSync).Abs())
-	r := m.gridReach(center, m.maxSpeed*apart.Seconds())
-	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
-	for _, idx := range m.candIDs {
-		rx := m.radios[idx]
-		if center.Distance(rx.mobility.PositionAt(at)) <= m.cfg.Range && rx.enabled {
-			m.cand = append(m.cand, rx)
-		}
-	}
-	return m.cand
 }
 
 // Neighbors returns the IDs of enabled radios currently within range of r
@@ -843,40 +617,6 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 			tx.refs++
 			m.kernel.ScheduleFuncAt(end, tx.fireNotify)
 		}
-	}
-	if m.cross != nil {
-		// Offer the broadcast to sibling shards; each target's own grid
-		// decides which of its radios are in range, so the handoff needs no
-		// boundary geometry and stays correct under arbitrary mobility.
-		// Sender-side collision feedback (notify) observes local receivers
-		// only — a documented relaxation of the global-trace contract.
-		m.cross.handoff(m.shard, m.positionOf(r), r.id, payload, size, start, end)
-	}
-}
-
-// deliverForeign registers a transmission that originated on another shard
-// at every local radio in range of its sender position at the transmission
-// start, mirroring the local receiver half of BroadcastNotify: same
-// in-range rule, same overlap checks, same completion scheduling. It runs
-// on this medium's kernel at the merge barrier — under the conservative
-// lookahead that is always before any completion is due, so delivery
-// timing is exact; under a relaxed window, completions due in the past
-// fire at the merge barrier. The payload bytes are shared read-only across
-// shards (the wire-path immutability contract); the NDN parse memo is NOT
-// shared — each shard decodes once itself, because the memo is written
-// lazily and sibling shards run concurrently.
-func (m *Medium) deliverForeign(center geo.Point, fromID int, payload []byte, size int, start, end time.Duration) {
-	cands := m.candidatesAroundAt(center, start)
-	if len(cands) == 0 {
-		return
-	}
-	frame := Frame{From: fromID, Payload: payload, Size: size}
-	if ndn.LooksLikePacket(payload) {
-		frame.pkt = ndn.NewPacket(payload)
-	}
-	tx := m.newTransmission(frame, nil)
-	for _, rx := range cands {
-		m.receive(rx, tx, start, end)
 	}
 }
 

@@ -274,15 +274,6 @@ func runDriftBoundary(mode IndexMode, mobile bool) (res traceResult, syncs []tim
 		for _, r := range m.Radios() {
 			res.Neighbors = append(res.Neighbors, m.Neighbors(r))
 		}
-		// What a foreign transmission from the origin would reach had it
-		// started now, or a second and a quarter ago (across the last sync).
-		for _, ago := range []time.Duration{0, 1250 * time.Millisecond} {
-			var ids []int
-			for _, rx := range m.candidatesAroundAt(geo.Point{}, k.Now()-ago) {
-				ids = append(ids, rx.ID())
-			}
-			res.Neighbors = append(res.Neighbors, ids)
-		}
 		m.Broadcast(sender, []byte{byte(len(res.Neighbors))})
 		m.Broadcast(m.Radios()[1], []byte{byte(len(res.Neighbors))})
 		syncs = append(syncs, m.lastSync)

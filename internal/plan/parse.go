@@ -144,7 +144,7 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 
 	if sc := d.table(top, "scale"); sc != nil {
 		sm := d.strict(sc, "scale", "files", "packets", "packet_size", "horizon",
-			"stationary", "mobile_down", "pure_forwarders", "intermediates", "loss", "area_side", "shards")
+			"stationary", "mobile_down", "pure_forwarders", "intermediates", "loss", "area_side")
 		b := &p.Base
 		b.NumFiles = d.int(sm, "scale", "files", b.NumFiles)
 		b.PacketsPerFile = d.int(sm, "scale", "packets", b.PacketsPerFile)
@@ -155,7 +155,6 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 		b.Intermediates = d.int(sm, "scale", "intermediates", b.Intermediates)
 		b.LossRate = d.float(sm, "scale", "loss", b.LossRate)
 		b.AreaSide = d.float(sm, "scale", "area_side", b.AreaSide)
-		b.Shards = d.int(sm, "scale", "shards", b.Shards)
 		if s := d.str(sm, "scale", "horizon", ""); s != "" {
 			if dur, err := time.ParseDuration(s); err != nil {
 				d.errf("scale.horizon: %v", err)

@@ -93,6 +93,7 @@ func TestParseRejects(t *testing.T) {
 	}{
 		{"unknown top key", `name = "x"` + "\n" + `scenaro = "fig7-dapes"`, "scenaro"},
 		{"unknown grid key", smokeTOML + "\n[extra]\nx = 1", "extra"},
+		{"shards under scale", `name = "x"` + "\n" + `scenario = "urban-metro"` + "\n\n[scale]\nshards = 4", "scale.shards"},
 		{"unknown scenario", `name = "x"` + "\n" + `scenario = "fig7-dappes"`, "fig7-dapes"},
 		{"missing name", `scenario = "fig7-dapes"`, "name"},
 		{"zero trials", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n" + `trials = 0`, "trials"},

@@ -46,12 +46,6 @@ type Options struct {
 	// Stream, when non-nil, receives one JSON line per cell in cell-index
 	// order as results become available.
 	Stream io.Writer
-	// Shards, when positive, overrides every cell's Scale.Shards: 1 forces
-	// the sequential-equivalent single-stripe kernel, larger values pick the
-	// stripe count for the space-partitioned kernel. Zero keeps each cell's
-	// plan/scenario default. The CI shard-scaling smoke runs the same plan
-	// at Shards 1 and 4 and diffs the aggregate statistics.
-	Shards int
 }
 
 // Result is one completed plan run.
@@ -80,9 +74,6 @@ func Run(p *Plan, opt Options) (*Result, error) {
 		sc, err := experiment.Find(c.Scenario)
 		if err != nil {
 			return err
-		}
-		if opt.Shards > 0 {
-			c.Scale.Shards = opt.Shards
 		}
 		// Trials run serially inside a cell: Cells sets every cell's
 		// Scale.Workers, the Runner's pool size, to zero.

@@ -116,14 +116,13 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 	}
 }
 
-// shardedChurn drives a randomized multi-shard workload — local schedules,
-// per-shard random draws, conservative and relaxed cross-shard handoffs,
-// horizon-bounded runs — and returns the per-shard traces. It is the shared
-// body of the serial==parallel equivalence test and the CI -race churn step
-// (cross-shard state is only ever touched through SendFrom staging, so the
-// race detector proves windows really share nothing). The kernel is built
-// from opts and must report them back: a gate that compares two engines has
-// to know it ran two.
+// shardedChurn drives a randomized multi-shard workload — self-sustaining
+// per-shard chains with per-shard random draws, horizon-bounded runs — and
+// returns the per-shard traces. It is the shared body of the
+// serial==parallel equivalence test and the CI -race step (shards share no
+// state, so the race detector proves windows really run apart). The kernel
+// is built from opts and must report them back: a gate that compares two
+// engines has to know it ran two.
 func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 	t.Helper()
 	const lookahead = 50 * time.Microsecond
@@ -142,10 +141,8 @@ func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 		streams[i] = sk.Shard(i).Stream(i, PurposePeer)
 	}
 
-	// Each shard runs a self-sustaining chain that records (id, now) into its
-	// own trace, draws jitter from its own stream, and hands off to the next
-	// shard — sometimes a full lookahead ahead (conservative: exact timing),
-	// sometimes nearly immediately (relaxed: clamped to the barrier).
+	// Each shard runs chains that record (id, now) into its own trace, draw
+	// jitter from its own stream, and fork into two chains per step.
 	var arm func(shard, depth, id int)
 	arm = func(shard, depth, id int) {
 		k := sk.Shard(shard)
@@ -154,12 +151,7 @@ func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 			if depth == 0 {
 				return
 			}
-			next := (shard + 1) % shards
-			at := k.Now() + lookahead
-			if id%3 == 0 {
-				at = k.Now() + 1 // relaxed: lands inside the window, clamps at merge
-			}
-			sk.SendFrom(shard, next, at, func() { arm(next, depth-1, id+100) })
+			arm(shard, depth-1, id+100)
 			arm(shard, depth-1, id+1)
 		})
 	}
@@ -167,13 +159,13 @@ func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 	for i := 0; i < 8*shards; i++ {
 		arm(rng.Intn(shards), 6, i*10_000)
 	}
-	// Horizon-bounded stretches interleaved with open-ended drains, like the
+	// Horizon-bounded stretches followed by an open-ended drain, like the
 	// collect loops in internal/experiment.
 	if err := sk.Run(200 * time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if !sk.RunUntil(800*time.Microsecond, func() bool { return false }) {
-		// cond never satisfied; the call just drains the stretch
+	if err := sk.Run(800 * time.Microsecond); err != nil {
+		t.Fatal(err)
 	}
 	if err := sk.Run(0); err != nil {
 		t.Fatal(err)
@@ -185,7 +177,7 @@ func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
 // gate at the kernel level: the same churn run with windows executed
 // serially and with one goroutine per busy shard must produce byte-identical
 // per-shard traces. Under -race this doubles as the data-race proof for the
-// staging rows.
+// worker barrier.
 func TestShardedSerialMatchesParallel(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{2, 3, 4, 7} {
@@ -211,43 +203,9 @@ func TestShardedSerialMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestShardedHandoffTiming pins the two delivery regimes: a handoff sent a
-// full lookahead ahead fires at exactly its natural time (conservative), and
-// one sent into the already-executing window clamps to the merge barrier —
-// never earlier, never lost.
-func TestShardedHandoffTiming(t *testing.T) {
-	t.Parallel()
-	const lookahead = 100 * time.Microsecond
-	sk := NewShardedKernel(1, 2, lookahead)
-	var conservativeAt, relaxedAt time.Duration
-
-	sk.Shard(0).ScheduleFunc(10*time.Microsecond, func() {
-		now := sk.Shard(0).Now()
-		sk.SendFrom(0, 1, now+lookahead, func() { conservativeAt = sk.Shard(1).Now() })
-		sk.SendFrom(0, 1, now+time.Microsecond, func() { relaxedAt = sk.Shard(1).Now() })
-	})
-	// Shard 1 needs its own activity so it participates in windows.
-	sk.Shard(1).ScheduleFunc(5*time.Microsecond, func() {})
-
-	if err := sk.Run(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if conservativeAt != 10*time.Microsecond+lookahead {
-		t.Fatalf("conservative handoff fired at %v, want exactly %v", conservativeAt, 10*time.Microsecond+lookahead)
-	}
-	// The relaxed handoff's natural time (11µs) is inside the window that was
-	// already executing when it was sent; it must clamp to the barrier.
-	if relaxedAt < 11*time.Microsecond || relaxedAt > 10*time.Microsecond+lookahead+time.Microsecond {
-		t.Fatalf("relaxed handoff fired at %v, want within (11µs, barrier]", relaxedAt)
-	}
-	if relaxedAt < conservativeAt-lookahead {
-		t.Fatalf("relaxed handoff fired impossibly early: %v", relaxedAt)
-	}
-}
-
 // TestShardedStopAndHorizon pins ShardedKernel's Run surface semantics:
 // horizon advance on clean completion, ErrStopped + stopped clock when a
-// shard stops, and RunUntil satisfaction at a window barrier.
+// shard stops, and events at exactly the horizon.
 func TestShardedStopAndHorizon(t *testing.T) {
 	t.Parallel()
 
@@ -271,18 +229,6 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	}
 	if got := sk.Shard(1).Now(); got != 5*time.Microsecond {
 		t.Fatalf("stopped shard clock = %v, want 5µs", got)
-	}
-
-	// RunUntil observes a cross-shard condition at a barrier.
-	sk = NewShardedKernel(3, 2, 20*time.Microsecond)
-	done := false
-	sk.Shard(0).ScheduleFunc(3*time.Microsecond, func() { done = true })
-	sk.Shard(1).ScheduleFunc(time.Hour, func() {})
-	if !sk.RunUntil(time.Hour, func() bool { return done }) {
-		t.Fatal("RunUntil did not observe the condition")
-	}
-	if sk.Now() >= time.Hour {
-		t.Fatalf("RunUntil drained to the far event; now = %v", sk.Now())
 	}
 
 	// Events at exactly the horizon run (Run's contract is inclusive).

@@ -124,12 +124,12 @@ const (
 
 // Options selects which of the retained reference implementations a kernel
 // is built from. The zero value is the production engine — timer wheel,
-// parallel window execution, oracle-batched windows — and is what NewKernel
-// and NewShardedKernel build. Every choice is fixed at construction and
-// byte-identical to production by contract (the golden suites hold each
-// reference against it), so the value decides speed, never results. There
-// is deliberately no package-level default to flip: a kernel is what its
-// constructor was handed.
+// parallel window execution — and is what NewKernel and NewShardedKernel
+// build. Every choice is fixed at construction and byte-identical to
+// production by contract (the golden suites hold each reference against
+// it), so the value decides speed, never results. There is deliberately no
+// package-level default to flip: a kernel is what its constructor was
+// handed.
 type Options struct {
 	// Queue is the pending-event store of the kernel (of every shard's
 	// kernel, for a ShardedKernel).
@@ -139,8 +139,6 @@ type Options struct {
 	// persistent per-shard workers: the reference parallel execution must
 	// reproduce. A plain Kernel ignores it.
 	SerialWindows bool
-	// Windowing sizes a ShardedKernel's windows. A plain Kernel ignores it.
-	Windowing WindowingMode
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
@@ -184,10 +182,8 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // Stream returns the random stream of one node for one purpose, derived from
 // the trial seed (NewStream). The kernel holds no generator of its own —
-// events tie-break on sequence numbers — and every shard kernel of a
-// ShardedKernel carries the trial's seed, so a node's stream is the same
-// whichever kernel hosts it. Model code keeps the stream by value and draws
-// all its randomness from it.
+// events tie-break on sequence numbers. Model code keeps the stream by value
+// and draws all its randomness from it.
 func (k *Kernel) Stream(node int, purpose Purpose) Stream {
 	return NewStream(k.seed, node, purpose)
 }
@@ -390,8 +386,7 @@ func (k *Kernel) RunUntil(horizon time.Duration, cond func() bool) bool {
 // until, leaving the clock at the last executed event. It is the building
 // block of sharded lockstep execution (see ShardedKernel): all events
 // inside [now, until) run, and the coordinator advances the clock to the
-// barrier afterwards via advanceTo so cross-shard handoffs merged at the
-// barrier can never be scheduled into the shard's past. Returns false if
+// barrier afterwards via advanceTo. Returns false if
 // Stop fired during the window (clock stays at the stop point per the
 // stopped-clock contract on Run).
 func (k *Kernel) runWindow(until time.Duration) bool {
