@@ -35,15 +35,8 @@ func TestPaperFig9aRandomStartBeatsSameStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	means := func(r RunResult) (frames float64, download time.Duration) {
-		for _, tr := range r.Trials {
-			frames += float64(tr.Transmissions) / float64(len(r.Trials))
-			download += tr.AvgDownloadTime / time.Duration(len(r.Trials))
-		}
-		return frames, download
-	}
-	randomFrames, randomTime := means(res.Cells[0][0])
-	sameFrames, sameTime := means(res.Cells[0][1])
+	randomFrames, randomTime := trialMeans(res.Cells[0][0])
+	sameFrames, sameTime := trialMeans(res.Cells[0][1])
 	t.Logf("random start: %.0f frames, %v; same-packet start: %.0f frames, %v", randomFrames, randomTime, sameFrames, sameTime)
 	if randomFrames >= sameFrames {
 		t.Errorf("random start put %.0f frames on the air, same-packet start %.0f: want fewer", randomFrames, sameFrames)
@@ -51,6 +44,16 @@ func TestPaperFig9aRandomStartBeatsSameStart(t *testing.T) {
 	if randomTime >= sameTime {
 		t.Errorf("random start took %v per download, same-packet start %v: want faster", randomTime, sameTime)
 	}
+}
+
+// trialMeans returns a cell's frames and download time, each the mean over
+// its trials.
+func trialMeans(r RunResult) (frames float64, download time.Duration) {
+	for _, tr := range r.Trials {
+		frames += float64(tr.Transmissions) / float64(len(r.Trials))
+		download += tr.AvgDownloadTime / time.Duration(len(r.Trials))
+	}
+	return frames, download
 }
 
 // figure returns the Figures entry with the given figure or panel id.
@@ -68,14 +71,18 @@ func figure(t *testing.T, id string) Figure {
 // TestPaperFig10DAPESBeatsIPBaselines pins the paper's headline, Fig. 10a
 // and 10b: DAPES finishes sooner and on fewer transmissions than Bithoc and
 // than Ekta. Figure 10's own grid, at the quick scale, in every cell of
-// ranges 40 and 80 m x seeds 1-3; measured when written, seed 1 at 80 m:
-// 4.3 / 31.9 / 481 s and 7,070 / 20,051 / 222,395 frames.
+// ranges 40 and 80 m x seeds 1-3, as means over 4 trials per seed: one
+// trial's frame count moves by a fifth with the trace, a DAPES trial at 40 m
+// can land above a Bithoc one, and the means keep a margin of at least 15%.
+// Measured when written, seed 1 at 40 m, the narrowest frame margin: 52.9 /
+// 94.3 / 1,798 s and 15,438 / 18,218 / 238,248 frames.
 func TestPaperFig10DAPESBeatsIPBaselines(t *testing.T) {
 	if testing.Short() {
-		t.Skip("18 quick-scale runs")
+		t.Skip("72 quick-scale trials")
 	}
 	t.Parallel()
 	s := QuickScale()
+	s.Trials = 4
 	for seed := int64(1); seed <= 3; seed++ {
 		s.BaseSeed = seed
 		res, err := figure(t, "10").Run(s)
@@ -83,16 +90,17 @@ func TestPaperFig10DAPESBeatsIPBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, r := range res.Ranges {
-			dapes := res.Cells[i][0]
+			dapesFrames, dapesTime := trialMeans(res.Cells[i][0])
 			for j, base := range res.Cells[i][1:] {
 				name := res.Labels[1+j]
+				baseFrames, baseTime := trialMeans(base)
 				t.Logf("seed %d, %.0f m: DAPES %v on %.0f frames, %s %v on %.0f", seed, r,
-					dapes.DownloadTime90, dapes.Transmissions90, name, base.DownloadTime90, base.Transmissions90)
-				if dapes.DownloadTime90 >= base.DownloadTime90 {
-					t.Errorf("seed %d, %.0f m: DAPES took %v, %s %v: want faster", seed, r, dapes.DownloadTime90, name, base.DownloadTime90)
+					dapesTime, dapesFrames, name, baseTime, baseFrames)
+				if dapesTime >= baseTime {
+					t.Errorf("seed %d, %.0f m: DAPES took %v, %s %v: want faster", seed, r, dapesTime, name, baseTime)
 				}
-				if dapes.Transmissions90 >= base.Transmissions90 {
-					t.Errorf("seed %d, %.0f m: DAPES put %.0f frames on the air, %s %.0f: want fewer", seed, r, dapes.Transmissions90, name, base.Transmissions90)
+				if dapesFrames >= baseFrames {
+					t.Errorf("seed %d, %.0f m: DAPES put %.0f frames on the air, %s %.0f: want fewer", seed, r, dapesFrames, name, baseFrames)
 				}
 			}
 		}
