@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden golden-race examples plan chaos-smoke
+.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden examples plan chaos-smoke
 
 all: build lint test
 
@@ -100,19 +100,14 @@ chaos-smoke:
 # what it holds equal (…Matches<Reference>, …TraceNeutral, …Determinis*,
 # …NotAllocate). That is grid==naive and wheel==heap byte-identical for every
 # registered scenario — each arm asserting which engine it built — plus the
-# kernel-, medium- and trial-level halves of the same properties, the
-# kernel's serial==parallel window gate and the 0 allocs/op pins. A new
+# kernel-, medium- and trial-level halves of the same properties and the
+# 0 allocs/op pins. A new
 # gate joins by being named like one, in ./internal/... or ./cmd/...
 # (dapes-bench's TestGoldenQuickFigures pins every figure panel
 # at quick scale against a committed testdata/quick.json).
 GOLDEN = ^TestGolden|Matches|TraceNeutral|Determinis|NotAllocate
 golden:
 	$(GO) test -run '$(GOLDEN)' -count=1 ./internal/... ./cmd/...
-
-# The sharded kernel's worker tests under the race detector: parallel
-# windows may share nothing, and a window race should fail loudly as itself.
-golden-race:
-	$(GO) test -race -run '^TestSharded' -count=1 ./internal/sim
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

@@ -286,7 +286,7 @@ func (p *Peer) sendDiscoveryInterest() {
 	p.medium.Broadcast(p.radio, in.Encode())
 }
 
-// sweepTick expires stale neighbors and prunes bookkeeping maps.
+// sweepTick expires stale neighbors.
 func (p *Peer) sweepTick() {
 	if !p.running {
 		return
@@ -304,7 +304,6 @@ func (p *Peer) sweepTick() {
 			}
 		}
 	}
-	p.relay.Sweep(now)
 	p.sweepT.Reset(p.cfg.NeighborTTL / 2)
 }
 

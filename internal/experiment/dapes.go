@@ -50,7 +50,7 @@ func (o DAPESOptions) coreConfig() core.Config {
 // RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
 // metrics.
 func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	w, err := buildDAPES(s, wifiRange, trial, opts, 0)
+	w, err := buildDAPES(s, wifiRange, trial, opts)
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -58,9 +58,8 @@ func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (Tr
 }
 
 // buildDAPES builds and starts one trial's world on the engine the scale
-// names. The trailing argument is ignored; the pinned golden tests still
-// pass it.
-func buildDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions, _ time.Duration) (*dapesWorld, error) {
+// names.
+func buildDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions) (*dapesWorld, error) {
 	eng, pl := newFig7World(s, wifiRange, trial)
 	installMediumFaults(eng.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
 	w := &dapesWorld{world: eng}
@@ -140,10 +139,6 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) 
 	w.sched, w.faultsUntil = scheduleCrashes(s.Faults, TrialSeed(s.BaseSeed, trial), w.downloaders, w.intermediates)
 	return nil
 }
-
-// Close is a no-op: a world holds no goroutines or other resources. The
-// pinned golden tests still call it.
-func (w *dapesWorld) Close() {}
 
 // run drives the world until every downloader holds the collection (or the
 // horizon passes) and returns the trial's metrics.

@@ -33,7 +33,6 @@ type dapesGolden struct {
 
 func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 	t.Helper()
-	defer w.Close()
 	res := w.run()
 	st := w.Stats()
 	g := dapesGolden{
@@ -122,7 +121,7 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("%s/range%v/trial%d", c.name, c.wifiRange, c.trial), func(t *testing.T) {
 			t.Parallel()
-			w, err := buildDAPES(c.scale, c.wifiRange, c.trial, c.opts, 0)
+			w, err := buildDAPES(c.scale, c.wifiRange, c.trial, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,17 +61,15 @@ type Stats struct {
 
 // PureForwarder is an NDN-only node on the broadcast medium.
 type PureForwarder struct {
-	cfg    Config
-	cs     *nfd.ContentStore
-	relay  Relay // also the node's kernel, radio and running state
-	stats  Stats
-	sweepT *sim.Timer
+	cfg   Config
+	cs    *nfd.ContentStore
+	relay Relay // also the node's kernel, radio and running state
+	stats Stats
 }
 
 // NewPureForwarder attaches a pure forwarder to the medium.
 func NewPureForwarder(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) *PureForwarder {
 	f := &PureForwarder{cfg: cfg.withDefaults()}
-	f.sweepT = k.NewTimer(f.sweep)
 	// The store shares the kernel clock so NDN freshness works here too: a
 	// MustBeFresh Interest is never answered from a cache entry whose
 	// FreshnessPeriod has lapsed (DAPES traffic never sets MustBeFresh, so
@@ -93,29 +91,13 @@ func (f *PureForwarder) Stats() Stats { return f.stats }
 // CsLen returns the number of cached packets.
 func (f *PureForwarder) CsLen() int { return f.cs.Len() }
 
-// Start activates the node.
-func (f *PureForwarder) Start() {
-	if f.relay.running {
-		return
-	}
-	f.relay.Start()
-	f.sweepT.Reset(f.cfg.SuppressTTL)
-}
+// Start activates the node. It arms nothing: an idle forwarder leaves the
+// kernel empty.
+func (f *PureForwarder) Start() { f.relay.Start() }
 
-// Stop deactivates the node: housekeeping and pending cache replies are
-// cancelled, and forwards already queued for their slot fire as no-ops.
-func (f *PureForwarder) Stop() {
-	f.relay.Stop()
-	f.sweepT.Stop()
-}
-
-func (f *PureForwarder) sweep() {
-	if !f.relay.running {
-		return
-	}
-	f.relay.Sweep(f.relay.k.Now())
-	f.sweepT.Reset(f.cfg.SuppressTTL)
-}
+// Stop deactivates the node: pending cache replies are cancelled, and
+// forwards already queued for their slot fire as no-ops.
+func (f *PureForwarder) Stop() { f.relay.Stop() }
 
 func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {
 	f.stats.InterestsHeard++

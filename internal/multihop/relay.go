@@ -10,8 +10,8 @@ import (
 )
 
 const (
-	dupWindow      = 2 * time.Second // a nonce re-heard within it is a duplicate or a loop
-	nonceRetention = 4 * time.Second // what Sweep keeps of the nonce table
+	dupWindow    = 2 * time.Second // a nonce re-heard within it is a duplicate or a loop
+	compactFloor = 32              // table entries a relay holds before it first compacts
 )
 
 // Counters are one node's forwarding counters; both node kinds' Stats embed
@@ -47,8 +47,9 @@ func (c Counters) Accuracy() float64 {
 // received packet's wire. Which of its questions a node asks, in which order
 // and with what in between (Content Store, local serving, the coin or the
 // availability speculation) is the owner's and is part of the trace — it is
-// the order of the RNG draws — as is how often the owner calls Sweep: an
-// unswept, unanswered record still relays late Data.
+// the order of the RNG draws. Every answer the tables give is a function of
+// an entry's time and now: an entry past its window is absent whether or not
+// it has been reclaimed yet.
 type Relay struct {
 	k      *sim.Kernel
 	medium *phy.Medium
@@ -60,6 +61,7 @@ type Relay struct {
 
 	running    bool
 	prefixes   int32 // CanBePrefix records in forwarded (shares running's word: 50k nodes hold one of these)
+	compactAt  int32 // table entries at which the next insertion compacts
 	nonces     map[uint32]time.Duration
 	forwarded  map[string]*forwardRecord // by Interest name URI
 	suppressed map[string]time.Duration  // by Interest name URI, until when
@@ -92,6 +94,7 @@ func arm(v any) {
 	rec := v.(*forwardRecord)
 	if !rec.answered {
 		rec.r.suppressed[rec.key] = rec.r.k.Now() + rec.r.ttl
+		rec.r.inserted()
 	}
 }
 
@@ -124,6 +127,7 @@ func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, window, ttl t
 	return Relay{
 		k: k, medium: medium, radio: radio, window: window, ttl: ttl, c: c,
 		rng:        k.Stream(radio.ID(), sim.PurposeRelay),
+		compactAt:  compactFloor,
 		nonces:     make(map[uint32]time.Duration),
 		forwarded:  make(map[string]*forwardRecord),
 		suppressed: make(map[string]time.Duration),
@@ -143,6 +147,7 @@ func (r *Relay) Deliver(fr phy.Frame, onInterest func(from int, in *ndn.Interest
 	if in := pkt.Interest(); in != nil {
 		if !r.Heard(in.Nonce) {
 			r.nonces[in.Nonce] = r.k.Now()
+			r.inserted()
 			onInterest(fr.From, in)
 		}
 	} else if d := pkt.Data(); d != nil {
@@ -170,41 +175,51 @@ func (r *Relay) Reset() {
 	clear(r.nonces)
 	clear(r.forwarded)
 	clear(r.suppressed)
-	r.prefixes = 0
+	r.prefixes, r.compactAt = 0, compactFloor
 }
 
-// Sweep prunes lapsed suppression timers, forward records older than twice
-// the suppression timer, and nonces past their retention. Most relays most
-// of the time hold nothing (a metro world ticks ~48k idle pure forwarders
-// every SuppressTTL), and starting a map iteration costs more than finding
-// the map empty.
-func (r *Relay) Sweep(now time.Duration) {
-	if len(r.suppressed) > 0 {
-		for key, until := range r.suppressed {
-			if now > until {
-				delete(r.suppressed, key)
-			}
-		}
+// inserted follows every table insertion: once the tables together hold
+// twice what survived the last compaction, the lapsed entries go. The cost
+// is amortised over the insertions that doubled them, and a relay holding
+// fewer than compactFloor entries never iterates a table.
+func (r *Relay) inserted() {
+	if len(r.nonces)+len(r.forwarded)+len(r.suppressed) < int(r.compactAt) {
+		return
 	}
-	if len(r.forwarded) > 0 {
-		for _, rec := range r.forwarded {
-			if now-rec.at > 2*r.ttl {
-				r.drop(rec)
-			}
-		}
-	}
-	if len(r.nonces) > 0 {
-		for nonce, at := range r.nonces {
-			if now-at > nonceRetention {
-				delete(r.nonces, nonce)
-			}
-		}
-	}
+	forwarded, suppressed, nonces := r.count(true)
+	r.compactAt = int32(max(compactFloor, 2*(forwarded+suppressed+nonces)))
 }
 
-// TableSizes returns the table entry counts, for state-footprint estimates.
-func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) {
-	return len(r.forwarded), len(r.suppressed), len(r.nonces)
+// TableSizes returns the live table entry counts, for state-footprint
+// estimates: what the tables would hold had every lapsed entry just gone.
+func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) { return r.count(false) }
+
+// count walks the tables and returns how many of their entries are live;
+// with reclaim it deletes the others.
+func (r *Relay) count(reclaim bool) (forwarded, suppressed, nonces int) {
+	now := r.k.Now()
+	for nonce, at := range r.nonces {
+		if now-at < dupWindow {
+			nonces++
+		} else if reclaim {
+			delete(r.nonces, nonce)
+		}
+	}
+	for _, rec := range r.forwarded {
+		if r.fresh(rec) {
+			forwarded++
+		} else if reclaim {
+			r.drop(rec)
+		}
+	}
+	for key, until := range r.suppressed {
+		if now < until {
+			suppressed++
+		} else if reclaim {
+			delete(r.suppressed, key)
+		}
+	}
+	return forwarded, suppressed, nonces
 }
 
 // NewNonce draws a nonce for an Interest the node originates and records it:
@@ -212,6 +227,7 @@ func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) {
 func (r *Relay) NewNonce() uint32 {
 	n := uint32(r.rng.Uint64())
 	r.nonces[n] = r.k.Now()
+	r.inserted()
 	return n
 }
 
@@ -258,8 +274,16 @@ func (r *Relay) Forward(in *ndn.Interest) {
 	}
 	rec.r, rec.key, rec.at = r, key, r.k.Now()
 	r.forwarded[key] = rec
+	r.inserted()
 	r.rebroadcast(in.Encode(), &r.c.InterestsForwarded)
 	r.k.ScheduleCall(r.ttl, arm, rec)
+}
+
+// fresh reports whether a forward record still answers Data: for twice the
+// suppression timer after the forward, the in-flight window and the
+// suppression it may arm.
+func (r *Relay) fresh(rec *forwardRecord) bool {
+	return r.k.Now()-rec.at <= 2*r.ttl
 }
 
 func (r *Relay) drop(rec *forwardRecord) {
@@ -300,10 +324,11 @@ func (r *Relay) RelayData(d *ndn.Data) {
 // so the walk goes from the full key to the root, one lookup per component:
 // the choice never depends on map order, and two records cannot tie because
 // equal-length prefixes of one name share a key. The walk is skipped while
-// the table holds no CanBePrefix record.
+// the table holds no CanBePrefix record. A record past its lifetime is
+// passed over as if it were gone.
 func (r *Relay) match(d *ndn.Data) *forwardRecord {
 	key := d.NameKey()
-	if rec, ok := r.forwarded[key]; ok {
+	if rec, ok := r.forwarded[key]; ok && r.fresh(rec) {
 		return rec
 	}
 	if r.prefixes == 0 {
@@ -316,7 +341,7 @@ func (r *Relay) match(d *ndn.Data) *forwardRecord {
 		}
 		// IsPrefixOf guards the one case where URIs overstate a match: a
 		// component that itself contains '/'.
-		if rec, ok := r.forwarded[key]; ok && rec.prefix != nil && rec.prefix.name.IsPrefixOf(d.Name) {
+		if rec, ok := r.forwarded[key]; ok && rec.prefix != nil && r.fresh(rec) && rec.prefix.name.IsPrefixOf(d.Name) {
 			return rec
 		}
 	}

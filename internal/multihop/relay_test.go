@@ -29,6 +29,12 @@ func newRelayRig(seed int64) *relayRig {
 	return rig
 }
 
+// compact makes the relay's next insertion check compact its tables now.
+func compact(r *Relay) {
+	r.compactAt = 0
+	r.inserted()
+}
+
 func signedData(uri string) *ndn.Data {
 	d := &ndn.Data{Name: ndn.ParseName(uri)}
 	d.SignDigest()
@@ -100,9 +106,86 @@ func TestRelayDataOncePerName(t *testing.T) {
 	}
 }
 
+// TestRelayRecordLivesTwiceTheSuppressTTL: a forward record relays Data up to
+// and including 2·SuppressTTL after the forward and not a nanosecond later,
+// exact and CanBePrefix alike, whether or not a compaction reclaimed it in
+// between. A lapsed exact record falls through to a live prefix record.
+func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
+	t.Parallel()
+	const t0 = time.Second
+	for _, compacted := range []bool{false, true} {
+		for _, age := range []time.Duration{2 * testTTL, 2*testTTL + 1} {
+			rig := newRelayRig(6)
+			k, r := rig.k, &rig.r
+			k.ScheduleAt(t0, func() {
+				r.Forward(&ndn.Interest{Name: ndn.ParseName("/a/0"), Nonce: 1})
+				r.Forward(&ndn.Interest{Name: ndn.ParseName("/b"), CanBePrefix: true, Nonce: 2})
+			})
+			k.ScheduleAt(t0+age, func() {
+				if compacted {
+					compact(r)
+				}
+				r.RelayData(signedData("/a/0"))
+				r.RelayData(signedData("/b/1"))
+			})
+			k.Run(t0 + 3*testTTL)
+			want := uint64(0)
+			if age == 2*testTTL {
+				want = 2
+			}
+			if rig.c.DataForwarded != want {
+				t.Errorf("compacted %v, Data %v after the forward: %d relayed, want %d", compacted, age, rig.c.DataForwarded, want)
+			}
+		}
+	}
+
+	rig := newRelayRig(7)
+	k, r := rig.k, &rig.r
+	k.ScheduleAt(t0, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a/0"), Nonce: 1}) })
+	k.ScheduleAt(t0+testTTL, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a"), CanBePrefix: true, Nonce: 2}) })
+	k.ScheduleAt(t0+2*testTTL+1, func() { r.RelayData(signedData("/a/0")) })
+	k.Run(t0 + 4*testTTL)
+	if !r.forwarded["/a"].answered || r.forwarded["/a/0"].answered {
+		t.Errorf("Data past the exact record's lifetime answered /a %v, /a/0 %v; want the prefix record only",
+			r.forwarded["/a"].answered, r.forwarded["/a/0"].answered)
+	}
+}
+
+// TestRelayTablesBoundedOverLongRun: with no housekeeping call, 10k
+// unanswered forwards and 10k drawn nonces over 1,000 s keep the tables at or
+// below twice the live set plus the compaction floor — compaction on
+// insertion reclaims what lapsed — while TableSizes counts only what is live.
+func TestRelayTablesBoundedOverLongRun(t *testing.T) {
+	t.Parallel()
+	rig := newRelayRig(8)
+	k, r := rig.k, &rig.r
+	const n = 10000
+	maxHeld, maxLive := 0, 0
+	for i := 0; i < n; i++ {
+		k.ScheduleAt(time.Duration(i)*100*time.Millisecond, func() {
+			r.Forward(&ndn.Interest{Name: ndn.ParseName("/never").AppendSeq(i), Nonce: r.NewNonce()})
+			forwarded, suppressed, nonces := r.TableSizes()
+			maxLive = max(maxLive, forwarded+suppressed+nonces)
+			maxHeld = max(maxHeld, len(r.forwarded)+len(r.suppressed)+len(r.nonces))
+		})
+	}
+	k.Run(1000*time.Second + 2*testTTL)
+	if rig.c.InterestsForwarded != n {
+		t.Fatalf("%d Interests forwarded, want %d", rig.c.InterestsForwarded, n)
+	}
+	// 10 forwards a second: 40 live records, 20 live nonces, 20 suppressed names.
+	if maxLive == 0 || maxLive > 100 {
+		t.Fatalf("live set peaked at %d entries, want about 80", maxLive)
+	}
+	if maxHeld > 2*maxLive+compactFloor {
+		t.Errorf("tables peaked at %d entries, want <= 2 x %d live + %d", maxHeld, maxLive, compactFloor)
+	}
+}
+
 // TestRelayPrefixCountGatesTheWalk: the count of CanBePrefix records follows
-// insert, overwrite, sweep and Reset, and at zero a Data miss stops at the
-// exact lookup — shown by planting a prefix record behind the count's back.
+// insert, overwrite, compaction and Reset, and at zero a Data miss stops at
+// the exact lookup — shown by planting a prefix record behind the count's
+// back.
 func TestRelayPrefixCountGatesTheWalk(t *testing.T) {
 	rig := newRelayRig(3)
 	k, r := rig.k, &rig.r
@@ -123,10 +206,11 @@ func TestRelayPrefixCountGatesTheWalk(t *testing.T) {
 	step("second insert", 2)
 	r.Forward(exact)
 	step("overwrite by an exact record", 1)
-	r.Sweep(k.Now() + 2*testTTL + 1)
-	step("sweep", 0)
-	if forwarded, _, _ := r.TableSizes(); forwarded != 0 {
-		t.Fatalf("%d records survive the sweep", forwarded)
+	k.Run(k.Now() + 2*testTTL + 1)
+	compact(r)
+	step("compaction", 0)
+	if len(r.forwarded) != 0 {
+		t.Fatalf("%d records survive the compaction", len(r.forwarded))
 	}
 	r.Forward(prefix)
 	r.Reset()
@@ -235,10 +319,10 @@ func TestPureForwarderStopSilences(t *testing.T) {
 		}
 		armed := k.Pending()
 		f.Stop()
-		// The sweep timer and the reply are cancelled on the spot; the two
-		// jittered forwards and their two suppression armings stay queued.
-		if got := k.Pending(); got != armed-2 || got != 4 {
-			t.Errorf("Stop took kernel events %d -> %d, want %d -> 4", armed, got, 6)
+		// The reply is cancelled on the spot; the two jittered forwards and
+		// their two suppression armings stay queued.
+		if got := k.Pending(); got != armed-1 || got != 4 {
+			t.Errorf("Stop took kernel events %d -> %d, want 5 -> 4", armed, got)
 		}
 		stoppedAt = medium.Stats().Transmissions
 	})
@@ -251,5 +335,17 @@ func TestPureForwarderStopSilences(t *testing.T) {
 	}
 	if st := f.Stats(); st.CsReplies != 0 || st.InterestsForwarded != 0 {
 		t.Errorf("a stopped forwarder counted sends: %+v", st)
+	}
+}
+
+// TestIdlePureForwarderArmsNothing: a started forwarder that hears nothing
+// holds no event in the kernel — its tables need no timer to expire.
+func TestIdlePureForwarderArmsNothing(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(9)
+	f := NewPureForwarder(k, phy.NewMedium(k, phy.Config{Range: 50}), geo.Stationary{}, Config{})
+	f.Start()
+	if got := k.Pending(); got != 0 {
+		t.Errorf("an idle started forwarder left %d events pending", got)
 	}
 }

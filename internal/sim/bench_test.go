@@ -62,41 +62,23 @@ func BenchmarkKernelFire(b *testing.B) {
 // BenchmarkShardBarrier prices the sharded window barrier. The workload is
 // barrier-dominated by construction: four shards each run one
 // self-rescheduling tick per lookahead window, so an op is one window whose
-// body is four trivial events and whose cost is almost entirely
-// synchronization. `serial` runs the busy shards on the coordinator (the
-// floor: no synchronization at all) and `workers` is the persistent-worker
-// epoch barrier; sim.shard_window_ns in BENCHMARK.json times the same
-// window. (The goroutine-per-window scheduler the workers replaced is
-// priced in docs/PERFORMANCE.md.)
+// body is four trivial events; sim.shard_window_ns in BENCHMARK.json times
+// the same window.
 func BenchmarkShardBarrier(b *testing.B) {
 	const shards = 4
 	const tick = time.Microsecond
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"serial", Options{SerialWindows: true}},
-		{"workers", Options{}},
+	sk := NewShardedKernel(1, shards, tick)
+	defer sk.Close()
+	for i := 0; i < shards; i++ {
+		k := sk.Shard(i)
+		var step func()
+		step = func() { k.ScheduleFunc(tick, step) }
+		k.ScheduleFuncAt(0, step)
 	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			sk := mode.opts.NewShardedKernel(1, shards, tick)
-			defer sk.Close()
-			// adaptive off: the product scheduler would run these near-empty
-			// windows inline, which is exactly what this bench exists to price.
-			sk.adaptive = false
-			for i := 0; i < shards; i++ {
-				k := sk.Shard(i)
-				var step func()
-				step = func() { k.ScheduleFunc(tick, step) }
-				k.ScheduleFuncAt(0, step)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := sk.Run(time.Duration(b.N) * tick); err != nil {
-				b.Fatal(err)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := sk.Run(time.Duration(b.N) * tick); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -116,93 +115,6 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 	}
 }
 
-// shardedChurn drives a randomized multi-shard workload — self-sustaining
-// per-shard chains with per-shard random draws, horizon-bounded runs — and
-// returns the per-shard traces. It is the shared body of the
-// serial==parallel equivalence test and the CI -race step (shards share no
-// state, so the race detector proves windows really run apart). The kernel
-// is built from opts and must report them back: a gate that compares two
-// engines has to know it ran two.
-func shardedChurn(t *testing.T, shards int, opts Options) [][]int64 {
-	t.Helper()
-	const lookahead = 50 * time.Microsecond
-	sk := opts.NewShardedKernel(9001, shards, lookahead)
-	defer sk.Close()
-	if sk.Options() != opts || sk.Shard(shards-1).Queue() != opts.Queue {
-		t.Fatalf("built %+v on queue %d, asked for %+v", sk.Options(), sk.Shard(shards-1).Queue(), opts)
-	}
-	// Force every parallel window through the worker barrier: the adaptive
-	// scheduler would run this light workload inline, leaving the
-	// serial-vs-parallel comparison vacuous.
-	sk.adaptive = false
-	traces := make([][]int64, shards)
-	streams := make([]Stream, shards) // one per shard: windows share nothing
-	for i := range streams {
-		streams[i] = sk.Shard(i).Stream(i, PurposePeer)
-	}
-
-	// Each shard runs chains that record (id, now) into its own trace, draw
-	// jitter from its own stream, and fork into two chains per step.
-	var arm func(shard, depth, id int)
-	arm = func(shard, depth, id int) {
-		k := sk.Shard(shard)
-		k.ScheduleFunc(streams[shard].Jitter(30*time.Microsecond), func() {
-			traces[shard] = append(traces[shard], int64(id)<<32|int64(k.Now()))
-			if depth == 0 {
-				return
-			}
-			arm(shard, depth-1, id+100)
-			arm(shard, depth-1, id+1)
-		})
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 8*shards; i++ {
-		arm(rng.Intn(shards), 6, i*10_000)
-	}
-	// Horizon-bounded stretches followed by an open-ended drain, like the
-	// collect loops in internal/experiment.
-	if err := sk.Run(200 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := sk.Run(800 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := sk.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	return traces
-}
-
-// TestShardedSerialMatchesParallel is the sharded-execution equivalence
-// gate at the kernel level: the same churn run with windows executed
-// serially and with one goroutine per busy shard must produce byte-identical
-// per-shard traces. Under -race this doubles as the data-race proof for the
-// worker barrier.
-func TestShardedSerialMatchesParallel(t *testing.T) {
-	t.Parallel()
-	for _, shards := range []int{2, 3, 4, 7} {
-		serial := shardedChurn(t, shards, Options{SerialWindows: true})
-		par := shardedChurn(t, shards, Options{})
-		total := 0
-		for s := 0; s < shards; s++ {
-			if len(serial[s]) != len(par[s]) {
-				t.Fatalf("%d shards: shard %d trace lengths diverged: serial %d, parallel %d",
-					shards, s, len(serial[s]), len(par[s]))
-			}
-			for i := range serial[s] {
-				if serial[s][i] != par[s][i] {
-					t.Fatalf("%d shards: shard %d diverged at %d: serial %x, parallel %x",
-						shards, s, i, serial[s][i], par[s][i])
-				}
-			}
-			total += len(serial[s])
-		}
-		if total == 0 {
-			t.Fatalf("%d shards: churn fired no events; property is vacuous", shards)
-		}
-	}
-}
-
 // TestShardedStopAndHorizon pins ShardedKernel's Run surface semantics:
 // horizon advance on clean completion, ErrStopped + stopped clock when a
 // shard stops, and events at exactly the horizon.
@@ -215,7 +127,7 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	if err := sk.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < sk.Shards(); i++ {
+	for i := range sk.shards {
 		if got := sk.Shard(i).Now(); got != time.Second {
 			t.Fatalf("shard %d clock = %v after clean run, want 1s", i, got)
 		}
@@ -240,5 +152,56 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	}
 	if !atHorizon {
 		t.Fatal("event at exactly the horizon did not run")
+	}
+}
+
+// TestShardedCloseLifecycle: Close is idempotent, and Run after Close fails
+// descriptively instead of running.
+func TestShardedCloseLifecycle(t *testing.T) {
+	t.Parallel()
+	sk := NewShardedKernel(7, 4, 20*time.Microsecond)
+	ran := false
+	sk.Shard(2).ScheduleFunc(5*time.Microsecond, func() { ran = true })
+	sk.Close()
+	sk.Close()
+	if err := sk.Run(time.Second); err != ErrClosed {
+		t.Fatalf("Run after Close = %v, want ErrClosed", err)
+	}
+	if ran {
+		t.Fatal("a closed kernel ran an event")
+	}
+}
+
+// TestShardedStoppedClockMultiShard pins the S>1 stopped-clock contract:
+// when several shards stop inside the same window their clocks disagree at
+// the abort, and Now must report the earliest stop point — the first abort
+// in virtual time — not the furthest-ahead shard. A later clean run clears
+// the stopped clock. (PR 7 fixed this only for the S==1 delegation path.)
+func TestShardedStoppedClockMultiShard(t *testing.T) {
+	t.Parallel()
+	sk := NewShardedKernel(5, 3, 50*time.Microsecond)
+	defer sk.Close()
+	sk.Shard(0).ScheduleFunc(30*time.Microsecond, func() { sk.Shard(0).Stop() })
+	sk.Shard(1).ScheduleFunc(10*time.Microsecond, func() {})
+	sk.Shard(2).ScheduleFunc(40*time.Microsecond, func() { sk.Shard(2).Stop() })
+
+	if err := sk.Run(time.Second); err != ErrStopped {
+		t.Fatalf("run = %v, want ErrStopped", err)
+	}
+	if got := sk.Now(); got != 30*time.Microsecond {
+		t.Fatalf("Now after multi-shard Stop = %v, want the earliest stop point 30µs", got)
+	}
+	// Per-shard clocks still tell the per-shard truth.
+	if got := sk.Shard(2).Now(); got != 40*time.Microsecond {
+		t.Fatalf("shard 2 clock = %v, want 40µs", got)
+	}
+
+	// The stopped clock is an attribute of the aborted run, not the kernel:
+	// a subsequent run reports real clocks again.
+	if err := sk.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sk.Now(); got != 40*time.Microsecond {
+		t.Fatalf("Now after recovery run = %v, want the max shard clock 40µs", got)
 	}
 }

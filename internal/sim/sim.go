@@ -123,22 +123,15 @@ const (
 )
 
 // Options selects which of the retained reference implementations a kernel
-// is built from. The zero value is the production engine — timer wheel,
-// parallel window execution — and is what NewKernel and NewShardedKernel
-// build. Every choice is fixed at construction and byte-identical to
+// is built from. The zero value is the production engine — the timer wheel
+// — and is what NewKernel and NewShardedKernel build. Every choice is fixed at construction and byte-identical to
 // production by contract (the golden suites hold each reference against
 // it), so the value decides speed, never results. There is deliberately no
 // package-level default to flip: a kernel is what its constructor was
 // handed.
 type Options struct {
-	// Queue is the pending-event store of the kernel (of every shard's
-	// kernel, for a ShardedKernel).
+	// Queue is the pending-event store of the kernel.
 	Queue QueueKind
-	// SerialWindows makes a ShardedKernel run each window's busy shards one
-	// after another on the coordinator's goroutine instead of on the
-	// persistent per-shard workers: the reference parallel execution must
-	// reproduce. A plain Kernel ignores it.
-	SerialWindows bool
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
