@@ -75,11 +75,11 @@ func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 
 // TestGoldenDAPESTrialResults is the absolute golden for the DAPES stack:
 // every other DAPES gate compares two engines running the same protocol
-// code, which a change to that code moves on both sides. The values were
-// regenerated once, in a commit of their own, at the declared rebaseline
-// that moved every draw onto per-node sim.Streams (docs/CONTRACTS.md §1,
-// docs/EXPERIMENTS.md "Rebaseline: per-node random streams"), and must
-// never be regenerated by a change that claims to be trace-neutral.
+// code, which a change to that code moves on both sides. The values are
+// regenerated only in a commit of their own, at a declared rebaseline
+// (docs/CONTRACTS.md §1; docs/EXPERIMENTS.md "Rebaseline: per-node random
+// streams" and "Rebaseline: relay state by time"), and never by a change
+// that claims to be trace-neutral.
 func TestGoldenDAPESTrialResults(t *testing.T) {
 	t.Parallel()
 	singlehop := PaperDefaults()
@@ -98,25 +98,25 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		opts      DAPESOptions
 		want      dapesGolden
 	}{
-		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{448878523721, 50057, 24, 24, 15223, 0, 0, 47039, 1611, 5159, 11001997, 128591,
-			relayCounts{1730, 4197, 773, 773, 0}, relayCounts{436, 1990, 105, 99, 2674}}},
-		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{428363300838, 42049, 24, 24, 17590, 0, 0, 38740, 1233, 4311, 10099109, 105202,
-			relayCounts{986, 4020, 588, 588, 0}, relayCounts{335, 1620, 82, 81, 1678}}},
-		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{30256064472, 26962, 24, 24, 71329, 0, 0, 115648, 25584, 12899, 10899880, 185803,
-			relayCounts{2929, 5022, 2691, 2691, 0}, relayCounts{496, 2248, 491, 389, 5133}}},
-		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{55639790910, 43132, 24, 24, 74549, 0, 0, 164328, 20438, 18210, 13824714, 255909,
-			relayCounts{5922, 5180, 4272, 4272, 0}, relayCounts{689, 3107, 515, 424, 8206}}},
-		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{13695654456, 30702, 24, 24, 727217, 0, 0, 227130, 148936, 25389, 12121012, 439669,
-			relayCounts{6130, 4922, 5584, 5584, 0}, relayCounts{665, 2735, 932, 610, 4599}}},
-		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{16082016951, 30878, 24, 24, 604599, 0, 0, 208618, 112288, 23107, 12461603, 383913,
-			relayCounts{7893, 3466, 6449, 6450, 0}, relayCounts{685, 3033, 937, 607, 4231}}},
-		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{54689059960, 25824, 24, 24, 66984, 0, 0, 118443, 7312, 13250, 7236682, 194000,
+		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{472980382657, 50768, 24, 24, 13143, 0, 0, 46818, 1416, 5133, 10899676, 127168,
+			relayCounts{1650, 4575, 695, 695, 0}, relayCounts{395, 2061, 79, 72, 2697}}},
+		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{449618656891, 42491, 24, 24, 11450, 0, 0, 38260, 1162, 4284, 9983875, 103383,
+			relayCounts{965, 4455, 508, 508, 0}, relayCounts{332, 1640, 67, 66, 1556}}},
+		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{28730677829, 26544, 24, 24, 60515, 0, 0, 114233, 24804, 12751, 10779201, 182948,
+			relayCounts{3149, 4666, 2753, 2753, 0}, relayCounts{500, 2164, 448, 382, 5041}}},
+		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{68863866502, 45072, 24, 24, 48573, 0, 0, 175157, 18396, 19410, 13441741, 267977,
+			relayCounts{5875, 6156, 3809, 3809, 0}, relayCounts{736, 3523, 453, 404, 8672}}},
+		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{13390956922, 28062, 24, 24, 253805, 0, 0, 202416, 140504, 22632, 11629098, 400627,
+			relayCounts{6049, 4859, 5488, 5489, 0}, relayCounts{627, 2691, 766, 550, 3977}}},
+		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{16697003164, 31442, 24, 24, 188552, 0, 0, 214482, 110898, 23749, 12363567, 389851,
+			relayCounts{8108, 3459, 6367, 6371, 0}, relayCounts{693, 3023, 806, 565, 4464}}},
+		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{54689059960, 25824, 24, 24, 25116, 0, 0, 118443, 7312, 13250, 7236682, 194000,
 			relayCounts{0, 0, 0, 0, 0}, relayCounts{0, 0, 0, 0, 0}}},
-		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{16571267240, 160665, 104, 104, 2006840, 0, 0, 1175218, 526135, 130325, 61401038, 2019319,
-			relayCounts{19954, 38973, 19204, 19205, 0}, relayCounts{3222, 13470, 5163, 2941, 35315}}},
+		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{16855534200, 158721, 104, 104, 941595, 0, 0, 1181697, 496910, 131100, 59639022, 1994289,
+			relayCounts{19199, 41937, 18108, 18108, 0}, relayCounts{3356, 14056, 4470, 2966, 35764}}},
 		// Crash is Stop plus a deaf radio, Restart wipes the tables.
-		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{41462107758, 387075, 104, 104, 2904569, 52, 11049309547, 2749589, 1039499, 437422, 141453469, 4663167,
-			relayCounts{38558, 44615, 36351, 36357, 0}, relayCounts{3393, 14397, 5297, 2997, 103317}}},
+		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{40019158568, 390256, 104, 104, 695503, 52, 11249199002, 2766719, 1072987, 440113, 146019734, 4719017,
+			relayCounts{40796, 40811, 38328, 38329, 0}, relayCounts{3237, 13687, 4416, 2840, 104419}}},
 	} {
 		c := c
 		t.Run(fmt.Sprintf("%s/range%v/trial%d", c.name, c.wifiRange, c.trial), func(t *testing.T) {
@@ -153,9 +153,9 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 			eventsFired uint64
 		}
 		want := fig8Golden{
-			ScenarioResult{"repository (Fig 8b)", 127144283480, 2213, SystemLoad{14.9375, 6348, 18175, 861}, true},
-			phy.Stats{Transmissions: 2213, Deliveries: 3785, Collisions: 552, Lost: 172, BytesSent: 930061},
-			7015,
+			ScenarioResult{"repository (Fig 8b)", 126622511185, 2192, SystemLoad{14.625, 6281, 17985, 774}, true},
+			phy.Stats{Transmissions: 2192, Deliveries: 3744, Collisions: 531, Lost: 171, BytesSent: 914810},
+			6916,
 		}
 		if got := (fig8Golden{row, built[0].Stats(), built[0].EventsFired()}); got != want {
 			t.Errorf("\n got %+v\nwant %+v", got, want)
