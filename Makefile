@@ -56,8 +56,10 @@ fuzz-short:
 test:
 	$(GO) test ./...
 
+# internal/experiment alone takes over 8 minutes under -race on two cores,
+# close to go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Every benchmark in the tree, once each, so benches can't rot.
 bench:

@@ -66,28 +66,55 @@ func (s Stationary) PositionAt(time.Duration) Point { return s.At }
 // MaxSpeed implements Speeder: a stationary node never moves.
 func (s Stationary) MaxSpeed() float64 { return 0 }
 
-// randomDirectionLeg is one straight-line segment of a random-direction walk.
-// The heading is kept as the cosine and sine of the drawn angle, taken once
+// Leg is one straight stretch of a node's path: over [Start, End] the node
+// moves from From at Speed metres per second along the heading (Cos, Sin),
+// clamped into Area. The heading is kept as a cosine and sine, taken once
 // when the leg is drawn: every position query multiplies by them.
-type randomDirectionLeg struct {
-	start    time.Duration
-	from     Point
-	cos, sin float64
-	speed    float64 // m/s
-	duration time.Duration
+type Leg struct {
+	Start, End time.Duration
+	From       Point
+	Cos, Sin   float64
+	Speed      float64 // m/s
+	Area       Rect
 }
 
-func (l randomDirectionLeg) end() time.Duration { return l.start + l.duration }
+// At returns the position on the leg at t, with t clamped into [Start, End].
+// A leg with zero speed is From wherever it lies, inside Area or not; any
+// other leg's position is clamped into Area.
+func (l *Leg) At(t time.Duration) Point {
+	if l.Speed == 0 {
+		return l.From
+	}
+	return l.Area.Clamp(l.along(t))
+}
 
-func (l randomDirectionLeg) positionAt(t time.Duration) Point {
-	if t < l.start {
-		t = l.start
+// along is At before the clamp into Area: where the straight line is at t.
+func (l *Leg) along(t time.Duration) Point {
+	if t < l.Start {
+		t = l.Start
 	}
-	if t > l.end() {
-		t = l.end()
+	if t > l.End {
+		t = l.End
 	}
-	dt := (t - l.start).Seconds()
-	return l.from.Add(l.speed*dt*l.cos, l.speed*dt*l.sin)
+	dt := (t - l.Start).Seconds()
+	return l.From.Add(l.Speed*dt*l.Cos, l.Speed*dt*l.Sin)
+}
+
+// Legged is an optional Mobility extension for models whose path is a
+// sequence of legs. The leg LegAt(t) returns holds the model's positions for
+// its whole span, bit for bit: l.At(u) == PositionAt(u) for every u in
+// [l.Start, l.End], so a caller may keep it and evaluate it until time leaves
+// the span. It covers t for every t >= 0.
+type Legged interface {
+	LegAt(t time.Duration) Leg
+}
+
+var _ Legged = Stationary{}
+var _ Legged = (*RandomDirection)(nil)
+
+// LegAt implements Legged: one speed-0 leg over all time.
+func (s Stationary) LegAt(time.Duration) Leg {
+	return Leg{Start: math.MinInt64, End: math.MaxInt64, From: s.At}
 }
 
 // RandomDirection implements the paper's mobility model: each node repeatedly
@@ -102,7 +129,7 @@ type RandomDirection struct {
 	minLeg   time.Duration
 	maxLeg   time.Duration
 	rng      Rand
-	legs     []randomDirectionLeg
+	legs     []Leg
 	// hit is the leg the last query fell in; simulation time mostly moves
 	// forward a little at a time, so the next query usually falls there too.
 	hit int
@@ -154,27 +181,26 @@ func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
 	return w
 }
 
-func (w *RandomDirection) nextLeg(start time.Duration, from Point) randomDirectionLeg {
+func (w *RandomDirection) nextLeg(start time.Duration, from Point) Leg {
 	angle := w.rng.Float64() * 2 * math.Pi
 	speed := w.minSpeed + w.rng.Float64()*(w.maxSpeed-w.minSpeed)
 	dur := w.minLeg + time.Duration(w.rng.Int63n(int64(w.maxLeg-w.minLeg)+1))
-	leg := randomDirectionLeg{start: start, from: from, cos: math.Cos(angle), sin: math.Sin(angle), speed: speed, duration: dur}
+	leg := Leg{Start: start, End: start + dur, From: from, Cos: math.Cos(angle), Sin: math.Sin(angle), Speed: speed, Area: w.area}
 	// Truncate the leg at the boundary so the node "bounces": the next leg
 	// starts at the wall with a fresh random direction.
-	endPos := leg.positionAt(leg.end())
-	if !w.area.Contains(endPos) {
-		leg.duration = w.timeToBoundary(leg)
+	if !w.area.Contains(leg.along(leg.End)) {
+		leg.End = start + w.timeToBoundary(&leg)
 	}
 	return leg
 }
 
 // timeToBoundary returns the duration after which the leg first exits the
 // area, found by bisection (positions are monotone along the leg).
-func (w *RandomDirection) timeToBoundary(leg randomDirectionLeg) time.Duration {
-	lo, hi := time.Duration(0), leg.duration
+func (w *RandomDirection) timeToBoundary(leg *Leg) time.Duration {
+	lo, hi := time.Duration(0), leg.End-leg.Start
 	for i := 0; i < 40 && hi-lo > time.Millisecond; i++ {
 		mid := (lo + hi) / 2
-		if w.area.Contains(leg.positionAt(leg.start + mid)) {
+		if w.area.Contains(leg.along(leg.Start + mid)) {
 			lo = mid
 		} else {
 			hi = mid
@@ -190,21 +216,28 @@ func (w *RandomDirection) MaxSpeed() float64 { return math.Max(w.minSpeed, w.max
 
 // PositionAt implements Mobility, extending the walk lazily to cover t.
 func (w *RandomDirection) PositionAt(t time.Duration) Point {
+	l := w.LegAt(t)
+	return l.At(t)
+}
+
+// LegAt implements Legged, extending the walk lazily to cover t. A leg ends
+// where the next starts, at the same point, so at a boundary instant either
+// leg gives the same position; LegAt returns the later one.
+func (w *RandomDirection) LegAt(t time.Duration) Leg {
 	for {
-		last := w.legs[len(w.legs)-1]
-		if t <= last.end() {
+		last := &w.legs[len(w.legs)-1]
+		if t <= last.End {
 			break
 		}
-		from := w.area.Clamp(last.positionAt(last.end()))
-		w.legs = append(w.legs, w.nextLeg(last.end(), from))
+		w.legs = append(w.legs, w.nextLeg(last.End, w.area.Clamp(last.along(last.End))))
 	}
 	// The covering leg is the last one starting at or before t: the one the
 	// previous query hit, or else found by binary search.
-	if i := w.hit; w.legs[i].start > t || (i+1 < len(w.legs) && w.legs[i+1].start <= t) {
+	if i := w.hit; w.legs[i].Start > t || (i+1 < len(w.legs) && w.legs[i+1].Start <= t) {
 		lo, hi := 0, len(w.legs)-1
 		for lo < hi {
 			mid := (lo + hi + 1) / 2
-			if w.legs[mid].start <= t {
+			if w.legs[mid].Start <= t {
 				lo = mid
 			} else {
 				hi = mid - 1
@@ -212,7 +245,7 @@ func (w *RandomDirection) PositionAt(t time.Duration) Point {
 		}
 		w.hit = lo
 	}
-	return w.area.Clamp(w.legs[w.hit].positionAt(t))
+	return w.legs[w.hit]
 }
 
 // Waypoint is a scripted position at a virtual time.

@@ -62,20 +62,14 @@ type Stats struct {
 // PureForwarder is an NDN-only node on the broadcast medium.
 type PureForwarder struct {
 	cfg   Config
-	cs    *nfd.ContentStore
-	relay Relay // also the node's kernel, radio and running state
+	cs    *nfd.ContentStore // made by the first Data heard: most forwarders hear none
+	relay Relay             // also the node's kernel, radio and running state
 	stats Stats
 }
 
 // NewPureForwarder attaches a pure forwarder to the medium.
 func NewPureForwarder(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) *PureForwarder {
 	f := &PureForwarder{cfg: cfg.withDefaults()}
-	// The store shares the kernel clock so NDN freshness works here too: a
-	// MustBeFresh Interest is never answered from a cache entry whose
-	// FreshnessPeriod has lapsed (DAPES traffic never sets MustBeFresh, so
-	// simulation traces are unchanged — this matters for NDN-correct
-	// behavior when pure forwarders carry third-party traffic).
-	f.cs = nfd.NewContentStoreWithClock(f.cfg.CsCapacity, nfd.KernelClock{K: k})
 	radio := medium.Attach(mobility)
 	f.relay = NewRelay(k, medium, radio, f.cfg.TransmissionWindow, f.cfg.SuppressTTL, &f.stats.Counters)
 	radio.SetHandler(func(fr phy.Frame) { f.relay.Deliver(fr, f.onInterest, f.onData) })
@@ -89,7 +83,12 @@ func (f *PureForwarder) ID() int { return f.relay.radio.ID() }
 func (f *PureForwarder) Stats() Stats { return f.stats }
 
 // CsLen returns the number of cached packets.
-func (f *PureForwarder) CsLen() int { return f.cs.Len() }
+func (f *PureForwarder) CsLen() int {
+	if f.cs == nil {
+		return 0
+	}
+	return f.cs.Len()
+}
 
 // Start activates the node. It arms nothing: an idle forwarder leaves the
 // kernel empty.
@@ -104,10 +103,12 @@ func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {
 
 	// Satisfy from cache: overheard transmissions serve future requests. The
 	// CS holds each packet's original wire, so the reply re-emits the cached
-	// frame without a re-encode.
-	if cached := f.cs.Find(in); cached != nil {
-		f.relay.ScheduleReply(cached, &f.stats.CsReplies)
-		return
+	// frame without a re-encode. Before the first Data there is nothing to find.
+	if f.cs != nil {
+		if cached := f.cs.Find(in); cached != nil {
+			f.relay.ScheduleReply(cached, &f.stats.CsReplies)
+			return
+		}
 	}
 	if f.relay.Suppressed(in) || f.relay.InFlight(in) {
 		return
@@ -120,7 +121,15 @@ func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {
 }
 
 func (f *PureForwarder) onData(_ int, d *ndn.Data) {
-	// Cache every overheard transmission (Section V-A).
+	// Cache every overheard transmission (Section V-A). The store shares the
+	// kernel clock so NDN freshness works here too: a MustBeFresh Interest is
+	// never answered from a cache entry whose FreshnessPeriod has lapsed
+	// (DAPES traffic never sets MustBeFresh, so simulation traces are
+	// unchanged — this matters for NDN-correct behavior when pure forwarders
+	// carry third-party traffic).
+	if f.cs == nil {
+		f.cs = nfd.NewContentStoreWithClock(f.cfg.CsCapacity, nfd.KernelClock{K: f.relay.k})
+	}
 	f.cs.Insert(d)
 	f.relay.RelayData(d)
 }

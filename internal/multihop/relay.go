@@ -93,8 +93,12 @@ type prefixRecord struct {
 func arm(v any) {
 	rec := v.(*forwardRecord)
 	if !rec.answered {
-		rec.r.suppressed[rec.key] = rec.r.k.Now() + rec.r.ttl
-		rec.r.inserted()
+		r := rec.r
+		if r.suppressed == nil {
+			r.suppressed = make(map[string]time.Duration)
+		}
+		r.suppressed[rec.key] = r.k.Now() + r.ttl
+		r.inserted()
 	}
 }
 
@@ -121,17 +125,15 @@ func (rp *reply) fire() {
 
 // NewRelay returns the relay state of the node behind radio: window bounds
 // the random delay before each send, ttl is the suppression timer, c counts.
-// It is returned by value for the owner to hold in place: at 50k nodes an
-// object per node shows. Use it through a pointer from then on.
+// It is returned by value for the owner to hold in place, and its tables are
+// made by the first insertion into each (a nil map answers every read): at
+// 50k nodes, most of which never forward, an object per node shows. Use it
+// through a pointer from then on.
 func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, window, ttl time.Duration, c *Counters) Relay {
 	return Relay{
 		k: k, medium: medium, radio: radio, window: window, ttl: ttl, c: c,
-		rng:        k.Stream(radio.ID(), sim.PurposeRelay),
-		compactAt:  compactFloor,
-		nonces:     make(map[uint32]time.Duration),
-		forwarded:  make(map[string]*forwardRecord),
-		suppressed: make(map[string]time.Duration),
-		pending:    make(map[string]*reply),
+		rng:       k.Stream(radio.ID(), sim.PurposeRelay),
+		compactAt: compactFloor,
 	}
 }
 
@@ -146,8 +148,7 @@ func (r *Relay) Deliver(fr phy.Frame, onInterest func(from int, in *ndn.Interest
 	pkt := fr.Packet()
 	if in := pkt.Interest(); in != nil {
 		if !r.Heard(in.Nonce) {
-			r.nonces[in.Nonce] = r.k.Now()
-			r.inserted()
+			r.noteNonce(in.Nonce)
 			onInterest(fr.From, in)
 		}
 	} else if d := pkt.Data(); d != nil {
@@ -226,9 +227,17 @@ func (r *Relay) count(reclaim bool) (forwarded, suppressed, nonces int) {
 // the echo of its own Interest is a duplicate.
 func (r *Relay) NewNonce() uint32 {
 	n := uint32(r.rng.Uint64())
-	r.nonces[n] = r.k.Now()
-	r.inserted()
+	r.noteNonce(n)
 	return n
+}
+
+// noteNonce records nonce as heard now.
+func (r *Relay) noteNonce(nonce uint32) {
+	if r.nonces == nil {
+		r.nonces = make(map[uint32]time.Duration)
+	}
+	r.nonces[nonce] = r.k.Now()
+	r.inserted()
 }
 
 // Heard reports whether nonce was heard, or drawn, inside the duplicate
@@ -273,6 +282,9 @@ func (r *Relay) Forward(in *ndn.Interest) {
 		rec = new(forwardRecord)
 	}
 	rec.r, rec.key, rec.at = r, key, r.k.Now()
+	if r.forwarded == nil {
+		r.forwarded = make(map[string]*forwardRecord)
+	}
 	r.forwarded[key] = rec
 	r.inserted()
 	r.rebroadcast(in.Encode(), &r.c.InterestsForwarded)
@@ -371,6 +383,9 @@ func (r *Relay) ScheduleReply(d *ndn.Data, counter *uint64) {
 		rp.t = r.k.NewTimer(rp.fire)
 	}
 	rp.d, rp.counter = d, counter
+	if r.pending == nil {
+		r.pending = make(map[string]*reply)
+	}
 	r.pending[key] = rp
 	rp.t.Reset(r.rng.Jitter(r.window))
 }

@@ -349,3 +349,60 @@ func TestIdlePureForwarderArmsNothing(t *testing.T) {
 		t.Errorf("an idle started forwarder left %d events pending", got)
 	}
 }
+
+// TestIdleForwarderAllocatesLittle: a forwarder that only hears beacons is a
+// node, a radio and its handler — the relay's tables and the Content Store
+// are made by the first write into each. A fresh Relay answers every read,
+// Reset and Stop from nil tables, and a forwarder that never heard Data
+// caches nothing.
+func TestIdleForwarderAllocatesLittle(t *testing.T) {
+	k := sim.NewKernel(10)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	var mob geo.Mobility = geo.Stationary{At: geo.Point{X: 10, Y: 10}}
+	// Warm the medium: its radio list and grid grow by doubling, so past
+	// a few thousand radios a hundred more rarely reallocate them.
+	for range 4096 {
+		medium.Attach(mob)
+	}
+	var f *PureForwarder
+	allocs := testing.AllocsPerRun(100, func() {
+		f = NewPureForwarder(k, medium, mob, Config{})
+		f.Start()
+	})
+	// Three today: the forwarder, its radio and the handler closure.
+	if allocs > 4 {
+		t.Errorf("an idle forwarder costs %v objects, want <= 4 (the node, its radio, its handler)", allocs)
+	}
+
+	r := &f.relay
+	if r.nonces != nil || r.forwarded != nil || r.suppressed != nil || r.pending != nil || f.cs != nil {
+		t.Fatal("a forwarder that heard nothing holds tables")
+	}
+	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 1}
+	if r.Heard(1) || r.Suppressed(in) || r.InFlight(in) {
+		t.Error("empty tables answered as if they held the Interest")
+	}
+	if fw, sup, non := r.TableSizes(); fw+sup+non != 0 {
+		t.Errorf("empty tables report %d, %d, %d entries", fw, sup, non)
+	}
+	r.RelayData(signedData("/x/0"))
+	r.CancelReply(signedData("/x/0"))
+	r.Reset()
+	f.Stop()
+	if f.CsLen() != 0 || k.Pending() != 0 || medium.Stats().Transmissions != 0 {
+		t.Errorf("CsLen %d, %d events pending, %d transmissions; want none", f.CsLen(), k.Pending(), medium.Stats().Transmissions)
+	}
+	if r.nonces != nil || r.forwarded != nil || r.suppressed != nil || r.pending != nil || f.cs != nil {
+		t.Error("reads, Reset and Stop made tables")
+	}
+
+	// The first write into each makes it.
+	f.Start()
+	f.onInterest(0, in)
+	r.NewNonce()
+	f.onData(0, signedData("/y/0"))
+	f.onInterest(0, &ndn.Interest{Name: ndn.ParseName("/y/0"), Nonce: 2})
+	if len(r.nonces) != 1 || f.CsLen() != 1 || len(r.pending) != 1 {
+		t.Errorf("after the first writes: %d nonces, %d cached, %d replies pending; want 1 each", len(r.nonces), f.CsLen(), len(r.pending))
+	}
+}

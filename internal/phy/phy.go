@@ -171,20 +171,21 @@ type transmission struct {
 type Radio struct {
 	// id is the radio's identity: its slot in m.radios, its grid key and
 	// what the wire carries (Frame.From).
-	id       int
-	medium   *Medium
-	mobility geo.Mobility
-	handler  Handler
-	enabled  bool
-
-	// pos caches the radio's position for the medium's current cache
-	// generation, so each position is computed at most once per distinct
-	// virtual timestamp no matter how many broadcasts probe it.
-	pos    geo.Point
-	posGen uint64
+	id      int
+	enabled bool
+	// leg is the stretch of the mobility model's path the radio was last
+	// placed on (relocate). Every position the medium needs is evaluated from
+	// it inline, and the model is asked again only once the clock has left
+	// [leg.Start, leg.End]: a geo.Legged model hands out whole legs — a
+	// stationary radio's lasts forever — and any other model a one-instant
+	// leg at its PositionAt, a cache of one timestamp.
+	leg geo.Leg
 	// maxSpeed bounds the mobility model's speed (+Inf when unknown); the
 	// grid index uses it to decide how long a cell assignment stays valid.
 	maxSpeed float64
+	medium   *Medium
+	mobility geo.Mobility
+	handler  Handler
 
 	// coin is the radio's per-reception loss stream (sim.PurposeReception of
 	// its id): whether a frame that reached it is lost depends on no other
@@ -211,7 +212,32 @@ func (r *Radio) ID() int { return r.id }
 
 // Position returns the radio's position at the current virtual time.
 func (r *Radio) Position() geo.Point {
-	return r.medium.positionOf(r)
+	return r.at(r.medium.kernel.Now())
+}
+
+// at returns the radio's position at now, the medium's current time.
+func (r *Radio) at(now time.Duration) geo.Point {
+	if now < r.leg.Start || now > r.leg.End {
+		r.relocate(now)
+	}
+	return r.leg.At(now)
+}
+
+// relocate asks the mobility model for the leg holding the radio at now. A
+// radio without a speed bound gets one-instant legs even from a geo.Legged
+// model, and its grid entry is re-stored with each: the medium's queries
+// allow it no drift, so it is stored where it is at every timestamp it is
+// looked at.
+func (r *Radio) relocate(now time.Duration) {
+	unbounded := math.IsInf(r.maxSpeed, 1)
+	if l, ok := r.mobility.(geo.Legged); ok && !unbounded {
+		r.leg = l.LegAt(now)
+		return
+	}
+	r.leg = geo.Leg{Start: now, End: now, From: r.mobility.PositionAt(now)}
+	if unbounded && r.medium.grid != nil {
+		r.medium.grid.Move(r.id, r.leg.From)
+	}
 }
 
 // SetHandler installs the receive callback. It must be set before frames
@@ -241,12 +267,6 @@ type Medium struct {
 	loss LossModel
 	jam  *Jammer
 
-	// Position cache generation: bumped whenever the virtual clock has
-	// moved since the last position lookup. Radios tag their cached
-	// position with the generation they computed it at.
-	posGen uint64
-	posNow time.Duration
-
 	// Spatial index (IndexGrid; nil under IndexNaive). Cells are one radio
 	// range wide and hold each radio's position as of its last sync. Mobile
 	// radios are re-synced only when they may have drifted more than slack
@@ -254,13 +274,12 @@ type Medium struct {
 	// accrued so far (gridReach), so the grid's answer is always a superset
 	// of the radios truly in range and the exact-distance filter below
 	// decides membership — identically to the naive scan.
-	grid         *geo.Grid
-	slack        float64
-	lastSync     time.Duration
-	maxSpeed     float64  // fastest finite-speed mobile radio
-	mobile       []*Radio // radios with 0 < maxSpeed < +Inf
-	unbounded    []*Radio // no speed bound: re-bucket every new timestamp
-	unboundedGen uint64
+	grid      *geo.Grid
+	slack     float64
+	lastSync  time.Duration
+	maxSpeed  float64  // fastest finite-speed mobile radio
+	mobile    []*Radio // radios with 0 < maxSpeed < +Inf
+	unbounded []*Radio // no speed bound: re-stored at every new timestamp
 
 	// Scratch buffers and free-lists for the broadcast hot path. Pools are
 	// per medium, never global: trials run in parallel.
@@ -300,8 +319,10 @@ func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 		coin:     m.kernel.Stream(id, sim.PurposeReception),
 	}
 	m.radios = append(m.radios, r)
+	now := m.kernel.Now()
+	r.relocate(now)
 	if m.grid != nil {
-		m.grid.Insert(r.id, m.positionOf(r))
+		m.grid.Insert(r.id, r.leg.At(now))
 		switch {
 		case r.maxSpeed == 0:
 			// Never moves; its cell assignment is permanent.
@@ -334,52 +355,30 @@ func (c Config) TxDuration(n int) time.Duration {
 	return time.Duration(bits / c.DataRateBps * float64(time.Second))
 }
 
-// clockGen bumps the position-cache generation when the virtual clock has
-// advanced since the last lookup and returns the current generation.
-func (m *Medium) clockGen() uint64 {
-	if now := m.kernel.Now(); m.posGen == 0 || now != m.posNow {
-		m.posNow = now
-		m.posGen++
-	}
-	return m.posGen
-}
-
-// positionOf returns r's position at the current virtual time, computing it
-// at most once per radio per distinct timestamp. Mobility models are pure
-// functions of time, so caching cannot change any result.
-func (m *Medium) positionOf(r *Radio) geo.Point {
-	gen := m.clockGen()
-	if r.posGen != gen {
-		r.pos = r.mobility.PositionAt(m.posNow)
-		r.posGen = gen
-	}
-	return r.pos
-}
-
 // InRange reports whether radios a and b are currently within transmission
 // range of each other.
 func (m *Medium) InRange(a, b *Radio) bool {
-	return m.positionOf(a).Distance(m.positionOf(b)) <= m.cfg.Range
+	now := m.kernel.Now()
+	return a.at(now).Distance(b.at(now)) <= m.cfg.Range
 }
 
 // syncGrid re-stores radios whose grid position is too stale before a query
 // at the current time. A mobile radio moves at most maxSpeed, so queries
 // widen by maxSpeed·(now−lastSync) and positions are re-stored once that
 // exceeds slack (half a range: the query stays within a 4×4 block of cells);
-// radios without a finite speed bound re-store whenever the clock moved.
-func (m *Medium) syncGrid() {
-	gen := m.clockGen()
-	if len(m.unbounded) > 0 && m.unboundedGen != gen {
-		for _, r := range m.unbounded {
-			m.grid.Move(r.id, m.positionOf(r))
+// radios without a finite speed bound re-store whenever the clock moved
+// (relocate does, as each one's one-instant leg runs out).
+func (m *Medium) syncGrid(now time.Duration) {
+	for _, r := range m.unbounded {
+		if now != r.leg.Start {
+			r.relocate(now)
 		}
-		m.unboundedGen = gen
 	}
-	if m.maxSpeed > 0 && m.maxSpeed*(m.posNow-m.lastSync).Seconds() > m.slack {
+	if m.maxSpeed > 0 && m.maxSpeed*(now-m.lastSync).Seconds() > m.slack {
 		for _, r := range m.mobile {
-			m.grid.Move(r.id, m.positionOf(r))
+			m.grid.Move(r.id, r.at(now))
 		}
-		m.lastSync = m.posNow
+		m.lastSync = now
 	}
 }
 
@@ -401,15 +400,16 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 		}
 		return m.cand
 	}
-	m.syncGrid()
-	center := m.positionOf(sender)
-	r := m.gridReach(center, m.maxSpeed*(m.posNow-m.lastSync).Seconds())
+	now := m.kernel.Now()
+	m.syncGrid(now)
+	center := sender.at(now)
+	r := m.gridReach(center, m.maxSpeed*(now-m.lastSync).Seconds())
 	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
 	for _, id := range m.candIDs {
 		rx := m.radios[id]
 		// Same float expression as InRange, so the grid can never disagree
 		// with the scan on a boundary case.
-		if rx != sender && center.Distance(m.positionOf(rx)) <= m.cfg.Range && rx.enabled {
+		if rx != sender && center.Distance(rx.at(now)) <= m.cfg.Range && rx.enabled {
 			m.cand = append(m.cand, rx)
 		}
 	}
@@ -668,7 +668,7 @@ func (rec *reception) complete() {
 	}
 	// Jammer check first: a blacked-out receiver hears nothing, so no loss
 	// draw happens for it (pure position/time predicate — no RNG).
-	if m.jam != nil && m.jam.Blocks(m.positionOf(rx), m.kernel.Now()) {
+	if m.jam != nil && m.jam.Blocks(rx.Position(), m.kernel.Now()) {
 		m.stats.Jammed++
 		return
 	}

@@ -347,3 +347,83 @@ func TestGridMatchesNaiveAtDriftBoundary(t *testing.T) {
 		}
 	}
 }
+
+// jumpy is a mobility model with no speed bound (not a geo.Speeder): it
+// jumps to a new point every 300 ms.
+type jumpy struct{ seed float64 }
+
+func (j jumpy) PositionAt(t time.Duration) geo.Point {
+	step := float64(t / (300 * time.Millisecond))
+	return geo.Point{X: math.Mod(j.seed*step*37, 100), Y: math.Mod(j.seed*step*61, 100)}
+}
+
+// TestPositionMatchesMobility: a radio's position is its mobility model's
+// PositionAt at every instant the medium is asked, bit for bit — inside a
+// leg, at the instant one leg ends and the next begins, a nanosecond later,
+// after a long silence — whether the radio holds whole legs (random-direction
+// walkers, a stationary radio) or one-instant ones (a scripted path, models
+// with no speed bound); and the grid's neighbours are those of the models'
+// positions, unbounded radios included.
+func TestPositionMatchesMobility(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(1)
+	m := NewMedium(k, Config{Range: 40})
+	walker := func(seed int64) *geo.RandomDirection {
+		return geo.NewRandomDirection(geo.RandomDirectionConfig{Area: geo.Rect{Width: 100, Height: 100},
+			Start: geo.Point{X: 50, Y: 50}, RNG: rand.New(rand.NewSource(seed))})
+	}
+	scripted := geo.NewScripted([]geo.Waypoint{{At: 0, Pos: geo.Point{X: -10}}, {At: time.Minute, Pos: geo.Point{X: 110, Y: 90}}})
+	models := []geo.Mobility{walker(1), walker(2), walker(3), geo.Stationary{At: geo.Point{X: -5, Y: 30}}, scripted, jumpy{1.5}, jumpy{2.7}}
+	refs := []geo.Mobility{walker(1), walker(2), walker(3), models[3], scripted, models[5], models[6]}
+	var radios []*Radio
+	for _, mob := range models {
+		radios = append(radios, m.Attach(mob))
+	}
+
+	// Every leg boundary of the first walker and a nanosecond past it, plus
+	// random instants, over two minutes with a silence in the middle.
+	var times []time.Duration
+	first := walker(1)
+	for at := time.Duration(0); at < 2*time.Minute; {
+		l := first.LegAt(at)
+		times = append(times, l.End, l.End+1)
+		at = l.End + 1
+	}
+	pick := rand.New(rand.NewSource(5))
+	for range 200 {
+		if at := time.Duration(pick.Int63n(int64(2 * time.Minute))); at < 40*time.Second || at > 80*time.Second {
+			times = append(times, at)
+		}
+	}
+	probes := 0
+	for _, at := range times {
+		k.ScheduleAt(at, func() {
+			probes++
+			now := k.Now()
+			// Neighbours first: the medium must bring the grid up to date
+			// itself, before anything has asked a radio where it is.
+			for i, r := range radios {
+				var want []int
+				for j := range radios {
+					if j != i && refs[i].PositionAt(now).Distance(refs[j].PositionAt(now)) <= 40 {
+						want = append(want, j)
+					}
+				}
+				if got := m.Neighbors(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("radio %d at %v: neighbours %v, want %v", i, now, got, want)
+				}
+			}
+			for i, r := range radios {
+				if got, want := r.Position(), refs[i].PositionAt(now); math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+					t.Fatalf("radio %d at %v: Position %v, model %v", i, now, got, want)
+				}
+			}
+		})
+	}
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if probes != len(times) || probes < 20 {
+		t.Fatalf("%d probes ran of %d scheduled", probes, len(times))
+	}
+}

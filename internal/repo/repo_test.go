@@ -84,4 +84,7 @@ func TestRepoStop(t *testing.T) {
 	if got := r.Peer().Stats().DiscoveryInterestsSent; got != before {
 		t.Fatal("repo kept beaconing after Stop")
 	}
+	if got := k.Pending(); got != 0 {
+		t.Fatalf("%d events still pending 25 s after Stop", got)
+	}
 }
