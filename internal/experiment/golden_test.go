@@ -160,13 +160,13 @@ func TestBaselineTrialsDeterministic(t *testing.T) {
 
 // TestTrialAllocationBudget bounds what one whole trial allocates. The dense
 // scenarios are held in heap objects over one trial at the golden-trace
-// scale, budget 1.5x the count measured once a decoded packet became one
-// object and jittered sends went through pooled records (urban-grid 9,406,
-// urban-grid-xl 26,242; 22,370 and 58,514 before — the margin covers pools
-// a GC happens to clear mid-trial). The paper's own world, fig7-dapes at the
-// reduced scale the benchmark sweeps (range 60, trial 0: 26,962 frames), is
-// held in objects per transmitted frame: 2.49 now, 5.61 before; the budget
-// is 1.25x. A per-frame or per-event
+// scale, budget 1.5x the count measured once a heard Interest was decoded
+// into its pooled transmission record and the Content Store's recency list
+// went inline (urban-grid 7,326, urban-grid-xl 21,311; 9,144 and 27,995
+// before — the margin covers pools a GC happens to clear mid-trial). The
+// paper's own world, fig7-dapes at the reduced scale the benchmark sweeps
+// (range 60, trial 0: 26,962 frames), is held in objects per transmitted
+// frame: 2.00 now, 2.50 before; the budget is 1.25x. A per-frame or per-event
 // allocation creeping back into any layer multiplies these counts; a few
 // objects per node do not trip them. Serial on purpose: AllocsPerRun reads
 // the process-wide counter, and parallel tests wait until every serial test
@@ -179,9 +179,9 @@ func TestTrialAllocationBudget(t *testing.T) {
 		budget   float64 // objects per trial, or per transmitted frame
 		perFrame bool
 	}{
-		{"urban-grid", goldenScale(), 9_406 * 1.5, false},
-		{"urban-grid-xl", goldenScale(), 26_242 * 1.5, false},
-		{"fig7-dapes", ReducedScale(), 2.49 * 1.25, true},
+		{"urban-grid", goldenScale(), 7_326 * 1.5, false},
+		{"urban-grid-xl", goldenScale(), 21_311 * 1.5, false},
+		{"fig7-dapes", ReducedScale(), 2.00 * 1.25, true},
 	} {
 		sc, err := Find(tc.scenario)
 		if err != nil {

@@ -1,5 +1,5 @@
 // Fixture for the unsafe analyzer inside internal/ndn, the one package whose
-// write-once name views may use it: nothing here is flagged.
+// decoded name views may use it: nothing here is flagged.
 package fixture
 
 import "unsafe"

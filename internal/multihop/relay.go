@@ -268,14 +268,21 @@ func (r *Relay) InFlight(in *ndn.Interest) bool {
 // Forward re-broadcasts the received Interest after a random delay and
 // records it: RelayData relays its answer back, and if none comes within the
 // suppression timer the name is suppressed for as long again.
+//
+// A received Interest lives only as long as its transmission (phy.Frame), so
+// the record copies what it keeps: the name's URI once, and a CanBePrefix
+// record's components as substrings of that copy.
 func (r *Relay) Forward(in *ndn.Interest) {
 	key := in.NameKey()
 	if old, ok := r.forwarded[key]; ok {
+		key = old.key
 		r.drop(old)
+	} else {
+		key = strings.Clone(key)
 	}
 	var rec *forwardRecord
 	if in.CanBePrefix {
-		pr := &prefixRecord{name: in.Name.Clone(), relayed: make(map[string]bool, 1)}
+		pr := &prefixRecord{name: nameIn(key, in.Name), relayed: make(map[string]bool, 1)}
 		pr.prefix, rec = pr, &pr.forwardRecord
 		r.prefixes++
 	} else {
@@ -289,6 +296,20 @@ func (r *Relay) Forward(in *ndn.Interest) {
 	r.inserted()
 	r.rebroadcast(in.Encode(), &r.c.InterestsForwarded)
 	r.k.ScheduleCall(r.ttl, arm, rec)
+}
+
+// nameIn returns name with its components cut out of key, its URI form:
+// component i starts one byte past the end of component i-1, whatever bytes
+// either holds, a '/' included. Only the component headers are new.
+func nameIn(key string, name ndn.Name) ndn.Name {
+	out := make(ndn.Name, len(name))
+	at := 0
+	for i, c := range name {
+		at++ // the '/' before it
+		out[i] = ndn.Component(key[at : at+len(c)])
+		at += len(c)
+	}
+	return out
 }
 
 // fresh reports whether a forward record still answers Data: for twice the

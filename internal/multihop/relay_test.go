@@ -1,6 +1,7 @@
 package multihop
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -404,5 +405,73 @@ func TestIdleForwarderAllocatesLittle(t *testing.T) {
 	f.onInterest(0, &ndn.Interest{Name: ndn.ParseName("/y/0"), Nonce: 2})
 	if len(r.nonces) != 1 || f.CsLen() != 1 || len(r.pending) != 1 {
 		t.Errorf("after the first writes: %d nonces, %d cached, %d replies pending; want 1 each", len(r.nonces), f.CsLen(), len(r.pending))
+	}
+}
+
+// TestForwardedKeysOutliveTheirFrame: an Interest heard over the medium is
+// decoded into its transmission's record, which the medium reuses once the
+// frame is delivered, so what Forward keeps must be copied. One exact and
+// one CanBePrefix Interest are forwarded (the exact one twice, so the second
+// forward takes over the first record's key), then a hundred more Interests
+// with names of the same lengths go on the air and rewrite every record;
+// the tables must still hold the names that were forwarded.
+func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
+	t.Parallel()
+	const exactURI, prefixURI = "/keep/exact/0", "/keep/prefix"
+	k := sim.NewKernel(11)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	sender := medium.Attach(geo.Stationary{})
+	var c Counters
+	r := NewRelay(k, medium, medium.Attach(geo.Stationary{At: geo.Point{X: 10}}), 20*time.Millisecond, testTTL, &c)
+	r.Start()
+	forwarding := true
+	r.radio.SetHandler(func(f phy.Frame) {
+		r.Deliver(f, func(_ int, in *ndn.Interest) {
+			if forwarding {
+				r.Forward(in)
+			}
+		}, nil)
+	})
+
+	nonce := uint32(0)
+	send := func(at time.Duration, in ndn.Interest) {
+		nonce++
+		in.Nonce = nonce
+		wire := in.Encode()
+		k.ScheduleAt(at, func() { medium.Broadcast(sender, wire) })
+	}
+	send(time.Millisecond, ndn.Interest{Name: ndn.ParseName(exactURI)})
+	send(2*time.Millisecond, ndn.Interest{Name: ndn.ParseName(prefixURI), CanBePrefix: true})
+	send(3*time.Millisecond, ndn.Interest{Name: ndn.ParseName(exactURI)})
+	k.Run(100 * time.Millisecond)
+	forwarding = false
+	for i := range 120 {
+		send(100*time.Millisecond+time.Duration(i)*time.Millisecond, ndn.Interest{Name: ndn.Name{"junk", ndn.Component(fmt.Sprintf("%05d", i)), "9"}})
+		send(100*time.Millisecond+time.Duration(i)*time.Millisecond+500*time.Microsecond, ndn.Interest{Name: ndn.Name{"junk", ndn.Component(fmt.Sprintf("%06d", i))}, CanBePrefix: true})
+	}
+	k.Run(time.Second)
+	if heard := r.radio.Received; heard != 243 {
+		t.Fatalf("the relay heard %d frames, want the 243 sent", heard)
+	}
+
+	if len(r.forwarded) != 2 || c.InterestsForwarded != 3 {
+		t.Fatalf("%d forward records after %d forwards, want 2 after 3", len(r.forwarded), c.InterestsForwarded)
+	}
+	for key, rec := range r.forwarded {
+		if got, ok := r.forwarded[string([]byte(key))]; !ok || got != rec || rec.key != key {
+			t.Errorf("record %q (key %q) is not found by its own bytes", key, rec.key)
+		}
+		if key != exactURI && key != prefixURI {
+			t.Errorf("forward record keyed %q, want %s or %s", key, exactURI, prefixURI)
+		}
+	}
+	if pr := r.forwarded[prefixURI]; pr == nil || pr.prefix == nil || !pr.prefix.name.Equal(ndn.ParseName(prefixURI)) {
+		t.Fatalf("prefix record %+v does not hold the name %s", pr, prefixURI)
+	}
+	r.RelayData(signedData(exactURI))
+	r.RelayData(signedData(prefixURI + "/reply"))
+	k.Run(k.Now() + 100*time.Millisecond) // the relayed Data's jitter
+	if c.DataForwarded != 2 || c.ForwardedAnswered != 2 {
+		t.Errorf("counters %+v, want Data relayed for both records", c)
 	}
 }

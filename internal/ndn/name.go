@@ -27,8 +27,11 @@
 // name's component headers and the name's URI form, of which every
 // Component is a substring and which is the packet's NameKey; a name past
 // the record's room spills its headers or its URI into one heap object
-// each. Digests and signature checks hash the signed range of the bytes
-// that were received; nothing is serialized again on the receive side.
+// each. An Interest the broadcast medium hears is not even that: it is
+// decoded into a Room inside the medium's pooled transmission record, and
+// its views last until the transmission ends. Digests and signature checks
+// hash the signed range of the bytes that were received; nothing is
+// serialized again on the receive side.
 package ndn
 
 import (
@@ -187,7 +190,9 @@ func (n Name) Seq() (int, error) {
 	return v, nil
 }
 
-// Clone returns a deep copy of the name.
+// Clone returns a copy of the name's component headers. The components'
+// bytes are shared, as strings are immutable: a clone of a name decoded
+// into a Room views the room, and dies with it.
 func (n Name) Clone() Name {
 	out := make(Name, len(n))
 	copy(out, n)

@@ -245,9 +245,12 @@ const (
 // cap-clipped, so appending to it never writes into room. A name that fits
 // both costs no object of its own.
 //
-// The views are sound because the bytes are written once, here, before the
-// packet is visible to anyone, and never again (records are not reused); a
-// retained key or component keeps the whole record alive.
+// The views are sound because the bytes are written here, before the packet
+// is visible to anyone, and not again while it is. A record from NewPacket,
+// DecodeInterest or DecodeData is never reused, so a retained key or
+// component keeps it alive; an Interest decoded into a Room is rewritten by
+// the room's next Wrap, so its views live only until its transmission ends,
+// and a table that keeps one copies it.
 //
 // Name can only represent generic components: a name carrying any other
 // component type is rejected, never decoded as if the component were absent.

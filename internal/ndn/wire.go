@@ -61,6 +61,33 @@ func NewPacket(wire []byte) *Packet {
 	return &Packet{wire: wire}
 }
 
+// Room is caller-owned storage that received Interests are decoded into, so
+// that hearing one costs no object. The broadcast medium keeps one in each
+// pooled transmission record: the Interest a transmission carries lives
+// exactly as long as the transmission, and whoever keeps any of it past
+// that — a table key, a name — copies what it keeps.
+type Room struct {
+	pkt Packet
+	rec interestRecord
+}
+
+// Wrap is NewPacket for a room: an Interest is decoded, on first use, into
+// the room itself, with no allocation. Every view an earlier Wrap handed out
+// — the Packet, its Interest, the Interest's Name, components and NameKey —
+// is dead from this call on, so the owner wraps again only once nobody holds
+// them. Any other frame gets a NewPacket of its own: Data records are
+// write-once and never reused.
+func (r *Room) Wrap(wire []byte) *Packet {
+	if len(wire) == 0 || wire[0] != tlvInterest {
+		return NewPacket(wire)
+	}
+	// decode fills a zero Interest and overwrites the inline room it uses
+	// before anything reads it.
+	r.rec.Interest = Interest{}
+	r.pkt = Packet{wire: wire, interest: &r.rec}
+	return &r.pkt
+}
+
 // LooksLikePacket reports whether wire starts like an NDN Interest or Data
 // TLV. It is the cheap first-octet gate carriers use to decide whether a
 // frame is worth attaching a decode-once view to at all — the IP baselines

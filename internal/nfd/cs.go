@@ -1,7 +1,6 @@
 package nfd
 
 import (
-	"container/list"
 	"time"
 
 	"dapes/internal/ndn"
@@ -27,8 +26,11 @@ import (
 type ContentStore struct {
 	capacity int
 	tree     *NameTree
-	clock    Clock      // nil ⇒ the clock is pinned at 0 (nothing ever goes stale)
-	order    *list.List // front = most recent; values are *csEntry
+	clock    Clock // nil ⇒ the clock is pinned at 0 (nothing ever goes stale)
+	// lru is the sentinel of the entries' recency ring: lru.next is the most
+	// recently used entry, lru.prev the least. n counts the entries.
+	lru csEntry
+	n   int
 
 	hits       uint64
 	misses     uint64
@@ -36,10 +38,10 @@ type ContentStore struct {
 }
 
 type csEntry struct {
-	node    *nameTreeNode
-	data    *ndn.Data
-	staleAt time.Duration // virtual time the entry stops being fresh
-	elem    *list.Element
+	node       *nameTreeNode
+	data       *ndn.Data
+	staleAt    time.Duration // virtual time the entry stops being fresh
+	prev, next *csEntry      // neighbours in the recency ring
 }
 
 // CsStats counts Content Store lookup outcomes.
@@ -66,12 +68,20 @@ func NewContentStoreWithClock(capacity int, clock Clock) *ContentStore {
 
 // newContentStoreOn mounts the store on an existing (possibly shared) tree.
 func newContentStoreOn(tree *NameTree, capacity int, clock Clock) *ContentStore {
-	return &ContentStore{
-		capacity: capacity,
-		tree:     tree,
-		clock:    clock,
-		order:    list.New(),
-	}
+	c := &ContentStore{capacity: capacity, tree: tree, clock: clock}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// unlink takes e out of the recency ring.
+func (e *csEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// toFront makes e, unlinked, the most recently used entry.
+func (c *ContentStore) toFront(e *csEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 func (c *ContentStore) now() time.Duration {
@@ -82,7 +92,7 @@ func (c *ContentStore) now() time.Duration {
 }
 
 // Len returns the number of cached packets.
-func (c *ContentStore) Len() int { return c.order.Len() }
+func (c *ContentStore) Len() int { return c.n }
 
 // Stats returns a copy of the lookup counters.
 func (c *ContentStore) Stats() CsStats {
@@ -109,24 +119,25 @@ func (c *ContentStore) Insert(data *ndn.Data) {
 	if e := node.cs; e != nil {
 		e.data = data
 		e.staleAt = staleAt(c.now(), data)
-		c.order.MoveToFront(e.elem)
+		e.unlink()
+		c.toFront(e)
 		return
 	}
 	// Attach before evicting: eviction prunes the evicted spine, and when
 	// the new name is a payload-free interior node on that spine, pruning
 	// first would detach the very node the entry is about to live on.
 	e := &csEntry{node: node, data: data, staleAt: staleAt(c.now(), data)}
-	e.elem = c.order.PushFront(e)
+	c.toFront(e)
+	c.n++
 	node.cs = e
-	if c.order.Len() > c.capacity {
-		if oldest := c.order.Back(); oldest != nil {
-			c.evict(oldest.Value.(*csEntry))
-		}
+	if c.n > c.capacity {
+		c.evict(c.lru.prev)
 	}
 }
 
 func (c *ContentStore) evict(e *csEntry) {
-	c.order.Remove(e.elem)
+	e.unlink()
+	c.n--
 	e.node.cs = nil
 	c.tree.prune(e.node)
 }
@@ -148,7 +159,8 @@ func (c *ContentStore) Find(interest *ndn.Interest) *ndn.Data {
 		}
 		if e != nil {
 			c.hits++
-			c.order.MoveToFront(e.elem)
+			e.unlink()
+			c.toFront(e)
 			return e.data
 		}
 	}

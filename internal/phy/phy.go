@@ -21,8 +21,9 @@
 // Delivery follows the zero-copy wire path: one broadcast creates one
 // immutable frame whose NDN parse is memoized (Frame.Packet), so the k
 // receivers of a transmission share a single decode instead of k independent
-// re-parses. See the Frame docs for the immutability contract this relies
-// on.
+// re-parses, and an Interest decodes into the pooled transmission record at
+// no allocation. See the Frame docs for the immutability and lifetime
+// contract this relies on.
 package phy
 
 import (
@@ -42,6 +43,12 @@ import (
 // Packet() are the same objects for every receiver of the broadcast —
 // handlers must only read them. The contract is safe to rely on because the
 // sim kernel is single-threaded per trial and trials share no state.
+//
+// A received Interest is decoded into the transmission's pooled record and
+// lives until the last receiver's handler has returned; the record is then
+// reused. A handler that keeps any part of it — its name, a component, its
+// NameKey — past its own return copies that part. The payload and a decoded
+// Data are never reused.
 type Frame struct {
 	// From is the ID of the transmitting radio.
 	From int
@@ -165,6 +172,10 @@ type transmission struct {
 	recs   []*reception
 	// fireNotify is the method value of notifyDone, built once.
 	fireNotify func()
+	// room holds the Interest the frame carries, decoded in place: it is
+	// rewritten only when the record is reused, after the last receiver's
+	// handler has returned.
+	room ndn.Room
 }
 
 // Radio is one node's attachment to the medium.
@@ -593,30 +604,30 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 		}
 	}
 
-	frame := Frame{From: r.id, Payload: payload, Size: size}
 	cands := m.candidatesInRange(r)
+	if len(cands) == 0 && notify == nil {
+		return
+	}
+	tx := m.newTransmission(Frame{From: r.id, Payload: payload, Size: size}, notify)
 	if len(cands) > 0 && ndn.LooksLikePacket(payload) {
 		// One decode-once packet per transmission, shared by every receiver
-		// below (they all deliver the transmission record's frame).
-		// Non-NDN traffic (the IP baselines' routing and transport frames)
-		// skips the attachment: its handlers never ask for the NDN view, so
-		// it should not pay even the wrapper allocation.
-		frame.pkt = ndn.NewPacket(payload)
+		// below (they all deliver the transmission record's frame); an
+		// Interest decodes into the record's room. Non-NDN traffic (the IP
+		// baselines' routing and transport frames) skips the attachment: its
+		// handlers never ask for the NDN view.
+		tx.frame.pkt = tx.room.Wrap(payload)
 	}
-	if len(cands) > 0 || notify != nil {
-		tx := m.newTransmission(frame, notify)
-		for _, rx := range cands {
-			rec := m.receive(rx, tx, start, end)
-			if notify != nil {
-				tx.recs = append(tx.recs, rec)
-			}
-		}
+	for _, rx := range cands {
+		rec := m.receive(rx, tx, start, end)
 		if notify != nil {
-			// Scheduled last, so at the same timestamp it fires after every
-			// completion above and sees each record's final collided state.
-			tx.refs++
-			m.kernel.ScheduleFuncAt(end, tx.fireNotify)
+			tx.recs = append(tx.recs, rec)
 		}
+	}
+	if notify != nil {
+		// Scheduled last, so at the same timestamp it fires after every
+		// completion above and sees each record's final collided state.
+		tx.refs++
+		m.kernel.ScheduleFuncAt(end, tx.fireNotify)
 	}
 }
 
@@ -650,42 +661,49 @@ func (rec *reception) complete() {
 			break
 		}
 	}
-	collided, frame := rec.collided, tx.frame
+	collided := rec.collided
 	if tx.notify == nil {
-		// No notify event reads this record later; recycle it — and, if this
-		// was its last reception, the transmission — now, so a broadcast
-		// triggered by the handler below can reuse them. The handler keeps
-		// its own copy of the frame.
+		// No notify event reads this record later; recycle it now, so a
+		// broadcast triggered by the handler below can reuse it.
 		m.recFree = append(m.recFree, rec)
 	}
+	if m.admit(rx, collided) && rx.handler != nil {
+		rx.handler(tx.frame)
+	}
+	// The transmission's reference goes only once the handler has returned:
+	// the frame's decoded Interest lives in the record, so a broadcast the
+	// handler makes must not be handed it.
 	tx.unref()
+}
+
+// admit reports whether a completed reception reaches rx's handler, and
+// counts the reception as delivered or as the reason it was not.
+func (m *Medium) admit(rx *Radio, collided bool) bool {
 	if !rx.enabled {
-		return
+		return false
 	}
 	if collided {
 		m.stats.Collisions++
-		return
+		return false
 	}
 	// Jammer check first: a blacked-out receiver hears nothing, so no loss
 	// draw happens for it (pure position/time predicate — no RNG).
 	if m.jam != nil && m.jam.Blocks(rx.Position(), m.kernel.Now()) {
 		m.stats.Jammed++
-		return
+		return false
 	}
 	if m.loss != nil {
 		if m.loss.Drop(rx.id, &rx.coin) {
 			m.stats.Lost++
-			return
+			return false
 		}
 	} else if m.cfg.LossRate > 0 && rx.coin.Float64() < m.cfg.LossRate {
 		m.stats.Lost++
-		return
+		return false
 	}
 	m.stats.Deliveries++
 	rx.Received++
-	if rx.handler != nil {
-		rx.handler(frame)
-	}
+	return true
 }
 
 // String summarizes the stats for logs.

@@ -8,12 +8,14 @@ import (
 	"time"
 
 	"dapes/internal/geo"
+	"dapes/internal/ndn"
 	"dapes/internal/sim"
 )
 
-// broadcastAllocs measures the steady-state allocations of one broadcast —
-// scheduling through completion — heard by k receivers.
-func broadcastAllocs(t *testing.T, k int, notify func(bool)) float64 {
+// broadcastAllocs measures the steady-state allocations of one broadcast of
+// payload — scheduling through completion — heard by k receivers, each of
+// which hands the frame to onFrame (when non-nil).
+func broadcastAllocs(t *testing.T, k int, payload []byte, notify func(bool), onFrame func(Frame)) float64 {
 	t.Helper()
 	kernel := sim.NewKernel(1)
 	m := NewMedium(kernel, Config{Range: 50, LossRate: 0.1})
@@ -21,9 +23,13 @@ func broadcastAllocs(t *testing.T, k int, notify func(bool)) float64 {
 	heard := 0
 	for i := 0; i < k; i++ {
 		rx := m.Attach(geo.Stationary{At: geo.Point{X: 1 + float64(i)}})
-		rx.SetHandler(func(Frame) { heard++ })
+		rx.SetHandler(func(f Frame) {
+			heard++
+			if onFrame != nil {
+				onFrame(f)
+			}
+		})
 	}
-	payload := make([]byte, 256) // first byte 0: not an NDN packet, no decode memo
 	once := func() {
 		m.BroadcastNotify(sender, payload, notify)
 		if err := kernel.Run(0); err != nil {
@@ -53,18 +59,38 @@ func TestBroadcastDoesNotAllocatePerReceiver(t *testing.T) {
 		notify func(bool)
 	}{{"plain", nil}, {"notify", func(bool) {}}} {
 		for _, k := range []int{1, 4, 32} {
-			if avg := broadcastAllocs(t, k, mode.notify); avg != 0 {
+			// First byte 0: not an NDN packet, no decode memo.
+			if avg := broadcastAllocs(t, k, make([]byte, 256), mode.notify, nil); avg != 0 {
 				t.Errorf("%s broadcast to %d receivers allocates %.2f objects, want 0", mode.name, k, avg)
 			}
 		}
 	}
 }
 
+// TestDeliveredInterestDoesNotAllocate pins the Interest's decode in the
+// transmission record: with the medium warm, an Interest heard by k
+// receivers that each read it costs no object at all.
+func TestDeliveredInterestDoesNotAllocate(t *testing.T) {
+	wire := (&ndn.Interest{Name: ndn.ParseName("/dapes/bitmap/c0ffee/adv/7/3"), CanBePrefix: true, Nonce: 9, AppParams: make([]byte, 64)}).Encode()
+	read := func(f Frame) {
+		if in := f.Packet().Interest(); in == nil || in.NameKey() != "/dapes/bitmap/c0ffee/adv/7/3" || in.Nonce != 9 {
+			t.Fatalf("delivered Interest decoded as %+v (%v)", in, f.Packet().Err())
+		}
+	}
+	for _, k := range []int{1, 4, 32} {
+		if avg := broadcastAllocs(t, k, wire, nil, read); avg != 0 {
+			t.Errorf("an Interest heard by %d receivers allocates %.2f objects, want 0", k, avg)
+		}
+	}
+}
+
 // TestRebroadcastFromCompletionSeesOwnFrame is the pool-hygiene gate: a
-// handler that broadcasts from inside its own completion may be handed the
-// very transmission record its frame just vacated (when it is the frame's
-// last receiver) or run while that record is still live (when it is not).
-// Either way it, and every later receiver, must see the right frame.
+// handler that broadcasts from inside its own completion runs while its
+// frame's transmission record is still live — even as the frame's last
+// receiver, since the record's reference is dropped only after the handler
+// returns — so its broadcast takes another record, and the Interest decoded
+// into its own record still reads as the one it heard. It, and every later
+// receiver, must see the right frame.
 func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(1)
@@ -77,34 +103,45 @@ func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
 	d := m.Attach(geo.Stationary{At: geo.Point{X: 80}})
 	e := m.Attach(geo.Stationary{At: geo.Point{X: -80}})
 
+	interest := func(name string) []byte {
+		return (&ndn.Interest{Name: ndn.ParseName(name), Nonce: 1}).Encode()
+	}
 	var heard []string
 	record := func(rx *Radio, f Frame) {
-		heard = append(heard, fmt.Sprintf("%d heard %q from %d (%d B)", rx.ID(), f.Payload, f.From, f.Size))
+		heard = append(heard, fmt.Sprintf("%d heard %s from %d (%d B)", rx.ID(), f.Packet().Interest().NameKey(), f.From, f.Size))
 	}
 	var feedback []bool
 	relay := func(rx *Radio, reply string) Handler {
+		wire := interest(reply)
 		return func(f Frame) {
-			m.BroadcastNotify(rx, []byte(reply), func(collided bool) { feedback = append(feedback, collided) })
-			record(rx, f) // after the nested broadcast took records from the pool
+			heardName := f.Packet().Interest().NameKey()
+			m.BroadcastNotify(rx, wire, func(collided bool) { feedback = append(feedback, collided) })
+			// After the nested broadcast took records from the pool, the
+			// Interest still reads as the one this radio heard.
+			if got := f.Packet().Interest().NameKey(); got != heardName {
+				t.Errorf("radio %d: its Interest read %s before its broadcast and %s after", rx.ID(), heardName, got)
+			}
+			record(rx, f)
 		}
 	}
-	b.SetHandler(relay(b, "from-b")) // not a's last receiver: a's record is still live
-	c.SetHandler(relay(c, "from-c")) // a's last receiver: the nested broadcast reuses a's record
+	b.SetHandler(relay(b, "/from-b")) // not a's last receiver
+	c.SetHandler(relay(c, "/from-c")) // a's last receiver: a's record is still held
 	a.SetHandler(func(f Frame) { record(a, f) })
 	d.SetHandler(func(f Frame) { record(d, f) })
 	e.SetHandler(func(f Frame) { record(e, f) })
 
-	m.Broadcast(a, []byte("from-a"))
+	wire := interest("/from-a")
+	m.Broadcast(a, wire)
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(heard)
-	hdr := m.Config().HeaderBytes
+	size := len(wire) + m.Config().HeaderBytes // the three names are as long
 	want := []string{
-		fmt.Sprintf("%d heard %q from %d (%d B)", b.ID(), "from-a", a.ID(), 6+hdr),
-		fmt.Sprintf("%d heard %q from %d (%d B)", c.ID(), "from-a", a.ID(), 6+hdr),
-		fmt.Sprintf("%d heard %q from %d (%d B)", d.ID(), "from-b", b.ID(), 6+hdr),
-		fmt.Sprintf("%d heard %q from %d (%d B)", e.ID(), "from-c", c.ID(), 6+hdr),
+		fmt.Sprintf("%d heard %s from %d (%d B)", b.ID(), "/from-a", a.ID(), size),
+		fmt.Sprintf("%d heard %s from %d (%d B)", c.ID(), "/from-a", a.ID(), size),
+		fmt.Sprintf("%d heard %s from %d (%d B)", d.ID(), "/from-b", b.ID(), size),
+		fmt.Sprintf("%d heard %s from %d (%d B)", e.ID(), "/from-c", c.ID(), size),
 	}
 	if !reflect.DeepEqual(heard, want) {
 		t.Fatalf("deliveries:\n got %q\nwant %q", heard, want)
@@ -116,10 +153,11 @@ func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
 	if st := m.Stats(); st.Collisions != 2 || st.Deliveries != 4 {
 		t.Fatalf("stats = %+v, want 4 deliveries and 2 collisions", st)
 	}
-	// Three broadcasts and six receptions ran on two and four records: c's
-	// reply took over a's transmission, and each reply one of a's receptions.
-	if len(m.txFree) != 2 || len(m.recFree) != 4 {
-		t.Fatalf("pools hold %d transmissions and %d receptions after the run, want 2 and 4", len(m.txFree), len(m.recFree))
+	// Three broadcasts and six receptions ran on three and four records:
+	// every reply was sent while a's transmission was still held, so none
+	// took it over, and each reply took one of a's receptions.
+	if len(m.txFree) != 3 || len(m.recFree) != 4 {
+		t.Fatalf("pools hold %d transmissions and %d receptions after the run, want 3 and 4", len(m.txFree), len(m.recFree))
 	}
 }
 
