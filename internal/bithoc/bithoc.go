@@ -104,6 +104,7 @@ type Peer struct {
 	peers     map[int]*peerInfo
 	inflight  map[int]*pieceTimeout // piece -> timeout record
 	piecePool []*pieceTimeout       // reusable timeout records
+	resp      []byte                // scratch piece response (onReliable)
 
 	// Selection state, kept current where peers and inflight change so
 	// selectPiece never walks the peer table: rarity counts, per piece, the
@@ -288,15 +289,26 @@ func (p *Peer) helloTick() {
 	p.pump()
 }
 
+// helloHeaderLen is a HELLO's fixed part: magic, TTL, origin and sequence
+// number. The sender's bitmap follows.
+const helloHeaderLen = 10
+
+// encodeHello builds a HELLO in one buffer sized for the bitmap's whole
+// words, which AppendEncode writes before cutting the tail to its bytes.
 func (p *Peer) encodeHello(origin, seq, ttl int) []byte {
-	b := []byte{helloMagic, byte(ttl)}
-	b = binary.BigEndian.AppendUint32(b, uint32(origin))
-	b = binary.BigEndian.AppendUint32(b, uint32(seq))
-	return append(b, p.have.Encode()...)
+	b := make([]byte, helloHeaderLen, helloHeaderLen+4+8*((p.have.Len()+63)/64))
+	b[0], b[1] = helloMagic, byte(ttl)
+	binary.BigEndian.PutUint32(b[2:], uint32(origin))
+	binary.BigEndian.PutUint32(b[6:], uint32(seq))
+	return p.have.AppendEncode(b)
 }
 
+// onHello takes a heard HELLO. The bitmap is validated before any state
+// changes and decoded only if the HELLO is accepted, into the bitmap the
+// peer's entry already holds: rarity keeps its own copy of every member, so
+// nothing else sees the overwrite.
 func (p *Peer) onHello(payload []byte) {
-	if !p.running || len(payload) < 10 {
+	if !p.running || len(payload) < helloHeaderLen {
 		return
 	}
 	ttl := int(payload[1])
@@ -305,7 +317,8 @@ func (p *Peer) onHello(payload []byte) {
 	if origin == p.ID() {
 		return
 	}
-	bm, err := bitmap.Decode(payload[10:])
+	enc := payload[helloHeaderLen:]
+	n, _, err := bitmap.EncodedLen(enc)
 	if err != nil {
 		return
 	}
@@ -315,24 +328,22 @@ func (p *Peer) onHello(payload []byte) {
 			info = &peerInfo{id: origin}
 			p.peers[origin] = info
 		}
+		if info.bm == nil || info.bm.Len() != n {
+			info.bm = bitmap.New(n)
+		}
+		info.bm.DecodeFrom(enc) // cannot fail: validated above, length matched
 		moved := info.hops != hops
-		info.bm = bm
 		info.hops = hops
 		info.lastHeard = p.k.Now()
 		p.rank(info, moved)
 	}
-	// Scoped relay with duplicate suppression.
+	// Scoped relay with duplicate suppression. The copy is the relay's own
+	// wire: the heard one is immutable, and the TTL byte changes.
 	if ttl > 1 && p.seenHello[origin] < seq {
 		p.seenHello[origin] = seq
 		relay := append([]byte(nil), payload...)
 		relay[1] = byte(ttl - 1)
-		p.k.ScheduleFunc(p.rng.Jitter(50*time.Millisecond), func() {
-			if !p.running {
-				return
-			}
-			p.stats.HellosRelayed++
-			p.medium.Broadcast(p.radio, relay)
-		})
+		p.medium.BroadcastAfter(p.rng.Jitter(50*time.Millisecond), p.radio, relay, &p.stats.HellosRelayed, &p.running)
 	}
 	p.pump()
 }
@@ -496,11 +507,15 @@ func (p *Peer) onReliable(src int, payload []byte) {
 		if p.have == nil || !p.have.Test(piece) {
 			return
 		}
-		resp := make([]byte, 5+p.pieceSize)
-		resp[0] = msgPiece
-		binary.BigEndian.PutUint32(resp[1:], uint32(piece))
+		// Send copies the payload, so one scratch response serves every
+		// request; its piece bytes are never written.
+		if len(p.resp) != 5+p.pieceSize {
+			p.resp = make([]byte, 5+p.pieceSize)
+		}
+		p.resp[0] = msgPiece
+		binary.BigEndian.PutUint32(p.resp[1:], uint32(piece))
 		p.stats.PiecesSent++
-		p.reliable.Send(src, resp, nil)
+		p.reliable.Send(src, p.resp, nil)
 	case msgPiece:
 		piece := int(binary.BigEndian.Uint32(payload[1:5]))
 		if p.have == nil || piece < 0 || piece >= p.nPieces || p.have.Test(piece) {

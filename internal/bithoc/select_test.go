@@ -225,3 +225,36 @@ func TestSelectPieceDoesNotAllocate(t *testing.T) {
 		t.Fatalf("selectPiece allocates %.1f objects per call, want 0", avg)
 	}
 }
+
+// TestHelloReheardDoesNotAllocate pins the HELLO receive path: a known peer's
+// next HELLO, heard at an unchanged distance and not relayed (TTL 1), decodes
+// into the bitmap the peer's entry already holds and costs no object. The
+// HELLOs alternate between two bitmaps, so each one is really decoded.
+func TestHelloReheardDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	k := sim.NewKernel(1)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	p := NewPeer(k, medium, geo.Stationary{}, Config{})
+	p.Seed(200, 10) // nothing to fetch: pump returns at once
+	p.running = true
+	bms := [2]*bitmap.Bitmap{randomBitmap(rng, 200, 0.3), randomBitmap(rng, 200, 0.6)}
+	hellos := [2][]byte{helloFrame(1, 1, 1, bms[0]), helloFrame(1, 1, 1, bms[1])}
+	p.onHello(hellos[0]) // first hearing: the peer's entry, its bitmap, its rarity member
+	seq, heard := 1, 0
+	avg := testing.AllocsPerRun(201, func() {
+		seq++
+		heard = seq % 2
+		binary.BigEndian.PutUint32(hellos[heard][6:], uint32(seq))
+		p.onHello(hellos[heard])
+	})
+	if avg != 0 {
+		t.Errorf("a re-heard HELLO allocates %.2f objects, want 0", avg)
+	}
+	info := p.peers[1]
+	if info == nil || !info.ranked || info.hops != 2 || !info.bm.Equal(bms[heard]) {
+		t.Fatalf("peer 1 after its HELLOs: %+v, want ranked at 2 hops with the last bitmap heard", info)
+	}
+	if p.Stats().HellosRelayed != 0 || k.Pending() != 0 {
+		t.Fatalf("a TTL-1 HELLO was relayed (%d relays, %d events pending)", p.Stats().HellosRelayed, k.Pending())
+	}
+}

@@ -288,8 +288,9 @@ func TestAppendURIMatchesString(t *testing.T) {
 // receivers of one broadcast get the same *Data from the Packet and so the
 // same string — and it is dropped by exactly the calls that drop the cached
 // wire form, so a renamed packet can never be filed under its old name.
+//
+// Serial on purpose: AllocsPerRun reads the process-wide counter.
 func TestNameKeyMemoFollowsTheWireForm(t *testing.T) {
-	t.Parallel()
 	d := &Data{Name: ParseName("/coll/file/0"), Content: []byte("x")}
 	d.SignDigest()
 	pkt := NewPacket(d.Encode())

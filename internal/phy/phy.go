@@ -140,6 +140,10 @@ type Stats struct {
 	Lost uint64
 	// Jammed counts receptions dropped by an installed Jammer window.
 	Jammed uint64
+	// Deaf counts receptions whose receiver was disabled while the frame
+	// was in the air. Every reception scheduled is counted exactly once, as
+	// delivered, collided, lost, jammed or deaf, once it completes.
+	Deaf uint64
 	// BytesSent counts on-air bytes (including modeled header overhead).
 	BytesSent uint64
 }
@@ -680,6 +684,7 @@ func (rec *reception) complete() {
 // counts the reception as delivered or as the reason it was not.
 func (m *Medium) admit(rx *Radio, collided bool) bool {
 	if !rx.enabled {
+		m.stats.Deaf++
 		return false
 	}
 	if collided {

@@ -15,8 +15,9 @@ import (
 // (zero re-parses per additional receiver), repeat accesses to the memoized
 // parse allocate nothing, and the decoded Data's Encode returns the very
 // frame bytes that were on the air (zero re-encode on relay).
+//
+// Serial on purpose: AllocsPerRun reads the process-wide counter.
 func TestDeliveredFrameSharedDecode(t *testing.T) {
-	t.Parallel()
 	const receivers = 8
 	k := sim.NewKernel(5)
 	m := NewMedium(k, Config{Range: 50}) // no loss, single broadcast: no collisions

@@ -54,6 +54,7 @@ type DSDV struct {
 	radio   *phy.Radio
 	cfg     DSDVConfig
 	table   map[int]dsdvRoute
+	dsts    []int // appendTable's scratch: the table's keys, sorted
 	ownSeq  int
 	deliver func(src int, payload []byte)
 	running bool
@@ -138,10 +139,10 @@ func (d *DSDV) periodicUpdate() {
 	}
 	d.expireStale()
 	d.ownSeq += 2 // even sequence numbers mark reachable routes
-	payload := d.encodeTable()
-	f := &frame{Proto: protoDSDVUpdate, Src: d.id, Dst: Broadcast, NextHop: Broadcast, Payload: payload}
+	f := frame{Proto: protoDSDVUpdate, Src: d.id, Dst: Broadcast, NextHop: Broadcast}
+	wire := f.appendHeader(make([]byte, 0, headerLen+2+12*(len(d.table)+1)))
 	d.ctrlTx++
-	d.transmit(f.encode())
+	d.transmit(d.appendTable(wire))
 	d.tick.Reset(d.cfg.UpdatePeriod + d.rng.Jitter(d.cfg.UpdatePeriod/4))
 }
 
@@ -155,21 +156,21 @@ func (d *DSDV) expireStale() {
 	}
 }
 
-// encodeTable serializes (dst, metric, seq) triples, with the node itself as
-// the first entry.
-func (d *DSDV) encodeTable() []byte {
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(d.table)+1))
+// appendTable appends the update payload to b: a count, then (dst, metric,
+// seq) triples with the node itself as the first entry.
+func (d *DSDV) appendTable(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(d.table)+1))
 	b = putU32(b, d.id)
 	b = putU32(b, 0)
 	b = putU32(b, d.ownSeq)
 	// Entries go out in sorted destination order so update frames are
 	// byte-identical run to run (map iteration order is randomized).
-	dsts := make([]int, 0, len(d.table))
+	d.dsts = d.dsts[:0]
 	for dst := range d.table {
-		dsts = append(dsts, dst)
+		d.dsts = append(d.dsts, dst)
 	}
-	sort.Ints(dsts)
-	for _, dst := range dsts {
+	sort.Ints(d.dsts)
+	for _, dst := range d.dsts {
 		r := d.table[dst]
 		b = putU32(b, dst)
 		b = putU32(b, r.metric)

@@ -75,6 +75,13 @@ func getI32(b []byte) int {
 // handed to the medium and never written again.
 func (f *frame) encode() []byte {
 	b := make([]byte, 0, headerLen+4*len(f.Route)+len(f.Payload))
+	return append(f.appendHeader(b), f.Payload...)
+}
+
+// appendHeader appends the frame's fixed header and route record to b: the
+// wire up to the payload, which a caller that builds its payload in place
+// appends itself.
+func (f *frame) appendHeader(b []byte) []byte {
 	b = append(b, frameMagic, f.Proto)
 	b = putU32(b, f.Src)
 	b = putU32(b, f.Dst)
@@ -84,7 +91,7 @@ func (f *frame) encode() []byte {
 	for _, h := range f.Route {
 		b = putU32(b, h)
 	}
-	return append(b, f.Payload...)
+	return b
 }
 
 // decodeFrame parses b's header and returns the frame as a view of b: nothing

@@ -10,8 +10,9 @@ import (
 // the payload a handler sees is the received wire itself, clipped so that
 // growing it cannot touch the wire, and a unicast overheard on its way
 // through someone else is rejected without allocating anything.
+//
+// Serial on purpose: AllocsPerRun reads the process-wide counter.
 func TestDecodeFrameIsAView(t *testing.T) {
-	t.Parallel()
 	sent := frame{
 		Proto: protoData, Src: 3, Dst: 9, NextHop: 4, TTL: 7, Seq: 11,
 		Route:   []int{3, 4, 9},

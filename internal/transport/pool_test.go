@@ -151,3 +151,45 @@ func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
 		t.Fatalf("after Stop: %d more segments, onDone = %v, failures = %d", len(tap.sent)-before, done, r.Failures)
 	}
 }
+
+// nullRouter is a Router whose Send keeps nothing: it only counts.
+type nullRouter struct {
+	sent    int
+	deliver func(src int, payload []byte)
+}
+
+func (r *nullRouter) ID() int                                     { return 1 }
+func (r *nullRouter) Send(int, []byte) bool                       { r.sent++; return true }
+func (r *nullRouter) SetDeliver(fn func(src int, payload []byte)) { r.deliver = fn }
+func (r *nullRouter) Start()                                      {}
+func (r *nullRouter) Stop()                                       {}
+func (r *nullRouter) ControlTransmissions() uint64                { return 0 }
+
+// TestAckDoesNotAllocate pins the receive side's ack: a data message heard
+// again — a duplicate, as a retransmission whose ack was lost is — is acked
+// through a pooled record, and the delivery plus the ack's jittered send cost
+// no object once the pool and the kernel are warm.
+func TestAckDoesNotAllocate(t *testing.T) {
+	k := sim.NewKernel(1)
+	null := &nullRouter{}
+	r := NewReliable(k, null, Config{})
+	delivered := 0
+	r.SetReceive(func(int, []byte) { delivered++ })
+	seg := segment(7, "piece")
+	once := func() {
+		null.deliver(2, seg)
+		if err := k.Run(k.Now() + r.cfg.Jitter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 512; i++ { // fill the pools across the wheel's slots
+		once()
+	}
+	if avg := testing.AllocsPerRun(200, once); avg != 0 {
+		t.Errorf("a duplicate data message and its ack allocate %.2f objects, want 0", avg)
+	}
+	if delivered != 1 || r.AcksSent != 713 || null.sent != 713 || k.Pending() != 0 {
+		t.Fatalf("delivered %d, acked %d, sent %d, %d events pending; want 1, 713, 713, 0",
+			delivered, r.AcksSent, null.sent, k.Pending())
+	}
+}

@@ -58,6 +58,7 @@ type Reliable struct {
 	nextID  uint32
 	pending map[uint32]*outstanding
 	free    []*outstanding // retired records, reused with their timers
+	acks    []*ackJob      // ack records not waiting out a jitter
 	// seen tracks delivered message IDs per source. Entries are compacted
 	// once a sender can no longer retransmit them (see seenTTL), so the
 	// state is bounded by the duplicate window instead of growing with
@@ -231,11 +232,7 @@ func (r *Reliable) onRouterDeliver(src int, payload []byte) {
 	switch kind {
 	case msgData:
 		// Ack unconditionally (acks are lost sometimes; sender retries).
-		ack := binary.BigEndian.AppendUint32(append(make([]byte, 0, 5), msgAck), id)
-		r.k.ScheduleFunc(r.rng.Jitter(r.cfg.Jitter), func() {
-			r.AcksSent++
-			r.router.Send(src, ack)
-		})
+		r.scheduleAck(src, id)
 
 		s, ok := r.seen[src]
 		if !ok {
@@ -271,6 +268,42 @@ func (r *Reliable) onRouterDeliver(src int, payload []byte) {
 			onDone(true)
 		}
 	}
+}
+
+// ackJob is one acknowledgement waiting out its jitter: the segment and
+// where it goes. Records are pooled on the Reliable and keep their event func
+// (fire, the method value of send) for life, so an ack allocates nothing.
+type ackJob struct {
+	r    *Reliable
+	src  int
+	seg  [5]byte
+	fire func()
+}
+
+// scheduleAck queues the ack of message id to src after the jitter.
+func (r *Reliable) scheduleAck(src int, id uint32) {
+	var a *ackJob
+	if n := len(r.acks); n > 0 {
+		a = r.acks[n-1]
+		r.acks[n-1] = nil
+		r.acks = r.acks[:n-1]
+	} else {
+		a = &ackJob{r: r}
+		a.fire = a.send
+	}
+	a.src = src
+	a.seg[0] = msgAck
+	binary.BigEndian.PutUint32(a.seg[1:], id)
+	r.k.ScheduleFunc(r.rng.Jitter(r.cfg.Jitter), a.fire)
+}
+
+// send puts the ack on the router. Send copies what it keeps, so the record
+// is pooled again once it returns.
+func (a *ackJob) send() {
+	r := a.r
+	r.AcksSent++
+	r.router.Send(a.src, a.seg[:])
+	r.acks = append(r.acks, a)
 }
 
 // Pending returns the number of unacknowledged messages.
