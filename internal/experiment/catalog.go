@@ -23,7 +23,7 @@ func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc 
 			Transmissions:   r.Transmissions,
 			Completed:       completed,
 			Downloaders:     1,
-			MemoryBytes:     int(r.Load.MemoryMB * (1 << 20)),
+			MemoryBytes:     r.StateBytes,
 		}, nil
 	}
 }
@@ -87,7 +87,7 @@ func init() {
 	Register(&Scenario{
 		Name:      "fig8a-carrier",
 		Summary:   "Fig.-8a outdoor run: data carrier shuttles between three disconnected segments",
-		Optimizes: "feasibility (completion + modeled system load) under pure carry-and-forward",
+		Optimizes: "feasibility (completion, traffic and protocol state) under pure carry-and-forward",
 		Narrative: "Producer A's collection reaches B and C only through carrier D, " +
 			"who patrols three 150 m-apart network segments.",
 		Params: fig8Params,

@@ -133,19 +133,6 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-func TestLoadModelMonotonic(t *testing.T) {
-	t.Parallel()
-	small := loadModel(100, 100, 1000, 1<<12)
-	big := loadModel(1000, 1000, 10000, 1<<12)
-	if big.SystemCalls <= small.SystemCalls || big.ContextSwitches <= small.ContextSwitches {
-		t.Fatal("load model not monotonic in traffic")
-	}
-	stateHeavy := loadModel(100, 100, 1000, 1<<20)
-	if stateHeavy.MemoryMB <= small.MemoryMB {
-		t.Fatal("memory model ignores protocol state")
-	}
-}
-
 func TestScalePresets(t *testing.T) {
 	t.Parallel()
 	for _, s := range []Scale{ReducedScale(), QuickScale(), FullScale()} {

@@ -156,7 +156,7 @@ var Figures = []Figure{
 		},
 	},
 	{ // The real-world feasibility scenarios of Fig. 8 (TableIRows).
-		Panels: []Panel{{ID: "tableI", Title: "Table I: real-world feasibility scenarios (modeled system load)"}},
+		Panels: []Panel{{ID: "tableI", Title: "Table I: real-world feasibility scenarios (simulated traffic and protocol state)"}},
 	},
 	{ // The baseline comparison, plus Section VI-D's forwarding accuracy.
 		ID: "10",
