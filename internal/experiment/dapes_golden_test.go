@@ -153,7 +153,7 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 			eventsFired uint64
 		}
 		want := fig8Golden{
-			ScenarioResult{"repository (Fig 8b)", 126622511185, 2192, 3744, 0, true},
+			ScenarioResult{"repository (Fig 8b)", 126622511185, 2192, 3744, 7180, true},
 			phy.Stats{Transmissions: 2192, Deliveries: 3744, Collisions: 531, Lost: 171, BytesSent: 914810},
 			6916,
 		}
