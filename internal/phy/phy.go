@@ -24,6 +24,10 @@
 // re-parses, and an Interest decodes into the pooled transmission record at
 // no allocation. See the Frame docs for the immutability and lifetime
 // contract this relies on.
+//
+// A transmission completes in one kernel event at its end: the event
+// finalizes every reception in candidate order, handing each surviving frame
+// to its receiver's handler, and then reports to a BroadcastNotify sender.
 package phy
 
 import (
@@ -45,10 +49,10 @@ import (
 // sim kernel is single-threaded per trial and trials share no state.
 //
 // A received Interest is decoded into the transmission's pooled record and
-// lives until the last receiver's handler has returned; the record is then
-// reused. A handler that keeps any part of it — its name, a component, its
-// NameKey — past its own return copies that part. The payload and a decoded
-// Data are never reused.
+// lives until the transmission's completion event returns, after every
+// receiver's handler; the record is then reused. A handler that keeps any
+// part of it — its name, a component, its NameKey — past its own return
+// copies that part. The payload and a decoded Data are never reused.
 type Frame struct {
 	// From is the ID of the transmitting radio.
 	From int
@@ -149,36 +153,27 @@ type Stats struct {
 }
 
 // reception tracks one in-flight frame at one receiver: the interval the
-// collision checks compare, the receiver, and the transmission whose Frame it
-// delivers. Records are pooled on the medium and keep their completion func
-// (fire, the method value of complete) for life, so scheduling a reception
-// allocates nothing. A reception of a BroadcastNotify transmission outlives
-// its completion: the notify event reads its final collided state and
-// releases it.
+// collision checks compare and the receiver. Records are pooled on the
+// medium and held by their transmission until it completes.
 type reception struct {
 	start, end time.Duration
 	collided   bool
 	rx         *Radio
-	tx         *transmission
-	fire       func()
 }
 
-// transmission is the state the receivers of one broadcast share: the Frame
-// each is handed and, for BroadcastNotify, the sender's callback and the
-// receptions it reports on. Pooled on the medium like receptions; refs counts
-// the scheduled events (completions, plus the notify event) that have yet to
-// run, and the one that takes it to zero returns the record to the pool.
+// transmission is one broadcast: the Frame its receivers are handed, their
+// receptions in candidate order and, for BroadcastNotify, the sender's
+// callback. Pooled on the medium; its one event (fire, the method value of
+// complete, built once) completes every reception and returns the record.
 type transmission struct {
 	m      *Medium
 	frame  Frame
-	refs   int
 	notify func(collided bool)
 	recs   []*reception
-	// fireNotify is the method value of notifyDone, built once.
-	fireNotify func()
+	fire   func()
 	// room holds the Interest the frame carries, decoded in place: it is
-	// rewritten only when the record is reused, after the last receiver's
-	// handler has returned.
+	// rewritten only when the record is reused, after the completion event
+	// has returned.
 	room ndn.Room
 }
 
@@ -456,7 +451,7 @@ func (m *Medium) Neighbors(r *Radio) []int {
 }
 
 // newTransmission takes a transmission record from the pool (or allocates
-// one) for a frame with no events scheduled yet.
+// one) for a frame with no receptions yet.
 func (m *Medium) newTransmission(frame Frame, notify func(collided bool)) *transmission {
 	var tx *transmission
 	if n := len(m.txFree); n > 0 {
@@ -465,24 +460,15 @@ func (m *Medium) newTransmission(frame Frame, notify func(collided bool)) *trans
 		m.txFree = m.txFree[:n-1]
 	} else {
 		tx = &transmission{m: m}
-		tx.fireNotify = tx.notifyDone
+		tx.fire = tx.complete
 	}
 	tx.frame, tx.notify = frame, notify
 	return tx
 }
 
-// unref drops one scheduled event's reference; the last one pools the record.
-func (tx *transmission) unref() {
-	if tx.refs--; tx.refs == 0 {
-		tx.frame, tx.notify = Frame{}, nil
-		tx.m.txFree = append(tx.m.txFree, tx)
-	}
-}
-
-// receive registers tx's frame as in flight at rx over [start, end]: the
-// overlap checks against everything else rx is hearing or sending, and the
-// completion event at end.
-func (m *Medium) receive(rx *Radio, tx *transmission, start, end time.Duration) *reception {
+// receive registers a frame as in flight at rx over [start, end] and checks
+// it for overlap against everything else rx is hearing or sending.
+func (m *Medium) receive(rx *Radio, start, end time.Duration) *reception {
 	var rec *reception
 	if n := len(m.recFree); n > 0 {
 		rec = m.recFree[n-1]
@@ -490,9 +476,8 @@ func (m *Medium) receive(rx *Radio, tx *transmission, start, end time.Duration) 
 		m.recFree = m.recFree[:n-1]
 	} else {
 		rec = &reception{}
-		rec.fire = rec.complete
 	}
-	rec.start, rec.end, rec.collided, rec.rx, rec.tx = start, end, false, rx, tx
+	rec.start, rec.end, rec.collided, rec.rx = start, end, false, rx
 	// Overlap with any in-flight reception garbles both.
 	for _, other := range rx.inFlight {
 		if rec.start < other.end && other.start < rec.end {
@@ -512,8 +497,6 @@ func (m *Medium) receive(rx *Radio, tx *transmission, start, end time.Duration) 
 	}
 	rx.txWindows = kept
 	rx.inFlight = append(rx.inFlight, rec)
-	tx.refs++
-	m.kernel.ScheduleFuncAt(end, rec.fire)
 	return rec
 }
 
@@ -622,62 +605,44 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 		tx.frame.pkt = tx.room.Wrap(payload)
 	}
 	for _, rx := range cands {
-		rec := m.receive(rx, tx, start, end)
-		if notify != nil {
-			tx.recs = append(tx.recs, rec)
-		}
+		tx.recs = append(tx.recs, m.receive(rx, start, end))
 	}
-	if notify != nil {
-		// Scheduled last, so at the same timestamp it fires after every
-		// completion above and sees each record's final collided state.
-		tx.refs++
-		m.kernel.ScheduleFuncAt(end, tx.fireNotify)
-	}
+	m.kernel.ScheduleFuncAt(end, tx.fire)
 }
 
-// notifyDone is a BroadcastNotify transmission's last event: it reports
-// whether any receiver's copy collided and releases the receptions their
-// completions left for it.
-func (tx *transmission) notifyDone() {
+// complete is a transmission's one event, at its end. It finalizes each
+// reception in candidate order — out of the receiver's in-flight set, then
+// delivered unless it collided or was lost — and only then returns the
+// records to the pools and reports to the sender. A broadcast a handler
+// makes starts at this instant, so it can no longer overlap (and garble) a
+// reception still in the loop, and it takes records of its own: the frame's
+// decoded Interest lives in this one.
+func (tx *transmission) complete() {
 	m := tx.m
 	collided := false
-	for i, rec := range tx.recs {
-		if rec.collided {
-			collided = true
+	for _, rec := range tx.recs {
+		rx := rec.rx
+		for i, other := range rx.inFlight {
+			if other == rec {
+				rx.inFlight = append(rx.inFlight[:i], rx.inFlight[i+1:]...)
+				break
+			}
 		}
+		collided = collided || rec.collided
+		if m.admit(rx, rec.collided) && rx.handler != nil {
+			rx.handler(tx.frame)
+		}
+	}
+	for i, rec := range tx.recs {
 		m.recFree = append(m.recFree, rec)
 		tx.recs[i] = nil
 	}
-	tx.recs = tx.recs[:0]
 	notify := tx.notify
-	tx.unref()
-	notify(collided)
-}
-
-// complete finalizes one reception: removes it from the in-flight set and
-// delivers the frame unless it collided or was lost.
-func (rec *reception) complete() {
-	rx, tx := rec.rx, rec.tx
-	m := tx.m
-	for i, other := range rx.inFlight {
-		if other == rec {
-			rx.inFlight = append(rx.inFlight[:i], rx.inFlight[i+1:]...)
-			break
-		}
+	tx.recs, tx.frame, tx.notify = tx.recs[:0], Frame{}, nil
+	m.txFree = append(m.txFree, tx)
+	if notify != nil {
+		notify(collided)
 	}
-	collided := rec.collided
-	if tx.notify == nil {
-		// No notify event reads this record later; recycle it now, so a
-		// broadcast triggered by the handler below can reuse it.
-		m.recFree = append(m.recFree, rec)
-	}
-	if m.admit(rx, collided) && rx.handler != nil {
-		rx.handler(tx.frame)
-	}
-	// The transmission's reference goes only once the handler has returned:
-	// the frame's decoded Interest lives in the record, so a broadcast the
-	// handler makes must not be handed it.
-	tx.unref()
 }
 
 // admit reports whether a completed reception reaches rx's handler, and

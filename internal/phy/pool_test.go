@@ -14,8 +14,9 @@ import (
 
 // broadcastAllocs measures the steady-state allocations of one broadcast of
 // payload — scheduling through completion — heard by k receivers, each of
-// which hands the frame to onFrame (when non-nil).
-func broadcastAllocs(t *testing.T, k int, payload []byte, notify func(bool), onFrame func(Frame)) float64 {
+// which hands the frame to onFrame (when non-nil), and the kernel events one
+// such broadcast fires.
+func broadcastAllocs(t *testing.T, k int, payload []byte, notify func(bool), onFrame func(Frame)) (avg float64, events uint64) {
 	t.Helper()
 	kernel := sim.NewKernel(1)
 	m := NewMedium(kernel, Config{Range: 50, LossRate: 0.1})
@@ -42,17 +43,20 @@ func broadcastAllocs(t *testing.T, k int, payload []byte, notify func(bool), onF
 	for i := 0; i < 512; i++ {
 		once()
 	}
-	avg := testing.AllocsPerRun(200, once)
+	avg = testing.AllocsPerRun(200, once)
 	if heard == 0 {
 		t.Fatal("no receiver heard anything")
 	}
-	return avg
+	fired := kernel.EventsFired()
+	once()
+	return avg, kernel.EventsFired() - fired
 }
 
 // TestBroadcastDoesNotAllocatePerReceiver pins the reception path at zero
 // allocations however many radios hear a frame, with and without sender-side
-// collision feedback: receptions, the per-broadcast transmission record and
-// their completion funcs all come from the medium's pools.
+// collision feedback: receptions and the per-broadcast transmission record
+// come from the medium's pools. It also pins the event model: a broadcast,
+// whatever its receivers, completes in exactly one kernel event.
 func TestBroadcastDoesNotAllocatePerReceiver(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -60,8 +64,12 @@ func TestBroadcastDoesNotAllocatePerReceiver(t *testing.T) {
 	}{{"plain", nil}, {"notify", func(bool) {}}} {
 		for _, k := range []int{1, 4, 32} {
 			// First byte 0: not an NDN packet, no decode memo.
-			if avg := broadcastAllocs(t, k, make([]byte, 256), mode.notify, nil); avg != 0 {
+			avg, events := broadcastAllocs(t, k, make([]byte, 256), mode.notify, nil)
+			if avg != 0 {
 				t.Errorf("%s broadcast to %d receivers allocates %.2f objects, want 0", mode.name, k, avg)
+			}
+			if events != 1 {
+				t.Errorf("%s broadcast to %d receivers fires %d kernel events, want 1", mode.name, k, events)
 			}
 		}
 	}
@@ -78,17 +86,17 @@ func TestDeliveredInterestDoesNotAllocate(t *testing.T) {
 		}
 	}
 	for _, k := range []int{1, 4, 32} {
-		if avg := broadcastAllocs(t, k, wire, nil, read); avg != 0 {
+		if avg, _ := broadcastAllocs(t, k, wire, nil, read); avg != 0 {
 			t.Errorf("an Interest heard by %d receivers allocates %.2f objects, want 0", k, avg)
 		}
 	}
 }
 
 // TestRebroadcastFromCompletionSeesOwnFrame is the pool-hygiene gate: a
-// handler that broadcasts from inside its own completion runs while its
+// handler that broadcasts from inside its frame's completion runs while the
 // frame's transmission record is still live — even as the frame's last
-// receiver, since the record's reference is dropped only after the handler
-// returns — so its broadcast takes another record, and the Interest decoded
+// receiver, since the record returns to the pool only after every handler
+// has — so its broadcast takes another record, and the Interest decoded
 // into its own record still reads as the one it heard. It, and every later
 // receiver, must see the right frame.
 func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
@@ -153,11 +161,11 @@ func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
 	if st := m.Stats(); st.Collisions != 2 || st.Deliveries != 4 {
 		t.Fatalf("stats = %+v, want 4 deliveries and 2 collisions", st)
 	}
-	// Three broadcasts and six receptions ran on three and four records:
-	// every reply was sent while a's transmission was still held, so none
-	// took it over, and each reply took one of a's receptions.
-	if len(m.txFree) != 3 || len(m.recFree) != 4 {
-		t.Fatalf("pools hold %d transmissions and %d receptions after the run, want 3 and 4", len(m.txFree), len(m.recFree))
+	// Three broadcasts and six receptions ran on three and six records:
+	// every reply was sent while a's transmission and its receptions were
+	// still held, so none took any of them over.
+	if len(m.txFree) != 3 || len(m.recFree) != 6 {
+		t.Fatalf("pools hold %d transmissions and %d receptions after the run, want 3 and 6", len(m.txFree), len(m.recFree))
 	}
 }
 

@@ -145,7 +145,7 @@ type Kernel struct {
 	stopped bool
 	fired   uint64
 	// free recycles event records so hot paths that schedule one event per
-	// packet (phy frame deliveries) or cancel/reschedule per message
+	// frame (phy transmissions) or cancel/reschedule per message
 	// (retransmission timeouts) do not allocate per call.
 	free []*Event
 	// calls recycles ScheduleCall records.
@@ -209,8 +209,9 @@ func (k *Kernel) ScheduleAt(at time.Duration, fn func()) Handle {
 // ScheduleFunc enqueues fn to run after delay like Schedule, but returns no
 // cancel handle: the event cannot be canceled, which is what lets the kernel
 // recycle it through the free list the moment it fires. Hot paths that
-// schedule one event per packet and never cancel (phy frame deliveries,
-// jittered transmissions) use this to avoid allocating an Event per call.
+// schedule one event per frame and never cancel (a phy transmission's
+// completion, jittered sends) use this to avoid allocating an Event per
+// call.
 func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
