@@ -78,8 +78,8 @@ func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 // code, which a change to that code moves on both sides. The values are
 // regenerated only in a commit of their own, at a declared rebaseline
 // (docs/CONTRACTS.md §1; docs/EXPERIMENTS.md "Rebaseline: per-node random
-// streams" and "Rebaseline: relay state by time"), and never by a change
-// that claims to be trace-neutral.
+// streams", "Rebaseline: relay state by time" and "Rebaseline: one event per
+// transmission"), and never by a change that claims to be trace-neutral.
 func TestGoldenDAPESTrialResults(t *testing.T) {
 	t.Parallel()
 	singlehop := PaperDefaults()
@@ -98,24 +98,24 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		opts      DAPESOptions
 		want      dapesGolden
 	}{
-		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{472980382657, 50768, 24, 24, 13143, 0, 0, 46818, 1416, 5133, 10899676, 127168,
+		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{472980382657, 50768, 24, 24, 13143, 0, 0, 46818, 1416, 5133, 10899676, 107422,
 			relayCounts{1650, 4575, 695, 695, 0}, relayCounts{395, 2061, 79, 72, 2697}}},
-		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{449618656891, 42491, 24, 24, 11450, 0, 0, 38260, 1162, 4284, 9983875, 103383,
+		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{449618656891, 42491, 24, 24, 11450, 0, 0, 38260, 1162, 4284, 9983875, 88635,
 			relayCounts{965, 4455, 508, 508, 0}, relayCounts{332, 1640, 67, 66, 1556}}},
-		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{28730677829, 26544, 24, 24, 60515, 0, 0, 114233, 24804, 12751, 10779201, 182948,
+		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{28730677829, 26544, 24, 24, 60515, 0, 0, 114237, 24804, 12751, 10779201, 57642,
 			relayCounts{3149, 4666, 2753, 2753, 0}, relayCounts{500, 2164, 448, 382, 5041}}},
-		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{68863866502, 45072, 24, 24, 48573, 0, 0, 175157, 18396, 19410, 13441741, 267977,
+		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{68863866502, 45072, 24, 24, 48573, 0, 0, 175157, 18396, 19410, 13441741, 99824,
 			relayCounts{5875, 6156, 3809, 3809, 0}, relayCounts{736, 3523, 453, 404, 8672}}},
-		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{13390956922, 28062, 24, 24, 253805, 0, 0, 202416, 140504, 22632, 11629098, 400627,
-			relayCounts{6049, 4859, 5488, 5489, 0}, relayCounts{627, 2691, 766, 550, 3977}}},
-		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{16697003164, 31442, 24, 24, 188552, 0, 0, 214482, 110898, 23749, 12363567, 389851,
-			relayCounts{8108, 3459, 6367, 6371, 0}, relayCounts{693, 3023, 806, 565, 4464}}},
-		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{54689059960, 25824, 24, 24, 25116, 0, 0, 118443, 7312, 13250, 7236682, 194000,
+		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{13390956922, 28062, 24, 24, 253805, 0, 0, 202425, 140504, 22632, 11629098, 63080,
+			relayCounts{6049, 4859, 5488, 5490, 0}, relayCounts{627, 2691, 766, 550, 3977}}},
+		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{16697003164, 31442, 24, 24, 188552, 0, 0, 214484, 110905, 23749, 12363567, 72093,
+			relayCounts{8108, 3459, 6367, 6372, 0}, relayCounts{693, 3023, 806, 565, 4464}}},
+		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{54689059960, 25824, 24, 24, 25116, 0, 0, 118444, 7312, 13250, 7236682, 79499,
 			relayCounts{0, 0, 0, 0, 0}, relayCounts{0, 0, 0, 0, 0}}},
-		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{16855534200, 158721, 104, 104, 941595, 0, 0, 1181697, 496910, 131100, 59639022, 1994289,
+		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{16855534200, 158721, 104, 104, 941595, 0, 0, 1181698, 496911, 131100, 59639022, 343042,
 			relayCounts{19199, 41937, 18108, 18108, 0}, relayCounts{3356, 14056, 4470, 2966, 35764}}},
 		// Crash is Stop plus a deaf radio, Restart wipes the tables.
-		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{40019158568, 390256, 104, 104, 695503, 52, 11249199002, 2766719, 1072987, 440113, 146019734, 4719017,
+		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{40019158568, 390256, 104, 104, 695503, 52, 11249199002, 2766725, 1072987, 440113, 146019734, 829108,
 			relayCounts{40796, 40811, 38328, 38329, 0}, relayCounts{3237, 13687, 4416, 2840, 104419}}},
 	} {
 		c := c
@@ -132,9 +132,9 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 	}
 
 	// The Fig.-8 worlds are built inside their scenario functions, so their
-	// peers are out of reach: the row (whose load block folds EventsFired
-	// and every peer's MemoryFootprint, the three relay table sizes
-	// included) and the medium counters are what can be pinned.
+	// peers are out of reach: the row (whose state bytes fold every peer's
+	// MemoryFootprint, the three relay table sizes included), the medium
+	// counters and EventsFired are what can be pinned.
 	t.Run("fig8b-repository", func(t *testing.T) {
 		t.Parallel()
 		s := ReducedScale()
@@ -155,7 +155,7 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		want := fig8Golden{
 			ScenarioResult{"repository (Fig 8b)", 126622511185, 2192, 3744, 7180, true},
 			phy.Stats{Transmissions: 2192, Deliveries: 3744, Collisions: 531, Lost: 171, BytesSent: 914810},
-			6916,
+			4606,
 		}
 		if got := (fig8Golden{row, built[0].Stats(), built[0].EventsFired()}); got != want {
 			t.Errorf("\n got %+v\nwant %+v", got, want)
