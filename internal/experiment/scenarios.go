@@ -25,7 +25,7 @@ type ScenarioResult struct {
 	Name          string
 	DownloadTime  time.Duration
 	Transmissions uint64
-	// Receptions counts frames delivered to a radio's handler.
+	// Receptions counts frames received (phy.Stats.Deliveries).
 	Receptions uint64
 	// StateBytes is the peers' protocol-state footprint
 	// (core.Peer.MemoryFootprint summed over the world).
