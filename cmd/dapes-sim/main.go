@@ -30,6 +30,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dapes-sim", flag.ContinueOnError)
+	// The ad-hoc DAPES flags default to the configuration the fig7-dapes
+	// scenario runs.
+	paper := experiment.PaperDefaults()
 	var (
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
 		scenario = fs.String("scenario", "", "registered scenario to run (see -list); overrides -system")
@@ -49,13 +52,13 @@ func run(args []string) error {
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
 		system      = fs.String("system", "dapes", "ad-hoc stack when -scenario is unset: dapes, bithoc, or ekta")
-		strategy    = fs.String("strategy", "local", "RPF strategy: local or encounter")
-		randomStart = fs.Bool("random-start", true, "start downloads at a random packet")
-		interleave  = fs.Bool("interleave", true, "interleave bitmap and data exchanges")
-		bitmaps     = fs.Int("bitmaps", 0, "bitmaps before data (0 = all; bitmaps-first mode only)")
-		peba        = fs.Bool("peba", true, "enable PEBA collision mitigation")
-		multihopOn  = fs.Bool("multihop", true, "enable intermediate-node forwarding")
-		forwardProb = fs.Float64("forward-prob", 0.2, "probabilistic forwarding rate")
+		strategy    = fs.String("strategy", strategyName(paper.Strategy), "RPF strategy: local or encounter")
+		randomStart = fs.Bool("random-start", paper.RandomStart, "start downloads at a random packet")
+		interleave  = fs.Bool("interleave", paper.AdvertMode == core.Interleaved, "interleave bitmap and data exchanges")
+		bitmaps     = fs.Int("bitmaps", paper.BitmapsBefore, "bitmaps before data (0 = all; bitmaps-first mode only)")
+		peba        = fs.Bool("peba", paper.UsePEBA, "enable PEBA collision mitigation")
+		multihopOn  = fs.Bool("multihop", paper.Multihop, "enable intermediate-node forwarding")
+		forwardProb = fs.Float64("forward-prob", paper.ForwardProb, "probabilistic forwarding rate, in (0, 1]")
 	)
 	if err := fs.Parse(args); err != nil {
 		// A bad flag has printed usage; -h asked for it.
@@ -160,7 +163,7 @@ type adhocKnobs struct {
 func adhocScenario(system string, k adhocKnobs) (*experiment.Scenario, error) {
 	switch system {
 	case "dapes":
-		opts := experiment.DAPESOptions{
+		cfg := core.Config{
 			Strategy:      core.LocalNeighborhoodRPF,
 			RandomStart:   k.randomStart,
 			AdvertMode:    core.Interleaved,
@@ -172,17 +175,29 @@ func adhocScenario(system string, k adhocKnobs) (*experiment.Scenario, error) {
 		switch k.strategy {
 		case "local":
 		case "encounter":
-			opts.Strategy = core.EncounterBasedRPF
+			cfg.Strategy = core.EncounterBasedRPF
 		default:
 			return nil, fmt.Errorf("unknown strategy %q (want local or encounter)", k.strategy)
 		}
 		if !k.interleave {
-			opts.AdvertMode = core.BitmapsFirst
+			cfg.AdvertMode = core.BitmapsFirst
+		}
+		// core reads a zero ForwardProb as its 20% default, so 0 would run
+		// at 20% under a label that says 0.
+		if !(k.forwardProb > 0 && k.forwardProb <= 1) {
+			hint := ""
+			if k.forwardProb == 0 {
+				hint = "; -multihop=false turns forwarding off"
+			}
+			return nil, fmt.Errorf("-forward-prob = %v: want a probability in (0, 1]%s", k.forwardProb, hint)
+		}
+		if k.bitmaps < 0 {
+			return nil, fmt.Errorf("-bitmaps = %d: want 0 (all) or more", k.bitmaps)
 		}
 		return &experiment.Scenario{
 			Name: "dapes(custom)",
 			Run: func(s experiment.Scale, wifiRange float64, trial int) (experiment.TrialResult, error) {
-				return experiment.RunDAPESTrial(s, wifiRange, trial, opts)
+				return experiment.RunDAPESTrial(s, wifiRange, trial, cfg)
 			},
 		}, nil
 	case "bithoc":
@@ -191,6 +206,14 @@ func adhocScenario(system string, k adhocKnobs) (*experiment.Scenario, error) {
 		return &experiment.Scenario{Name: "ekta", Run: experiment.RunEktaTrial}, nil
 	}
 	return nil, fmt.Errorf("unknown system %q", system)
+}
+
+// strategyName is the -strategy spelling of an RPF strategy.
+func strategyName(k core.StrategyKind) string {
+	if k == core.EncounterBasedRPF {
+		return "encounter"
+	}
+	return "local"
 }
 
 func listScenarios(w io.Writer, f experiment.Format) error {

@@ -31,6 +31,13 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-packets", "0"}, "Scale.PacketsPerFile = 0"},
 		{[]string{"-horizon", "0s"}, "Scale.Horizon = 0s"},
 		{[]string{"-workers", "-3"}, "Scale.Workers = -3"},
+		// A zero -forward-prob ran at core's 20% default, and values outside
+		// [0, 1] or a negative -bitmaps ran as if they made sense.
+		{[]string{"-forward-prob", "0"}, "-forward-prob = 0: want a probability in (0, 1]; -multihop=false turns forwarding off"},
+		{[]string{"-forward-prob", "1.5"}, "-forward-prob = 1.5: want a probability in (0, 1]"},
+		{[]string{"-forward-prob", "-1"}, "-forward-prob = -1: want a probability in (0, 1]"},
+		{[]string{"-forward-prob", "NaN"}, "-forward-prob = NaN: want a probability in (0, 1]"},
+		{[]string{"-bitmaps", "-3"}, "-bitmaps = -3: want 0 (all) or more"},
 	} {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -50,6 +57,46 @@ func TestRejectsMisreadInputs(t *testing.T) {
 	for _, strategy := range []string{"local", "encounter"} {
 		if err := run(append([]string{"-strategy", strategy}, tiny...)); err != nil {
 			t.Errorf("-strategy %s: %v", strategy, err)
+		}
+	}
+}
+
+// TestBuiltInStacksMatchScenarios: without -scenario, dapes-sim runs its
+// built-in stacks, and at their flag defaults each must emit what the
+// registered scenario of the same stack emits, label aside.
+func TestBuiltInStacksMatchScenarios(t *testing.T) {
+	dir := t.TempDir()
+	emit := func(name string, args ...string) string {
+		t.Helper()
+		out := filepath.Join(dir, name+".json")
+		tiny := []string{"-files", "2", "-packets", "5", "-trials", "2", "-format", "json", "-o", out}
+		if err := run(append(tiny, args...)); err != nil {
+			t.Fatalf("dapes-sim %v: %v", args, err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, tc := range []struct {
+		builtIn  []string
+		label    string
+		scenario string
+	}{
+		{nil, "dapes(custom)", "fig7-dapes"},
+		{[]string{"-system", "bithoc"}, "bithoc", "fig7-bithoc"},
+		{[]string{"-system", "ekta"}, "ekta", "fig7-ekta"},
+	} {
+		got := emit(tc.label, tc.builtIn...)
+		want := emit(tc.scenario, "-scenario", tc.scenario)
+		label := `"scenario": "` + tc.label + `"`
+		if !strings.Contains(got, label) {
+			t.Fatalf("dapes-sim %v: output has no %s:\n%s", tc.builtIn, label, got)
+		}
+		got = strings.Replace(got, label, `"scenario": "`+tc.scenario+`"`, 1)
+		if got != want {
+			t.Errorf("dapes-sim %v differs from -scenario %s:\n got %s\nwant %s", tc.builtIn, tc.scenario, got, want)
 		}
 	}
 }

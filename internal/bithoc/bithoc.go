@@ -30,42 +30,19 @@ const (
 	msgPiece   = 0x32 // reliable piece payload
 )
 
-// Config parameterizes a Bithoc peer.
-type Config struct {
-	// HelloPeriod is the scoped-flooding period.
-	HelloPeriod time.Duration
-	// HelloTTL bounds the flood scope; 2 hops defines "close" neighbors.
-	HelloTTL int
-	// Pipeline bounds outstanding piece requests.
-	Pipeline int
-	// RequestTimeout re-arms a piece request that produced no piece.
-	RequestTimeout time.Duration
-	// NeighborTTL expires neighbors whose HELLOs stopped.
-	NeighborTTL time.Duration
-	// DSDV configures the underlying routing protocol.
-	DSDV routing.DSDVConfig
-	// Transport configures the TCP-like reliable service.
-	Transport transport.Config
-}
-
-func (c Config) withDefaults() Config {
-	if c.HelloPeriod == 0 {
-		c.HelloPeriod = 2 * time.Second
-	}
-	if c.HelloTTL == 0 {
-		c.HelloTTL = 2
-	}
-	if c.Pipeline == 0 {
-		c.Pipeline = 4
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 3 * time.Second
-	}
-	if c.NeighborTTL == 0 {
-		c.NeighborTTL = 12 * time.Second
-	}
-	return c
-}
+// The peer's HELLO flooding and piece requests.
+const (
+	// helloPeriod is the scoped-flooding period.
+	helloPeriod = 2 * time.Second
+	// helloTTL bounds the flood scope; 2 hops defines "close" neighbors.
+	helloTTL = 2
+	// pipeline bounds outstanding piece requests.
+	pipeline = 4
+	// requestTimeout re-arms a piece request that produced no piece.
+	requestTimeout = 3 * time.Second
+	// neighborTTL expires neighbors whose HELLOs stopped.
+	neighborTTL = 12 * time.Second
+)
 
 // Stats counts Bithoc application activity.
 type Stats struct {
@@ -95,8 +72,10 @@ type Peer struct {
 	router   *routing.DSDV
 	reliable *transport.Reliable
 	rng      sim.Stream // the node's sim.PurposePeer stream
-	cfg      Config
-	stats    Stats
+	// neighborTTL is the package's neighborTTL; a field only so that a test
+	// that must not see HELLO expiry can raise it.
+	neighborTTL time.Duration
+	stats       Stats
 
 	nPieces   int
 	pieceSize int
@@ -156,20 +135,20 @@ func (p *Peer) releaseAll() {
 }
 
 // NewPeer attaches a Bithoc peer to the medium.
-func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) *Peer {
+func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *Peer {
 	p := &Peer{
-		k:         k,
-		medium:    medium,
-		cfg:       cfg.withDefaults(),
-		peers:     make(map[int]*peerInfo),
-		inflight:  make(map[int]*pieceTimeout),
-		seenHello: make(map[int]int),
+		k:           k,
+		medium:      medium,
+		neighborTTL: neighborTTL,
+		peers:       make(map[int]*peerInfo),
+		inflight:    make(map[int]*pieceTimeout),
+		seenHello:   make(map[int]int),
 	}
 	p.helloT = k.NewTimer(p.helloTick)
-	p.router = routing.NewDSDV(k, medium, mobility, p.cfg.DSDV)
+	p.router = routing.NewDSDV(k, medium, mobility)
 	p.radio = p.router.Radio()
 	p.rng = k.Stream(p.radio.ID(), sim.PurposePeer)
-	p.reliable = transport.NewReliable(k, p.router, p.cfg.Transport)
+	p.reliable = transport.NewReliable(k, p.router)
 	p.reliable.SetReceive(p.onReliable)
 	p.reliable.SetOnFail(p.onSendFail)
 	// Chain onto the radio handler: routing frames go to DSDV (already
@@ -258,7 +237,7 @@ func (p *Peer) Start() {
 	}
 	p.running = true
 	p.router.Start()
-	p.helloT.Reset(p.rng.Jitter(p.cfg.HelloPeriod))
+	p.helloT.Reset(p.rng.Jitter(helloPeriod))
 }
 
 // Stop deactivates the peer and everything under it: no timer of the peer,
@@ -283,9 +262,9 @@ func (p *Peer) helloTick() {
 	if p.have != nil {
 		p.helloSeq++
 		p.stats.HellosSent++
-		p.medium.Broadcast(p.radio, p.encodeHello(p.ID(), p.helloSeq, p.cfg.HelloTTL))
+		p.medium.Broadcast(p.radio, p.encodeHello(p.ID(), p.helloSeq, helloTTL))
 	}
-	p.helloT.Reset(p.cfg.HelloPeriod + p.rng.Jitter(p.cfg.HelloPeriod/4))
+	p.helloT.Reset(helloPeriod + p.rng.Jitter(helloPeriod/4))
 	p.pump()
 }
 
@@ -322,7 +301,7 @@ func (p *Peer) onHello(payload []byte) {
 	if err != nil {
 		return
 	}
-	hops := p.cfg.HelloTTL - ttl + 1
+	hops := helloTTL - ttl + 1
 	if info, ok := p.peers[origin]; !ok || seq >= p.helloSeqOf(origin) {
 		if !ok {
 			info = &peerInfo{id: origin}
@@ -353,7 +332,7 @@ func (p *Peer) helloSeqOf(origin int) int { return p.seenHello[origin] }
 func (p *Peer) expirePeers() {
 	now := p.k.Now()
 	for _, info := range p.peers {
-		if now-info.lastHeard > p.cfg.NeighborTTL {
+		if now-info.lastHeard > p.neighborTTL {
 			p.forget(info)
 		}
 	}
@@ -420,7 +399,7 @@ func (p *Peer) pump() {
 	if !p.running || p.done || p.have == nil {
 		return
 	}
-	for len(p.inflight) < p.cfg.Pipeline {
+	for len(p.inflight) < pipeline {
 		piece, holder := p.selectPiece()
 		if piece < 0 {
 			return
@@ -492,7 +471,7 @@ func (p *Peer) requestPiece(piece, holder int) {
 	pt.piece = piece
 	p.inflight[piece] = pt
 	p.busy.Set(piece)
-	pt.t.Reset(p.cfg.RequestTimeout)
+	pt.t.Reset(requestTimeout)
 }
 
 // --- Reliable receive path ---

@@ -14,9 +14,9 @@ func TestSeederToLeecher(t *testing.T) {
 	k := sim.NewKernel(80) // a seed at which no request is re-sent: PiecesSent below is exact
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
 
-	seed := NewPeer(k, medium, geo.Stationary{}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{})
 	seed.Seed(20, 100)
-	leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, Config{})
+	leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	leech.Fetch(20, 100)
 
 	seed.Start()
@@ -50,9 +50,9 @@ func TestHelloFloodReachesTwoHops(t *testing.T) {
 	// a - b - c chain: c must learn a's bitmap through b's relay (TTL 2).
 	k := sim.NewKernel(82)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 0}}, Config{})
-	b := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 40}}, Config{})
-	c := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 80}}, Config{})
+	a := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 0}})
+	b := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 40}})
+	c := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 80}})
 	a.Seed(5, 50)
 	b.Fetch(5, 50)
 	c.Fetch(5, 50)
@@ -78,10 +78,10 @@ func TestTwoLeechersCostTwiceTheUnicasts(t *testing.T) {
 	// unicast transmission even for identical data.
 	k := sim.NewKernel(83)
 	medium := phy.NewMedium(k, phy.Config{Range: 100})
-	seed := NewPeer(k, medium, geo.Stationary{}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{})
 	seed.Seed(10, 100)
-	l1 := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, Config{})
-	l2 := NewPeer(k, medium, geo.Stationary{At: geo.Point{Y: 20}}, Config{})
+	l1 := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
+	l2 := NewPeer(k, medium, geo.Stationary{At: geo.Point{Y: 20}})
 	l1.Fetch(10, 100)
 	l2.Fetch(10, 100)
 	seed.Start()
@@ -108,7 +108,7 @@ func TestLeecherStallsWithoutSeeder(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(84)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	leech := NewPeer(k, medium, geo.Stationary{}, Config{})
+	leech := NewPeer(k, medium, geo.Stationary{})
 	leech.Fetch(5, 100)
 	leech.Start()
 	k.Run(time.Minute)
@@ -131,7 +131,7 @@ func TestStopSilences(t *testing.T) {
 		t.Parallel()
 		k := sim.NewKernel(85)
 		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		p := NewPeer(k, medium, geo.Stationary{}, Config{})
+		p := NewPeer(k, medium, geo.Stationary{})
 		p.Fetch(5, 100)
 		p.Start()
 		k.Run(10 * time.Second)
@@ -149,9 +149,9 @@ func TestStopSilences(t *testing.T) {
 		t.Parallel()
 		k := sim.NewKernel(85)
 		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		seed := NewPeer(k, medium, geo.Stationary{}, Config{})
+		seed := NewPeer(k, medium, geo.Stationary{})
 		seed.Seed(200, 1000)
-		leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 30}}, Config{})
+		leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 30}})
 		leech.Fetch(200, 1000)
 		seed.Start()
 		leech.Start()
@@ -183,20 +183,22 @@ func TestStopSilences(t *testing.T) {
 // leecher whose current seeder dies mid-swarm must not stall on retry
 // timeouts forever — the transport's abandoned-message report evicts the
 // dead peer, and the piece planner re-pumps against the surviving holder.
-// NeighborTTL is set far beyond the horizon so HELLO expiry cannot mask the
+// neighborTTL is set far beyond the horizon so HELLO expiry cannot mask the
 // failover: only the OnFail path can remove the corpse.
 func TestDeadSeederFailover(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(44) // a seed at which the leecher still has requests out to s1 at 20 s
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
 
-	cfg := Config{NeighborTTL: 10 * time.Hour}
-	s1 := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 0}}, cfg)
+	s1 := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 0}})
 	s1.Seed(20, 100)
-	s2 := NewPeer(k, medium, geo.Stationary{At: geo.Point{Y: 20}}, cfg)
+	s2 := NewPeer(k, medium, geo.Stationary{At: geo.Point{Y: 20}})
 	s2.Seed(20, 100)
-	leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, cfg)
+	leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	leech.Fetch(20, 100)
+	for _, p := range []*Peer{s1, s2, leech} {
+		p.neighborTTL = 10 * time.Hour
+	}
 
 	s1.Start()
 	s2.Start()

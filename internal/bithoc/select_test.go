@@ -128,7 +128,7 @@ func TestSelectPieceMatchesScan(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			k := sim.NewKernel(1)
 			medium := phy.NewMedium(k, phy.Config{Range: 50})
-			p := NewPeer(k, medium, geo.Stationary{}, Config{})
+			p := NewPeer(k, medium, geo.Stationary{})
 			p.Fetch(n, 10)
 			p.running = true // handlers live, no timers armed: the test is the only driver
 			const origins = 12
@@ -164,7 +164,7 @@ func TestSelectPieceMatchesScan(t *testing.T) {
 					what = "expiry"
 					for _, info := range p.peers {
 						if rng.Intn(4) == 0 {
-							info.lastHeard = k.Now() - p.cfg.NeighborTTL - 1
+							info.lastHeard = k.Now() - p.neighborTTL - 1
 						}
 					}
 					p.expirePeers()
@@ -209,7 +209,7 @@ func TestSelectPieceDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	k := sim.NewKernel(1)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	p := NewPeer(k, medium, geo.Stationary{}, Config{Pipeline: 1})
+	p := NewPeer(k, medium, geo.Stationary{})
 	p.Fetch(200, 10)
 	p.running = true
 	full := bitmap.New(200)
@@ -234,7 +234,7 @@ func TestHelloReheardDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	k := sim.NewKernel(1)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	p := NewPeer(k, medium, geo.Stationary{}, Config{})
+	p := NewPeer(k, medium, geo.Stationary{})
 	p.Seed(200, 10) // nothing to fetch: pump returns at once
 	p.running = true
 	bms := [2]*bitmap.Bitmap{randomBitmap(rng, 200, 0.3), randomBitmap(rng, 200, 0.6)}

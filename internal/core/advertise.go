@@ -2,6 +2,7 @@ package core
 
 import (
 	"dapes/internal/bitmap"
+	"dapes/internal/multihop"
 	"dapes/internal/ndn"
 )
 
@@ -15,7 +16,7 @@ import (
 func (p *Peer) touchSession(cs *collectionState) *advertSession {
 	s := &cs.session
 	now := p.k.Now()
-	if s.active && now-s.lastActivity > p.cfg.SessionTTL {
+	if s.active && now-s.lastActivity > sessionTTL {
 		// Previous encounter ended: priority groups and heard-bitmap unions
 		// are per encounter (Section IV-F).
 		if cs.txT != nil {
@@ -46,7 +47,7 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 		Nonce:       p.relay.NewNonce(),
 		AppParams:   p.buf,
 	}
-	p.medium.BroadcastAfter(p.rng.Jitter(p.cfg.TransmissionWindow), p.radio, in.Encode(), &p.stats.BitmapInterestsSent, &p.running)
+	p.medium.BroadcastAfter(p.rng.Jitter(multihop.TransmissionWindow), p.radio, in.Encode(), &p.stats.BitmapInterestsSent, &p.running)
 }
 
 // handleBitmapInterest processes a received bitmap Interest: the carried

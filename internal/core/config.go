@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dapes/internal/multihop"
-	"dapes/internal/peba"
 )
 
 // AdvertMode selects how bitmap exchanges interleave with data fetching
@@ -36,78 +35,68 @@ const (
 	EncounterBasedRPF
 )
 
-// Config parameterizes a DAPES peer. The zero value is completed with the
-// paper's experimental settings by withDefaults.
-type Config struct {
-	// TransmissionWindow is the random-timer window for every transmission
-	// other than prioritized bitmaps. Paper: 20 ms.
-	TransmissionWindow time.Duration
+// The timers and sizes Section VI-B holds fixed. The random-timer window of
+// every transmission other than a prioritized bitmap, and the suppression
+// timer, are multihop's TransmissionWindow and SuppressTTL.
+const (
+	// beaconPeriodMin is the floor the adaptive discovery-Interest period
+	// halves toward after encounters (Section IV-B).
+	beaconPeriodMin = time.Second
+	// encounterHistory bounds the encounter-based strategy's memory.
+	encounterHistory = 32
+	// interestTimeout bounds an outstanding data Interest before
+	// reselection.
+	interestTimeout = 500 * time.Millisecond
+	// pipeline is the number of concurrently outstanding data Interests.
+	pipeline = 1
+	// metaSegmentSize is the metadata segment payload size in bytes.
+	metaSegmentSize = 1000
+	// sessionQuiet declares an advertisement session quiescent (used for
+	// the BitmapsBefore=0 "all" mode and for re-advertising).
+	sessionQuiet = 250 * time.Millisecond
+	// sessionTTL resets per-encounter advertisement state (PEBA groups and
+	// heard-bitmap unions are per encounter).
+	sessionTTL = 10 * time.Second
+)
 
-	// BeaconPeriodMin/Max bound the adaptive discovery-Interest period:
-	// the period halves toward Min after encounters and doubles toward Max
-	// in isolation (Section IV-B).
-	BeaconPeriodMin time.Duration
+// Config selects the design variant of a DAPES peer: the choices the
+// paper's evaluation varies (Figs. 9a-9h, 10). The zero value is
+// local-neighborhood RPF without random start, interleaved advertisements,
+// the linear window-division backoff instead of PEBA, no multi-hop
+// forwarding, and an 8 s beacon ceiling; experiment.PaperDefaults is the
+// configuration Section VI-B describes.
+type Config struct {
+	// BeaconPeriodMax bounds the adaptive discovery-Interest period from
+	// above: it doubles toward it in isolation (Section IV-B). A neighbor
+	// not heard for three of it expires. 0 means 8 s.
 	BeaconPeriodMax time.Duration
 
-	// NeighborTTL expires a neighbor that has not been heard.
-	NeighborTTL time.Duration
-
-	// AdvertMode and BitmapsBefore configure the bitmap exchange strategy.
-	// BitmapsBefore = 0 means "all peers in range" (session quiescence).
+	// AdvertMode and BitmapsBefore configure the bitmap exchange strategy;
+	// AdvertMode 0 means Interleaved. BitmapsBefore = 0 means "all peers in
+	// range" (session quiescence).
 	AdvertMode    AdvertMode
 	BitmapsBefore int
 
-	// Strategy selects the RPF flavor; RandomStart enables random-packet
-	// start; EncounterHistory bounds the encounter-based strategy's memory.
-	Strategy         StrategyKind
-	RandomStart      bool
-	EncounterHistory int
+	// Strategy selects the RPF flavor (0 means LocalNeighborhoodRPF);
+	// RandomStart enables random-packet start.
+	Strategy    StrategyKind
+	RandomStart bool
 
 	// UsePEBA enables the priority-based exponential backoff for bitmap
 	// transmissions; when false, the linear window-division scheme is used
 	// (the paper's "w/o PEBA" ablation).
 	UsePEBA bool
-	// Peba parameterizes the backoff.
-	Peba peba.Config
 
 	// Multihop enables intermediate-node forwarding (Section V).
 	Multihop bool
 	// ForwardProb is the probability that an Interest with no known
-	// availability is forwarded (paper default 20%).
+	// availability is forwarded; 0 means the paper's 20%.
 	ForwardProb float64
-	// SuppressTTL is the suppression-timer length after an unanswered
-	// forwarded Interest.
-	SuppressTTL time.Duration
-
-	// InterestTimeout bounds an outstanding data Interest before
-	// reselection.
-	InterestTimeout time.Duration
-	// Pipeline is the number of concurrently outstanding data Interests.
-	Pipeline int
-
-	// MetaSegmentSize is the metadata segment payload size in bytes.
-	MetaSegmentSize int
-
-	// SessionQuiet declares an advertisement session quiescent (used for the
-	// BitmapsBefore=0 "all" mode and for re-advertising).
-	SessionQuiet time.Duration
-	// SessionTTL resets per-encounter advertisement state (PEBA groups and
-	// heard-bitmap unions are per encounter).
-	SessionTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.TransmissionWindow == 0 {
-		c.TransmissionWindow = 20 * time.Millisecond
-	}
-	if c.BeaconPeriodMin == 0 {
-		c.BeaconPeriodMin = 1 * time.Second
-	}
 	if c.BeaconPeriodMax == 0 {
 		c.BeaconPeriodMax = 8 * time.Second
-	}
-	if c.NeighborTTL == 0 {
-		c.NeighborTTL = 3 * c.BeaconPeriodMax
 	}
 	if c.AdvertMode == 0 {
 		c.AdvertMode = Interleaved
@@ -115,32 +104,14 @@ func (c Config) withDefaults() Config {
 	if c.Strategy == 0 {
 		c.Strategy = LocalNeighborhoodRPF
 	}
-	if c.EncounterHistory == 0 {
-		c.EncounterHistory = 32
-	}
 	if c.ForwardProb == 0 {
 		c.ForwardProb = 0.2
 	}
-	if c.SuppressTTL == 0 {
-		c.SuppressTTL = 2 * time.Second
-	}
-	if c.InterestTimeout == 0 {
-		c.InterestTimeout = 500 * time.Millisecond
-	}
-	if c.Pipeline == 0 {
-		c.Pipeline = 1
-	}
-	if c.MetaSegmentSize == 0 {
-		c.MetaSegmentSize = 1000
-	}
-	if c.SessionQuiet == 0 {
-		c.SessionQuiet = 250 * time.Millisecond
-	}
-	if c.SessionTTL == 0 {
-		c.SessionTTL = 10 * time.Second
-	}
 	return c
 }
+
+// neighborTTL expires a neighbor that has not been heard.
+func (c Config) neighborTTL() time.Duration { return 3 * c.BeaconPeriodMax }
 
 // Stats aggregates per-peer protocol counters; the experiment harness sums
 // them for the paper's overhead metric breakdown.

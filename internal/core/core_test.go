@@ -232,7 +232,7 @@ func TestAdaptiveBeaconPeriodShrinksOnEncounter(t *testing.T) {
 	a.Start()
 	b.Start()
 	net.k.Run(5 * time.Second)
-	if a.beaconPeriod > a.cfg.BeaconPeriodMin*2 {
+	if a.beaconPeriod > beaconPeriodMin*2 {
 		t.Fatalf("encountering peer period = %v, want near min", a.beaconPeriod)
 	}
 	if a.NeighborCount() != 1 || b.NeighborCount() != 1 {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dapes/internal/metadata"
+	"dapes/internal/multihop"
 	"dapes/internal/ndn"
 	"dapes/internal/sim"
 )
@@ -67,8 +68,8 @@ func (p *Peer) maybeStartFetch(cs *collectionState) {
 			// "All bitmaps": wait for session quiescence.
 			if !p.allNeighborsHeard(cs) {
 				quietFor := p.k.Now() - s.lastActivity
-				if quietFor < p.cfg.SessionQuiet {
-					p.k.ScheduleFunc(p.cfg.SessionQuiet-quietFor, func() { p.maybeStartFetch(cs) })
+				if quietFor < sessionQuiet {
+					p.k.ScheduleFunc(sessionQuiet-quietFor, func() { p.maybeStartFetch(cs) })
 					return
 				}
 			}
@@ -82,7 +83,7 @@ func (p *Peer) maybeStartFetch(cs *collectionState) {
 		}
 	}
 	cs.fetching = true
-	p.k.ScheduleFunc(p.rng.Jitter(p.cfg.TransmissionWindow), func() { p.fetchLoop(cs) })
+	p.k.ScheduleFunc(p.rng.Jitter(multihop.TransmissionWindow), func() { p.fetchLoop(cs) })
 }
 
 // allNeighborsHeard reports whether every live neighbor has advertised a
@@ -106,7 +107,7 @@ func (p *Peer) fetchLoop(cs *collectionState) {
 		return
 	}
 	issued := false
-	for len(cs.inflight) < p.cfg.Pipeline {
+	for len(cs.inflight) < pipeline {
 		idx := p.selectNext(cs)
 		if idx < 0 {
 			break
@@ -118,7 +119,7 @@ func (p *Peer) fetchLoop(cs *collectionState) {
 		// Stalled: nothing eligible right now. Back off and re-advertise so
 		// fresh bitmaps can unblock us at the next encounter.
 		cs.fetching = false
-		p.k.ScheduleFunc(p.cfg.BeaconPeriodMin, func() {
+		p.k.ScheduleFunc(beaconPeriodMin, func() {
 			if cs.done || cs.fetching || !p.running {
 				return
 			}
@@ -150,7 +151,7 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 		return
 	}
 	in := ndn.Interest{Name: p.name, Nonce: p.relay.NewNonce()}
-	delay := p.rng.Jitter(p.cfg.TransmissionWindow)
+	delay := p.rng.Jitter(multihop.TransmissionWindow)
 	p.queueInterest(delay, cs, idx, in.Encode())
 	it := p.inflightFree
 	if it != nil {
@@ -162,7 +163,7 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 	it.cs, it.idx = cs, idx
 	cs.inflight[idx] = it
 	cs.busy.Set(idx)
-	it.t.Reset(delay + p.cfg.InterestTimeout)
+	it.t.Reset(delay + interestTimeout)
 }
 
 // queuedInterest is a data Interest for packet idx of cs, or with idx < 0 a

@@ -6,6 +6,7 @@ import (
 
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
+	"dapes/internal/multihop"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
 )
@@ -19,8 +20,8 @@ import (
 func TestIntermediateRelaysDataForPrefixInterest(t *testing.T) {
 	t.Parallel()
 	net := newTestNet(41, 50)
-	ttl := 2 * time.Second
-	mid := net.peer(geo.Point{X: 40}, Config{Multihop: true, ForwardProb: 1, SuppressTTL: ttl})
+	ttl := multihop.SuppressTTL
+	mid := net.peer(geo.Point{X: 40}, Config{Multihop: true, ForwardProb: 1})
 	mid.Start()
 
 	asked, answer := ndn.ParseName("/third/party/obj"), ndn.ParseName("/third/party/obj/v1")

@@ -40,7 +40,7 @@ func (p *Peer) Restart() {
 	p.relay.Reset()
 	p.recentActivity = false
 	p.lastReplyAt = 0
-	p.beaconPeriod = p.cfg.BeaconPeriodMin
+	p.beaconPeriod = beaconPeriodMin
 	for key, cs := range p.collections {
 		if cs.done && !cs.subscribed {
 			// Locally published collection: packets persist, the

@@ -86,8 +86,8 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, key *keys
 	p.radio = medium.Attach(mobility)
 	p.id = p.radio.ID()
 	p.rng = k.Stream(p.id, sim.PurposePeer)
-	p.relay = multihop.NewRelay(k, medium, p.radio, p.cfg.TransmissionWindow, p.cfg.SuppressTTL, &p.stats.Counters)
-	p.beaconPeriod = p.cfg.BeaconPeriodMin
+	p.relay = multihop.NewRelay(k, medium, p.radio, &p.stats.Counters)
+	p.beaconPeriod = beaconPeriodMin
 	p.radio.SetHandler(func(f phy.Frame) { p.relay.Deliver(f, p.handleInterest, p.handleData) })
 	return p
 }
@@ -115,7 +115,7 @@ func (p *Peer) Start() {
 	p.running = true
 	p.relay.Start()
 	p.beaconT.Reset(p.rng.Jitter(p.beaconPeriod))
-	p.sweepT.Reset(p.cfg.NeighborTTL / 2)
+	p.sweepT.Reset(p.cfg.neighborTTL() / 2)
 }
 
 // Stop halts the peer: beaconing, housekeeping, pending replies, metadata
@@ -150,7 +150,7 @@ func (p *Peer) Subscribe(prefix ndn.Name) {
 // packet, serves metadata, and advertises full bitmaps.
 func (p *Peer) Publish(res *metadata.BuildResult) error {
 	m := res.Manifest
-	segs, err := m.Segment(p.cfg.MetaSegmentSize, p.signer())
+	segs, err := m.Segment(metaSegmentSize, p.signer())
 	if err != nil {
 		return fmt.Errorf("core: publish %s: %w", m.Collection, err)
 	}
@@ -261,8 +261,8 @@ func (p *Peer) beaconTick() {
 	}
 	if recent {
 		p.beaconPeriod /= 2
-		if p.beaconPeriod < p.cfg.BeaconPeriodMin {
-			p.beaconPeriod = p.cfg.BeaconPeriodMin
+		if p.beaconPeriod < beaconPeriodMin {
+			p.beaconPeriod = beaconPeriodMin
 		}
 	} else {
 		p.beaconPeriod *= 2
@@ -271,7 +271,7 @@ func (p *Peer) beaconTick() {
 		}
 	}
 	p.recentActivity = false
-	p.beaconT.Reset(p.beaconPeriod + p.rng.Jitter(p.cfg.TransmissionWindow))
+	p.beaconT.Reset(p.beaconPeriod + p.rng.Jitter(multihop.TransmissionWindow))
 }
 
 func (p *Peer) sendDiscoveryInterest() {
@@ -293,7 +293,7 @@ func (p *Peer) sweepTick() {
 	}
 	now := p.k.Now()
 	for id, n := range p.neighbors {
-		if now-n.lastHeard > p.cfg.NeighborTTL {
+		if now-n.lastHeard > p.cfg.neighborTTL() {
 			delete(p.neighbors, id)
 			for _, cs := range p.collections {
 				delete(cs.avail, id)
@@ -304,7 +304,7 @@ func (p *Peer) sweepTick() {
 			}
 		}
 	}
-	p.sweepT.Reset(p.cfg.NeighborTTL / 2)
+	p.sweepT.Reset(p.cfg.neighborTTL() / 2)
 }
 
 // neighborHeard refreshes (or creates) neighbor state, returning it.
@@ -370,7 +370,7 @@ func (p *Peer) maybeSendDiscoveryReply() {
 	// The limit first: most beacons heard fall inside it, and testing it
 	// changes nothing, so those cost no offer list.
 	now := p.k.Now()
-	if now-p.lastReplyAt < p.cfg.BeaconPeriodMin/2 && p.lastReplyAt != 0 {
+	if now-p.lastReplyAt < beaconPeriodMin/2 && p.lastReplyAt != 0 {
 		return
 	}
 	var offerRoom [4]ndn.Name
@@ -393,7 +393,7 @@ func (p *Peer) maybeSendDiscoveryReply() {
 	p.buf = appendDiscoveryPayload(p.buf[:0], offers)
 	d := ndn.Data{Name: p.name, Content: p.buf}
 	d.SignDigest()
-	p.medium.BroadcastAfter(p.rng.Jitter(p.cfg.TransmissionWindow), p.radio, d.Encode(), &p.stats.DiscoveryDataSent, &p.running)
+	p.medium.BroadcastAfter(p.rng.Jitter(multihop.TransmissionWindow), p.radio, d.Encode(), &p.stats.DiscoveryDataSent, &p.running)
 }
 
 // handleDiscoveryReply learns which collections a neighbor offers and kicks
@@ -475,11 +475,11 @@ func (p *Peer) requestNextMetaSegment(cs *collectionState) {
 	}
 	p.name = append(append(p.name[:0], cs.metaName...), ndn.Component(strconv.Itoa(seq)))
 	in := ndn.Interest{Name: p.name, Nonce: p.relay.NewNonce()}
-	p.queueInterest(p.rng.Jitter(p.cfg.TransmissionWindow), cs, -1, in.Encode())
+	p.queueInterest(p.rng.Jitter(multihop.TransmissionWindow), cs, -1, in.Encode())
 	if cs.metaT == nil {
 		cs.metaT = p.k.NewTimer(func() { p.requestNextMetaSegment(cs) })
 	}
-	cs.metaT.Reset(p.cfg.InterestTimeout + p.cfg.TransmissionWindow)
+	cs.metaT.Reset(interestTimeout + multihop.TransmissionWindow)
 }
 
 // storeMetaSegment records a received metadata segment and assembles the
@@ -543,7 +543,7 @@ func (p *Peer) initManifest(cs *collectionState) {
 	}
 	switch p.cfg.Strategy {
 	case EncounterBasedRPF:
-		cs.strategy = rpf.NewEncounterBased(n, p.cfg.EncounterHistory, p.cfg.RandomStart, &p.rng)
+		cs.strategy = rpf.NewEncounterBased(n, encounterHistory, p.cfg.RandomStart, &p.rng)
 	default:
 		cs.strategy = rpf.NewLocalNeighborhood(n, p.cfg.RandomStart, &p.rng)
 	}
@@ -551,5 +551,5 @@ func (p *Peer) initManifest(cs *collectionState) {
 
 // newBackoff builds the per-encounter PEBA state.
 func (p *Peer) newBackoff() *peba.Backoff {
-	return peba.New(p.cfg.Peba, &p.rng)
+	return peba.New(peba.Config{}, &p.rng)
 }

@@ -62,35 +62,22 @@ type Transport interface {
 	Send(dst int, payload []byte) bool
 }
 
-// Config parameterizes a node.
-type Config struct {
-	// LookupTimeout bounds one lookup before failure is reported.
-	LookupTimeout time.Duration
-	// ViewSize bounds the partial view (leaf set + routing entries).
-	ViewSize int
-	// MigrateRetry is the minimum interval between re-offers of a key to
+// The overlay's timers and bounds.
+const (
+	// lookupTimeout bounds one lookup before failure is reported.
+	lookupTimeout = 12 * time.Second
+	// viewSize bounds the partial view (leaf set + routing entries). It is
+	// large enough that views converge to full membership in the
+	// paper-scale swarms (tens of nodes); stand-in for Pastry's leaf-set
+	// consistency, which guarantees that store placement and lookup
+	// routing agree on the responsible node.
+	viewSize = 64
+	// migrateRetry is the minimum interval between re-offers of a key to
 	// its (closer) owner. Keys are replicated rather than moved: the local
 	// copy survives until the owner's copy is confirmed by the overlay
 	// (best-effort re-offers cover lost transfers on the lossy medium).
-	MigrateRetry time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.LookupTimeout == 0 {
-		c.LookupTimeout = 12 * time.Second
-	}
-	if c.ViewSize == 0 {
-		// Large enough that views converge to full membership in the
-		// paper-scale swarms (tens of nodes); stand-in for Pastry's
-		// leaf-set consistency, which guarantees that store placement and
-		// lookup routing agree on the responsible node.
-		c.ViewSize = 64
-	}
-	if c.MigrateRetry == 0 {
-		c.MigrateRetry = 5 * time.Second
-	}
-	return c
-}
+	migrateRetry = 5 * time.Second
+)
 
 // Node is one DHT participant.
 type Node struct {
@@ -98,7 +85,6 @@ type Node struct {
 	key      Key
 	k        *sim.Kernel
 	tr       Transport
-	cfg      Config
 	view     map[int]Key            // nodeID -> key
 	data     map[Key][]byte         // locally stored key/value pairs
 	migrated map[Key]migrationState // re-offer bookkeeping per foreign-owned key
@@ -153,7 +139,7 @@ func (n *Node) AbandonLookups() {
 }
 
 // migrationState tracks re-offers of a key to its closer owner: offers
-// repeat (spaced MigrateRetry apart, bounded) until the owner acknowledges,
+// repeat (spaced migrateRetry apart, bounded) until the owner acknowledges,
 // and restart if the believed owner changes as the view evolves. This keeps
 // the mapping alive across a lossy medium without a permanent re-offer storm.
 type migrationState struct {
@@ -167,13 +153,12 @@ type migrationState struct {
 const maxMigrateAttempts = 10
 
 // NewNode creates a DHT node for the given network ID.
-func NewNode(k *sim.Kernel, nodeID int, tr Transport, cfg Config) *Node {
+func NewNode(k *sim.Kernel, nodeID int, tr Transport) *Node {
 	return &Node{
 		id:       nodeID,
 		key:      NodeKey(nodeID),
 		k:        k,
 		tr:       tr,
-		cfg:      cfg.withDefaults(),
 		view:     make(map[int]Key),
 		data:     make(map[Key][]byte),
 		migrated: make(map[Key]migrationState),
@@ -210,10 +195,10 @@ func (n *Node) AddContact(nodeID int) {
 	n.trimView()
 }
 
-// trimView evicts the contacts farthest from our key beyond ViewSize,
+// trimView evicts the contacts farthest from our key beyond viewSize,
 // Pastry-leaf-set style.
 func (n *Node) trimView() {
-	for len(n.view) > n.cfg.ViewSize {
+	for len(n.view) > viewSize {
 		// Ties on distance break toward the higher node ID: map iteration
 		// order is randomized per run and must never pick the eviction.
 		worstID, worstDist := -1, uint32(0)
@@ -278,7 +263,7 @@ func (n *Node) Lookup(key Key, onDone func(value []byte, holder int, ok bool)) {
 	}
 	lk.id, lk.key, lk.onDone = id, key, onDone
 	n.lookups[id] = lk
-	lk.t.Reset(n.cfg.LookupTimeout)
+	lk.t.Reset(lookupTimeout)
 	n.routeLookup(id, n.id, key)
 }
 
@@ -319,7 +304,7 @@ func (n *Node) answer(lookupID uint32, origin int, key Key) {
 
 // migrate offers stored keys to their responsible nodes — the Pastry
 // behaviour of handing keys to a numerically closer node as the view grows.
-// Offers repeat every MigrateRetry until overlay traffic confirms the view,
+// Offers repeat every migrateRetry until overlay traffic confirms the view,
 // and the local replica is retained, so lost transfers on the wireless
 // medium cannot erase a mapping.
 func (n *Node) migrate() {
@@ -343,7 +328,7 @@ func (n *Node) migrate() {
 			st = migrationState{target: target}
 		}
 		if st.acked || st.attempts >= maxMigrateAttempts ||
-			(st.attempts > 0 && now-st.last < n.cfg.MigrateRetry) {
+			(st.attempts > 0 && now-st.last < migrateRetry) {
 			n.migrated[key] = st
 			continue
 		}

@@ -38,7 +38,7 @@ func buildOverlay(t *testing.T, k *sim.Kernel, n int) (*loopback, []*Node) {
 	lb := &loopback{k: k, nodes: make(map[int]*Node)}
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		nodes[i] = NewNode(k, i, lb.transportFor(i), Config{ViewSize: 64})
+		nodes[i] = NewNode(k, i, lb.transportFor(i))
 		lb.nodes[i] = nodes[i]
 	}
 	// Everyone joins via node 0, then a round of joins via random peers
@@ -126,7 +126,7 @@ func TestLocalStoreAndLookupShortCircuit(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(73)
 	lb := &loopback{k: k, nodes: make(map[int]*Node)}
-	n := NewNode(k, 5, lb.transportFor(5), Config{})
+	n := NewNode(k, 5, lb.transportFor(5))
 	lb.nodes[5] = n
 
 	key := n.Key() // numerically closest to itself
@@ -149,16 +149,16 @@ func TestViewBounded(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(74)
 	lb := &loopback{k: k, nodes: make(map[int]*Node)}
-	n := NewNode(k, 0, lb.transportFor(0), Config{ViewSize: 4})
+	n := NewNode(k, 0, lb.transportFor(0))
 	lb.nodes[0] = n
 	for i := 1; i <= 100; i++ {
 		n.AddContact(i)
 	}
-	if n.ViewSize() > 4 {
-		t.Fatalf("view size = %d, want <= 4", n.ViewSize())
+	if n.ViewSize() > viewSize {
+		t.Fatalf("view size = %d, want <= %d", n.ViewSize(), viewSize)
 	}
 	n.AddContact(n.ID()) // self is never added
-	if n.ViewSize() > 4 {
+	if _, ok := n.view[n.ID()]; ok || n.ViewSize() > viewSize {
 		t.Fatal("self contact added")
 	}
 }
@@ -207,7 +207,7 @@ func TestReceiveRejectsNonDHTPayloads(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(77)
 	lb := &loopback{k: k, nodes: make(map[int]*Node)}
-	n := NewNode(k, 0, lb.transportFor(0), Config{})
+	n := NewNode(k, 0, lb.transportFor(0))
 	if n.Receive(1, []byte{0x99, 1, 2}) {
 		t.Fatal("non-DHT payload accepted")
 	}
@@ -228,7 +228,7 @@ func TestAbandonLookupsLeavesNothingArmed(t *testing.T) {
 	k := sim.NewKernel(78)
 	sent := 0
 	silent := transportFunc(func(int, []byte) bool { sent++; return true }) // nothing ever answers
-	n := NewNode(k, 0, silent, Config{})
+	n := NewNode(k, 0, silent)
 	for c := 1; c <= 4; c++ {
 		n.AddContact(c)
 	}

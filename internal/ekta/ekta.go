@@ -26,44 +26,21 @@ const (
 	msgPiece = 0x41
 )
 
-// Config parameterizes an Ekta peer.
-type Config struct {
-	// Pipeline bounds concurrent piece operations (lookup or transfer).
-	Pipeline int
-	// GetTimeout re-arms an unanswered datagram GET.
-	GetTimeout time.Duration
-	// MaxGetRetries bounds GET retries before re-looking-up the holder.
-	MaxGetRetries int
-	// PumpPeriod drives the fetch loop even without inbound events.
-	PumpPeriod time.Duration
-	// FailureCooldown delays re-attempts of a piece whose lookup or
+// The peer's fetch loop.
+const (
+	// pipeline bounds concurrent piece operations (lookup or transfer).
+	pipeline = 6
+	// getTimeout re-arms an unanswered datagram GET.
+	getTimeout = 1500 * time.Millisecond
+	// maxGetRetries bounds GET retries before re-looking-up the holder.
+	maxGetRetries = 8
+	// pumpPeriod drives the fetch loop even without inbound events.
+	pumpPeriod = time.Second
+	// failureCooldown delays re-attempts of a piece whose lookup or
 	// transfer just failed, so a temporarily unreachable holder does not
 	// trigger continuous DSR discovery floods.
-	FailureCooldown time.Duration
-	// DSR configures the underlying routing protocol.
-	DSR routing.DSRConfig
-	// DHT configures the overlay node.
-	DHT dht.Config
-}
-
-func (c Config) withDefaults() Config {
-	if c.Pipeline == 0 {
-		c.Pipeline = 6
-	}
-	if c.GetTimeout == 0 {
-		c.GetTimeout = 1500 * time.Millisecond
-	}
-	if c.MaxGetRetries == 0 {
-		c.MaxGetRetries = 8
-	}
-	if c.PumpPeriod == 0 {
-		c.PumpPeriod = time.Second
-	}
-	if c.FailureCooldown == 0 {
-		c.FailureCooldown = 6 * time.Second
-	}
-	return c
-}
+	failureCooldown = 6 * time.Second
+)
 
 // Stats counts Ekta application activity.
 type Stats struct {
@@ -95,7 +72,6 @@ type Peer struct {
 	datagram *transport.Datagram
 	node     *dht.Node
 	rng      sim.Stream // the node's sim.PurposePeer stream
-	cfg      Config
 	stats    Stats
 
 	swarm     string
@@ -113,18 +89,17 @@ type Peer struct {
 }
 
 // NewPeer attaches an Ekta peer to the medium.
-func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) *Peer {
+func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *Peer {
 	p := &Peer{
 		k:        k,
-		cfg:      cfg.withDefaults(),
 		pending:  make(map[int]*pieceState),
 		cooldown: make(map[int]time.Duration),
 	}
 	p.pumpT = k.NewTimer(p.pumpTick)
-	p.router = routing.NewDSR(k, medium, mobility, p.cfg.DSR)
+	p.router = routing.NewDSR(k, medium, mobility)
 	p.rng = k.Stream(p.router.ID(), sim.PurposePeer)
 	p.datagram = transport.NewDatagram(p.router)
-	p.node = dht.NewNode(k, p.router.ID(), p.datagram, p.cfg.DHT)
+	p.node = dht.NewNode(k, p.router.ID(), p.datagram)
 	p.datagram.SetReceive(func(src int, payload []byte) {
 		if p.node.Receive(src, payload) {
 			return
@@ -196,7 +171,7 @@ func (p *Peer) Start() {
 	}
 	p.running = true
 	p.router.Start()
-	p.pumpT.Reset(p.rng.Jitter(p.cfg.PumpPeriod))
+	p.pumpT.Reset(p.rng.Jitter(pumpPeriod))
 }
 
 // Stop deactivates the peer: the fetch loop, the GETs and lookups in flight
@@ -227,16 +202,16 @@ func (p *Peer) pumpTick() {
 		}
 	}
 	p.pump()
-	p.pumpT.Reset(p.cfg.PumpPeriod + p.rng.Jitter(p.cfg.PumpPeriod/4))
+	p.pumpT.Reset(pumpPeriod + p.rng.Jitter(pumpPeriod/4))
 }
 
-// pump keeps Pipeline pieces in flight: DHT lookup, then datagram fetch.
+// pump keeps pipeline pieces in flight: DHT lookup, then datagram fetch.
 func (p *Peer) pump() {
 	if !p.running || p.done || p.have == nil {
 		return
 	}
 	now := p.k.Now()
-	for i := 0; i < p.nPieces && len(p.pending) < p.cfg.Pipeline; i++ {
+	for i := 0; i < p.nPieces && len(p.pending) < pipeline; i++ {
 		if p.have.Test(i) {
 			continue
 		}
@@ -292,7 +267,7 @@ func (p *Peer) sendGet(st *pieceState) {
 	get = binary.BigEndian.AppendUint32(get, uint32(st.piece))
 	p.stats.GetsSent++
 	p.datagram.Send(st.holder, get)
-	st.t.Reset(p.cfg.GetTimeout)
+	st.t.Reset(getTimeout)
 }
 
 // timeout re-arms (or abandons) an unanswered GET.
@@ -302,7 +277,7 @@ func (st *pieceState) timeout() {
 		return
 	}
 	st.retries++
-	if st.retries > p.cfg.MaxGetRetries {
+	if st.retries > maxGetRetries {
 		// Holder unreachable: drop the stale route and retry via a
 		// fresh lookup after the cooldown.
 		p.router.InvalidateRoute(st.holder)
@@ -325,7 +300,7 @@ func (st *pieceState) timeout() {
 // coolDown defers re-attempts of a failed piece, with jitter so peers do not
 // resynchronize their retries.
 func (p *Peer) coolDown(piece int) {
-	p.cooldown[piece] = p.k.Now() + p.cfg.FailureCooldown + p.rng.Jitter(p.cfg.FailureCooldown/2)
+	p.cooldown[piece] = p.k.Now() + failureCooldown + p.rng.Jitter(failureCooldown/2)
 }
 
 func (p *Peer) onDatagram(src int, payload []byte) {

@@ -14,8 +14,8 @@ func TestSeederToDownloader(t *testing.T) {
 	k := sim.NewKernel(91)
 	medium := phy.NewMedium(k, phy.Config{Range: 60})
 
-	seed := NewPeer(k, medium, geo.Stationary{}, Config{})
-	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{})
+	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	seed.Start()
 	dl.Start()
 	seed.Seed("coll", 15, 100)
@@ -49,9 +49,9 @@ func TestThreeNodeOverlayFetch(t *testing.T) {
 	// DHT and data traffic through the middle node.
 	k := sim.NewKernel(92)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	seed := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 0}}, Config{})
-	mid := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 40}}, Config{})
-	far := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 80}}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 0}})
+	mid := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 40}})
+	far := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 80}})
 	for _, p := range []*Peer{seed, mid, far} {
 		p.Start()
 	}
@@ -85,8 +85,8 @@ func TestLookupFailureRetriesViaPump(t *testing.T) {
 	// the pump keeps retrying and eventually succeeds.
 	k := sim.NewKernel(93)
 	medium := phy.NewMedium(k, phy.Config{Range: 60})
-	seed := NewPeer(k, medium, geo.Stationary{}, Config{})
-	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{})
+	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	seed.Start()
 	dl.Start()
 	dl.Fetch("late", 4, 100)
@@ -110,8 +110,8 @@ func TestDownloaderRepublishesPieces(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(94)
 	medium := phy.NewMedium(k, phy.Config{Range: 60})
-	seed := NewPeer(k, medium, geo.Stationary{}, Config{})
-	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{})
+	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	seed.Start()
 	dl.Start()
 	seed.Seed("c", 5, 100)
@@ -134,7 +134,7 @@ func TestStopSilencesPeer(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(95)
 	medium := phy.NewMedium(k, phy.Config{Range: 60})
-	p := NewPeer(k, medium, geo.Stationary{}, Config{})
+	p := NewPeer(k, medium, geo.Stationary{})
 	p.Fetch("c", 5, 100)
 	p.Start()
 	p.Stop()
@@ -152,8 +152,8 @@ func TestStopLeavesNothingArmed(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(96)
 	medium := phy.NewMedium(k, phy.Config{Range: 60})
-	seed := NewPeer(k, medium, geo.Stationary{}, Config{})
-	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}}, Config{})
+	seed := NewPeer(k, medium, geo.Stationary{})
+	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	seed.Start()
 	dl.Start()
 	seed.Seed("coll", 200, 1000)

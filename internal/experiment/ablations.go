@@ -52,10 +52,8 @@ func BeaconAblation(duration time.Duration) (adaptiveBeacons, fixedBeacons uint6
 		return p.Stats().DiscoveryInterestsSent
 	}
 	adaptive := run(core.Config{})
-	// "Fixed" pins the adaptive range to a single period.
-	fixed := run(core.Config{
-		BeaconPeriodMin: time.Second,
-		BeaconPeriodMax: time.Second,
-	})
+	// "Fixed" pins the adaptive range to a single period: the ceiling is
+	// the 1 s floor.
+	fixed := run(core.Config{BeaconPeriodMax: time.Second})
 	return adaptive, fixed
 }

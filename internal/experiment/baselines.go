@@ -26,12 +26,12 @@ func bithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 	k, medium := w.Kernel, w.medium
 	pieces := s.TotalPackets()
 
-	seed := bithoc.NewPeer(k, medium, topo.producerMobility, bithoc.Config{})
+	seed := bithoc.NewPeer(k, medium, topo.producerMobility)
 	seed.Seed(pieces, s.PacketSize)
 
 	var downloaders []*bithoc.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := bithoc.NewPeer(k, medium, m, bithoc.Config{})
+		p := bithoc.NewPeer(k, medium, m)
 		p.Fetch(pieces, s.PacketSize)
 		downloaders = append(downloaders, p)
 	}
@@ -44,7 +44,7 @@ func bithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 
 	var routers []*routing.DSDV
 	for _, m := range topo.forwarderMobility {
-		routers = append(routers, routing.NewDSDV(k, medium, m, routing.DSDVConfig{}))
+		routers = append(routers, routing.NewDSDV(k, medium, m))
 	}
 
 	seed.Start()
@@ -72,11 +72,11 @@ func ektaTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 	pieces := s.TotalPackets()
 	const swarm = "field-report"
 
-	seedPeer := ekta.NewPeer(k, medium, topo.producerMobility, ekta.Config{})
+	seedPeer := ekta.NewPeer(k, medium, topo.producerMobility)
 
 	var downloaders []*ekta.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := ekta.NewPeer(k, medium, m, ekta.Config{})
+		p := ekta.NewPeer(k, medium, m)
 		downloaders = append(downloaders, p)
 	}
 	for _, pos := range topo.stationaryPos {
@@ -88,7 +88,7 @@ func ektaTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 
 	var routers []*routing.DSR
 	for _, m := range topo.forwarderMobility {
-		routers = append(routers, routing.NewDSR(k, medium, m, routing.DSRConfig{}))
+		routers = append(routers, routing.NewDSR(k, medium, m))
 	}
 
 	seedPeer.Start()

@@ -1,5 +1,7 @@
 package experiment
 
+import "dapes/internal/core"
+
 // This file is the scenario catalog: every workload the repository can run
 // registers here at init. docs/EXPERIMENTS.md documents each entry in
 // test-plan form; keep the two in sync when adding a scenario.
@@ -28,19 +30,19 @@ func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc 
 	}
 }
 
-// withOptions is the Fig.-7 workload on the DAPES stack configured by opts.
-func withOptions(opts DAPESOptions) TrialFunc {
+// withConfig is the Fig.-7 workload on the DAPES stack configured by cfg.
+func withConfig(cfg core.Config) TrialFunc {
 	return func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-		return RunDAPESTrial(s, wifiRange, trial, opts)
+		return RunDAPESTrial(s, wifiRange, trial, cfg)
 	}
 }
 
 // dapesVariant runs the Fig.-7 workload with one knob changed from the
 // paper defaults.
-func dapesVariant(mutate func(*DAPESOptions)) TrialFunc {
-	opts := PaperDefaults()
-	mutate(&opts)
-	return withOptions(opts)
+func dapesVariant(mutate func(*core.Config)) TrialFunc {
+	cfg := PaperDefaults()
+	mutate(&cfg)
+	return withConfig(cfg)
 }
 
 var fig7Params = []Param{
@@ -119,7 +121,7 @@ func init() {
 		Narrative: "Paper defaults except Multihop=false: downloads rely entirely on " +
 			"direct producer/downloader encounters, the single-hop series of Fig. 9g/9h.",
 		Params: fig7Params,
-		Run:    dapesVariant(func(o *DAPESOptions) { o.Multihop = false }),
+		Run:    dapesVariant(func(c *core.Config) { c.Multihop = false }),
 	})
 	Register(&Scenario{
 		Name:      "ablation-nopeba",
@@ -128,7 +130,7 @@ func init() {
 		Narrative: "Paper defaults except UsePEBA=false: responders answer discovery " +
 			"without priority backoff, inflating redundant transmissions.",
 		Params: fig7Params,
-		Run:    dapesVariant(func(o *DAPESOptions) { o.UsePEBA = false }),
+		Run:    dapesVariant(func(c *core.Config) { c.UsePEBA = false }),
 	})
 
 	Register(&Scenario{

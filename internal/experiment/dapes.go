@@ -10,22 +10,11 @@ import (
 	"dapes/internal/ndn"
 )
 
-// DAPESOptions selects the design variant under test; the zero value is the
-// paper's default configuration (local-neighborhood RPF, random start,
-// interleaved advertisements, PEBA on, multi-hop at 20%).
-type DAPESOptions struct {
-	Strategy      core.StrategyKind
-	RandomStart   bool
-	AdvertMode    core.AdvertMode
-	BitmapsBefore int
-	UsePEBA       bool
-	Multihop      bool
-	ForwardProb   float64
-}
-
-// PaperDefaults returns the configuration Section VI-B describes.
-func PaperDefaults() DAPESOptions {
-	return DAPESOptions{
+// PaperDefaults returns the configuration Section VI-B describes:
+// local-neighborhood RPF with random start, interleaved advertisements, PEBA
+// on, and multi-hop forwarding at 20%.
+func PaperDefaults() core.Config {
+	return core.Config{
 		Strategy:    core.LocalNeighborhoodRPF,
 		RandomStart: true,
 		AdvertMode:  core.Interleaved,
@@ -35,22 +24,10 @@ func PaperDefaults() DAPESOptions {
 	}
 }
 
-func (o DAPESOptions) coreConfig() core.Config {
-	return core.Config{
-		AdvertMode:    o.AdvertMode,
-		BitmapsBefore: o.BitmapsBefore,
-		Strategy:      o.Strategy,
-		RandomStart:   o.RandomStart,
-		UsePEBA:       o.UsePEBA,
-		Multihop:      o.Multihop,
-		ForwardProb:   o.ForwardProb,
-	}
-}
-
 // RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
 // metrics.
-func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	w, err := buildDAPES(s, wifiRange, trial, opts)
+func RunDAPESTrial(s Scale, wifiRange float64, trial int, cfg core.Config) (TrialResult, error) {
+	w, err := buildDAPES(s, wifiRange, trial, cfg)
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -59,11 +36,11 @@ func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (Tr
 
 // buildDAPES builds and starts one trial's world on the engine the scale
 // names.
-func buildDAPES(s Scale, wifiRange float64, trial int, opts DAPESOptions) (*dapesWorld, error) {
+func buildDAPES(s Scale, wifiRange float64, trial int, cfg core.Config) (*dapesWorld, error) {
 	eng, pl := newFig7World(s, wifiRange, trial)
 	installMediumFaults(eng.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
 	w := &dapesWorld{world: eng}
-	if err := w.start(s, trial, opts, pl); err != nil {
+	if err := w.start(s, trial, cfg, pl); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -86,14 +63,13 @@ type dapesWorld struct {
 // start attaches and starts every node of the placement and installs the
 // crash schedule. Attach, start and scheduling order are part of the trace
 // (radio IDs, kernel sequence numbers).
-func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) error {
+func (w *dapesWorld) start(s Scale, trial int, cfg core.Config, pl placement) error {
 	res, err := buildCollection(s, s.BaseSeed+int64(trial))
 	if err != nil {
 		return err
 	}
 	w.horizon = s.Horizon
 	w.collection = res.Manifest.Collection
-	cfg := opts.coreConfig()
 	peer := func(m geo.Mobility) *core.Peer {
 		return core.NewPeer(w.Kernel, w.medium, m, nil, nil, cfg)
 	}
@@ -116,7 +92,7 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) 
 	for i, m := range pl.forwarderMobility {
 		if i < s.PureForwarders {
 			w.pures = append(w.pures, multihop.NewPureForwarder(w.Kernel, w.medium, m,
-				multihop.Config{ForwardProb: opts.ForwardProb}))
+				multihop.Config{ForwardProb: cfg.ForwardProb}))
 			continue
 		}
 		// DAPES-aware intermediates: understand the semantics, forward based
@@ -128,7 +104,7 @@ func (w *dapesWorld) start(s Scale, trial int, opts DAPESOptions, pl placement) 
 	for _, p := range w.downloaders {
 		p.Start()
 	}
-	if opts.Multihop {
+	if cfg.Multihop {
 		for _, f := range w.pures {
 			f.Start()
 		}

@@ -95,7 +95,7 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		scale     Scale
 		wifiRange float64
 		trial     int
-		opts      DAPESOptions
+		cfg       core.Config
 		want      dapesGolden
 	}{
 		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{472980382657, 50768, 24, 24, 13143, 0, 0, 46818, 1416, 5133, 10899676, 107422,
@@ -121,7 +121,7 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("%s/range%v/trial%d", c.name, c.wifiRange, c.trial), func(t *testing.T) {
 			t.Parallel()
-			w, err := buildDAPES(c.scale, c.wifiRange, c.trial, c.opts)
+			w, err := buildDAPES(c.scale, c.wifiRange, c.trial, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,7 +90,7 @@ func (sr Series) at(s Scale) (string, Scale) {
 }
 
 // paperTrial is the Fig.-7 trial at the configuration Section VI-B describes.
-var paperTrial = withOptions(PaperDefaults())
+var paperTrial = withConfig(PaperDefaults())
 
 // Figures is Section VI in the order dapes-bench prints it: Fig. 9a-9h,
 // Table I, Fig. 10. Adding a figure is adding an entry.
@@ -99,19 +99,19 @@ var Figures = []Figure{
 		// local-neighborhood} RPF, bitmaps-first exchange as in the paper's setup.
 		Panels: []Panel{{ID: "9a", Title: "Fig 9a: download time (s) vs WiFi range, RPF strategies"}},
 		Series: []Series{
-			{Label: "same/encounter", Trial: withOptions(fig9aOpts(core.EncounterBasedRPF, false))},
-			{Label: "random/encounter", Trial: withOptions(fig9aOpts(core.EncounterBasedRPF, true))},
-			{Label: "same/local", Trial: withOptions(fig9aOpts(core.LocalNeighborhoodRPF, false))},
-			{Label: "random/local", Trial: withOptions(fig9aOpts(core.LocalNeighborhoodRPF, true))},
+			{Label: "same/encounter", Trial: withConfig(fig9aConfig(core.EncounterBasedRPF, false))},
+			{Label: "random/encounter", Trial: withConfig(fig9aConfig(core.EncounterBasedRPF, true))},
+			{Label: "same/local", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, false))},
+			{Label: "random/local", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, true))},
 		},
 	},
 	{
 		Panels: []Panel{{ID: "9b", Title: "Fig 9b: transmissions vs WiFi range, RPF x PEBA", Metric: Transmissions}},
 		Series: []Series{
-			{Label: "encounter(noPEBA)", Trial: withOptions(fig9bOpts(core.EncounterBasedRPF, false))},
-			{Label: "local(noPEBA)", Trial: withOptions(fig9bOpts(core.LocalNeighborhoodRPF, false))},
-			{Label: "encounter(PEBA)", Trial: withOptions(fig9bOpts(core.EncounterBasedRPF, true))},
-			{Label: "local(PEBA)", Trial: withOptions(fig9bOpts(core.LocalNeighborhoodRPF, true))},
+			{Label: "encounter(noPEBA)", Trial: withConfig(fig9bConfig(core.EncounterBasedRPF, false))},
+			{Label: "local(noPEBA)", Trial: withConfig(fig9bConfig(core.LocalNeighborhoodRPF, false))},
+			{Label: "encounter(PEBA)", Trial: withConfig(fig9bConfig(core.EncounterBasedRPF, true))},
+			{Label: "local(PEBA)", Trial: withConfig(fig9bConfig(core.LocalNeighborhoodRPF, true))},
 		},
 	},
 	{ // b bitmaps exchanged before the data download, b in {1,2,3,4,all}.
@@ -149,10 +149,10 @@ var Figures = []Figure{
 			{ID: "9h", Title: "Fig 9h: transmissions vs forwarding probability", Metric: Transmissions},
 		},
 		Series: []Series{
-			{Label: "single-hop", Trial: withOptions(hopOpts(false, 0.2))},
-			{Label: "p=20%", Trial: withOptions(hopOpts(true, 0.2))},
-			{Label: "p=40%", Trial: withOptions(hopOpts(true, 0.4))},
-			{Label: "p=60%", Trial: withOptions(hopOpts(true, 0.6))},
+			{Label: "single-hop", Trial: withConfig(hopConfig(false, 0.2))},
+			{Label: "p=20%", Trial: withConfig(hopConfig(true, 0.2))},
+			{Label: "p=40%", Trial: withConfig(hopConfig(true, 0.4))},
+			{Label: "p=60%", Trial: withConfig(hopConfig(true, 0.6))},
 		},
 	},
 	{ // The real-world feasibility scenarios of Fig. 8 (TableIRows).
@@ -172,7 +172,7 @@ var Figures = []Figure{
 	},
 }
 
-func fig9aOpts(strategy core.StrategyKind, randomStart bool) DAPESOptions {
+func fig9aConfig(strategy core.StrategyKind, randomStart bool) core.Config {
 	o := PaperDefaults()
 	o.Strategy = strategy
 	o.RandomStart = randomStart
@@ -181,8 +181,8 @@ func fig9aOpts(strategy core.StrategyKind, randomStart bool) DAPESOptions {
 	return o
 }
 
-func fig9bOpts(strategy core.StrategyKind, peba bool) DAPESOptions {
-	o := fig9aOpts(strategy, true)
+func fig9bConfig(strategy core.StrategyKind, peba bool) core.Config {
+	o := fig9aConfig(strategy, true)
 	o.UsePEBA = peba
 	return o
 }
@@ -198,12 +198,12 @@ func bitmapSeries(mode core.AdvertMode) []Series {
 		o := PaperDefaults()
 		o.AdvertMode = mode
 		o.BitmapsBefore = c.b
-		series = append(series, Series{Label: c.label, Trial: withOptions(o)})
+		series = append(series, Series{Label: c.label, Trial: withConfig(o)})
 	}
 	return series
 }
 
-func hopOpts(multihop bool, prob float64) DAPESOptions {
+func hopConfig(multihop bool, prob float64) core.Config {
 	o := PaperDefaults()
 	o.Multihop = multihop
 	o.ForwardProb = prob

@@ -29,8 +29,8 @@ func TestPaperFig9aRandomStartBeatsSameStart(t *testing.T) {
 	s.Workers = 4
 	s.Ranges = []float64{60}
 	res, err := Figure{Series: []Series{
-		{Label: "random", Trial: withOptions(fig9aOpts(core.LocalNeighborhoodRPF, true))},
-		{Label: "same", Trial: withOptions(fig9aOpts(core.LocalNeighborhoodRPF, false))},
+		{Label: "random", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, true))},
+		{Label: "same", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, false))},
 	}}.Run(s)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.M
 	seed := TrialSeed(s.BaseSeed, trial)
 	w := &peerWorld{
 		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine),
-		cfg:   PaperDefaults().coreConfig(),
+		cfg:   PaperDefaults(),
 	}
 	res, err := buildCollection(s, seed)
 	if err != nil {

@@ -114,7 +114,7 @@ func TestSuppressionTimerBlocksRepeatedForwards(t *testing.T) {
 	k := sim.NewKernel(23)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
 	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}},
-		multihop.Config{ForwardProb: 1.0, SuppressTTL: 2 * time.Second})
+		multihop.Config{ForwardProb: 1.0})
 	fwd.Start()
 
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
@@ -141,7 +141,7 @@ func TestProbabilisticForwardingRespectsProbability(t *testing.T) {
 	k := sim.NewKernel(24)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
 	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}},
-		multihop.Config{ForwardProb: 0.2, SuppressTTL: 100 * time.Millisecond})
+		multihop.Config{ForwardProb: 0.2})
 	fwd.Start()
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
 

@@ -22,34 +22,23 @@ import (
 	"dapes/internal/sim"
 )
 
+// The Section-V timers, shared by both node kinds: TransmissionWindow bounds
+// the random delay before every DAPES transmission other than a prioritized
+// bitmap, and SuppressTTL is the per-name suppression timer armed when a
+// forwarded Interest brings no response.
+const (
+	TransmissionWindow = 20 * time.Millisecond
+	SuppressTTL        = 2 * time.Second
+)
+
+// csCapacity bounds a pure forwarder's Content Store.
+const csCapacity = 4096
+
 // Config parameterizes a pure forwarder.
 type Config struct {
 	// ForwardProb is the probability of forwarding an Interest that misses
-	// the Content Store (paper default 20%).
+	// the Content Store; 0 means the paper's 20%.
 	ForwardProb float64
-	// TransmissionWindow is the random forwarding delay bound.
-	TransmissionWindow time.Duration
-	// SuppressTTL is the per-name suppression timer armed when a forwarded
-	// Interest brings no response.
-	SuppressTTL time.Duration
-	// CsCapacity bounds the Content Store.
-	CsCapacity int
-}
-
-func (c Config) withDefaults() Config {
-	if c.ForwardProb == 0 {
-		c.ForwardProb = 0.2
-	}
-	if c.TransmissionWindow == 0 {
-		c.TransmissionWindow = 20 * time.Millisecond
-	}
-	if c.SuppressTTL == 0 {
-		c.SuppressTTL = 2 * time.Second
-	}
-	if c.CsCapacity == 0 {
-		c.CsCapacity = 4096
-	}
-	return c
 }
 
 // Stats counts forwarder activity.
@@ -69,9 +58,12 @@ type PureForwarder struct {
 
 // NewPureForwarder attaches a pure forwarder to the medium.
 func NewPureForwarder(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) *PureForwarder {
-	f := &PureForwarder{cfg: cfg.withDefaults()}
+	if cfg.ForwardProb == 0 {
+		cfg.ForwardProb = 0.2
+	}
+	f := &PureForwarder{cfg: cfg}
 	radio := medium.Attach(mobility)
-	f.relay = NewRelay(k, medium, radio, f.cfg.TransmissionWindow, f.cfg.SuppressTTL, &f.stats.Counters)
+	f.relay = NewRelay(k, medium, radio, &f.stats.Counters)
 	radio.SetHandler(func(fr phy.Frame) { f.relay.Deliver(fr, f.onInterest, f.onData) })
 	return f
 }
@@ -128,7 +120,7 @@ func (f *PureForwarder) onData(_ int, d *ndn.Data) {
 	// unchanged — this matters for NDN-correct behavior when pure forwarders
 	// carry third-party traffic).
 	if f.cs == nil {
-		f.cs = nfd.NewContentStoreWithClock(f.cfg.CsCapacity, nfd.KernelClock{K: f.relay.k})
+		f.cs = nfd.NewContentStoreWithClock(csCapacity, nfd.KernelClock{K: f.relay.k})
 	}
 	f.cs.Insert(d)
 	f.relay.RelayData(d)

@@ -54,9 +54,7 @@ type Relay struct {
 	k      *sim.Kernel
 	medium *phy.Medium
 	radio  *phy.Radio
-	rng    sim.Stream    // the node's sim.PurposeRelay stream
-	window time.Duration // TransmissionWindow: the jitter bound of every send
-	ttl    time.Duration // SuppressTTL
+	rng    sim.Stream // the node's sim.PurposeRelay stream
 	c      *Counters
 
 	running    bool
@@ -97,7 +95,7 @@ func arm(v any) {
 		if r.suppressed == nil {
 			r.suppressed = make(map[string]time.Duration)
 		}
-		r.suppressed[rec.key] = r.k.Now() + r.ttl
+		r.suppressed[rec.key] = r.k.Now() + SuppressTTL
 		r.inserted()
 	}
 }
@@ -123,15 +121,14 @@ func (rp *reply) fire() {
 	r.medium.Broadcast(r.radio, d.Encode())
 }
 
-// NewRelay returns the relay state of the node behind radio: window bounds
-// the random delay before each send, ttl is the suppression timer, c counts.
+// NewRelay returns the relay state of the node behind radio; c counts.
 // It is returned by value for the owner to hold in place, and its tables are
 // made by the first insertion into each (a nil map answers every read): at
 // 50k nodes, most of which never forward, an object per node shows. Use it
 // through a pointer from then on.
-func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, window, ttl time.Duration, c *Counters) Relay {
+func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, c *Counters) Relay {
 	return Relay{
-		k: k, medium: medium, radio: radio, window: window, ttl: ttl, c: c,
+		k: k, medium: medium, radio: radio, c: c,
 		rng:       k.Stream(radio.ID(), sim.PurposeRelay),
 		compactAt: compactFloor,
 	}
@@ -262,7 +259,7 @@ func (r *Relay) Suppressed(in *ndn.Interest) bool {
 // suppression timer ago and is still unanswered.
 func (r *Relay) InFlight(in *ndn.Interest) bool {
 	rec, ok := r.forwarded[in.NameKey()]
-	return ok && !rec.answered && r.k.Now()-rec.at < r.ttl
+	return ok && !rec.answered && r.k.Now()-rec.at < SuppressTTL
 }
 
 // Forward re-broadcasts the received Interest after a random delay and
@@ -295,7 +292,7 @@ func (r *Relay) Forward(in *ndn.Interest) {
 	r.forwarded[key] = rec
 	r.inserted()
 	r.rebroadcast(in.Encode(), &r.c.InterestsForwarded)
-	r.k.ScheduleCall(r.ttl, arm, rec)
+	r.k.ScheduleCall(SuppressTTL, arm, rec)
 }
 
 // nameIn returns name with its components cut out of key, its URI form:
@@ -316,7 +313,7 @@ func nameIn(key string, name ndn.Name) ndn.Name {
 // suppression timer after the forward, the in-flight window and the
 // suppression it may arm.
 func (r *Relay) fresh(rec *forwardRecord) bool {
-	return r.k.Now()-rec.at <= 2*r.ttl
+	return r.k.Now()-rec.at <= 2*SuppressTTL
 }
 
 func (r *Relay) drop(rec *forwardRecord) {
@@ -384,7 +381,7 @@ func (r *Relay) match(d *ndn.Data) *forwardRecord {
 // rebroadcast relays a received packet's wire, exactly as it arrived, after
 // a random delay, bumping counter when it goes out.
 func (r *Relay) rebroadcast(wire []byte, counter *uint64) {
-	r.medium.BroadcastAfter(r.rng.Jitter(r.window), r.radio, wire, counter, &r.running)
+	r.medium.BroadcastAfter(r.rng.Jitter(TransmissionWindow), r.radio, wire, counter, &r.running)
 }
 
 // ScheduleReply broadcasts d after a random delay, bumping counter when it
@@ -408,7 +405,7 @@ func (r *Relay) ScheduleReply(d *ndn.Data, counter *uint64) {
 		r.pending = make(map[string]*reply)
 	}
 	r.pending[key] = rp
-	rp.t.Reset(r.rng.Jitter(r.window))
+	rp.t.Reset(r.rng.Jitter(TransmissionWindow))
 }
 
 // CancelReply is response suppression: d was heard, so a pending reply of

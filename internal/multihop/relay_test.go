@@ -11,8 +11,6 @@ import (
 	"dapes/internal/sim"
 )
 
-const testTTL = 2 * time.Second
-
 // relayRig is a started Relay on a medium nobody else listens on: what it
 // transmits is medium.Stats().Transmissions.
 type relayRig struct {
@@ -25,7 +23,7 @@ type relayRig struct {
 func newRelayRig(seed int64) *relayRig {
 	rig := &relayRig{k: sim.NewKernel(seed)}
 	rig.medium = phy.NewMedium(rig.k, phy.Config{Range: 50})
-	rig.r = NewRelay(rig.k, rig.medium, rig.medium.Attach(geo.Stationary{}), 20*time.Millisecond, testTTL, &rig.c)
+	rig.r = NewRelay(rig.k, rig.medium, rig.medium.Attach(geo.Stationary{}), &rig.c)
 	rig.r.Start()
 	return rig
 }
@@ -57,16 +55,16 @@ func TestRelayWindowsCloseOnTheInstant(t *testing.T) {
 	k.ScheduleAt(t0, func() {
 		r.Forward(in)
 		// Arrivals are scheduled after the forward, as a frame's delivery is.
-		for _, at := range []time.Duration{t0 + testTTL - 1, t0 + testTTL, t0 + 2*testTTL - 1, t0 + 2*testTTL} {
+		for _, at := range []time.Duration{t0 + SuppressTTL - 1, t0 + SuppressTTL, t0 + 2*SuppressTTL - 1, t0 + 2*SuppressTTL} {
 			k.ScheduleAt(at, func() { got[at] = probe{r.InFlight(in), r.Suppressed(in)} })
 		}
 	})
-	k.Run(t0 + 3*testTTL)
+	k.Run(t0 + 3*SuppressTTL)
 	want := map[time.Duration]probe{
-		t0 + testTTL - 1:   {inFlight: true},
-		t0 + testTTL:       {suppressed: true},
-		t0 + 2*testTTL - 1: {suppressed: true},
-		t0 + 2*testTTL:     {},
+		t0 + SuppressTTL - 1:   {inFlight: true},
+		t0 + SuppressTTL:       {suppressed: true},
+		t0 + 2*SuppressTTL - 1: {suppressed: true},
+		t0 + 2*SuppressTTL:     {},
 	}
 	for at, w := range want {
 		if got[at] != w {
@@ -94,7 +92,7 @@ func TestRelayDataOncePerName(t *testing.T) {
 			r.RelayData(signedData(uri))
 		}
 	})
-	k.Run(time.Second + 2*testTTL)
+	k.Run(time.Second + 2*SuppressTTL)
 	// /exact/0 once; /prefix/a, /prefix/b and /prefix once each.
 	if rig.c.DataForwarded != 4 || rig.c.ForwardedAnswered != 2 {
 		t.Errorf("counters %+v, want 4 Data forwarded for 2 answered records", rig.c)
@@ -115,7 +113,7 @@ func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
 	t.Parallel()
 	const t0 = time.Second
 	for _, compacted := range []bool{false, true} {
-		for _, age := range []time.Duration{2 * testTTL, 2*testTTL + 1} {
+		for _, age := range []time.Duration{2 * SuppressTTL, 2*SuppressTTL + 1} {
 			rig := newRelayRig(6)
 			k, r := rig.k, &rig.r
 			k.ScheduleAt(t0, func() {
@@ -129,9 +127,9 @@ func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
 				r.RelayData(signedData("/a/0"))
 				r.RelayData(signedData("/b/1"))
 			})
-			k.Run(t0 + 3*testTTL)
+			k.Run(t0 + 3*SuppressTTL)
 			want := uint64(0)
-			if age == 2*testTTL {
+			if age == 2*SuppressTTL {
 				want = 2
 			}
 			if rig.c.DataForwarded != want {
@@ -143,9 +141,9 @@ func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
 	rig := newRelayRig(7)
 	k, r := rig.k, &rig.r
 	k.ScheduleAt(t0, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a/0"), Nonce: 1}) })
-	k.ScheduleAt(t0+testTTL, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a"), CanBePrefix: true, Nonce: 2}) })
-	k.ScheduleAt(t0+2*testTTL+1, func() { r.RelayData(signedData("/a/0")) })
-	k.Run(t0 + 4*testTTL)
+	k.ScheduleAt(t0+SuppressTTL, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a"), CanBePrefix: true, Nonce: 2}) })
+	k.ScheduleAt(t0+2*SuppressTTL+1, func() { r.RelayData(signedData("/a/0")) })
+	k.Run(t0 + 4*SuppressTTL)
 	if !r.forwarded["/a"].answered || r.forwarded["/a/0"].answered {
 		t.Errorf("Data past the exact record's lifetime answered /a %v, /a/0 %v; want the prefix record only",
 			r.forwarded["/a"].answered, r.forwarded["/a/0"].answered)
@@ -170,7 +168,7 @@ func TestRelayTablesBoundedOverLongRun(t *testing.T) {
 			maxHeld = max(maxHeld, len(r.forwarded)+len(r.suppressed)+len(r.nonces))
 		})
 	}
-	k.Run(1000*time.Second + 2*testTTL)
+	k.Run(1000*time.Second + 2*SuppressTTL)
 	if rig.c.InterestsForwarded != n {
 		t.Fatalf("%d Interests forwarded, want %d", rig.c.InterestsForwarded, n)
 	}
@@ -207,7 +205,7 @@ func TestRelayPrefixCountGatesTheWalk(t *testing.T) {
 	step("second insert", 2)
 	r.Forward(exact)
 	step("overwrite by an exact record", 1)
-	k.Run(k.Now() + 2*testTTL + 1)
+	k.Run(k.Now() + 2*SuppressTTL + 1)
 	compact(r)
 	step("compaction", 0)
 	if len(r.forwarded) != 0 {
@@ -303,7 +301,7 @@ func TestPureForwarderStopSilences(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(5)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	f := NewPureForwarder(k, medium, geo.Stationary{}, Config{ForwardProb: 1, SuppressTTL: testTTL})
+	f := NewPureForwarder(k, medium, geo.Stationary{}, Config{ForwardProb: 1})
 	f.Start()
 	cached := signedData("/x/0")
 	k.ScheduleAt(time.Second, func() { f.onData(0, cached) })
@@ -327,12 +325,12 @@ func TestPureForwarderStopSilences(t *testing.T) {
 		}
 		stoppedAt = medium.Stats().Transmissions
 	})
-	k.Run(2*time.Second + 2*testTTL)
+	k.Run(2*time.Second + 2*SuppressTTL)
 	if got := medium.Stats().Transmissions; got != stoppedAt {
 		t.Errorf("%d transmissions after Stop", got-stoppedAt)
 	}
 	if got := k.Pending(); got != 0 {
-		t.Errorf("%d events still pending %v after Stop", got, 2*testTTL)
+		t.Errorf("%d events still pending %v after Stop", got, 2*SuppressTTL)
 	}
 	if st := f.Stats(); st.CsReplies != 0 || st.InterestsForwarded != 0 {
 		t.Errorf("a stopped forwarder counted sends: %+v", st)
@@ -422,7 +420,7 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
 	sender := medium.Attach(geo.Stationary{})
 	var c Counters
-	r := NewRelay(k, medium, medium.Attach(geo.Stationary{At: geo.Point{X: 10}}), 20*time.Millisecond, testTTL, &c)
+	r := NewRelay(k, medium, medium.Attach(geo.Stationary{At: geo.Point{X: 10}}), &c)
 	r.Start()
 	forwarding := true
 	r.radio.SetHandler(func(f phy.Frame) {

@@ -31,7 +31,7 @@ func TestReceptionLedgerBalances(t *testing.T) {
 	}
 	m.SetJammer(&Jammer{Center: geo.Point{X: 30}, Radius: 12, From: 200 * time.Millisecond, Until: 600 * time.Millisecond})
 	payload := make([]byte, 200)
-	air := m.TxDuration(len(payload)) + m.Config().PropagationDelay
+	air := m.TxDuration(len(payload)) + propagationDelay
 	deaf := rxs[0]
 	for i := 0; i < rounds; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
@@ -83,7 +83,7 @@ func TestMediumMatchesAlohaClosedForm(t *testing.T) {
 	m := NewMedium(k, Config{Range: 50})
 	rx := m.Attach(geo.Stationary{})
 	payload := make([]byte, 200)
-	air := m.TxDuration(len(payload)) + m.Config().PropagationDelay
+	air := m.TxDuration(len(payload)) + propagationDelay
 	meanGap := float64(senders) * float64(air) / load // per sender, in ns
 	sent := 0
 	for i := 0; i < senders; i++ {

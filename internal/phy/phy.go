@@ -94,41 +94,26 @@ const (
 	IndexNaive
 )
 
+// The channel: 802.11b's data rate, the MAC header and FCS every frame
+// carries on the air, and a fixed propagation latency.
+const (
+	dataRateBps      = 11e6
+	headerBytes      = 34
+	propagationDelay = time.Microsecond
+)
+
 // Config parameterizes the medium.
 type Config struct {
-	// Range is the transmission range in meters. Paper sweeps 20–100.
+	// Range is the transmission range in meters. Paper sweeps 20–100;
+	// 0 means 60.
 	Range float64
-	// DataRateBps is the channel data rate in bits per second.
-	// Default: 11 Mbps (802.11b).
-	DataRateBps float64
 	// LossRate is the independent per-receiver frame loss probability in
 	// [0, 1). Default 0 (the experiment harness sets the paper's 10%).
 	LossRate float64
-	// HeaderBytes is added to every payload to model MAC/PHY framing
-	// overhead. Default 34 (802.11 MAC header + FCS).
-	HeaderBytes int
-	// PropagationDelay is the fixed propagation latency. Default 1 µs.
-	PropagationDelay time.Duration
 	// Index selects the receiver-lookup implementation; the zero value is
 	// the spatial grid. The choice never changes any simulation result, only
 	// how fast the medium finds receivers.
 	Index IndexMode
-}
-
-func (c Config) withDefaults() Config {
-	if c.Range == 0 {
-		c.Range = 60
-	}
-	if c.DataRateBps == 0 {
-		c.DataRateBps = 11e6
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 34
-	}
-	if c.PropagationDelay == 0 {
-		c.PropagationDelay = time.Microsecond
-	}
-	return c
 }
 
 // Stats aggregates medium-level counters used by the paper's overhead metric.
@@ -302,7 +287,9 @@ type Medium struct {
 
 // NewMedium creates a medium over the given simulation kernel.
 func NewMedium(kernel *sim.Kernel, cfg Config) *Medium {
-	cfg = cfg.withDefaults()
+	if cfg.Range == 0 {
+		cfg.Range = 60
+	}
 	m := &Medium{kernel: kernel, cfg: cfg}
 	if cfg.Index == IndexGrid {
 		m.grid = geo.NewGrid(cfg.Range)
@@ -354,15 +341,8 @@ func (m *Medium) Radios() []*Radio { return m.radios }
 // TxDuration returns the serialization time for a payload of n bytes,
 // including modeled header overhead.
 func (m *Medium) TxDuration(n int) time.Duration {
-	return m.cfg.TxDuration(n)
-}
-
-// TxDuration returns the serialization time for a payload of n bytes under
-// this configuration (defaults applied), including header overhead.
-func (c Config) TxDuration(n int) time.Duration {
-	c = c.withDefaults()
-	bits := float64(n+c.HeaderBytes) * 8
-	return time.Duration(bits / c.DataRateBps * float64(time.Second))
+	bits := float64(n+headerBytes) * 8
+	return time.Duration(bits / dataRateBps * float64(time.Second))
 }
 
 // InRange reports whether radios a and b are currently within transmission
@@ -563,14 +543,14 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 		}
 		return
 	}
-	size := len(payload) + m.cfg.HeaderBytes
+	size := len(payload) + headerBytes
 	m.stats.Transmissions++
 	m.stats.BytesSent += uint64(size)
 	r.Sent++
 
 	start := m.kernel.Now()
 	dur := m.TxDuration(len(payload))
-	end := start + dur + m.cfg.PropagationDelay
+	end := start + dur + propagationDelay
 
 	// Half-duplex: remember our own airtime and garble receptions that
 	// overlap it (a transmitting radio cannot hear). Windows that ended

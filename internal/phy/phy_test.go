@@ -49,11 +49,9 @@ func TestSenderDoesNotHearItself(t *testing.T) {
 
 func TestTxDurationScalesWithSize(t *testing.T) {
 	t.Parallel()
-	_, m := newTestMedium(t, Config{DataRateBps: 1e6, HeaderBytes: 0})
-	// 1 Mbps: 125 bytes = 1000 bits = 1 ms. HeaderBytes default kicks in when
-	// zero, so use explicit config below instead.
-	m2 := NewMedium(sim.NewKernel(1), Config{DataRateBps: 8e6})
-	d := m2.TxDuration(1000 - 34) // (966+34)*8 bits at 8 Mbps = 1 ms
+	_, m := newTestMedium(t, Config{})
+	// 11 Mbps: 1375 bytes on the air = 11000 bits = 1 ms.
+	d := m.TxDuration(1375 - headerBytes)
 	if d != time.Millisecond {
 		t.Fatalf("TxDuration = %v, want 1ms", d)
 	}

@@ -144,7 +144,7 @@ func TestRebroadcastFromCompletionSeesOwnFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Strings(heard)
-	size := len(wire) + m.Config().HeaderBytes // the three names are as long
+	size := len(wire) + headerBytes // the three names are as long
 	want := []string{
 		fmt.Sprintf("%d heard %s from %d (%d B)", b.ID(), "/from-a", a.ID(), size),
 		fmt.Sprintf("%d heard %s from %d (%d B)", c.ID(), "/from-a", a.ID(), size),

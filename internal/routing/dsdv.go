@@ -10,35 +10,20 @@ import (
 	"dapes/internal/sim"
 )
 
-// DSDVConfig parameterizes the proactive protocol.
-type DSDVConfig struct {
-	// UpdatePeriod is the full-table broadcast period (Perkins & Bhagwat
-	// use periodic dumps; mobile settings use a few seconds).
-	UpdatePeriod time.Duration
-	// RouteTTL invalidates routes through next hops not heard from.
-	RouteTTL time.Duration
-	// MaxMetric bounds hop counts; larger metrics are unreachable.
-	MaxMetric int
-	// TxJitter randomizes every transmission's start, modeling the 802.11
-	// MAC's random backoff (the phy layer has no carrier sense).
-	TxJitter time.Duration
-}
+// The proactive protocol's timers and bounds.
+const (
+	// dsdvUpdatePeriod is the full-table broadcast period (Perkins &
+	// Bhagwat use periodic dumps; mobile settings use a few seconds).
+	dsdvUpdatePeriod = 5 * time.Second
+	// dsdvRouteTTL invalidates routes through next hops not heard from.
+	dsdvRouteTTL = 6 * dsdvUpdatePeriod
+	// maxMetric bounds hop counts; larger metrics are unreachable.
+	maxMetric = 16
+)
 
-func (c DSDVConfig) withDefaults() DSDVConfig {
-	if c.UpdatePeriod == 0 {
-		c.UpdatePeriod = 5 * time.Second
-	}
-	if c.RouteTTL == 0 {
-		c.RouteTTL = 6 * c.UpdatePeriod
-	}
-	if c.MaxMetric == 0 {
-		c.MaxMetric = 16
-	}
-	if c.TxJitter == 0 {
-		c.TxJitter = 10 * time.Millisecond
-	}
-	return c
-}
+// txJitter randomizes every transmission's start, modeling the 802.11 MAC's
+// random backoff (the phy layer has no carrier sense). Both protocols use it.
+const txJitter = 10 * time.Millisecond
 
 type dsdvRoute struct {
 	nextHop int
@@ -52,7 +37,6 @@ type DSDV struct {
 	id      int
 	k       *sim.Kernel
 	radio   *phy.Radio
-	cfg     DSDVConfig
 	table   map[int]dsdvRoute
 	dsts    []int // appendTable's scratch: the table's keys, sorted
 	ownSeq  int
@@ -68,11 +52,10 @@ type DSDV struct {
 var _ Router = (*DSDV)(nil)
 
 // NewDSDV attaches a DSDV node to the medium.
-func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSDVConfig) *DSDV {
+func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSDV {
 	d := &DSDV{
 		k:      k,
 		medium: medium,
-		cfg:    cfg.withDefaults(),
 		table:  make(map[int]dsdvRoute),
 	}
 	d.tick = k.NewTimer(d.periodicUpdate)
@@ -86,7 +69,7 @@ func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSDVC
 // transmit broadcasts wire after the MAC-backoff jitter, unless the node
 // has been stopped by then.
 func (d *DSDV) transmit(wire []byte) {
-	d.medium.BroadcastAfter(d.rng.Jitter(d.cfg.TxJitter), d.radio, wire, nil, &d.running)
+	d.medium.BroadcastAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
 }
 
 // ID implements Router.
@@ -109,7 +92,7 @@ func (d *DSDV) DataTransmissions() uint64 { return d.dataTx }
 // RouteTo returns the current next hop and metric for dst, if reachable.
 func (d *DSDV) RouteTo(dst int) (nextHop, metric int, ok bool) {
 	r, exists := d.table[dst]
-	if !exists || r.metric >= d.cfg.MaxMetric {
+	if !exists || r.metric >= maxMetric {
 		return 0, 0, false
 	}
 	return r.nextHop, r.metric, true
@@ -121,7 +104,7 @@ func (d *DSDV) Start() {
 		return
 	}
 	d.running = true
-	d.tick.Reset(d.rng.Jitter(d.cfg.UpdatePeriod))
+	d.tick.Reset(d.rng.Jitter(dsdvUpdatePeriod))
 }
 
 // Stop implements Router. A stopped node is silent: it neither originates
@@ -143,14 +126,14 @@ func (d *DSDV) periodicUpdate() {
 	wire := f.appendHeader(make([]byte, 0, headerLen+2+12*(len(d.table)+1)))
 	d.ctrlTx++
 	d.transmit(d.appendTable(wire))
-	d.tick.Reset(d.cfg.UpdatePeriod + d.rng.Jitter(d.cfg.UpdatePeriod/4))
+	d.tick.Reset(dsdvUpdatePeriod + d.rng.Jitter(dsdvUpdatePeriod/4))
 }
 
 // expireStale invalidates routes whose next hop has gone quiet.
 func (d *DSDV) expireStale() {
 	now := d.k.Now()
 	for dst, r := range d.table {
-		if now-r.heard > d.cfg.RouteTTL {
+		if now-r.heard > dsdvRouteTTL {
 			delete(d.table, dst)
 		}
 	}
@@ -220,7 +203,7 @@ func (d *DSDV) handleUpdate(f frame) {
 		}
 		cur, exists := d.table[dst]
 		if !exists || seq > cur.seq || (seq == cur.seq && metric < cur.metric) {
-			if metric < d.cfg.MaxMetric {
+			if metric < maxMetric {
 				d.table[dst] = dsdvRoute{nextHop: f.Src, metric: metric, seq: seq, heard: now}
 			}
 		} else if cur.nextHop == f.Src {
@@ -237,7 +220,7 @@ func (d *DSDV) Send(dst int, payload []byte) bool {
 	if !ok || !d.running {
 		return false
 	}
-	f := &frame{Proto: protoData, Src: d.id, Dst: dst, NextHop: next, TTL: d.cfg.MaxMetric, Payload: payload}
+	f := &frame{Proto: protoData, Src: d.id, Dst: dst, NextHop: next, TTL: maxMetric, Payload: payload}
 	d.dataTx++
 	d.transmit(f.encode())
 	return true

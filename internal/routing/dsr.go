@@ -8,60 +8,29 @@ import (
 	"dapes/internal/sim"
 )
 
-// DSRConfig parameterizes the reactive protocol.
-type DSRConfig struct {
-	// DiscoveryTimeout bounds one route discovery round before retry.
-	DiscoveryTimeout time.Duration
-	// MaxDiscoveryRetries bounds route request retries before the buffered
+// The reactive protocol's timers and bounds.
+const (
+	// discoveryRound bounds one route discovery round before retry.
+	discoveryRound = 2 * time.Second
+	// maxDiscoveryRetries bounds route request retries before the buffered
 	// payloads are dropped.
-	MaxDiscoveryRetries int
-	// RouteTTL ages out cached routes (mobility breaks them silently).
-	RouteTTL time.Duration
-	// MaxHops bounds RREQ flooding.
-	MaxHops int
-	// BufferLimit bounds payloads queued awaiting a route.
-	BufferLimit int
-	// TxJitter randomizes every transmission's start, modeling the 802.11
-	// MAC's random backoff (the phy layer has no carrier sense).
-	TxJitter time.Duration
-	// HopRepeats is the number of times each unicast data/RREP frame is
+	maxDiscoveryRetries = 3
+	// dsrRouteTTL ages out cached routes (mobility breaks them silently).
+	dsrRouteTTL = 30 * time.Second
+	// maxHops bounds RREQ flooding.
+	maxHops = 16
+	// bufferLimit bounds payloads queued awaiting a route.
+	bufferLimit = 64
+	// hopRepeats is the number of times each unicast data/RREP frame is
 	// put on the air per hop. The phy layer models raw broadcast loss with
 	// no 802.11 unicast ACK/retry; repeating each hop transmission stands
 	// in for the MAC's ARQ (receivers deduplicate by origin sequence).
-	HopRepeats int
-	// FloodJitter spreads RREQ relays over a wider window: a route-request
+	hopRepeats = 2
+	// floodJitter spreads RREQ relays over a wider window: a route-request
 	// flood makes every node in range rebroadcast, and without substantial
 	// dispersion those relays collide and the discovery fails.
-	FloodJitter time.Duration
-}
-
-func (c DSRConfig) withDefaults() DSRConfig {
-	if c.DiscoveryTimeout == 0 {
-		c.DiscoveryTimeout = 2 * time.Second
-	}
-	if c.MaxDiscoveryRetries == 0 {
-		c.MaxDiscoveryRetries = 3
-	}
-	if c.RouteTTL == 0 {
-		c.RouteTTL = 30 * time.Second
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 16
-	}
-	if c.BufferLimit == 0 {
-		c.BufferLimit = 64
-	}
-	if c.TxJitter == 0 {
-		c.TxJitter = 10 * time.Millisecond
-	}
-	if c.FloodJitter == 0 {
-		c.FloodJitter = 150 * time.Millisecond
-	}
-	if c.HopRepeats == 0 {
-		c.HopRepeats = 2
-	}
-	return c
-}
+	floodJitter = 150 * time.Millisecond
+)
 
 type cachedRoute struct {
 	hops  []int // full path src..dst inclusive
@@ -82,7 +51,6 @@ type DSR struct {
 	id      int
 	k       *sim.Kernel
 	radio   *phy.Radio
-	cfg     DSRConfig
 	routes  map[int]cachedRoute
 	pending map[int]*pendingDiscovery
 	seenReq map[int]map[int]bool // origin -> reqID set
@@ -100,11 +68,10 @@ type DSR struct {
 var _ Router = (*DSR)(nil)
 
 // NewDSR attaches a DSR node to the medium.
-func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg DSRConfig) *DSR {
+func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSR {
 	d := &DSR{
 		k:       k,
 		medium:  medium,
-		cfg:     cfg.withDefaults(),
 		routes:  make(map[int]cachedRoute),
 		pending: make(map[int]*pendingDiscovery),
 		seenReq: make(map[int]map[int]bool),
@@ -122,14 +89,14 @@ func (d *DSR) ID() int { return d.id }
 
 // transmit broadcasts wire after the MAC-backoff jitter.
 func (d *DSR) transmit(wire []byte) {
-	d.medium.BroadcastAfter(d.rng.Jitter(d.cfg.TxJitter), d.radio, wire, nil, &d.running)
+	d.medium.BroadcastAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
 }
 
-// transmitRepeated puts wire on the air HopRepeats times (MAC ARQ model);
+// transmitRepeated puts wire on the air hopRepeats times (MAC ARQ model);
 // each repetition is separately counted and jittered.
 func (d *DSR) transmitRepeated(wire []byte, count *uint64) {
-	for i := 0; i < d.cfg.HopRepeats; i++ {
-		d.medium.BroadcastAfter(time.Duration(i)*d.cfg.TxJitter+d.rng.Jitter(d.cfg.TxJitter), d.radio, wire, count, &d.running)
+	for i := 0; i < hopRepeats; i++ {
+		d.medium.BroadcastAfter(time.Duration(i)*txJitter+d.rng.Jitter(txJitter), d.radio, wire, count, &d.running)
 	}
 }
 
@@ -176,7 +143,7 @@ func (d *DSR) Stop() {
 // HasRoute reports whether a live cached route to dst exists.
 func (d *DSR) HasRoute(dst int) bool {
 	r, ok := d.routes[dst]
-	return ok && d.k.Now()-r.since <= d.cfg.RouteTTL
+	return ok && d.k.Now()-r.since <= dsrRouteTTL
 }
 
 // InvalidateRoute drops the cached route to dst; upper layers call this when
@@ -207,7 +174,7 @@ func (d *DSR) Send(dst int, payload []byte) bool {
 		d.pending[dst] = p
 		d.launchDiscovery(dst, p)
 	}
-	if len(p.payloads) >= d.cfg.BufferLimit {
+	if len(p.payloads) >= bufferLimit {
 		return false
 	}
 	p.payloads = append(p.payloads, append([]byte(nil), payload...))
@@ -225,7 +192,7 @@ func (d *DSR) launchDiscovery(dst int, p *pendingDiscovery) {
 		Src:     d.id,
 		Dst:     dst,
 		NextHop: Broadcast,
-		TTL:     d.cfg.MaxHops,
+		TTL:     maxHops,
 		Route:   []int{d.id},
 		Payload: putU32(nil, d.reqID),
 	}
@@ -233,7 +200,7 @@ func (d *DSR) launchDiscovery(dst int, p *pendingDiscovery) {
 	d.ctrlTx++
 	d.transmit(f.encode())
 
-	p.timer.Reset(d.cfg.DiscoveryTimeout)
+	p.timer.Reset(discoveryRound)
 }
 
 // discoveryTimeout retries (or abandons) an unanswered route discovery.
@@ -242,7 +209,7 @@ func (d *DSR) discoveryTimeout(dst int, p *pendingDiscovery) {
 		return
 	}
 	p.retries++
-	if p.retries >= d.cfg.MaxDiscoveryRetries {
+	if p.retries >= maxDiscoveryRetries {
 		delete(d.pending, dst) // drop buffered payloads
 		return
 	}
@@ -280,7 +247,7 @@ func (d *DSR) forwardAlong(hops []int, payload []byte, seq uint32) {
 		Src:     hops[0],
 		Dst:     hops[len(hops)-1],
 		NextHop: hops[idx+1],
-		TTL:     d.cfg.MaxHops,
+		TTL:     maxHops,
 		Seq:     seq,
 		Route:   hops,
 		Payload: payload,
@@ -375,7 +342,7 @@ func (d *DSR) handleRREQ(f frame) {
 		Proto: protoRREQ, Src: f.Src, Dst: f.Dst, NextHop: Broadcast,
 		TTL: f.TTL - 1, Route: route, Payload: f.Payload,
 	}
-	d.medium.BroadcastAfter(d.rng.Jitter(d.cfg.FloodJitter), d.radio, fwd.encode(), &d.ctrlTx, &d.running)
+	d.medium.BroadcastAfter(d.rng.Jitter(floodJitter), d.radio, fwd.encode(), &d.ctrlTx, &d.running)
 }
 
 // overlaps reports whether the two hop lists share any node (a spliced

@@ -13,7 +13,7 @@ import (
 func chainDSDV(k *sim.Kernel, medium *phy.Medium, n int) []*DSDV {
 	nodes := make([]*DSDV, n)
 	for i := range nodes {
-		nodes[i] = NewDSDV(k, medium, geo.Stationary{At: geo.Point{X: float64(i) * 40}}, DSDVConfig{})
+		nodes[i] = NewDSDV(k, medium, geo.Stationary{At: geo.Point{X: float64(i) * 40}})
 		nodes[i].Start()
 	}
 	return nodes
@@ -110,7 +110,7 @@ func TestDSDVNoRouteReturnsFalse(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(43)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := NewDSDV(k, medium, geo.Stationary{}, DSDVConfig{})
+	a := NewDSDV(k, medium, geo.Stationary{})
 	a.Start()
 	if a.Send(99, []byte("x")) {
 		t.Fatal("send to unknown destination succeeded")
@@ -135,12 +135,12 @@ func TestDSDVRoutesExpireWhenNeighborLeaves(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(45)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := NewDSDV(k, medium, geo.Stationary{}, DSDVConfig{})
+	a := NewDSDV(k, medium, geo.Stationary{})
 	b := NewDSDV(k, medium, geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 30}},
 		{At: 30 * time.Second, Pos: geo.Point{X: 30}},
 		{At: 32 * time.Second, Pos: geo.Point{X: 1000}},
-	}), DSDVConfig{})
+	}))
 	a.Start()
 	b.Start()
 	k.Run(25 * time.Second)
@@ -156,7 +156,7 @@ func TestDSDVRoutesExpireWhenNeighborLeaves(t *testing.T) {
 func chainDSR(k *sim.Kernel, medium *phy.Medium, n int) []*DSR {
 	nodes := make([]*DSR, n)
 	for i := range nodes {
-		nodes[i] = NewDSR(k, medium, geo.Stationary{At: geo.Point{X: float64(i) * 40}}, DSRConfig{})
+		nodes[i] = NewDSR(k, medium, geo.Stationary{At: geo.Point{X: float64(i) * 40}})
 		nodes[i].Start()
 	}
 	return nodes
@@ -219,14 +219,14 @@ func TestDSRDiscoveryRetriesAndGivesUp(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(48)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := NewDSR(k, medium, geo.Stationary{}, DSRConfig{MaxDiscoveryRetries: 2})
+	a := NewDSR(k, medium, geo.Stationary{})
 	a.Start()
 	if !a.Send(77, []byte("void")) {
 		t.Fatal("first send should buffer")
 	}
 	k.Run(time.Minute)
-	if a.ControlTransmissions() != 2 {
-		t.Fatalf("RREQ count = %d, want 2 (retry then give up)", a.ControlTransmissions())
+	if a.ControlTransmissions() != maxDiscoveryRetries {
+		t.Fatalf("RREQ count = %d, want %d (retry then give up)", a.ControlTransmissions(), maxDiscoveryRetries)
 	}
 	if a.HasRoute(77) {
 		t.Fatal("phantom route")
@@ -258,7 +258,7 @@ func TestDSRSendToSelf(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(50)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := NewDSR(k, medium, geo.Stationary{}, DSRConfig{})
+	a := NewDSR(k, medium, geo.Stationary{})
 	a.Start()
 	got := 0
 	a.SetDeliver(func(src int, payload []byte) { got++ })
@@ -274,8 +274,8 @@ func TestMixedStacksShareMedium(t *testing.T) {
 	// the medium also carries non-routing payloads that must be ignored.
 	k := sim.NewKernel(51)
 	medium := phy.NewMedium(k, phy.Config{Range: 100})
-	a := NewDSDV(k, medium, geo.Stationary{}, DSDVConfig{})
-	b := NewDSDV(k, medium, geo.Stationary{At: geo.Point{X: 10}}, DSDVConfig{})
+	a := NewDSDV(k, medium, geo.Stationary{})
+	b := NewDSDV(k, medium, geo.Stationary{At: geo.Point{X: 10}})
 	a.Start()
 	b.Start()
 	noise := medium.Attach(geo.Stationary{At: geo.Point{X: 20}})

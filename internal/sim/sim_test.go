@@ -377,7 +377,6 @@ func TestScheduleFuncRecyclesEvents(t *testing.T) {
 // pool is warm costs no object — a pointer argument rides in the interface
 // as it is.
 func TestScheduleCallDoesNotAllocate(t *testing.T) {
-	t.Parallel()
 	k := NewKernel(1)
 	var order []int
 	add := func(v any) { order = append(order, *v.(*int)) }
@@ -406,7 +405,6 @@ func TestScheduleCallDoesNotAllocate(t *testing.T) {
 // events: a cancel returns the record, and the next schedule reuses it, so a
 // schedule/cancel loop settles at zero allocations.
 func TestCanceledEventsAreRecycled(t *testing.T) {
-	t.Parallel()
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		fn := func() {}
@@ -522,7 +520,6 @@ func TestTimerPeriodicReArm(t *testing.T) {
 // TestTimerResetDoesNotAllocate pins the satellite contract: steady-state
 // Reset of a live timer — the retransmission-timeout pattern — is 0 allocs.
 func TestTimerResetDoesNotAllocate(t *testing.T) {
-	t.Parallel()
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		// A realistic surrounding population so the queue is not trivially

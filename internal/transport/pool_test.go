@@ -46,7 +46,7 @@ func TestRetransmissionsResendTheSameSegment(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(1)
 	tap := &tapRouter{}
-	r := NewReliable(k, tap, Config{RTO: 100 * time.Millisecond, MaxRetries: 3})
+	r := NewReliable(k, tap)
 	buf := []byte("first message")
 	r.Send(2, buf, nil)
 	copy(buf, "FIRST") // the caller's buffer is its own again
@@ -69,8 +69,8 @@ func TestRetransmissionsResendTheSameSegment(t *testing.T) {
 		}
 		attempts[id]++
 	}
-	if attempts[1] != 4 || attempts[2] != 4 {
-		t.Fatalf("attempts = %v, want 1 + MaxRetries for each message", attempts)
+	if attempts[1] != 1+maxRetries || attempts[2] != 1+maxRetries {
+		t.Fatalf("attempts = %v, want 1 + maxRetries for each message", attempts)
 	}
 }
 
@@ -82,8 +82,7 @@ func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(1)
 	tap := &tapRouter{}
-	r := NewReliable(k, tap, Config{RTO: 100 * time.Millisecond, MaxRetries: 2})
-	jitter := r.cfg.Jitter
+	r := NewReliable(k, tap)
 	account := func(step string, pending, pooled int) {
 		t.Helper()
 		if r.Pending() != pending || len(r.free) != pooled {
@@ -106,7 +105,7 @@ func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
 	tap.ack(1)
 	account("acked", 0, 1)
 
-	// Abandoned after MaxRetries: the pooled record carries the next message.
+	// Abandoned after maxRetries: the pooled record carries the next message.
 	r.Send(2, []byte("two"), onDone)
 	account("resent on the pooled record", 1, 0)
 	k.Run(k.Now() + time.Minute)
@@ -119,7 +118,8 @@ func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
 	// out of the pool until that send has fired, so message four cannot be
 	// handed a record a queued event still points at.
 	r.Send(2, []byte("three"), nil)
-	if !k.RunUntil(k.Now()+time.Minute, func() bool { return r.Retransmissions == 3 }) {
+	retransmitted := r.Retransmissions
+	if !k.RunUntil(k.Now()+time.Minute, func() bool { return r.Retransmissions == retransmitted+1 }) {
 		t.Fatal("message three never retransmitted")
 	}
 	tap.ack(3)
@@ -172,13 +172,13 @@ func (r *nullRouter) ControlTransmissions() uint64                { return 0 }
 func TestAckDoesNotAllocate(t *testing.T) {
 	k := sim.NewKernel(1)
 	null := &nullRouter{}
-	r := NewReliable(k, null, Config{})
+	r := NewReliable(k, null)
 	delivered := 0
 	r.SetReceive(func(int, []byte) { delivered++ })
 	seg := segment(7, "piece")
 	once := func() {
 		null.deliver(2, seg)
-		if err := k.Run(k.Now() + r.cfg.Jitter); err != nil {
+		if err := k.Run(k.Now() + jitter); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,38 +22,27 @@ const (
 	msgAck  = 2
 )
 
-// Config parameterizes the reliable service.
-type Config struct {
-	// RTO is the initial retransmission timeout; it doubles per retry (the
-	// backoff is capped at 8x RTO, as deployed TCPs cap theirs).
-	RTO time.Duration
-	// MaxRetries bounds retransmissions before the message fails.
-	MaxRetries int
-	// Jitter randomizes each transmission's start, standing in for the MAC
+// The reliable service's timers.
+const (
+	// rto is the initial retransmission timeout; it doubles per retry (the
+	// backoff is capped at 8x rto, as deployed TCPs cap theirs).
+	rto = 500 * time.Millisecond
+	// maxRetries bounds retransmissions before the message fails.
+	maxRetries = 5
+	// jitter randomizes each transmission's start, standing in for the MAC
 	// layer's random backoff; without it, synchronized retransmissions
 	// collide repeatedly on the shared medium.
-	Jitter time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.RTO == 0 {
-		c.RTO = 500 * time.Millisecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 5
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 20 * time.Millisecond
-	}
-	return c
-}
+	jitter = 20 * time.Millisecond
+)
 
 // Reliable is an acknowledged message service over a Router.
 type Reliable struct {
 	k      *sim.Kernel
 	router routing.Router
-	cfg    Config
 	rng    sim.Stream // the node's sim.PurposeTransport stream
+	// retryLimit is maxRetries, the retransmissions a message gets before
+	// it fails; a field only so that a test under heavy loss can raise it.
+	retryLimit int
 
 	nextID  uint32
 	pending map[uint32]*outstanding
@@ -70,7 +59,7 @@ type Reliable struct {
 
 	// Retransmissions counts timeout-driven resends (TCP-style overhead).
 	Retransmissions uint64
-	// Failures counts messages dropped after MaxRetries.
+	// Failures counts messages dropped after maxRetries.
 	Failures uint64
 	// AcksSent counts acknowledgement transmissions.
 	AcksSent uint64
@@ -102,14 +91,14 @@ type outstanding struct {
 
 // NewReliable wraps the router with the acknowledged service. It installs
 // itself as the router's deliver callback.
-func NewReliable(k *sim.Kernel, router routing.Router, cfg Config) *Reliable {
+func NewReliable(k *sim.Kernel, router routing.Router) *Reliable {
 	r := &Reliable{
-		k:       k,
-		router:  router,
-		cfg:     cfg.withDefaults(),
-		rng:     k.Stream(router.ID(), sim.PurposeTransport),
-		pending: make(map[uint32]*outstanding),
-		seen:    make(map[int]*seenSet),
+		k:          k,
+		router:     router,
+		rng:        k.Stream(router.ID(), sim.PurposeTransport),
+		retryLimit: maxRetries,
+		pending:    make(map[uint32]*outstanding),
+		seen:       make(map[int]*seenSet),
 	}
 	router.SetDeliver(r.onRouterDeliver)
 	return r
@@ -119,7 +108,7 @@ func NewReliable(k *sim.Kernel, router routing.Router, cfg Config) *Reliable {
 func (r *Reliable) SetReceive(fn func(src int, payload []byte)) { r.onRecv = fn }
 
 // SetOnFail installs a callback invoked when a message is abandoned after
-// MaxRetries (the same event the Failures counter records): the transport
+// maxRetries (the same event the Failures counter records): the transport
 // has given up on dst for this message, so the layer above can re-plan —
 // re-queue the work through another peer, or trigger re-discovery —
 // instead of stalling on a silent counter. It fires after the stale route
@@ -141,7 +130,7 @@ func (r *Reliable) Send(dst int, payload []byte, onDone func(ok bool)) {
 		out.sendFn = out.send
 		out.rtoT = r.k.NewTimer(out.timeout)
 	}
-	out.id, out.dst, out.retries, out.rto, out.onDone = r.nextID, dst, 0, r.cfg.RTO, onDone
+	out.id, out.dst, out.retries, out.rto, out.onDone = r.nextID, dst, 0, rto, onDone
 	out.seg = append(out.seg[:0], msgData)
 	out.seg = binary.BigEndian.AppendUint32(out.seg, out.id)
 	out.seg = append(out.seg, payload...)
@@ -176,8 +165,8 @@ func (r *Reliable) retire(out *outstanding) {
 // any RTO, so at most one send per record is ever queued.
 func (r *Reliable) transmit(out *outstanding) {
 	out.sendQueued = true
-	r.k.ScheduleFunc(r.rng.Jitter(r.cfg.Jitter), out.sendFn)
-	out.rtoT.Reset(r.cfg.Jitter + out.rto)
+	r.k.ScheduleFunc(r.rng.Jitter(jitter), out.sendFn)
+	out.rtoT.Reset(jitter + out.rto)
 }
 
 func (o *outstanding) send() {
@@ -199,7 +188,7 @@ func (o *outstanding) timeout() {
 		return
 	}
 	o.retries++
-	if o.retries > r.cfg.MaxRetries {
+	if o.retries > r.retryLimit {
 		id, dst, onDone := o.id, o.dst, o.onDone
 		delete(r.pending, id)
 		r.retire(o)
@@ -217,7 +206,7 @@ func (o *outstanding) timeout() {
 	}
 	r.Retransmissions++
 	o.rto *= 2
-	if maxRTO := 8 * r.cfg.RTO; o.rto > maxRTO {
+	if maxRTO := 8 * rto; o.rto > maxRTO {
 		o.rto = maxRTO // cap backoff, as TCP implementations do
 	}
 	r.transmit(o)
@@ -248,7 +237,7 @@ func (r *Reliable) onRouterDeliver(src int, payload []byte) {
 			// its duplicate window the sweep frees nothing, and retrying it
 			// on each delivery would turn the O(1) dup check into an
 			// O(live-window) scan per message.
-			s.nextSweep = now + r.seenTTL()
+			s.nextSweep = now + seenTTL
 		}
 		if dup {
 			return // duplicate
@@ -294,7 +283,7 @@ func (r *Reliable) scheduleAck(src int, id uint32) {
 	a.src = src
 	a.seg[0] = msgAck
 	binary.BigEndian.PutUint32(a.seg[1:], id)
-	r.k.ScheduleFunc(r.rng.Jitter(r.cfg.Jitter), a.fire)
+	r.k.ScheduleFunc(r.rng.Jitter(jitter), a.fire)
 }
 
 // send puts the ack on the router. Send copies what it keeps, so the record
@@ -327,21 +316,18 @@ type seenSet struct {
 const seenCompactLen = 1024
 
 // seenTTL is how long a delivered message ID can still produce a duplicate:
-// the sender schedules each of its MaxRetries retransmissions at most
-// Jitter + 8·RTO (the backoff cap) after the previous one, so an ID whose
+// the sender schedules each of its maxRetries retransmissions at most
+// jitter + 8·rto (the backoff cap) after the previous one, so an ID whose
 // last arrival is older than this window is unreachable by any future
 // retransmission and safe to forget. One extra period absorbs in-flight
 // delivery latency.
-func (r *Reliable) seenTTL() time.Duration {
-	return time.Duration(r.cfg.MaxRetries+2) * (r.cfg.Jitter + 8*r.cfg.RTO)
-}
+const seenTTL = (maxRetries + 2) * (jitter + 8*rto)
 
 // compactSeen drops IDs whose duplicate window has lapsed. Map iteration
 // order does not matter: each entry is judged only against the clock.
 func (r *Reliable) compactSeen(set map[uint32]time.Duration, now time.Duration) {
-	ttl := r.seenTTL()
 	for id, at := range set {
-		if now-at > ttl {
+		if now-at > seenTTL {
 			delete(set, id)
 		}
 	}

@@ -12,8 +12,8 @@ import (
 
 func dsdvPair(k *sim.Kernel, lossRate float64) (*routing.DSDV, *routing.DSDV) {
 	medium := phy.NewMedium(k, phy.Config{Range: 50, LossRate: lossRate})
-	a := routing.NewDSDV(k, medium, geo.Stationary{}, routing.DSDVConfig{})
-	b := routing.NewDSDV(k, medium, geo.Stationary{At: geo.Point{X: 20}}, routing.DSDVConfig{})
+	a := routing.NewDSDV(k, medium, geo.Stationary{})
+	b := routing.NewDSDV(k, medium, geo.Stationary{At: geo.Point{X: 20}})
 	a.Start()
 	b.Start()
 	return a, b
@@ -23,8 +23,8 @@ func TestReliableDelivery(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(61)
 	a, b := dsdvPair(k, 0)
-	ra := NewReliable(k, a, Config{})
-	rb := NewReliable(k, b, Config{})
+	ra := NewReliable(k, a)
+	rb := NewReliable(k, b)
 
 	var got []string
 	rb.SetReceive(func(src int, payload []byte) { got = append(got, string(payload)) })
@@ -48,8 +48,9 @@ func TestReliableRetransmitsUnderLoss(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(62)
 	a, b := dsdvPair(k, 0.4)
-	ra := NewReliable(k, a, Config{RTO: 200 * time.Millisecond, MaxRetries: 10})
-	rb := NewReliable(k, b, Config{})
+	ra := NewReliable(k, a)
+	ra.retryLimit = 10 // at 40% loss each way, maxRetries loses one message in 20
+	rb := NewReliable(k, b)
 
 	delivered := 0
 	rb.SetReceive(func(int, []byte) { delivered++ })
@@ -76,8 +77,8 @@ func TestReliableDuplicateSuppression(t *testing.T) {
 	// deliver each message exactly once.
 	k := sim.NewKernel(63)
 	a, b := dsdvPair(k, 0.4)
-	ra := NewReliable(k, a, Config{RTO: 150 * time.Millisecond, MaxRetries: 20})
-	rb := NewReliable(k, b, Config{})
+	ra := NewReliable(k, a)
+	rb := NewReliable(k, b)
 	delivered := 0
 	rb.SetReceive(func(int, []byte) { delivered++ })
 	k.Run(60 * time.Second)
@@ -92,9 +93,9 @@ func TestReliableFailureAfterMaxRetries(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(64)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := routing.NewDSDV(k, medium, geo.Stationary{}, routing.DSDVConfig{})
+	a := routing.NewDSDV(k, medium, geo.Stationary{})
 	a.Start()
-	ra := NewReliable(k, a, Config{RTO: 100 * time.Millisecond, MaxRetries: 3})
+	ra := NewReliable(k, a)
 
 	var failed bool
 	k.Schedule(0, func() {
@@ -134,17 +135,17 @@ func TestReliableOverDSRInvalidatesRoutesOnFailure(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(66)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := routing.NewDSR(k, medium, geo.Stationary{}, routing.DSRConfig{})
+	a := routing.NewDSR(k, medium, geo.Stationary{})
 	// b departs after 5 s, breaking the cached route.
 	b := routing.NewDSR(k, medium, geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 20}},
 		{At: 5 * time.Second, Pos: geo.Point{X: 20}},
 		{At: 6 * time.Second, Pos: geo.Point{X: 2000}},
-	}), routing.DSRConfig{})
+	}))
 	a.Start()
 	b.Start()
-	ra := NewReliable(k, a, Config{RTO: 200 * time.Millisecond, MaxRetries: 3})
-	NewReliable(k, b, Config{})
+	ra := NewReliable(k, a)
+	NewReliable(k, b)
 
 	k.Schedule(time.Second, func() { ra.Send(b.ID(), []byte("pre"), nil) })
 	k.Run(10 * time.Second)
@@ -172,24 +173,26 @@ func TestSeenBoundedOverLongTrials(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(67)
 	a, b := dsdvPair(k, 0)
-	ra := NewReliable(k, a, Config{RTO: 50 * time.Millisecond, MaxRetries: 2, Jitter: 5 * time.Millisecond})
-	rb := NewReliable(k, b, Config{RTO: 50 * time.Millisecond, MaxRetries: 2, Jitter: 5 * time.Millisecond})
+	ra := NewReliable(k, a)
+	rb := NewReliable(k, b)
 
 	delivered := 0
 	rb.SetReceive(func(int, []byte) { delivered++ })
 	k.Run(30 * time.Second) // converge routes
 
+	// One message per 100 ms: about 280 IDs live within seenTTL.
 	const n = 10000
+	const gap = 100 * time.Millisecond
 	maxSeen := 0
 	for i := 0; i < n; i++ {
-		k.Schedule(time.Duration(i)*10*time.Millisecond, func() {
+		k.Schedule(time.Duration(i)*gap, func() {
 			ra.Send(b.ID(), []byte("m"), nil)
 			if s := rb.seen[a.ID()]; s != nil && len(s.ids) > maxSeen {
 				maxSeen = len(s.ids)
 			}
 		})
 	}
-	k.Run(5 * time.Minute)
+	k.Run(k.Now() + n*gap + 3*time.Minute)
 
 	if delivered != n {
 		t.Fatalf("delivered %d of %d", delivered, n)
@@ -215,13 +218,13 @@ func TestSeenCompactionKeepsLiveWindow(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(68)
 	a, _ := dsdvPair(k, 0)
-	r := NewReliable(k, a, Config{RTO: 50 * time.Millisecond, MaxRetries: 2, Jitter: 5 * time.Millisecond})
+	r := NewReliable(k, a)
 
 	set := map[uint32]time.Duration{
-		1: 0,               // ancient: must be dropped
-		2: r.seenTTL() / 2, // inside the window: must survive
+		1: 0,           // ancient: must be dropped
+		2: seenTTL / 2, // inside the window: must survive
 	}
-	r.compactSeen(set, r.seenTTL()+time.Millisecond)
+	r.compactSeen(set, seenTTL+time.Millisecond)
 	if _, ok := set[1]; ok {
 		t.Error("expired ID survived compaction")
 	}
@@ -239,9 +242,9 @@ func TestReliableOnFail(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(67)
 	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	a := routing.NewDSDV(k, medium, geo.Stationary{}, routing.DSDVConfig{})
+	a := routing.NewDSDV(k, medium, geo.Stationary{})
 	a.Start()
-	ra := NewReliable(k, a, Config{RTO: 100 * time.Millisecond, MaxRetries: 3})
+	ra := NewReliable(k, a)
 
 	var order []string
 	ra.SetOnFail(func(id uint32, dst int) {
