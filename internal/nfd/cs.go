@@ -31,10 +31,6 @@ type ContentStore struct {
 	// recently used entry, lru.prev the least. n counts the entries.
 	lru csEntry
 	n   int
-
-	hits       uint64
-	misses     uint64
-	staleSkips uint64
 }
 
 type csEntry struct {
@@ -42,15 +38,6 @@ type csEntry struct {
 	data       *ndn.Data
 	staleAt    time.Duration // virtual time the entry stops being fresh
 	prev, next *csEntry      // neighbours in the recency ring
-}
-
-// CsStats counts Content Store lookup outcomes.
-type CsStats struct {
-	Hits   uint64
-	Misses uint64
-	// StaleSkips counts entries passed over because the Interest set
-	// MustBeFresh and the entry's FreshnessPeriod had elapsed.
-	StaleSkips uint64
 }
 
 // NewContentStore returns a store holding at most capacity packets, with no
@@ -93,11 +80,6 @@ func (c *ContentStore) now() time.Duration {
 
 // Len returns the number of cached packets.
 func (c *ContentStore) Len() int { return c.n }
-
-// Stats returns a copy of the lookup counters.
-func (c *ContentStore) Stats() CsStats {
-	return CsStats{Hits: c.hits, Misses: c.misses, StaleSkips: c.staleSkips}
-}
 
 // staleAt computes when data inserted now stops being fresh. Data without a
 // FreshnessPeriod is stale immediately (NDN packet spec §Data).
@@ -153,30 +135,24 @@ func (c *ContentStore) Find(interest *ndn.Interest) *ndn.Data {
 	if node != nil {
 		var e *csEntry
 		if interest.CanBePrefix {
-			e = c.findUnder(node, interest.MustBeFresh, now)
+			e = findUnder(node, interest.MustBeFresh, now)
 		} else {
-			e = c.acceptable(node, interest.MustBeFresh, now)
+			e = acceptable(node, interest.MustBeFresh, now)
 		}
 		if e != nil {
-			c.hits++
 			e.unlink()
 			c.toFront(e)
 			return e.data
 		}
 	}
-	c.misses++
 	return nil
 }
 
 // acceptable returns the node's CS entry if it satisfies the freshness
-// constraint, counting stale skips.
-func (c *ContentStore) acceptable(n *nameTreeNode, mustBeFresh bool, now time.Duration) *csEntry {
+// constraint.
+func acceptable(n *nameTreeNode, mustBeFresh bool, now time.Duration) *csEntry {
 	e := n.cs
-	if e == nil {
-		return nil
-	}
-	if mustBeFresh && e.staleAt <= now {
-		c.staleSkips++
+	if e == nil || mustBeFresh && e.staleAt <= now {
 		return nil
 	}
 	return e
@@ -185,12 +161,12 @@ func (c *ContentStore) acceptable(n *nameTreeNode, mustBeFresh bool, now time.Du
 // findUnder walks the subtree rooted at n pre-order (parents before
 // children, children in sorted component order — i.e. ndn.Name.Compare
 // order) and returns the first acceptable entry.
-func (c *ContentStore) findUnder(n *nameTreeNode, mustBeFresh bool, now time.Duration) *csEntry {
-	if e := c.acceptable(n, mustBeFresh, now); e != nil {
+func findUnder(n *nameTreeNode, mustBeFresh bool, now time.Duration) *csEntry {
+	if e := acceptable(n, mustBeFresh, now); e != nil {
 		return e
 	}
 	for _, child := range n.children {
-		if e := c.findUnder(child, mustBeFresh, now); e != nil {
+		if e := findUnder(child, mustBeFresh, now); e != nil {
 			return e
 		}
 	}

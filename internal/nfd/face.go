@@ -1,9 +1,7 @@
-// Package nfd implements the NDN Forwarding Daemon pipeline of the paper's
-// Fig. 1: Content Store lookup, Pending Interest Table aggregation, and
-// FIB longest-prefix-match forwarding, with a pluggable forwarding strategy.
-//
-// Every node in a DAPES network — peers, stationary repositories, and "pure
-// forwarders" that only understand NDN — runs one Forwarder instance.
+// Package nfd holds the NDN tables of the paper's Fig. 1 as a library: the
+// Content Store, the Pending Interest Table and the FIB, all on one shared
+// name tree. A pure forwarder's Content Store is the part a trial runs; the
+// hop-by-hop forwarding and suppression of Section V is multihop.Relay.
 package nfd
 
 import (
@@ -17,7 +15,7 @@ type Timer interface {
 	Cancel()
 }
 
-// Clock abstracts virtual time so the forwarder is reusable outside the
+// Clock abstracts virtual time so the tables are reusable outside the
 // discrete-event kernel.
 type Clock interface {
 	Now() time.Duration
@@ -39,31 +37,19 @@ func (c KernelClock) Schedule(delay time.Duration, fn func()) Timer {
 	return c.K.Schedule(delay, fn)
 }
 
-// Face is one attachment point of the forwarder: an application, a wireless
-// broadcast channel, or a point-to-point link. The forwarder calls Transmit
-// to emit a packet; the face owner calls Forwarder.ReceiveInterest /
-// ReceiveData when packets arrive.
+// Face names one attachment point of a node — an application, a wireless
+// broadcast channel, or a point-to-point link — as a PIT downstream or a
+// FIB next hop.
 type Face struct {
-	id       int
-	local    bool // application faces bypass scope checks
-	transmit func(wire []byte)
-
-	// Counters per face.
-	InInterests  uint64
-	OutInterests uint64
-	InData       uint64
-	OutData      uint64
+	id int
 }
 
 // ID returns the face's forwarder-unique identifier.
 func (f *Face) ID() int { return f.id }
 
-// Local reports whether this is an application face.
-func (f *Face) Local() bool { return f.local }
-
 // faceSearch returns the position of id in faces (sorted ascending by face
-// ID), or the insertion point if absent. Hand-rolled so allocation-free
-// lookup paths (PitEntry.HasDownstream) stay closure-free.
+// ID), or the insertion point if absent. Hand-rolled so the FIB and PIT
+// insert paths stay closure-free.
 func faceSearch(faces []*Face, id int) int {
 	lo, hi := 0, len(faces)
 	for lo < hi {

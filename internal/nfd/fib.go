@@ -12,17 +12,6 @@ import (
 // nothing.
 type Fib struct {
 	tree *NameTree
-	len  int
-
-	lookups uint64
-	misses  uint64
-}
-
-// FibStats counts FIB lookup outcomes.
-type FibStats struct {
-	Lookups uint64
-	// Misses counts lookups for which no registered prefix matched.
-	Misses uint64
 }
 
 // NewFib returns an empty FIB.
@@ -35,25 +24,14 @@ func newFibOn(tree *NameTree) *Fib {
 	return &Fib{tree: tree}
 }
 
-// Len returns the number of registered prefixes.
-func (f *Fib) Len() int { return f.len }
-
-// Stats returns a copy of the lookup counters.
-func (f *Fib) Stats() FibStats {
-	return FibStats{Lookups: f.lookups, Misses: f.misses}
-}
-
 // Insert registers face as a next hop for prefix. Next hops are kept sorted
-// by face ID, so strategy fan-out order is deterministic regardless of
+// by face ID, so a lookup's order is deterministic regardless of
 // registration order. Duplicate registrations are idempotent.
 func (f *Fib) Insert(prefix ndn.Name, face *Face) {
 	node := f.tree.fill(prefix)
 	i := faceSearch(node.fib, face.id)
 	if i < len(node.fib) && node.fib[i].id == face.id {
 		return
-	}
-	if len(node.fib) == 0 {
-		f.len++
 	}
 	node.fib = append(node.fib, nil)
 	copy(node.fib[i+1:], node.fib[i:])
@@ -74,7 +52,6 @@ func (f *Fib) Remove(prefix ndn.Name, face *Face) {
 			node.fib = node.fib[:len(node.fib)-1]
 			if len(node.fib) == 0 {
 				node.fib = nil
-				f.len--
 				f.tree.prune(node)
 			}
 			return
@@ -86,7 +63,6 @@ func (f *Fib) Remove(prefix ndn.Name, face *Face) {
 // or nil when no prefix matches. The returned slice is the FIB's own
 // storage — callers must not modify it. Allocation-free.
 func (f *Fib) Lookup(name ndn.Name) []*Face {
-	f.lookups++
 	n := &f.tree.root
 	best := n.fib
 	for _, c := range name {
@@ -98,7 +74,6 @@ func (f *Fib) Lookup(name ndn.Name) []*Face {
 		}
 	}
 	if len(best) == 0 {
-		f.misses++
 		return nil
 	}
 	return best

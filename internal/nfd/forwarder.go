@@ -1,118 +1,42 @@
 package nfd
 
-import (
-	"time"
-
-	"dapes/internal/ndn"
-)
-
-// Strategy decides where an accepted Interest is forwarded. nexthops is the
-// FIB longest-prefix-match result (possibly nil). Returning an empty slice
-// suppresses the Interest; this hook is where DAPES's adaptive
-// forwarding/suppression (Section V) plugs in.
-type Strategy interface {
-	AfterReceiveInterest(ingress *Face, interest *ndn.Interest, nexthops []*Face) []*Face
-}
-
-// MulticastStrategy forwards every Interest to all next hops except the
-// ingress face. It is NFD's default behaviour.
-type MulticastStrategy struct{}
-
-var _ Strategy = MulticastStrategy{}
-
-// AfterReceiveInterest implements Strategy.
-func (MulticastStrategy) AfterReceiveInterest(ingress *Face, _ *ndn.Interest, nexthops []*Face) []*Face {
-	out := make([]*Face, 0, len(nexthops))
-	for _, f := range nexthops {
-		if f != ingress {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Stats aggregates forwarder counters.
-type Stats struct {
-	InInterests     uint64
-	OutInterests    uint64
-	InData          uint64
-	OutData         uint64
-	CsHits          uint64
-	PitAggregated   uint64
-	Retransmissions uint64
-	NonceDrops      uint64
-	UnsolicitedData uint64
-	Suppressed      uint64
-}
-
-// TableStats snapshots the forwarder's three tables: current sizes, the
-// shared name tree's node count, and per-table lookup outcomes.
-type TableStats struct {
-	CsEntries  int
-	PitEntries int
-	FibEntries int
-	TreeNodes  int
-	Cs         CsStats
-	Fib        FibStats
-}
-
 // Config parameterizes a Forwarder.
 type Config struct {
 	// CsCapacity is the Content Store size in packets. Default 4096.
 	CsCapacity int
-	// DefaultLifetime bounds PIT entries when the Interest carries no
-	// lifetime. Default 4 s (NDN convention).
-	DefaultLifetime time.Duration
-	// CacheUnsolicited caches Data that matches no PIT entry. Pure
-	// forwarders in DAPES enable this to serve overheard data (Section V-A).
-	CacheUnsolicited bool
-	// Strategy decides forwarding; default MulticastStrategy.
-	Strategy Strategy
 }
 
-// Forwarder is one node's NDN forwarding daemon. Its Content Store, PIT,
-// and FIB all index into one shared name tree, so an Interest's CS lookup,
-// PIT descent, and FIB longest-prefix match traverse the same nodes.
+// Forwarder holds one node's three NDN tables. Its Content Store, PIT, and
+// FIB all index into one shared name tree, so a name's CS entry, PIT entry
+// and FIB next hops live on the same node.
 type Forwarder struct {
-	clock Clock
-	cfg   Config
-	faces []*Face
+	faces int
 	tree  *NameTree
 	cs    *ContentStore
 	pit   *Pit
 	fib   *Fib
-	dnl   *deadNonceList
-	stats Stats
 }
 
-// NewForwarder creates a forwarder driven by the given clock.
+// NewForwarder creates the tables, with the CS and PIT driven by clock.
 func NewForwarder(clock Clock, cfg Config) *Forwarder {
 	if cfg.CsCapacity == 0 {
 		cfg.CsCapacity = 4096
 	}
-	if cfg.DefaultLifetime == 0 {
-		cfg.DefaultLifetime = 4 * time.Second
-	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = MulticastStrategy{}
-	}
 	tree := NewNameTree()
 	return &Forwarder{
-		clock: clock,
-		cfg:   cfg,
-		tree:  tree,
-		cs:    newContentStoreOn(tree, cfg.CsCapacity, clock),
-		pit:   newPitOn(tree, clock),
-		fib:   newFibOn(tree),
-		dnl:   newDeadNonceList(clock, 0),
+		tree: tree,
+		cs:   newContentStoreOn(tree, cfg.CsCapacity, clock),
+		pit:  newPitOn(tree, clock),
+		fib:  newFibOn(tree),
 	}
 }
 
-// AddFace attaches a new face whose outgoing packets are delivered through
-// transmit. local marks application faces.
-func (fw *Forwarder) AddFace(local bool, transmit func(wire []byte)) *Face {
-	f := &Face{id: len(fw.faces), local: local, transmit: transmit}
-	fw.faces = append(fw.faces, f)
+// AddFace returns a new face with the next forwarder-unique ID, for PIT
+// downstreams and FIB next hops. Its arguments are unused: the tables store
+// faces but never send on them.
+func (fw *Forwarder) AddFace(bool, func(wire []byte)) *Face {
+	f := &Face{id: fw.faces}
+	fw.faces++
 	return f
 }
 
@@ -124,141 +48,3 @@ func (fw *Forwarder) Cs() *ContentStore { return fw.cs }
 
 // Pit exposes the pending-interest table.
 func (fw *Forwarder) Pit() *Pit { return fw.pit }
-
-// Stats returns a copy of the counters.
-func (fw *Forwarder) Stats() Stats { return fw.stats }
-
-// TableStats returns a snapshot of per-table sizes and lookup counters.
-func (fw *Forwarder) TableStats() TableStats {
-	return TableStats{
-		CsEntries:  fw.cs.Len(),
-		PitEntries: fw.pit.Len(),
-		FibEntries: fw.fib.Len(),
-		TreeNodes:  fw.tree.Nodes(),
-		Cs:         fw.cs.Stats(),
-		Fib:        fw.fib.Stats(),
-	}
-}
-
-// SetStrategy replaces the forwarding strategy.
-func (fw *Forwarder) SetStrategy(s Strategy) { fw.cfg.Strategy = s }
-
-// ReceiveInterest runs the Fig.-1 Interest pipeline for a packet arriving on
-// ingress: CS lookup, PIT insert/aggregate, then strategy-driven forwarding.
-func (fw *Forwarder) ReceiveInterest(ingress *Face, interest *ndn.Interest) {
-	fw.stats.InInterests++
-	ingress.InInterests++
-
-	// Loop detection: same name + same nonce pending in the PIT, or
-	// remembered by the dead-nonce list after its PIT state (or CS answer)
-	// is gone.
-	pending := fw.pit.Find(interest.Name)
-	if (pending != nil && pending.HasNonce(interest.Nonce)) || fw.dnl.Has(interest.Name, interest.Nonce) {
-		fw.stats.NonceDrops++
-		return
-	}
-
-	// Content Store. A CS-satisfied Interest creates no PIT entry, so its
-	// nonce is parked on the dead-nonce list — otherwise the same looping
-	// Interest would go undetected on a later miss.
-	if data := fw.cs.Find(interest); data != nil {
-		fw.stats.CsHits++
-		fw.dnl.Add(interest.Name, interest.Nonce)
-		fw.sendData(ingress, data)
-		return
-	}
-
-	// PIT. An Interest from a face that is already a downstream (same name,
-	// fresh nonce — the loop check above already passed) is a
-	// retransmission: the consumer lost the first try, so it must be
-	// forwarded again, not swallowed as aggregated (NFD dev guide §4.2.1).
-	retransmission := pending != nil && pending.HasDownstream(ingress.id)
-	lifetime := interest.Lifetime
-	if lifetime == 0 {
-		lifetime = fw.cfg.DefaultLifetime
-	}
-	_, existed := fw.pit.Insert(interest, ingress, lifetime)
-	if existed && !retransmission {
-		fw.stats.PitAggregated++
-		return
-	}
-	if retransmission {
-		fw.stats.Retransmissions++
-	}
-
-	// FIB + strategy.
-	nexthops := fw.fib.Lookup(interest.Name)
-	egress := fw.cfg.Strategy.AfterReceiveInterest(ingress, interest, nexthops)
-	if len(egress) == 0 {
-		fw.stats.Suppressed++
-		return
-	}
-	// Encode-once: for an Interest that arrived off the wire this returns
-	// the received frame's bytes verbatim — the relay is zero-copy.
-	wire := interest.Encode()
-	for _, f := range egress {
-		if f == ingress {
-			continue
-		}
-		fw.stats.OutInterests++
-		f.OutInterests++
-		if f.transmit != nil {
-			f.transmit(wire)
-		}
-	}
-}
-
-// ReceiveData runs the Fig.-1 Data pipeline: PIT match, downstream
-// forwarding, and caching.
-func (fw *Forwarder) ReceiveData(ingress *Face, data *ndn.Data) {
-	fw.stats.InData++
-	ingress.InData++
-
-	entry := fw.pit.Satisfy(data)
-	if entry == nil {
-		fw.stats.UnsolicitedData++
-		if fw.cfg.CacheUnsolicited {
-			fw.cs.Insert(data)
-		}
-		return
-	}
-	fw.cs.Insert(data)
-	for _, f := range entry.Downstreams() {
-		if f == ingress {
-			continue
-		}
-		fw.sendData(f, data)
-	}
-}
-
-func (fw *Forwarder) sendData(f *Face, data *ndn.Data) {
-	fw.stats.OutData++
-	f.OutData++
-	if f.transmit != nil {
-		// Encode-once: a CS hit or PIT-satisfying Data answers with its
-		// original wire (cached at decode or first encode), never a
-		// re-serialization.
-		f.transmit(data.Encode())
-	}
-}
-
-// Dispatch decodes a wire packet arriving on ingress and routes it to the
-// appropriate pipeline. Undecodable packets are dropped, as a real forwarder
-// drops garbled frames. When the wire came off the broadcast medium, prefer
-// DispatchPacket with the frame's shared decode-once view.
-func (fw *Forwarder) Dispatch(ingress *Face, wire []byte) {
-	fw.DispatchPacket(ingress, ndn.NewPacket(wire))
-}
-
-// DispatchPacket routes an already-wrapped (possibly already-parsed, possibly
-// shared) packet to the appropriate pipeline. The decode happens at most
-// once per transmission no matter how many forwarders hear it, and the
-// decoded packet keeps its wire form, so forwarding re-emits the received
-// bytes instead of re-encoding.
-func (fw *Forwarder) DispatchPacket(ingress *Face, pkt *ndn.Packet) {
-	if in := pkt.Interest(); in != nil {
-		fw.ReceiveInterest(ingress, in)
-	} else if d := pkt.Data(); d != nil {
-		fw.ReceiveData(ingress, d)
-	}
-}

@@ -15,8 +15,7 @@ import (
 // zero per-lookup string allocation (the old tables built one URI string
 // per lookup, and one per prefix length for FIB LPM).
 type NameTree struct {
-	root  nameTreeNode
-	nodes int
+	root nameTreeNode
 }
 
 // nameTreeNode is one component of the tree. The zero value is a valid
@@ -46,9 +45,6 @@ const indexThreshold = 8
 func NewNameTree() *NameTree {
 	return &NameTree{}
 }
-
-// Nodes returns the number of non-root nodes currently in the tree.
-func (t *NameTree) Nodes() int { return t.nodes }
 
 // childIndex returns the position of c in n.children, or the insertion
 // point if absent. Hand-rolled binary search keeps the lookup path free of
@@ -111,7 +107,6 @@ func (t *NameTree) fill(name ndn.Name) *nameTreeNode {
 		} else if n.index != nil {
 			n.index[c] = child
 		}
-		t.nodes++
 		n = child
 	}
 	return n
@@ -141,7 +136,6 @@ func (t *NameTree) prune(n *nameTreeNode) {
 					delete(p.index, n.component)
 				}
 			}
-			t.nodes--
 		}
 		n.parent = nil
 		n = p

@@ -1,6 +1,7 @@
 package nfd
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -103,9 +104,6 @@ func TestPitAggregationAndExpiry(t *testing.T) {
 	if len(e.Downstreams()) != 2 {
 		t.Fatalf("downstreams = %d, want 2", len(e.Downstreams()))
 	}
-	if !e.HasNonce(1) || !e.HasNonce(2) || e.HasNonce(3) {
-		t.Fatal("nonce tracking wrong")
-	}
 
 	// Expiry after lifetime.
 	k.Run(2 * time.Second)
@@ -168,160 +166,175 @@ func TestFibDuplicateInsertIdempotent(t *testing.T) {
 	}
 }
 
-// fixture wires a forwarder with an app face and a "network" face whose
-// transmissions are captured.
-type fixture struct {
-	k        *sim.Kernel
-	fw       *Forwarder
-	app, net *Face
-	appOut   [][]byte
-	netOut   [][]byte
-}
-
-func newFixture(cfg Config) *fixture {
-	k, clock := testClock()
-	fx := &fixture{k: k}
-	fx.fw = NewForwarder(clock, cfg)
-	fx.app = fx.fw.AddFace(true, func(w []byte) { fx.appOut = append(fx.appOut, w) })
-	fx.net = fx.fw.AddFace(false, func(w []byte) { fx.netOut = append(fx.netOut, w) })
-	return fx
-}
-
-func TestForwarderPipelineForwardAndReturn(t *testing.T) {
-	t.Parallel()
-	fx := newFixture(Config{})
-	fx.fw.Fib().Insert(ndn.ParseName("/coll"), fx.net)
-
-	in := &ndn.Interest{Name: ndn.ParseName("/coll/file/0"), Nonce: 7}
-	fx.fw.ReceiveInterest(fx.app, in)
-	if len(fx.netOut) != 1 {
-		t.Fatalf("interest not forwarded: %d", len(fx.netOut))
-	}
-
-	// Data comes back on the network face; it must reach the app face and be
-	// cached.
-	d := mkData("/coll/file/0", "seg")
-	fx.fw.ReceiveData(fx.net, d)
-	if len(fx.appOut) != 1 {
-		t.Fatalf("data not returned to app: %d", len(fx.appOut))
-	}
-	if fx.fw.Cs().Len() != 1 {
-		t.Fatal("data not cached")
-	}
-
-	// A second Interest is now a CS hit: answered locally, not forwarded.
-	fx.fw.ReceiveInterest(fx.app, &ndn.Interest{Name: ndn.ParseName("/coll/file/0"), Nonce: 8})
-	if len(fx.netOut) != 1 {
-		t.Fatal("CS hit still forwarded upstream")
-	}
-	if len(fx.appOut) != 2 {
-		t.Fatal("CS hit did not answer app")
-	}
-	if fx.fw.Stats().CsHits != 1 {
-		t.Fatalf("CsHits = %d", fx.fw.Stats().CsHits)
-	}
-}
-
-func TestForwarderAggregatesDuplicateInterests(t *testing.T) {
-	t.Parallel()
-	fx := newFixture(Config{})
-	app2 := fx.fw.AddFace(true, nil)
-	fx.fw.Fib().Insert(ndn.ParseName("/coll"), fx.net)
-
-	fx.fw.ReceiveInterest(fx.app, &ndn.Interest{Name: ndn.ParseName("/coll/0"), Nonce: 1})
-	fx.fw.ReceiveInterest(app2, &ndn.Interest{Name: ndn.ParseName("/coll/0"), Nonce: 2})
-	if len(fx.netOut) != 1 {
-		t.Fatalf("aggregated interest still forwarded: %d transmissions", len(fx.netOut))
-	}
-	if fx.fw.Stats().PitAggregated != 1 {
-		t.Fatalf("PitAggregated = %d", fx.fw.Stats().PitAggregated)
-	}
-}
-
-func TestForwarderNonceLoopDrop(t *testing.T) {
-	t.Parallel()
-	fx := newFixture(Config{})
-	fx.fw.Fib().Insert(ndn.ParseName("/coll"), fx.net)
-	in := &ndn.Interest{Name: ndn.ParseName("/coll/0"), Nonce: 9}
-	fx.fw.ReceiveInterest(fx.app, in)
-	fx.fw.ReceiveInterest(fx.net, in) // same nonce looping back
-	if fx.fw.Stats().NonceDrops != 1 {
-		t.Fatalf("NonceDrops = %d, want 1", fx.fw.Stats().NonceDrops)
-	}
-}
-
-func TestForwarderUnsolicitedDataPolicy(t *testing.T) {
-	t.Parallel()
-	strict := newFixture(Config{})
-	strict.fw.ReceiveData(strict.net, mkData("/x/0", "v"))
-	if strict.fw.Cs().Len() != 0 {
-		t.Fatal("strict forwarder cached unsolicited data")
-	}
-
-	promiscuous := newFixture(Config{CacheUnsolicited: true})
-	promiscuous.fw.ReceiveData(promiscuous.net, mkData("/x/0", "v"))
-	if promiscuous.fw.Cs().Len() != 1 {
-		t.Fatal("pure forwarder did not cache overheard data")
-	}
-	if promiscuous.fw.Stats().UnsolicitedData != 1 {
-		t.Fatal("unsolicited counter wrong")
-	}
-}
-
-func TestForwarderNoRouteSuppresses(t *testing.T) {
-	t.Parallel()
-	fx := newFixture(Config{})
-	fx.fw.ReceiveInterest(fx.app, &ndn.Interest{Name: ndn.ParseName("/nowhere"), Nonce: 1})
-	if len(fx.netOut) != 0 {
-		t.Fatal("interest forwarded without route")
-	}
-	if fx.fw.Stats().Suppressed != 1 {
-		t.Fatalf("Suppressed = %d", fx.fw.Stats().Suppressed)
-	}
-}
-
-type dropAllStrategy struct{}
-
-func (dropAllStrategy) AfterReceiveInterest(*Face, *ndn.Interest, []*Face) []*Face { return nil }
-
-func TestForwarderCustomStrategy(t *testing.T) {
-	t.Parallel()
-	fx := newFixture(Config{Strategy: dropAllStrategy{}})
-	fx.fw.Fib().Insert(ndn.ParseName("/coll"), fx.net)
-	fx.fw.ReceiveInterest(fx.app, &ndn.Interest{Name: ndn.ParseName("/coll/0"), Nonce: 1})
-	if len(fx.netOut) != 0 {
-		t.Fatal("drop-all strategy still forwarded")
-	}
-}
-
-func TestDispatchRoutesWireFormats(t *testing.T) {
-	t.Parallel()
-	fx := newFixture(Config{})
-	fx.fw.Fib().Insert(ndn.ParseName("/coll"), fx.net)
-
-	in := &ndn.Interest{Name: ndn.ParseName("/coll/0"), Nonce: 3}
-	fx.fw.Dispatch(fx.app, in.Encode())
-	if len(fx.netOut) != 1 {
-		t.Fatal("dispatched interest not forwarded")
-	}
-	fx.fw.Dispatch(fx.net, mkData("/coll/0", "v").Encode())
-	if len(fx.appOut) != 1 {
-		t.Fatal("dispatched data not returned")
-	}
-	// Garbage is silently dropped.
-	fx.fw.Dispatch(fx.net, []byte{0xFF, 0x01, 0x02})
-	fx.fw.Dispatch(fx.net, nil)
-}
-
+// TestPitEntryExpiresDownstreamGone pins the PIT's lifetime rules: an
+// entry is gone once its lifetime passes, a re-Insert before then restarts
+// the lifetime, and the cancelled timer of a satisfied entry cannot remove
+// a later entry for the same name.
 func TestPitEntryExpiresDownstreamGone(t *testing.T) {
 	t.Parallel()
-	fx := newFixture(Config{DefaultLifetime: time.Second})
-	fx.fw.Fib().Insert(ndn.ParseName("/coll"), fx.net)
-	fx.fw.ReceiveInterest(fx.app, &ndn.Interest{Name: ndn.ParseName("/coll/0"), Nonce: 1})
-	fx.k.Run(2 * time.Second)
-	// After expiry, Data is unsolicited.
-	fx.fw.ReceiveData(fx.net, mkData("/coll/0", "v"))
-	if len(fx.appOut) != 0 {
-		t.Fatal("expired PIT entry still forwarded data")
+	k, clock := testClock()
+	pit := NewPit(clock)
+	f := &Face{id: 1}
+	name := ndn.ParseName("/coll/0")
+	d := mkData("/coll/0", "v")
+
+	// After the lifetime, Data finds no downstream. (Run's argument is an
+	// absolute virtual time; the comments below give the clock in seconds.)
+	pit.Insert(&ndn.Interest{Name: name, Nonce: 1}, f, time.Second)
+	k.Run(2 * time.Second)
+	if pit.Satisfy(d) != nil || pit.Len() != 0 {
+		t.Fatalf("expired entry still pending: len=%d", pit.Len())
+	}
+
+	// Inserted at 2 (deadline 3), re-Inserted at 2.5: the entry outlives 3
+	// and is gone after its restarted deadline, 3.5.
+	pit.Insert(&ndn.Interest{Name: name, Nonce: 2}, f, time.Second)
+	k.Run(2500 * time.Millisecond)
+	if _, agg := pit.Insert(&ndn.Interest{Name: name, Nonce: 3}, f, time.Second); !agg {
+		t.Fatal("re-Insert before expiry made a new entry")
+	}
+	k.Run(3200 * time.Millisecond)
+	if pit.Find(name) == nil {
+		t.Fatal("re-Insert did not restart the lifetime")
+	}
+	k.Run(3600 * time.Millisecond)
+	if pit.Find(name) != nil || pit.Len() != 0 {
+		t.Fatal("entry outlived its restarted lifetime")
+	}
+
+	// Satisfy cancels the entry's timer; a new entry for the same name must
+	// survive the old deadline and expire on its own.
+	pit.Insert(&ndn.Interest{Name: name, Nonce: 4}, f, time.Second) // deadline 4.6
+	k.Run(4 * time.Second)
+	if pit.Satisfy(d) == nil {
+		t.Fatal("pending entry not satisfied")
+	}
+	pit.Insert(&ndn.Interest{Name: name, Nonce: 5}, f, time.Second) // deadline 5
+	k.Run(4800 * time.Millisecond)
+	if pit.Find(name) == nil || pit.Len() != 1 {
+		t.Fatal("the satisfied entry's timer removed its successor")
+	}
+	k.Run(5500 * time.Millisecond)
+	if pit.Len() != 0 {
+		t.Fatal("successor entry never expired")
+	}
+}
+
+// TestPitDownstreamsSortedStable: Downstreams() used to iterate a Go map,
+// so its order varied run to run. Faces are inserted in shuffled orders;
+// every call must come back sorted by face ID.
+func TestPitDownstreamsSortedStable(t *testing.T) {
+	t.Parallel()
+	_, clock := testClock()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		pit := NewPit(clock)
+		faces := make([]*Face, 40)
+		for i := range faces {
+			faces[i] = &Face{id: i}
+		}
+		var entry *PitEntry
+		for _, i := range rng.Perm(len(faces)) {
+			entry, _ = pit.Insert(&ndn.Interest{Name: ndn.ParseName("/x"), Nonce: uint32(i)},
+				faces[i], time.Second)
+		}
+		for call := 0; call < 3; call++ {
+			ds := entry.Downstreams()
+			if len(ds) != len(faces) {
+				t.Fatalf("downstreams = %d, want %d", len(ds), len(faces))
+			}
+			for i, f := range ds {
+				if f.id != i {
+					t.Fatalf("trial %d: downstream[%d].id = %d; order not sorted by face ID", trial, i, f.id)
+				}
+			}
+		}
+	}
+}
+
+// TestContentStoreFreshness covers the MustBeFresh semantics end to end at
+// the table level: fresh entries satisfy, stale entries are skipped (but
+// still satisfy plain Interests), and data without a FreshnessPeriod is
+// never fresh.
+func TestContentStoreFreshness(t *testing.T) {
+	t.Parallel()
+	k, clock := testClock()
+	cs := NewContentStoreWithClock(4, clock)
+
+	fresh := mkData("/f/0", "v")
+	fresh.Freshness = 2 * time.Second
+	fresh.SignDigest()
+	cs.Insert(fresh)
+	noPeriod := mkData("/f/1", "v") // no FreshnessPeriod: stale from birth
+	cs.Insert(noPeriod)
+
+	mbf := func(uri string) *ndn.Interest {
+		return &ndn.Interest{Name: ndn.ParseName(uri), MustBeFresh: true}
+	}
+	if cs.Find(mbf("/f/0")) == nil {
+		t.Fatal("fresh entry not served to MustBeFresh")
+	}
+	if cs.Find(mbf("/f/1")) != nil {
+		t.Fatal("entry without FreshnessPeriod served to MustBeFresh")
+	}
+	if cs.Find(&ndn.Interest{Name: ndn.ParseName("/f/1")}) == nil {
+		t.Fatal("stale entry refused to a plain Interest")
+	}
+
+	// Cross the freshness deadline: /f/0 goes stale for MustBeFresh but
+	// still serves plain Interests.
+	k.Run(3 * time.Second)
+	if cs.Find(mbf("/f/0")) != nil {
+		t.Fatal("stale entry served to MustBeFresh")
+	}
+	if cs.Find(&ndn.Interest{Name: ndn.ParseName("/f/0")}) == nil {
+		t.Fatal("stale entry refused to a plain Interest")
+	}
+
+	// Re-inserting restarts the freshness window.
+	cs.Insert(fresh)
+	if cs.Find(mbf("/f/0")) == nil {
+		t.Fatal("re-insert did not refresh freshness")
+	}
+
+	// Prefix matching skips stale entries and lands on a fresh deeper one.
+	deep := mkData("/f/1/deep", "v")
+	deep.Freshness = time.Minute
+	deep.SignDigest()
+	cs.Insert(deep)
+	got := cs.Find(&ndn.Interest{Name: ndn.ParseName("/f/1"), CanBePrefix: true, MustBeFresh: true})
+	if got == nil || !got.Name.Equal(deep.Name) {
+		t.Fatalf("prefix MustBeFresh = %v, want /f/1/deep", got)
+	}
+}
+
+// TestContentStorePrefixCanonicalOrder pins which entry a CanBePrefix
+// lookup selects when several match: the exact node first, then the
+// smallest in ndn.Name.Compare order (lexicographic per component) —
+// independent of insertion or recency order. The seed implementation
+// returned the most recently used match, which depended on request
+// history.
+func TestContentStorePrefixCanonicalOrder(t *testing.T) {
+	t.Parallel()
+	cs := NewContentStore(8)
+	cs.Insert(mkData("/p/z", "z"))
+	cs.Insert(mkData("/p/a/x", "ax"))
+	cs.Insert(mkData("/p/a", "a"))
+
+	got := cs.Find(&ndn.Interest{Name: ndn.ParseName("/p"), CanBePrefix: true})
+	if got == nil || got.Name.String() != "/p/a" {
+		t.Fatalf("canonical-order match = %v, want /p/a", got)
+	}
+	// Touch /p/z to make it most recent; the choice must not change.
+	cs.Find(&ndn.Interest{Name: ndn.ParseName("/p/z")})
+	got = cs.Find(&ndn.Interest{Name: ndn.ParseName("/p"), CanBePrefix: true})
+	if got == nil || got.Name.String() != "/p/a" {
+		t.Fatalf("recency changed prefix-match choice: %v", got)
+	}
+	// An exact entry at the Interest name itself wins over descendants.
+	cs.Insert(mkData("/p", "p"))
+	got = cs.Find(&ndn.Interest{Name: ndn.ParseName("/p"), CanBePrefix: true})
+	if got == nil || got.Name.String() != "/p" {
+		t.Fatalf("exact node not preferred: %v", got)
 	}
 }

@@ -7,32 +7,21 @@ import (
 )
 
 // PitEntry records a forwarded Interest awaiting Data. Downstream faces are
-// where matching Data must be sent; the nonce set detects loops.
+// where matching Data must be sent.
 type PitEntry struct {
 	Name       ndn.Name
 	node       *nameTreeNode
 	downstream []*Face // sorted ascending by face ID
-	nonces     map[uint32]struct{}
 	expiry     Timer
 	expired    bool
 }
 
 // Downstreams returns the faces waiting for this Interest's Data, sorted by
-// face ID. The order is stable across calls and across process runs — Data
-// fan-out order is part of the forwarder's determinism contract (the seed
-// implementation iterated a Go map here, so fan-out order varied per run).
+// face ID, so the order is stable across calls and across process runs.
 func (e *PitEntry) Downstreams() []*Face {
 	out := make([]*Face, len(e.downstream))
 	copy(out, e.downstream)
 	return out
-}
-
-// HasDownstream reports whether the face is already recorded as a
-// downstream — i.e. a further Interest for this name from that face is a
-// retransmission, not an aggregation.
-func (e *PitEntry) HasDownstream(faceID int) bool {
-	i := faceSearch(e.downstream, faceID)
-	return i < len(e.downstream) && e.downstream[i].id == faceID
 }
 
 // addDownstream inserts the face in ID order; duplicates are ignored.
@@ -44,12 +33,6 @@ func (e *PitEntry) addDownstream(f *Face) {
 	e.downstream = append(e.downstream, nil)
 	copy(e.downstream[i+1:], e.downstream[i:])
 	e.downstream[i] = f
-}
-
-// HasNonce reports whether the nonce was already seen (loop indicator).
-func (e *PitEntry) HasNonce(n uint32) bool {
-	_, ok := e.nonces[n]
-	return ok
 }
 
 // Pit is the Pending Interest Table: exact-name entries stored on the
@@ -83,24 +66,19 @@ func (p *Pit) Find(name ndn.Name) *PitEntry {
 
 // Insert adds (or extends) the entry for interest arriving on face, returning
 // the entry and whether it already existed (i.e. the Interest was
-// aggregated). The entry expires after lifetime.
+// aggregated). The entry expires after lifetime; a re-Insert restarts it.
 func (p *Pit) Insert(interest *ndn.Interest, face *Face, lifetime time.Duration) (entry *PitEntry, aggregated bool) {
 	node := p.tree.fill(interest.Name)
 	e := node.pit
 	existed := e != nil
 	if !existed {
-		e = &PitEntry{
-			Name:   interest.Name.Clone(),
-			node:   node,
-			nonces: make(map[uint32]struct{}, 2),
-		}
+		e = &PitEntry{Name: interest.Name.Clone(), node: node}
 		node.pit = e
 		p.len++
 	}
 	if face != nil {
 		e.addDownstream(face)
 	}
-	e.nonces[interest.Nonce] = struct{}{}
 	if e.expiry != nil {
 		e.expiry.Cancel()
 	}
