@@ -13,39 +13,25 @@ package peba
 
 import "time"
 
-// Config parameterizes the backoff algorithm.
-type Config struct {
-	// Window is the default transmission window divided by the priority
+// The backoff's timing, held at one setting in every run.
+const (
+	// window is the default transmission window divided by the priority
 	// fraction in the collision-free regime. Paper experiments use 20 ms.
-	Window time.Duration
-	// Slot is the duration of one backoff slot. The paper sizes slots from
-	// the average transmitted packet size and channel state; the experiment
-	// harness sets it to the bitmap-packet airtime.
-	Slot time.Duration
-	// Groups is the number of priority groups slots are divided into. The
+	window = 20 * time.Millisecond
+	// slot is the duration of one backoff slot. The paper sizes slots from
+	// the average transmitted packet size and channel state.
+	slot = 2 * time.Millisecond
+	// groups is the number of priority groups slots are divided into. The
 	// paper's example uses 2.
-	Groups int
-	// MaxDelayFactor caps the collision-free delay at MaxDelayFactor*Window
-	// so a peer holding almost nothing still transmits eventually. Default
-	// 10.
-	MaxDelayFactor int
-}
+	groups = 2
+	// maxDelayFactor caps the collision-free delay at maxDelayFactor*window
+	// so a peer holding almost nothing still transmits eventually.
+	maxDelayFactor = 10
+)
 
-func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 20 * time.Millisecond
-	}
-	if c.Slot == 0 {
-		c.Slot = 2 * time.Millisecond
-	}
-	if c.Groups == 0 {
-		c.Groups = 2
-	}
-	if c.MaxDelayFactor == 0 {
-		c.MaxDelayFactor = 10
-	}
-	return c
-}
+// Config parameterizes the backoff algorithm. It has no fields: every
+// setting is a package constant.
+type Config struct{}
 
 // Rand is what a Backoff draws its slot from: the peer's *sim.Stream in the
 // simulation, a *math/rand.Rand anywhere else.
@@ -57,18 +43,14 @@ type Rand interface {
 // counts are created per encounter (Section IV-F); call Reset when an
 // encounter ends.
 type Backoff struct {
-	cfg        Config
 	rng        Rand
 	collisions int
 }
 
 // New returns a Backoff drawing randomness from rng.
-func New(cfg Config, rng Rand) *Backoff {
-	return &Backoff{cfg: cfg.withDefaults(), rng: rng}
+func New(_ Config, rng Rand) *Backoff {
+	return &Backoff{rng: rng}
 }
-
-// Config returns the effective configuration.
-func (b *Backoff) Config() Config { return b.cfg }
 
 // Collisions returns the number of collisions observed this encounter.
 func (b *Backoff) Collisions() int { return b.collisions }
@@ -96,8 +78,8 @@ func (b *Backoff) Slots() int {
 // first bitmap of an encounter, frac is the peer's share of all collection
 // packets, so the peer with the most data wins (Section IV-F).
 //
-// Collision-free: delay = Window / frac (capped). After c collisions: the
-// 2^c slots are split into Groups priority groups; the peer picks a uniform
+// Collision-free: delay = window / frac (capped). After c collisions: the
+// 2^c slots are split into groups priority groups; the peer picks a uniform
 // random slot within its group, where group 0 (earliest) holds peers with the
 // highest frac.
 func (b *Backoff) Delay(frac float64) time.Duration {
@@ -108,17 +90,17 @@ func (b *Backoff) Delay(frac float64) time.Duration {
 		frac = 1
 	}
 	if b.collisions == 0 {
-		return b.linearDelay(frac)
+		return linearDelay(frac)
 	}
 	return b.slotDelay(frac)
 }
 
-func (b *Backoff) linearDelay(frac float64) time.Duration {
-	maxDelay := time.Duration(b.cfg.MaxDelayFactor) * b.cfg.Window
+func linearDelay(frac float64) time.Duration {
+	const maxDelay = maxDelayFactor * window
 	if frac <= 0 {
 		return maxDelay
 	}
-	d := time.Duration(float64(b.cfg.Window) / frac)
+	d := time.Duration(float64(window) / frac)
 	if d > maxDelay {
 		return maxDelay
 	}
@@ -131,56 +113,8 @@ func (b *Backoff) linearDelay(frac float64) time.Duration {
 // "at least half of the missing packets" rule.
 func (b *Backoff) slotDelay(frac float64) time.Duration {
 	L := b.Slots()
-	k := b.cfg.Groups
-	if k > L {
-		k = L
-	}
+	k := min(groups, L)
 	n := L / k // slots per group
-	if n < 1 {
-		n = 1
-	}
-	group := k - 1 - int(frac*float64(k))
-	if group >= k {
-		group = k - 1
-	}
-	if group < 0 {
-		group = 0
-	}
-	lo := group * n
-	slot := lo + b.rng.Intn(n)
-	return time.Duration(slot) * b.cfg.Slot
-}
-
-// ExpectedDelay returns the paper's analytical average delay for a peer to
-// successfully transmit its bitmap: T_delay = (L_avg − 1)/2 · τ with
-// L_avg = (n − 1)/2, where n is the slots per group and τ the slot duration
-// (Section IV-F, following Zhu et al.).
-func ExpectedDelay(slotsPerGroup int, slot time.Duration) time.Duration {
-	if slotsPerGroup < 1 {
-		return 0
-	}
-	lAvg := float64(slotsPerGroup-1) / 2
-	d := (lAvg - 1) / 2 * float64(slot)
-	if d < 0 {
-		return 0
-	}
-	return time.Duration(d)
-}
-
-// LinearBackoff is the ablation baseline the paper compares PEBA against
-// ("without PEBA"): pure linear window division with no collision response,
-// which collides frequently when peers hold similar data.
-type LinearBackoff struct {
-	cfg Config
-}
-
-// NewLinear returns the linear-only scheduler.
-func NewLinear(cfg Config) *LinearBackoff {
-	return &LinearBackoff{cfg: cfg.withDefaults()}
-}
-
-// Delay returns Window/frac regardless of collision history.
-func (l *LinearBackoff) Delay(frac float64) time.Duration {
-	b := Backoff{cfg: l.cfg}
-	return b.linearDelay(frac)
+	group := max(k-1-int(frac*float64(k)), 0)
+	return time.Duration(group*n+b.rng.Intn(n)) * slot
 }

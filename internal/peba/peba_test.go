@@ -6,29 +6,39 @@ import (
 	"time"
 )
 
-func newBackoff(cfg Config) *Backoff {
-	return New(cfg, rand.New(rand.NewSource(1)))
+func newBackoff(seed int64) *Backoff {
+	return New(Config{}, rand.New(rand.NewSource(seed)))
 }
 
+// TestDefaults: an empty Config runs at the paper's settings — a 20 ms
+// window capped at 10 windows, and 2 ms slots in 2 priority groups.
 func TestDefaults(t *testing.T) {
 	t.Parallel()
-	b := newBackoff(Config{})
-	cfg := b.Config()
-	if cfg.Window != 20*time.Millisecond || cfg.Groups != 2 || cfg.Slot == 0 {
-		t.Fatalf("defaults wrong: %+v", cfg)
+	b := newBackoff(1)
+	if got := b.Delay(1.0); got != 20*time.Millisecond {
+		t.Fatalf("Delay(1.0) = %v, want the 20 ms window", got)
+	}
+	if got := b.Delay(0); got != 200*time.Millisecond {
+		t.Fatalf("Delay(0) = %v, want the 200 ms cap", got)
+	}
+	b.OnCollision()
+	for i := 0; i < 50; i++ {
+		if got := b.Delay(0.25); got != 2*time.Millisecond {
+			t.Fatalf("low priority after one collision = %v, want the second 2 ms slot", got)
+		}
 	}
 }
 
 func TestLinearPrioritization(t *testing.T) {
 	t.Parallel()
-	b := newBackoff(Config{Window: 20 * time.Millisecond})
+	b := newBackoff(1)
 	full := b.Delay(1.0)
 	half := b.Delay(0.5)
 	tenth := b.Delay(0.1)
-	if full != 20*time.Millisecond {
+	if full != window {
 		t.Fatalf("Delay(1.0) = %v, want window", full)
 	}
-	if half != 40*time.Millisecond {
+	if half != 2*window {
 		t.Fatalf("Delay(0.5) = %v, want 2*window", half)
 	}
 	if !(full < half && half < tenth) {
@@ -38,25 +48,26 @@ func TestLinearPrioritization(t *testing.T) {
 
 func TestLinearDelayCapped(t *testing.T) {
 	t.Parallel()
-	b := newBackoff(Config{Window: 20 * time.Millisecond, MaxDelayFactor: 5})
-	if got := b.Delay(0); got != 100*time.Millisecond {
+	b := newBackoff(1)
+	const limit = maxDelayFactor * window
+	if got := b.Delay(0); got != limit {
 		t.Fatalf("Delay(0) = %v, want cap", got)
 	}
-	if got := b.Delay(0.0001); got != 100*time.Millisecond {
+	if got := b.Delay(0.0001); got != limit {
 		t.Fatalf("tiny frac = %v, want cap", got)
 	}
 	// Out-of-range fracs are clamped.
 	if got := b.Delay(2.0); got != b.Delay(1.0) {
 		t.Fatalf("frac>1 not clamped: %v", got)
 	}
-	if got := b.Delay(-1); got != 100*time.Millisecond {
+	if got := b.Delay(-1); got != limit {
 		t.Fatalf("frac<0 not clamped: %v", got)
 	}
 }
 
 func TestSlotsDoubleOnCollision(t *testing.T) {
 	t.Parallel()
-	b := newBackoff(Config{})
+	b := newBackoff(1)
 	if b.Slots() != 1 {
 		t.Fatalf("initial slots = %d", b.Slots())
 	}
@@ -79,8 +90,7 @@ func TestSlotGroupsPreservePriority(t *testing.T) {
 	// After two collisions there are 4 slots in 2 groups. High-priority
 	// peers (frac >= 0.5) must always draw slots 0-1; low-priority peers
 	// slots 2-3 — exactly the paper's B/D example.
-	slot := 2 * time.Millisecond
-	b := New(Config{Slot: slot, Groups: 2}, rand.New(rand.NewSource(3)))
+	b := newBackoff(3)
 	b.OnCollision()
 	b.OnCollision()
 	for i := 0; i < 200; i++ {
@@ -100,8 +110,7 @@ func TestBoundaryFractionAtLeastHalfIsFirstGroup(t *testing.T) {
 	t.Parallel()
 	// "Peers that have, at least, half of the missing packets randomly
 	// select a slot in the first group."
-	slot := time.Millisecond
-	b := New(Config{Slot: slot, Groups: 2}, rand.New(rand.NewSource(4)))
+	b := newBackoff(4)
 	b.OnCollision() // 2 slots, 1 per group
 	for i := 0; i < 50; i++ {
 		if got := b.Delay(0.5); got != 0 {
@@ -115,46 +124,20 @@ func TestBoundaryFractionAtLeastHalfIsFirstGroup(t *testing.T) {
 
 func TestSingleSlotAfterOneCollisionWithManyGroups(t *testing.T) {
 	t.Parallel()
-	// Groups must degrade gracefully when there are fewer slots than groups.
-	b := New(Config{Slot: time.Millisecond, Groups: 4}, rand.New(rand.NewSource(5)))
-	b.OnCollision() // 2 slots, 4 groups -> clamp to 2 groups
+	// The first collision leaves as few slots as there are groups: one
+	// slot per group, so every delay is a whole slot within the range.
+	b := newBackoff(5)
+	b.OnCollision()
 	d := b.Delay(1.0)
-	if d < 0 || d > time.Millisecond {
+	if d < 0 || d > slot {
 		t.Fatalf("delay = %v out of slot range", d)
-	}
-}
-
-func TestExpectedDelayMatchesFormula(t *testing.T) {
-	t.Parallel()
-	// n=9 slots/group: L_avg = 4, T = (4-1)/2 * tau = 1.5 tau.
-	tau := 2 * time.Millisecond
-	if got := ExpectedDelay(9, tau); got != 3*time.Millisecond {
-		t.Fatalf("ExpectedDelay = %v, want 3ms", got)
-	}
-	if got := ExpectedDelay(0, tau); got != 0 {
-		t.Fatalf("degenerate ExpectedDelay = %v", got)
-	}
-	// Small n where the formula would go negative clamps to zero.
-	if got := ExpectedDelay(1, tau); got != 0 {
-		t.Fatalf("n=1 ExpectedDelay = %v", got)
-	}
-}
-
-func TestLinearBackoffIgnoresCollisions(t *testing.T) {
-	t.Parallel()
-	l := NewLinear(Config{Window: 20 * time.Millisecond})
-	d1 := l.Delay(0.5)
-	// There is no collision state to mutate; delay is stable.
-	d2 := l.Delay(0.5)
-	if d1 != d2 || d1 != 40*time.Millisecond {
-		t.Fatalf("linear delays = %v, %v", d1, d2)
 	}
 }
 
 func TestDelayDeterministicPerSeed(t *testing.T) {
 	t.Parallel()
 	mk := func() []time.Duration {
-		b := New(Config{}, rand.New(rand.NewSource(9)))
+		b := newBackoff(9)
 		b.OnCollision()
 		b.OnCollision()
 		var out []time.Duration
