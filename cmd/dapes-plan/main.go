@@ -79,12 +79,12 @@ func cmdRun(args []string) error {
 		return fmt.Errorf("run wants exactly one plan file, got %d\n%v", len(pos), usage())
 	}
 
-	out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
-	if err != nil {
+	// The plan is read and the format checked before anything runs, and -o
+	// is opened only once there is a report: a rejected input leaves an
+	// existing report file as it was.
+	if _, err := experiment.ParseFormat(*format); err != nil {
 		return err
 	}
-	defer closeOut()
-
 	p, err := plan.ParseFile(pos[0])
 	if err != nil {
 		return err
@@ -102,5 +102,10 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
+	if err != nil {
+		return err
+	}
+	defer closeOut()
 	return experiment.EmitTables(out, f, res.Tables()...)
 }

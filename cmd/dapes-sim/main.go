@@ -14,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"dapes/internal/core"
@@ -35,7 +36,7 @@ func run(args []string) error {
 	paper := experiment.PaperDefaults()
 	var (
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
-		scenario = fs.String("scenario", "", "registered scenario to run (see -list); overrides -system")
+		scenario = fs.String("scenario", "", "registered scenario to run (see -list); takes no -system or ad-hoc DAPES flag")
 		workers  = fs.Int("workers", 1, "concurrent trials; results are identical at any pool size")
 		format   = fs.String("format", "text", "output format: text, json, or csv")
 		outPath  = fs.String("o", "", "write results to this file instead of stdout")
@@ -68,6 +69,58 @@ func run(args []string) error {
 		return err
 	}
 
+	if *list {
+		out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
+		if err != nil {
+			return err
+		}
+		defer closeOut()
+		return listScenarios(out, f)
+	}
+	// Everything the run reads is resolved before anything runs, and -o is
+	// opened only once there is a result: a rejected input leaves an
+	// existing results file as it was.
+	if _, err := experiment.ParseFormat(*format); err != nil {
+		return err
+	}
+	var sc *experiment.Scenario
+	var err error
+	if *scenario != "" {
+		sc, err = experiment.Find(*scenario)
+	} else {
+		// Legacy path: build an ad-hoc scenario from the individual knobs.
+		sc, err = adhocScenario(*system, adhocKnobs{
+			strategy:    *strategy,
+			randomStart: *randomStart,
+			interleave:  *interleave,
+			bitmaps:     *bitmaps,
+			peba:        *peba,
+			multihop:    *multihopOn,
+			forwardProb: *forwardProb,
+		})
+	}
+	if err != nil {
+		return err
+	}
+	if err := rejectIgnoredFlags(fs, *scenario, *system); err != nil {
+		return err
+	}
+
+	s := experiment.ReducedScale()
+	s.NumFiles = *files
+	s.PacketsPerFile = *packets
+	s.Trials = *trials
+	s.BaseSeed = *seed
+	s.Horizon = *horizon
+	s.Workers = *workers
+	if *faults != "" {
+		fp, err := fault.ParseFile(*faults)
+		if err != nil {
+			return fmt.Errorf("faults: %w", err)
+		}
+		s.Faults = fp
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -96,58 +149,43 @@ func run(args []string) error {
 		}()
 	}
 
+	res, err := experiment.Runner{}.Run(sc, s, *wifiRange) // pool size comes from s.Workers
+	if err != nil {
+		return err
+	}
 	out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
 	if err != nil {
 		return err
 	}
 	defer closeOut()
-
-	if *list {
-		return listScenarios(out, f)
-	}
-
-	s := experiment.ReducedScale()
-	s.NumFiles = *files
-	s.PacketsPerFile = *packets
-	s.Trials = *trials
-	s.BaseSeed = *seed
-	s.Horizon = *horizon
-	s.Workers = *workers
-	if *faults != "" {
-		fp, err := fault.ParseFile(*faults)
-		if err != nil {
-			return fmt.Errorf("faults: %w", err)
-		}
-		s.Faults = fp
-	}
-	runner := experiment.Runner{} // pool size comes from s.Workers
-
-	if *scenario != "" {
-		res, err := runner.RunScenario(*scenario, s, *wifiRange)
-		if err != nil {
-			return err
-		}
-		return experiment.EmitRun(out, f, res)
-	}
-
-	// Legacy path: build an ad-hoc scenario from the individual knobs.
-	sc, err := adhocScenario(*system, adhocKnobs{
-		strategy:    *strategy,
-		randomStart: *randomStart,
-		interleave:  *interleave,
-		bitmaps:     *bitmaps,
-		peba:        *peba,
-		multihop:    *multihopOn,
-		forwardProb: *forwardProb,
-	})
-	if err != nil {
-		return err
-	}
-	res, err := runner.Run(sc, s, *wifiRange)
-	if err != nil {
-		return err
-	}
 	return experiment.EmitRun(out, f, res)
+}
+
+// adhocFlags are the knobs of the ad-hoc DAPES stack: only a run with
+// -system dapes and no -scenario reads them.
+var adhocFlags = map[string]bool{
+	"strategy": true, "random-start": true, "interleave": true, "bitmaps": true,
+	"peba": true, "multihop": true, "forward-prob": true,
+}
+
+// rejectIgnoredFlags fails, naming them, on flags set on the command line
+// that the selected run would ignore: -system and the ad-hoc DAPES flags
+// beside -scenario, and the ad-hoc DAPES flags beside -system bithoc or ekta.
+func rejectIgnoredFlags(fs *flag.FlagSet, scenario, system string) error {
+	var ignored []string
+	fs.Visit(func(fl *flag.Flag) {
+		if adhocFlags[fl.Name] && (scenario != "" || system != "dapes") || fl.Name == "system" && scenario != "" {
+			ignored = append(ignored, "-"+fl.Name)
+		}
+	})
+	if len(ignored) == 0 {
+		return nil
+	}
+	by := "-system " + system
+	if scenario != "" {
+		by = "-scenario " + scenario
+	}
+	return fmt.Errorf("%s ignores %s", by, strings.Join(ignored, ", "))
 }
 
 type adhocKnobs struct {

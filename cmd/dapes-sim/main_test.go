@@ -38,6 +38,14 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-forward-prob", "-1"}, "-forward-prob = -1: want a probability in (0, 1]"},
 		{[]string{"-forward-prob", "NaN"}, "-forward-prob = NaN: want a probability in (0, 1]"},
 		{[]string{"-bitmaps", "-3"}, "-bitmaps = -3: want 0 (all) or more"},
+		// The ad-hoc DAPES flags beside a stack that does not read them, and
+		// -system beside -scenario, ran and exited 0 as if they were honoured.
+		{[]string{"-scenario", "fig7-dapes", "-peba=false", "-forward-prob", "5"}, "-scenario fig7-dapes ignores -forward-prob, -peba"},
+		{[]string{"-scenario", "fig7-bithoc", "-system", "bithoc"}, "-scenario fig7-bithoc ignores -system"},
+		{[]string{"-system", "ekta", "-peba=false"}, "-system ekta ignores -peba"},
+		{[]string{"-system", "bithoc", "-strategy", "local", "-random-start", "-interleave", "-bitmaps", "2",
+			"-peba", "-multihop", "-forward-prob", "0.5"},
+			"-system bithoc ignores -bitmaps, -forward-prob, -interleave, -multihop, -peba, -random-start, -strategy"},
 	} {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -97,6 +105,28 @@ func TestBuiltInStacksMatchScenarios(t *testing.T) {
 		got = strings.Replace(got, label, `"scenario": "`+tc.scenario+`"`, 1)
 		if got != want {
 			t.Errorf("dapes-sim %v differs from -scenario %s:\n got %s\nwant %s", tc.builtIn, tc.scenario, got, want)
+		}
+	}
+}
+
+// TestRejectedInputKeepsOutputFile: -o used to be truncated before the
+// scenario or stack was resolved, so a rejected input left a 0-byte file
+// where the previous results were.
+func TestRejectedInputKeepsOutputFile(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.json")
+	const previous = "{\"previous\": \"results\"}\n"
+	for _, args := range [][]string{
+		{"-scenario", "fig7-dappes"},
+		{"-strategy", "bogus"},
+	} {
+		if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(args, "-o", out)); err == nil {
+			t.Fatalf("dapes-sim %v: no error", args)
+		}
+		if b, err := os.ReadFile(out); err != nil || string(b) != previous {
+			t.Errorf("dapes-sim %v -o: file = %q (err %v), want it untouched", args, b, err)
 		}
 	}
 }
