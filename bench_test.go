@@ -68,32 +68,6 @@ func benchFigure(b *testing.B, fig experiment.Figure, panels []experiment.Panel)
 	}
 }
 
-// BenchmarkAblationMetadataFormats measures the Section IV-C metadata
-// trade-off the paper discusses: digest-format manifests grow with the
-// collection while Merkle manifests stay one packet.
-func BenchmarkAblationMetadataFormats(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		digest, merkle, err := experiment.MetadataSizes(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(digest), "B_digest_manifest")
-		b.ReportMetric(float64(merkle), "B_merkle_manifest")
-	}
-}
-
-// BenchmarkAblationAdaptiveBeacon measures the Section IV-B adaptive
-// discovery period against a fixed period: beacons sent by an isolated peer
-// over ten minutes.
-func BenchmarkAblationAdaptiveBeacon(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		adaptive, fixed := experiment.BeaconAblation(10 * time.Minute)
-		b.ReportMetric(float64(adaptive), "beacons_adaptive")
-		b.ReportMetric(float64(fixed), "beacons_fixed")
-	}
-}
-
 // benchRunner drives the registry's fig7-dapes scenario through the trial
 // runner at the given pool size; the two benchmarks below give the wall-clock
 // speedup of parallel fan-out (the metrics themselves are identical by

@@ -1,4 +1,4 @@
-// Command dapes-lint is the repo's static-analysis multichecker: five
+// Command dapes-lint is the repo's static-analysis multichecker: seven
 // analyzers that machine-check the contracts every golden-trace gate
 // depends on (docs/CONTRACTS.md):
 //
@@ -10,10 +10,14 @@
 //	                InvalidateWire
 //	handlehygiene — no stored *sim.Event; hold sim.Handle / sim.Timer
 //	namekey       — no map keyed by ndn.Name.String() built at the lookup
+//	unsafe        — package unsafe in internal/ndn alone
+//	unreferenced  — no declaration under internal/ that only tests reach,
+//	                counting references from the whole program (this
+//	                module and the modules nested in it, benchmark/)
 //
 // Usage:
 //
-//	dapes-lint [packages]     # defaults to ./...
+//	dapes-lint [packages]     # defaults to ./...; the program is always whole
 //
 // A finding can be suppressed with an explicit, justified escape hatch on
 // the offending line or the line above it:

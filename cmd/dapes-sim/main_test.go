@@ -118,6 +118,7 @@ func TestRejectedInputKeepsOutputFile(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenario", "fig7-dappes"},
 		{"-strategy", "bogus"},
+		{"-range", "+Inf", "-format", "json"},
 	} {
 		if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
 			t.Fatal(err)

@@ -94,7 +94,6 @@ type Peer struct {
 	busy      *bitmap.Bitmap
 	helloSeq  int
 	seenHello map[int]int // origin -> highest seq relayed
-	fetching  bool
 	running   bool
 	helloT    *sim.Timer
 	doneAt    time.Duration
@@ -183,15 +182,6 @@ func (p *Peer) onSendFail(_ uint32, dst int) {
 // ID returns the peer's network identifier.
 func (p *Peer) ID() int { return p.router.ID() }
 
-// Stats returns a copy of the application counters.
-func (p *Peer) Stats() Stats { return p.stats }
-
-// Router exposes the underlying DSDV instance.
-func (p *Peer) Router() *routing.DSDV { return p.router }
-
-// Reliable exposes the transport for overhead accounting.
-func (p *Peer) Reliable() *transport.Reliable { return p.reliable }
-
 // Seed initializes the peer with every piece of the swarm's content.
 func (p *Peer) Seed(nPieces, pieceSize int) {
 	p.initSwarm(nPieces, pieceSize)
@@ -222,14 +212,6 @@ func (p *Peer) initSwarm(nPieces, pieceSize int) {
 // Done reports completion and its virtual time.
 func (p *Peer) Done() (bool, time.Duration) { return p.done, p.doneAt }
 
-// Progress returns pieces held over total.
-func (p *Peer) Progress() (have, total int) {
-	if p.have == nil {
-		return 0, 0
-	}
-	return p.have.Count(), p.nPieces
-}
-
 // Start activates routing, HELLO flooding, and fetching.
 func (p *Peer) Start() {
 	if p.running {
@@ -244,6 +226,8 @@ func (p *Peer) Start() {
 // its transport or its router stays armed, and nothing more goes on the air
 // (relays and transmissions already waiting out their jitter are dropped
 // when their slot comes).
+//
+//lint:ignore unreferenced the stop contract TestStopSilences pins: nothing armed, nothing on the air
 func (p *Peer) Stop() {
 	p.running = false
 	p.router.Stop()

@@ -27,20 +27,20 @@ func TestSeederToLeecher(t *testing.T) {
 		return done
 	})
 	if !ok {
-		have, total := leech.Progress()
-		t.Fatalf("download incomplete: %d/%d (stats %+v)", have, total, leech.Stats())
+		have, total := leech.have.Count(), leech.nPieces
+		t.Fatalf("download incomplete: %d/%d (stats %+v)", have, total, leech.stats)
 	}
-	if leech.Stats().PiecesReceived != 20 {
-		t.Fatalf("pieces received = %d", leech.Stats().PiecesReceived)
+	if leech.stats.PiecesReceived != 20 {
+		t.Fatalf("pieces received = %d", leech.stats.PiecesReceived)
 	}
-	if seed.Stats().PiecesSent != 20 {
-		t.Fatalf("pieces sent = %d", seed.Stats().PiecesSent)
+	if seed.stats.PiecesSent != 20 {
+		t.Fatalf("pieces sent = %d", seed.stats.PiecesSent)
 	}
-	if seed.Stats().HellosSent == 0 || leech.Stats().HellosSent == 0 {
+	if seed.stats.HellosSent == 0 || leech.stats.HellosSent == 0 {
 		t.Fatal("no HELLO flooding")
 	}
 	// DSDV proactive overhead must be present even for this tiny swarm.
-	if seed.Router().ControlTransmissions() == 0 {
+	if seed.router.ControlTransmissions() == 0 {
 		t.Fatal("no DSDV updates")
 	}
 }
@@ -67,7 +67,7 @@ func TestHelloFloodReachesTwoHops(t *testing.T) {
 	if c.peers[a.ID()].hops != 2 {
 		t.Fatalf("a's hop distance at c = %d, want 2", c.peers[a.ID()].hops)
 	}
-	if b.Stats().HellosRelayed == 0 {
+	if b.stats.HellosRelayed == 0 {
 		t.Fatal("b relayed no HELLOs")
 	}
 }
@@ -98,7 +98,7 @@ func TestTwoLeechersCostTwiceTheUnicasts(t *testing.T) {
 	}
 	// Pieces flow from the seed and, rarest-first, between leechers; the
 	// total piece transmissions must be at least one per (piece, receiver).
-	total := seed.Stats().PiecesSent + l1.Stats().PiecesSent + l2.Stats().PiecesSent
+	total := seed.stats.PiecesSent + l1.stats.PiecesSent + l2.stats.PiecesSent
 	if total < 20 {
 		t.Fatalf("piece transmissions = %d, want >= 20 (no multicast gain exists)", total)
 	}
@@ -115,7 +115,7 @@ func TestLeecherStallsWithoutSeeder(t *testing.T) {
 	if done, _ := leech.Done(); done {
 		t.Fatal("download completed without any source")
 	}
-	if have, _ := leech.Progress(); have != 0 {
+	if leech.have.Count() != 0 {
 		t.Fatal("pieces materialized from nowhere")
 	}
 }
@@ -135,10 +135,10 @@ func TestStopSilences(t *testing.T) {
 		p.Fetch(5, 100)
 		p.Start()
 		k.Run(10 * time.Second)
-		sent := p.Stats().HellosSent
+		sent := p.stats.HellosSent
 		p.Stop()
 		k.Run(time.Minute)
-		if p.Stats().HellosSent != sent {
+		if p.stats.HellosSent != sent {
 			t.Fatal("stopped peer kept flooding")
 		}
 		if k.Pending() != 0 {
@@ -155,18 +155,18 @@ func TestStopSilences(t *testing.T) {
 		leech.Fetch(200, 1000)
 		seed.Start()
 		leech.Start()
-		if !k.RunUntil(10*time.Minute, func() bool { have, _ := leech.Progress(); return have >= 20 }) {
+		if !k.RunUntil(10*time.Minute, func() bool { return leech.have.Count() >= 20 }) {
 			t.Fatal("transfer never reached 20 pieces")
 		}
-		if len(leech.inflight) == 0 || leech.Reliable().Pending()+seed.Reliable().Pending() == 0 {
+		if len(leech.inflight) == 0 || leech.reliable.Pending()+seed.reliable.Pending() == 0 {
 			t.Fatal("nothing in flight at the stop point: the case is not exercised")
 		}
 		seed.Stop()
 		leech.Stop()
 		sent := medium.Stats().Transmissions
-		if len(leech.inflight) != 0 || leech.Reliable().Pending() != 0 || seed.Reliable().Pending() != 0 {
+		if len(leech.inflight) != 0 || leech.reliable.Pending() != 0 || seed.reliable.Pending() != 0 {
 			t.Fatalf("Stop left %d requests, %d+%d messages in flight",
-				len(leech.inflight), leech.Reliable().Pending(), seed.Reliable().Pending())
+				len(leech.inflight), leech.reliable.Pending(), seed.reliable.Pending())
 		}
 		k.Run(k.Now() + 50*time.Millisecond)
 		if n := k.Pending(); n != 0 {
@@ -209,18 +209,18 @@ func TestDeadSeederFailover(t *testing.T) {
 	// neighbor table would hold it for hours.
 	k.Run(20 * time.Second)
 	s1.Stop()
-	s1.Router().Radio().SetEnabled(false)
+	s1.radio.SetEnabled(false)
 
 	ok := k.RunUntil(15*time.Minute, func() bool {
 		done, _ := leech.Done()
 		return done
 	})
 	if !ok {
-		have, total := leech.Progress()
+		have, total := leech.have.Count(), leech.nPieces
 		t.Fatalf("no failover to the live seeder: %d/%d (stats %+v, transport failures %d)",
-			have, total, leech.Stats(), leech.Reliable().Failures)
+			have, total, leech.stats, leech.reliable.Failures)
 	}
-	if leech.Reliable().Failures == 0 {
+	if leech.reliable.Failures == 0 {
 		t.Fatal("download finished without any transport failure: the dead seeder was never exercised")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dapes/internal/bitmap"
@@ -100,7 +101,7 @@ func helloFrame(origin, seq, ttl int, bm *bitmap.Bitmap) []byte {
 	b := []byte{helloMagic, byte(ttl)}
 	b = binary.BigEndian.AppendUint32(b, uint32(origin))
 	b = binary.BigEndian.AppendUint32(b, uint32(seq))
-	return append(b, bm.Encode()...)
+	return bm.AppendEncode(b)
 }
 
 func randomBitmap(rng *rand.Rand, n int, density float64) *bitmap.Bitmap {
@@ -251,10 +252,10 @@ func TestHelloReheardDoesNotAllocate(t *testing.T) {
 		t.Errorf("a re-heard HELLO allocates %.2f objects, want 0", avg)
 	}
 	info := p.peers[1]
-	if info == nil || !info.ranked || info.hops != 2 || !info.bm.Equal(bms[heard]) {
+	if info == nil || !info.ranked || info.hops != 2 || !reflect.DeepEqual(info.bm, bms[heard]) {
 		t.Fatalf("peer 1 after its HELLOs: %+v, want ranked at 2 hops with the last bitmap heard", info)
 	}
-	if p.Stats().HellosRelayed != 0 || k.Pending() != 0 {
-		t.Fatalf("a TTL-1 HELLO was relayed (%d relays, %d events pending)", p.Stats().HellosRelayed, k.Pending())
+	if p.stats.HellosRelayed != 0 || k.Pending() != 0 {
+		t.Fatalf("a TTL-1 HELLO was relayed (%d relays, %d events pending)", p.stats.HellosRelayed, k.Pending())
 	}
 }

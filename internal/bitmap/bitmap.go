@@ -93,19 +93,6 @@ func (b *Bitmap) Clone() *Bitmap {
 	return out
 }
 
-// Equal reports whether two bitmaps have identical length and bits.
-func (b *Bitmap) Equal(other *Bitmap) bool {
-	if b.n != other.n {
-		return false
-	}
-	for i, w := range b.words {
-		if other.words[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
 // Or sets b to b ∪ other.
 func (b *Bitmap) Or(other *Bitmap) error {
 	if b.n != other.n {
@@ -142,28 +129,6 @@ func (b *Bitmap) MissingFrom(other *Bitmap) (int, error) {
 	return total, nil
 }
 
-// Missing returns the indices of clear bits, in ascending order.
-func (b *Bitmap) Missing() []int {
-	out := make([]int, 0, b.n-b.Count())
-	for i := 0; i < b.n; i++ {
-		if !b.Test(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Ones returns the indices of set bits, in ascending order.
-func (b *Bitmap) Ones() []int {
-	out := make([]int, 0, b.Count())
-	for i := 0; i < b.n; i++ {
-		if b.Test(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Word returns the w-th 64-bit word of the bitmap (bit i of the bitmap is bit
 // i%64 of word i/64), or 0 when b is nil or w is past its end: set scans
 // combine bitmaps a word at a time, and an absent bitmap reads as empty.
@@ -172,13 +137,6 @@ func (b *Bitmap) Word(w int) uint64 {
 		return 0
 	}
 	return b.words[w]
-}
-
-// Encode serializes the bitmap: a 4-byte big-endian bit length followed by
-// the packed bit bytes (LSB-first within each byte) — the words in
-// little-endian order, cut to the bit length's byte count.
-func (b *Bitmap) Encode() []byte {
-	return b.AppendEncode(make([]byte, 0, 4+len(b.words)*8))
 }
 
 // AppendEncode appends the Encode form of the bitmap to dst and returns the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -53,18 +54,10 @@ func TestSetAllFullAndMissing(t *testing.T) {
 	if !b.Full() || b.Count() != 70 {
 		t.Fatalf("SetAll: count=%d", b.Count())
 	}
-	if len(b.Missing()) != 0 {
-		t.Fatal("full bitmap has missing bits")
-	}
 	b.Clear(5)
 	b.Clear(69)
-	miss := b.Missing()
-	if len(miss) != 2 || miss[0] != 5 || miss[1] != 69 {
-		t.Fatalf("Missing = %v", miss)
-	}
-	ones := b.Ones()
-	if len(ones) != 68 {
-		t.Fatalf("Ones len = %d", len(ones))
+	if b.Full() || b.Count() != 68 || b.Test(5) || b.Test(69) {
+		t.Fatalf("after clearing 5 and 69: count=%d", b.Count())
 	}
 }
 
@@ -75,7 +68,7 @@ func TestZeroLengthBitmap(t *testing.T) {
 	if b.Count() != 0 || !b.Full() {
 		t.Fatal("zero-length bitmap misbehaves")
 	}
-	rt, err := Decode(b.Encode())
+	rt, err := Decode(b.AppendEncode(nil))
 	if err != nil || rt.Len() != 0 {
 		t.Fatalf("zero-length roundtrip: %v", err)
 	}
@@ -112,7 +105,7 @@ func TestOrAndNotMissingFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d.Count() != 2 || !d.Test(1) || !d.Test(2) {
-		t.Fatalf("AndNot wrong: %v", d.Ones())
+		t.Fatalf("AndNot wrong: %v", d)
 	}
 
 	short := New(5)
@@ -136,11 +129,8 @@ func TestCloneIndependent(t *testing.T) {
 	if a.Test(2) {
 		t.Fatal("clone shares storage")
 	}
-	if !c.Equal(c.Clone()) || a.Equal(c) {
-		t.Fatal("equality wrong")
-	}
-	if a.Equal(New(9)) {
-		t.Fatal("different lengths compare equal")
+	if !reflect.DeepEqual(c, c.Clone()) || reflect.DeepEqual(a, c) {
+		t.Fatal("clone differs from its source")
 	}
 }
 
@@ -150,12 +140,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 7, 8, 9, 50, 99} {
 		b.Set(i)
 	}
-	rt, err := Decode(b.Encode())
+	rt, err := Decode(b.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rt.Equal(b) {
-		t.Fatalf("roundtrip mismatch: %v vs %v", rt.Ones(), b.Ones())
+	if !reflect.DeepEqual(rt, b) {
+		t.Fatalf("roundtrip mismatch: %v vs %v", rt, b)
 	}
 }
 
@@ -172,7 +162,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 		}
 		scratch := append(make([]byte, 0, 64), bytes.Repeat([]byte{0xAA}, 64)...)
 		got := b.AppendEncode(append(scratch[:0], "hdr"...))
-		if want := append([]byte("hdr"), b.Encode()...); !bytes.Equal(got, want) {
+		if want := append([]byte("hdr"), b.AppendEncode(nil)...); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: AppendEncode %x, want %x", n, got, want)
 		}
 	}
@@ -207,7 +197,7 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 					src.Set(i)
 				}
 			}
-			enc := src.Encode()
+			enc := src.AppendEncode(nil)
 			if n%8 != 0 {
 				enc[len(enc)-1] |= 0xFF << uint(n%8) // payload bits past the length
 			}
@@ -221,8 +211,8 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 			if err := dst.DecodeFrom(enc); err != nil {
 				t.Fatalf("n=%d: DecodeFrom: %v", n, err)
 			}
-			if !dst.Equal(want) || !dst.Equal(src) || dst.Count() != len(dst.Ones()) {
-				t.Fatalf("n=%d: DecodeFrom = %v, Decode = %v, source %v", n, dst.Ones(), want.Ones(), src.Ones())
+			if !reflect.DeepEqual(dst, want) || !reflect.DeepEqual(dst, src) || dst.Count() != setBelowLen(dst) {
+				t.Fatalf("n=%d: DecodeFrom = %v, Decode = %v, source %v", n, dst, want, src)
 			}
 
 			other := New(n + 1)
@@ -234,7 +224,7 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 			if err := dst.DecodeFrom(enc[:len(enc)-2]); n > 0 && err == nil {
 				t.Fatalf("n=%d: truncated encoding decoded", n)
 			}
-			if !other.Equal(before) || !dst.Equal(want) {
+			if !reflect.DeepEqual(other, before) || !reflect.DeepEqual(dst, want) {
 				t.Fatalf("n=%d: a refused DecodeFrom changed its destination", n)
 			}
 		}
@@ -243,7 +233,7 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 
 func TestDecodeFromDoesNotAllocate(t *testing.T) {
 	dst := New(200)
-	enc := dst.Encode()
+	enc := dst.AppendEncode(nil)
 	if allocs := testing.AllocsPerRun(100, func() { _ = dst.DecodeFrom(enc) }); allocs != 0 {
 		t.Errorf("DecodeFrom allocates %v objects", allocs)
 	}
@@ -257,8 +247,8 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		for _, s := range setBits {
 			b.Set(int(s) % n)
 		}
-		rt, err := Decode(b.Encode())
-		return err == nil && rt.Equal(b)
+		rt, err := Decode(b.AppendEncode(nil))
+		return err == nil && reflect.DeepEqual(rt, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -335,4 +325,16 @@ func TestRarity(t *testing.T) {
 		t.Fatalf("Len after remove = %d", r.Len())
 	}
 	check(1, 0, 1, 1)
+}
+
+// setBelowLen counts the bits of b set below its length, one Test at a time:
+// Count must equal it, or bits past the length survived.
+func setBelowLen(b *Bitmap) int {
+	n := 0
+	for i := 0; i < b.Len(); i++ {
+		if b.Test(i) {
+			n++
+		}
+	}
+	return n
 }

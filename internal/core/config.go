@@ -133,12 +133,3 @@ type Stats struct {
 	// InterestsSuppressed, DataForwarded, ForwardedAnswered).
 	multihop.Counters
 }
-
-// TotalSent returns the peer's total protocol transmissions.
-func (s Stats) TotalSent() uint64 {
-	return s.DiscoveryInterestsSent + s.DiscoveryDataSent +
-		s.BitmapInterestsSent + s.BitmapDataSent +
-		s.MetaInterestsSent + s.MetaDataSent +
-		s.DataInterestsSent + s.DataSent +
-		s.InterestsForwarded + s.DataForwarded
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,7 +71,7 @@ func checkDerivedState(t *testing.T, k *sim.Kernel, peers []*Peer, heard map[hea
 		for _, cs := range p.collections {
 			for owner, bm := range cs.avail {
 				want := heard[heardKey{p, cs.uri, owner}]
-				if want == nil || !bm.Equal(want) {
+				if want == nil || !reflect.DeepEqual(bm, want) {
 					t.Fatalf("t=%v peer %d: avail[%d] of %s is not a fresh decode of the last advertisement accepted from it", k.Now(), p.id, owner, cs.uri)
 				}
 			}
@@ -91,16 +92,16 @@ func checkDerivedState(t *testing.T, k *sim.Kernel, peers []*Peer, heard map[hea
 					}
 				}
 			}
-			if !cs.busy.Equal(busy) {
-				t.Fatalf("t=%v peer %d: busy = %v, inflight ∪ buffered = %v", k.Now(), p.id, cs.busy.Ones(), busy.Ones())
+			if !reflect.DeepEqual(cs.busy, busy) {
+				t.Fatalf("t=%v peer %d: busy = %v, inflight ∪ buffered = %v", k.Now(), p.id, cs.busy, busy)
 			}
 			for _, bm := range cs.avail {
 				if bm.Len() == n {
 					_ = union.Or(bm)
 				}
 			}
-			if got := cs.availabilityUnion(); !got.Equal(union) {
-				t.Fatalf("t=%v peer %d: cached union = %v, union of avail = %v", k.Now(), p.id, got.Ones(), union.Ones())
+			if got := cs.availabilityUnion(); !reflect.DeepEqual(got, union) {
+				t.Fatalf("t=%v peer %d: cached union = %v, union of avail = %v", k.Now(), p.id, got, union)
 			}
 			if cs.own.Count() != len(cs.packets) {
 				t.Fatalf("t=%v peer %d: own has %d bits, %d packets stored", k.Now(), p.id, cs.own.Count(), len(cs.packets))

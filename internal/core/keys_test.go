@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // TestCollectionLookupsDoNotAllocate pins the string-free lookup contract:
-// trial drivers poll Done after kernel events and tests sweep HasPacket over
-// whole collections, so finding a collection's state by name must not build
+// trial drivers poll Done after kernel events, so finding a collection's
+// state by name must not build
 // the key string, whether or not the peer tracks the collection. (A name
 // longer than the lookup's stack buffer still resolves; it just pays for it.)
 func TestCollectionLookupsDoNotAllocate(t *testing.T) {
@@ -30,11 +31,11 @@ func TestCollectionLookupsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { p.Done(name) }); n != 0 {
 			t.Errorf("Done(%s): %v allocs, want 0", name, n)
 		}
-		if n := testing.AllocsPerRun(1000, func() { p.HasPacket(name, 2) }); n != 0 {
-			t.Errorf("HasPacket(%s): %v allocs, want 0", name, n)
+		if n := testing.AllocsPerRun(1000, func() { p.find(name) }); n != 0 {
+			t.Errorf("find(%s): %v allocs, want 0", name, n)
 		}
 	}
-	if !p.HasPacket(held, 2) || p.HasPacket(unknown, 2) || p.HasPacket(long, 2) {
+	if p.find(held) == nil || p.find(unknown) != nil || p.find(long) != nil {
 		t.Fatal("lookups found the wrong state")
 	}
 	if done, _ := p.Done(held); !done {
@@ -130,8 +131,8 @@ func TestBitmapHeardDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { p.handleBitmapData(d) }); n != 0 {
 			t.Errorf("%s: bitmap Data from a known neighbour: %v allocs, want 0", uri, n)
 		}
-		if got := p.collections[uri].avail[7]; !got.Equal(theirs) {
-			t.Errorf("%s: avail[7] = %v, advertised %v", uri, got.Ones(), theirs.Ones())
+		if got := p.collections[uri].avail[7]; !reflect.DeepEqual(got, theirs) {
+			t.Errorf("%s: avail[7] = %v, advertised %v", uri, got, theirs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"dapes/internal/bitmap"
@@ -94,7 +95,7 @@ func FuzzBitmapPayload(f *testing.F) {
 			t.Fatalf("bitmap view is %d bytes, its encoding %d", len(p.Bitmap), size)
 		}
 		into := bitmap.New(p.Bits)
-		if err := into.DecodeFrom(p.Bitmap); err != nil || !into.Equal(bm) {
+		if err := into.DecodeFrom(p.Bitmap); err != nil || !reflect.DeepEqual(into, bm) {
 			t.Fatalf("decoding in place differs from a fresh decode: %v", err)
 		}
 		re := appendBitmapPayload(nil, string(p.CollectionURI), p.Owner, bm)
@@ -106,7 +107,7 @@ func FuzzBitmapPayload(f *testing.F) {
 			t.Fatalf("collection decoded in non-canonical form: %q (canonical %q)", p.CollectionURI, got)
 		}
 		bm2, err := bitmap.Decode(p2.Bitmap)
-		if err != nil || !bytes.Equal(p.CollectionURI, p2.CollectionURI) || p.Owner != p2.Owner || !bm.Equal(bm2) {
+		if err != nil || !bytes.Equal(p.CollectionURI, p2.CollectionURI) || p.Owner != p2.Owner || !reflect.DeepEqual(bm, bm2) {
 			t.Fatalf("payload not a fixed point:\nfirst:  %+v\nsecond: %+v", p, p2)
 		}
 		// The re-encoding itself must be stable byte-for-byte, since bitmap

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,7 +116,7 @@ func TestBitmapPayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(out.CollectionURI) != "/damaged-bridge-1533783192" || out.Owner != 13 || out.Bits != 100 ||
-		!bytes.Equal(out.Bitmap, bm.Encode()) || !got.Equal(bm) {
+		!bytes.Equal(out.Bitmap, bm.AppendEncode(nil)) || !reflect.DeepEqual(got, bm) {
 		t.Fatalf("roundtrip = %+v", out)
 	}
 }
@@ -185,7 +186,7 @@ func TestBitmapPayloadRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got, err := bitmap.Decode(out.Bitmap)
-		return err == nil && out.Owner == int(owner) && out.Bits == 256 && got.Equal(bm)
+		return err == nil && out.Owner == int(owner) && out.Bits == 256 && reflect.DeepEqual(got, bm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

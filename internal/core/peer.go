@@ -98,9 +98,6 @@ func (p *Peer) ID() int { return p.id }
 // Stats returns a copy of the peer's protocol counters.
 func (p *Peer) Stats() Stats { return p.stats }
 
-// Config returns the peer's effective configuration.
-func (p *Peer) Config() Config { return p.cfg }
-
 // SetOnComplete installs a callback invoked when a subscribed collection
 // finishes downloading.
 func (p *Peer) SetOnComplete(fn func(collection ndn.Name, at time.Duration)) {
@@ -205,16 +202,6 @@ func (p *Peer) Done(collection ndn.Name) (bool, time.Duration) {
 	}
 	return cs.done, cs.doneAt
 }
-
-// HasPacket reports whether the peer holds the packet at a collection's
-// global index.
-func (p *Peer) HasPacket(collection ndn.Name, idx int) bool {
-	cs := p.find(collection)
-	return cs != nil && cs.own != nil && cs.own.Test(idx)
-}
-
-// NeighborCount returns the number of live neighbors.
-func (p *Peer) NeighborCount() int { return len(p.neighbors) }
 
 // ForwardingAccuracy returns the fraction of forwarded Interests that
 // brought Data back — the paper reports 83% for DAPES (Section VI-D).

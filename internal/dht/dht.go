@@ -17,9 +17,6 @@ import (
 	"dapes/internal/sim"
 )
 
-// KeyBits is the identifier space width.
-const KeyBits = 32
-
 // Key is a DHT identifier.
 type Key uint32
 
@@ -165,15 +162,6 @@ func NewNode(k *sim.Kernel, nodeID int, tr Transport) *Node {
 		lookups:  make(map[uint32]*lookup),
 	}
 }
-
-// ID returns the node's network identifier.
-func (n *Node) ID() int { return n.id }
-
-// Key returns the node's overlay identifier.
-func (n *Node) Key() Key { return n.key }
-
-// ViewSize returns the number of known overlay nodes.
-func (n *Node) ViewSize() int { return len(n.view) }
 
 // Contacts returns the known overlay node IDs in ascending order, so
 // callers iterating them behave identically run to run.
@@ -441,10 +429,6 @@ func (n *Node) handleFound(body []byte) {
 }
 
 // LocalData returns the number of key/value pairs stored at this node.
+//
+//lint:ignore unreferenced ekta's TestDownloaderRepublishesPieces counts the piece pointers stored
 func (n *Node) LocalData() int { return len(n.data) }
-
-// HasLocal reports whether the node locally stores key (diagnostics).
-func (n *Node) HasLocal(key Key) bool {
-	_, ok := n.data[key]
-	return ok
-}

@@ -129,7 +129,7 @@ func TestLocalStoreAndLookupShortCircuit(t *testing.T) {
 	n := NewNode(k, 5, lb.transportFor(5))
 	lb.nodes[5] = n
 
-	key := n.Key() // numerically closest to itself
+	key := n.key // numerically closest to itself
 	n.Store(key, []byte("mine"))
 	if n.LocalData() != 1 {
 		t.Fatal("local store did not keep data")
@@ -154,11 +154,11 @@ func TestViewBounded(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		n.AddContact(i)
 	}
-	if n.ViewSize() > viewSize {
-		t.Fatalf("view size = %d, want <= %d", n.ViewSize(), viewSize)
+	if len(n.view) > viewSize {
+		t.Fatalf("view size = %d, want <= %d", len(n.view), viewSize)
 	}
-	n.AddContact(n.ID()) // self is never added
-	if _, ok := n.view[n.ID()]; ok || n.ViewSize() > viewSize {
+	n.AddContact(n.id) // self is never added
+	if _, ok := n.view[n.id]; ok || len(n.view) > viewSize {
 		t.Fatal("self contact added")
 	}
 }

@@ -112,15 +112,6 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *Peer {
 // ID returns the peer's network identifier.
 func (p *Peer) ID() int { return p.router.ID() }
 
-// Stats returns a copy of the application counters.
-func (p *Peer) Stats() Stats { return p.stats }
-
-// Router exposes the underlying DSR instance.
-func (p *Peer) Router() *routing.DSR { return p.router }
-
-// DHT exposes the overlay node.
-func (p *Peer) DHT() *dht.Node { return p.node }
-
 // pieceKey derives the DHT key of a swarm piece.
 func pieceKey(swarm string, piece int) dht.Key {
 	return dht.KeyOf([]byte(fmt.Sprintf("%s/%d", swarm, piece)))
@@ -156,14 +147,6 @@ func (p *Peer) Join(bootstrap int) { p.node.Join(bootstrap) }
 // Done reports completion and its virtual time.
 func (p *Peer) Done() (bool, time.Duration) { return p.done, p.doneAt }
 
-// Progress returns pieces held over total.
-func (p *Peer) Progress() (have, total int) {
-	if p.have == nil {
-		return 0, 0
-	}
-	return p.have.Count(), p.nPieces
-}
-
 // Start activates routing and the fetch loop.
 func (p *Peer) Start() {
 	if p.running {
@@ -178,6 +161,8 @@ func (p *Peer) Start() {
 // and the router's discoveries are all abandoned, so a stopped peer leaves
 // nothing armed in the kernel (frames already waiting out their jitter fire
 // as no-ops). Start resumes the download from the pieces held.
+//
+//lint:ignore unreferenced the stop contract TestStopLeavesNothingArmed and TestStopSilencesPeer pin
 func (p *Peer) Stop() {
 	p.running = false
 	p.router.Stop()

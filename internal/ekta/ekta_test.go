@@ -28,17 +28,17 @@ func TestSeederToDownloader(t *testing.T) {
 		return done
 	})
 	if !ok {
-		have, total := dl.Progress()
-		t.Fatalf("download incomplete: %d/%d (stats %+v)", have, total, dl.Stats())
+		have, total := dl.have.Count(), dl.nPieces
+		t.Fatalf("download incomplete: %d/%d (stats %+v)", have, total, dl.stats)
 	}
-	st := dl.Stats()
+	st := dl.stats
 	if st.Lookups == 0 {
 		t.Fatal("no DHT lookups performed")
 	}
 	if st.PiecesReceived != 15 {
 		t.Fatalf("pieces received = %d", st.PiecesReceived)
 	}
-	if seed.Stats().PiecesSent == 0 {
+	if seed.stats.PiecesSent == 0 {
 		t.Fatal("seed sent nothing")
 	}
 }
@@ -69,12 +69,12 @@ func TestThreeNodeOverlayFetch(t *testing.T) {
 		return d1 && d2
 	})
 	if !ok {
-		mh, mt := mid.Progress()
-		fh, ft := far.Progress()
+		mh, mt := mid.have.Count(), mid.nPieces
+		fh, ft := far.have.Count(), far.nPieces
 		t.Fatalf("incomplete: mid %d/%d far %d/%d", mh, mt, fh, ft)
 	}
 	// DSR reactive routing must have flooded discoveries.
-	if seed.Router().ControlTransmissions()+mid.Router().ControlTransmissions()+far.Router().ControlTransmissions() == 0 {
+	if seed.router.ControlTransmissions()+mid.router.ControlTransmissions()+far.router.ControlTransmissions() == 0 {
 		t.Fatal("no DSR control traffic")
 	}
 }
@@ -99,9 +99,9 @@ func TestLookupFailureRetriesViaPump(t *testing.T) {
 		return done
 	})
 	if !ok {
-		t.Fatalf("late-publish download incomplete: %+v", dl.Stats())
+		t.Fatalf("late-publish download incomplete: %+v", dl.stats)
 	}
-	if dl.Stats().LookupFailures == 0 {
+	if dl.stats.LookupFailures == 0 {
 		t.Fatal("expected early lookup failures")
 	}
 }
@@ -124,7 +124,7 @@ func TestDownloaderRepublishesPieces(t *testing.T) {
 	})
 	// After completion, holder pointers for dl's copies exist in the DHT
 	// (stored locally at whichever node is responsible).
-	total := seed.DHT().LocalData() + dl.DHT().LocalData()
+	total := seed.node.LocalData() + dl.node.LocalData()
 	if total < 5 {
 		t.Fatalf("DHT holds %d piece pointers, want >= 5", total)
 	}
@@ -139,7 +139,7 @@ func TestStopSilencesPeer(t *testing.T) {
 	p.Start()
 	p.Stop()
 	k.Run(time.Minute)
-	if p.Stats().Lookups != 0 {
+	if p.stats.Lookups != 0 {
 		t.Fatal("stopped peer performed lookups")
 	}
 }
@@ -159,7 +159,7 @@ func TestStopLeavesNothingArmed(t *testing.T) {
 	seed.Seed("coll", 200, 1000)
 	dl.Fetch("coll", 200, 1000)
 	dl.Join(seed.ID())
-	if !k.RunUntil(10*time.Minute, func() bool { have, _ := dl.Progress(); return have >= 20 }) {
+	if !k.RunUntil(10*time.Minute, func() bool { return dl.have.Count() >= 20 }) {
 		t.Fatal("download never reached 20 pieces")
 	}
 	if len(dl.pending) == 0 {

@@ -32,9 +32,9 @@ func goldenOf(res TrialResult, w *world) baselineGolden {
 // baselines: every other gate on fig7-bithoc / fig7-ekta compares a run with
 // a rerun, which a change to the shared frame path moves on both sides. The
 // values are regenerated only in a commit of their own, at a declared
-// rebaseline (docs/CONTRACTS.md §1; docs/EXPERIMENTS.md "Rebaseline:
-// per-node random streams" and "Rebaseline: one event per transmission"),
-// and never by a change that claims to be trace-neutral.
+// rebaseline (docs/CONTRACTS.md §1; docs/history/rebaselines.md
+// "Rebaseline: per-node random streams" and "Rebaseline: one event per
+// transmission"), and never by a change that claims to be trace-neutral.
 func TestGoldenBaselineTrialResults(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {

@@ -77,9 +77,10 @@ func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 // every other DAPES gate compares two engines running the same protocol
 // code, which a change to that code moves on both sides. The values are
 // regenerated only in a commit of their own, at a declared rebaseline
-// (docs/CONTRACTS.md §1; docs/EXPERIMENTS.md "Rebaseline: per-node random
-// streams", "Rebaseline: relay state by time" and "Rebaseline: one event per
-// transmission"), and never by a change that claims to be trace-neutral.
+// (docs/CONTRACTS.md §1; docs/history/rebaselines.md "Rebaseline: per-node
+// random streams", "Rebaseline: relay state by time" and "Rebaseline: one
+// event per transmission"), and never by a change that claims to be
+// trace-neutral.
 func TestGoldenDAPESTrialResults(t *testing.T) {
 	t.Parallel()
 	singlehop := PaperDefaults()

@@ -52,7 +52,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			s.Engine.built = &built
 		}
 		s.Workers = workers
-		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
+		res, err := Runner{}.Run(scenario(t, "fig7-dapes"), s, 60)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -92,7 +92,7 @@ func TestEmptyFaultPlanTraceNeutral(t *testing.T) {
 		t.Helper()
 		s := goldenScale()
 		s.Faults = f
-		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
+		res, err := Runner{}.Run(scenario(t, "fig7-dapes"), s, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestGilbertElliottDegeneratesToIID(t *testing.T) {
 		t.Helper()
 		s := goldenScale() // LossRate 0.10
 		s.Faults = f
-		res, err := Runner{}.RunScenario("fig7-dapes", s, 60)
+		res, err := Runner{}.Run(scenario(t, "fig7-dapes"), s, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +156,11 @@ func TestChaosRecoveryBar(t *testing.T) {
 	s := goldenScale()
 	s.Horizon = 6 * time.Minute
 
-	clean, err := Runner{}.RunScenario("urban-grid", s, 60)
+	clean, err := Runner{}.Run(scenario(t, "urban-grid"), s, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err := Runner{}.RunScenario("urban-grid-chaos", s, 60)
+	chaos, err := Runner{}.Run(scenario(t, "urban-grid-chaos"), s, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

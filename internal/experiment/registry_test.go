@@ -92,14 +92,6 @@ func TestFindSuggestsNearMisses(t *testing.T) {
 	}
 }
 
-func TestRunScenarioUnknownNameUsesFind(t *testing.T) {
-	t.Parallel()
-	_, err := Runner{}.RunScenario("fig7-dappes", tinyScale(), 60)
-	if err == nil || !strings.Contains(err.Error(), "fig7-dapes") {
-		t.Fatalf("RunScenario typo error = %v, want near-miss suggestion", err)
-	}
-}
-
 // TestPartitionedMergeHealsPartition checks the new scenario's point: the
 // disconnected cluster only completes after the merge time.
 func TestPartitionedMergeHealsPartition(t *testing.T) {

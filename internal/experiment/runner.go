@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dapes/internal/par"
@@ -54,10 +55,11 @@ func (Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
 	}
 	n := s.Trials
 	// Not a Scale field, so Validate never sees it: a negative range panics
-	// the medium's grid and zero silently runs phy's default under a
-	// "range=0m" label. (The negated form also refuses NaN.)
-	if !(wifiRange > 0) {
-		return RunResult{}, fmt.Errorf("experiment: scenario %q: WiFi range = %g m, must be positive", sc.Name, wifiRange)
+	// the medium's grid, zero silently runs phy's default under a
+	// "range=0m" label, and +Inf runs a trial whose result JSON cannot
+	// encode. (The negated form also refuses NaN.)
+	if !(wifiRange > 0) || math.IsInf(wifiRange, 1) {
+		return RunResult{}, fmt.Errorf("experiment: scenario %q: WiFi range = %g m, must be positive and finite", sc.Name, wifiRange)
 	}
 	workers := max(1, min(s.Workers, n)) // the width used, echoed in RunResult
 	trials := make([]TrialResult, n)
@@ -82,14 +84,4 @@ func (Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
 		DownloadTime90:  dt,
 		Transmissions90: tx,
 	}, nil
-}
-
-// RunScenario looks a scenario up by name and runs it. Unknown names fail
-// with Find's descriptive error (near-miss suggestions included).
-func (r Runner) RunScenario(name string, s Scale, wifiRange float64) (RunResult, error) {
-	sc, err := Find(name)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return r.Run(sc, s, wifiRange)
 }

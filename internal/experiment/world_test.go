@@ -35,6 +35,16 @@ func TestGoldenWorldBuildsTheEngineItIsHanded(t *testing.T) {
 	}
 }
 
+// scenario returns the registered scenario of that name.
+func scenario(t *testing.T, name string) *Scenario {
+	t.Helper()
+	sc, err := Find(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // emitJSON runs one registered scenario on one goroutine and returns its
 // result, the emitted JSON, and the worlds it built.
 func emitJSON(t *testing.T, name string, s Scale, wifiRange float64) (RunResult, []byte, []*world) {
@@ -42,7 +52,7 @@ func emitJSON(t *testing.T, name string, s Scale, wifiRange float64) (RunResult,
 	var built []*world
 	s.Engine.built = &built
 	s.Workers = 1 // the built log is unlocked
-	res, err := Runner{}.RunScenario(name, s, wifiRange)
+	res, err := Runner{}.Run(scenario(t, name), s, wifiRange)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -62,11 +62,6 @@ type Plan struct {
 	BadToGood float64
 }
 
-// Empty reports whether the plan injects nothing — the trace-neutral case.
-func (p *Plan) Empty() bool {
-	return p == nil || (!p.HasCrashes() && !p.HasJam() && !p.HasLoss())
-}
-
 // HasCrashes reports whether the plan crashes any node.
 func (p *Plan) HasCrashes() bool { return p != nil && p.CrashFrac > 0 }
 

@@ -86,7 +86,7 @@ func TestCompileNoRestart(t *testing.T) {
 // TestCompileEmpty: empty plans and empty worlds compile to no events.
 func TestCompileEmpty(t *testing.T) {
 	var nilPlan *Plan
-	if !nilPlan.Empty() || nilPlan.HasCrashes() || nilPlan.HasJam() || nilPlan.HasLoss() {
+	if nilPlan.HasCrashes() || nilPlan.HasJam() || nilPlan.HasLoss() {
 		t.Fatal("nil plan must be empty")
 	}
 	if got := (&Plan{}).Compile(1, 20); len(got.Crashes) != 0 {
@@ -197,7 +197,7 @@ func TestParseEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !p.Empty() {
+	if p.HasCrashes() || p.HasJam() || p.HasLoss() {
 		t.Fatalf("want an empty plan, got %+v", p)
 	}
 }

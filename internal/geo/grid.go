@@ -101,9 +101,6 @@ func NewGrid(cellSize float64) *Grid {
 	return &Grid{cell: cellSize, buckets: make([][]gridEntry, 1)}
 }
 
-// CellSize returns the cell edge length the grid was built with.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // cellCoord converts one floored cell index to int64, clamping instead of
 // truncating. The seed implementation cast through int32, so a mobility
 // model wandering past ±2³¹ cells silently aliased distant buckets and
@@ -282,16 +279,6 @@ func (g *Grid) Move(id int, p Point) {
 		g.take(s)
 	}
 	g.put(gridEntry{id: id, p: p}, b)
-}
-
-// Remove deletes id from the index. Removing an absent id is a no-op.
-func (g *Grid) Remove(id int) {
-	if id < 0 || id >= len(g.slots) || g.slots[id].bucket < 0 {
-		return
-	}
-	g.take(g.slots[id])
-	g.slots[id].bucket = -1
-	g.n--
 }
 
 // QueryRange appends to out exactly the ids whose stored position — the one

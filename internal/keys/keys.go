@@ -43,9 +43,6 @@ func Generate(identity ndn.Name, rng *rand.Rand) (*Key, error) {
 // KeyName returns the NDN name of the key (used as the KeyLocator).
 func (k *Key) KeyName() ndn.Name { return k.name }
 
-// Identity returns the identity prefix (the key name without "/KEY/<id>").
-func (k *Key) Identity() ndn.Name { return k.name.Prefix(k.name.Len() - 2) }
-
 // Public returns the public key bytes.
 func (k *Key) Public() ed25519.PublicKey { return k.pub }
 
@@ -75,21 +72,6 @@ func (t *TrustStore) AddAnchor(k *Key) {
 	t.keys[k.KeyName().String()] = k.Public()
 }
 
-// AddPublic trusts a raw public key under the given key name.
-func (t *TrustStore) AddPublic(name ndn.Name, pub ed25519.PublicKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.keys[name.String()] = append(ed25519.PublicKey(nil), pub...)
-}
-
-// Knows reports whether a key with this name is trusted.
-func (t *TrustStore) Knows(name ndn.Name) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.keys[name.String()]
-	return ok
-}
-
 // Verify checks sig over msg against the trusted key named key. Unknown keys
 // verify as false. The signature matches ndn.Data.Verify's callback.
 func (t *TrustStore) Verify(key ndn.Name, msg, sig []byte) bool {
@@ -100,11 +82,4 @@ func (t *TrustStore) Verify(key ndn.Name, msg, sig []byte) bool {
 		return false
 	}
 	return ed25519.Verify(pub, msg, sig)
-}
-
-// Len returns the number of trusted keys.
-func (t *TrustStore) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.keys)
 }

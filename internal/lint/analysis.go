@@ -2,9 +2,10 @@
 // the contracts this repo otherwise only documents in comments — the
 // seeded-RNG/kernel-clock rule, sorted map iteration on emitting paths, the
 // frame/wire immutability contract, sim.Event handle lifetime, tables never
-// keyed by a name rendered at the lookup, and package unsafe confined to
-// internal/ndn. The six invariants and the bug history behind each are
-// written up in docs/CONTRACTS.md.
+// keyed by a name rendered at the lookup, package unsafe confined to
+// internal/ndn, and no declaration under internal/ that nothing but tests
+// reaches. The seven invariants and the bug history behind each are written
+// up in docs/CONTRACTS.md.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic, `// want` fixtures, a multichecker main in
@@ -47,6 +48,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Program is the whole program the package was loaded with, or nil
+	// when the package was checked on its own (a fixture).
+	Program *Program
 
 	diags *[]Diagnostic
 }
@@ -69,30 +73,32 @@ type Diagnostic struct {
 
 // Analyzers returns the dapes-lint suite in output order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimClock, MapOrder, WireImmut, HandleHygiene, NameKey, Unsafe}
+	return []*Analyzer{SimClock, MapOrder, WireImmut, HandleHygiene, NameKey, Unsafe, Unreferenced}
 }
 
-// RunAnalyzers applies the given analyzers to one type-checked package and
-// returns the surviving diagnostics: //lint:ignore directives in the
-// package's files are honored, and malformed directives (no analyzer name,
-// empty reason) are appended as diagnostics in their own right. The result
-// is sorted by file position.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+// RunAnalyzers applies the given analyzers to one type-checked package of
+// prog (nil for a package checked on its own) and returns the surviving
+// diagnostics: //lint:ignore directives in the package's files are
+// honored, and malformed directives (no analyzer name, empty reason) are
+// appended as diagnostics in their own right. The result is sorted by file
+// position.
+func RunAnalyzers(fset *token.FileSet, c *Checked, prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Files:     c.Files,
+			Pkg:       c.Pkg,
+			TypesInfo: c.Info,
+			Program:   prog,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
-	dirs, bad := parseDirectives(fset, files)
+	dirs, bad := parseDirectives(fset, c.Files)
 	diags = filterIgnored(fset, diags, dirs)
 	diags = append(diags, bad...)
 	sort.SliceStable(diags, func(i, j int) bool {

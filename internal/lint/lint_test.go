@@ -80,3 +80,9 @@ func TestTreeIsClean(t *testing.T) {
 			len(diags), strings.Join(diags, "\n  "))
 	}
 }
+
+func TestUnreferencedFixture(t *testing.T) {
+	// A module with a nested module of its own, the shape of this repository
+	// and benchmark/: the whole program is both.
+	linttest.RunProgram(t, lint.Unreferenced, fixture("unreferenced"))
+}

@@ -53,6 +53,8 @@ func loadGraph() (*lint.Graph, error) {
 // import path (virtual — pick one on or off the simulation-path list as the
 // fixture requires) and asserts the analyzer's diagnostics exactly match
 // the fixture's `// want` expectations.
+//
+//lint:ignore unreferenced test support: the analyzer fixtures in internal/lint run through it
 func Run(t *testing.T, a *lint.Analyzer, fixtureDir, pkgPath string) {
 	t.Helper()
 	g, err := loadGraph()
@@ -68,15 +70,47 @@ func Run(t *testing.T, a *lint.Analyzer, fixtureDir, pkgPath string) {
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", fixtureDir, err)
 	}
-	diags, err := lint.RunAnalyzers(g.Fset, checked.Files, checked.Pkg, checked.Info, []*lint.Analyzer{a})
+	diags, err := lint.RunAnalyzers(g.Fset, checked, nil, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
+	expect(t, g.Fset, checked.Files, diags)
+}
 
-	wants := collectWants(t, g.Fset, checked.Files)
+// RunProgram loads the fixture module at moduleDir together with the
+// modules nested in it (lint.LoadProgram), runs the analyzer over every
+// package of that program, and asserts the diagnostics exactly match the
+// `// want` expectations in the program's files. It is how a whole-program
+// analyzer such as Unreferenced is pinned.
+//
+//lint:ignore unreferenced test support: TestUnreferencedFixture runs through it
+func RunProgram(t *testing.T, a *lint.Analyzer, moduleDir string) {
+	t.Helper()
+	prog, err := lint.LoadProgram(moduleDir)
+	if err != nil {
+		t.Fatalf("loading fixture program %s: %v", moduleDir, err)
+	}
+	var files []*ast.File
+	var diags []lint.Diagnostic
+	for _, c := range prog.Packages {
+		d, err := lint.RunAnalyzers(prog.Fset, c, prog, []*lint.Analyzer{a})
+		if err != nil {
+			t.Fatalf("running %s on %s: %v", a.Name, c.Pkg.Path(), err)
+		}
+		files = append(files, c.Files...)
+		diags = append(diags, d...)
+	}
+	expect(t, prog.Fset, files, diags)
+}
+
+// expect fails the test for every diagnostic no `// want` in files matches
+// and for every want no diagnostic matched.
+func expect(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.Diagnostic) {
+	t.Helper()
+	wants := collectWants(t, fset, files)
 	for _, d := range diags {
-		pos := g.Fset.Position(d.Pos)
-		key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+		pos := fset.Position(d.Pos)
+		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 		if !wants.match(key, d.Message) {
 			t.Errorf("%s:%d: unexpected diagnostic: %s (%s)", pos.Filename, pos.Line, d.Message, d.Analyzer)
 		}
@@ -129,7 +163,7 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) *wantSet
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 				found := false
 				for _, m := range wantRe.FindAllStringSubmatch(text[len("want "):], -1) {
 					raw := m[1]

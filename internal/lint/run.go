@@ -7,36 +7,42 @@ import (
 	"strings"
 )
 
-// RunDir loads the patterns in dir, runs the full analyzer suite over every
-// target package, and returns formatted diagnostics
-// ("path/file.go:line:col: message (analyzer)") with module-root-relative
-// paths. An empty slice means the tree is clean. This is the whole of
-// cmd/dapes-lint; it lives here so the test suite can pin "the tree is
-// clean" as a regular Go test.
+// RunDir loads the program of dir's module (LoadProgram), runs the full
+// analyzer suite over every package the patterns name, and returns
+// formatted diagnostics ("path/file.go:line:col: message (analyzer)") with
+// module-root-relative paths. An empty slice means the tree is clean. This
+// is the whole of cmd/dapes-lint; it lives here so the test suite can pin
+// "the tree is clean" as a regular Go test.
 func RunDir(dir string, patterns ...string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	g, err := Load(dir, patterns...)
+	prog, err := LoadProgram(dir)
 	if err != nil {
 		return nil, err
 	}
+	cmd := exec.Command("go", append([]string{"list", "-find", "-f", "{{.ImportPath}}"}, patterns...)...)
+	cmd.Dir = dir
+	listed, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v", strings.Join(patterns, " "), err)
+	}
+	named := map[string]bool{}
+	for _, path := range strings.Fields(string(listed)) {
+		named[path] = true
+	}
 	root := ModuleRoot(dir)
 	var out []string
-	for _, p := range g.Targets {
-		if len(p.GoFiles) == 0 {
+	for _, c := range prog.Packages {
+		if !named[c.Pkg.Path()] {
 			continue
 		}
-		checked, err := g.Check(p)
+		diags, err := RunAnalyzers(prog.Fset, c, prog, Analyzers())
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.ImportPath, err)
-		}
-		diags, err := RunAnalyzers(g.Fset, checked.Files, checked.Pkg, checked.Info, Analyzers())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.ImportPath, err)
+			return nil, fmt.Errorf("%s: %w", c.Pkg.Path(), err)
 		}
 		for _, d := range diags {
-			pos := g.Fset.Position(d.Pos)
+			pos := prog.Fset.Position(d.Pos)
 			file := pos.Filename
 			if root != "" {
 				if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {

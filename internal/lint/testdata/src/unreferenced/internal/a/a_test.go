@@ -1,0 +1,9 @@
+package a
+
+import "testing"
+
+func TestOnlyTests(t *testing.T) {
+	if OnlyTests() != 1 {
+		t.Fatal("OnlyTests")
+	}
+}

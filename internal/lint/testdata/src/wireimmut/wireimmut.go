@@ -7,15 +7,14 @@ import "dapes/internal/ndn"
 
 // viewWrites mutates the shared frame through every view shape.
 func viewWrites(wire []byte) {
-	d, _ := ndn.DecodeData(wire)
+	d := ndn.NewPacket(wire).Data()
 	d.Content[0] = 0xFF // want `write through d\.Content: it is a read-only view`
 	c := d.Content
 	c[1] = 0                 // want `write through c: it is a read-only view`
 	copy(d.SigValue, wire)   // want `copy into d\.SigValue: it is a read-only view`
 	_ = append(d.Content, 1) // want `append to d\.Content: it can write into the shared wire frame`
 
-	p := ndn.NewPacket(wire)
-	w := p.Wire()
+	w := d.Encode()
 	w[0] = 0x06 // want `write through w: it is a read-only view`
 }
 

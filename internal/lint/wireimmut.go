@@ -11,8 +11,8 @@ import (
 // (internal/ndn package docs, docs/CONTRACTS.md §3):
 //
 //   - The byte slices exposed by decoded packets — Interest.AppParams,
-//     Data.Content, Data.SigValue, Packet.Wire(), and the slice returned by
-//     Encode — are views into a frame shared by every receiver of the
+//     Data.Content, Data.SigValue, and the slice returned by Encode — are
+//     views into a frame shared by every receiver of the
 //     broadcast. Writing through them corrupts the packet for everyone.
 //   - A packet that has been encoded, decoded or digest-signed caches its
 //     wire form (SignDigest builds the final wire and signs a range of it).
@@ -21,7 +21,7 @@ import (
 //     re-broadcasts the stale cached bytes.
 var WireImmut = &Analyzer{
 	Name: "wireimmut",
-	Doc: "Slices returned by DecodeInterest/DecodeData/Packet accessors are " +
+	Doc: "Slices returned by Packet accessors and Encode are " +
 		"read-only views into the shared frame, and encoded/decoded packets " +
 		"must not have fields reassigned without InvalidateWire.",
 	Run: runWireImmut,
@@ -73,7 +73,7 @@ func checkFuncBody(pass *Pass, body *ast.BlockStmt) {
 }
 
 // collectViewAliases finds local variables initialized (or reassigned) from
-// a frame-view expression, e.g. `c := d.Content` or `w := pkt.Wire()`.
+// a frame-view expression, e.g. `c := d.Content` or `w := d.Encode()`.
 func collectViewAliases(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	views := map[types.Object]bool{}
 	// Two passes so an alias-of-alias (`v := d.Content; w := v`) resolves
@@ -104,7 +104,7 @@ func collectViewAliases(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 }
 
 // isViewExpr reports whether expr evaluates to a byte slice aliasing a
-// packet's wire frame: a view field selector, a Wire()/Encode() call, a
+// packet's wire frame: a view field selector, an Encode() call, a
 // slice of a view, or a known view alias.
 func isViewExpr(pass *Pass, expr ast.Expr, views map[types.Object]bool) bool {
 	switch e := expr.(type) {
@@ -121,7 +121,7 @@ func isViewExpr(pass *Pass, expr ast.Expr, views map[types.Object]bool) bool {
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 			if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
 				fn.Pkg() != nil && fn.Pkg().Path() == ndnPath &&
-				(fn.Name() == "Wire" || fn.Name() == "Encode") {
+				fn.Name() == "Encode" {
 				return true
 			}
 		}
@@ -197,8 +197,7 @@ type wireEvent struct {
 
 // checkStaleWireWrites flags field assignments on an *ndn.Interest or
 // *ndn.Data variable whose wire form is cached at that point: after the
-// variable was returned by DecodeInterest/DecodeData/Packet.Interest/
-// Packet.Data, or after Encode or SignDigest was called on it, with no
+// variable was returned by Packet.Interest/Packet.Data, or after Encode or SignDigest was called on it, with no
 // intervening InvalidateWire/Sign.
 func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 	events := map[types.Object][]wireEvent{}
@@ -209,16 +208,6 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if len(n.Lhs) > len(n.Rhs) && len(n.Rhs) == 1 {
-				// v, err := DecodeInterest(wire)
-				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && isDecodeCall(pass, call) {
-					if id, ok := n.Lhs[0].(*ast.Ident); ok {
-						if obj := identObject(pass, id); obj != nil {
-							add(obj, wireEvent{pos: n.Pos(), kind: 0})
-						}
-					}
-				}
-			}
 			for i, rhs := range n.Rhs {
 				if i >= len(n.Lhs) || len(n.Lhs) != len(n.Rhs) {
 					break
@@ -293,8 +282,7 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 }
 
 // isDecodeCall reports whether the call returns a packet with its wire form
-// already cached: ndn.DecodeInterest, ndn.DecodeData, Packet.Interest,
-// Packet.Data.
+// already cached: Packet.Interest, Packet.Data.
 func isDecodeCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -304,14 +292,8 @@ func isDecodeCall(pass *Pass, call *ast.CallExpr) bool {
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != ndnPath {
 		return false
 	}
-	switch fn.Name() {
-	case "DecodeInterest", "DecodeData":
-		return true
-	case "Interest", "Data":
-		// Methods on *Packet (the lazy shared decode), not fields.
-		return fn.Type().(*types.Signature).Recv() != nil
-	}
-	return false
+	// Methods on *Packet (the lazy shared decode), not fields.
+	return (fn.Name() == "Interest" || fn.Name() == "Data") && fn.Type().(*types.Signature).Recv() != nil
 }
 
 // isPacketVar reports whether the object is a variable of type

@@ -1,13 +1,11 @@
 // Package merkle implements the Merkle tree used by the paper's second
 // metadata format (Section IV-C): the collection producer publishes one root
-// hash per file; receivers verify a file's packets by rebuilding the tree,
-// or verify an individual packet with an audit path.
+// hash per file; receivers verify a file's packets by rebuilding the tree.
 package merkle
 
 import (
 	"crypto/sha256"
 	"errors"
-	"fmt"
 )
 
 // Digest is a SHA-256 hash.
@@ -69,47 +67,6 @@ func Build(leaves []Digest) (*Tree, error) {
 func (t *Tree) Root() Digest {
 	top := t.levels[len(t.levels)-1]
 	return top[0]
-}
-
-// LeafCount returns the number of leaves.
-func (t *Tree) LeafCount() int { return len(t.levels[0]) }
-
-// Proof returns the audit path for leaf i: the sibling digests from the leaf
-// level up to (but excluding) the root.
-func (t *Tree) Proof(i int) ([]Digest, error) {
-	if i < 0 || i >= t.LeafCount() {
-		return nil, fmt.Errorf("merkle: leaf %d out of range [0,%d)", i, t.LeafCount())
-	}
-	var proof []Digest
-	idx := i
-	for _, level := range t.levels[:len(t.levels)-1] {
-		sib := idx ^ 1
-		if sib >= len(level) {
-			sib = idx // duplicated odd node
-		}
-		proof = append(proof, level[sib])
-		idx /= 2
-	}
-	return proof, nil
-}
-
-// Verify checks that leaf sits at index i of a tree with the given root,
-// using the audit path proof.
-func Verify(root Digest, leaf Digest, i int, proof []Digest) bool {
-	if i < 0 {
-		return false
-	}
-	h := leaf
-	idx := i
-	for _, sib := range proof {
-		if idx%2 == 0 {
-			h = hashPair(h, sib)
-		} else {
-			h = hashPair(sib, h)
-		}
-		idx /= 2
-	}
-	return h == root && idx == 0
 }
 
 // RootOf is a convenience that builds a tree over content digests and

@@ -32,77 +32,15 @@ func TestSingleLeafRootIsLeaf(t *testing.T) {
 	if tr.Root() != l[0] {
 		t.Fatal("single-leaf root should equal the leaf")
 	}
-	proof, err := tr.Proof(0)
-	if err != nil || len(proof) != 0 {
-		t.Fatalf("single-leaf proof = %v, %v", proof, err)
-	}
-	if !Verify(tr.Root(), l[0], 0, proof) {
-		t.Fatal("single-leaf verify failed")
-	}
-}
-
-func TestProofVerifyAllSizes(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 100} {
-		l := leaves(n)
-		tr, err := Build(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.LeafCount() != n {
-			t.Fatalf("LeafCount = %d, want %d", tr.LeafCount(), n)
-		}
-		root := tr.Root()
-		for i := 0; i < n; i++ {
-			proof, err := tr.Proof(i)
-			if err != nil {
-				t.Fatalf("n=%d proof(%d): %v", n, i, err)
-			}
-			if !Verify(root, l[i], i, proof) {
-				t.Fatalf("n=%d leaf %d failed verification", n, i)
-			}
-			// Wrong index must fail (except trees where duplication makes
-			// sibling positions coincide is impossible for distinct leaves).
-			if n > 1 && Verify(root, l[i], (i+1)%n, proof) {
-				t.Fatalf("n=%d leaf %d verified at wrong index", n, i)
-			}
-		}
-	}
 }
 
 func TestTamperedLeafFails(t *testing.T) {
 	t.Parallel()
 	l := leaves(8)
-	tr, _ := Build(l)
-	proof, _ := tr.Proof(3)
-	bad := HashLeaf([]byte("evil"))
-	if Verify(tr.Root(), bad, 3, proof) {
-		t.Fatal("tampered leaf verified")
-	}
-}
-
-func TestTamperedProofFails(t *testing.T) {
-	t.Parallel()
-	l := leaves(8)
-	tr, _ := Build(l)
-	proof, _ := tr.Proof(3)
-	proof[1][0] ^= 0xFF
-	if Verify(tr.Root(), l[3], 3, proof) {
-		t.Fatal("tampered proof verified")
-	}
-}
-
-func TestProofOutOfRange(t *testing.T) {
-	t.Parallel()
-	tr, _ := Build(leaves(4))
-	if _, err := tr.Proof(-1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if _, err := tr.Proof(4); err == nil {
-		t.Fatal("past-end index accepted")
-	}
-	if Verify(tr.Root(), leaves(1)[0], -1, nil) {
-		t.Fatal("negative verify index accepted")
+	root, _ := RootOf(l)
+	l[3] = HashLeaf([]byte("evil"))
+	if tampered, _ := RootOf(l); tampered == root {
+		t.Fatal("a tampered leaf left the root unchanged")
 	}
 }
 
@@ -131,6 +69,9 @@ func TestLeafDomainSeparation(t *testing.T) {
 	}
 }
 
+// TestVerifyProperty: a receiver verifies a file by rebuilding the root over
+// the leaves it holds (metadata.Manifest.VerifyFile). The rebuilt root is the
+// published one for the leaves as sent, and any one leaf altered changes it.
 func TestVerifyProperty(t *testing.T) {
 	t.Parallel()
 	f := func(contents [][]byte, pick uint8) bool {
@@ -145,12 +86,13 @@ func TestVerifyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		i := int(pick) % len(ls)
-		proof, err := tr.Proof(i)
-		if err != nil {
+		if root, _ := RootOf(ls); root != tr.Root() {
 			return false
 		}
-		return Verify(tr.Root(), ls[i], i, proof)
+		i := int(pick) % len(ls)
+		ls[i] = HashLeaf(append(contents[i], 0))
+		tampered, _ := RootOf(ls)
+		return tampered != tr.Root()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

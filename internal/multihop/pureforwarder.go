@@ -68,19 +68,8 @@ func NewPureForwarder(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, 
 	return f
 }
 
-// ID returns the node's radio ID.
-func (f *PureForwarder) ID() int { return f.relay.radio.ID() }
-
 // Stats returns a copy of the counters.
 func (f *PureForwarder) Stats() Stats { return f.stats }
-
-// CsLen returns the number of cached packets.
-func (f *PureForwarder) CsLen() int {
-	if f.cs == nil {
-		return 0
-	}
-	return f.cs.Len()
-}
 
 // Start activates the node. It arms nothing: an idle forwarder leaves the
 // kernel empty.
@@ -88,6 +77,8 @@ func (f *PureForwarder) Start() { f.relay.Start() }
 
 // Stop deactivates the node: pending cache replies are cancelled, and
 // forwards already queued for their slot fire as no-ops.
+//
+//lint:ignore unreferenced the stop contract TestPureForwarderStopSilences and TestStoppedForwarderIsSilent pin
 func (f *PureForwarder) Stop() { f.relay.Stop() }
 
 func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {

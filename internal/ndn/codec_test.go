@@ -77,7 +77,7 @@ func TestEncodeMatchesNestedEncoder(t *testing.T) {
 		if cap(wire) != len(wire) {
 			t.Fatalf("round %d: Interest buffer sized %d for %d bytes", round, cap(wire), len(wire))
 		}
-		got, err := DecodeInterest(wire)
+		got, err := decodeInterest(wire)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -120,7 +120,7 @@ func TestEncodeMatchesNestedEncoder(t *testing.T) {
 		if !bytes.Equal(d.signedBytes(), nestedSignedPortion(d)) {
 			t.Fatalf("round %d: signed range %x, nested signed portion %x", round, d.signedBytes(), nestedSignedPortion(d))
 		}
-		gotD, err := DecodeData(wireD)
+		gotD, err := decodeData(wireD)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -191,11 +191,6 @@ func TestWirePathAllocationBudget(t *testing.T) {
 		budget("second receiver", 0, func() { pkt.Data() })
 		budget("NameKey on a decoded packet", 0, func() { _ = pkt.Data().NameKey() })
 		budget("Digest on a decoded Data", 0, func() { _ = pkt.Data().Digest() })
-		budget("VerifyDigest on a decoded Data", 0, func() {
-			if !pkt.Data().VerifyDigest() {
-				t.Fatal("digest did not verify")
-			}
-		})
 	}
 	// A name past the component room spills the headers, one past the URI
 	// room the URI: one more object each, not one per component or byte.
@@ -306,11 +301,11 @@ func TestDigestCoversReceivedBytes(t *testing.T) {
 	if wire[childAt] != 0x42 {
 		t.Fatalf("offset %d holds %#x, not the unknown child's value", childAt, wire[childAt])
 	}
-	d, err := DecodeData(wire)
+	d, err := decodeData(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.VerifyDigest() {
+	if !digestVerifies(d) {
 		t.Fatal("a Data signed over an unknown MetaInfo child does not verify")
 	}
 	sigAt := len(wire) - sha256.Size - 2
@@ -323,11 +318,11 @@ func TestDigestCoversReceivedBytes(t *testing.T) {
 
 	tampered := append([]byte(nil), wire...)
 	tampered[childAt] ^= 0xFF
-	d, err = DecodeData(tampered)
+	d, err = decodeData(tampered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.VerifyDigest() {
+	if digestVerifies(d) {
 		t.Fatal("a byte inside the signed range was altered in flight and the packet still verifies")
 	}
 }
@@ -351,7 +346,7 @@ func TestDecodeRejectsOutOfOrderData(t *testing.T) {
 		"no MetaInfo, no Content": build(name, sigInfo, sigValue),
 		"unknown elements":        build(name, unknown, meta, content, unknown, sigInfo, unknown, sigValue, unknown),
 	} {
-		if _, err := DecodeData(wire); err != nil {
+		if _, err := decodeData(wire); err != nil {
 			t.Errorf("%s: %v", what, err)
 		}
 	}
@@ -366,11 +361,36 @@ func TestDecodeRejectsOutOfOrderData(t *testing.T) {
 		"no SignatureValue":            build(name, meta, content, sigInfo),
 		"name only":                    build(name),
 	} {
-		if _, err := DecodeData(wire); !errors.Is(err, ErrBadPacket) {
+		if _, err := decodeData(wire); !errors.Is(err, ErrBadPacket) {
 			t.Errorf("%s: err = %v, want ErrBadPacket", what, err)
 		}
 		if NewPacket(wire).Data() != nil {
 			t.Errorf("%s: decoded through Packet", what)
 		}
 	}
+}
+
+// decodeInterest and decodeData decode a wire through NewPacket, the one
+// decode entry point: the packet, or its decode error, or ErrWrongType for a
+// well-formed packet of the other kind.
+func decodeInterest(wire []byte) (*Interest, error) {
+	p := NewPacket(wire)
+	if it := p.Interest(); it != nil || p.Err() != nil {
+		return it, p.Err()
+	}
+	return nil, ErrWrongType
+}
+
+func decodeData(wire []byte) (*Data, error) {
+	p := NewPacket(wire)
+	if d := p.Data(); d != nil || p.Err() != nil {
+		return d, p.Err()
+	}
+	return nil, ErrWrongType
+}
+
+// digestVerifies reports whether d carries a DigestSha256 signature equal to
+// the digest of its signed range.
+func digestVerifies(d *Data) bool {
+	return d.SigInfo.Type == SigTypeDigestSha256 && len(d.SigValue) == sha256.Size && d.Digest() == [sha256.Size]byte(d.SigValue)
 }

@@ -119,7 +119,7 @@ func TestInterestRoundTrip(t *testing.T) {
 		AppParams:   []byte{1, 2, 3, 4},
 	}
 	wire := in.Encode()
-	out, err := DecodeInterest(wire)
+	out, err := decodeInterest(wire)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestInterestRoundTrip(t *testing.T) {
 func TestInterestMinimalRoundTrip(t *testing.T) {
 	t.Parallel()
 	in := &Interest{Name: ParseName("/x")}
-	out, err := DecodeInterest(in.Encode())
+	out, err := decodeInterest(in.Encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestDataRoundTripWithDigest(t *testing.T) {
 	}
 	d.SignDigest()
 	wire := d.Encode()
-	out, err := DecodeData(wire)
+	out, err := decodeData(wire)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -161,11 +161,11 @@ func TestDataRoundTripWithDigest(t *testing.T) {
 		out.Freshness != d.Freshness || out.SigInfo.Type != SigTypeDigestSha256 {
 		t.Fatalf("roundtrip mismatch: %+v", out)
 	}
-	if !out.VerifyDigest() {
+	if !digestVerifies(out) {
 		t.Fatal("digest verification failed after roundtrip")
 	}
 	out.Content[0] ^= 0xFF
-	if out.VerifyDigest() {
+	if digestVerifies(out) {
 		t.Fatal("digest verified after tampering")
 	}
 }
@@ -185,22 +185,22 @@ func TestDataDigestStableAndNameBound(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := DecodeInterest(nil); err == nil {
+	if _, err := decodeInterest(nil); err == nil {
 		t.Fatal("nil interest decoded")
 	}
-	if _, err := DecodeData([]byte{0x99, 0x00}); err == nil {
+	if _, err := decodeData([]byte{0x99, 0x00}); err == nil {
 		t.Fatal("wrong outer type decoded as data")
 	}
-	// Interest outer type on DecodeData.
+	// An Interest's wire is no Data.
 	in := (&Interest{Name: ParseName("/x")}).Encode()
-	if _, err := DecodeData(in); err == nil {
+	if NewPacket(in).Data() != nil {
 		t.Fatal("interest decoded as data")
 	}
 	// Truncated packet.
 	d := &Data{Name: ParseName("/x"), Content: []byte("abc")}
 	d.SignDigest()
 	wire := d.Encode()
-	if _, err := DecodeData(wire[:len(wire)-3]); err == nil {
+	if _, err := decodeData(wire[:len(wire)-3]); err == nil {
 		t.Fatal("truncated data decoded")
 	}
 }
@@ -211,7 +211,7 @@ func TestDecodeErrors(t *testing.T) {
 // keyed by NameKey while relays re-send the original bytes.
 func TestDecodeRejectsTypedNameComponents(t *testing.T) {
 	t.Parallel()
-	if _, err := DecodeInterest(typedComponentInterest()); !errors.Is(err, ErrBadPacket) {
+	if _, err := decodeInterest(typedComponentInterest()); !errors.Is(err, ErrBadPacket) {
 		t.Errorf("Interest name: err = %v, want ErrBadPacket", err)
 	}
 	if in := NewPacket(typedComponentInterest()).Interest(); in != nil {
@@ -225,7 +225,7 @@ func TestDecodeRejectsTypedNameComponents(t *testing.T) {
 		"Data name":  bytes.Join([][]byte{typedName, sigInfo(digest), sigValue}, nil),
 		"KeyLocator": bytes.Join([][]byte{nestedEncodeName(nil, ParseName("/a")), sigInfo(appendTLV(digest, tlvKeyLocator, typedName)), sigValue}, nil),
 	} {
-		if _, err := DecodeData(appendTLV(nil, tlvData, body)); !errors.Is(err, ErrBadPacket) {
+		if _, err := decodeData(appendTLV(nil, tlvData, body)); !errors.Is(err, ErrBadPacket) {
 			t.Errorf("%s: err = %v, want ErrBadPacket", what, err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestInterestNameRoundTripProperty(t *testing.T) {
 			n = n.Append(Component(p))
 		}
 		in := &Interest{Name: n, Nonce: nonce}
-		out, err := DecodeInterest(in.Encode())
+		out, err := decodeInterest(in.Encode())
 		return err == nil && out.Name.Equal(n) && out.Nonce == nonce
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -257,8 +257,8 @@ func TestDataContentRoundTripProperty(t *testing.T) {
 	f := func(content []byte) bool {
 		d := &Data{Name: ParseName("/p/0"), Content: content}
 		d.SignDigest()
-		out, err := DecodeData(d.Encode())
-		if err != nil || !out.VerifyDigest() {
+		out, err := decodeData(d.Encode())
+		if err != nil || !digestVerifies(out) {
 			return false
 		}
 		if len(content) == 0 {

@@ -31,13 +31,8 @@ func freshnessMs(d time.Duration) uint64 {
 	return ms
 }
 
-// ContentType values for Data packets.
-const (
-	// ContentTypeBlob is ordinary application payload.
-	ContentTypeBlob uint64 = 0
-	// ContentTypeKey marks a Data packet carrying a public key.
-	ContentTypeKey uint64 = 2
-)
+// ContentTypeBlob is the ContentType of ordinary application payload.
+const ContentTypeBlob uint64 = 0
 
 // SignatureType values.
 const (
@@ -81,6 +76,8 @@ type Interest struct {
 // and NameKey re-derive them from the current field values. It is the
 // explicit escape hatch from the immutability contract; in-simulation
 // traffic never needs it.
+//
+//lint:ignore unreferenced the wireimmut escape hatch for an Interest, pinned by TestNameKeyMemoFollowsTheWireForm
 func (i *Interest) InvalidateWire() { i.wire, i.nameKey = nil, "" }
 
 // NameKey returns Name's URI form, built at most once per packet: the string
@@ -154,18 +151,6 @@ type interestRecord struct {
 	Interest
 	comps [inlineComponents]Component
 	uri   [inlineURI]byte
-}
-
-// DecodeInterest parses a TLV-encoded Interest. The decode is zero-copy:
-// variable-length fields (AppParams) are sub-slice views into wire, and the
-// packet's wire form is cached so a later Encode returns the received bytes
-// verbatim. The caller must treat wire as immutable from here on.
-func DecodeInterest(wire []byte) (*Interest, error) {
-	r := new(interestRecord)
-	if err := r.decode(wire); err != nil {
-		return nil, err
-	}
-	return &r.Interest, nil
 }
 
 // decode parses wire into the (zero) record.
@@ -368,24 +353,6 @@ type dataRecord struct {
 	uri   [inlineURI]byte
 }
 
-// DecodeData parses a TLV-encoded Data packet. The decode is zero-copy:
-// Content and SigValue are sub-slice views into wire, and the packet's wire
-// form is cached so a later Encode returns the received bytes verbatim. The
-// caller must treat wire as immutable from here on.
-//
-// The elements must come in the packet format's order — Name, MetaInfo,
-// Content, SignatureInfo, SignatureValue, the first three optional — because
-// the signature covers the bytes from Name up to SignatureValue as they
-// stand; elements of unknown type are skipped wherever they are (and are
-// covered when they precede SignatureValue).
-func DecodeData(wire []byte) (*Data, error) {
-	r := new(dataRecord)
-	if err := r.decode(wire); err != nil {
-		return nil, err
-	}
-	return &r.Data, nil
-}
-
 // dataElementOrder returns the position of a Data element type in the packet
 // format's order, or 0 for a type this decoder does not know.
 func dataElementOrder(typ uint64) int {
@@ -526,14 +493,6 @@ func (d *Data) SignDigest() {
 	sum := sha256.Sum256(d.signed)
 	copy(slot, sum[:])
 	d.SigValue, d.nameKey = slot, ""
-}
-
-// VerifyDigest checks a DigestSha256 signature.
-func (d *Data) VerifyDigest() bool {
-	if d.SigInfo.Type != SigTypeDigestSha256 || len(d.SigValue) != sha256.Size {
-		return false
-	}
-	return d.Digest() == [sha256.Size]byte(d.SigValue)
 }
 
 // Signer produces signatures binding packet content to names. Implemented by

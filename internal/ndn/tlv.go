@@ -31,10 +31,9 @@ const (
 
 // Errors returned by the TLV decoder.
 var (
-	ErrTruncated  = errors.New("ndn: truncated TLV")
-	ErrBadPacket  = errors.New("ndn: malformed packet")
-	ErrWrongType  = errors.New("ndn: unexpected TLV type")
-	errBadVarsize = errors.New("ndn: invalid variable-size number")
+	ErrTruncated = errors.New("ndn: truncated TLV")
+	ErrBadPacket = errors.New("ndn: malformed packet")
+	ErrWrongType = errors.New("ndn: unexpected TLV type")
 )
 
 // appendVarNum appends an NDN variable-size number (1/3/5/9-octet form).
@@ -168,12 +167,6 @@ type tlvReader struct {
 }
 
 func (r *tlvReader) done() bool { return r.pos >= len(r.buf) }
-
-// peekType returns the type of the next element without consuming it.
-func (r *tlvReader) peekType() (uint64, error) {
-	typ, _, err := readVarNum(r.buf[r.pos:])
-	return typ, err
-}
 
 // next consumes and returns the next element.
 func (r *tlvReader) next() (typ uint64, value []byte, err error) {

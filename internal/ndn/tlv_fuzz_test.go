@@ -64,9 +64,9 @@ func FuzzTLVRoundTrip(f *testing.F) {
 	f.Add(spill.Encode())
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		if it, err := DecodeInterest(wire); err == nil {
+		if it, err := decodeInterest(wire); err == nil {
 			re := it.Encode()
-			it2, err := DecodeInterest(re)
+			it2, err := decodeInterest(re)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded interest failed: %v\nwire: %x\nre:   %x", err, wire, re)
 			}
@@ -74,9 +74,9 @@ func FuzzTLVRoundTrip(f *testing.F) {
 				t.Fatalf("interest round trip not a fixed point:\nfirst:  %+v\nsecond: %+v", it, it2)
 			}
 		}
-		if d, err := DecodeData(wire); err == nil {
+		if d, err := decodeData(wire); err == nil {
 			re := d.Encode()
-			d2, err := DecodeData(re)
+			d2, err := decodeData(re)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded data failed: %v\nwire: %x\nre:   %x", err, wire, re)
 			}
@@ -102,7 +102,7 @@ func FuzzDataSignedRange(f *testing.F) {
 	f.Add([]byte{0x06, 0x02, 0x07, 0x00}) // no signature
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		d, err := DecodeData(wire)
+		d, err := decodeData(wire)
 		if err != nil {
 			return
 		}
@@ -131,7 +131,7 @@ func FuzzDataSignedRange(f *testing.F) {
 		if d.Digest() != sha256.Sum256(body[:len(d.signed)]) {
 			t.Fatal("Digest is not SHA-256 of the signed view")
 		}
-		d2, err := DecodeData(own)
+		d2, err := decodeData(own)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v\nwire: %x", err, own)
 		}
@@ -163,7 +163,7 @@ func TestFreshnessPeriodRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		d := &Data{Name: ParseName("/f/0"), Freshness: tc.in}
 		d.SignDigest()
-		out, err := DecodeData(d.Encode())
+		out, err := decodeData(d.Encode())
 		if err != nil {
 			t.Fatalf("Freshness %v: %v", tc.in, err)
 		}
@@ -171,7 +171,7 @@ func TestFreshnessPeriodRoundTrip(t *testing.T) {
 			t.Errorf("Freshness %v round-tripped to %v, want %v", tc.in, out.Freshness, tc.want)
 		}
 		// Decoded packets must be a fixed point.
-		out2, err := DecodeData(out.Encode())
+		out2, err := decodeData(out.Encode())
 		if err != nil || out2.Freshness != out.Freshness {
 			t.Errorf("Freshness %v not a fixed point: %v, %v", tc.in, out2.Freshness, err)
 		}
@@ -179,7 +179,7 @@ func TestFreshnessPeriodRoundTrip(t *testing.T) {
 	// MustBeFresh survives the Interest round trip alone (without
 	// CanBePrefix, unlike the seed corpus packet that sets both).
 	it := &Interest{Name: ParseName("/f"), MustBeFresh: true, Nonce: 7}
-	out, err := DecodeInterest(it.Encode())
+	out, err := decodeInterest(it.Encode())
 	if err != nil || !out.MustBeFresh || out.CanBePrefix {
 		t.Fatalf("MustBeFresh round trip: %+v, %v", out, err)
 	}
@@ -258,14 +258,14 @@ func TestDecodeClampsHugeDurations(t *testing.T) {
 	inner = appendNonNegTLV(inner, tlvInterestLifetime, math.MaxUint64)
 	wire := appendTLV(nil, tlvInterest, inner)
 
-	it, err := DecodeInterest(wire)
+	it, err := decodeInterest(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.Lifetime <= 0 {
 		t.Fatalf("Lifetime = %v, want positive clamped value", it.Lifetime)
 	}
-	it2, err := DecodeInterest(it.Encode())
+	it2, err := decodeInterest(it.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestDecodeClampsHugeDurations(t *testing.T) {
 		t.Fatalf("clamped lifetime not stable: %v vs %v", it.Lifetime, it2.Lifetime)
 	}
 
-	d, err := DecodeData(hugeFreshnessData())
+	d, err := decodeData(hugeFreshnessData())
 	if err != nil {
 		t.Fatal(err)
 	}

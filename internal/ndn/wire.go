@@ -97,9 +97,6 @@ func LooksLikePacket(wire []byte) bool {
 	return len(wire) > 0 && (wire[0] == tlvInterest || wire[0] == tlvData)
 }
 
-// Wire returns the raw bytes the packet wraps (read-only).
-func (p *Packet) Wire() []byte { return p.wire }
-
 // parse decodes the wire on first use, dispatching on the outer TLV type
 // exactly like the per-node dispatch switches it replaces (0x05 Interest,
 // 0x06 Data; anything else is a malformed frame and drops).
@@ -141,6 +138,8 @@ func (p *Packet) Data() *Data {
 }
 
 // Err returns the decode error, if any (nil for well-formed packets).
+//
+//lint:ignore unreferenced TestDecodeErrors and TestFrameOutsideMediumStillParses read why a frame did not decode
 func (p *Packet) Err() error {
 	p.parse()
 	return p.err

@@ -36,7 +36,7 @@ func BenchmarkCsPrefixFind(b *testing.B) {
 	datas, queries := benchNames(n)
 
 	b.Run("tree", func(b *testing.B) {
-		cs := NewContentStore(n)
+		cs := NewContentStoreWithClock(n, nil)
 		for _, d := range datas {
 			cs.Insert(d)
 		}
@@ -66,7 +66,7 @@ func BenchmarkFibLookup(b *testing.B) {
 	}
 
 	b.Run("tree", func(b *testing.B) {
-		fib := NewFib()
+		fib := newFibOn(NewNameTree())
 		for _, p := range prefixes {
 			fib.Insert(p, face)
 		}
@@ -84,17 +84,17 @@ func BenchmarkFibLookup(b *testing.B) {
 // regression fails CI rather than just drifting a benchmark number.
 func TestLookupPathsDoNotAllocate(t *testing.T) {
 	datas, queries := benchNames(1000)
-	cs := NewContentStore(1000)
+	cs := NewContentStoreWithClock(1000, nil)
 	for _, d := range datas {
 		cs.Insert(d)
 	}
-	fib := NewFib()
+	fib := newFibOn(NewNameTree())
 	face := &Face{id: 1}
 	for _, q := range queries {
 		fib.Insert(q.Name, face)
 	}
 	_, clock := testClock()
-	pit := NewPit(clock)
+	pit := newPitOn(NewNameTree(), clock)
 
 	exact := &ndn.Interest{Name: datas[42].Name}
 	missName := ndn.ParseName("/p/0007/file/nothere")

@@ -40,13 +40,6 @@ type csEntry struct {
 	prev, next *csEntry      // neighbours in the recency ring
 }
 
-// NewContentStore returns a store holding at most capacity packets, with no
-// clock: entries never become stale, so MustBeFresh Interests match only
-// packets carrying a FreshnessPeriod. A capacity of zero disables caching.
-func NewContentStore(capacity int) *ContentStore {
-	return NewContentStoreWithClock(capacity, nil)
-}
-
 // NewContentStoreWithClock returns a store whose freshness decisions are
 // driven by clock.
 func NewContentStoreWithClock(capacity int, clock Clock) *ContentStore {
@@ -77,9 +70,6 @@ func (c *ContentStore) now() time.Duration {
 	}
 	return c.clock.Now()
 }
-
-// Len returns the number of cached packets.
-func (c *ContentStore) Len() int { return c.n }
 
 // staleAt computes when data inserted now stops being fresh. Data without a
 // FreshnessPeriod is stale immediately (NDN packet spec §Data).

@@ -38,18 +38,14 @@ func (c KernelClock) Schedule(delay time.Duration, fn func()) Timer {
 }
 
 // Face names one attachment point of a node — an application, a wireless
-// broadcast channel, or a point-to-point link — as a PIT downstream or a
-// FIB next hop.
+// broadcast channel, or a point-to-point link — as a FIB next hop.
 type Face struct {
 	id int
 }
 
-// ID returns the face's forwarder-unique identifier.
-func (f *Face) ID() int { return f.id }
-
 // faceSearch returns the position of id in faces (sorted ascending by face
-// ID), or the insertion point if absent. Hand-rolled so the FIB and PIT
-// insert paths stay closure-free.
+// ID), or the insertion point if absent. Hand-rolled so the FIB insert
+// path stays closure-free.
 func faceSearch(faces []*Face, id int) int {
 	lo, hi := 0, len(faces)
 	for lo < hi {

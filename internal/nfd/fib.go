@@ -14,11 +14,6 @@ type Fib struct {
 	tree *NameTree
 }
 
-// NewFib returns an empty FIB.
-func NewFib() *Fib {
-	return newFibOn(NewNameTree())
-}
-
 // newFibOn mounts the FIB on an existing (possibly shared) tree.
 func newFibOn(tree *NameTree) *Fib {
 	return &Fib{tree: tree}
@@ -36,27 +31,6 @@ func (f *Fib) Insert(prefix ndn.Name, face *Face) {
 	node.fib = append(node.fib, nil)
 	copy(node.fib[i+1:], node.fib[i:])
 	node.fib[i] = face
-}
-
-// Remove unregisters face from prefix, pruning the tree node when the last
-// next hop goes away.
-func (f *Fib) Remove(prefix ndn.Name, face *Face) {
-	node := f.tree.find(prefix)
-	if node == nil {
-		return
-	}
-	for i, existing := range node.fib {
-		if existing.id == face.id {
-			copy(node.fib[i:], node.fib[i+1:])
-			node.fib[len(node.fib)-1] = nil
-			node.fib = node.fib[:len(node.fib)-1]
-			if len(node.fib) == 0 {
-				node.fib = nil
-				f.tree.prune(node)
-			}
-			return
-		}
-	}
 }
 
 // Lookup returns the next hops for the longest registered prefix of name,

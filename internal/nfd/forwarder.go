@@ -31,9 +31,9 @@ func NewForwarder(clock Clock, cfg Config) *Forwarder {
 	}
 }
 
-// AddFace returns a new face with the next forwarder-unique ID, for PIT
-// downstreams and FIB next hops. Its arguments are unused: the tables store
-// faces but never send on them.
+// AddFace returns a new face with the next forwarder-unique ID, for FIB next
+// hops. Its arguments are unused: the tables store faces but never send on
+// them.
 func (fw *Forwarder) AddFace(bool, func(wire []byte)) *Face {
 	f := &Face{id: fw.faces}
 	fw.faces++

@@ -143,6 +143,8 @@ func (t *NameTree) prune(n *nameTreeNode) {
 }
 
 // name reconstructs the full name of a node (used on slow paths only).
+//
+//lint:ignore unreferenced test support: checkTreeInvariants and TestNameTreeFillFindPrune name nodes with it
 func (n *nameTreeNode) name() ndn.Name {
 	out := make(ndn.Name, n.depth)
 	for i, cur := n.depth-1, n; cur.parent != nil; i, cur = i-1, cur.parent {

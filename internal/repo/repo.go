@@ -41,14 +41,8 @@ func New(k *sim.Kernel, medium *phy.Medium, at geo.Point, key *keys.Key, trust *
 // Peer exposes the underlying DAPES peer (for stats and callbacks).
 func (r *Repo) Peer() *core.Peer { return r.peer }
 
-// ID returns the repository's network identifier.
-func (r *Repo) ID() int { return r.peer.ID() }
-
 // Start activates the repository.
 func (r *Repo) Start() { r.peer.Start() }
-
-// Stop deactivates the repository.
-func (r *Repo) Stop() { r.peer.Stop() }
 
 // Collected reports whether the repository holds the full collection, and
 // when it finished collecting it.

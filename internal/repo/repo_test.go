@@ -63,7 +63,7 @@ func TestRepoCollectsAndServes(t *testing.T) {
 		h, tot := a.Progress(res.Manifest.Collection)
 		t.Fatalf("A did not download from repo: %d/%d", h, tot)
 	}
-	if r.ID() == a.ID() {
+	if r.Peer().ID() == a.ID() {
 		t.Fatal("id collision")
 	}
 }
@@ -79,7 +79,7 @@ func TestRepoStop(t *testing.T) {
 	if before == 0 {
 		t.Fatal("repo sent no beacons")
 	}
-	r.Stop()
+	r.Peer().Stop()
 	k.Run(30 * time.Second)
 	if got := r.Peer().Stats().DiscoveryInterestsSent; got != before {
 		t.Fatal("repo kept beaconing after Stop")

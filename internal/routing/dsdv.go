@@ -46,7 +46,6 @@ type DSDV struct {
 	rng     sim.Stream // the node's sim.PurposeRouting stream
 	medium  *phy.Medium
 	ctrlTx  uint64
-	dataTx  uint64
 }
 
 var _ Router = (*DSDV)(nil)
@@ -84,10 +83,6 @@ func (d *DSDV) SetDeliver(fn func(src int, payload []byte)) { d.deliver = fn }
 
 // ControlTransmissions implements Router.
 func (d *DSDV) ControlTransmissions() uint64 { return d.ctrlTx }
-
-// DataTransmissions counts unicast data frames this node put on the air
-// (including forwards).
-func (d *DSDV) DataTransmissions() uint64 { return d.dataTx }
 
 // RouteTo returns the current next hop and metric for dst, if reachable.
 func (d *DSDV) RouteTo(dst int) (nextHop, metric int, ok bool) {
@@ -221,7 +216,6 @@ func (d *DSDV) Send(dst int, payload []byte) bool {
 		return false
 	}
 	f := &frame{Proto: protoData, Src: d.id, Dst: dst, NextHop: next, TTL: maxMetric, Payload: payload}
-	d.dataTx++
 	d.transmit(f.encode())
 	return true
 }
@@ -243,6 +237,5 @@ func (d *DSDV) handleData(f frame) {
 		return
 	}
 	fwd := &frame{Proto: protoData, Src: f.Src, Dst: f.Dst, NextHop: next, TTL: f.TTL - 1, Payload: f.Payload}
-	d.dataTx++
 	d.transmit(fwd.encode())
 }

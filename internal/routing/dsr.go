@@ -62,7 +62,6 @@ type DSR struct {
 	rng     sim.Stream // the node's sim.PurposeRouting stream
 	medium  *phy.Medium
 	ctrlTx  uint64
-	dataTx  uint64
 }
 
 var _ Router = (*DSR)(nil)
@@ -113,17 +112,11 @@ func (d *DSR) dedupe(src int, seq uint32) bool {
 	return false
 }
 
-// Radio exposes the node's radio for stacked broadcast protocols.
-func (d *DSR) Radio() *phy.Radio { return d.radio }
-
 // SetDeliver implements Router.
 func (d *DSR) SetDeliver(fn func(src int, payload []byte)) { d.deliver = fn }
 
 // ControlTransmissions implements Router.
 func (d *DSR) ControlTransmissions() uint64 { return d.ctrlTx }
-
-// DataTransmissions counts source-routed data frames sent or forwarded.
-func (d *DSR) DataTransmissions() uint64 { return d.dataTx }
 
 // Start implements Router.
 func (d *DSR) Start() { d.running = true }
@@ -252,7 +245,7 @@ func (d *DSR) forwardAlong(hops []int, payload []byte, seq uint32) {
 		Route:   hops,
 		Payload: payload,
 	}
-	d.transmitRepeated(f.encode(), &d.dataTx)
+	d.transmitRepeated(f.encode(), nil)
 }
 
 func indexOf(hops []int, id int) int {

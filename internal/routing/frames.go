@@ -128,11 +128,6 @@ func (f *frame) decodeRoute() {
 	}
 }
 
-// IsRoutingFrame reports whether a raw payload is a routing-stack frame.
-func IsRoutingFrame(b []byte) bool {
-	return len(b) > 0 && b[0] == frameMagic
-}
-
 // Router is the common interface of the two protocols: best-effort unicast
 // of opaque payloads to a destination node ID.
 type Router interface {

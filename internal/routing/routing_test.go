@@ -41,9 +41,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := decodeFrame([]byte{0x99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("wrong magic decoded")
 	}
-	if !IsRoutingFrame(f.encode()) || IsRoutingFrame([]byte{0x05}) {
-		t.Fatal("IsRoutingFrame wrong")
-	}
 }
 
 func TestBroadcastFrameNegativeAddresses(t *testing.T) {
@@ -100,9 +97,6 @@ func TestDSDVDeliversMultiHop(t *testing.T) {
 
 	if len(got) != 1 || got[0] != "across" {
 		t.Fatalf("delivery = %v", got)
-	}
-	if nodes[1].DataTransmissions() == 0 {
-		t.Fatal("intermediate did not forward")
 	}
 }
 

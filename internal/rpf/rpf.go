@@ -130,9 +130,6 @@ func (s *LocalNeighborhood) Observe(peerID int, bm *bitmap.Bitmap) {
 // to the connected set and expires on disconnect.
 func (s *LocalNeighborhood) Disconnect(peerID int) { s.counts.Remove(peerID) }
 
-// NeighborCount returns the number of peers with live bitmaps.
-func (s *LocalNeighborhood) NeighborCount() int { return s.counts.Len() }
-
 // EncounterBased is the encounter-history RPF variant: rarity counts how many
 // of the last HistorySize encountered peers were missing each packet,
 // regardless of whether they are still in range.
@@ -176,9 +173,6 @@ func (s *EncounterBased) Observe(peerID int, bm *bitmap.Bitmap) {
 
 // Disconnect implements Strategy: encounter history survives disconnection.
 func (s *EncounterBased) Disconnect(int) {}
-
-// HistoryLen returns the number of remembered encounters.
-func (s *EncounterBased) HistoryLen() int { return len(s.order) }
 
 // RequestPlan returns up to limit next requests in strategy order without
 // mutating state; useful for pipelined fetching and for tests.

@@ -67,15 +67,15 @@ func TestLocalNeighborhoodDisconnectExpiresState(t *testing.T) {
 	s := NewLocalNeighborhood(4, false, nil)
 	s.Observe(1, mk(4, 0))
 	s.Observe(2, mk(4, 0, 1))
-	if s.NeighborCount() != 2 {
-		t.Fatalf("NeighborCount = %d", s.NeighborCount())
+	if s.counts.Len() != 2 {
+		t.Fatalf("NeighborCount = %d", s.counts.Len())
 	}
 	s.Disconnect(1)
-	if s.NeighborCount() != 1 {
+	if s.counts.Len() != 1 {
 		t.Fatal("disconnect did not expire state")
 	}
 	s.Disconnect(99) // unknown peer is a no-op
-	if s.NeighborCount() != 1 {
+	if s.counts.Len() != 1 {
 		t.Fatal("unknown disconnect mutated state")
 	}
 }
@@ -84,12 +84,12 @@ func TestObserveRejectsWrongSize(t *testing.T) {
 	t.Parallel()
 	s := NewLocalNeighborhood(4, false, nil)
 	s.Observe(1, mk(8, 0))
-	if s.NeighborCount() != 0 {
+	if s.counts.Len() != 0 {
 		t.Fatal("wrong-size bitmap accepted")
 	}
 	e := NewEncounterBased(4, 10, false, nil)
 	e.Observe(1, mk(8, 0))
-	if e.HistoryLen() != 0 {
+	if len(e.order) != 0 {
 		t.Fatal("wrong-size bitmap accepted by encounter strategy")
 	}
 }
@@ -99,7 +99,7 @@ func TestEncounterBasedRemembersDisconnectedPeers(t *testing.T) {
 	s := NewEncounterBased(4, 10, false, nil)
 	s.Observe(1, mk(4, 0, 1, 2)) // peer 1 misses only 3
 	s.Disconnect(1)              // walks away; history retained
-	if s.HistoryLen() != 1 {
+	if len(s.order) != 1 {
 		t.Fatal("disconnect erased encounter history")
 	}
 	got := s.NextRequest(mk(4), full(4), nil)
@@ -114,8 +114,8 @@ func TestEncounterBasedHistoryBound(t *testing.T) {
 	s.Observe(1, mk(4, 0))
 	s.Observe(2, mk(4, 1))
 	s.Observe(3, mk(4, 2)) // evicts peer 1
-	if s.HistoryLen() != 2 {
-		t.Fatalf("HistoryLen = %d, want 2", s.HistoryLen())
+	if len(s.order) != 2 {
+		t.Fatalf("HistoryLen = %d, want 2", len(s.order))
 	}
 	// Re-observing refreshes recency: peer 2 becomes newest, then adding
 	// peer 4 evicts peer 3.
@@ -127,8 +127,8 @@ func TestEncounterBasedHistoryBound(t *testing.T) {
 	if got != 3 {
 		t.Fatalf("NextRequest = %d, want 3", got)
 	}
-	if s.HistoryLen() != 2 {
-		t.Fatalf("HistoryLen after churn = %d", s.HistoryLen())
+	if len(s.order) != 2 {
+		t.Fatalf("HistoryLen after churn = %d", len(s.order))
 	}
 }
 
@@ -136,7 +136,7 @@ func TestEncounterHistoryMinimum(t *testing.T) {
 	t.Parallel()
 	s := NewEncounterBased(4, 0, false, nil)
 	s.Observe(1, mk(4, 0))
-	if s.HistoryLen() != 1 {
+	if len(s.order) != 1 {
 		t.Fatal("history floor of 1 not applied")
 	}
 }

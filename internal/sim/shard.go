@@ -64,6 +64,8 @@ func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i] }
 // point when several shards stopped in the same window). At window
 // barriers every shard sits on the same time, so between Run calls this
 // matches Kernel's clock contract, including the stopped-clock rule.
+//
+//lint:ignore unreferenced the stopped-clock contract TestShardedStoppedClockMultiShard pins
 func (sk *ShardedKernel) Now() time.Duration {
 	if sk.stopValid {
 		return sk.stopAt

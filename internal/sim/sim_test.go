@@ -67,21 +67,13 @@ func TestKernelCancel(t *testing.T) {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
 		ev := k.Schedule(time.Second, func() { fired = true })
-		if !ev.Scheduled() {
-			t.Fatalf("%s: Scheduled() = false before Cancel", q.name)
-		}
 		ev.Cancel()
+		ev.Cancel() // a second Cancel is a no-op
 		if err := k.Run(0); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
 		}
 		if fired {
 			t.Fatalf("%s: canceled event fired", q.name)
-		}
-		if !ev.Canceled() {
-			t.Fatalf("%s: Canceled() = false after Cancel", q.name)
-		}
-		if ev.Scheduled() {
-			t.Fatalf("%s: Scheduled() = true after Cancel", q.name)
 		}
 	}
 }
@@ -265,20 +257,6 @@ func TestScheduleBehindWheelCursor(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	t.Parallel()
-	rng := NewStream(7, 0, PurposePeer)
-	for i := 0; i < 1000; i++ {
-		d := rng.Uniform(time.Second, 2*time.Second)
-		if d < time.Second || d >= 2*time.Second {
-			t.Fatalf("Uniform out of range: %v", d)
-		}
-	}
-	if got := rng.Uniform(time.Second, time.Second); got != time.Second {
-		t.Fatalf("degenerate Uniform = %v, want 1s", got)
-	}
-}
-
 func TestJitterZero(t *testing.T) {
 	t.Parallel()
 	rng := NewStream(7, 0, PurposePeer)
@@ -436,10 +414,6 @@ func TestStaleHandlesAreInert(t *testing.T) {
 		}
 		b := k.Schedule(time.Second, func() { bRan = true }) // reuses a's record
 		a.Cancel()                                           // stale: must not cancel b
-		if a.Canceled() || a.Scheduled() {
-			t.Fatalf("%s: fired handle reports Canceled=%v Scheduled=%v, want false/false",
-				q.name, a.Canceled(), a.Scheduled())
-		}
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}

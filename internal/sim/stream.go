@@ -131,8 +131,3 @@ func (s *Stream) Jitter(max time.Duration) time.Duration {
 	}
 	return time.Duration(s.Int63n(int64(max)))
 }
-
-// Uniform returns a uniform duration in [lo, hi), and lo when hi <= lo.
-func (s *Stream) Uniform(lo, hi time.Duration) time.Duration {
-	return lo + s.Jitter(hi-lo)
-}

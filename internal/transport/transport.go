@@ -296,6 +296,8 @@ func (a *ackJob) send() {
 }
 
 // Pending returns the number of unacknowledged messages.
+//
+//lint:ignore unreferenced bithoc's TestStopSilences pins Pending() == 0 once a peer stops
 func (r *Reliable) Pending() int { return len(r.pending) }
 
 // seenSet is one source's duplicate-suppression state.
