@@ -298,7 +298,7 @@ func NewMedium(kernel *sim.Kernel, cfg Config) *Medium {
 
 // Config returns the medium's effective (defaulted) configuration.
 //
-//lint:ignore unreferenced the golden suites' assertEngine asks each medium which index it runs on
+//lint:ignore unreferenced TestGoldenWorldBuildsTheEngineItIsHanded asks each medium which index it runs on
 func (m *Medium) Config() Config { return m.cfg }
 
 // Stats returns a copy of the medium counters.

@@ -160,7 +160,7 @@ func (o Options) NewKernel(seed int64) *Kernel {
 
 // Queue reports which pending-event store the kernel was built on.
 //
-//lint:ignore unreferenced the golden suites' assertEngine asks each kernel which queue it runs on
+//lint:ignore unreferenced TestGoldenWorldBuildsTheEngineItIsHanded asks each kernel which queue it runs on
 func (k *Kernel) Queue() QueueKind { return k.kind }
 
 // Now returns the current virtual time.
@@ -182,7 +182,7 @@ func (k *Kernel) EventsFired() uint64 { return k.fired }
 // Pending returns the number of live events currently queued. Canceled
 // events release their queue slot immediately, so they are never counted.
 //
-//lint:ignore unreferenced the Pending() == 0 pins, e.g. TestStopLeavesNothingArmed, read it
+//lint:ignore unreferenced TestStopLeavesNothingArmed and the other Pending() == 0 pins read it
 func (k *Kernel) Pending() int { return k.queue.len() }
 
 // Schedule enqueues fn to run after delay (relative to Now). A negative delay
