@@ -12,8 +12,8 @@ import (
 //
 //   - The byte slices exposed by decoded packets — Interest.AppParams,
 //     Data.Content, Data.SigValue, and the slice returned by Encode — are
-//     views into a frame shared by every receiver of the
-//     broadcast. Writing through them corrupts the packet for everyone.
+//     views into a frame shared by every receiver of the broadcast. Writing
+//     through them corrupts the packet for everyone.
 //   - A packet that has been encoded, decoded or digest-signed caches its
 //     wire form (SignDigest builds the final wire and signs a range of it).
 //     Mutating its fields afterwards without calling InvalidateWire (or
@@ -197,8 +197,8 @@ type wireEvent struct {
 
 // checkStaleWireWrites flags field assignments on an *ndn.Interest or
 // *ndn.Data variable whose wire form is cached at that point: after the
-// variable was returned by Packet.Interest/Packet.Data, or after Encode or SignDigest was called on it, with no
-// intervening InvalidateWire/Sign.
+// variable was returned by Packet.Interest/Packet.Data, or after Encode or
+// SignDigest was called on it, with no intervening InvalidateWire/Sign.
 func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 	events := map[types.Object][]wireEvent{}
 	add := func(obj types.Object, ev wireEvent) {
