@@ -125,7 +125,7 @@ func (p *Peer) release(pt *pieceTimeout) {
 	p.piecePool = append(p.piecePool, pt)
 }
 
-// releaseAll empties the pipeline (completion, Stop).
+// releaseAll empties the pipeline (completion, a new swarm).
 func (p *Peer) releaseAll() {
 	// Map order only decides pool order, and pooled records are reset before reuse.
 	for _, pt := range p.inflight {
@@ -220,20 +220,6 @@ func (p *Peer) Start() {
 	p.running = true
 	p.router.Start()
 	p.helloT.Reset(p.rng.Jitter(helloPeriod))
-}
-
-// Stop deactivates the peer and everything under it: no timer of the peer,
-// its transport or its router stays armed, and nothing more goes on the air
-// (relays and transmissions already waiting out their jitter are dropped
-// when their slot comes).
-//
-//lint:ignore unreferenced the stop contract TestStopSilences pins: nothing armed, nothing on the air
-func (p *Peer) Stop() {
-	p.running = false
-	p.router.Stop()
-	p.reliable.Stop()
-	p.helloT.Stop()
-	p.releaseAll()
 }
 
 // --- HELLO flooding ---

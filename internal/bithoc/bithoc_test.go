@@ -120,65 +120,6 @@ func TestLeecherStallsWithoutSeeder(t *testing.T) {
 	}
 }
 
-// TestStopSilences holds "stopped means silent" for the whole baseline stack
-// under a peer: an idle peer stops flooding, and peers stopped in the middle
-// of a transfer — piece timeouts, transport RTOs and jittered sends all armed
-// — put nothing more on the air and leave no event behind once the jitter
-// slots already queued (at most 50 ms, the HELLO relay's) have drained.
-func TestStopSilences(t *testing.T) {
-	t.Parallel()
-	t.Run("idle", func(t *testing.T) {
-		t.Parallel()
-		k := sim.NewKernel(85)
-		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		p := NewPeer(k, medium, geo.Stationary{})
-		p.Fetch(5, 100)
-		p.Start()
-		k.Run(10 * time.Second)
-		sent := p.stats.HellosSent
-		p.Stop()
-		k.Run(time.Minute)
-		if p.stats.HellosSent != sent {
-			t.Fatal("stopped peer kept flooding")
-		}
-		if k.Pending() != 0 {
-			t.Fatalf("%d events still pending a minute after Stop", k.Pending())
-		}
-	})
-	t.Run("mid-transfer", func(t *testing.T) {
-		t.Parallel()
-		k := sim.NewKernel(85)
-		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		seed := NewPeer(k, medium, geo.Stationary{})
-		seed.Seed(200, 1000)
-		leech := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 30}})
-		leech.Fetch(200, 1000)
-		seed.Start()
-		leech.Start()
-		if !k.RunUntil(10*time.Minute, func() bool { return leech.have.Count() >= 20 }) {
-			t.Fatal("transfer never reached 20 pieces")
-		}
-		if len(leech.inflight) == 0 || leech.reliable.Pending()+seed.reliable.Pending() == 0 {
-			t.Fatal("nothing in flight at the stop point: the case is not exercised")
-		}
-		seed.Stop()
-		leech.Stop()
-		sent := medium.Stats().Transmissions
-		if len(leech.inflight) != 0 || leech.reliable.Pending() != 0 || seed.reliable.Pending() != 0 {
-			t.Fatalf("Stop left %d requests, %d+%d messages in flight",
-				len(leech.inflight), leech.reliable.Pending(), seed.reliable.Pending())
-		}
-		k.Run(k.Now() + 50*time.Millisecond)
-		if n := k.Pending(); n != 0 {
-			t.Fatalf("%d events still pending 50 ms after Stop", n)
-		}
-		k.Run(k.Now() + time.Minute)
-		if got := medium.Stats().Transmissions; got != sent {
-			t.Fatalf("stopped peers kept transmitting: %d frames at Stop, %d a minute later", sent, got)
-		}
-	})
-}
-
 // TestDeadSeederFailover pins the OnFail hook's consumer-side contract: a
 // leecher whose current seeder dies mid-swarm must not stall on retry
 // timeouts forever — the transport's abandoned-message report evicts the
@@ -208,7 +149,6 @@ func TestDeadSeederFailover(t *testing.T) {
 	// goodbye: routing keeps advertising it for a while and the leecher's
 	// neighbor table would hold it for hours.
 	k.Run(20 * time.Second)
-	s1.Stop()
 	s1.radio.SetEnabled(false)
 
 	ok := k.RunUntil(15*time.Minute, func() bool {

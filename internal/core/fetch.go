@@ -44,7 +44,7 @@ func (p *Peer) releaseInflight(it *inflightTimer) {
 // releaseAllInflight abandons every in-flight Interest of cs (completion,
 // Stop).
 func (p *Peer) releaseAllInflight(cs *collectionState) {
-	//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
+	// Map order only decides pool order, and pooled records are reset before reuse.
 	for _, it := range cs.inflight {
 		p.releaseInflight(it)
 	}

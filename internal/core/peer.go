@@ -125,7 +125,7 @@ func (p *Peer) Stop() {
 	p.beaconT.Stop()
 	p.sweepT.Stop()
 	p.relay.Stop()
-	//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
+	// Map order only decides cancel and pool order, and pooled records are reset before reuse.
 	for _, cs := range p.collections {
 		if cs.metaT != nil {
 			cs.metaT.Stop()

@@ -124,17 +124,6 @@ func (n *Node) releaseLookup(lk *lookup) {
 	n.lookupPool = append(n.lookupPool, lk)
 }
 
-// AbandonLookups drops every in-flight lookup without calling it back, its
-// timeout disarmed: what a node being stopped does, so that nothing of it
-// stays armed in the kernel.
-func (n *Node) AbandonLookups() {
-	// Map order only decides pool order, and pooled records are reset before reuse.
-	for _, lk := range n.lookups {
-		n.releaseLookup(lk)
-	}
-	clear(n.lookups)
-}
-
 // migrationState tracks re-offers of a key to its closer owner: offers
 // repeat (spaced migrateRetry apart, bounded) until the owner acknowledges,
 // and restart if the believed owner changes as the view evolves. This keeps

@@ -219,40 +219,3 @@ func TestReceiveRejectsNonDHTPayloads(t *testing.T) {
 		n.Receive(1, []byte{kind})
 	}
 }
-
-// TestAbandonLookupsLeavesNothingArmed: a node stopped with lookups in
-// flight abandons them — no callback, no timeout left in the kernel — and
-// a later lookup reuses a pooled record and times out as usual.
-func TestAbandonLookupsLeavesNothingArmed(t *testing.T) {
-	t.Parallel()
-	k := sim.NewKernel(78)
-	sent := 0
-	silent := transportFunc(func(int, []byte) bool { sent++; return true }) // nothing ever answers
-	n := NewNode(k, 0, silent)
-	for c := 1; c <= 4; c++ {
-		n.AddContact(c)
-	}
-	calls := 0
-	for c := 1; c <= 4; c++ {
-		// A contact's own key routes to that contact.
-		n.Lookup(NodeKey(c), func([]byte, int, bool) { calls++ })
-	}
-	if len(n.lookups) != 4 || sent != 4 || k.Pending() != 4 {
-		t.Fatalf("%d lookups in flight, %d messages sent, %d events pending; want 4 each", len(n.lookups), sent, k.Pending())
-	}
-	n.AbandonLookups()
-	if got := k.Pending(); got != 0 {
-		t.Fatalf("%d events pending after AbandonLookups, want 0", got)
-	}
-	k.Run(time.Minute)
-	if calls != 0 || len(n.lookups) != 0 || len(n.lookupPool) != 4 {
-		t.Fatalf("%d callbacks, %d lookups left, %d records pooled; want 0, 0, 4", calls, len(n.lookups), len(n.lookupPool))
-	}
-
-	ok := true
-	n.Lookup(NodeKey(1), func(_ []byte, _ int, found bool) { calls++; ok = found })
-	k.Run(2 * time.Minute)
-	if calls != 1 || ok || len(n.lookupPool) != 4 || k.Pending() != 0 {
-		t.Errorf("after a reused lookup timed out: %d callbacks (found %v), %d records pooled, %d events pending; want 1 failed, 4, 0", calls, ok, len(n.lookupPool), k.Pending())
-	}
-}

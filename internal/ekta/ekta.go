@@ -157,23 +157,6 @@ func (p *Peer) Start() {
 	p.pumpT.Reset(p.rng.Jitter(pumpPeriod))
 }
 
-// Stop deactivates the peer: the fetch loop, the GETs and lookups in flight
-// and the router's discoveries are all abandoned, so a stopped peer leaves
-// nothing armed in the kernel (frames already waiting out their jitter fire
-// as no-ops). Start resumes the download from the pieces held.
-//
-//lint:ignore unreferenced the stop contract TestStopLeavesNothingArmed and TestStopSilencesPeer pin
-func (p *Peer) Stop() {
-	p.running = false
-	p.router.Stop()
-	p.pumpT.Stop()
-	p.node.AbandonLookups()
-	// Map order only decides pool order, and pooled records are reset before reuse.
-	for _, st := range p.pending {
-		p.releasePiece(st)
-	}
-}
-
 func (p *Peer) pumpTick() {
 	if !p.running {
 		return

@@ -129,54 +129,3 @@ func TestDownloaderRepublishesPieces(t *testing.T) {
 		t.Fatalf("DHT holds %d piece pointers, want >= 5", total)
 	}
 }
-
-func TestStopSilencesPeer(t *testing.T) {
-	t.Parallel()
-	k := sim.NewKernel(95)
-	medium := phy.NewMedium(k, phy.Config{Range: 60})
-	p := NewPeer(k, medium, geo.Stationary{})
-	p.Fetch("c", 5, 100)
-	p.Start()
-	p.Stop()
-	k.Run(time.Minute)
-	if p.stats.Lookups != 0 {
-		t.Fatal("stopped peer performed lookups")
-	}
-}
-
-// TestStopLeavesNothingArmed: peers stopped mid-download — GET timeouts,
-// DHT lookups and DSR discoveries in flight — put nothing more on the air,
-// and once the frames that were waiting out their jitter have come due the
-// kernel holds no event of them.
-func TestStopLeavesNothingArmed(t *testing.T) {
-	t.Parallel()
-	k := sim.NewKernel(96)
-	medium := phy.NewMedium(k, phy.Config{Range: 60})
-	seed := NewPeer(k, medium, geo.Stationary{})
-	dl := NewPeer(k, medium, geo.Stationary{At: geo.Point{X: 20}})
-	seed.Start()
-	dl.Start()
-	seed.Seed("coll", 200, 1000)
-	dl.Fetch("coll", 200, 1000)
-	dl.Join(seed.ID())
-	if !k.RunUntil(10*time.Minute, func() bool { return dl.have.Count() >= 20 }) {
-		t.Fatal("download never reached 20 pieces")
-	}
-	if len(dl.pending) == 0 {
-		t.Fatal("nothing in flight at the stop point: the case is not exercised")
-	}
-	seed.Stop()
-	dl.Stop()
-	if len(dl.pending) != 0 {
-		t.Fatalf("Stop left %d pieces in flight", len(dl.pending))
-	}
-	sent := medium.Stats().Transmissions
-	k.Run(k.Now() + 100*time.Millisecond)
-	if n := k.Pending(); n != 0 {
-		t.Fatalf("%d events still pending 100 ms after Stop", n)
-	}
-	k.Run(k.Now() + time.Minute)
-	if got := medium.Stats().Transmissions; got != sent {
-		t.Fatalf("stopped peers kept transmitting: %d frames at Stop, %d a minute later", sent, got)
-	}
-}

@@ -19,7 +19,8 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// The reason is mandatory; a directive without one is itself a diagnostic.
+// The reason is mandatory; a directive without one is itself a diagnostic,
+// and so is one that suppresses nothing.
 package lint
 
 import (
@@ -79,9 +80,9 @@ func Analyzers() []*Analyzer {
 // RunAnalyzers applies the given analyzers to one type-checked package of
 // prog (nil for a package checked on its own) and returns the surviving
 // diagnostics: //lint:ignore directives in the package's files are
-// honored, and malformed directives (no analyzer name, empty reason) are
-// appended as diagnostics in their own right. The result is sorted by file
-// position.
+// honored, and malformed directives (no analyzer name, empty reason) and
+// directives that suppress nothing are diagnostics in their own right. The
+// result is sorted by file position.
 func RunAnalyzers(fset *token.FileSet, c *Checked, prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -99,7 +100,7 @@ func RunAnalyzers(fset *token.FileSet, c *Checked, prog *Program, analyzers []*A
 		}
 	}
 	dirs, bad := parseDirectives(fset, c.Files)
-	diags = filterIgnored(fset, diags, dirs)
+	diags = filterIgnored(fset, diags, dirs, analyzers)
 	diags = append(diags, bad...)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -71,34 +72,55 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) (dirs []directive, 
 // filterIgnored drops diagnostics covered by a directive: an //lint:ignore
 // naming the diagnostic's analyzer, sitting on the diagnostic's line
 // (trailing comment) or the line directly above it (standalone comment).
-func filterIgnored(fset *token.FileSet, diags []Diagnostic, dirs []directive) []Diagnostic {
+// Each directive that covered nothing is reported in turn (analyzer
+// "lint"): a suppression with nothing left to suppress would hide the next
+// finding on its line. A directive is judged only when every name in it is
+// an analyzer of ran or no analyzer at all, so a run of part of the suite
+// leaves the directives of the rest alone.
+func filterIgnored(fset *token.FileSet, diags []Diagnostic, dirs []directive, ran []*Analyzer) []Diagnostic {
 	if len(dirs) == 0 {
 		return diags
 	}
+	used := make([]bool, len(dirs))
 	kept := diags[:0]
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
 		suppressed := false
-		for _, dir := range dirs {
+		for i, dir := range dirs {
 			if fset.Position(dir.pos).Filename != pos.Filename {
 				continue
 			}
 			if dir.line != pos.Line && dir.line != pos.Line-1 {
 				continue
 			}
-			for _, name := range dir.analyzers {
-				if name == d.Analyzer {
-					suppressed = true
-					break
-				}
-			}
-			if suppressed {
-				break
+			if slices.Contains(dir.analyzers, d.Analyzer) {
+				used[i], suppressed = true, true
 			}
 		}
 		if !suppressed {
 			kept = append(kept, d)
 		}
 	}
+	for i, dir := range dirs {
+		if !used[i] && judged(dir, ran) {
+			kept = append(kept, Diagnostic{
+				Pos:      dir.pos,
+				Message:  "//lint:ignore " + strings.Join(dir.analyzers, ",") + " suppresses nothing",
+				Analyzer: "lint",
+			})
+		}
+	}
 	return kept
+}
+
+// judged reports whether every name dir gives is an analyzer of ran or
+// names no analyzer of the suite.
+func judged(dir directive, ran []*Analyzer) bool {
+	for _, name := range dir.analyzers {
+		isName := func(a *Analyzer) bool { return a.Name == name }
+		if !slices.ContainsFunc(ran, isName) && slices.ContainsFunc(Analyzers(), isName) {
+			return false
+		}
+	}
+	return true
 }

@@ -83,8 +83,49 @@ func a() {
 		{Pos: at(6), Message: "under the standalone comment", Analyzer: "maporder"},
 		{Pos: at(6), Message: "wrong analyzer for the directive", Analyzer: "simclock"},
 	}
-	kept := filterIgnored(fset, diags, dirs)
+	kept := filterIgnored(fset, diags, dirs, []*Analyzer{SimClock, MapOrder})
 	if len(kept) != 1 || kept[0].Analyzer != "simclock" || kept[0].Message != "wrong analyzer for the directive" {
 		t.Errorf("kept = %+v, want only the wrong-analyzer diagnostic", kept)
+	}
+}
+
+func TestIgnoreReportsUnusedDirective(t *testing.T) {
+	const src = `package p
+
+func a() {
+	//lint:ignore maporder covers a finding on the next line
+	_ = 1
+	//lint:ignore maporder covers nothing: the next line is clean
+	_ = 2
+	//lint:ignore simclock names an analyzer this run leaves out
+	_ = 3
+	//lint:ignore nosuch names no analyzer at all
+	_ = 4
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "ignore_fixture.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	dirs, bad := parseDirectives(fset, filesOf(f))
+	if len(bad) != 0 {
+		t.Fatalf("unexpected malformed directives: %+v", bad)
+	}
+	file := fset.File(f.Pos())
+	diags := []Diagnostic{{Pos: file.LineStart(5), Message: "suppressed", Analyzer: "maporder"}}
+	kept := filterIgnored(fset, diags, dirs, []*Analyzer{MapOrder})
+
+	var lines []int
+	for _, d := range kept {
+		if d.Analyzer != "lint" || !strings.Contains(d.Message, "suppresses nothing") {
+			t.Errorf("kept %+v, want only unused-directive reports", d)
+		}
+		lines = append(lines, fset.Position(d.Pos).Line)
+	}
+	// Line 4's directive was used and line 8's analyzer did not run: both
+	// are silent.
+	if len(lines) != 2 || lines[0] != 6 || lines[1] != 10 {
+		t.Errorf("unused directives reported on lines %v, want [6 10]", lines)
 	}
 }

@@ -157,22 +157,6 @@ func TestProbabilisticForwardingRespectsProbability(t *testing.T) {
 	}
 }
 
-func TestStoppedForwarderIsSilent(t *testing.T) {
-	t.Parallel()
-	k := sim.NewKernel(25)
-	medium := phy.NewMedium(k, phy.Config{Range: 50})
-	fwd := multihop.NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, multihop.Config{ForwardProb: 1.0})
-	fwd.Start()
-	fwd.Stop()
-	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
-	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 9}
-	k.Schedule(time.Second, func() { medium.Broadcast(r, in.Encode()) })
-	k.Run(5 * time.Second)
-	if fwd.Stats().InterestsHeard != 0 {
-		t.Fatal("stopped forwarder processed traffic")
-	}
-}
-
 func TestDapesIntermediateForwardsForSameCollection(t *testing.T) {
 	t.Parallel()
 	// Section V-B: K (a DAPES peer downloading the same collection) sits

@@ -75,12 +75,6 @@ func (f *PureForwarder) Stats() Stats { return f.stats }
 // kernel empty.
 func (f *PureForwarder) Start() { f.relay.Start() }
 
-// Stop deactivates the node: pending cache replies are cancelled, and
-// forwards already queued for their slot fire as no-ops.
-//
-//lint:ignore unreferenced the stop contract TestPureForwarderStopSilences and TestStoppedForwarderIsSilent pin
-func (f *PureForwarder) Stop() { f.relay.Stop() }
-
 func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {
 	f.stats.InterestsHeard++
 

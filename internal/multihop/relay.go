@@ -162,7 +162,7 @@ func (r *Relay) Start() { r.running = true }
 // tables stay.
 func (r *Relay) Stop() {
 	r.running = false
-	//lint:ignore maporder timer cancellation and free-list refill only; recycled records are reset before reuse, so pool order never reaches the trace
+	// Map order only decides pool order, and pooled records are reset before reuse.
 	for _, rp := range r.pending {
 		r.release(rp)
 	}

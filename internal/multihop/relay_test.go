@@ -317,7 +317,7 @@ func TestPureForwarderStopSilences(t *testing.T) {
 				len(f.relay.pending), f.relay.InFlight(a), f.relay.InFlight(b))
 		}
 		armed := k.Pending()
-		f.Stop()
+		f.relay.Stop()
 		// The reply is cancelled on the spot; the two jittered forwards and
 		// their two suppression armings stay queued.
 		if got := k.Pending(); got != armed-1 || got != 4 {
@@ -334,6 +334,24 @@ func TestPureForwarderStopSilences(t *testing.T) {
 	}
 	if st := f.Stats(); st.CsReplies != 0 || st.InterestsForwarded != 0 {
 		t.Errorf("a stopped forwarder counted sends: %+v", st)
+	}
+}
+
+// TestStoppedForwarderIsSilent: a forwarder whose relay is stopped before
+// any traffic hears nothing.
+func TestStoppedForwarderIsSilent(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(25)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	f := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, Config{ForwardProb: 1.0})
+	f.Start()
+	f.relay.Stop()
+	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
+	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 9}
+	k.Schedule(time.Second, func() { medium.Broadcast(r, in.Encode()) })
+	k.Run(5 * time.Second)
+	if f.Stats().InterestsHeard != 0 {
+		t.Fatal("stopped forwarder processed traffic")
 	}
 }
 
@@ -387,7 +405,7 @@ func TestIdleForwarderAllocatesLittle(t *testing.T) {
 	r.RelayData(signedData("/x/0"))
 	r.CancelReply(signedData("/x/0"))
 	r.Reset()
-	f.Stop()
+	r.Stop()
 	if k.Pending() != 0 || medium.Stats().Transmissions != 0 {
 		t.Errorf("%d events pending, %d transmissions; want none", k.Pending(), medium.Stats().Transmissions)
 	}

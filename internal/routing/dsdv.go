@@ -65,8 +65,7 @@ func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSDV {
 	return d
 }
 
-// transmit broadcasts wire after the MAC-backoff jitter, unless the node
-// has been stopped by then.
+// transmit broadcasts wire after the MAC-backoff jitter.
 func (d *DSDV) transmit(wire []byte) {
 	d.medium.BroadcastAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
 }
@@ -100,13 +99,6 @@ func (d *DSDV) Start() {
 	}
 	d.running = true
 	d.tick.Reset(d.rng.Jitter(dsdvUpdatePeriod))
-}
-
-// Stop implements Router. A stopped node is silent: it neither originates
-// nor forwards, and transmissions still waiting out their jitter are dropped.
-func (d *DSDV) Stop() {
-	d.running = false
-	d.tick.Stop()
 }
 
 // periodicUpdate broadcasts the full routing table — DSDV's defining (and
@@ -208,8 +200,8 @@ func (d *DSDV) handleUpdate(f frame) {
 	}
 }
 
-// Send implements Router: unicast via the current next hop. A stopped node
-// sends nothing.
+// Send implements Router: unicast via the current next hop. A node not yet
+// started sends nothing.
 func (d *DSDV) Send(dst int, payload []byte) bool {
 	next, _, ok := d.RouteTo(dst)
 	if !ok || !d.running {

@@ -121,18 +121,6 @@ func (d *DSR) ControlTransmissions() uint64 { return d.ctrlTx }
 // Start implements Router.
 func (d *DSR) Start() { d.running = true }
 
-// Stop implements Router. A stopped node is silent: it neither originates
-// nor forwards, frames still waiting out their jitter are dropped as they
-// come due, and route discoveries in progress are abandoned with what they
-// buffered, so nothing of the node stays armed in the kernel.
-func (d *DSR) Stop() {
-	d.running = false
-	for _, p := range d.pending {
-		p.timer.Stop()
-	}
-	clear(d.pending)
-}
-
 // HasRoute reports whether a live cached route to dst exists.
 func (d *DSR) HasRoute(dst int) bool {
 	r, ok := d.routes[dst]

@@ -140,9 +140,8 @@ type Router interface {
 	Send(dst int, payload []byte) bool
 	// SetDeliver installs the upper-layer receive callback.
 	SetDeliver(fn func(src int, payload []byte))
-	// Start and Stop control the protocol's periodic machinery.
+	// Start starts the protocol's periodic machinery.
 	Start()
-	Stop()
 	// ControlTransmissions counts routing-protocol frames sent by this node
 	// (route updates, discovery floods) — the paper's overhead accounting
 	// attributes these to the baseline stacks.

@@ -283,69 +283,3 @@ func TestMixedStacksShareMedium(t *testing.T) {
 		t.Fatal("DSDV failed to converge amid NDN traffic")
 	}
 }
-
-// TestStopLeavesNothingArmed is stop hygiene for both routers: a node
-// stopped mid-exchange — DSDV between periodic updates, DSR with a data frame
-// in its repeats, a flood relay queued and a route discovery waiting on its
-// timeout — puts nothing more on the air, and once the frames that were
-// waiting out their jitter have come due as no-ops the kernel holds no event
-// of it.
-func TestStopLeavesNothingArmed(t *testing.T) {
-	t.Parallel()
-	t.Run("dsdv", func(t *testing.T) {
-		t.Parallel()
-		k := sim.NewKernel(52)
-		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		nodes := chainDSDV(k, medium, 3)
-		k.Run(20 * time.Second)
-		k.ScheduleFunc(0, func() { nodes[0].Send(nodes[2].ID(), []byte("in flight")) })
-		k.Run(k.Now() + time.Millisecond)
-		if k.Pending() == 0 {
-			t.Fatal("nothing queued at the stop point: the case is not exercised")
-		}
-		for _, d := range nodes {
-			d.Stop()
-		}
-		sent := medium.Stats().Transmissions
-		k.Run(k.Now() + 50*time.Millisecond)
-		if n := k.Pending(); n != 0 {
-			t.Fatalf("%d events still pending 50 ms after Stop", n)
-		}
-		if got := medium.Stats().Transmissions; got != sent {
-			t.Fatalf("stopped nodes kept transmitting: %d frames at Stop, %d after", sent, got)
-		}
-	})
-	t.Run("dsr", func(t *testing.T) {
-		t.Parallel()
-		k := sim.NewKernel(53)
-		medium := phy.NewMedium(k, phy.Config{Range: 50})
-		nodes := chainDSR(k, medium, 3)
-		k.ScheduleFunc(0, func() { nodes[0].Send(nodes[2].ID(), []byte("discovered")) })
-		k.Run(5 * time.Second)
-		if !nodes[0].HasRoute(nodes[2].ID()) {
-			t.Fatal("no route after 5 s: the case is not exercised")
-		}
-		// A data frame in its repeats, a discovery nobody can answer (its
-		// flood relayed down the chain, its retry timer armed).
-		k.ScheduleFunc(0, func() {
-			nodes[0].Send(nodes[2].ID(), []byte("in flight"))
-			nodes[1].Send(77, []byte("void"))
-		})
-		k.Run(k.Now() + 2*time.Millisecond)
-		if k.Pending() == 0 || len(nodes[1].pending) == 0 {
-			t.Fatal("nothing queued at the stop point: the case is not exercised")
-		}
-		for _, d := range nodes {
-			d.Stop()
-		}
-		sent := medium.Stats().Transmissions
-		k.Run(k.Now() + 100*time.Millisecond)
-		if n := k.Pending(); n != 0 {
-			t.Fatalf("%d events still pending 100 ms after Stop", n)
-		}
-		k.Run(k.Now() + time.Minute)
-		if got := medium.Stats().Transmissions; got != sent {
-			t.Fatalf("stopped nodes kept transmitting: %d frames at Stop, %d a minute later", sent, got)
-		}
-	})
-}

@@ -32,11 +32,6 @@ type ShardedKernel struct {
 	shards    []*Kernel
 	lookahead time.Duration
 	closed    bool
-
-	// Stopped-clock state: after a run ends via Stop, Now reports the
-	// stopping shard's clock instead of the max.
-	stopAt    time.Duration
-	stopValid bool
 }
 
 // NewShardedKernel returns a kernel of `shards` spatial shards advancing in
@@ -59,26 +54,6 @@ func NewShardedKernel(seed int64, shards int, lookahead time.Duration) *ShardedK
 // this kernel only.
 func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i] }
 
-// Now returns the global virtual clock: the latest shard clock, or, after
-// a run ended via Stop, the stopping shard's clock (the earliest stop
-// point when several shards stopped in the same window). At window
-// barriers every shard sits on the same time, so between Run calls this
-// matches Kernel's clock contract, including the stopped-clock rule.
-//
-//lint:ignore unreferenced the stopped-clock contract TestShardedStoppedClockMultiShard pins
-func (sk *ShardedKernel) Now() time.Duration {
-	if sk.stopValid {
-		return sk.stopAt
-	}
-	var max time.Duration
-	for _, k := range sk.shards {
-		if k.now > max {
-			max = k.now
-		}
-	}
-	return max
-}
-
 // Close retires the kernel: Run returns ErrClosed from then on. Idempotent.
 func (sk *ShardedKernel) Close() { sk.closed = true }
 
@@ -94,38 +69,17 @@ func (sk *ShardedKernel) nextEventTime() (time.Duration, bool) {
 	return min, found
 }
 
-// markStopped records the stopped-clock: the earliest clock among shards
-// that called Stop in the final window.
-func (sk *ShardedKernel) markStopped() {
-	at := time.Duration(-1)
-	for _, k := range sk.shards {
-		if k.stopped && (at < 0 || k.now < at) {
-			at = k.now
-		}
-	}
-	if at >= 0 {
-		sk.stopAt, sk.stopValid = at, true
-	}
-}
-
-// Run executes events across all shards until every queue drains, the
-// horizon is exceeded, or some shard calls Stop: pick the global minimum
-// event time T, run every shard through [T, T+lookahead) in shard order (a
-// stop does not cut the window short for the shards after it), advance all
-// clocks to the barrier, repeat. Semantics mirror Kernel.Run, including
-// the stopped-clock contract (Now reports the stopping shard's clock after
-// an ErrStopped run). With one shard it delegates to the inner kernel.
-// Returns ErrClosed after Close.
+// Run executes events across all shards until every queue drains or the
+// horizon is exceeded: pick the global minimum event time T, run every
+// shard through [T, T+lookahead) in shard order, advance all clocks to the
+// barrier, repeat. Semantics mirror Kernel.Run. With one shard it
+// delegates to the inner kernel. Returns ErrClosed after Close.
 func (sk *ShardedKernel) Run(horizon time.Duration) error {
 	if sk.closed {
 		return ErrClosed
 	}
-	sk.stopValid = false
 	if len(sk.shards) == 1 {
 		return sk.shards[0].Run(horizon)
-	}
-	for _, k := range sk.shards {
-		k.stopped = false
 	}
 	for {
 		t, ok := sk.nextEventTime()
@@ -141,15 +95,8 @@ func (sk *ShardedKernel) Run(horizon time.Duration) error {
 			// at exactly the horizon still run (Run's contract is inclusive).
 			until = horizon + 1
 		}
-		stopped := false
 		for _, k := range sk.shards {
-			if !k.runWindow(until) {
-				stopped = true
-			}
-		}
-		if stopped {
-			sk.markStopped()
-			return ErrStopped
+			k.runWindow(until)
 		}
 		barrier := until
 		if horizon > 0 && barrier > horizon {

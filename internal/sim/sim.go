@@ -13,14 +13,7 @@
 // registered scenario.
 package sim
 
-import (
-	"errors"
-	"time"
-)
-
-// ErrStopped is returned by Run when the simulation was stopped explicitly
-// before the event queue drained or the horizon was reached.
-var ErrStopped = errors.New("simulation stopped")
+import "time"
 
 // Event kinds: who owns the record and when the kernel may recycle it.
 const (
@@ -128,13 +121,12 @@ type Options struct {
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
 // construct with NewKernel.
 type Kernel struct {
-	now     time.Duration
-	queue   eventQueue
-	kind    QueueKind
-	seq     uint64
-	seed    int64
-	stopped bool
-	fired   uint64
+	now   time.Duration
+	queue eventQueue
+	kind  QueueKind
+	seq   uint64
+	seed  int64
+	fired uint64
 	// free recycles event records so hot paths that schedule one event per
 	// frame (phy transmissions) or cancel/reschedule per message
 	// (retransmission timeouts) do not allocate per call.
@@ -182,7 +174,7 @@ func (k *Kernel) EventsFired() uint64 { return k.fired }
 // Pending returns the number of live events currently queued. Canceled
 // events release their queue slot immediately, so they are never counted.
 //
-//lint:ignore unreferenced TestStopLeavesNothingArmed and the other Pending() == 0 pins read it
+//lint:ignore unreferenced core.TestStopDrainsPending and multihop.TestIdlePureForwarderArmsNothing pin Pending() == 0
 func (k *Kernel) Pending() int { return k.queue.len() }
 
 // Schedule enqueues fn to run after delay (relative to Now). A negative delay
@@ -278,12 +270,6 @@ func (k *Kernel) enqueue(at time.Duration, kind uint8, fn func()) *Event {
 	return ev
 }
 
-// Stop halts the simulation: Run returns ErrStopped after the current event
-// completes.
-//
-//lint:ignore unreferenced the stopped-clock contract TestRunStoppedClockStaysAtStopPoint pins
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Step executes the next pending event, if any, and reports whether one ran.
 func (k *Kernel) Step() bool {
 	ev := k.queue.pop()
@@ -305,36 +291,19 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains, the horizon is exceeded, or
-// Stop is called. A zero horizon means no time limit. When a horizon is
-// given and the run completes, the clock always advances to it (even if the
-// queue drains earlier), so successive Run calls model contiguous stretches
-// of virtual time. It returns nil when the queue drained or the horizon was
-// reached, and ErrStopped if Stop was called.
-//
-// Stopped-clock contract: when Stop fires mid-run the clock stays at the
-// time of the last executed event — it never jumps to the horizon, even if
-// the stopping event was also the last one queued. A caller that stops the
-// simulation observes Now() == the stop point, so state snapshots taken
-// after an aborted run carry the abort time, not a horizon the simulation
-// never reached.
+// Run executes events until the queue drains or the horizon is exceeded. A
+// zero horizon means no time limit. When a horizon is given, the clock
+// always advances to it (even if the queue drains earlier), so successive
+// Run calls model contiguous stretches of virtual time. It always returns
+// nil.
 func (k *Kernel) Run(horizon time.Duration) error {
-	k.stopped = false
 	for k.queue.len() > 0 {
-		if k.stopped {
-			return ErrStopped
-		}
 		next := k.queue.peek()
 		if horizon > 0 && next.at > horizon {
 			k.now = horizon
 			return nil
 		}
 		k.Step()
-	}
-	if k.stopped {
-		// The final event called Stop before the queue drained; honor the
-		// stopped-clock contract rather than warping to the horizon.
-		return ErrStopped
 	}
 	if horizon > k.now {
 		k.now = horizon
@@ -343,12 +312,10 @@ func (k *Kernel) Run(horizon time.Duration) error {
 }
 
 // RunUntil executes events while cond returns false, stopping as soon as it
-// returns true (checked after every event) or when the queue drains, the
-// horizon passes, or Stop is called. It reports whether cond was satisfied.
-// Like Run, a Stop mid-run leaves the clock at the last executed event (see
-// the stopped-clock contract on Run).
+// returns true (checked after every event) or when the queue drains or the
+// horizon passes. It reports whether cond was satisfied. Like Run, a run
+// that ends unsatisfied advances the clock to a given horizon.
 func (k *Kernel) RunUntil(horizon time.Duration, cond func() bool) bool {
-	k.stopped = false
 	if cond() {
 		return true
 	}
@@ -362,12 +329,6 @@ func (k *Kernel) RunUntil(horizon time.Duration, cond func() bool) bool {
 		if cond() {
 			return true
 		}
-		if k.stopped {
-			return false
-		}
-	}
-	if k.stopped {
-		return false
 	}
 	if horizon > k.now {
 		k.now = horizon
@@ -379,19 +340,14 @@ func (k *Kernel) RunUntil(horizon time.Duration, cond func() bool) bool {
 // until, leaving the clock at the last executed event. It is the building
 // block of sharded lockstep execution (see ShardedKernel): all events
 // inside [now, until) run, and the coordinator advances the clock to the
-// barrier afterwards via advanceTo. Returns false if
-// Stop fired during the window (clock stays at the stop point per the
-// stopped-clock contract on Run).
-func (k *Kernel) runWindow(until time.Duration) bool {
+// barrier afterwards via advanceTo.
+func (k *Kernel) runWindow(until time.Duration) {
 	for {
 		ev := k.queue.peek()
 		if ev == nil || ev.at >= until {
-			return true
+			return
 		}
 		k.Step()
-		if k.stopped {
-			return false
-		}
 	}
 }
 

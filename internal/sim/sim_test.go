@@ -139,22 +139,6 @@ func TestKernelHorizonStopsClock(t *testing.T) {
 	}
 }
 
-func TestKernelStop(t *testing.T) {
-	t.Parallel()
-	for _, q := range queueKinds {
-		k := Options{Queue: q.kind}.NewKernel(1)
-		count := 0
-		k.Schedule(time.Second, func() { count++; k.Stop() })
-		k.Schedule(2*time.Second, func() { count++ })
-		if err := k.Run(0); err != ErrStopped {
-			t.Fatalf("%s: run = %v, want ErrStopped", q.name, err)
-		}
-		if count != 1 {
-			t.Fatalf("%s: count = %d, want 1", q.name, count)
-		}
-	}
-}
-
 func TestKernelScheduleInsideEvent(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
@@ -206,6 +190,106 @@ func TestKernelRunUntil(t *testing.T) {
 		}
 		if k.Now() != 4*time.Second {
 			t.Fatalf("%s: now = %v, want 4s", q.name, k.Now())
+		}
+	}
+}
+
+// TestSplitRunMatchesOneRun pins the clock contract across run calls: a
+// run to H cut into Run(t1), RunUntil(t2, never) and Run(H) fires the same
+// events at the same times as one Run(H), and ends on the same clock and
+// event count. t1 is a scheduled event's time and the workload ties events
+// at one instant (the horizon included), so a cut that dropped or repeated
+// either side of a tie would show in the trace.
+func TestSplitRunMatchesOneRun(t *testing.T) {
+	t.Parallel()
+	const horizon = 2 * time.Second
+	type rec struct {
+		id int
+		at time.Duration
+	}
+	// load schedules 60 events in ties of three at seeded instants, three
+	// more at exactly the horizon, and follow-ups drawn as events fire: a
+	// same-instant one for every fourth event and a later one for every
+	// fifth. It returns the trace and the instant of the middle tie.
+	load := func(k *Kernel) (*[]rec, time.Duration) {
+		trace := &[]rec{}
+		rng := k.Stream(0, PurposePeer)
+		var fire func(id int) func()
+		fire = func(id int) func() {
+			return func() {
+				*trace = append(*trace, rec{id, k.Now()})
+				if id >= 1000 {
+					return
+				}
+				if id%4 == 0 {
+					k.ScheduleFunc(0, fire(1000+id))
+				}
+				if id%5 == 0 {
+					k.ScheduleFunc(rng.Jitter(300*time.Millisecond), fire(2000+id))
+				}
+			}
+		}
+		var mid time.Duration
+		for i := 0; i < 60; i += 3 {
+			at := rng.Jitter(horizon)
+			if i == 30 {
+				mid = at
+			}
+			for j := i; j < i+3; j++ {
+				k.ScheduleAt(at, fire(j))
+			}
+		}
+		for j := 60; j < 63; j++ {
+			k.ScheduleAt(horizon, fire(j))
+		}
+		return trace, mid
+	}
+	never := func() bool { return false }
+	for _, q := range queueKinds {
+		one := Options{Queue: q.kind}.NewKernel(9)
+		want, _ := load(one)
+		if err := one.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+
+		if len(*want) < 80 || (*want)[len(*want)-1].at != horizon {
+			t.Fatalf("%s: one run fired %d events, the last at %v; want the follow-ups and the events at %v",
+				q.name, len(*want), (*want)[len(*want)-1].at, horizon)
+		}
+
+		split := Options{Queue: q.kind}.NewKernel(9)
+		got, t1 := load(split)
+		t2 := t1 + (horizon-t1)/2
+		// cut checks the split run after a call ending at at: the clock is
+		// there, and the events fired are the one run's up to at, inclusive.
+		cut := func(call string, at time.Duration) {
+			t.Helper()
+			n := len(*got)
+			if split.Now() != at || !slices.Equal(*got, (*want)[:n]) || (n < len(*want) && (*want)[n].at <= at) {
+				t.Fatalf("%s: after %s the clock is %v (want %v) and %d events fired, not the one run's through %v",
+					q.name, call, split.Now(), at, n, at)
+			}
+		}
+		if err := split.Run(t1); err != nil {
+			t.Fatal(err)
+		}
+		cut("Run(t1)", t1)
+		if split.RunUntil(t2, never) {
+			t.Fatalf("%s: RunUntil satisfied a condition that never holds", q.name)
+		}
+		cut("RunUntil(t2)", t2)
+		if err := split.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+
+		if !slices.Equal(*got, *want) {
+			t.Fatalf("%s: split run fired %v, one run %v", q.name, *got, *want)
+		}
+		if split.Now() != one.Now() || one.Now() != horizon {
+			t.Fatalf("%s: clocks: split %v, one run %v, want %v", q.name, split.Now(), one.Now(), horizon)
+		}
+		if split.EventsFired() != one.EventsFired() {
+			t.Fatalf("%s: EventsFired: split %d, one run %d", q.name, split.EventsFired(), one.EventsFired())
 		}
 	}
 }

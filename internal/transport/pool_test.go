@@ -26,7 +26,6 @@ func (r *tapRouter) Send(dst int, payload []byte) bool {
 }
 func (r *tapRouter) SetDeliver(fn func(src int, payload []byte)) { r.deliver = fn }
 func (r *tapRouter) Start()                                      {}
-func (r *tapRouter) Stop()                                       {}
 func (r *tapRouter) ControlTransmissions() uint64                { return 0 }
 
 // ack plays the receiver acknowledging message id.
@@ -54,8 +53,8 @@ func TestRetransmissionsResendTheSameSegment(t *testing.T) {
 	if err := k.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if r.Failures != 2 || r.Pending() != 0 {
-		t.Fatalf("failures = %d, pending = %d; want both messages abandoned", r.Failures, r.Pending())
+	if r.Failures != 2 || len(r.pending) != 0 {
+		t.Fatalf("failures = %d, pending = %d; want both messages abandoned", r.Failures, len(r.pending))
 	}
 	attempts := map[uint32]int{}
 	for _, seg := range tap.sent {
@@ -74,19 +73,19 @@ func TestRetransmissionsResendTheSameSegment(t *testing.T) {
 	}
 }
 
-// TestPoolConsistentAfterAckFailureAndStop walks a Reliable through every way
-// a message ends and checks the record accounting at each: a record is in
+// TestPoolConsistentAfterAckAndFailure walks a Reliable through every way a
+// message ends and checks the record accounting at each: a record is in
 // pending, in the pool, or waiting on its one queued send — never two of
 // them — and a recycled record is never reachable from a stale event.
-func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
+func TestPoolConsistentAfterAckAndFailure(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(1)
 	tap := &tapRouter{}
 	r := NewReliable(k, tap)
 	account := func(step string, pending, pooled int) {
 		t.Helper()
-		if r.Pending() != pending || len(r.free) != pooled {
-			t.Fatalf("%s: pending = %d, pooled = %d; want %d, %d", step, r.Pending(), len(r.free), pending, pooled)
+		if len(r.pending) != pending || len(r.free) != pooled {
+			t.Fatalf("%s: pending = %d, pooled = %d; want %d, %d", step, len(r.pending), len(r.free), pending, pooled)
 		}
 		seen := map[*outstanding]bool{}
 		for _, out := range r.free {
@@ -133,23 +132,6 @@ func TestPoolConsistentAfterAckFailureAndStop(t *testing.T) {
 	account("stale send drained", 1, 1)
 	tap.ack(4)
 	account("four acked", 0, 2)
-
-	// Stop: nothing reported, nothing armed, nothing sent, and both records
-	// back in the pool once their queued sends have found them gone.
-	r.Send(2, []byte("five"), onDone)
-	r.Send(2, []byte("six"), onDone)
-	before = len(tap.sent)
-	r.Stop()
-	account("stopped", 0, 0)
-	k.Run(k.Now() + jitter)
-	account("stopped and drained", 0, 2)
-	if k.Pending() != 0 {
-		t.Fatalf("%d events pending after Stop drained", k.Pending())
-	}
-	k.Run(k.Now() + time.Minute)
-	if len(tap.sent) != before || len(done) != 2 || r.Failures != 1 {
-		t.Fatalf("after Stop: %d more segments, onDone = %v, failures = %d", len(tap.sent)-before, done, r.Failures)
-	}
 }
 
 // nullRouter is a Router whose Send keeps nothing: it only counts.
@@ -162,7 +144,6 @@ func (r *nullRouter) ID() int                                     { return 1 }
 func (r *nullRouter) Send(int, []byte) bool                       { r.sent++; return true }
 func (r *nullRouter) SetDeliver(fn func(src int, payload []byte)) { r.deliver = fn }
 func (r *nullRouter) Start()                                      {}
-func (r *nullRouter) Stop()                                       {}
 func (r *nullRouter) ControlTransmissions() uint64                { return 0 }
 
 // TestAckDoesNotAllocate pins the receive side's ack: a data message heard

@@ -73,9 +73,9 @@ type Reliable struct {
 // re-enqueued per attempt through the kernel's pooled ScheduleFunc path.
 //
 // Records are pooled on the Reliable, segment buffer and timer included. A
-// record leaves pending when its message is acked, abandoned or flushed by
-// Stop, and returns to the pool once no jittered send of it is still queued
-// (sendQueued): a recycled record must not be reachable from a stale event.
+// record leaves pending when its message is acked or abandoned, and returns
+// to the pool once no jittered send of it is still queued (sendQueued): a
+// recycled record must not be reachable from a stale event.
 type outstanding struct {
 	r          *Reliable
 	id         uint32
@@ -138,18 +138,6 @@ func (r *Reliable) Send(dst int, payload []byte, onDone func(ok bool)) {
 	r.transmit(out)
 }
 
-// Stop abandons every unacknowledged message without reporting it: RTO
-// timers are disarmed, pending is cleared, and neither onFail nor onDone
-// runs. Sends already waiting out their jitter find their message gone and
-// do nothing. The service stays usable for new messages.
-func (r *Reliable) Stop() {
-	// Map order only decides pool order, and pooled records are reset before reuse.
-	for id, out := range r.pending {
-		delete(r.pending, id)
-		r.retire(out)
-	}
-}
-
 // retire disarms a record that has left pending and pools it, unless a
 // jittered send still references it — that send pools it when it fires.
 func (r *Reliable) retire(out *outstanding) {
@@ -173,7 +161,7 @@ func (o *outstanding) send() {
 	r := o.r
 	o.sendQueued = false
 	if r.pending[o.id] != o {
-		// Acked, abandoned or stopped between scheduling and the jitter slot.
+		// Acked between scheduling and the jitter slot.
 		r.free = append(r.free, o)
 		return
 	}
@@ -294,11 +282,6 @@ func (a *ackJob) send() {
 	r.router.Send(a.src, a.seg[:])
 	r.acks = append(r.acks, a)
 }
-
-// Pending returns the number of unacknowledged messages.
-//
-//lint:ignore unreferenced bithoc's TestStopSilences pins Pending() == 0 once a peer stops
-func (r *Reliable) Pending() int { return len(r.pending) }
 
 // seenSet is one source's duplicate-suppression state.
 type seenSet struct {

@@ -39,8 +39,8 @@ func TestReliableDelivery(t *testing.T) {
 	if !acked {
 		t.Fatal("ack callback not fired")
 	}
-	if ra.Pending() != 0 {
-		t.Fatalf("pending = %d", ra.Pending())
+	if len(ra.pending) != 0 {
+		t.Fatalf("pending = %d", len(ra.pending))
 	}
 }
 
