@@ -27,15 +27,14 @@ fmt-check:
 
 # The contract gate: gofmt, go vet, plus dapes-lint, the repo's own go/analysis-style
 # suite (internal/lint, docs/CONTRACTS.md). dapes-lint machine-checks the
-# seven invariants every golden-trace and perf gate depends on — kernel clock
+# six invariants every golden-trace and perf gate depends on — kernel clock
 # + seeded RNG on simulation paths (simclock), no map-iteration order reaching
 # scheduling/wire/stats/sends or unsorted output slices (maporder), wire-frame
 # views stay read-only and encoded packets aren't mutated without
-# InvalidateWire (wireimmut), no stored *sim.Event (handlehygiene), no
-# map keyed by an ndn.Name rendered at the lookup (namekey), package
-# unsafe imported by internal/ndn alone (unsafe), and no declaration under
-# internal/ that only tests reach (unreferenced, which type-checks the root
-# module and benchmark/ together).
+# InvalidateWire (wireimmut), no map keyed by an ndn.Name rendered at the
+# lookup (namekey), package unsafe imported by internal/ndn alone (unsafe),
+# and no declaration under internal/ that only tests reach (unreferenced,
+# which type-checks the root module and benchmark/ together).
 # Fails on any unsuppressed diagnostic; suppress only with
 # `//lint:ignore <analyzer> <reason>`.
 lint: fmt-check vet

@@ -1,4 +1,4 @@
-// Command dapes-lint is the repo's static-analysis multichecker: seven
+// Command dapes-lint is the repo's static-analysis multichecker: six
 // analyzers that machine-check the contracts every golden-trace gate
 // depends on (docs/CONTRACTS.md):
 //
@@ -8,7 +8,6 @@
 //	wireimmut     — no writes through shared wire-frame views, no field
 //	                mutation of encoded/decoded packets without
 //	                InvalidateWire
-//	handlehygiene — no stored *sim.Event; hold sim.Handle / sim.Timer
 //	namekey       — no map keyed by ndn.Name.String() built at the lookup
 //	unsafe        — package unsafe in internal/ndn alone
 //	unreferenced  — no declaration under internal/ that only tests reach,

@@ -115,10 +115,16 @@ func TestBuiltInStacksMatchScenarios(t *testing.T) {
 func TestRejectedInputKeepsOutputFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.json")
 	const previous = "{\"previous\": \"results\"}\n"
+	// A jammer over every node: a plan fig7-bithoc cannot apply.
+	faults := filepath.Join(t.TempDir(), "jam.toml")
+	if err := os.WriteFile(faults, []byte("jam_radius = 10000\njam_until = \"2h\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-scenario", "fig7-dappes"},
 		{"-strategy", "bogus"},
 		{"-range", "+Inf", "-format", "json"},
+		{"-scenario", "fig7-bithoc", "-faults", faults},
 	} {
 		if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func TestIntermediateRelaysDataForPrefixInterest(t *testing.T) {
 	})
 	ask := func(at time.Duration, nonce uint32) {
 		in := &ndn.Interest{Name: asked, CanBePrefix: true, Nonce: nonce}
-		net.k.ScheduleAt(at, func() { net.medium.Broadcast(requester, in.Encode()) })
+		net.k.ScheduleFuncAt(at, func() { net.medium.Broadcast(requester, in.Encode()) })
 	}
 
 	ask(time.Second, 1)

@@ -20,7 +20,7 @@ func (l *loopback) transportFor(id int) Transport {
 	return transportFunc(func(dst int, payload []byte) bool {
 		l.sent++
 		msg := append([]byte(nil), payload...)
-		l.k.Schedule(time.Millisecond, func() {
+		l.k.ScheduleFunc(time.Millisecond, func() {
 			if n, ok := l.nodes[dst]; ok {
 				n.Receive(id, msg)
 			}

@@ -92,7 +92,7 @@ func TestLookupFailureRetriesViaPump(t *testing.T) {
 	dl.Fetch("late", 4, 100)
 	dl.Join(seed.ID())
 	// Seed publishes only after 30 s.
-	k.Schedule(30*time.Second, func() { seed.Seed("late", 4, 100) })
+	k.ScheduleFunc(30*time.Second, func() { seed.Seed("late", 4, 100) })
 
 	ok := k.RunUntil(10*time.Minute, func() bool {
 		done, _ := dl.Done()

@@ -9,9 +9,12 @@ import "dapes/internal/core"
 // feasibilityTrial adapts a Fig.-8 outdoor run (which reports a Table-I
 // ScenarioResult for the whole world) to the registry's per-trial shape.
 // The Fig.-8 worlds fix their own 50 m radio range, so the runner's
-// wifiRange is ignored.
+// wifiRange is ignored, and apply no fault plan, so one is refused.
 func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc {
 	return func(s Scale, _ float64, trial int) (TrialResult, error) {
+		if err := refuseFaults(s); err != nil {
+			return TrialResult{}, err
+		}
 		r, err := run(s, TrialSeed(s.BaseSeed, trial))
 		if err != nil {
 			return TrialResult{}, err

@@ -180,3 +180,29 @@ func TestChaosRecoveryBar(t *testing.T) {
 		t.Fatal("no recovery-time statistic: nobody re-completed after a restart")
 	}
 }
+
+// TestNoScenarioIgnoresFaultPlan: a fault plan handed to a scenario either
+// shapes its trials or is rejected. Under a plan that jams every node for
+// longer than the horizon, each registered scenario must fail its run or
+// complete no download; one that built its world without the plan would
+// complete as if the plan were not there.
+func TestNoScenarioIgnoresFaultPlan(t *testing.T) {
+	t.Parallel()
+	s := tinyScale()
+	s.Horizon = 10 * time.Minute
+	s.Faults = &fault.Plan{JamRadius: 10000, JamUntil: 2 * time.Hour}
+	for _, sc := range Scenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			res, err := Runner{}.Run(sc, s, 80)
+			if err != nil {
+				return
+			}
+			for i, tr := range res.Trials {
+				if tr.Completed != 0 {
+					t.Errorf("trial %d completed %d/%d downloads with every node jammed: the fault plan was ignored",
+						i, tr.Completed, tr.Downloaders)
+				}
+			}
+		})
+	}
+}

@@ -69,6 +69,9 @@ func ringPositions(center geo.Point, radius float64, n int) []geo.Point {
 // scenario stresses advertisement exchange and RPF restart on a healed
 // partition.
 func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	if err := refuseFaults(s); err != nil {
+		return TrialResult{}, err
+	}
 	n := clusterSize(s)
 	radius := wifiRange * 0.35
 	centerA := geo.Point{X: 2 * wifiRange, Y: 2 * wifiRange}
@@ -109,6 +112,9 @@ func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 // never stable. The convoy itself stays a connected multi-hop chain, which
 // exercises forwarding under continuous topology change.
 func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	if err := refuseFaults(s); err != nil {
+		return TrialResult{}, err
+	}
 	const (
 		roadLen = 1500.0
 		speed   = 5.0 // m/s

@@ -1,11 +1,11 @@
 // Package lint is dapes-lint: a static-analysis suite that machine-checks
 // the contracts this repo otherwise only documents in comments — the
 // seeded-RNG/kernel-clock rule, sorted map iteration on emitting paths, the
-// frame/wire immutability contract, sim.Event handle lifetime, tables never
-// keyed by a name rendered at the lookup, package unsafe confined to
-// internal/ndn, and no declaration under internal/ that nothing but tests
-// reaches. The seven invariants and the bug history behind each are written
-// up in docs/CONTRACTS.md.
+// frame/wire immutability contract, tables never keyed by a name rendered
+// at the lookup, package unsafe confined to internal/ndn, and no
+// declaration under internal/ that nothing but tests reaches. The six
+// invariants and the bug history behind each are written up in
+// docs/CONTRACTS.md.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic, `// want` fixtures, a multichecker main in
@@ -74,7 +74,7 @@ type Diagnostic struct {
 
 // Analyzers returns the dapes-lint suite in output order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimClock, MapOrder, WireImmut, HandleHygiene, NameKey, Unsafe, Unreferenced}
+	return []*Analyzer{SimClock, MapOrder, WireImmut, NameKey, Unsafe, Unreferenced}
 }
 
 // RunAnalyzers applies the given analyzers to one type-checked package of

@@ -1,7 +1,10 @@
 package lint_test
 
 import (
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,10 +43,6 @@ func TestMapOrderFixture(t *testing.T) {
 
 func TestWireImmutFixture(t *testing.T) {
 	linttest.Run(t, lint.WireImmut, fixture("wireimmut"), "dapes/internal/transport/lintfixture")
-}
-
-func TestHandleHygieneFixture(t *testing.T) {
-	linttest.Run(t, lint.HandleHygiene, fixture("handlehygiene"), "dapes/internal/core/lintfixture")
 }
 
 func TestNameKeyFixture(t *testing.T) {
@@ -85,4 +84,28 @@ func TestUnreferencedFixture(t *testing.T) {
 	// A module with a nested module of its own, the shape of this repository
 	// and benchmark/: the whole program is both.
 	linttest.RunProgram(t, lint.Unreferenced, fixture("unreferenced"))
+}
+
+// TestContractsNameEveryAnalyzer: docs/CONTRACTS.md gives each analyzer a
+// numbered section headed "## N. <invariant> (`name`)", and the names in
+// those headings are exactly the suite's. A hand-kept list drifts; this one
+// fails when an analyzer is added or deleted without its section.
+func TestContractsNameEveryAnalyzer(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "CONTRACTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^## [0-9]+\\. .*\\(`([a-z]+)`\\)$").FindAllSubmatch(doc, -1) {
+		documented = append(documented, string(m[1]))
+	}
+	var suite []string
+	for _, a := range lint.Analyzers() {
+		suite = append(suite, a.Name)
+	}
+	slices.Sort(documented)
+	slices.Sort(suite)
+	if !slices.Equal(documented, suite) {
+		t.Errorf("docs/CONTRACTS.md numbered sections name analyzers %v; lint.Analyzers() is %v", documented, suite)
+	}
 }

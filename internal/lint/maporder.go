@@ -28,27 +28,27 @@ var MapOrder = &Analyzer{
 // bytes.Buffer.Reset or io.Writer.Write in a map loop is order-independent
 // noise, dapes' Timer.Reset or Face.Send is the bug.
 var sinkNames = map[string]string{
-	"Schedule":      "schedules an event",
-	"ScheduleAt":    "schedules an event",
-	"ScheduleAfter": "schedules an event",
-	"ScheduleFunc":  "schedules an event",
-	"Reset":         "reschedules a timer",
-	"Send":          "sends a packet",
-	"SendTo":        "sends a packet",
-	"Broadcast":     "broadcasts a packet",
-	"Transmit":      "transmits a frame",
-	"Deliver":       "delivers a frame",
-	"Forward":       "forwards a packet",
-	"Emit":          "emits a result",
-	"EmitRow":       "emits a result row",
-	"Record":        "records a stat",
-	"Observe":       "records a stat",
-	"Encode":        "encodes wire bytes",
-	"EncodeTo":      "encodes wire bytes",
-	"AppendWire":    "encodes wire bytes",
-	"Write":         "writes output",
-	"WriteString":   "writes output",
-	"WriteRow":      "writes output",
+	"Schedule":       "schedules an event",
+	"ScheduleAfter":  "schedules an event",
+	"ScheduleFunc":   "schedules an event",
+	"ScheduleFuncAt": "schedules an event",
+	"Reset":          "reschedules a timer",
+	"Send":           "sends a packet",
+	"SendTo":         "sends a packet",
+	"Broadcast":      "broadcasts a packet",
+	"Transmit":       "transmits a frame",
+	"Deliver":        "delivers a frame",
+	"Forward":        "forwards a packet",
+	"Emit":           "emits a result",
+	"EmitRow":        "emits a result row",
+	"Record":         "records a stat",
+	"Observe":        "records a stat",
+	"Encode":         "encodes wire bytes",
+	"EncodeTo":       "encodes wire bytes",
+	"AppendWire":     "encodes wire bytes",
+	"Write":          "writes output",
+	"WriteString":    "writes output",
+	"WriteRow":       "writes output",
 }
 
 // fmtSinks are the fmt functions that write to a stream (as opposed to

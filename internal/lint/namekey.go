@@ -13,7 +13,7 @@ import (
 // three allocations per lookup per receiver per handler. The pattern was
 // removed from the nfd tables once (name tree) and from core and multihop
 // once (docs/PERFORMANCE.md "Completion and name keys", where it was 44% of
-// a trial's heap objects); this analyzer keeps it out (docs/CONTRACTS.md §5).
+// a trial's heap objects); this analyzer keeps it out (docs/CONTRACTS.md §4).
 // Rendering a name for a payload, a log line or an error is not flagged —
 // only its use as a map key is.
 var NameKey = &Analyzer{

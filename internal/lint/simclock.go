@@ -6,6 +6,14 @@ import (
 	"strings"
 )
 
+const simPath = "dapes/internal/sim"
+
+// inSim reports whether path is internal/sim or a package under it: the
+// owner of the random-stream derivation.
+func inSim(path string) bool {
+	return path == simPath || strings.HasPrefix(path, simPath+"/")
+}
+
 // simPathPackages are the packages whose code runs inside (or feeds) the
 // discrete-event simulation. Inside them, every timestamp must come from the
 // kernel clock and every random draw from a sim.Stream derived from the

@@ -90,10 +90,10 @@ func TestPureForwarderServesFromCache(t *testing.T) {
 	d := &ndn.Data{Name: ndn.ParseName("/x/0"), Content: []byte("cached")}
 	d.SignDigest()
 	// Broadcast the data (unsolicited); the forwarder must cache it.
-	k.Schedule(time.Second, func() { medium.Broadcast(r, d.Encode()) })
+	k.ScheduleFunc(time.Second, func() { medium.Broadcast(r, d.Encode()) })
 	// Later, ask for it; the forwarder must answer from its Content Store.
 	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 77}
-	k.Schedule(2*time.Second, func() { medium.Broadcast(r, in.Encode()) })
+	k.ScheduleFunc(2*time.Second, func() { medium.Broadcast(r, in.Encode()) })
 	k.Run(5 * time.Second)
 
 	if len(got) != 1 || string(got[0].Content) != "cached" {
@@ -117,7 +117,7 @@ func TestSuppressionTimerBlocksRepeatedForwards(t *testing.T) {
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
 	send := func(at time.Duration, nonce uint32) {
 		in := &ndn.Interest{Name: ndn.ParseName("/never/0"), Nonce: nonce}
-		k.ScheduleAt(at, func() { medium.Broadcast(r, in.Encode()) })
+		k.ScheduleFuncAt(at, func() { medium.Broadcast(r, in.Encode()) })
 	}
 	send(0, 1)
 	send(3*time.Second, 2)  // within suppression window -> suppressed
@@ -146,7 +146,7 @@ func TestProbabilisticForwardingRespectsProbability(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Distinct names so suppression state does not interfere.
 		in := &ndn.Interest{Name: ndn.ParseName("/p").AppendSeq(i), Nonce: uint32(i + 1)}
-		k.ScheduleAt(time.Duration(i)*50*time.Millisecond, func() { medium.Broadcast(r, in.Encode()) })
+		k.ScheduleFuncAt(time.Duration(i)*50*time.Millisecond, func() { medium.Broadcast(r, in.Encode()) })
 	}
 	k.Run(time.Duration(n)*50*time.Millisecond + time.Second)
 

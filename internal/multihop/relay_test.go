@@ -52,11 +52,11 @@ func TestRelayWindowsCloseOnTheInstant(t *testing.T) {
 	const t0 = time.Second
 	type probe struct{ inFlight, suppressed bool }
 	got := map[time.Duration]probe{}
-	k.ScheduleAt(t0, func() {
+	k.ScheduleFuncAt(t0, func() {
 		r.Forward(in)
 		// Arrivals are scheduled after the forward, as a frame's delivery is.
 		for _, at := range []time.Duration{t0 + SuppressTTL - 1, t0 + SuppressTTL, t0 + 2*SuppressTTL - 1, t0 + 2*SuppressTTL} {
-			k.ScheduleAt(at, func() { got[at] = probe{r.InFlight(in), r.Suppressed(in)} })
+			k.ScheduleFuncAt(at, func() { got[at] = probe{r.InFlight(in), r.Suppressed(in)} })
 		}
 	})
 	k.Run(t0 + 3*SuppressTTL)
@@ -83,11 +83,11 @@ func TestRelayDataOncePerName(t *testing.T) {
 	t.Parallel()
 	rig := newRelayRig(2)
 	k, r := rig.k, &rig.r
-	k.ScheduleAt(time.Second, func() {
+	k.ScheduleFuncAt(time.Second, func() {
 		r.Forward(&ndn.Interest{Name: ndn.ParseName("/exact/0"), Nonce: 1})
 		r.Forward(&ndn.Interest{Name: ndn.ParseName("/prefix"), CanBePrefix: true, Nonce: 2})
 	})
-	k.ScheduleAt(time.Second+100*time.Millisecond, func() {
+	k.ScheduleFuncAt(time.Second+100*time.Millisecond, func() {
 		for _, uri := range []string{"/exact/0", "/exact/0", "/exact/0/longer", "/prefix/a", "/prefix/b", "/prefix/a", "/prefix", "/other"} {
 			r.RelayData(signedData(uri))
 		}
@@ -116,11 +116,11 @@ func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
 		for _, age := range []time.Duration{2 * SuppressTTL, 2*SuppressTTL + 1} {
 			rig := newRelayRig(6)
 			k, r := rig.k, &rig.r
-			k.ScheduleAt(t0, func() {
+			k.ScheduleFuncAt(t0, func() {
 				r.Forward(&ndn.Interest{Name: ndn.ParseName("/a/0"), Nonce: 1})
 				r.Forward(&ndn.Interest{Name: ndn.ParseName("/b"), CanBePrefix: true, Nonce: 2})
 			})
-			k.ScheduleAt(t0+age, func() {
+			k.ScheduleFuncAt(t0+age, func() {
 				if compacted {
 					compact(r)
 				}
@@ -140,9 +140,9 @@ func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
 
 	rig := newRelayRig(7)
 	k, r := rig.k, &rig.r
-	k.ScheduleAt(t0, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a/0"), Nonce: 1}) })
-	k.ScheduleAt(t0+SuppressTTL, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a"), CanBePrefix: true, Nonce: 2}) })
-	k.ScheduleAt(t0+2*SuppressTTL+1, func() { r.RelayData(signedData("/a/0")) })
+	k.ScheduleFuncAt(t0, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a/0"), Nonce: 1}) })
+	k.ScheduleFuncAt(t0+SuppressTTL, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a"), CanBePrefix: true, Nonce: 2}) })
+	k.ScheduleFuncAt(t0+2*SuppressTTL+1, func() { r.RelayData(signedData("/a/0")) })
 	k.Run(t0 + 4*SuppressTTL)
 	if !r.forwarded["/a"].answered || r.forwarded["/a/0"].answered {
 		t.Errorf("Data past the exact record's lifetime answered /a %v, /a/0 %v; want the prefix record only",
@@ -161,7 +161,7 @@ func TestRelayTablesBoundedOverLongRun(t *testing.T) {
 	const n = 10000
 	maxHeld, maxLive := 0, 0
 	for i := 0; i < n; i++ {
-		k.ScheduleAt(time.Duration(i)*100*time.Millisecond, func() {
+		k.ScheduleFuncAt(time.Duration(i)*100*time.Millisecond, func() {
 			r.Forward(&ndn.Interest{Name: ndn.ParseName("/never").AppendSeq(i), Nonce: r.NewNonce()})
 			forwarded, suppressed, nonces := r.TableSizes()
 			maxLive = max(maxLive, forwarded+suppressed+nonces)
@@ -304,9 +304,9 @@ func TestPureForwarderStopSilences(t *testing.T) {
 	f := NewPureForwarder(k, medium, geo.Stationary{}, Config{ForwardProb: 1})
 	f.Start()
 	cached := signedData("/x/0")
-	k.ScheduleAt(time.Second, func() { f.onData(0, cached) })
+	k.ScheduleFuncAt(time.Second, func() { f.onData(0, cached) })
 	var stoppedAt uint64
-	k.ScheduleAt(2*time.Second, func() {
+	k.ScheduleFuncAt(2*time.Second, func() {
 		f.onInterest(0, &ndn.Interest{Name: cached.Name, Nonce: 1})
 		a := &ndn.Interest{Name: ndn.ParseName("/y/1"), Nonce: 2}
 		b := &ndn.Interest{Name: ndn.ParseName("/y/2"), Nonce: 3}
@@ -348,7 +348,7 @@ func TestStoppedForwarderIsSilent(t *testing.T) {
 	f.relay.Stop()
 	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
 	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 9}
-	k.Schedule(time.Second, func() { medium.Broadcast(r, in.Encode()) })
+	k.ScheduleFunc(time.Second, func() { medium.Broadcast(r, in.Encode()) })
 	k.Run(5 * time.Second)
 	if f.Stats().InterestsHeard != 0 {
 		t.Fatal("stopped forwarder processed traffic")
@@ -454,7 +454,7 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 		nonce++
 		in.Nonce = nonce
 		wire := in.Encode()
-		k.ScheduleAt(at, func() { medium.Broadcast(sender, wire) })
+		k.ScheduleFuncAt(at, func() { medium.Broadcast(sender, wire) })
 	}
 	send(time.Millisecond, ndn.Interest{Name: ndn.ParseName(exactURI)})
 	send(2*time.Millisecond, ndn.Interest{Name: ndn.ParseName(prefixURI), CanBePrefix: true})

@@ -10,16 +10,11 @@ import (
 	"dapes/internal/sim"
 )
 
-// Timer is a cancelable scheduled callback.
-type Timer interface {
-	Cancel()
-}
-
 // Clock abstracts virtual time so the tables are reusable outside the
 // discrete-event kernel.
 type Clock interface {
 	Now() time.Duration
-	Schedule(delay time.Duration, fn func()) Timer
+	NewTimer(fn func()) *sim.Timer
 }
 
 // KernelClock adapts a sim.Kernel to the Clock interface.
@@ -32,10 +27,8 @@ var _ Clock = KernelClock{}
 // Now implements Clock.
 func (c KernelClock) Now() time.Duration { return c.K.Now() }
 
-// Schedule implements Clock.
-func (c KernelClock) Schedule(delay time.Duration, fn func()) Timer {
-	return c.K.Schedule(delay, fn)
-}
+// NewTimer implements Clock.
+func (c KernelClock) NewTimer(fn func()) *sim.Timer { return c.K.NewTimer(fn) }
 
 // Face names one attachment point of a node — an application, a wireless
 // broadcast channel, or a point-to-point link — as a FIB next hop.

@@ -4,15 +4,15 @@ import (
 	"time"
 
 	"dapes/internal/ndn"
+	"dapes/internal/sim"
 )
 
 // PitEntry records a forwarded Interest awaiting Data until its lifetime
 // passes.
 type PitEntry struct {
-	Name    ndn.Name
-	node    *nameTreeNode
-	expiry  Timer
-	expired bool
+	Name   ndn.Name
+	node   *nameTreeNode
+	expiry *sim.Timer
 }
 
 // Pit is the Pending Interest Table: exact-name entries stored on the
@@ -46,25 +46,17 @@ func (p *Pit) Insert(interest *ndn.Interest, _ *Face, lifetime time.Duration) (e
 	existed := e != nil
 	if !existed {
 		e = &PitEntry{Name: interest.Name.Clone(), node: node}
+		e.expiry = p.clock.NewTimer(func() { p.remove(e) })
 		node.pit = e
 		p.len++
 	}
-	if e.expiry != nil {
-		e.expiry.Cancel()
-	}
-	e.expiry = p.clock.Schedule(lifetime, func() {
-		if !e.expired {
-			e.expired = true
-			p.remove(e)
-		}
-	})
+	e.expiry.Reset(lifetime)
 	return e, existed
 }
 
+// remove detaches e when its lifetime timer fires. Only expiry removes an
+// entry, and a re-Insert resets the timer, so e is still on its node.
 func (p *Pit) remove(e *PitEntry) {
-	if e.node.pit != e {
-		return
-	}
 	e.node.pit = nil
 	p.tree.prune(e.node)
 	p.len--

@@ -29,7 +29,7 @@ func TestTxWindowsStayBounded(t *testing.T) {
 		gap := m.TxDuration(len(payload)) + time.Millisecond
 		maxLen := 0
 		for i := 0; i < sends; i++ {
-			k.ScheduleAt(time.Duration(i)*gap, func() {
+			k.ScheduleFuncAt(time.Duration(i)*gap, func() {
 				m.Broadcast(a, payload)
 				if len(a.txWindows) > maxLen {
 					maxLen = len(a.txWindows)
@@ -105,7 +105,7 @@ func runTrace(mode IndexMode, seed int64) traceResult {
 	// One radio churns on and off to exercise the enabled filter.
 	churn, on := radios[4], true
 	for s := 10 * time.Second; s < 4*time.Minute; s += 20 * time.Second {
-		k.ScheduleAt(s, func() { on = !on; churn.SetEnabled(on) })
+		k.ScheduleFuncAt(s, func() { on = !on; churn.SetEnabled(on) })
 	}
 
 	for i := 0; i < 600; i++ {
@@ -114,17 +114,17 @@ func runTrace(mode IndexMode, seed int64) traceResult {
 		payload := []byte{byte(i), byte(i >> 8), 0, 0}
 		if i%4 == 0 {
 			i := i
-			k.ScheduleAt(at, func() {
+			k.ScheduleFuncAt(at, func() {
 				m.BroadcastNotify(sender, payload, func(collided bool) {
 					res.Notifies = append(res.Notifies,
 						fmt.Sprintf("%v tx%d from=%d collided=%v", k.Now(), i, sender.ID(), collided))
 				})
 			})
 		} else {
-			k.ScheduleAt(at, func() { m.Broadcast(sender, payload) })
+			k.ScheduleFuncAt(at, func() { m.Broadcast(sender, payload) })
 		}
 		if i%50 == 0 {
-			k.ScheduleAt(at, func() {
+			k.ScheduleFuncAt(at, func() {
 				res.Neighbors = append(res.Neighbors, m.Neighbors(sender))
 			})
 		}
@@ -287,10 +287,10 @@ func runDriftBoundary(mode IndexMode, mobile bool) (res traceResult, syncs []tim
 		8500 * time.Millisecond, // 20 m/s · 1.25 s = slack exactly
 		100 * time.Second,
 	} {
-		k.ScheduleAt(at, probe)
+		k.ScheduleFuncAt(at, probe)
 	}
 	// Attached mid-run, before the 2 s probe.
-	k.ScheduleAt(time.Second, func() {
+	k.ScheduleFuncAt(time.Second, func() {
 		still(0, -50)
 		still(0, -math.Nextafter(50, 100))
 		if mobile {
@@ -298,7 +298,7 @@ func runDriftBoundary(mode IndexMode, mobile bool) (res traceResult, syncs []tim
 		}
 	})
 	if mobile {
-		k.ScheduleAt(7*time.Second, func() {
+		k.ScheduleFuncAt(7*time.Second, func() {
 			// 20 m/s: 30 m in 1.5 s, on the edge when the 8.5 s probe looks.
 			walk(7*time.Second, 8500*time.Millisecond, geo.Point{Y: -80}, geo.Point{Y: -50})
 		})
@@ -396,7 +396,7 @@ func TestPositionMatchesMobility(t *testing.T) {
 	}
 	probes := 0
 	for _, at := range times {
-		k.ScheduleAt(at, func() {
+		k.ScheduleFuncAt(at, func() {
 			probes++
 			now := k.Now()
 			// Neighbours first: the medium must bring the grid up to date

@@ -25,7 +25,7 @@ func TestBroadcastDeliversInRange(t *testing.T) {
 	b.SetHandler(func(f Frame) { got = append(got, f.From) })
 	c.SetHandler(func(f Frame) { t.Error("out-of-range radio received frame") })
 
-	k.Schedule(0, func() { m.Broadcast(a, []byte("hello")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, []byte("hello")) })
 	if err := k.Run(0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestSenderDoesNotHearItself(t *testing.T) {
 	k, m := newTestMedium(t, Config{Range: 50})
 	a := m.Attach(geo.Stationary{At: geo.Point{}})
 	a.SetHandler(func(Frame) { t.Error("sender received own frame") })
-	k.Schedule(0, func() { m.Broadcast(a, []byte("x")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, []byte("x")) })
 	k.Run(0)
 }
 
@@ -73,8 +73,8 @@ func TestOverlappingTransmissionsCollide(t *testing.T) {
 
 	payload := make([]byte, 1000)
 	// Both transmissions start at t=0 and overlap at rx.
-	k.Schedule(0, func() { m.Broadcast(a, payload) })
-	k.Schedule(0, func() { m.Broadcast(b, payload) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, payload) })
+	k.ScheduleFunc(0, func() { m.Broadcast(b, payload) })
 	k.Run(0)
 
 	if delivered != 0 {
@@ -97,14 +97,14 @@ func TestHalfDuplexTransmitterCannotHear(t *testing.T) {
 	a.SetHandler(func(Frame) { heard++ })
 	payload := make([]byte, 2000)
 	// Both transmit at the same instant: a must not hear b's frame.
-	k.Schedule(0, func() { m.Broadcast(a, payload) })
-	k.Schedule(0, func() { m.Broadcast(b, payload) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, payload) })
+	k.ScheduleFunc(0, func() { m.Broadcast(b, payload) })
 	k.Run(0)
 	if heard != 0 {
 		t.Fatalf("transmitting radio heard %d frames", heard)
 	}
 	// A later frame is heard normally.
-	k.Schedule(0, func() { m.Broadcast(b, []byte("later")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(b, []byte("later")) })
 	k.Run(0)
 	if heard != 1 {
 		t.Fatalf("idle radio heard %d frames, want 1", heard)
@@ -123,8 +123,8 @@ func TestNonOverlappingTransmissionsBothDeliver(t *testing.T) {
 
 	payload := make([]byte, 100)
 	gap := m.TxDuration(len(payload)) + time.Millisecond
-	k.Schedule(0, func() { m.Broadcast(a, payload) })
-	k.Schedule(gap, func() { m.Broadcast(b, payload) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, payload) })
+	k.ScheduleFunc(gap, func() { m.Broadcast(b, payload) })
 	k.Run(0)
 
 	if delivered != 2 {
@@ -149,8 +149,8 @@ func TestCollisionOnlyAtSharedReceiver(t *testing.T) {
 	rxA.SetHandler(func(Frame) { got++ })
 	rxB.SetHandler(func(Frame) { got++ })
 
-	k.Schedule(0, func() { m.Broadcast(a, []byte("x")) })
-	k.Schedule(0, func() { m.Broadcast(b, []byte("y")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, []byte("x")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(b, []byte("y")) })
 	k.Run(0)
 
 	if got != 2 {
@@ -170,7 +170,7 @@ func TestLossRateDropsFrames(t *testing.T) {
 	gap := m.TxDuration(10) + time.Millisecond
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * gap
-		k.ScheduleAt(at, func() { m.Broadcast(a, make([]byte, 10)) })
+		k.ScheduleFuncAt(at, func() { m.Broadcast(a, make([]byte, 10)) })
 	}
 	k.Run(0)
 
@@ -191,11 +191,11 @@ func TestDisabledRadio(t *testing.T) {
 	rx.SetHandler(func(Frame) { t.Error("disabled radio received") })
 	rx.SetEnabled(false)
 
-	k.Schedule(0, func() { m.Broadcast(a, []byte("x")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, []byte("x")) })
 	k.Run(0)
 
 	a.SetEnabled(false)
-	k.Schedule(0, func() { m.Broadcast(a, []byte("x")) })
+	k.ScheduleFunc(0, func() { m.Broadcast(a, []byte("x")) })
 	k.Run(0)
 	if m.Stats().Transmissions != 1 {
 		t.Fatalf("disabled radio transmitted: %d", m.Stats().Transmissions)
@@ -214,8 +214,8 @@ func TestMobilityAffectsRange(t *testing.T) {
 	delivered := 0
 	rx.SetHandler(func(Frame) { delivered++ })
 
-	k.Schedule(time.Second, func() { m.Broadcast(a, []byte("early")) })
-	k.Schedule(90*time.Second, func() { m.Broadcast(a, []byte("late")) })
+	k.ScheduleFunc(time.Second, func() { m.Broadcast(a, []byte("early")) })
+	k.ScheduleFunc(90*time.Second, func() { m.Broadcast(a, []byte("late")) })
 	k.Run(0)
 
 	if delivered != 1 {

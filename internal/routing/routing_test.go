@@ -88,7 +88,7 @@ func TestDSDVDeliversMultiHop(t *testing.T) {
 		}
 	})
 	k.Run(60 * time.Second) // converge
-	k.Schedule(0, func() {
+	k.ScheduleFunc(0, func() {
 		if !nodes[0].Send(nodes[3].ID(), []byte("across")) {
 			t.Error("send failed despite converged routes")
 		}
@@ -168,7 +168,7 @@ func TestDSRDiscoversAndDelivers(t *testing.T) {
 			got = append(got, string(payload))
 		}
 	})
-	k.Schedule(time.Second, func() {
+	k.ScheduleFunc(time.Second, func() {
 		if !nodes[0].Send(nodes[3].ID(), []byte("ondemand")) {
 			t.Error("send refused")
 		}
@@ -195,10 +195,10 @@ func TestDSRNoDiscoveryWhenRouteCached(t *testing.T) {
 
 	count := 0
 	nodes[2].SetDeliver(func(src int, payload []byte) { count++ })
-	k.Schedule(time.Second, func() { nodes[0].Send(nodes[2].ID(), []byte("a")) })
+	k.ScheduleFunc(time.Second, func() { nodes[0].Send(nodes[2].ID(), []byte("a")) })
 	k.Run(10 * time.Second)
 	ctrlAfterFirst := nodes[0].ControlTransmissions()
-	k.Schedule(0, func() { nodes[0].Send(nodes[2].ID(), []byte("b")) })
+	k.ScheduleFunc(0, func() { nodes[0].Send(nodes[2].ID(), []byte("b")) })
 	k.Run(20 * time.Second)
 
 	if count != 2 {
@@ -234,11 +234,11 @@ func TestDSRInvalidateRouteForcesRediscovery(t *testing.T) {
 	nodes := chainDSR(k, medium, 2)
 	delivered := 0
 	nodes[1].SetDeliver(func(int, []byte) { delivered++ })
-	k.Schedule(time.Second, func() { nodes[0].Send(nodes[1].ID(), []byte("x")) })
+	k.ScheduleFunc(time.Second, func() { nodes[0].Send(nodes[1].ID(), []byte("x")) })
 	k.Run(5 * time.Second)
 	ctrl := nodes[0].ControlTransmissions()
 	nodes[0].InvalidateRoute(nodes[1].ID())
-	k.Schedule(0, func() { nodes[0].Send(nodes[1].ID(), []byte("y")) })
+	k.ScheduleFunc(0, func() { nodes[0].Send(nodes[1].ID(), []byte("y")) })
 	k.Run(15 * time.Second)
 	if delivered != 2 {
 		t.Fatalf("deliveries = %d, want 2", delivered)
@@ -274,7 +274,7 @@ func TestMixedStacksShareMedium(t *testing.T) {
 	b.Start()
 	noise := medium.Attach(geo.Stationary{At: geo.Point{X: 20}})
 	for i := 0; i < 20; i++ {
-		k.ScheduleAt(time.Duration(i)*time.Second, func() {
+		k.ScheduleFuncAt(time.Duration(i)*time.Second, func() {
 			medium.Broadcast(noise, []byte{0x05, 0x03, 0x07, 0x01, 'x'})
 		})
 	}

@@ -47,7 +47,7 @@ func BenchmarkKernelFire(b *testing.B) {
 			k := Options{Queue: q.kind}.NewKernel(1)
 			fn := func() {}
 			for i := 0; i < 10_000; i++ {
-				k.Schedule(time.Hour+time.Duration(i)*time.Millisecond, fn)
+				k.ScheduleFunc(time.Hour+time.Duration(i)*time.Millisecond, fn)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -90,7 +90,7 @@ func BenchmarkTimerReset(b *testing.B) {
 			k := Options{Queue: q.kind}.NewKernel(1)
 			fn := func() {}
 			for i := 0; i < 1024; i++ {
-				k.Schedule(time.Hour+time.Duration(i)*time.Second, fn)
+				k.ScheduleFunc(time.Hour+time.Duration(i)*time.Second, fn)
 			}
 			tm := k.NewTimer(fn)
 			b.ReportAllocs()

@@ -7,13 +7,13 @@ package sim
 // never boxes through `any`: a push is typed, so a programming error cannot
 // silently vanish an event.
 type heapQueue struct {
-	s []*Event
+	s []*event
 }
 
 // eventLess is the total event order: time first, then scheduling sequence
 // (FIFO among equal timestamps). Sequence numbers are unique, so there are
 // no ties and every correct implementation pops the same order.
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -22,20 +22,20 @@ func eventLess(a, b *Event) bool {
 
 func (q *heapQueue) len() int { return len(q.s) }
 
-func (q *heapQueue) peek() *Event {
+func (q *heapQueue) peek() *event {
 	if len(q.s) == 0 {
 		return nil
 	}
 	return q.s[0]
 }
 
-func (q *heapQueue) push(ev *Event) {
+func (q *heapQueue) push(ev *event) {
 	ev.index = len(q.s)
 	q.s = append(q.s, ev)
 	q.up(len(q.s) - 1)
 }
 
-func (q *heapQueue) pop() *Event {
+func (q *heapQueue) pop() *event {
 	n := len(q.s)
 	if n == 0 {
 		return nil
@@ -55,11 +55,12 @@ func (q *heapQueue) pop() *Event {
 	return ev
 }
 
-// remove deletes a queued event from any position (the cancel path). The
-// final heap layout depends on removal order, but the extraction order never
-// does — the heap property restores a unique (at, seq) pop sequence — so
-// canceling events in map-iteration order stays deterministic.
-func (q *heapQueue) remove(ev *Event) {
+// remove deletes a queued event from any position (Timer.Stop and
+// Timer.Reset). The final heap layout depends on removal order, but the
+// extraction order never does — the heap property restores a unique
+// (at, seq) pop sequence — so stopping timers in map-iteration order stays
+// deterministic.
+func (q *heapQueue) remove(ev *event) {
 	i := ev.index
 	n := len(q.s) - 1
 	if i != n {
@@ -79,7 +80,7 @@ func (q *heapQueue) remove(ev *Event) {
 // adopt replaces the heap's contents with a copy of events and heapifies.
 // The wheel uses it to turn a level-0 bucket into the current-tick heap
 // without sharing the bucket's backing array.
-func (q *heapQueue) adopt(events []*Event) {
+func (q *heapQueue) adopt(events []*event) {
 	q.s = append(q.s[:0], events...)
 	for i, ev := range q.s {
 		ev.index = i

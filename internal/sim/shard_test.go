@@ -20,7 +20,7 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 		rng := k.Stream(0, PurposePeer)
 		for i := 0; i < 50; i++ {
 			id := i
-			k.Schedule(rng.Jitter(time.Second), func() {
+			k.ScheduleFunc(rng.Jitter(time.Second), func() {
 				*trace = append(*trace, rec{id, k.Now()})
 				if id%3 == 0 {
 					k.ScheduleFunc(rng.Jitter(100*time.Millisecond), func() {

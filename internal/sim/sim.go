@@ -15,25 +15,12 @@ package sim
 
 import "time"
 
-// Event kinds: who owns the record and when the kernel may recycle it.
-const (
-	// kindOneShot events come from Schedule/ScheduleAt: a Handle escapes to
-	// the caller, so recycling is guarded by the record's generation counter.
-	kindOneShot = iota
-	// kindPooled events come from ScheduleFunc/ScheduleFuncAt: no handle
-	// escapes, so the record is recycled the moment it fires.
-	kindPooled
-	// kindTimer events are embedded in a Timer, which owns the record for
-	// its whole lifetime; the kernel never recycles them.
-	kindTimer
-)
-
-// Event is one scheduled callback record. Events fire in timestamp order;
+// event is one scheduled callback record. Events fire in timestamp order;
 // ties break on sequence number (FIFO among equal timestamps) so execution
-// order is fully deterministic regardless of the queue backend. Callers
-// never hold an *Event directly — Schedule returns a generation-checked
-// Handle, and Timers embed their record.
-type Event struct {
+// order is fully deterministic regardless of the queue backend. The record
+// never leaves the package: ScheduleFunc's records are recycled through the
+// kernel's free list the moment they fire, and a Timer embeds its own.
+type event struct {
 	at  time.Duration
 	seq uint64
 	// index is the event's position inside its queue container (heap slot or
@@ -41,54 +28,24 @@ type Event struct {
 	index int
 	// slot locates the wheel bucket holding the event (level*wheelSlots+slot,
 	// or curSlot for the wheel's current-tick heap). Unused by the heap.
-	slot     int32
-	kind     uint8
-	canceled bool
-	// gen is bumped when the event fires and when the record is reused from
-	// the free list, so a Handle held across either boundary goes inert
-	// instead of acting on an unrelated event.
-	gen uint64
-	fn  func()
-	k   *Kernel
-}
-
-// Handle refers to one scheduled occurrence of an event. The zero Handle is
-// valid and inert. Handles stay safe after the event fires or is canceled:
-// the kernel recycles event records aggressively, and the generation check
-// turns any operation on a stale handle into a no-op.
-type Handle struct {
-	ev  *Event
-	gen uint64
-}
-
-// Cancel prevents the event from firing and releases its queue slot
-// immediately (no tombstone is left behind). Canceling an already-fired or
-// already-canceled event is a no-op.
-func (h Handle) Cancel() {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	if ev.index >= 0 {
-		k := ev.k
-		k.queue.remove(ev)
-		ev.fn = nil
-		k.free = append(k.free, ev)
-	}
+	slot int32
+	// timer marks a record embedded in a Timer, which owns it for its whole
+	// lifetime; the kernel never recycles it.
+	timer bool
+	fn    func()
 }
 
 // eventQueue is the pending-event store. Implementations keep a total order
 // by (at, seq): pop and peek always yield the minimum. remove must only be
-// called with a currently queued event. The queue is concrete (*Event only)
+// called with a currently queued event. The queue is concrete (*event only)
 // on purpose: the seed implementation went through container/heap's `any`
 // interface and silently dropped a failed type assertion on Push, a
 // programming error that vanished an event instead of failing loudly.
 type eventQueue interface {
-	push(*Event)
-	pop() *Event
-	peek() *Event
-	remove(*Event)
+	push(*event)
+	pop() *event
+	peek() *event
+	remove(*event)
 	len() int
 }
 
@@ -128,9 +85,8 @@ type Kernel struct {
 	seed  int64
 	fired uint64
 	// free recycles event records so hot paths that schedule one event per
-	// frame (phy transmissions) or cancel/reschedule per message
-	// (retransmission timeouts) do not allocate per call.
-	free []*Event
+	// frame (phy transmissions, jittered sends) do not allocate per call.
+	free []*event
 	// calls recycles ScheduleCall records.
 	calls []*call
 }
@@ -171,36 +127,17 @@ func (k *Kernel) Stream(node int, purpose Purpose) Stream {
 //lint:ignore unreferenced TestGoldenDAPESTrialResults and TestGoldenBaselineTrialResults pin it per trial
 func (k *Kernel) EventsFired() uint64 { return k.fired }
 
-// Pending returns the number of live events currently queued. Canceled
-// events release their queue slot immediately, so they are never counted.
+// Pending returns the number of live events currently queued. A stopped
+// Timer releases its queue slot immediately, so it is never counted.
 //
 //lint:ignore unreferenced core.TestStopDrainsPending and multihop.TestIdlePureForwarderArmsNothing pin Pending() == 0
 func (k *Kernel) Pending() int { return k.queue.len() }
 
-// Schedule enqueues fn to run after delay (relative to Now). A negative delay
-// is clamped to zero. The returned Handle may be used to cancel the callback.
-// Call sites that cancel or reschedule the same logical timer repeatedly
-// should hold a Timer (see NewTimer) instead of scheduling per shot.
-func (k *Kernel) Schedule(delay time.Duration, fn func()) Handle {
-	if delay < 0 {
-		delay = 0
-	}
-	return k.ScheduleAt(k.now+delay, fn)
-}
-
-// ScheduleAt enqueues fn to run at absolute virtual time at. Times in the
-// past are clamped to Now.
-func (k *Kernel) ScheduleAt(at time.Duration, fn func()) Handle {
-	ev := k.enqueue(at, kindOneShot, fn)
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// ScheduleFunc enqueues fn to run after delay like Schedule, but returns no
-// cancel handle: the event cannot be canceled, which is what lets the kernel
-// recycle it through the free list the moment it fires. Hot paths that
-// schedule one event per frame and never cancel (a phy transmission's
-// completion, jittered sends) use this to avoid allocating an Event per
-// call.
+// ScheduleFunc enqueues fn to run after delay (relative to Now). A negative
+// delay is clamped to zero. The event cannot be canceled, which is what lets
+// the kernel recycle its record through the free list the moment it fires,
+// so a warm kernel schedules without allocating. A callback that must be
+// canceled or rescheduled is a Timer (see NewTimer).
 func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
@@ -208,10 +145,28 @@ func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
 	k.ScheduleFuncAt(k.now+delay, fn)
 }
 
-// ScheduleFuncAt is ScheduleAt without a cancel handle; see ScheduleFunc.
+// ScheduleFuncAt enqueues fn to run at absolute virtual time at. Times in
+// the past are clamped to Now.
 func (k *Kernel) ScheduleFuncAt(at time.Duration, fn func()) {
-	k.enqueue(at, kindPooled, fn)
+	if at < k.now {
+		at = k.now
+	}
+	k.seq++
+	var ev *event
+	if n := len(k.free); n > 0 {
+		ev = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+		ev.at, ev.seq, ev.fn = at, k.seq, fn
+	} else {
+		ev = &event{at: at, seq: k.seq, index: -1, fn: fn}
+	}
+	k.queue.push(ev)
 }
+
+// Schedule is ScheduleFunc. It survives only because the benchmark
+// harness's probes call it; new code calls ScheduleFunc.
+func (k *Kernel) Schedule(delay time.Duration, fn func()) { k.ScheduleFunc(delay, fn) }
 
 // ScheduleCall enqueues fn(arg) to run after delay, like ScheduleFunc. It is
 // for a callback about one record of many: with fn a top-level function and
@@ -249,27 +204,6 @@ func (c *call) run() {
 	fn(arg)
 }
 
-// enqueue assigns the next sequence number and pushes a recycled (or fresh)
-// event record.
-func (k *Kernel) enqueue(at time.Duration, kind uint8, fn func()) *Event {
-	if at < k.now {
-		at = k.now
-	}
-	k.seq++
-	var ev *Event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		ev.gen++ // any handle from the record's previous life goes inert
-		ev.at, ev.seq, ev.kind, ev.canceled, ev.fn = at, k.seq, kind, false, fn
-	} else {
-		ev = &Event{at: at, seq: k.seq, index: -1, kind: kind, fn: fn, k: k}
-	}
-	k.queue.push(ev)
-	return ev
-}
-
 // Step executes the next pending event, if any, and reports whether one ran.
 func (k *Kernel) Step() bool {
 	ev := k.queue.pop()
@@ -279,11 +213,9 @@ func (k *Kernel) Step() bool {
 	k.now = ev.at
 	k.fired++
 	fn := ev.fn
-	if ev.kind != kindTimer {
+	if !ev.timer {
 		// Recycle before running fn: the callback may itself schedule events
-		// and reuse this record immediately. Bumping gen first makes any
-		// still-held Handle inert before the record can change identity.
-		ev.gen++
+		// and reuse this record immediately.
 		ev.fn = nil
 		k.free = append(k.free, ev)
 	}

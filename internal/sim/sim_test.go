@@ -23,9 +23,9 @@ func TestKernelRunsEventsInOrder(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
-		k.Schedule(3*time.Second, func() { order = append(order, 3) })
-		k.Schedule(1*time.Second, func() { order = append(order, 1) })
-		k.Schedule(2*time.Second, func() { order = append(order, 2) })
+		k.ScheduleFunc(3*time.Second, func() { order = append(order, 3) })
+		k.ScheduleFunc(1*time.Second, func() { order = append(order, 1) })
+		k.ScheduleFunc(2*time.Second, func() { order = append(order, 2) })
 		if err := k.Run(0); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
 		}
@@ -48,7 +48,7 @@ func TestKernelFIFOAmongEqualTimestamps(t *testing.T) {
 		var order []int
 		for i := 0; i < 10; i++ {
 			i := i
-			k.Schedule(time.Second, func() { order = append(order, i) })
+			k.ScheduleFunc(time.Second, func() { order = append(order, i) })
 		}
 		if err := k.Run(0); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
@@ -66,20 +66,21 @@ func TestKernelCancel(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
-		ev := k.Schedule(time.Second, func() { fired = true })
-		ev.Cancel()
-		ev.Cancel() // a second Cancel is a no-op
+		tm := k.NewTimer(func() { fired = true })
+		tm.Reset(time.Second)
+		tm.Stop()
+		tm.Stop() // a second Stop is a no-op
 		if err := k.Run(0); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
 		}
 		if fired {
-			t.Fatalf("%s: canceled event fired", q.name)
+			t.Fatalf("%s: stopped timer fired", q.name)
 		}
 	}
 }
 
 // TestCancelReclaimsQueueSpace is the tombstone-leak regression test: a
-// long-lived workload that schedules and cancels without ever firing (an
+// long-lived workload that arms and stops a timer without ever firing it (an
 // always-answered retransmission timeout) must not grow the queue. The seed
 // kernel left canceled events queued until lazily popped, so this pattern
 // grew Kernel.queue without bound.
@@ -87,36 +88,39 @@ func TestCancelReclaimsQueueSpace(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
-		keeper := k.Schedule(time.Hour, func() {})
+		keeper := k.NewTimer(func() {})
+		keeper.Reset(time.Hour)
+		rto := k.NewTimer(func() {})
 		for i := 0; i < 100_000; i++ {
-			h := k.Schedule(time.Minute+time.Duration(i)*time.Millisecond, func() {})
-			h.Cancel()
+			rto.Reset(time.Minute + time.Duration(i)*time.Millisecond)
+			rto.Stop()
 			if p := k.Pending(); p != 1 {
-				t.Fatalf("%s: Pending() = %d after %d schedule/cancel cycles, want 1", q.name, p, i+1)
+				t.Fatalf("%s: Pending() = %d after %d arm/stop cycles, want 1", q.name, p, i+1)
 			}
 		}
-		keeper.Cancel()
+		keeper.Stop()
 		if p := k.Pending(); p != 0 {
-			t.Fatalf("%s: Pending() = %d after canceling everything, want 0", q.name, p)
+			t.Fatalf("%s: Pending() = %d after stopping everything, want 0", q.name, p)
 		}
 	}
 }
 
-// TestPendingReportsLiveEvents pins the Pending contract: canceled events
-// release their slot immediately and are never counted.
+// TestPendingReportsLiveEvents pins the Pending contract: a stopped timer
+// releases its slot immediately and is never counted.
 func TestPendingReportsLiveEvents(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
-		a := k.Schedule(time.Second, func() {})
-		k.Schedule(2*time.Second, func() {})
-		k.Schedule(3*time.Second, func() {})
+		a := k.NewTimer(func() {})
+		a.Reset(time.Second)
+		k.ScheduleFunc(2*time.Second, func() {})
+		k.ScheduleFunc(3*time.Second, func() {})
 		if p := k.Pending(); p != 3 {
 			t.Fatalf("%s: Pending() = %d, want 3", q.name, p)
 		}
-		a.Cancel()
+		a.Stop()
 		if p := k.Pending(); p != 2 {
-			t.Fatalf("%s: Pending() = %d after one cancel, want 2", q.name, p)
+			t.Fatalf("%s: Pending() = %d after one stop, want 2", q.name, p)
 		}
 	}
 }
@@ -126,7 +130,7 @@ func TestKernelHorizonStopsClock(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
-		k.Schedule(10*time.Second, func() { fired = true })
+		k.ScheduleFunc(10*time.Second, func() { fired = true })
 		if err := k.Run(5 * time.Second); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
 		}
@@ -144,9 +148,9 @@ func TestKernelScheduleInsideEvent(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		var times []time.Duration
-		k.Schedule(time.Second, func() {
+		k.ScheduleFunc(time.Second, func() {
 			times = append(times, k.Now())
-			k.Schedule(time.Second, func() { times = append(times, k.Now()) })
+			k.ScheduleFunc(time.Second, func() { times = append(times, k.Now()) })
 		})
 		if err := k.Run(0); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
@@ -162,7 +166,7 @@ func TestKernelNegativeDelayClamped(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		fired := false
-		k.Schedule(-time.Second, func() { fired = true })
+		k.ScheduleFunc(-time.Second, func() { fired = true })
 		k.Run(0)
 		if !fired {
 			t.Fatalf("%s: negative-delay event did not fire", q.name)
@@ -179,7 +183,7 @@ func TestKernelRunUntil(t *testing.T) {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		count := 0
 		for i := 1; i <= 10; i++ {
-			k.Schedule(time.Duration(i)*time.Second, func() { count++ })
+			k.ScheduleFunc(time.Duration(i)*time.Second, func() { count++ })
 		}
 		ok := k.RunUntil(0, func() bool { return count >= 4 })
 		if !ok {
@@ -236,11 +240,11 @@ func TestSplitRunMatchesOneRun(t *testing.T) {
 				mid = at
 			}
 			for j := i; j < i+3; j++ {
-				k.ScheduleAt(at, fire(j))
+				k.ScheduleFuncAt(at, fire(j))
 			}
 		}
 		for j := 60; j < 63; j++ {
-			k.ScheduleAt(horizon, fire(j))
+			k.ScheduleFuncAt(horizon, fire(j))
 		}
 		return trace, mid
 	}
@@ -302,7 +306,7 @@ func TestKernelDeterminism(t *testing.T) {
 		var vals []int64
 		for i := 0; i < 100; i++ {
 			d := rng.Jitter(time.Second)
-			k.Schedule(d, func() { vals = append(vals, int64(k.Now())) })
+			k.ScheduleFunc(d, func() { vals = append(vals, int64(k.Now())) })
 		}
 		k.Run(0)
 		return vals
@@ -327,11 +331,11 @@ func TestScheduleBehindWheelCursor(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
-		k.Schedule(10*time.Hour, func() { order = append(order, 2) })
+		k.ScheduleFunc(10*time.Hour, func() { order = append(order, 2) })
 		if err := k.Run(time.Second); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
 		}
-		k.Schedule(time.Second, func() { order = append(order, 1) }) // at ≈ 2s, far behind 10h
+		k.ScheduleFunc(time.Second, func() { order = append(order, 1) }) // at ≈ 2s, far behind 10h
 		if err := k.Run(0); err != nil {
 			t.Fatalf("%s: run: %v", q.name, err)
 		}
@@ -360,7 +364,7 @@ func TestEventTimeMonotonicProperty(t *testing.T) {
 		k := NewKernel(3)
 		var seen []time.Duration
 		for _, d := range delays {
-			k.Schedule(time.Duration(d)*time.Millisecond, func() {
+			k.ScheduleFunc(time.Duration(d)*time.Millisecond, func() {
 				seen = append(seen, k.Now())
 			})
 		}
@@ -382,7 +386,7 @@ func TestScheduleFuncOrderingMatchesSchedule(t *testing.T) {
 	for _, q := range queueKinds {
 		k := Options{Queue: q.kind}.NewKernel(1)
 		var order []int
-		k.Schedule(time.Second, func() { order = append(order, 1) })
+		k.NewTimer(func() { order = append(order, 1) }).Reset(time.Second)
 		k.ScheduleFunc(time.Second, func() { order = append(order, 2) }) // FIFO tie-break
 		k.ScheduleFuncAt(500*time.Millisecond, func() { order = append(order, 0) })
 		k.ScheduleFunc(-time.Second, func() { order = append(order, -1) }) // clamped to now
@@ -423,14 +427,21 @@ func TestScheduleFuncRecyclesEvents(t *testing.T) {
 		t.Fatalf("free list holds %d events after a serial chain, want 1", len(k.free))
 	}
 
-	// Pooled and cancelable events interleave without disturbing each other.
+	// Pooled events and timers interleave without disturbing each other, and
+	// a timer's record never enters the free list.
 	ran := 0
-	ev := k.Schedule(time.Second, func() { ran += 100 })
+	tm := k.NewTimer(func() { ran += 100 })
+	tm.Reset(time.Second)
 	k.ScheduleFunc(time.Second, func() { ran++ })
-	ev.Cancel()
+	tm.Stop()
 	k.Run(0)
 	if ran != 1 {
-		t.Fatalf("ran = %d, want only the pooled event (canceled handle skipped)", ran)
+		t.Fatalf("ran = %d, want only the pooled event (stopped timer skipped)", ran)
+	}
+	tm.Reset(time.Second)
+	k.Run(0)
+	if ran != 101 || len(k.free) != 1 {
+		t.Fatalf("ran = %d with %d free records, want 101 and 1 (the re-armed timer fired, its record kept)", ran, len(k.free))
 	}
 }
 
@@ -460,52 +471,6 @@ func TestScheduleCallDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 || n != 1001 {
 		t.Fatalf("ScheduleCall+Step allocates %v/op and ran %d times, want 0 and 1001", allocs, n)
-	}
-}
-
-// TestCanceledEventsAreRecycled pins the free-list contract for cancelable
-// events: a cancel returns the record, and the next schedule reuses it, so a
-// schedule/cancel loop settles at zero allocations.
-func TestCanceledEventsAreRecycled(t *testing.T) {
-	for _, q := range queueKinds {
-		k := Options{Queue: q.kind}.NewKernel(1)
-		fn := func() {}
-		// Warm the free list, the queue's backing storage, and the handle's
-		// reuse path.
-		for i := 0; i < 64; i++ {
-			k.Schedule(time.Minute, fn).Cancel()
-		}
-		allocs := testing.AllocsPerRun(1000, func() {
-			k.Schedule(time.Minute, fn).Cancel()
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: schedule/cancel cycle allocates %v/op, want 0", q.name, allocs)
-		}
-	}
-}
-
-// TestStaleHandlesAreInert pins the generation guard: once an event fires,
-// its record may be reused for an unrelated event, and operations through a
-// handle from the previous life must not touch the new occupant.
-func TestStaleHandlesAreInert(t *testing.T) {
-	t.Parallel()
-	for _, q := range queueKinds {
-		k := Options{Queue: q.kind}.NewKernel(1)
-		aRan, bRan := false, false
-		a := k.Schedule(time.Second, func() { aRan = true })
-		if err := k.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		b := k.Schedule(time.Second, func() { bRan = true }) // reuses a's record
-		a.Cancel()                                           // stale: must not cancel b
-		if err := k.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		if !aRan || !bRan {
-			t.Fatalf("%s: aRan=%v bRan=%v, want both true (stale Cancel must be a no-op)",
-				q.name, aRan, bRan)
-		}
-		_ = b
 	}
 }
 
@@ -583,7 +548,7 @@ func TestTimerResetDoesNotAllocate(t *testing.T) {
 		// A realistic surrounding population so the queue is not trivially
 		// empty.
 		for i := 0; i < 256; i++ {
-			k.Schedule(time.Hour+time.Duration(i)*time.Second, func() {})
+			k.ScheduleFunc(time.Hour+time.Duration(i)*time.Second, func() {})
 		}
 		tm := k.NewTimer(func() {})
 		for i := 0; i < 64; i++ {
@@ -601,11 +566,12 @@ func TestTimerResetDoesNotAllocate(t *testing.T) {
 }
 
 // TestWheelMatchesHeapUnderChurn is the equivalence property test: both
-// backends, fed an identical randomized stream of schedules (one-shot,
-// pooled, exact-time ties), cancels, timer resets/stops, and
-// horizon-bounded runs, must fire the identical (event, time) sequence.
-// The delay mix spans sub-tick ties, exact tick boundaries, and far-future
-// deadlines that cascade through multiple wheel levels.
+// backends, fed an identical randomized stream of schedules (pooled,
+// exact-time ties, freshly armed timers), resets and stops of random timers
+// (which drive queue.remove from arbitrary positions), and horizon-bounded
+// runs, must fire the identical (event, time) sequence. The delay mix spans
+// sub-tick ties, exact tick boundaries, and far-future deadlines that
+// cascade through multiple wheel levels.
 func TestWheelMatchesHeapUnderChurn(t *testing.T) {
 	t.Parallel()
 	type fireRec struct {
@@ -623,7 +589,6 @@ func TestWheelMatchesHeapUnderChurn(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := Options{Queue: kind}.NewKernel(seed)
 		var trace []fireRec
-		var handles []Handle
 		var timers []*Timer
 		nextID := 0
 		record := func() func() {
@@ -635,17 +600,19 @@ func TestWheelMatchesHeapUnderChurn(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				switch op := rng.Intn(12); {
 				case op < 5:
-					handles = append(handles, k.Schedule(delays[rng.Intn(len(delays))], record()))
+					tm := k.NewTimer(record())
+					tm.Reset(delays[rng.Intn(len(delays))])
+					timers = append(timers, tm)
 				case op < 6:
 					// Two events at the same absolute time: FIFO tie.
 					at := k.Now() + delays[rng.Intn(len(delays))]
-					k.ScheduleAt(at, record())
-					k.ScheduleAt(at, record())
+					k.ScheduleFuncAt(at, record())
+					k.ScheduleFuncAt(at, record())
 				case op < 8:
 					k.ScheduleFunc(delays[rng.Intn(len(delays))], record())
 				case op < 9:
-					if len(handles) > 0 {
-						handles[rng.Intn(len(handles))].Cancel() // possibly stale: must be inert
+					if len(timers) > 0 {
+						timers[rng.Intn(len(timers))].Stop() // possibly fired: must be inert
 					}
 				case op < 11:
 					if len(timers) == 0 || rng.Intn(4) == 0 {

@@ -2,31 +2,29 @@ package sim
 
 import "time"
 
-// Timer is a reusable scheduled callback: one event record and one closure
-// for the timer's whole lifetime, however many times it is armed. Protocol
-// layers whose workload is "schedule, then usually cancel or reschedule" —
-// retransmission timeouts, Interest timeouts, periodic ticks — hold a Timer
-// instead of allocating a closure and an event per shot; steady-state Reset
-// performs zero allocations.
+// Timer is the kernel's one cancelable callback: one event record and one
+// closure for the timer's whole lifetime, however many times it is armed.
+// Protocol layers whose workload is "schedule, then usually cancel or
+// reschedule" — retransmission timeouts, Interest lifetimes, periodic ticks
+// — hold a Timer; steady-state Reset performs zero allocations.
 //
 // A Timer is single-shot per arming: Reset schedules (or reschedules) the
 // callback, firing clears the pending state, and periodic users re-arm from
-// inside the callback. Like the per-shot API, a Reset consumes one kernel
-// sequence number, so converting a cancel+Schedule pair to a Reset preserves
-// the event trace exactly.
+// inside the callback. Like ScheduleFunc, a Reset consumes one kernel
+// sequence number, so the two share one (time, sequence) order.
 //
 // Timers are not safe for concurrent use; like the Kernel, they belong to
 // the single simulation goroutine.
 type Timer struct {
 	k  *Kernel
-	ev Event
+	ev event
 }
 
 // NewTimer returns an unarmed timer that runs fn each time an armed deadline
 // is reached.
 func (k *Kernel) NewTimer(fn func()) *Timer {
 	t := &Timer{k: k}
-	t.ev = Event{index: -1, kind: kindTimer, fn: fn, k: k}
+	t.ev = event{index: -1, timer: true, fn: fn}
 	return t
 }
 

@@ -17,9 +17,9 @@ import "math/bits"
 // Operations:
 //
 //   - push: O(1) — level from one XOR+Len64, append to the bucket.
-//   - remove (cancel): O(1) — swap-remove from the bucket, clear the
-//     occupancy bit when it empties. Cancels reclaim their space instantly
-//     instead of leaving tombstones for pop to skip.
+//   - remove (Timer.Stop, Timer.Reset): O(1) — swap-remove from the bucket,
+//     clear the occupancy bit when it empties. A stopped timer reclaims its
+//     space instantly instead of leaving a tombstone for pop to skip.
 //   - pop/peek: amortized O(1) — drain the current tick's events from a
 //     small (at, seq) heap; when it empties, advance the cursor to the next
 //     occupied slot, cascading higher-level buckets down as their windows
@@ -51,7 +51,7 @@ type wheelQueue struct {
 	// buckets holds the pending events per (level, slot); bucket order is
 	// arbitrary (swap-remove perturbs it) and irrelevant — events are
 	// ordered when their tick's bucket is adopted into cur.
-	buckets [wheelLevels * wheelSlots][]*Event
+	buckets [wheelLevels * wheelSlots][]*event
 	// bits is the per-level slot occupancy bitmap.
 	bits [wheelLevels]uint64
 	// cur orders the events of the current tick — and any event scheduled at
@@ -65,13 +65,13 @@ type wheelQueue struct {
 
 func (w *wheelQueue) len() int { return w.size }
 
-func (w *wheelQueue) push(ev *Event) {
+func (w *wheelQueue) push(ev *event) {
 	w.place(ev)
 	w.size++
 }
 
 // place files an event relative to the cursor (shared by push and cascade).
-func (w *wheelQueue) place(ev *Event) {
+func (w *wheelQueue) place(ev *event) {
 	tick := int64(ev.at) >> tickBits
 	if tick <= w.curTick {
 		ev.slot = curSlot
@@ -87,7 +87,7 @@ func (w *wheelQueue) place(ev *Event) {
 	w.bits[lvl] |= 1 << slot
 }
 
-func (w *wheelQueue) pop() *Event {
+func (w *wheelQueue) pop() *event {
 	if w.size == 0 {
 		return nil
 	}
@@ -98,7 +98,7 @@ func (w *wheelQueue) pop() *Event {
 	return w.cur.pop()
 }
 
-func (w *wheelQueue) peek() *Event {
+func (w *wheelQueue) peek() *event {
 	if w.size == 0 {
 		return nil
 	}
@@ -108,7 +108,7 @@ func (w *wheelQueue) peek() *Event {
 	return w.cur.peek()
 }
 
-func (w *wheelQueue) remove(ev *Event) {
+func (w *wheelQueue) remove(ev *event) {
 	if ev.slot == curSlot {
 		w.cur.remove(ev)
 		w.size--

@@ -30,7 +30,7 @@ func TestReliableDelivery(t *testing.T) {
 	rb.SetReceive(func(src int, payload []byte) { got = append(got, string(payload)) })
 	var acked bool
 	k.Run(30 * time.Second) // converge routes
-	k.Schedule(0, func() { ra.Send(b.ID(), []byte("hello"), func(ok bool) { acked = ok }) })
+	k.ScheduleFunc(0, func() { ra.Send(b.ID(), []byte("hello"), func(ok bool) { acked = ok }) })
 	k.Run(40 * time.Second)
 
 	if len(got) != 1 || got[0] != "hello" {
@@ -57,7 +57,7 @@ func TestReliableRetransmitsUnderLoss(t *testing.T) {
 	k.Run(60 * time.Second)
 	const n = 20
 	for i := 0; i < n; i++ {
-		k.Schedule(time.Duration(i)*100*time.Millisecond, func() {
+		k.ScheduleFunc(time.Duration(i)*100*time.Millisecond, func() {
 			ra.Send(b.ID(), []byte("m"), nil)
 		})
 	}
@@ -82,7 +82,7 @@ func TestReliableDuplicateSuppression(t *testing.T) {
 	delivered := 0
 	rb.SetReceive(func(int, []byte) { delivered++ })
 	k.Run(60 * time.Second)
-	k.Schedule(0, func() { ra.Send(b.ID(), []byte("once"), nil) })
+	k.ScheduleFunc(0, func() { ra.Send(b.ID(), []byte("once"), nil) })
 	k.Run(2 * time.Minute)
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want exactly 1", delivered)
@@ -98,7 +98,7 @@ func TestReliableFailureAfterMaxRetries(t *testing.T) {
 	ra := NewReliable(k, a)
 
 	var failed bool
-	k.Schedule(0, func() {
+	k.ScheduleFunc(0, func() {
 		ra.Send(999, []byte("void"), func(ok bool) { failed = !ok })
 	})
 	k.Run(time.Minute)
@@ -120,7 +120,7 @@ func TestDatagramBestEffort(t *testing.T) {
 	db.SetReceive(func(int, []byte) { got++ })
 	_ = da
 	k.Run(30 * time.Second)
-	k.Schedule(0, func() {
+	k.ScheduleFunc(0, func() {
 		if !da.Send(b.ID(), []byte("dgram")) {
 			t.Error("send refused with converged route")
 		}
@@ -147,13 +147,13 @@ func TestReliableOverDSRInvalidatesRoutesOnFailure(t *testing.T) {
 	ra := NewReliable(k, a)
 	NewReliable(k, b)
 
-	k.Schedule(time.Second, func() { ra.Send(b.ID(), []byte("pre"), nil) })
+	k.ScheduleFunc(time.Second, func() { ra.Send(b.ID(), []byte("pre"), nil) })
 	k.Run(10 * time.Second)
 	if !a.HasRoute(b.ID()) {
 		t.Fatal("route not established while in range")
 	}
 	var failed bool
-	k.Schedule(0, func() { ra.Send(b.ID(), []byte("post"), func(ok bool) { failed = !ok }) })
+	k.ScheduleFunc(0, func() { ra.Send(b.ID(), []byte("post"), func(ok bool) { failed = !ok }) })
 	k.Run(time.Minute)
 	if !failed {
 		t.Fatal("send to departed node did not fail")
@@ -185,7 +185,7 @@ func TestSeenBoundedOverLongTrials(t *testing.T) {
 	const gap = 100 * time.Millisecond
 	maxSeen := 0
 	for i := 0; i < n; i++ {
-		k.Schedule(time.Duration(i)*gap, func() {
+		k.ScheduleFunc(time.Duration(i)*gap, func() {
 			ra.Send(b.ID(), []byte("m"), nil)
 			if s := rb.seen[a.ID()]; s != nil && len(s.ids) > maxSeen {
 				maxSeen = len(s.ids)
@@ -253,7 +253,7 @@ func TestReliableOnFail(t *testing.T) {
 		}
 		order = append(order, "onfail")
 	})
-	k.Schedule(0, func() {
+	k.ScheduleFunc(0, func() {
 		ra.Send(999, []byte("void"), func(ok bool) {
 			if ok {
 				t.Error("unreachable destination acked")
