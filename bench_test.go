@@ -77,9 +77,9 @@ func benchRunner(b *testing.B, workers int) {
 	s := benchScale()
 	s.Trials = 4
 	s.Workers = workers
-	sc, ok := experiment.Lookup("fig7-dapes")
-	if !ok {
-		b.Fatal("fig7-dapes not registered")
+	sc, err := experiment.Find("fig7-dapes")
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.Runner{}.Run(sc, s, 60)
@@ -105,9 +105,9 @@ func BenchmarkScenarioUrbanGrid(b *testing.B) {
 	s.MobileDown = 4
 	s.PureForwarders = 2
 	s.Intermediates = 2
-	sc, ok := experiment.Lookup("urban-grid")
-	if !ok {
-		b.Fatal("urban-grid not registered")
+	sc, err := experiment.Find("urban-grid")
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.Runner{}.Run(sc, s, 60)
@@ -133,9 +133,9 @@ func BenchmarkScenarioUrbanGridXL(b *testing.B) {
 	s.PureForwarders = 1
 	s.Intermediates = 1
 	s.Horizon = 10 * time.Minute
-	sc, ok := experiment.Lookup("urban-grid-xl")
-	if !ok {
-		b.Fatal("urban-grid-xl not registered")
+	sc, err := experiment.Find("urban-grid-xl")
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.Runner{}.Run(sc, s, 60)

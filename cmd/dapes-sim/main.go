@@ -1,4 +1,4 @@
-// Command dapes-sim runs one scenario from the experiment registry — paper
+// Command dapes-sim runs one scenario from the experiment catalog — paper
 // reproductions, baselines, ablations, or the post-paper workloads — with
 // custom parameters, fanning trials across a worker pool. Use -list to
 // enumerate what can run, -scenario to pick one, and -format=json|csv for

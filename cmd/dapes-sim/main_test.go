@@ -31,6 +31,8 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-packets", "0"}, "Scale.PacketsPerFile = 0"},
 		{[]string{"-horizon", "0s"}, "Scale.Horizon = 0s"},
 		{[]string{"-workers", "-3"}, "Scale.Workers = -3"},
+		// A collection too large to allocate panicked in makeslice.
+		{[]string{"-packets", "9223372036854775807"}, "NumFiles x PacketsPerFile x PacketSize"},
 		// A zero -forward-prob ran at core's 20% default, and values outside
 		// [0, 1] or a negative -bitmaps ran as if they made sense.
 		{[]string{"-forward-prob", "0"}, "-forward-prob = 0: want a probability in (0, 1]; -multihop=false turns forwarding off"},
@@ -125,6 +127,7 @@ func TestRejectedInputKeepsOutputFile(t *testing.T) {
 		{"-strategy", "bogus"},
 		{"-range", "+Inf", "-format", "json"},
 		{"-scenario", "fig7-bithoc", "-faults", faults},
+		{"-packets", "9223372036854775807", "-trials", "1"},
 	} {
 		if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
 			t.Fatal(err)

@@ -42,6 +42,11 @@ const (
 	// beaconPeriodMin is the floor the adaptive discovery-Interest period
 	// halves toward after encounters (Section IV-B).
 	beaconPeriodMin = time.Second
+	// beaconPeriodMax is the ceiling the period doubles toward in
+	// isolation (Section IV-B).
+	beaconPeriodMax = 8 * time.Second
+	// neighborTTL expires a neighbor not heard for three beacon ceilings.
+	neighborTTL = 3 * beaconPeriodMax
 	// encounterHistory bounds the encounter-based strategy's memory.
 	encounterHistory = 32
 	// interestTimeout bounds an outstanding data Interest before
@@ -62,15 +67,10 @@ const (
 // Config selects the design variant of a DAPES peer: the choices the
 // paper's evaluation varies (Figs. 9a-9h, 10). The zero value is
 // local-neighborhood RPF without random start, interleaved advertisements,
-// the linear window-division backoff instead of PEBA, no multi-hop
-// forwarding, and an 8 s beacon ceiling; experiment.PaperDefaults is the
-// configuration Section VI-B describes.
+// the linear window-division backoff instead of PEBA, and no multi-hop
+// forwarding; experiment.PaperDefaults is the configuration Section VI-B
+// describes.
 type Config struct {
-	// BeaconPeriodMax bounds the adaptive discovery-Interest period from
-	// above: it doubles toward it in isolation (Section IV-B). A neighbor
-	// not heard for three of it expires. 0 means 8 s.
-	BeaconPeriodMax time.Duration
-
 	// AdvertMode and BitmapsBefore configure the bitmap exchange strategy;
 	// AdvertMode 0 means Interleaved. BitmapsBefore = 0 means "all peers in
 	// range" (session quiescence).
@@ -95,9 +95,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BeaconPeriodMax == 0 {
-		c.BeaconPeriodMax = 8 * time.Second
-	}
 	if c.AdvertMode == 0 {
 		c.AdvertMode = Interleaved
 	}
@@ -109,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// neighborTTL expires a neighbor that has not been heard.
-func (c Config) neighborTTL() time.Duration { return 3 * c.BeaconPeriodMax }
 
 // Stats aggregates per-peer protocol counters; the experiment harness sums
 // them for the paper's overhead metric breakdown.

@@ -215,8 +215,8 @@ func TestAdaptiveBeaconPeriodGrowsInIsolation(t *testing.T) {
 	lonely := net.peer(geo.Point{}, Config{})
 	lonely.Start()
 	net.k.Run(2 * time.Minute)
-	if lonely.beaconPeriod != lonely.cfg.BeaconPeriodMax {
-		t.Fatalf("isolated peer period = %v, want max %v", lonely.beaconPeriod, lonely.cfg.BeaconPeriodMax)
+	if lonely.beaconPeriod != beaconPeriodMax {
+		t.Fatalf("isolated peer period = %v, want max %v", lonely.beaconPeriod, beaconPeriodMax)
 	}
 	// Beacons must still be sent, just less often.
 	if lonely.Stats().DiscoveryInterestsSent == 0 {

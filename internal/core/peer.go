@@ -112,7 +112,7 @@ func (p *Peer) Start() {
 	p.running = true
 	p.relay.Start()
 	p.beaconT.Reset(p.rng.Jitter(p.beaconPeriod))
-	p.sweepT.Reset(p.cfg.neighborTTL() / 2)
+	p.sweepT.Reset(neighborTTL / 2)
 }
 
 // Stop halts the peer: beaconing, housekeeping, pending replies, metadata
@@ -241,7 +241,7 @@ func (p *Peer) beaconTick() {
 	recent := p.recentActivity
 	now := p.k.Now()
 	for _, n := range p.neighbors {
-		if now-n.lastHeard <= p.cfg.BeaconPeriodMax {
+		if now-n.lastHeard <= beaconPeriodMax {
 			recent = true
 			break
 		}
@@ -253,8 +253,8 @@ func (p *Peer) beaconTick() {
 		}
 	} else {
 		p.beaconPeriod *= 2
-		if p.beaconPeriod > p.cfg.BeaconPeriodMax {
-			p.beaconPeriod = p.cfg.BeaconPeriodMax
+		if p.beaconPeriod > beaconPeriodMax {
+			p.beaconPeriod = beaconPeriodMax
 		}
 	}
 	p.recentActivity = false
@@ -280,7 +280,7 @@ func (p *Peer) sweepTick() {
 	}
 	now := p.k.Now()
 	for id, n := range p.neighbors {
-		if now-n.lastHeard > p.cfg.neighborTTL() {
+		if now-n.lastHeard > neighborTTL {
 			delete(p.neighbors, id)
 			for _, cs := range p.collections {
 				delete(cs.avail, id)
@@ -291,7 +291,7 @@ func (p *Peer) sweepTick() {
 			}
 		}
 	}
-	p.sweepT.Reset(p.cfg.neighborTTL() / 2)
+	p.sweepT.Reset(neighborTTL / 2)
 }
 
 // neighborHeard refreshes (or creates) neighbor state, returning it.

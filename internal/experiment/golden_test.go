@@ -137,9 +137,9 @@ func TestBaselineTrialsDeterministic(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			sc, ok := Lookup(name)
-			if !ok {
-				t.Fatalf("%s not registered", name)
+			sc, err := Find(name)
+			if err != nil {
+				t.Fatal(err)
 			}
 			first, err := sc.Run(s, 60, 0)
 			if err != nil {

@@ -55,9 +55,9 @@ func BenchmarkUrbanMetro(b *testing.B) {
 	metro.Horizon = 10 * time.Second
 	metro.Stationary, metro.MobileDown, metro.PureForwarders, metro.Intermediates = 2, 8, 1912, 80
 	metro.BaseSeed = 11
-	sc, ok := Lookup("urban-metro")
-	if !ok {
-		b.Fatal("urban-metro not registered")
+	sc, err := Find("urban-metro")
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.Run(metro, 60, 0); err != nil {

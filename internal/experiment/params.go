@@ -1,17 +1,19 @@
 // Package experiment reproduces the paper's evaluation (Section VI) and
 // everything the repository runs beyond it. Workloads are named Scenario
-// values in a registry — the Fig. 7 simulation sweeps, the Fig. 8 outdoor
-// feasibility runs, the Bithoc/Ekta baselines, design ablations, and
-// post-paper scenarios (partition healing, convoy churn, urban density) —
-// all executed by a Runner that fans independent trials across a worker
-// pool. Every trial seeds its own sim.Kernel from TrialSeed(BaseSeed,
-// trial), so serial and parallel runs produce byte-identical aggregates.
+// values in one sorted table, the catalog — the Fig. 7 simulation sweeps,
+// the Fig. 8 outdoor feasibility runs, the Bithoc/Ekta baselines, design
+// ablations, and post-paper scenarios (partition healing, convoy churn,
+// urban density) — all executed by a Runner that fans independent trials
+// across a worker pool. Every trial seeds its own sim.Kernel from
+// TrialSeed(BaseSeed, trial), so serial and parallel runs produce
+// byte-identical aggregates.
 //
 // The paper's figures are data: the Figures table names each figure's
 // panels and series, Figure.Run sweeps them into a numeric FigureResult, and
 // FigureResult.Table renders a panel as a Table whose rows mirror the series
 // the paper plots; EmitRun/EmitTables render results as text, JSON, or CSV.
-// docs/EXPERIMENTS.md documents each registered scenario in test-plan form.
+// docs/EXPERIMENTS.md is the one description of each scenario, in test-plan
+// form.
 package experiment
 
 import (
@@ -124,12 +126,22 @@ func FullScale() Scale {
 // TotalPackets returns the collection's packet count at this scale.
 func (s Scale) TotalPackets() int { return s.NumFiles * s.PacketsPerFile }
 
+// Bounds on what one trial allocates. A trial holds its whole collection
+// in memory (full-scale Fig. 9f, the largest workload, is 153.6 MB), and
+// the node mix is counted before any scenario multiplier (the largest
+// committed plan, urban-metro.toml, has 2,003 nodes).
+const (
+	maxCollectionBytes = 1 << 30
+	maxNodes           = 1 << 20
+)
+
 // Validate rejects scales that cannot drive a meaningful run: zero or
 // negative trial counts, an empty range sweep, non-positive collection or
-// packet sizes, loss probabilities outside [0, 1), and node mixes with
-// nobody downloading. Runner.Run and the plan harness call this before work
-// starts so a bad knob fails with a field name instead of a mid-run panic
-// or a silently empty sweep.
+// packet sizes, a collection over maxCollectionBytes, loss probabilities
+// outside [0, 1), and node mixes with nobody downloading or over maxNodes.
+// Runner.Run and the plan harness call this before work starts so a bad
+// knob fails with a field name instead of a mid-run panic or a silently
+// empty sweep.
 func (s Scale) Validate() error {
 	switch {
 	case s.Trials <= 0:
@@ -140,6 +152,9 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("experiment: Scale.PacketsPerFile = %d, must be positive", s.PacketsPerFile)
 	case s.PacketSize <= 0:
 		return fmt.Errorf("experiment: Scale.PacketSize = %d, must be positive", s.PacketSize)
+	case s.PacketSize > maxCollectionBytes/s.NumFiles/s.PacketsPerFile:
+		return fmt.Errorf("experiment: collection NumFiles x PacketsPerFile x PacketSize = %d x %d x %d bytes exceeds %d",
+			s.NumFiles, s.PacketsPerFile, s.PacketSize, maxCollectionBytes)
 	case len(s.Ranges) == 0:
 		return fmt.Errorf("experiment: Scale.Ranges is empty, need at least one WiFi range")
 	case s.Horizon <= 0:
@@ -151,6 +166,10 @@ func (s Scale) Validate() error {
 			s.Stationary, s.MobileDown, s.PureForwarders, s.Intermediates)
 	case s.Stationary+s.MobileDown == 0:
 		return fmt.Errorf("experiment: no downloaders (Stationary + MobileDown = 0)")
+	case max(s.Stationary, s.MobileDown, s.PureForwarders, s.Intermediates) > maxNodes ||
+		1+s.Stationary+s.MobileDown+s.PureForwarders+s.Intermediates > maxNodes:
+		return fmt.Errorf("experiment: node mix 1 producer + Stationary %d + MobileDown %d + PureForwarders %d + Intermediates %d exceeds %d nodes",
+			s.Stationary, s.MobileDown, s.PureForwarders, s.Intermediates, maxNodes)
 	case s.Workers < 0:
 		return fmt.Errorf("experiment: Scale.Workers = %d, must be >= 0", s.Workers)
 	case s.AreaSide < 0:

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,13 @@ func TestScaleValidateRejectsBadFields(t *testing.T) {
 		{"no downloaders", func(s *Scale) { s.Stationary, s.MobileDown = 0, 0 }, "downloaders"},
 		{"negative workers", func(s *Scale) { s.Workers = -2 }, "Workers"},
 		{"negative area", func(s *Scale) { s.AreaSide = -10 }, "AreaSide"},
+		// A collection or node mix too large to allocate panicked in
+		// makeslice (buildCollection, drawPlacement) instead of failing here.
+		{"max packets", func(s *Scale) { s.PacketsPerFile = math.MaxInt }, "PacketsPerFile"},
+		{"collection over 1 GiB", func(s *Scale) { s.NumFiles, s.PacketsPerFile, s.PacketSize = 1024, 1024, 1025 }, "PacketSize"},
+		{"max mobile mix", func(s *Scale) { s.MobileDown = math.MaxInt }, "MobileDown"},
+		{"wrapping mix", func(s *Scale) { s.PureForwarders, s.Intermediates = math.MaxInt/2+1, math.MaxInt/2+1 }, "node mix"},
+		{"mix over 2^20 nodes", func(s *Scale) { s.Intermediates = 1<<20 - 34 }, "node mix"},
 	}
 	for _, tc := range cases {
 		s := ReducedScale()
@@ -70,5 +78,11 @@ func TestScaleValidateBoundaries(t *testing.T) {
 	s.Horizon = time.Nanosecond // positive, however small, is the caller's call
 	if err := s.Validate(); err != nil {
 		t.Fatalf("tiny horizon rejected: %v", err)
+	}
+	// Exactly at the bounds: a 1 GiB collection and 2^20 nodes in all.
+	s.NumFiles, s.PacketsPerFile, s.PacketSize = 1024, 1024, 1024
+	s.Intermediates = 1<<20 - 1 - s.Stationary - s.MobileDown - s.PureForwarders
+	if err := s.Validate(); err != nil {
+		t.Fatalf("scale at the allocation bounds rejected: %v", err)
 	}
 }

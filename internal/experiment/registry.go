@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // TrialSeed derives the deterministic seed for one trial from the scale's
@@ -27,72 +27,29 @@ func TrialSeed(base int64, trial int) int64 {
 // calls; the Runner invokes trials concurrently.
 type TrialFunc func(s Scale, wifiRange float64, trial int) (TrialResult, error)
 
-// Param documents one knob of a scenario for listings and EXPERIMENTS.md.
-type Param struct {
-	// Name is the knob (usually a Scale field or CLI flag).
-	Name string
-	// Value is the scenario's default or derivation, as shown to the user.
-	Value string
-	// Doc is a one-line explanation.
-	Doc string
-}
-
-// Scenario is a named, parameterized experiment workload. The registry is
-// how CLIs and harnesses enumerate what the repository can run: paper
-// reproductions (Fig. 7 sweeps, Fig. 8 feasibility runs), baselines,
-// ablations, and workloads beyond the paper all register here and are
-// driven by the same Runner.
+// Scenario is a named experiment workload. The catalog is how CLIs and
+// harnesses enumerate what the repository can run: paper reproductions
+// (Fig. 7 sweeps, Fig. 8 feasibility runs), baselines, ablations, and
+// workloads beyond the paper are all entries there, driven by the same
+// Runner. docs/EXPERIMENTS.md describes each one in test-plan form.
 type Scenario struct {
-	// Name is the stable registry key (e.g. "fig7-dapes").
+	// Name is the stable catalog key (e.g. "fig7-dapes").
 	Name string
 	// Summary is a one-line description for -list output.
 	Summary string
-	// Optimizes states what the scenario measures or stresses.
-	Optimizes string
-	// Narrative is the longer test-plan style description.
-	Narrative string
-	// Params documents the knobs that shape the workload.
-	Params []Param
 	// Run executes one trial. See TrialFunc for the determinism contract.
 	Run TrialFunc
 }
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]*Scenario
-}{m: make(map[string]*Scenario)}
-
-// Register adds a scenario to the registry. It panics on a duplicate or
-// unusable registration — scenarios register from init, so a panic here is
-// a programming error caught by any test run.
-func Register(sc *Scenario) {
-	if sc == nil || sc.Name == "" || sc.Run == nil {
-		panic("experiment: Register requires a name and a Run function")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[sc.Name]; dup {
-		panic(fmt.Sprintf("experiment: duplicate scenario %q", sc.Name))
-	}
-	registry.m[sc.Name] = sc
-}
-
-// Lookup returns the scenario registered under name.
-func Lookup(name string) (*Scenario, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	sc, ok := registry.m[name]
-	return sc, ok
-}
-
-// Find is the user-input counterpart of Lookup: it returns the scenario
-// registered under name, or a descriptive error that lists the closest
-// registered names. Everything that resolves a scenario from a CLI flag or
-// a plan file should go through Find, so a typo'd "fig7-dappes" answers
-// with "did you mean fig7-dapes?" instead of a bare not-found.
+// Find returns the catalog scenario named name, or a descriptive error
+// that lists the closest names. Everything that resolves a scenario from a
+// CLI flag or a plan file goes through Find, so a typo'd "fig7-dappes"
+// answers with "did you mean fig7-dapes?" instead of a bare not-found.
 func Find(name string) (*Scenario, error) {
-	if sc, ok := Lookup(name); ok {
-		return sc, nil
+	for _, sc := range catalog {
+		if sc.Name == name {
+			return sc, nil
+		}
 	}
 	if near := nearMisses(name, 3); len(near) > 0 {
 		return nil, fmt.Errorf("experiment: unknown scenario %q (did you mean %s? run -list to enumerate)",
@@ -101,7 +58,7 @@ func Find(name string) (*Scenario, error) {
 	return nil, fmt.Errorf("experiment: unknown scenario %q (run -list to enumerate)", name)
 }
 
-// nearMisses returns up to max registered names close to name: substring
+// nearMisses returns up to max catalog names close to name: substring
 // matches first, then small edit distances, in deterministic order.
 func nearMisses(name string, max int) []string {
 	type cand struct {
@@ -110,7 +67,7 @@ func nearMisses(name string, max int) []string {
 	}
 	var cands []cand
 	lower := strings.ToLower(name)
-	for _, sc := range Scenarios() {
+	for _, sc := range catalog {
 		scLower := strings.ToLower(sc.Name)
 		switch {
 		case strings.Contains(scLower, lower) || strings.Contains(lower, scLower):
@@ -159,15 +116,6 @@ func editDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// Scenarios returns every registered scenario sorted by name, so listings
-// and generated docs are stable across runs.
-func Scenarios() []*Scenario {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]*Scenario, 0, len(registry.m))
-	for _, sc := range registry.m {
-		out = append(out, sc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Scenarios returns every catalog scenario sorted by name, so listings are
+// stable across runs.
+func Scenarios() []*Scenario { return slices.Clone(catalog) }

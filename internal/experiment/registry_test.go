@@ -1,64 +1,44 @@
 package experiment
 
 import (
-	"sort"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestRegistryListingAndLookup(t *testing.T) {
+// TestCatalogMatchesExperimentsDoc holds the catalog to its one
+// description: the table is strictly sorted by name (so no name repeats),
+// every entry can be listed and run, and its names are exactly the
+// "## `Plan:` NAME" headings of docs/EXPERIMENTS.md.
+func TestCatalogMatchesExperimentsDoc(t *testing.T) {
 	t.Parallel()
-	scs := Scenarios()
-	if len(scs) < 8 {
-		t.Fatalf("registry holds %d scenarios, want >= 8", len(scs))
-	}
-	names := make([]string, len(scs))
-	for i, sc := range scs {
-		names[i] = sc.Name
-		if sc.Summary == "" || sc.Narrative == "" || sc.Optimizes == "" {
-			t.Errorf("scenario %q is missing documentation fields", sc.Name)
+	var names []string
+	for i, sc := range catalog {
+		if i > 0 && catalog[i-1].Name >= sc.Name {
+			t.Errorf("catalog[%d] = %q follows %q: not strictly sorted", i, sc.Name, catalog[i-1].Name)
 		}
-		if sc.Run == nil {
-			t.Errorf("scenario %q has no Run", sc.Name)
+		if sc.Summary == "" || sc.Run == nil {
+			t.Errorf("scenario %q lacks a Summary or a Run", sc.Name)
 		}
-		got, ok := Lookup(sc.Name)
-		if !ok || got != sc {
-			t.Errorf("Lookup(%q) did not round-trip", sc.Name)
-		}
+		names = append(names, sc.Name)
 	}
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Scenarios() not sorted: %v", names)
-	}
-	for _, want := range []string{
-		"fig7-dapes", "fig7-bithoc", "fig7-ekta",
-		"fig8a-carrier", "fig8b-repository", "fig8c-mobile",
-		"partitioned-merge", "convoy-churn", "urban-grid",
-	} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("scenario %q not registered", want)
-		}
-	}
-	if _, ok := Lookup("definitely-not-registered"); ok {
-		t.Fatal("Lookup invented a scenario")
-	}
-}
 
-func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
-	t.Parallel()
-	expectPanic := func(name string, sc *Scenario) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register did not panic", name)
-			}
-		}()
-		Register(sc)
+	doc, err := os.ReadFile("../../docs/EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	expectPanic("nil", nil)
-	expectPanic("no run", &Scenario{Name: "x"})
-	expectPanic("duplicate", &Scenario{Name: "fig7-dapes",
-		Run: func(Scale, float64, int) (TrialResult, error) { return TrialResult{}, nil }})
+	var headings []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if rest, ok := strings.CutPrefix(line, "## `Plan:` "); ok {
+			headings = append(headings, strings.Fields(rest)[0])
+		}
+	}
+	slices.Sort(headings)
+	if !slices.Equal(names, headings) {
+		t.Fatalf("catalog names %v\ndiffer from docs/EXPERIMENTS.md plan headings %v", names, headings)
+	}
 }
 
 // TestFindSuggestsNearMisses pins the descriptive-error contract: unknown

@@ -19,7 +19,7 @@ type Runner struct{}
 // RunResult is one scenario execution: the per-trial metrics in trial-index
 // order plus the paper's aggregate statistics over them.
 type RunResult struct {
-	// Scenario is the registry name (empty for ad-hoc runs).
+	// Scenario is the catalog name (empty for ad-hoc runs).
 	Scenario string
 	// Range is the WiFi range the trials ran at, in meters.
 	Range float64

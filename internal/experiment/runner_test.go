@@ -16,9 +16,9 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
 	s := tinyScale()
 	s.Trials = 4
-	sc, ok := Lookup("fig7-dapes")
-	if !ok {
-		t.Fatal("fig7-dapes not registered")
+	sc, err := Find("fig7-dapes")
+	if err != nil {
+		t.Fatal(err)
 	}
 	serial, err := Runner{}.Run(sc, s, 80)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestRunnerRejectsBadInput(t *testing.T) {
 	if _, err := (Runner{}).Run(nil, tinyScale(), 80); err == nil {
 		t.Fatal("nil scenario accepted")
 	}
-	sc, _ := Lookup("fig7-dapes")
+	sc, _ := Find("fig7-dapes")
 	// Run is where a Scale is validated for dapes-sim and dapes-bench: each
 	// bad knob fails with its field's name before a world is built (a
 	// negative PacketsPerFile used to panic in buildCollection).

@@ -6,7 +6,7 @@ import (
 	"dapes/internal/fault"
 )
 
-// The chaos scenario family: the registered workloads rerun under the
+// The chaos scenario family: the catalog workloads rerun under the
 // fault engine (internal/fault). Each trial carries a default fault plan
 // when the scale doesn't bring its own ([faults] in a plan file or
 // dapes-sim -faults overrides it), so the scenarios are runnable by name

@@ -10,7 +10,7 @@ import (
 	"dapes/internal/phy"
 )
 
-// This file holds registry scenarios beyond the paper's own evaluation:
+// This file holds catalog scenarios beyond the paper's own evaluation:
 // workloads the Fig. 7 topology never exercised (partition healing, convoy
 // mobility with churn, dense urban node counts). Each trial builds its own
 // kernel from TrialSeed, so the Runner may execute them concurrently.

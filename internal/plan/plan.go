@@ -1,5 +1,5 @@
 // Package plan is the declarative sweep harness: a plan file (TOML subset
-// or JSON) names a registered scenario (or several), a parameter grid
+// or JSON) names a catalog scenario (or several), a parameter grid
 // (base seed x node-mix multiplier x WiFi range x loss rate x horizon, plus
 // Scale overrides), a trial count, and the metrics the sweep optimizes. The
 // harness expands the grid into cells, fans cells across a worker pool, streams per-cell
@@ -79,9 +79,9 @@ type Plan struct {
 // Grid is the swept parameter space; the cell list is the cartesian
 // product of the axes, row-major in field order.
 type Grid struct {
-	// Scenarios is the registered-scenario axis — experiment-registry
-	// names, the same grid and scale under each. A plan file's `scenario`
-	// key is shorthand for one entry. Required: it has no default.
+	// Scenarios is the scenario axis — experiment catalog names, the same
+	// grid and scale under each. A plan file's `scenario` key is shorthand
+	// for one entry. Required: it has no default.
 	Scenarios []string
 	// Seeds, when set, is a base-seed axis: a cell runs at exactly that
 	// base seed — what `dapes-sim -seed N` runs — instead of one derived
@@ -219,7 +219,7 @@ func (p *Plan) NumCells() (int, error) {
 }
 
 // Validate checks the whole plan: identity fields, the scenario against
-// the registry (with Find's near-miss suggestions), trial and grid bounds,
+// the catalog (with Find's near-miss suggestions), trial and grid bounds,
 // every optimize target, and the derived Scale of every cell.
 func (p *Plan) Validate() error {
 	if p.Name == "" {
@@ -249,6 +249,11 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("plan %q: optimize[%d]: unknown metric %q (known: %v)",
 				p.Name, i, t.Metric, MetricNames())
 		}
+	}
+	// The base scale is validated first: its bounds keep the node counts
+	// small enough that Cells multiplies them without wrapping.
+	if err := p.Base.Validate(); err != nil {
+		return fmt.Errorf("plan %q: scale: %w", p.Name, err)
 	}
 	// Cell-level scale validation catches bad axis values (negative loss,
 	// zero horizon, non-positive ranges) with the cell's coordinates in

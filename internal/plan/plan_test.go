@@ -103,6 +103,10 @@ func TestParseRejects(t *testing.T) {
 		{"negative loss axis", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nloss = [-0.5]", "LossRate"},
 		{"zero range axis", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [0.0]", "Ranges"},
 		{"huge node multiplier", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nnodes = [99999]", "nodes"},
+		{"max mobile_down", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[scale]\nmobile_down = 9223372036854775807", "MobileDown"},
+		{"mobile_down wrapping to 0 under grid.nodes", `name = "x"` + "\n" + `scenario = "fig7-dapes"` +
+			"\n\n[grid]\nnodes = [4]\n\n[scale]\nmobile_down = 4611686018427387904", "MobileDown"},
+		{"max packets", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[scale]\npackets = 9223372036854775807", "PacketsPerFile"},
 		{"scenario named twice", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nscenarios = [\"fig7-bithoc\"]", "one place"},
 		{"unknown scenario on the axis", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig7-bitoc\"]", "fig7-bithoc"},
 		{"no scenario at all", `name = "x"` + "\n\n[grid]\nseeds = [1, 2]", "scenario is required"},
