@@ -136,30 +136,122 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 	// peers are out of reach: the row (whose state bytes fold every peer's
 	// MemoryFootprint, the three relay table sizes included), the medium
 	// counters and EventsFired are what can be pinned.
-	t.Run("fig8b-repository", func(t *testing.T) {
-		t.Parallel()
-		s := ReducedScale()
-		var built []*world
-		s.Engine.built = &built
-		row, err := Scenario2Repo(s, TrialSeed(s.BaseSeed, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(built) != 1 {
-			t.Fatalf("built %d worlds, want 1", len(built))
-		}
-		type fig8Golden struct {
-			row         ScenarioResult
-			medium      phy.Stats
-			eventsFired uint64
-		}
-		want := fig8Golden{
+	type fig8Golden struct {
+		row         ScenarioResult
+		medium      phy.Stats
+		eventsFired uint64
+	}
+	for _, c := range []struct {
+		name string
+		run  func(Scale, int64) (ScenarioResult, error)
+		want fig8Golden
+	}{
+		{"fig8a-carrier", Scenario1Carrier, fig8Golden{
+			ScenarioResult{"carrier (Fig 8a)", 319073198305, 2654, 2403, 1158, true},
+			phy.Stats{Transmissions: 2654, Deliveries: 2403, Collisions: 7, Lost: 110, BytesSent: 912237},
+			5348,
+		}},
+		{"fig8b-repository", Scenario2Repo, fig8Golden{
 			ScenarioResult{"repository (Fig 8b)", 126622511185, 2192, 3744, 7180, true},
 			phy.Stats{Transmissions: 2192, Deliveries: 3744, Collisions: 531, Lost: 171, BytesSent: 914810},
 			4606,
+		}},
+		{"fig8c-mobile", Scenario3Mobile, fig8Golden{
+			ScenarioResult{"mobile swarm (Fig 8c)", 115895664645, 1401, 3089, 7552, true},
+			phy.Stats{Transmissions: 1401, Deliveries: 3089, Collisions: 475, Lost: 153, BytesSent: 692630},
+			3081,
+		}},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			s := ReducedScale()
+			var built []*world
+			s.Engine.built = &built
+			row, err := c.run(s, TrialSeed(s.BaseSeed, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(built) != 1 {
+				t.Fatalf("built %d worlds, want 1", len(built))
+			}
+			if got := (fig8Golden{row, built[0].Stats(), built[0].EventsFired()}); got != c.want {
+				t.Errorf("\n got %+v\nwant %+v", got, c.want)
+			}
+		})
+	}
+
+	// The custom scenarios build their worlds inside their trial functions
+	// too: the TrialResult, the medium counters and EventsFired are pinned.
+	type trialGolden struct {
+		res         TrialResult
+		medium      phy.Stats
+		eventsFired uint64
+	}
+	for _, c := range []struct {
+		name string
+		want trialGolden
+	}{
+		{"partitioned-merge", trialGolden{
+			TrialResult{AvgDownloadTime: 516629117614, Transmissions: 71932, Completed: 12, Downloaders: 12, ForwardAccuracy: 0.9887157442235357, MemoryBytes: 60092},
+			phy.Stats{Transmissions: 71932, Deliveries: 336618, Collisions: 59967, Lost: 37399, BytesSent: 11924267},
+			147062,
+		}},
+		{"convoy-churn", trialGolden{
+			TrialResult{AvgDownloadTime: 87993789580, Transmissions: 7700, Completed: 7, Downloaders: 7, ForwardAccuracy: 0.9292452830188679, MemoryBytes: 2596},
+			phy.Stats{Transmissions: 7700, Deliveries: 12116, Collisions: 603, Lost: 1356, BytesSent: 2816583},
+			15928,
+		}},
+	} {
+		c := c
+		t.Run(c.name+"/range60/trial0", func(t *testing.T) {
+			t.Parallel()
+			sc, err := Find(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := ReducedScale()
+			var built []*world
+			s.Engine.built = &built
+			res, err := sc.Run(s, 60, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(built) != 1 {
+				t.Fatalf("built %d worlds, want 1", len(built))
+			}
+			if got := (trialGolden{res, built[0].Stats(), built[0].EventsFired()}); got != c.want {
+				t.Errorf("\n got %+v\nwant %+v", got, c.want)
+			}
+		})
+	}
+
+	// Table I's row i and the catalog's matching fig8* trial at seed
+	// BaseSeed+i are one run reported twice: the trial counts the world as
+	// one downloader, complete only when the row is.
+	t.Run("tableI-is-the-catalog-fig8-trials", func(t *testing.T) {
+		t.Parallel()
+		s := ReducedScale()
+		rows, err := TableIRows(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := (fig8Golden{row, built[0].Stats(), built[0].EventsFired()}); got != want {
-			t.Errorf("\n got %+v\nwant %+v", got, want)
+		for i, name := range []string{"fig8a-carrier", "fig8b-repository", "fig8c-mobile"} {
+			sc, err := Find(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := s
+			at.BaseSeed = s.BaseSeed + int64(i)
+			tr, err := sc.Run(at, 60, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := rows[i]
+			if tr.AvgDownloadTime != row.DownloadTime || tr.Transmissions != row.Transmissions ||
+				tr.MemoryBytes != row.StateBytes || (tr.Completed == 1) != row.Completed || tr.Downloaders != 1 {
+				t.Errorf("%s at seed %d: trial %+v is not Table I row %d %+v", name, at.BaseSeed, tr, i, row)
+			}
 		}
 	})
 }
