@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden examples plan chaos-smoke
+.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden examples plan chaos-smoke neutral
 
 all: build lint test
 
@@ -116,3 +116,12 @@ golden:
 # within its deadline (examples/smoke_test.go).
 examples:
 	$(GO) test -count=1 ./examples/
+
+# The trace- and output-neutrality check (scripts/neutral.sh): dapes-sim
+# over every listed scenario and -system stack, and dapes-bench's Table I,
+# built at BASE and from the working tree, must print the same bytes. Not
+# a CI step, as it needs a base revision: run it on a change that claims to
+# move no result, e.g. `make neutral BASE=HEAD~1`.
+neutral:
+	@test -n "$(BASE)" || { echo "usage: make neutral BASE=<rev>"; exit 1; }
+	bash scripts/neutral.sh $(BASE)

@@ -59,7 +59,7 @@ func bithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 		r.Start()
 	}
 
-	return driveBaseline(w, s.Horizon, downloaders), w
+	return driveBaseline(w, downloaders), w
 }
 
 // RunEktaTrial executes one Fig.-7 trial of the Ekta baseline: DSR reactive
@@ -109,30 +109,14 @@ func ektaTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 		p.Join(seedPeer.ID())
 	}
 
-	return driveBaseline(w, s.Horizon, downloaders), w
+	return driveBaseline(w, downloaders), w
 }
 
 // driveBaseline drives a started baseline world until every downloader has
 // the file (or the horizon passes) and folds it into a TrialResult.
-func driveBaseline[P interface{ Done() (bool, time.Duration) }](w *world, horizon time.Duration, downloaders []P) TrialResult {
-	w.RunUntil(horizon, allDone(w.Now, 0, len(downloaders), func(i int) bool {
-		done, _ := downloaders[i].Done()
-		return done
-	}))
-
-	var total time.Duration
-	completed := 0
-	for _, p := range downloaders {
-		done, at := p.Done()
-		if done {
-			completed++
-		}
-		total += censor(done, at, horizon)
-	}
-	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   w.Stats().Transmissions,
-		Completed:       completed,
-		Downloaders:     len(downloaders),
-	}
+func driveBaseline[P interface{ Done() (bool, time.Duration) }](w *world, downloaders []P) TrialResult {
+	doneAt := func(i int) (bool, time.Duration) { return downloaders[i].Done() }
+	w.runUntilDone(0, len(downloaders), doneAt)
+	res, _ := w.completion(len(downloaders), doneAt)
+	return res
 }

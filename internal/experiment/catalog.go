@@ -49,6 +49,14 @@ func dapesVariant(mutate func(*core.Config)) TrialFunc {
 	return withConfig(cfg)
 }
 
+// atScale is the paper-default Fig.-7 workload on the scale that transform
+// derives from the runner's.
+func atScale(transform func(Scale) Scale) TrialFunc {
+	return func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+		return RunDAPESTrial(transform(s), wifiRange, trial, PaperDefaults())
+	}
+}
+
 // catalog is every runnable scenario, in name order.
 var catalog = []*Scenario{
 	{
@@ -64,7 +72,7 @@ var catalog = []*Scenario{
 	{
 		Name:    "blackout-recovery",
 		Summary: "Fig.-7 workload with a regional jammer blacking out the arena's center mid-trial",
-		Run:     blackoutRecoveryTrial,
+		Run:     atScale(blackoutRecoveryScale),
 	},
 	{
 		Name:    "convoy-churn",
@@ -109,21 +117,21 @@ var catalog = []*Scenario{
 	{
 		Name:    "urban-grid",
 		Summary: "Fig.-7 workload at 5x node count in a 1.5x-edge area (dense urban block)",
-		Run:     urbanGridTrial,
+		Run:     atScale(urbanGridScale),
 	},
 	{
 		Name:    "urban-grid-chaos",
 		Summary: "urban-grid under churn: crashes with cold restarts over a bursty Gilbert-Elliott channel",
-		Run:     urbanGridChaosTrial,
+		Run:     atScale(urbanGridChaosScale),
 	},
 	{
 		Name:    "urban-grid-xl",
 		Summary: "Fig.-7 workload at 25x node count in a 3x-edge area (metropolitan district)",
-		Run:     urbanGridXLTrial,
+		Run:     atScale(urbanGridXLScale),
 	},
 	{
 		Name:    "urban-metro",
 		Summary: "urban-grid-xl's node mix at the paper's density, scaled to 50k+ nodes",
-		Run:     urbanMetroTrial,
+		Run:     atScale(urbanMetroScale),
 	},
 }

@@ -117,9 +117,9 @@ func TestAllDoneCursor(t *testing.T) {
 	var now time.Duration
 	done := []bool{false, false, false}
 	asked := 0
-	cond := allDone(func() time.Duration { return now }, 10, len(done), func(i int) bool {
+	cond := allDone(func() time.Duration { return now }, 10, len(done), func(i int) (bool, time.Duration) {
 		asked++
-		return done[i]
+		return done[i], now
 	})
 
 	done[0], done[1], done[2] = true, true, true
@@ -163,7 +163,7 @@ func TestAllDoneDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond := allDone(w.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection))
+	cond := allDone(w.Now, w.faultsUntil, len(w.downloaders), w.doneAt)
 	if n := testing.AllocsPerRun(1000, func() { cond() }); n != 0 {
 		t.Errorf("incomplete world: %v allocs per check, want 0", n)
 	}

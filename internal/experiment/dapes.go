@@ -6,6 +6,7 @@ import (
 	"dapes/internal/core"
 	"dapes/internal/fault"
 	"dapes/internal/geo"
+	"dapes/internal/metadata"
 	"dapes/internal/multihop"
 	"dapes/internal/ndn"
 )
@@ -34,24 +35,13 @@ func RunDAPESTrial(s Scale, wifiRange float64, trial int, cfg core.Config) (Tria
 	return w.run(), nil
 }
 
-// buildDAPES builds and starts one trial's world on the engine the scale
-// names.
-func buildDAPES(s Scale, wifiRange float64, trial int, cfg core.Config) (*dapesWorld, error) {
-	eng, pl := newFig7World(s, wifiRange, trial)
-	installMediumFaults(eng.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
-	w := &dapesWorld{world: eng}
-	if err := w.start(s, trial, cfg, pl); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// dapesWorld is one Fig.-7 DAPES trial, built and started but not yet run:
-// every node attached and beaconing, the fault schedule installed.
+// dapesWorld is one DAPES trial, built and started but not yet run: every
+// node attached and beaconing, the fault schedule installed. Every DAPES
+// scenario builds one.
 type dapesWorld struct {
 	*world
 
-	horizon       time.Duration
+	cfg           core.Config
 	collection    ndn.Name
 	downloaders   []*core.Peer
 	intermediates []*core.Peer
@@ -60,34 +50,54 @@ type dapesWorld struct {
 	faultsUntil   time.Duration
 }
 
-// start attaches and starts every node of the placement and installs the
-// crash schedule. Attach, start and scheduling order are part of the trace
-// (radio IDs, kernel sequence numbers).
-func (w *dapesWorld) start(s Scale, trial int, cfg core.Config, pl placement) error {
+// peer attaches a DAPES peer on m. Attach, start and scheduling order are
+// part of the trace (radio IDs, kernel sequence numbers), so each builder
+// keeps its own.
+func (w *dapesWorld) peer(m geo.Mobility) *core.Peer {
+	return core.NewPeer(w.Kernel, w.medium, m, nil, nil, w.cfg)
+}
+
+// publish attaches the producer on m holding res, whose collection the
+// world's downloaders then subscribe to.
+func (w *dapesWorld) publish(m geo.Mobility, res *metadata.BuildResult) (*core.Peer, error) {
+	w.collection = res.Manifest.Collection
+	p := w.peer(m)
+	return p, p.Publish(res)
+}
+
+// download attaches a downloader of the world's collection on m.
+func (w *dapesWorld) download(m geo.Mobility) {
+	p := w.peer(m)
+	p.Subscribe(w.collection)
+	w.downloaders = append(w.downloaders, p)
+}
+
+// startDownloaders starts every downloader, in attach order.
+func (w *dapesWorld) startDownloaders() {
+	for _, p := range w.downloaders {
+		p.Start()
+	}
+}
+
+// buildDAPES builds and starts one Fig.-7 trial's world on the engine the
+// scale names, and installs its fault plan.
+func buildDAPES(s Scale, wifiRange float64, trial int, cfg core.Config) (*dapesWorld, error) {
+	eng, pl := newFig7World(s, wifiRange, trial)
+	installMediumFaults(eng.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
+	w := &dapesWorld{world: eng, cfg: cfg}
 	res, err := buildCollection(s, s.BaseSeed+int64(trial))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w.horizon = s.Horizon
-	w.collection = res.Manifest.Collection
-	peer := func(m geo.Mobility) *core.Peer {
-		return core.NewPeer(w.Kernel, w.medium, m, nil, nil, cfg)
-	}
-
-	producer := peer(pl.producerMobility)
-	if err := producer.Publish(res); err != nil {
-		return err
-	}
-	addDownloader := func(m geo.Mobility) {
-		p := peer(m)
-		p.Subscribe(w.collection)
-		w.downloaders = append(w.downloaders, p)
+	producer, err := w.publish(pl.producerMobility, res)
+	if err != nil {
+		return nil, err
 	}
 	for _, pos := range pl.stationaryPos {
-		addDownloader(geo.Stationary{At: pos})
+		w.download(geo.Stationary{At: pos})
 	}
 	for _, m := range pl.downloaderMobility {
-		addDownloader(m)
+		w.download(m)
 	}
 	for i, m := range pl.forwarderMobility {
 		if i < s.PureForwarders {
@@ -97,13 +107,11 @@ func (w *dapesWorld) start(s Scale, trial int, cfg core.Config, pl placement) er
 		}
 		// DAPES-aware intermediates: understand the semantics, forward based
 		// on overheard knowledge, but do not download.
-		w.intermediates = append(w.intermediates, peer(m))
+		w.intermediates = append(w.intermediates, w.peer(m))
 	}
 
 	producer.Start()
-	for _, p := range w.downloaders {
-		p.Start()
-	}
+	w.startDownloaders()
 	if cfg.Multihop {
 		for _, f := range w.pures {
 			f.Start()
@@ -113,52 +121,37 @@ func (w *dapesWorld) start(s Scale, trial int, cfg core.Config, pl placement) er
 		}
 	}
 	w.sched, w.faultsUntil = scheduleCrashes(s.Faults, TrialSeed(s.BaseSeed, trial), w.downloaders, w.intermediates)
-	return nil
+	return w, nil
+}
+
+// doneAt reports whether downloader i holds the collection, and since when.
+func (w *dapesWorld) doneAt(i int) (bool, time.Duration) {
+	return w.downloaders[i].Done(w.collection)
 }
 
 // run drives the world until every downloader holds the collection (or the
 // horizon passes) and returns the trial's metrics.
 func (w *dapesWorld) run() TrialResult {
-	w.RunUntil(w.horizon, allDone(w.Now, w.faultsUntil, len(w.downloaders), collectionDone(w.downloaders, w.collection)))
+	w.runUntilDone(w.faultsUntil, len(w.downloaders), w.doneAt)
 	return w.collect()
 }
 
-// collect folds the world, as it stands, into a TrialResult.
+// collect folds the world, as it stands, into a TrialResult: the completion
+// fold, plus the protocol state of the downloaders and intermediates, the
+// forwarding accuracy of every relay, and the fault schedule's outcome.
 func (w *dapesWorld) collect() TrialResult {
-	result := collectDAPES(w.Stats().Transmissions, w.collection, w.downloaders, w.intermediates, w.pures, w.horizon)
-	chaosStats(&result, w.sched, w.downloaders, w.collection)
-	return result
-}
-
-// collectDAPES folds one finished trial's peers into a TrialResult; tx is
-// the medium's transmission counter.
-func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*core.Peer, pures []*multihop.PureForwarder, horizon time.Duration) TrialResult {
-	var total time.Duration
-	completed := 0
-	memory := 0
+	res, _ := w.completion(len(w.downloaders), w.doneAt)
 	var relay multihop.Counters
-	for _, p := range downloaders {
-		done, at := p.Done(collection)
-		if done {
-			completed++
+	for _, ps := range [][]*core.Peer{w.downloaders, w.intermediates} {
+		for _, p := range ps {
+			res.MemoryBytes += p.MemoryFootprint()
+			relay.Add(p.Stats().Counters)
 		}
-		total += censor(done, at, horizon)
-		memory += p.MemoryFootprint()
-		relay.Add(p.Stats().Counters)
 	}
-	for _, p := range intermediates {
-		memory += p.MemoryFootprint()
-		relay.Add(p.Stats().Counters)
-	}
-	for _, f := range pures {
+	for _, f := range w.pures {
 		relay.Add(f.Stats().Counters)
 	}
-	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   tx,
-		Completed:       completed,
-		Downloaders:     len(downloaders),
-		ForwardAccuracy: relay.Accuracy(),
-		MemoryBytes:     memory,
-	}
+	res.ForwardAccuracy = relay.Accuracy()
+	chaosStats(&res, w.sched, w.downloaders, w.collection)
+	return res
 }

@@ -13,13 +13,17 @@ import (
 // built by hand, as metro-seq builds it, field for field at every seed.
 func TestUrbanMetroIsFig7AtDensity(t *testing.T) {
 	t.Parallel()
+	sc, err := Find("urban-metro")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		s := goldenScale()
 		s.BaseSeed = seed
 
 		metro := s
 		metro.Shards = 4
-		got, err := urbanMetroTrial(metro, 60, 0)
+		got, err := sc.Run(metro, 60, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,11 @@ func TestUrbanGridScalesNodeCount(t *testing.T) {
 	s.PureForwarders = 1
 	s.Intermediates = 1
 	s.Horizon = 15 * time.Minute
-	tr, err := urbanGridTrial(s, 60, 0)
+	sc, err := Find("urban-grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sc.Run(s, 60, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"dapes/internal/core"
 	"dapes/internal/geo"
-	"dapes/internal/ndn"
 	"dapes/internal/phy"
 	"dapes/internal/repo"
 )
@@ -33,25 +32,23 @@ type ScenarioResult struct {
 	Completed  bool
 }
 
-// peerWorld is a world whose nodes are all DAPES peers sharing one config:
-// the Fig.-8 runs and the custom scenarios.
-type peerWorld struct {
-	*world
-	cfg core.Config
-}
-
-// peer attaches a DAPES peer with the given mobility.
-func (w *peerWorld) peer(m geo.Mobility) *core.Peer {
-	return core.NewPeer(w.Kernel, w.medium, m, nil, nil, w.cfg)
-}
-
-func newScenarioWorld(e Engine, seed int64) *peerWorld {
-	return &peerWorld{
-		// Outdoor campus: ~50 m WiFi range per the paper's MacBooks.
-		world: newWorld(seed, phy.Config{Range: 50, LossRate: 0.05}, e),
+// newOutdoorWorld is the world of one Fig.-8 outdoor run at seed: the
+// MacBooks' ~50 m range at a fixed 5% loss, and the real-world runs' peer
+// config (local-neighborhood RPF with interleaved advertisements, Section
+// VI-B2, forwarding at 40%). Each run places its own handful of peers, so
+// of the scale it reads only the collection size, the horizon and the
+// engine: the runner's range and the scale's loss, node mix and area side
+// are ignored, and a plan cell labelled with a loss or node multiplier
+// runs the same world as its neighbours.
+//
+// Its catalog trial (fig8a/b/c) reports the world as one downloader:
+// completed is 1 only when every downloader finished, the download time is
+// the last finisher's, and the memory is the Table-I state, which counts
+// the producer (and fig8b's repository) beside the downloaders.
+func newOutdoorWorld(s Scale, seed int64) *dapesWorld {
+	return &dapesWorld{
+		world: newWorld(seed, phy.Config{Range: 50, LossRate: 0.05}, s.Engine, s.Horizon),
 		cfg: core.Config{
-			// Real-world runs used local-neighborhood RPF and interleaved
-			// advertisement fetching (Section VI-B2).
 			Strategy:    core.LocalNeighborhoodRPF,
 			RandomStart: true,
 			AdvertMode:  core.Interleaved,
@@ -66,19 +63,17 @@ func newScenarioWorld(e Engine, seed int64) *peerWorld {
 // C only through data carrier D, who shuttles between three disconnected
 // 150 m-apart network segments.
 func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(s.Engine, seed)
+	w := newOutdoorWorld(s, seed)
 	res, err := smallCollection("/fig8a", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	coll := res.Manifest.Collection
-
-	producer := w.peer(geo.Stationary{At: geo.Point{X: 0, Y: 0}})
-	if err := producer.Publish(res); err != nil {
+	producer, err := w.publish(geo.Stationary{At: geo.Point{X: 0, Y: 0}}, res)
+	if err != nil {
 		return ScenarioResult{}, err
 	}
-	b := w.peer(geo.Stationary{At: geo.Point{X: 300, Y: 0}})
-	c := w.peer(geo.Stationary{At: geo.Point{X: 300, Y: 300}})
+	w.download(geo.Stationary{At: geo.Point{X: 300, Y: 0}})
+	w.download(geo.Stationary{At: geo.Point{X: 300, Y: 300}})
 	// Carrier D shuttles A -> B -> C -> A on a fixed patrol.
 	var waypoints []geo.Waypoint
 	leg := 150 * time.Second
@@ -90,73 +85,59 @@ func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
 				geo.Waypoint{At: at + leg*2/3, Pos: pos})
 		}
 	}
-	d := w.peer(geo.NewScripted(waypoints))
+	w.download(geo.NewScripted(waypoints))
 
-	downloaders := []*core.Peer{b, c, d}
-	for _, p := range downloaders {
-		p.Subscribe(coll)
-		p.Start()
-	}
+	w.startDownloaders()
 	producer.Start()
-
-	return runScenario(w, "carrier (Fig 8a)", coll, s.Horizon,
-		append(downloaders, producer), downloaders), nil
+	return w.outdoorRow("carrier (Fig 8a)", producer), nil
 }
 
 // Scenario2Repo reproduces Fig. 8b: producer C uploads to a stationary
 // repository; peers A and B later retrieve the collection from the repo.
 func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(s.Engine, seed)
+	w := newOutdoorWorld(s, seed)
 	res, err := smallCollection("/fig8b", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	coll := res.Manifest.Collection
 
 	repoAt := geo.Point{X: 150, Y: 150}
-	rp := repo.New(w.Kernel, w.medium, repoAt, nil, nil, w.cfg, coll)
+	rp := repo.New(w.Kernel, w.medium, repoAt, nil, nil, w.cfg, res.Manifest.Collection)
 	// Producer C visits the repo, then leaves the area.
-	producer := w.peer(geo.NewScripted([]geo.Waypoint{
+	producer, err := w.publish(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 160, Y: 150}},
 		{At: 240 * time.Second, Pos: geo.Point{X: 160, Y: 150}},
 		{At: 300 * time.Second, Pos: geo.Point{X: 1500, Y: 1500}},
-	}))
-	if err := producer.Publish(res); err != nil {
+	}), res)
+	if err != nil {
 		return ScenarioResult{}, err
 	}
 	// A and B fetch from the repo simultaneously; shared transmissions
 	// satisfy both (step 3a/3b in the figure).
-	a := w.peer(geo.NewScripted([]geo.Waypoint{
+	w.download(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 1200, Y: 150}},
 		{At: 120 * time.Second, Pos: geo.Point{X: 140, Y: 150}},
 	}))
-	b := w.peer(geo.NewScripted([]geo.Waypoint{
+	w.download(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 150, Y: 1200}},
 		{At: 120 * time.Second, Pos: geo.Point{X: 150, Y: 140}},
 	}))
 
-	downloaders := []*core.Peer{a, b}
-	for _, p := range downloaders {
-		p.Subscribe(coll)
-		p.Start()
-	}
+	w.startDownloaders()
 	producer.Start()
 	rp.Start()
-
-	return runScenario(w, "repository (Fig 8b)", coll, s.Horizon,
-		[]*core.Peer{a, b, producer, rp.Peer()}, downloaders), nil
+	return w.outdoorRow("repository (Fig 8b)", producer, rp.Peer()), nil
 }
 
 // Scenario3Mobile reproduces Fig. 8c: four peers move through an
 // infrastructure-free area with moments of total disconnection and moments
 // of full connectivity; multi-hop chains form transiently.
 func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(s.Engine, seed)
+	w := newOutdoorWorld(s, seed)
 	res, err := smallCollection("/fig8c", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	coll := res.Manifest.Collection
 
 	// Peers patrol the corners of a 150 m square, meeting pairwise at the
 	// middle of each side and all together in the center every few minutes.
@@ -174,54 +155,39 @@ func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
 		}
 		return pts
 	}
-	producer := w.peer(geo.NewScripted(corner(0, 0)))
-	if err := producer.Publish(res); err != nil {
+	producer, err := w.publish(geo.NewScripted(corner(0, 0)), res)
+	if err != nil {
 		return ScenarioResult{}, err
 	}
-	b := w.peer(geo.NewScripted(corner(150, 0)))
-	c := w.peer(geo.NewScripted(corner(150, 150)))
-	d := w.peer(geo.NewScripted(corner(0, 150)))
+	w.download(geo.NewScripted(corner(150, 0)))
+	w.download(geo.NewScripted(corner(150, 150)))
+	w.download(geo.NewScripted(corner(0, 150)))
 
-	downloaders := []*core.Peer{b, c, d}
-	for _, p := range downloaders {
-		p.Subscribe(coll)
-		p.Start()
-	}
+	w.startDownloaders()
 	producer.Start()
-
-	return runScenario(w, "mobile swarm (Fig 8c)", coll, s.Horizon,
-		append(downloaders, producer), downloaders), nil
+	return w.outdoorRow("mobile swarm (Fig 8c)", producer), nil
 }
 
-// runScenario drives a Fig.-8 world to completion and assembles the Table-I
-// row.
-func runScenario(w *peerWorld, name string, coll ndn.Name, horizon time.Duration, allPeers, downloaders []*core.Peer) ScenarioResult {
-	w.RunUntil(horizon, allDone(w.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
-
-	completed := true
-	var latest time.Duration
-	for _, p := range downloaders {
-		done, at := p.Done(coll)
-		if !done {
-			completed = false
-			at = horizon
-		}
-		if at > latest {
-			latest = at
-		}
-	}
+// outdoorRow runs a Fig.-8 world and folds it into its Table-I row: the
+// last downloader's completion time (the horizon if one never finished),
+// complete only when every downloader is, and the protocol state of the
+// downloaders and of others, the world's other peers.
+func (w *dapesWorld) outdoorRow(name string, others ...*core.Peer) ScenarioResult {
+	w.runUntilDone(w.faultsUntil, len(w.downloaders), w.doneAt)
+	res, latest := w.completion(len(w.downloaders), w.doneAt)
 	state := 0
-	for _, p := range allPeers {
-		state += p.MemoryFootprint()
+	for _, ps := range [][]*core.Peer{w.downloaders, others} {
+		for _, p := range ps {
+			state += p.MemoryFootprint()
+		}
 	}
-	st := w.Stats()
 	return ScenarioResult{
 		Name:          name,
 		DownloadTime:  latest,
-		Transmissions: st.Transmissions,
-		Receptions:    st.Deliveries,
+		Transmissions: res.Transmissions,
+		Receptions:    w.Stats().Deliveries,
 		StateBytes:    state,
-		Completed:     completed,
+		Completed:     res.Completed == res.Downloaders,
 	}
 }
 

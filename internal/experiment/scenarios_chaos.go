@@ -33,15 +33,11 @@ func urbanChaosPlan(h time.Duration) *fault.Plan {
 	}
 }
 
-// urbanGridChaosTrial is urban-grid's dense mix under churn: same 5x node
+// urbanGridChaosScale is urban-grid's dense mix under churn: same 5x node
 // mix and 450 m area, plus the default chaos plan. The acceptance bar —
 // with ≥30% of eligible nodes crashed mid-trial, completions recover to
 // ≥90% of the fault-free run after restarts — is pinned by
 // TestChaosRecoveryBar.
-func urbanGridChaosTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	return RunDAPESTrial(urbanGridChaosScale(s), wifiRange, trial, PaperDefaults())
-}
-
 func urbanGridChaosScale(s Scale) Scale {
 	dense := urbanGridScale(s)
 	if dense.Faults == nil {
@@ -50,15 +46,11 @@ func urbanGridChaosScale(s Scale) Scale {
 	return dense
 }
 
-// blackoutRecoveryTrial is the Fig.-7 workload with a regional jammer:
+// blackoutRecoveryScale is the Fig.-7 workload with a regional jammer:
 // a disk covering the middle of the arena goes dark for a quarter of the
 // horizon, starting an eighth in — early enough to interrupt downloads in
 // progress — and the run measures how completion times recover once the
 // blackout lifts.
-func blackoutRecoveryTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	return RunDAPESTrial(blackoutRecoveryScale(s), wifiRange, trial, PaperDefaults())
-}
-
 func blackoutRecoveryScale(s Scale) Scale {
 	faulted := s
 	side := faulted.AreaSide

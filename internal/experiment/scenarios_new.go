@@ -6,7 +6,6 @@ import (
 
 	"dapes/internal/core"
 	"dapes/internal/geo"
-	"dapes/internal/ndn"
 	"dapes/internal/phy"
 )
 
@@ -18,28 +17,21 @@ import (
 // newTrialWorld is the common preamble of the custom scenarios: a seeded
 // world at the requested range, the paper-default peer config, and the
 // image-file collection published by a producer on the given mobility.
-func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*peerWorld, *core.Peer, ndn.Name, error) {
+func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*dapesWorld, *core.Peer, error) {
 	seed := TrialSeed(s.BaseSeed, trial)
-	w := &peerWorld{
-		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine),
+	w := &dapesWorld{
+		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine, s.Horizon),
 		cfg:   PaperDefaults(),
 	}
 	res, err := buildCollection(s, seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	producer := w.peer(producerMobility)
-	if err := producer.Publish(res); err != nil {
-		return nil, nil, nil, err
+	producer, err := w.publish(producerMobility, res)
+	if err != nil {
+		return nil, nil, err
 	}
-	return w, producer, res.Manifest.Collection, nil
-}
-
-// runAndCollect drives the world until every downloader completes (or the
-// horizon passes) and folds it into a TrialResult.
-func (w *peerWorld) runAndCollect(coll ndn.Name, downloaders []*core.Peer, horizon time.Duration) TrialResult {
-	w.RunUntil(horizon, allDone(w.Now, 0, len(downloaders), collectionDone(downloaders, coll)))
-	return collectDAPES(w.Stats().Transmissions, coll, downloaders, nil, nil, horizon)
+	return w, producer, nil
 }
 
 // clusterSize derives the per-cluster peer count from the scale's node mix.
@@ -79,14 +71,13 @@ func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 	merge := s.Horizon / 3
 	walk := 2 * time.Minute
 
-	w, producer, coll, err := newTrialWorld(s, wifiRange, trial, geo.Stationary{At: centerA})
+	w, producer, err := newTrialWorld(s, wifiRange, trial, geo.Stationary{At: centerA})
 	if err != nil {
 		return TrialResult{}, err
 	}
 
-	var downloaders []*core.Peer
 	for _, pos := range ringPositions(centerA, radius, n) {
-		downloaders = append(downloaders, w.peer(geo.Stationary{At: pos}))
+		w.download(geo.Stationary{At: pos})
 	}
 	dest := ringPositions(geo.Point{X: centerA.X, Y: centerA.Y + 2.2*radius}, radius, n)
 	for i, pos := range ringPositions(centerB, radius, n) {
@@ -95,15 +86,12 @@ func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 			{At: merge, Pos: pos},
 			{At: merge + walk, Pos: dest[i]},
 		})
-		downloaders = append(downloaders, w.peer(m))
+		w.download(m)
 	}
 
 	producer.Start()
-	for _, p := range downloaders {
-		p.Subscribe(coll)
-		p.Start()
-	}
-	return w.runAndCollect(coll, downloaders, s.Horizon), nil
+	w.startDownloaders()
+	return w.run(), nil
 }
 
 // convoyChurnTrial runs a producer-led convoy down a 1.5 km road with peer
@@ -135,12 +123,11 @@ func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 		{At: 0, Pos: geo.Point{X: 0, Y: 0}},
 		{At: tEnd, Pos: geo.Point{X: roadLen, Y: 0}},
 	})
-	w, producer, coll, err := newTrialWorld(s, wifiRange, trial, lead)
+	w, producer, err := newTrialWorld(s, wifiRange, trial, lead)
 	if err != nil {
 		return TrialResult{}, err
 	}
 
-	var downloaders []*core.Peer
 	for i := 0; i < n; i++ {
 		x0 := -spacing * float64(i+1)
 		// slot is rider i's convoy position at a given time; the convoy
@@ -178,15 +165,12 @@ func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 				{At: tEnd, Pos: slot(tEnd)},
 			})
 		}
-		downloaders = append(downloaders, w.peer(m))
+		w.download(m)
 	}
 
 	producer.Start()
-	for _, p := range downloaders {
-		p.Subscribe(coll)
-		p.Start()
-	}
-	return w.runAndCollect(coll, downloaders, s.Horizon), nil
+	w.startDownloaders()
+	return w.run(), nil
 }
 
 // denseScale multiplies the scale's mobile node mix (downloaders, pure
@@ -202,32 +186,22 @@ func denseScale(s Scale, mult int, side float64) Scale {
 	return s
 }
 
-// urbanGridTrial reruns the Fig.-7 DAPES workload at metropolitan density:
-// five times the mobile downloaders, pure forwarders, and intermediates in
-// a 1.5x-edge area (~2.2x the paper's node density). It is the scaling
-// smoke test every performance PR should move.
-func urbanGridTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	return RunDAPESTrial(urbanGridScale(s), wifiRange, trial, PaperDefaults())
-}
-
+// urbanGridScale is the Fig.-7 workload at metropolitan density: five
+// times the mobile downloaders, pure forwarders, and intermediates in a
+// 1.5x-edge area (~2.2x the paper's node density). It is the scaling smoke
+// test every performance PR should move.
 func urbanGridScale(s Scale) Scale { return denseScale(s, 5, areaSide*1.5) }
 
-// urbanGridXLTrial pushes urban-grid another 5x: 25x the scale's node mix in
-// a 3x-edge area (~2.8x the paper's density, ~1000 nodes at ReducedScale).
-// The phy grid index is what makes this tractable — under the naive scan
-// every broadcast paid for the full node population.
-func urbanGridXLTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	return RunDAPESTrial(denseScale(s, 25, areaSide*3), wifiRange, trial, PaperDefaults())
-}
+// urbanGridXLScale pushes urban-grid another 5x: 25x the scale's node mix
+// in a 3x-edge area (~2.8x the paper's density, ~1000 nodes at
+// ReducedScale). The phy grid index is what makes this tractable — under
+// the naive scan every broadcast paid for the full node population.
+func urbanGridXLScale(s Scale) Scale { return denseScale(s, 25, areaSide*3) }
 
-// urbanMetroTrial is urban-grid-xl's node mix in a density-preserving
+// urbanMetroScale is urban-grid-xl's node mix in a density-preserving
 // area: the 25x mix in an area scaled so nodes per square meter match the
 // paper's Fig.-7 world, which at plan scale (plans/urban-metro.toml)
 // reaches 50k+ nodes.
-func urbanMetroTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	return RunDAPESTrial(urbanMetroScale(s), wifiRange, trial, PaperDefaults())
-}
-
 func urbanMetroScale(s Scale) Scale {
 	metro := denseScale(s, 25, 0)
 	if metro.AreaSide <= 0 {

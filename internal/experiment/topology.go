@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
@@ -83,7 +82,7 @@ func drawPlacement(s Scale, seed int64) placement {
 func newFig7World(s Scale, wifiRange float64, trial int) (*world, placement) {
 	seed := TrialSeed(s.BaseSeed, trial)
 	pl := drawPlacement(s, seed)
-	return newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine), pl
+	return newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine, s.Horizon), pl
 }
 
 // buildCollection generates the image-file workload: NumFiles files of
@@ -110,12 +109,4 @@ func smallCollection(name string, nPackets, packetSize int) (*metadata.BuildResu
 		ndn.ParseName(name),
 		[]metadata.File{{Name: "payload", Content: bytes.Repeat([]byte{0x5A}, nPackets*packetSize)}},
 		packetSize, metadata.FormatPacketDigest, nil)
-}
-
-// censor returns completion time or the horizon for incomplete downloads.
-func censor(done bool, at, horizon time.Duration) time.Duration {
-	if done {
-		return at
-	}
-	return horizon
 }

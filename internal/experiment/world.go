@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"time"
+
 	"dapes/internal/phy"
 	"dapes/internal/sim"
 )
@@ -31,21 +33,26 @@ type Engine struct {
 }
 
 // world is one trial's engine: the one kernel (embedded: Now, Run,
-// RunUntil, EventsFired) and the one medium every node attaches to. It is
-// the only place in this package that constructs either.
+// RunUntil, EventsFired), the one medium every node attaches to, and the
+// trial's virtual time limit. It is the only place in this package that
+// constructs a kernel or a medium, and its runUntilDone is the one place
+// that runs a kernel.
 type world struct {
 	*sim.Kernel
 	medium *phy.Medium
+	// horizon is where runUntilDone stops at the latest and where the
+	// completion fold censors a downloader that never finished.
+	horizon time.Duration
 }
 
 // newWorld builds the engine for one trial: seed is the trial's, which the
 // kernel carries and every node's random streams derive from
 // (sim.Kernel.Stream), cfg's Range and LossRate describe the channel, e
-// picks the implementations.
-func newWorld(seed int64, cfg phy.Config, e Engine) *world {
+// picks the implementations, and horizon bounds the run.
+func newWorld(seed int64, cfg phy.Config, e Engine, horizon time.Duration) *world {
 	cfg.Index = e.Index
 	k := sim.Options{Queue: e.Queue}.NewKernel(seed)
-	w := &world{Kernel: k, medium: phy.NewMedium(k, cfg)}
+	w := &world{Kernel: k, medium: phy.NewMedium(k, cfg), horizon: horizon}
 	if e.built != nil {
 		*e.built = append(*e.built, w)
 	}
