@@ -102,7 +102,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := rejectIgnoredFlags(fs, *scenario, *system); err != nil {
+	if err := rejectIgnoredFlags(fs, sc, *scenario, *system); err != nil {
 		return err
 	}
 
@@ -169,12 +169,14 @@ var adhocFlags = map[string]bool{
 }
 
 // rejectIgnoredFlags fails, naming them, on flags set on the command line
-// that the selected run would ignore: -system and the ad-hoc DAPES flags
-// beside -scenario, and the ad-hoc DAPES flags beside -system bithoc or ekta.
-func rejectIgnoredFlags(fs *flag.FlagSet, scenario, system string) error {
+// that the selected run sc would ignore: -system and the ad-hoc DAPES flags
+// beside -scenario, the ad-hoc DAPES flags beside -system bithoc or ekta,
+// and -range beside a scenario whose world fixes its own range.
+func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, scenario, system string) error {
 	var ignored []string
 	fs.Visit(func(fl *flag.Flag) {
-		if adhocFlags[fl.Name] && (scenario != "" || system != "dapes") || fl.Name == "system" && scenario != "" {
+		if adhocFlags[fl.Name] && (scenario != "" || system != "dapes") || fl.Name == "system" && scenario != "" ||
+			fl.Name == "range" && sc.Fixes(experiment.AxisRange) {
 			ignored = append(ignored, "-"+fl.Name)
 		}
 	})

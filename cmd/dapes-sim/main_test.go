@@ -48,6 +48,11 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-system", "bithoc", "-strategy", "local", "-random-start", "-interleave", "-bitmaps", "2",
 			"-peba", "-multihop", "-forward-prob", "0.5"},
 			"-system bithoc ignores -bitmaps, -forward-prob, -interleave, -multihop, -peba, -random-start, -strategy"},
+		// The Fig.-8 worlds fix their own 50 m range: -range ran them
+		// unchanged and labelled every row with the value given.
+		{[]string{"-scenario", "fig8a-carrier", "-range", "20"}, "-scenario fig8a-carrier ignores -range"},
+		{[]string{"-scenario", "fig8b-repository", "-range", "50"}, "-scenario fig8b-repository ignores -range"},
+		{[]string{"-scenario", "fig8c-mobile", "-range", "100", "-peba"}, "-scenario fig8c-mobile ignores -peba, -range"},
 	} {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -286,13 +286,14 @@ func (p *Peer) onHello(payload []byte) {
 		info.lastHeard = p.k.Now()
 		p.rank(info, moved)
 	}
-	// Scoped relay with duplicate suppression. The copy is the relay's own
-	// wire: the heard one is immutable, and the TTL byte changes.
+	// Scoped relay with duplicate suppression. The copy, in a wire from the
+	// medium's pool, is the relay's own: the heard one is immutable and goes
+	// back to the pool after this handler, and the TTL byte changes.
 	if ttl > 1 && p.seenHello[origin] < seq {
 		p.seenHello[origin] = seq
-		relay := append([]byte(nil), payload...)
+		relay := append(p.medium.Wire(len(payload)), payload...)
 		relay[1] = byte(ttl - 1)
-		p.medium.BroadcastAfter(p.rng.Jitter(50*time.Millisecond), p.radio, relay, &p.stats.HellosRelayed, &p.running)
+		p.medium.BroadcastOwnedAfter(p.rng.Jitter(50*time.Millisecond), p.radio, relay, &p.stats.HellosRelayed, &p.running)
 	}
 	p.pump()
 }

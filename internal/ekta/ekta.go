@@ -84,6 +84,7 @@ type Peer struct {
 	pumpCount int
 	running   bool
 	pumpT     *sim.Timer
+	resp      []byte // scratch piece response (onDatagram)
 	done      bool
 	doneAt    time.Duration
 }
@@ -281,11 +282,16 @@ func (p *Peer) onDatagram(src int, payload []byte) {
 		if p.have == nil || piece < 0 || piece >= p.nPieces || !p.have.Test(piece) {
 			return
 		}
-		resp := []byte{msgPiece}
-		resp = binary.BigEndian.AppendUint32(resp, uint32(piece))
-		resp = append(resp, make([]byte, p.pieceSize)...)
+		// Send copies the payload (DSR encodes it into its wire or buffers
+		// a copy), so one scratch response serves every request; its piece
+		// bytes are never written.
+		if len(p.resp) != 5+p.pieceSize {
+			p.resp = make([]byte, 5+p.pieceSize)
+		}
+		p.resp[0] = msgPiece
+		binary.BigEndian.PutUint32(p.resp[1:], uint32(piece))
 		p.stats.PiecesSent++
-		p.datagram.Send(src, resp)
+		p.datagram.Send(src, p.resp)
 	case msgPiece:
 		piece := int(binary.BigEndian.Uint32(payload[1:5]))
 		if p.have == nil || piece < 0 || piece >= p.nPieces || p.have.Test(piece) {

@@ -7,10 +7,14 @@ import "dapes/internal/core"
 // in test-plan form; TestCatalogMatchesExperimentsDoc holds the two to the
 // same set of names.
 
+// outdoorFixed is what the Fig.-8 outdoor worlds set for themselves
+// (newOutdoorWorld): a 50 m radio range at 5% loss, and their own peers.
+var outdoorFixed = []Axis{AxisRange, AxisLoss, AxisNodes}
+
 // feasibilityTrial adapts a Fig.-8 outdoor run (which reports a Table-I
 // ScenarioResult for the whole world) to the catalog's per-trial shape.
-// The Fig.-8 worlds fix their own 50 m radio range, so the runner's
-// wifiRange is ignored, and apply no fault plan, so one is refused.
+// The Fig.-8 worlds fix their own radio range (outdoorFixed), so the
+// runner's wifiRange is ignored, and apply no fault plan, so one is refused.
 func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc {
 	return func(s Scale, _ float64, trial int) (TrialResult, error) {
 		if err := refuseFaults(s); err != nil {
@@ -98,16 +102,19 @@ var catalog = []*Scenario{
 		Name:    "fig8a-carrier",
 		Summary: "Fig.-8a outdoor run: data carrier shuttles between three disconnected segments",
 		Run:     feasibilityTrial(Scenario1Carrier),
+		Fixed:   outdoorFixed,
 	},
 	{
 		Name:    "fig8b-repository",
 		Summary: "Fig.-8b outdoor run: producer uploads to a stationary repo, peers fetch later",
 		Run:     feasibilityTrial(Scenario2Repo),
+		Fixed:   outdoorFixed,
 	},
 	{
 		Name:    "fig8c-mobile",
 		Summary: "Fig.-8c outdoor run: four peers with transient multi-hop chains",
 		Run:     feasibilityTrial(Scenario3Mobile),
+		Fixed:   outdoorFixed,
 	},
 	{
 		Name:    "partitioned-merge",

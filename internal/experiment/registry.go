@@ -39,6 +39,27 @@ type Scenario struct {
 	Summary string
 	// Run executes one trial. See TrialFunc for the determinism contract.
 	Run TrialFunc
+	// Fixed lists the inputs the scenario's world sets for itself and so
+	// never reads. A CLI flag or a plan grid axis that sets one is refused
+	// for the scenario rather than run under a label that never ran.
+	Fixed []Axis
+}
+
+// Axis is a trial input that a runner sets and a world may fix.
+type Axis int
+
+const (
+	// AxisRange is the runner's WiFi range.
+	AxisRange Axis = iota
+	// AxisLoss is Scale.LossRate.
+	AxisLoss
+	// AxisNodes is the Scale node mix.
+	AxisNodes
+)
+
+// Fixes reports whether the scenario's world fixes axis a.
+func (s *Scenario) Fixes(a Axis) bool {
+	return slices.Contains(s.Fixed, a)
 }
 
 // Find returns the catalog scenario named name, or a descriptive error

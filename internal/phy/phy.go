@@ -52,7 +52,11 @@ import (
 // lives until the transmission's completion event returns, after every
 // receiver's handler; the record is then reused. A handler that keeps any
 // part of it — its name, a component, its NameKey — past its own return
-// copies that part. The payload and a decoded Data are never reused.
+// copies that part. A borrowed wire (Broadcast, BroadcastNotify,
+// BroadcastAfter) and a Data decoded from it are never reused. An owned
+// wire (BroadcastOwnedAfter) goes back to the medium's pool once the
+// completion event has run every handler: its payload, like the Interest,
+// is valid until the handler returns.
 type Frame struct {
 	// From is the ID of the transmitting radio.
 	From int
@@ -157,6 +161,9 @@ type transmission struct {
 	notify func(collided bool)
 	recs   []*reception
 	fire   func()
+	// owned marks a payload taken from the wire pool (BroadcastOwnedAfter):
+	// complete returns it there after the last handler.
+	owned bool
 	// room holds the Interest the frame carries, decoded in place: it is
 	// rewritten only when the record is reused, after the completion event
 	// has returned.
@@ -281,6 +288,9 @@ type Medium struct {
 	recFree  []*reception
 	txFree   []*transmission
 	sendFree []*sendJob
+	// wireFree holds the owned wires whose transmissions have finished
+	// (Wire, BroadcastOwnedAfter).
+	wireFree [][]byte
 }
 
 // NewMedium creates a medium over the given simulation kernel.
@@ -485,7 +495,31 @@ func (m *Medium) receive(rx *Radio, start, end time.Duration) *reception {
 // suffers loss and collision. The frame is delivered (or dropped) after the
 // serialization time plus propagation delay.
 func (m *Medium) Broadcast(r *Radio, payload []byte) {
-	m.BroadcastNotify(r, payload, nil)
+	m.broadcast(r, payload, nil, false)
+}
+
+// Wire returns an empty buffer with capacity at least n from the medium's
+// pool of owned wires. The caller appends a frame to it and hands it back
+// through BroadcastOwnedAfter, which returns it to the pool once the frame's
+// transmission has finished; a buffer the pool holds is never handed out
+// twice at once.
+func (m *Medium) Wire(n int) []byte {
+	if last := len(m.wireFree) - 1; last >= 0 {
+		b := m.wireFree[last]
+		m.wireFree[last] = nil
+		m.wireFree = m.wireFree[:last]
+		if cap(b) >= n {
+			return b[:0]
+		}
+		// Too small: dropped, so the pool settles on buffers that fit the
+		// largest frames its senders build.
+	}
+	return make([]byte, 0, n)
+}
+
+// release returns an owned wire to the pool.
+func (m *Medium) release(wire []byte) {
+	m.wireFree = append(m.wireFree, wire)
 }
 
 // sendJob is one frame waiting out its jitter (BroadcastAfter). Jobs are
@@ -497,6 +531,7 @@ type sendJob struct {
 	wire  []byte
 	count *uint64
 	live  *bool
+	owned bool
 	fire  func()
 }
 
@@ -504,8 +539,23 @@ type sendJob struct {
 // every protocol layer makes — unless *live, the sender's running flag, is
 // false by then, in which case the frame is dropped. count, when non-nil, is
 // bumped as the frame goes on the air. The send allocates nothing: its
-// record is pooled and its event func built once.
+// record is pooled and its event func built once. wire is borrowed: the
+// medium never writes or reuses it.
 func (m *Medium) BroadcastAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool) {
+	m.sendAfter(delay, r, wire, count, live, false)
+}
+
+// BroadcastOwnedAfter is BroadcastAfter for a wire taken from Wire: the
+// medium owns it from this call on and returns it to the pool once it is
+// done with it — when the send is dropped, when the radio is disabled or
+// nobody is in range, or when the completion event has run every
+// receiver's handler. The caller neither reads nor writes it again, and a
+// wire goes on the air once: a frame sent twice takes two wires.
+func (m *Medium) BroadcastOwnedAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool) {
+	m.sendAfter(delay, r, wire, count, live, true)
+}
+
+func (m *Medium) sendAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool, owned bool) {
 	var j *sendJob
 	if n := len(m.sendFree); n > 0 {
 		j = m.sendFree[n-1]
@@ -515,21 +565,24 @@ func (m *Medium) BroadcastAfter(delay time.Duration, r *Radio, wire []byte, coun
 		j = &sendJob{m: m}
 		j.fire = j.send
 	}
-	j.radio, j.wire, j.count, j.live = r, wire, count, live
+	j.radio, j.wire, j.count, j.live, j.owned = r, wire, count, live, owned
 	m.kernel.ScheduleFunc(delay, j.fire)
 }
 
 func (j *sendJob) send() {
-	m, r, wire, count, live := j.m, j.radio, j.wire, j.count, j.live
-	j.radio, j.wire, j.count, j.live = nil, nil, nil, nil
+	m, r, wire, count, live, owned := j.m, j.radio, j.wire, j.count, j.live, j.owned
+	j.radio, j.wire, j.count, j.live, j.owned = nil, nil, nil, nil, false
 	m.sendFree = append(m.sendFree, j)
 	if !*live {
+		if owned {
+			m.release(wire)
+		}
 		return
 	}
 	if count != nil {
 		*count++
 	}
-	m.Broadcast(r, wire)
+	m.broadcast(r, wire, nil, owned)
 }
 
 // BroadcastNotify is Broadcast with sender-side collision feedback: after the
@@ -537,7 +590,16 @@ func (j *sendJob) send() {
 // at any in-range receiver. This models the MAC-layer collision detection
 // that PEBA (Section IV-F) relies on.
 func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided bool)) {
+	m.broadcast(r, payload, notify, false)
+}
+
+// broadcast puts payload on the air from r; owned says whether the medium
+// returns payload to the wire pool once the transmission is over.
+func (m *Medium) broadcast(r *Radio, payload []byte, notify func(collided bool), owned bool) {
 	if !r.enabled {
+		if owned {
+			m.release(payload)
+		}
 		if notify != nil {
 			notify(false)
 		}
@@ -573,9 +635,13 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 
 	cands := m.candidatesInRange(r)
 	if len(cands) == 0 && notify == nil {
+		if owned {
+			m.release(payload)
+		}
 		return
 	}
 	tx := m.newTransmission(Frame{From: r.id, Payload: payload, Size: size}, notify)
+	tx.owned = owned
 	if len(cands) > 0 && ndn.LooksLikePacket(payload) {
 		// One decode-once packet per transmission, shared by every receiver
 		// below (they all deliver the transmission record's frame); an
@@ -593,10 +659,10 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 // complete is a transmission's one event, at its end. It finalizes each
 // reception in candidate order — out of the receiver's in-flight set, then
 // delivered unless it collided or was lost — and only then returns the
-// records to the pools and reports to the sender. A broadcast a handler
-// makes starts at this instant, so it can no longer overlap (and garble) a
-// reception still in the loop, and it takes records of its own: the frame's
-// decoded Interest lives in this one.
+// records (and an owned wire) to the pools and reports to the sender. A
+// broadcast a handler makes starts at this instant, so it can no longer
+// overlap (and garble) a reception still in the loop, and it takes records
+// (and a wire) of its own: the frame's decoded Interest lives in this one.
 func (tx *transmission) complete() {
 	m := tx.m
 	collided := false
@@ -617,8 +683,11 @@ func (tx *transmission) complete() {
 		m.recFree = append(m.recFree, rec)
 		tx.recs[i] = nil
 	}
+	if tx.owned {
+		m.release(tx.frame.Payload)
+	}
 	notify := tx.notify
-	tx.recs, tx.frame, tx.notify = tx.recs[:0], Frame{}, nil
+	tx.recs, tx.frame, tx.notify, tx.owned = tx.recs[:0], Frame{}, nil, false
 	m.txFree = append(m.txFree, tx)
 	if notify != nil {
 		notify(collided)

@@ -204,3 +204,113 @@ func TestBroadcastAfterDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a send whose sender stopped went on the air: sent %d, on the air %d", sent, m.Stats().Transmissions)
 	}
 }
+
+// sameArray reports whether a and b share their backing array's first byte.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// TestOwnedWireReturnsOnceOnEveryExit: a wire handed to BroadcastOwnedAfter
+// comes back to the medium's pool exactly once, whichever way its send ends
+// — dropped because the sender stopped, not sent because the radio is off,
+// sent to nobody, or delivered, and then only after the handler has read it
+// — and the next Wire hands out that same array again.
+func TestOwnedWireReturnsOnceOnEveryExit(t *testing.T) {
+	t.Parallel()
+	const body = "owned frame"
+	for _, tc := range []struct {
+		name                    string
+		live, enabled, neighbor bool
+		heard                   int
+	}{
+		{"dropped", false, true, true, 0},
+		{"disabled", true, false, true, 0},
+		{"nobody in range", true, true, false, 0},
+		{"delivered", true, true, true, 1},
+	} {
+		k := sim.NewKernel(1)
+		m := NewMedium(k, Config{Range: 50})
+		sender := m.Attach(geo.Stationary{})
+		sender.SetEnabled(tc.enabled)
+		wire := append(m.Wire(64), body...)
+		heard := 0
+		if tc.neighbor {
+			m.Attach(geo.Stationary{At: geo.Point{X: 1}}).SetHandler(func(f Frame) {
+				heard++
+				if string(f.Payload) != body || !sameArray(f.Payload, wire) {
+					t.Errorf("%s: handler read %q, want %q in the sent wire", tc.name, f.Payload, body)
+				}
+				if len(m.wireFree) != 0 {
+					t.Errorf("%s: the wire went back to the pool before its handler returned", tc.name)
+				}
+			})
+		}
+		live := tc.live
+		m.BroadcastOwnedAfter(time.Millisecond, sender, wire, nil, &live)
+		if err := k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if heard != tc.heard {
+			t.Errorf("%s: heard %d times, want %d", tc.name, heard, tc.heard)
+		}
+		if len(m.wireFree) != 1 || !sameArray(m.wireFree[0], wire) {
+			t.Fatalf("%s: pool holds %d wires after the send, want its one wire back once", tc.name, len(m.wireFree))
+		}
+		if again := m.Wire(len(body)); len(again) != 0 || !sameArray(again, wire) || len(m.wireFree) != 0 {
+			t.Fatalf("%s: Wire handed out len %d, same array %v, %d left pooled; want the returned wire, emptied",
+				tc.name, len(again), sameArray(again, wire), len(m.wireFree))
+		}
+	}
+	// A pooled wire too small for the frame is not handed out.
+	m := NewMedium(sim.NewKernel(1), Config{})
+	small := m.Wire(8)
+	m.release(small)
+	if big := m.Wire(cap(small) + 1); cap(big) < cap(small)+1 || sameArray(big, small) {
+		t.Fatalf("Wire(%d) handed out capacity %d (the pooled wire: %v)", cap(small)+1, cap(big), sameArray(big, small))
+	}
+}
+
+// TestRebroadcastOwnedFromCompletionTakesAnotherWire is the owned-wire
+// analogue of TestRebroadcastFromCompletionSeesOwnFrame: a handler that
+// relays from inside its frame's completion — as that frame's last receiver
+// — takes a wire other than the one it is reading, since the heard wire
+// returns to the pool only after every handler has run. The heard frame
+// reads the same after the relay wrote its own, and both wires end up
+// pooled once each.
+func TestRebroadcastOwnedFromCompletionTakesAnotherWire(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(1)
+	m := NewMedium(k, Config{Range: 50})
+	a := m.Attach(geo.Stationary{})
+	b := m.Attach(geo.Stationary{At: geo.Point{X: 40}})
+	spare := m.Wire(64)
+	m.release(spare)
+	live := true
+	var heard []string
+	a.SetHandler(func(f Frame) { heard = append(heard, "a heard "+string(f.Payload)) })
+	b.SetHandler(func(f Frame) {
+		heard = append(heard, "b heard "+string(f.Payload))
+		relay := m.Wire(len(f.Payload))
+		if sameArray(relay, f.Payload) {
+			t.Fatal("the relay was handed the wire its handler is reading")
+		}
+		relay = append(relay, "from b"...)
+		m.BroadcastOwnedAfter(0, b, relay, nil, &live)
+		if string(f.Payload) != "from a" {
+			t.Errorf("after the relay wrote its wire, the heard frame reads %q", f.Payload)
+		}
+	})
+	sent := append(m.Wire(64), "from a"...)
+	m.BroadcastOwnedAfter(0, a, sent, nil, &live)
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"b heard from a", "a heard from b"}; !reflect.DeepEqual(heard, want) {
+		t.Fatalf("deliveries %q, want %q", heard, want)
+	}
+	if len(m.wireFree) != 2 || sameArray(m.wireFree[0], m.wireFree[1]) ||
+		!(sameArray(m.wireFree[0], sent) || sameArray(m.wireFree[1], sent)) ||
+		!(sameArray(m.wireFree[0], spare) || sameArray(m.wireFree[1], spare)) {
+		t.Fatalf("pool holds %d wires after the run, want the sent and the spare wire once each", len(m.wireFree))
+	}
+}

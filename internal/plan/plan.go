@@ -18,6 +18,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -228,9 +229,28 @@ func (p *Plan) Validate() error {
 	if len(p.Grid.Scenarios) == 0 {
 		return fmt.Errorf("plan %q: scenario is required", p.Name)
 	}
+	// A grid axis that sets an input a scenario's world fixes for itself is
+	// refused: its cells would run one world under labels that never ran,
+	// and the best/worst table would credit seed noise to them. An axis the
+	// plan leaves out holds ApplyDefaults' fill and passes.
+	axes := []struct {
+		axis  experiment.Axis
+		name  string
+		named bool
+	}{
+		{experiment.AxisNodes, "nodes", !slices.Equal(p.Grid.Nodes, []int{1})},
+		{experiment.AxisRange, "ranges", !slices.Equal(p.Grid.Ranges, p.Base.Ranges)},
+		{experiment.AxisLoss, "loss", !slices.Equal(p.Grid.Loss, []float64{p.Base.LossRate})},
+	}
 	for _, name := range p.Grid.Scenarios {
-		if _, err := experiment.Find(name); err != nil {
+		sc, err := experiment.Find(name)
+		if err != nil {
 			return fmt.Errorf("plan %q: %w", p.Name, err)
+		}
+		for _, a := range axes {
+			if a.named && sc.Fixes(a.axis) {
+				return fmt.Errorf("plan %q: scenario %s fixes its world's %s: drop grid axis %s", p.Name, name, a.name, a.name)
+			}
 		}
 	}
 	if p.Trials <= 0 || p.Trials > MaxTrials {

@@ -119,6 +119,18 @@ func TestParseRejects(t *testing.T) {
 		{"nested array", `name = "x"` + "\n" + `optimize = [["a"]]`, "nested"},
 		{"trailing garbage", `name = "x" y`, "trailing"},
 		{"json trailing doc", `{"name":"x","scenario":"fig7-dapes"}{"again":1}`, "trailing"},
+		// The Fig.-8 worlds fix their range, loss and peers: a cell on
+		// any of these axes ran the same world under another label.
+		{"ranges beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nranges = [20.0, 100.0]",
+			"scenario fig8a-carrier fixes its world's ranges: drop grid axis ranges"},
+		{"loss beside fig8b", `name = "x"` + "\n" + `scenario = "fig8b-repository"` + "\n\n[grid]\nloss = [0.0, 0.5]",
+			"scenario fig8b-repository fixes its world's loss: drop grid axis loss"},
+		{"nodes beside fig8c", `name = "x"` + "\n" + `scenario = "fig8c-mobile"` + "\n\n[grid]\nnodes = [1, 4]",
+			"scenario fig8c-mobile fixes its world's nodes: drop grid axis nodes"},
+		{"one-point range beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nranges = [20.0]",
+			"scenario fig8a-carrier fixes its world's ranges"},
+		{"ranges beside fig7 and fig8c", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig8c-mobile\"]\nranges = [60.0]",
+			"scenario fig8c-mobile fixes its world's ranges"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -128,6 +140,22 @@ func TestParseRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFixedAxesPassWhenLeftOut: a Fig.-8 plan that leaves the axes its
+// world fixes to their defaults, and sweeps what the world does read, is
+// accepted; the same axes stay open to a scenario that reads them.
+func TestFixedAxesPassWhenLeftOut(t *testing.T) {
+	t.Parallel()
+	for _, src := range []string{
+		`name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nseeds = [1, 2]\nhorizons = [\"10m\", \"20m\"]",
+		`name = "x"` + "\n" + `scenario = "fig8b-repository"` + "\n\n[grid]\nnodes = [1]",
+		`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]\nloss = [0.0, 0.5]\nnodes = [1, 4]",
+	} {
+		if _, err := Parse([]byte(src)); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
 		}
 	}
 }

@@ -65,9 +65,10 @@ func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSDV {
 	return d
 }
 
-// transmit broadcasts wire after the MAC-backoff jitter.
+// transmit broadcasts wire, a buffer from the medium's wire pool, after the
+// MAC-backoff jitter; the medium takes the buffer back.
 func (d *DSDV) transmit(wire []byte) {
-	d.medium.BroadcastAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
+	d.medium.BroadcastOwnedAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
 }
 
 // ID implements Router.
@@ -110,7 +111,7 @@ func (d *DSDV) periodicUpdate() {
 	d.expireStale()
 	d.ownSeq += 2 // even sequence numbers mark reachable routes
 	f := frame{Proto: protoDSDVUpdate, Src: d.id, Dst: Broadcast, NextHop: Broadcast}
-	wire := f.appendHeader(make([]byte, 0, headerLen+2+12*(len(d.table)+1)))
+	wire := f.appendHeader(d.medium.Wire(headerLen + 2 + 12*(len(d.table)+1)))
 	d.ctrlTx++
 	d.transmit(d.appendTable(wire))
 	d.tick.Reset(dsdvUpdatePeriod + d.rng.Jitter(dsdvUpdatePeriod/4))
@@ -208,12 +209,12 @@ func (d *DSDV) Send(dst int, payload []byte) bool {
 		return false
 	}
 	f := &frame{Proto: protoData, Src: d.id, Dst: dst, NextHop: next, TTL: maxMetric, Payload: payload}
-	d.transmit(f.encode())
+	d.transmit(f.wire(d.medium))
 	return true
 }
 
 // handleData forwards or delivers a unicast frame addressed through us;
-// forwarding re-encodes from the received view into a fresh wire buffer.
+// forwarding re-encodes from the received view into a wire of its own.
 func (d *DSDV) handleData(f frame) {
 	if f.Dst == d.id {
 		if d.deliver != nil {
@@ -229,5 +230,5 @@ func (d *DSDV) handleData(f frame) {
 		return
 	}
 	fwd := &frame{Proto: protoData, Src: f.Src, Dst: f.Dst, NextHop: next, TTL: f.TTL - 1, Payload: f.Payload}
-	d.transmit(fwd.encode())
+	d.transmit(fwd.wire(d.medium))
 }

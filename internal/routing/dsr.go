@@ -86,16 +86,23 @@ func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSR {
 // ID implements Router.
 func (d *DSR) ID() int { return d.id }
 
-// transmit broadcasts wire after the MAC-backoff jitter.
+// transmit broadcasts wire, a buffer from the medium's wire pool, after the
+// MAC-backoff jitter; the medium takes the buffer back.
 func (d *DSR) transmit(wire []byte) {
-	d.medium.BroadcastAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
+	d.medium.BroadcastOwnedAfter(d.rng.Jitter(txJitter), d.radio, wire, nil, &d.running)
 }
 
-// transmitRepeated puts wire on the air hopRepeats times (MAC ARQ model);
-// each repetition is separately counted and jittered.
+// transmitRepeated puts wire, a pooled buffer, on the air hopRepeats times
+// (MAC ARQ model); each repetition is separately counted and jittered, and
+// goes out in a pooled copy of its own, as the medium takes back each wire
+// when its transmission is over.
 func (d *DSR) transmitRepeated(wire []byte, count *uint64) {
 	for i := 0; i < hopRepeats; i++ {
-		d.medium.BroadcastAfter(time.Duration(i)*txJitter+d.rng.Jitter(txJitter), d.radio, wire, count, &d.running)
+		w := wire
+		if i < hopRepeats-1 {
+			w = append(d.medium.Wire(len(wire)), wire...)
+		}
+		d.medium.BroadcastOwnedAfter(time.Duration(i)*txJitter+d.rng.Jitter(txJitter), d.radio, w, count, &d.running)
 	}
 }
 
@@ -179,7 +186,7 @@ func (d *DSR) launchDiscovery(dst int, p *pendingDiscovery) {
 	}
 	d.markSeen(d.id, d.reqID)
 	d.ctrlTx++
-	d.transmit(f.encode())
+	d.transmit(f.wire(d.medium))
 
 	p.timer.Reset(discoveryRound)
 }
@@ -233,7 +240,7 @@ func (d *DSR) forwardAlong(hops []int, payload []byte, seq uint32) {
 		Route:   hops,
 		Payload: payload,
 	}
-	d.transmitRepeated(f.encode(), nil)
+	d.transmitRepeated(f.wire(d.medium), nil)
 }
 
 func indexOf(hops []int, id int) int {
@@ -294,7 +301,7 @@ func (d *DSR) handleRREQ(f frame) {
 			Route:   route,
 		}
 		d.ctrlTx++
-		d.transmit(rep.encode())
+		d.transmit(rep.wire(d.medium))
 		return
 	}
 	// Cached-route reply (standard DSR): an intermediate holding a live
@@ -312,7 +319,7 @@ func (d *DSR) handleRREQ(f frame) {
 				Route:   full,
 			}
 			d.ctrlTx++
-			d.transmit(rep.encode())
+			d.transmit(rep.wire(d.medium))
 			return
 		}
 	}
@@ -323,7 +330,7 @@ func (d *DSR) handleRREQ(f frame) {
 		Proto: protoRREQ, Src: f.Src, Dst: f.Dst, NextHop: Broadcast,
 		TTL: f.TTL - 1, Route: route, Payload: f.Payload,
 	}
-	d.medium.BroadcastAfter(d.rng.Jitter(floodJitter), d.radio, fwd.encode(), &d.ctrlTx, &d.running)
+	d.medium.BroadcastOwnedAfter(d.rng.Jitter(floodJitter), d.radio, fwd.wire(d.medium), &d.ctrlTx, &d.running)
 }
 
 // overlaps reports whether the two hop lists share any node (a spliced
@@ -371,7 +378,7 @@ func (d *DSR) handleRREP(f frame) {
 	d.routes[f.Route[len(f.Route)-1]] = cachedRoute{hops: f.Route[idx:], since: d.k.Now()}
 	rep := &frame{Proto: protoRREP, Src: f.Src, Dst: f.Dst, NextHop: f.Route[idx-1], Route: f.Route}
 	d.ctrlTx++
-	d.transmit(rep.encode())
+	d.transmit(rep.wire(d.medium))
 }
 
 // handleData forwards along the embedded source route or delivers. The

@@ -12,6 +12,8 @@ package routing
 import (
 	"encoding/binary"
 	"errors"
+
+	"dapes/internal/phy"
 )
 
 // Frame kinds carried over the medium. The first byte distinguishes routing
@@ -36,12 +38,15 @@ var errShortFrame = errors.New("routing: short frame")
 //
 // A decoded frame is a view of the wire it came from (docs/CONTRACTS.md §3):
 // Payload aliases the received buffer, which every radio in range shares and
-// nobody writes after Broadcast, so handlers only read it; its capacity is
-// clipped to its length, so an append by a handler reallocates instead of
-// writing into the wire. The route record stays in wire form until
-// decodeRoute, which a router calls only once it has accepted the frame —
-// most receptions are unicasts overheard by a radio that is not their next
-// hop, and those are rejected from the fixed header without allocating.
+// nobody writes while it is on the air, so handlers only read it; its
+// capacity is clipped to its length, so an append by a handler reallocates
+// instead of writing into the wire. The wire is the medium's pooled buffer
+// and is reused once the transmission's completion event returns, so the
+// view is valid until the handler returns: a consumer copies what it keeps.
+// The route record stays in wire form until decodeRoute, which a router
+// calls only once it has accepted the frame — most receptions are unicasts
+// overheard by a radio that is not their next hop, and those are rejected
+// from the fixed header without allocating.
 type frame struct {
 	Proto   byte
 	Src     int
@@ -71,12 +76,17 @@ func getI32(b []byte) int {
 	return int(int32(binary.BigEndian.Uint32(b)))
 }
 
-// encode serializes the frame into a fresh buffer sized once. The buffer is
-// handed to the medium and never written again.
-func (f *frame) encode() []byte {
-	b := make([]byte, 0, headerLen+4*len(f.Route)+len(f.Payload))
+// wireLen is the frame's encoded size.
+func (f *frame) wireLen() int { return headerLen + 4*len(f.Route) + len(f.Payload) }
+
+// encode appends the serialized frame to b; given wireLen bytes of spare
+// capacity, it writes into b's own array.
+func (f *frame) encode(b []byte) []byte {
 	return append(f.appendHeader(b), f.Payload...)
 }
+
+// wire encodes f into a buffer from m's wire pool, for BroadcastOwnedAfter.
+func (f *frame) wire(m *phy.Medium) []byte { return f.encode(m.Wire(f.wireLen())) }
 
 // appendHeader appends the frame's fixed header and route record to b: the
 // wire up to the payload, which a caller that builds its payload in place

@@ -7,9 +7,11 @@ import (
 )
 
 // TestDecodeFrameIsAView pins the zero-copy half of the frame contract:
-// the payload a handler sees is the received wire itself, clipped so that
-// growing it cannot touch the wire, and a unicast overheard on its way
-// through someone else is rejected without allocating anything.
+// encode writes the whole frame into the buffer it is handed (a pooled wire
+// of wireLen capacity, which may hold more), the payload a handler sees is
+// the received wire itself, clipped so that growing it cannot touch the wire,
+// and a unicast overheard on its way through someone else is rejected
+// without allocating anything.
 //
 // Serial on purpose: AllocsPerRun reads the process-wide counter.
 func TestDecodeFrameIsAView(t *testing.T) {
@@ -18,9 +20,10 @@ func TestDecodeFrameIsAView(t *testing.T) {
 		Route:   []int{3, 4, 9},
 		Payload: []byte("piece bytes"),
 	}
-	wire := sent.encode()
-	if cap(wire) != len(wire) {
-		t.Errorf("encode sized its buffer %d for %d bytes", cap(wire), len(wire))
+	buf := make([]byte, 0, sent.wireLen())
+	wire := sent.encode(buf)
+	if len(wire) != sent.wireLen() || &wire[0] != &buf[:1][0] {
+		t.Errorf("encode wrote %d of wireLen %d bytes outside the buffer it was handed", len(wire), sent.wireLen())
 	}
 	f, err := decodeFrame(wire)
 	if err != nil {
@@ -34,7 +37,7 @@ func TestDecodeFrameIsAView(t *testing.T) {
 	}
 	// A frame that ends in its route record still hands out a clipped,
 	// empty payload; growing either must leave the wire alone.
-	bare := (&frame{Proto: protoRREP, Src: 1, Dst: 2, NextHop: 3, Route: []int{2, 3, 1}}).encode()
+	bare := (&frame{Proto: protoRREP, Src: 1, Dst: 2, NextHop: 3, Route: []int{2, 3, 1}}).encode(nil)
 	bare = append(bare, 0xEE)[:len(bare)] // spare capacity behind the frame
 	for _, w := range [][]byte{wire, bare} {
 		before := append([]byte(nil), w[:cap(w)]...)
@@ -71,12 +74,12 @@ func TestDecodeFrameIsAView(t *testing.T) {
 // inverse of encode in both directions, negative (broadcast) addresses
 // included.
 func FuzzRoutingFrame(f *testing.F) {
-	f.Add((&frame{Proto: protoDSDVUpdate, Src: 1, Dst: Broadcast, NextHop: Broadcast, Payload: []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2}}).encode())
-	f.Add((&frame{Proto: protoData, Src: 3, Dst: 9, NextHop: 4, TTL: 16, Seq: 1 << 31, Route: []int{3, 4, 9}, Payload: []byte("hello")}).encode())
-	f.Add((&frame{Proto: protoRREQ, Src: -7, Dst: -2147483648, NextHop: Broadcast, TTL: 255, Route: []int{-7, 2147483647}}).encode())
+	f.Add((&frame{Proto: protoDSDVUpdate, Src: 1, Dst: Broadcast, NextHop: Broadcast, Payload: []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2}}).encode(nil))
+	f.Add((&frame{Proto: protoData, Src: 3, Dst: 9, NextHop: 4, TTL: 16, Seq: 1 << 31, Route: []int{3, 4, 9}, Payload: []byte("hello")}).encode(nil))
+	f.Add((&frame{Proto: protoRREQ, Src: -7, Dst: -2147483648, NextHop: Broadcast, TTL: 255, Route: []int{-7, 2147483647}}).encode(nil))
 	long := &frame{Proto: protoRREP, Route: make([]int, 255)}
-	f.Add(long.encode())
-	f.Add(long.encode()[:headerLen+4*255-1]) // announces 255 hops, one byte short
+	f.Add(long.encode(nil))
+	f.Add(long.encode(nil)[:headerLen+4*255-1]) // announces 255 hops, one byte short
 	f.Add([]byte{frameMagic, protoData})
 	f.Add([]byte{})
 
@@ -93,7 +96,7 @@ func FuzzRoutingFrame(f *testing.F) {
 		if len(got.Route) != int(b[19]) || len(got.Payload) != len(b)-headerLen-4*len(got.Route) {
 			t.Fatalf("decodeFrame(%x): %d hops, %d payload bytes", b, len(got.Route), len(got.Payload))
 		}
-		wire := got.encode()
+		wire := got.encode(nil)
 		if !bytes.Equal(wire, b) {
 			t.Fatalf("encode(decode(b)) = %x, b = %x", wire, b)
 		}

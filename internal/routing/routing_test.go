@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		Route:   []int{3, 4, 9},
 		Payload: []byte("hello"),
 	}
-	out, err := decodeFrame(f.encode())
+	out, err := decodeFrame(f.encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestBroadcastFrameNegativeAddresses(t *testing.T) {
 	t.Parallel()
 	f := &frame{Proto: protoDSDVUpdate, Src: 1, Dst: Broadcast, NextHop: Broadcast}
-	out, err := decodeFrame(f.encode())
+	out, err := decodeFrame(f.encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
