@@ -50,7 +50,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzPlanFile -fuzztime=10s ./internal/plan/
 	$(GO) test -run=NONE -fuzz=FuzzDiscoveryPayload -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault/
+	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/plan/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s ./internal/bitmap/
 	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s ./internal/routing/
 
@@ -118,8 +118,9 @@ examples:
 	$(GO) test -count=1 ./examples/
 
 # The trace- and output-neutrality check (scripts/neutral.sh): dapes-sim
-# over every listed scenario and -system stack, and dapes-bench's Table I,
-# built at BASE and from the working tree, must print the same bytes. Not
+# over every listed scenario, the ad-hoc DAPES stack and a fault file,
+# dapes-plan over the CI smoke plan, and dapes-bench's Table I, built at
+# BASE and from the working tree, must print the same bytes. Not
 # a CI step, as it needs a base revision: run it on a change that claims to
 # move no result, e.g. `make neutral BASE=HEAD~1`.
 neutral:

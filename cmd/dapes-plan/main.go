@@ -1,6 +1,6 @@
 // Command dapes-plan is the declarative sweep harness. `dapes-plan run`
-// executes a plan file (TOML subset or JSON, see docs/EXPERIMENTS.md
-// "Plan files"): the named scenario runs at every grid cell, cells fan
+// executes a plan file (a TOML subset, see docs/EXPERIMENTS.md "Plan
+// files"): the named scenario runs at every grid cell, cells fan
 // across a worker pool, per-cell results stream as JSON-lines, and a run
 // report (grid table + best/worst cells per optimize target) follows.
 //

@@ -2,8 +2,9 @@
 // reproductions, baselines, ablations, or the post-paper workloads — with
 // custom parameters, fanning trials across a worker pool. Use -list to
 // enumerate what can run, -scenario to pick one, and -format=json|csv for
-// machine-readable results. The legacy -system flag still drives an ad-hoc
-// DAPES/Bithoc/Ekta configuration built from the individual knobs.
+// machine-readable results. Without -scenario, the seven DAPES design
+// flags configure the DAPES stack: they run a core.Config no catalog entry
+// names.
 package main
 
 import (
@@ -19,7 +20,7 @@ import (
 
 	"dapes/internal/core"
 	"dapes/internal/experiment"
-	"dapes/internal/fault"
+	"dapes/internal/plan"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func run(args []string) error {
 	paper := experiment.PaperDefaults()
 	var (
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
-		scenario = fs.String("scenario", "", "registered scenario to run (see -list); takes no -system or ad-hoc DAPES flag")
+		scenario = fs.String("scenario", "", "registered scenario to run (see -list); takes no DAPES design flag")
 		workers  = fs.Int("workers", 1, "concurrent trials; results are identical at any pool size")
 		format   = fs.String("format", "text", "output format: text, json, or csv")
 		outPath  = fs.String("o", "", "write results to this file instead of stdout")
@@ -47,12 +48,11 @@ func run(args []string) error {
 		trials    = fs.Int("trials", 3, "trials (paper: 10)")
 		seed      = fs.Int64("seed", 1, "base random seed; trial t runs at TrialSeed(seed, t)")
 		horizon   = fs.Duration("horizon", 45*time.Minute, "per-trial virtual time limit")
-		faults    = fs.String("faults", "", "fault-plan file (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
+		faults    = fs.String("faults", "", "fault file: a plan's [faults] section (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		system      = fs.String("system", "dapes", "ad-hoc stack when -scenario is unset: dapes, bithoc, or ekta")
 		strategy    = fs.String("strategy", strategyName(paper.Strategy), "RPF strategy: local or encounter")
 		randomStart = fs.Bool("random-start", paper.RandomStart, "start downloads at a random packet")
 		interleave  = fs.Bool("interleave", paper.AdvertMode == core.Interleaved, "interleave bitmap and data exchanges")
@@ -88,8 +88,7 @@ func run(args []string) error {
 	if *scenario != "" {
 		sc, err = experiment.Find(*scenario)
 	} else {
-		// Legacy path: build an ad-hoc scenario from the individual knobs.
-		sc, err = adhocScenario(*system, adhocKnobs{
+		sc, err = adhocScenario(adhocKnobs{
 			strategy:    *strategy,
 			randomStart: *randomStart,
 			interleave:  *interleave,
@@ -102,7 +101,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := rejectIgnoredFlags(fs, sc, *scenario, *system); err != nil {
+	if err := rejectIgnoredFlags(fs, sc, *scenario); err != nil {
 		return err
 	}
 
@@ -114,7 +113,7 @@ func run(args []string) error {
 	s.Horizon = *horizon
 	s.Workers = *workers
 	if *faults != "" {
-		fp, err := fault.ParseFile(*faults)
+		fp, err := plan.ParseFaultsFile(*faults)
 		if err != nil {
 			return fmt.Errorf("faults: %w", err)
 		}
@@ -161,33 +160,27 @@ func run(args []string) error {
 	return experiment.EmitRun(out, f, res)
 }
 
-// adhocFlags are the knobs of the ad-hoc DAPES stack: only a run with
-// -system dapes and no -scenario reads them.
+// adhocFlags are the knobs of the ad-hoc DAPES stack: only a run without
+// -scenario reads them.
 var adhocFlags = map[string]bool{
 	"strategy": true, "random-start": true, "interleave": true, "bitmaps": true,
 	"peba": true, "multihop": true, "forward-prob": true,
 }
 
 // rejectIgnoredFlags fails, naming them, on flags set on the command line
-// that the selected run sc would ignore: -system and the ad-hoc DAPES flags
-// beside -scenario, the ad-hoc DAPES flags beside -system bithoc or ekta,
-// and -range beside a scenario whose world fixes its own range.
-func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, scenario, system string) error {
+// that the selected run sc would ignore: the ad-hoc DAPES flags beside
+// -scenario, and -range beside a scenario whose world fixes its own range.
+func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, scenario string) error {
 	var ignored []string
 	fs.Visit(func(fl *flag.Flag) {
-		if adhocFlags[fl.Name] && (scenario != "" || system != "dapes") || fl.Name == "system" && scenario != "" ||
-			fl.Name == "range" && sc.Fixes(experiment.AxisRange) {
+		if adhocFlags[fl.Name] && scenario != "" || fl.Name == "range" && sc.Fixes(experiment.AxisRange) {
 			ignored = append(ignored, "-"+fl.Name)
 		}
 	})
 	if len(ignored) == 0 {
 		return nil
 	}
-	by := "-system " + system
-	if scenario != "" {
-		by = "-scenario " + scenario
-	}
-	return fmt.Errorf("%s ignores %s", by, strings.Join(ignored, ", "))
+	return fmt.Errorf("-scenario %s ignores %s", scenario, strings.Join(ignored, ", "))
 }
 
 type adhocKnobs struct {
@@ -200,52 +193,45 @@ type adhocKnobs struct {
 	forwardProb float64
 }
 
-func adhocScenario(system string, k adhocKnobs) (*experiment.Scenario, error) {
-	switch system {
-	case "dapes":
-		cfg := core.Config{
-			Strategy:      core.LocalNeighborhoodRPF,
-			RandomStart:   k.randomStart,
-			AdvertMode:    core.Interleaved,
-			BitmapsBefore: k.bitmaps,
-			UsePEBA:       k.peba,
-			Multihop:      k.multihop,
-			ForwardProb:   k.forwardProb,
-		}
-		switch k.strategy {
-		case "local":
-		case "encounter":
-			cfg.Strategy = core.EncounterBasedRPF
-		default:
-			return nil, fmt.Errorf("unknown strategy %q (want local or encounter)", k.strategy)
-		}
-		if !k.interleave {
-			cfg.AdvertMode = core.BitmapsFirst
-		}
-		// core reads a zero ForwardProb as its 20% default, so 0 would run
-		// at 20% under a label that says 0.
-		if !(k.forwardProb > 0 && k.forwardProb <= 1) {
-			hint := ""
-			if k.forwardProb == 0 {
-				hint = "; -multihop=false turns forwarding off"
-			}
-			return nil, fmt.Errorf("-forward-prob = %v: want a probability in (0, 1]%s", k.forwardProb, hint)
-		}
-		if k.bitmaps < 0 {
-			return nil, fmt.Errorf("-bitmaps = %d: want 0 (all) or more", k.bitmaps)
-		}
-		return &experiment.Scenario{
-			Name: "dapes(custom)",
-			Run: func(s experiment.Scale, wifiRange float64, trial int) (experiment.TrialResult, error) {
-				return experiment.RunDAPESTrial(s, wifiRange, trial, cfg)
-			},
-		}, nil
-	case "bithoc":
-		return &experiment.Scenario{Name: "bithoc", Run: experiment.RunBithocTrial}, nil
-	case "ekta":
-		return &experiment.Scenario{Name: "ekta", Run: experiment.RunEktaTrial}, nil
+// adhocScenario is the DAPES stack under the design flags' configuration.
+func adhocScenario(k adhocKnobs) (*experiment.Scenario, error) {
+	cfg := core.Config{
+		Strategy:      core.LocalNeighborhoodRPF,
+		RandomStart:   k.randomStart,
+		AdvertMode:    core.Interleaved,
+		BitmapsBefore: k.bitmaps,
+		UsePEBA:       k.peba,
+		Multihop:      k.multihop,
+		ForwardProb:   k.forwardProb,
 	}
-	return nil, fmt.Errorf("unknown system %q", system)
+	switch k.strategy {
+	case "local":
+	case "encounter":
+		cfg.Strategy = core.EncounterBasedRPF
+	default:
+		return nil, fmt.Errorf("unknown strategy %q (want local or encounter)", k.strategy)
+	}
+	if !k.interleave {
+		cfg.AdvertMode = core.BitmapsFirst
+	}
+	// core reads a zero ForwardProb as its 20% default, so 0 would run
+	// at 20% under a label that says 0.
+	if !(k.forwardProb > 0 && k.forwardProb <= 1) {
+		hint := ""
+		if k.forwardProb == 0 {
+			hint = "; -multihop=false turns forwarding off"
+		}
+		return nil, fmt.Errorf("-forward-prob = %v: want a probability in (0, 1]%s", k.forwardProb, hint)
+	}
+	if k.bitmaps < 0 {
+		return nil, fmt.Errorf("-bitmaps = %d: want 0 (all) or more", k.bitmaps)
+	}
+	return &experiment.Scenario{
+		Name: "dapes(custom)",
+		Run: func(s experiment.Scale, wifiRange float64, trial int) (experiment.TrialResult, error) {
+			return experiment.RunDAPESTrial(s, wifiRange, trial, cfg)
+		},
+	}, nil
 }
 
 // strategyName is the -strategy spelling of an RPF strategy.

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dapes/internal/plan"
 )
 
 // TestRejectsMisreadInputs: a flag value the run cannot honour must fail
@@ -40,14 +42,15 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-forward-prob", "-1"}, "-forward-prob = -1: want a probability in (0, 1]"},
 		{[]string{"-forward-prob", "NaN"}, "-forward-prob = NaN: want a probability in (0, 1]"},
 		{[]string{"-bitmaps", "-3"}, "-bitmaps = -3: want 0 (all) or more"},
-		// The ad-hoc DAPES flags beside a stack that does not read them, and
-		// -system beside -scenario, ran and exited 0 as if they were honoured.
+		// The ad-hoc DAPES flags beside a scenario, which does not read
+		// them, ran and exited 0 as if they were honoured.
 		{[]string{"-scenario", "fig7-dapes", "-peba=false", "-forward-prob", "5"}, "-scenario fig7-dapes ignores -forward-prob, -peba"},
-		{[]string{"-scenario", "fig7-bithoc", "-system", "bithoc"}, "-scenario fig7-bithoc ignores -system"},
-		{[]string{"-system", "ekta", "-peba=false"}, "-system ekta ignores -peba"},
-		{[]string{"-system", "bithoc", "-strategy", "local", "-random-start", "-interleave", "-bitmaps", "2",
+		{[]string{"-scenario", "fig7-ekta", "-peba=false"}, "-scenario fig7-ekta ignores -peba"},
+		{[]string{"-scenario", "fig7-bithoc", "-strategy", "local", "-random-start", "-interleave", "-bitmaps", "2",
 			"-peba", "-multihop", "-forward-prob", "0.5"},
-			"-system bithoc ignores -bitmaps, -forward-prob, -interleave, -multihop, -peba, -random-start, -strategy"},
+			"-scenario fig7-bithoc ignores -bitmaps, -forward-prob, -interleave, -multihop, -peba, -random-start, -strategy"},
+		// -system was an alias of -scenario fig7-bithoc and fig7-ekta.
+		{[]string{"-system", "bithoc"}, "flag provided but not defined: -system"},
 		// The Fig.-8 worlds fix their own 50 m range: -range ran them
 		// unchanged and labelled every row with the value given.
 		{[]string{"-scenario", "fig8a-carrier", "-range", "20"}, "-scenario fig8a-carrier ignores -range"},
@@ -77,8 +80,8 @@ func TestRejectsMisreadInputs(t *testing.T) {
 }
 
 // TestBuiltInStacksMatchScenarios: without -scenario, dapes-sim runs its
-// built-in stacks, and at their flag defaults each must emit what the
-// registered scenario of the same stack emits, label aside.
+// built-in DAPES stack, and at the design flags' defaults it must emit what
+// the registered scenario of the same configuration emits, label aside.
 func TestBuiltInStacksMatchScenarios(t *testing.T) {
 	dir := t.TempDir()
 	emit := func(name string, args ...string) string {
@@ -100,8 +103,6 @@ func TestBuiltInStacksMatchScenarios(t *testing.T) {
 		scenario string
 	}{
 		{nil, "dapes(custom)", "fig7-dapes"},
-		{[]string{"-system", "bithoc"}, "bithoc", "fig7-bithoc"},
-		{[]string{"-system", "ekta"}, "ekta", "fig7-ekta"},
 	} {
 		got := emit(tc.label, tc.builtIn...)
 		want := emit(tc.scenario, "-scenario", tc.scenario)
@@ -122,16 +123,26 @@ func TestBuiltInStacksMatchScenarios(t *testing.T) {
 func TestRejectedInputKeepsOutputFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.json")
 	const previous = "{\"previous\": \"results\"}\n"
-	// A jammer over every node: a plan fig7-bithoc cannot apply.
-	faults := filepath.Join(t.TempDir(), "jam.toml")
-	if err := os.WriteFile(faults, []byte("jam_radius = 10000\njam_until = \"2h\"\n"), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	writeFaults := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
+	// A jammer over every node: a plan fig7-bithoc cannot apply.
+	jam := writeFaults("jam.toml", "jam_radius = 10000\njam_until = \"2h\"\n")
+	// An unquoted duration, and a file over the plan-file size bound.
+	malformed := writeFaults("malformed.toml", "crash_frac = 0.5\ncrash_until = 30s\n")
+	oversized := writeFaults("oversized.toml", strings.Repeat("#\n", plan.MaxPlanFileSize/2+1))
 	for _, args := range [][]string{
 		{"-scenario", "fig7-dappes"},
 		{"-strategy", "bogus"},
 		{"-range", "+Inf", "-format", "json"},
-		{"-scenario", "fig7-bithoc", "-faults", faults},
+		{"-scenario", "fig7-bithoc", "-faults", jam},
+		{"-scenario", "fig7-dapes", "-faults", malformed},
+		{"-scenario", "fig7-dapes", "-faults", oversized},
 		{"-packets", "9223372036854775807", "-trials", "1"},
 	} {
 		if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {

@@ -8,8 +8,9 @@ import "dapes/internal/core"
 // same set of names.
 
 // outdoorFixed is what the Fig.-8 outdoor worlds set for themselves
-// (newOutdoorWorld): a 50 m radio range at 5% loss, and their own peers.
-var outdoorFixed = []Axis{AxisRange, AxisLoss, AxisNodes}
+// (newOutdoorWorld): a 50 m radio range at 5% loss, their own peers, and
+// their own positions, so no area.
+var outdoorFixed = []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea}
 
 // feasibilityTrial adapts a Fig.-8 outdoor run (which reports a Table-I
 // ScenarioResult for the whole world) to the catalog's per-trial shape.

@@ -45,17 +45,25 @@ type Scenario struct {
 	Fixed []Axis
 }
 
-// Axis is a trial input that a runner sets and a world may fix.
+// Axis is a trial input that a runner sets and a world may fix. The zero
+// Axis names no input.
 type Axis int
 
 const (
 	// AxisRange is the runner's WiFi range.
-	AxisRange Axis = iota
+	AxisRange Axis = iota + 1
 	// AxisLoss is Scale.LossRate.
 	AxisLoss
 	// AxisNodes is the Scale node mix.
 	AxisNodes
+	// AxisArea is Scale.AreaSide.
+	AxisArea
 )
+
+var axisNames = [...]string{AxisRange: "range", AxisLoss: "loss rate", AxisNodes: "node mix", AxisArea: "area"}
+
+// String names the input the axis sets.
+func (a Axis) String() string { return axisNames[a] }
 
 // Fixes reports whether the scenario's world fixes axis a.
 func (s *Scenario) Fixes(a Axis) bool {

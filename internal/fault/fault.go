@@ -83,29 +83,29 @@ func (p *Plan) Validate() error {
 		name string
 		v    float64
 	}{
-		{"crash_frac", p.CrashFrac},
-		{"jam_x", p.JamX}, {"jam_y", p.JamY}, {"jam_radius", p.JamRadius},
-		{"loss_p_good", p.PGood}, {"loss_p_bad", p.PBad},
-		{"loss_good_to_bad", p.GoodToBad}, {"loss_bad_to_good", p.BadToGood},
+		{"CrashFrac", p.CrashFrac},
+		{"JamX", p.JamX}, {"JamY", p.JamY}, {"JamRadius", p.JamRadius},
+		{"PGood", p.PGood}, {"PBad", p.PBad},
+		{"GoodToBad", p.GoodToBad}, {"BadToGood", p.BadToGood},
 	} {
 		if !finite(f.v) {
-			return fmt.Errorf("fault: %s must be finite, got %v", f.name, f.v)
+			return fmt.Errorf("fault: Plan.%s must be finite, got %v", f.name, f.v)
 		}
 	}
 	if p.CrashFrac < 0 || p.CrashFrac > 1 {
-		return fmt.Errorf("fault: crash_frac must be in [0,1], got %v", p.CrashFrac)
+		return fmt.Errorf("fault: Plan.CrashFrac must be in [0,1], got %v", p.CrashFrac)
 	}
 	if p.CrashFrom < 0 || p.CrashUntil < p.CrashFrom {
 		return fmt.Errorf("fault: crash window [%v, %v) is invalid", p.CrashFrom, p.CrashUntil)
 	}
 	if p.HasCrashes() && p.CrashUntil == 0 {
-		return fmt.Errorf("fault: crash_frac %v needs a crash window (crash_until > 0)", p.CrashFrac)
+		return fmt.Errorf("fault: Plan.CrashFrac %v needs a crash window (CrashUntil > 0)", p.CrashFrac)
 	}
 	if p.RestartMin < 0 || p.RestartMax < 0 || (p.RestartMax > 0 && p.RestartMax < p.RestartMin) {
 		return fmt.Errorf("fault: restart window [%v, %v] is invalid", p.RestartMin, p.RestartMax)
 	}
 	if p.JamRadius < 0 {
-		return fmt.Errorf("fault: jam_radius must be >= 0, got %v", p.JamRadius)
+		return fmt.Errorf("fault: Plan.JamRadius must be >= 0, got %v", p.JamRadius)
 	}
 	if p.JamFrom < 0 || p.JamUntil < p.JamFrom {
 		return fmt.Errorf("fault: jam window [%v, %v) is invalid", p.JamFrom, p.JamUntil)
@@ -117,15 +117,15 @@ func (p *Plan) Validate() error {
 			name string
 			v    float64
 		}{
-			{"loss_p_good", p.PGood}, {"loss_p_bad", p.PBad},
-			{"loss_good_to_bad", p.GoodToBad}, {"loss_bad_to_good", p.BadToGood},
+			{"PGood", p.PGood}, {"PBad", p.PBad},
+			{"GoodToBad", p.GoodToBad}, {"BadToGood", p.BadToGood},
 		} {
 			if f.v < 0 || f.v > 1 {
-				return fmt.Errorf("fault: %s must be a probability in [0,1], got %v", f.name, f.v)
+				return fmt.Errorf("fault: Plan.%s must be a probability in [0,1], got %v", f.name, f.v)
 			}
 		}
 	default:
-		return fmt.Errorf("fault: unknown loss_model %q (want %q or %q)", p.LossModel, LossIID, LossGilbertElliott)
+		return fmt.Errorf("fault: unknown Plan.LossModel %q (want %q or %q)", p.LossModel, LossIID, LossGilbertElliott)
 	}
 	return nil
 }

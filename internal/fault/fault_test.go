@@ -135,69 +135,3 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("nil plan must validate: %v", err)
 	}
 }
-
-// TestParseRoundTrip: a full [faults] section parses into exactly the plan
-// its keys describe.
-func TestParseRoundTrip(t *testing.T) {
-	src := `
-# chaos defaults, pasted from a plan file
-[faults]
-crash_frac = 0.34
-crash_from = "15s"
-crash_until = "30s"
-restart_min = "10s"
-restart_max = "15s"
-loss_model = "gilbert-elliott"
-loss_p_good = 0.05
-loss_p_bad = 0.40    # fade bursts
-loss_good_to_bad = 0.10
-loss_bad_to_good = 0.30
-`
-	got, err := Parse([]byte(src))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if want := chaosPlan(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip diverged:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-func TestParseJammer(t *testing.T) {
-	got, err := Parse([]byte("jam_x = 150\njam_y = 150\njam_radius = 100\njam_from = \"10s\"\njam_until = \"40s\"\n"))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if !got.HasJam() || got.HasCrashes() || got.HasLoss() {
-		t.Fatalf("want a jam-only plan, got %+v", got)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		"crash_frac",                            // no '='
-		"crash_frac = banana",                   // not a number
-		"crash_from = 90",                       // unquoted number where a duration is required
-		"crash_from = \"ninety\"",               // not a duration
-		"loss_model = \"rayleigh\"",             // unknown model
-		"tilt = 1",                              // unknown key
-		"jam_x = 1\njam_x = 2",                  // duplicate key
-		"crash_frac = 0.5",                      // crashes without a window (Validate)
-		"crash_frac = 2\ncrash_until = \"30s\"", // out-of-range fraction
-	} {
-		if _, err := Parse([]byte(src)); err == nil {
-			t.Errorf("Parse(%q) = nil error, want one", src)
-		}
-	}
-}
-
-// TestParseEmpty: comments, blank lines, and a bare header are a valid —
-// empty — plan.
-func TestParseEmpty(t *testing.T) {
-	p, err := Parse([]byte("# nothing\n\n[faults]\n"))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if p.HasCrashes() || p.HasJam() || p.HasLoss() {
-		t.Fatalf("want an empty plan, got %+v", p)
-	}
-}

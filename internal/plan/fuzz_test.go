@@ -6,16 +6,16 @@ import (
 )
 
 // FuzzPlanFile holds the parser to its contract: any input — malformed
-// TOML or JSON, absurd grid sizes, unknown scenario names, hostile
+// TOML, absurd grid sizes, unknown scenario names, hostile
 // numbers — may be rejected with an error, but must never panic, and a
 // plan that parses must validate clean (Cells bounded by MaxCells, every
 // cell Scale valid). Additional seeds live in testdata/fuzz/FuzzPlanFile.
 func FuzzPlanFile(f *testing.F) {
 	seeds := []string{
 		smokeTOML,
-		// Minimal valid TOML and JSON plans.
+		// Minimal valid plans.
 		"name = \"a\"\nscenario = \"fig7-dapes\"\n",
-		`{"name":"a","scenario":"urban-grid","trials":2,"grid":{"ranges":[60]}}`,
+		"name = \"a\"\nscenario = \"urban-grid\"\ntrials = 2\n[grid]\nranges = [60]\n",
 		// Unknown scenario: must error (with near-miss help), not panic.
 		"name = \"a\"\nscenario = \"fig7-dappes\"\n",
 		// Absurd grid: overflow-checked, never materialized.
@@ -24,8 +24,8 @@ func FuzzPlanFile(f *testing.F) {
 		"name = \"a\"\nscenario = \"fig7-dapes\"\ntrials = 99999999999999999999999999\n",
 		"name = \"a\"\nscenario = \"fig7-dapes\"\nseed = -9223372036854775808\n",
 		"name = \"\\\"\\n\\t\\\\\"\nscenario = \"fig7-dapes\"\n",
-		`{"name":"a","scenario":"fig7-dapes","seed":1e308}`,
-		`{"name":"a","scenario":"fig7-dapes","trials":1.5}`,
+		"name = \"a\"\nscenario = \"fig7-dapes\"\nseed = 1e308\n",
+		"name = \"a\"\nscenario = \"fig7-dapes\"\ntrials = 1.5\n",
 		// Structural garbage.
 		"[", "]", "=", "\"", "[[]]", "{", "{}", "{\"a\":", "# only a comment\n",
 		"name = [\"a\", [\"b\"]]\n",
@@ -64,6 +64,47 @@ func FuzzPlanFile(f *testing.F) {
 			if c.Index != i || c.Seed != CellSeed(p.Seed, i) {
 				t.Fatalf("cell %d inconsistent: %+v", i, c)
 			}
+		}
+	})
+}
+
+// FuzzFaultPlan holds ParseFaults to the same contract: whatever the bytes,
+// it returns a fault plan or an error, and any plan it returns is
+// Validate-clean. The committed corpus in testdata/fuzz/FuzzFaultPlan keeps
+// the interesting cases — hostile numbers, bad durations, duplicate keys —
+// in CI's 10 s fuzz smoke.
+func FuzzFaultPlan(f *testing.F) {
+	seeds := []string{
+		// Full chaos section as pasted from a plan file.
+		"[faults]\ncrash_frac = 0.34\ncrash_from = \"15s\"\ncrash_until = \"30s\"\nrestart_min = \"10s\"\nrestart_max = \"15s\"\nloss_model = \"gilbert-elliott\"\nloss_p_good = 0.05\nloss_p_bad = 0.4\nloss_good_to_bad = 0.1\nloss_bad_to_good = 0.3\n",
+		// Jammer-only plan.
+		"jam_x = 150\njam_y = 150\njam_radius = 100\njam_from = \"10s\"\njam_until = \"40s\"\n",
+		// Empty and comment-only inputs.
+		"", "# comment\n\n[faults]\n",
+		// Hostile numbers and durations.
+		"crash_frac = 1e308\ncrash_until = \"30s\"\n",
+		"crash_frac = NaN\ncrash_until = \"30s\"\n",
+		"jam_radius = -1\n",
+		"crash_from = \"-5s\"\ncrash_until = \"30s\"\n",
+		"restart_min = \"9223372036854775807ns\"\n",
+		// Malformed structure.
+		"crash_frac", "= 0.5", "\"", "[faults", "crash_frac = ", "crash_frac == 0.5",
+		"loss_model = \"rayleigh\"", "tilt = 1", "jam_x = 1\njam_x = 2",
+		"crash_from = 90",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseFaults(data)
+		if err != nil {
+			return
+		}
+		if p == nil {
+			t.Fatal("ParseFaults returned nil plan with nil error")
+		}
+		if verr := p.Validate(); verr != nil {
+			t.Fatalf("ParseFaults accepted a plan Validate rejects: %v\nplan: %+v", verr, p)
 		}
 	})
 }

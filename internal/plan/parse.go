@@ -1,10 +1,10 @@
 package plan
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,49 +12,58 @@ import (
 	"dapes/internal/fault"
 )
 
-// MaxPlanFileSize bounds plan files. Plans are a few dozen lines; the
-// bound keeps a mis-pointed path (a results file, a core dump) from being
-// slurped and parsed wholesale.
+// MaxPlanFileSize bounds plan and fault files. Both are a few dozen lines;
+// the bound keeps a mis-pointed path (a results file, a core dump) from
+// being slurped and parsed wholesale.
 const MaxPlanFileSize = 1 << 20
 
-// ParseFile reads and parses a plan file. The format is sniffed from the
-// content ('{' opens JSON, anything else is the TOML subset), so the
-// extension is convention only.
+// ParseFile reads and parses a plan file (Parse).
 func ParseFile(path string) (*Plan, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if info.Size() > MaxPlanFileSize {
-		return nil, fmt.Errorf("plan file %s is %d bytes, limit %d", path, info.Size(), MaxPlanFileSize)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
+	return parseFile(path, Parse)
 }
 
-// Parse decodes, defaults, and validates a plan from TOML-subset or JSON
-// bytes. It never panics on malformed input — FuzzPlanFile holds it to
-// that — and a returned plan is always Validate-clean.
-func Parse(data []byte) (*Plan, error) {
+// ParseFaultsFile reads and parses a fault file (ParseFaults), the file
+// `dapes-sim -faults` takes.
+func ParseFaultsFile(path string) (*fault.Plan, error) {
+	return parseFile(path, ParseFaults)
+}
+
+// parseFile reads at most MaxPlanFileSize bytes of path and parses them;
+// every error names the path.
+func parseFile[T any](path string, parse func([]byte) (T, error)) (T, error) {
+	var zero T
+	f, err := os.Open(path)
+	if err != nil {
+		return zero, err
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, MaxPlanFileSize+1))
+	if err != nil {
+		return zero, err
+	}
 	if len(data) > MaxPlanFileSize {
-		return nil, fmt.Errorf("plan input is %d bytes, limit %d", len(data), MaxPlanFileSize)
+		return zero, fmt.Errorf("%s: over the %d-byte limit", path, MaxPlanFileSize)
 	}
-	var (
-		tree map[string]any
-		err  error
-	)
-	if isJSON(data) {
-		tree, err = parseJSON(data)
-	} else {
-		tree, err = parseTOML(data)
+	v, err := parse(data)
+	if err != nil {
+		return zero, fmt.Errorf("%s: %w", path, err)
 	}
+	return v, nil
+}
+
+// parseTree bounds the input and reads it with the TOML-subset reader.
+func parseTree(data []byte) (map[string]any, error) {
+	if len(data) > MaxPlanFileSize {
+		return nil, fmt.Errorf("input is %d bytes, limit %d", len(data), MaxPlanFileSize)
+	}
+	return parseTOML(data)
+}
+
+// Parse decodes, defaults, and validates a plan from TOML-subset bytes. It
+// never panics on malformed input — FuzzPlanFile holds it to that — and a
+// returned plan is always Validate-clean.
+func Parse(data []byte) (*Plan, error) {
+	tree, err := parseTree(data)
 	if err != nil {
 		return nil, err
 	}
@@ -69,343 +78,307 @@ func Parse(data []byte) (*Plan, error) {
 	return p, nil
 }
 
-// isJSON sniffs the format: the first non-whitespace byte decides.
-func isJSON(data []byte) bool {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	return len(trimmed) > 0 && trimmed[0] == '{'
+// ParseFaults decodes and validates a fault file: a plan's [faults]
+// section, with or without its header, read by the same reader and the
+// same key table as a plan's. It never panics on malformed input
+// (FuzzFaultPlan).
+func ParseFaults(data []byte) (*fault.Plan, error) {
+	tree, err := parseTree(data)
+	if err != nil {
+		return nil, err
+	}
+	if sec, ok := tree["faults"].(map[string]any); ok && len(tree) == 1 {
+		tree = sec
+	}
+	d := &decoder{}
+	fp := &fault.Plan{}
+	decode(d, "faults", tree, faultKeys, fp)
+	if d.err != nil {
+		return nil, d.err
+	}
+	if err := fp.Validate(); err != nil {
+		return nil, err
+	}
+	return fp, nil
 }
 
-func parseJSON(data []byte) (map[string]any, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber() // keep int64 seeds exact
-	var tree map[string]any
-	if err := dec.Decode(&tree); err != nil {
-		return nil, fmt.Errorf("invalid JSON plan: %w", err)
-	}
-	// A second document after the first is a malformed file, not extra data
-	// to ignore.
-	if dec.More() {
-		return nil, fmt.Errorf("invalid JSON plan: trailing content after the plan object")
-	}
-	return tree, nil
+// key is one key of a plan-file section: its name, the axis it sets (zero
+// for none), and the field its value is stored in. A section is one table
+// of keys, so a key the reader accepts is a key it stores.
+type key[T any] struct {
+	name  string
+	axis  experiment.Axis
+	field func(*T) any
+}
+
+// planFile is what the top level of a plan file decodes into.
+type planFile struct {
+	plan                *Plan
+	scenario            string
+	grid, scale, faults map[string]any
+}
+
+var topKeys = []key[planFile]{
+	{name: "name", field: func(f *planFile) any { return &f.plan.Name }},
+	{name: "scenario", field: func(f *planFile) any { return &f.scenario }},
+	{name: "summary", field: func(f *planFile) any { return &f.plan.Summary }},
+	{name: "optimize", field: func(f *planFile) any { return &f.plan.Optimize }},
+	{name: "trials", field: func(f *planFile) any { return &f.plan.Trials }},
+	{name: "seed", field: func(f *planFile) any { return &f.plan.Seed }},
+	{name: "grid", field: func(f *planFile) any { return &f.grid }},
+	{name: "scale", field: func(f *planFile) any { return &f.scale }},
+	{name: "faults", field: func(f *planFile) any { return &f.faults }},
+}
+
+var gridKeys = []key[Grid]{
+	{name: "scenarios", field: func(g *Grid) any { return &g.Scenarios }},
+	{name: "seeds", field: func(g *Grid) any { return &g.Seeds }},
+	{name: "nodes", axis: experiment.AxisNodes, field: func(g *Grid) any { return &g.Nodes }},
+	{name: "ranges", axis: experiment.AxisRange, field: func(g *Grid) any { return &g.Ranges }},
+	{name: "loss", axis: experiment.AxisLoss, field: func(g *Grid) any { return &g.Loss }},
+	{name: "horizons", field: func(g *Grid) any { return &g.Horizons }},
+}
+
+var scaleKeys = []key[experiment.Scale]{
+	{name: "files", field: func(s *experiment.Scale) any { return &s.NumFiles }},
+	{name: "packets", field: func(s *experiment.Scale) any { return &s.PacketsPerFile }},
+	{name: "packet_size", field: func(s *experiment.Scale) any { return &s.PacketSize }},
+	{name: "horizon", field: func(s *experiment.Scale) any { return &s.Horizon }},
+	{name: "stationary", axis: experiment.AxisNodes, field: func(s *experiment.Scale) any { return &s.Stationary }},
+	{name: "mobile_down", axis: experiment.AxisNodes, field: func(s *experiment.Scale) any { return &s.MobileDown }},
+	{name: "pure_forwarders", axis: experiment.AxisNodes, field: func(s *experiment.Scale) any { return &s.PureForwarders }},
+	{name: "intermediates", axis: experiment.AxisNodes, field: func(s *experiment.Scale) any { return &s.Intermediates }},
+	{name: "loss", axis: experiment.AxisLoss, field: func(s *experiment.Scale) any { return &s.LossRate }},
+	{name: "area_side", axis: experiment.AxisArea, field: func(s *experiment.Scale) any { return &s.AreaSide }},
+}
+
+// faultKeys is the [faults] section of a plan and the whole of a fault
+// file.
+var faultKeys = []key[fault.Plan]{
+	{name: "crash_frac", field: func(p *fault.Plan) any { return &p.CrashFrac }},
+	{name: "crash_from", field: func(p *fault.Plan) any { return &p.CrashFrom }},
+	{name: "crash_until", field: func(p *fault.Plan) any { return &p.CrashUntil }},
+	{name: "restart_min", field: func(p *fault.Plan) any { return &p.RestartMin }},
+	{name: "restart_max", field: func(p *fault.Plan) any { return &p.RestartMax }},
+	{name: "jam_x", field: func(p *fault.Plan) any { return &p.JamX }},
+	{name: "jam_y", field: func(p *fault.Plan) any { return &p.JamY }},
+	{name: "jam_radius", field: func(p *fault.Plan) any { return &p.JamRadius }},
+	{name: "jam_from", field: func(p *fault.Plan) any { return &p.JamFrom }},
+	{name: "jam_until", field: func(p *fault.Plan) any { return &p.JamUntil }},
+	{name: "loss_model", field: func(p *fault.Plan) any { return &p.LossModel }},
+	{name: "loss_p_good", field: func(p *fault.Plan) any { return &p.PGood }},
+	{name: "loss_p_bad", field: func(p *fault.Plan) any { return &p.PBad }},
+	{name: "loss_good_to_bad", field: func(p *fault.Plan) any { return &p.GoodToBad }},
+	{name: "loss_bad_to_good", field: func(p *fault.Plan) any { return &p.BadToGood }},
 }
 
 // decodePlan maps the generic tree onto a Plan with strict keys: every
 // unknown key is an error naming its path, so typos fail loudly instead of
 // silently sweeping a default.
 func decodePlan(tree map[string]any) (*Plan, error) {
-	p := &Plan{Seed: 1, Base: experiment.ReducedScale()}
+	p := &Plan{Trials: 1, Seed: 1, Base: experiment.ReducedScale()}
+	f := &planFile{plan: p}
 	d := &decoder{}
-
-	top := d.strict(tree, "", "name", "scenario", "summary", "optimize", "trials", "seed", "grid", "scale", "faults")
-	p.Name = d.str(top, "", "name", "")
-	if sc := d.str(top, "", "scenario", ""); sc != "" {
-		p.Grid.Scenarios = []string{sc}
+	decode(d, "", tree, topKeys, f)
+	if f.grid != nil {
+		decode(d, "grid", f.grid, gridKeys, &p.Grid)
 	}
-	p.Summary = d.str(top, "", "summary", "")
-	p.Trials = d.int(top, "", "trials", 1)
-	p.Seed = d.int64(top, "", "seed", 1)
-	for i, s := range d.strList(top, "", "optimize") {
-		t, err := parseTarget(s)
-		if err != nil {
-			d.errf("optimize[%d]: %v", i, err)
-			continue
+	if f.scenario != "" {
+		if len(p.Grid.Scenarios) > 0 {
+			d.errf("scenario and grid.scenarios are both set; name the scenarios in one place")
 		}
-		p.Optimize = append(p.Optimize, t)
+		p.Grid.Scenarios = []string{f.scenario}
 	}
-
-	if g := d.table(top, "grid"); g != nil {
-		gm := d.strict(g, "grid", "scenarios", "seeds", "nodes", "ranges", "loss", "horizons")
-		if axis := d.strList(gm, "grid", "scenarios"); len(axis) > 0 {
-			if len(p.Grid.Scenarios) > 0 {
-				d.errf("scenario and grid.scenarios are both set; name the scenarios in one place")
-			}
-			p.Grid.Scenarios = axis
-		}
-		for _, v := range d.list(gm, "grid", "seeds") {
-			seed, ok := toInt64(v)
-			if !ok {
-				d.errf("grid.seeds: expected integers, got %v (%T)", v, v)
-				break
-			}
-			p.Grid.Seeds = append(p.Grid.Seeds, seed)
-		}
-		p.Grid.Nodes = d.intList(gm, "grid", "nodes")
-		p.Grid.Ranges = d.floatList(gm, "grid", "ranges")
-		p.Grid.Loss = d.floatList(gm, "grid", "loss")
-		for i, s := range d.strList(gm, "grid", "horizons") {
-			if dur, err := time.ParseDuration(s); err != nil {
-				d.errf("grid.horizons[%d]: %v", i, err)
-			} else {
-				p.Grid.Horizons = append(p.Grid.Horizons, dur)
-			}
-		}
+	if f.scale != nil {
+		decode(d, "scale", f.scale, scaleKeys, &p.Base)
 	}
-
-	if sc := d.table(top, "scale"); sc != nil {
-		sm := d.strict(sc, "scale", "files", "packets", "packet_size", "horizon",
-			"stationary", "mobile_down", "pure_forwarders", "intermediates", "loss", "area_side")
-		b := &p.Base
-		b.NumFiles = d.int(sm, "scale", "files", b.NumFiles)
-		b.PacketsPerFile = d.int(sm, "scale", "packets", b.PacketsPerFile)
-		b.PacketSize = d.int(sm, "scale", "packet_size", b.PacketSize)
-		b.Stationary = d.int(sm, "scale", "stationary", b.Stationary)
-		b.MobileDown = d.int(sm, "scale", "mobile_down", b.MobileDown)
-		b.PureForwarders = d.int(sm, "scale", "pure_forwarders", b.PureForwarders)
-		b.Intermediates = d.int(sm, "scale", "intermediates", b.Intermediates)
-		b.LossRate = d.float(sm, "scale", "loss", b.LossRate)
-		b.AreaSide = d.float(sm, "scale", "area_side", b.AreaSide)
-		if s := d.str(sm, "scale", "horizon", ""); s != "" {
-			if dur, err := time.ParseDuration(s); err != nil {
-				d.errf("scale.horizon: %v", err)
-			} else {
-				b.Horizon = dur
-			}
-		}
+	if f.faults != nil {
+		p.Base.Faults = &fault.Plan{}
+		decode(d, "faults", f.faults, faultKeys, p.Base.Faults)
 	}
-
-	if f := d.table(top, "faults"); f != nil {
-		fm := d.strict(f, "faults", "crash_frac", "crash_from", "crash_until",
-			"restart_min", "restart_max", "jam_x", "jam_y", "jam_radius",
-			"jam_from", "jam_until", "loss_model", "loss_p_good", "loss_p_bad",
-			"loss_good_to_bad", "loss_bad_to_good")
-		fp := &fault.Plan{}
-		dur := func(key string, into *time.Duration) {
-			if s := d.str(fm, "faults", key, ""); s != "" {
-				if v, err := time.ParseDuration(s); err != nil {
-					d.errf("faults.%s: %v", key, err)
-				} else {
-					*into = v
-				}
-			}
-		}
-		fp.CrashFrac = d.float(fm, "faults", "crash_frac", 0)
-		dur("crash_from", &fp.CrashFrom)
-		dur("crash_until", &fp.CrashUntil)
-		dur("restart_min", &fp.RestartMin)
-		dur("restart_max", &fp.RestartMax)
-		fp.JamX = d.float(fm, "faults", "jam_x", 0)
-		fp.JamY = d.float(fm, "faults", "jam_y", 0)
-		fp.JamRadius = d.float(fm, "faults", "jam_radius", 0)
-		dur("jam_from", &fp.JamFrom)
-		dur("jam_until", &fp.JamUntil)
-		fp.LossModel = d.str(fm, "faults", "loss_model", "")
-		fp.PGood = d.float(fm, "faults", "loss_p_good", 0)
-		fp.PBad = d.float(fm, "faults", "loss_p_bad", 0)
-		fp.GoodToBad = d.float(fm, "faults", "loss_good_to_bad", 0)
-		fp.BadToGood = d.float(fm, "faults", "loss_bad_to_good", 0)
-		p.Base.Faults = fp
-	}
-
 	if d.err != nil {
 		return nil, d.err
 	}
+	p.set = d.set
 	return p, nil
 }
 
-// decoder accumulates the first decode error while letting field reads
-// stay one-liners. All readers are nil-safe no-ops after an error.
+// setKey records a key the file set on a scenario-fixable axis.
+type setKey struct {
+	axis experiment.Axis
+	path string
+}
+
+// decoder keeps the first decode error and the axis keys the file set.
 type decoder struct {
 	err error
+	set []setKey
 }
 
 func (d *decoder) errf(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("plan: "+format, args...)
+		d.err = fmt.Errorf(format, args...)
 	}
 }
 
-func path(table, key string) string {
-	if table == "" {
+func path(section, key string) string {
+	if section == "" {
 		return key
 	}
-	return table + "." + key
+	return section + "." + key
 }
 
-// strict returns m after rejecting keys outside allowed.
-func (d *decoder) strict(m map[string]any, table string, allowed ...string) map[string]any {
-	if m == nil {
-		return nil
+// decode stores the section m through its key table into *into, after
+// rejecting every key the table does not name.
+func decode[T any](d *decoder, section string, m map[string]any, keys []key[T], into *T) {
+	if d.err != nil {
+		return
 	}
 	var unknown []string
 	for k := range m {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			unknown = append(unknown, path(table, k))
+		if !slices.ContainsFunc(keys, func(e key[T]) bool { return e.name == k }) {
+			unknown = append(unknown, path(section, k))
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
-		d.errf("unknown key(s) %v (allowed in %s: %v)", unknown, sectionName(table), allowed)
+		names := make([]string, len(keys))
+		for i, e := range keys {
+			names[i] = e.name
+		}
+		where := "plan"
+		if section != "" {
+			where = "[" + section + "]"
+		}
+		d.errf("unknown key(s) %v (allowed in %s: %v)", unknown, where, names)
+		return
 	}
-	return m
+	for _, e := range keys {
+		if v, ok := m[e.name]; ok {
+			d.store(path(section, e.name), v, e.field(into))
+			if e.axis != 0 {
+				d.set = append(d.set, setKey{e.axis, path(section, e.name)})
+			}
+		}
+	}
 }
 
-func sectionName(table string) string {
-	if table == "" {
-		return "plan"
+// store converts v to the type dst points at and writes it there.
+func (d *decoder) store(at string, v any, dst any) {
+	switch dst := dst.(type) {
+	case *string:
+		scalar(d, at, v, dst, asString)
+	case *int:
+		scalar(d, at, v, dst, asInt)
+	case *int64:
+		scalar(d, at, v, dst, asInt64)
+	case *float64:
+		scalar(d, at, v, dst, asFloat)
+	case *time.Duration:
+		scalar(d, at, v, dst, asDuration)
+	case *map[string]any:
+		scalar(d, at, v, dst, asTable)
+	case *[]string:
+		list(d, at, v, dst, asString)
+	case *[]int:
+		list(d, at, v, dst, asInt)
+	case *[]int64:
+		list(d, at, v, dst, asInt64)
+	case *[]float64:
+		list(d, at, v, dst, asFloat)
+	case *[]time.Duration:
+		list(d, at, v, dst, asDuration)
+	case *[]Target:
+		list(d, at, v, dst, asTarget)
+	default:
+		panic(fmt.Sprintf("plan: key %s stores into %T", at, dst))
 	}
-	return "[" + table + "]"
 }
 
-func (d *decoder) table(m map[string]any, key string) map[string]any {
-	if d.err != nil || m == nil {
-		return nil
+func scalar[E any](d *decoder, at string, v any, dst *E, as func(any) (E, error)) {
+	e, err := as(v)
+	if err != nil {
+		d.errf("%s: %v", at, err)
+		return
 	}
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	t, ok := v.(map[string]any)
-	if !ok {
-		d.errf("%s: expected a table/object, got %T", key, v)
-		return nil
-	}
-	return t
+	*dst = e
 }
 
-func (d *decoder) str(m map[string]any, table, key, def string) string {
-	if d.err != nil || m == nil {
-		return def
-	}
-	v, ok := m[key]
+func list[E any](d *decoder, at string, v any, dst *[]E, as func(any) (E, error)) {
+	raw, ok := v.([]any)
 	if !ok {
-		return def
+		d.errf("%s: expected an array, got %T", at, v)
+		return
 	}
+	out := make([]E, 0, len(raw))
+	for i, x := range raw {
+		e, err := as(x)
+		if err != nil {
+			d.errf("%s[%d]: %v", at, i, err)
+			return
+		}
+		out = append(out, e)
+	}
+	*dst = out
+}
+
+// The converters from the reader's leaves (string, bool, int64, float64,
+// []any, map[string]any) to a field's type.
+
+func asString(v any) (string, error) {
 	s, ok := v.(string)
 	if !ok {
-		d.errf("%s: expected a string, got %T", path(table, key), v)
-		return def
+		return "", fmt.Errorf("expected a string, got %T", v)
 	}
-	return s
+	return s, nil
 }
 
-// number coercion: TOML yields int64/float64, JSON yields json.Number.
-func toInt64(v any) (int64, bool) {
-	switch n := v.(type) {
-	case int64:
-		return n, true
-	case json.Number:
-		i, err := n.Int64()
-		return i, err == nil
+func asInt64(v any) (int64, error) {
+	i, ok := v.(int64)
+	if !ok {
+		return 0, fmt.Errorf("expected an integer, got %v (%T)", v, v)
 	}
-	return 0, false
+	return i, nil
 }
 
-func toFloat64(v any) (float64, bool) {
+func asInt(v any) (int, error) {
+	i, err := asInt64(v)
+	if err == nil && int64(int(i)) != i {
+		err = fmt.Errorf("%d overflows int", i)
+	}
+	return int(i), err
+}
+
+func asFloat(v any) (float64, error) {
 	switch n := v.(type) {
 	case float64:
-		return n, true
+		return n, nil
 	case int64:
-		return float64(n), true
-	case json.Number:
-		f, err := n.Float64()
-		return f, err == nil
+		return float64(n), nil
 	}
-	return 0, false
+	return 0, fmt.Errorf("expected a number, got %v (%T)", v, v)
 }
 
-func (d *decoder) int64(m map[string]any, table, key string, def int64) int64 {
-	if d.err != nil || m == nil {
-		return def
+func asDuration(v any) (time.Duration, error) {
+	s, err := asString(v)
+	if err != nil {
+		return 0, fmt.Errorf("expected a duration string like \"90s\", got %v (%T)", v, v)
 	}
-	v, ok := m[key]
+	return time.ParseDuration(s)
+}
+
+func asTarget(v any) (Target, error) {
+	s, err := asString(v)
+	if err != nil {
+		return Target{}, err
+	}
+	return parseTarget(s)
+}
+
+func asTable(v any) (map[string]any, error) {
+	t, ok := v.(map[string]any)
 	if !ok {
-		return def
+		return nil, fmt.Errorf("expected a table, got %T", v)
 	}
-	i, ok := toInt64(v)
-	if !ok {
-		d.errf("%s: expected an integer, got %v (%T)", path(table, key), v, v)
-		return def
-	}
-	return i
-}
-
-func (d *decoder) int(m map[string]any, table, key string, def int) int {
-	i := d.int64(m, table, key, int64(def))
-	if int64(int(i)) != i {
-		d.errf("%s: %d overflows int", path(table, key), i)
-		return def
-	}
-	return int(i)
-}
-
-func (d *decoder) float(m map[string]any, table, key string, def float64) float64 {
-	if d.err != nil || m == nil {
-		return def
-	}
-	v, ok := m[key]
-	if !ok {
-		return def
-	}
-	f, ok := toFloat64(v)
-	if !ok {
-		d.errf("%s: expected a number, got %v (%T)", path(table, key), v, v)
-		return def
-	}
-	return f
-}
-
-func (d *decoder) list(m map[string]any, table, key string) []any {
-	if d.err != nil || m == nil {
-		return nil
-	}
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		d.errf("%s: expected an array, got %T", path(table, key), v)
-		return nil
-	}
-	return l
-}
-
-func (d *decoder) strList(m map[string]any, table, key string) []string {
-	raw := d.list(m, table, key)
-	out := make([]string, 0, len(raw))
-	for i, v := range raw {
-		s, ok := v.(string)
-		if !ok {
-			d.errf("%s[%d]: expected a string, got %T", path(table, key), i, v)
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-func (d *decoder) intList(m map[string]any, table, key string) []int {
-	raw := d.list(m, table, key)
-	out := make([]int, 0, len(raw))
-	for i, v := range raw {
-		n, ok := toInt64(v)
-		if !ok || int64(int(n)) != n {
-			d.errf("%s[%d]: expected an integer, got %v (%T)", path(table, key), i, v, v)
-			return nil
-		}
-		out = append(out, int(n))
-	}
-	return out
-}
-
-func (d *decoder) floatList(m map[string]any, table, key string) []float64 {
-	raw := d.list(m, table, key)
-	out := make([]float64, 0, len(raw))
-	for i, v := range raw {
-		f, ok := toFloat64(v)
-		if !ok {
-			d.errf("%s[%d]: expected a number, got %v (%T)", path(table, key), i, v, v)
-			return nil
-		}
-		out = append(out, f)
-	}
-	return out
+	return t, nil
 }

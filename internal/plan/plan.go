@@ -1,11 +1,13 @@
-// Package plan is the declarative sweep harness: a plan file (TOML subset
-// or JSON) names a catalog scenario (or several), a parameter grid
-// (base seed x node-mix multiplier x WiFi range x loss rate x horizon, plus
-// Scale overrides), a trial count, and the metrics the sweep optimizes. The
-// harness expands the grid into cells, fans cells across a worker pool, streams per-cell
-// results as JSON-lines, and renders run reports — so "add a scenario
-// configuration" is a config line, not a Go file (the TestGround test-plan
-// shape).
+// Package plan is the declarative sweep harness and the one reader of
+// input files. A plan file (a TOML subset) names a catalog scenario (or
+// several), a parameter grid (base seed x node-mix multiplier x WiFi range
+// x loss rate x horizon, plus Scale overrides), a trial count, and the
+// metrics the sweep optimizes. The harness expands the grid into cells,
+// fans cells across a worker pool, streams per-cell results as JSON-lines,
+// and renders run reports — so "add a scenario configuration" is a config
+// line, not a Go file (the TestGround test-plan shape). A fault file
+// (`dapes-sim -faults`) is a plan's [faults] section, read by the same
+// reader and key table (ParseFaults).
 //
 // Determinism contract: cell c's trials seed from
 // TrialSeed(CellSeed(plan.Seed, c), t), and results stream in cell-index
@@ -18,7 +20,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -75,6 +76,10 @@ type Plan struct {
 	// file's [scale] overrides applied. Cells then override LossRate,
 	// Horizon, the node mix, and BaseSeed from their grid coordinates.
 	Base experiment.Scale
+
+	// set lists the keys the plan file set on an axis a scenario may fix,
+	// in file-table order; Validate refuses them for such a scenario.
+	set []setKey
 }
 
 // Grid is the swept parameter space; the cell list is the cartesian
@@ -186,12 +191,18 @@ func parseTarget(s string) (Target, error) {
 
 // ApplyDefaults fills empty grid axes from the base scale: one implicit
 // point per axis, so a plan only spells out the axes it actually sweeps.
+// The ranges axis takes all the base scale's ranges, or only the first
+// when a scenario of the plan fixes its world's range: such a world would
+// run once per label.
 func (p *Plan) ApplyDefaults() {
 	if len(p.Grid.Nodes) == 0 {
 		p.Grid.Nodes = []int{1}
 	}
 	if len(p.Grid.Ranges) == 0 {
 		p.Grid.Ranges = append([]float64(nil), p.Base.Ranges...)
+		if p.fixes(experiment.AxisRange) {
+			p.Grid.Ranges = p.Grid.Ranges[:min(1, len(p.Grid.Ranges))]
+		}
 	}
 	if len(p.Grid.Loss) == 0 {
 		p.Grid.Loss = []float64{p.Base.LossRate}
@@ -199,6 +210,16 @@ func (p *Plan) ApplyDefaults() {
 	if len(p.Grid.Horizons) == 0 {
 		p.Grid.Horizons = []time.Duration{p.Base.Horizon}
 	}
+}
+
+// fixes reports whether a scenario of the plan fixes axis a.
+func (p *Plan) fixes(a experiment.Axis) bool {
+	for _, name := range p.Grid.Scenarios {
+		if sc, err := experiment.Find(name); err == nil && sc.Fixes(a) {
+			return true
+		}
+	}
+	return false
 }
 
 // NumCells returns the grid's cell count, or an error when the product
@@ -229,27 +250,18 @@ func (p *Plan) Validate() error {
 	if len(p.Grid.Scenarios) == 0 {
 		return fmt.Errorf("plan %q: scenario is required", p.Name)
 	}
-	// A grid axis that sets an input a scenario's world fixes for itself is
-	// refused: its cells would run one world under labels that never ran,
-	// and the best/worst table would credit seed noise to them. An axis the
-	// plan leaves out holds ApplyDefaults' fill and passes.
-	axes := []struct {
-		axis  experiment.Axis
-		name  string
-		named bool
-	}{
-		{experiment.AxisNodes, "nodes", !slices.Equal(p.Grid.Nodes, []int{1})},
-		{experiment.AxisRange, "ranges", !slices.Equal(p.Grid.Ranges, p.Base.Ranges)},
-		{experiment.AxisLoss, "loss", !slices.Equal(p.Grid.Loss, []float64{p.Base.LossRate})},
-	}
+	// A key the file set on an input a scenario's world fixes for itself
+	// is refused, whatever its value: its cells would run one world under
+	// labels that never ran, and the best/worst table would credit seed
+	// noise to them.
 	for _, name := range p.Grid.Scenarios {
 		sc, err := experiment.Find(name)
 		if err != nil {
 			return fmt.Errorf("plan %q: %w", p.Name, err)
 		}
-		for _, a := range axes {
-			if a.named && sc.Fixes(a.axis) {
-				return fmt.Errorf("plan %q: scenario %s fixes its world's %s: drop grid axis %s", p.Name, name, a.name, a.name)
+		for _, k := range p.set {
+			if sc.Fixes(k.axis) {
+				return fmt.Errorf("plan %q: scenario %s fixes its world's %s: drop %s", p.Name, name, k.axis, k.path)
 			}
 		}
 	}

@@ -59,30 +59,13 @@ func TestParseTOMLPlan(t *testing.T) {
 	if err != nil || n != 8 {
 		t.Fatalf("NumCells = %d, %v, want 8", n, err)
 	}
-}
-
-func TestParseJSONPlan(t *testing.T) {
-	t.Parallel()
-	src := `{
-		"name": "smoke-json",
-		"scenario": "urban-grid",
-		"trials": 1,
-		"seed": 9007199254740993,
-		"grid": {"ranges": [60], "horizons": ["10m"]},
-		"scale": {"files": 2, "packets": 4}
-	}`
-	p, err := Parse([]byte(src))
+	// Axes the file leaves out take their one point from the base scale.
+	p, err = Parse([]byte("name = \"x\"\nscenario = \"fig7-dapes\"\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 9007199254740993 {
-		t.Fatalf("seed lost 53-bit precision: %d", p.Seed) // UseNumber keeps int64 exact
-	}
-	if len(p.Grid.Horizons) != 1 || p.Grid.Horizons[0] != 10*time.Minute {
-		t.Fatalf("horizons axis lost: %v", p.Grid.Horizons)
-	}
-	if p.Grid.Loss[0] != p.Base.LossRate {
-		t.Fatalf("loss default %g != base %g", p.Grid.Loss[0], p.Base.LossRate)
+	if len(p.Grid.Loss) != 1 || p.Grid.Loss[0] != p.Base.LossRate || len(p.Grid.Ranges) != len(p.Base.Ranges) {
+		t.Fatalf("defaults not filled from the base scale: loss %v ranges %v", p.Grid.Loss, p.Grid.Ranges)
 	}
 }
 
@@ -118,19 +101,36 @@ func TestParseRejects(t *testing.T) {
 		{"nested table", `[a.b]` + "\n" + `x = 1`, "table name"},
 		{"nested array", `name = "x"` + "\n" + `optimize = [["a"]]`, "nested"},
 		{"trailing garbage", `name = "x" y`, "trailing"},
-		{"json trailing doc", `{"name":"x","scenario":"fig7-dapes"}{"again":1}`, "trailing"},
-		// The Fig.-8 worlds fix their range, loss and peers: a cell on
-		// any of these axes ran the same world under another label.
+		// The Fig.-8 worlds fix their range, loss, peers and area: a cell
+		// on any of these axes ran the same world under another label. A
+		// key the file sets is refused whatever its value, the base
+		// scale's own included.
 		{"ranges beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nranges = [20.0, 100.0]",
-			"scenario fig8a-carrier fixes its world's ranges: drop grid axis ranges"},
+			"scenario fig8a-carrier fixes its world's range: drop grid.ranges"},
 		{"loss beside fig8b", `name = "x"` + "\n" + `scenario = "fig8b-repository"` + "\n\n[grid]\nloss = [0.0, 0.5]",
-			"scenario fig8b-repository fixes its world's loss: drop grid axis loss"},
+			"scenario fig8b-repository fixes its world's loss rate: drop grid.loss"},
 		{"nodes beside fig8c", `name = "x"` + "\n" + `scenario = "fig8c-mobile"` + "\n\n[grid]\nnodes = [1, 4]",
-			"scenario fig8c-mobile fixes its world's nodes: drop grid axis nodes"},
+			"scenario fig8c-mobile fixes its world's node mix: drop grid.nodes"},
 		{"one-point range beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nranges = [20.0]",
-			"scenario fig8a-carrier fixes its world's ranges"},
+			"scenario fig8a-carrier fixes its world's range: drop grid.ranges"},
+		{"the default ranges beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nranges = [20.0, 60.0, 100.0]",
+			"scenario fig8a-carrier fixes its world's range: drop grid.ranges"},
+		{"one node multiplier beside fig8b", `name = "x"` + "\n" + `scenario = "fig8b-repository"` + "\n\n[grid]\nnodes = [1]",
+			"scenario fig8b-repository fixes its world's node mix: drop grid.nodes"},
 		{"ranges beside fig7 and fig8c", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig8c-mobile\"]\nranges = [60.0]",
-			"scenario fig8c-mobile fixes its world's ranges"},
+			"scenario fig8c-mobile fixes its world's range: drop grid.ranges"},
+		{"scale loss beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[scale]\nloss = 0.3",
+			"scenario fig8a-carrier fixes its world's loss rate: drop scale.loss"},
+		{"scale stationary beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[scale]\nstationary = 9",
+			"scenario fig8a-carrier fixes its world's node mix: drop scale.stationary"},
+		{"scale mobile_down beside fig8b", `name = "x"` + "\n" + `scenario = "fig8b-repository"` + "\n\n[scale]\nmobile_down = 3",
+			"scenario fig8b-repository fixes its world's node mix: drop scale.mobile_down"},
+		{"scale pure_forwarders beside fig8c", `name = "x"` + "\n" + `scenario = "fig8c-mobile"` + "\n\n[scale]\npure_forwarders = 3",
+			"scenario fig8c-mobile fixes its world's node mix: drop scale.pure_forwarders"},
+		{"scale intermediates beside fig8c", `name = "x"` + "\n" + `scenario = "fig8c-mobile"` + "\n\n[scale]\nintermediates = 3",
+			"scenario fig8c-mobile fixes its world's node mix: drop scale.intermediates"},
+		{"scale area_side beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[scale]\narea_side = 900.0",
+			"scenario fig8a-carrier fixes its world's area: drop scale.area_side"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -144,18 +144,30 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
-// TestFixedAxesPassWhenLeftOut: a Fig.-8 plan that leaves the axes its
-// world fixes to their defaults, and sweeps what the world does read, is
-// accepted; the same axes stay open to a scenario that reads them.
+// TestFixedAxesPassWhenLeftOut: a Fig.-8 plan that leaves out the axes its
+// world fixes, and sweeps what the world does read, is accepted, and gets
+// one point on the range axis rather than one cell per base-scale range
+// under labels that never ran; the same axes stay open to a scenario that
+// reads them.
 func TestFixedAxesPassWhenLeftOut(t *testing.T) {
 	t.Parallel()
-	for _, src := range []string{
-		`name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nseeds = [1, 2]\nhorizons = [\"10m\", \"20m\"]",
-		`name = "x"` + "\n" + `scenario = "fig8b-repository"` + "\n\n[grid]\nnodes = [1]",
-		`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]\nloss = [0.0, 0.5]\nnodes = [1, 4]",
+	for _, tc := range []struct {
+		src   string
+		cells int
+	}{
+		{`name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nseeds = [1, 2]\nhorizons = [\"10m\", \"20m\"]", 4},
+		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]\nloss = [0.0, 0.5]\nnodes = [1, 4]", 4},
+		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[scale]\nloss = 0.3\nstationary = 9\narea_side = 900.0", 3},
+		{`name = "x"` + "\n" + `scenario = "fig8a-carrier"`, 1},
+		{`name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig8c-mobile\"]", 2},
 	} {
-		if _, err := Parse([]byte(src)); err != nil {
-			t.Errorf("Parse(%q): %v", src, err)
+		p, err := Parse([]byte(tc.src))
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.src, err)
+			continue
+		}
+		if got := len(p.Cells()); got != tc.cells {
+			t.Errorf("Parse(%q) expands to %d cells, want %d", tc.src, got, tc.cells)
 		}
 	}
 }

@@ -6,24 +6,24 @@ import (
 	"strings"
 )
 
-// This file is a minimal TOML-subset parser for plan files, kept
+// This file is a minimal TOML-subset parser for plan and fault files, kept
 // dependency-free on purpose (the module has no third-party imports). The
 // subset is exactly what plans/*.toml need:
 //
 //   - `# comment` lines and trailing comments
 //   - `key = value` pairs with bare keys [A-Za-z0-9_-]+
-//   - one level of `[table]` sections (grid, scale)
+//   - one level of `[table]` sections (grid, scale, faults)
 //   - values: basic "strings" (\\ \" \n \t \r escapes), booleans, integers,
 //     floats, and single-line arrays of those
 //
 // Anything outside the subset — dotted keys, nested/array tables,
 // multi-line strings or arrays, dates — is a parse error, never a silent
-// misread. The parser is fuzzed (FuzzPlanFile): any input may error but
-// must not panic or allocate proportionally to anything but input size.
+// misread. The parser is fuzzed (FuzzPlanFile, FuzzFaultPlan): any input
+// may error but must not panic or allocate proportionally to anything but
+// input size.
 
-// parseTOML parses the subset into the same generic tree shape JSON
-// decodes to: nested map[string]any with string/bool/int64/float64/[]any
-// leaves.
+// parseTOML parses the subset into a generic tree: nested map[string]any
+// with string/bool/int64/float64/[]any leaves.
 func parseTOML(data []byte) (map[string]any, error) {
 	root := map[string]any{}
 	cur := root

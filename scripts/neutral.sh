@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Usage: scripts/neutral.sh BASE   (or: make neutral BASE=<rev>)
 #
-# Fails unless the working tree's dapes-sim and dapes-bench print, byte for
-# byte, what revision BASE's print: the scenario list, every listed scenario
-# and each -system stack at -seed 1 -files 2 -packets 5 -trials 3 -format
-# json, and dapes-bench -scale quick -only tableI -format json. This is the
-# check a change that claims to be trace- and output-neutral is held to.
+# Fails unless the working tree's dapes-sim, dapes-plan and dapes-bench
+# print, byte for byte, what revision BASE's print: the scenario list, every
+# listed scenario, the ad-hoc DAPES stack and fig7-dapes under the [faults]
+# example of docs/EXPERIMENTS.md as a -faults file, each at -seed 1 -files 2
+# -packets 5 -trials 3 -format json; dapes-plan run plans/ci-smoke.toml; and
+# dapes-bench -scale quick -only tableI -format json. This is the check a
+# change that claims to be trace- and output-neutral is held to.
 # BASE is unpacked with `git archive` and both sides are built in a
 # temporary directory under $TMPDIR, removed on exit. The whole run takes a
 # few minutes, most of it urban-grid-chaos.
@@ -18,8 +20,11 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/src" "$tmp/bin/base" "$tmp/bin/head" "$tmp/out/base" "$tmp/out/head"
 git -C "$root" archive "$base" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/bin/base/" ./cmd/dapes-sim ./cmd/dapes-bench)
-(cd "$root" && go build -o "$tmp/bin/head/" ./cmd/dapes-sim ./cmd/dapes-bench)
+(cd "$tmp/src" && go build -o "$tmp/bin/base/" ./cmd/dapes-sim ./cmd/dapes-plan ./cmd/dapes-bench)
+(cd "$root" && go build -o "$tmp/bin/head/" ./cmd/dapes-sim ./cmd/dapes-plan ./cmd/dapes-bench)
+# The documented [faults] example, from its header to the end of its block.
+sed -n '/^\[faults\]$/,/^```$/p' "$root/docs/EXPERIMENTS.md" | sed '$d' >"$tmp/faults.toml"
+test -s "$tmp/faults.toml" || { echo "neutral: no [faults] example in docs/EXPERIMENTS.md"; exit 1; }
 
 failed=0
 # check NAME TOOL ARGS...: run TOOL with ARGS on both sides, side by side,
@@ -52,9 +57,10 @@ check list dapes-sim -list -format json
 for sc in $("$tmp/bin/head/dapes-sim" -list -format csv | tail -n +3 | cut -d, -f1); do
 	check "$sc" dapes-sim -scenario "$sc" "${run[@]}"
 done
-for sys in dapes bithoc ekta; do
-	check "system-$sys" dapes-sim -system "$sys" "${run[@]}"
-done
+check adhoc-dapes dapes-sim "${run[@]}"
+check faults dapes-sim -scenario fig7-dapes -faults "$tmp/faults.toml" "${run[@]}"
+# Both sides read the working tree's plan file.
+check ci-smoke dapes-plan run "$root/plans/ci-smoke.toml"
 check tableI dapes-bench -scale quick -only tableI -format json
 
 if ((failed)); then
