@@ -232,7 +232,7 @@ func (p *Peer) helloTick() {
 	if p.have != nil {
 		p.helloSeq++
 		p.stats.HellosSent++
-		p.medium.Broadcast(p.radio, p.encodeHello(p.ID(), p.helloSeq, helloTTL))
+		p.medium.BroadcastOwned(p.radio, p.encodeHello(p.ID(), p.helloSeq, helloTTL))
 	}
 	p.helloT.Reset(helloPeriod + p.rng.Jitter(helloPeriod/4))
 	p.pump()
@@ -242,13 +242,15 @@ func (p *Peer) helloTick() {
 // number. The sender's bitmap follows.
 const helloHeaderLen = 10
 
-// encodeHello builds a HELLO in one buffer sized for the bitmap's whole
-// words, which AppendEncode writes before cutting the tail to its bytes.
+// encodeHello builds a HELLO in a wire from the medium's pool, sized for the
+// bitmap's whole words, which AppendEncode writes before cutting the tail to
+// its bytes. The medium takes the wire back when its transmission is over:
+// onHello keeps no view of a heard one (DecodeFrom copies the bitmap, and
+// rarity keeps its own copy of that).
 func (p *Peer) encodeHello(origin, seq, ttl int) []byte {
-	b := make([]byte, helloHeaderLen, helloHeaderLen+4+8*((p.have.Len()+63)/64))
-	b[0], b[1] = helloMagic, byte(ttl)
-	binary.BigEndian.PutUint32(b[2:], uint32(origin))
-	binary.BigEndian.PutUint32(b[6:], uint32(seq))
+	b := append(p.medium.Wire(helloHeaderLen+4+8*((p.have.Len()+63)/64)), helloMagic, byte(ttl))
+	b = binary.BigEndian.AppendUint32(b, uint32(origin))
+	b = binary.BigEndian.AppendUint32(b, uint32(seq))
 	return p.have.AppendEncode(b)
 }
 

@@ -47,7 +47,7 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 		Nonce:       p.relay.NewNonce(),
 		AppParams:   p.buf,
 	}
-	p.medium.BroadcastAfter(p.rng.Jitter(multihop.TransmissionWindow), p.radio, in.Encode(), &p.stats.BitmapInterestsSent, &p.running)
+	p.medium.BroadcastOwnedAfter(p.rng.Jitter(multihop.TransmissionWindow), p.radio, p.interestWire(&in), &p.stats.BitmapInterestsSent, &p.running)
 }
 
 // handleBitmapInterest processes a received bitmap Interest: the carried

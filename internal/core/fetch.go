@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"time"
 
 	"dapes/internal/metadata"
@@ -146,13 +147,12 @@ func (p *Peer) selectNext(cs *collectionState) int {
 // sendDataInterest broadcasts an Interest for one collection packet after
 // the random transmission timer, arming a timeout for reselection.
 func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
-	var err error
-	if p.name, err = cs.manifest.AppendPacketName(p.name[:0], idx); err != nil {
+	if _, _, err := cs.manifest.Locate(idx); err != nil {
 		return
 	}
-	in := ndn.Interest{Name: p.name, Nonce: p.relay.NewNonce()}
+	nonce := p.relay.NewNonce()
 	delay := p.rng.Jitter(multihop.TransmissionWindow)
-	p.queueInterest(delay, cs, idx, in.Encode())
+	p.queueInterest(delay, cs, false, idx, nonce)
 	it := p.inflightFree
 	if it != nil {
 		p.inflightFree = it.next
@@ -166,25 +166,30 @@ func (p *Peer) sendDataInterest(cs *collectionState, idx int) {
 	it.t.Reset(delay + interestTimeout)
 }
 
-// queuedInterest is a data Interest for packet idx of cs, or with idx < 0 a
-// metadata Interest of cs, waiting out its transmission slot. When the slot
-// comes it goes on the air only if the peer runs and it is still wanted: the
-// packet not yet held, the metadata not yet assembled. Records are pooled on
-// the peer with their event func built once, and a record returns to the
-// pool only when its own event fires — a record whose send is still queued
-// is never reused, so no event can send with another Interest's (cs, idx).
+// queuedInterest is a data Interest for packet n of cs, or with meta a
+// metadata Interest for segment n of cs, waiting out its transmission slot.
+// When the slot comes it goes on the air only if the peer runs and it is
+// still wanted: the packet not yet held, the metadata not yet assembled. The
+// record holds what the Interest is made of — its nonce was drawn when it
+// was queued — and it is encoded, into a wire from the medium's pool, only
+// once it passes, so an Interest that is dropped never takes a wire. Records
+// are pooled on the peer with their event func built once, and a record
+// returns to the pool only when its own event fires — a record whose send is
+// still queued is never reused, so no event can send with another Interest's
+// (cs, n).
 type queuedInterest struct {
-	p    *Peer
-	cs   *collectionState
-	idx  int
-	wire []byte
-	fire func()
-	next *queuedInterest // in the free list
+	p     *Peer
+	cs    *collectionState
+	meta  bool
+	n     int
+	nonce uint32
+	fire  func()
+	next  *queuedInterest // in the free list
 }
 
-// queueInterest puts wire on the air after delay, unless it is no longer
-// wanted by then (queuedInterest).
-func (p *Peer) queueInterest(delay time.Duration, cs *collectionState, idx int, wire []byte) {
+// queueInterest puts the Interest for (cs, meta, n) with nonce on the air
+// after delay, unless it is no longer wanted by then (queuedInterest).
+func (p *Peer) queueInterest(delay time.Duration, cs *collectionState, meta bool, n int, nonce uint32) {
 	q := p.queuedFree
 	if q != nil {
 		p.queuedFree = q.next
@@ -192,29 +197,38 @@ func (p *Peer) queueInterest(delay time.Duration, cs *collectionState, idx int, 
 		q = &queuedInterest{p: p}
 		q.fire = q.send
 	}
-	q.cs, q.idx, q.wire = cs, idx, wire
+	q.cs, q.meta, q.n, q.nonce = cs, meta, n, nonce
 	p.k.ScheduleFunc(delay, q.fire)
 }
 
 func (q *queuedInterest) send() {
-	p, cs, idx, wire := q.p, q.cs, q.idx, q.wire
-	q.cs, q.wire = nil, nil
+	p, cs, meta, n, nonce := q.p, q.cs, q.meta, q.n, q.nonce
+	q.cs = nil
 	q.next, p.queuedFree = p.queuedFree, q
 	switch {
 	case !p.running:
 		return
-	case idx < 0:
+	case meta:
 		if cs.manifest != nil {
 			return
 		}
 		p.stats.MetaInterestsSent++
+		p.name = append(append(p.name[:0], cs.metaName...), ndn.Component(strconv.Itoa(n)))
 	default:
-		if cs.own.Test(idx) {
+		if cs.own.Test(n) {
 			return
 		}
 		p.stats.DataInterestsSent++
+		p.name, _ = cs.manifest.AppendPacketName(p.name[:0], n) // cannot fail: sendDataInterest located n
 	}
-	p.medium.Broadcast(p.radio, wire)
+	p.medium.BroadcastOwned(p.radio, p.interestWire(&ndn.Interest{Name: p.name, Nonce: nonce}))
+}
+
+// interestWire encodes in into a wire from the medium's pool, for
+// BroadcastOwned or BroadcastOwnedAfter: every Interest a peer sends goes on
+// the air in one (phy.Frame).
+func (p *Peer) interestWire(in *ndn.Interest) []byte {
+	return in.AppendEncode(p.medium.Wire(in.EncodedLen()))
 }
 
 // handleContentInterest serves collection data and metadata this peer holds;

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"dapes/internal/bitmap"
@@ -270,7 +269,7 @@ func (p *Peer) sendDiscoveryInterest() {
 		AppParams:   p.buf,
 	}
 	p.stats.DiscoveryInterestsSent++
-	p.medium.Broadcast(p.radio, in.Encode())
+	p.medium.BroadcastOwned(p.radio, p.interestWire(&in))
 }
 
 // sweepTick expires stale neighbors.
@@ -460,9 +459,8 @@ func (p *Peer) requestNextMetaSegment(cs *collectionState) {
 	if cs.metaTotal >= 0 && seq >= cs.metaTotal {
 		return
 	}
-	p.name = append(append(p.name[:0], cs.metaName...), ndn.Component(strconv.Itoa(seq)))
-	in := ndn.Interest{Name: p.name, Nonce: p.relay.NewNonce()}
-	p.queueInterest(p.rng.Jitter(multihop.TransmissionWindow), cs, -1, in.Encode())
+	nonce := p.relay.NewNonce()
+	p.queueInterest(p.rng.Jitter(multihop.TransmissionWindow), cs, true, seq, nonce)
 	if cs.metaT == nil {
 		cs.metaT = p.k.NewTimer(func() { p.requestNextMetaSegment(cs) })
 	}

@@ -268,7 +268,8 @@ func (r *Relay) InFlight(in *ndn.Interest) bool {
 //
 // A received Interest lives only as long as its transmission (phy.Frame), so
 // the record copies what it keeps: the name's URI once, and a CanBePrefix
-// record's components as substrings of that copy.
+// record's components as substrings of that copy; the re-broadcast copies
+// the wire.
 func (r *Relay) Forward(in *ndn.Interest) {
 	key := in.NameKey()
 	if old, ok := r.forwarded[key]; ok {
@@ -291,7 +292,11 @@ func (r *Relay) Forward(in *ndn.Interest) {
 	}
 	r.forwarded[key] = rec
 	r.inserted()
-	r.rebroadcast(in.Encode(), &r.c.InterestsForwarded)
+	// The heard wire goes back to the medium's pool with its transmission,
+	// so the forward carries the same bytes in a pooled wire of its own.
+	heard := in.Encode()
+	wire := append(r.medium.Wire(len(heard)), heard...)
+	r.medium.BroadcastOwnedAfter(r.rng.Jitter(TransmissionWindow), r.radio, wire, &r.c.InterestsForwarded, &r.running)
 	r.k.ScheduleCall(SuppressTTL, arm, rec)
 }
 
@@ -344,7 +349,9 @@ func (r *Relay) RelayData(d *ndn.Data) {
 		r.c.ForwardedAnswered++
 	}
 	delete(r.suppressed, rec.key)
-	r.rebroadcast(d.Encode(), &r.c.DataForwarded)
+	// A Data wire is write-once (phy.Frame): the relay re-sends the very
+	// bytes it heard, borrowed.
+	r.medium.BroadcastAfter(r.rng.Jitter(TransmissionWindow), r.radio, d.Encode(), &r.c.DataForwarded, &r.running)
 }
 
 // match finds the forwarded-Interest record the Data satisfies: its exact
@@ -376,12 +383,6 @@ func (r *Relay) match(d *ndn.Data) *forwardRecord {
 		}
 	}
 	return nil
-}
-
-// rebroadcast relays a received packet's wire, exactly as it arrived, after
-// a random delay, bumping counter when it goes out.
-func (r *Relay) rebroadcast(wire []byte, counter *uint64) {
-	r.medium.BroadcastAfter(r.rng.Jitter(TransmissionWindow), r.radio, wire, counter, &r.running)
 }
 
 // ScheduleReply broadcasts d after a random delay, bumping counter when it

@@ -2,6 +2,7 @@ package multihop
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -425,12 +426,16 @@ func TestIdleForwarderAllocatesLittle(t *testing.T) {
 }
 
 // TestForwardedKeysOutliveTheirFrame: an Interest heard over the medium is
-// decoded into its transmission's record, which the medium reuses once the
-// frame is delivered, so what Forward keeps must be copied. One exact and
-// one CanBePrefix Interest are forwarded (the exact one twice, so the second
-// forward takes over the first record's key), then a hundred more Interests
-// with names of the same lengths go on the air and rewrite every record;
-// the tables must still hold the names that were forwarded.
+// decoded into its transmission's record, and sent in a wire from the
+// medium's pool; the medium reuses both once the frame is delivered, so what
+// Forward keeps must be copied, and so must what it sends. One exact and one
+// CanBePrefix Interest are forwarded (the exact one twice, so the second
+// forward takes over the first record's key), each heard wire going back to
+// the pool, where the next send takes it, before the forward's jitter is
+// up; then a hundred more Interests with names of the same lengths go on
+// the air and rewrite every record and wire. The forwards must go out byte
+// for byte as they were heard, and the tables must still hold the names
+// that were forwarded.
 func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 	t.Parallel()
 	const exactURI, prefixURI = "/keep/exact/0", "/keep/prefix"
@@ -448,13 +453,37 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 			}
 		}, nil)
 	})
+	var forwarded, sent []string // the relay's frames as an ear hears them; the first three sends
+	var wires [][]byte           // the wire each send took, by nonce-1
+	reused := 0                  // forwards heard after their heard wire was taken again
+	medium.Attach(geo.Stationary{At: geo.Point{X: 20}}).SetHandler(func(f phy.Frame) {
+		if f.From != r.radio.ID() {
+			return
+		}
+		forwarded = append(forwarded, string(f.Payload))
+		if in := f.Packet().Interest(); in != nil && int(in.Nonce) < len(wires) {
+			heard := wires[in.Nonce-1]
+			for _, w := range wires[in.Nonce:] {
+				if &w[:1][0] == &heard[:1][0] {
+					reused++
+					break
+				}
+			}
+		}
+	})
 
 	nonce := uint32(0)
 	send := func(at time.Duration, in ndn.Interest) {
 		nonce++
 		in.Nonce = nonce
-		wire := in.Encode()
-		k.ScheduleFuncAt(at, func() { medium.Broadcast(sender, wire) })
+		if nonce <= 3 {
+			sent = append(sent, string(in.AppendEncode(nil)))
+		}
+		k.ScheduleFuncAt(at, func() {
+			wire := in.AppendEncode(medium.Wire(in.EncodedLen()))
+			wires = append(wires, wire)
+			medium.BroadcastOwned(sender, wire)
+		})
 	}
 	send(time.Millisecond, ndn.Interest{Name: ndn.ParseName(exactURI)})
 	send(2*time.Millisecond, ndn.Interest{Name: ndn.ParseName(prefixURI), CanBePrefix: true})
@@ -472,6 +501,14 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 
 	if len(r.forwarded) != 2 || c.InterestsForwarded != 3 {
 		t.Fatalf("%d forward records after %d forwards, want 2 after 3", len(r.forwarded), c.InterestsForwarded)
+	}
+	slices.Sort(forwarded)
+	slices.Sort(sent)
+	if !slices.Equal(forwarded, sent) {
+		t.Fatalf("the relay forwarded %x, want the heard Interests %x", forwarded, sent)
+	}
+	if reused == 0 {
+		t.Fatal("no forward went out after the wire it was heard in was handed out again")
 	}
 	for key, rec := range r.forwarded {
 		if got, ok := r.forwarded[string([]byte(key))]; !ok || got != rec || rec.key != key {

@@ -70,6 +70,12 @@ func TestEncodeMatchesNestedEncoder(t *testing.T) {
 			rng.Read(it.AppParams)
 		}
 		want := nestedEncodeInterest(it)
+		// AppendEncode writes the same bytes after what dst holds, and
+		// caches no view of dst.
+		if n, got := it.EncodedLen(), it.AppendEncode([]byte("pre")); n != len(want) ||
+			!bytes.Equal(got, append([]byte("pre"), want...)) || it.wire != nil {
+			t.Fatalf("round %d: EncodedLen %d, AppendEncode %x (cached %x), nested %x", round, n, got, it.wire, want)
+		}
 		wire := it.Encode()
 		if !bytes.Equal(wire, want) {
 			t.Fatalf("round %d: Interest %+v\nencodes %x\nnested  %x", round, it, wire, want)
@@ -80,6 +86,9 @@ func TestEncodeMatchesNestedEncoder(t *testing.T) {
 		got, err := decodeInterest(wire)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if again := got.AppendEncode(nil); !bytes.Equal(again, wire) || got.EncodedLen() != len(wire) {
+			t.Fatalf("round %d: a decoded Interest appends %x (EncodedLen %d), received %x", round, again, got.EncodedLen(), wire)
 		}
 		ref, err := perComponentDecodeInterest(wire)
 		if err != nil {
@@ -164,6 +173,13 @@ func TestWirePathAllocationBudget(t *testing.T) {
 		budget("Encode of a fresh Interest", 1, func() {
 			it := Interest{Name: n, CanBePrefix: true, Nonce: 7, Lifetime: time.Second, AppParams: payload}
 			it.Encode()
+		})
+		wire := make([]byte, 0, 512)
+		budget("AppendEncode of a fresh Interest into a pooled wire", 0, func() {
+			it := Interest{Name: n, CanBePrefix: true, Nonce: 7, Lifetime: time.Second, AppParams: payload}
+			if wire = it.AppendEncode(wire[:0]); len(wire) != it.EncodedLen() {
+				t.Fatalf("AppendEncode wrote %d bytes, EncodedLen says %d", len(wire), it.EncodedLen())
+			}
 		})
 		budget("SignDigest+Encode of a fresh Data", 1, func() {
 			d := Data{Name: n, Freshness: time.Second, Content: payload}

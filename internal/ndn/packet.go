@@ -60,7 +60,8 @@ type Interest struct {
 	Lifetime    time.Duration
 	HopLimit    uint8
 	// AppParams views into the decoded wire buffer (no copy); treat it as
-	// read-only.
+	// read-only. Heard over the medium, it lives as long as that wire: until
+	// the transmission's completion event returns (phy.Frame).
 	AppParams []byte
 
 	// wire is the cached TLV form: the bytes Encode produced, or the exact
@@ -96,16 +97,29 @@ func (i *Interest) NameKey() string {
 
 // Encode returns the Interest's TLV wire form, serializing at most once: the
 // first call caches the encoding (and a decoded Interest is born with the
-// received frame cached), so every later call — retransmissions, multi-hop
-// relays — returns the same shared byte slice. Callers must not modify it.
+// received frame cached), so every later call returns the same shared byte
+// slice. Callers must not modify it.
 func (i *Interest) Encode() []byte {
-	if i.wire != nil {
-		return i.wire
+	if i.wire == nil {
+		i.wire = i.AppendEncode(make([]byte, 0, i.EncodedLen()))
 	}
-	// Sizes first, then one buffer of exactly that size.
-	nameLen := nameValueLen(i.Name)
-	lifetimeMs := uint64(i.Lifetime / time.Millisecond)
-	size := tlvLen(tlvName, nameLen) + tlvLen(tlvNonce, 4)
+	return i.wire
+}
+
+// EncodedLen returns the length of the Interest's wire form: what Encode
+// returns and AppendEncode appends.
+func (i *Interest) EncodedLen() int {
+	if i.wire != nil {
+		return len(i.wire)
+	}
+	_, size := i.layout()
+	return tlvLen(tlvInterest, size)
+}
+
+// layout returns the Name's value length and the Interest's.
+func (i *Interest) layout() (nameLen, size int) {
+	nameLen = nameValueLen(i.Name)
+	size = tlvLen(tlvName, nameLen) + tlvLen(tlvNonce, 4)
 	if i.CanBePrefix {
 		size += tlvLen(tlvCanBePrefix, 0)
 	}
@@ -113,7 +127,7 @@ func (i *Interest) Encode() []byte {
 		size += tlvLen(tlvMustBeFresh, 0)
 	}
 	if i.Lifetime > 0 {
-		size += tlvLen(tlvInterestLifetime, nonNegLen(lifetimeMs))
+		size += tlvLen(tlvInterestLifetime, nonNegLen(uint64(i.Lifetime/time.Millisecond)))
 	}
 	if i.HopLimit > 0 {
 		size += tlvLen(tlvHopLimit, 1)
@@ -121,8 +135,20 @@ func (i *Interest) Encode() []byte {
 	if len(i.AppParams) > 0 {
 		size += tlvLen(tlvApplicationParameters, len(i.AppParams))
 	}
-	b := make([]byte, 0, tlvLen(tlvInterest, size))
-	b = appendTLVHeader(b, tlvInterest, size)
+	return nameLen, size
+}
+
+// AppendEncode appends the Interest's wire form to dst — the cached one
+// when there is one, so a decoded Interest appends the bytes it arrived
+// as — and caches nothing: dst is the caller's (a wire from the medium's
+// pool, say), and the packet keeps no view of it. Given EncodedLen bytes
+// of spare capacity, it writes into dst's own array.
+func (i *Interest) AppendEncode(dst []byte) []byte {
+	if i.wire != nil {
+		return append(dst, i.wire...)
+	}
+	nameLen, size := i.layout()
+	b := appendTLVHeader(dst, tlvInterest, size)
 	b = encodeName(b, i.Name, nameLen)
 	if i.CanBePrefix {
 		b = appendTLVHeader(b, tlvCanBePrefix, 0)
@@ -132,7 +158,7 @@ func (i *Interest) Encode() []byte {
 	}
 	b = binary.BigEndian.AppendUint32(appendTLVHeader(b, tlvNonce, 4), i.Nonce)
 	if i.Lifetime > 0 {
-		b = appendNonNegTLV(b, tlvInterestLifetime, lifetimeMs)
+		b = appendNonNegTLV(b, tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
 	}
 	if i.HopLimit > 0 {
 		b = append(appendTLVHeader(b, tlvHopLimit, 1), i.HopLimit)
@@ -140,8 +166,7 @@ func (i *Interest) Encode() []byte {
 	if len(i.AppParams) > 0 {
 		b = appendTLV(b, tlvApplicationParameters, i.AppParams)
 	}
-	i.wire = b
-	return i.wire
+	return b
 }
 
 // interestRecord is everything a decoded Interest owns besides the frame it

@@ -48,15 +48,18 @@ import (
 // handlers must only read them. The contract is safe to rely on because the
 // sim kernel is single-threaded per trial and trials share no state.
 //
-// A received Interest is decoded into the transmission's pooled record and
-// lives until the transmission's completion event returns, after every
-// receiver's handler; the record is then reused. A handler that keeps any
-// part of it — its name, a component, its NameKey — past its own return
-// copies that part. A borrowed wire (Broadcast, BroadcastNotify,
-// BroadcastAfter) and a Data decoded from it are never reused. An owned
-// wire (BroadcastOwnedAfter) goes back to the medium's pool once the
-// completion event has run every handler: its payload, like the Interest,
-// is valid until the handler returns.
+// One rule says how long a frame's contents live. A heard Interest — its
+// wire, Name, components, NameKey and AppParams — lives until its
+// transmission's completion event returns, after every receiver's handler:
+// it is decoded into the transmission's pooled record, which is then
+// reused, and every Interest the protocol stacks send goes on the air in an
+// owned wire (Wire, BroadcastOwned, BroadcastOwnedAfter) that the medium
+// takes back at the same moment. A handler that keeps any part of it past
+// its own return copies that part, and a relay re-sends a copy in a wire of
+// its own. The IP baselines' frames ride owned wires too. A Data wire is
+// borrowed (Broadcast, BroadcastNotify, BroadcastAfter): the medium never
+// writes or reuses it, and a Data decoded from it is write-once, so the
+// Content Store and a peer's packet tables keep both for good.
 type Frame struct {
 	// From is the ID of the transmitting radio.
 	From int
@@ -289,7 +292,7 @@ type Medium struct {
 	txFree   []*transmission
 	sendFree []*sendJob
 	// wireFree holds the owned wires whose transmissions have finished
-	// (Wire, BroadcastOwnedAfter).
+	// (Wire, BroadcastOwned, BroadcastOwnedAfter).
 	wireFree [][]byte
 }
 
@@ -498,11 +501,19 @@ func (m *Medium) Broadcast(r *Radio, payload []byte) {
 	m.broadcast(r, payload, nil, false)
 }
 
+// BroadcastOwned is Broadcast for a wire taken from Wire, and the immediate
+// twin of BroadcastOwnedAfter: the medium owns the wire from this call on
+// and returns it to the pool when the radio is disabled, when nobody is in
+// range, or once the completion event has run every receiver's handler.
+func (m *Medium) BroadcastOwned(r *Radio, wire []byte) {
+	m.broadcast(r, wire, nil, true)
+}
+
 // Wire returns an empty buffer with capacity at least n from the medium's
 // pool of owned wires. The caller appends a frame to it and hands it back
-// through BroadcastOwnedAfter, which returns it to the pool once the frame's
-// transmission has finished; a buffer the pool holds is never handed out
-// twice at once.
+// through BroadcastOwned or BroadcastOwnedAfter, which returns it to the
+// pool once the frame's transmission has finished; a buffer the pool holds
+// is never handed out twice at once.
 func (m *Medium) Wire(n int) []byte {
 	if last := len(m.wireFree) - 1; last >= 0 {
 		b := m.wireFree[last]

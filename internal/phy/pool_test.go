@@ -211,22 +211,25 @@ func sameArray(a, b []byte) bool {
 }
 
 // TestOwnedWireReturnsOnceOnEveryExit: a wire handed to BroadcastOwnedAfter
-// comes back to the medium's pool exactly once, whichever way its send ends
-// — dropped because the sender stopped, not sent because the radio is off,
-// sent to nobody, or delivered, and then only after the handler has read it
-// — and the next Wire hands out that same array again.
+// or BroadcastOwned comes back to the medium's pool exactly once, whichever
+// way its send ends — dropped because the sender stopped, not sent because
+// the radio is off, sent to nobody, or delivered, and then only after the
+// handler has read it — and the next Wire hands out that same array again.
 func TestOwnedWireReturnsOnceOnEveryExit(t *testing.T) {
 	t.Parallel()
 	const body = "owned frame"
 	for _, tc := range []struct {
-		name                    string
-		live, enabled, neighbor bool
-		heard                   int
+		name                               string
+		live, enabled, neighbor, immediate bool
+		heard                              int
 	}{
-		{"dropped", false, true, true, 0},
-		{"disabled", true, false, true, 0},
-		{"nobody in range", true, true, false, 0},
-		{"delivered", true, true, true, 1},
+		{"dropped", false, true, true, false, 0},
+		{"disabled", true, false, true, false, 0},
+		{"nobody in range", true, true, false, false, 0},
+		{"delivered", true, true, true, false, 1},
+		{"immediate, disabled", true, false, true, true, 0},
+		{"immediate, nobody in range", true, true, false, true, 0},
+		{"immediate, delivered", true, true, true, true, 1},
 	} {
 		k := sim.NewKernel(1)
 		m := NewMedium(k, Config{Range: 50})
@@ -246,7 +249,11 @@ func TestOwnedWireReturnsOnceOnEveryExit(t *testing.T) {
 			})
 		}
 		live := tc.live
-		m.BroadcastOwnedAfter(time.Millisecond, sender, wire, nil, &live)
+		if tc.immediate {
+			m.BroadcastOwned(sender, wire)
+		} else {
+			m.BroadcastOwnedAfter(time.Millisecond, sender, wire, nil, &live)
+		}
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}

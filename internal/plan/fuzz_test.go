@@ -25,6 +25,8 @@ func FuzzPlanFile(f *testing.F) {
 		"name = \"a\"\nscenario = \"fig7-dapes\"\nseed = -9223372036854775808\n",
 		"name = \"\\\"\\n\\t\\\\\"\nscenario = \"fig7-dapes\"\n",
 		"name = \"a\"\nscenario = \"fig7-dapes\"\nseed = 1e308\n",
+		// A seeds axis: each cell runs at its seed coordinate.
+		"name = \"a\"\nscenario = \"fig7-dapes\"\n[grid]\nseeds = [5]\n",
 		"name = \"a\"\nscenario = \"fig7-dapes\"\ntrials = 1.5\n",
 		// Structural garbage.
 		"[", "]", "=", "\"", "[[]]", "{", "{}", "{\"a\":", "# only a comment\n",
@@ -60,9 +62,18 @@ func FuzzPlanFile(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("parsed plan fails Validate: %v", err)
 		}
+		// Cells are row-major over scenarios, seeds, nodes, ranges, loss and
+		// horizons: under a seeds axis a cell runs at its seed coordinate,
+		// without one at the seed derived from its index.
+		g := p.Grid
+		inner := len(g.Nodes) * len(g.Ranges) * len(g.Loss) * len(g.Horizons)
 		for i, c := range cells {
-			if c.Index != i || c.Seed != CellSeed(p.Seed, i) {
-				t.Fatalf("cell %d inconsistent: %+v", i, c)
+			seed := CellSeed(p.Seed, i)
+			if len(g.Seeds) > 0 {
+				seed = g.Seeds[i/inner%len(g.Seeds)]
+			}
+			if c.Index != i || c.Seed != seed || c.Scale.BaseSeed != seed {
+				t.Fatalf("cell %d inconsistent (want seed %d): %+v", i, seed, c)
 			}
 		}
 	})

@@ -204,17 +204,15 @@ func (d *DSR) discoveryTimeout(dst int, p *pendingDiscovery) {
 	d.launchDiscovery(dst, p)
 }
 
-func (d *DSR) markSeen(origin, id int) bool {
+// markSeen records route request id of origin as seen: onFrame drops its
+// flood from then on.
+func (d *DSR) markSeen(origin, id int) {
 	set, ok := d.seenReq[origin]
 	if !ok {
 		set = make(map[int]bool)
 		d.seenReq[origin] = set
 	}
-	if set[id] {
-		return false
-	}
 	set[id] = true
-	return true
 }
 
 // sendAlong transmits a source-routed data frame along hops (hops[0] is the
@@ -260,9 +258,13 @@ func (d *DSR) onFrame(fr phy.Frame) {
 	if err != nil {
 		return
 	}
-	// Unicasts overheard on their way through someone else are dropped
-	// before their source route is materialised.
+	// Unicasts overheard on their way through someone else, and route
+	// requests whose flood already passed here, are dropped before their
+	// source route is materialised.
 	if (f.Proto == protoRREP || f.Proto == protoData) && f.NextHop != d.id {
+		return
+	}
+	if f.Proto == protoRREQ && len(f.Payload) >= 4 && d.seenReq[f.Src][getI32(f.Payload)] {
 		return
 	}
 	f.decodeRoute()
@@ -286,9 +288,7 @@ func (d *DSR) handleRREQ(f frame) {
 	if indexOf(f.Route, d.id) >= 0 {
 		return // already on the path
 	}
-	if !d.markSeen(f.Src, reqID) {
-		return // duplicate flood
-	}
+	d.markSeen(f.Src, reqID) // onFrame dropped the flood if it was seen before
 	route := append(append([]int(nil), f.Route...), d.id)
 	if f.Dst == d.id {
 		// Answer along the reverse of the accumulated route.
