@@ -81,6 +81,9 @@ type Peer struct {
 	pieceSize int
 	have      *bitmap.Bitmap
 	peers     map[int]*peerInfo
+	// gone holds the records forget dropped, bitmaps and all, for onHello
+	// to reuse for the next new peer.
+	gone      []*peerInfo
 	inflight  map[int]*pieceTimeout // piece -> timeout record
 	piecePool []*pieceTimeout       // reusable timeout records
 	resp      []byte                // scratch piece response (onReliable)
@@ -276,7 +279,7 @@ func (p *Peer) onHello(payload []byte) {
 	hops := helloTTL - ttl + 1
 	if info, ok := p.peers[origin]; !ok || seq >= p.helloSeqOf(origin) {
 		if !ok {
-			info = &peerInfo{id: origin}
+			info = p.newPeerInfo(origin)
 			p.peers[origin] = info
 		}
 		if info.bm == nil || info.bm.Len() != n {
@@ -311,10 +314,25 @@ func (p *Peer) expirePeers() {
 	}
 }
 
-// forget drops a peer from the swarm view.
+// forget drops a peer from the swarm view and keeps its record for reuse.
 func (p *Peer) forget(info *peerInfo) {
 	p.unrank(info)
 	delete(p.peers, info.id)
+	p.gone = append(p.gone, info)
+}
+
+// newPeerInfo returns a blank record for a newly heard peer: one forget
+// dropped, keeping its bitmap for onHello to decode into, or a new one.
+func (p *Peer) newPeerInfo(id int) *peerInfo {
+	last := len(p.gone) - 1
+	if last < 0 {
+		return &peerInfo{id: id}
+	}
+	info := p.gone[last]
+	p.gone[last] = nil
+	p.gone = p.gone[:last]
+	*info = peerInfo{id: id, bm: info.bm}
+	return info
 }
 
 // rank brings the selection state up to date with info's latest HELLO: a

@@ -259,3 +259,36 @@ func TestHelloReheardDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a TTL-1 HELLO was relayed (%d relays, %d events pending)", p.stats.HellosRelayed, k.Pending())
 	}
 }
+
+// TestForgottenPeerReheardDoesNotAllocate: a peer the swarm view forgot and
+// then hears again takes back a forgotten record, its bitmap and a removed
+// rarity member's copy, and costs no object.
+func TestForgottenPeerReheardDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	k := sim.NewKernel(1)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	p := NewPeer(k, medium, geo.Stationary{})
+	p.Seed(200, 10) // nothing to fetch: pump returns at once
+	p.running = true
+	bms := [2]*bitmap.Bitmap{randomBitmap(rng, 200, 0.3), randomBitmap(rng, 200, 0.6)}
+	hellos := [2][]byte{helloFrame(1, 1, 1, bms[0]), helloFrame(2, 1, 1, bms[1])}
+	p.onHello(hellos[0])
+	p.onHello(hellos[1])
+	heard := 0
+	avg := testing.AllocsPerRun(200, func() {
+		heard = 1 - heard
+		p.forget(p.peers[1+heard])
+		p.onHello(hellos[heard])
+	})
+	if avg != 0 {
+		t.Errorf("forgetting a peer and hearing it again allocates %.2f objects, want 0", avg)
+	}
+	for i, bm := range bms {
+		if info := p.peers[1+i]; info == nil || !info.ranked || info.id != 1+i || !reflect.DeepEqual(info.bm, bm) {
+			t.Fatalf("peer %d after being forgotten and heard again: %+v, want ranked with its bitmap", 1+i, info)
+		}
+	}
+	if p.rarity.Len() != 2 {
+		t.Fatalf("%d rarity members, want 2", p.rarity.Len())
+	}
+}

@@ -215,6 +215,9 @@ type Rarity struct {
 	missby  []int // missby[i] = number of member bitmaps with bit i clear
 	members map[int]*Bitmap
 	full    *Bitmap // all ones: a member missing nothing counts nowhere
+	// spare holds removed members' copies, each reset to full, for Put to
+	// reuse.
+	spare []*Bitmap
 }
 
 // NewRarity returns a rarity counter over n packets.
@@ -231,7 +234,13 @@ func (r *Rarity) Put(id int, b *Bitmap) error {
 	}
 	m, ok := r.members[id]
 	if !ok {
-		m = r.full.Clone()
+		if last := len(r.spare) - 1; last >= 0 {
+			m = r.spare[last]
+			r.spare[last] = nil
+			r.spare = r.spare[:last]
+		} else {
+			m = r.full.Clone()
+		}
 		r.members[id] = m
 	}
 	r.move(m, b)
@@ -243,6 +252,7 @@ func (r *Rarity) Remove(id int) {
 	if m, ok := r.members[id]; ok {
 		r.move(m, r.full)
 		delete(r.members, id)
+		r.spare = append(r.spare, m)
 	}
 }
 

@@ -325,6 +325,19 @@ func TestRarity(t *testing.T) {
 		t.Fatalf("Len after remove = %d", r.Len())
 	}
 	check(1, 0, 1, 1)
+
+	// A new member takes the removed member's copy, reset to full, and
+	// counts only what it misses itself.
+	if len(r.spare) != 1 {
+		t.Fatalf("%d spare copies after one removal, want 1", len(r.spare))
+	}
+	if err := r.Put(5, mk(3)); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.spare) != 0 || r.Len() != 3 {
+		t.Fatalf("after a new member: %d spare copies, Len %d; want 0, 3", len(r.spare), r.Len())
+	}
+	check(2, 1, 2, 1)
 }
 
 // setBelowLen counts the bits of b set below its length, one Test at a time:

@@ -38,11 +38,14 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= r.Width && p.Y >= 0 && p.Y <= r.Height
 }
 
-// Clamp returns p clamped into the rectangle.
+// Clamp returns p clamped into the rectangle. The builtin min and max are
+// inlined where math.Min and math.Max are not, and return what they return
+// bit for bit, ±0 and ±Inf included, but for which NaN a NaN coordinate
+// gives (TestClampMatchesMathMinMax).
 func (r Rect) Clamp(p Point) Point {
 	return Point{
-		X: math.Max(0, math.Min(r.Width, p.X)),
-		Y: math.Max(0, math.Min(r.Height, p.Y)),
+		X: max(0, min(r.Width, p.X)),
+		Y: max(0, min(r.Height, p.Y)),
 	}
 }
 

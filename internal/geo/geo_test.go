@@ -47,6 +47,45 @@ func TestRectContainsAndClamp(t *testing.T) {
 	}
 }
 
+// TestClampMatchesMathMinMax: Clamp, on the builtin min and max, returns
+// bit for bit what math.Max(0, math.Min(side, v)) returns on each axis —
+// signed zeros, infinities, subnormals and values one ulp either side of the
+// rectangle's edges included — and a NaN wherever that returns one. The spec
+// makes the builtins' result NaN, not which NaN: math.Min returns the
+// canonical one, and amd64's min ORs its operands' bits (min(300, NaN) is
+// 0x7ffac00000000001). The sides are a rectangle's, never NaN: with a NaN
+// side the two part ways on a −Inf coordinate, as math.Min(NaN, −Inf) is
+// −Inf and the builtin's NaN.
+func TestClampMatchesMathMinMax(t *testing.T) {
+	t.Parallel()
+	negZero := math.Copysign(0, -1)
+	tiny := math.SmallestNonzeroFloat64
+	values := []float64{
+		0, negZero, math.NaN(), math.Inf(1), math.Inf(-1),
+		tiny, -tiny, 0x1p-1023, -0x1p-1023,
+		1, -1, 300, math.Nextafter(300, 0), math.Nextafter(300, 400), -300,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	sides := []float64{0, negZero, tiny, 300, -300, math.MaxFloat64, math.Inf(1)}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, w := range sides {
+		for _, h := range sides {
+			r := Rect{Width: w, Height: h}
+			for _, x := range values {
+				for _, y := range values {
+					got := r.Clamp(Point{X: x, Y: y})
+					wantX, wantY := math.Max(0, math.Min(w, x)), math.Max(0, math.Min(h, y))
+					if !same(got.X, wantX) || !same(got.Y, wantY) {
+						t.Fatalf("Rect{%v %v}.Clamp(%v, %v) = (%v, %v), want (%v, %v)", w, h, x, y, got.X, got.Y, wantX, wantY)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStationary(t *testing.T) {
 	t.Parallel()
 	s := Stationary{At: Point{5, 7}}

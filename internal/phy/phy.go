@@ -16,7 +16,12 @@
 // test decides membership in both, over ascending IDs, so the same events in
 // the same order. The golden-trace suite (internal/experiment,
 // TestGridMatchesNaiveTrace and TestGridMatchesNaiveAtDriftBoundary here)
-// enforces it. See docs/PERFORMANCE.md.
+// enforces it. A radio that sends again within one drift window answers
+// from a neighbour list of its own instead (a Verlet list: the radios within
+// the range plus a skin, in ID order, and their distances when it was
+// built), which settles most entries by a bound on how far both ends can
+// have moved and leaves only those near the edge to the exact test. See
+// docs/PERFORMANCE.md.
 //
 // Delivery follows the zero-copy wire path: one broadcast creates one
 // immutable frame whose NDN parse is memoized (Frame.Packet), so the k
@@ -173,12 +178,43 @@ type transmission struct {
 	room ndn.Room
 }
 
+// skin is the neighbour lists' margin as a fraction of the range: a list
+// holds the radios within Range·(1+2·skin) of its sender and answers while
+// neither end can have moved more than skin·Range since it was built, so no
+// radio outside it can have come within Range.
+const skin = 1.0 / 8
+
+// neighbourList is a radio's neighbour list: every radio within
+// Range·(1+2·skin) + eps of it at time at, in ascending ID order, built while
+// the medium held attached radios — once another is attached, the list lacks
+// it and answers no more. eps is the rounding margin its bounds carry
+// (gridReach's, for its radius and position).
+type neighbourList struct {
+	at       time.Duration
+	attached int
+	eps      float64
+	nbrs     []neighbour
+}
+
+// neighbour is one entry of a neighbour list: a radio and its distance from
+// the list's owner when the list was built.
+type neighbour struct {
+	rx *Radio
+	d0 float64
+}
+
 // Radio is one node's attachment to the medium.
 type Radio struct {
 	// id is the radio's identity: its slot in m.radios, its grid key and
 	// what the wire carries (Frame.From).
 	id      int
 	enabled bool
+	// looked marks a radio that has asked for its receivers before, last at
+	// lookedAt: only a lookup within one drift window of the last builds a
+	// neighbour list, so a radio that sends once never holds one.
+	looked   bool
+	lookedAt time.Duration
+	list     *neighbourList
 	// leg is the stretch of the mobility model's path the radio was last
 	// placed on (relocate). Every position the medium needs is evaluated from
 	// it inline, and the model is asked again only once the clock has left
@@ -390,6 +426,11 @@ func (m *Medium) syncGrid(now time.Duration) {
 // and order the naive full scan produces, so both index modes schedule
 // identical receptions in the same order. The returned
 // slice is scratch owned by the medium, valid until the next call.
+//
+// On the grid a sender with a valid neighbour list answers from it; one
+// whose last lookup lies within a drift window builds one; any other
+// lookup — a sender's first, one after a longer silence, or any while a
+// radio without a speed bound is attached — asks the grid alone.
 func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	m.cand = m.cand[:0]
 	if m.grid == nil {
@@ -406,6 +447,16 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	now := m.kernel.Now()
 	m.syncGrid(now)
 	center := sender.at(now)
+	if len(m.unbounded) == 0 {
+		repeat := sender.looked && m.inWindow(sender.lookedAt, now)
+		sender.looked, sender.lookedAt = true, now
+		if l := sender.list; l != nil && l.attached == len(m.radios) && m.inWindow(l.at, now) {
+			return m.fromList(l, center, now)
+		}
+		if repeat {
+			return m.buildList(sender, center, now)
+		}
+	}
 	r := m.gridReach(center, m.maxSpeed*(now-m.lastSync).Seconds())
 	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
 	for _, id := range m.candIDs {
@@ -415,6 +466,74 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 		if rx != sender && center.Distance(rx.at(now)) <= m.cfg.Range && rx.enabled {
 			m.cand = append(m.cand, rx)
 		}
+	}
+	return m.cand
+}
+
+// inWindow reports whether a neighbour list built at t0 still answers at now:
+// no radio can have moved more than skin·Range since.
+func (m *Medium) inWindow(t0, now time.Duration) bool {
+	return m.maxSpeed*(now-t0).Seconds() <= skin*m.cfg.Range
+}
+
+// buildList makes sender's neighbour list from one grid query widened by the
+// skin — every radio whose position now is within Range·(1+2·skin) + ε of
+// center, with its distance — and answers the lookup from it with the exact
+// test. ε is gridReach's margin for that radius, so a radio the list leaves
+// out is more than Range + ε away once either end has moved skin·Range.
+func (m *Medium) buildList(sender *Radio, center geo.Point, now time.Duration) []*Radio {
+	wide := m.cfg.Range * (1 + 2*skin)
+	eps := 1e-9 * (wide + math.Abs(center.X) + math.Abs(center.Y))
+	r := m.gridReach(center, wide+eps-m.cfg.Range+m.maxSpeed*(now-m.lastSync).Seconds())
+	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])
+	l := sender.list
+	if l == nil {
+		l = &neighbourList{}
+		sender.list = l
+	}
+	if cap(l.nbrs) < len(m.candIDs) {
+		l.nbrs = make([]neighbour, 0, len(m.candIDs))
+	}
+	nbrs := l.nbrs[:0]
+	for _, id := range m.candIDs {
+		rx := m.radios[id]
+		if rx == sender {
+			continue
+		}
+		d := center.Distance(rx.at(now))
+		if d > wide+eps {
+			continue
+		}
+		nbrs = append(nbrs, neighbour{rx: rx, d0: d})
+		if d <= m.cfg.Range && rx.enabled {
+			m.cand = append(m.cand, rx)
+		}
+	}
+	l.at, l.attached, l.eps, l.nbrs = now, len(m.radios), eps, nbrs
+	return m.cand
+}
+
+// fromList answers a lookup from a sender's valid neighbour list l; center
+// is the sender's position now. Each end has moved at most
+// maxSpeed·(now−l.at) since an entry's distance d0, so an entry within Range
+// by that drift twice over (plus the list's ε) is in range without a
+// position, one beyond it is out, and only the rest are placed and given the
+// exact test.
+func (m *Medium) fromList(l *neighbourList, center geo.Point, now time.Duration) []*Radio {
+	drift := 2*m.maxSpeed*(now-l.at).Seconds() + l.eps
+	for _, n := range l.nbrs {
+		rx := n.rx
+		if !rx.enabled {
+			continue
+		}
+		switch {
+		case n.d0+drift <= m.cfg.Range:
+		case n.d0-drift > m.cfg.Range:
+			continue
+		case center.Distance(rx.at(now)) > m.cfg.Range:
+			continue
+		}
+		m.cand = append(m.cand, rx)
 	}
 	return m.cand
 }

@@ -289,7 +289,9 @@ func (d *DSR) handleRREQ(f frame) {
 		return // already on the path
 	}
 	d.markSeen(f.Src, reqID) // onFrame dropped the flood if it was seen before
-	route := append(append([]int(nil), f.Route...), d.id)
+	// Into decodeRoute's spare slot: nothing has kept f.Route, and route has
+	// no capacity left for the cached-route reply's append to write into.
+	route := append(f.Route, d.id)
 	if f.Dst == d.id {
 		// Answer along the reverse of the accumulated route.
 		d.routes[f.Src] = cachedRoute{hops: reverse(route), since: d.k.Now()}

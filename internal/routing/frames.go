@@ -127,12 +127,15 @@ func decodeFrame(b []byte) (frame, error) {
 }
 
 // decodeRoute materialises a decoded frame's route record into Route — the
-// frame's one owned allocation, which handlers are free to keep.
+// frame's one owned allocation, which handlers are free to keep. Its one
+// spare slot past the last hop is for a route request's receiver to append
+// itself in place.
 func (f *frame) decodeRoute() {
 	if len(f.routeWire) == 0 {
 		return
 	}
-	f.Route = make([]int, len(f.routeWire)/4)
+	n := len(f.routeWire) / 4
+	f.Route = make([]int, n, n+1)
 	for i := range f.Route {
 		f.Route[i] = getI32(f.routeWire[4*i:])
 	}
