@@ -1,8 +1,11 @@
 // Command dapes-plan is the declarative sweep harness. `dapes-plan run`
 // executes a plan file (a TOML subset, see docs/EXPERIMENTS.md "Plan
-// files"): the named scenario runs at every grid cell, cells fan
-// across a worker pool, per-cell results stream as JSON-lines, and a run
-// report (grid table + best/worst cells per optimize target) follows.
+// files"): the named scenarios run at every grid cell, cells fan across a
+// worker pool, per-cell results stream as JSON-lines, and the run report
+// follows: the grid table and, with a seeds axis, each configuration's
+// median and quartiles over the seeds. Every cell is labelled with what it
+// ran: a range or loss rate its scenario's world fixes shows the declared
+// value, not the grid's.
 //
 // Determinism contract: a plan run's output is byte-identical for any
 // -workers value — cell c's trials seed from TrialSeed(CellSeed(seed, c),

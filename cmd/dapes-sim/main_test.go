@@ -56,6 +56,9 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-scenario", "fig8a-carrier", "-range", "20"}, "-scenario fig8a-carrier ignores -range"},
 		{[]string{"-scenario", "fig8b-repository", "-range", "50"}, "-scenario fig8b-repository ignores -range"},
 		{[]string{"-scenario", "fig8c-mobile", "-range", "100", "-peba"}, "-scenario fig8c-mobile ignores -peba, -range"},
+		// partitioned-merge lays its clusters out in units of the range, so
+		// every -range ran the same trial under another label.
+		{[]string{"-scenario", "partitioned-merge", "-range", "90"}, "-scenario partitioned-merge ignores -range"},
 	} {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -71,10 +74,26 @@ func TestRejectsMisreadInputs(t *testing.T) {
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("dapes-sim -shards 4 left an output file behind (stat: %v)", err)
 	}
-	// The accepted spellings still run.
-	for _, strategy := range []string{"local", "encounter"} {
-		if err := run(append([]string{"-strategy", strategy}, tiny...)); err != nil {
-			t.Errorf("-strategy %s: %v", strategy, err)
+	// The accepted spellings still run, and a run is labelled with the
+	// range its world ran at: a Fig.-8 world's own 50 m, not the -range
+	// default of 60 it used to print.
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the JSON output
+	}{
+		{[]string{"-strategy", "local"}, `"range_m": 60`},
+		{[]string{"-strategy", "encounter"}, `"range_m": 60`},
+		{[]string{"-scenario", "fig8a-carrier"}, `"range_m": 50`},
+		{[]string{"-scenario", "fig8b-repository"}, `"range_m": 50`},
+		{[]string{"-scenario", "fig8c-mobile"}, `"range_m": 50`},
+	} {
+		out := filepath.Join(t.TempDir(), "out.json")
+		if err := run(append(append(tc.args, tiny...), "-horizon", "2m", "-format", "json", "-o", out)); err != nil {
+			t.Errorf("dapes-sim %v: %v", tc.args, err)
+			continue
+		}
+		if b, err := os.ReadFile(out); err != nil || !strings.Contains(string(b), tc.want) {
+			t.Errorf("dapes-sim %v: output %q (err %v), want one containing %s", tc.args, b, err, tc.want)
 		}
 	}
 }

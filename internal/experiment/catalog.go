@@ -1,21 +1,33 @@
 package experiment
 
-import "dapes/internal/core"
+import (
+	"dapes/internal/core"
+	"dapes/internal/phy"
+)
 
 // This file is the scenario catalog: every workload the repository can run
 // is one entry of the table below. docs/EXPERIMENTS.md describes each entry
 // in test-plan form; TestCatalogMatchesExperimentsDoc holds the two to the
-// same set of names.
+// same set of names. TestEveryAxisMovesItsWorld holds each entry's Fixed to
+// what its world reads.
 
-// outdoorFixed is what the Fig.-8 outdoor worlds set for themselves
-// (newOutdoorWorld): a 50 m radio range at 5% loss, their own peers, and
-// their own positions, so no area.
-var outdoorFixed = []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea}
+// outdoor is what the Fig.-8 outdoor worlds set for themselves
+// (newOutdoorWorld builds its medium from it): the MacBooks' ~50 m range at
+// 5% loss, their own peers, and their own positions, so no area.
+var outdoor = Fixed{
+	Axes:  []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea},
+	Radio: phy.Config{Range: 50, LossRate: 0.05},
+}
+
+// merging is what partitioned-merge sets for itself: its clusters sit and
+// walk in units of the radio range, so every range runs the same trial, and
+// it runs at 60 m; it places its peers itself, so no area.
+var merging = Fixed{Axes: []Axis{AxisRange, AxisArea}, Radio: phy.Config{Range: 60}}
 
 // feasibilityTrial adapts a Fig.-8 outdoor run (which reports a Table-I
 // ScenarioResult for the whole world) to the catalog's per-trial shape.
-// The Fig.-8 worlds fix their own radio range (outdoorFixed), so the
-// runner's wifiRange is ignored, and apply no fault plan, so one is refused.
+// The Fig.-8 worlds fix their own radio range (outdoor), so the runner's
+// wifiRange is ignored, and apply no fault plan, so one is refused.
 func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc {
 	return func(s Scale, _ float64, trial int) (TrialResult, error) {
 		if err := refuseFaults(s); err != nil {
@@ -83,6 +95,8 @@ var catalog = []*Scenario{
 		Name:    "convoy-churn",
 		Summary: "Producer-led convoy on a 1.5 km road with rider dropouts and late joiners",
 		Run:     convoyChurnTrial,
+		// The convoy rides a road of its own.
+		Fixed: Fixed{Axes: []Axis{AxisArea}},
 	},
 	{
 		Name:    "fig7-bithoc",
@@ -103,24 +117,25 @@ var catalog = []*Scenario{
 		Name:    "fig8a-carrier",
 		Summary: "Fig.-8a outdoor run: data carrier shuttles between three disconnected segments",
 		Run:     feasibilityTrial(Scenario1Carrier),
-		Fixed:   outdoorFixed,
+		Fixed:   outdoor,
 	},
 	{
 		Name:    "fig8b-repository",
 		Summary: "Fig.-8b outdoor run: producer uploads to a stationary repo, peers fetch later",
 		Run:     feasibilityTrial(Scenario2Repo),
-		Fixed:   outdoorFixed,
+		Fixed:   outdoor,
 	},
 	{
 		Name:    "fig8c-mobile",
 		Summary: "Fig.-8c outdoor run: four peers with transient multi-hop chains",
 		Run:     feasibilityTrial(Scenario3Mobile),
-		Fixed:   outdoorFixed,
+		Fixed:   outdoor,
 	},
 	{
 		Name:    "partitioned-merge",
 		Summary: "Two clusters beyond radio reach merge a third into the horizon",
 		Run:     partitionedMergeTrial,
+		Fixed:   merging,
 	},
 	{
 		Name:    "urban-grid",
@@ -131,6 +146,8 @@ var catalog = []*Scenario{
 		Name:    "urban-grid-chaos",
 		Summary: "urban-grid under churn: crashes with cold restarts over a bursty Gilbert-Elliott channel",
 		Run:     atScale(urbanGridChaosScale),
+		// Its fault plan's Gilbert-Elliott channel replaces the i.i.d. loss.
+		Fixed: Fixed{Axes: []Axis{AxisLoss}, Bursty: true},
 	},
 	{
 		Name:    "urban-grid-xl",

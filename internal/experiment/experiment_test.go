@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"time"
+
+	"dapes/internal/sim"
 )
 
 // tinyScale keeps unit tests fast.
@@ -142,5 +146,23 @@ func TestScalePresets(t *testing.T) {
 	}
 	if FullScale().TotalPackets() != 10240 {
 		t.Fatalf("full scale packets = %d, want 10240 (10 x 1MB / 1KB)", FullScale().TotalPackets())
+	}
+}
+
+// TestContentFillIsMathRandRead: the collection's content is what
+// math/rand's Read over the same stream wrote, across buffers of every
+// length around a draw's seven bytes, leftover bytes carried between them.
+func TestContentFillIsMathRandRead(t *testing.T) {
+	t.Parallel()
+	ref := sim.NewStream(7, 0, sim.PurposeContent)
+	rng := rand.New(&ref)
+	fill := contentFill{stream: sim.NewStream(7, 0, sim.PurposeContent)}
+	for n := 0; n < 40; n++ {
+		want, got := make([]byte, n), make([]byte, n)
+		rng.Read(want)
+		fill.read(got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("buffer of %d bytes: got %x, want %x", n, got, want)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"dapes/internal/phy"
 )
 
 // TrialSeed derives the deterministic seed for one trial from the scale's
@@ -39,10 +41,24 @@ type Scenario struct {
 	Summary string
 	// Run executes one trial. See TrialFunc for the determinism contract.
 	Run TrialFunc
-	// Fixed lists the inputs the scenario's world sets for itself and so
-	// never reads. A CLI flag or a plan grid axis that sets one is refused
-	// for the scenario rather than run under a label that never ran.
-	Fixed []Axis
+	// Fixed declares what the scenario's world sets for itself. A CLI flag
+	// or a plan key that sets a fixed input is refused for the scenario, and
+	// a label of one shows the declared value, never the runner's.
+	Fixed Fixed
+}
+
+// Fixed is the one declaration of the inputs a world sets for itself and so
+// never reads from the runner or the scale, and of the values it runs them
+// at.
+type Fixed struct {
+	// Axes are the inputs the world sets for itself.
+	Axes []Axis
+	// Radio is the range and the loss rate the world runs at, for those of
+	// AxisRange and AxisLoss that Axes holds.
+	Radio phy.Config
+	// Bursty marks a fixed loss the world draws from a bursty channel of
+	// its own: it runs at no one loss rate, so no label shows one.
+	Bursty bool
 }
 
 // Axis is a trial input that a runner sets and a world may fix. The zero
@@ -67,7 +83,29 @@ func (a Axis) String() string { return axisNames[a] }
 
 // Fixes reports whether the scenario's world fixes axis a.
 func (s *Scenario) Fixes(a Axis) bool {
-	return slices.Contains(s.Fixed, a)
+	return slices.Contains(s.Fixed.Axes, a)
+}
+
+// Range is the range a trial of the scenario runs at when the runner sets
+// wifiRange: the declared one if the world fixes its range.
+func (s *Scenario) Range(wifiRange float64) float64 {
+	if s.Fixes(AxisRange) {
+		return s.Fixed.Radio.Range
+	}
+	return wifiRange
+}
+
+// Loss is the loss rate a trial of the scenario runs at when the scale sets
+// lossRate: the declared one if the world fixes its loss. ok is false for a
+// world that draws its loss from a bursty channel of its own.
+func (s *Scenario) Loss(lossRate float64) (rate float64, ok bool) {
+	switch {
+	case s.Fixed.Bursty:
+		return 0, false
+	case s.Fixes(AxisLoss):
+		return s.Fixed.Radio.LossRate, true
+	}
+	return lossRate, true
 }
 
 // Find returns the catalog scenario named name, or a descriptive error

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -131,5 +132,62 @@ func TestUrbanGridScalesNodeCount(t *testing.T) {
 	}
 	if tr.Completed < tr.Downloaders/2 {
 		t.Fatalf("only %d/%d completed in the dense grid", tr.Completed, tr.Downloaders)
+	}
+}
+
+// TestEveryAxisMovesItsWorld: a world reads every input it does not declare
+// fixed, and none it does. Each catalog scenario runs one trial at seed 1
+// and a small scale, then again with the range, the loss rate, the node mix
+// and the area changed one at a time: an axis in the scenario's Fixed must
+// leave the trial's result byte for byte as it was, and every other axis
+// must change it. A fixed axis a world reads would run under a label it
+// never declared; an undeclared axis it ignores would label identical runs
+// with different values.
+func TestEveryAxisMovesItsWorld(t *testing.T) {
+	t.Parallel()
+	base := tinyScale()
+	base.NumFiles = 1
+	base.Horizon = 2 * time.Minute
+	// Enough peers that a doubled mix moves the clustered scenarios'
+	// cluster size, (stationary + mobile downloaders) / 4, off its floor of 3.
+	base.Stationary, base.MobileDown, base.PureForwarders, base.Intermediates = 2, 12, 2, 2
+	const baseRange = 60.0
+	perturb := []struct {
+		axis  Axis
+		apply func(s *Scale, wifiRange *float64)
+	}{
+		{AxisRange, func(_ *Scale, r *float64) { *r = 90 }},
+		{AxisLoss, func(s *Scale, _ *float64) { s.LossRate = 0.3 }},
+		{AxisNodes, func(s *Scale, _ *float64) {
+			s.Stationary, s.MobileDown, s.PureForwarders, s.Intermediates =
+				2*s.Stationary, 2*s.MobileDown, 2*s.PureForwarders, 2*s.Intermediates
+		}},
+		// No scenario's own arena edge (300, 450 or 900 m, or urban-metro's
+		// density-preserving side).
+		{AxisArea, func(s *Scale, _ *float64) { s.AreaSide = 520 }},
+	}
+	for _, sc := range Scenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			trial := func(s Scale, wifiRange float64) string {
+				tr, err := sc.Run(s, wifiRange, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%+v", tr)
+			}
+			want := trial(base, baseRange)
+			for _, p := range perturb {
+				s, r := base, baseRange
+				p.apply(&s, &r)
+				got := trial(s, r)
+				switch moved := got != want; {
+				case sc.Fixes(p.axis) && moved:
+					t.Errorf("declares its %s fixed, but changing it moves the trial:\n got %s\nwant %s", p.axis, got, want)
+				case !sc.Fixes(p.axis) && !moved:
+					t.Errorf("reads its %s (not in Fixed), but changing it leaves the trial as it was: %s", p.axis, got)
+				}
+			}
+		})
 	}
 }

@@ -21,7 +21,8 @@ type Runner struct{}
 type RunResult struct {
 	// Scenario is the catalog name (empty for ad-hoc runs).
 	Scenario string
-	// Range is the WiFi range the trials ran at, in meters.
+	// Range is the WiFi range the trials ran at, in meters: the world's
+	// own where it fixes its range (Scenario.Range), not the runner's.
 	Range float64
 	// Seed is the base seed the per-trial seeds derive from.
 	Seed int64
@@ -77,7 +78,7 @@ func (Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
 	dt, tx := aggregate(trials)
 	return RunResult{
 		Scenario:        sc.Name,
-		Range:           wifiRange,
+		Range:           sc.Range(wifiRange),
 		Seed:            s.BaseSeed,
 		Workers:         workers,
 		Trials:          trials,

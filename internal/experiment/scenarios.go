@@ -6,7 +6,6 @@ import (
 
 	"dapes/internal/core"
 	"dapes/internal/geo"
-	"dapes/internal/phy"
 	"dapes/internal/repo"
 )
 
@@ -32,14 +31,12 @@ type ScenarioResult struct {
 	Completed  bool
 }
 
-// newOutdoorWorld is the world of one Fig.-8 outdoor run at seed: the
-// MacBooks' ~50 m range at a fixed 5% loss, and the real-world runs' peer
-// config (local-neighborhood RPF with interleaved advertisements, Section
-// VI-B2, forwarding at 40%). Each run places its own handful of peers, so
-// of the scale it reads only the collection size, the horizon and the
-// engine: the runner's range and the scale's loss, node mix and area side
-// are ignored, and a plan cell labelled with a loss or node multiplier
-// runs the same world as its neighbours.
+// newOutdoorWorld is the world of one Fig.-8 outdoor run at seed: the radio
+// the catalog declares for it (outdoor: the MacBooks' ~50 m range at 5%
+// loss), and the real-world runs' peer config (local-neighborhood RPF with
+// interleaved advertisements, Section VI-B2, forwarding at 40%). Each run
+// places its own handful of peers, so of the scale it reads only the
+// collection size, the horizon and the engine.
 //
 // Its catalog trial (fig8a/b/c) reports the world as one downloader:
 // completed is 1 only when every downloader finished, the download time is
@@ -47,7 +44,7 @@ type ScenarioResult struct {
 // the producer (and fig8b's repository) beside the downloaders.
 func newOutdoorWorld(s Scale, seed int64) *dapesWorld {
 	return &dapesWorld{
-		world: newWorld(seed, phy.Config{Range: 50, LossRate: 0.05}, s.Engine, s.Horizon),
+		world: newWorld(seed, outdoor.Radio, s.Engine, s.Horizon),
 		cfg: core.Config{
 			Strategy:    core.LocalNeighborhoodRPF,
 			RandomStart: true,

@@ -60,10 +60,11 @@ func ringPositions(center geo.Point, radius float64, n int) []geo.Point {
 // finish early; cluster B peers can only complete after the merge, so the
 // scenario stresses advertisement exchange and RPF restart on a healed
 // partition.
-func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+func partitionedMergeTrial(s Scale, _ float64, trial int) (TrialResult, error) {
 	if err := refuseFaults(s); err != nil {
 		return TrialResult{}, err
 	}
+	wifiRange := merging.Radio.Range
 	n := clusterSize(s)
 	radius := wifiRange * 0.35
 	centerA := geo.Point{X: 2 * wifiRange, Y: 2 * wifiRange}

@@ -2,8 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
@@ -88,12 +88,11 @@ func newFig7World(s Scale, wifiRange float64, trial int) (*world, placement) {
 // buildCollection generates the image-file workload: NumFiles files of
 // PacketsPerFile packets with pseudo-random (incompressible) content.
 func buildCollection(s Scale, seed int64) (*metadata.BuildResult, error) {
-	stream := sim.NewStream(seed, 0, sim.PurposeContent)
-	rng := rand.New(&stream)
+	fill := contentFill{stream: sim.NewStream(seed, 0, sim.PurposeContent)}
 	files := make([]metadata.File, s.NumFiles)
 	for i := range files {
 		content := make([]byte, s.PacketsPerFile*s.PacketSize)
-		rng.Read(content)
+		fill.read(content)
 		files[i] = metadata.File{
 			Name:    fmt.Sprintf("image-%03d", i),
 			Content: content,
@@ -101,6 +100,34 @@ func buildCollection(s Scale, seed int64) (*metadata.BuildResult, error) {
 	}
 	collection := ndn.ParseName(fmt.Sprintf("/field-report-%d", 1533783192+seed))
 	return metadata.BuildCollection(collection, files, s.PacketSize, metadata.FormatPacketDigest, nil)
+}
+
+// contentFill fills buffers from a stream as math/rand's Read does, so the
+// content is byte for byte what it has always been: seven bytes per Int63,
+// low byte first, and a draw's unused bytes open the next buffer.
+type contentFill struct {
+	stream sim.Stream
+	val    uint64 // the last draw's unused bytes, next one lowest
+	left   int    // how many there are
+}
+
+func (f *contentFill) read(p []byte) {
+	for len(p) > 0 {
+		if f.left == 0 {
+			if len(p) >= 8 {
+				// A whole draw in one store: the next byte written
+				// overwrites its eighth.
+				binary.LittleEndian.PutUint64(p, uint64(f.stream.Int63()))
+				p = p[7:]
+				continue
+			}
+			f.val, f.left = uint64(f.stream.Int63()), 7
+		}
+		p[0] = byte(f.val)
+		f.val >>= 8
+		f.left--
+		p = p[1:]
+	}
 }
 
 // smallCollection builds a trivially small collection for scenario tests.

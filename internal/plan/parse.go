@@ -122,7 +122,6 @@ var topKeys = []key[planFile]{
 	{name: "name", field: func(f *planFile) any { return &f.plan.Name }},
 	{name: "scenario", field: func(f *planFile) any { return &f.scenario }},
 	{name: "summary", field: func(f *planFile) any { return &f.plan.Summary }},
-	{name: "optimize", field: func(f *planFile) any { return &f.plan.Optimize }},
 	{name: "trials", field: func(f *planFile) any { return &f.plan.Trials }},
 	{name: "seed", field: func(f *planFile) any { return &f.plan.Seed }},
 	{name: "grid", field: func(f *planFile) any { return &f.grid }},
@@ -288,8 +287,6 @@ func (d *decoder) store(at string, v any, dst any) {
 		list(d, at, v, dst, asFloat)
 	case *[]time.Duration:
 		list(d, at, v, dst, asDuration)
-	case *[]Target:
-		list(d, at, v, dst, asTarget)
 	default:
 		panic(fmt.Sprintf("plan: key %s stores into %T", at, dst))
 	}
@@ -365,14 +362,6 @@ func asDuration(v any) (time.Duration, error) {
 		return 0, fmt.Errorf("expected a duration string like \"90s\", got %v (%T)", v, v)
 	}
 	return time.ParseDuration(s)
-}
-
-func asTarget(v any) (Target, error) {
-	s, err := asString(v)
-	if err != nil {
-		return Target{}, err
-	}
-	return parseTarget(s)
 }
 
 func asTable(v any) (map[string]any, error) {

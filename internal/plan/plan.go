@@ -1,13 +1,13 @@
 // Package plan is the declarative sweep harness and the one reader of
 // input files. A plan file (a TOML subset) names a catalog scenario (or
 // several), a parameter grid (base seed x node-mix multiplier x WiFi range
-// x loss rate x horizon, plus Scale overrides), a trial count, and the
-// metrics the sweep optimizes. The harness expands the grid into cells,
-// fans cells across a worker pool, streams per-cell results as JSON-lines,
-// and renders run reports — so "add a scenario configuration" is a config
-// line, not a Go file (the TestGround test-plan shape). A fault file
-// (`dapes-sim -faults`) is a plan's [faults] section, read by the same
-// reader and key table (ParseFaults).
+// x loss rate x horizon, plus Scale overrides) and a trial count. The
+// harness expands the grid into cells, fans cells across a worker pool,
+// streams per-cell results as JSON-lines, and renders the run report — so
+// "add a scenario configuration" is a config line, not a Go file (the
+// TestGround test-plan shape). A fault file (`dapes-sim -faults`) is a
+// plan's [faults] section, read by the same reader and key table
+// (ParseFaults).
 //
 // Determinism contract: cell c's trials seed from
 // TrialSeed(CellSeed(plan.Seed, c), t), and results stream in cell-index
@@ -20,7 +20,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dapes/internal/experiment"
@@ -56,16 +55,12 @@ func CellSeed(base int64, cell int) int64 {
 	return int64(uint64(base) + uint64(int64(cell))*cellSeedStride)
 }
 
-// Plan is one declarative sweep: a scenario, a grid, and the metrics the
-// sweep is optimizing.
+// Plan is one declarative sweep: the scenarios and the grid they run on.
 type Plan struct {
 	// Name identifies the plan in output streams and reports.
 	Name string
 	// Summary is a one-line description for listings.
 	Summary string
-	// Optimize states the target metrics (best/worst cells are reported
-	// per target).
-	Optimize []Target
 	// Trials is the per-cell trial count.
 	Trials int
 	// Seed is the plan-level base seed; cell c derives CellSeed(Seed, c).
@@ -106,87 +101,6 @@ type Grid struct {
 	Loss []float64
 	// Horizons is the per-trial virtual-time-limit axis.
 	Horizons []time.Duration
-}
-
-// Target is one optimize entry: a metric and a direction.
-type Target struct {
-	// Metric is a CellResult metric name (see Metrics).
-	Metric string
-	// Maximize reports whether bigger is better for this target.
-	Maximize bool
-}
-
-func (t Target) String() string {
-	dir := "min"
-	if t.Maximize {
-		dir = "max"
-	}
-	return dir + ":" + t.Metric
-}
-
-// metricInfo describes one optimizable CellResult metric.
-type metricInfo struct {
-	doc      string
-	maximize bool // default direction
-	value    func(CellResult) float64
-}
-
-// metrics is the optimize vocabulary; plan files referencing anything else
-// are rejected at validation.
-var metrics = map[string]metricInfo{
-	"download_time_p90_sec": {
-		doc:   "90th-percentile average download time across trials",
-		value: func(c CellResult) float64 { return c.DownloadP90Sec },
-	},
-	"transmissions_p90": {
-		doc:   "90th-percentile total frames on the air",
-		value: func(c CellResult) float64 { return c.TransmissionsP90 },
-	},
-	"completed_fraction": {
-		doc:      "downloaders finishing within the horizon, summed over trials",
-		maximize: true,
-		value: func(c CellResult) float64 {
-			if c.Downloaders == 0 {
-				return 0
-			}
-			return float64(c.Completed) / float64(c.Downloaders)
-		},
-	},
-	"forward_accuracy": {
-		doc:      "mean forwarded-Interests-answered fraction (DAPES scenarios)",
-		maximize: true,
-		value:    func(c CellResult) float64 { return c.ForwardAccuracy },
-	},
-}
-
-// MetricNames returns the optimize vocabulary in sorted order.
-func MetricNames() []string {
-	out := make([]string, 0, len(metrics))
-	for name := range metrics {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// parseTarget resolves an optimize entry: "min:metric", "max:metric", or a
-// bare metric name taking the metric's natural direction.
-func parseTarget(s string) (Target, error) {
-	t := Target{Metric: s}
-	explicit := false
-	if len(s) > 4 && s[:4] == "min:" {
-		t.Metric, t.Maximize, explicit = s[4:], false, true
-	} else if len(s) > 4 && s[:4] == "max:" {
-		t.Metric, t.Maximize, explicit = s[4:], true, true
-	}
-	info, ok := metrics[t.Metric]
-	if !ok {
-		return Target{}, fmt.Errorf("unknown optimize metric %q (known: %v)", t.Metric, MetricNames())
-	}
-	if !explicit {
-		t.Maximize = info.maximize
-	}
-	return t, nil
 }
 
 // ApplyDefaults fills empty grid axes from the base scale: one implicit
@@ -242,7 +156,7 @@ func (p *Plan) NumCells() (int, error) {
 
 // Validate checks the whole plan: identity fields, the scenario against
 // the catalog (with Find's near-miss suggestions), trial and grid bounds,
-// every optimize target, and the derived Scale of every cell.
+// and the derived Scale of every cell.
 func (p *Plan) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan: name is required")
@@ -252,8 +166,7 @@ func (p *Plan) Validate() error {
 	}
 	// A key the file set on an input a scenario's world fixes for itself
 	// is refused, whatever its value: its cells would run one world under
-	// labels that never ran, and the best/worst table would credit seed
-	// noise to them.
+	// labels that never ran.
 	for _, name := range p.Grid.Scenarios {
 		sc, err := experiment.Find(name)
 		if err != nil {
@@ -275,12 +188,6 @@ func (p *Plan) Validate() error {
 	}
 	if _, err := p.NumCells(); err != nil {
 		return err
-	}
-	for i, t := range p.Optimize {
-		if _, ok := metrics[t.Metric]; !ok {
-			return fmt.Errorf("plan %q: optimize[%d]: unknown metric %q (known: %v)",
-				p.Name, i, t.Metric, MetricNames())
-		}
 	}
 	// The base scale is validated first: its bounds keep the node counts
 	// small enough that Cells multiplies them without wrapping.

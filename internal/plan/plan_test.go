@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +14,6 @@ scenario = "fig7-dapes"
 summary = "test plan"
 trials = 2
 seed = 11
-optimize = ["min:download_time_p90_sec", "max:completed_fraction"]
 
 [grid]
 nodes = [1, 2]
@@ -39,12 +39,6 @@ func TestParseTOMLPlan(t *testing.T) {
 	}
 	if p.Name != "smoke" || len(p.Grid.Scenarios) != 1 || p.Grid.Scenarios[0] != "fig7-dapes" || p.Trials != 2 || p.Seed != 11 {
 		t.Fatalf("identity fields lost: %+v", p)
-	}
-	if len(p.Optimize) != 2 || p.Optimize[0].Metric != "download_time_p90_sec" || p.Optimize[0].Maximize {
-		t.Fatalf("optimize lost: %+v", p.Optimize)
-	}
-	if !p.Optimize[1].Maximize {
-		t.Fatalf("max: direction lost: %+v", p.Optimize[1])
 	}
 	if len(p.Grid.Nodes) != 2 || len(p.Grid.Ranges) != 2 || len(p.Grid.Loss) != 2 {
 		t.Fatalf("grid axes lost: %+v", p.Grid)
@@ -81,7 +75,9 @@ func TestParseRejects(t *testing.T) {
 		{"missing name", `scenario = "fig7-dapes"`, "name"},
 		{"zero trials", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n" + `trials = 0`, "trials"},
 		{"huge trials", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n" + `trials = 100000`, "trials"},
-		{"bad optimize", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n" + `optimize = ["min:warp_factor"]`, "warp_factor"},
+		// The best/worst table and its optimize targets are gone: the key
+		// is refused by name like any other the reader does not know.
+		{"bad optimize", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n" + `optimize = ["min:transmissions_p90"]`, "unknown key(s) [optimize]"},
 		{"bad horizon", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nhorizons = [\"soon\"]", "horizons"},
 		{"negative loss axis", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nloss = [-0.5]", "LossRate"},
 		{"zero range axis", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [0.0]", "Ranges"},
@@ -131,6 +127,19 @@ func TestParseRejects(t *testing.T) {
 			"scenario fig8c-mobile fixes its world's node mix: drop scale.intermediates"},
 		{"scale area_side beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[scale]\narea_side = 900.0",
 			"scenario fig8a-carrier fixes its world's area: drop scale.area_side"},
+		// Worlds that lay themselves out ran every area, and partitioned-merge
+		// every range, as the same trial; urban-grid-chaos's own bursty
+		// channel replaces the loss rate (TestEveryAxisMovesItsWorld).
+		{"scale area_side beside partitioned-merge", `name = "x"` + "\n" + `scenario = "partitioned-merge"` + "\n\n[scale]\narea_side = 900.0",
+			"scenario partitioned-merge fixes its world's area: drop scale.area_side"},
+		{"ranges beside partitioned-merge", `name = "x"` + "\n" + `scenario = "partitioned-merge"` + "\n\n[grid]\nranges = [20.0, 100.0]",
+			"scenario partitioned-merge fixes its world's range: drop grid.ranges"},
+		{"scale area_side beside convoy-churn", `name = "x"` + "\n" + `scenario = "convoy-churn"` + "\n\n[scale]\narea_side = 900.0",
+			"scenario convoy-churn fixes its world's area: drop scale.area_side"},
+		{"loss beside urban-grid-chaos", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[grid]\nloss = [0.0, 0.2]",
+			"scenario urban-grid-chaos fixes its world's loss rate: drop grid.loss"},
+		{"scale loss beside urban-grid-chaos", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[scale]\nloss = 0.2",
+			"scenario urban-grid-chaos fixes its world's loss rate: drop scale.loss"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -148,18 +157,29 @@ func TestParseRejects(t *testing.T) {
 // world fixes, and sweeps what the world does read, is accepted, and gets
 // one point on the range axis rather than one cell per base-scale range
 // under labels that never ran; the same axes stay open to a scenario that
-// reads them.
+// reads them. A cell is labelled with what its world ran: the declared
+// range and loss of a world that fixes them (a Fig.-8 cell used to carry
+// the base scale's 20 m and 10%), and no loss rate for a bursty channel.
 func TestFixedAxesPassWhenLeftOut(t *testing.T) {
 	t.Parallel()
+	const small = "\n\n[scale]\nfiles = 1\npackets = 5\nhorizon = \"2m\""
 	for _, tc := range []struct {
 		src   string
 		cells int
+		// labels, when set, runs the plan: cell i's JSON line and grid-table
+		// row must carry labels[i] as their range_m and loss ("null" in the
+		// line is "-" in the table).
+		labels [][2]string
 	}{
-		{`name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nseeds = [1, 2]\nhorizons = [\"10m\", \"20m\"]", 4},
-		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]\nloss = [0.0, 0.5]\nnodes = [1, 4]", 4},
-		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[scale]\nloss = 0.3\nstationary = 9\narea_side = 900.0", 3},
-		{`name = "x"` + "\n" + `scenario = "fig8a-carrier"`, 1},
-		{`name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig8c-mobile\"]", 2},
+		{`name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[grid]\nseeds = [1, 2]\nhorizons = [\"10m\", \"20m\"]", 4, nil},
+		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]\nloss = [0.0, 0.5]\nnodes = [1, 4]", 4, nil},
+		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[scale]\nloss = 0.3\nstationary = 9\narea_side = 900.0", 3, nil},
+		{`name = "x"` + "\n" + `scenario = "fig8a-carrier"` + small, 1, [][2]string{{"50", "0.05"}}},
+		{`name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig8c-mobile\"]" + small, 2,
+			[][2]string{{"20", "0.1"}, {"50", "0.05"}}},
+		{`name = "x"` + "\n\n[grid]\nscenarios = [\"partitioned-merge\", \"urban-grid-chaos\"]" + small +
+			"\nstationary = 1\nmobile_down = 2\npure_forwarders = 1\nintermediates = 1", 2,
+			[][2]string{{"60", "0.1"}, {"20", "null"}}},
 	} {
 		p, err := Parse([]byte(tc.src))
 		if err != nil {
@@ -168,6 +188,28 @@ func TestFixedAxesPassWhenLeftOut(t *testing.T) {
 		}
 		if got := len(p.Cells()); got != tc.cells {
 			t.Errorf("Parse(%q) expands to %d cells, want %d", tc.src, got, tc.cells)
+		}
+		if tc.labels == nil {
+			continue
+		}
+		var stream bytes.Buffer
+		res, err := Run(p, Options{Stream: &stream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(stream.String()), "\n")
+		rows := res.Tables()[0].Rows
+		for i, l := range tc.labels {
+			if want := `"range_m":` + l[0] + `,"loss":` + l[1] + ","; !strings.Contains(lines[i], want) {
+				t.Errorf("Parse(%q) cell %d streams %s, want %s", tc.src, i, lines[i], want)
+			}
+			loss := l[1]
+			if loss == "null" {
+				loss = "-"
+			}
+			if rows[i][4] != l[0] || rows[i][5] != loss {
+				t.Errorf("Parse(%q) cell %d's grid row %v, want range_m %s and loss %s", tc.src, i, rows[i], l[0], loss)
+			}
 		}
 	}
 }
@@ -242,30 +284,5 @@ func TestCellSeedAndExpansionOrder(t *testing.T) {
 			t.Fatalf("duplicate cell seed %d", c.Seed)
 		}
 		seen[c.Seed] = true
-	}
-}
-
-func TestParseTargetDirections(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct {
-		in       string
-		metric   string
-		maximize bool
-	}{
-		{"download_time_p90_sec", "download_time_p90_sec", false}, // natural min
-		{"completed_fraction", "completed_fraction", true},        // natural max
-		{"min:completed_fraction", "completed_fraction", false},   // explicit override
-		{"max:transmissions_p90", "transmissions_p90", true},      // explicit override
-	} {
-		got, err := parseTarget(tc.in)
-		if err != nil {
-			t.Fatalf("parseTarget(%q): %v", tc.in, err)
-		}
-		if got.Metric != tc.metric || got.Maximize != tc.maximize {
-			t.Fatalf("parseTarget(%q) = %+v", tc.in, got)
-		}
-	}
-	if _, err := parseTarget("median:download_time_p90_sec"); err == nil {
-		t.Fatal("bogus direction accepted")
 	}
 }

@@ -20,11 +20,14 @@ type CellResult struct {
 	Plan     string `json:"plan"`
 	Cell     int    `json:"cell"`
 	Scenario string `json:"scenario"`
-	// Grid coordinates.
-	Nodes      int     `json:"nodes"`
-	RangeM     float64 `json:"range_m"`
-	Loss       float64 `json:"loss"`
-	HorizonSec float64 `json:"horizon_sec"`
+	// Grid coordinates, each the value the cell ran at: a range or loss
+	// rate the scenario's world fixes is its declared one, not the grid's
+	// (experiment.Scenario.Range and Loss), and Loss is null for a world
+	// that runs at no one loss rate.
+	Nodes      int      `json:"nodes"`
+	RangeM     float64  `json:"range_m"`
+	Loss       *float64 `json:"loss"`
+	HorizonSec float64  `json:"horizon_sec"`
 	// Seed is the cell's derived base seed (CellSeed(plan seed, cell)).
 	Seed   int64 `json:"seed"`
 	Trials int   `json:"trials"`
@@ -81,7 +84,7 @@ func Run(p *Plan, opt Options) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("cell %d (%s nodes=%d range=%gm loss=%g): %w", i, c.Scenario, c.Nodes, c.Range, c.Loss, err)
 		}
-		results[i] = cellResult(p, c, res)
+		results[i] = cellResult(p, c, sc, res)
 		if err := st.complete(i); err != nil {
 			return fmt.Errorf("streaming results: %w", err)
 		}
@@ -133,19 +136,21 @@ func writeJSONLine(w io.Writer, v any) error {
 }
 
 // cellResult folds one cell's RunResult into the streamed record.
-func cellResult(p *Plan, c Cell, r experiment.RunResult) CellResult {
+func cellResult(p *Plan, c Cell, sc *experiment.Scenario, r experiment.RunResult) CellResult {
 	out := CellResult{
 		Plan:             p.Name,
 		Cell:             c.Index,
 		Scenario:         c.Scenario,
 		Nodes:            c.Nodes,
-		RangeM:           c.Range,
-		Loss:             c.Loss,
+		RangeM:           r.Range,
 		HorizonSec:       c.Horizon.Seconds(),
 		Seed:             c.Seed,
 		Trials:           len(r.Trials),
 		DownloadP90Sec:   r.DownloadTime90.Seconds(),
 		TransmissionsP90: r.Transmissions90,
+	}
+	if loss, ok := sc.Loss(c.Loss); ok {
+		out.Loss = &loss
 	}
 	var accSum float64
 	for _, tr := range r.Trials {
@@ -159,9 +164,8 @@ func cellResult(p *Plan, c Cell, r experiment.RunResult) CellResult {
 	return out
 }
 
-// Tables renders the run report: the full grid table; with a seeds axis,
-// each configuration's spread over the seeds; and, per optimize target, the
-// best and worst cells (ties break to the lowest cell index).
+// Tables renders the run report: the full grid table and, with a seeds
+// axis, each configuration's spread over the seeds.
 func (r *Result) Tables() []experiment.Table {
 	grid := experiment.Table{
 		Title: fmt.Sprintf("Plan %s: %s over %d cells", r.Plan.Name, strings.Join(r.Plan.Grid.Scenarios, ", "), len(r.Cells)),
@@ -176,7 +180,7 @@ func (r *Result) Tables() []experiment.Table {
 			fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Nodes),
 			fmt.Sprintf("%g", c.RangeM),
-			fmt.Sprintf("%g", c.Loss),
+			c.lossLabel(),
 			fmt.Sprintf("%g", c.HorizonSec),
 			fmt.Sprintf("%.1f", c.DownloadP90Sec),
 			fmt.Sprintf("%.0f", c.TransmissionsP90),
@@ -184,45 +188,19 @@ func (r *Result) Tables() []experiment.Table {
 			fmt.Sprintf("%.2f", c.ForwardAccuracy),
 		})
 	}
-	tables := []experiment.Table{grid}
 	if len(r.Plan.Grid.Seeds) > 1 {
-		tables = append(tables, r.spread())
+		return []experiment.Table{grid, r.spread()}
 	}
+	return []experiment.Table{grid}
+}
 
-	if len(r.Plan.Optimize) > 0 && len(r.Cells) > 0 {
-		best := experiment.Table{
-			Title:  fmt.Sprintf("Plan %s: best/worst cells per target", r.Plan.Name),
-			Header: []string{"target", "best cell", "best value", "worst cell", "worst value"},
-		}
-		for _, t := range r.Plan.Optimize {
-			info := metrics[t.Metric]
-			bi, wi := 0, 0
-			for i, c := range r.Cells {
-				v, bv, wv := info.value(c), info.value(r.Cells[bi]), info.value(r.Cells[wi])
-				better, worse := v < bv, v > wv
-				if t.Maximize {
-					better, worse = v > bv, v < wv
-				}
-				if better {
-					bi = i
-				}
-				if worse {
-					wi = i
-				}
-			}
-			cellLabel := func(i int) string {
-				c := r.Cells[i]
-				return fmt.Sprintf("%d (%s nodes=%d range=%gm loss=%g)", c.Cell, c.Scenario, c.Nodes, c.RangeM, c.Loss)
-			}
-			best.Rows = append(best.Rows, []string{
-				t.String(),
-				cellLabel(bi), fmt.Sprintf("%.3f", info.value(r.Cells[bi])),
-				cellLabel(wi), fmt.Sprintf("%.3f", info.value(r.Cells[wi])),
-			})
-		}
-		tables = append(tables, best)
+// lossLabel is the loss column of the report tables: "-" for a cell that
+// ran at no one loss rate.
+func (c CellResult) lossLabel() string {
+	if c.Loss == nil {
+		return "-"
 	}
-	return tables
+	return fmt.Sprintf("%g", *c.Loss)
 }
 
 // spread is the report's seed-spread table: one row per configuration — a
@@ -258,14 +236,23 @@ func (r *Result) spread() experiment.Table {
 				c.Scenario,
 				fmt.Sprintf("%d", c.Nodes),
 				fmt.Sprintf("%g", c.RangeM),
-				fmt.Sprintf("%g", c.Loss),
+				c.lossLabel(),
 				fmt.Sprintf("%g", c.HorizonSec),
-				column(first, metrics["download_time_p90_sec"].value, "%.1f"),
-				column(first, metrics["transmissions_p90"].value, "%.0f"),
-				column(first, metrics["forward_accuracy"].value, "%.2f"),
-				column(first, metrics["completed_fraction"].value, "%.2f"),
+				column(first, func(c CellResult) float64 { return c.DownloadP90Sec }, "%.1f"),
+				column(first, func(c CellResult) float64 { return c.TransmissionsP90 }, "%.0f"),
+				column(first, func(c CellResult) float64 { return c.ForwardAccuracy }, "%.2f"),
+				column(first, completedFraction, "%.2f"),
 			})
 		}
 	}
 	return t
+}
+
+// completedFraction is the share of a cell's downloaders that finished
+// within the horizon, summed over its trials.
+func completedFraction(c CellResult) float64 {
+	if c.Downloaders == 0 {
+		return 0
+	}
+	return float64(c.Completed) / float64(c.Downloaders)
 }

@@ -5,9 +5,11 @@
 # print, byte for byte, what revision BASE's print: the scenario list, every
 # listed scenario, the ad-hoc DAPES stack and fig7-dapes under the [faults]
 # example of docs/EXPERIMENTS.md as a -faults file, each at -seed 1 -files 2
-# -packets 5 -trials 3 -format json; dapes-plan run plans/ci-smoke.toml; and
-# dapes-bench -scale quick -only tableI -format json. This is the check a
-# change that claims to be trace- and output-neutral is held to.
+# -packets 5 -trials 3 -format json; dapes-plan run plans/ci-smoke.toml and
+# a one-cell fig8a-carrier plan written here (its labels are the world's own
+# range and loss); and dapes-bench -scale quick -only tableI -format json.
+# This is the check a change that claims to be trace- and output-neutral is
+# held to.
 # BASE is unpacked with `git archive` and both sides are built in a
 # temporary directory under $TMPDIR, removed on exit. The whole run takes a
 # few minutes, most of it urban-grid-chaos.
@@ -25,6 +27,7 @@ git -C "$root" archive "$base" | tar -x -C "$tmp/src"
 # The documented [faults] example, from its header to the end of its block.
 sed -n '/^\[faults\]$/,/^```$/p' "$root/docs/EXPERIMENTS.md" | sed '$d' >"$tmp/faults.toml"
 test -s "$tmp/faults.toml" || { echo "neutral: no [faults] example in docs/EXPERIMENTS.md"; exit 1; }
+printf 'name = "fig8-labels"\nscenario = "fig8a-carrier"\n\n[scale]\nfiles = 2\npackets = 5\n' >"$tmp/fig8.toml"
 
 failed=0
 # check NAME TOOL ARGS...: run TOOL with ARGS on both sides, side by side,
@@ -61,6 +64,7 @@ check adhoc-dapes dapes-sim "${run[@]}"
 check faults dapes-sim -scenario fig7-dapes -faults "$tmp/faults.toml" "${run[@]}"
 # Both sides read the working tree's plan file.
 check ci-smoke dapes-plan run "$root/plans/ci-smoke.toml"
+check fig8-plan dapes-plan run "$tmp/fig8.toml"
 check tableI dapes-bench -scale quick -only tableI -format json
 
 if ((failed)); then
