@@ -43,16 +43,18 @@ lint: fmt-check vet
 # The corpus smoke: every Fuzz* target in the tree for ~10s each, so a codec
 # or parser regression against the seed corpus surfaces per-PR instead of
 # never. (go test allows one fuzz target per invocation, hence one line per
-# target.)
+# target.) -fuzzminimizetime caps how long Go's engine spends minimizing a
+# new interesting input: at its default of 60 s, one minimization can take
+# the rest of a target's budget, and its exec counter stops rising.
 fuzz-short:
-	$(GO) test -run=NONE -fuzz=FuzzTLVRoundTrip -fuzztime=10s ./internal/ndn/
-	$(GO) test -run=NONE -fuzz=FuzzDataSignedRange -fuzztime=10s ./internal/ndn/
-	$(GO) test -run=NONE -fuzz=FuzzPlanFile -fuzztime=10s ./internal/plan/
-	$(GO) test -run=NONE -fuzz=FuzzDiscoveryPayload -fuzztime=10s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/plan/
-	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s ./internal/bitmap/
-	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s ./internal/routing/
+	$(GO) test -run=NONE -fuzz=FuzzTLVRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/ndn/
+	$(GO) test -run=NONE -fuzz=FuzzDataSignedRange -fuzztime=10s -fuzzminimizetime=1s ./internal/ndn/
+	$(GO) test -run=NONE -fuzz=FuzzPlanFile -fuzztime=10s -fuzzminimizetime=1s ./internal/plan/
+	$(GO) test -run=NONE -fuzz=FuzzDiscoveryPayload -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s -fuzzminimizetime=1s ./internal/plan/
+	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/bitmap/
+	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/routing/
 
 test:
 	$(GO) test ./...

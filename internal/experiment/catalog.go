@@ -146,8 +146,9 @@ var catalog = []*Scenario{
 		Name:    "urban-grid-chaos",
 		Summary: "urban-grid under churn: crashes with cold restarts over a bursty Gilbert-Elliott channel",
 		Run:     atScale(urbanGridChaosScale),
-		// Its fault plan's Gilbert-Elliott channel replaces the i.i.d. loss.
-		Fixed: Fixed{Axes: []Axis{AxisLoss}, Bursty: true},
+		// Its own fault plan's Gilbert-Elliott channel replaces the i.i.d.
+		// loss; a scale's fault plan replaces that plan.
+		Fixed: Fixed{Bursty: true},
 	},
 	{
 		Name:    "urban-grid-xl",

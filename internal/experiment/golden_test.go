@@ -160,16 +160,17 @@ func TestBaselineTrialsDeterministic(t *testing.T) {
 
 // TestTrialAllocationBudget bounds what one whole trial allocates. The dense
 // scenarios are held in heap objects over one trial at the golden-trace
-// scale, budget 1.5x the count measured once a heard Interest was decoded
-// into its pooled transmission record and the Content Store's recency list
-// went inline (urban-grid 7,326, urban-grid-xl 21,311; 9,144 and 27,995
-// before — the margin covers pools a GC happens to clear mid-trial). The
-// paper's own world, fig7-dapes at the reduced scale the benchmark sweeps
-// (range 60, trial 0: 26,962 frames), is held in objects per transmitted
-// frame: 1.61 since every Interest is encoded into a wire from the medium's
-// pool (1.99 with a fresh wire per Interest, 2.50 before that); the budget
-// is 1.25x. The IP baseline's world, fig7-bithoc at the same scale and cell,
-// is held the same way: 0.28 objects per frame since all its wires, HELLOs
+// scale, budget 1.25x the count measured once every stored or relayed Data
+// reached its receivers as the sender's own record (urban-grid 4,925,
+// urban-grid-xl 13,434; 5,417 and 14,099 with a decode per Data
+// transmission, 9,144 and 27,995 before a heard Interest was decoded into
+// its pooled transmission record). The paper's own world, fig7-dapes at the
+// reduced scale the benchmark sweeps (range 60, trial 0: 26,962 frames), is
+// held in objects per transmitted frame: 1.18 since stored and relayed Data
+// share the sender's record (1.62 with a decode per Data transmission, 1.99
+// with a fresh wire per Interest, 2.50 before that); the budget is 1.25x.
+// The IP baseline's world, fig7-bithoc at the same scale and cell, is held
+// the same way: 0.28 objects per frame since all its wires, HELLOs
 // included, come from the medium's pool and go back to it when their
 // transmission is over (0.31 with a fresh wire per HELLO, 1.28 with a fresh
 // wire per frame, 2.40 before that). A per-frame or per-event allocation
@@ -185,9 +186,9 @@ func TestTrialAllocationBudget(t *testing.T) {
 		budget   float64 // objects per trial, or per transmitted frame
 		perFrame bool
 	}{
-		{"urban-grid", goldenScale(), 7_326 * 1.5, false},
-		{"urban-grid-xl", goldenScale(), 21_311 * 1.5, false},
-		{"fig7-dapes", ReducedScale(), 1.61 * 1.25, true},
+		{"urban-grid", goldenScale(), 4_925 * 1.25, false},
+		{"urban-grid-xl", goldenScale(), 13_434 * 1.25, false},
+		{"fig7-dapes", ReducedScale(), 1.18 * 1.25, true},
 		{"fig7-bithoc", ReducedScale(), 0.28 * 1.25, true},
 	} {
 		sc, err := Find(tc.scenario)

@@ -56,8 +56,9 @@ type Fixed struct {
 	// Radio is the range and the loss rate the world runs at, for those of
 	// AxisRange and AxisLoss that Axes holds.
 	Radio phy.Config
-	// Bursty marks a fixed loss the world draws from a bursty channel of
-	// its own: it runs at no one loss rate, so no label shows one.
+	// Bursty marks a world whose own fault plan, the one it runs when the
+	// scale brings none, draws its loss from a bursty channel in place of
+	// the i.i.d. loss rate (Scenario.BurstyLoss).
 	Bursty bool
 }
 
@@ -95,17 +96,30 @@ func (s *Scenario) Range(wifiRange float64) float64 {
 	return wifiRange
 }
 
-// Loss is the loss rate a trial of the scenario runs at when the scale sets
-// lossRate: the declared one if the world fixes its loss. ok is false for a
-// world that draws its loss from a bursty channel of its own.
-func (s *Scenario) Loss(lossRate float64) (rate float64, ok bool) {
+// BurstyLoss reports whether a trial of the scenario under scale sc draws
+// its loss from a bursty channel in place of the i.i.d. sc.LossRate: the
+// fault plan the trial runs — the scale's own or, when the scale brings
+// none, the world's — sets a loss model. It is the one decision of it: a
+// loss label and a plan's loss keys read it.
+func (s *Scenario) BurstyLoss(sc Scale) bool {
+	if sc.Faults != nil {
+		return sc.Faults.HasLoss()
+	}
+	return s.Fixed.Bursty
+}
+
+// Loss is the loss rate a trial of the scenario runs at under scale sc: the
+// declared one if the world fixes its loss, sc.LossRate otherwise. ok is
+// false for a trial that draws its loss from a bursty channel
+// (BurstyLoss): it runs at no one loss rate, so no label shows one.
+func (s *Scenario) Loss(sc Scale) (rate float64, ok bool) {
 	switch {
-	case s.Fixed.Bursty:
-		return 0, false
 	case s.Fixes(AxisLoss):
 		return s.Fixed.Radio.LossRate, true
+	case s.BurstyLoss(sc):
+		return 0, false
 	}
-	return lossRate, true
+	return sc.LossRate, true
 }
 
 // Find returns the catalog scenario named name, or a descriptive error

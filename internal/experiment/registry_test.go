@@ -138,7 +138,8 @@ func TestUrbanGridScalesNodeCount(t *testing.T) {
 // TestEveryAxisMovesItsWorld: a world reads every input it does not declare
 // fixed, and none it does. Each catalog scenario runs one trial at seed 1
 // and a small scale, then again with the range, the loss rate, the node mix
-// and the area changed one at a time: an axis in the scenario's Fixed must
+// and the area changed one at a time: an axis in the scenario's Fixed — or
+// the loss rate, where the trial's fault plan is bursty (BurstyLoss) — must
 // leave the trial's result byte for byte as it was, and every other axis
 // must change it. A fixed axis a world reads would run under a label it
 // never declared; an undeclared axis it ignores would label identical runs
@@ -181,10 +182,11 @@ func TestEveryAxisMovesItsWorld(t *testing.T) {
 				s, r := base, baseRange
 				p.apply(&s, &r)
 				got := trial(s, r)
+				fixed := sc.Fixes(p.axis) || p.axis == AxisLoss && sc.BurstyLoss(base)
 				switch moved := got != want; {
-				case sc.Fixes(p.axis) && moved:
+				case fixed && moved:
 					t.Errorf("declares its %s fixed, but changing it moves the trial:\n got %s\nwant %s", p.axis, got, want)
-				case !sc.Fixes(p.axis) && !moved:
+				case !fixed && !moved:
 					t.Errorf("reads its %s (not in Fixed), but changing it leaves the trial as it was: %s", p.axis, got)
 				}
 			}

@@ -3,7 +3,12 @@
 // through frame views, and field mutation while a wire form is cached.
 package fixture
 
-import "dapes/internal/ndn"
+import (
+	"time"
+
+	"dapes/internal/ndn"
+	"dapes/internal/phy"
+)
 
 // viewWrites mutates the shared frame through every view shape.
 func viewWrites(wire []byte) {
@@ -79,4 +84,24 @@ func suppressed(d *ndn.Data) {
 	//lint:ignore wireimmut this helper owns the packet and invalidates right after
 	d.Freshness = 0
 	d.InvalidateWire()
+}
+
+// sharedWrites changes a Data after handing it to the medium as a record:
+// every receiver holds that very record, so nothing on it may change.
+func sharedWrites(m *phy.Medium, r *phy.Radio, d, e *ndn.Data, live *bool) {
+	m.BroadcastData(r, d)
+	_ = d.Encode()
+	d.InvalidateWire() // want `InvalidateWire call after the packet was handed to BroadcastData`
+	d.Freshness = 0    // want `field write d\.Freshness after the packet was handed to BroadcastData`
+	m.BroadcastDataAfter(time.Millisecond, r, e, nil, live)
+	e.SignDigest() // want `SignDigest call after the packet was handed to BroadcastDataAfter`
+}
+
+// builtThenShared sets every field before the send: nothing is reported.
+func builtThenShared(m *phy.Medium, r *phy.Radio, payload []byte) {
+	d := &ndn.Data{Content: payload}
+	d.Freshness = time.Second
+	d.SignDigest()
+	m.BroadcastData(r, d)
+	_ = d.NameKey()
 }

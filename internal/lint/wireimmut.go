@@ -19,15 +19,23 @@ import (
 //     Mutating its fields afterwards without calling InvalidateWire (or
 //     Sign, which invalidates internally, or SignDigest again) silently
 //     re-broadcasts the stale cached bytes.
+//   - A Data handed to phy.Medium.BroadcastData or BroadcastDataAfter is
+//     the record every receiver of the frame is handed: from that call on
+//     it is shared, and a field write, InvalidateWire, Sign or SignDigest on
+//     it rewrites a packet other nodes hold.
 var WireImmut = &Analyzer{
 	Name: "wireimmut",
 	Doc: "Slices returned by Packet accessors and Encode are " +
 		"read-only views into the shared frame, and encoded/decoded packets " +
-		"must not have fields reassigned without InvalidateWire.",
+		"must not have fields reassigned without InvalidateWire; a Data sent " +
+		"with BroadcastData is shared and must not be changed at all.",
 	Run: runWireImmut,
 }
 
-const ndnPath = "dapes/internal/ndn"
+const (
+	ndnPath = "dapes/internal/ndn"
+	phyPath = "dapes/internal/phy"
+)
 
 // viewFields maps packet type name -> fields that alias the wire frame.
 var viewFields = map[string]map[string]bool{
@@ -186,19 +194,29 @@ func checkViewWrites(pass *Pass, body *ast.BlockStmt, views map[types.Object]boo
 	})
 }
 
+// The kinds of wireEvent.
+const (
+	wireCached  = iota // Encode, SignDigest, decode
+	wireDropped        // InvalidateWire, Sign
+	fieldWrite
+	dataShared // handed to BroadcastData or BroadcastDataAfter
+)
+
 // wireEvent is one packet-variable lifecycle event inside a function body,
 // ordered by source position.
 type wireEvent struct {
 	pos  token.Pos
-	kind int // 0 = wire cached (Encode / SignDigest / decode init), 1 = cache dropped (InvalidateWire/Sign), 2 = field write
+	kind int
 	node ast.Node
-	name string // field name for writes
+	name string // field name for writes, method name for the others
 }
 
 // checkStaleWireWrites flags field assignments on an *ndn.Interest or
 // *ndn.Data variable whose wire form is cached at that point: after the
 // variable was returned by Packet.Interest/Packet.Data, or after Encode or
-// SignDigest was called on it, with no intervening InvalidateWire/Sign.
+// SignDigest was called on it, with no intervening InvalidateWire/Sign. A
+// Data passed to BroadcastData or BroadcastDataAfter is shared for good: any
+// later field write, InvalidateWire, Sign or SignDigest on it is flagged.
 func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 	events := map[types.Object][]wireEvent{}
 	add := func(obj types.Object, ev wireEvent) {
@@ -218,7 +236,7 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 				}
 				if id, ok := n.Lhs[i].(*ast.Ident); ok {
 					if obj := identObject(pass, id); obj != nil {
-						add(obj, wireEvent{pos: n.Pos(), kind: 0})
+						add(obj, wireEvent{pos: n.Pos(), kind: wireCached})
 					}
 				}
 			}
@@ -236,11 +254,21 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 				if obj == nil || !isPacketVar(obj) {
 					continue
 				}
-				add(obj, wireEvent{pos: lhs.Pos(), kind: 2, node: lhs, name: sel.Sel.Name})
+				add(obj, wireEvent{pos: lhs.Pos(), kind: fieldWrite, node: lhs, name: sel.Sel.Name})
 			}
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
 			if !ok {
+				return true
+			}
+			if isShareCall(pass, sel) {
+				for _, arg := range n.Args {
+					if id, ok := arg.(*ast.Ident); ok {
+						if obj := identObject(pass, id); obj != nil && isPacketVar(obj) {
+							add(obj, wireEvent{pos: n.Pos(), kind: dataShared, name: sel.Sel.Name})
+						}
+					}
+				}
 				return true
 			}
 			base, ok := sel.X.(*ast.Ident)
@@ -253,9 +281,9 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 			}
 			switch sel.Sel.Name {
 			case "Encode", "SignDigest":
-				add(obj, wireEvent{pos: n.Pos(), kind: 0})
+				add(obj, wireEvent{pos: n.Pos(), kind: wireCached, node: n, name: sel.Sel.Name})
 			case "InvalidateWire", "Sign":
-				add(obj, wireEvent{pos: n.Pos(), kind: 1})
+				add(obj, wireEvent{pos: n.Pos(), kind: wireDropped, node: n, name: sel.Sel.Name})
 			}
 		}
 		return true
@@ -263,14 +291,26 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 
 	for _, evs := range events {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-		cached := false
+		cached, sharedBy := false, ""
 		for _, ev := range evs {
+			if sharedBy != "" && ev.kind != dataShared && (ev.kind != wireCached || ev.name == "SignDigest") {
+				what := "field write " + exprString(ev.node.(ast.Expr))
+				if ev.kind != fieldWrite {
+					what = ev.name + " call"
+				}
+				pass.Reportf(ev.pos,
+					"%s after the packet was handed to %s: every receiver of the frame holds this record; build a fresh packet instead",
+					what, sharedBy)
+				continue
+			}
 			switch ev.kind {
-			case 0:
+			case wireCached:
 				cached = true
-			case 1:
+			case wireDropped:
 				cached = false
-			case 2:
+			case dataShared:
+				sharedBy = ev.name
+			case fieldWrite:
 				if cached {
 					pass.Reportf(ev.pos,
 						"field write %s after the packet's wire form was cached (Encode/SignDigest/decode): the stale bytes would be re-sent; call InvalidateWire first or build a fresh packet",
@@ -279,6 +319,17 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 			}
 		}
 	}
+}
+
+// isShareCall reports whether sel names phy.Medium.BroadcastData or
+// BroadcastDataAfter, the sends that hand their Data record to every
+// receiver.
+func isShareCall(pass *Pass, sel *ast.SelectorExpr) bool {
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != phyPath || fn.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	return fn.Name() == "BroadcastData" || fn.Name() == "BroadcastDataAfter"
 }
 
 // isDecodeCall reports whether the call returns a packet with its wire form

@@ -118,7 +118,7 @@ func (rp *reply) fire() {
 		return
 	}
 	*counter++
-	r.medium.Broadcast(r.radio, d.Encode())
+	r.medium.BroadcastData(r.radio, d)
 }
 
 // NewRelay returns the relay state of the node behind radio; c counts.
@@ -349,9 +349,9 @@ func (r *Relay) RelayData(d *ndn.Data) {
 		r.c.ForwardedAnswered++
 	}
 	delete(r.suppressed, rec.key)
-	// A Data wire is write-once (phy.Frame): the relay re-sends the very
-	// bytes it heard, borrowed.
-	r.medium.BroadcastAfter(r.rng.Jitter(TransmissionWindow), r.radio, d.Encode(), &r.c.DataForwarded, &r.running)
+	// A Data record is write-once (phy.Frame): the relay re-sends the very
+	// record it heard, and its receivers share it too.
+	r.medium.BroadcastDataAfter(r.rng.Jitter(TransmissionWindow), r.radio, d, &r.c.DataForwarded, &r.running)
 }
 
 // match finds the forwarded-Interest record the Data satisfies: its exact
@@ -388,7 +388,8 @@ func (r *Relay) match(d *ndn.Data) *forwardRecord {
 // ScheduleReply broadcasts d after a random delay, bumping counter when it
 // goes out, unless another node answers first (CancelReply) or a reply for
 // the name is already pending. Stored packets keep their wire form, so
-// repeat replies reuse one encoding.
+// repeat replies reuse one encoding, and every receiver is handed d itself
+// (phy.Medium.BroadcastData).
 func (r *Relay) ScheduleReply(d *ndn.Data, counter *uint64) {
 	key := d.NameKey()
 	if _, pending := r.pending[key]; pending {

@@ -23,8 +23,11 @@ type Packet struct {
 	// is neither).
 	interest *interestRecord
 	data     *dataRecord
-	err      error
-	parsed   bool
+	// shared is the sender's own record of a frame WrapData made: Data
+	// returns it, and there is nothing to parse.
+	shared *Data
+	err    error
+	parsed bool
 }
 
 // interestPacket and dataPacket are what NewPacket allocates: the Packet and
@@ -65,7 +68,8 @@ func NewPacket(wire []byte) *Packet {
 // that hearing one costs no object. The broadcast medium keeps one in each
 // pooled transmission record: the Interest a transmission carries lives
 // exactly as long as the transmission, and whoever keeps any of it past
-// that — a table key, a name — copies what it keeps.
+// that — a table key, a name — copies what it keeps. A Data the sender
+// already holds as a record rides along as that record (WrapData).
 type Room struct {
 	pkt Packet
 	rec interestRecord
@@ -85,6 +89,17 @@ func (r *Room) Wrap(wire []byte) *Packet {
 	// before anything reads it.
 	r.rec.Interest = Interest{}
 	r.pkt = Packet{wire: wire, interest: &r.rec}
+	return &r.pkt
+}
+
+// WrapData is Wrap for a Data its sender holds as a record: the room's
+// Packet views d.Encode() as already parsed, and its Data is d itself, so
+// every receiver shares the sender's record at no decode and no object. It
+// relies on Data records being write-once: nobody changes d once it is on
+// the air. The Packet is dead from the room's next Wrap or WrapData on; d
+// is not.
+func (r *Room) WrapData(d *Data) *Packet {
+	r.pkt = Packet{wire: d.Encode(), shared: d, parsed: true}
 	return &r.pkt
 }
 
@@ -130,6 +145,9 @@ func (p *Packet) Interest() *Interest {
 // Data returns the decoded Data packet, or nil when the frame is not a
 // well-formed Data. All callers see the same *Data instance.
 func (p *Packet) Data() *Data {
+	if p.shared != nil {
+		return p.shared
+	}
 	p.parse()
 	if p.data == nil || p.err != nil {
 		return nil

@@ -26,9 +26,10 @@
 // Delivery follows the zero-copy wire path: one broadcast creates one
 // immutable frame whose NDN parse is memoized (Frame.Packet), so the k
 // receivers of a transmission share a single decode instead of k independent
-// re-parses, and an Interest decodes into the pooled transmission record at
-// no allocation. See the Frame docs for the immutability and lifetime
-// contract this relies on.
+// re-parses, an Interest decodes into the pooled transmission record at no
+// allocation, and a Data the sender holds as a record (BroadcastData) is
+// handed to every receiver as that record, with no decode at all. See the
+// Frame docs for the immutability and lifetime contract this relies on.
 //
 // A transmission completes in one kernel event at its end: the event
 // finalizes every reception in candidate order, handing each surviving frame
@@ -62,9 +63,14 @@ import (
 // takes back at the same moment. A handler that keeps any part of it past
 // its own return copies that part, and a relay re-sends a copy in a wire of
 // its own. The IP baselines' frames ride owned wires too. A Data wire is
-// borrowed (Broadcast, BroadcastNotify, BroadcastAfter): the medium never
-// writes or reuses it, and a Data decoded from it is write-once, so the
-// Content Store and a peer's packet tables keep both for good.
+// borrowed: the medium never writes or reuses it. A Data the sender holds
+// as a record — stored, cached, or heard and relayed — goes on the air as
+// that record (BroadcastData, BroadcastDataAfter), and every receiver's
+// Packet().Data() is the sender's own *ndn.Data, with nothing decoded; any
+// other Data (Broadcast, BroadcastNotify, BroadcastAfter) is decoded once
+// per transmission into a record of its own. Either record is write-once,
+// so the Content Store and a peer's packet tables keep it, and its wire,
+// for good.
 type Frame struct {
 	// From is the ID of the transmitting radio.
 	From int
@@ -617,7 +623,16 @@ func (m *Medium) receive(rx *Radio, start, end time.Duration) *reception {
 // suffers loss and collision. The frame is delivered (or dropped) after the
 // serialization time plus propagation delay.
 func (m *Medium) Broadcast(r *Radio, payload []byte) {
-	m.broadcast(r, payload, nil, false)
+	m.broadcast(r, payload, nil, nil, false)
+}
+
+// BroadcastData is Broadcast for a Data the sender holds as a record — a
+// stored packet, a Content Store hit, a Data it heard: the frame carries
+// d.Encode(), and every receiver's Packet().Data() is d itself, with no
+// decode and no object. d is shared from this call on, so nobody may
+// change it again (Data records are write-once).
+func (m *Medium) BroadcastData(r *Radio, d *ndn.Data) {
+	m.broadcast(r, d.Encode(), d, nil, false)
 }
 
 // BroadcastOwned is Broadcast for a wire taken from Wire, and the immediate
@@ -625,7 +640,7 @@ func (m *Medium) Broadcast(r *Radio, payload []byte) {
 // and returns it to the pool when the radio is disabled, when nobody is in
 // range, or once the completion event has run every receiver's handler.
 func (m *Medium) BroadcastOwned(r *Radio, wire []byte) {
-	m.broadcast(r, wire, nil, true)
+	m.broadcast(r, wire, nil, nil, true)
 }
 
 // Wire returns an empty buffer with capacity at least n from the medium's
@@ -659,6 +674,7 @@ type sendJob struct {
 	m     *Medium
 	radio *Radio
 	wire  []byte
+	data  *ndn.Data // the record wire encodes, for BroadcastDataAfter
 	count *uint64
 	live  *bool
 	owned bool
@@ -672,7 +688,14 @@ type sendJob struct {
 // record is pooled and its event func built once. wire is borrowed: the
 // medium never writes or reuses it.
 func (m *Medium) BroadcastAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool) {
-	m.sendAfter(delay, r, wire, count, live, false)
+	m.sendAfter(delay, r, wire, nil, count, live, false)
+}
+
+// BroadcastDataAfter is BroadcastAfter for a Data the sender holds as a
+// record, and the jittered twin of BroadcastData: its receivers are handed d
+// itself.
+func (m *Medium) BroadcastDataAfter(delay time.Duration, r *Radio, d *ndn.Data, count *uint64, live *bool) {
+	m.sendAfter(delay, r, d.Encode(), d, count, live, false)
 }
 
 // BroadcastOwnedAfter is BroadcastAfter for a wire taken from Wire: the
@@ -682,10 +705,10 @@ func (m *Medium) BroadcastAfter(delay time.Duration, r *Radio, wire []byte, coun
 // receiver's handler. The caller neither reads nor writes it again, and a
 // wire goes on the air once: a frame sent twice takes two wires.
 func (m *Medium) BroadcastOwnedAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool) {
-	m.sendAfter(delay, r, wire, count, live, true)
+	m.sendAfter(delay, r, wire, nil, count, live, true)
 }
 
-func (m *Medium) sendAfter(delay time.Duration, r *Radio, wire []byte, count *uint64, live *bool, owned bool) {
+func (m *Medium) sendAfter(delay time.Duration, r *Radio, wire []byte, data *ndn.Data, count *uint64, live *bool, owned bool) {
 	var j *sendJob
 	if n := len(m.sendFree); n > 0 {
 		j = m.sendFree[n-1]
@@ -695,13 +718,13 @@ func (m *Medium) sendAfter(delay time.Duration, r *Radio, wire []byte, count *ui
 		j = &sendJob{m: m}
 		j.fire = j.send
 	}
-	j.radio, j.wire, j.count, j.live, j.owned = r, wire, count, live, owned
+	j.radio, j.wire, j.data, j.count, j.live, j.owned = r, wire, data, count, live, owned
 	m.kernel.ScheduleFunc(delay, j.fire)
 }
 
 func (j *sendJob) send() {
-	m, r, wire, count, live, owned := j.m, j.radio, j.wire, j.count, j.live, j.owned
-	j.radio, j.wire, j.count, j.live, j.owned = nil, nil, nil, nil, false
+	m, r, wire, data, count, live, owned := j.m, j.radio, j.wire, j.data, j.count, j.live, j.owned
+	j.radio, j.wire, j.data, j.count, j.live, j.owned = nil, nil, nil, nil, nil, false
 	m.sendFree = append(m.sendFree, j)
 	if !*live {
 		if owned {
@@ -712,7 +735,7 @@ func (j *sendJob) send() {
 	if count != nil {
 		*count++
 	}
-	m.broadcast(r, wire, nil, owned)
+	m.broadcast(r, wire, data, nil, owned)
 }
 
 // BroadcastNotify is Broadcast with sender-side collision feedback: after the
@@ -720,12 +743,14 @@ func (j *sendJob) send() {
 // at any in-range receiver. This models the MAC-layer collision detection
 // that PEBA (Section IV-F) relies on.
 func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided bool)) {
-	m.broadcast(r, payload, notify, false)
+	m.broadcast(r, payload, nil, notify, false)
 }
 
-// broadcast puts payload on the air from r; owned says whether the medium
-// returns payload to the wire pool once the transmission is over.
-func (m *Medium) broadcast(r *Radio, payload []byte, notify func(collided bool), owned bool) {
+// broadcast puts payload on the air from r; data, when non-nil, is the Data
+// record payload encodes, handed to every receiver as it is, and owned says
+// whether the medium returns payload to the wire pool once the transmission
+// is over.
+func (m *Medium) broadcast(r *Radio, payload []byte, data *ndn.Data, notify func(collided bool), owned bool) {
 	if !r.enabled {
 		if owned {
 			m.release(payload)
@@ -772,7 +797,12 @@ func (m *Medium) broadcast(r *Radio, payload []byte, notify func(collided bool),
 	}
 	tx := m.newTransmission(Frame{From: r.id, Payload: payload, Size: size}, notify)
 	tx.owned = owned
-	if len(cands) > 0 && ndn.LooksLikePacket(payload) {
+	switch {
+	case len(cands) == 0:
+	case data != nil:
+		// The sender's own record, shared by every receiver: nothing to decode.
+		tx.frame.pkt = tx.room.WrapData(data)
+	case ndn.LooksLikePacket(payload):
 		// One decode-once packet per transmission, shared by every receiver
 		// below (they all deliver the transmission record's frame); an
 		// Interest decodes into the record's room. Non-NDN traffic (the IP

@@ -12,11 +12,11 @@ import (
 	"dapes/internal/sim"
 )
 
-// broadcastAllocs measures the steady-state allocations of one broadcast of
-// payload — scheduling through completion — heard by k receivers, each of
+// broadcastAllocs measures the steady-state allocations of one broadcast —
+// send's, scheduling through completion — heard by k receivers, each of
 // which hands the frame to onFrame (when non-nil), and the kernel events one
 // such broadcast fires.
-func broadcastAllocs(t *testing.T, k int, payload []byte, notify func(bool), onFrame func(Frame)) (avg float64, events uint64) {
+func broadcastAllocs(t *testing.T, k int, send func(m *Medium, sender *Radio), onFrame func(Frame)) (avg float64, events uint64) {
 	t.Helper()
 	kernel := sim.NewKernel(1)
 	m := NewMedium(kernel, Config{Range: 50, LossRate: 0.1})
@@ -32,7 +32,7 @@ func broadcastAllocs(t *testing.T, k int, payload []byte, notify func(bool), onF
 		})
 	}
 	once := func() {
-		m.BroadcastNotify(sender, payload, notify)
+		send(m, sender)
 		if err := kernel.Run(0); err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,9 @@ func TestBroadcastDoesNotAllocatePerReceiver(t *testing.T) {
 	}{{"plain", nil}, {"notify", func(bool) {}}} {
 		for _, k := range []int{1, 4, 32} {
 			// First byte 0: not an NDN packet, no decode memo.
-			avg, events := broadcastAllocs(t, k, make([]byte, 256), mode.notify, nil)
+			payload := make([]byte, 256)
+			send := func(m *Medium, sender *Radio) { m.BroadcastNotify(sender, payload, mode.notify) }
+			avg, events := broadcastAllocs(t, k, send, nil)
 			if avg != 0 {
 				t.Errorf("%s broadcast to %d receivers allocates %.2f objects, want 0", mode.name, k, avg)
 			}
@@ -85,9 +87,40 @@ func TestDeliveredInterestDoesNotAllocate(t *testing.T) {
 			t.Fatalf("delivered Interest decoded as %+v (%v)", in, f.Packet().Err())
 		}
 	}
+	send := func(m *Medium, sender *Radio) { m.Broadcast(sender, wire) }
 	for _, k := range []int{1, 4, 32} {
-		if avg, _ := broadcastAllocs(t, k, wire, nil, read); avg != 0 {
+		if avg, _ := broadcastAllocs(t, k, send, read); avg != 0 {
 			t.Errorf("an Interest heard by %d receivers allocates %.2f objects, want 0", k, avg)
+		}
+	}
+}
+
+// TestStoredDataSendDoesNotAllocate pins the stored or relayed Data's send:
+// with the medium warm, a Data record sent by BroadcastData or
+// BroadcastDataAfter and read by each of k receivers costs no object — no
+// packet view and no decode per transmission.
+func TestStoredDataSendDoesNotAllocate(t *testing.T) {
+	d := &ndn.Data{Name: ndn.ParseName("/dapes/c0ffee/file/3/17"), Content: make([]byte, 512)}
+	d.SignDigest()
+	read := func(f Frame) {
+		if got := f.Packet().Data(); got != d {
+			t.Fatalf("delivered Data is %p, want the sender's record %p", got, d)
+		}
+	}
+	live, sent := true, uint64(0)
+	for _, mode := range []struct {
+		name string
+		send func(m *Medium, sender *Radio)
+	}{
+		{"BroadcastData", func(m *Medium, sender *Radio) { m.BroadcastData(sender, d) }},
+		{"BroadcastDataAfter", func(m *Medium, sender *Radio) {
+			m.BroadcastDataAfter(time.Millisecond, sender, d, &sent, &live)
+		}},
+	} {
+		for _, k := range []int{1, 4, 32} {
+			if avg, _ := broadcastAllocs(t, k, mode.send, read); avg != 0 {
+				t.Errorf("%s heard by %d receivers allocates %.2f objects, want 0", mode.name, k, avg)
+			}
 		}
 	}
 }

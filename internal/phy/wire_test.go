@@ -79,6 +79,53 @@ func TestDeliveredFrameSharedDecode(t *testing.T) {
 	}
 }
 
+// TestBroadcastDataSharesTheSendersRecord pins the stored-Data path: a
+// frame sent by BroadcastData or BroadcastDataAfter hands every receiver the
+// sender's own *ndn.Data — the same pointer, not an equal decode — over the
+// sender's own wire bytes, and reads as no Interest.
+func TestBroadcastDataSharesTheSendersRecord(t *testing.T) {
+	t.Parallel()
+	const receivers = 4
+	k := sim.NewKernel(5)
+	m := NewMedium(k, Config{Range: 50})
+	sender := m.Attach(geo.Stationary{})
+	d := &ndn.Data{Name: ndn.ParseName("/coll/file/0"), Content: []byte("stored")}
+	d.SignDigest()
+	wire := d.Encode()
+
+	var got []*ndn.Data
+	for i := 0; i < receivers; i++ {
+		rx := m.Attach(geo.Stationary{At: geo.Point{X: float64(i + 1)}})
+		rx.SetHandler(func(f Frame) {
+			pkt := f.Packet()
+			if pkt.Interest() != nil {
+				t.Errorf("radio %d: a Data frame read as an Interest", rx.ID())
+			}
+			if !sameArray(f.Payload, wire) || len(f.Payload) != len(wire) {
+				t.Errorf("radio %d: the frame does not carry the sender's wire", rx.ID())
+			}
+			got = append(got, pkt.Data())
+		})
+	}
+	live, sent := true, uint64(0)
+	m.BroadcastData(sender, d)
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	m.BroadcastDataAfter(time.Millisecond, sender, d, &sent, &live)
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2*receivers || sent != 1 {
+		t.Fatalf("%d deliveries and %d counted sends, want %d and 1", len(got), sent, 2*receivers)
+	}
+	for i, rd := range got {
+		if rd != d {
+			t.Errorf("delivery %d handed over %p, want the sender's record %p", i, rd, d)
+		}
+	}
+}
+
 // TestFrameOutsideMediumStillParses covers the zero-value Frame fallback:
 // frames built directly (tests, future point-to-point links) parse per call
 // instead of sharing a memo, but behave identically.

@@ -164,17 +164,21 @@ func (p *Plan) Validate() error {
 	if len(p.Grid.Scenarios) == 0 {
 		return fmt.Errorf("plan %q: scenario is required", p.Name)
 	}
-	// A key the file set on an input a scenario's world fixes for itself
-	// is refused, whatever its value: its cells would run one world under
-	// labels that never ran.
+	// A key the file set on an input a scenario's world fixes for itself,
+	// or a loss rate where the fault plan a cell runs draws its loss from a
+	// bursty channel, is refused, whatever its value: its cells would run
+	// one world under labels that never ran.
 	for _, name := range p.Grid.Scenarios {
 		sc, err := experiment.Find(name)
 		if err != nil {
 			return fmt.Errorf("plan %q: %w", p.Name, err)
 		}
 		for _, k := range p.set {
-			if sc.Fixes(k.axis) {
+			switch {
+			case sc.Fixes(k.axis):
 				return fmt.Errorf("plan %q: scenario %s fixes its world's %s: drop %s", p.Name, name, k.axis, k.path)
+			case k.axis == experiment.AxisLoss && sc.BurstyLoss(p.Base):
+				return fmt.Errorf("plan %q: scenario %s runs a bursty loss channel, not a loss rate: drop %s", p.Name, name, k.path)
 			}
 		}
 	}

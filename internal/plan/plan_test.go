@@ -128,18 +128,26 @@ func TestParseRejects(t *testing.T) {
 		{"scale area_side beside fig8a", `name = "x"` + "\n" + `scenario = "fig8a-carrier"` + "\n\n[scale]\narea_side = 900.0",
 			"scenario fig8a-carrier fixes its world's area: drop scale.area_side"},
 		// Worlds that lay themselves out ran every area, and partitioned-merge
-		// every range, as the same trial; urban-grid-chaos's own bursty
-		// channel replaces the loss rate (TestEveryAxisMovesItsWorld).
+		// every range, as the same trial (TestEveryAxisMovesItsWorld).
 		{"scale area_side beside partitioned-merge", `name = "x"` + "\n" + `scenario = "partitioned-merge"` + "\n\n[scale]\narea_side = 900.0",
 			"scenario partitioned-merge fixes its world's area: drop scale.area_side"},
 		{"ranges beside partitioned-merge", `name = "x"` + "\n" + `scenario = "partitioned-merge"` + "\n\n[grid]\nranges = [20.0, 100.0]",
 			"scenario partitioned-merge fixes its world's range: drop grid.ranges"},
 		{"scale area_side beside convoy-churn", `name = "x"` + "\n" + `scenario = "convoy-churn"` + "\n\n[scale]\narea_side = 900.0",
 			"scenario convoy-churn fixes its world's area: drop scale.area_side"},
+		// A bursty channel replaces the loss rate: urban-grid-chaos's own
+		// fault plan, or a [faults] section that sets a loss model, whatever
+		// the scenario.
 		{"loss beside urban-grid-chaos", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[grid]\nloss = [0.0, 0.2]",
-			"scenario urban-grid-chaos fixes its world's loss rate: drop grid.loss"},
+			"scenario urban-grid-chaos runs a bursty loss channel, not a loss rate: drop grid.loss"},
 		{"scale loss beside urban-grid-chaos", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[scale]\nloss = 0.2",
-			"scenario urban-grid-chaos fixes its world's loss rate: drop scale.loss"},
+			"scenario urban-grid-chaos runs a bursty loss channel, not a loss rate: drop scale.loss"},
+		{"loss under bursty faults", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nloss = [0.0, 0.3]" + burstyFaults,
+			"scenario fig7-dapes runs a bursty loss channel, not a loss rate: drop grid.loss"},
+		{"scale loss under bursty faults", `name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[scale]\nloss = 0.3" + burstyFaults,
+			"scenario fig7-dapes runs a bursty loss channel, not a loss rate: drop scale.loss"},
+		{"loss beside urban-grid under bursty faults", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"urban-grid\"]\nloss = [0.1]" + burstyFaults,
+			"scenario fig7-dapes runs a bursty loss channel, not a loss rate: drop grid.loss"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -152,6 +160,10 @@ func TestParseRejects(t *testing.T) {
 		}
 	}
 }
+
+// burstyFaults is a [faults] section whose channel replaces the i.i.d. loss.
+const burstyFaults = "\n\n[faults]\nloss_model = \"gilbert-elliott\"\nloss_p_good = 0.05\nloss_p_bad = 0.4\n" +
+	"loss_good_to_bad = 0.1\nloss_bad_to_good = 0.3"
 
 // TestFixedAxesPassWhenLeftOut: a Fig.-8 plan that leaves out the axes its
 // world fixes, and sweeps what the world does read, is accepted, and gets
@@ -180,6 +192,14 @@ func TestFixedAxesPassWhenLeftOut(t *testing.T) {
 		{`name = "x"` + "\n\n[grid]\nscenarios = [\"partitioned-merge\", \"urban-grid-chaos\"]" + small +
 			"\nstationary = 1\nmobile_down = 2\npure_forwarders = 1\nintermediates = 1", 2,
 			[][2]string{{"60", "0.1"}, {"20", "null"}}},
+		// A [faults] section replaces urban-grid-chaos's own plan: one that
+		// sets no loss model leaves the i.i.d. rate it runs, on its axis too;
+		// a bursty one labels any scenario's loss null.
+		{`name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[grid]\nranges = [20.0]\nloss = [0.0, 0.3]" + small +
+			"\nstationary = 1\nmobile_down = 2\npure_forwarders = 1\nintermediates = 1\n\n[faults]\ncrash_frac = 0.34\n" +
+			"crash_from = \"20s\"\ncrash_until = \"40s\"\nrestart_min = \"10s\"\nrestart_max = \"20s\"", 2,
+			[][2]string{{"20", "0"}, {"20", "0.3"}}},
+		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]" + small + burstyFaults, 1, [][2]string{{"20", "null"}}},
 	} {
 		p, err := Parse([]byte(tc.src))
 		if err != nil {

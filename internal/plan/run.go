@@ -22,8 +22,8 @@ type CellResult struct {
 	Scenario string `json:"scenario"`
 	// Grid coordinates, each the value the cell ran at: a range or loss
 	// rate the scenario's world fixes is its declared one, not the grid's
-	// (experiment.Scenario.Range and Loss), and Loss is null for a world
-	// that runs at no one loss rate.
+	// (experiment.Scenario.Range and Loss), and Loss is null for a cell
+	// whose fault plan draws its loss from a bursty channel.
 	Nodes      int      `json:"nodes"`
 	RangeM     float64  `json:"range_m"`
 	Loss       *float64 `json:"loss"`
@@ -149,7 +149,7 @@ func cellResult(p *Plan, c Cell, sc *experiment.Scenario, r experiment.RunResult
 		DownloadP90Sec:   r.DownloadTime90.Seconds(),
 		TransmissionsP90: r.Transmissions90,
 	}
-	if loss, ok := sc.Loss(c.Loss); ok {
+	if loss, ok := sc.Loss(c.Scale); ok {
 		out.Loss = &loss
 	}
 	var accSum float64
