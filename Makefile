@@ -53,6 +53,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzDiscoveryPayload -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapPayload -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzFaultPlan -fuzztime=10s -fuzzminimizetime=1s ./internal/plan/
+	$(GO) test -run=NONE -fuzz=FuzzPlanWithFaults -fuzztime=10s -fuzzminimizetime=1s ./internal/plan/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/bitmap/
 	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/routing/
 

@@ -101,9 +101,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := rejectIgnoredFlags(fs, sc, *scenario); err != nil {
-		return err
-	}
 
 	s := experiment.ReducedScale()
 	s.NumFiles = *files
@@ -118,6 +115,9 @@ func run(args []string) error {
 			return fmt.Errorf("faults: %w", err)
 		}
 		s.Faults = fp
+	}
+	if err := rejectIgnoredFlags(fs, sc, *scenario, s); err != nil {
+		return err
 	}
 
 	if *cpuprofile != "" {
@@ -161,19 +161,23 @@ func run(args []string) error {
 }
 
 // adhocFlags are the knobs of the ad-hoc DAPES stack: only a run without
-// -scenario reads them.
-var adhocFlags = map[string]bool{
-	"strategy": true, "random-start": true, "interleave": true, "bitmaps": true,
-	"peba": true, "multihop": true, "forward-prob": true,
-}
+// -scenario reads them. axisFlags set an input a scenario may refuse.
+var (
+	adhocFlags = map[string]bool{
+		"strategy": true, "random-start": true, "interleave": true, "bitmaps": true,
+		"peba": true, "multihop": true, "forward-prob": true,
+	}
+	axisFlags = map[string]experiment.Axis{"range": experiment.AxisRange, "faults": experiment.AxisFaults}
+)
 
 // rejectIgnoredFlags fails, naming them, on flags set on the command line
-// that the selected run sc would ignore: the ad-hoc DAPES flags beside
-// -scenario, and -range beside a scenario whose world fixes its own range.
-func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, scenario string) error {
+// that the selected run sc under scale s would ignore: the ad-hoc DAPES
+// flags beside -scenario, and -range or -faults where the scenario refuses
+// them (experiment.Scenario.Refuses).
+func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, scenario string, s experiment.Scale) error {
 	var ignored []string
 	fs.Visit(func(fl *flag.Flag) {
-		if adhocFlags[fl.Name] && scenario != "" || fl.Name == "range" && sc.Fixes(experiment.AxisRange) {
+		if adhocFlags[fl.Name] && scenario != "" || sc.Refuses(s, axisFlags[fl.Name]) != "" {
 			ignored = append(ignored, "-"+fl.Name)
 		}
 	})

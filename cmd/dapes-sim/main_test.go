@@ -16,6 +16,12 @@ import (
 // default and emitted "range_m": 0.
 func TestRejectsMisreadInputs(t *testing.T) {
 	tiny := []string{"-files", "2", "-packets", "5", "-trials", "1", "-o", filepath.Join(t.TempDir(), "out")}
+	dir := t.TempDir()
+	jam := filepath.Join(dir, "jam.toml")
+	if err := os.WriteFile(jam, []byte("jam_radius = 10000\njam_until = \"2h\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	profile := filepath.Join(dir, "cpu.prof")
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the error
@@ -59,11 +65,19 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		// partitioned-merge lays its clusters out in units of the range, so
 		// every -range ran the same trial under another label.
 		{[]string{"-scenario", "partitioned-merge", "-range", "90"}, "-scenario partitioned-merge ignores -range"},
+		// Only a plan file bounded trials: this panicked in makeslice.
+		{[]string{"-trials", "1125899906842624"}, "Scale.Trials = 1125899906842624, want 1 to 1000 trials"},
+		// A world that applies no fault plan failed trial 0, after the
+		// profile had been created.
+		{[]string{"-scenario", "fig7-bithoc", "-faults", jam, "-cpuprofile", profile}, "-scenario fig7-bithoc ignores -faults"},
 	} {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("dapes-sim %v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
+	}
+	if _, err := os.Stat(profile); !os.IsNotExist(err) {
+		t.Errorf("dapes-sim -faults beside fig7-bithoc left a CPU profile behind (stat: %v)", err)
 	}
 	// An unknown flag such as -shards fails before the output file is
 	// created: exit 1, nothing written.

@@ -12,12 +12,8 @@ import (
 // RunBithocTrial executes one Fig.-7 trial of the Bithoc baseline: DSDV
 // proactive routing, scoped HELLO flooding, TCP-like piece transfer. The 20
 // non-downloading mobile nodes run plain DSDV and forward by routing table,
-// matching the paper's setup. The baselines apply no fault plan, so one is
-// refused.
+// matching the paper's setup.
 func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	if err := refuseFaults(s); err != nil {
-		return TrialResult{}, err
-	}
 	res, _ := bithocTrial(s, wifiRange, trial)
 	return res, nil
 }
@@ -65,9 +61,6 @@ func bithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, *world) {
 // RunEktaTrial executes one Fig.-7 trial of the Ekta baseline: DSR reactive
 // routing, Pastry-style DHT object location, UDP-like transfers.
 func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	if err := refuseFaults(s); err != nil {
-		return TrialResult{}, err
-	}
 	res, _ := ektaTrial(s, wifiRange, trial)
 	return res, nil
 }

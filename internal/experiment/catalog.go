@@ -13,26 +13,25 @@ import (
 
 // outdoor is what the Fig.-8 outdoor worlds set for themselves
 // (newOutdoorWorld builds its medium from it): the MacBooks' ~50 m range at
-// 5% loss, their own peers, and their own positions, so no area.
+// 5% loss, their own peers, and their own positions, so no area, and no
+// fault plan.
 var outdoor = Fixed{
-	Axes:  []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea},
+	Axes:  []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea, AxisFaults},
 	Radio: phy.Config{Range: 50, LossRate: 0.05},
 }
 
 // merging is what partitioned-merge sets for itself: its clusters sit and
 // walk in units of the radio range, so every range runs the same trial, and
-// it runs at 60 m; it places its peers itself, so no area.
-var merging = Fixed{Axes: []Axis{AxisRange, AxisArea}, Radio: phy.Config{Range: 60}}
+// it runs at 60 m; it places its peers itself, so no area; it applies no
+// fault plan.
+var merging = Fixed{Axes: []Axis{AxisRange, AxisArea, AxisFaults}, Radio: phy.Config{Range: 60}}
 
 // feasibilityTrial adapts a Fig.-8 outdoor run (which reports a Table-I
 // ScenarioResult for the whole world) to the catalog's per-trial shape.
 // The Fig.-8 worlds fix their own radio range (outdoor), so the runner's
-// wifiRange is ignored, and apply no fault plan, so one is refused.
+// wifiRange is ignored.
 func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc {
 	return func(s Scale, _ float64, trial int) (TrialResult, error) {
-		if err := refuseFaults(s); err != nil {
-			return TrialResult{}, err
-		}
 		r, err := run(s, TrialSeed(s.BaseSeed, trial))
 		if err != nil {
 			return TrialResult{}, err
@@ -95,13 +94,14 @@ var catalog = []*Scenario{
 		Name:    "convoy-churn",
 		Summary: "Producer-led convoy on a 1.5 km road with rider dropouts and late joiners",
 		Run:     convoyChurnTrial,
-		// The convoy rides a road of its own.
-		Fixed: Fixed{Axes: []Axis{AxisArea}},
+		// The convoy rides a road of its own, with no fault plan.
+		Fixed: Fixed{Axes: []Axis{AxisArea, AxisFaults}},
 	},
 	{
 		Name:    "fig7-bithoc",
 		Summary: "Fig.-7 workload on the Bithoc baseline (DSDV + TCP-like swarming)",
 		Run:     RunBithocTrial,
+		Fixed:   Fixed{Axes: []Axis{AxisFaults}}, // the baselines apply no fault plan
 	},
 	{
 		Name:    "fig7-dapes",
@@ -112,6 +112,7 @@ var catalog = []*Scenario{
 		Name:    "fig7-ekta",
 		Summary: "Fig.-7 workload on the Ekta baseline (DSR + Pastry DHT)",
 		Run:     RunEktaTrial,
+		Fixed:   Fixed{Axes: []Axis{AxisFaults}},
 	},
 	{
 		Name:    "fig8a-carrier",

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"time"
 
 	"dapes/internal/core"
@@ -15,16 +14,6 @@ import (
 // trial at one installation point (after every Start, before RunUntil); a
 // nil or empty plan leaves the trial untouched (the trace-neutrality gate
 // in fault_test.go).
-
-// refuseFaults is the first step of a trial whose world is built without a
-// fault plan: handed a plan that would crash a node, jam the air or drop
-// frames, the trial fails instead of running as if the plan were not there.
-func refuseFaults(s Scale) error {
-	if f := s.Faults; f.HasCrashes() || f.HasJam() || f.HasLoss() {
-		return errors.New("experiment: the workload applies no fault plan (crashes, jam, bursty loss)")
-	}
-	return nil
-}
 
 // installMediumFaults installs the plan's loss model and jammer on the
 // trial's medium.

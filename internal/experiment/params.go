@@ -75,9 +75,9 @@ type Scale struct {
 	Engine Engine
 	// Faults is the declarative fault plan (crashes/restarts, bursty loss,
 	// jammer windows) compiled per trial by internal/fault. nil — and any
-	// plan whose Empty() is true — is trace-neutral: the trial runs the
-	// exact no-fault code path (the fault-determinism contract in
-	// docs/CONTRACTS.md).
+	// plan that neither crashes, jams nor drops — is trace-neutral: the
+	// trial runs the exact no-fault code path (docs/CONTRACTS.md). A world
+	// that applies no fault plan refuses any other (Scenario.Refuses).
 	Faults *fault.Plan
 }
 
@@ -126,17 +126,18 @@ func FullScale() Scale {
 // TotalPackets returns the collection's packet count at this scale.
 func (s Scale) TotalPackets() int { return s.NumFiles * s.PacketsPerFile }
 
-// Bounds on what one trial allocates. A trial holds its whole collection
-// in memory (full-scale Fig. 9f, the largest workload, is 153.6 MB), and
-// the node mix is counted before any scenario multiplier (the largest
-// committed plan, urban-metro.toml, has 2,003 nodes).
+// Bounds on what one run allocates. A trial holds its whole collection
+// in memory (full-scale Fig. 9f, the largest workload, is 153.6 MB), the
+// node mix is counted before any scenario multiplier (urban-metro.toml
+// has 2,003 nodes), and the paper reports 10 trials.
 const (
 	maxCollectionBytes = 1 << 30
 	maxNodes           = 1 << 20
+	MaxTrials          = 1000
 )
 
-// Validate rejects scales that cannot drive a meaningful run: zero or
-// negative trial counts, an empty range sweep, non-positive collection or
+// Validate rejects scales that cannot drive a meaningful run: trial counts
+// outside [1, MaxTrials], an empty range sweep, non-positive collection or
 // packet sizes, a collection over maxCollectionBytes, loss probabilities
 // outside [0, 1), and node mixes with nobody downloading or over maxNodes.
 // Runner.Run and the plan harness call this before work starts so a bad
@@ -144,8 +145,8 @@ const (
 // empty sweep.
 func (s Scale) Validate() error {
 	switch {
-	case s.Trials <= 0:
-		return fmt.Errorf("experiment: Scale.Trials = %d, must be positive", s.Trials)
+	case s.Trials <= 0 || s.Trials > MaxTrials:
+		return fmt.Errorf("experiment: Scale.Trials = %d, want 1 to %d trials", s.Trials, MaxTrials)
 	case s.NumFiles <= 0:
 		return fmt.Errorf("experiment: Scale.NumFiles = %d, must be positive", s.NumFiles)
 	case s.PacketsPerFile <= 0:

@@ -75,9 +75,11 @@ const (
 	AxisNodes
 	// AxisArea is Scale.AreaSide.
 	AxisArea
+	// AxisFaults is Scale.Faults: a world that fixes it applies none.
+	AxisFaults
 )
 
-var axisNames = [...]string{AxisRange: "range", AxisLoss: "loss rate", AxisNodes: "node mix", AxisArea: "area"}
+var axisNames = [...]string{AxisRange: "range", AxisLoss: "loss rate", AxisNodes: "node mix", AxisArea: "area", AxisFaults: "fault plan"}
 
 // String names the input the axis sets.
 func (a Axis) String() string { return axisNames[a] }
@@ -120,6 +122,26 @@ func (s *Scenario) Loss(sc Scale) (rate float64, ok bool) {
 		return 0, false
 	}
 	return sc.LossRate, true
+}
+
+// Refuses is the one decision of what a run of the scenario under scale sc
+// refuses on axis a, asked before anything runs: an input its world fixes,
+// a loss rate where the loss is bursty (BurstyLoss), or a fault plan that
+// crashes, jams or drops where its world applies none. It returns why, or
+// "" for an input the world reads.
+func (s *Scenario) Refuses(sc Scale, a Axis) string {
+	switch f := sc.Faults; {
+	case a == AxisFaults:
+		// A plan that injects nothing runs the no-fault path byte for byte.
+		if s.Fixes(a) && (f.HasCrashes() || f.HasJam() || f.HasLoss()) {
+			return "applies no fault plan (crashes, jam, bursty loss)"
+		}
+	case s.Fixes(a):
+		return "fixes its world's " + a.String()
+	case a == AxisLoss && s.BurstyLoss(sc):
+		return "runs a bursty loss channel, not a loss rate"
+	}
+	return ""
 }
 
 // Find returns the catalog scenario named name, or a descriptive error

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dapes/internal/fault"
 )
 
 // TestCatalogMatchesExperimentsDoc holds the catalog to its one
@@ -137,11 +139,12 @@ func TestUrbanGridScalesNodeCount(t *testing.T) {
 
 // TestEveryAxisMovesItsWorld: a world reads every input it does not declare
 // fixed, and none it does. Each catalog scenario runs one trial at seed 1
-// and a small scale, then again with the range, the loss rate, the node mix
-// and the area changed one at a time: an axis in the scenario's Fixed — or
-// the loss rate, where the trial's fault plan is bursty (BurstyLoss) — must
-// leave the trial's result byte for byte as it was, and every other axis
-// must change it. A fixed axis a world reads would run under a label it
+// and a small scale, then again with the range, the loss rate, the node mix,
+// the area and the fault plan changed one at a time: an input the scenario
+// refuses (Refuses: an axis in its Fixed, the loss rate where the trial's
+// fault plan is bursty, a fault plan where it applies none) must leave the
+// trial's result byte for byte as it was, and every other input must change
+// it. A fixed axis a world reads would run under a label it
 // never declared; an undeclared axis it ignores would label identical runs
 // with different values.
 func TestEveryAxisMovesItsWorld(t *testing.T) {
@@ -166,6 +169,8 @@ func TestEveryAxisMovesItsWorld(t *testing.T) {
 		// No scenario's own arena edge (300, 450 or 900 m, or urban-metro's
 		// density-preserving side).
 		{AxisArea, func(s *Scale, _ *float64) { s.AreaSide = 520 }},
+		// A jammer over every node for longer than the horizon.
+		{AxisFaults, func(s *Scale, _ *float64) { s.Faults = &fault.Plan{JamRadius: 10000, JamUntil: 2 * time.Hour} }},
 	}
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -182,7 +187,7 @@ func TestEveryAxisMovesItsWorld(t *testing.T) {
 				s, r := base, baseRange
 				p.apply(&s, &r)
 				got := trial(s, r)
-				fixed := sc.Fixes(p.axis) || p.axis == AxisLoss && sc.BurstyLoss(base)
+				fixed := sc.Refuses(s, p.axis) != ""
 				switch moved := got != want; {
 				case fixed && moved:
 					t.Errorf("declares its %s fixed, but changing it moves the trial:\n got %s\nwant %s", p.axis, got, want)

@@ -49,10 +49,13 @@ func (Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: nil scenario")
 	}
 	// The one trial driver validates for every caller — dapes-sim, each
-	// dapes-bench figure, plan cells — so a bad knob fails here with its
-	// field name, before any trial builds a world.
+	// dapes-bench figure, plan cells — so a bad knob, or a fault plan the
+	// world refuses, fails here by name, before any trial builds a world.
 	if err := s.Validate(); err != nil {
 		return RunResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
+	if why := sc.Refuses(s, AxisFaults); why != "" {
+		return RunResult{}, fmt.Errorf("experiment: scenario %q %s", sc.Name, why)
 	}
 	n := s.Trials
 	// Not a Scale field, so Validate never sees it: a negative range panics

@@ -96,6 +96,7 @@ func TestRunnerRejectsBadInput(t *testing.T) {
 		set   func(*Scale)
 	}{
 		{"Scale.Trials", func(s *Scale) { s.Trials = 0 }},
+		{"Scale.Trials", func(s *Scale) { s.Trials = MaxTrials + 1 }},
 		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = -1 }},
 		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = 0 }},
 		{"Scale.Horizon", func(s *Scale) { s.Horizon = 0 }},

@@ -61,9 +61,6 @@ func ringPositions(center geo.Point, radius float64, n int) []geo.Point {
 // scenario stresses advertisement exchange and RPF restart on a healed
 // partition.
 func partitionedMergeTrial(s Scale, _ float64, trial int) (TrialResult, error) {
-	if err := refuseFaults(s); err != nil {
-		return TrialResult{}, err
-	}
 	wifiRange := merging.Radio.Range
 	n := clusterSize(s)
 	radius := wifiRange * 0.35
@@ -101,9 +98,6 @@ func partitionedMergeTrial(s Scale, _ float64, trial int) (TrialResult, error) {
 // never stable. The convoy itself stays a connected multi-hop chain, which
 // exercises forwarding under continuous topology change.
 func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	if err := refuseFaults(s); err != nil {
-		return TrialResult{}, err
-	}
 	const (
 		roadLen = 1500.0
 		speed   = 5.0 // m/s

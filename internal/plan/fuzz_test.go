@@ -1,8 +1,14 @@
 package plan
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"dapes/internal/experiment"
 )
 
 // FuzzPlanFile holds the parser to its contract: any input — malformed
@@ -116,6 +122,85 @@ func FuzzFaultPlan(f *testing.F) {
 		}
 		if verr := p.Validate(); verr != nil {
 			t.Fatalf("ParseFaults accepted a plan Validate rejects: %v\nplan: %+v", verr, p)
+		}
+	})
+}
+
+// FuzzPlanWithFaults holds a plan file and a fault file together — the
+// fault file's keys as the plan's [faults] section, the fault plan every
+// cell runs — to the one decision of what a run refuses
+// (experiment.Scenario.Refuses, asked by Validate): whatever Parse
+// accepts, it never panics, and none of its cells fails at run time. A
+// cell small enough for a fuzz iteration — at most 64 nodes after the
+// largest scenario multiplier (25x), a collection of at most 64 KiB and a
+// horizon of at most five minutes — runs its first trial; the rest are
+// checked by validation only, as are cells past the first 16 that run.
+func FuzzPlanWithFaults(f *testing.F) {
+	const small = "[scale]\nfiles = 1\npackets = 2\nhorizon = \"30s\"\nstationary = 1\nmobile_down = 1\npure_forwarders = 0\nintermediates = 0\n"
+	jam := "jam_radius = 10000\njam_until = \"2h\"\n"
+	crash := "crash_frac = 0.5\ncrash_until = \"10s\"\nrestart_min = \"5s\"\nrestart_max = \"8s\"\n"
+	bursty := "loss_model = \"gilbert-elliott\"\nloss_p_good = 0.05\nloss_p_bad = 0.4\nloss_good_to_bad = 0.1\nloss_bad_to_good = 0.3\n"
+	for _, seed := range [][2]string{
+		// TestParseRejects' fault-plan rows, and plans that run under them.
+		{"name = \"a\"\nscenario = \"fig7-bithoc\"\n" + small, jam},
+		{"name = \"a\"\n[grid]\nscenarios = [\"fig7-dapes\", \"fig7-bithoc\"]\n" + small, bursty},
+		{"name = \"a\"\nscenario = \"partitioned-merge\"\n" + small, crash},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n" + small, crash},
+		{"name = \"a\"\nscenario = \"urban-grid-chaos\"\n[grid]\nloss = [0.0, 0.3]\n" + small, crash},
+		{"name = \"a\"\nscenario = \"blackout-recovery\"\n" + small, ""},
+		{"name = \"a\"\nscenario = \"fig8a-carrier\"\n" + small, "loss_model = \"iid\"\n"},
+		{"name = \"a\"\nscenario = \"convoy-churn\"\n" + small, "# nothing\n"},
+		// TestRejectsMisreadInputs' trial bound, and TestRunnerRejectsBadInput's
+		// knobs as plan keys.
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\ntrials = 1125899906842624\n", ""},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\ntrials = 0\n", ""},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n[scale]\npackets = -1\n", ""},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n[scale]\npackets = 0\n", ""},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n[scale]\nhorizon = \"0s\"\n", ""},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n[grid]\nranges = [-1.0, 0.0]\n", ""},
+		// TestRejectedInputKeepsOutputFile's inputs.
+		{"name = \"a\"\nscenario = \"fig7-dappes\"\n", ""},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n" + small, "crash_frac = 0.5\ncrash_until = 30s\n"},
+		{"name = \"a\"\nscenario = \"fig7-dapes\"\n[scale]\npackets = 9223372036854775807\n", ""},
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]))
+	}
+	committed, err := filepath.Glob("../../plans/*.toml")
+	if err != nil || len(committed) == 0 {
+		f.Fatalf("no committed plans (%v)", err)
+	}
+	for _, path := range committed {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, []byte(""))
+	}
+	f.Fuzz(func(t *testing.T, planFile, faultFile []byte) {
+		src := planFile
+		if len(faultFile) > 0 {
+			src = slices.Concat(planFile, []byte("\n[faults]\n"), faultFile)
+		}
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		ran := 0
+		for _, c := range p.Cells() {
+			s := c.Scale
+			nodes := 1 + s.Stationary + 25*(s.MobileDown+s.PureForwarders+s.Intermediates)
+			if nodes > 64 || s.NumFiles*s.PacketsPerFile*s.PacketSize > 64<<10 || s.Horizon > 5*time.Minute || ran == 16 {
+				continue
+			}
+			ran++
+			s.Trials = 1
+			sc, err := experiment.Find(c.Scenario)
+			if err != nil {
+				t.Fatalf("accepted plan names an unknown scenario: %v", err)
+			}
+			if _, err := (experiment.Runner{}).Run(sc, s, c.Range); err != nil {
+				t.Fatalf("accepted plan fails cell %d at run time: %v\nplan:\n%s", c.Index, err, src)
+			}
 		}
 	})
 }

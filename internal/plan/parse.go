@@ -126,7 +126,7 @@ var topKeys = []key[planFile]{
 	{name: "seed", field: func(f *planFile) any { return &f.plan.Seed }},
 	{name: "grid", field: func(f *planFile) any { return &f.grid }},
 	{name: "scale", field: func(f *planFile) any { return &f.scale }},
-	{name: "faults", field: func(f *planFile) any { return &f.faults }},
+	{name: "faults", axis: experiment.AxisFaults, field: func(f *planFile) any { return &f.faults }},
 }
 
 var gridKeys = []key[Grid]{
@@ -202,7 +202,7 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 	return p, nil
 }
 
-// setKey records a key the file set on a scenario-fixable axis.
+// setKey records a key the file set on an axis a scenario may refuse.
 type setKey struct {
 	axis experiment.Axis
 	path string

@@ -31,8 +31,6 @@ const (
 	// millions of cells; the bound keeps a typo'd axis from exploding the
 	// expansion (and keeps the parser OOM-free under fuzzing).
 	MaxCells = 4096
-	// MaxTrials bounds per-cell trials (the paper reports 10).
-	MaxTrials = 1000
 	// MaxNodeMultiplier bounds the node-mix multiplier axis. Dense
 	// scenarios multiply the mix again internally (urban-grid-xl is 25x),
 	// so even modest values here reach six-figure node counts.
@@ -41,8 +39,8 @@ const (
 
 // cellSeedStride spaces cell base seeds. It is much larger than the
 // TrialSeed stride (7919), so two cells' trial seeds cannot collide while
-// Trials <= MaxTrials/8; even a collision would only correlate two cells
-// statistically — determinism never depends on seed uniqueness.
+// Trials <= experiment.MaxTrials/8; even a collision would only correlate
+// two cells statistically — determinism never depends on seed uniqueness.
 const cellSeedStride = 1_000_003
 
 // CellSeed derives grid cell c's base seed from the plan seed, exactly as
@@ -72,8 +70,8 @@ type Plan struct {
 	// Horizon, the node mix, and BaseSeed from their grid coordinates.
 	Base experiment.Scale
 
-	// set lists the keys the plan file set on an axis a scenario may fix,
-	// in file-table order; Validate refuses them for such a scenario.
+	// set lists the keys the plan file set on an axis a scenario may
+	// refuse, in file-table order; Validate asks each scenario about them.
 	set []setKey
 }
 
@@ -155,8 +153,8 @@ func (p *Plan) NumCells() (int, error) {
 }
 
 // Validate checks the whole plan: identity fields, the scenario against
-// the catalog (with Find's near-miss suggestions), trial and grid bounds,
-// and the derived Scale of every cell.
+// the catalog (with Find's near-miss suggestions), the keys the file set
+// against what each scenario refuses, grid bounds, and every cell's Scale.
 func (p *Plan) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan: name is required")
@@ -164,26 +162,19 @@ func (p *Plan) Validate() error {
 	if len(p.Grid.Scenarios) == 0 {
 		return fmt.Errorf("plan %q: scenario is required", p.Name)
 	}
-	// A key the file set on an input a scenario's world fixes for itself,
-	// or a loss rate where the fault plan a cell runs draws its loss from a
-	// bursty channel, is refused, whatever its value: its cells would run
-	// one world under labels that never ran.
+	// A key a scenario refuses fails the plan before any cell runs: its
+	// cells would run one world under labels that never ran, or a fault
+	// plan the world never applies.
 	for _, name := range p.Grid.Scenarios {
 		sc, err := experiment.Find(name)
 		if err != nil {
 			return fmt.Errorf("plan %q: %w", p.Name, err)
 		}
 		for _, k := range p.set {
-			switch {
-			case sc.Fixes(k.axis):
-				return fmt.Errorf("plan %q: scenario %s fixes its world's %s: drop %s", p.Name, name, k.axis, k.path)
-			case k.axis == experiment.AxisLoss && sc.BurstyLoss(p.Base):
-				return fmt.Errorf("plan %q: scenario %s runs a bursty loss channel, not a loss rate: drop %s", p.Name, name, k.path)
+			if why := sc.Refuses(p.Base, k.axis); why != "" {
+				return fmt.Errorf("plan %q: scenario %s %s: drop %s", p.Name, name, why, k.path)
 			}
 		}
-	}
-	if p.Trials <= 0 || p.Trials > MaxTrials {
-		return fmt.Errorf("plan %q: trials = %d, must be in [1, %d]", p.Name, p.Trials, MaxTrials)
 	}
 	for i, n := range p.Grid.Nodes {
 		if n < 1 || n > MaxNodeMultiplier {

@@ -148,6 +148,14 @@ func TestParseRejects(t *testing.T) {
 			"scenario fig7-dapes runs a bursty loss channel, not a loss rate: drop scale.loss"},
 		{"loss beside urban-grid under bursty faults", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"urban-grid\"]\nloss = [0.1]" + burstyFaults,
 			"scenario fig7-dapes runs a bursty loss channel, not a loss rate: drop grid.loss"},
+		// A world that applies no fault plan ran every cell before it, then
+		// failed its own first trial: the plan is refused before any cell.
+		{"faults beside fig7-bithoc", `name = "x"` + "\n" + `scenario = "fig7-bithoc"` + jamFaults,
+			"scenario fig7-bithoc applies no fault plan (crashes, jam, bursty loss): drop faults"},
+		{"faults beside fig7-dapes and fig7-bithoc", `name = "x"` + "\n\n[grid]\nscenarios = [\"fig7-dapes\", \"fig7-bithoc\"]" + burstyFaults,
+			"scenario fig7-bithoc applies no fault plan (crashes, jam, bursty loss): drop faults"},
+		{"faults beside partitioned-merge", `name = "x"` + "\n" + `scenario = "partitioned-merge"` +
+			"\n\n[faults]\ncrash_frac = 0.5\ncrash_until = \"30s\"", "scenario partitioned-merge applies no fault plan (crashes, jam, bursty loss): drop faults"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -160,6 +168,9 @@ func TestParseRejects(t *testing.T) {
 		}
 	}
 }
+
+// jamFaults is a [faults] section that jams every node for two hours.
+const jamFaults = "\n\n[faults]\njam_radius = 10000.0\njam_until = \"2h\""
 
 // burstyFaults is a [faults] section whose channel replaces the i.i.d. loss.
 const burstyFaults = "\n\n[faults]\nloss_model = \"gilbert-elliott\"\nloss_p_good = 0.05\nloss_p_bad = 0.4\n" +
@@ -200,6 +211,9 @@ func TestFixedAxesPassWhenLeftOut(t *testing.T) {
 			"crash_from = \"20s\"\ncrash_until = \"40s\"\nrestart_min = \"10s\"\nrestart_max = \"20s\"", 2,
 			[][2]string{{"20", "0"}, {"20", "0.3"}}},
 		{`name = "x"` + "\n" + `scenario = "fig7-dapes"` + "\n\n[grid]\nranges = [20.0]" + small + burstyFaults, 1, [][2]string{{"20", "null"}}},
+		// A [faults] section that injects nothing runs the no-fault path, so
+		// a world that applies no fault plan takes it.
+		{`name = "x"` + "\n" + `scenario = "fig7-bithoc"` + "\n\n[faults]\nloss_model = \"iid\"", 3, nil},
 	} {
 		p, err := Parse([]byte(tc.src))
 		if err != nil {
