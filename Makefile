@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden examples plan chaos-smoke neutral
+.PHONY: all build loc vet fmt-check lint fuzz-short test race bench bench-harness bench-nfd golden claims examples plan chaos-smoke neutral
 
 all: build lint test
 
@@ -114,6 +114,12 @@ chaos-smoke:
 GOLDEN = ^TestGolden|Matches|TraceNeutral|Determinis|NotAllocate
 golden:
 	$(GO) test -run '$(GOLDEN)' -count=1 ./internal/... ./cmd/...
+
+# The paper's claims (internal/experiment/paper_test.go), with the log of
+# every row: the seed means of the series it compares, each series'
+# completed/downloaders count, and the verdict.
+claims:
+	$(GO) test -run TestPaperClaims -count=1 -v ./internal/experiment
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

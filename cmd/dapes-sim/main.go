@@ -119,6 +119,10 @@ func run(args []string) error {
 	if err := rejectIgnoredFlags(fs, sc, *scenario, s); err != nil {
 		return err
 	}
+	// What Runner.Run would refuse is refused before a profile is created.
+	if err := (experiment.Runner{}).Check(sc, s, *wifiRange); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

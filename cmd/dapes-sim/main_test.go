@@ -21,7 +21,8 @@ func TestRejectsMisreadInputs(t *testing.T) {
 	if err := os.WriteFile(jam, []byte("jam_radius = 10000\njam_until = \"2h\"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	profile := filepath.Join(dir, "cpu.prof")
+	cpuProf, memProf := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	profiles := []string{"-cpuprofile", cpuProf, "-memprofile", memProf}
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the error
@@ -69,15 +70,23 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-trials", "1125899906842624"}, "Scale.Trials = 1125899906842624, want 1 to 1000 trials"},
 		// A world that applies no fault plan failed trial 0, after the
 		// profile had been created.
-		{[]string{"-scenario", "fig7-bithoc", "-faults", jam, "-cpuprofile", profile}, "-scenario fig7-bithoc ignores -faults"},
+		{append([]string{"-scenario", "fig7-bithoc", "-faults", jam}, profiles...), "-scenario fig7-bithoc ignores -faults"},
+		// What Runner.Run refuses was refused after the CPU profile had
+		// been created, and the heap profile was written on the way out.
+		{append([]string{"-trials", "0"}, profiles...), "Scale.Trials = 0, want 1 to 1000 trials"},
+		{append([]string{"-horizon", "0s"}, profiles...), "Scale.Horizon = 0s"},
+		{append([]string{"-range", "-1"}, profiles...), `"dapes(custom)": WiFi range = -1 m`},
 	} {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("dapes-sim %v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
-	}
-	if _, err := os.Stat(profile); !os.IsNotExist(err) {
-		t.Errorf("dapes-sim -faults beside fig7-bithoc left a CPU profile behind (stat: %v)", err)
+		for _, p := range []string{cpuProf, memProf} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("dapes-sim %v left %s behind (stat: %v)", tc.args, filepath.Base(p), err)
+				os.Remove(p)
+			}
+		}
 	}
 	// An unknown flag such as -shards fails before the output file is
 	// created: exit 1, nothing written.

@@ -211,7 +211,7 @@ func hopConfig(multihop bool, prob float64) core.Config {
 }
 
 // FigureResult is a figure as numbers, before any rendering: Cells[i][j] is
-// series j (labelled Labels[j]) at Ranges[i]. The ordering tests, dapes-bench
+// series j (labelled Labels[j]) at Ranges[i]. The paper's claims, dapes-bench
 // and BenchmarkFigure all read this grid.
 type FigureResult struct {
 	Figure Figure

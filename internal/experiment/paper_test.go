@@ -1,144 +1,557 @@
 package experiment
 
 import (
+	"fmt"
+	"maps"
+	"math"
+	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 	"time"
-
-	"dapes/internal/core"
 )
 
-// TestPaperFig9aRandomStartBeatsSameStart pins Section VI-C's start-packet
-// result on the selection code itself: with every peer breaking rarity ties
-// by its own random permutation, first requests diversify across the swarm,
-// and downloads finish sooner on fewer frames than when every peer starts at
-// the same packet. Fig. 9a's setup (bitmaps-first, all bitmaps) at the
-// reduced scale, range 60, local-neighbourhood RPF, means over 8 trials;
-// measured when written: 33,461 vs 35,425 frames and 46.8 vs 48.1 s at seed
-// 1 (33,740 vs 36,350; 36.9 vs 41.1 s at seed 2). Local-vs-encounter is
-// deliberately not asserted: at this scale they differ by under 2% either
-// way.
-func TestPaperFig9aRandomStartBeatsSameStart(t *testing.T) {
+// claim is one statement of the paper's Section VI and the cells of
+// experiment.Figures that decide it. TestPaperClaims runs every cell the
+// table needs once and fails on an Asserted row that does not hold, or on a
+// Deviation row that now does. docs/EXPERIMENTS.md names every row by id.
+type claim struct {
+	id        string
+	panel     string // an id of the Figures entry whose grid decides the row
+	statement string
+	series    []string // the labels compared, in the relation's order
+	scale     claimScale
+	seeds     int64     // base seeds 1..seeds
+	ranges    []float64 // nil where the figure has no range axis (Table I)
+	stat      statistic
+	metric    Metric
+	quant     quantifier
+	rel       relation
+	// deviation is empty for an Asserted row; for a Deviation row it is why
+	// the tree does not do what the paper reports.
+	deviation string
+}
+
+// claimScale is the scale a row's cells run at: a named scale and, where
+// non-zero, its trial count.
+type claimScale struct {
+	name   string // "quick" or "reduced"
+	trials int
+}
+
+func (c claimScale) scale() Scale {
+	s := QuickScale()
+	if c.name == "reduced" {
+		s = ReducedScale()
+	}
+	if c.trials > 0 {
+		s.Trials = c.trials
+	}
+	s.Workers = 4 // never changes a result
+	return s
+}
+
+// statistic is what a row reads from one (seed, range, series) cell.
+type statistic int
+
+const (
+	p90        statistic = iota // the cell's 90th percentile (Metric.Of), as its panel prints it
+	trialMean                   // the mean over the cell's trials
+	unfinished                  // the downloads its trials left unfinished
+)
+
+func (st statistic) of(r RunResult, m Metric) float64 {
+	switch st {
+	case trialMean:
+		var sum float64
+		for _, tr := range r.Trials {
+			if m == Transmissions {
+				sum += float64(tr.Transmissions)
+			} else {
+				sum += tr.AvgDownloadTime.Seconds()
+			}
+		}
+		return sum / float64(len(r.Trials))
+	case unfinished:
+		var n int
+		for _, tr := range r.Trials {
+			n += tr.Downloaders - tr.Completed
+		}
+		return float64(n)
+	}
+	return m.Of(r)
+}
+
+// quantifier says over which values of a row's seeds the relation must
+// hold, at each of its ranges.
+type quantifier int
+
+const (
+	everySeed quantifier = iota // each seed's values
+	seedMean                    // the means over the seeds
+)
+
+// relation is what a row asserts of its series' values, taken in order.
+type relation int
+
+const (
+	less    relation = iota // each below the next: strictly increasing
+	atMost                  // each at most the next
+	differs                 // not all equal
+	zero                    // every one zero
+)
+
+// over is the relation as it reads over the series it compares.
+func (rel relation) over(series []string) string {
+	switch rel {
+	case differs:
+		return strings.Join(series, ", ") + " differ"
+	case zero:
+		return strings.Join(series, ", ") + " = 0"
+	}
+	return strings.Join(series, map[relation]string{less: " < ", atMost: " ≤ "}[rel])
+}
+
+func (rel relation) holds(v []float64) bool {
+	switch rel {
+	case differs:
+		return slices.ContainsFunc(v, func(x float64) bool { return x != v[0] })
+	case zero:
+		return !slices.ContainsFunc(v, func(x float64) bool { return x != 0 })
+	}
+	for i := 1; i < len(v); i++ {
+		if v[i-1] > v[i] || rel == less && v[i-1] == v[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// noRange is the one row of a figure with no range axis: Table I's
+// scenarios (see grid).
+const noRange = 0
+
+// claims is Section VI as this tree reproduces it, one row per statement.
+// The statements are quoted as docs/EXPERIMENTS.md and the Figures table
+// quote the paper.
+var claims = []claim{
+	{
+		id: "9a-random-start-faster", panel: "9a",
+		statement: "With every peer breaking rarity ties by its own random permutation, first requests diversify across the swarm and downloads finish sooner than when every peer starts at the same packet (Section VI-C).",
+		series:    []string{"random/local", "same/local"},
+		scale:     claimScale{"reduced", 8}, seeds: 1, ranges: []float64{60},
+		stat: trialMean, metric: DownloadTime, quant: everySeed, rel: less,
+	},
+	{
+		id: "9a-random-start-fewer-frames", panel: "9a",
+		statement: "Random start packets put fewer frames on the air than a common start packet (Section VI-C).",
+		series:    []string{"random/local", "same/local"},
+		scale:     claimScale{"reduced", 8}, seeds: 1, ranges: []float64{60},
+		stat: trialMean, metric: Transmissions, quant: everySeed, rel: less,
+	},
+	{
+		id: "9d-interleaved-b-matters", panel: "9d",
+		statement: "The number of bitmaps b a peer fetches while it downloads changes its download time (Fig. 9d).",
+		series:    []string{"b=1", "b=2", "b=3", "b=4", "all"},
+		scale:     claimScale{"quick", 0}, seeds: 1, ranges: []float64{40, 80},
+		stat: p90, metric: DownloadTime, quant: everySeed, rel: differs,
+		deviation: "core/fetch.go reads BitmapsBefore only under BitmapsFirst, so the five interleaved series are one configuration: 35.2 s at 40 m and 3.9 s at 80 m in every column",
+	},
+	{
+		id: "9e-more-files-slower", panel: "9e",
+		statement: "A collection of more files takes longer to download (Fig. 9e).",
+		series:    []string{"files=5", "files=15", "files=25", "files=35"},
+		scale:     claimScale{"quick", 0}, seeds: 5, ranges: []float64{40, 80},
+		stat: p90, metric: DownloadTime, quant: seedMean, rel: less,
+	},
+	{
+		id: "9f-larger-files-slower", panel: "9f",
+		statement: "A collection of larger files takes longer to download (Fig. 9f).",
+		series:    []string{"size=x1", "size=x5", "size=x10", "size=x15"},
+		scale:     claimScale{"quick", 0}, seeds: 5, ranges: []float64{40, 80},
+		stat: p90, metric: DownloadTime, quant: seedMean, rel: less,
+	},
+	{
+		id: "9g-multihop-faster", panel: "9g",
+		statement: "With intermediate nodes forwarding at p = 20%, downloads finish sooner than over single-hop exchanges alone (Section VI-C).",
+		series:    []string{"p=20%", "single-hop"},
+		scale:     claimScale{"quick", 0}, seeds: 3, ranges: []float64{40, 80},
+		stat: p90, metric: DownloadTime, quant: everySeed, rel: less,
+	},
+	{
+		// The sparse range is left out: at 40 m a trial's frames follow its
+		// download time, and thirty seeds do not order the columns.
+		id: "9h-frames-grow-with-p", panel: "9h",
+		statement: "Forwarding more often puts no fewer frames on the air (Fig. 9h).",
+		series:    []string{"p=20%", "p=40%", "p=60%"},
+		scale:     claimScale{"quick", 0}, seeds: 30, ranges: []float64{80},
+		stat: p90, metric: Transmissions, quant: seedMean, rel: atMost,
+	},
+	{
+		id: "tableI-all-complete", panel: "tableI",
+		statement: "Each of the three real-world scenarios completes its download (Table I).",
+		series:    []string{"carrier (Fig 8a)", "repository (Fig 8b)", "mobile swarm (Fig 8c)"},
+		scale:     claimScale{"quick", 0}, seeds: 5,
+		stat: unfinished, quant: everySeed, rel: zero,
+	},
+	{
+		id: "tableI-carrier-slower-than-repository", panel: "tableI",
+		statement: "The data carrier of Fig. 8a, who has to walk the collection across, is slower than the repository of Fig. 8b (Table I).",
+		series:    []string{"repository (Fig 8b)", "carrier (Fig 8a)"},
+		scale:     claimScale{"quick", 0}, seeds: 5,
+		stat: p90, metric: DownloadTime, quant: seedMean, rel: less,
+	},
+	{
+		id: "tableI-carrier-slower-than-mobile", panel: "tableI",
+		statement: "The data carrier of Fig. 8a is slower than the mobile swarm of Fig. 8c (Table I).",
+		series:    []string{"mobile swarm (Fig 8c)", "carrier (Fig 8a)"},
+		scale:     claimScale{"quick", 0}, seeds: 5,
+		stat: p90, metric: DownloadTime, quant: seedMean, rel: less,
+	},
+	{
+		id: "10a-dapes-faster-than-bithoc", panel: "10a",
+		statement: "DAPES downloads faster than Bithoc, IP-based sharing over a MANET (Fig. 10a).",
+		series:    []string{"DAPES", "Bithoc"},
+		scale:     claimScale{"quick", 4}, seeds: 3, ranges: []float64{40, 80},
+		stat: trialMean, metric: DownloadTime, quant: everySeed, rel: less,
+	},
+	{
+		id: "10a-dapes-faster-than-ekta", panel: "10a",
+		statement: "DAPES downloads faster than Ekta, IP-based sharing over a DHT (Fig. 10a).",
+		series:    []string{"DAPES", "Ekta"},
+		scale:     claimScale{"quick", 4}, seeds: 3, ranges: []float64{40, 80},
+		stat: trialMean, metric: DownloadTime, quant: everySeed, rel: less,
+	},
+	{
+		id: "10b-dapes-fewer-frames-than-bithoc", panel: "10b",
+		statement: "DAPES puts fewer frames on the air than Bithoc (Fig. 10b).",
+		series:    []string{"DAPES", "Bithoc"},
+		scale:     claimScale{"quick", 4}, seeds: 3, ranges: []float64{40, 80},
+		stat: trialMean, metric: Transmissions, quant: everySeed, rel: less,
+	},
+	{
+		id: "10b-dapes-fewer-frames-than-ekta", panel: "10b",
+		statement: "DAPES puts fewer frames on the air than Ekta (Fig. 10b).",
+		series:    []string{"DAPES", "Ekta"},
+		scale:     claimScale{"quick", 4}, seeds: 3, ranges: []float64{40, 80},
+		stat: trialMean, metric: Transmissions, quant: everySeed, rel: less,
+	},
+}
+
+// gridKey names one Figure.Run of a figure entry: the scale and the base
+// seed it ran at.
+type gridKey struct {
+	scale claimScale
+	seed  int64
+}
+
+// grid is res as a Labels x Ranges grid of cells. Table I's scenarios
+// become one row, at noRange, of one-trial cells of one downloader each.
+func grid(res FigureResult) FigureResult {
+	if res.Figure.Series != nil {
+		return res
+	}
+	row := make([]RunResult, len(res.Scenarios))
+	res.Labels = nil
+	for j, sc := range res.Scenarios {
+		done := 0
+		if sc.Completed {
+			done = 1
+		}
+		res.Labels = append(res.Labels, sc.Name)
+		row[j] = RunResult{
+			Trials:          []TrialResult{{AvgDownloadTime: sc.DownloadTime, Transmissions: sc.Transmissions, Completed: done, Downloaders: 1}},
+			DownloadTime90:  sc.DownloadTime,
+			Transmissions90: float64(sc.Transmissions),
+		}
+	}
+	res.Ranges, res.Cells = []float64{noRange}, [][]RunResult{row}
+	return res
+}
+
+// verdict evaluates the row over grids: whether it holds, and a report of
+// the means over seeds it compared, each series' completed/downloaders
+// count, and where it fails. It errs, naming what is missing, on a row that
+// compares no cells or reads one no grid has, so a typo cannot pass.
+func (c claim) verdict(grids map[gridKey]FigureResult) (bool, string, error) {
+	least := 2
+	if c.rel == zero {
+		least = 1
+	}
+	ranges := c.ranges
+	if ranges == nil {
+		ranges = []float64{noRange}
+	}
+	switch {
+	case len(c.series) < least:
+		return false, "", fmt.Errorf("%s compares %d series", c.id, len(c.series))
+	case c.seeds < 1 || len(ranges) == 0:
+		return false, "", fmt.Errorf("%s compares no cell: %d seeds, ranges %v", c.id, c.seeds, ranges)
+	}
+	var report strings.Builder
+	var fails []string
+	for _, r := range ranges {
+		mean := make([]float64, len(c.series))
+		done := make([]int, len(c.series))
+		total := make([]int, len(c.series))
+		for seed := int64(1); seed <= c.seeds; seed++ {
+			g, ok := grids[gridKey{c.scale, seed}]
+			if !ok {
+				return false, "", fmt.Errorf("%s: no grid at seed %d, %v", c.id, seed, c.scale)
+			}
+			i := slices.Index(g.Ranges, r)
+			if i < 0 {
+				return false, "", fmt.Errorf("%s: no cell at %g m, seed %d (grid has %v)", c.id, r, seed, g.Ranges)
+			}
+			vals := make([]float64, len(c.series))
+			for k, label := range c.series {
+				j := slices.Index(g.Labels, label)
+				if j < 0 {
+					return false, "", fmt.Errorf("%s: no series %q in panel %s (has %q)", c.id, label, c.panel, g.Labels)
+				}
+				cell := g.Cells[i][j]
+				vals[k] = c.stat.of(cell, c.metric)
+				mean[k] += vals[k] / float64(c.seeds)
+				for _, tr := range cell.Trials {
+					done[k] += tr.Completed
+					total[k] += tr.Downloaders
+				}
+			}
+			if c.quant == everySeed && !c.rel.holds(vals) {
+				fails = append(fails, fmt.Sprintf("seed %d%s: %.1f", seed, at(r), vals))
+			}
+		}
+		fmt.Fprintf(&report, "  mean over seeds 1-%d%s:", c.seeds, at(r))
+		for k, label := range c.series {
+			fmt.Fprintf(&report, " %s %.1f (%d/%d done)", label, mean[k], done[k], total[k])
+		}
+		report.WriteString("\n")
+		if c.quant == seedMean && !c.rel.holds(mean) {
+			fails = append(fails, fmt.Sprintf("the mean over seeds 1-%d%s", c.seeds, at(r)))
+		}
+	}
+	if fails != nil {
+		fmt.Fprintf(&report, "  does not hold at %s", strings.Join(fails, "; "))
+	} else {
+		report.WriteString("  holds")
+	}
+	return fails == nil, report.String(), nil
+}
+
+// at names range r in a report; Table I has none.
+func at(r float64) string {
+	if r == noRange {
+		return ""
+	}
+	return fmt.Sprintf(", %g m", r)
+}
+
+// only is f with just the series whose label at s is in labels: the
+// columns a row reads.
+func only(f Figure, s Scale, labels map[string]bool) Figure {
+	f.Series = slices.DeleteFunc(slices.Clone(f.Series), func(sr Series) bool {
+		l, _ := sr.at(s)
+		return !labels[l]
+	})
+	return f
+}
+
+// TestPaperClaims is the one driver of the claims table: one parallel
+// subtest per Figures entry runs every (scale, seed, range) cell its rows
+// need exactly once, through Figure.Run, then checks each row on those
+// cells. 9g and 9h are panels of one entry, so their shared cells run once.
+func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("16 reduced-scale trials")
+		t.Skip("the paper's claims: minutes of quick- and reduced-scale trials")
 	}
 	t.Parallel()
-	s := ReducedScale()
-	s.Trials = 8
-	s.Workers = 4
-	s.Ranges = []float64{60}
-	res, err := Figure{Series: []Series{
-		{Label: "random", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, true))},
-		{Label: "same", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, false))},
-	}}.Run(s)
+	placed := map[string]bool{}
+	for _, f := range Figures {
+		var rows []claim
+		for _, c := range claims {
+			if slices.Contains(f.IDs(), c.panel) {
+				rows = append(rows, c)
+				placed[c.id] = true
+			}
+		}
+		if rows == nil {
+			continue
+		}
+		t.Run(strings.Join(f.IDs(), ","), func(t *testing.T) {
+			t.Parallel()
+			type need struct {
+				ranges map[float64]bool
+				labels map[string]bool
+			}
+			needs := map[gridKey]*need{}
+			var keys []gridKey
+			for _, c := range rows {
+				for seed := int64(1); seed <= c.seeds; seed++ {
+					k := gridKey{c.scale, seed}
+					n := needs[k]
+					if n == nil {
+						n = &need{ranges: map[float64]bool{}, labels: map[string]bool{}}
+						needs[k], keys = n, append(keys, k)
+					}
+					for _, r := range c.ranges {
+						n.ranges[r] = true
+					}
+					for _, l := range c.series {
+						n.labels[l] = true
+					}
+				}
+			}
+			grids := map[gridKey]FigureResult{}
+			for _, k := range keys {
+				n := needs[k]
+				s := k.scale.scale()
+				s.BaseSeed = k.seed
+				if len(n.ranges) > 0 { // Table I has no range axis
+					s.Ranges = slices.Sorted(maps.Keys(n.ranges))
+				}
+				res, err := only(f, s, n.labels).Run(s)
+				if err != nil {
+					t.Fatalf("%v, seed %d: %v", k.scale, k.seed, err)
+				}
+				grids[k] = grid(res)
+			}
+			for _, c := range rows {
+				holds, report, err := c.verdict(grids)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				status := "Asserted"
+				if c.deviation != "" {
+					status = "Deviation: " + c.deviation
+				}
+				t.Logf("%s [%s, %s]\n  %s\n  %s\n%s", c.id, c.panel, status, c.statement, c.rel.over(c.series), report)
+				switch {
+				case c.deviation == "" && !holds:
+					t.Errorf("%s does not hold", c.id)
+				case c.deviation != "" && holds:
+					t.Errorf("%s holds now: flip to Asserted", c.id)
+				}
+			}
+		})
+	}
+	for _, c := range claims {
+		if !placed[c.id] {
+			t.Errorf("%s: no Figures entry has panel %q", c.id, c.panel)
+		}
+	}
+}
+
+// TestClaimVerdicts runs the row checks on a hand-built grid: each relation
+// and both quantifiers decide as written, and a row that reads a missing
+// series, range or seed, or compares no cells, fails by name.
+func TestClaimVerdicts(t *testing.T) {
+	t.Parallel()
+	sc := claimScale{"quick", 0}
+	// cell is one (seed, range, series) cell whose trials took these many
+	// seconds (and as many frames); a negative value is a trial that
+	// finished nothing.
+	cell := func(secs ...float64) RunResult {
+		var trials []TrialResult
+		for _, v := range secs {
+			tr := TrialResult{AvgDownloadTime: time.Duration(math.Abs(v) * float64(time.Second)), Transmissions: uint64(math.Abs(v)), Downloaders: 1}
+			if v >= 0 {
+				tr.Completed = 1
+			}
+			trials = append(trials, tr)
+		}
+		dt, tx := aggregate(trials)
+		return RunResult{Trials: trials, DownloadTime90: dt, Transmissions90: tx}
+	}
+	// At 40 m: seed 1 orders a < b < c; seed 2 has b below a, by less than
+	// seed 1's margin, so the mean still orders them; every c trial at 40 m
+	// leaves its download unfinished. At 80 m all three equal at both seeds.
+	// Trial means and p90s order a and b oppositely at seed 1.
+	grids := map[gridKey]FigureResult{
+		{sc, 1}: {Labels: []string{"a", "b", "c"}, Ranges: []float64{40, 80}, Cells: [][]RunResult{
+			{cell(1, 9), cell(6, 6), cell(-20)},
+			{cell(2), cell(2), cell(2)},
+		}},
+		{sc, 2}: {Labels: []string{"a", "b", "c"}, Ranges: []float64{40, 80}, Cells: [][]RunResult{
+			{cell(6), cell(5.5), cell(-20)},
+			{cell(2), cell(2), cell(2)},
+		}},
+	}
+	row := func(series []string, seeds int64, ranges []float64, st statistic, q quantifier, rel relation) claim {
+		return claim{id: "row", panel: "9x", series: series, scale: sc, seeds: seeds, ranges: ranges, stat: st, metric: DownloadTime, quant: q, rel: rel}
+	}
+	m40, m80, both := []float64{40}, []float64{80}, []float64{40, 80}
+	for _, tc := range []struct {
+		name    string
+		c       claim
+		want    bool
+		wantErr string
+	}{
+		{"less/every seed/seed 1", row([]string{"a", "b"}, 1, m40, p90, everySeed, less), false, ""}, // p90: 9 vs 6
+		{"less/every seed/trial mean", row([]string{"a", "b"}, 1, m40, trialMean, everySeed, less), true, ""},
+		{"less/every seed/seeds 1-2", row([]string{"a", "b"}, 2, m40, trialMean, everySeed, less), false, ""},
+		{"less/seed mean", row([]string{"a", "b"}, 2, m40, trialMean, seedMean, less), true, ""},
+		{"less/chain", row([]string{"a", "b", "c"}, 1, m40, trialMean, everySeed, less), true, ""},
+		{"less/ties", row([]string{"a", "b"}, 2, m80, p90, seedMean, less), false, ""},
+		{"at most/ties", row([]string{"a", "b", "c"}, 2, m80, p90, seedMean, atMost), true, ""},
+		{"at most/descending", row([]string{"c", "a"}, 1, m40, trialMean, everySeed, atMost), false, ""},
+		{"differs/equal", row([]string{"a", "b", "c"}, 2, m80, p90, everySeed, differs), false, ""},
+		{"differs/one range equal", row([]string{"a", "b"}, 1, both, trialMean, everySeed, differs), false, ""},
+		{"differs/unequal", row([]string{"a", "b"}, 2, m40, p90, everySeed, differs), true, ""},
+		{"zero/finished", row([]string{"a", "b"}, 2, both, unfinished, everySeed, zero), true, ""},
+		{"zero/unfinished", row([]string{"a", "c"}, 2, both, unfinished, everySeed, zero), false, ""},
+		{"missing label", row([]string{"a", "bb"}, 1, m40, p90, everySeed, less), false, `no series "bb"`},
+		{"missing range", row([]string{"a", "b"}, 1, []float64{60}, p90, everySeed, less), false, "no cell at 60 m"},
+		{"missing seed", row([]string{"a", "b"}, 3, m40, p90, seedMean, less), false, "no grid at seed 3"},
+		{"no range axis", row([]string{"a", "b"}, 1, nil, p90, everySeed, less), false, "no cell at 0 m"},
+		{"no seeds", row([]string{"a", "b"}, 0, m40, p90, everySeed, less), false, "compares no cell"},
+		{"no ranges", row([]string{"a", "b"}, 2, []float64{}, p90, seedMean, less), false, "compares no cell"},
+		{"one series", row([]string{"a"}, 1, m40, p90, everySeed, less), false, "compares 1 series"},
+		{"no series", row(nil, 1, m40, unfinished, everySeed, zero), false, "compares 0 series"},
+	} {
+		holds, report, err := tc.c.verdict(grids)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "row") {
+				t.Errorf("%s: err = %v, want one naming the row and %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case holds != tc.want:
+			t.Errorf("%s: holds = %v, want %v\n%s", tc.name, holds, tc.want, report)
+		}
+	}
+}
+
+// claimID is how docs/EXPERIMENTS.md names a row of the claims table.
+var claimID = regexp.MustCompile("`((?:9[a-h]|10[ab]|tableI)-[a-z0-9-]+)`")
+
+// TestClaimsMatchExperimentsDoc: row ids are unique, every row id appears in
+// docs/EXPERIMENTS.md, and every row id named there is a row.
+func TestClaimsMatchExperimentsDoc(t *testing.T) {
+	t.Parallel()
+	var ids []string
+	for _, c := range claims {
+		if slices.Contains(ids, c.id) {
+			t.Errorf("row id %q names two rows", c.id)
+		}
+		ids = append(ids, c.id)
+	}
+	doc, err := os.ReadFile("../../docs/EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	randomFrames, randomTime := trialMeans(res.Cells[0][0])
-	sameFrames, sameTime := trialMeans(res.Cells[0][1])
-	t.Logf("random start: %.0f frames, %v; same-packet start: %.0f frames, %v", randomFrames, randomTime, sameFrames, sameTime)
-	if randomFrames >= sameFrames {
-		t.Errorf("random start put %.0f frames on the air, same-packet start %.0f: want fewer", randomFrames, sameFrames)
-	}
-	if randomTime >= sameTime {
-		t.Errorf("random start took %v per download, same-packet start %v: want faster", randomTime, sameTime)
-	}
-}
-
-// trialMeans returns a cell's frames and download time, each the mean over
-// its trials.
-func trialMeans(r RunResult) (frames float64, download time.Duration) {
-	for _, tr := range r.Trials {
-		frames += float64(tr.Transmissions) / float64(len(r.Trials))
-		download += tr.AvgDownloadTime / time.Duration(len(r.Trials))
-	}
-	return frames, download
-}
-
-// figure returns the Figures entry with the given figure or panel id.
-func figure(t *testing.T, id string) Figure {
-	t.Helper()
-	for _, f := range Figures {
-		if slices.Contains(f.IDs(), id) {
-			return f
+	var named []string
+	for _, m := range claimID.FindAllStringSubmatch(string(doc), -1) {
+		if !slices.Contains(named, m[1]) {
+			named = append(named, m[1])
 		}
 	}
-	t.Fatalf("no figure %q in Figures", id)
-	return Figure{}
-}
-
-// TestPaperFig10DAPESBeatsIPBaselines pins the paper's headline, Fig. 10a
-// and 10b: DAPES finishes sooner and on fewer transmissions than Bithoc and
-// than Ekta. Figure 10's own grid, at the quick scale, in every cell of
-// ranges 40 and 80 m x seeds 1-3, as means over 4 trials per seed: one
-// trial's frame count moves by a fifth with the trace, a DAPES trial at 40 m
-// can land above a Bithoc one, and the means keep a margin of at least 15%.
-// Measured when written, seed 1 at 40 m, the narrowest frame margin: 52.9 /
-// 94.3 / 1,798 s and 15,438 / 18,218 / 238,248 frames.
-func TestPaperFig10DAPESBeatsIPBaselines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("72 quick-scale trials")
-	}
-	t.Parallel()
-	s := QuickScale()
-	s.Trials = 4
-	for seed := int64(1); seed <= 3; seed++ {
-		s.BaseSeed = seed
-		res, err := figure(t, "10").Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range res.Ranges {
-			dapesFrames, dapesTime := trialMeans(res.Cells[i][0])
-			for j, base := range res.Cells[i][1:] {
-				name := res.Labels[1+j]
-				baseFrames, baseTime := trialMeans(base)
-				t.Logf("seed %d, %.0f m: DAPES %v on %.0f frames, %s %v on %.0f", seed, r,
-					dapesTime, dapesFrames, name, baseTime, baseFrames)
-				if dapesTime >= baseTime {
-					t.Errorf("seed %d, %.0f m: DAPES took %v, %s %v: want faster", seed, r, dapesTime, name, baseTime)
-				}
-				if dapesFrames >= baseFrames {
-					t.Errorf("seed %d, %.0f m: DAPES put %.0f frames on the air, %s %.0f: want fewer", seed, r, dapesFrames, name, baseFrames)
-				}
-			}
-		}
-	}
-}
-
-// TestPaperFig9gMultihopBeatsSingleHop pins Section VI-C's multi-hop result,
-// Fig. 9g: with intermediate nodes forwarding at the paper's p = 20%,
-// downloads finish sooner than over single-hop exchanges alone. Figure
-// 9g/9h's own grid, at the quick scale, in every cell of ranges 40 and 80 m
-// x seeds 1-3; measured when written: seed 1 35.5 vs 46.0 s and 4.3 vs
-// 118.0 s, seed 2 51.2 vs 266.2 s and 5.4 vs 10.8 s. p = 40/60% and Fig.
-// 9h's transmissions are logged, not asserted: single-hop put fewer frames
-// on the air in 4 of the 10 cells of seeds 1-5.
-func TestPaperFig9gMultihopBeatsSingleHop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("24 quick-scale runs")
-	}
-	t.Parallel()
-	s := QuickScale()
-	for seed := int64(1); seed <= 3; seed++ {
-		s.BaseSeed = seed
-		res, err := figure(t, "9g").Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, p20 := slices.Index(res.Labels, "single-hop"), slices.Index(res.Labels, "p=20%")
-		if single < 0 || p20 < 0 {
-			t.Fatalf("figure 9g has series %v, want single-hop and p=20%%", res.Labels)
-		}
-		for i, r := range res.Ranges {
-			for j, cell := range res.Cells[i] {
-				t.Logf("seed %d, %.0f m, %s: %v on %.0f frames", seed, r, res.Labels[j], cell.DownloadTime90, cell.Transmissions90)
-			}
-			if multi, one := res.Cells[i][p20].DownloadTime90, res.Cells[i][single].DownloadTime90; multi >= one {
-				t.Errorf("seed %d, %.0f m: multi-hop at p=20%% took %v, single-hop %v: want faster", seed, r, multi, one)
-			}
-		}
+	slices.Sort(ids)
+	slices.Sort(named)
+	if !slices.Equal(ids, named) {
+		t.Fatalf("claims rows %v\ndiffer from the row ids docs/EXPERIMENTS.md names %v", ids, named)
 	}
 }
 
@@ -179,139 +592,6 @@ func TestFiguresTableShape(t *testing.T) {
 					t.Errorf("panel %s: row %v under header %v", p.ID, row, tbl.Header)
 				}
 			}
-		}
-	}
-}
-
-// seedMeans runs the figure answering to id at scale s once per base seed
-// 1..seeds and returns the grid's labels and ranges with, per (range,
-// series) cell, the metric's mean over the seeds. The ordering tests below
-// assert an ordering of those means — a property of the distribution, which
-// a change of random generator must keep — never one seed's digits.
-func seedMeans(t *testing.T, s Scale, id string, m Metric, seeds int64) (labels []string, ranges []float64, mean [][]float64) {
-	t.Helper()
-	for seed := int64(1); seed <= seeds; seed++ {
-		s.BaseSeed = seed
-		res, err := figure(t, id).Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mean == nil {
-			labels, ranges = res.Labels, res.Ranges
-			mean = make([][]float64, len(res.Cells))
-			for i := range mean {
-				mean[i] = make([]float64, len(res.Cells[i]))
-			}
-		}
-		for i, cells := range res.Cells {
-			for j, cell := range cells {
-				mean[i][j] += m.Of(cell) / float64(seeds)
-			}
-		}
-	}
-	for i, r := range ranges {
-		t.Logf("fig %s, %.0f m, mean over seeds 1-%d: %v = %.1f", id, r, seeds, labels, mean[i])
-	}
-	return labels, ranges, mean
-}
-
-// TestPaperFig9eFig9fLargerCollectionsTakeLonger pins the direction of Fig.
-// 9e and 9f as series: at every range, each collection of a sweep — more
-// files (9e), larger files (9f) — takes longer to download than the one
-// before it, in the mean over seeds 1-5. Measured when written, column by
-// column: 46.1 / 85.6 / 115.5 / 157.5 s and 4.1 / 11.1 / 17.5 / 24.4 s
-// (9e, 40 and 80 m), 46.1 / 117.8 / 192.6 / 268.5 s and 4.1 / 17.6 / 34.3 /
-// 52.4 s (9f).
-func TestPaperFig9eFig9fLargerCollectionsTakeLonger(t *testing.T) {
-	if testing.Short() {
-		t.Skip("40 quick-scale runs per figure")
-	}
-	t.Parallel()
-	for _, id := range []string{"9e", "9f"} {
-		labels, ranges, mean := seedMeans(t, QuickScale(), id, DownloadTime, 5)
-		for i, r := range ranges {
-			for j := 1; j < len(labels); j++ {
-				if mean[i][j] <= mean[i][j-1] {
-					t.Errorf("fig %s, %.0f m: %s took %.1f s, %s %.1f s: want each larger collection slower",
-						id, r, labels[j], mean[i][j], labels[j-1], mean[i][j-1])
-				}
-			}
-		}
-	}
-}
-
-// TestPaperFig9hTransmissionsGrowWithForwardProb pins Fig. 9h's multi-hop
-// columns where the quick scale resolves them: at its densest range (80 m),
-// forwarding more often puts no fewer frames on the air, p = 20% <= 40% <=
-// 60% in the mean over seeds 1-30. Measured when written: 8,813 / 9,190 /
-// 9,532 frames. Thirty seeds because the steps are 4% each and one trial's
-// frame count moves 15% with its seed: over ten seeds neighbouring columns
-// swap (8,983 / 8,908 / 9,348 over seeds 11-20). The sparse range is left
-// out for the same reason at any affordable count — at 40 m a trial's frames
-// follow its download time, 9,340-20,367 at p = 20% over seeds 1-10, and
-// the thirty-seed means are 14,557 / 15,256 / 14,875. Single-hop against
-// multi-hop is Fig. 9g's test.
-func TestPaperFig9hTransmissionsGrowWithForwardProb(t *testing.T) {
-	if testing.Short() {
-		t.Skip("120 quick-scale runs")
-	}
-	t.Parallel()
-	s := QuickScale()
-	s.Ranges = s.Ranges[len(s.Ranges)-1:]
-	labels, ranges, mean := seedMeans(t, s, "9h", Transmissions, 30)
-	prev := -1
-	for _, l := range []string{"p=20%", "p=40%", "p=60%"} {
-		j := slices.Index(labels, l)
-		if j < 0 {
-			t.Fatalf("figure 9h has series %v, want %s", labels, l)
-		}
-		if prev >= 0 && mean[0][j] < mean[0][prev] {
-			t.Errorf("fig 9h, %.0f m: %s put %.0f frames on the air, %s %.0f: want no fewer",
-				ranges[0], l, mean[0][j], labels[prev], mean[0][prev])
-		}
-		prev = j
-	}
-}
-
-// TestPaperTableIAllCompleteCarrierSlowest pins Table I's shape: each of the
-// three real-world scenarios completes at every seed 1-5, and the data
-// carrier of Fig. 8a — who has to walk the collection across — is the
-// slowest of the three in the mean. Measured when written: 307.5 / 117.7 /
-// 108.3 s.
-func TestPaperTableIAllCompleteCarrierSlowest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("15 quick-scale scenario runs")
-	}
-	t.Parallel()
-	const seeds = 5
-	s := QuickScale()
-	var names []string
-	var mean []float64
-	for seed := int64(1); seed <= seeds; seed++ {
-		s.BaseSeed = seed
-		res, err := figure(t, "tableI").Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mean == nil {
-			mean = make([]float64, len(res.Scenarios))
-		}
-		names = names[:0]
-		for i, row := range res.Scenarios {
-			names = append(names, row.Name)
-			mean[i] += row.DownloadTime.Seconds() / seeds
-			if !row.Completed {
-				t.Errorf("seed %d: %s did not complete", seed, row.Name)
-			}
-		}
-	}
-	t.Logf("mean download time over seeds 1-%d: %v = %.1f s", seeds, names, mean)
-	if len(mean) != 3 {
-		t.Fatalf("Table I has %d scenarios, want 3", len(mean))
-	}
-	for i := 1; i < len(mean); i++ {
-		if mean[0] <= mean[i] {
-			t.Errorf("%s took %.1f s, %s %.1f s: want the carrier slowest", names[0], mean[0], names[i], mean[i])
 		}
 	}
 }

@@ -37,6 +37,32 @@ type RunResult struct {
 	Transmissions90 float64
 }
 
+// Check is every refusal Run makes before its first trial: a nil scenario,
+// a scale Validate rejects, a fault plan the scenario refuses
+// (Scenario.Refuses) and a WiFi range that is not positive and finite. Run
+// asks it for every caller — dapes-sim, each dapes-bench figure, plan
+// cells — and a caller that opens files for the run (dapes-sim's profiles)
+// asks it first, so a refused input leaves nothing behind.
+func (Runner) Check(sc *Scenario, s Scale, wifiRange float64) error {
+	if sc == nil || sc.Run == nil {
+		return fmt.Errorf("experiment: nil scenario")
+	}
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
+	if why := sc.Refuses(s, AxisFaults); why != "" {
+		return fmt.Errorf("experiment: scenario %q %s", sc.Name, why)
+	}
+	// Not a Scale field, so Validate never sees it: a negative range panics
+	// the medium's grid, zero silently runs phy's default under a
+	// "range=0m" label, and +Inf runs a trial whose result JSON cannot
+	// encode. (The negated form also refuses NaN.)
+	if !(wifiRange > 0) || math.IsInf(wifiRange, 1) {
+		return fmt.Errorf("experiment: scenario %q: WiFi range = %g m, must be positive and finite", sc.Name, wifiRange)
+	}
+	return nil
+}
+
 // Run executes s.Trials trials of the scenario and aggregates them. Trials
 // are scheduled across the pool but collected by trial index, and every
 // trial seeds from TrialSeed, so a successful RunResult is identical for
@@ -44,27 +70,11 @@ type RunResult struct {
 // one has failed, and the lowest-indexed recorded failure is reported (when
 // several trials fail concurrently, which one is recorded first may vary
 // with scheduling — success output never does).
-func (Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
-	if sc == nil || sc.Run == nil {
-		return RunResult{}, fmt.Errorf("experiment: nil scenario")
-	}
-	// The one trial driver validates for every caller — dapes-sim, each
-	// dapes-bench figure, plan cells — so a bad knob, or a fault plan the
-	// world refuses, fails here by name, before any trial builds a world.
-	if err := s.Validate(); err != nil {
-		return RunResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-	if why := sc.Refuses(s, AxisFaults); why != "" {
-		return RunResult{}, fmt.Errorf("experiment: scenario %q %s", sc.Name, why)
+func (r Runner) Run(sc *Scenario, s Scale, wifiRange float64) (RunResult, error) {
+	if err := r.Check(sc, s, wifiRange); err != nil {
+		return RunResult{}, err
 	}
 	n := s.Trials
-	// Not a Scale field, so Validate never sees it: a negative range panics
-	// the medium's grid, zero silently runs phy's default under a
-	// "range=0m" label, and +Inf runs a trial whose result JSON cannot
-	// encode. (The negated form also refuses NaN.)
-	if !(wifiRange > 0) || math.IsInf(wifiRange, 1) {
-		return RunResult{}, fmt.Errorf("experiment: scenario %q: WiFi range = %g m, must be positive and finite", sc.Name, wifiRange)
-	}
 	workers := max(1, min(s.Workers, n)) // the width used, echoed in RunResult
 	trials := make([]TrialResult, n)
 	err := par.ForEach(n, workers, func(t int) error {

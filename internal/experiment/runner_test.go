@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -154,11 +155,12 @@ func TestTrialSeedWraps(t *testing.T) {
 }
 
 // TestRunDAPESWorkersDeterministic drives the same figure path the CLIs use
-// (Figure.Run reads Scale.Workers) and checks parallelism changes nothing.
+// (Figure.Run reads Scale.Workers), on Fig. 10's DAPES column, and checks
+// parallelism changes nothing.
 func TestRunDAPESWorkersDeterministic(t *testing.T) {
 	t.Parallel()
-	fig := Figure{Series: []Series{{Label: "DAPES", Trial: paperTrial}}}
 	s := tinyScale()
+	fig := only(Figures[slices.IndexFunc(Figures, func(f Figure) bool { return f.ID == "10" })], s, map[string]bool{"DAPES": true})
 	s.Trials = 3
 	serial, err := fig.Run(s)
 	if err != nil {
