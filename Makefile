@@ -119,7 +119,7 @@ golden:
 # every row: the seed means of the series it compares, each series'
 # completed/downloaders count, and the verdict.
 claims:
-	$(GO) test -run TestPaperClaims -count=1 -v ./internal/experiment
+	$(GO) test -run 'TestPaperClaims|TestPaperFig9[gh]' -count=1 -v ./internal/experiment
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

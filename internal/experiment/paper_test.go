@@ -8,14 +8,16 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 // claim is one statement of the paper's Section VI and the cells of
-// experiment.Figures that decide it. TestPaperClaims runs every cell the
-// table needs once and fails on an Asserted row that does not hold, or on a
-// Deviation row that now does. docs/EXPERIMENTS.md names every row by id.
+// experiment.Figures that decide it. TestPaperClaims (with the two Fig.
+// 9g/9h tests) runs every cell the table needs once and fails on an
+// Asserted row that does not hold, or on a Deviation row that now does.
+// docs/EXPERIMENTS.md names every row by id.
 type claim struct {
 	id        string
 	panel     string // an id of the Figures entry whose grid decides the row
@@ -360,7 +362,9 @@ func only(f Figure, s Scale, labels map[string]bool) Figure {
 // TestPaperClaims is the one driver of the claims table: one parallel
 // subtest per Figures entry runs every (scale, seed, range) cell its rows
 // need exactly once, through Figure.Run, then checks each row on those
-// cells. 9g and 9h are panels of one entry, so their shared cells run once.
+// cells. 9g and 9h are panels of one entry, whose shared cells run once
+// for TestPaperFig9gMultihopBeatsSingleHop and
+// TestPaperFig9hTransmissionsGrowWithForwardProb instead.
 func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the paper's claims: minutes of quick- and reduced-scale trials")
@@ -368,77 +372,141 @@ func TestPaperClaims(t *testing.T) {
 	t.Parallel()
 	placed := map[string]bool{}
 	for _, f := range Figures {
-		var rows []claim
-		for _, c := range claims {
-			if slices.Contains(f.IDs(), c.panel) {
-				rows = append(rows, c)
-				placed[c.id] = true
-			}
+		rows := claimsOn(f.IDs()...)
+		for _, c := range rows {
+			placed[c.id] = true
 		}
-		if rows == nil {
+		if rows == nil || slices.Contains(f.IDs(), "9g") {
 			continue
 		}
 		t.Run(strings.Join(f.IDs(), ","), func(t *testing.T) {
 			t.Parallel()
-			type need struct {
-				ranges map[float64]bool
-				labels map[string]bool
+			grids, err := runCells(f, rows)
+			if err != nil {
+				t.Fatal(err)
 			}
-			needs := map[gridKey]*need{}
-			var keys []gridKey
-			for _, c := range rows {
-				for seed := int64(1); seed <= c.seeds; seed++ {
-					k := gridKey{c.scale, seed}
-					n := needs[k]
-					if n == nil {
-						n = &need{ranges: map[float64]bool{}, labels: map[string]bool{}}
-						needs[k], keys = n, append(keys, k)
-					}
-					for _, r := range c.ranges {
-						n.ranges[r] = true
-					}
-					for _, l := range c.series {
-						n.labels[l] = true
-					}
-				}
-			}
-			grids := map[gridKey]FigureResult{}
-			for _, k := range keys {
-				n := needs[k]
-				s := k.scale.scale()
-				s.BaseSeed = k.seed
-				if len(n.ranges) > 0 { // Table I has no range axis
-					s.Ranges = slices.Sorted(maps.Keys(n.ranges))
-				}
-				res, err := only(f, s, n.labels).Run(s)
-				if err != nil {
-					t.Fatalf("%v, seed %d: %v", k.scale, k.seed, err)
-				}
-				grids[k] = grid(res)
-			}
-			for _, c := range rows {
-				holds, report, err := c.verdict(grids)
-				if err != nil {
-					t.Error(err)
-					continue
-				}
-				status := "Asserted"
-				if c.deviation != "" {
-					status = "Deviation: " + c.deviation
-				}
-				t.Logf("%s [%s, %s]\n  %s\n  %s\n%s", c.id, c.panel, status, c.statement, c.rel.over(c.series), report)
-				switch {
-				case c.deviation == "" && !holds:
-					t.Errorf("%s does not hold", c.id)
-				case c.deviation != "" && holds:
-					t.Errorf("%s holds now: flip to Asserted", c.id)
-				}
-			}
+			checkRows(t, rows, grids)
 		})
 	}
 	for _, c := range claims {
 		if !placed[c.id] {
 			t.Errorf("%s: no Figures entry has panel %q", c.id, c.panel)
+		}
+	}
+}
+
+// fig9gh runs the cells of the Fig. 9g/9h entry that either panel's rows
+// read, once for both tests below.
+var fig9gh = sync.OnceValues(func() (map[gridKey]FigureResult, error) {
+	for _, f := range Figures {
+		if slices.Contains(f.IDs(), "9g") {
+			return runCells(f, claimsOn(f.IDs()...))
+		}
+	}
+	return nil, fmt.Errorf("no Figures entry has panel 9g")
+})
+
+// TestPaperFig9gMultihopBeatsSingleHop checks the 9g rows of the claims
+// table on the shared Fig. 9g/9h cells.
+func TestPaperFig9gMultihopBeatsSingleHop(t *testing.T) {
+	checkSharedPanel(t, "9g")
+}
+
+// TestPaperFig9hTransmissionsGrowWithForwardProb checks the 9h rows of the
+// claims table on the shared Fig. 9g/9h cells.
+func TestPaperFig9hTransmissionsGrowWithForwardProb(t *testing.T) {
+	checkSharedPanel(t, "9h")
+}
+
+func checkSharedPanel(t *testing.T, panel string) {
+	if testing.Short() {
+		t.Skip("the paper's claims: minutes of quick- and reduced-scale trials")
+	}
+	t.Parallel()
+	grids, err := fig9gh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := claimsOn(panel)
+	if rows == nil {
+		t.Fatalf("no row of the claims table has panel %q", panel)
+	}
+	checkRows(t, rows, grids)
+}
+
+// claimsOn is the rows of the claims table whose panel is one of panels.
+func claimsOn(panels ...string) []claim {
+	var rows []claim
+	for _, c := range claims {
+		if slices.Contains(panels, c.panel) {
+			rows = append(rows, c)
+		}
+	}
+	return rows
+}
+
+// runCells runs every (scale, seed) grid of f that rows read, once each,
+// with only the ranges and series the rows compare.
+func runCells(f Figure, rows []claim) (map[gridKey]FigureResult, error) {
+	type need struct {
+		ranges map[float64]bool
+		labels map[string]bool
+	}
+	needs := map[gridKey]*need{}
+	var keys []gridKey
+	for _, c := range rows {
+		for seed := int64(1); seed <= c.seeds; seed++ {
+			k := gridKey{c.scale, seed}
+			n := needs[k]
+			if n == nil {
+				n = &need{ranges: map[float64]bool{}, labels: map[string]bool{}}
+				needs[k], keys = n, append(keys, k)
+			}
+			for _, r := range c.ranges {
+				n.ranges[r] = true
+			}
+			for _, l := range c.series {
+				n.labels[l] = true
+			}
+		}
+	}
+	grids := map[gridKey]FigureResult{}
+	for _, k := range keys {
+		n := needs[k]
+		s := k.scale.scale()
+		s.BaseSeed = k.seed
+		if len(n.ranges) > 0 { // Table I has no range axis
+			s.Ranges = slices.Sorted(maps.Keys(n.ranges))
+		}
+		res, err := only(f, s, n.labels).Run(s)
+		if err != nil {
+			return nil, fmt.Errorf("%v, seed %d: %w", k.scale, k.seed, err)
+		}
+		grids[k] = grid(res)
+	}
+	return grids, nil
+}
+
+// checkRows logs each row's verdict on grids and fails on an Asserted row
+// that does not hold or a Deviation row that does.
+func checkRows(t *testing.T, rows []claim, grids map[gridKey]FigureResult) {
+	t.Helper()
+	for _, c := range rows {
+		holds, report, err := c.verdict(grids)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		status := "Asserted"
+		if c.deviation != "" {
+			status = "Deviation: " + c.deviation
+		}
+		t.Logf("%s [%s, %s]\n  %s\n  %s\n%s", c.id, c.panel, status, c.statement, c.rel.over(c.series), report)
+		switch {
+		case c.deviation == "" && !holds:
+			t.Errorf("%s does not hold", c.id)
+		case c.deviation != "" && holds:
+			t.Errorf("%s holds now: flip to Asserted", c.id)
 		}
 	}
 }
