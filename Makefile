@@ -56,6 +56,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzPlanWithFaults -fuzztime=10s -fuzzminimizetime=1s ./internal/plan/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/bitmap/
 	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/routing/
+	$(GO) test -run=NONE -fuzz=FuzzSimFlags -fuzztime=10s -fuzzminimizetime=1s ./cmd/dapes-sim/
 
 test:
 	$(GO) test ./...
@@ -127,7 +128,8 @@ examples:
 	$(GO) test -count=1 ./examples/
 
 # The trace- and output-neutrality check (scripts/neutral.sh): dapes-sim
-# over every listed scenario, the ad-hoc DAPES stack and a fault file,
+# over every listed scenario, its default run, the seven design flags and a
+# fault file,
 # dapes-plan over the CI smoke plan, and dapes-bench's Table I, built at
 # BASE and from the working tree, must print the same bytes. Not
 # a CI step, as it needs a base revision: run it on a change that claims to

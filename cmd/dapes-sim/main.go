@@ -1,10 +1,11 @@
 // Command dapes-sim runs one scenario from the experiment catalog — paper
 // reproductions, baselines, ablations, or the post-paper workloads — with
 // custom parameters, fanning trials across a worker pool. Use -list to
-// enumerate what can run, -scenario to pick one, and -format=json|csv for
-// machine-readable results. Without -scenario, the seven DAPES design
-// flags configure the DAPES stack: they run a core.Config no catalog entry
-// names.
+// enumerate what can run, -scenario to pick one (fig7-dapes by default),
+// and -format=json|csv for machine-readable results. The seven DAPES
+// design flags set the design of every scenario that runs the scale's;
+// beside one that fixes its own (the baselines, the Fig.-8 outdoor runs,
+// the ablations) they are refused.
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"dapes/internal/core"
 	"dapes/internal/experiment"
@@ -30,38 +30,70 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is dapes-sim's command line once parsed: the scale the run reads,
+// its design included, and what surrounds the run.
+type options struct {
+	fs    *flag.FlagSet
+	scale experiment.Scale
+
+	list                              bool
+	scenario, format, outPath, faults string
+	cpuprofile, memprofile            string
+	wifiRange                         float64
+}
+
+// parseFlags parses args into a run's options.
+func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("dapes-sim", flag.ContinueOnError)
-	// The ad-hoc DAPES flags default to the configuration the fig7-dapes
-	// scenario runs.
-	paper := experiment.PaperDefaults()
-	var (
-		list     = fs.Bool("list", false, "list registered scenarios and exit")
-		scenario = fs.String("scenario", "", "registered scenario to run (see -list); takes no DAPES design flag")
-		workers  = fs.Int("workers", 1, "concurrent trials; results are identical at any pool size")
-		format   = fs.String("format", "text", "output format: text, json, or csv")
-		outPath  = fs.String("o", "", "write results to this file instead of stdout")
+	o := &options{fs: fs, scale: experiment.ReducedScale()}
+	s := &o.scale
+	fs.BoolVar(&o.list, "list", false, "list registered scenarios and exit")
+	fs.StringVar(&o.scenario, "scenario", "fig7-dapes", "registered scenario to run (see -list); the design flags set its design, if it reads one")
+	fs.IntVar(&s.Workers, "workers", 1, "concurrent trials; results are identical at any pool size")
+	fs.StringVar(&o.format, "format", "text", "output format: text, json, or csv")
+	fs.StringVar(&o.outPath, "o", "", "write results to this file instead of stdout")
 
-		wifiRange = fs.Float64("range", 60, "WiFi range in meters (paper: 20-100)")
-		files     = fs.Int("files", 10, "files per collection")
-		packets   = fs.Int("packets", 20, "packets per file (paper full scale: 1024)")
-		trials    = fs.Int("trials", 3, "trials (paper: 10)")
-		seed      = fs.Int64("seed", 1, "base random seed; trial t runs at TrialSeed(seed, t)")
-		horizon   = fs.Duration("horizon", 45*time.Minute, "per-trial virtual time limit")
-		faults    = fs.String("faults", "", "fault file: a plan's [faults] section (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
+	fs.Float64Var(&o.wifiRange, "range", 60, "WiFi range in meters (paper: 20-100)")
+	fs.IntVar(&s.NumFiles, "files", s.NumFiles, "files per collection")
+	fs.IntVar(&s.PacketsPerFile, "packets", s.PacketsPerFile, "packets per file (paper full scale: 1024)")
+	fs.IntVar(&s.Trials, "trials", s.Trials, "trials (paper: 10)")
+	fs.Int64Var(&s.BaseSeed, "seed", s.BaseSeed, "base random seed; trial t runs at TrialSeed(seed, t)")
+	fs.DurationVar(&s.Horizon, "horizon", s.Horizon, "per-trial virtual time limit")
+	fs.StringVar(&o.faults, "faults", "", "fault file: a plan's [faults] section (crashes, bursty loss, jammer; see docs/EXPERIMENTS.md)")
 
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 
-		strategy    = fs.String("strategy", strategyName(paper.Strategy), "RPF strategy: local or encounter")
-		randomStart = fs.Bool("random-start", paper.RandomStart, "start downloads at a random packet")
-		interleave  = fs.Bool("interleave", paper.AdvertMode == core.Interleaved, "interleave bitmap and data exchanges")
-		bitmaps     = fs.Int("bitmaps", paper.BitmapsBefore, "bitmaps before data (0 = all; bitmaps-first mode only)")
-		peba        = fs.Bool("peba", paper.UsePEBA, "enable PEBA collision mitigation")
-		multihopOn  = fs.Bool("multihop", paper.Multihop, "enable intermediate-node forwarding")
-		forwardProb = fs.Float64("forward-prob", paper.ForwardProb, "probabilistic forwarding rate, in (0, 1]")
-	)
+	// The design flags default to the scale's design, the paper's
+	// (TestBuiltInStacksMatchScenarios holds the two to one trial).
+	strategy := fs.String("strategy", "local", "RPF strategy: local or encounter")
+	fs.BoolVar(&s.Design.RandomStart, "random-start", s.Design.RandomStart, "start downloads at a random packet")
+	interleave := fs.Bool("interleave", true, "interleave bitmap and data exchanges")
+	fs.IntVar(&s.Design.BitmapsBefore, "bitmaps", s.Design.BitmapsBefore, "bitmaps before data (0 = all; bitmaps-first mode only)")
+	fs.BoolVar(&s.Design.UsePEBA, "peba", s.Design.UsePEBA, "enable PEBA collision mitigation")
+	fs.BoolVar(&s.Design.Multihop, "multihop", s.Design.Multihop, "enable intermediate-node forwarding")
+	fs.Float64Var(&s.Design.ForwardProb, "forward-prob", s.Design.ForwardProb, "probabilistic forwarding rate, in (0, 1]")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch *strategy {
+	case "local":
+		s.Design.Strategy = core.LocalNeighborhoodRPF
+	case "encounter":
+		s.Design.Strategy = core.EncounterBasedRPF
+	default:
+		return nil, fmt.Errorf("unknown strategy %q (want local or encounter)", *strategy)
+	}
+	s.Design.AdvertMode = core.BitmapsFirst
+	if *interleave {
+		s.Design.AdvertMode = core.Interleaved
+	}
+	return o, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if err != nil {
 		// A bad flag has printed usage; -h asked for it.
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -69,8 +101,8 @@ func run(args []string) error {
 		return err
 	}
 
-	if *list {
-		out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
+	if o.list {
+		out, f, closeOut, err := experiment.OpenOutput(o.outPath, o.format)
 		if err != nil {
 			return err
 		}
@@ -80,52 +112,36 @@ func run(args []string) error {
 	// Everything the run reads is resolved before anything runs, and -o is
 	// opened only once there is a result: a rejected input leaves an
 	// existing results file as it was.
-	if _, err := experiment.ParseFormat(*format); err != nil {
+	if _, err := experiment.ParseFormat(o.format); err != nil {
 		return err
 	}
-	var sc *experiment.Scenario
-	var err error
-	if *scenario != "" {
-		sc, err = experiment.Find(*scenario)
-	} else {
-		sc, err = adhocScenario(adhocKnobs{
-			strategy:    *strategy,
-			randomStart: *randomStart,
-			interleave:  *interleave,
-			bitmaps:     *bitmaps,
-			peba:        *peba,
-			multihop:    *multihopOn,
-			forwardProb: *forwardProb,
-		})
-	}
+	sc, err := experiment.Find(o.scenario)
 	if err != nil {
 		return err
 	}
-
-	s := experiment.ReducedScale()
-	s.NumFiles = *files
-	s.PacketsPerFile = *packets
-	s.Trials = *trials
-	s.BaseSeed = *seed
-	s.Horizon = *horizon
-	s.Workers = *workers
-	if *faults != "" {
-		fp, err := plan.ParseFaultsFile(*faults)
+	s := o.scale
+	if o.faults != "" {
+		fp, err := plan.ParseFaultsFile(o.faults)
 		if err != nil {
 			return fmt.Errorf("faults: %w", err)
 		}
 		s.Faults = fp
 	}
-	if err := rejectIgnoredFlags(fs, sc, *scenario, s); err != nil {
+	if err := rejectIgnoredFlags(o.fs, sc, s); err != nil {
 		return err
 	}
 	// What Runner.Run would refuse is refused before a profile is created.
-	if err := (experiment.Runner{}).Check(sc, s, *wifiRange); err != nil {
+	if err := (experiment.Runner{}).Check(sc, s, o.wifiRange); err != nil {
+		// Validate reports the design first, so this is the error of a zero
+		// rate, which core once ran at its 20% default.
+		if s.Design.ForwardProb == 0 {
+			err = fmt.Errorf("%w; -multihop=false turns forwarding off", err)
+		}
 		return err
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			return fmt.Errorf("cpuprofile: %w", err)
 		}
@@ -135,11 +151,11 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		// Written on the way out (error paths included) so a profile of the
 		// live heap always lands next to whatever the run produced.
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dapes-sim: memprofile:", err)
 				return
@@ -152,11 +168,11 @@ func run(args []string) error {
 		}()
 	}
 
-	res, err := experiment.Runner{}.Run(sc, s, *wifiRange) // pool size comes from s.Workers
+	res, err := experiment.Runner{}.Run(sc, s, o.wifiRange) // pool size comes from s.Workers
 	if err != nil {
 		return err
 	}
-	out, f, closeOut, err := experiment.OpenOutput(*outPath, *format)
+	out, f, closeOut, err := experiment.OpenOutput(o.outPath, o.format)
 	if err != nil {
 		return err
 	}
@@ -164,90 +180,31 @@ func run(args []string) error {
 	return experiment.EmitRun(out, f, res)
 }
 
-// adhocFlags are the knobs of the ad-hoc DAPES stack: only a run without
-// -scenario reads them. axisFlags set an input a scenario may refuse.
-var (
-	adhocFlags = map[string]bool{
-		"strategy": true, "random-start": true, "interleave": true, "bitmaps": true,
-		"peba": true, "multihop": true, "forward-prob": true,
-	}
-	axisFlags = map[string]experiment.Axis{"range": experiment.AxisRange, "faults": experiment.AxisFaults}
-)
+// axisFlags are the flags that set an input a scenario may refuse: the
+// seven design flags set Scale.Design.
+var axisFlags = map[string]experiment.Axis{
+	"range": experiment.AxisRange, "faults": experiment.AxisFaults,
+	"strategy": experiment.AxisDesign, "random-start": experiment.AxisDesign, "interleave": experiment.AxisDesign,
+	"bitmaps": experiment.AxisDesign, "peba": experiment.AxisDesign, "multihop": experiment.AxisDesign,
+	"forward-prob": experiment.AxisDesign,
+}
 
 // rejectIgnoredFlags fails, naming them, on flags set on the command line
-// that the selected run sc under scale s would ignore: the ad-hoc DAPES
-// flags beside -scenario, and -range or -faults where the scenario refuses
-// them (experiment.Scenario.Refuses).
-func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, scenario string, s experiment.Scale) error {
+// that the selected scenario sc under scale s refuses
+// (experiment.Scenario.Refuses): -range or a design flag beside a world
+// that fixes its range or design, and -faults beside one that applies no
+// fault plan.
+func rejectIgnoredFlags(fs *flag.FlagSet, sc *experiment.Scenario, s experiment.Scale) error {
 	var ignored []string
 	fs.Visit(func(fl *flag.Flag) {
-		if adhocFlags[fl.Name] && scenario != "" || sc.Refuses(s, axisFlags[fl.Name]) != "" {
+		if sc.Refuses(s, axisFlags[fl.Name]) != "" {
 			ignored = append(ignored, "-"+fl.Name)
 		}
 	})
 	if len(ignored) == 0 {
 		return nil
 	}
-	return fmt.Errorf("-scenario %s ignores %s", scenario, strings.Join(ignored, ", "))
-}
-
-type adhocKnobs struct {
-	strategy    string
-	randomStart bool
-	interleave  bool
-	bitmaps     int
-	peba        bool
-	multihop    bool
-	forwardProb float64
-}
-
-// adhocScenario is the DAPES stack under the design flags' configuration.
-func adhocScenario(k adhocKnobs) (*experiment.Scenario, error) {
-	cfg := core.Config{
-		Strategy:      core.LocalNeighborhoodRPF,
-		RandomStart:   k.randomStart,
-		AdvertMode:    core.Interleaved,
-		BitmapsBefore: k.bitmaps,
-		UsePEBA:       k.peba,
-		Multihop:      k.multihop,
-		ForwardProb:   k.forwardProb,
-	}
-	switch k.strategy {
-	case "local":
-	case "encounter":
-		cfg.Strategy = core.EncounterBasedRPF
-	default:
-		return nil, fmt.Errorf("unknown strategy %q (want local or encounter)", k.strategy)
-	}
-	if !k.interleave {
-		cfg.AdvertMode = core.BitmapsFirst
-	}
-	// core reads a zero ForwardProb as its 20% default, so 0 would run
-	// at 20% under a label that says 0.
-	if !(k.forwardProb > 0 && k.forwardProb <= 1) {
-		hint := ""
-		if k.forwardProb == 0 {
-			hint = "; -multihop=false turns forwarding off"
-		}
-		return nil, fmt.Errorf("-forward-prob = %v: want a probability in (0, 1]%s", k.forwardProb, hint)
-	}
-	if k.bitmaps < 0 {
-		return nil, fmt.Errorf("-bitmaps = %d: want 0 (all) or more", k.bitmaps)
-	}
-	return &experiment.Scenario{
-		Name: "dapes(custom)",
-		Run: func(s experiment.Scale, wifiRange float64, trial int) (experiment.TrialResult, error) {
-			return experiment.RunDAPESTrial(s, wifiRange, trial, cfg)
-		},
-	}, nil
-}
-
-// strategyName is the -strategy spelling of an RPF strategy.
-func strategyName(k core.StrategyKind) string {
-	if k == core.EncounterBasedRPF {
-		return "encounter"
-	}
-	return "local"
+	return fmt.Errorf("-scenario %s ignores %s", sc.Name, strings.Join(ignored, ", "))
 }
 
 func listScenarios(w io.Writer, f experiment.Format) error {

@@ -9,29 +9,23 @@ import (
 	"dapes/internal/plan"
 )
 
-// TestRejectsMisreadInputs: a flag value the run cannot honour must fail
-// with an error naming it, never panic, fall back silently, or label the
-// output with a value that was not used. -strategy used to read every typo
-// as "local"; -range -1 panicked in geo.NewGrid; -range 0 ran phy's 60 m
-// default and emitted "range_m": 0.
-func TestRejectsMisreadInputs(t *testing.T) {
-	tiny := []string{"-files", "2", "-packets", "5", "-trials", "1", "-o", filepath.Join(t.TempDir(), "out")}
-	dir := t.TempDir()
-	jam := filepath.Join(dir, "jam.toml")
-	if err := os.WriteFile(jam, []byte("jam_radius = 10000\njam_until = \"2h\"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cpuProf, memProf := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	profiles := []string{"-cpuprofile", cpuProf, "-memprofile", memProf}
-	for _, tc := range []struct {
-		args []string
-		want string // substring of the error
-	}{
+// misreadInput is one command line dapes-sim must refuse, and a substring
+// of the error it must refuse it with.
+type misreadInput struct {
+	args []string
+	want string
+}
+
+// misreadInputs are TestRejectsMisreadInputs' rows, each with a fault file
+// of a jammer over every node (jam) and the two profile flags (profiles)
+// where a row names them; FuzzSimFlags seeds its corpus from them.
+func misreadInputs(jam string, profiles []string) []misreadInput {
+	return []misreadInput{
 		{[]string{"-strategy", "encouter"}, `unknown strategy "encouter" (want local or encounter)`},
 		{[]string{"-strategy", "bogus"}, "want local or encounter"},
 		{[]string{"-strategy", ""}, "want local or encounter"},
-		{[]string{"-range", "-1"}, `"dapes(custom)": WiFi range = -1 m`},
-		{[]string{"-range", "0"}, `"dapes(custom)": WiFi range = 0 m`},
+		{[]string{"-range", "-1"}, `"fig7-dapes": WiFi range = -1 m`},
+		{[]string{"-range", "0"}, `"fig7-dapes": WiFi range = 0 m`},
 		{[]string{"-scenario", "fig7-dapes", "-range", "-1"}, `"fig7-dapes": WiFi range = -1 m`},
 		{[]string{"-scenario", "fig7-dapes", "-range", "0"}, `"fig7-dapes": WiFi range = 0 m`},
 		// Later flags win, so these override tiny's values. -packets -1
@@ -44,18 +38,23 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		{[]string{"-packets", "9223372036854775807"}, "NumFiles x PacketsPerFile x PacketSize"},
 		// A zero -forward-prob ran at core's 20% default, and values outside
 		// [0, 1] or a negative -bitmaps ran as if they made sense.
-		{[]string{"-forward-prob", "0"}, "-forward-prob = 0: want a probability in (0, 1]; -multihop=false turns forwarding off"},
-		{[]string{"-forward-prob", "1.5"}, "-forward-prob = 1.5: want a probability in (0, 1]"},
-		{[]string{"-forward-prob", "-1"}, "-forward-prob = -1: want a probability in (0, 1]"},
-		{[]string{"-forward-prob", "NaN"}, "-forward-prob = NaN: want a probability in (0, 1]"},
-		{[]string{"-bitmaps", "-3"}, "-bitmaps = -3: want 0 (all) or more"},
-		// The ad-hoc DAPES flags beside a scenario, which does not read
-		// them, ran and exited 0 as if they were honoured.
-		{[]string{"-scenario", "fig7-dapes", "-peba=false", "-forward-prob", "5"}, "-scenario fig7-dapes ignores -forward-prob, -peba"},
+		{[]string{"-forward-prob", "0"}, "Scale.Design.ForwardProb = 0, must be in (0, 1]; -multihop=false turns forwarding off"},
+		{[]string{"-forward-prob", "1.5"}, "Scale.Design.ForwardProb = 1.5, must be in (0, 1]"},
+		{[]string{"-forward-prob", "-1"}, "Scale.Design.ForwardProb = -1, must be in (0, 1]"},
+		{[]string{"-forward-prob", "NaN"}, "Scale.Design.ForwardProb = NaN, must be in (0, 1]"},
+		{[]string{"-bitmaps", "-3"}, "Scale.Design.BitmapsBefore = -3, must be >= 0"},
+		// fig7-dapes reads the design flags, so a bad one is refused as
+		// one, not as a flag the scenario ignores.
+		{[]string{"-scenario", "fig7-dapes", "-peba=false", "-forward-prob", "5"}, "Scale.Design.ForwardProb = 5, must be in (0, 1]"},
+		// The design flags beside a world that runs a design of its own ran
+		// and exited 0 as if they were honoured.
 		{[]string{"-scenario", "fig7-ekta", "-peba=false"}, "-scenario fig7-ekta ignores -peba"},
+		{[]string{"-scenario", "fig7-ekta", "-forward-prob", "0.5"}, "-scenario fig7-ekta ignores -forward-prob"},
 		{[]string{"-scenario", "fig7-bithoc", "-strategy", "local", "-random-start", "-interleave", "-bitmaps", "2",
 			"-peba", "-multihop", "-forward-prob", "0.5"},
 			"-scenario fig7-bithoc ignores -bitmaps, -forward-prob, -interleave, -multihop, -peba, -random-start, -strategy"},
+		// An ablation fixes its own design: -peba would run it without PEBA.
+		{[]string{"-scenario", "ablation-nopeba", "-peba"}, "-scenario ablation-nopeba ignores -peba"},
 		// -system was an alias of -scenario fig7-bithoc and fig7-ekta.
 		{[]string{"-system", "bithoc"}, "flag provided but not defined: -system"},
 		// The Fig.-8 worlds fix their own 50 m range: -range ran them
@@ -75,8 +74,24 @@ func TestRejectsMisreadInputs(t *testing.T) {
 		// been created, and the heap profile was written on the way out.
 		{append([]string{"-trials", "0"}, profiles...), "Scale.Trials = 0, want 1 to 1000 trials"},
 		{append([]string{"-horizon", "0s"}, profiles...), "Scale.Horizon = 0s"},
-		{append([]string{"-range", "-1"}, profiles...), `"dapes(custom)": WiFi range = -1 m`},
-	} {
+		{append([]string{"-range", "-1"}, profiles...), `"fig7-dapes": WiFi range = -1 m`},
+	}
+}
+
+// TestRejectsMisreadInputs: a flag value the run cannot honour must fail
+// with an error naming it, never panic, fall back silently, or label the
+// output with a value that was not used. -strategy used to read every typo
+// as "local"; -range -1 panicked in geo.NewGrid; -range 0 ran phy's 60 m
+// default and emitted "range_m": 0.
+func TestRejectsMisreadInputs(t *testing.T) {
+	tiny := []string{"-files", "2", "-packets", "5", "-trials", "1", "-o", filepath.Join(t.TempDir(), "out")}
+	dir := t.TempDir()
+	jam := filepath.Join(dir, "jam.toml")
+	if err := os.WriteFile(jam, []byte("jam_radius = 10000\njam_until = \"2h\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cpuProf, memProf := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	for _, tc := range misreadInputs(jam, []string{"-cpuprofile", cpuProf, "-memprofile", memProf}) {
 		err := run(append(tiny, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("dapes-sim %v: err = %v, want one containing %q", tc.args, err, tc.want)
@@ -106,6 +121,8 @@ func TestRejectsMisreadInputs(t *testing.T) {
 	}{
 		{[]string{"-strategy", "local"}, `"range_m": 60`},
 		{[]string{"-strategy", "encounter"}, `"range_m": 60`},
+		// A DAPES scenario runs under the design flags.
+		{[]string{"-scenario", "urban-grid", "-peba=false"}, `"scenario": "urban-grid"`},
 		{[]string{"-scenario", "fig8a-carrier"}, `"range_m": 50`},
 		{[]string{"-scenario", "fig8b-repository"}, `"range_m": 50`},
 		{[]string{"-scenario", "fig8c-mobile"}, `"range_m": 50`},
@@ -121,14 +138,15 @@ func TestRejectsMisreadInputs(t *testing.T) {
 	}
 }
 
-// TestBuiltInStacksMatchScenarios: without -scenario, dapes-sim runs its
-// built-in DAPES stack, and at the design flags' defaults it must emit what
-// the registered scenario of the same configuration emits, label aside.
+// TestBuiltInStacksMatchScenarios: the design flags and the catalog reach
+// one trial. Without -scenario, dapes-sim runs fig7-dapes, byte for byte;
+// an ablation emits what fig7-dapes emits with its one design flag off,
+// label aside.
 func TestBuiltInStacksMatchScenarios(t *testing.T) {
 	dir := t.TempDir()
-	emit := func(name string, args ...string) string {
+	emit := func(args ...string) string {
 		t.Helper()
-		out := filepath.Join(dir, name+".json")
+		out := filepath.Join(dir, "out.json")
 		tiny := []string{"-files", "2", "-packets", "5", "-trials", "2", "-format", "json", "-o", out}
 		if err := run(append(tiny, args...)); err != nil {
 			t.Fatalf("dapes-sim %v: %v", args, err)
@@ -139,22 +157,28 @@ func TestBuiltInStacksMatchScenarios(t *testing.T) {
 		}
 		return string(b)
 	}
+	paper := emit()
+	if want := emit("-scenario", "fig7-dapes"); paper != want {
+		t.Errorf("dapes-sim differs from -scenario fig7-dapes:\n got %s\nwant %s", paper, want)
+	}
 	for _, tc := range []struct {
-		builtIn  []string
-		label    string
 		scenario string
+		flag     string
 	}{
-		{nil, "dapes(custom)", "fig7-dapes"},
+		{"ablation-nopeba", "-peba=false"},
+		{"ablation-singlehop", "-multihop=false"},
 	} {
-		got := emit(tc.label, tc.builtIn...)
-		want := emit(tc.scenario, "-scenario", tc.scenario)
-		label := `"scenario": "` + tc.label + `"`
+		got := emit("-scenario", tc.scenario)
+		label := `"scenario": "` + tc.scenario + `"`
 		if !strings.Contains(got, label) {
-			t.Fatalf("dapes-sim %v: output has no %s:\n%s", tc.builtIn, label, got)
+			t.Fatalf("dapes-sim -scenario %s: output has no %s:\n%s", tc.scenario, label, got)
 		}
-		got = strings.Replace(got, label, `"scenario": "`+tc.scenario+`"`, 1)
-		if got != want {
-			t.Errorf("dapes-sim %v differs from -scenario %s:\n got %s\nwant %s", tc.builtIn, tc.scenario, got, want)
+		got = strings.Replace(got, label, `"scenario": "fig7-dapes"`, 1)
+		switch want := emit(tc.flag); {
+		case want == paper:
+			t.Errorf("dapes-sim %s emits what the paper's design emits", tc.flag)
+		case got != want:
+			t.Errorf("dapes-sim -scenario %s differs from %s:\n got %s\nwant %s", tc.scenario, tc.flag, got, want)
 		}
 	}
 }

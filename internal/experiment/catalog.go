@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"dapes/internal/core"
-	"dapes/internal/phy"
-)
+import "dapes/internal/phy"
 
 // This file is the scenario catalog: every workload the repository can run
 // is one entry of the table below. docs/EXPERIMENTS.md describes each entry
@@ -13,10 +10,10 @@ import (
 
 // outdoor is what the Fig.-8 outdoor worlds set for themselves
 // (newOutdoorWorld builds its medium from it): the MacBooks' ~50 m range at
-// 5% loss, their own peers, and their own positions, so no area, and no
-// fault plan.
+// 5% loss, their own peers, and their own positions, so no area, no fault
+// plan, and their own design.
 var outdoor = Fixed{
-	Axes:  []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea, AxisFaults},
+	Axes:  []Axis{AxisRange, AxisLoss, AxisNodes, AxisArea, AxisFaults, AxisDesign},
 	Radio: phy.Config{Range: 50, LossRate: 0.05},
 }
 
@@ -50,26 +47,11 @@ func feasibilityTrial(run func(Scale, int64) (ScenarioResult, error)) TrialFunc 
 	}
 }
 
-// withConfig is the Fig.-7 workload on the DAPES stack configured by cfg.
-func withConfig(cfg core.Config) TrialFunc {
-	return func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-		return RunDAPESTrial(s, wifiRange, trial, cfg)
-	}
-}
-
-// dapesVariant runs the Fig.-7 workload with one knob changed from the
-// paper defaults.
-func dapesVariant(mutate func(*core.Config)) TrialFunc {
-	cfg := PaperDefaults()
-	mutate(&cfg)
-	return withConfig(cfg)
-}
-
-// atScale is the paper-default Fig.-7 workload on the scale that transform
-// derives from the runner's.
+// atScale is the Fig.-7 workload on the scale that transform derives from
+// the runner's.
 func atScale(transform func(Scale) Scale) TrialFunc {
 	return func(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-		return RunDAPESTrial(transform(s), wifiRange, trial, PaperDefaults())
+		return RunDAPESTrial(transform(s), wifiRange, trial)
 	}
 }
 
@@ -78,12 +60,16 @@ var catalog = []*Scenario{
 	{
 		Name:    "ablation-nopeba",
 		Summary: "Fig.-7 DAPES with PEBA collision mitigation disabled",
-		Run:     dapesVariant(func(c *core.Config) { c.UsePEBA = false }),
+		// The ablations run the paper's design with one knob off, whatever
+		// design the scale carries.
+		Run:   atScale(func(s Scale) Scale { s.Design = PaperDefaults(); s.Design.UsePEBA = false; return s }),
+		Fixed: Fixed{Axes: []Axis{AxisDesign}},
 	},
 	{
 		Name:    "ablation-singlehop",
 		Summary: "Fig.-7 DAPES with intermediate-node forwarding disabled",
-		Run:     dapesVariant(func(c *core.Config) { c.Multihop = false }),
+		Run:     atScale(func(s Scale) Scale { s.Design = PaperDefaults(); s.Design.Multihop = false; return s }),
+		Fixed:   Fixed{Axes: []Axis{AxisDesign}},
 	},
 	{
 		Name:    "blackout-recovery",
@@ -101,18 +87,19 @@ var catalog = []*Scenario{
 		Name:    "fig7-bithoc",
 		Summary: "Fig.-7 workload on the Bithoc baseline (DSDV + TCP-like swarming)",
 		Run:     RunBithocTrial,
-		Fixed:   Fixed{Axes: []Axis{AxisFaults}}, // the baselines apply no fault plan
+		// The baselines apply no fault plan and run no DAPES design.
+		Fixed: Fixed{Axes: []Axis{AxisFaults, AxisDesign}},
 	},
 	{
 		Name:    "fig7-dapes",
 		Summary: "Paper's Fig.-7 random-walk workload, full DAPES stack, default config",
-		Run:     paperTrial,
+		Run:     RunDAPESTrial,
 	},
 	{
 		Name:    "fig7-ekta",
 		Summary: "Fig.-7 workload on the Ekta baseline (DSR + Pastry DHT)",
 		Run:     RunEktaTrial,
-		Fixed:   Fixed{Axes: []Axis{AxisFaults}},
+		Fixed:   Fixed{Axes: []Axis{AxisFaults, AxisDesign}},
 	},
 	{
 		Name:    "fig8a-carrier",

@@ -74,13 +74,13 @@ func TestAllDoneStopsWhereTheNaivePollStops(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name+"/sequential", func(t *testing.T) {
 			t.Parallel()
-			fast, err := buildDAPES(tc.scale, 60, 0, PaperDefaults())
+			fast, err := buildDAPES(tc.scale, 60, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := fast.run()
 
-			ref, err := buildDAPES(tc.scale, 60, 0, PaperDefaults())
+			ref, err := buildDAPES(tc.scale, 60, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestAllDoneCursor(t *testing.T) {
 func TestAllDoneDoesNotAllocate(t *testing.T) {
 	s := goldenScale()
 	s.Horizon = 8 * time.Minute
-	w, err := buildDAPES(s, 60, 0, PaperDefaults())
+	w, err := buildDAPES(s, 60, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

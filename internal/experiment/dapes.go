@@ -25,10 +25,10 @@ func PaperDefaults() core.Config {
 	}
 }
 
-// RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
-// metrics.
-func RunDAPESTrial(s Scale, wifiRange float64, trial int, cfg core.Config) (TrialResult, error) {
-	w, err := buildDAPES(s, wifiRange, trial, cfg)
+// RunDAPESTrial executes one Fig.-7 trial of the DAPES stack under the
+// scale's design and returns its metrics: the fig7-dapes scenario.
+func RunDAPESTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	w, err := buildDAPES(s, wifiRange, trial)
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -79,12 +79,15 @@ func (w *dapesWorld) startDownloaders() {
 	}
 }
 
-// buildDAPES builds and starts one Fig.-7 trial's world on the engine the
-// scale names, and installs its fault plan.
-func buildDAPES(s Scale, wifiRange float64, trial int, cfg core.Config) (*dapesWorld, error) {
+// buildDAPES builds and starts one Fig.-7 trial's world under the scale's
+// design on the engine the scale names, and installs its fault plan.
+func buildDAPES(s Scale, wifiRange float64, trial int) (*dapesWorld, error) {
+	if err := checkDesign(s.Design); err != nil {
+		return nil, err
+	}
 	eng, pl := newFig7World(s, wifiRange, trial)
 	installMediumFaults(eng.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
-	w := &dapesWorld{world: eng, cfg: cfg}
+	w := &dapesWorld{world: eng, cfg: s.Design}
 	res, err := buildCollection(s, s.BaseSeed+int64(trial))
 	if err != nil {
 		return nil, err
@@ -102,7 +105,7 @@ func buildDAPES(s Scale, wifiRange float64, trial int, cfg core.Config) (*dapesW
 	for i, m := range pl.forwarderMobility {
 		if i < s.PureForwarders {
 			w.pures = append(w.pures, multihop.NewPureForwarder(w.Kernel, w.medium, m,
-				multihop.Config{ForwardProb: cfg.ForwardProb}))
+				multihop.Config{ForwardProb: s.Design.ForwardProb}))
 			continue
 		}
 		// DAPES-aware intermediates: understand the semantics, forward based
@@ -112,7 +115,7 @@ func buildDAPES(s Scale, wifiRange float64, trial int, cfg core.Config) (*dapesW
 
 	producer.Start()
 	w.startDownloaders()
-	if cfg.Multihop {
+	if s.Design.Multihop {
 		for _, f := range w.pures {
 			f.Start()
 		}

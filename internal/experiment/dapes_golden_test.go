@@ -83,11 +83,11 @@ func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 // trace-neutral.
 func TestGoldenDAPESTrialResults(t *testing.T) {
 	t.Parallel()
-	singlehop := PaperDefaults()
-	singlehop.Multihop = false
 	// The chaos plan scales with the horizon and the trial runs until its
 	// last restart: three minutes put the crashes in [30 s, 60 s), mid-
 	// download for most peers, and keep the trial to seconds.
+	singlehop := ReducedScale()
+	singlehop.Design.Multihop = false
 	chaos := ReducedScale()
 	chaos.Horizon = 3 * time.Minute
 	chaos = urbanGridChaosScale(chaos)
@@ -96,33 +96,32 @@ func TestGoldenDAPESTrialResults(t *testing.T) {
 		scale     Scale
 		wifiRange float64
 		trial     int
-		cfg       core.Config
 		want      dapesGolden
 	}{
-		{"fig7-dapes", ReducedScale(), 20, 0, PaperDefaults(), dapesGolden{472980382657, 50768, 24, 24, 13143, 0, 0, 46818, 1416, 5133, 10899676, 107422,
+		{"fig7-dapes", ReducedScale(), 20, 0, dapesGolden{472980382657, 50768, 24, 24, 13143, 0, 0, 46818, 1416, 5133, 10899676, 107422,
 			relayCounts{1650, 4575, 695, 695, 0}, relayCounts{395, 2061, 79, 72, 2697}}},
-		{"fig7-dapes", ReducedScale(), 20, 1, PaperDefaults(), dapesGolden{449618656891, 42491, 24, 24, 11450, 0, 0, 38260, 1162, 4284, 9983875, 88635,
+		{"fig7-dapes", ReducedScale(), 20, 1, dapesGolden{449618656891, 42491, 24, 24, 11450, 0, 0, 38260, 1162, 4284, 9983875, 88635,
 			relayCounts{965, 4455, 508, 508, 0}, relayCounts{332, 1640, 67, 66, 1556}}},
-		{"fig7-dapes", ReducedScale(), 60, 0, PaperDefaults(), dapesGolden{28730677829, 26544, 24, 24, 60515, 0, 0, 114237, 24804, 12751, 10779201, 57642,
+		{"fig7-dapes", ReducedScale(), 60, 0, dapesGolden{28730677829, 26544, 24, 24, 60515, 0, 0, 114237, 24804, 12751, 10779201, 57642,
 			relayCounts{3149, 4666, 2753, 2753, 0}, relayCounts{500, 2164, 448, 382, 5041}}},
-		{"fig7-dapes", ReducedScale(), 60, 1, PaperDefaults(), dapesGolden{68863866502, 45072, 24, 24, 48573, 0, 0, 175157, 18396, 19410, 13441741, 99824,
+		{"fig7-dapes", ReducedScale(), 60, 1, dapesGolden{68863866502, 45072, 24, 24, 48573, 0, 0, 175157, 18396, 19410, 13441741, 99824,
 			relayCounts{5875, 6156, 3809, 3809, 0}, relayCounts{736, 3523, 453, 404, 8672}}},
-		{"fig7-dapes", ReducedScale(), 100, 0, PaperDefaults(), dapesGolden{13390956922, 28062, 24, 24, 253805, 0, 0, 202425, 140504, 22632, 11629098, 63080,
+		{"fig7-dapes", ReducedScale(), 100, 0, dapesGolden{13390956922, 28062, 24, 24, 253805, 0, 0, 202425, 140504, 22632, 11629098, 63080,
 			relayCounts{6049, 4859, 5488, 5490, 0}, relayCounts{627, 2691, 766, 550, 3977}}},
-		{"fig7-dapes", ReducedScale(), 100, 1, PaperDefaults(), dapesGolden{16697003164, 31442, 24, 24, 188552, 0, 0, 214484, 110905, 23749, 12363567, 72093,
+		{"fig7-dapes", ReducedScale(), 100, 1, dapesGolden{16697003164, 31442, 24, 24, 188552, 0, 0, 214484, 110905, 23749, 12363567, 72093,
 			relayCounts{8108, 3459, 6367, 6372, 0}, relayCounts{693, 3023, 806, 565, 4464}}},
-		{"ablation-singlehop", ReducedScale(), 60, 0, singlehop, dapesGolden{54689059960, 25824, 24, 24, 25116, 0, 0, 118444, 7312, 13250, 7236682, 79499,
+		{"ablation-singlehop", singlehop, 60, 0, dapesGolden{54689059960, 25824, 24, 24, 25116, 0, 0, 118444, 7312, 13250, 7236682, 79499,
 			relayCounts{0, 0, 0, 0, 0}, relayCounts{0, 0, 0, 0, 0}}},
-		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, PaperDefaults(), dapesGolden{16855534200, 158721, 104, 104, 941595, 0, 0, 1181698, 496911, 131100, 59639022, 343042,
+		{"urban-grid", urbanGridScale(ReducedScale()), 60, 0, dapesGolden{16855534200, 158721, 104, 104, 941595, 0, 0, 1181698, 496911, 131100, 59639022, 343042,
 			relayCounts{19199, 41937, 18108, 18108, 0}, relayCounts{3356, 14056, 4470, 2966, 35764}}},
 		// Crash is Stop plus a deaf radio, Restart wipes the tables.
-		{"urban-grid-chaos", chaos, 60, 0, PaperDefaults(), dapesGolden{40019158568, 390256, 104, 104, 695503, 52, 11249199002, 2766725, 1072987, 440113, 146019734, 829108,
+		{"urban-grid-chaos", chaos, 60, 0, dapesGolden{40019158568, 390256, 104, 104, 695503, 52, 11249199002, 2766725, 1072987, 440113, 146019734, 829108,
 			relayCounts{40796, 40811, 38328, 38329, 0}, relayCounts{3237, 13687, 4416, 2840, 104419}}},
 	} {
 		c := c
 		t.Run(fmt.Sprintf("%s/range%v/trial%d", c.name, c.wifiRange, c.trial), func(t *testing.T) {
 			t.Parallel()
-			w, err := buildDAPES(c.scale, c.wifiRange, c.trial, c.cfg)
+			w, err := buildDAPES(c.scale, c.wifiRange, c.trial)
 			if err != nil {
 				t.Fatal(err)
 			}

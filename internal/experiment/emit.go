@@ -145,14 +145,10 @@ func EmitRun(w io.Writer, f Format, r RunResult) error {
 		cw.Flush()
 		return cw.Error()
 	default:
-		name := r.Scenario
-		if name == "" {
-			name = "ad-hoc"
-		}
 		// Write errors propagate (a full disk or closed pipe must not look
 		// like a successful emit); the first failure wins.
 		if _, err := fmt.Fprintf(w, "%s: range=%gm seed=%d trials=%d workers=%d\n",
-			name, r.Range, r.Seed, len(r.Trials), r.Workers); err != nil {
+			r.Scenario, r.Range, r.Seed, len(r.Trials), r.Workers); err != nil {
 			return err
 		}
 		for i, tr := range r.Trials {

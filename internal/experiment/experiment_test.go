@@ -23,7 +23,7 @@ func tinyScale() Scale {
 func TestRunDAPESTrialCompletes(t *testing.T) {
 	t.Parallel()
 	s := tinyScale()
-	tr, err := RunDAPESTrial(s, 80, 0, PaperDefaults())
+	tr, err := RunDAPESTrial(s, 80, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestRunDAPESTrialCompletes(t *testing.T) {
 func TestRunDAPESDeterministicPerSeed(t *testing.T) {
 	t.Parallel()
 	s := tinyScale()
-	a, err := RunDAPESTrial(s, 80, 0, PaperDefaults())
+	a, err := RunDAPESTrial(s, 80, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDAPESTrial(s, 80, 0, PaperDefaults())
+	b, err := RunDAPESTrial(s, 80, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,16 @@ func (m Metric) Of(r RunResult) float64 {
 // metricFormat is how a panel prints each metric.
 var metricFormat = [...]string{DownloadTime: "%.1f", Transmissions: "%.0f"}
 
-// Series is one column of a figure: the trial — a DAPES variant (withOptions)
-// or an IP baseline — run at every range.
+// Series is one column of a figure: a catalog scenario under a design, run
+// at every range.
 type Series struct {
 	Label string
-	Trial TrialFunc
+	// Scenario is the catalog name of the column's workload.
+	Scenario string
+	// Design is the DAPES design the column runs. Zero, which is no valid
+	// design, keeps the scale's own: the paper's at every preset scale, and
+	// the one the baselines, which fix theirs, accept.
+	Design core.Config
 	// Files and Size multiply the scale's file count (Fig. 9e) and per-file
 	// packet count (Fig. 9f) and label the column after the result; zero
 	// leaves the scale alone.
@@ -78,6 +83,9 @@ type Series struct {
 // at resolves the series against the scale the figure runs at: the column's
 // label and the scale its trials use.
 func (sr Series) at(s Scale) (string, Scale) {
+	if sr.Design != (core.Config{}) {
+		s.Design = sr.Design
+	}
 	switch {
 	case sr.Files > 0:
 		s.NumFiles *= sr.Files
@@ -89,9 +97,6 @@ func (sr Series) at(s Scale) (string, Scale) {
 	return sr.Label, s
 }
 
-// paperTrial is the Fig.-7 trial at the configuration Section VI-B describes.
-var paperTrial = withConfig(PaperDefaults())
-
 // Figures is Section VI in the order dapes-bench prints it: Fig. 9a-9h,
 // Table I, Fig. 10. Adding a figure is adding an entry.
 var Figures = []Figure{
@@ -99,19 +104,19 @@ var Figures = []Figure{
 		// local-neighborhood} RPF, bitmaps-first exchange as in the paper's setup.
 		Panels: []Panel{{ID: "9a", Title: "Fig 9a: download time (s) vs WiFi range, RPF strategies"}},
 		Series: []Series{
-			{Label: "same/encounter", Trial: withConfig(fig9aConfig(core.EncounterBasedRPF, false))},
-			{Label: "random/encounter", Trial: withConfig(fig9aConfig(core.EncounterBasedRPF, true))},
-			{Label: "same/local", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, false))},
-			{Label: "random/local", Trial: withConfig(fig9aConfig(core.LocalNeighborhoodRPF, true))},
+			{Label: "same/encounter", Scenario: "fig7-dapes", Design: fig9aConfig(core.EncounterBasedRPF, false)},
+			{Label: "random/encounter", Scenario: "fig7-dapes", Design: fig9aConfig(core.EncounterBasedRPF, true)},
+			{Label: "same/local", Scenario: "fig7-dapes", Design: fig9aConfig(core.LocalNeighborhoodRPF, false)},
+			{Label: "random/local", Scenario: "fig7-dapes", Design: fig9aConfig(core.LocalNeighborhoodRPF, true)},
 		},
 	},
 	{
 		Panels: []Panel{{ID: "9b", Title: "Fig 9b: transmissions vs WiFi range, RPF x PEBA", Metric: Transmissions}},
 		Series: []Series{
-			{Label: "encounter(noPEBA)", Trial: withConfig(fig9bConfig(core.EncounterBasedRPF, false))},
-			{Label: "local(noPEBA)", Trial: withConfig(fig9bConfig(core.LocalNeighborhoodRPF, false))},
-			{Label: "encounter(PEBA)", Trial: withConfig(fig9bConfig(core.EncounterBasedRPF, true))},
-			{Label: "local(PEBA)", Trial: withConfig(fig9bConfig(core.LocalNeighborhoodRPF, true))},
+			{Label: "encounter(noPEBA)", Scenario: "fig7-dapes", Design: fig9bConfig(core.EncounterBasedRPF, false)},
+			{Label: "local(noPEBA)", Scenario: "fig7-dapes", Design: fig9bConfig(core.LocalNeighborhoodRPF, false)},
+			{Label: "encounter(PEBA)", Scenario: "fig7-dapes", Design: fig9bConfig(core.EncounterBasedRPF, true)},
+			{Label: "local(PEBA)", Scenario: "fig7-dapes", Design: fig9bConfig(core.LocalNeighborhoodRPF, true)},
 		},
 	},
 	{ // b bitmaps exchanged before the data download, b in {1,2,3,4,all}.
@@ -127,20 +132,20 @@ var Figures = []Figure{
 		// 30, 50, 70 files).
 		Panels: []Panel{{ID: "9e", Title: "Fig 9e: download time (s) vs number of files"}},
 		Series: []Series{
-			{Files: 1, Trial: paperTrial},
-			{Files: 3, Trial: paperTrial},
-			{Files: 5, Trial: paperTrial},
-			{Files: 7, Trial: paperTrial},
+			{Files: 1, Scenario: "fig7-dapes"},
+			{Files: 3, Scenario: "fig7-dapes"},
+			{Files: 5, Scenario: "fig7-dapes"},
+			{Files: 7, Scenario: "fig7-dapes"},
 		},
 	},
 	{ // Per-file size scales while the file count stays fixed (paper: 1, 5,
 		// 10, 15 MB files).
 		Panels: []Panel{{ID: "9f", Title: "Fig 9f: download time (s) vs file size"}},
 		Series: []Series{
-			{Size: 1, Trial: paperTrial},
-			{Size: 5, Trial: paperTrial},
-			{Size: 10, Trial: paperTrial},
-			{Size: 15, Trial: paperTrial},
+			{Size: 1, Scenario: "fig7-dapes"},
+			{Size: 5, Scenario: "fig7-dapes"},
+			{Size: 10, Scenario: "fig7-dapes"},
+			{Size: 15, Scenario: "fig7-dapes"},
 		},
 	},
 	{ // Single-hop vs multi-hop at forwarding probability 20/40/60%.
@@ -149,10 +154,10 @@ var Figures = []Figure{
 			{ID: "9h", Title: "Fig 9h: transmissions vs forwarding probability", Metric: Transmissions},
 		},
 		Series: []Series{
-			{Label: "single-hop", Trial: withConfig(hopConfig(false, 0.2))},
-			{Label: "p=20%", Trial: withConfig(hopConfig(true, 0.2))},
-			{Label: "p=40%", Trial: withConfig(hopConfig(true, 0.4))},
-			{Label: "p=60%", Trial: withConfig(hopConfig(true, 0.6))},
+			{Label: "single-hop", Scenario: "fig7-dapes", Design: hopConfig(false, 0.2)},
+			{Label: "p=20%", Scenario: "fig7-dapes", Design: hopConfig(true, 0.2)},
+			{Label: "p=40%", Scenario: "fig7-dapes", Design: hopConfig(true, 0.4)},
+			{Label: "p=60%", Scenario: "fig7-dapes", Design: hopConfig(true, 0.6)},
 		},
 	},
 	{ // The real-world feasibility scenarios of Fig. 8 (TableIRows).
@@ -165,9 +170,9 @@ var Figures = []Figure{
 			{ID: "10b", Title: "Fig 10b: transmissions, DAPES vs IP baselines", Metric: Transmissions, Note: forwardAccuracyNote},
 		},
 		Series: []Series{
-			{Label: "DAPES", Trial: paperTrial},
-			{Label: "Bithoc", Trial: RunBithocTrial},
-			{Label: "Ekta", Trial: RunEktaTrial},
+			{Label: "DAPES", Scenario: "fig7-dapes"},
+			{Label: "Bithoc", Scenario: "fig7-bithoc"},
+			{Label: "Ekta", Scenario: "fig7-ekta"},
 		},
 	},
 }
@@ -198,7 +203,7 @@ func bitmapSeries(mode core.AdvertMode) []Series {
 		o := PaperDefaults()
 		o.AdvertMode = mode
 		o.BitmapsBefore = c.b
-		series = append(series, Series{Label: c.label, Trial: withConfig(o)})
+		series = append(series, Series{Label: c.label, Scenario: "fig7-dapes", Design: o})
 	}
 	return series
 }
@@ -232,15 +237,20 @@ func (f Figure) Run(s Scale) (FigureResult, error) {
 		return res, err
 	}
 	res.Labels = make([]string, len(f.Series))
+	scens := make([]*Scenario, len(f.Series))
 	scales := make([]Scale, len(f.Series))
 	for j, sr := range f.Series {
 		res.Labels[j], scales[j] = sr.at(s)
+		var err error
+		if scens[j], err = Find(sr.Scenario); err != nil {
+			return res, err
+		}
 	}
 	for _, r := range s.Ranges {
 		row := make([]RunResult, len(f.Series))
-		for j, sr := range f.Series {
+		for j := range f.Series {
 			var err error
-			if row[j], err = (Runner{}).Run(&Scenario{Name: res.Labels[j], Run: sr.Trial}, scales[j], r); err != nil {
+			if row[j], err = (Runner{}).Run(scens[j], scales[j], r); err != nil {
 				return res, err
 			}
 		}

@@ -28,6 +28,7 @@ func goldenScale() Scale {
 		Intermediates:  1,
 		LossRate:       0.10,
 		BaseSeed:       7,
+		Design:         PaperDefaults(),
 	}
 }
 

@@ -34,7 +34,7 @@ func TestUrbanMetroIsFig7AtDensity(t *testing.T) {
 		fig7.Intermediates *= 25
 		nodes := 1 + fig7.Stationary + fig7.MobileDown + fig7.PureForwarders + fig7.Intermediates
 		fig7.AreaSide = 300 * math.Sqrt(float64(nodes)/45)
-		want, err := RunDAPESTrial(fig7, 60, 0, PaperDefaults())
+		want, err := RunDAPESTrial(fig7, 60, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"dapes/internal/core"
 	"dapes/internal/fault"
 )
 
@@ -79,6 +80,11 @@ type Scale struct {
 	// trial runs the exact no-fault code path (docs/CONTRACTS.md). A world
 	// that applies no fault plan refuses any other (Scenario.Refuses).
 	Faults *fault.Plan
+	// Design is the DAPES design every DAPES peer and relay of the trial
+	// runs: the one way a core.Config reaches a trial. The presets carry
+	// PaperDefaults; a world that runs a design of its own (the baselines,
+	// the Fig.-8 outdoor runs, the ablations) fixes AxisDesign.
+	Design core.Config
 }
 
 // ReducedScale is the default: 10 files x 20 packets (200 KB collection),
@@ -97,6 +103,7 @@ func ReducedScale() Scale {
 		Intermediates:  10,
 		LossRate:       0.10,
 		BaseSeed:       1,
+		Design:         PaperDefaults(),
 	}
 }
 
@@ -136,14 +143,17 @@ const (
 	MaxTrials          = 1000
 )
 
-// Validate rejects scales that cannot drive a meaningful run: trial counts
-// outside [1, MaxTrials], an empty range sweep, non-positive collection or
-// packet sizes, a collection over maxCollectionBytes, loss probabilities
-// outside [0, 1), and node mixes with nobody downloading or over maxNodes.
-// Runner.Run and the plan harness call this before work starts so a bad
-// knob fails with a field name instead of a mid-run panic or a silently
-// empty sweep.
+// Validate rejects scales that cannot drive a meaningful run: a design
+// checkDesign rejects (checked first), trial counts outside [1, MaxTrials],
+// an empty range sweep, non-positive collection or packet sizes, a
+// collection over maxCollectionBytes, loss probabilities outside [0, 1),
+// and node mixes with nobody downloading or over maxNodes. Runner.Run and
+// the plan harness call this before work starts so a bad knob fails with a
+// field name instead of a mid-run panic or a silently empty sweep.
 func (s Scale) Validate() error {
+	if err := checkDesign(s.Design); err != nil {
+		return err
+	}
 	switch {
 	case s.Trials <= 0 || s.Trials > MaxTrials:
 		return fmt.Errorf("experiment: Scale.Trials = %d, want 1 to %d trials", s.Trials, MaxTrials)
@@ -183,6 +193,20 @@ func (s Scale) Validate() error {
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkDesign rejects a forwarding probability outside (0, 1] and a
+// negative bitmap count. core runs a zero probability at 20%, so a Scale
+// that forgets its design would run another stack under its label: the
+// DAPES worlds, which trials build without a Runner too, check it as well.
+func checkDesign(d core.Config) error {
+	switch {
+	case !(d.ForwardProb > 0 && d.ForwardProb <= 1):
+		return fmt.Errorf("experiment: Scale.Design.ForwardProb = %v, must be in (0, 1]", d.ForwardProb)
+	case d.BitmapsBefore < 0:
+		return fmt.Errorf("experiment: Scale.Design.BitmapsBefore = %d, must be >= 0 (0 is all)", d.BitmapsBefore)
 	}
 	return nil
 }

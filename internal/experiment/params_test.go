@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dapes/internal/core"
 )
 
 func TestScaleValidateAcceptsPresets(t *testing.T) {
@@ -50,6 +52,12 @@ func TestScaleValidateRejectsBadFields(t *testing.T) {
 		{"max mobile mix", func(s *Scale) { s.MobileDown = math.MaxInt }, "MobileDown"},
 		{"wrapping mix", func(s *Scale) { s.PureForwarders, s.Intermediates = math.MaxInt/2+1, math.MaxInt/2+1 }, "node mix"},
 		{"mix over 2^20 nodes", func(s *Scale) { s.Intermediates = 1<<20 - 34 }, "node mix"},
+		// core ran a zero forwarding probability at 20%: a Scale literal
+		// without a design ran the paper's stack under no label of it.
+		{"no design", func(s *Scale) { s.Design = core.Config{} }, "Design.ForwardProb = 0"},
+		{"certain forwarding and more", func(s *Scale) { s.Design.ForwardProb = 1.5 }, "Design.ForwardProb = 1.5"},
+		{"NaN forwarding", func(s *Scale) { s.Design.ForwardProb = math.NaN() }, "Design.ForwardProb = NaN"},
+		{"negative bitmaps", func(s *Scale) { s.Design.BitmapsBefore = -1 }, "Design.BitmapsBefore = -1"},
 	}
 	for _, tc := range cases {
 		s := ReducedScale()
@@ -72,6 +80,7 @@ func TestScaleValidateBoundaries(t *testing.T) {
 	s.Workers = 0  // 0 means serial, like 1
 	s.AreaSide = 0 // 0 means "paper default area"
 	s.Trials = 1
+	s.Design.ForwardProb = 1 // forward every Interest
 	if err := s.Validate(); err != nil {
 		t.Fatalf("boundary values rejected: %v", err)
 	}

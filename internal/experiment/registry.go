@@ -77,9 +77,12 @@ const (
 	AxisArea
 	// AxisFaults is Scale.Faults: a world that fixes it applies none.
 	AxisFaults
+	// AxisDesign is Scale.Design: a world that fixes it runs a design of
+	// its own, or none (the IP baselines).
+	AxisDesign
 )
 
-var axisNames = [...]string{AxisRange: "range", AxisLoss: "loss rate", AxisNodes: "node mix", AxisArea: "area", AxisFaults: "fault plan"}
+var axisNames = [...]string{AxisRange: "range", AxisLoss: "loss rate", AxisNodes: "node mix", AxisArea: "area", AxisFaults: "fault plan", AxisDesign: "design"}
 
 // String names the input the axis sets.
 func (a Axis) String() string { return axisNames[a] }

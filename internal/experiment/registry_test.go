@@ -140,7 +140,7 @@ func TestUrbanGridScalesNodeCount(t *testing.T) {
 // TestEveryAxisMovesItsWorld: a world reads every input it does not declare
 // fixed, and none it does. Each catalog scenario runs one trial at seed 1
 // and a small scale, then again with the range, the loss rate, the node mix,
-// the area and the fault plan changed one at a time: an input the scenario
+// the area, the fault plan and the design changed one at a time: an input the scenario
 // refuses (Refuses: an axis in its Fixed, the loss rate where the trial's
 // fault plan is bursty, a fault plan where it applies none) must leave the
 // trial's result byte for byte as it was, and every other input must change
@@ -171,6 +171,8 @@ func TestEveryAxisMovesItsWorld(t *testing.T) {
 		{AxisArea, func(s *Scale, _ *float64) { s.AreaSide = 520 }},
 		// A jammer over every node for longer than the horizon.
 		{AxisFaults, func(s *Scale, _ *float64) { s.Faults = &fault.Plan{JamRadius: 10000, JamUntil: 2 * time.Hour} }},
+		// Two knobs, so a world moves whichever of them it exercises.
+		{AxisDesign, func(s *Scale, _ *float64) { s.Design.ForwardProb, s.Design.UsePEBA = 0.6, false }},
 	}
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {

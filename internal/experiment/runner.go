@@ -19,7 +19,7 @@ type Runner struct{}
 // RunResult is one scenario execution: the per-trial metrics in trial-index
 // order plus the paper's aggregate statistics over them.
 type RunResult struct {
-	// Scenario is the catalog name (empty for ad-hoc runs).
+	// Scenario is the catalog name.
 	Scenario string
 	// Range is the WiFi range the trials ran at, in meters: the world's
 	// own where it fixes its range (Scenario.Range), not the runner's.
@@ -39,7 +39,8 @@ type RunResult struct {
 
 // Check is every refusal Run makes before its first trial: a nil scenario,
 // a scale Validate rejects, a fault plan the scenario refuses
-// (Scenario.Refuses) and a WiFi range that is not positive and finite. Run
+// (Scenario.Refuses), a design other than PaperDefaults beside a world
+// that fixes its design, and a WiFi range that is not positive and finite. Run
 // asks it for every caller — dapes-sim, each dapes-bench figure, plan
 // cells — and a caller that opens files for the run (dapes-sim's profiles)
 // asks it first, so a refused input leaves nothing behind.
@@ -51,6 +52,11 @@ func (Runner) Check(sc *Scenario, s Scale, wifiRange float64) error {
 		return fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	if why := sc.Refuses(s, AxisFaults); why != "" {
+		return fmt.Errorf("experiment: scenario %q %s", sc.Name, why)
+	}
+	// Every preset scale carries the paper's design: only another is one
+	// set for the run.
+	if why := sc.Refuses(s, AxisDesign); why != "" && s.Design != PaperDefaults() {
 		return fmt.Errorf("experiment: scenario %q %s", sc.Name, why)
 	}
 	// Not a Scale field, so Validate never sees it: a negative range panics

@@ -102,12 +102,24 @@ func TestRunnerRejectsBadInput(t *testing.T) {
 		{"Scale.PacketsPerFile", func(s *Scale) { s.PacketsPerFile = 0 }},
 		{"Scale.Horizon", func(s *Scale) { s.Horizon = 0 }},
 		{"Scale.Workers", func(s *Scale) { s.Workers = -3 }},
+		{"Scale.Design.ForwardProb", func(s *Scale) { s.Design.ForwardProb = 0 }},
 	} {
 		s := tinyScale()
 		tc.set(&s)
 		if _, err := (Runner{}).Run(sc, s, 80); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Fatalf("bad %s: err = %v, want one naming the field", tc.field, err)
 		}
+	}
+	// A world that runs a design of its own runs under the paper's, which
+	// every preset scale carries, and refuses any other.
+	bithoc, _ := Find("fig7-bithoc")
+	s := tinyScale()
+	if err := (Runner{}).Check(bithoc, s, 80); err != nil {
+		t.Fatalf("fig7-bithoc at the paper's design: %v", err)
+	}
+	s.Design.UsePEBA = false
+	if err := (Runner{}).Check(bithoc, s, 80); err == nil || !strings.Contains(err.Error(), `"fig7-bithoc" fixes its world's design`) {
+		t.Fatalf("fig7-bithoc without PEBA: err = %v, want a refusal of the design", err)
 	}
 	// The range is an argument, not a Scale field: Validate never sees it.
 	for _, r := range []float64{-1, 0, math.NaN(), math.Inf(1)} {

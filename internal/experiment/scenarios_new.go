@@ -15,13 +15,16 @@ import (
 // kernel from TrialSeed, so the Runner may execute them concurrently.
 
 // newTrialWorld is the common preamble of the custom scenarios: a seeded
-// world at the requested range, the paper-default peer config, and the
-// image-file collection published by a producer on the given mobility.
+// world at the requested range, the scale's design, and the image-file
+// collection published by a producer on the given mobility.
 func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*dapesWorld, *core.Peer, error) {
+	if err := checkDesign(s.Design); err != nil {
+		return nil, nil, err
+	}
 	seed := TrialSeed(s.BaseSeed, trial)
 	w := &dapesWorld{
 		world: newWorld(seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, s.Engine, s.Horizon),
-		cfg:   PaperDefaults(),
+		cfg:   s.Design,
 	}
 	res, err := buildCollection(s, seed)
 	if err != nil {

@@ -3,8 +3,9 @@
 #
 # Fails unless the working tree's dapes-sim, dapes-plan and dapes-bench
 # print, byte for byte, what revision BASE's print: the scenario list, every
-# listed scenario, the ad-hoc DAPES stack and fig7-dapes under the [faults]
-# example of docs/EXPERIMENTS.md as a -faults file, each at -seed 1 -files 2
+# listed scenario, the run without -scenario, the DAPES stack with every
+# design flag off its default, and fig7-dapes under the [faults] example of
+# docs/EXPERIMENTS.md as a -faults file, each at -seed 1 -files 2
 # -packets 5 -trials 3 -format json; dapes-plan run plans/ci-smoke.toml and
 # a one-cell fig8a-carrier plan written here (its labels are the world's own
 # range and loss); and dapes-bench -scale quick -only tableI -format json.
@@ -61,6 +62,8 @@ for sc in $("$tmp/bin/head/dapes-sim" -list -format csv | tail -n +3 | cut -d, -
 	check "$sc" dapes-sim -scenario "$sc" "${run[@]}"
 done
 check adhoc-dapes dapes-sim "${run[@]}"
+check design-flags dapes-sim -peba=false -multihop=false -interleave=false -bitmaps 2 -strategy encounter \
+	-random-start=false -forward-prob 0.5 "${run[@]}"
 check faults dapes-sim -scenario fig7-dapes -faults "$tmp/faults.toml" "${run[@]}"
 # Both sides read the working tree's plan file.
 check ci-smoke dapes-plan run "$root/plans/ci-smoke.toml"
