@@ -56,6 +56,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzPlanWithFaults -fuzztime=10s -fuzzminimizetime=1s ./internal/plan/
 	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/bitmap/
 	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/routing/
+	$(GO) test -run=NONE -fuzz=FuzzNonceTable -fuzztime=10s -fuzzminimizetime=1s ./internal/multihop/
 	$(GO) test -run=NONE -fuzz=FuzzSimFlags -fuzztime=10s -fuzzminimizetime=1s ./cmd/dapes-sim/
 
 test:

@@ -16,7 +16,9 @@ var fuzzOwned = map[string]bool{"o": true, "cpuprofile": true, "memprofile": tru
 // FuzzSimFlags runs dapes-sim on arbitrary command lines, arguments split
 // at white space: an accepted one runs without panicking, and a refused one
 // leaves no -o, -cpuprofile or -memprofile file. The harness names those
-// three files itself and skips an input that names one of fuzzOwned. It
+// three files itself and skips an input that names one of fuzzOwned. A line
+// runs with -o only, as profiling costs several times the run itself; a refused
+// line runs again with all three paths and must be refused again. It
 // starts every line at one trial of a 10-packet collection with a 20-second
 // horizon and skips an input that raises that past 2 trials, 20 packets or
 // 2 minutes: the trial count bounds the worker pool, so no input starts
@@ -40,8 +42,7 @@ func FuzzSimFlags(f *testing.F) {
 		}
 		dir := t.TempDir()
 		files := []string{filepath.Join(dir, "out"), filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")}
-		args = append([]string{"-o", files[0], "-cpuprofile", files[1], "-memprofile", files[2],
-			"-trials", "1", "-files", "2", "-packets", "5", "-horizon", "20s"}, args...)
+		args = append([]string{"-trials", "1", "-files", "2", "-packets", "5", "-horizon", "20s"}, args...)
 		// A scale Validate refuses allocates nothing, whatever its size.
 		if o, err := parseFlags(args); err == nil && o.scale.Validate() == nil {
 			s := o.scale
@@ -50,8 +51,11 @@ func FuzzSimFlags(f *testing.F) {
 				t.Skip("more than 2 trials, 20 packets or 2 minutes")
 			}
 		}
-		if err := run(args); err == nil {
+		if err := run(append([]string{"-o", files[0]}, args...)); err == nil {
 			return
+		}
+		if err := run(append([]string{"-o", files[0], "-cpuprofile", files[1], "-memprofile", files[2]}, args...)); err == nil {
+			t.Fatalf("%q was refused, then accepted with profile paths", line)
 		}
 		for _, p := range files {
 			if _, err := os.Stat(p); !os.IsNotExist(err) {

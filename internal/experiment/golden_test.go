@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -170,6 +171,12 @@ func TestBaselineTrialsDeterministic(t *testing.T) {
 // held in objects per transmitted frame: 1.18 since stored and relayed Data
 // share the sender's record (1.62 with a decode per Data transmission, 1.99
 // with a fresh wire per Interest, 2.50 before that); the budget is 1.25x.
+// The same cell is held in bytes allocated per transmitted frame as well:
+// 179.3 since each relay keeps its heard nonces in a ring with an index in
+// one array and manifest segments are assembled into one buffer sized up
+// front (207.3 with a map of nonces and a growing buffer, 195.4 with the
+// map alone, 191.0 with the growing buffer alone). Its budget is 1.05x, so
+// that either saving coming back fails it.
 // The IP baseline's world, fig7-bithoc at the same scale and cell, is held
 // the same way: 0.28 objects per frame since all its wires, HELLOs
 // included, come from the medium's pool and go back to it when their
@@ -186,26 +193,39 @@ func TestTrialAllocationBudget(t *testing.T) {
 		scale    Scale
 		budget   float64 // objects per trial, or per transmitted frame
 		perFrame bool
+		bytes    bool // bytes per transmitted frame instead
 	}{
-		{"urban-grid", goldenScale(), 4_925 * 1.25, false},
-		{"urban-grid-xl", goldenScale(), 13_434 * 1.25, false},
-		{"fig7-dapes", ReducedScale(), 1.18 * 1.25, true},
-		{"fig7-bithoc", ReducedScale(), 0.28 * 1.25, true},
+		{"urban-grid", goldenScale(), 4_925 * 1.25, false, false},
+		{"urban-grid-xl", goldenScale(), 13_434 * 1.25, false, false},
+		{"fig7-dapes", ReducedScale(), 1.18 * 1.25, true, false},
+		{"fig7-dapes", ReducedScale(), 179.3 * 1.05, true, true},
+		{"fig7-bithoc", ReducedScale(), 0.28 * 1.25, true, false},
 	} {
 		sc, err := Find(tc.scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var frames uint64
-		got := testing.AllocsPerRun(1, func() {
+		run := func() {
 			r, err := sc.Run(tc.scale, 60, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			frames = r.Transmissions
-		})
+		}
+		var got float64
 		unit := "objects per trial"
-		if tc.perFrame {
+		if tc.bytes {
+			// As AllocsPerRun: one run to warm up, one measured on one P.
+			procs := runtime.GOMAXPROCS(1)
+			var before, after runtime.MemStats
+			run()
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			runtime.GOMAXPROCS(procs)
+			got, unit = float64(after.TotalAlloc-before.TotalAlloc)/float64(frames), "bytes per transmitted frame"
+		} else if got = testing.AllocsPerRun(1, run); tc.perFrame {
 			got, unit = got/float64(frames), "objects per transmitted frame"
 		}
 		t.Logf("%s: %.2f %s, budget %.2f", tc.scenario, got, unit, tc.budget)

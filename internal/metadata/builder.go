@@ -1,9 +1,10 @@
 package metadata
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dapes/internal/merkle"
 	"dapes/internal/ndn"
@@ -142,14 +143,17 @@ func Assemble(segments []*ndn.Data, verify func(key ndn.Name, msg, sig []byte) b
 	if len(segments) != total {
 		return nil, fmt.Errorf("%w: have %d of %d segments", ErrBadSegment, len(segments), total)
 	}
-	ordered := make([]*ndn.Data, len(segments))
-	copy(ordered, segments)
-	sort.Slice(ordered, func(i, j int) bool {
-		si, _ := ordered[i].Name.Seq()
-		sj, _ := ordered[j].Name.Seq()
-		return si < sj
+	ordered := slices.Clone(segments)
+	slices.SortFunc(ordered, func(a, b *ndn.Data) int {
+		sa, _ := a.Name.Seq()
+		sb, _ := b.Name.Seq()
+		return cmp.Compare(sa, sb)
 	})
-	var enc []byte
+	size := 0
+	for _, seg := range ordered {
+		size += max(0, len(seg.Content)-segmentHeaderLen)
+	}
+	enc := make([]byte, 0, size)
 	for i, seg := range ordered {
 		seq, err := seg.Name.Seq()
 		if err != nil || seq != i {

@@ -271,6 +271,34 @@ func TestSegmentSinglePacket(t *testing.T) {
 	}
 }
 
+// TestAssembleAllocatesPerManifest: Assemble sizes its buffer once from the
+// segments, so one manifest costs the same objects whether it arrives in one
+// segment or in many.
+func TestAssembleAllocatesPerManifest(t *testing.T) {
+	res := build(t, FormatPacketDigest)
+	one, err := res.Manifest.Segment(1<<16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := res.Manifest.Segment(20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || len(many) < 8 {
+		t.Fatalf("%d and %d segments, want 1 and at least 8", len(one), len(many))
+	}
+	allocs := func(segs []*ndn.Data) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Assemble(segs, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, an := allocs(one), allocs(many); a1 != an {
+		t.Errorf("Assemble makes %v objects from 1 segment, %v from %d", a1, an, len(many))
+	}
+}
+
 func TestSegmentErrors(t *testing.T) {
 	t.Parallel()
 	res := build(t, FormatMerkle)

@@ -58,9 +58,9 @@ type Relay struct {
 	c      *Counters
 
 	running    bool
-	prefixes   int32 // CanBePrefix records in forwarded (shares running's word: 50k nodes hold one of these)
-	compactAt  int32 // table entries at which the next insertion compacts
-	nonces     map[uint32]time.Duration
+	prefixes   int32                     // CanBePrefix records in forwarded (shares running's word: 50k nodes hold one of these)
+	compactAt  int32                     // table entries at which the next insertion compacts
+	nonces     *nonceTable               // heard nonces, made by the first note
 	forwarded  map[string]*forwardRecord // by Interest name URI
 	suppressed map[string]time.Duration  // by Interest name URI, until when
 	pending    map[string]*reply         // by Data name URI
@@ -123,7 +123,7 @@ func (rp *reply) fire() {
 
 // NewRelay returns the relay state of the node behind radio; c counts.
 // It is returned by value for the owner to hold in place, and its tables are
-// made by the first insertion into each (a nil map answers every read): at
+// made by the first insertion into each (a nil table answers every read): at
 // 50k nodes, most of which never forward, an object per node shows. Use it
 // through a pointer from then on.
 func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, c *Counters) Relay {
@@ -170,39 +170,41 @@ func (r *Relay) Stop() {
 
 // Reset wipes the tables: what a cold restart loses.
 func (r *Relay) Reset() {
-	clear(r.nonces)
+	if r.nonces != nil {
+		r.nonces.reset()
+	}
 	clear(r.forwarded)
 	clear(r.suppressed)
 	r.prefixes, r.compactAt = 0, compactFloor
 }
 
-// inserted follows every table insertion: once the tables together hold
-// twice what survived the last compaction, the lapsed entries go. The cost
-// is amortised over the insertions that doubled them, and a relay holding
-// fewer than compactFloor entries never iterates a table.
+// inserted follows every insertion into forwarded or suppressed: once the
+// two together hold twice what survived the last compaction, the lapsed
+// entries go. The cost is amortised over the insertions that doubled them,
+// and a relay holding fewer than compactFloor entries never iterates a
+// table. The nonce table expires its own entries as it notes new ones.
 func (r *Relay) inserted() {
-	if len(r.nonces)+len(r.forwarded)+len(r.suppressed) < int(r.compactAt) {
+	if len(r.forwarded)+len(r.suppressed) < int(r.compactAt) {
 		return
 	}
-	forwarded, suppressed, nonces := r.count(true)
-	r.compactAt = int32(max(compactFloor, 2*(forwarded+suppressed+nonces)))
+	forwarded, suppressed := r.count(true)
+	r.compactAt = int32(max(compactFloor, 2*(forwarded+suppressed)))
 }
 
 // TableSizes returns the live table entry counts, for state-footprint
 // estimates: what the tables would hold had every lapsed entry just gone.
-func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) { return r.count(false) }
-
-// count walks the tables and returns how many of their entries are live;
-// with reclaim it deletes the others.
-func (r *Relay) count(reclaim bool) (forwarded, suppressed, nonces int) {
-	now := r.k.Now()
-	for nonce, at := range r.nonces {
-		if now-at < dupWindow {
-			nonces++
-		} else if reclaim {
-			delete(r.nonces, nonce)
-		}
+func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) {
+	forwarded, suppressed = r.count(false)
+	if r.nonces != nil {
+		nonces = r.nonces.live(r.k.Now())
 	}
+	return forwarded, suppressed, nonces
+}
+
+// count walks forwarded and suppressed and returns how many of their entries
+// are live; with reclaim it deletes the others.
+func (r *Relay) count(reclaim bool) (forwarded, suppressed int) {
+	now := r.k.Now()
 	for _, rec := range r.forwarded {
 		if r.fresh(rec) {
 			forwarded++
@@ -217,7 +219,7 @@ func (r *Relay) count(reclaim bool) (forwarded, suppressed, nonces int) {
 			delete(r.suppressed, key)
 		}
 	}
-	return forwarded, suppressed, nonces
+	return forwarded, suppressed
 }
 
 // NewNonce draws a nonce for an Interest the node originates and records it:
@@ -231,17 +233,15 @@ func (r *Relay) NewNonce() uint32 {
 // noteNonce records nonce as heard now.
 func (r *Relay) noteNonce(nonce uint32) {
 	if r.nonces == nil {
-		r.nonces = make(map[uint32]time.Duration)
+		r.nonces = newNonceTable()
 	}
-	r.nonces[nonce] = r.k.Now()
-	r.inserted()
+	r.nonces.note(nonce, r.k.Now())
 }
 
 // Heard reports whether nonce was heard, or drawn, inside the duplicate
 // window: an Interest carrying it is a duplicate or a loop, and Deliver drops it.
 func (r *Relay) Heard(nonce uint32) bool {
-	at, seen := r.nonces[nonce]
-	return seen && r.k.Now()-at < dupWindow
+	return r.nonces != nil && r.nonces.heard(nonce, r.k.Now())
 }
 
 // Suppressed reports whether the Interest's name is under a suppression
