@@ -16,14 +16,14 @@ var fuzzOwned = map[string]bool{"o": true, "cpuprofile": true, "memprofile": tru
 // FuzzSimFlags runs dapes-sim on arbitrary command lines, arguments split
 // at white space: an accepted one runs without panicking, and a refused one
 // leaves no -o, -cpuprofile or -memprofile file. The harness names those
-// three files itself and skips an input that names one of fuzzOwned. A line
-// runs with -o only, as profiling costs several times the run itself; a refused
-// line runs again with all three paths and must be refused again. It
-// starts every line at one trial of a 10-packet collection with a 20-second
-// horizon and skips an input that raises that past 2 trials, 20 packets or
-// 2 minutes: the trial count bounds the worker pool, so no input starts
-// more than two trial goroutines. The corpus is TestRejectsMisreadInputs'
-// rows and a few accepted lines.
+// three files itself and skips an input that names one of fuzzOwned. A
+// line runs with -o only, as profiling costs several times the run itself;
+// a refused line runs again with all three paths and must be refused
+// again. It starts every line at one trial of a 10-packet collection with a
+// 20-second horizon and skips an input that raises that past 2 trials, 20
+// packets or 2 minutes: the trial count bounds the worker pool, so no input
+// starts more than two trial goroutines. The corpus is
+// TestRejectsMisreadInputs' rows and a few accepted lines.
 func FuzzSimFlags(f *testing.F) {
 	for _, tc := range misreadInputs("", nil) {
 		f.Add(strings.Join(tc.args, " "))

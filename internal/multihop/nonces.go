@@ -20,9 +20,9 @@ const nonceFirst = 4
 // is at most a third full. The ring doubles only when it is full of
 // unexpired entries.
 type nonceTable struct {
-	head, count int32       // the ring's oldest entry and its length
-	slots       []nonceSlot // the ring's capacity, a power of two
-	first       [nonceFirst]nonceSlot
+	head, count int32                 // the ring's oldest entry and its length
+	slots       []nonceSlot           // the ring's capacity, a power of two
+	first       [nonceFirst]nonceSlot // slots until the first doubling, in the table's own allocation
 }
 
 type nonceSlot struct {
