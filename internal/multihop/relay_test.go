@@ -528,3 +528,99 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 		t.Errorf("counters %+v, want Data relayed for both records", c)
 	}
 }
+
+// TestRelayResetKeepsPendingArming pins what a cold restart inside
+// SuppressTTL of an unanswered forward does: Reset wipes the forward record
+// and every suppression, but the forward's arming is already scheduled, so
+// the name is still suppressed from the forward+SuppressTTL to
+// forward+2·SuppressTTL. The name forwarded again after the Reset is a new
+// record: the old arming suppresses the name while the new forward is in
+// flight, Data for the new forward lifts it, and the new forward arms its own.
+// Probes run at each boundary instant, scheduled after the forwards as a
+// frame's delivery is.
+func TestRelayResetKeepsPendingArming(t *testing.T) {
+	t.Parallel()
+	const t0 = time.Second
+	type probe struct {
+		inFlight, suppressed       bool
+		forwarded, suppressedNames int
+	}
+	in := &ndn.Interest{Name: ndn.ParseName("/reset/0"), Nonce: 1}
+	// run plays script and, from an event at from scheduled after it,
+	// schedules the probes.
+	run := func(t *testing.T, script map[time.Duration]func(r *Relay), from time.Duration, probes []time.Duration) map[time.Duration]probe {
+		rig := newRelayRig(13)
+		k, r := rig.k, &rig.r
+		got := map[time.Duration]probe{}
+		for at, step := range script {
+			k.ScheduleFuncAt(at, func() { step(r) })
+		}
+		k.ScheduleFuncAt(from, func() {
+			for _, at := range probes {
+				k.ScheduleFuncAt(at, func() {
+					fw, sup, _ := r.TableSizes()
+					got[at] = probe{r.InFlight(in), r.Suppressed(in), fw, sup}
+				})
+			}
+		})
+		k.Run(t0 + 5*SuppressTTL)
+		return got
+	}
+	check := func(t *testing.T, got, want map[time.Duration]probe) {
+		t.Helper()
+		for at, w := range want {
+			if got[at] != w {
+				t.Errorf("at forward+%v: %+v, want %+v", at-t0, got[at], w)
+			}
+		}
+	}
+	forward := func(r *Relay) { r.Forward(in) }
+	reset := func(r *Relay) { r.Reset() }
+	answer := func(r *Relay) { r.RelayData(signedData("/reset/0")) }
+	const S = SuppressTTL
+
+	t.Run("no re-forward", func(t *testing.T) {
+		got := run(t, map[time.Duration]func(*Relay){t0: forward, t0 + S/2: reset}, t0,
+			[]time.Duration{t0 + S/2 - 1, t0 + S - 1, t0 + S, t0 + 2*S - 1, t0 + 2*S})
+		check(t, got, map[time.Duration]probe{
+			t0 + S/2 - 1: {inFlight: true, forwarded: 1},
+			t0 + S - 1:   {},
+			t0 + S:       {suppressed: true, suppressedNames: 1},
+			t0 + 2*S - 1: {suppressed: true, suppressedNames: 1},
+			t0 + 2*S:     {},
+		})
+	})
+	t.Run("re-forward before the old arming", func(t *testing.T) {
+		// Forwarded again at 3S/4: in flight to 7S/4, and the old arming
+		// suppresses the name from S until Data for the new forward at
+		// 3S/2 lifts it; the answered forward arms nothing.
+		got := run(t, map[time.Duration]func(*Relay){t0: forward, t0 + S/2: reset, t0 + 3*S/4: forward, t0 + 3*S/2: answer}, t0+3*S/4,
+			[]time.Duration{t0 + S - 1, t0 + S, t0 + 3*S/2 - 1, t0 + 3*S/2, t0 + 7*S/4, t0 + 11*S/4, t0 + 11*S/4 + 1})
+		check(t, got, map[time.Duration]probe{
+			t0 + S - 1:      {inFlight: true, forwarded: 1},
+			t0 + S:          {inFlight: true, suppressed: true, forwarded: 1, suppressedNames: 1},
+			t0 + 3*S/2 - 1:  {inFlight: true, suppressed: true, forwarded: 1, suppressedNames: 1},
+			t0 + 3*S/2:      {forwarded: 1},
+			t0 + 7*S/4:      {forwarded: 1},
+			t0 + 11*S/4:     {forwarded: 1},
+			t0 + 11*S/4 + 1: {},
+		})
+	})
+	t.Run("re-forward after the old arming", func(t *testing.T) {
+		// Forwarded again at 3S/2, while the old arming's suppression
+		// runs to 2S: in flight and suppressed at once, then suppressed
+		// again by the new forward's own arming from 5S/2 to 7S/2.
+		got := run(t, map[time.Duration]func(*Relay){t0: forward, t0 + S/2: reset, t0 + 3*S/2: forward}, t0+3*S/2,
+			[]time.Duration{t0 + 3*S/2, t0 + 2*S - 1, t0 + 2*S, t0 + 5*S/2 - 1, t0 + 5*S/2, t0 + 7*S/2 - 1, t0 + 7*S/2, t0 + 7*S/2 + 1})
+		check(t, got, map[time.Duration]probe{
+			t0 + 3*S/2:     {inFlight: true, suppressed: true, forwarded: 1, suppressedNames: 1},
+			t0 + 2*S - 1:   {inFlight: true, suppressed: true, forwarded: 1, suppressedNames: 1},
+			t0 + 2*S:       {inFlight: true, forwarded: 1},
+			t0 + 5*S/2 - 1: {inFlight: true, forwarded: 1},
+			t0 + 5*S/2:     {suppressed: true, forwarded: 1, suppressedNames: 1},
+			t0 + 7*S/2 - 1: {suppressed: true, forwarded: 1, suppressedNames: 1},
+			t0 + 7*S/2:     {forwarded: 1},
+			t0 + 7*S/2 + 1: {},
+		})
+	})
+}
