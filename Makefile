@@ -46,6 +46,9 @@ lint: fmt-check vet
 # target.) -fuzzminimizetime caps how long Go's engine spends minimizing a
 # new interesting input: at its default of 60 s, one minimization can take
 # the rest of a target's budget, and its exec counter stops rising.
+# FuzzSimFlags runs a whole simulation per input, so even 1 s a minimization
+# left it a few dozen lines in 10 s from an empty fuzz cache, most of them
+# re-runs of shorter lines; its minimizations are capped at 20 runs instead.
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzTLVRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/ndn/
 	$(GO) test -run=NONE -fuzz=FuzzDataSignedRange -fuzztime=10s -fuzzminimizetime=1s ./internal/ndn/
@@ -57,7 +60,8 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzBitmapCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/bitmap/
 	$(GO) test -run=NONE -fuzz=FuzzRoutingFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/routing/
 	$(GO) test -run=NONE -fuzz=FuzzNonceTable -fuzztime=10s -fuzzminimizetime=1s ./internal/multihop/
-	$(GO) test -run=NONE -fuzz=FuzzSimFlags -fuzztime=10s -fuzzminimizetime=1s ./cmd/dapes-sim/
+	$(GO) test -run=NONE -fuzz=FuzzForwardTable -fuzztime=10s -fuzzminimizetime=1s ./internal/multihop/
+	$(GO) test -run=NONE -fuzz=FuzzSimFlags -fuzztime=10s -fuzzminimizetime=20x ./cmd/dapes-sim/
 
 test:
 	$(GO) test ./...

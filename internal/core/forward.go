@@ -44,7 +44,7 @@ func (p *Peer) speculateAvailability(from int, name ndn.Name) (forward, informed
 				if id == from {
 					continue
 				}
-				if _, ok := n.offers[cs.uri]; ok {
+				if n.offers.has(cs.uri) {
 					return true, true
 				}
 			}

@@ -213,7 +213,7 @@ func (p *Peer) ForwardingAccuracy() float64 { return p.stats.Accuracy() }
 func (p *Peer) MemoryFootprint() int {
 	total := 0
 	for _, n := range p.neighbors {
-		total += 32 + len(n.offers)*64
+		total += 32 + n.offers.len()*64
 	}
 	for _, cs := range p.collections {
 		if cs.own != nil {
@@ -300,7 +300,7 @@ func (p *Peer) neighborHeard(id int) *neighbor {
 	}
 	n, ok := p.neighbors[id]
 	if !ok {
-		n = &neighbor{id: id, offers: make(map[string]struct{})}
+		n = &neighbor{id: id}
 		p.neighbors[id] = n
 		p.recentActivity = true
 	}
@@ -402,8 +402,14 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 		if !ok {
 			continue
 		}
-		if _, known := n.offers[string(collection)]; !known {
-			n.offers[string(collection)] = struct{}{}
+		if !n.offers.hasBytes(collection) {
+			// The peer's own state holds the URI if it knows the
+			// collection; only an unknown one is copied.
+			if cs, ok := p.collections[string(collection)]; ok {
+				n.offers.add(cs.uri)
+			} else {
+				n.offers.add(string(collection))
+			}
 		}
 		if !p.wants(collection) {
 			continue

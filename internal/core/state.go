@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"dapes/internal/bitmap"
@@ -17,7 +18,53 @@ type neighbor struct {
 	lastHeard time.Duration
 	// offers is the set of collections (by URI) the neighbor's discovery
 	// replies have offered.
-	offers map[string]struct{}
+	offers offerSet
+}
+
+// offerSet is a set of collection URIs with room for one inline: a
+// neighbour offers one collection in every catalog world, so a neighbour
+// and its offer cost one object.
+type offerSet struct {
+	one  string   // the first URI added, "" while the set is empty
+	more []string // the others
+}
+
+// has reports whether uri is in the set.
+func (s *offerSet) has(uri string) bool {
+	if s.one == uri && uri != "" {
+		return true
+	}
+	return slices.Contains(s.more, uri)
+}
+
+// hasBytes is has for a URI as it arrived.
+func (s *offerSet) hasBytes(uri []byte) bool {
+	if s.one == string(uri) && len(uri) > 0 {
+		return true
+	}
+	for _, o := range s.more {
+		if o == string(uri) {
+			return true
+		}
+	}
+	return false
+}
+
+// add puts uri, not yet in the set, into it.
+func (s *offerSet) add(uri string) {
+	if s.one == "" {
+		s.one = uri
+	} else {
+		s.more = append(s.more, uri)
+	}
+}
+
+// len returns how many URIs the set holds.
+func (s *offerSet) len() int {
+	if s.one == "" {
+		return 0
+	}
+	return 1 + len(s.more)
 }
 
 // advertSession is the per-encounter bitmap exchange state (Section IV-F):

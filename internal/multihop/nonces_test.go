@@ -13,10 +13,10 @@ import (
 // at its last cell and so collide and wrap, then small and large values.
 func noncePool() []uint32 {
 	var pool []uint32
-	for n := nonceFirst; n <= 32; n *= 2 {
+	for n := ringFirst; n <= 32; n *= 2 {
 		m, found := 3*n, 0
 		for x := uint32(1); found < 4; x++ {
-			if home(x, m) == m-1 && !slices.Contains(pool, x) {
+			if home(nonceHash(x), m) == m-1 && !slices.Contains(pool, x) {
 				pool = append(pool, x)
 				found++
 			}

@@ -1,7 +1,6 @@
 package multihop
 
 import (
-	"strings"
 	"time"
 
 	"dapes/internal/ndn"
@@ -9,10 +8,7 @@ import (
 	"dapes/internal/sim"
 )
 
-const (
-	dupWindow    = 2 * time.Second // a nonce re-heard within it is a duplicate or a loop
-	compactFloor = 32              // table entries a relay holds before it first compacts
-)
+const dupWindow = 2 * time.Second // a nonce re-heard within it is a duplicate or a loop
 
 // Counters are one node's forwarding counters; both node kinds' Stats embed
 // them.
@@ -57,47 +53,11 @@ type Relay struct {
 	rng    sim.Stream // the node's sim.PurposeRelay stream
 	c      *Counters
 
-	running    bool
-	prefixes   int32                     // CanBePrefix records in forwarded (shares running's word: 50k nodes hold one of these)
-	compactAt  int32                     // table entries at which the next insertion compacts
-	nonces     *nonceTable               // heard nonces, made by the first note
-	forwarded  map[string]*forwardRecord // by Interest name URI
-	suppressed map[string]time.Duration  // by Interest name URI, until when
-	pending    map[string]*reply         // by Data name URI
-	free       *reply                    // recycled reply records
-}
-
-// forwardRecord tracks one forwarded Interest awaiting Data.
-type forwardRecord struct {
-	r        *Relay
-	key      string // its key in forwarded and suppressed
-	at       time.Duration
-	answered bool
-	prefix   *prefixRecord // the record itself if the Interest was CanBePrefix, else nil
-}
-
-// prefixRecord is a forwardRecord with what only a CanBePrefix Interest
-// needs; an exact record's answered bit says as much.
-type prefixRecord struct {
-	forwardRecord
-	name    ndn.Name        // confirms a match the URI walk found
-	relayed map[string]bool // Data name URIs relayed, once each
-}
-
-// arm suppresses the name if the forward brought nothing back. It was
-// scheduled at the forward (a sim.Kernel.ScheduleCall of the record, which
-// allocates nothing), so it runs before an Interest arriving at the same
-// instant.
-func arm(v any) {
-	rec := v.(*forwardRecord)
-	if !rec.answered {
-		r := rec.r
-		if r.suppressed == nil {
-			r.suppressed = make(map[string]time.Duration)
-		}
-		r.suppressed[rec.key] = r.k.Now() + SuppressTTL
-		r.inserted()
-	}
+	running bool
+	nonces  *nonceTable       // heard nonces, made by the first note
+	fwd     *forwardTable     // forwarded Interests and suppressed names, made by the first forward
+	pending map[string]*reply // by Data name URI
+	free    *reply            // recycled reply records
 }
 
 // reply is one Data reply awaiting its random transmission slot. Records
@@ -129,8 +89,7 @@ func (rp *reply) fire() {
 func NewRelay(k *sim.Kernel, medium *phy.Medium, radio *phy.Radio, c *Counters) Relay {
 	return Relay{
 		k: k, medium: medium, radio: radio, c: c,
-		rng:       k.Stream(radio.ID(), sim.PurposeRelay),
-		compactAt: compactFloor,
+		rng: k.Stream(radio.ID(), sim.PurposeRelay),
 	}
 }
 
@@ -168,58 +127,28 @@ func (r *Relay) Stop() {
 	}
 }
 
-// Reset wipes the tables: what a cold restart loses.
+// Reset wipes the tables: what a cold restart loses. A suppression arming
+// already scheduled still fires.
 func (r *Relay) Reset() {
 	if r.nonces != nil {
 		r.nonces.reset()
 	}
-	clear(r.forwarded)
-	clear(r.suppressed)
-	r.prefixes, r.compactAt = 0, compactFloor
-}
-
-// inserted follows every insertion into forwarded or suppressed: once the
-// two together hold twice what survived the last compaction, the lapsed
-// entries go. The cost is amortised over the insertions that doubled them,
-// and a relay holding fewer than compactFloor entries never iterates a
-// table. The nonce table expires its own entries as it notes new ones.
-func (r *Relay) inserted() {
-	if len(r.forwarded)+len(r.suppressed) < int(r.compactAt) {
-		return
+	if r.fwd != nil {
+		r.fwd.wipe()
 	}
-	forwarded, suppressed := r.count(true)
-	r.compactAt = int32(max(compactFloor, 2*(forwarded+suppressed)))
 }
 
 // TableSizes returns the live table entry counts, for state-footprint
 // estimates: what the tables would hold had every lapsed entry just gone.
 func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) {
-	forwarded, suppressed = r.count(false)
+	now := r.k.Now()
+	if r.fwd != nil {
+		forwarded, suppressed = r.fwd.sizes(now)
+	}
 	if r.nonces != nil {
-		nonces = r.nonces.live(r.k.Now())
+		nonces = r.nonces.live(now)
 	}
 	return forwarded, suppressed, nonces
-}
-
-// count walks forwarded and suppressed and returns how many of their entries
-// are live; with reclaim it deletes the others.
-func (r *Relay) count(reclaim bool) (forwarded, suppressed int) {
-	now := r.k.Now()
-	for _, rec := range r.forwarded {
-		if r.fresh(rec) {
-			forwarded++
-		} else if reclaim {
-			r.drop(rec)
-		}
-	}
-	for key, until := range r.suppressed {
-		if now < until {
-			suppressed++
-		} else if reclaim {
-			delete(r.suppressed, key)
-		}
-	}
-	return forwarded, suppressed
 }
 
 // NewNonce draws a nonce for an Interest the node originates and records it:
@@ -247,8 +176,11 @@ func (r *Relay) Heard(nonce uint32) bool {
 // Suppressed reports whether the Interest's name is under a suppression
 // timer, and counts it if so.
 func (r *Relay) Suppressed(in *ndn.Interest) bool {
-	until, ok := r.suppressed[in.NameKey()]
-	if !ok || r.k.Now() >= until {
+	if r.fwd == nil {
+		return false
+	}
+	e := r.fwd.lookup(in.NameKey())
+	if e == nil || r.k.Now() >= e.until {
 		return false
 	}
 	r.c.InterestsSuppressed++
@@ -258,8 +190,11 @@ func (r *Relay) Suppressed(in *ndn.Interest) bool {
 // InFlight reports whether the same name was forwarded less than the
 // suppression timer ago and is still unanswered.
 func (r *Relay) InFlight(in *ndn.Interest) bool {
-	rec, ok := r.forwarded[in.NameKey()]
-	return ok && !rec.answered && r.k.Now()-rec.at < SuppressTTL
+	if r.fwd == nil {
+		return false
+	}
+	e := r.fwd.lookup(in.NameKey())
+	return e != nil && e.record && !e.answered && r.k.Now()-e.at < SuppressTTL
 }
 
 // Forward re-broadcasts the received Interest after a random delay and
@@ -267,37 +202,20 @@ func (r *Relay) InFlight(in *ndn.Interest) bool {
 // suppression timer the name is suppressed for as long again.
 //
 // A received Interest lives only as long as its transmission (phy.Frame), so
-// the record copies what it keeps: the name's URI once, and a CanBePrefix
-// record's components as substrings of that copy; the re-broadcast copies
-// the wire.
+// the record copies what it keeps: the name's URI into the table's key
+// ring, and a CanBePrefix record's components as substrings of a copy of
+// it; the re-broadcast copies the wire.
 func (r *Relay) Forward(in *ndn.Interest) {
-	key := in.NameKey()
-	if old, ok := r.forwarded[key]; ok {
-		key = old.key
-		r.drop(old)
-	} else {
-		key = strings.Clone(key)
+	if r.fwd == nil {
+		r.fwd = newForwardTable()
 	}
-	var rec *forwardRecord
-	if in.CanBePrefix {
-		pr := &prefixRecord{name: nameIn(key, in.Name), relayed: make(map[string]bool, 1)}
-		pr.prefix, rec = pr, &pr.forwardRecord
-		r.prefixes++
-	} else {
-		rec = new(forwardRecord)
-	}
-	rec.r, rec.key, rec.at = r, key, r.k.Now()
-	if r.forwarded == nil {
-		r.forwarded = make(map[string]*forwardRecord)
-	}
-	r.forwarded[key] = rec
-	r.inserted()
+	r.fwd.add(in, r.k.Now())
 	// The heard wire goes back to the medium's pool with its transmission,
 	// so the forward carries the same bytes in a pooled wire of its own.
 	heard := in.Encode()
 	wire := append(r.medium.Wire(len(heard)), heard...)
 	r.medium.BroadcastOwnedAfter(r.rng.Jitter(TransmissionWindow), r.radio, wire, &r.c.InterestsForwarded, &r.running)
-	r.k.ScheduleCall(SuppressTTL, arm, rec)
+	r.k.ScheduleFunc(SuppressTTL, r.fwd.fire)
 }
 
 // nameIn returns name with its components cut out of key, its URI form:
@@ -314,25 +232,14 @@ func nameIn(key string, name ndn.Name) ndn.Name {
 	return out
 }
 
-// fresh reports whether a forward record still answers Data: for twice the
-// suppression timer after the forward, the in-flight window and the
-// suppression it may arm.
-func (r *Relay) fresh(rec *forwardRecord) bool {
-	return r.k.Now()-rec.at <= 2*SuppressTTL
-}
-
-func (r *Relay) drop(rec *forwardRecord) {
-	delete(r.forwarded, rec.key)
-	if rec.prefix != nil {
-		r.prefixes--
-	}
-}
-
 // RelayData re-broadcasts Data that answers a forwarded Interest, back
 // toward the requester, and lifts the name's suppression: once for an exact
 // record, once per distinct Data name for a CanBePrefix record.
 func (r *Relay) RelayData(d *ndn.Data) {
-	rec := r.match(d)
+	if r.fwd == nil {
+		return
+	}
+	rec := r.fwd.match(d, r.k.Now())
 	if rec == nil {
 		return
 	}
@@ -348,41 +255,10 @@ func (r *Relay) RelayData(d *ndn.Data) {
 		rec.answered = true
 		r.c.ForwardedAnswered++
 	}
-	delete(r.suppressed, rec.key)
+	rec.until = 0
 	// A Data record is write-once (phy.Frame): the relay re-sends the very
 	// record it heard, and its receivers share it too.
 	r.medium.BroadcastDataAfter(r.rng.Jitter(TransmissionWindow), r.radio, d, &r.c.DataForwarded, &r.running)
-}
-
-// match finds the forwarded-Interest record the Data satisfies: its exact
-// name, else the longest CanBePrefix record whose name prefixes it (e.g.
-// discovery and bitmap signaling whose replies extend the request name).
-// Records are keyed by URI and a name's prefixes are its URI cut at a '/',
-// so the walk goes from the full key to the root, one lookup per component:
-// the choice never depends on map order, and two records cannot tie because
-// equal-length prefixes of one name share a key. The walk is skipped while
-// the table holds no CanBePrefix record. A record past its lifetime is
-// passed over as if it were gone.
-func (r *Relay) match(d *ndn.Data) *forwardRecord {
-	key := d.NameKey()
-	if rec, ok := r.forwarded[key]; ok && r.fresh(rec) {
-		return rec
-	}
-	if r.prefixes == 0 {
-		return nil
-	}
-	for len(key) > 1 {
-		key = key[:strings.LastIndexByte(key, '/')]
-		if key == "" {
-			key = "/"
-		}
-		// IsPrefixOf guards the one case where URIs overstate a match: a
-		// component that itself contains '/'.
-		if rec, ok := r.forwarded[key]; ok && rec.prefix != nil && r.fresh(rec) && rec.prefix.name.IsPrefixOf(d.Name) {
-			return rec
-		}
-	}
-	return nil
 }
 
 // ScheduleReply broadcasts d after a random delay, bumping counter when it

@@ -29,10 +29,22 @@ func newRelayRig(seed int64) *relayRig {
 	return rig
 }
 
-// compact makes the relay's next insertion check compact its tables now.
-func compact(r *Relay) {
-	r.compactAt = 0
-	r.inserted()
+// compact expires the lapsed entries of the relay's forward table now, as
+// its next forward would.
+func compact(r *Relay) { r.fwd.expire(r.k.Now()) }
+
+// records returns the relay's forward records by name URI: the map the
+// forward table replaced.
+func records(r *Relay) map[string]*forwardEntry {
+	out := map[string]*forwardEntry{}
+	if r.fwd != nil {
+		r.fwd.latest(func(e *forwardEntry) {
+			if e.record {
+				out[string(r.fwd.key(e))] = e
+			}
+		})
+	}
+	return out
 }
 
 func signedData(uri string) *ndn.Data {
@@ -145,15 +157,15 @@ func TestRelayRecordLivesTwiceTheSuppressTTL(t *testing.T) {
 	k.ScheduleFuncAt(t0+SuppressTTL, func() { r.Forward(&ndn.Interest{Name: ndn.ParseName("/a"), CanBePrefix: true, Nonce: 2}) })
 	k.ScheduleFuncAt(t0+2*SuppressTTL+1, func() { r.RelayData(signedData("/a/0")) })
 	k.Run(t0 + 4*SuppressTTL)
-	if !r.forwarded["/a"].answered || r.forwarded["/a/0"].answered {
+	if recs := records(r); !recs["/a"].answered || recs["/a/0"].answered {
 		t.Errorf("Data past the exact record's lifetime answered /a %v, /a/0 %v; want the prefix record only",
-			r.forwarded["/a"].answered, r.forwarded["/a/0"].answered)
+			recs["/a"].answered, recs["/a/0"].answered)
 	}
 }
 
 // TestRelayTablesBoundedOverLongRun: with no housekeeping call, 10k
 // unanswered forwards and 10k drawn nonces over 1,000 s keep the tables at or
-// below twice the live set plus the compaction floor — compaction on
+// below twice the live set — expiry on
 // insertion reclaims what lapsed — while TableSizes counts only what is live.
 func TestRelayTablesBoundedOverLongRun(t *testing.T) {
 	t.Parallel()
@@ -166,7 +178,7 @@ func TestRelayTablesBoundedOverLongRun(t *testing.T) {
 			r.Forward(&ndn.Interest{Name: ndn.ParseName("/never").AppendSeq(i), Nonce: r.NewNonce()})
 			forwarded, suppressed, nonces := r.TableSizes()
 			maxLive = max(maxLive, forwarded+suppressed+nonces)
-			maxHeld = max(maxHeld, len(r.forwarded)+len(r.suppressed)+int(r.nonces.count))
+			maxHeld = max(maxHeld, int(r.fwd.count)+int(r.nonces.count))
 		})
 	}
 	k.Run(1000*time.Second + 2*SuppressTTL)
@@ -177,8 +189,8 @@ func TestRelayTablesBoundedOverLongRun(t *testing.T) {
 	if maxLive == 0 || maxLive > 100 {
 		t.Fatalf("live set peaked at %d entries, want about 80", maxLive)
 	}
-	if maxHeld > 2*maxLive+compactFloor {
-		t.Errorf("tables peaked at %d entries, want <= 2 x %d live + %d", maxHeld, maxLive, compactFloor)
+	if maxHeld > 2*maxLive {
+		t.Errorf("tables peaked at %d entries, want <= 2 x %d live", maxHeld, maxLive)
 	}
 }
 
@@ -194,8 +206,8 @@ func TestRelayPrefixCountGatesTheWalk(t *testing.T) {
 	other := &ndn.Interest{Name: ndn.ParseName("/q"), CanBePrefix: true, Nonce: 3}
 	step := func(what string, want int) {
 		t.Helper()
-		if int(r.prefixes) != want {
-			t.Fatalf("%s: %d prefix records counted, want %d", what, r.prefixes, want)
+		if int(r.fwd.prefixes) != want {
+			t.Fatalf("%s: %d prefix records counted, want %d", what, r.fwd.prefixes, want)
 		}
 	}
 	r.Forward(prefix)
@@ -209,8 +221,8 @@ func TestRelayPrefixCountGatesTheWalk(t *testing.T) {
 	k.Run(k.Now() + 2*SuppressTTL + 1)
 	compact(r)
 	step("compaction", 0)
-	if len(r.forwarded) != 0 {
-		t.Fatalf("%d records survive the compaction", len(r.forwarded))
+	if n := len(records(r)); n != 0 {
+		t.Fatalf("%d records survive the compaction", n)
 	}
 	r.Forward(prefix)
 	r.Reset()
@@ -221,14 +233,14 @@ func TestRelayPrefixCountGatesTheWalk(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { r.RelayData(d) }); allocs != 0 {
 		t.Errorf("a Data miss allocates %v objects", allocs)
 	}
-	planted := &forwardRecord{r: r, key: "/p/a", at: k.Now(),
-		prefix: &prefixRecord{name: ndn.ParseName("/p/a"), relayed: map[string]bool{}}}
-	r.forwarded[planted.key] = planted
-	if rec := r.match(d); rec != nil {
-		t.Fatalf("with no prefix record counted, the walk ran and matched %q", rec.key)
+	r.Forward(&ndn.Interest{Name: ndn.ParseName("/p/a"), CanBePrefix: true, Nonce: 4})
+	planted := records(r)["/p/a"]
+	r.fwd.prefixes--
+	if rec := r.fwd.match(d, k.Now()); rec != nil {
+		t.Fatalf("with no prefix record counted, the walk ran and matched %q", r.fwd.key(rec))
 	}
-	r.prefixes++
-	if rec := r.match(d); rec != planted {
+	r.fwd.prefixes++
+	if rec := r.fwd.match(d, k.Now()); rec != planted {
 		t.Fatalf("with a prefix record counted, matched %+v, want the planted record", rec)
 	}
 }
@@ -253,15 +265,15 @@ func TestMatchForwardedPicksLongestPrefix(t *testing.T) {
 			in.Nonce = uint32(i + 1)
 			r.Forward(in)
 		}
-		if len(r.forwarded) != 5 {
-			t.Fatalf("round %d: %d forwarded records, want 5", round, len(r.forwarded))
+		if n := len(records(r)); n != 5 {
+			t.Fatalf("round %d: %d forwarded records, want 5", round, n)
 		}
-		rec := r.match(data)
-		if rec == nil || rec.key != "/dapes/bitmap/c0ffee00" {
+		rec := r.fwd.match(data, r.k.Now())
+		if rec == nil || string(r.fwd.key(rec)) != "/dapes/bitmap/c0ffee00" {
 			t.Fatalf("round %d: matched %+v, want the /dapes/bitmap/c0ffee00 record", round, rec)
 		}
 		r.RelayData(data)
-		for key, rec := range r.forwarded {
+		for key, rec := range records(r) {
 			if rec.answered != (key == "/dapes/bitmap/c0ffee00") {
 				t.Fatalf("round %d: record %s answered = %v", round, key, rec.answered)
 			}
@@ -393,7 +405,7 @@ func TestIdleForwarderAllocatesLittle(t *testing.T) {
 	}
 
 	r := &f.relay
-	if r.nonces != nil || r.forwarded != nil || r.suppressed != nil || r.pending != nil || f.cs != nil {
+	if r.nonces != nil || r.fwd != nil || r.pending != nil || f.cs != nil {
 		t.Fatal("a forwarder that heard nothing holds tables")
 	}
 	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 1}
@@ -410,7 +422,7 @@ func TestIdleForwarderAllocatesLittle(t *testing.T) {
 	if k.Pending() != 0 || medium.Stats().Transmissions != 0 {
 		t.Errorf("%d events pending, %d transmissions; want none", k.Pending(), medium.Stats().Transmissions)
 	}
-	if r.nonces != nil || r.forwarded != nil || r.suppressed != nil || r.pending != nil || f.cs != nil {
+	if r.nonces != nil || r.fwd != nil || r.pending != nil || f.cs != nil {
 		t.Error("reads, Reset and Stop made tables")
 	}
 
@@ -499,8 +511,9 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 		t.Fatalf("the relay heard %d frames, want the 243 sent", heard)
 	}
 
-	if len(r.forwarded) != 2 || c.InterestsForwarded != 3 {
-		t.Fatalf("%d forward records after %d forwards, want 2 after 3", len(r.forwarded), c.InterestsForwarded)
+	recs := records(&r)
+	if len(recs) != 2 || c.InterestsForwarded != 3 {
+		t.Fatalf("%d forward records after %d forwards, want 2 after 3", len(recs), c.InterestsForwarded)
 	}
 	slices.Sort(forwarded)
 	slices.Sort(sent)
@@ -510,15 +523,15 @@ func TestForwardedKeysOutliveTheirFrame(t *testing.T) {
 	if reused == 0 {
 		t.Fatal("no forward went out after the wire it was heard in was handed out again")
 	}
-	for key, rec := range r.forwarded {
-		if got, ok := r.forwarded[string([]byte(key))]; !ok || got != rec || rec.key != key {
-			t.Errorf("record %q (key %q) is not found by its own bytes", key, rec.key)
+	for key, rec := range recs {
+		if got := r.fwd.lookup(string([]byte(key))); got != rec || string(r.fwd.key(rec)) != key {
+			t.Errorf("record %q (key %q) is not found by its own bytes", key, r.fwd.key(rec))
 		}
 		if key != exactURI && key != prefixURI {
 			t.Errorf("forward record keyed %q, want %s or %s", key, exactURI, prefixURI)
 		}
 	}
-	if pr := r.forwarded[prefixURI]; pr == nil || pr.prefix == nil || !pr.prefix.name.Equal(ndn.ParseName(prefixURI)) {
+	if pr := recs[prefixURI]; pr == nil || pr.prefix == nil || !pr.prefix.name.Equal(ndn.ParseName(prefixURI)) {
 		t.Fatalf("prefix record %+v does not hold the name %s", pr, prefixURI)
 	}
 	r.RelayData(signedData(exactURI))

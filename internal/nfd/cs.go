@@ -23,21 +23,17 @@ import (
 // The store keeps each packet's original wire: an inserted *ndn.Data caches
 // the frame it was decoded from (encode-once contract), so a cache hit
 // answers with those exact bytes and never pays a re-encode.
+//
+// An entry lives in its name's tree node (data, staleAt and the recency
+// links), so an entry costs no object of its own.
 type ContentStore struct {
 	capacity int
 	tree     *NameTree
 	clock    Clock // nil ⇒ the clock is pinned at 0 (nothing ever goes stale)
 	// lru is the sentinel of the entries' recency ring: lru.next is the most
 	// recently used entry, lru.prev the least. n counts the entries.
-	lru csEntry
+	lru nameTreeNode
 	n   int
-}
-
-type csEntry struct {
-	node       *nameTreeNode
-	data       *ndn.Data
-	staleAt    time.Duration // virtual time the entry stops being fresh
-	prev, next *csEntry      // neighbours in the recency ring
 }
 
 // NewContentStoreWithClock returns a store whose freshness decisions are
@@ -54,12 +50,12 @@ func newContentStoreOn(tree *NameTree, capacity int, clock Clock) *ContentStore 
 }
 
 // unlink takes e out of the recency ring.
-func (e *csEntry) unlink() {
+func (e *nameTreeNode) unlink() {
 	e.prev.next, e.next.prev = e.next, e.prev
 }
 
 // toFront makes e, unlinked, the most recently used entry.
-func (c *ContentStore) toFront(e *csEntry) {
+func (c *ContentStore) toFront(e *nameTreeNode) {
 	e.prev, e.next = &c.lru, c.lru.next
 	e.prev.next, e.next.prev = e, e
 }
@@ -87,8 +83,8 @@ func (c *ContentStore) Insert(data *ndn.Data) {
 	if c.capacity == 0 {
 		return
 	}
-	node := c.tree.fill(data.Name)
-	if e := node.cs; e != nil {
+	e := c.tree.fill(data.Name)
+	if e.data != nil {
 		e.data = data
 		e.staleAt = staleAt(c.now(), data)
 		e.unlink()
@@ -98,20 +94,19 @@ func (c *ContentStore) Insert(data *ndn.Data) {
 	// Attach before evicting: eviction prunes the evicted spine, and when
 	// the new name is a payload-free interior node on that spine, pruning
 	// first would detach the very node the entry is about to live on.
-	e := &csEntry{node: node, data: data, staleAt: staleAt(c.now(), data)}
+	e.data, e.staleAt = data, staleAt(c.now(), data)
 	c.toFront(e)
 	c.n++
-	node.cs = e
 	if c.n > c.capacity {
 		c.evict(c.lru.prev)
 	}
 }
 
-func (c *ContentStore) evict(e *csEntry) {
+func (c *ContentStore) evict(e *nameTreeNode) {
 	e.unlink()
 	c.n--
-	e.node.cs = nil
-	c.tree.prune(e.node)
+	e.data, e.prev, e.next = nil, nil, nil
+	c.tree.prune(e)
 }
 
 // Find returns a cached packet satisfying the Interest, or nil. The exact
@@ -123,7 +118,7 @@ func (c *ContentStore) Find(interest *ndn.Interest) *ndn.Data {
 	now := c.now()
 	node := c.tree.find(interest.Name)
 	if node != nil {
-		var e *csEntry
+		var e *nameTreeNode
 		if interest.CanBePrefix {
 			e = findUnder(node, interest.MustBeFresh, now)
 		} else {
@@ -138,20 +133,19 @@ func (c *ContentStore) Find(interest *ndn.Interest) *ndn.Data {
 	return nil
 }
 
-// acceptable returns the node's CS entry if it satisfies the freshness
-// constraint.
-func acceptable(n *nameTreeNode, mustBeFresh bool, now time.Duration) *csEntry {
-	e := n.cs
-	if e == nil || mustBeFresh && e.staleAt <= now {
+// acceptable returns the node if it holds a CS entry that satisfies the
+// freshness constraint.
+func acceptable(n *nameTreeNode, mustBeFresh bool, now time.Duration) *nameTreeNode {
+	if n.data == nil || mustBeFresh && n.staleAt <= now {
 		return nil
 	}
-	return e
+	return n
 }
 
 // findUnder walks the subtree rooted at n pre-order (parents before
 // children, children in sorted component order — i.e. ndn.Name.Compare
 // order) and returns the first acceptable entry.
-func findUnder(n *nameTreeNode, mustBeFresh bool, now time.Duration) *csEntry {
+func findUnder(n *nameTreeNode, mustBeFresh bool, now time.Duration) *nameTreeNode {
 	if e := acceptable(n, mustBeFresh, now); e != nil {
 		return e
 	}

@@ -1,6 +1,8 @@
 package nfd
 
 import (
+	"time"
+
 	"dapes/internal/ndn"
 )
 
@@ -14,9 +16,23 @@ import (
 // by component over the ndn.Name slice directly, so the hot path performs
 // zero per-lookup string allocation (the old tables built one URI string
 // per lookup, and one per prefix length for FIB LPM).
+//
+// Nodes are carved from slabs the tree allocates a chunk at a time, and a
+// pruned node goes to a free list for the next fill, so a node costs no
+// object of its own.
 type NameTree struct {
 	root nameTreeNode
+	slab []nameTreeNode // the latest chunk's nodes not yet handed out
+	cut  int            // nodes carved from slabs so far
+	free *nameTreeNode  // pruned nodes, linked through next
 }
+
+// slabFirst and slabMax bound a slab chunk: each is as large as all the
+// chunks before it, so a small store stays small.
+const (
+	slabFirst = 8
+	slabMax   = 64
+)
 
 // nameTreeNode is one component of the tree. The zero value is a valid
 // (empty) root representing the name "/".
@@ -31,7 +47,14 @@ type nameTreeNode struct {
 	// cannot affect traversal determinism.
 	index map[ndn.Component]*nameTreeNode
 
-	cs  *csEntry
+	// The node's Content Store entry, present when data is non-nil (see
+	// ContentStore): the packet, when it stops being fresh, and its
+	// neighbours in the store's recency ring. A node on the free list
+	// links through next.
+	data       *ndn.Data
+	staleAt    time.Duration
+	prev, next *nameTreeNode
+
 	pit *PitEntry
 	fib []*Face // next hops, sorted ascending by face ID
 }
@@ -95,7 +118,11 @@ func (t *NameTree) fill(name ndn.Name) *nameTreeNode {
 			n = n.children[i]
 			continue
 		}
-		child := &nameTreeNode{component: c, depth: n.depth + 1, parent: n}
+		child := t.node()
+		child.component, child.depth, child.parent = c, n.depth+1, n
+		if n.children == nil {
+			n.children = make([]*nameTreeNode, 0, 4)
+		}
 		n.children = append(n.children, nil)
 		copy(n.children[i+1:], n.children[i:])
 		n.children[i] = child
@@ -112,9 +139,24 @@ func (t *NameTree) fill(name ndn.Name) *nameTreeNode {
 	return n
 }
 
+// node returns a blank node: a pruned one, else the slab's next.
+func (t *NameTree) node() *nameTreeNode {
+	if n := t.free; n != nil {
+		t.free, n.next = n.next, nil
+		return n
+	}
+	if len(t.slab) == 0 {
+		t.slab = make([]nameTreeNode, min(max(slabFirst, t.cut/4), slabMax))
+		t.cut += len(t.slab)
+	}
+	n := &t.slab[0]
+	t.slab = t.slab[1:]
+	return n
+}
+
 // empty reports whether the node carries no payload and no children.
 func (n *nameTreeNode) empty() bool {
-	return n.cs == nil && n.pit == nil && len(n.fib) == 0 && len(n.children) == 0
+	return n.data == nil && n.pit == nil && len(n.fib) == 0 && len(n.children) == 0
 }
 
 // prune removes n and any newly-empty ancestors from the tree. A node is
@@ -137,7 +179,9 @@ func (t *NameTree) prune(n *nameTreeNode) {
 				}
 			}
 		}
-		n.parent = nil
+		// Blank the node for reuse, keeping its children's backing array.
+		*n = nameTreeNode{children: n.children[:0], next: t.free}
+		t.free = n
 		n = p
 	}
 }

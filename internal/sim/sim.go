@@ -87,8 +87,6 @@ type Kernel struct {
 	// free recycles event records so hot paths that schedule one event per
 	// frame (phy transmissions, jittered sends) do not allocate per call.
 	free []*event
-	// calls recycles ScheduleCall records.
-	calls []*call
 }
 
 // NewKernel returns a production kernel (Options{}: the timer wheel) of the
@@ -167,42 +165,6 @@ func (k *Kernel) ScheduleFuncAt(at time.Duration, fn func()) {
 // Schedule is ScheduleFunc. It survives only because the benchmark
 // harness's probes call it; new code calls ScheduleFunc.
 func (k *Kernel) Schedule(delay time.Duration, fn func()) { k.ScheduleFunc(delay, fn) }
-
-// ScheduleCall enqueues fn(arg) to run after delay, like ScheduleFunc. It is
-// for a callback about one record of many: with fn a top-level function and
-// arg a pointer, a call allocates nothing, where a method value or closure
-// over the record would allocate per call. The pair rides in a record pooled
-// on the kernel, whose event func is built once.
-func (k *Kernel) ScheduleCall(delay time.Duration, fn func(any), arg any) {
-	var c *call
-	if n := len(k.calls); n > 0 {
-		c = k.calls[n-1]
-		k.calls[n-1] = nil
-		k.calls = k.calls[:n-1]
-	} else {
-		c = &call{k: k}
-		c.fire = c.run
-	}
-	c.fn, c.arg = fn, arg
-	k.ScheduleFunc(delay, c.fire)
-}
-
-// call is one pending ScheduleCall.
-type call struct {
-	k    *Kernel
-	fn   func(any)
-	arg  any
-	fire func()
-}
-
-// run returns the record to the pool before calling fn, which may schedule
-// calls of its own.
-func (c *call) run() {
-	k, fn, arg := c.k, c.fn, c.arg
-	c.fn, c.arg = nil, nil
-	k.calls = append(k.calls, c)
-	fn(arg)
-}
 
 // Step executes the next pending event, if any, and reports whether one ran.
 func (k *Kernel) Step() bool {

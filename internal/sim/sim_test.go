@@ -445,35 +445,6 @@ func TestScheduleFuncRecyclesEvents(t *testing.T) {
 	}
 }
 
-// TestScheduleCallDoesNotAllocate: a call takes its place in the (time,
-// sequence) order like any pooled event, hands fn its argument, and once the
-// pool is warm costs no object — a pointer argument rides in the interface
-// as it is.
-func TestScheduleCallDoesNotAllocate(t *testing.T) {
-	k := NewKernel(1)
-	var order []int
-	add := func(v any) { order = append(order, *v.(*int)) }
-	one, two := 1, 2
-	k.ScheduleFunc(time.Second, func() { order = append(order, 0) })
-	k.ScheduleCall(time.Second, add, &one)
-	k.ScheduleCall(0, add, &two)
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{2, 0, 1}; !slices.Equal(order, want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	n := 0
-	count := func(v any) { *v.(*int)++ }
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.ScheduleCall(time.Millisecond, count, &n)
-		k.Step()
-	})
-	if allocs != 0 || n != 1001 {
-		t.Fatalf("ScheduleCall+Step allocates %v/op and ran %d times, want 0 and 1001", allocs, n)
-	}
-}
-
 func TestTimerLifecycle(t *testing.T) {
 	t.Parallel()
 	for _, q := range queueKinds {
