@@ -32,7 +32,6 @@ type modelRecord struct {
 	relayed  map[string]bool // a CanBePrefix record's relayed Data names
 }
 
-
 func (m *forwardModel) forward(in *ndn.Interest) {
 	rec := &modelRecord{m: m, key: in.NameKey(), at: m.k.Now(), prefix: in.CanBePrefix, name: in.Name}
 	if in.CanBePrefix {
@@ -275,7 +274,7 @@ func TestForwardTableMatchesMaps(t *testing.T) {
 		// A prefix walk across records of one URI from different names.
 		"prefix": {prefix | 1, prefix | 2, fwd | 3, prefix | 4, answer | 16, answer | 18, answer | 26, answer | 27, fwd | 2, answer | 16, edge | 6, answer | 3},
 		// Reset with armings pending, then forwards of the same names.
-		"reset": {fwd | 1, prefix | 2, edge | 7, reset, edge | 7, fwd | 1, edge | 7, fwd | 2, answer | 2, edge | 2, reset, edge | 5},
+		"reset":  {fwd | 1, prefix | 2, edge | 7, reset, edge | 7, fwd | 1, edge | 7, fwd | 2, answer | 2, edge | 2, reset, edge | 5},
 		"growth": growth,
 	}
 	for name, ops := range fixed {
