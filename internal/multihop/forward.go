@@ -32,7 +32,7 @@ const keyFirst = 256
 type forwardTable struct {
 	ring[forwardEntry]
 	keys             []byte // the entries' URIs in forward order, each contiguous, in a ring of a power of two
-	keyHead, keyTail uint32 // offsets into keys, counted from its first use: where the oldest entry's URI starts, where the next one goes
+	keyHead, keyTail uint32 // offsets into keys, counted from its first use: where the bytes in use start, where the next URI goes
 	pending          int32  // entries at the ring's tail whose arming has not fired
 	prefixes         int32  // CanBePrefix records
 	fire             func() // arm, scheduled once per forward
