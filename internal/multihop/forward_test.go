@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,6 +144,9 @@ func forwardPool() (interests, data []ndn.Name) {
 	return interests, data
 }
 
+// forwardNames is forwardPool, built once.
+var forwardNames = sync.OnceValues(forwardPool)
+
 // forwardSteps are the clock steps an operation may take: the lifetimes'
 // edges, a nanosecond to either side, and half the suppression timer.
 var forwardSteps = [8]time.Duration{1, SuppressTTL - 1, SuppressTTL, SuppressTTL + 1,
@@ -160,7 +164,7 @@ func checkForwardOps(t testing.TB, ops []byte) {
 	rig := newRelayRig(1)
 	k, r := rig.k, &rig.r
 	m := &forwardModel{k: k, forwarded: map[string]*modelRecord{}, suppressed: map[string]time.Duration{}}
-	names, dataNames := forwardPool()
+	names, dataNames := forwardNames()
 	interests := make([]*ndn.Interest, len(names))
 	prefixes := make([]*ndn.Interest, len(names))
 	for i, name := range names {
