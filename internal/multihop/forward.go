@@ -141,6 +141,20 @@ func (t *forwardTable) expire(now time.Duration) {
 	}
 }
 
+// nameIn returns name with its components cut out of key, its URI form:
+// component i starts one byte past the end of component i-1, whatever bytes
+// either holds, a '/' included. Only the component headers are new.
+func nameIn(key string, name ndn.Name) ndn.Name {
+	out := make(ndn.Name, len(name))
+	at := 0
+	for i, c := range name {
+		at++ // the '/' before it
+		out[i] = ndn.Component(key[at : at+len(c)])
+		at += len(c)
+	}
+	return out
+}
+
 // appendKey copies key into the key ring, whole: a URI that would run past
 // the ring's end starts over at its beginning. It returns the key's offset.
 func (t *forwardTable) appendKey(key string) uint32 {

@@ -218,20 +218,6 @@ func (r *Relay) Forward(in *ndn.Interest) {
 	r.k.ScheduleFunc(SuppressTTL, r.fwd.fire)
 }
 
-// nameIn returns name with its components cut out of key, its URI form:
-// component i starts one byte past the end of component i-1, whatever bytes
-// either holds, a '/' included. Only the component headers are new.
-func nameIn(key string, name ndn.Name) ndn.Name {
-	out := make(ndn.Name, len(name))
-	at := 0
-	for i, c := range name {
-		at++ // the '/' before it
-		out[i] = ndn.Component(key[at : at+len(c)])
-		at += len(c)
-	}
-	return out
-}
-
 // RelayData re-broadcasts Data that answers a forwarded Interest, back
 // toward the requester, and lifts the name's suppression: once for an exact
 // record, once per distinct Data name for a CanBePrefix record.
