@@ -12,7 +12,8 @@ import (
 
 // considerForwarding decides the fate of an Interest this peer cannot serve.
 func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
-	if p.relay.Suppressed(in) {
+	suppressed, inFlight := p.relay.Check(in)
+	if suppressed {
 		return
 	}
 
@@ -26,7 +27,7 @@ func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
 		p.stats.InterestsSuppressed++
 		return
 	}
-	if !p.relay.InFlight(in) {
+	if !inFlight {
 		p.relay.Forward(in)
 	}
 }

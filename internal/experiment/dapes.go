@@ -45,7 +45,7 @@ type dapesWorld struct {
 	collection    ndn.Name
 	downloaders   []*core.Peer
 	intermediates []*core.Peer
-	pures         []*multihop.PureForwarder
+	pures         []multihop.PureForwarder
 	sched         fault.Schedule
 	faultsUntil   time.Duration
 }
@@ -102,22 +102,19 @@ func buildDAPES(s Scale, wifiRange float64, trial int) (*dapesWorld, error) {
 	for _, m := range pl.downloaderMobility {
 		w.download(m)
 	}
-	for i, m := range pl.forwarderMobility {
-		if i < s.PureForwarders {
-			w.pures = append(w.pures, multihop.NewPureForwarder(w.Kernel, w.medium, m,
-				multihop.Config{ForwardProb: s.Design.ForwardProb}))
-			continue
-		}
-		// DAPES-aware intermediates: understand the semantics, forward based
-		// on overheard knowledge, but do not download.
+	w.pures = multihop.NewPureForwarders(w.Kernel, w.medium, pl.forwarderMobility[:s.PureForwarders],
+		multihop.Config{ForwardProb: s.Design.ForwardProb})
+	// DAPES-aware intermediates: understand the semantics, forward based on
+	// overheard knowledge, but do not download.
+	for _, m := range pl.forwarderMobility[s.PureForwarders:] {
 		w.intermediates = append(w.intermediates, w.peer(m))
 	}
 
 	producer.Start()
 	w.startDownloaders()
 	if s.Design.Multihop {
-		for _, f := range w.pures {
-			f.Start()
+		for i := range w.pures {
+			w.pures[i].Start()
 		}
 		for _, p := range w.intermediates {
 			p.Start()
@@ -151,8 +148,8 @@ func (w *dapesWorld) collect() TrialResult {
 			relay.Add(p.Stats().Counters)
 		}
 	}
-	for _, f := range w.pures {
-		relay.Add(f.Stats().Counters)
+	for i := range w.pures {
+		relay.Add(w.pures[i].Stats().Counters)
 	}
 	res.ForwardAccuracy = relay.Accuracy()
 	chaosStats(&res, w.sched, w.downloaders, w.collection)

@@ -55,8 +55,8 @@ func dapesGoldenOf(t *testing.T, w *dapesWorld) dapesGolden {
 			g.peers.answered += s.ForwardedAnswered
 		}
 	}
-	for _, f := range w.pures {
-		s := f.Stats()
+	for i := range w.pures {
+		s := w.pures[i].Stats()
 		g.pures.forwarded += s.InterestsForwarded
 		g.pures.suppressed += s.InterestsSuppressed
 		g.pures.dataForwarded += s.DataForwarded

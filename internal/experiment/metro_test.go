@@ -28,13 +28,7 @@ func TestUrbanMetroIsFig7AtDensity(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fig7 := s
-		fig7.MobileDown *= 25
-		fig7.PureForwarders *= 25
-		fig7.Intermediates *= 25
-		nodes := 1 + fig7.Stationary + fig7.MobileDown + fig7.PureForwarders + fig7.Intermediates
-		fig7.AreaSide = 300 * math.Sqrt(float64(nodes)/45)
-		want, err := RunDAPESTrial(fig7, 60, 0)
+		want, err := RunDAPESTrial(atMetroDensity(s), 60, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,17 +42,51 @@ func TestUrbanMetroIsFig7AtDensity(t *testing.T) {
 	}
 }
 
-// BenchmarkUrbanMetro runs the urban-metro scenario at the exact [scale] of
-// plans/urban-metro.toml — 50,003 nodes, 10 s horizon — through the
-// registry. Timing with spread is BENCHMARK.json's metro workloads; `make
-// bench` runs this once per CI build so the 50k-node path cannot rot.
-func BenchmarkUrbanMetro(b *testing.B) {
+// atMetroDensity is the scale urban-metro runs fig7-dapes at: the 25x
+// mobile mix in an area whose edge grows with sqrt(nodes).
+func atMetroDensity(s Scale) Scale {
+	s.MobileDown *= 25
+	s.PureForwarders *= 25
+	s.Intermediates *= 25
+	s.AreaSide = 300 * math.Sqrt(float64(fig7Nodes(s))/45)
+	return s
+}
+
+// fig7Nodes is how many nodes fig7-dapes attaches at s.
+func fig7Nodes(s Scale) int {
+	return 1 + s.Stationary + s.MobileDown + s.PureForwarders + s.Intermediates
+}
+
+// metroPlanScale is the exact [scale] of plans/urban-metro.toml: 50,003
+// nodes, 10 s horizon.
+func metroPlanScale() Scale {
 	metro := ReducedScale()
 	metro.Trials = 1
 	metro.NumFiles, metro.PacketsPerFile, metro.PacketSize = 1, 4, 200
 	metro.Horizon = 10 * time.Second
 	metro.Stationary, metro.MobileDown, metro.PureForwarders, metro.Intermediates = 2, 8, 1912, 80
 	metro.BaseSeed = 11
+	return metro
+}
+
+// BenchmarkUrbanMetro runs the urban-metro scenario at metroPlanScale through
+// the registry. Timing with spread is BENCHMARK.json's metro workloads;
+// `make bench` runs this once per CI build so the 50k-node path cannot rot.
+func BenchmarkUrbanMetro(b *testing.B) {
+	benchmarkMetro(b, metroPlanScale())
+}
+
+// BenchmarkWorldBuild is BenchmarkUrbanMetro at a 1 ns horizon: the 50k-node
+// world is built, its collection hashed and its peers started, and nothing
+// goes on the air. Its allocations are the construction path's.
+func BenchmarkWorldBuild(b *testing.B) {
+	metro := metroPlanScale()
+	metro.Horizon = time.Nanosecond
+	b.ReportAllocs()
+	benchmarkMetro(b, metro)
+}
+
+func benchmarkMetro(b *testing.B, metro Scale) {
 	sc, err := Find("urban-metro")
 	if err != nil {
 		b.Fatal(err)

@@ -51,28 +51,33 @@ func drawPlacement(s Scale, seed int64) placement {
 	if s.Stationary < len(stationary) {
 		stationary = stationary[:s.Stationary]
 	}
-	// One allocation holds every walker's stream: at 50k nodes an object
-	// per node shows.
-	streams := make([]sim.Stream, 1+s.MobileDown+s.PureForwarders+s.Intermediates)
+	// One allocation holds every walker's stream and one every walker: at
+	// 50k nodes an object per node shows.
+	walkers := 1 + s.MobileDown + s.PureForwarders + s.Intermediates
+	streams := make([]sim.Stream, walkers)
+	walks := make([]geo.RandomDirection, walkers)
 	node, walker := 0, 0
 	walk := func() geo.Mobility {
-		rng := &streams[walker]
+		rng, w := &streams[walker], &walks[walker]
 		*rng = sim.NewStream(seed, node, sim.PurposeMobility)
 		node, walker = node+1, walker+1
-		return geo.NewRandomDirection(geo.RandomDirectionConfig{
+		w.Init(geo.RandomDirectionConfig{
 			Area:  area,
 			Start: geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side},
 			RNG:   rng,
 		})
+		return w
 	}
 
 	pl := placement{producerMobility: walk(), stationaryPos: stationary}
 	node += len(stationary)
-	for i := 0; i < s.MobileDown; i++ {
-		pl.downloaderMobility = append(pl.downloaderMobility, walk())
+	pl.downloaderMobility = make([]geo.Mobility, s.MobileDown)
+	for i := range pl.downloaderMobility {
+		pl.downloaderMobility[i] = walk()
 	}
-	for i := 0; i < s.PureForwarders+s.Intermediates; i++ {
-		pl.forwarderMobility = append(pl.forwarderMobility, walk())
+	pl.forwarderMobility = make([]geo.Mobility, s.PureForwarders+s.Intermediates)
+	for i := range pl.forwarderMobility {
+		pl.forwarderMobility[i] = walk()
 	}
 	return pl
 }

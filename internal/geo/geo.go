@@ -132,10 +132,14 @@ type RandomDirection struct {
 	minLeg   time.Duration
 	maxLeg   time.Duration
 	rng      Rand
-	legs     []Leg
+	// legs is the walk drawn so far. It starts in first, inside the walker,
+	// and moves out only once the walk outgrows it: most walkers of a short
+	// trial never draw a third leg.
+	legs []Leg
 	// hit is the leg the last query fell in; simulation time mostly moves
 	// forward a little at a time, so the next query usually falls there too.
-	hit int
+	hit   int
+	first [2]Leg
 }
 
 var _ Mobility = (*RandomDirection)(nil)
@@ -163,6 +167,16 @@ type RandomDirectionConfig struct {
 // NewRandomDirection returns a walker starting at cfg.Start. Zero speeds
 // default to the paper's 2–10 m/s and zero leg bounds to 5–20 s.
 func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
+	w := new(RandomDirection)
+	w.Init(cfg)
+	return w
+}
+
+// Init builds the walker NewRandomDirection(cfg) returns in place at w,
+// drawing the same legs: a world that walks every node can hold its walkers
+// in one slice. A built walker holds its first legs inside itself, so it
+// must not be copied.
+func (w *RandomDirection) Init(cfg RandomDirectionConfig) {
 	if cfg.MinSpeed == 0 && cfg.MaxSpeed == 0 {
 		cfg.MinSpeed, cfg.MaxSpeed = 2, 10
 	}
@@ -172,7 +186,7 @@ func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
 	if cfg.RNG == nil {
 		panic("geo: NewRandomDirection without an RNG")
 	}
-	w := &RandomDirection{
+	*w = RandomDirection{
 		area:     cfg.Area,
 		minSpeed: cfg.MinSpeed,
 		maxSpeed: cfg.MaxSpeed,
@@ -180,8 +194,7 @@ func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
 		maxLeg:   cfg.MaxLeg,
 		rng:      cfg.RNG,
 	}
-	w.legs = append(w.legs, w.nextLeg(0, cfg.Area.Clamp(cfg.Start)))
-	return w
+	w.legs = append(w.first[:0], w.nextLeg(0, cfg.Area.Clamp(cfg.Start)))
 }
 
 func (w *RandomDirection) nextLeg(start time.Duration, from Point) Leg {

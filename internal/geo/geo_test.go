@@ -154,6 +154,49 @@ func TestRandomDirectionDeterminism(t *testing.T) {
 	}
 }
 
+// TestRandomDirectionInitWalksAsNew: a walker built in place in a slice,
+// over one that has walked before, draws the same legs from the same stream
+// as NewRandomDirection's, well past the legs it holds inline.
+func TestRandomDirectionInitWalksAsNew(t *testing.T) {
+	t.Parallel()
+	cfg := func() RandomDirectionConfig {
+		return RandomDirectionConfig{
+			Area: Rect{Width: 120, Height: 80}, Start: Point{30, 70},
+			RNG: rand.New(rand.NewSource(31)),
+		}
+	}
+	want := NewRandomDirection(cfg())
+	walks := make([]RandomDirection, 2)
+	got := &walks[1]
+	got.Init(RandomDirectionConfig{Area: Rect{Width: 50, Height: 50}, RNG: rand.New(rand.NewSource(1))})
+	got.PositionAt(time.Hour)
+	got.Init(cfg())
+	const legs = 60
+	var ends []time.Duration
+	for at := time.Duration(0); len(ends) < legs; {
+		g, w := got.LegAt(at), want.LegAt(at)
+		if g != w {
+			t.Fatalf("leg %d at %v: built in place %+v, new %+v", len(ends), at, g, w)
+		}
+		for _, u := range []time.Duration{w.Start, (w.Start + w.End) / 2, w.End} {
+			if p, q := got.PositionAt(u), want.PositionAt(u); p != q {
+				t.Fatalf("leg %d at %v: built in place at %v, new at %v", len(ends), u, p, q)
+			}
+		}
+		ends = append(ends, w.End)
+		at = w.End + 1
+	}
+	// Backwards, as a random-access query lands.
+	for i := legs - 1; i >= 0; i-- {
+		if g, w := got.LegAt(ends[i]), want.LegAt(ends[i]); g != w {
+			t.Fatalf("leg ending %v, asked again: built in place %+v, new %+v", ends[i], g, w)
+		}
+	}
+	if len(got.legs) <= len(got.first) {
+		t.Fatalf("%d legs drawn: the walk never left its inline legs", len(got.legs))
+	}
+}
+
 func TestRandomDirectionMonotoneQueriesMatchRandomAccess(t *testing.T) {
 	t.Parallel()
 	// Querying out of order must give the same answers as in order, since

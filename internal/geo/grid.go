@@ -69,7 +69,23 @@ type Grid struct {
 	buckets      [][]gridEntry
 	slots        []gridSlot
 	n            int // ids present
+	// spare is what is left of the chunk put cuts a bucket's first
+	// bucketFirst entries from, so filling a world's cells is a chunk of
+	// them at a time — each as many entries as there are ids, from 8 up to
+	// spareMax — not an array or two per cell. A bucket that outgrows its
+	// cut moves out to an array of its own: a cut is capped at bucketFirst,
+	// so it never grows into its neighbour's.
+	spare []gridEntry
 }
+
+// bucketFirst is the capacity a bucket is first given, and spareMax the most
+// entries put takes from the heap at once. At the density the repository's
+// worlds keep, a cell holds about two radios at a 60 m range, and at most a
+// handful beside the 100 m the paper sweeps to.
+const (
+	bucketFirst = 4
+	spareMax    = 4096
+)
 
 // windowBudget is how many cells the window may hold for n ids: 16 for each,
 // with n rounded up to a power of two so that a growing population raises the
@@ -149,6 +165,12 @@ func (g *Grid) bucketOf(c gridCell) int {
 
 // put appends e to bucket b and records where it went.
 func (g *Grid) put(e gridEntry, b int) {
+	if cap(g.buckets[b]) == 0 {
+		if len(g.spare) < bucketFirst {
+			g.spare = make([]gridEntry, min(max(g.n, 8), spareMax))
+		}
+		g.buckets[b], g.spare = g.spare[:0:bucketFirst], g.spare[bucketFirst:]
+	}
 	g.slots[e.id] = gridSlot{bucket: int32(b), i: int32(len(g.buckets[b]))}
 	g.buckets[b] = append(g.buckets[b], e)
 }

@@ -154,8 +154,9 @@ var forwardSteps = [8]time.Duration{1, SuppressTTL - 1, SuppressTTL, SuppressTTL
 
 // checkForwardOps runs one operation per byte against a started relay and
 // against forwardModel on the same kernel, and after each operation asks
-// both about every pooled name: InFlight, Suppressed and the record a Data
-// name matches, and TableSizes. The top three bits pick the operation:
+// both about every pooled name: Check's two answers and its count of
+// suppressions, the record a Data name matches, and TableSizes. The top
+// three bits pick the operation:
 // forward (two values in eight), forward as CanBePrefix, relay Data, a clock
 // step from forwardSteps, a step of 0 to 3.1 s in 100 ms, a step of 0 to
 // 31 ms, or Reset; the low five pick the name or the step.
@@ -180,6 +181,7 @@ func checkForwardOps(t testing.TB, ops []byte) {
 		t.Helper()
 		t.Fatalf("after ops %x, at %v: %s", ops[:i+1], k.Now(), fmt.Sprintf(format, args...))
 	}
+	var counted uint64 // suppressions Check has reported
 	for i, b := range ops {
 		low := int(b & 31)
 		switch b >> 5 {
@@ -207,11 +209,18 @@ func checkForwardOps(t testing.TB, ops []byte) {
 			fail(i, "%d forwards answered, want %d", rig.c.ForwardedAnswered, m.answered)
 		}
 		for _, in := range interests {
-			if got, want := r.InFlight(in), m.inFlight(in); got != want {
-				fail(i, "InFlight(%s) = %v, want %v", in.Name, got, want)
+			suppressed, inFlight := r.Check(in)
+			if want := m.inFlight(in); inFlight != want {
+				fail(i, "Check(%s) in flight = %v, want %v", in.Name, inFlight, want)
 			}
-			if got, want := r.Suppressed(in), m.isSuppressed(in); got != want {
-				fail(i, "Suppressed(%s) = %v, want %v", in.Name, got, want)
+			if want := m.isSuppressed(in); suppressed != want {
+				fail(i, "Check(%s) suppressed = %v, want %v", in.Name, suppressed, want)
+			}
+			if suppressed {
+				counted++
+			}
+			if rig.c.InterestsSuppressed != counted {
+				fail(i, "%d Interests counted suppressed, want %d", rig.c.InterestsSuppressed, counted)
 			}
 		}
 		for _, d := range data {
@@ -240,8 +249,7 @@ func checkForwardOps(t testing.TB, ops []byte) {
 	}
 }
 
-// TestForwardTableMatchesMaps: the forward table answers InFlight,
-// Suppressed, the match of Data and TableSizes as the maps it replaced did,
+// TestForwardTableMatchesMaps: the forward table answers Check, the match of Data and TableSizes as the maps it replaced did,
 // over ages of exactly SuppressTTL and 2·SuppressTTL and a nanosecond to
 // either side, re-forwards, CanBePrefix records, names whose probes collide
 // and wrap in the index, growth of the ring and of the key ring, and Reset
@@ -319,7 +327,7 @@ func TestForwardTableDoesNotAllocate(t *testing.T) {
 	round := func() {
 		k.Run(k.Now() + 50*time.Millisecond)
 		in := names[i%len(names)]
-		if !r.Suppressed(in) && !r.InFlight(in) {
+		if suppressed, inFlight := r.Check(in); !suppressed && !inFlight {
 			r.Forward(in)
 		}
 		if i%3 == 0 {

@@ -58,14 +58,32 @@ type PureForwarder struct {
 
 // NewPureForwarder attaches a pure forwarder to the medium.
 func NewPureForwarder(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) *PureForwarder {
+	f := new(PureForwarder)
+	f.attach(k, medium, mobility, cfg)
+	return f
+}
+
+// NewPureForwarders attaches one pure forwarder per mobility model, in
+// order, as NewPureForwarder would one at a time, and returns them in one
+// slice: a world of tens of thousands of forwarders makes one object for
+// them, not one each.
+func NewPureForwarders(k *sim.Kernel, medium *phy.Medium, mobility []geo.Mobility, cfg Config) []PureForwarder {
+	fs := make([]PureForwarder, len(mobility))
+	for i, m := range mobility {
+		fs[i].attach(k, medium, m, cfg)
+	}
+	return fs
+}
+
+// attach builds the forwarder in place at f, on a radio of its own.
+func (f *PureForwarder) attach(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, cfg Config) {
 	if cfg.ForwardProb == 0 {
 		cfg.ForwardProb = 0.2
 	}
-	f := &PureForwarder{cfg: cfg}
+	f.cfg = cfg
 	radio := medium.Attach(mobility)
 	f.relay = NewRelay(k, medium, radio, &f.stats.Counters)
 	radio.SetHandler(func(fr phy.Frame) { f.relay.Deliver(fr, f.onInterest, f.onData) })
-	return f
 }
 
 // Stats returns a copy of the counters.
@@ -87,7 +105,7 @@ func (f *PureForwarder) onInterest(_ int, in *ndn.Interest) {
 			return
 		}
 	}
-	if f.relay.Suppressed(in) || f.relay.InFlight(in) {
+	if suppressed, inFlight := f.relay.Check(in); suppressed || inFlight {
 		return
 	}
 	if f.relay.rng.Float64() >= f.cfg.ForwardProb {

@@ -173,28 +173,23 @@ func (r *Relay) Heard(nonce uint32) bool {
 	return r.nonces != nil && r.nonces.heard(nonce, r.k.Now())
 }
 
-// Suppressed reports whether the Interest's name is under a suppression
-// timer, and counts it if so.
-func (r *Relay) Suppressed(in *ndn.Interest) bool {
+// Check looks the Interest's name up in the forward table once and reports
+// whether it is under a suppression timer — counted if so — and whether it
+// was forwarded less than the suppression timer ago and is still unanswered.
+func (r *Relay) Check(in *ndn.Interest) (suppressed, inFlight bool) {
 	if r.fwd == nil {
-		return false
+		return false, false
 	}
 	e := r.fwd.lookup(in.NameKey())
-	if e == nil || r.k.Now() >= e.until {
-		return false
+	if e == nil {
+		return false, false
 	}
-	r.c.InterestsSuppressed++
-	return true
-}
-
-// InFlight reports whether the same name was forwarded less than the
-// suppression timer ago and is still unanswered.
-func (r *Relay) InFlight(in *ndn.Interest) bool {
-	if r.fwd == nil {
-		return false
+	now := r.k.Now()
+	if now < e.until {
+		r.c.InterestsSuppressed++
+		suppressed = true
 	}
-	e := r.fwd.lookup(in.NameKey())
-	return e != nil && e.record && !e.answered && r.k.Now()-e.at < SuppressTTL
+	return suppressed, e.record && !e.answered && now-e.at < SuppressTTL
 }
 
 // Forward re-broadcasts the received Interest after a random delay and

@@ -69,7 +69,10 @@ func TestRelayWindowsCloseOnTheInstant(t *testing.T) {
 		r.Forward(in)
 		// Arrivals are scheduled after the forward, as a frame's delivery is.
 		for _, at := range []time.Duration{t0 + SuppressTTL - 1, t0 + SuppressTTL, t0 + 2*SuppressTTL - 1, t0 + 2*SuppressTTL} {
-			k.ScheduleFuncAt(at, func() { got[at] = probe{r.InFlight(in), r.Suppressed(in)} })
+			k.ScheduleFuncAt(at, func() {
+				suppressed, inFlight := r.Check(in)
+				got[at] = probe{inFlight, suppressed}
+			})
 		}
 	})
 	k.Run(t0 + 3*SuppressTTL)
@@ -325,9 +328,11 @@ func TestPureForwarderStopSilences(t *testing.T) {
 		b := &ndn.Interest{Name: ndn.ParseName("/y/2"), Nonce: 3}
 		f.onInterest(0, a)
 		f.onInterest(0, b)
-		if len(f.relay.pending) != 1 || !f.relay.InFlight(a) || !f.relay.InFlight(b) {
+		_, aInFlight := f.relay.Check(a)
+		_, bInFlight := f.relay.Check(b)
+		if len(f.relay.pending) != 1 || !aInFlight || !bInFlight {
 			t.Errorf("before Stop: %d replies pending, in flight %v and %v; want 1, true, true",
-				len(f.relay.pending), f.relay.InFlight(a), f.relay.InFlight(b))
+				len(f.relay.pending), aInFlight, bInFlight)
 		}
 		armed := k.Pending()
 		f.relay.Stop()
@@ -409,7 +414,7 @@ func TestIdleForwarderAllocatesLittle(t *testing.T) {
 		t.Fatal("a forwarder that heard nothing holds tables")
 	}
 	in := &ndn.Interest{Name: ndn.ParseName("/x/0"), Nonce: 1}
-	if r.Heard(1) || r.Suppressed(in) || r.InFlight(in) {
+	if suppressed, inFlight := r.Check(in); r.Heard(1) || suppressed || inFlight {
 		t.Error("empty tables answered as if they held the Interest")
 	}
 	if fw, sup, non := r.TableSizes(); fw+sup+non != 0 {
@@ -572,7 +577,8 @@ func TestRelayResetKeepsPendingArming(t *testing.T) {
 			for _, at := range probes {
 				k.ScheduleFuncAt(at, func() {
 					fw, sup, _ := r.TableSizes()
-					got[at] = probe{r.InFlight(in), r.Suppressed(in), fw, sup}
+					suppressed, inFlight := r.Check(in)
+					got[at] = probe{inFlight, suppressed, fw, sup}
 				})
 			}
 		})

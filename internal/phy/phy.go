@@ -305,7 +305,13 @@ type Medium struct {
 	kernel *sim.Kernel
 	cfg    Config
 	radios []*Radio
-	stats  Stats
+	// spare is what is left of the chunk Attach cuts radios from. A world
+	// attaches one radio per node, so its radios come a chunk at a time —
+	// each as large as the radios attached so far, from 8 up to
+	// radioChunkMax — and not one object each. A chunk is never regrown:
+	// every *Radio handed out stays where it is.
+	spare []Radio
+	stats Stats
 
 	// Fault-injection hooks (loss.go; both nil by default, leaving the
 	// reception path byte-identical to the reference i.i.d. code).
@@ -359,10 +365,19 @@ func (m *Medium) Config() Config { return m.cfg }
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
+// radioChunkMax caps the radios of one chunk: a 50k-node world takes a dozen
+// of them, a 45-node world four small ones.
+const radioChunkMax = 4096
+
 // Attach adds a radio with the given mobility model and returns it.
 func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 	id := len(m.radios)
-	r := &Radio{
+	if len(m.spare) == 0 {
+		m.spare = make([]Radio, min(max(id, 8), radioChunkMax))
+	}
+	r := &m.spare[0]
+	m.spare = m.spare[1:]
+	*r = Radio{
 		id:       id,
 		medium:   m,
 		mobility: mobility,

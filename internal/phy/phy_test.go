@@ -38,6 +38,37 @@ func TestBroadcastDeliversInRange(t *testing.T) {
 	}
 }
 
+// TestAttachedRadiosStayPut: Attach cuts radios from chunks, and every
+// *Radio it hands out stays the radio the medium holds and delivers to,
+// radios attached in the chunks after it included.
+func TestAttachedRadiosStayPut(t *testing.T) {
+	t.Parallel()
+	k, m := newTestMedium(t, Config{Range: 50})
+	// Chunks of 8, 8, 16 and 32 radios: 40 radios cross three boundaries.
+	radios := make([]*Radio, 40)
+	for i := range radios {
+		radios[i] = m.Attach(geo.Stationary{At: geo.Point{X: float64(i)}})
+	}
+	for i, r := range radios {
+		if r != m.Radios()[i] || r.ID() != i {
+			t.Fatalf("radio %d: Attach returned %p (ID %d), the medium holds %p", i, r, r.ID(), m.Radios()[i])
+		}
+	}
+	var heard []int
+	radios[0].SetHandler(func(f Frame) { heard = append(heard, f.From) })
+	last := radios[len(radios)-1]
+	k.ScheduleFunc(0, func() { m.Broadcast(last, []byte("far end")) })
+	if err := k.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(heard) != 1 || heard[0] != last.ID() {
+		t.Fatalf("the first radio heard %v, want [%d]", heard, last.ID())
+	}
+	if st := m.Stats(); st.Deliveries != uint64(len(radios)-1) {
+		t.Fatalf("%d deliveries, want %d", st.Deliveries, len(radios)-1)
+	}
+}
+
 func TestSenderDoesNotHearItself(t *testing.T) {
 	t.Parallel()
 	k, m := newTestMedium(t, Config{Range: 50})
