@@ -156,10 +156,10 @@ var forwardSteps = [8]time.Duration{1, SuppressTTL - 1, SuppressTTL, SuppressTTL
 // against forwardModel on the same kernel, and after each operation asks
 // both about every pooled name: Check's two answers and its count of
 // suppressions, the record a Data name matches, and TableSizes. The top
-// three bits pick the operation:
-// forward (two values in eight), forward as CanBePrefix, relay Data, a clock
-// step from forwardSteps, a step of 0 to 3.1 s in 100 ms, a step of 0 to
-// 31 ms, or Reset; the low five pick the name or the step.
+// three bits pick the operation: forward (two values in eight), forward as
+// CanBePrefix, relay Data, a clock step from forwardSteps, a step of 0 to
+// 3.1 s in 100 ms, a step of 0 to 31 ms, or Reset; the low five pick the
+// name or the step.
 func checkForwardOps(t testing.TB, ops []byte) {
 	t.Helper()
 	rig := newRelayRig(1)
@@ -249,11 +249,12 @@ func checkForwardOps(t testing.TB, ops []byte) {
 	}
 }
 
-// TestForwardTableMatchesMaps: the forward table answers Check, the match of Data and TableSizes as the maps it replaced did,
-// over ages of exactly SuppressTTL and 2·SuppressTTL and a nanosecond to
-// either side, re-forwards, CanBePrefix records, names whose probes collide
-// and wrap in the index, growth of the ring and of the key ring, and Reset
-// with armings pending.
+// TestForwardTableMatchesMaps: the forward table answers Check, the match
+// of Data and TableSizes as the maps it replaced did, over ages of exactly
+// SuppressTTL and 2·SuppressTTL and a nanosecond to either side,
+// re-forwards, CanBePrefix records, names whose probes collide and wrap in
+// the index, growth of the ring and of the key ring, and Reset with armings
+// pending.
 func TestForwardTableMatchesMaps(t *testing.T) {
 	t.Parallel()
 	const (

@@ -365,8 +365,8 @@ func (m *Medium) Config() Config { return m.cfg }
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// radioChunkMax caps the radios of one chunk: a 50k-node world takes a dozen
-// of them, a 45-node world four small ones.
+// radioChunkMax caps the radios of one chunk: a 50k-node world takes 22
+// chunks, a 45-node world four small ones.
 const radioChunkMax = 4096
 
 // Attach adds a radio with the given mobility model and returns it.
