@@ -153,19 +153,18 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *Peer {
 	p.reliable = transport.NewReliable(k, p.router)
 	p.reliable.SetReceive(p.onReliable)
 	p.reliable.SetOnFail(p.onSendFail)
-	// Chain onto the radio handler: routing frames go to DSDV (already
-	// installed); HELLO floods are ours.
-	prev := p.radio.Handler()
-	p.radio.SetHandler(func(f phy.Frame) {
-		if len(f.Payload) > 0 && f.Payload[0] == helloMagic {
-			p.onHello(f.Payload)
-			return
-		}
-		if prev != nil {
-			prev(f)
-		}
-	})
+	p.radio.SetReceiver(p)
 	return p
+}
+
+// Receive takes the HELLO floods the peer's radio receives and hands every
+// other frame to DSDV.
+func (p *Peer) Receive(f phy.Frame) {
+	if len(f.Payload) > 0 && f.Payload[0] == helloMagic {
+		p.onHello(f.Payload)
+		return
+	}
+	p.router.Receive(f)
 }
 
 // onSendFail hears the transport abandon a message after MaxRetries: the

@@ -32,7 +32,6 @@ type heardKey struct {
 func tapAdvertisements(k *sim.Kernel, peers []*Peer) map[heardKey]*bitmap.Bitmap {
 	last := make(map[heardKey]*bitmap.Bitmap)
 	for _, p := range peers {
-		deliver := p.radio.Handler()
 		p.radio.SetHandler(func(f phy.Frame) {
 			var raw []byte
 			if in := f.Packet().Interest(); in != nil && isBitmapInterest(in.Name) {
@@ -43,7 +42,7 @@ func tapAdvertisements(k *sim.Kernel, peers []*Peer) map[heardKey]*bitmap.Bitmap
 				raw = d.Content
 			}
 			running := p.running
-			deliver(f)
+			p.Receive(f)
 			payload, err := decodeBitmapPayload(raw)
 			if !running || err != nil {
 				return

@@ -87,9 +87,12 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, key *keys
 	p.rng = k.Stream(p.id, sim.PurposePeer)
 	p.relay = multihop.NewRelay(k, medium, p.radio, &p.stats.Counters)
 	p.beaconPeriod = beaconPeriodMin
-	p.radio.SetHandler(func(f phy.Frame) { p.relay.Deliver(f, p.handleInterest, p.handleData) })
+	p.radio.SetReceiver(p)
 	return p
 }
+
+// Receive hands a frame the peer's radio received to its relay.
+func (p *Peer) Receive(f phy.Frame) { p.relay.Deliver(f, p.handleInterest, p.handleData) }
 
 // ID returns the peer's network-wide identifier (its radio ID).
 func (p *Peer) ID() int { return p.id }

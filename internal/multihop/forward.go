@@ -58,7 +58,6 @@ type prefixRecord struct {
 
 func newForwardTable() *forwardTable {
 	t := new(forwardTable)
-	t.init()
 	t.keys = t.firstKeys[:]
 	t.fire = t.arm
 	return t
@@ -87,16 +86,19 @@ func (t *forwardTable) key(e *forwardEntry) []byte {
 	return t.keys[off : off+e.n]
 }
 
-// findKey returns the index cell naming key's latest entry and its position,
-// or the empty cell ending key's probe and -1.
-func (t *forwardTable) findKey(h uint32, key string) (int, int32) {
+// findKey returns the index cell naming key's latest entry and its slot, or
+// the empty cell ending key's probe and nil.
+func (t *forwardTable) findKey(h uint32, key string) (*int32, *slot[forwardEntry]) {
 	return t.find(h, func(e *forwardEntry) bool { return string(t.key(e)) == key })
 }
 
+// sameKey reports whether entries a and b are forwards of one URI.
+func (t *forwardTable) sameKey(a, b *forwardEntry) bool { return string(t.key(a)) == string(t.key(b)) }
+
 // lookup returns key's latest entry, or nil.
 func (t *forwardTable) lookup(key string) *forwardEntry {
-	if _, pos := t.findKey(keyHash(key), key); pos >= 0 {
-		return &t.slots[pos].e
+	if _, s := t.findKey(keyHash(key), key); s != nil {
+		return &s.e
 	}
 	return nil
 }
@@ -108,11 +110,11 @@ func (t *forwardTable) add(in *ndn.Interest, now time.Duration) {
 	t.expire(now)
 	key := in.NameKey()
 	h := keyHash(key)
-	t.reserve()
-	j, pos := t.findKey(h, key)
+	t.reserve(t.sameKey)
+	c, s := t.findKey(h, key)
 	e := forwardEntry{at: now, n: uint32(len(key)), record: true}
-	if pos >= 0 {
-		old := &t.slots[pos].e
+	if s != nil {
+		old := &s.e
 		e.until = old.until
 		old.record = false
 		if old.prefix != nil {
@@ -125,7 +127,7 @@ func (t *forwardTable) add(in *ndn.Interest, now time.Duration) {
 		e.prefix = &prefixRecord{name: nameIn(strings.Clone(key), in.Name), relayed: make(map[string]bool, 1)}
 		t.prefixes++
 	}
-	t.push(j, h, e)
+	t.push(c, h, e)
 	t.pending++
 }
 
@@ -197,14 +199,13 @@ func (t *forwardTable) growKeys(n uint32) {
 // scheduled at the forward, so it fires at SuppressTTL, before an Interest
 // arriving at that instant.
 func (t *forwardTable) arm() {
-	s := &t.slots[(t.head+t.count-t.pending)&int32(len(t.slots)-1)]
+	s := t.slot((t.head + t.count - t.pending) & (t.size() - 1))
 	t.pending--
 	if s.e.answered {
 		return
 	}
-	key := t.key(&s.e)
-	_, pos := t.find(s.h, func(e *forwardEntry) bool { return string(t.key(e)) == string(key) })
-	t.slots[pos].e.until = s.e.at + 2*SuppressTTL
+	_, latest := t.find(s.h, func(e *forwardEntry) bool { return t.sameKey(e, &s.e) })
+	latest.e.until = s.e.at + 2*SuppressTTL
 }
 
 // wipe is Reset: no entry is a record or holds a suppression any more. The

@@ -159,8 +159,9 @@ var forwardSteps = [8]time.Duration{1, SuppressTTL - 1, SuppressTTL, SuppressTTL
 // three bits pick the operation: forward (two values in eight), forward as
 // CanBePrefix, relay Data, a clock step from forwardSteps, a step of 0 to
 // 3.1 s in 100 ms, a step of 0 to 31 ms, or Reset; the low five pick the
-// name or the step.
-func checkForwardOps(t testing.TB, ops []byte) {
+// name or the step. It returns how many times the ring grew with its head
+// past 0 (wrappedGrowth).
+func checkForwardOps(t testing.TB, ops []byte) (wrapped int) {
 	t.Helper()
 	rig := newRelayRig(1)
 	k, r := rig.k, &rig.r
@@ -184,6 +185,10 @@ func checkForwardOps(t testing.TB, ops []byte) {
 	var counted uint64 // suppressions Check has reported
 	for i, b := range ops {
 		low := int(b & 31)
+		var before int32
+		if r.fwd != nil {
+			before = r.fwd.size()
+		}
 		switch b >> 5 {
 		case 0, 1:
 			r.Forward(interests[low])
@@ -204,6 +209,9 @@ func checkForwardOps(t testing.TB, ops []byte) {
 			r.Reset()
 			clear(m.forwarded)
 			clear(m.suppressed)
+		}
+		if r.fwd != nil && wrappedGrowth(&r.fwd.ring, before) {
+			wrapped++
 		}
 		if rig.c.ForwardedAnswered != m.answered {
 			fail(i, "%d forwards answered, want %d", rig.c.ForwardedAnswered, m.answered)
@@ -247,6 +255,7 @@ func checkForwardOps(t testing.TB, ops []byte) {
 	if rig.c.DataForwarded != m.relayed {
 		t.Fatalf("%d Data relayed, want %d", rig.c.DataForwarded, m.relayed)
 	}
+	return wrapped
 }
 
 // TestForwardTableMatchesMaps: the forward table answers Check, the match
@@ -309,6 +318,7 @@ func FuzzForwardTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0x81, 0x80, 0x41, 0x60, 0x84, 0xe0, 0x82, 1})
 	f.Add([]byte{0x41, 0x42, 0x03, 0x70, 0x72, 0x7a, 0x86, 0x62})
+	f.Add(forwardGrowthOps(4))
 	f.Fuzz(func(t *testing.T, ops []byte) { checkForwardOps(t, ops) })
 }
 

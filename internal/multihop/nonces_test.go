@@ -33,11 +33,14 @@ func noncePool() []uint32 {
 // checkNonceOps runs one operation per byte against a started relay and
 // against the map from nonce to its last note that the table replaces, and
 // after each operation asks both about every pooled nonce. The top three
-// bits pick the operation: note (three values in eight), a clock step of
-// 1 ns, of dupWindow-1, or of 0 to 3.1 s in 100 ms, or Reset; the low five
-// pick the nonce or the step. After a note the ring holds exactly the notes
-// since the last Reset that are younger than dupWindow.
-func checkNonceOps(t testing.TB, ops []byte) {
+// bits pick the operation: note (two values in eight), note if new as
+// Deliver does (one), a clock step of 1 ns, of dupWindow-1, or of 0 to 3.1 s
+// in 100 ms, or Reset; the low five pick the nonce or the step. A note says
+// whether its nonce was new, and after a note that records it the ring
+// holds exactly the recorded notes since the last Reset that are younger
+// than dupWindow. It returns how many times the ring grew with its head
+// past 0 (wrappedGrowth).
+func checkNonceOps(t testing.TB, ops []byte) (wrapped int) {
 	t.Helper()
 	rig := newRelayRig(1)
 	k, r := rig.k, &rig.r
@@ -46,10 +49,22 @@ func checkNonceOps(t testing.TB, ops []byte) {
 	var notes []time.Duration
 	for i, b := range ops {
 		low := int(b & 31)
+		var before int32
+		if r.nonces != nil {
+			before = r.nonces.size()
+		}
 		switch b >> 5 {
 		case 0, 1, 2:
-			r.noteNonce(pool[low])
-			model[pool[low]] = k.Now()
+			x, always := pool[low], b>>5 != 2
+			at, ok := model[x]
+			heard := ok && k.Now()-at < dupWindow
+			if fresh := r.noteNonce(x, always); fresh == heard {
+				t.Fatalf("op %d at %v: noteNonce(%d) says new = %v, want %v", i, k.Now(), x, fresh, !heard)
+			}
+			if heard && !always {
+				break // a duplicate stays as it was
+			}
+			model[x] = k.Now()
 			notes = append(notes, k.Now())
 			for k.Now()-notes[0] >= dupWindow {
 				notes = notes[1:]
@@ -68,6 +83,9 @@ func checkNonceOps(t testing.TB, ops []byte) {
 			clear(model)
 			notes = notes[:0]
 		}
+		if r.nonces != nil && wrappedGrowth(&r.nonces.ring, before) {
+			wrapped++
+		}
 		live := 0
 		for _, x := range pool {
 			at, ok := model[x]
@@ -83,6 +101,7 @@ func checkNonceOps(t testing.TB, ops []byte) {
 			t.Fatalf("op %d at %v: TableSizes counts %d nonces, want %d", i, k.Now(), got, live)
 		}
 	}
+	return wrapped
 }
 
 // TestNonceTableMatchesMap: the ring and its index answer Heard and
@@ -146,6 +165,7 @@ func FuzzNonceTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 0x80, 0x60, 0})
 	f.Add(fillOps(40, 0))
+	f.Add(nonceGrowthOps(4))
 	f.Fuzz(func(t *testing.T, ops []byte) { checkNonceOps(t, ops) })
 }
 
@@ -160,9 +180,7 @@ func TestNonceDedupDoesNotAllocate(t *testing.T) {
 		k.Run(k.Now() + 5*time.Millisecond)
 		nonce++
 		for range 2 {
-			if !r.Heard(nonce) {
-				r.noteNonce(nonce)
-			}
+			r.noteNonce(nonce, false)
 		}
 		r.NewNonce()
 	}

@@ -83,8 +83,11 @@ func (f *PureForwarder) attach(k *sim.Kernel, medium *phy.Medium, mobility geo.M
 	f.cfg = cfg
 	radio := medium.Attach(mobility)
 	f.relay = NewRelay(k, medium, radio, &f.stats.Counters)
-	radio.SetHandler(func(fr phy.Frame) { f.relay.Deliver(fr, f.onInterest, f.onData) })
+	radio.SetReceiver(f)
 }
+
+// Receive hands a frame the forwarder's radio received to its relay.
+func (f *PureForwarder) Receive(fr phy.Frame) { f.relay.Deliver(fr, f.onInterest, f.onData) }
 
 // Stats returns a copy of the counters.
 func (f *PureForwarder) Stats() Stats { return f.stats }

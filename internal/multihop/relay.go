@@ -103,8 +103,7 @@ func (r *Relay) Deliver(fr phy.Frame, onInterest func(from int, in *ndn.Interest
 	}
 	pkt := fr.Packet()
 	if in := pkt.Interest(); in != nil {
-		if !r.Heard(in.Nonce) {
-			r.noteNonce(in.Nonce)
+		if r.noteNonce(in.Nonce, false) {
 			onInterest(fr.From, in)
 		}
 	} else if d := pkt.Data(); d != nil {
@@ -155,20 +154,24 @@ func (r *Relay) TableSizes() (forwarded, suppressed, nonces int) {
 // the echo of its own Interest is a duplicate.
 func (r *Relay) NewNonce() uint32 {
 	n := uint32(r.rng.Uint64())
-	r.noteNonce(n)
+	r.noteNonce(n, true)
 	return n
 }
 
-// noteNonce records nonce as heard now.
-func (r *Relay) noteNonce(nonce uint32) {
+// noteNonce records nonce as heard now and reports whether it is new: not
+// heard, or drawn, inside the duplicate window. Unless always, a nonce that
+// is not new stays as it was.
+func (r *Relay) noteNonce(nonce uint32, always bool) bool {
 	if r.nonces == nil {
-		r.nonces = newNonceTable()
+		r.nonces = new(nonceTable)
 	}
-	r.nonces.note(nonce, r.k.Now())
+	return r.nonces.note(nonce, r.k.Now(), always)
 }
 
 // Heard reports whether nonce was heard, or drawn, inside the duplicate
 // window: an Interest carrying it is a duplicate or a loop, and Deliver drops it.
+//
+//lint:ignore unreferenced checkNonceOps and core's tapAdvertisements ask it what Deliver decides in its one probe
 func (r *Relay) Heard(nonce uint32) bool {
 	return r.nonces != nil && r.nonces.heard(nonce, r.k.Now())
 }

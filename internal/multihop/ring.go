@@ -1,9 +1,16 @@
 package multihop
 
+import "math/bits"
+
 // ringFirst is the capacity a ring is made with, inside its table's own
 // allocation: most relays of a large world hold only a few entries within
 // one window.
 const ringFirst = 4
+
+// dirFirst is how many chunks the directory made by a ring's first growth
+// holds, a capacity of ringFirst<<dirFirst positions; a ring that grows past
+// it appends to its directory.
+const dirFirst = 10
 
 // ring is the time-ordered table behind a Relay's nonces and forward
 // records. Entries are pushed at non-decreasing kernel time and share one
@@ -13,14 +20,17 @@ const ringFirst = 4
 // entry. A key pushed again gets a new entry and the index moves to it; the
 // old entry later leaves the ring without touching the index.
 //
-// Ring and index share one array: slot i holds ring entry i, the hash of its
-// key, and index cells 3i to 3i+2, so the index, one cell per distinct key
-// in the ring, is at most a third full. The ring doubles only when it is
-// full of unexpired entries.
+// Ring and index share their positions: position p holds ring entry p, the
+// hash of its key, and index cells 3p to 3p+2, so the index, one cell per
+// distinct key in the ring, is at most a third full. The positions live in
+// chunks that never move. The first ringFirst are inline; chunk k of more
+// holds positions [ringFirst<<k, ringFirst<<(k+1)), so the capacity is
+// ringFirst<<len(more), a power of two. The ring grows only when it is full
+// of unexpired entries, by one chunk as large as itself (grow).
 type ring[E any] struct {
 	head, count int32              // the ring's oldest entry and its length
-	slots       []slot[E]          // the ring's capacity, a power of two
-	first       [ringFirst]slot[E] // slots until the first doubling, in the table's own allocation
+	more        [][]slot[E]        // the chunks past first, each as large as all before it
+	first       [ringFirst]slot[E] // positions 0 to ringFirst-1, in the table's own allocation
 }
 
 type slot[E any] struct {
@@ -29,28 +39,46 @@ type slot[E any] struct {
 	cells [3]int32 // index cells: a ring position plus one, 0 when empty
 }
 
-func (t *ring[E]) init() { t.slots = t.first[:] }
+// firstChunk is what a ring's first growth allocates, as one object: its
+// chunk directory and chunk 0.
+type firstChunk[E any] struct {
+	dir   [dirFirst][]slot[E]
+	slots [ringFirst]slot[E]
+}
+
+// size returns the ring's capacity.
+func (t *ring[E]) size() int32 { return ringFirst << len(t.more) }
+
+// slot returns position p. Past first, p's top bit picks its chunk, and
+// the bits below it are its offset there.
+func (t *ring[E]) slot(p int32) *slot[E] {
+	if p < ringFirst {
+		return &t.first[p]
+	}
+	c := t.more[bits.Len32(uint32(p))-bits.Len32(ringFirst)]
+	return &c[int(p)&(len(c)-1)]
+}
 
 // home is hash h's first index cell among m: the hash scaled to m.
 func home(h uint32, m int) int { return int(uint64(h) * uint64(m) >> 32) }
 
-func (t *ring[E]) cell(j int) *int32 { return &t.slots[j/3].cells[j%3] }
+func (t *ring[E]) cell(j int) *int32 { return &t.slot(int32(j / 3)).cells[j%3] }
 
 // at returns the ring's i-th entry from the head.
-func (t *ring[E]) at(i int32) *E { return &t.slots[(t.head+i)&int32(len(t.slots)-1)].e }
+func (t *ring[E]) at(i int32) *E { return &t.slot((t.head + i) & (t.size() - 1)).e }
 
 // find returns the index cell naming the latest entry of hash h that is
-// accepts, and its ring position, or the empty cell that ends h's probe and
-// -1. A nil is accepts every entry of hash h, for a key that is its hash.
-func (t *ring[E]) find(h uint32, is func(*E) bool) (j int, pos int32) {
-	m := 3 * len(t.slots)
-	for j = home(h, m); ; {
-		c := *t.cell(j)
-		if c == 0 {
-			return j, -1
+// accepts, and that entry's slot, or the empty cell that ends h's probe and
+// nil. A nil is accepts every entry of hash h, for a key that is its hash.
+func (t *ring[E]) find(h uint32, is func(*E) bool) (*int32, *slot[E]) {
+	m := 3 * int(t.size())
+	for j := home(h, m); ; {
+		c := t.cell(j)
+		if *c == 0 {
+			return c, nil
 		}
-		if s := &t.slots[c-1]; s.h == h && (is == nil || is(&s.e)) {
-			return j, c - 1
+		if s := t.slot(*c - 1); s.h == h && (is == nil || is(&s.e)) {
+			return c, s
 		}
 		if j++; j == m {
 			j = 0
@@ -61,8 +89,8 @@ func (t *ring[E]) find(h uint32, is func(*E) bool) (j int, pos int32) {
 // pop removes the head entry, and the index cell naming it if it is still
 // its key's latest. The entry stays readable until the next push.
 func (t *ring[E]) pop() *E {
-	s := &t.slots[t.head]
-	m := 3 * len(t.slots)
+	s := t.slot(t.head)
+	m := 3 * int(t.size())
 	for j := home(s.h, m); ; {
 		c := *t.cell(j)
 		if c == 0 {
@@ -76,25 +104,30 @@ func (t *ring[E]) pop() *E {
 			j = 0
 		}
 	}
-	t.head = (t.head + 1) & int32(len(t.slots)-1)
+	t.head = (t.head + 1) & (t.size() - 1)
 	t.count--
 	return &s.e
 }
 
-// reserve makes room for one more entry, doubling the ring if it is full.
-// Positions move when it doubles, so find after reserving.
-func (t *ring[E]) reserve() {
-	if int(t.count) == len(t.slots) {
-		t.grow()
+// reserve makes room for one more entry, growing the ring if it is full,
+// and reports whether it grew. same reports whether two entries have one
+// key, nil when a key is its hash. Growth rebuilds the index, so a cell
+// find returned before it is stale.
+func (t *ring[E]) reserve(same func(a, b *E) bool) (grew bool) {
+	if t.count < t.size() {
+		return false
 	}
+	t.grow(same)
+	return true
 }
 
 // push appends e with key hash h as the latest entry of its key, named by
-// index cell j, which find returned after reserve.
-func (t *ring[E]) push(j int, h uint32, e E) {
-	pos := (t.head + t.count) & int32(len(t.slots)-1)
-	t.slots[pos].e, t.slots[pos].h = e, h
-	*t.cell(j) = pos + 1
+// index cell c, which find returned after reserve.
+func (t *ring[E]) push(c *int32, h uint32, e E) {
+	pos := (t.head + t.count) & (t.size() - 1)
+	s := t.slot(pos)
+	s.e, s.h = e, h
+	*c = pos + 1
 	t.count++
 }
 
@@ -102,7 +135,7 @@ func (t *ring[E]) push(j int, h uint32, e E) {
 // that may take the hole: one whose home does not lie between the hole and
 // the entry.
 func (t *ring[E]) unindex(j int) {
-	m := 3 * len(t.slots)
+	m := 3 * int(t.size())
 	for i := j; ; {
 		if i++; i == m {
 			i = 0
@@ -111,7 +144,7 @@ func (t *ring[E]) unindex(j int) {
 		if c == 0 {
 			break
 		}
-		if h := home(t.slots[c-1].h, m); (i-h+m)%m >= (i-j+m)%m {
+		if h := home(t.slot(c-1).h, m); (i-h+m)%m >= (i-j+m)%m {
 			*t.cell(j) = c
 			j = i
 		}
@@ -119,47 +152,56 @@ func (t *ring[E]) unindex(j int) {
 	*t.cell(j) = 0
 }
 
-// grow doubles the ring, laying its entries out from slot 0 in order, and
-// re-indexes the latest entry of each key.
-func (t *ring[E]) grow() {
-	old, n := t.slots, int32(len(t.slots))
-	t.slots = make([]slot[E], 2*n)
-	for i := range n {
-		s := &old[(t.head+i)&(n-1)]
-		t.slots[i].e, t.slots[i].h = s.e, s.h
+// grow doubles the full ring by adding a chunk as large as itself. Entries
+// keep their positions, except those the ring had wrapped to [0, head):
+// they move into the new chunk, after the others. The index, whose size
+// doubled, is then cleared and rebuilt newest entry first, so that the entry
+// it names for each key is the key's latest; same is reserve's.
+func (t *ring[E]) grow(same func(a, b *E) bool) {
+	n := t.size()
+	if t.more == nil {
+		c := new(firstChunk[E])
+		t.more = append(c.dir[:0], c.slots[:])
+	} else {
+		t.more = append(t.more, make([]slot[E], n))
 	}
-	m := 3 * len(t.slots)
-	for i := range old {
-		for _, c := range old[i].cells {
-			if c == 0 {
-				continue
-			}
-			pos := (c - 1 - t.head) & (n - 1)
-			j := home(t.slots[pos].h, m)
-			for *t.cell(j) != 0 {
-				if j++; j == m {
-					j = 0
-				}
-			}
-			*t.cell(j) = pos + 1
+	for p := range t.head {
+		from, to := t.slot(p), t.slot(n+p)
+		to.e, to.h = from.e, from.h
+		*from = slot[E]{}
+	}
+	for p := range n {
+		t.slot(p).cells = [3]int32{}
+	}
+	for i := t.count - 1; i >= 0; i-- {
+		pos := t.head + i
+		s := t.slot(pos)
+		var is func(*E) bool
+		if same != nil {
+			is = func(e *E) bool { return same(e, &s.e) }
+		}
+		if c, newer := t.find(s.h, is); newer == nil {
+			*c = pos + 1
 		}
 	}
-	t.head = 0
 }
 
 // latest calls f with each entry its key's index names, in index order.
 func (t *ring[E]) latest(f func(*E)) {
-	for i := range t.slots {
-		for _, c := range t.slots[i].cells {
+	for p := range t.size() {
+		for _, c := range t.slot(p).cells {
 			if c != 0 {
-				f(&t.slots[c-1].e)
+				f(&t.slot(c - 1).e)
 			}
 		}
 	}
 }
 
-// reset forgets every entry and keeps the slots.
+// reset forgets every entry and keeps the chunks.
 func (t *ring[E]) reset() {
 	t.head, t.count = 0, 0
-	clear(t.slots)
+	clear(t.first[:])
+	for _, c := range t.more {
+		clear(c)
+	}
 }

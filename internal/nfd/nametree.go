@@ -40,12 +40,7 @@ type nameTreeNode struct {
 	component ndn.Component
 	depth     int
 	parent    *nameTreeNode
-	children  []*nameTreeNode // sorted ascending by component
-	// index accelerates point lookups on wide nodes (≥ indexThreshold
-	// children): a hash probe replaces the O(log n) component binary
-	// search. It is a pure cache over children — never iterated, so it
-	// cannot affect traversal determinism.
-	index map[ndn.Component]*nameTreeNode
+	children  []*nameTreeNode // sorted ascending by component, binary-searched by every lookup
 
 	// The node's Content Store entry, present when data is non-nil (see
 	// ContentStore): the packet, when it stops being fresh, and its
@@ -58,11 +53,6 @@ type nameTreeNode struct {
 	pit *PitEntry
 	fib []*Face // next hops, sorted ascending by face ID
 }
-
-// indexThreshold is the child count at which a node grows a hash index.
-// Chain nodes (one child) dominate real name tables; only fan-out points
-// like a repository's collection level pay for a map.
-const indexThreshold = 8
 
 // NewNameTree returns an empty tree.
 func NewNameTree() *NameTree {
@@ -87,9 +77,6 @@ func (n *nameTreeNode) childIndex(c ndn.Component) int {
 
 // child returns the child holding component c, or nil.
 func (n *nameTreeNode) child(c ndn.Component) *nameTreeNode {
-	if n.index != nil {
-		return n.index[c]
-	}
 	i := n.childIndex(c)
 	if i < len(n.children) && n.children[i].component == c {
 		return n.children[i]
@@ -126,14 +113,6 @@ func (t *NameTree) fill(name ndn.Name) *nameTreeNode {
 		n.children = append(n.children, nil)
 		copy(n.children[i+1:], n.children[i:])
 		n.children[i] = child
-		if n.index == nil && len(n.children) >= indexThreshold {
-			n.index = make(map[ndn.Component]*nameTreeNode, len(n.children))
-			for _, ch := range n.children {
-				n.index[ch.component] = ch
-			}
-		} else if n.index != nil {
-			n.index[c] = child
-		}
 		n = child
 	}
 	return n
@@ -171,13 +150,6 @@ func (t *NameTree) prune(n *nameTreeNode) {
 			copy(p.children[i:], p.children[i+1:])
 			p.children[len(p.children)-1] = nil
 			p.children = p.children[:len(p.children)-1]
-			if p.index != nil {
-				if len(p.children) < indexThreshold/2 {
-					p.index = nil // shrink back to plain binary search
-				} else {
-					delete(p.index, n.component)
-				}
-			}
 		}
 		// Blank the node for reuse, keeping its children's backing array.
 		*n = nameTreeNode{children: n.children[:0], next: t.free}

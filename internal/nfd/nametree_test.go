@@ -18,16 +18,6 @@ func checkTreeInvariants(t *testing.T, tree *NameTree, requireOccupied bool) {
 	t.Helper()
 	var walk func(n *nameTreeNode)
 	walk = func(n *nameTreeNode) {
-		if n.index != nil {
-			if len(n.index) != len(n.children) {
-				t.Fatalf("index size %d != %d children at %q", len(n.index), len(n.children), n.name())
-			}
-			for _, child := range n.children {
-				if n.index[child.component] != child {
-					t.Fatalf("index out of sync for %q at %q", child.component, n.name())
-				}
-			}
-		}
 		for i, child := range n.children {
 			if i > 0 && n.children[i-1].component >= child.component {
 				t.Fatalf("children out of order at %q: %q >= %q",

@@ -95,8 +95,14 @@ func (f Frame) Packet() *ndn.Packet {
 	return f.pkt
 }
 
-// Handler consumes frames successfully received by a radio.
+// Receiver consumes frames successfully received by a radio.
+type Receiver interface{ Receive(Frame) }
+
+// Handler is a Receiver that is a function.
 type Handler func(Frame)
+
+// Receive calls h.
+func (h Handler) Receive(f Frame) { h(f) }
 
 // IndexMode selects how the medium finds the radios in range of a sender.
 type IndexMode int32
@@ -233,7 +239,7 @@ type Radio struct {
 	maxSpeed float64
 	medium   *Medium
 	mobility geo.Mobility
-	handler  Handler
+	receiver Receiver
 
 	// coin is the radio's per-reception loss stream (sim.PurposeReception of
 	// its id): whether a frame that reached it is lost depends on no other
@@ -288,13 +294,19 @@ func (r *Radio) relocate(now time.Duration) {
 	}
 }
 
-// SetHandler installs the receive callback. It must be set before frames
-// arrive; frames received while the handler is nil are dropped.
-func (r *Radio) SetHandler(h Handler) { r.handler = h }
+// SetReceiver installs what the radio hands the frames it receives. It must
+// be set before frames arrive; frames received while it is nil are dropped.
+func (r *Radio) SetReceiver(rc Receiver) { r.receiver = rc }
 
-// Handler returns the currently installed receive callback, letting stacked
-// protocols chain onto an existing one.
-func (r *Radio) Handler() Handler { return r.handler }
+// SetHandler installs h as the radio's receiver, or none if h is nil.
+//
+//lint:ignore unreferenced the tests of phy, multihop and core listen on a radio with a closure
+func (r *Radio) SetHandler(h Handler) {
+	r.receiver = nil
+	if h != nil {
+		r.receiver = h
+	}
+}
 
 // SetEnabled turns the radio on or off. Disabled radios neither receive nor
 // transmit (Broadcast becomes a no-op).
@@ -850,8 +862,8 @@ func (tx *transmission) complete() {
 			}
 		}
 		collided = collided || rec.collided
-		if m.admit(rx, rec.collided) && rx.handler != nil {
-			rx.handler(tx.frame)
+		if m.admit(rx, rec.collided) && rx.receiver != nil {
+			rx.receiver.Receive(tx.frame)
 		}
 	}
 	for i, rec := range tx.recs {

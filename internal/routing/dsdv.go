@@ -61,7 +61,7 @@ func NewDSDV(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSDV {
 	d.radio = medium.Attach(mobility)
 	d.id = d.radio.ID()
 	d.rng = k.Stream(d.id, sim.PurposeRouting)
-	d.radio.SetHandler(d.onFrame)
+	d.radio.SetReceiver(d)
 	return d
 }
 
@@ -150,7 +150,8 @@ func (d *DSDV) appendTable(b []byte) []byte {
 	return b
 }
 
-func (d *DSDV) onFrame(fr phy.Frame) {
+// Receive handles a frame the node's radio received.
+func (d *DSDV) Receive(fr phy.Frame) {
 	if !d.running {
 		return
 	}

@@ -79,7 +79,7 @@ func NewDSR(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility) *DSR {
 	d.radio = medium.Attach(mobility)
 	d.id = d.radio.ID()
 	d.rng = k.Stream(d.id, sim.PurposeRouting)
-	d.radio.SetHandler(d.onFrame)
+	d.radio.SetReceiver(d)
 	return d
 }
 
@@ -204,7 +204,7 @@ func (d *DSR) discoveryTimeout(dst int, p *pendingDiscovery) {
 	d.launchDiscovery(dst, p)
 }
 
-// markSeen records route request id of origin as seen: onFrame drops its
+// markSeen records route request id of origin as seen: Receive drops its
 // flood from then on.
 func (d *DSR) markSeen(origin, id int) {
 	set, ok := d.seenReq[origin]
@@ -250,7 +250,8 @@ func indexOf(hops []int, id int) int {
 	return -1
 }
 
-func (d *DSR) onFrame(fr phy.Frame) {
+// Receive handles a frame the node's radio received.
+func (d *DSR) Receive(fr phy.Frame) {
 	if !d.running {
 		return
 	}
@@ -288,7 +289,7 @@ func (d *DSR) handleRREQ(f frame) {
 	if indexOf(f.Route, d.id) >= 0 {
 		return // already on the path
 	}
-	d.markSeen(f.Src, reqID) // onFrame dropped the flood if it was seen before
+	d.markSeen(f.Src, reqID) // Receive dropped the flood if it was seen before
 	// Into decodeRoute's spare slot: nothing has kept f.Route, and route has
 	// no capacity left for the cached-route reply's append to write into.
 	route := append(f.Route, d.id)
