@@ -135,10 +135,10 @@ examples:
 # The trace- and output-neutrality check (scripts/neutral.sh): dapes-sim
 # over every listed scenario, its default run, the seven design flags and a
 # fault file,
-# dapes-plan over the CI smoke plan, and dapes-bench's Table I, built at
-# BASE and from the working tree, must print the same bytes. Not
-# a CI step, as it needs a base revision: run it on a change that claims to
-# move no result, e.g. `make neutral BASE=HEAD~1`.
+# dapes-plan over the CI smoke plan, dapes-bench's Table I and the four
+# examples/ programs, built at BASE and from the working tree, must print
+# the same bytes. Not a CI step, as it needs a base revision: run it on a
+# change that claims to move no result, e.g. `make neutral BASE=HEAD~1`.
 neutral:
 	@test -n "$(BASE)" || { echo "usage: make neutral BASE=<rev>"; exit 1; }
 	bash scripts/neutral.sh $(BASE)

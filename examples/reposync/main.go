@@ -16,7 +16,6 @@ import (
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
-	"dapes/internal/repo"
 	"dapes/internal/sim"
 )
 
@@ -40,9 +39,10 @@ func run() error {
 	coll := collection.Manifest.Collection
 	cfg := core.Config{RandomStart: true}
 
-	// The repo at the rest area subscribes to everything under /water-points.
-	restArea := repo.New(kernel, medium, geo.Point{X: 0, Y: 0}, nil, nil, cfg,
-		ndn.ParseName("/water-points-v2"))
+	// The repo at the rest area is a stationary peer subscribed to the
+	// collection: it collects it and keeps serving it.
+	restArea := core.NewPeer(kernel, medium, geo.Stationary{}, nil, nil, cfg)
+	restArea.Subscribe(coll)
 
 	// Producer C visits the rest area for five minutes, then leaves.
 	producer := core.NewPeer(kernel, medium, geo.NewScripted([]geo.Waypoint{
@@ -73,13 +73,13 @@ func run() error {
 	producer.Start()
 
 	if ok := kernel.RunUntil(10*time.Minute, func() bool {
-		done, _ := restArea.Collected(coll)
+		done, _ := restArea.Done(coll)
 		return done
 	}); !ok {
 		h, t := restArea.Progress(coll)
 		return fmt.Errorf("repo did not collect in time: %d/%d", h, t)
 	}
-	_, collectedAt := restArea.Collected(coll)
+	_, collectedAt := restArea.Done(coll)
 	fmt.Printf("repo collected the full collection at t=%v (producer leaves at 6m)\n",
 		collectedAt.Round(time.Second))
 

@@ -209,6 +209,54 @@ func TestPeerRelaysBetweenEncounters(t *testing.T) {
 	}
 }
 
+// TestStationarySubscriberCollectsAndServes is the repository of Fig. 8b: a
+// stationary peer subscribed to a collection collects it from a producer
+// passing by, and serves it to a peer that arrives after the producer has
+// left.
+func TestStationarySubscriberCollectsAndServes(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(31)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	res, err := metadata.BuildCollection(ndn.ParseName("/repo-coll"),
+		[]metadata.File{{Name: "f", Content: bytes.Repeat([]byte{1}, 800)}},
+		100, metadata.FormatPacketDigest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := res.Manifest.Collection
+
+	repo := NewPeer(k, medium, geo.Stationary{}, nil, nil, Config{})
+	repo.Subscribe(coll)
+	// Producer C: near the repository until t=120s, then gone.
+	producer := NewPeer(k, medium, geo.NewScripted([]geo.Waypoint{
+		{At: 0, Pos: geo.Point{X: 20}},
+		{At: 120 * time.Second, Pos: geo.Point{X: 20}},
+		{At: 125 * time.Second, Pos: geo.Point{X: 900}},
+	}), nil, nil, Config{})
+	if err := producer.Publish(res); err != nil {
+		t.Fatal(err)
+	}
+	// Peer A arrives near the repository at t=200s, after C has left.
+	a := NewPeer(k, medium, geo.NewScripted([]geo.Waypoint{
+		{At: 0, Pos: geo.Point{X: -900}},
+		{At: 200 * time.Second, Pos: geo.Point{X: -20}},
+	}), nil, nil, Config{})
+	a.Subscribe(coll)
+
+	repo.Start()
+	producer.Start()
+	a.Start()
+
+	if !k.RunUntil(3*time.Minute, func() bool { ok, _ := repo.Done(coll); return ok }) {
+		h, tot := repo.Progress(coll)
+		t.Fatalf("repository did not collect: %d/%d", h, tot)
+	}
+	if !k.RunUntil(20*time.Minute, func() bool { ok, _ := a.Done(coll); return ok }) {
+		h, tot := a.Progress(coll)
+		t.Fatalf("A did not download from the repository: %d/%d", h, tot)
+	}
+}
+
 func TestAdaptiveBeaconPeriodGrowsInIsolation(t *testing.T) {
 	t.Parallel()
 	net := newTestNet(6, 50)

@@ -6,7 +6,6 @@ import (
 
 	"dapes/internal/core"
 	"dapes/internal/geo"
-	"dapes/internal/repo"
 )
 
 // This file reproduces the Table-I real-world feasibility study over the
@@ -98,8 +97,11 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 		return ScenarioResult{}, err
 	}
 
+	// The repository: a stationary peer that collects the collection and
+	// keeps serving it.
 	repoAt := geo.Point{X: 150, Y: 150}
-	rp := repo.New(w.Kernel, w.medium, repoAt, nil, nil, w.cfg, res.Manifest.Collection)
+	rp := w.peer(geo.Stationary{At: repoAt})
+	rp.Subscribe(res.Manifest.Collection)
 	// Producer C visits the repo, then leaves the area.
 	producer, err := w.publish(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 160, Y: 150}},
@@ -123,7 +125,7 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 	w.startDownloaders()
 	producer.Start()
 	rp.Start()
-	return w.outdoorRow("repository (Fig 8b)", producer, rp.Peer()), nil
+	return w.outdoorRow("repository (Fig 8b)", producer, rp), nil
 }
 
 // Scenario3Mobile reproduces Fig. 8c: four peers move through an

@@ -49,10 +49,19 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// Mobility yields a node's position as a function of virtual time.
+// Mobility is a node's path over virtual time, handed out a leg at a time
+// under a finite speed bound: every model the simulation moves nodes with
+// (stationary, random-direction, scripted) has one.
 type Mobility interface {
-	// PositionAt returns the node position at virtual time t.
-	PositionAt(t time.Duration) Point
+	// LegAt returns a leg covering t (for every t >= 0) that holds the
+	// model's positions bit for bit over its whole span, so a caller may
+	// keep it and evaluate it until time leaves [Start, End].
+	LegAt(t time.Duration) Leg
+	// MaxSpeed returns an upper bound on the node's speed in meters per
+	// second; 0 means the node never moves. Spatial indexes over moving
+	// nodes (phy.Medium's grid) widen queries by how far a node may have
+	// drifted since it was stored.
+	MaxSpeed() float64
 }
 
 // Stationary is a mobility model that never moves.
@@ -61,13 +70,14 @@ type Stationary struct {
 }
 
 var _ Mobility = Stationary{}
-var _ Speeder = Stationary{}
 
-// PositionAt implements Mobility.
-func (s Stationary) PositionAt(time.Duration) Point { return s.At }
-
-// MaxSpeed implements Speeder: a stationary node never moves.
+// MaxSpeed implements Mobility: a stationary node never moves.
 func (s Stationary) MaxSpeed() float64 { return 0 }
+
+// LegAt implements Mobility: one speed-0 leg over all time.
+func (s Stationary) LegAt(time.Duration) Leg {
+	return Leg{Start: math.MinInt64, End: math.MaxInt64, From: s.At}
+}
 
 // Leg is one straight stretch of a node's path: over [Start, End] the node
 // moves from From at Speed metres per second along the heading (Cos, Sin),
@@ -103,35 +113,23 @@ func (l *Leg) along(t time.Duration) Point {
 	return l.From.Add(l.Speed*dt*l.Cos, l.Speed*dt*l.Sin)
 }
 
-// Legged is an optional Mobility extension for models whose path is a
-// sequence of legs. The leg LegAt(t) returns holds the model's positions for
-// its whole span, bit for bit: l.At(u) == PositionAt(u) for every u in
-// [l.Start, l.End], so a caller may keep it and evaluate it until time leaves
-// the span. It covers t for every t >= 0.
-type Legged interface {
-	LegAt(t time.Duration) Leg
-}
-
-var _ Legged = Stationary{}
-var _ Legged = (*RandomDirection)(nil)
-
-// LegAt implements Legged: one speed-0 leg over all time.
-func (s Stationary) LegAt(time.Duration) Leg {
-	return Leg{Start: math.MinInt64, End: math.MaxInt64, From: s.At}
-}
+// The paper's random-direction walk: leg speeds in [2, 10] m/s, leg
+// durations in [5, 20] s.
+const (
+	walkMinSpeed = 2.0
+	walkMaxSpeed = 10.0
+	walkMinLeg   = 5 * time.Second
+	walkMaxLeg   = 20 * time.Second
+)
 
 // RandomDirection implements the paper's mobility model: each node repeatedly
 // picks a uniformly random direction in [0, 2π) and a uniformly random speed
-// in [MinSpeed, MaxSpeed], walks for a random leg duration, and reflects off
-// the area boundary. Legs are generated lazily and deterministically from the
-// provided random source.
+// in [2, 10] m/s, walks for a random leg duration of 5 to 20 s, and reflects
+// off the area boundary. Legs are generated lazily and deterministically from
+// the provided random source.
 type RandomDirection struct {
-	area     Rect
-	minSpeed float64
-	maxSpeed float64
-	minLeg   time.Duration
-	maxLeg   time.Duration
-	rng      Rand
+	area Rect
+	rng  Rand
 	// legs is the walk drawn so far. It starts in first, inside the walker,
 	// and moves out only once the walk outgrows it: most walkers of a short
 	// trial never draw a third leg.
@@ -143,7 +141,6 @@ type RandomDirection struct {
 }
 
 var _ Mobility = (*RandomDirection)(nil)
-var _ Speeder = (*RandomDirection)(nil)
 
 // Rand is what a walker draws its legs from: a node's *sim.Stream in the
 // simulation, a *math/rand.Rand anywhere else.
@@ -154,18 +151,13 @@ type Rand interface {
 
 // RandomDirectionConfig configures a RandomDirection walker.
 type RandomDirectionConfig struct {
-	Area     Rect
-	Start    Point
-	MinSpeed float64 // m/s; paper: 2
-	MaxSpeed float64 // m/s; paper: 10
-	MinLeg   time.Duration
-	MaxLeg   time.Duration
+	Area  Rect
+	Start Point
 	// RNG is required: a walk has no default randomness.
 	RNG Rand
 }
 
-// NewRandomDirection returns a walker starting at cfg.Start. Zero speeds
-// default to the paper's 2–10 m/s and zero leg bounds to 5–20 s.
+// NewRandomDirection returns a walker starting at cfg.Start.
 func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
 	w := new(RandomDirection)
 	w.Init(cfg)
@@ -177,30 +169,17 @@ func NewRandomDirection(cfg RandomDirectionConfig) *RandomDirection {
 // in one slice. A built walker holds its first legs inside itself, so it
 // must not be copied.
 func (w *RandomDirection) Init(cfg RandomDirectionConfig) {
-	if cfg.MinSpeed == 0 && cfg.MaxSpeed == 0 {
-		cfg.MinSpeed, cfg.MaxSpeed = 2, 10
-	}
-	if cfg.MinLeg == 0 && cfg.MaxLeg == 0 {
-		cfg.MinLeg, cfg.MaxLeg = 5*time.Second, 20*time.Second
-	}
 	if cfg.RNG == nil {
 		panic("geo: NewRandomDirection without an RNG")
 	}
-	*w = RandomDirection{
-		area:     cfg.Area,
-		minSpeed: cfg.MinSpeed,
-		maxSpeed: cfg.MaxSpeed,
-		minLeg:   cfg.MinLeg,
-		maxLeg:   cfg.MaxLeg,
-		rng:      cfg.RNG,
-	}
+	*w = RandomDirection{area: cfg.Area, rng: cfg.RNG}
 	w.legs = append(w.first[:0], w.nextLeg(0, cfg.Area.Clamp(cfg.Start)))
 }
 
 func (w *RandomDirection) nextLeg(start time.Duration, from Point) Leg {
 	angle := w.rng.Float64() * 2 * math.Pi
-	speed := w.minSpeed + w.rng.Float64()*(w.maxSpeed-w.minSpeed)
-	dur := w.minLeg + time.Duration(w.rng.Int63n(int64(w.maxLeg-w.minLeg)+1))
+	speed := walkMinSpeed + w.rng.Float64()*(walkMaxSpeed-walkMinSpeed)
+	dur := walkMinLeg + time.Duration(w.rng.Int63n(int64(walkMaxLeg-walkMinLeg)+1))
 	leg := Leg{Start: start, End: start + dur, From: from, Cos: math.Cos(angle), Sin: math.Sin(angle), Speed: speed, Area: w.area}
 	// Truncate the leg at the boundary so the node "bounces": the next leg
 	// starts at the wall with a fresh random direction.
@@ -225,18 +204,17 @@ func (w *RandomDirection) timeToBoundary(leg *Leg) time.Duration {
 	return lo
 }
 
-// MaxSpeed implements Speeder. Leg speeds interpolate between minSpeed and
-// maxSpeed, so the larger of the two bounds them even for a misconfigured
-// walker with MinSpeed > MaxSpeed.
-func (w *RandomDirection) MaxSpeed() float64 { return math.Max(w.minSpeed, w.maxSpeed) }
+// MaxSpeed implements Mobility: no leg is faster than the paper's 10 m/s.
+func (w *RandomDirection) MaxSpeed() float64 { return walkMaxSpeed }
 
-// PositionAt implements Mobility, extending the walk lazily to cover t.
+// PositionAt returns the walker's position at t, extending the walk lazily
+// to cover it.
 func (w *RandomDirection) PositionAt(t time.Duration) Point {
 	l := w.LegAt(t)
 	return l.At(t)
 }
 
-// LegAt implements Legged, extending the walk lazily to cover t. A leg ends
+// LegAt implements Mobility, extending the walk lazily to cover t. A leg ends
 // where the next starts, at the same point, so at a boundary instant either
 // leg gives the same position; LegAt returns the later one.
 func (w *RandomDirection) LegAt(t time.Duration) Leg {
@@ -279,11 +257,11 @@ type Scripted struct {
 }
 
 var _ Mobility = (*Scripted)(nil)
-var _ Speeder = (*Scripted)(nil)
 
 // NewScripted returns a scripted path over the given waypoints, which must be
 // ordered by time. Before the first waypoint the node sits at the first
-// position; after the last it sits at the last.
+// position; after the last it sits at the last. It panics on two waypoints
+// at one instant in two places: a teleport has no finite speed bound.
 func NewScripted(points []Waypoint) *Scripted {
 	cp := make([]Waypoint, len(points))
 	copy(cp, points)
@@ -297,19 +275,23 @@ func NewScripted(points []Waypoint) *Scripted {
 				s.maxSpeed = v
 			}
 		case dist > 0:
-			// Two waypoints at the same instant teleport the node: no
-			// finite speed bound exists.
-			s.maxSpeed = math.Inf(1)
+			panic("geo: NewScripted with a waypoint elsewhere at the same or an earlier instant")
 		}
 	}
 	return s
 }
 
-// MaxSpeed implements Speeder: the steepest waypoint-to-waypoint segment
-// bounds the whole path (+Inf when waypoints teleport).
+// MaxSpeed implements Mobility: the steepest waypoint-to-waypoint segment
+// bounds the whole path.
 func (s *Scripted) MaxSpeed() float64 { return s.maxSpeed }
 
-// PositionAt implements Mobility.
+// LegAt implements Mobility with a one-instant leg at PositionAt(t): a
+// caller holding it asks again as soon as the clock moves.
+func (s *Scripted) LegAt(t time.Duration) Leg {
+	return Leg{Start: t, End: t, From: s.PositionAt(t)}
+}
+
+// PositionAt returns the scripted position at t.
 func (s *Scripted) PositionAt(t time.Duration) Point {
 	if len(s.points) == 0 {
 		return Point{}

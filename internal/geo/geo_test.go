@@ -90,7 +90,7 @@ func TestStationary(t *testing.T) {
 	t.Parallel()
 	s := Stationary{At: Point{5, 7}}
 	for _, d := range []time.Duration{0, time.Second, time.Hour} {
-		if s.PositionAt(d) != (Point{5, 7}) {
+		if l := s.LegAt(d); l.At(d) != (Point{5, 7}) {
 			t.Fatal("stationary node moved")
 		}
 	}
@@ -116,11 +116,9 @@ func TestRandomDirectionSpeedBounds(t *testing.T) {
 	t.Parallel()
 	area := Rect{Width: 300, Height: 300}
 	w := NewRandomDirection(RandomDirectionConfig{
-		Area:     area,
-		Start:    Point{150, 150},
-		MinSpeed: 2,
-		MaxSpeed: 10,
-		RNG:      rand.New(rand.NewSource(4)),
+		Area:  area,
+		Start: Point{150, 150},
+		RNG:   rand.New(rand.NewSource(4)),
 	})
 	const step = 100 * time.Millisecond
 	prev := w.PositionAt(0)
@@ -128,7 +126,7 @@ func TestRandomDirectionSpeedBounds(t *testing.T) {
 		cur := w.PositionAt(t0)
 		speed := prev.Distance(cur) / step.Seconds()
 		// Speed may briefly appear slower around a bounce within a step, but
-		// never faster than MaxSpeed.
+		// never faster than the paper's 10 m/s.
 		if speed > 10+1e-6 {
 			t.Fatalf("observed speed %.2f m/s exceeds max at t=%v", speed, t0)
 		}
@@ -257,16 +255,42 @@ func TestScriptedEmpty(t *testing.T) {
 
 func TestScriptedDuplicateTimestamps(t *testing.T) {
 	t.Parallel()
+	// Two waypoints at one instant in one place: a zero-span segment, which
+	// must not divide by zero.
 	s := NewScripted([]Waypoint{
 		{At: 0, Pos: Point{0, 0}},
 		{At: 10 * time.Second, Pos: Point{1, 1}},
-		{At: 10 * time.Second, Pos: Point{2, 2}},
+		{At: 10 * time.Second, Pos: Point{1, 1}},
+		{At: 20 * time.Second, Pos: Point{2, 2}},
 	})
-	got := s.PositionAt(10 * time.Second)
-	// Either waypoint at t=10s is acceptable, but it must not divide by zero
-	// and must be one of the scripted positions.
-	if got != (Point{1, 1}) && got != (Point{2, 2}) {
+	if got := s.PositionAt(10 * time.Second); got != (Point{1, 1}) {
 		t.Fatalf("PositionAt(10s) = %v", got)
+	}
+	if got := s.PositionAt(15 * time.Second); got != (Point{1.5, 1.5}) {
+		t.Fatalf("PositionAt(15s) = %v", got)
+	}
+	if v := s.MaxSpeed(); math.IsInf(v, 0) || math.IsNaN(v) {
+		t.Fatalf("MaxSpeed = %v, want a finite bound", v)
+	}
+}
+
+// TestScriptedPanicsOnTeleport: a path with two waypoints at one instant in
+// two places, or one elsewhere at an earlier instant, has no finite speed
+// bound, and NewScripted refuses it.
+func TestScriptedPanicsOnTeleport(t *testing.T) {
+	t.Parallel()
+	for name, pts := range map[string][]Waypoint{
+		"same instant": {{At: time.Second, Pos: Point{0, 0}}, {At: time.Second, Pos: Point{5, 0}}},
+		"out of order": {{At: 0, Pos: Point{0, 0}}, {At: 2 * time.Second, Pos: Point{3, 0}}, {At: time.Second, Pos: Point{9, 0}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewScripted returned a model with speed bound %v", name, NewScripted(pts).MaxSpeed())
+				}
+			}()
+			NewScripted(pts)
+		}()
 	}
 }
 

@@ -6,26 +6,6 @@ import (
 	"sort"
 )
 
-// Speeder is an optional Mobility extension reporting an upper bound on a
-// model's speed. Spatial indexes over moving nodes (phy.Medium's grid) use
-// the bound to widen queries by how far a node may have drifted from its
-// stored position, and to decide when to store it again; models without a
-// finite bound are stored again on every query timestamp instead.
-type Speeder interface {
-	// MaxSpeed returns an upper bound on the node's speed in meters per
-	// second. 0 means the node never moves.
-	MaxSpeed() float64
-}
-
-// MaxSpeedOf returns m's speed bound, or +Inf when the model does not
-// implement Speeder (no bound known).
-func MaxSpeedOf(m Mobility) float64 {
-	if s, ok := m.(Speeder); ok {
-		return s.MaxSpeed()
-	}
-	return math.Inf(1)
-}
-
 // gridCell addresses one square cell of the plane.
 type gridCell struct{ x, y int64 }
 

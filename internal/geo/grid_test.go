@@ -331,68 +331,40 @@ func TestGridWindowHoldsAffordableWorld(t *testing.T) {
 
 func TestMaxSpeedBounds(t *testing.T) {
 	t.Parallel()
-	if v := MaxSpeedOf(Stationary{}); v != 0 {
+	still := Stationary{At: Point{X: 3, Y: 4}}
+	if v := still.MaxSpeed(); v != 0 {
 		t.Fatalf("Stationary MaxSpeed = %v, want 0", v)
 	}
 	w := NewRandomDirection(RandomDirectionConfig{
-		Area:     Rect{Width: 100, Height: 100},
-		MinSpeed: 2, MaxSpeed: 9,
-		RNG: rand.New(rand.NewSource(1)),
+		Area: Rect{Width: 100, Height: 100},
+		RNG:  rand.New(rand.NewSource(1)),
 	})
-	if v := MaxSpeedOf(w); v != 9 {
-		t.Fatalf("RandomDirection MaxSpeed = %v, want 9", v)
+	if v := w.MaxSpeed(); v != 10 {
+		t.Fatalf("RandomDirection MaxSpeed = %v, want the paper's 10", v)
 	}
-	// A misconfigured walker (MinSpeed > MaxSpeed) still draws legs between
-	// the two values, so the bound must be the larger one, never 0.
-	inverted := NewRandomDirection(RandomDirectionConfig{
-		Area:     Rect{Width: 100, Height: 100},
-		MinSpeed: 5,
-		RNG:      rand.New(rand.NewSource(2)),
-	})
-	if v := MaxSpeedOf(inverted); v != 5 {
-		t.Fatalf("inverted-config RandomDirection MaxSpeed = %v, want 5", v)
-	}
-
 	// Scripted: 100 m in 10 s then 50 m in 100 s -> bound 10 m/s.
 	s := NewScripted([]Waypoint{
 		{At: 0, Pos: Point{X: 0, Y: 0}},
 		{At: 10 * time.Second, Pos: Point{X: 100, Y: 0}},
 		{At: 110 * time.Second, Pos: Point{X: 150, Y: 0}},
 	})
-	if v := MaxSpeedOf(s); math.Abs(v-10) > 1e-9 {
+	if v := s.MaxSpeed(); math.Abs(v-10) > 1e-9 {
 		t.Fatalf("Scripted MaxSpeed = %v, want 10", v)
 	}
 
-	// A teleport (two waypoints at the same instant) has no finite bound.
-	tp := NewScripted([]Waypoint{
-		{At: time.Second, Pos: Point{X: 0, Y: 0}},
-		{At: time.Second, Pos: Point{X: 5, Y: 0}},
-	})
-	if v := MaxSpeedOf(tp); !math.IsInf(v, 1) {
-		t.Fatalf("teleporting Scripted MaxSpeed = %v, want +Inf", v)
-	}
-
-	// An unknown model without Speeder has no bound either.
-	if v := MaxSpeedOf(plainMobility{}); !math.IsInf(v, 1) {
-		t.Fatalf("unknown model MaxSpeed = %v, want +Inf", v)
-	}
-
-	// The walker's actual excursions must respect the reported bound.
-	var prev Point
-	prevT := time.Duration(0)
-	for ti := time.Duration(0); ti <= 5*time.Minute; ti += 500 * time.Millisecond {
-		p := w.PositionAt(ti)
-		if ti > 0 {
-			dt := (ti - prevT).Seconds()
-			if d := prev.Distance(p); d > 9*dt+1e-6 {
-				t.Fatalf("walker moved %v m in %v s, exceeds MaxSpeed 9", d, dt)
+	// Each model's actual excursions, read from its legs, must respect its
+	// reported bound.
+	const step = 500 * time.Millisecond
+	for i, m := range []Mobility{still, w, s} {
+		bound := m.MaxSpeed()
+		var prev Point
+		for ti := time.Duration(0); ti <= 5*time.Minute; ti += step {
+			l := m.LegAt(ti)
+			p := l.At(ti)
+			if d := prev.Distance(p); ti > 0 && d > bound*step.Seconds()+1e-6 {
+				t.Fatalf("model %d moved %v m in %v, exceeds MaxSpeed %v", i, d, step, bound)
 			}
+			prev = p
 		}
-		prev, prevT = p, ti
 	}
 }
-
-// plainMobility implements Mobility but not Speeder.
-type plainMobility struct{}
-
-func (plainMobility) PositionAt(time.Duration) Point { return Point{} }

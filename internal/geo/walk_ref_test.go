@@ -141,7 +141,7 @@ func samePoint(p, q Point) bool {
 	return math.Float64bits(p.X) == math.Float64bits(q.X) && math.Float64bits(p.Y) == math.Float64bits(q.Y)
 }
 
-// TestLegMatchesPositionAt holds the Legged contract on walkSchedule: the leg
+// TestLegMatchesPositionAt holds the Mobility leg contract on walkSchedule: the leg
 // LegAt(t) returns covers t (for t >= 0) and gives PositionAt's answers bit
 // for bit at t and across its span — at both ends too, where a caller still
 // holding the previous leg evaluates that one at the instant the next begins.
@@ -191,7 +191,7 @@ func TestLegMatchesPositionAt(t *testing.T) {
 		if at < l.Start || at > l.End {
 			t.Fatalf("Stationary.LegAt(%v) spans [%v, %v]", at, l.Start, l.End)
 		}
-		if got := l.At(at); !samePoint(got, s.PositionAt(at)) {
+		if got := l.At(at); !samePoint(got, s.At) {
 			t.Fatalf("Stationary.LegAt(%v).At = %v, want %v", at, got, s.At)
 		}
 	}

@@ -7,25 +7,13 @@ import (
 	"dapes/internal/sim"
 )
 
-// This file is the pluggable frame-loss layer: a LossModel replaces the
-// medium's built-in i.i.d. coin flip for receptions that survived the
-// collision check, and a Jammer blacks out a disk of the arena for an
-// interval. Both hook into Medium.complete at exactly the point the i.i.d.
-// reference draws, so an installed model that reproduces the reference's
-// draws from the receiver's coin is byte-identical to it — the golden gate
-// in internal/experiment pins that for GilbertElliott with pGood==pBad.
-
-// LossModel decides whether one reception that already survived the
-// collision check is dropped at the receiving radio. id is the radio's
-// identity; coin is that receiver's per-reception loss stream (sim.PurposeReception),
-// the one the i.i.d. reference draws from. Implementations must draw from
-// coin exactly when the decision is probabilistic for the receiver's
-// current state — drawing on a sure outcome (p==0 or p==1) would shift the
-// receiver's later draws and break trace equivalences. Any internal state
-// evolution must come from the model's own streams, never from coin.
-type LossModel interface {
-	Drop(id int, coin *sim.Stream) bool
-}
+// This file is the fault layer's frame loss: a GilbertElliott model
+// replaces the medium's built-in i.i.d. coin flip for receptions that
+// survived the collision check, and a Jammer blacks out a disk of the arena
+// for an interval. Both hook into Medium.complete at exactly the point the
+// i.i.d. reference draws, so a model that reproduces the reference's draws
+// from the receiver's coin is byte-identical to it — the golden gate in
+// internal/experiment pins that for GilbertElliott with pGood==pBad.
 
 // GEConfig parameterizes a Gilbert-Elliott channel: a two-state Markov
 // chain per receiver with loss probability PGood in the good state and
@@ -62,8 +50,13 @@ func NewGilbertElliott(cfg GEConfig, seed int64) *GilbertElliott {
 	return &GilbertElliott{cfg: cfg, seed: seed, states: make(map[int]*geState)}
 }
 
-// Drop steps the receiver's chain and then decides the loss with a single
-// draw from coin when the state's loss probability is positive.
+// Drop decides whether one reception that already survived the collision
+// check is dropped at the radio id, whose per-reception loss stream
+// (sim.PurposeReception) is coin, the one the i.i.d. reference draws from.
+// It steps the receiver's chain from the chain's own stream and then draws
+// once from coin, only when the state's loss probability is neither 0 nor
+// 1: a draw on a sure outcome would shift the receiver's later draws and
+// break trace equivalences.
 func (g *GilbertElliott) Drop(id int, coin *sim.Stream) bool {
 	st := g.states[id]
 	if st == nil {
@@ -110,10 +103,10 @@ func (j *Jammer) Blocks(p geo.Point, at time.Duration) bool {
 	return at >= j.From && at < j.Until && p.Distance(j.Center) <= j.Radius
 }
 
-// SetLossModel installs a loss model that replaces the built-in i.i.d.
-// Config.LossRate draw for this medium's receivers. Install before the
-// first broadcast.
-func (m *Medium) SetLossModel(l LossModel) { m.loss = l }
+// SetLossModel installs a Gilbert-Elliott model that replaces the built-in
+// i.i.d. Config.LossRate draw for this medium's receivers. Install before
+// the first broadcast.
+func (m *Medium) SetLossModel(l *GilbertElliott) { m.loss = l }
 
 // SetJammer installs a regional jammer window checked before the loss
 // draw. nil (the default) leaves the path untouched.

@@ -34,7 +34,7 @@ func runListWorld(w listWorld, mode IndexMode) (answers []string, fromList int) 
 		k.ScheduleFuncAt(at, func() {
 			now := k.Now()
 			for _, r := range m.Radios() {
-				if l := r.list; m.grid != nil && len(m.unbounded) == 0 && l != nil && l.attached == len(m.radios) && m.inWindow(l.at, now) {
+				if l := r.list; m.grid != nil && l != nil && l.attached == len(m.radios) && m.inWindow(l.at, now) {
 					fromList++
 				}
 				answers = append(answers, fmt.Sprintf("at %v radio %d: %v", now, r.id, m.Neighbors(r)))
@@ -82,8 +82,8 @@ func probesAcross(first, last, step time.Duration) []time.Duration {
 // closing head-on at the speed bound from just outside the list's radius and
 // probed across its whole validity window and one probe past it; walkers
 // receding from inside Range; a radio attached, and one switched off and on,
-// while lists are live; a radio with no speed bound; a world that never
-// moves; and random-direction worlds at the paper's ranges.
+// while lists are live; a world that never moves; and random-direction
+// worlds at the paper's ranges.
 func TestNeighbourListMatchesNaive(t *testing.T) {
 	t.Parallel()
 	const (
@@ -122,14 +122,6 @@ func TestNeighbourListMatchesNaive(t *testing.T) {
 					m.Radios()[len(toward)+len(away)].SetEnabled(i%2 == 1)
 				})
 			}
-		},
-		probes: probesAcross(start, start+window, step),
-	}, {
-		name: "unbounded speed", rangeM: r, lists: false,
-		setup: func(k *sim.Kernel, m *Medium) {
-			headOn(k, m, start, speed, toward, away)
-			m.Attach(jumpy{1.5})
-			m.Attach(jumpy{2.7})
 		},
 		probes: probesAcross(start, start+window, step),
 	}, {

@@ -230,13 +230,9 @@ type Radio struct {
 	// leg is the stretch of the mobility model's path the radio was last
 	// placed on (relocate). Every position the medium needs is evaluated from
 	// it inline, and the model is asked again only once the clock has left
-	// [leg.Start, leg.End]: a geo.Legged model hands out whole legs — a
-	// stationary radio's lasts forever — and any other model a one-instant
-	// leg at its PositionAt, a cache of one timestamp.
-	leg geo.Leg
-	// maxSpeed bounds the mobility model's speed (+Inf when unknown); the
-	// grid index uses it to decide how long a cell assignment stays valid.
-	maxSpeed float64
+	// [leg.Start, leg.End]: a walker's leg lasts until its next turn, a
+	// stationary radio's forever, a scripted path's one instant.
+	leg      geo.Leg
 	medium   *Medium
 	mobility geo.Mobility
 	receiver Receiver
@@ -277,22 +273,8 @@ func (r *Radio) at(now time.Duration) geo.Point {
 	return r.leg.At(now)
 }
 
-// relocate asks the mobility model for the leg holding the radio at now. A
-// radio without a speed bound gets one-instant legs even from a geo.Legged
-// model, and its grid entry is re-stored with each: the medium's queries
-// allow it no drift, so it is stored where it is at every timestamp it is
-// looked at.
-func (r *Radio) relocate(now time.Duration) {
-	unbounded := math.IsInf(r.maxSpeed, 1)
-	if l, ok := r.mobility.(geo.Legged); ok && !unbounded {
-		r.leg = l.LegAt(now)
-		return
-	}
-	r.leg = geo.Leg{Start: now, End: now, From: r.mobility.PositionAt(now)}
-	if unbounded && r.medium.grid != nil {
-		r.medium.grid.Move(r.id, r.leg.From)
-	}
-}
+// relocate asks the mobility model for the leg holding the radio at now.
+func (r *Radio) relocate(now time.Duration) { r.leg = r.mobility.LegAt(now) }
 
 // SetReceiver installs what the radio hands the frames it receives. It must
 // be set before frames arrive; frames received while it is nil are dropped.
@@ -327,7 +309,7 @@ type Medium struct {
 
 	// Fault-injection hooks (loss.go; both nil by default, leaving the
 	// reception path byte-identical to the reference i.i.d. code).
-	loss LossModel
+	loss *GilbertElliott
 	jam  *Jammer
 
 	// Spatial index (IndexGrid; nil under IndexNaive). Cells are one radio
@@ -337,12 +319,11 @@ type Medium struct {
 	// accrued so far (gridReach), so the grid's answer is always a superset
 	// of the radios truly in range and the exact-distance filter below
 	// decides membership — identically to the naive scan.
-	grid      *geo.Grid
-	slack     float64
-	lastSync  time.Duration
-	maxSpeed  float64  // fastest finite-speed mobile radio
-	mobile    []*Radio // radios with 0 < maxSpeed < +Inf
-	unbounded []*Radio // no speed bound: re-stored at every new timestamp
+	grid     *geo.Grid
+	slack    float64
+	lastSync time.Duration
+	maxSpeed float64  // fastest mobile radio
+	mobile   []*Radio // radios with maxSpeed > 0
 
 	// Scratch buffers and free-lists for the broadcast hot path. Pools are
 	// per medium, never global: trials run in parallel.
@@ -394,7 +375,6 @@ func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 		medium:   m,
 		mobility: mobility,
 		enabled:  true,
-		maxSpeed: geo.MaxSpeedOf(mobility),
 		coin:     m.kernel.Stream(id, sim.PurposeReception),
 	}
 	m.radios = append(m.radios, r)
@@ -402,16 +382,11 @@ func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 	r.relocate(now)
 	if m.grid != nil {
 		m.grid.Insert(r.id, r.leg.At(now))
-		switch {
-		case r.maxSpeed == 0:
-			// Never moves; its cell assignment is permanent.
-		case math.IsInf(r.maxSpeed, 1):
-			m.unbounded = append(m.unbounded, r)
-		default:
+		// A radio that never moves keeps its cell assignment for good; the
+		// fastest one bounds how long every assignment stays valid.
+		if v := mobility.MaxSpeed(); v > 0 {
 			m.mobile = append(m.mobile, r)
-			if r.maxSpeed > m.maxSpeed {
-				m.maxSpeed = r.maxSpeed
-			}
+			m.maxSpeed = max(m.maxSpeed, v)
 		}
 	}
 	return r
@@ -437,15 +412,8 @@ func (m *Medium) InRange(a, b *Radio) bool {
 // syncGrid re-stores radios whose grid position is too stale before a query
 // at the current time. A mobile radio moves at most maxSpeed, so queries
 // widen by maxSpeed·(now−lastSync) and positions are re-stored once that
-// exceeds slack (half a range: the query stays within a 4×4 block of cells);
-// radios without a finite speed bound re-store whenever the clock moved
-// (relocate does, as each one's one-instant leg runs out).
+// exceeds slack (half a range: the query stays within a 4×4 block of cells).
 func (m *Medium) syncGrid(now time.Duration) {
-	for _, r := range m.unbounded {
-		if now != r.leg.Start {
-			r.relocate(now)
-		}
-	}
 	if m.maxSpeed > 0 && m.maxSpeed*(now-m.lastSync).Seconds() > m.slack {
 		for _, r := range m.mobile {
 			m.grid.Move(r.id, r.at(now))
@@ -462,8 +430,8 @@ func (m *Medium) syncGrid(now time.Duration) {
 //
 // On the grid a sender with a valid neighbour list answers from it; one
 // whose last lookup lies within a drift window builds one; any other
-// lookup — a sender's first, one after a longer silence, or any while a
-// radio without a speed bound is attached — asks the grid alone.
+// lookup — a sender's first, or one after a longer silence — asks the grid
+// alone.
 func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	m.cand = m.cand[:0]
 	if m.grid == nil {
@@ -480,15 +448,13 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	now := m.kernel.Now()
 	m.syncGrid(now)
 	center := sender.at(now)
-	if len(m.unbounded) == 0 {
-		repeat := sender.looked && m.inWindow(sender.lookedAt, now)
-		sender.looked, sender.lookedAt = true, now
-		if l := sender.list; l != nil && l.attached == len(m.radios) && m.inWindow(l.at, now) {
-			return m.fromList(l, center, now)
-		}
-		if repeat {
-			return m.buildList(sender, center, now)
-		}
+	repeat := sender.looked && m.inWindow(sender.lookedAt, now)
+	sender.looked, sender.lookedAt = true, now
+	if l := sender.list; l != nil && l.attached == len(m.radios) && m.inWindow(l.at, now) {
+		return m.fromList(l, center, now)
+	}
+	if repeat {
+		return m.buildList(sender, center, now)
 	}
 	r := m.gridReach(center, m.maxSpeed*(now-m.lastSync).Seconds())
 	m.candIDs = m.grid.QueryRange(center, r, m.candIDs[:0])

@@ -347,22 +347,12 @@ func TestGridMatchesNaiveAtDriftBoundary(t *testing.T) {
 	}
 }
 
-// jumpy is a mobility model with no speed bound (not a geo.Speeder): it
-// jumps to a new point every 300 ms.
-type jumpy struct{ seed float64 }
-
-func (j jumpy) PositionAt(t time.Duration) geo.Point {
-	step := float64(t / (300 * time.Millisecond))
-	return geo.Point{X: math.Mod(j.seed*step*37, 100), Y: math.Mod(j.seed*step*61, 100)}
-}
-
 // TestPositionMatchesMobility: a radio's position is its mobility model's
-// PositionAt at every instant the medium is asked, bit for bit — inside a
+// position at every instant the medium is asked, bit for bit — inside a
 // leg, at the instant one leg ends and the next begins, a nanosecond later,
 // after a long silence — whether the radio holds whole legs (random-direction
-// walkers, a stationary radio) or one-instant ones (a scripted path, models
-// with no speed bound); and the grid's neighbours are those of the models'
-// positions, unbounded radios included.
+// walkers, a stationary radio) or one-instant ones (a scripted path); and
+// the grid's neighbours are those of the models' positions.
 func TestPositionMatchesMobility(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel(1)
@@ -372,8 +362,10 @@ func TestPositionMatchesMobility(t *testing.T) {
 			Start: geo.Point{X: 50, Y: 50}, RNG: rand.New(rand.NewSource(seed))})
 	}
 	scripted := geo.NewScripted([]geo.Waypoint{{At: 0, Pos: geo.Point{X: -10}}, {At: time.Minute, Pos: geo.Point{X: 110, Y: 90}}})
-	models := []geo.Mobility{walker(1), walker(2), walker(3), geo.Stationary{At: geo.Point{X: -5, Y: 30}}, scripted, jumpy{1.5}, jumpy{2.7}}
-	refs := []geo.Mobility{walker(1), walker(2), walker(3), models[3], scripted, models[5], models[6]}
+	still := geo.Stationary{At: geo.Point{X: -5, Y: 30}}
+	models := []geo.Mobility{walker(1), walker(2), walker(3), still, scripted}
+	refs := []func(time.Duration) geo.Point{walker(1).PositionAt, walker(2).PositionAt, walker(3).PositionAt,
+		func(time.Duration) geo.Point { return still.At }, scripted.PositionAt}
 	var radios []*Radio
 	for _, mob := range models {
 		radios = append(radios, m.Attach(mob))
@@ -404,7 +396,7 @@ func TestPositionMatchesMobility(t *testing.T) {
 			for i, r := range radios {
 				var want []int
 				for j := range radios {
-					if j != i && refs[i].PositionAt(now).Distance(refs[j].PositionAt(now)) <= 40 {
+					if j != i && refs[i](now).Distance(refs[j](now)) <= 40 {
 						want = append(want, j)
 					}
 				}
@@ -413,7 +405,7 @@ func TestPositionMatchesMobility(t *testing.T) {
 				}
 			}
 			for i, r := range radios {
-				if got, want := r.Position(), refs[i].PositionAt(now); math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+				if got, want := r.Position(), refs[i](now); math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
 					t.Fatalf("radio %d at %v: Position %v, model %v", i, now, got, want)
 				}
 			}

@@ -8,7 +8,10 @@
 # docs/EXPERIMENTS.md as a -faults file, each at -seed 1 -files 2
 # -packets 5 -trials 3 -format json; dapes-plan run plans/ci-smoke.toml and
 # a one-cell fig8a-carrier plan written here (its labels are the world's own
-# range and loss); and dapes-bench -scale quick -only tableI -format json.
+# range and loss); dapes-bench -scale quick -only tableI -format json; and
+# the four examples/ programs, each built on both sides and run once (the
+# scripted worlds they build are not in the catalog; reposync's repository
+# is the one run of a repository besides fig8b-repository).
 # This is the check a change that claims to be trace- and output-neutral is
 # held to.
 # BASE is unpacked with `git archive` and both sides are built in a
@@ -23,8 +26,10 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/src" "$tmp/bin/base" "$tmp/bin/head" "$tmp/out/base" "$tmp/out/head"
 git -C "$root" archive "$base" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/bin/base/" ./cmd/dapes-sim ./cmd/dapes-plan ./cmd/dapes-bench)
-(cd "$root" && go build -o "$tmp/bin/head/" ./cmd/dapes-sim ./cmd/dapes-plan ./cmd/dapes-bench)
+examples=(quickstart multihop disasterrelay reposync)
+pkgs=(./cmd/dapes-sim ./cmd/dapes-plan ./cmd/dapes-bench "${examples[@]/#/./examples/}")
+(cd "$tmp/src" && go build -o "$tmp/bin/base/" "${pkgs[@]}")
+(cd "$root" && go build -o "$tmp/bin/head/" "${pkgs[@]}")
 # The documented [faults] example, from its header to the end of its block.
 sed -n '/^\[faults\]$/,/^```$/p' "$root/docs/EXPERIMENTS.md" | sed '$d' >"$tmp/faults.toml"
 test -s "$tmp/faults.toml" || { echo "neutral: no [faults] example in docs/EXPERIMENTS.md"; exit 1; }
@@ -69,6 +74,9 @@ check faults dapes-sim -scenario fig7-dapes -faults "$tmp/faults.toml" "${run[@]
 check ci-smoke dapes-plan run "$root/plans/ci-smoke.toml"
 check fig8-plan dapes-plan run "$tmp/fig8.toml"
 check tableI dapes-bench -scale quick -only tableI -format json
+for ex in "${examples[@]}"; do
+	check "example-$ex" "$ex"
+done
 
 if ((failed)); then
 	echo "neutral: the working tree's output differs from $base"
