@@ -97,11 +97,8 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 		return ScenarioResult{}, err
 	}
 
-	// The repository: a stationary peer that collects the collection and
-	// keeps serving it.
-	repoAt := geo.Point{X: 150, Y: 150}
-	rp := w.peer(geo.Stationary{At: repoAt})
-	rp.Subscribe(res.Manifest.Collection)
+	repository := w.peer(geo.Stationary{At: geo.Point{X: 150, Y: 150}})
+	repository.Subscribe(res.Manifest.Collection)
 	// Producer C visits the repo, then leaves the area.
 	producer, err := w.publish(geo.NewScripted([]geo.Waypoint{
 		{At: 0, Pos: geo.Point{X: 160, Y: 150}},
@@ -124,8 +121,8 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 
 	w.startDownloaders()
 	producer.Start()
-	rp.Start()
-	return w.outdoorRow("repository (Fig 8b)", producer, rp), nil
+	repository.Start()
+	return w.outdoorRow("repository (Fig 8b)", producer, repository), nil
 }
 
 // Scenario3Mobile reproduces Fig. 8c: four peers move through an
